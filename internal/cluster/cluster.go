@@ -43,6 +43,7 @@ import (
 	"bmac/internal/metrics"
 	"bmac/internal/orderer"
 	"bmac/internal/peer"
+	"bmac/internal/pipeline"
 	"bmac/internal/raft"
 	"bmac/internal/statedb"
 	"bmac/internal/telemetry"
@@ -52,10 +53,23 @@ import (
 
 // Validation path modes for the software peers.
 const (
-	Sequential = "sequential" // internal/validator, Fabric's baseline pipeline
-	Pipelined  = "pipelined"  // internal/pipeline over an in-memory store
-	Hybrid     = "hybrid"     // internal/pipeline + prefetch over the §5 hybrid database
+	Sequential = "sequential" // the engine in its Fabric v1.4 shape, the paper's baseline
+	Pipelined  = "pipelined"  // the engine's default shape over an in-memory store
+	Hybrid     = "hybrid"     // the default shape + prefetch over the §5 hybrid database
 )
+
+// modes maps each validation path mode to what opens its peers: the engine
+// preset, the state-database backend, and whether the read-set prefetch is
+// forced on.
+var modes = map[string]struct {
+	engine   func(*config.Config) (pipeline.Config, error)
+	backend  string
+	prefetch bool
+}{
+	Sequential: {func(c *config.Config) (pipeline.Config, error) { return c.ValidatorConfig(4) }, config.BackendMemory, false},
+	Pipelined:  {(*config.Config).PipelineConfig, config.BackendMemory, false},
+	Hybrid:     {(*config.Config).PipelineConfig, config.BackendHybrid, true},
+}
 
 // Modes lists the validation path modes in presentation order.
 func Modes() []string { return []string{Sequential, Pipelined, Hybrid} }
@@ -333,13 +347,8 @@ type swPeer struct {
 	slow    bool
 	dir     string
 	ln      *gossip.Listener
-	commit  func(*block.Block) (peer.CommitResult, error)
-	close   func() error
-	ckpt    func() error // write a state checkpoint at the current height
-	store   statedb.KVS
-	led     *ledger.Ledger
-	next    uint64 // first block the commit loop expects (recovered height)
-	started bool   // commitLoop launched (done will be closed)
+	peer    *peer.Peer
+	started bool // commitLoop launched (done will be closed)
 	done    chan struct{}
 
 	mu         sync.Mutex
@@ -581,7 +590,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 			if p.started {
 				<-p.done // commitLoop exits once the intake channel closes
 			}
-			p.close()
+			p.peer.Close() // bmaclint:allow errdiscard (teardown: nothing left to do with a close error)
 		}
 	}()
 	// Per-peer state-database access counters, exported as scrape-time
@@ -591,7 +600,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		if reg == nil {
 			return
 		}
-		st := p.store
+		st := p.peer.Engine.Store()
 		reg.GaugeFunc(telemetry.Name("statedb_reads_total", "peer", p.name),
 			func() int64 { r, _ := st.AccessCounts(); return int64(r) })
 		reg.GaugeFunc(telemetry.Name("statedb_writes_total", "peer", p.name),
@@ -635,7 +644,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 	w := client.SmallbankWorkload{Accounts: opts.Accounts, Skew: opts.Skew}
 	stores := make([]statedb.KVS, 0, len(peers)+len(endorsers))
 	for _, p := range peers {
-		stores = append(stores, p.store)
+		stores = append(stores, p.peer.Engine.Store())
 	}
 	for _, e := range endorsers {
 		stores = append(stores, e.Store())
@@ -644,7 +653,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		return nil, err
 	}
 	if bmacPeer != nil {
-		if err := client.BootstrapHardware(w, registry, peers[0].store, bmacPeer.Proc.DB()); err != nil {
+		if err := client.BootstrapHardware(w, registry, peers[0].peer.Engine.Store(), bmacPeer.Proc.DB()); err != nil {
 			return nil, err
 		}
 	}
@@ -652,7 +661,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 	// so a peer restarted before its first periodic checkpoint must find
 	// it on disk.
 	for _, p := range peers {
-		if err := p.ckpt(); err != nil {
+		if err := p.peer.Checkpoint(); err != nil {
 			return nil, fmt.Errorf("cluster: genesis checkpoint for %s: %w", p.name, err)
 		}
 	}
@@ -959,8 +968,8 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 			if cp.started {
 				<-cp.done // commit loop drains its intake, then exits
 			}
-			killHeight = cp.led.Height()
-			if err := cp.close(); err != nil {
+			killHeight = cp.peer.Height()
+			if err := cp.peer.Close(); err != nil {
 				return fmt.Errorf("cluster: churn kill %s: %w", cp.name, err)
 			}
 			// Bit-rot strikes while the peer is down: flip a byte in its
@@ -986,7 +995,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		if err != nil {
 			return fmt.Errorf("cluster: churn restart %s: %w", cp.name, err)
 		}
-		recoveredAt = np.next
+		recoveredAt = np.peer.Height()
 		// Carry the pre-crash counters so the report covers the peer's
 		// whole run.
 		cp.mu.Lock()
@@ -1006,8 +1015,8 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		// deliver from its stale pre-kill cursor, the recovered peer would
 		// see a gap and stop committing, and a racing send could clobber
 		// the moved cursor.
-		rewindTo := np.next
-		if mr := np.led.MissingRanges(); len(mr) > 0 && mr[0].First < rewindTo {
+		rewindTo := np.peer.Height()
+		if mr := np.peer.Ledger.MissingRanges(); len(mr) > 0 && mr[0].First < rewindTo {
 			rewindTo = mr[0].First
 		}
 		if err := svc.Rewind(np.name, rewindTo); err != nil {
@@ -1202,7 +1211,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 	lastHAt := make(map[string]time.Time, len(peers))
 	for _, p := range peers {
 		if !p.slow {
-			lastH[p.name], lastHAt[p.name] = p.led.Height(), time.Now()
+			lastH[p.name], lastHAt[p.name] = p.peer.Ledger.Height(), time.Now()
 		}
 	}
 	for {
@@ -1222,7 +1231,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 			if perr != nil {
 				continue // dead peers are reported by the convergence gate
 			}
-			st := p.led.Stats()
+			st := p.peer.Ledger.Stats()
 			h := st.Height
 			// A quarantined hole below the height also blocks settling:
 			// the archive refetch must complete before the convergence
@@ -1238,7 +1247,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 				lastH[p.name], lastHAt[p.name] = prog, time.Now()
 			} else if time.Since(lastHAt[p.name]) > 200*time.Millisecond {
 				to := h
-				if mr := p.led.MissingRanges(); len(mr) > 0 {
+				if mr := p.peer.Ledger.MissingRanges(); len(mr) > 0 {
 					to = mr[0].First
 				}
 				svc.Rewind(p.name, to) // bmaclint:allow errdiscard (best-effort nudge; the settle deadline bounds a stuck peer)
@@ -1309,10 +1318,10 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		}
 		p.mu.Unlock()
 		pr.Delivery.CaughtUp = finalStats[p.name].CaughtUp
-		pr.Height = p.led.Height()
-		pr.Ledger = p.led.Stats()
-		pr.StateHash = hex.EncodeToString(statedb.SnapshotHash(p.store.Snapshot()))
-		pr.CommitHash = hex.EncodeToString(p.led.LastCommitHash())
+		pr.Height = p.peer.Ledger.Height()
+		pr.Ledger = p.peer.Ledger.Stats()
+		pr.StateHash = hex.EncodeToString(statedb.SnapshotHash(p.peer.Engine.Store().Snapshot()))
+		pr.CommitHash = hex.EncodeToString(p.peer.Ledger.LastCommitHash())
 		res.Peers = append(res.Peers, pr)
 	}
 	// Convergence: every fast peer must have reached an identical chain
@@ -1334,7 +1343,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		}
 	}
 	if churnIdx >= 0 {
-		vs := peers[churnIdx].led.Stats()
+		vs := peers[churnIdx].peer.Ledger.Stats()
 		res.Churn = &ChurnReport{
 			Peer:           peers[churnIdx].name,
 			KillHeight:     killHeight,
@@ -1362,7 +1371,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		} else {
 			victim := peers[faultIdx]
 			cr.Victim = victim.name
-			cr.LedgerRetries = victim.led.FaultRetries()
+			cr.LedgerRetries = victim.peer.Ledger.FaultRetries()
 			if partSwitch != nil {
 				cr.Heals = partSwitch.Heals()
 			}
@@ -1471,21 +1480,15 @@ func isSlowName(peers []*swPeer, name string) bool {
 
 // newSWPeer builds one durable software peer for the selected validation
 // path. Opening an existing dir recovers: checkpoint + ledger replay seed
-// the state, and p.next reports the height the peer resumes from. A
+// the state, and the peer's Height reports where it resumes from. A
 // non-nil df installs the slow-disk fault shim under the peer's ledger
 // and checkpoint writers.
 func newSWPeer(cfg *config.Config, opts Options, i int, dir string, df *chaos.DiskFault) (*swPeer, error) {
-	ln, err := gossip.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, err
+	mode, ok := modes[opts.Mode]
+	if !ok {
+		return nil, fmt.Errorf("cluster: unknown mode %q (valid: %v)", opts.Mode, Modes())
 	}
-	p := &swPeer{
-		name: fmt.Sprintf("peer%d", i),
-		slow: i >= opts.Peers-opts.SlowPeers,
-		dir:  dir,
-		ln:   ln,
-		done: make(chan struct{}),
-	}
+	name := fmt.Sprintf("peer%d", i)
 	dopts := peer.DurableOptions{
 		CheckpointEvery: opts.CheckpointEvery,
 		KeepCheckpoints: cfg.Durability.KeepCheckpoints,
@@ -1493,7 +1496,7 @@ func newSWPeer(cfg *config.Config, opts Options, i int, dir string, df *chaos.Di
 		Prune:           opts.Prune || cfg.Durability.Prune,
 		NoFastSync:      opts.NoFastSync || cfg.Durability.NoFastSync,
 		SyncEachBlock:   cfg.Durability.SyncEachBlock,
-		Metrics:         telemetry.NewLedgerMetrics(cfg.TelemetryRegistry(), p.name),
+		Metrics:         telemetry.NewLedgerMetrics(cfg.TelemetryRegistry(), name),
 	}
 	if dopts.CheckpointEvery == 0 {
 		dopts.CheckpointEvery = cfg.Durability.CheckpointEvery
@@ -1505,62 +1508,34 @@ func newSWPeer(cfg *config.Config, opts Options, i int, dir string, df *chaos.Di
 		dopts.CommitFault = df.Hook()
 		dopts.CheckpointFault = df.Hook()
 	}
-	switch opts.Mode {
-	case Sequential:
-		valCfg, err := cfg.ValidatorConfig(4)
-		if err != nil {
-			ln.Close() // bmaclint:allow errdiscard (error path: cleanup before returning the real error)
-			return nil, err
-		}
-		store := statedb.NewStore()
-		if cfg.StateDB.NoCountAccesses {
-			store.SetCountAccesses(false)
-		}
-		sw, err := peer.NewDurableSWPeer(valCfg, store, dir, dopts)
-		if err != nil {
-			ln.Close() // bmaclint:allow errdiscard (error path: cleanup before returning the real error)
-			return nil, err
-		}
-		p.commit = sw.CommitBlock
-		p.close = sw.Close
-		p.ckpt = sw.Checkpoint
-		p.store = sw.Validator.Store()
-		p.led = sw.Ledger
-		p.next = sw.Height()
-	case Pipelined, Hybrid:
-		mcfg := *cfg
-		if opts.Mode == Hybrid {
-			mcfg.StateDB.Backend = config.BackendHybrid
-			mcfg.Pipeline.Prefetch = true
-		} else {
-			mcfg.StateDB.Backend = config.BackendMemory
-		}
-		pipeCfg, err := mcfg.PipelineConfig()
-		if err != nil {
-			ln.Close() // bmaclint:allow errdiscard (error path: cleanup before returning the real error)
-			return nil, err
-		}
-		kvs, err := mcfg.NewKVS()
-		if err != nil {
-			ln.Close() // bmaclint:allow errdiscard (error path: cleanup before returning the real error)
-			return nil, err
-		}
-		pp, err := peer.NewDurableParallelPeer(pipeCfg, kvs, dir, dopts)
-		if err != nil {
-			ln.Close() // bmaclint:allow errdiscard (error path: cleanup before returning the real error)
-			return nil, err
-		}
-		p.commit = pp.CommitBlock
-		p.close = pp.Close
-		p.ckpt = pp.Checkpoint
-		p.store = pp.Engine.Store()
-		p.led = pp.Ledger
-		p.next = pp.Height()
-	default:
-		ln.Close() // bmaclint:allow errdiscard (error path: cleanup before returning the real error)
-		return nil, fmt.Errorf("cluster: unknown mode %q (valid: %v)", opts.Mode, Modes())
+	mcfg := *cfg
+	mcfg.StateDB.Backend = mode.backend
+	ecfg, err := mode.engine(&mcfg)
+	if err != nil {
+		return nil, err
 	}
-	return p, nil
+	ecfg.Prefetch = ecfg.Prefetch || mode.prefetch
+	kvs, err := mcfg.NewKVS()
+	if err != nil {
+		return nil, err
+	}
+	sw, err := peer.Open(ecfg, kvs, dir, dopts)
+	if err != nil {
+		return nil, err
+	}
+	ln, err := gossip.Listen("127.0.0.1:0")
+	if err != nil {
+		sw.Close() // bmaclint:allow errdiscard (error path: cleanup before returning the real error)
+		return nil, err
+	}
+	return &swPeer{
+		name: name,
+		slow: i >= opts.Peers-opts.SlowPeers,
+		dir:  dir,
+		ln:   ln,
+		peer: sw,
+		done: make(chan struct{}),
+	}, nil
 }
 
 // commitLoop drains the peer's gossip intake, committing blocks in
@@ -1570,7 +1545,7 @@ func newSWPeer(cfg *config.Config, opts Options, i int, dir string, df *chaos.Di
 // spans (deliver through commit, plus the enclosing e2e span).
 func (p *swPeer) commitLoop(observer bool, gen *load.Generator, endorsers []*endorser.Endorser, rec *telemetry.Recorder, rewind func(uint64) error) {
 	defer close(p.done)
-	next := p.next // 0 on a fresh peer, the recovered height after a restart
+	next := p.peer.Height() // 0 on a fresh peer, the recovered height after a restart
 	skipped := false
 	var badSeq uint64 // height of the last block dropped as corrupt
 	badRuns := 0      // consecutive drops at badSeq
@@ -1588,8 +1563,8 @@ func (p *swPeer) commitLoop(observer bool, gen *load.Generator, endorsers []*end
 		// Gaps are possible for a DropBlocks slow peer but reordering is
 		// not.
 		if b.Header.Number < next {
-			if p.led.NeedsRestore(b.Header.Number) {
-				if err := p.led.Restore(b); err != nil {
+			if p.peer.Ledger.NeedsRestore(b.Header.Number) {
+				if err := p.peer.Ledger.Restore(b); err != nil {
 					restoreFails++
 					if restoreFails > 32 {
 						p.fail(fmt.Errorf("restore block %d: %w", b.Header.Number, err))
@@ -1629,7 +1604,7 @@ func (p *swPeer) commitLoop(observer bool, gen *load.Generator, endorsers []*end
 			continue
 		}
 		recvAt := time.Now()
-		res, err := p.commit(b)
+		res, err := p.peer.CommitBlock(b)
 		if err != nil {
 			if rewind != nil && errors.Is(err, validator.ErrBlockInvalid) {
 				// The delivered block decoded but failed block-level

@@ -639,43 +639,40 @@ func (c *Config) CoreConfig() (core.Config, error) {
 	}, nil
 }
 
-// ValidatorConfig materializes the software validator configuration with
-// the given worker (vCPU) count.
-func (c *Config) ValidatorConfig(workers int) (validator.Config, error) {
+// engineConfig is the one builder behind the two software-peer presets:
+// everything an engine takes from the configuration regardless of shape.
+// path labels the engine's telemetry series.
+func (c *Config) engineConfig(shape pipeline.Shape, workers int, path string) (pipeline.Config, error) {
 	pols, err := c.Policies()
 	if err != nil {
-		return validator.Config{}, err
+		return pipeline.Config{}, err
 	}
-	return validator.Config{
+	return pipeline.Config{
+		Shape:              shape,
 		Workers:            workers,
 		Policies:           pols,
 		SigCache:           c.SigCache(),
 		CertCache:          c.CertCache(),
 		BatchVerifyWorkers: c.Crypto.BatchVerifyWorkers,
 		ParseCache:         c.ParseCache(),
-		Metrics:            telemetry.NewValidatorMetrics(c.TelemetryRegistry(), "sequential"),
+		Metrics:            telemetry.NewValidatorMetrics(c.TelemetryRegistry(), path),
 	}, nil
 }
 
-// PipelineConfig materializes the parallel commit engine configuration from
-// the `pipeline` knob.
+// ValidatorConfig is the paper's software validator preset: the engine in
+// its Fabric v1.4 shape with the given vscc worker (vCPU) count.
+func (c *Config) ValidatorConfig(workers int) (pipeline.Config, error) {
+	return c.engineConfig(pipeline.Fabric14, workers, "sequential")
+}
+
+// PipelineConfig is the parallel preset: the engine in its default shape,
+// sized by the `pipeline` knob.
 func (c *Config) PipelineConfig() (pipeline.Config, error) {
-	pols, err := c.Policies()
-	if err != nil {
-		return pipeline.Config{}, err
-	}
-	return pipeline.Config{
-		Workers:            c.Pipeline.Workers,
-		Depth:              c.Pipeline.Depth,
-		Policies:           pols,
-		Prefetch:           c.Pipeline.Prefetch,
-		PrefetchWorkers:    c.Pipeline.PrefetchWorkers,
-		SigCache:           c.SigCache(),
-		CertCache:          c.CertCache(),
-		BatchVerifyWorkers: c.Crypto.BatchVerifyWorkers,
-		ParseCache:         c.ParseCache(),
-		Metrics:            telemetry.NewValidatorMetrics(c.TelemetryRegistry(), "pipelined"),
-	}, nil
+	pc, err := c.engineConfig(pipeline.Scheduled, c.Pipeline.Workers, "pipelined")
+	pc.Depth = c.Pipeline.Depth
+	pc.Prefetch = c.Pipeline.Prefetch
+	pc.PrefetchWorkers = c.Pipeline.PrefetchWorkers
+	return pc, err
 }
 
 // HWSimConfig materializes the timing simulator configuration.

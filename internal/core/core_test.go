@@ -7,10 +7,10 @@ import (
 	"bmac/internal/bmacproto"
 	"bmac/internal/identity"
 	"bmac/internal/ledger"
+	"bmac/internal/pipeline"
 	"bmac/internal/policy"
 	"bmac/internal/policy/policytest"
 	"bmac/internal/statedb"
-	"bmac/internal/validator"
 )
 
 // rig wires the full hardware path: sender -> memlink -> receiver ->
@@ -306,7 +306,8 @@ func TestSoftwareHardwareEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer swLed.Close()
-	sw := validator.New(validator.Config{
+	sw := pipeline.New(pipeline.Config{
+		Shape:    pipeline.Fabric14,
 		Workers:  4,
 		Policies: map[string]*policy.Policy{"smallbank": policytest.MustParse("2of3")},
 	}, statedb.NewStore(), swLed)

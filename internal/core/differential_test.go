@@ -6,10 +6,10 @@ import (
 
 	"bmac/internal/block"
 	"bmac/internal/identity"
+	"bmac/internal/pipeline"
 	"bmac/internal/policy"
 	"bmac/internal/policy/policytest"
 	"bmac/internal/statedb"
-	"bmac/internal/validator"
 )
 
 // TestRandomizedDifferential is a randomized differential test between the
@@ -33,7 +33,8 @@ func TestRandomizedDifferential(t *testing.T) {
 			arch.Policies = map[string]*policy.Circuit{"smallbank": policy.Compile(pol)}
 
 			r := newRig(t, 4, polSrc, arch)
-			sw := validator.New(validator.Config{
+			sw := pipeline.New(pipeline.Config{
+				Shape:      pipeline.Fabric14,
 				Workers:    3,
 				Policies:   map[string]*policy.Policy{"smallbank": pol},
 				SkipLedger: true,

@@ -13,6 +13,7 @@ import (
 
 	"bmac/internal/block"
 	"bmac/internal/identity"
+	"bmac/internal/pipeline"
 	"bmac/internal/policy"
 	"bmac/internal/statedb"
 	"bmac/internal/validator"
@@ -114,7 +115,8 @@ func (e *Env) MakeBlock(spec BlockSpec) (*block.Block, error) {
 }
 
 // MeasureSW validates `rounds` copies of the block on a fresh software
-// validator and returns the averaged breakdown.
+// validator — the engine in its Fabric v1.4 shape: serial parse, vscc on
+// `workers` threads, in-order mvcc — and returns the averaged breakdown.
 func (e *Env) MeasureSW(spec BlockSpec, pol string, workers, rounds int) (validator.Breakdown, error) {
 	b, err := e.MakeBlock(spec)
 	if err != nil {
@@ -127,12 +129,14 @@ func (e *Env) MeasureSW(spec BlockSpec, pol string, workers, rounds int) (valida
 	}
 	var sum validator.Breakdown
 	for r := 0; r < rounds; r++ {
-		v := validator.New(validator.Config{
+		v := pipeline.New(pipeline.Config{
+			Shape:      pipeline.Fabric14,
 			Workers:    workers,
 			Policies:   map[string]*policy.Policy{"smallbank": p},
 			SkipLedger: true, // §4.2: ledger commit excluded from the metrics
 		}, statedb.NewStore(), nil)
 		res, err := v.ValidateAndCommit(raw)
+		v.Close()
 		if err != nil {
 			return validator.Breakdown{}, err
 		}

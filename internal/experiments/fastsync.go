@@ -12,9 +12,9 @@ import (
 	"bmac/internal/ledger"
 	"bmac/internal/metrics"
 	"bmac/internal/peer"
+	"bmac/internal/pipeline"
 	"bmac/internal/policy"
 	"bmac/internal/statedb"
-	"bmac/internal/validator"
 )
 
 // The fast-sync sweep holds the un-checkpointed tail constant while the
@@ -64,18 +64,18 @@ func fastsyncChain(client, end, orderer *identity.Identity, n int) ([]*block.Blo
 // durable options, verifying each recovery lands at wantHeight with a
 // state bit-identical to wantHash, and returns the fastest observed
 // recovery plus the last reopen's ledger stats.
-func timeRecovery(cfg validator.Config, dir string, dopts peer.DurableOptions,
+func timeRecovery(cfg pipeline.Config, dir string, dopts peer.DurableOptions,
 	wantHeight uint64, wantHash []byte, rounds int) (time.Duration, ledger.Stats, error) {
 	var best time.Duration
 	var st ledger.Stats
 	for r := 0; r < rounds; r++ {
 		start := time.Now()
-		p, err := peer.NewDurableSWPeer(cfg, statedb.NewStore(), dir, dopts)
+		p, err := peer.Open(cfg, statedb.NewStore(), dir, dopts)
 		if err != nil {
 			return 0, st, err
 		}
 		d := time.Since(start)
-		got := statedb.SnapshotHash(p.Validator.Store().Snapshot())
+		got := statedb.SnapshotHash(p.Engine.Store().Snapshot())
 		h := p.Height()
 		st = p.Ledger.Stats()
 		if err := p.Close(); err != nil {
@@ -135,7 +135,7 @@ func FigFastSync(opts Options) (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := validator.Config{Workers: 2, Policies: map[string]*policy.Policy{"cc": pol}}
+	cfg := pipeline.Config{Shape: pipeline.Fabric14, Workers: 2, Policies: map[string]*policy.Policy{"cc": pol}}
 
 	root, err := os.MkdirTemp("", "bmac-fastsync-*")
 	if err != nil {
@@ -168,7 +168,7 @@ func FigFastSync(opts Options) (*metrics.Table, error) {
 			KeepCheckpoints: 64,
 			SegmentBytes:    4096,
 		}
-		p, err := peer.NewDurableSWPeer(cfg, statedb.NewStore(), dir, dopts)
+		p, err := peer.Open(cfg, statedb.NewStore(), dir, dopts)
 		if err != nil {
 			return nil, fmt.Errorf("fastsync L=%d: %w", L, err)
 		}
@@ -178,7 +178,7 @@ func FigFastSync(opts Options) (*metrics.Table, error) {
 				return nil, fmt.Errorf("fastsync L=%d commit: %w", L, err)
 			}
 		}
-		want := statedb.SnapshotHash(p.Validator.Store().Snapshot())
+		want := statedb.SnapshotHash(p.Engine.Store().Snapshot())
 		if err := p.Close(); err != nil {
 			return nil, err
 		}

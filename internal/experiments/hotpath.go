@@ -12,6 +12,7 @@ import (
 	"bmac/internal/block"
 	"bmac/internal/fabcrypto"
 	"bmac/internal/metrics"
+	"bmac/internal/pipeline"
 	"bmac/internal/policy"
 	"bmac/internal/statedb"
 	"bmac/internal/telemetry"
@@ -140,11 +141,12 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 
 	// --- End-to-end block validation: every optimization off vs on. ---
 	validate := func(sc *fabcrypto.SigCache, cc *fabcrypto.CertCache, pc *validator.ParseCache, tm *telemetry.ValidatorMetrics) error {
-		v := validator.New(validator.Config{
-			Workers: 1, Policies: pols, SkipLedger: true,
+		v := pipeline.New(pipeline.Config{
+			Shape: pipeline.Fabric14, Workers: 1, Policies: pols, SkipLedger: true,
 			SigCache: sc, CertCache: cc, ParseCache: pc, Metrics: tm,
 		}, statedb.NewStore(), nil)
 		res, err := v.ValidateAndCommit(raw)
+		v.Close()
 		if err != nil {
 			return err
 		}

@@ -175,33 +175,20 @@ func (e *Env) MeasureHybrid(spec HybridSpec) (HybridPoint, error) {
 			SigCache: sc, ParseCache: pc,
 		}, kvs, nil)
 		start := time.Now()
-		go func() {
-			for _, raw := range raws {
-				eng.Submit(raw)
-			}
-		}()
 		collectRef := refFlags == nil // first run records the reference verdicts
-		var runErr error
-		// Drain every outcome even after a failure, or the submitter and
-		// stage goroutines would block on their channels.
-		for n := range raws {
-			o := <-eng.Results()
+		runErr := drainChain(eng, raws, func(n int, res *pipeline.Result) error {
 			switch {
-			case runErr != nil:
-			case o.Err != nil:
-				runErr = o.Err
-			case block.CountValid(o.Res.Flags) != spec.Txs:
-				runErr = fmt.Errorf("hybrid experiment: block %d: %d/%d txs valid",
-					n, block.CountValid(o.Res.Flags), spec.Txs)
-			case !collectRef && (!block.FlagsEqual(o.Res.Flags, refFlags[n]) ||
-				string(o.Res.CommitHash) != string(refHashes[n])):
-				runErr = fmt.Errorf("hybrid experiment: block %d diverged across backends", n)
+			case block.CountValid(res.Flags) != spec.Txs:
+				return fmt.Errorf("hybrid experiment: block %d: %d/%d txs valid",
+					n, block.CountValid(res.Flags), spec.Txs)
+			case collectRef:
+				refFlags = append(refFlags, res.Flags)
+				refHashes = append(refHashes, res.CommitHash)
+			case !block.FlagsEqual(res.Flags, refFlags[n]) || string(res.CommitHash) != string(refHashes[n]):
+				return fmt.Errorf("hybrid experiment: block %d diverged across backends", n)
 			}
-			if runErr == nil && collectRef {
-				refFlags = append(refFlags, o.Res.Flags)
-				refHashes = append(refHashes, o.Res.CommitHash)
-			}
-		}
+			return nil
+		})
 		elapsed := time.Since(start)
 		if runErr != nil {
 			eng.Close()

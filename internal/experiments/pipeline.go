@@ -118,11 +118,11 @@ func (p PipelineComparison) Speedup() float64 {
 	return float64(p.Sequential) / float64(p.Parallel)
 }
 
-// MeasurePipeline validates the same block chain with the sequential
-// software validator and the parallel pipelined engine (both ledger-free,
-// as the paper's metrics are) and cross-checks flags and commit hashes
-// while measuring. Divergence is an error: the experiment doubles as a
-// differential check.
+// MeasurePipeline validates the same block chain with the engine in its
+// Fabric v1.4 shape, one block at a time, and in its default shape with
+// blocks pipelined through Submit (both ledger-free, as the paper's metrics
+// are) and cross-checks flags and commit hashes while measuring. Divergence
+// is an error: the experiment doubles as a differential check.
 func (e *Env) MeasurePipeline(spec ConflictChainSpec, pol string, workers, rounds int) (PipelineComparison, error) {
 	if workers < 1 {
 		// Same vscc thread budget for both engines: the comparison isolates
@@ -166,8 +166,8 @@ func (e *Env) MeasurePipeline(spec ConflictChainSpec, pol string, workers, round
 	}
 
 	for r := 0; r < rounds; r++ {
-		sw := validator.New(validator.Config{
-			Workers: workers, Policies: pols, SkipLedger: true,
+		sw := pipeline.New(pipeline.Config{
+			Shape: pipeline.Fabric14, Workers: workers, Policies: pols, SkipLedger: true,
 			SigCache: seqSC, ParseCache: seqPC,
 		}, statedb.NewStore(), nil)
 		swResults := make([]*validator.Result, len(raws))
@@ -180,32 +180,20 @@ func (e *Env) MeasurePipeline(spec ConflictChainSpec, pol string, workers, round
 			swResults[i] = res
 		}
 		out.Sequential += time.Since(tSeq)
+		sw.Close()
 
 		eng := pipeline.New(pipeline.Config{
 			Workers: workers, Policies: pols, SkipLedger: true,
 			SigCache: parSC, ParseCache: parPC,
 		}, statedb.NewStore(), nil)
 		tPar := time.Now()
-		go func() {
-			for _, raw := range raws {
-				eng.Submit(raw)
+		measureErr := drainChain(eng, raws, func(i int, res *pipeline.Result) error {
+			if !block.FlagsEqual(res.Flags, swResults[i].Flags) ||
+				string(res.CommitHash) != string(swResults[i].CommitHash) {
+				return fmt.Errorf("pipeline experiment: block %d diverged from sequential validator", i)
 			}
-		}()
-		// Drain every outcome even after a failure: the submitter above and
-		// the engine's stage goroutines block on their channels otherwise.
-		var measureErr error
-		for i := range raws {
-			o := <-eng.Results()
-			switch {
-			case measureErr != nil:
-			case o.Err != nil:
-				measureErr = o.Err
-			case !block.FlagsEqual(o.Res.Flags, swResults[i].Flags) ||
-				string(o.Res.CommitHash) != string(swResults[i].CommitHash):
-				measureErr = fmt.Errorf(
-					"pipeline experiment: block %d diverged from sequential validator", i)
-			}
-		}
+			return nil
+		})
 		out.Parallel += time.Since(tPar)
 		eng.Close()
 		if measureErr != nil {
@@ -228,6 +216,30 @@ func (e *Env) MeasurePipeline(spec ConflictChainSpec, pol string, workers, round
 	out.ParSigCacheHitRate = parSC.HitRate()
 	out.ParParseHitRate = parPC.HitRate()
 	return out, nil
+}
+
+// drainChain submits raws to eng in order and hands each block's result to
+// check, returning the first failure. Every outcome is drained even after a
+// failure: the submitter and the engine's stage goroutines block on their
+// channels otherwise.
+func drainChain(eng *pipeline.Engine, raws [][]byte, check func(n int, res *pipeline.Result) error) error {
+	go func() {
+		for _, raw := range raws {
+			eng.Submit(raw)
+		}
+	}()
+	var firstErr error
+	for n := range raws {
+		o := <-eng.Results()
+		switch {
+		case firstErr != nil:
+		case o.Err != nil:
+			firstErr = o.Err
+		default:
+			firstErr = check(n, o.Res)
+		}
+	}
+	return firstErr
 }
 
 // FigPipeline is the pipeline experiment: sequential-vs-parallel validation

@@ -72,75 +72,6 @@ func ReadBlock(r io.Reader) (*block.Block, int, error) {
 	return b, 4 + int(n), nil
 }
 
-// Broadcaster fans blocks out to every connected peer, as the orderer (or
-// org lead peer) does with Gossip.
-type Broadcaster struct {
-	mu    sync.Mutex
-	conns []net.Conn // guarded by mu
-	sent  int64      // guarded by mu; cumulative bytes
-}
-
-// NewBroadcaster returns an empty broadcaster.
-func NewBroadcaster() *Broadcaster {
-	return &Broadcaster{}
-}
-
-// AddPeer dials addr and adds the connection to the broadcast set.
-func (g *Broadcaster) AddPeer(addr string) error {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("gossip dial %q: %w", addr, err)
-	}
-	g.mu.Lock()
-	g.conns = append(g.conns, conn)
-	g.mu.Unlock()
-	return nil
-}
-
-// Broadcast sends the block to every peer. The block is marshaled once.
-// Every peer is attempted even when earlier ones fail; per-peer errors are
-// joined, and the sent counter only advances for fully written frames.
-//
-// Note that the whole fan-out still shares one mutex, so one slow peer
-// delays the rest; the orderer's delivery path uses internal/delivery's
-// per-peer pipelines instead. Broadcaster remains as the simple lock-step
-// baseline.
-func (g *Broadcaster) Broadcast(b *block.Block) error {
-	data := block.Marshal(b)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	var errs []error
-	for _, c := range g.conns {
-		n, err := WriteRaw(c, data)
-		g.sent += int64(n) // 0 on a failed write
-		if err != nil {
-			errs = append(errs, fmt.Errorf("broadcast to %s: %w", c.RemoteAddr(), err))
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// BytesSent reports cumulative bytes broadcast.
-func (g *Broadcaster) BytesSent() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.sent
-}
-
-// Close closes all peer connections.
-func (g *Broadcaster) Close() error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	var firstErr error
-	for _, c := range g.conns {
-		if err := c.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	g.conns = nil
-	return firstErr
-}
-
 // Listener accepts gossip connections and delivers received blocks on a
 // channel; this is the software peer's block intake.
 type Listener struct {

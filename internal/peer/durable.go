@@ -1,4 +1,4 @@
-// Durability: the ledger-backed crash-recovery path of the software peers.
+// Durability: the ledger-backed crash-recovery path of the software peer.
 //
 // A peer's state database is in-memory; what survives a crash is the
 // segmented ledger (internal/ledger) and the retained state checkpoint
@@ -82,75 +82,50 @@ func (o DurableOptions) ledgerOptions() ledger.Options {
 	}
 }
 
-// NewDurableSWPeer opens (or reopens) a sequential software peer in dir
-// over the given state-database backend. An existing ledger is replayed on
+// Open opens (or reopens) a software peer in dir — the engine that cfg
+// describes, over the given state-database backend (plain, sharded or
+// hybrid hardware/host), which must be empty. An existing ledger is replayed on
 // top of the newest usable checkpoint generation (snapshot fast-sync), so
 // a restarted peer resumes from its last committed block; Height reports
 // where that is.
-func NewDurableSWPeer(cfg validator.Config, kvs statedb.KVS, dir string, opts DurableOptions) (*SWPeer, error) {
+func Open(cfg pipeline.Config, kvs statedb.KVS, dir string, opts DurableOptions) (*Peer, error) {
 	led, err := ledger.Open(dir, opts.ledgerOptions())
 	if err != nil {
-		return nil, fmt.Errorf("sw peer ledger: %w", err)
+		return nil, fmt.Errorf("peer ledger: %w", err)
 	}
-	if _, err := recoverState(kvs, led, dir, cfg.ParseCache, opts); err != nil {
-		led.Close() // bmaclint:allow errdiscard (error path: ledger close error would mask the open failure)
-		return nil, err
-	}
-	return &SWPeer{
-		Validator: validator.New(cfg, kvs, led),
-		Ledger:    led,
-		dir:       dir,
-		ckptEvery: opts.CheckpointEvery,
-		ckptKeep:  opts.KeepCheckpoints,
-		prune:     opts.Prune,
-		ckptFault: opts.CheckpointFault,
-	}, nil
-}
-
-// NewDurableParallelPeer opens (or reopens) a parallel pipelined peer in
-// dir over the given state-database backend, with the same recovery
-// semantics as NewDurableSWPeer.
-func NewDurableParallelPeer(cfg pipeline.Config, kvs statedb.KVS, dir string, opts DurableOptions) (*ParallelPeer, error) {
-	led, err := ledger.Open(dir, opts.ledgerOptions())
-	if err != nil {
-		return nil, fmt.Errorf("parallel peer ledger: %w", err)
-	}
-	if _, err := recoverState(kvs, led, dir, cfg.ParseCache, opts); err != nil {
+	if err := recoverState(kvs, led, dir, cfg.ParseCache, opts); err != nil {
 		led.Close() // bmaclint:allow errdiscard (error path: ledger close error would mask the recovery failure)
 		return nil, err
 	}
-	return &ParallelPeer{
-		Engine:    pipeline.New(cfg, kvs, led),
-		Ledger:    led,
-		dir:       dir,
-		ckptEvery: opts.CheckpointEvery,
-		ckptKeep:  opts.KeepCheckpoints,
-		prune:     opts.Prune,
-		ckptFault: opts.CheckpointFault,
-	}, nil
+	return &Peer{Engine: pipeline.New(cfg, kvs, led), Ledger: led, dir: dir, opts: opts}, nil
 }
 
-// RecoverState rebuilds a peer's state database from dir: the newest
-// usable checkpoint generation seeds kvs with the state as of its recorded
-// height, and the ledger blocks past that height are replayed by applying
-// the write sets their recorded validation flags admitted. Returns the
-// recovered height — the next block number the peer expects. kvs must be
-// empty.
+// NewDurableSWPeer forwards to Open — pinned by benchmark/wiring.go; remove
+// with the next benchmark PR.
+func NewDurableSWPeer(cfg pipeline.Config, kvs statedb.KVS, dir string, opts DurableOptions) (*Peer, error) {
+	return Open(cfg, kvs, dir, opts)
+}
+
+// NewDurableParallelPeer forwards to Open — pinned by benchmark/wiring.go;
+// remove with the next benchmark PR.
+func NewDurableParallelPeer(cfg pipeline.Config, kvs statedb.KVS, dir string, opts DurableOptions) (*Peer, error) {
+	return Open(cfg, kvs, dir, opts)
+}
+
+// recoverState rebuilds a peer's state database from dir: the newest
+// usable checkpoint generation seeds kvs (which must be empty) with the
+// state as of its recorded height, and the ledger blocks past that height
+// are replayed by applying the write sets their recorded validation flags
+// admitted. pc is an optional parse-once cache (a replay in a process whose
+// live paths share the cache both reuses their work and pre-warms it for
+// the blocks still to come); opts steer candidate selection.
 //
 // A checkpoint that fails to load falls back to an older generation. When
 // every candidate is unusable *because it is ahead of the ledger*, that is
 // an error rather than a silent full replay: the ledger alone cannot
 // reproduce state that predates block 0 (bootstrap genesis data lives only
 // in checkpoints).
-func RecoverState(kvs statedb.KVS, led *ledger.Ledger, dir string) (uint64, error) {
-	return recoverState(kvs, led, dir, nil, DurableOptions{})
-}
-
-// recoverState is RecoverState with an optional parse-once cache (a replay
-// in a process whose live paths share the cache both reuses their work and
-// pre-warms it for the blocks still to come) and the durable options that
-// steer candidate selection.
-func recoverState(kvs statedb.KVS, led *ledger.Ledger, dir string, pc *validator.ParseCache, opts DurableOptions) (uint64, error) {
+func recoverState(kvs statedb.KVS, led *ledger.Ledger, dir string, pc *validator.ParseCache, opts DurableOptions) error {
 	refs, notes := statedb.Checkpoints(dir, CheckpointFile)
 	for _, n := range notes {
 		log.Printf("peer: %s: %s", dir, n)
@@ -195,7 +170,7 @@ func recoverState(kvs statedb.KVS, led *ledger.Ledger, dir string, pc *validator
 		break
 	}
 	if !restored && aheadErr != nil {
-		return 0, aheadErr
+		return aheadErr
 	}
 
 	// A quarantined range at or above the chosen checkpoint cannot be
@@ -205,7 +180,7 @@ func recoverState(kvs statedb.KVS, led *ledger.Ledger, dir string, pc *validator
 	for _, r := range led.MissingRanges() {
 		if r.First >= start {
 			if err := led.TruncateFrom(r.First); err != nil {
-				return 0, fmt.Errorf("peer: truncate at quarantined range [%d,%d): %w", r.First, r.First+r.Count, err)
+				return fmt.Errorf("peer: truncate at quarantined range [%d,%d): %w", r.First, r.First+r.Count, err)
 			}
 			break
 		}
@@ -214,13 +189,13 @@ func recoverState(kvs statedb.KVS, led *ledger.Ledger, dir string, pc *validator
 	for n := start; n < led.Height(); n++ {
 		b, err := led.Get(n)
 		if err != nil {
-			return 0, fmt.Errorf("peer: recovery replay block %d: %w", n, err)
+			return fmt.Errorf("peer: recovery replay block %d: %w", n, err)
 		}
 		if err := replayBlock(kvs, b, pc); err != nil {
-			return 0, err
+			return err
 		}
 	}
-	return led.Height(), nil
+	return nil
 }
 
 // replayBlock re-derives the state effects of one committed block: the
@@ -244,56 +219,26 @@ func replayBlock(kvs statedb.KVS, b *block.Block, pc *validator.ParseCache) erro
 
 // Height reports the peer's ledger height — the next block number it
 // expects to commit (equal to the recovered height right after a restart).
-func (p *SWPeer) Height() uint64 { return p.Ledger.Height() }
+func (p *Peer) Height() uint64 { return p.Ledger.Height() }
 
-// Height reports the peer's ledger height — the next block number it
-// expects to commit (equal to the recovered height right after a restart).
-func (p *ParallelPeer) Height() uint64 { return p.Ledger.Height() }
-
-// checkpointAndMaybePrune writes a manifest-managed checkpoint generation
-// at the current ledger height and, when pruning is on, prunes ledger
-// segments covered by *every* retained generation — pruning to the newest
-// would strand the older generations' replay ranges.
-func checkpointAndMaybePrune(dir string, kvs statedb.KVS, led *ledger.Ledger, keep int, prune bool, fault func() error) error {
-	h := led.Height()
-	refs, err := statedb.WriteManagedCheckpoint(dir, kvs, h, keep, fault)
+// Checkpoint writes a manifest-managed state checkpoint generation at the
+// current ledger height (atomic rename; previous generations survive a
+// crash mid-write) and, when pruning is on, prunes ledger segments covered
+// by *every* retained generation — pruning to the newest would strand the
+// older generations' replay ranges. Call it after bootstrap to capture
+// genesis state that no ledger block carries.
+func (p *Peer) Checkpoint() error {
+	refs, err := statedb.WriteManagedCheckpoint(p.dir, p.Engine.Store(), p.Ledger.Height(),
+		p.opts.KeepCheckpoints, p.opts.CheckpointFault)
 	if err != nil {
 		return err
 	}
-	if !prune || len(refs) == 0 {
+	if !p.opts.Prune || len(refs) == 0 {
 		return nil
 	}
 	covered := refs[len(refs)-1].Height // oldest retained generation
-	if _, err := led.Prune(covered); err != nil {
+	if _, err := p.Ledger.Prune(covered); err != nil {
 		return fmt.Errorf("peer: prune to %d after checkpoint: %w", covered, err)
-	}
-	return nil
-}
-
-// Checkpoint writes a state checkpoint generation at the current ledger
-// height (atomic rename; previous generations survive a crash mid-write)
-// and applies the prune policy. Call it after bootstrap to capture genesis
-// state that no ledger block carries.
-func (p *SWPeer) Checkpoint() error {
-	return checkpointAndMaybePrune(p.dir, p.Validator.Store(), p.Ledger, p.ckptKeep, p.prune, p.ckptFault)
-}
-
-// Checkpoint writes a state checkpoint generation at the current ledger
-// height (atomic rename; previous generations survive a crash mid-write)
-// and applies the prune policy. Call it after bootstrap to capture genesis
-// state that no ledger block carries.
-func (p *ParallelPeer) Checkpoint() error {
-	return checkpointAndMaybePrune(p.dir, p.Engine.Store(), p.Ledger, p.ckptKeep, p.prune, p.ckptFault)
-}
-
-// maybeCheckpoint runs the periodic checkpoint policy after a successful
-// commit of blockNum.
-func maybeCheckpoint(every int, blockNum uint64, ckpt func() error) error {
-	if every <= 0 || (blockNum+1)%uint64(every) != 0 {
-		return nil
-	}
-	if err := ckpt(); err != nil {
-		return fmt.Errorf("peer: checkpoint after block %d: %w", blockNum, err)
 	}
 	return nil
 }

@@ -11,7 +11,6 @@ import (
 	"bmac/internal/policy"
 	"bmac/internal/policy/policytest"
 	"bmac/internal/statedb"
-	"bmac/internal/validator"
 )
 
 // chainFixture builds deterministic block chains with a mix of valid and
@@ -47,6 +46,12 @@ func newChainFixture(t *testing.T) *chainFixture {
 		end:     end,
 		pols:    map[string]*policy.Policy{"cc": policytest.MustParse("1of1")},
 	}
+}
+
+// fabric14 is the engine configuration of the paper's sequential software
+// peer.
+func fabric14(workers int, pols map[string]*policy.Policy) pipeline.Config {
+	return pipeline.Config{Shape: pipeline.Fabric14, Workers: workers, Policies: pols}
 }
 
 // chain builds n blocks of 4 transactions each: writes to rotating keys,
@@ -100,16 +105,16 @@ func (f *chainFixture) chain(t *testing.T, n int) []*block.Block {
 func TestSWPeerRestartReplaysLedger(t *testing.T) {
 	f := newChainFixture(t)
 	blocks := f.chain(t, 6)
-	cfg := validator.Config{Workers: 2, Policies: f.pols}
+	cfg := fabric14(2, f.pols)
 
-	refPeer, err := NewSWPeer(cfg, t.TempDir())
+	refPeer, err := Open(cfg, statedb.NewStore(), t.TempDir(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer refPeer.Close()
 
 	dir := t.TempDir()
-	p, err := NewSWPeer(cfg, dir)
+	p, err := Open(cfg, statedb.NewStore(), dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +131,7 @@ func TestSWPeerRestartReplaysLedger(t *testing.T) {
 	}
 
 	// Restart: ledger replay only (no checkpoint was ever written).
-	p2, err := NewSWPeer(cfg, dir)
+	p2, err := Open(cfg, statedb.NewStore(), dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +139,8 @@ func TestSWPeerRestartReplaysLedger(t *testing.T) {
 	if p2.Height() != 4 {
 		t.Fatalf("recovered height = %d, want 4", p2.Height())
 	}
-	wantState := statedb.SnapshotHash(refPeer.Validator.Store().Snapshot())
-	if got := statedb.SnapshotHash(p2.Validator.Store().Snapshot()); !bytes.Equal(got, wantState) {
+	wantState := statedb.SnapshotHash(refPeer.Engine.Store().Snapshot())
+	if got := statedb.SnapshotHash(p2.Engine.Store().Snapshot()); !bytes.Equal(got, wantState) {
 		t.Fatal("replayed state hash diverges from live-commit state hash")
 	}
 
@@ -154,7 +159,7 @@ func TestSWPeerRestartReplaysLedger(t *testing.T) {
 			t.Fatalf("block %d: commit hash diverges after restart", b.Header.Number)
 		}
 	}
-	if !statedb.SnapshotsEqual(refPeer.Validator.Store().Snapshot(), p2.Validator.Store().Snapshot()) {
+	if !statedb.SnapshotsEqual(refPeer.Engine.Store().Snapshot(), p2.Engine.Store().Snapshot()) {
 		t.Error("states diverge after post-restart commits")
 	}
 	if !bytes.Equal(refPeer.Ledger.LastCommitHash(), p2.Ledger.LastCommitHash()) {
@@ -165,14 +170,11 @@ func TestSWPeerRestartReplaysLedger(t *testing.T) {
 // TestDurablePeerCheckpointSuffixReplay proves the checkpoint shortcut:
 // with CheckpointEvery=2 over 5 blocks, a restart loads the block-3
 // checkpoint and replays only the suffix — and the result is identical to
-// a full replay. Runs the matrix of both engines and all three statedb
-// backends.
+// a full replay. Runs the matrix of both engine shapes and all three
+// statedb backends.
 func TestDurablePeerCheckpointSuffixReplay(t *testing.T) {
 	f := newChainFixture(t)
 	blocks := f.chain(t, 5)
-
-	type build func(dir string, every int) (commit func(*block.Block) (CommitResult, error),
-		snap func() map[string]statedb.VersionedValue, height func() uint64, close func() error, err error)
 
 	kvsFor := func(backend string) statedb.KVS {
 		switch backend {
@@ -184,48 +186,26 @@ func TestDurablePeerCheckpointSuffixReplay(t *testing.T) {
 			return statedb.NewStore()
 		}
 	}
-	builders := map[string]func(backend string) build{
-		"sw": func(backend string) build {
-			return func(dir string, every int) (func(*block.Block) (CommitResult, error),
-				func() map[string]statedb.VersionedValue, func() uint64, func() error, error) {
-				p, err := NewDurableSWPeer(validator.Config{Workers: 2, Policies: f.pols},
-					kvsFor(backend), dir, DurableOptions{CheckpointEvery: every})
-				if err != nil {
-					return nil, nil, nil, nil, err
-				}
-				return p.CommitBlock, func() map[string]statedb.VersionedValue { return p.Validator.Store().Snapshot() },
-					p.Height, p.Close, nil
-			}
-		},
-		"parallel": func(backend string) build {
-			return func(dir string, every int) (func(*block.Block) (CommitResult, error),
-				func() map[string]statedb.VersionedValue, func() uint64, func() error, error) {
-				p, err := NewDurableParallelPeer(pipeline.Config{Workers: 2, Policies: f.pols},
-					kvsFor(backend), dir, DurableOptions{CheckpointEvery: every})
-				if err != nil {
-					return nil, nil, nil, nil, err
-				}
-				return p.CommitBlock, func() map[string]statedb.VersionedValue { return p.Engine.Store().Snapshot() },
-					p.Height, p.Close, nil
-			}
-		},
+	engines := map[string]pipeline.Config{
+		"fabric14":  fabric14(2, f.pols),
+		"scheduled": {Workers: 2, Policies: f.pols},
 	}
 
-	for engine, mk := range builders {
+	for engine, cfg := range engines {
 		for _, backend := range []string{"memory", "sharded", "hybrid"} {
 			t.Run(engine+"/"+backend, func(t *testing.T) {
 				dir := t.TempDir()
-				commit, snap, _, closeFn, err := mk(backend)(dir, 2)
+				p, err := Open(cfg, kvsFor(backend), dir, DurableOptions{CheckpointEvery: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, b := range blocks {
-					if _, err := commit(b); err != nil {
+					if _, err := p.CommitBlock(b); err != nil {
 						t.Fatal(err)
 					}
 				}
-				want := statedb.SnapshotHash(snap())
-				if err := closeFn(); err != nil {
+				want := statedb.SnapshotHash(p.Engine.Store().Snapshot())
+				if err := p.Close(); err != nil {
 					t.Fatal(err)
 				}
 
@@ -243,18 +223,17 @@ func TestDurablePeerCheckpointSuffixReplay(t *testing.T) {
 					t.Errorf("checkpoint height = %d, want 4 (after block 3)", h)
 				}
 
-				commit2, snap2, height2, closeFn2, err := mk(backend)(dir, 2)
+				p2, err := Open(cfg, kvsFor(backend), dir, DurableOptions{CheckpointEvery: 2})
 				if err != nil {
 					t.Fatalf("restart: %v", err)
 				}
-				defer closeFn2()
-				if height2() != 5 {
-					t.Fatalf("recovered height = %d, want 5", height2())
+				defer p2.Close()
+				if p2.Height() != 5 {
+					t.Fatalf("recovered height = %d, want 5", p2.Height())
 				}
-				if got := statedb.SnapshotHash(snap2()); !bytes.Equal(got, want) {
+				if got := statedb.SnapshotHash(p2.Engine.Store().Snapshot()); !bytes.Equal(got, want) {
 					t.Fatal("checkpoint + suffix replay diverges from live state")
 				}
-				_ = commit2
 			})
 		}
 	}
@@ -266,8 +245,7 @@ func TestRecoverStateRejectsCheckpointAheadOfLedger(t *testing.T) {
 	f := newChainFixture(t)
 	blocks := f.chain(t, 2)
 	dir := t.TempDir()
-	p, err := NewDurableSWPeer(validator.Config{Workers: 1, Policies: f.pols},
-		statedb.NewStore(), dir, DurableOptions{})
+	p, err := Open(fabric14(1, f.pols), statedb.NewStore(), dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,13 +255,13 @@ func TestRecoverStateRejectsCheckpointAheadOfLedger(t *testing.T) {
 		}
 	}
 	// A checkpoint claiming height 7 against a 2-block ledger.
-	if err := statedb.SaveCheckpoint(dir+"/"+CheckpointFile, p.Validator.Store(), 7); err != nil {
+	if err := statedb.SaveCheckpoint(dir+"/"+CheckpointFile, p.Engine.Store(), 7); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSWPeer(validator.Config{Workers: 1, Policies: f.pols}, dir); err == nil {
+	if _, err := Open(fabric14(1, f.pols), statedb.NewStore(), dir, DurableOptions{}); err == nil {
 		t.Fatal("checkpoint ahead of ledger accepted")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"bmac/internal/statedb"
-	"bmac/internal/validator"
 )
 
 // Fast-sync recovery tests: generation fallback, the full-replay baseline
@@ -19,10 +18,10 @@ import (
 func TestRecoveryFallsBackOnCorruptNewestCheckpoint(t *testing.T) {
 	f := newChainFixture(t)
 	blocks := f.chain(t, 6)
-	cfg := validator.Config{Workers: 2, Policies: f.pols}
+	cfg := fabric14(2, f.pols)
 
 	dir := t.TempDir()
-	p, err := NewDurableSWPeer(cfg, statedb.NewStore(), dir, DurableOptions{CheckpointEvery: 2})
+	p, err := Open(cfg, statedb.NewStore(), dir, DurableOptions{CheckpointEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +30,7 @@ func TestRecoveryFallsBackOnCorruptNewestCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := statedb.SnapshotHash(p.Validator.Store().Snapshot())
+	want := statedb.SnapshotHash(p.Engine.Store().Snapshot())
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +49,7 @@ func TestRecoveryFallsBackOnCorruptNewestCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p2, err := NewDurableSWPeer(cfg, statedb.NewStore(), dir, DurableOptions{CheckpointEvery: 2})
+	p2, err := Open(cfg, statedb.NewStore(), dir, DurableOptions{CheckpointEvery: 2})
 	if err != nil {
 		t.Fatalf("recovery with a corrupt newest generation: %v", err)
 	}
@@ -58,7 +57,7 @@ func TestRecoveryFallsBackOnCorruptNewestCheckpoint(t *testing.T) {
 	if p2.Height() != 6 {
 		t.Fatalf("recovered height %d, want 6", p2.Height())
 	}
-	if got := statedb.SnapshotHash(p2.Validator.Store().Snapshot()); !bytes.Equal(got, want) {
+	if got := statedb.SnapshotHash(p2.Engine.Store().Snapshot()); !bytes.Equal(got, want) {
 		t.Fatal("fallback recovery diverges from live state")
 	}
 }
@@ -69,10 +68,10 @@ func TestRecoveryFallsBackOnCorruptNewestCheckpoint(t *testing.T) {
 func TestNoFastSyncRecoversIdentically(t *testing.T) {
 	f := newChainFixture(t)
 	blocks := f.chain(t, 6)
-	cfg := validator.Config{Workers: 2, Policies: f.pols}
+	cfg := fabric14(2, f.pols)
 
 	dir := t.TempDir()
-	p, err := NewDurableSWPeer(cfg, statedb.NewStore(), dir, DurableOptions{CheckpointEvery: 2})
+	p, err := Open(cfg, statedb.NewStore(), dir, DurableOptions{CheckpointEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +80,12 @@ func TestNoFastSyncRecoversIdentically(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := statedb.SnapshotHash(p.Validator.Store().Snapshot())
+	want := statedb.SnapshotHash(p.Engine.Store().Snapshot())
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	p2, err := NewDurableSWPeer(cfg, statedb.NewStore(), dir,
+	p2, err := Open(cfg, statedb.NewStore(), dir,
 		DurableOptions{CheckpointEvery: 2, NoFastSync: true})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +94,7 @@ func TestNoFastSyncRecoversIdentically(t *testing.T) {
 	if p2.Height() != 6 {
 		t.Fatalf("recovered height %d, want 6", p2.Height())
 	}
-	if got := statedb.SnapshotHash(p2.Validator.Store().Snapshot()); !bytes.Equal(got, want) {
+	if got := statedb.SnapshotHash(p2.Engine.Store().Snapshot()); !bytes.Equal(got, want) {
 		t.Fatal("full-replay recovery diverges from fast-sync state")
 	}
 }
@@ -107,11 +106,11 @@ func TestNoFastSyncRecoversIdentically(t *testing.T) {
 func TestPruneBoundsLedgerAndSurvivesRestart(t *testing.T) {
 	f := newChainFixture(t)
 	blocks := f.chain(t, 10)
-	cfg := validator.Config{Workers: 2, Policies: f.pols}
+	cfg := fabric14(2, f.pols)
 	opts := DurableOptions{CheckpointEvery: 2, SegmentBytes: 1, Prune: true}
 
 	dir := t.TempDir()
-	p, err := NewDurableSWPeer(cfg, statedb.NewStore(), dir, opts)
+	p, err := Open(cfg, statedb.NewStore(), dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +125,7 @@ func TestPruneBoundsLedgerAndSurvivesRestart(t *testing.T) {
 	if p.Ledger.Stats().Pruned == 0 {
 		t.Fatal("no segments pruned")
 	}
-	want := statedb.SnapshotHash(p.Validator.Store().Snapshot())
+	want := statedb.SnapshotHash(p.Engine.Store().Snapshot())
 	base := p.Ledger.Base()
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
@@ -141,7 +140,7 @@ func TestPruneBoundsLedgerAndSurvivesRestart(t *testing.T) {
 		t.Fatalf("%d segment files survive pruning for 8 one-block segments", len(files))
 	}
 
-	p2, err := NewDurableSWPeer(cfg, statedb.NewStore(), dir, opts)
+	p2, err := Open(cfg, statedb.NewStore(), dir, opts)
 	if err != nil {
 		t.Fatalf("restart of a pruned peer: %v", err)
 	}
@@ -149,7 +148,7 @@ func TestPruneBoundsLedgerAndSurvivesRestart(t *testing.T) {
 	if p2.Height() != 8 || p2.Ledger.Base() != base {
 		t.Fatalf("recovered height %d base %d, want 8 and %d", p2.Height(), p2.Ledger.Base(), base)
 	}
-	if got := statedb.SnapshotHash(p2.Validator.Store().Snapshot()); !bytes.Equal(got, want) {
+	if got := statedb.SnapshotHash(p2.Engine.Store().Snapshot()); !bytes.Equal(got, want) {
 		t.Fatal("pruned restart diverges from live state")
 	}
 	for _, b := range blocks[8:] {

@@ -1,12 +1,12 @@
-// Package peer assembles the three validator peer flavors of the paper's
-// experimental setup (Figure 8) and its software-parallel extension:
+// Package peer assembles the validator peers of the paper's experimental
+// setup (Figure 8):
 //
-//   - SWPeer: a software-only validator (sw_validator) — gossip intake,
-//     validation pipeline, state database and ledger.
-//
-//   - ParallelPeer: the software parallel commit engine
-//     (internal/pipeline) — the same Fabric semantics as SWPeer but with
-//     pipelined stages and dependency-scheduled intra-block parallelism.
+//   - Peer: the durable software validator (sw_validator) — the commit
+//     engine (internal/pipeline) over a state database and a disk ledger.
+//     The engine's configuration decides which software peer it is: the
+//     paper's Fabric v1.4 baseline (pipeline.Fabric14) or the repo's
+//     parallel extension with pipelined stages and dependency-scheduled
+//     intra-block parallelism (the default shape).
 //
 //   - BMacPeer: the hardware-accelerated peer — the BMac protocol receiver
 //     and block processor "in hardware" (internal/bmacproto +
@@ -15,7 +15,7 @@
 //     validation of block n+1 overlaps with the CPU's ledger commit of
 //     block n (paper §3.1).
 //
-// The software peers are durable: every validated block is appended to the
+// The software peer is durable: every validated block is appended to the
 // disk ledger before its result is reported, reopening a peer directory
 // replays the ledger (on top of the newest state checkpoint) so a
 // restarted peer resumes at its previous height, and a checkpoint cadence
@@ -45,97 +45,37 @@ type CommitResult struct {
 	CommitHash []byte
 	// HWStats is populated by BMac peers only.
 	HWStats core.Stats
-	// Breakdown is populated by the software peers (SWPeer, ParallelPeer)
-	// so callers can compare per-stage timings.
+	// Breakdown is populated by software peers so callers can compare
+	// per-stage timings.
 	Breakdown validator.Breakdown
 }
 
-// SWPeer is a software-only validator peer.
-type SWPeer struct {
-	Validator *validator.Validator
-	Ledger    *ledger.Ledger
+// Peer is a durable software validator peer: the commit engine over a
+// state database, and the disk ledger it commits to (see Open).
+type Peer struct {
+	Engine *pipeline.Engine
+	Ledger *ledger.Ledger
 
-	dir       string
-	ckptEvery int
-	ckptKeep  int          // checkpoint generations retained (0 = statedb default)
-	prune     bool         // prune checkpoint-covered ledger segments
-	ckptFault func() error // fault-injection hook for checkpoint writes
-}
-
-// NewSWPeer creates a software peer with an in-memory state database and a
-// ledger in dir. Reopening an existing dir recovers: the ledger is
-// replayed (on top of any checkpoint) so the peer resumes at its previous
-// height. See NewDurableSWPeer to choose the backend and checkpoint
-// cadence.
-func NewSWPeer(cfg validator.Config, dir string) (*SWPeer, error) {
-	return NewDurableSWPeer(cfg, statedb.NewStore(), dir, DurableOptions{})
+	dir  string
+	opts DurableOptions
 }
 
 // CommitBlock validates and commits one received block (the gossip path
 // hands blocks here in order). When a checkpoint cadence is configured,
 // the block's commit may be followed by a state checkpoint; a checkpoint
 // failure is returned even though the block itself committed, because the
-// peer's durability contract is broken.
-func (p *SWPeer) CommitBlock(b *block.Block) (CommitResult, error) {
-	res, err := p.Validator.ValidateAndCommit(block.Marshal(b))
-	if err != nil {
-		return CommitResult{}, err
-	}
-	if err := maybeCheckpoint(p.ckptEvery, res.BlockNum, p.Checkpoint); err != nil {
-		return CommitResult{}, err
-	}
-	return CommitResult{
-		BlockNum:   res.BlockNum,
-		BlockValid: res.BlockValid,
-		Flags:      res.Flags,
-		CommitHash: res.CommitHash,
-		Breakdown:  res.Breakdown,
-	}, nil
-}
-
-// Close releases the ledger.
-func (p *SWPeer) Close() error { return p.Ledger.Close() }
-
-// ParallelPeer is a software validator peer backed by the parallel
-// pipelined commit engine.
-type ParallelPeer struct {
-	Engine *pipeline.Engine
-	Ledger *ledger.Ledger
-
-	dir       string
-	ckptEvery int
-	ckptKeep  int          // checkpoint generations retained (0 = statedb default)
-	prune     bool         // prune checkpoint-covered ledger segments
-	ckptFault func() error // fault-injection hook for checkpoint writes
-}
-
-// NewParallelPeer creates a parallel peer with an in-memory state database
-// and a ledger in dir. Reopening an existing dir recovers, as with
-// NewSWPeer.
-func NewParallelPeer(cfg pipeline.Config, dir string) (*ParallelPeer, error) {
-	return NewParallelPeerKVS(cfg, statedb.NewStore(), dir)
-}
-
-// NewParallelPeerKVS creates a parallel peer over the given state-database
-// backend (plain, sharded or hybrid hardware/host) and a ledger in dir.
-// Reopening an existing dir recovers: the ledger is replayed (on top of
-// any checkpoint) into kvs, which must be empty. See NewDurableParallelPeer
-// to also set the checkpoint cadence.
-func NewParallelPeerKVS(cfg pipeline.Config, kvs statedb.KVS, dir string) (*ParallelPeer, error) {
-	return NewDurableParallelPeer(cfg, kvs, dir, DurableOptions{})
-}
-
-// CommitBlock validates and commits one received block. The engine still
-// parallelizes the stages internally; use Submit/Results on the Engine
-// directly for inter-block pipelining (the periodic checkpoint policy only
-// runs on this synchronous path).
-func (p *ParallelPeer) CommitBlock(b *block.Block) (CommitResult, error) {
+// peer's durability contract is broken. Inter-block pipelining needs
+// Submit/Results on the Engine directly (the checkpoint cadence only runs
+// on this synchronous path).
+func (p *Peer) CommitBlock(b *block.Block) (CommitResult, error) {
 	res, err := p.Engine.ValidateAndCommit(block.Marshal(b))
 	if err != nil {
 		return CommitResult{}, err
 	}
-	if err := maybeCheckpoint(p.ckptEvery, res.BlockNum, p.Checkpoint); err != nil {
-		return CommitResult{}, err
+	if every := p.opts.CheckpointEvery; every > 0 && (res.BlockNum+1)%uint64(every) == 0 {
+		if err := p.Checkpoint(); err != nil {
+			return CommitResult{}, fmt.Errorf("peer: checkpoint after block %d: %w", res.BlockNum, err)
+		}
 	}
 	return CommitResult{
 		BlockNum:   res.BlockNum,
@@ -147,7 +87,7 @@ func (p *ParallelPeer) CommitBlock(b *block.Block) (CommitResult, error) {
 }
 
 // Close drains the engine and releases the ledger.
-func (p *ParallelPeer) Close() error {
+func (p *Peer) Close() error {
 	p.Engine.Close()
 	return p.Ledger.Close()
 }

@@ -2,6 +2,7 @@ package peer
 
 import (
 	"bytes"
+	stdnet "net"
 	"testing"
 	"time"
 
@@ -16,7 +17,6 @@ import (
 	"bmac/internal/policy/policytest"
 	"bmac/internal/raft"
 	"bmac/internal/statedb"
-	"bmac/internal/validator"
 )
 
 // TestEndToEndNetworkEquivalence reproduces the paper's experimental setup
@@ -50,10 +50,8 @@ func TestEndToEndNetworkEquivalence(t *testing.T) {
 	}
 
 	// --- peers ---
-	swPeer, err := NewSWPeer(validator.Config{
-		Workers:  4,
-		Policies: map[string]*policy.Policy{"smallbank": policytest.MustParse("2of2")},
-	}, t.TempDir())
+	swPeer, err := Open(fabric14(4, map[string]*policy.Policy{"smallbank": policytest.MustParse("2of2")}),
+		statedb.NewStore(), t.TempDir(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +81,11 @@ func TestEndToEndNetworkEquivalence(t *testing.T) {
 	}
 	defer udp.Close()
 
-	broadcaster := gossip.NewBroadcaster()
-	defer broadcaster.Close()
-	if err := broadcaster.AddPeer(swListener.Addr()); err != nil {
+	gossipConn, err := stdnet.Dial("tcp", swListener.Addr())
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer gossipConn.Close()
 	sink, err := bmacproto.DialUDP(udp.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +110,8 @@ func TestEndToEndNetworkEquivalence(t *testing.T) {
 		if _, err := bmacSender.SendBlock(b); err != nil {
 			return err
 		}
-		return broadcaster.Broadcast(b)
+		_, err := gossip.WriteBlock(gossipConn, b)
+		return err
 	})
 
 	// --- submit transactions (some deliberately invalid) ---
@@ -179,7 +178,7 @@ func TestEndToEndNetworkEquivalence(t *testing.T) {
 	}
 
 	// State databases converged.
-	if !statedb.SnapshotsEqual(swPeer.Validator.Store().Snapshot(), bmacPeer.Proc.DB().Snapshot()) {
+	if !statedb.SnapshotsEqual(swPeer.Engine.Store().Snapshot(), bmacPeer.Proc.DB().Snapshot()) {
 		t.Error("state databases diverge after 3 blocks")
 	}
 	// Ledgers agree on height and final commit hash.
@@ -327,10 +326,8 @@ func TestSWPeerRejectsTamperedBlock(t *testing.T) {
 	client, _ := net.NewIdentity("Org1", identity.RoleClient)
 	ordID, _ := net.NewIdentity("Org1", identity.RoleOrderer)
 
-	swPeer, err := NewSWPeer(validator.Config{
-		Workers:  2,
-		Policies: map[string]*policy.Policy{"cc": policytest.MustParse("1of1")},
-	}, t.TempDir())
+	swPeer, err := Open(fabric14(2, map[string]*policy.Policy{"cc": policytest.MustParse("1of1")}),
+		statedb.NewStore(), t.TempDir(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,8 +347,8 @@ func TestSWPeerRejectsTamperedBlock(t *testing.T) {
 	}
 }
 
-// TestParallelPeerMatchesSWPeer commits the same blocks through an SWPeer
-// and a ParallelPeer and requires identical flags, commit hashes and
+// TestParallelPeerMatchesSWPeer commits the same blocks through a peer of
+// each engine shape and requires identical flags, commit hashes and
 // ledger heights — the three-way cross-check the Testbed performs, in
 // miniature.
 func TestParallelPeerMatchesSWPeer(t *testing.T) {
@@ -364,12 +361,12 @@ func TestParallelPeerMatchesSWPeer(t *testing.T) {
 	endorser, _ := net.NewIdentity("Org1", identity.RolePeer)
 	pols := map[string]*policy.Policy{"cc": policytest.MustParse("1of1")}
 
-	swPeer, err := NewSWPeer(validator.Config{Workers: 2, Policies: pols}, t.TempDir())
+	swPeer, err := Open(fabric14(2, pols), statedb.NewStore(), t.TempDir(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer swPeer.Close()
-	parPeer, err := NewParallelPeer(pipeline.Config{Workers: 4, Policies: pols}, t.TempDir())
+	parPeer, err := Open(pipeline.Config{Workers: 4, Policies: pols}, statedb.NewStore(), t.TempDir(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +419,7 @@ func TestParallelPeerMatchesSWPeer(t *testing.T) {
 		t.Error("ledger heights diverge")
 	}
 	if !statedb.SnapshotsEqual(
-		swPeer.Validator.Store().Snapshot(), parPeer.Engine.Store().Snapshot()) {
+		swPeer.Engine.Store().Snapshot(), parPeer.Engine.Store().Snapshot()) {
 		t.Error("state diverged")
 	}
 }

@@ -1,15 +1,19 @@
-// Package pipeline implements the parallel pipelined commit engine: a
-// software validator that overlaps the validation stages of consecutive
-// blocks (unmarshal → block-verify → vscc → mvcc/commit) and, within a
-// block, executes the mvcc checks and state writes of *independent*
-// transactions concurrently.
+// Package pipeline implements the commit engine: the one type that
+// validates and commits a block (Engine), over the per-transaction Fabric
+// semantics of internal/validator. Its four stages — unmarshal, block-verify
+// + vscc, mvcc, state/ledger flush — run in order on the caller's goroutine
+// (ValidateAndCommit) or on stage goroutines that overlap consecutive blocks
+// (Submit/Results).
 //
-// The engine is Fabric-equivalent: its validation flags, commit hash and
-// final state database contents are bit-identical to the sequential
-// software validator (internal/validator) on every block. The differential
-// tests in this package prove it.
+// One Config field, Shape, picks between two layouts of the same work: the
+// paper's Fabric v1.4 software baseline (serial unmarshal, vscc on N
+// threads, in-order mvcc) and the default, which also fans unmarshal out and
+// executes the mvcc checks of *independent* transactions concurrently. The
+// two are Fabric-equivalent — validation flags, commit hash and final state
+// database contents are bit-identical on every block — and the differential
+// tests in this package prove it against a naive reference validator.
 //
-// Three pieces cooperate:
+// Three pieces serve the default shape's decide stage:
 //
 //   - the conflict analyzer (this file) builds a per-block transaction
 //     dependency graph from declared read/write sets;

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -8,7 +10,6 @@ import (
 
 	"bmac/internal/block"
 	"bmac/internal/statedb"
-	"bmac/internal/validator"
 )
 
 // randomRWSet builds a read/write set over a small shared key pool. Reads
@@ -38,15 +39,13 @@ func randomRWSet(rng *rand.Rand, world map[string]block.Version) block.RWSet {
 
 // buildRandomBlocks creates a chain of blocks with random fault injection
 // (bad client signatures, corrupt/missing endorsements, stale reads) and
-// simultaneously tracks the endorsement-time world state by replaying the
-// sequential validator's semantics per block.
+// simultaneously tracks the endorsement-time world state by replaying each
+// block through the reference oracle.
 func buildRandomBlocks(t *testing.T, r *rig, rng *rand.Rand, nBlocks int) [][]byte {
 	t.Helper()
 	world := make(map[string]block.Version) // committed version per key
 	raws := make([][]byte, 0, nBlocks)
-	sw := validator.New(validator.Config{
-		Workers: 3, Policies: r.pols, SkipLedger: true,
-	}, statedb.NewStore(), nil)
+	ref := newOracle(r)
 
 	for n := 0; n < nBlocks; n++ {
 		nTxs := 1 + rng.Intn(10)
@@ -82,13 +81,13 @@ func buildRandomBlocks(t *testing.T, r *rig, rng *rand.Rand, nBlocks int) [][]by
 		raw := block.Marshal(b)
 		raws = append(raws, raw)
 
-		// Advance the endorsement-time world using the reference validator
-		// so later blocks read versions a live endorser would have seen.
-		res, err := sw.ValidateAndCommit(raw)
+		// Advance the endorsement-time world using the oracle so later
+		// blocks read versions a live endorser would have seen.
+		flags, _, err := ref.validateAndCommit(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, f := range res.Flags {
+		for i, f := range flags {
 			if block.ValidationCode(f) != block.Valid {
 				continue
 			}
@@ -100,52 +99,70 @@ func buildRandomBlocks(t *testing.T, r *rig, rng *rand.Rand, nBlocks int) [][]by
 	return raws
 }
 
+// checkChain drives raws through eng — synchronously, or through
+// Submit/Results so blocks genuinely overlap — and demands the oracle's
+// verdict for every block, in order, and the oracle's final state.
+func checkChain(t *testing.T, label string, eng *Engine, pipelined bool, raws [][]byte,
+	wants []verdict, wantState map[string]statedb.VersionedValue) {
+	t.Helper()
+	defer eng.Close()
+	if pipelined {
+		for _, raw := range raws {
+			eng.Submit(raw)
+		}
+	}
+	for n, raw := range raws {
+		var res *Result
+		var err error
+		if pipelined {
+			o := <-eng.Results()
+			res, err = o.Res, o.Err
+		} else {
+			res, err = eng.ValidateAndCommit(raw)
+		}
+		if err != nil {
+			t.Fatalf("%s block %d: %v", label, n, err)
+		}
+		if res.BlockNum != uint64(n) || !res.BlockValid {
+			t.Fatalf("%s block %d: got result for block %d (valid=%v)", label, n, res.BlockNum, res.BlockValid)
+		}
+		if !block.FlagsEqual(res.Flags, wants[n].flags) {
+			t.Fatalf("%s block %d: flags diverge\n  oracle %v\n  engine %v", label, n, wants[n].flags, res.Flags)
+		}
+		if string(res.CommitHash) != string(wants[n].commit) {
+			t.Fatalf("%s block %d: commit hash diverges", label, n)
+		}
+	}
+	if !statedb.SnapshotsEqual(wantState, eng.Store().Snapshot()) {
+		t.Fatalf("%s: final state diverged", label)
+	}
+}
+
 // TestDifferentialRandomized is the pipeline counterpart of
 // internal/core/differential_test.go: random multi-block chains with fault
-// injection, validated by the sequential validator and the parallel engine
-// in lockstep. Flags, commit hash and final state must be byte-identical.
-// Run with -race to also shake out scheduler/cache races.
+// injection, validated by the oracle and by the engine in both shapes.
+// Flags, commit hash and final state must be byte-identical. Run with -race
+// to also shake out scheduler/cache races.
 func TestDifferentialRandomized(t *testing.T) {
 	r := newRig(t)
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		raws := buildRandomBlocks(t, r, rng, 6)
-
-		sw := validator.New(validator.Config{
-			Workers: 3, Policies: r.pols, SkipLedger: true,
-		}, statedb.NewStore(), nil)
-		eng := New(Config{Workers: 4, Policies: r.pols, SkipLedger: true},
-			statedb.NewStore(), nil)
-
-		for n, raw := range raws {
-			swRes, swErr := sw.ValidateAndCommit(raw)
-			parRes, parErr := eng.ValidateAndCommit(raw)
-			if (swErr == nil) != (parErr == nil) {
-				t.Fatalf("seed %d block %d: error divergence sw=%v par=%v", seed, n, swErr, parErr)
-			}
-			if !block.FlagsEqual(swRes.Flags, parRes.Flags) {
-				t.Fatalf("seed %d block %d: flags diverge\n  sw  %v\n  par %v",
-					seed, n, swRes.Flags, parRes.Flags)
-			}
-			if string(swRes.CommitHash) != string(parRes.CommitHash) {
-				t.Fatalf("seed %d block %d: commit hash diverges", seed, n)
-			}
-			if swRes.BlockValid != parRes.BlockValid {
-				t.Fatalf("seed %d block %d: validity diverges", seed, n)
-			}
+		wants, wantState := oracleChain(t, r, raws)
+		for _, sh := range shapes {
+			eng := New(Config{Shape: sh.shape, Workers: 4, Policies: r.pols, SkipLedger: true},
+				statedb.NewStore(), nil)
+			checkChain(t, fmt.Sprintf("seed %d %s", seed, sh.name), eng, false, raws, wants, wantState)
 		}
-		if !statedb.SnapshotsEqual(sw.Store().Snapshot(), eng.Store().Snapshot()) {
-			t.Fatalf("seed %d: final state diverged", seed)
-		}
-		eng.Close()
 	}
 }
 
 // TestDifferentialBackends proves the backend-agnostic engine keeps Fabric
-// semantics bit-identical across every statedb backend, sequential vs
-// pipelined, with and without the prefetch stage: same flags, same commit
-// hashes, same final state. The hybrid backend uses a tiny cache (constant
-// evictions) plus a modeled host latency so the slow path really runs.
+// semantics bit-identical across every statedb backend, in the Fabric v1.4
+// shape and in the default shape with blocks in flight, with and without
+// the prefetch stage: same flags, same commit hashes, same final state as
+// the oracle. The hybrid backend uses a tiny cache (constant evictions)
+// plus a modeled host latency so the slow path really runs.
 func TestDifferentialBackends(t *testing.T) {
 	r := newRig(t)
 	backends := []struct {
@@ -169,111 +186,73 @@ func TestDifferentialBackends(t *testing.T) {
 	for seed := int64(7); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		raws := buildRandomBlocks(t, r, rng, 6)
-
-		// Reference: the sequential validator over the plain store.
-		ref := validator.New(validator.Config{
-			Workers: 3, Policies: r.pols, SkipLedger: true,
-		}, statedb.NewStore(), nil)
-		refResults := make([]*validator.Result, len(raws))
-		for n, raw := range raws {
-			res, err := ref.ValidateAndCommit(raw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refResults[n] = res
-		}
-		refState := ref.Store().Snapshot()
+		wants, wantState := oracleChain(t, r, raws)
 
 		for _, be := range backends {
-			// Sequential validator over the backend.
-			seq := validator.New(validator.Config{
-				Workers: 3, Policies: r.pols, SkipLedger: true,
-			}, be.make(), nil)
-			for n, raw := range raws {
-				res, err := seq.ValidateAndCommit(raw)
-				if err != nil {
-					t.Fatalf("%s seed %d block %d: %v", be.name, seed, n, err)
-				}
-				if !block.FlagsEqual(res.Flags, refResults[n].Flags) ||
-					string(res.CommitHash) != string(refResults[n].CommitHash) {
-					t.Fatalf("%s seed %d block %d: sequential verdict diverged", be.name, seed, n)
-				}
-			}
-			if !statedb.SnapshotsEqual(refState, seq.Store().Snapshot()) {
-				t.Fatalf("%s seed %d: sequential state diverged", be.name, seed)
-			}
+			label := fmt.Sprintf("%s seed %d", be.name, seed)
+			seq := New(Config{Shape: Fabric14, Workers: 3, Policies: r.pols, SkipLedger: true}, be.make(), nil)
+			checkChain(t, label+" fabric14", seq, false, raws, wants, wantState)
 
-			// Pipelined engine over the backend, blocks genuinely in flight.
 			eng := New(Config{
 				Workers: 4, Policies: r.pols, SkipLedger: true,
 				Prefetch: be.prefetch, PrefetchWorkers: 4,
 			}, be.make(), nil)
-			for _, raw := range raws {
-				eng.Submit(raw)
-			}
-			for n := range raws {
-				o := <-eng.Results()
-				if o.Err != nil {
-					t.Fatalf("%s seed %d block %d: %v", be.name, seed, n, o.Err)
-				}
-				if !block.FlagsEqual(o.Res.Flags, refResults[n].Flags) ||
-					string(o.Res.CommitHash) != string(refResults[n].CommitHash) {
-					t.Fatalf("%s seed %d block %d: pipelined verdict diverged", be.name, seed, n)
-				}
-			}
-			if !statedb.SnapshotsEqual(refState, eng.Store().Snapshot()) {
-				t.Fatalf("%s seed %d: pipelined state diverged", be.name, seed)
-			}
-			eng.Close()
+			checkChain(t, label+" pipelined", eng, true, raws, wants, wantState)
 		}
 	}
 }
 
 // TestDifferentialPipelined feeds whole chains through Submit/Results so
-// blocks genuinely overlap in the pipeline, then compares every outcome and
-// the final state against the sequential validator.
+// blocks genuinely overlap in the stage goroutines, in both shapes, and
+// compares every outcome and the final state against the oracle.
 func TestDifferentialPipelined(t *testing.T) {
 	r := newRig(t)
 	for seed := int64(100); seed <= 102; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		raws := buildRandomBlocks(t, r, rng, 8)
+		wants, wantState := oracleChain(t, r, raws)
+		for _, sh := range shapes {
+			eng := New(Config{Shape: sh.shape, Workers: 4, Policies: r.pols, SkipLedger: true},
+				statedb.NewStore(), nil)
+			checkChain(t, fmt.Sprintf("seed %d %s", seed, sh.name), eng, true, raws, wants, wantState)
+		}
+	}
+}
 
-		sw := validator.New(validator.Config{
-			Workers: 3, Policies: r.pols, SkipLedger: true,
-		}, statedb.NewStore(), nil)
-		swResults := make([]*validator.Result, len(raws))
-		for n, raw := range raws {
-			res, err := sw.ValidateAndCommit(raw)
-			if err != nil {
-				t.Fatal(err)
+// TestSubmitMatchesSynchronousDrive pins that the two ways of driving the
+// engine are the same four stage functions: the same chain fed through
+// Submit/Results and through ValidateAndCommit gives identical flags, commit
+// hashes and state hash, in each shape.
+func TestSubmitMatchesSynchronousDrive(t *testing.T) {
+	r := newRig(t)
+	raws := buildRandomBlocks(t, r, rand.New(rand.NewSource(42)), 8)
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			cfg := Config{Shape: sh.shape, Workers: 4, Policies: r.pols, SkipLedger: true}
+			direct := New(cfg, statedb.NewStore(), nil)
+			defer direct.Close()
+			piped := New(cfg, statedb.NewStore(), nil)
+			defer piped.Close()
+			for _, raw := range raws {
+				piped.Submit(raw)
 			}
-			swResults[n] = res
-		}
-
-		eng := New(Config{Workers: 4, Policies: r.pols, SkipLedger: true},
-			statedb.NewStore(), nil)
-		for _, raw := range raws {
-			eng.Submit(raw)
-		}
-		for n := range raws {
-			o := <-eng.Results()
-			if o.Err != nil {
-				t.Fatalf("seed %d block %d: %v", seed, n, o.Err)
+			for n, raw := range raws {
+				want, err := direct.ValidateAndCommit(raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := <-piped.Results()
+				if got.Err != nil {
+					t.Fatal(got.Err)
+				}
+				if !block.FlagsEqual(got.Res.Flags, want.Flags) || !bytes.Equal(got.Res.CommitHash, want.CommitHash) {
+					t.Fatalf("block %d: Submit %v / %x, ValidateAndCommit %v / %x",
+						n, got.Res.Flags, got.Res.CommitHash, want.Flags, want.CommitHash)
+				}
 			}
-			if o.Res.BlockNum != uint64(n) {
-				t.Fatalf("seed %d: results out of order", seed)
+			if !bytes.Equal(statedb.SnapshotHash(direct.Store().Snapshot()), statedb.SnapshotHash(piped.Store().Snapshot())) {
+				t.Fatal("state hash differs between Submit and ValidateAndCommit")
 			}
-			if !block.FlagsEqual(o.Res.Flags, swResults[n].Flags) {
-				t.Fatalf("seed %d block %d: flags diverge\n  sw  %v\n  par %v",
-					seed, n, swResults[n].Flags, o.Res.Flags)
-			}
-			if string(o.Res.CommitHash) != string(swResults[n].CommitHash) {
-				t.Fatalf("seed %d block %d: commit hash diverges", seed, n)
-			}
-		}
-		if !statedb.SnapshotsEqual(sw.Store().Snapshot(), eng.Store().Snapshot()) {
-			t.Fatalf("seed %d: final state diverged", seed)
-		}
-		eng.Close()
+		})
 	}
 }

@@ -16,37 +16,65 @@ import (
 	"bmac/internal/validator"
 )
 
-// Config parameterizes the parallel commit engine.
+// Shape selects how the engine lays one block's work out over goroutines.
+// Both shapes run the same four stages and produce bit-identical flags,
+// commit hashes and state; they differ in parse fan-out and in how the
+// decide stage orders the mvcc checks.
+type Shape int
+
+const (
+	// Scheduled, the default, fans every stage out: payloads are decoded
+	// and vscc'd on Workers goroutines, and mvcc is dependency-scheduled —
+	// independent transactions are decided concurrently against the
+	// multi-version cache, so a submitted block's mvcc can also start while
+	// its predecessor is still being flushed.
+	Scheduled Shape = iota
+	// Fabric14 is the paper's software baseline (Figure 2a), the validation
+	// phase of a Fabric v1.4 peer with its known bottlenecks: payloads
+	// decoded one at a time, vscc fanned over Workers (the "vscc threads" ==
+	// vCPUs knob), mvcc strictly in transaction order against the state
+	// database itself. It builds no dependency graph and no version cache.
+	Fabric14
+)
+
+// Config parameterizes the commit engine.
 type Config struct {
-	// Workers is the goroutine budget per parallel stage (unmarshal, vscc,
-	// mvcc/commit). Zero means GOMAXPROCS.
+	// Shape picks the intra-block schedule (default Scheduled).
+	Shape Shape
+	// Workers is the goroutine budget per parallel stage — vscc, and in the
+	// Scheduled shape also unmarshal and mvcc. Zero means GOMAXPROCS.
 	Workers int
 	// Policies maps chaincode name to its endorsement policy.
 	Policies map[string]*policy.Policy
-	// SkipLedger excludes the ledger commit, as the paper's metrics do.
+	// SkipLedger excludes the ledger commit (the paper's metrics exclude it
+	// "for direct comparison between hardware and software" — §4.2).
 	SkipLedger bool
-	// Depth is the number of blocks allowed in flight between stages
-	// (default 4). Higher values buy more inter-block overlap at the cost
-	// of memory.
+	// Depth is the number of blocks allowed in flight between stages when
+	// blocks are fed through Submit (default 4). Higher values buy more
+	// inter-block overlap at the cost of memory.
 	Depth int
-	// Prefetch enables the async read-set warm-up stage: distinct read-set
-	// keys are read from the backend as soon as a block is unmarshalled, so
+	// Prefetch enables the async read-set warm-up: distinct read-set keys
+	// are read from the backend as soon as a block is unmarshalled, so
 	// slow-backend misses (e.g. HybridKVS host reads) are absorbed while
 	// the block is still in vscc. Verdicts are identical either way.
 	Prefetch bool
 	// PrefetchWorkers bounds the warm-up reader pool (default Workers).
 	PrefetchWorkers int
-	// SigCache memoizes signature verdicts across blocks and across every
-	// path sharing the cache (see validator.Config.SigCache). Optional.
+	// SigCache, when non-nil, memoizes signature verdicts so a signature
+	// already seen by ANY path sharing the cache (another engine, a replay)
+	// costs one hash + lookup instead of a curve verification. Verdicts are
+	// identical either way.
 	SigCache *fabcrypto.SigCache
-	// CertCache interns parsed X.509 identity certificates (see
-	// validator.Config.CertCache). Optional.
+	// CertCache, when non-nil, interns parsed X.509 identity certificates:
+	// the same creator/endorser/orderer certs recur in every transaction,
+	// and x509.ParseCertificate rivals the ECDSA math in allocations.
 	CertCache *fabcrypto.CertCache
 	// BatchVerifyWorkers > 1 fans each transaction's endorsement checks
-	// across a worker pool in the vscc stage.
+	// across a worker pool (fabcrypto.VerifyBatch) in the vscc stage.
 	BatchVerifyWorkers int
-	// ParseCache interns ParseTx results by payload hash (parse-once, see
-	// validator.Config.ParseCache). Optional.
+	// ParseCache, when non-nil, interns ParseTx results by payload hash so
+	// an envelope decoded by any sharing path is unmarshaled once per
+	// process (parse-once). Cached results are shared and read-only.
 	ParseCache *validator.ParseCache
 	// Metrics, when non-nil, mirrors each flushed block's Breakdown into
 	// the telemetry registry's per-stage histograms. Nil (telemetry off)
@@ -62,19 +90,18 @@ func (c *Config) verifyOpts() validator.VerifyOpts {
 	}
 }
 
-// Result is the outcome of one block, identical in content to the
-// sequential validator's result.
+// Result is the outcome of validating and committing one block.
 type Result = validator.Result
 
 // Outcome pairs a block result with its error, preserving submission order
-// on the Results channel. Err mirrors the sequential validator's error
-// return (e.g. validator.ErrBlockInvalid for a bad orderer signature).
+// on the Results channel. Err is what ValidateAndCommit would have returned
+// (e.g. validator.ErrBlockInvalid for a bad orderer signature).
 type Outcome struct {
 	Res *Result
 	Err error
 }
 
-// job carries one block through the stage pipeline.
+// job carries one block through the four stages.
 type job struct {
 	raw   []byte
 	start time.Time
@@ -86,38 +113,45 @@ type job struct {
 	bd   validator.Breakdown
 	skip bool // no commit: unmarshal or block verification failed
 
-	// warm tracks the block's async read-set prefetch; the mvcc stage waits
-	// on it so a warm-up read and a committed write can't interleave
+	// warm tracks the block's async read-set prefetch; the decide stage
+	// waits on it so a warm-up read and a committed write can't interleave
 	// mid-check. nil when prefetch is off or the block never parsed.
 	warm *sync.WaitGroup
 }
 
-// Engine is the parallel pipelined commit engine. Blocks submitted in order
-// flow through four stages — unmarshal (plus async read-set prefetch),
-// block-verify+vscc, dependency-scheduled mvcc, state/ledger flush — each
-// stage a goroutine, so up to four blocks are processed concurrently, and
-// the heavy stages additionally fan work out across Workers goroutines.
+// Engine is the one type that validates and commits a block. A block goes
+// through four stages, each a plain function of its job — parse (unmarshal,
+// plus the async read-set prefetch), verify (block verification + vscc),
+// decide (mvcc) and flush (state database, then ledger).
+//
+// ValidateAndCommit runs the four in order on the caller's goroutine.
+// Submit/Results run the same four on stage goroutines connected by
+// channels, so consecutive blocks overlap; those goroutines are started by
+// the first Submit (or Results), and an engine that is only ever driven
+// synchronously never creates them.
 //
 // The engine runs over any statedb.KVS backend; with cfg.Prefetch the
 // warm-up readers hide a slow backend's read latency under vscc.
 //
-// Blocks must be submitted in increasing header-number order by a single
-// goroutine (or via the synchronous ValidateAndCommit).
+// Blocks must arrive in increasing header-number order from a single
+// goroutine, and ValidateAndCommit must not be called while submitted
+// blocks are still in flight.
 type Engine struct {
 	cfg   Config
-	cache *MVCache
+	store statedb.KVS
+	cache *MVCache // nil in the Fabric14 shape, whose mvcc reads the store itself
 	led   *ledger.Ledger
 	pf    *prefetcher // nil when cfg.Prefetch is off
 
-	in  chan *job
-	out chan Outcome
-
-	closeOnce sync.Once
+	startOnce sync.Once // guards in, out and done
+	in        chan *job
+	out       chan Outcome
 	done      chan struct{}
+	closeOnce sync.Once
 }
 
-// New creates and starts an engine over its own stage goroutines. led may
-// be nil when cfg.SkipLedger is set.
+// New creates an engine over the given state database and ledger (led may
+// be nil when cfg.SkipLedger is set).
 func New(cfg Config, store statedb.KVS, led *ledger.Ledger) *Engine {
 	if cfg.Workers < 1 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -128,29 +162,18 @@ func New(cfg Config, store statedb.KVS, led *ledger.Ledger) *Engine {
 	if cfg.PrefetchWorkers < 1 {
 		cfg.PrefetchWorkers = cfg.Workers
 	}
-	e := &Engine{
-		cfg:   cfg,
-		cache: NewMVCache(store),
-		led:   led,
-		in:    make(chan *job, cfg.Depth),
-		out:   make(chan Outcome, cfg.Depth),
-		done:  make(chan struct{}),
+	e := &Engine{cfg: cfg, store: store, led: led}
+	if cfg.Shape == Scheduled {
+		e.cache = NewMVCache(store)
 	}
 	if cfg.Prefetch {
 		e.pf = newPrefetcher(store, cfg.PrefetchWorkers)
 	}
-	parsed := make(chan *job, cfg.Depth)
-	verified := make(chan *job, cfg.Depth)
-	decided := make(chan *job, cfg.Depth)
-	go e.parseStage(e.in, parsed)
-	go e.verifyStage(parsed, verified)
-	go e.decideStage(verified, decided)
-	go e.flushStage(decided)
 	return e
 }
 
 // Store returns the backing state database.
-func (e *Engine) Store() statedb.KVS { return e.cache.Store() }
+func (e *Engine) Store() statedb.KVS { return e.store }
 
 // PrefetchedKeys reports the total number of warm-up reads issued by the
 // prefetch stage (0 when prefetch is off).
@@ -161,35 +184,80 @@ func (e *Engine) PrefetchedKeys() int {
 	return e.pf.prefetched()
 }
 
-// Cache returns the multi-version state cache.
-func (e *Engine) Cache() *MVCache { return e.cache }
+// ValidateAndCommit runs one marshaled block through the four stages on the
+// caller's goroutine. It accepts raw bytes because the unmarshaling cost is
+// part of what the paper measures. Within the block the stages still fan
+// out as the shape says; inter-block overlap requires Submit.
+func (e *Engine) ValidateAndCommit(raw []byte) (*Result, error) {
+	j := &job{raw: raw, start: time.Now()}
+	e.parse(j)
+	e.verify(j)
+	e.decide(j)
+	e.flush(j)
+	return j.res, j.err
+}
 
-// Submit feeds one marshaled block into the pipeline. Results arrive on
-// Results() in submission order.
+// Submit feeds one marshaled block into the stage goroutines. Results
+// arrive on Results() in submission order.
 func (e *Engine) Submit(raw []byte) {
+	e.startOnce.Do(e.start)
 	e.in <- &job{raw: raw, start: time.Now()}
 }
 
 // Results delivers one Outcome per submitted block, in order.
-func (e *Engine) Results() <-chan Outcome { return e.out }
-
-// ValidateAndCommit runs one block synchronously through the pipeline:
-// same contract as validator.Validator.ValidateAndCommit. Within a single
-// block the engine still parallelizes unmarshal, vscc and the dependency-
-// scheduled commit; inter-block overlap requires Submit.
-func (e *Engine) ValidateAndCommit(raw []byte) (*Result, error) {
-	e.Submit(raw)
-	o := <-e.out
-	return o.Res, o.Err
+func (e *Engine) Results() <-chan Outcome {
+	e.startOnce.Do(e.start)
+	return e.out
 }
 
-// Close drains the pipeline and releases the stage goroutines. The engine
-// must not be used afterwards. The ledger, if any, is NOT closed (the
+// start connects the four stage functions with channels, one goroutine per
+// group of stages.
+func (e *Engine) start() {
+	groups := [][]func(*job){{e.parse}, {e.verify}, {e.decide}, {e.flush}}
+	if e.cfg.Shape == Fabric14 {
+		// In-order mvcc checks read versions against the store itself, so a
+		// block cannot be decided before its predecessor is flushed: the
+		// two stages share a goroutine, as in a Fabric committer.
+		groups = [][]func(*job){{e.parse}, {e.verify}, {e.decide, e.flush}}
+	}
+	e.in = make(chan *job, e.cfg.Depth)
+	e.out = make(chan Outcome, e.cfg.Depth)
+	e.done = make(chan struct{})
+	in := e.in
+	for _, stages := range groups {
+		next := make(chan *job, e.cfg.Depth)
+		go func(in <-chan *job) {
+			defer close(next)
+			for j := range in {
+				for _, stage := range stages {
+					stage(j)
+				}
+				next <- j
+			}
+		}(in)
+		in = next
+	}
+	go func() {
+		defer close(e.done)
+		defer close(e.out)
+		for j := range in {
+			e.out <- Outcome{Res: j.res, Err: j.err}
+		}
+	}()
+}
+
+// Close drains submitted blocks and releases the engine's goroutines. The
+// engine must not be used afterwards. The ledger, if any, is NOT closed (the
 // caller owns it).
 func (e *Engine) Close() {
 	e.closeOnce.Do(func() {
-		close(e.in)
-		<-e.done
+		// Spending the start once here both orders this read of e.in after
+		// a start that did happen and rules out one happening later.
+		e.startOnce.Do(func() {})
+		if e.in != nil {
+			close(e.in)
+			<-e.done
+		}
 		if e.pf != nil {
 			e.pf.close()
 		}
@@ -198,223 +266,228 @@ func (e *Engine) Close() {
 
 // --- stage 1: unmarshal ---
 
-func (e *Engine) parseStage(in <-chan *job, next chan<- *job) {
-	defer close(next)
-	for j := range in {
-		t := time.Now()
-		b, err := block.Unmarshal(j.raw)
-		if err != nil {
-			j.err = err
-			j.skip = true
-			next <- j
-			continue
+func (e *Engine) parse(j *job) {
+	t := time.Now()
+	b, err := block.Unmarshal(j.raw)
+	if err != nil {
+		j.err = err
+		j.skip = true
+		return
+	}
+	j.b = b
+	j.txs = make([]validator.ParsedTx, len(b.Envelopes))
+	// With a ParseCache, payloads any sharing path already decoded are
+	// served from the interning table instead of re-walked.
+	workers := e.cfg.Workers
+	if e.cfg.Shape == Fabric14 {
+		workers = 1
+	}
+	fanOut(len(j.txs), workers, &j.bd, func(i int, ops *validator.Breakdown) {
+		var hit bool
+		j.txs[i], hit = e.cfg.ParseCache.ParseTx(b.Envelopes[i].PayloadBytes)
+		if hit {
+			ops.ParseCacheHits++
 		}
-		j.b = b
-		j.txs = make([]validator.ParsedTx, len(b.Envelopes))
-		// Fan the per-transaction payload decoding out across workers —
-		// the sequential validator decodes one transaction at a time. With
-		// a ParseCache, payloads any sharing path already decoded are
-		// served from the interning table instead of re-walked.
-		var parseHits atomic.Int64
-		parallelFor(len(j.txs), e.cfg.Workers, func(i int) {
-			var hit bool
-			j.txs[i], hit = e.cfg.ParseCache.ParseTx(b.Envelopes[i].PayloadBytes)
-			if hit {
-				parseHits.Add(1)
-			}
-		})
-		j.bd.ParseCacheHits += int(parseHits.Load())
-		j.bd.Unmarshal = time.Since(t)
-		// Read sets are known now: kick off the async warm-up so backend
-		// misses resolve while this block is in the vscc stage.
-		if e.pf != nil {
-			j.warm = e.pf.start(j.txs)
-		}
-		next <- j
+	})
+	j.bd.Unmarshal = time.Since(t)
+	// Read sets are known now: kick off the async warm-up so backend
+	// misses resolve while this block is in the vscc stage.
+	if e.pf != nil {
+		j.warm = e.pf.start(j.txs)
 	}
 }
 
 // --- stage 2: block verification + vscc ---
 
-func (e *Engine) verifyStage(in <-chan *job, next chan<- *job) {
-	defer close(next)
-	for j := range in {
-		if j.skip {
-			next <- j
+func (e *Engine) verify(j *job) {
+	if j.skip {
+		return
+	}
+	j.res = &Result{BlockNum: j.b.Header.Number, Flags: make([]byte, len(j.txs))}
+	flags := j.res.Flags
+	opts := e.cfg.verifyOpts()
+
+	t := time.Now()
+	blockErr := validator.VerifyOrderer(j.b, opts, &j.bd)
+	j.bd.BlockVerify = time.Since(t)
+	if blockErr != nil {
+		for i := range flags {
+			flags[i] = byte(block.InvalidOther)
+		}
+		j.err = fmt.Errorf("%w: %v", validator.ErrBlockInvalid, blockErr)
+		j.skip = true
+		return
+	}
+	j.res.BlockValid = true
+
+	t = time.Now()
+	fanOut(len(j.txs), e.cfg.Workers, &j.bd, func(i int, ops *validator.Breakdown) {
+		flags[i] = byte(validator.VSCCOne(&j.b.Envelopes[i], &j.txs[i], e.cfg.Policies, opts, ops))
+	})
+	j.bd.VerifyVSCC = time.Since(t)
+}
+
+// --- stage 3: mvcc ---
+
+func (e *Engine) decide(j *job) {
+	if j.skip {
+		return
+	}
+	if j.warm != nil {
+		// Residual stall only: with vscc ahead of us the warm-ups have
+		// normally landed already. This is the latency the prefetch
+		// failed to hide (reported so experiments can show the hiding).
+		tWait := time.Now()
+		j.warm.Wait()
+		j.bd.PrefetchWait = time.Since(tWait)
+	}
+	t := time.Now()
+	if e.cfg.Shape == Fabric14 {
+		e.decideInOrder(j)
+	} else {
+		e.decideScheduled(j)
+	}
+	j.bd.MVCC = time.Since(t)
+	j.b.Metadata.ValidationFlags = j.res.Flags
+}
+
+// decideInOrder re-checks each still-valid transaction's read set against
+// the state database and the keys written earlier in this block, strictly
+// in transaction order.
+func (e *Engine) decideInOrder(j *job) {
+	flags := j.res.Flags
+	written := make(map[string]bool)
+	for i := range j.txs {
+		if flags[i] != byte(block.Valid) {
 			continue
 		}
-		j.res = &Result{BlockNum: j.b.Header.Number, Flags: make([]byte, len(j.txs))}
-
-		t := time.Now()
-		blockErr := validator.VerifyOrdererOpts(j.b, e.cfg.verifyOpts(), &j.bd)
-		j.bd.BlockVerify = time.Since(t)
-		if blockErr != nil {
-			for i := range j.res.Flags {
-				j.res.Flags[i] = byte(block.InvalidOther)
+		rw := j.txs[i].RW
+		conflict := false // an earlier tx in this block already wrote a key read here
+		for _, r := range rw.Reads {
+			if written[r.Key] {
+				conflict = true
+				break
 			}
-			j.err = fmt.Errorf("%w: %v", validator.ErrBlockInvalid, blockErr)
-			j.skip = true
-			next <- j
+		}
+		if conflict || e.store.MVCCCheck(rw.Reads) != nil {
+			flags[i] = byte(block.MVCCReadConflict)
 			continue
 		}
-		j.res.BlockValid = true
-
-		t = time.Now()
-		locals := make([]validator.Breakdown, len(j.txs))
-		parallelFor(len(j.txs), e.cfg.Workers, func(i int) {
-			j.res.Flags[i] = byte(validator.VSCCOneOpts(&j.b.Envelopes[i], &j.txs[i], e.cfg.Policies, e.cfg.verifyOpts(), &locals[i]))
-		})
-		for i := range locals {
-			j.bd.ECDSATime += locals[i].ECDSATime
-			j.bd.ECDSACount += locals[i].ECDSACount
-			j.bd.SHA256Time += locals[i].SHA256Time
-			j.bd.SHA256Count += locals[i].SHA256Count
-			j.bd.SigCacheHits += locals[i].SigCacheHits
-			j.bd.SigCacheTime += locals[i].SigCacheTime
+		for _, w := range rw.Writes {
+			written[w.Key] = true
 		}
-		j.bd.VerifyVSCC = time.Since(t)
-		next <- j
 	}
 }
 
-// --- stage 3: dependency-scheduled mvcc ---
-
-func (e *Engine) decideStage(in <-chan *job, next chan<- *job) {
-	defer close(next)
-	for j := range in {
-		if j.skip {
-			next <- j
-			continue
+// decideScheduled makes the same decisions through the dependency graph:
+// a transaction is checked as soon as every earlier writer of its read set
+// has been, against the version cache's pre-block snapshot.
+func (e *Engine) decideScheduled(j *job) {
+	blockNum := j.b.Header.Number
+	flags := j.res.Flags
+	accs := make([]Access, len(j.txs))
+	for i := range j.txs {
+		if flags[i] == byte(block.Valid) {
+			accs[i] = AccessOf(j.txs[i].RW)
 		}
-		if j.warm != nil {
-			// Residual stall only: with vscc ahead of us the warm-ups have
-			// normally landed already. This is the latency the prefetch
-			// failed to hide (reported so experiments can show the hiding).
-			tWait := time.Now()
-			j.warm.Wait()
-			j.bd.PrefetchWait = time.Since(tWait)
+	}
+	RunGraph(BuildGraph(accs), e.cfg.Workers, func(i int) {
+		if flags[i] != byte(block.Valid) {
+			return
 		}
-		t := time.Now()
-		blockNum := j.b.Header.Number
-		flags := j.res.Flags
-
-		accs := make([]Access, len(j.txs))
-		for i := range j.txs {
-			if flags[i] == byte(block.Valid) {
-				accs[i] = AccessOf(j.txs[i].RW)
-			}
-		}
-		g := BuildGraph(accs)
-		RunGraph(g, e.cfg.Workers, func(i int) {
-			if flags[i] != byte(block.Valid) {
-				return
-			}
-			rw := j.txs[i].RW
-			for _, r := range rw.Reads {
-				// An earlier valid transaction of this block wrote the key:
-				// same verdict as the sequential writtenInBlock check. The
-				// scheduler guarantees every such writer is already decided.
-				if e.cache.WrittenBy(r.Key, blockNum, uint64(i)) {
-					flags[i] = byte(block.MVCCReadConflict)
-					return
-				}
-			}
-			if !e.cache.MVCCCheck(rw.Reads, blockNum) {
+		rw := j.txs[i].RW
+		for _, r := range rw.Reads {
+			// An earlier valid transaction of this block wrote the key:
+			// same verdict as the in-order written-in-block check. The
+			// scheduler guarantees every such writer is already decided.
+			if e.cache.WrittenBy(r.Key, blockNum, uint64(i)) {
 				flags[i] = byte(block.MVCCReadConflict)
 				return
 			}
-			// Decision is final: publish the writes so dependents (and the
-			// next block's mvcc stage) observe them before the flush lands.
-			ver := block.Version{BlockNum: blockNum, TxNum: uint64(i)}
-			for _, w := range rw.Writes {
-				e.cache.Put(w.Key, w.Value, ver)
-			}
-		})
-		j.bd.MVCC = time.Since(t)
-		j.b.Metadata.ValidationFlags = flags
-		next <- j
-	}
+		}
+		if !e.cache.MVCCCheck(rw.Reads, blockNum) {
+			flags[i] = byte(block.MVCCReadConflict)
+			return
+		}
+		// Decision is final: publish the writes so dependents (and the
+		// next block's decide stage) observe them before the flush lands.
+		ver := block.Version{BlockNum: blockNum, TxNum: uint64(i)}
+		for _, w := range rw.Writes {
+			e.cache.Put(w.Key, w.Value, ver)
+		}
+	})
 }
 
 // --- stage 4: state database + ledger flush ---
 
-func (e *Engine) flushStage(in <-chan *job) {
-	defer close(e.done)
-	defer close(e.out)
-	for j := range in {
-		if j.skip {
-			if j.res != nil {
-				j.bd.Total = time.Since(j.start)
-				j.res.Breakdown = j.bd
-			}
-			e.out <- Outcome{Res: j.res, Err: j.err}
-			continue
-		}
+func (e *Engine) flush(j *job) {
+	if !j.skip {
+		blockNum := j.b.Header.Number
 		t := time.Now()
-		store := e.cache.Store()
 		for i := range j.txs {
 			if j.res.Flags[i] != byte(block.Valid) {
 				continue
 			}
-			ver := block.Version{BlockNum: j.b.Header.Number, TxNum: uint64(i)}
-			store.WriteBatch(j.txs[i].RW.Writes, ver)
+			e.store.WriteBatch(j.txs[i].RW.Writes, block.Version{BlockNum: blockNum, TxNum: uint64(i)})
 		}
-		e.cache.Retire(j.b.Header.Number)
-		j.bd.StateDB = j.bd.MVCC + time.Since(t)
+		if e.cache != nil {
+			e.cache.Retire(blockNum)
+		}
+		j.bd.StateDB = j.bd.MVCC + time.Since(t) // mvcc reads + commit writes
 
 		if !e.cfg.SkipLedger && e.led != nil {
 			tLed := time.Now()
 			ch, err := e.led.Commit(j.b)
 			if err != nil {
-				j.bd.Total = time.Since(j.start)
-				e.out <- Outcome{Err: fmt.Errorf("pipeline ledger commit block %d: %w", j.b.Header.Number, err)}
-				continue
+				j.res, j.err = nil, fmt.Errorf("ledger commit block %d: %w", blockNum, err)
+				return
 			}
 			j.res.CommitHash = ch
 			j.bd.LedgerCommit = time.Since(tLed)
 		} else {
+			// Compute the commit hash chain value anyway for cross-checking.
 			j.res.CommitHash = block.CommitHash(nil, j.b.Header.DataHash, j.res.Flags)
 		}
-		j.bd.Total = time.Since(j.start)
-		j.res.Breakdown = j.bd
+	}
+	if j.res == nil {
+		return // the block never parsed
+	}
+	j.bd.Total = time.Since(j.start)
+	j.res.Breakdown = j.bd
+	if !j.skip {
 		e.cfg.Metrics.ObserveBlock(len(j.txs), j.bd.Unmarshal, j.bd.BlockVerify, j.bd.VerifyVSCC,
 			j.bd.MVCC, j.bd.StateDB, j.bd.LedgerCommit, j.bd.PrefetchWait, j.bd.Total)
-		e.out <- Outcome{Res: j.res}
 	}
 }
 
-// parallelFor runs fn(0..n-1) across up to `workers` goroutines and waits.
-func parallelFor(n, workers int, fn func(i int)) {
-	if n == 0 {
-		return
-	}
+// fanOut runs fn(i, ops) for every i in [0, n) on up to `workers`
+// goroutines and waits. ops is where fn tallies operation counters: bd
+// itself when the work stays on the caller's goroutine, otherwise a
+// goroutine-private tally merged into bd once every goroutine has finished.
+func fanOut(n, workers int, bd *validator.Breakdown, fn func(i int, ops *validator.Breakdown)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(i, bd)
 		}
 		return
 	}
-	var next int
-	var mu sync.Mutex
+	tallies := make([]validator.Breakdown, workers)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range tallies {
 		wg.Add(1)
-		go func() {
+		go func(ops *validator.Breakdown) {
 			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= n {
-					return
-				}
-				fn(i)
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i, ops)
 			}
-		}()
+		}(&tallies[w])
 	}
 	wg.Wait()
+	for w := range tallies {
+		bd.AddOps(&tallies[w])
+	}
 }

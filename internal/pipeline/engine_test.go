@@ -48,6 +48,12 @@ func newRig(t testing.TB) *rig {
 	return r
 }
 
+// shapes names the engine's two shapes for tests that run over both.
+var shapes = []struct {
+	name  string
+	shape Shape
+}{{"fabric14", Fabric14}, {"scheduled", Scheduled}}
+
 func (r *rig) engine(workers int) *Engine {
 	return New(Config{Workers: workers, Policies: r.pols, SkipLedger: true},
 		statedb.NewStore(), nil)
@@ -99,8 +105,8 @@ func TestEngineCommitsIndependentTxs(t *testing.T) {
 	if eng.Store().Len() != 8 {
 		t.Errorf("store has %d keys, want 8", eng.Store().Len())
 	}
-	if eng.Cache().Len() != 0 {
-		t.Errorf("cache should be fully retired, has %d keys", eng.Cache().Len())
+	if eng.cache.Len() != 0 {
+		t.Errorf("cache should be fully retired, has %d keys", eng.cache.Len())
 	}
 	for i := 0; i < 8; i++ {
 		ver, ok := eng.Store().Version("k" + strconv.Itoa(i))

@@ -37,33 +37,18 @@ func hotpathToggles() []hotpathToggle {
 
 // TestHotpathDifferentialToggles validates the same random fault-injected
 // chains with every hot-path optimization independently toggled on and off,
-// through BOTH commit engines, and demands bit-identical validation flags,
-// commit hashes and final state versus the plain sequential baseline. Run
-// with -race: the caches and the marshal pool are shared across the
-// engine's stage goroutines.
+// through BOTH engine shapes, and demands bit-identical validation flags,
+// commit hashes and final state versus the oracle. Run with -race: the
+// caches and the marshal pool are shared across the engine's goroutines.
 func TestHotpathDifferentialToggles(t *testing.T) {
 	defer wire.SetBufferPooling(true)
 	r := newRig(t)
 	rng := rand.New(rand.NewSource(99))
 	raws := buildRandomBlocks(t, r, rng, 6)
 
-	// Reference: plain sequential validator, no optimizations.
+	// Reference: the oracle, no optimizations.
 	wire.SetBufferPooling(false)
-	refStore := statedb.NewStore()
-	ref := validator.New(validator.Config{Workers: 2, Policies: r.pols, SkipLedger: true}, refStore, nil)
-	type want struct {
-		flags  []byte
-		commit []byte
-	}
-	wants := make([]want, len(raws))
-	for n, raw := range raws {
-		res, err := ref.ValidateAndCommit(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wants[n] = want{flags: res.Flags, commit: res.CommitHash}
-	}
-	refSnap := refStore.Snapshot()
+	wants, refSnap := oracleChain(t, r, raws)
 
 	for _, tog := range hotpathToggles() {
 		t.Run(tog.name, func(t *testing.T) {
@@ -81,62 +66,44 @@ func TestHotpathDifferentialToggles(t *testing.T) {
 				pc = validator.NewParseCache(1024)
 			}
 
-			// Sequential validator with the toggles applied. Running it
-			// first also pre-warms the shared caches, so the engine pass
-			// below exercises the cross-path hit case.
-			swStore := statedb.NewStore()
-			sw := validator.New(validator.Config{
-				Workers: 2, Policies: r.pols, SkipLedger: true,
-				SigCache: sc, CertCache: cc, BatchVerifyWorkers: tog.batch, ParseCache: pc,
-			}, swStore, nil)
-			var swHits, swParseHits int
-			for n, raw := range raws {
-				res, err := sw.ValidateAndCommit(raw)
-				if err != nil {
-					t.Fatalf("block %d: %v", n, err)
+			// The Fabric v1.4 shape first, then the default shape sharing
+			// the same caches: the first pass pre-warms them, so the second
+			// exercises the cross-path hit case.
+			var sigHits, parseHits [2]int
+			for k, sh := range shapes {
+				store := statedb.NewStore()
+				eng := New(Config{
+					Shape: sh.shape, Workers: 2 + k, Policies: r.pols, SkipLedger: true,
+					SigCache: sc, CertCache: cc, BatchVerifyWorkers: tog.batch, ParseCache: pc,
+				}, store, nil)
+				for n, raw := range raws {
+					res, err := eng.ValidateAndCommit(raw)
+					if err != nil {
+						t.Fatalf("%s block %d: %v", sh.name, n, err)
+					}
+					checkSame(t, sh.name, n, res.Flags, res.CommitHash, wants[n].flags, wants[n].commit)
+					sigHits[k] += res.Breakdown.SigCacheHits
+					parseHits[k] += res.Breakdown.ParseCacheHits
 				}
-				checkSame(t, "sequential", n, res.Flags, res.CommitHash, wants[n].flags, wants[n].commit)
-				swHits += res.Breakdown.SigCacheHits
-				swParseHits += res.Breakdown.ParseCacheHits
-			}
-			if !statedb.SnapshotsEqual(swStore.Snapshot(), refSnap) {
-				t.Fatal("sequential final state diverged")
-			}
-
-			// Parallel pipelined engine sharing the same caches.
-			engStore := statedb.NewStore()
-			eng := New(Config{
-				Workers: 3, Policies: r.pols, SkipLedger: true,
-				SigCache: sc, CertCache: cc, BatchVerifyWorkers: tog.batch, ParseCache: pc,
-			}, engStore, nil)
-			var engHits, engParseHits int
-			for n, raw := range raws {
-				res, err := eng.ValidateAndCommit(raw)
-				if err != nil {
-					t.Fatalf("engine block %d: %v", n, err)
+				eng.Close()
+				if !statedb.SnapshotsEqual(store.Snapshot(), refSnap) {
+					t.Fatalf("%s final state diverged", sh.name)
 				}
-				checkSame(t, "engine", n, res.Flags, res.CommitHash, wants[n].flags, wants[n].commit)
-				engHits += res.Breakdown.SigCacheHits
-				engParseHits += res.Breakdown.ParseCacheHits
-			}
-			eng.Close()
-			if !statedb.SnapshotsEqual(engStore.Snapshot(), refSnap) {
-				t.Fatal("engine final state diverged")
 			}
 
 			// The second pass over shared caches must actually hit: the
 			// speedup claim depends on it, so pin it here.
-			if tog.sigCache && engHits == 0 {
+			if tog.sigCache && sigHits[1] == 0 {
 				t.Fatal("sig cache shared across paths never hit")
 			}
-			if !tog.sigCache && (swHits != 0 || engHits != 0) {
-				t.Fatalf("sig cache hits without a cache: sw=%d eng=%d", swHits, engHits)
+			if !tog.sigCache && sigHits != [2]int{} {
+				t.Fatalf("sig cache hits without a cache: %v", sigHits)
 			}
-			if tog.parseCache && engParseHits == 0 {
+			if tog.parseCache && parseHits[1] == 0 {
 				t.Fatal("parse cache shared across paths never hit")
 			}
-			if !tog.parseCache && (swParseHits != 0 || engParseHits != 0) {
-				t.Fatalf("parse cache hits without a cache: sw=%d eng=%d", swParseHits, engParseHits)
+			if !tog.parseCache && parseHits != [2]int{} {
+				t.Fatalf("parse cache hits without a cache: %v", parseHits)
 			}
 		})
 	}
@@ -161,8 +128,8 @@ func TestHotpathSigCacheSteadyState(t *testing.T) {
 	raws := buildRandomBlocks(t, r, rng, 2)
 
 	sc := fabcrypto.NewSigCache(4096)
-	v := validator.New(validator.Config{
-		Workers: 2, Policies: r.pols, SkipLedger: true, SigCache: sc,
+	v := New(Config{
+		Shape: Fabric14, Workers: 2, Policies: r.pols, SkipLedger: true, SigCache: sc,
 	}, statedb.NewStore(), nil)
 	for _, raw := range raws {
 		if _, err := v.ValidateAndCommit(raw); err != nil {
@@ -170,8 +137,8 @@ func TestHotpathSigCacheSteadyState(t *testing.T) {
 		}
 	}
 	// Steady state: a fresh validator (fresh store) sharing the cache.
-	v2 := validator.New(validator.Config{
-		Workers: 2, Policies: r.pols, SkipLedger: true, SigCache: sc,
+	v2 := New(Config{
+		Shape: Fabric14, Workers: 2, Policies: r.pols, SkipLedger: true, SigCache: sc,
 	}, statedb.NewStore(), nil)
 	for n, raw := range raws {
 		res, err := v2.ValidateAndCommit(raw)

@@ -118,7 +118,7 @@ func (c *MVCache) MVCCCheck(reads []block.KVRead, blockNum uint64) bool {
 
 // WrittenBy reports whether any transaction of blockNum with index < txNum
 // has published a write of key — the intra-block read-conflict check, the
-// parallel equivalent of the sequential validator's writtenInBlock map.
+// scheduled equivalent of the in-order shape's written-in-block map.
 // Only *valid* transactions publish writes, so a hit is always a conflict.
 func (c *MVCache) WrittenBy(key string, blockNum, txNum uint64) bool {
 	c.mu.RLock()

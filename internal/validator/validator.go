@@ -1,20 +1,14 @@
-// Package validator implements the software-only validator peer: the
-// baseline the Blockchain Machine is compared against (paper Figure 2a).
+// Package validator holds the per-block and per-transaction Fabric v1.4
+// validation semantics every commit path shares: payload decoding (ParseTx,
+// ParseCache), block verification (VerifyOrderer), transaction verification
+// plus vscc (VSCCOne), and the Result/Breakdown vocabulary the experiments
+// read. It has no driver: the one engine that sequences these steps over a
+// block, in either of its two shapes, is internal/pipeline.
 //
-// The pipeline reproduces Fabric v1.4's validation phase with its known
-// bottlenecks:
-//
-//  1. unmarshal   — recursive decode of the deeply nested block protobuf
-//  2. block verify — orderer signature over the header
-//  3. verify_vscc — per transaction: client signature, then vscc
-//     (verify ALL endorsements — Fabric does not short-circuit — and
-//     evaluate the endorsement policy sequentially) with a configurable
-//     number of parallel worker threads (the "vscc threads" == vCPUs knob)
-//  4. mvcc        — sequential read-set version check
-//  5. commit      — state database write batch, then ledger commit
-//
-// Every stage is timestamped so the experiments can reproduce the
-// bottleneck breakdowns of Figures 3 and 10.
+// Per Fabric behaviour, vscc verifies ALL endorsements — it does not
+// short-circuit — and evaluates the endorsement policy sequentially. Every
+// operation is timestamped so the experiments can reproduce the bottleneck
+// breakdowns of Figures 3 and 10.
 package validator
 
 import (
@@ -24,16 +18,12 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"bmac/internal/block"
 	"bmac/internal/fabcrypto"
 	"bmac/internal/identity"
-	"bmac/internal/ledger"
 	"bmac/internal/policy"
-	"bmac/internal/statedb"
-	"bmac/internal/telemetry"
 )
 
 // Breakdown records where validation time went for one block, mirroring the
@@ -49,10 +39,9 @@ type Breakdown struct {
 	LedgerCommit time.Duration
 	Total        time.Duration
 
-	// PrefetchWait is the residual stall the pipelined engine's mvcc stage
-	// spent waiting for the async read-set prefetch to finish — the part of
-	// the host-database latency that vscc did NOT hide (zero for the
-	// sequential validator, which has no prefetch stage).
+	// PrefetchWait is the residual stall the engine's mvcc stage spent
+	// waiting for the async read-set prefetch to finish — the part of the
+	// host-database latency that vscc did NOT hide (zero with prefetch off).
 	PrefetchWait time.Duration
 
 	// Operation-level (Figure 3a categories). ECDSATime/ECDSACount cover
@@ -83,6 +72,13 @@ func (b *Breakdown) Add(o Breakdown) {
 	b.LedgerCommit += o.LedgerCommit
 	b.Total += o.Total
 	b.PrefetchWait += o.PrefetchWait
+	b.AddOps(&o)
+}
+
+// AddOps accumulates only the operation-level counters of o — how a worker
+// goroutine's private tally is merged into its block's breakdown (stage
+// durations are wall-clock windows measured once, outside the workers).
+func (b *Breakdown) AddOps(o *Breakdown) {
 	b.ECDSATime += o.ECDSATime
 	b.ECDSACount += o.ECDSACount
 	b.SHA256Time += o.SHA256Time
@@ -101,40 +97,6 @@ type Result struct {
 	Breakdown  Breakdown
 }
 
-// Config parameterizes the software validator.
-type Config struct {
-	// Workers is the number of parallel vscc threads (the vCPU knob in the
-	// paper's experiments).
-	Workers int
-	// Policies maps chaincode name to its endorsement policy.
-	Policies map[string]*policy.Policy
-	// SkipLedger excludes the ledger commit (the paper's metrics exclude
-	// it "for direct comparison between hardware and software" — §4.2).
-	SkipLedger bool
-	// SigCache, when non-nil, memoizes signature verdicts so a signature
-	// already seen by ANY path sharing the cache (this validator, the
-	// pipelined engine, a replay) costs one hash + lookup instead of a
-	// curve verification. Verdicts are identical either way.
-	SigCache *fabcrypto.SigCache
-	// BatchVerifyWorkers > 1 fans a transaction's endorsement checks
-	// across a worker pool (fabcrypto.VerifyBatch). 0 or 1 verifies
-	// sequentially.
-	BatchVerifyWorkers int
-	// CertCache, when non-nil, interns parsed X.509 identity certificates
-	// (fabcrypto.CertCache): the same creator/endorser/orderer certs recur
-	// in every transaction, and x509.ParseCertificate rivals the ECDSA
-	// math in allocations.
-	CertCache *fabcrypto.CertCache
-	// ParseCache, when non-nil, interns ParseTx results by payload hash so
-	// an envelope decoded by any sharing path is unmarshaled once per
-	// process (parse-once). Cached results are shared and read-only.
-	ParseCache *ParseCache
-	// Metrics, when non-nil, mirrors each committed block's Breakdown into
-	// the telemetry registry's per-stage histograms. Nil (telemetry off)
-	// costs one predicted branch per block.
-	Metrics *telemetry.ValidatorMetrics
-}
-
 // VerifyOpts bundles the optional verification accelerators threaded
 // through the exported verify helpers; the zero value means "no caching,
 // sequential endorsement checks" — the exact pre-optimization behavior.
@@ -144,42 +106,12 @@ type VerifyOpts struct {
 	BatchWorkers int
 }
 
-func (v *Validator) verifyOpts() VerifyOpts {
-	return VerifyOpts{
-		SigCache:     v.cfg.SigCache,
-		CertCache:    v.cfg.CertCache,
-		BatchWorkers: v.cfg.BatchVerifyWorkers,
-	}
-}
-
 // ErrBlockInvalid reports a block that failed block-level verification —
 // a bad orderer signature or a DataHash that does not bind the delivered
 // envelopes; the block is discarded without committing.
 var ErrBlockInvalid = errors.New("validator: block verification failed")
 
-// Validator is a software-only validator peer core. It runs against any
-// statedb.KVS backend (plain, sharded or hybrid hardware/host).
-type Validator struct {
-	cfg    Config
-	store  statedb.KVS
-	ledger *ledger.Ledger
-}
-
-// New creates a validator over the given state database and ledger (ledger
-// may be nil when cfg.SkipLedger is set).
-func New(cfg Config, store statedb.KVS, led *ledger.Ledger) *Validator {
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
-	return &Validator{cfg: cfg, store: store, ledger: led}
-}
-
-// Store returns the validator's state database.
-func (v *Validator) Store() statedb.KVS { return v.store }
-
-// ParsedTx is the fully unmarshaled view of one transaction. It is shared
-// with internal/pipeline so both commit engines decode transactions through
-// the same code path.
+// ParsedTx is the fully unmarshaled view of one transaction.
 type ParsedTx struct {
 	Tx   *block.Transaction
 	RW   *block.RWSet
@@ -203,124 +135,10 @@ func ParseTx(payloadBytes []byte) ParsedTx {
 	return ParsedTx{Tx: tx, RW: &prp.Extension.Results, PRP: tx.Payload.Action.ProposalResponseBytes}
 }
 
-// ValidateAndCommit runs the full validation pipeline on a marshaled block.
-// It accepts raw bytes because the unmarshaling cost is part of what the
-// paper measures.
-func (v *Validator) ValidateAndCommit(raw []byte) (*Result, error) {
-	var bd Breakdown
-	start := time.Now()
-
-	// Stage 1: unmarshal everything (bottleneck 1).
-	tUn := time.Now()
-	b, err := block.Unmarshal(raw)
-	if err != nil {
-		return nil, err
-	}
-	txs := make([]ParsedTx, len(b.Envelopes))
-	for i := range b.Envelopes {
-		var hit bool
-		txs[i], hit = v.cfg.ParseCache.ParseTx(b.Envelopes[i].PayloadBytes)
-		if hit {
-			bd.ParseCacheHits++
-		}
-	}
-	bd.Unmarshal = time.Since(tUn)
-
-	return v.validateParsed(b, txs, start, bd)
-}
-
-// ValidateAndCommitBlock validates an already-unmarshaled block (the path a
-// gossip listener uses); the inner transaction payloads still need decoding
-// and are charged to the unmarshal stage.
-func (v *Validator) ValidateAndCommitBlock(b *block.Block) (*Result, error) {
-	// Re-marshal cost is not charged; Fabric receives raw bytes, and so do
-	// the benchmarks (which call ValidateAndCommit). This entry point is
-	// for integration plumbing.
-	return v.ValidateAndCommit(block.Marshal(b))
-}
-
-func (v *Validator) validateParsed(b *block.Block, txs []ParsedTx, start time.Time, bd Breakdown) (*Result, error) {
-	res := &Result{BlockNum: b.Header.Number, Flags: make([]byte, len(txs))}
-
-	// Stage 2: block verification (orderer signature).
-	tBlk := time.Now()
-	blockErr := VerifyOrdererOpts(b, v.verifyOpts(), &bd)
-	bd.BlockVerify = time.Since(tBlk)
-	if blockErr != nil {
-		for i := range res.Flags {
-			res.Flags[i] = byte(block.InvalidOther)
-		}
-		res.Breakdown = bd
-		res.Breakdown.Total = time.Since(start)
-		return res, fmt.Errorf("%w: %v", ErrBlockInvalid, blockErr)
-	}
-	res.BlockValid = true
-
-	// Stage 3: verify + vscc with parallel workers.
-	tVscc := time.Now()
-	v.verifyVSCCParallel(b, txs, res.Flags, &bd)
-	bd.VerifyVSCC = time.Since(tVscc)
-
-	// Stage 4: mvcc, strictly sequential in transaction order.
-	tMvcc := time.Now()
-	writtenInBlock := make(map[string]bool)
-	for i := range txs {
-		if res.Flags[i] != byte(block.Valid) {
-			continue
-		}
-		if conflict := v.mvccOne(txs[i].RW, writtenInBlock); conflict {
-			res.Flags[i] = byte(block.MVCCReadConflict)
-			continue
-		}
-		for _, w := range txs[i].RW.Writes {
-			writtenInBlock[w.Key] = true
-		}
-	}
-	bd.MVCC = time.Since(tMvcc)
-
-	// Stage 5a: state database commit (write sets of valid transactions).
-	tDB := time.Now()
-	for i := range txs {
-		if res.Flags[i] != byte(block.Valid) {
-			continue
-		}
-		ver := block.Version{BlockNum: b.Header.Number, TxNum: uint64(i)}
-		v.store.WriteBatch(txs[i].RW.Writes, ver)
-	}
-	bd.StateDB = bd.MVCC + time.Since(tDB) // mvcc reads + commit writes
-
-	// Stage 5b: ledger commit.
-	b.Metadata.ValidationFlags = res.Flags
-	if !v.cfg.SkipLedger && v.ledger != nil {
-		tLed := time.Now()
-		ch, err := v.ledger.Commit(b)
-		if err != nil {
-			return nil, fmt.Errorf("ledger commit block %d: %w", b.Header.Number, err)
-		}
-		res.CommitHash = ch
-		bd.LedgerCommit = time.Since(tLed)
-	} else {
-		// Compute the commit hash chain value anyway for cross-checking.
-		res.CommitHash = block.CommitHash(nil, b.Header.DataHash, res.Flags)
-	}
-
-	bd.Total = time.Since(start)
-	res.Breakdown = bd
-	v.cfg.Metrics.ObserveBlock(len(txs), bd.Unmarshal, bd.BlockVerify, bd.VerifyVSCC,
-		bd.MVCC, bd.StateDB, bd.LedgerCommit, bd.PrefetchWait, bd.Total)
-	return res, nil
-}
-
 // VerifyOrderer verifies the block metadata signature and that the header's
 // DataHash binds the delivered envelopes, attributing hash and ECDSA time to
-// the operation counters. Exported so internal/pipeline's block-verify stage
-// is the same code as the sequential validator's.
-func VerifyOrderer(b *block.Block, bd *Breakdown) error {
-	return VerifyOrdererOpts(b, VerifyOpts{}, bd)
-}
-
-// VerifyOrdererOpts is VerifyOrderer with the optional verification cache.
-func VerifyOrdererOpts(b *block.Block, opts VerifyOpts, bd *Breakdown) error {
+// the operation counters.
+func VerifyOrderer(b *block.Block, opts VerifyOpts, bd *Breakdown) error {
 	// The orderer signature covers the header only; the header's DataHash
 	// is what binds the envelope bytes. Recompute it so a block whose
 	// envelopes were corrupted in flight (but still decoded) is rejected
@@ -367,62 +185,12 @@ func timedVerify(pub *ecdsa.PublicKey, digest, sig []byte, cache *fabcrypto.SigC
 	return err
 }
 
-// verifyVSCCParallel runs transaction verification and vscc across
-// cfg.Workers goroutines — the parallel "vscc threads" of a Fabric peer.
-// Per Fabric behaviour, every endorsement is signature-verified even when
-// the policy is already satisfied, and the policy expression is evaluated
-// without short-circuiting.
-func (v *Validator) verifyVSCCParallel(b *block.Block, txs []ParsedTx, flags []byte, bd *Breakdown) {
-	var (
-		mu   sync.Mutex // merges per-worker op counters
-		next int
-	)
-	var wg sync.WaitGroup
-	worker := func() {
-		defer wg.Done()
-		var local Breakdown
-		for {
-			mu.Lock()
-			i := next
-			next++
-			mu.Unlock()
-			if i >= len(txs) {
-				break
-			}
-			flags[i] = byte(VSCCOneOpts(&b.Envelopes[i], &txs[i], v.cfg.Policies, v.verifyOpts(), &local))
-		}
-		mu.Lock()
-		bd.ECDSATime += local.ECDSATime
-		bd.ECDSACount += local.ECDSACount
-		bd.SHA256Time += local.SHA256Time
-		bd.SHA256Count += local.SHA256Count
-		bd.SigCacheHits += local.SigCacheHits
-		bd.SigCacheTime += local.SigCacheTime
-		mu.Unlock()
-	}
-	workers := v.cfg.Workers
-	if workers > len(txs) && len(txs) > 0 {
-		workers = len(txs)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go worker()
-	}
-	wg.Wait()
-}
-
 // VSCCOne validates one transaction: client signature, then all endorsement
-// signatures, then the endorsement policy. Exported so internal/pipeline's
-// vscc stage shares the exact Fabric-equivalent semantics (every endorsement
-// verified, no short-circuiting).
-func VSCCOne(env *block.Envelope, p *ParsedTx, policies map[string]*policy.Policy, bd *Breakdown) block.ValidationCode {
-	return VSCCOneOpts(env, p, policies, VerifyOpts{}, bd)
-}
-
-// VSCCOneOpts is VSCCOne with the optional verification cache and batched
-// endorsement checks. Verdicts are bit-identical to VSCCOne for every input:
-// the cache memoizes, the batch only reorders independent verifications.
-func VSCCOneOpts(env *block.Envelope, p *ParsedTx, policies map[string]*policy.Policy, opts VerifyOpts, bd *Breakdown) block.ValidationCode {
+// signatures, then the endorsement policy (every endorsement verified, no
+// short-circuiting). The optional cache and batched endorsement checks leave
+// verdicts bit-identical: the cache memoizes, the batch only reorders
+// independent verifications.
+func VSCCOne(env *block.Envelope, p *ParsedTx, policies map[string]*policy.Policy, opts VerifyOpts, bd *Breakdown) block.ValidationCode {
 	if p.Err != nil {
 		return p.Code
 	}
@@ -538,16 +306,4 @@ func orgRoleOf(orgs []string, cn string) (uint8, identity.Role, bool) {
 		role = identity.RoleClient
 	}
 	return uint8(orgNum), role, true
-}
-
-// mvccOne re-checks a transaction's read set against the current state
-// database and the keys written earlier in this block, returning true on
-// conflict.
-func (v *Validator) mvccOne(rw *block.RWSet, writtenInBlock map[string]bool) bool {
-	for _, r := range rw.Reads {
-		if writtenInBlock[r.Key] {
-			return true // an earlier tx in this block already wrote it
-		}
-	}
-	return v.store.MVCCCheck(rw.Reads) != nil
 }

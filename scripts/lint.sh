@@ -17,6 +17,10 @@
 #                    goroleak (provable goroutine stop paths) and
 #                    allocbound (bmaclint:noalloc functions stay
 #                    allocation-free per the compiler's escape analysis)
+#   5. benchmark/  — its own module (BENCHMARK.json's runner) compiled
+#                    against bmac/internal/...; `./...` does not reach it,
+#                    so vet and test it here to catch an internal API
+#                    change that breaks it
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,5 +43,8 @@ echo "lint: doclint"
 
 echo "lint: bmaclint"
 go run ./cmd/bmaclint ./...
+
+echo "lint: benchmark module (go vet + go test)"
+(cd benchmark && go vet ./... && go test ./...)
 
 echo "lint: clean"

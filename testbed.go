@@ -61,8 +61,8 @@ type Testbed struct {
 	Config    *Config
 	Network   *identity.Network
 	Endorsers []*endorser.Endorser
-	SWPeer    *peer.SWPeer
-	ParPeer   *peer.ParallelPeer
+	SWPeer    *peer.Peer // the engine in its Fabric v1.4 shape (the paper's sw_validator)
+	ParPeer   *peer.Peer // the engine in its default, dependency-scheduled shape
 	BMacPeer  *peer.BMacPeer
 	Orderer   *orderer.Orderer
 
@@ -123,7 +123,7 @@ func NewTestbed(cfg *Config, dir string) (*Testbed, error) {
 	if err != nil {
 		return nil, err
 	}
-	tb.SWPeer, err = peer.NewDurableSWPeer(valCfg, statedb.NewStore(), filepath.Join(dir, "sw_validator"), dopts)
+	tb.SWPeer, err = peer.Open(valCfg, statedb.NewStore(), filepath.Join(dir, "sw_validator"), dopts)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +138,7 @@ func NewTestbed(cfg *Config, dir string) (*Testbed, error) {
 	if err != nil {
 		return nil, err
 	}
-	tb.ParPeer, err = peer.NewDurableParallelPeer(pipeCfg, parKVS, filepath.Join(dir, "par_validator"), dopts)
+	tb.ParPeer, err = peer.Open(pipeCfg, parKVS, filepath.Join(dir, "par_validator"), dopts)
 	if err != nil {
 		return nil, err
 	}
@@ -273,14 +273,14 @@ func (tb *Testbed) NewClient(w Workload, seed int64) (*client.Driver, error) {
 // Bootstrap seeds the genesis state for a workload in every store:
 // endorsers, both software peers and the BMac peer's in-hardware database.
 func (tb *Testbed) Bootstrap(w Workload) error {
-	stores := []statedb.KVS{tb.SWPeer.Validator.Store(), tb.ParPeer.Engine.Store()}
+	stores := []statedb.KVS{tb.SWPeer.Engine.Store(), tb.ParPeer.Engine.Store()}
 	for _, e := range tb.Endorsers {
 		stores = append(stores, e.Store())
 	}
 	if err := client.Bootstrap(w, tb.registry, stores...); err != nil {
 		return err
 	}
-	return client.BootstrapHardware(w, tb.registry, tb.SWPeer.Validator.Store(), tb.BMacPeer.Proc.DB())
+	return client.BootstrapHardware(w, tb.registry, tb.SWPeer.Engine.Store(), tb.BMacPeer.Proc.DB())
 }
 
 // ParallelBackendSummary describes the parallel peer's state-database
