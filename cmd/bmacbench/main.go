@@ -41,7 +41,7 @@ func run() error {
 		quick    = flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		jsonOut  = flag.String("json", "", "hotpath only: write the benchmark record to this path")
-		gatePath = flag.String("gate", "", "hotpath only: compare allocs/op against this baseline record, exit 1 on regression")
+		gatePath = flag.String("gate", "", "hotpath only: compare allocs/op against this baseline record and check the verification engine's within-run ratios, exit 1 on regression")
 		gateTol  = flag.Float64("gate-tolerance", 0.25, "relative allocs/op headroom for -gate")
 	)
 	flag.Parse()
@@ -92,7 +92,7 @@ func run() error {
 				if err := rec.Gate(baseline, *gateTol); err != nil {
 					return err
 				}
-				fmt.Printf("gate: allocs/op within %.0f%% of %s\n", *gateTol*100, *gatePath)
+				fmt.Printf("gate: allocs/op within %.0f%% of %s, verification-engine ratios within limits\n", *gateTol*100, *gatePath)
 			}
 		}
 	}

@@ -83,10 +83,6 @@ type CryptoSpec struct {
 	// path built from one Config shares one cache, so a signature is
 	// ECDSA-verified once per process no matter how many peers see it.
 	SigCacheSize int
-	// BatchVerifyWorkers > 1 fans each transaction's endorsement checks
-	// across a worker pool (fabcrypto.VerifyBatch); 0 or 1 verifies
-	// sequentially.
-	BatchVerifyWorkers int
 	// CertCacheSize bounds the shared parsed-certificate cache
 	// (fabcrypto.CertCache) in certificates; 0 disables it. The same
 	// handful of identity certs recurs in every transaction, and parsing
@@ -283,6 +279,13 @@ func (c *Config) TelemetryRegistry() *telemetry.Registry {
 		reg.GaugeFunc("fabcrypto_sigcache_evictions_total", func() int64 { _, _, e := sig.Stats(); return e })
 		reg.GaugeFunc("fabcrypto_certcache_hits_total", func() int64 { h, _ := cert.Stats(); return h })
 		reg.GaugeFunc("fabcrypto_certcache_misses_total", func() int64 { _, m := cert.Stats(); return m })
+		// Which engine did the curve math (process-wide, like the tables).
+		reg.GaugeFunc("fabcrypto_engine_table_verifies_total", func() int64 { return fabcrypto.KeyTableStats().TableVerifies })
+		reg.GaugeFunc("fabcrypto_engine_stdlib_verifies_total", func() int64 { return fabcrypto.KeyTableStats().StdlibVerifies })
+		reg.GaugeFunc("fabcrypto_engine_fallbacks_total", func() int64 { return fabcrypto.KeyTableStats().Fallbacks })
+		reg.GaugeFunc("fabcrypto_engine_tables_built_total", func() int64 { return fabcrypto.KeyTableStats().TablesBuilt })
+		reg.GaugeFunc("fabcrypto_engine_tables_evicted_total", func() int64 { return fabcrypto.KeyTableStats().TablesEvicted })
+		reg.GaugeFunc("fabcrypto_engine_resident_bytes", func() int64 { return fabcrypto.KeyTableStats().ResidentBytes })
 		reg.GaugeFunc("validator_parsecache_hits_total", func() int64 { h, _ := parse.Stats(); return h })
 		reg.GaugeFunc("validator_parsecache_misses_total", func() int64 { _, m := parse.Stats(); return m })
 		h.reg = reg
@@ -451,9 +454,6 @@ func Parse(raw []byte) (*Config, error) {
 		if v, ok := yamllite.GetInt(cr, "sig_cache_size"); ok {
 			cfg.Crypto.SigCacheSize = int(v)
 		}
-		if v, ok := yamllite.GetInt(cr, "batch_verify_workers"); ok {
-			cfg.Crypto.BatchVerifyWorkers = int(v)
-		}
 		if v, ok := yamllite.GetInt(cr, "cert_cache_size"); ok {
 			cfg.Crypto.CertCacheSize = int(v)
 		}
@@ -561,9 +561,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("%w: durability prune needs checkpoint_every > 0 (nothing ever covers a segment)",
 			ErrInvalid)
 	}
-	if c.Crypto.SigCacheSize < 0 || c.Crypto.BatchVerifyWorkers < 0 || c.Crypto.CertCacheSize < 0 {
-		return fmt.Errorf("%w: crypto sig_cache_size=%d batch_verify_workers=%d cert_cache_size=%d must be >= 0",
-			ErrInvalid, c.Crypto.SigCacheSize, c.Crypto.BatchVerifyWorkers, c.Crypto.CertCacheSize)
+	if c.Crypto.SigCacheSize < 0 || c.Crypto.CertCacheSize < 0 {
+		return fmt.Errorf("%w: crypto sig_cache_size=%d cert_cache_size=%d must be >= 0",
+			ErrInvalid, c.Crypto.SigCacheSize, c.Crypto.CertCacheSize)
 	}
 	if c.Hotpath.ParseCacheSize < 0 {
 		return fmt.Errorf("%w: hotpath parse_cache_size=%d must be >= 0",
@@ -648,14 +648,13 @@ func (c *Config) engineConfig(shape pipeline.Shape, workers int, path string) (p
 		return pipeline.Config{}, err
 	}
 	return pipeline.Config{
-		Shape:              shape,
-		Workers:            workers,
-		Policies:           pols,
-		SigCache:           c.SigCache(),
-		CertCache:          c.CertCache(),
-		BatchVerifyWorkers: c.Crypto.BatchVerifyWorkers,
-		ParseCache:         c.ParseCache(),
-		Metrics:            telemetry.NewValidatorMetrics(c.TelemetryRegistry(), path),
+		Shape:      shape,
+		Workers:    workers,
+		Policies:   pols,
+		SigCache:   c.SigCache(),
+		CertCache:  c.CertCache(),
+		ParseCache: c.ParseCache(),
+		Metrics:    telemetry.NewValidatorMetrics(c.TelemetryRegistry(), path),
 	}, nil
 }
 

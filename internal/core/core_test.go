@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"math/big"
 	"testing"
 
 	"bmac/internal/block"
 	"bmac/internal/bmacproto"
+	"bmac/internal/fabcrypto"
 	"bmac/internal/identity"
 	"bmac/internal/ledger"
 	"bmac/internal/pipeline"
@@ -422,5 +425,67 @@ func TestUpdatePoliciesAtBlockBoundary(t *testing.T) {
 	if block.ValidationCode(res.Flags[0]) != block.Valid {
 		t.Errorf("after reconfiguration: flag = %v, want Valid",
 			block.ValidationCode(res.Flags[0]))
+	}
+}
+
+// TestOversizeSignatureComponentAllPaths: a client signature that is
+// well-formed DER but carries a 300-bit r must be BadSignature on the
+// sequential shape, the pipelined shape and the BMac path alike, with one
+// commit hash. The protocol_processor's DER post-processor used to panic on
+// it (big.Int.FillBytes into 32 bytes) while the software path rejected it.
+func TestOversizeSignatureComponentAllPaths(t *testing.T) {
+	r := newRig(t, 2, "2of2", Config{TxValidators: 2, VSCCEngines: 2})
+	ends := []*identity.Identity{r.peers[0], r.peers[1]}
+	var envs []block.Envelope
+	for _, key := range []string{"a", "b", "c"} {
+		env, err := block.NewEndorsedEnvelope(r.spec(ends, block.RWSet{Writes: []block.KVWrite{{Key: key, Value: []byte("1")}}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		envs = append(envs, *env)
+	}
+	wide, err := fabcrypto.MarshalDERSignature(new(big.Int).Lsh(big.NewInt(1), 299), big.NewInt(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs[1].Signature = wide
+	b, err := block.NewBlock(0, nil, envs, r.orderer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := block.Marshal(b)
+	want := []byte{byte(block.Valid), byte(block.BadSignature), byte(block.Valid)}
+
+	var commits [][]byte
+	for _, shape := range []pipeline.Shape{pipeline.Fabric14, pipeline.Scheduled} {
+		eng := pipeline.New(pipeline.Config{
+			Shape: shape, Workers: 2, SkipLedger: true,
+			Policies: map[string]*policy.Policy{"smallbank": policytest.MustParse("2of2")},
+		}, statedb.NewStore(), nil)
+		res, err := eng.ValidateAndCommit(raw)
+		eng.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !block.FlagsEqual(res.Flags, want) {
+			t.Errorf("shape %v: flags %v, want %v", shape, res.Flags, want)
+		}
+		commits = append(commits, res.CommitHash)
+	}
+	if _, err := r.sender.SendBlock(b); err != nil {
+		t.Fatal(err)
+	}
+	hw, ok := r.proc.GetBlockData()
+	if !ok {
+		t.Fatal("no hw result")
+	}
+	if !block.FlagsEqual(hw.Flags, want) {
+		t.Errorf("bmac: flags %v, want %v", hw.Flags, want)
+	}
+	commits = append(commits, block.CommitHash(nil, b.Header.DataHash, hw.Flags))
+	for i, c := range commits[1:] {
+		if !bytes.Equal(c, commits[0]) {
+			t.Errorf("commit hash of path %d differs: %x vs %x", i+1, c, commits[0])
+		}
 	}
 }

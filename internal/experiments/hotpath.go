@@ -21,14 +21,15 @@ import (
 )
 
 // The hotpath experiment measures the commit hot path's optimizations in
-// isolation and end to end — verification cache, batch ECDSA, parse-once
-// envelopes, pooled zero-copy marshaling — reporting ns/op, allocs/op and
-// cache hit rates, with every optimization also measured OFF so the
-// speedups are relative to a visible baseline, not an assumed one. The
-// machine-readable form (HotpathRecord, written to BENCH_hotpath.json by
+// isolation and end to end — verification cache, per-identity key tables,
+// parse-once envelopes, pooled zero-copy marshaling — reporting ns/op,
+// allocs/op and cache hit rates, with every optimization also measured OFF
+// so the speedups are relative to a visible baseline, not an assumed one.
+// The machine-readable form (HotpathRecord, written to BENCH_hotpath.json by
 // `bmacbench -exp hotpath -json`) is the repository's tracked performance
 // trajectory: scripts/benchgate.sh fails CI when allocs/op regress against
-// the committed record.
+// the committed record, or when the verification engine's within-run ratios
+// leave their limits.
 
 // HotpathBench is one measured benchmark point.
 type HotpathBench struct {
@@ -51,6 +52,13 @@ type HotpathDerived struct {
 	MarshalAllocsReductionX float64 `json:"marshal_allocs_reduction_x"`
 	// ParseCachedSpeedupX is cold ParseTx ns/op over interned ns/op.
 	ParseCachedSpeedupX float64 `json:"parse_cached_speedup_x"`
+	// VerifyTableSpeedupX is crypto/ecdsa ns/op over the key-table engine's
+	// ns/op for the same key, digest and signature, measured interleaved.
+	VerifyTableSpeedupX float64 `json:"verify_table_speedup_x"`
+	// KeyTableBuildVerifiesX is what building one key's table costs in
+	// crypto/ecdsa verifications, the two measured interleaved: the price
+	// that fabcrypto.PromoteAfter verifications of rent are weighed against.
+	KeyTableBuildVerifiesX float64 `json:"key_table_build_verifies_x"`
 }
 
 // HotpathRecord is the machine-readable result of the hotpath suite.
@@ -59,27 +67,54 @@ type HotpathRecord struct {
 	CPUs       int                     `json:"cpus"`
 	Quick      bool                    `json:"quick"`
 	Benchmarks map[string]HotpathBench `json:"benchmarks"`
-	Derived    HotpathDerived          `json:"derived"`
+	// RatioRows names the rows measured interleaved in one measureOps call:
+	// their ns/op are meant to be divided by the first one's, and those
+	// quotients — not any absolute ns — are what Gate holds to a limit.
+	// (key_table_build is interleaved with a crypto/ecdsa row of its own;
+	// its quotient is Derived.KeyTableBuildVerifiesX.)
+	RatioRows []string       `json:"ratio_rows"`
+	Derived   HotpathDerived `json:"derived"`
 }
 
-// measureOp times iters calls of f and reports per-op wall time and heap
-// allocations (runtime.MemStats deltas — deterministic enough to gate on
-// with tolerance, unlike wall time).
-func measureOp(iters int, f func()) HotpathBench {
+// measureOps times iters calls of each function and reports per-op wall
+// time (total time over calls) and heap allocations (runtime.MemStats
+// deltas — deterministic enough to gate on with tolerance, unlike wall time).
+// Several functions are interleaved in short rounds, so that a host whose
+// speed drifts during the run treats them alike and the quotient of two rows
+// of one call is meaningful where their absolute ns are not; MemStats is
+// read between the rounds, never inside a timed span.
+func measureOps(iters int, fs ...func()) []HotpathBench {
+	const rounds = 40
+	chunk := max(1, iters/rounds)
+	ns := make([]time.Duration, len(fs))
+	mallocs := make([]uint64, len(fs))
 	runtime.GC()
 	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	t0 := time.Now()
-	for i := 0; i < iters; i++ {
-		f()
+	for done := 0; done < iters; done += chunk {
+		n := min(chunk, iters-done)
+		for j, f := range fs {
+			runtime.ReadMemStats(&m0)
+			t0 := time.Now()
+			for i := 0; i < n; i++ {
+				f()
+			}
+			ns[j] += time.Since(t0)
+			runtime.ReadMemStats(&m1)
+			mallocs[j] += m1.Mallocs - m0.Mallocs
+		}
 	}
-	elapsed := time.Since(t0)
-	runtime.ReadMemStats(&m1)
-	return HotpathBench{
-		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(iters),
-		AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(iters),
+	out := make([]HotpathBench, len(fs))
+	for j := range out {
+		out[j] = HotpathBench{
+			NsPerOp:     float64(ns[j].Nanoseconds()) / float64(iters),
+			AllocsPerOp: float64(mallocs[j]) / float64(iters),
+		}
 	}
+	return out
 }
+
+// measureOp is measureOps for one function.
+func measureOp(iters int, f func()) HotpathBench { return measureOps(iters, f)[0] }
 
 // verifyTuple is one (pub, digest, sig) check extracted from a block.
 type verifyTuple struct {
@@ -125,6 +160,7 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 		CPUs:       runtime.GOMAXPROCS(0),
 		Quick:      o.Quick,
 		Benchmarks: map[string]HotpathBench{},
+		RatioRows:  hotpathRatioRows,
 	}
 
 	spec := BlockSpec{Txs: 16, Endorsements: 2, Reads: 2, Writes: 2}
@@ -223,32 +259,57 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	cached.HitRate = vsc.HitRate()
 	rec.Benchmarks["repeated_endorser_verify_cached"] = cached
 
-	// --- Batch verify sweep: endorsement count x worker count. ---
-	for _, endorse := range []int{2, 4} {
-		eb, err := e.MakeBlock(BlockSpec{Txs: 1, Endorsements: endorse, Reads: 1, Writes: 1})
-		if err != nil {
+	// --- The verification engine against crypto/ecdsa: the same key, digest
+	// and signature on both, in this process, interleaved (the ratio rows).
+	// The stdlib row calls crypto/ecdsa directly; the table row is
+	// fabcrypto.VerifyDigest once the key has its table; the single-use row
+	// is VerifyDigest under a key never seen before, i.e. what looking and
+	// counting costs a signature the engine cannot help. The build row
+	// builds the key's table on a store of its own, so the process-wide
+	// engine keeps the tables of the identities it serves. ---
+	vt := tuples[0]
+	vr, vs, err := fabcrypto.UnmarshalDERSignature(vt.sig)
+	if err != nil {
+		return nil, err
+	}
+	fresh, err := freshKeyTuples(opIters)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < fabcrypto.PromoteAfter; i++ { // vt's key has its table from here on
+		if err := fabcrypto.VerifyDigest(vt.pub, vt.digest, vt.sig); err != nil {
 			return nil, err
-		}
-		ets, err := endorserTuples(&eb.Envelopes[0])
-		if err != nil {
-			return nil, err
-		}
-		reqs := make([]fabcrypto.VerifyRequest, len(ets))
-		for i, t := range ets {
-			reqs[i] = fabcrypto.VerifyRequest{Pub: t.pub, Digest: t.digest, Sig: t.sig}
-		}
-		for _, workers := range []int{1, 2, 4} {
-			name := fmt.Sprintf("batch_verify_e%d_w%d", endorse, workers)
-			var nilCache *fabcrypto.SigCache
-			rec.Benchmarks[name] = measureOp(valIters, func() {
-				for _, r := range nilCache.VerifyBatch(reqs, workers) {
-					if r.Err != nil && benchErr == nil {
-						benchErr = r.Err
-					}
-				}
-			})
 		}
 	}
+	stdlib := func() {
+		if !ecdsa.Verify(vt.pub, vt.digest, vr, vs) && benchErr == nil {
+			benchErr = fabcrypto.ErrVerifyFailed
+		}
+	}
+	before := fabcrypto.KeyTableStats()
+	eng := measureOps(opIters, stdlib,
+		run(func() error { return fabcrypto.VerifyDigest(vt.pub, vt.digest, vt.sig) }),
+		run(func() error {
+			t := fresh[0]
+			fresh = fresh[1:]
+			return fabcrypto.VerifyDigest(t.pub, t.digest, t.sig)
+		}))
+	// A build leaves ≈ 380 KB of garbage and touches ≈ 530 KB, which slows
+	// whatever runs next to it: it gets a crypto/ecdsa row of its own.
+	build := measureOps(opIters, stdlib, func() {
+		if !fabcrypto.BuildKeyTable(vt.pub) && benchErr == nil {
+			benchErr = fmt.Errorf("hotpath: no table for a P-256 key")
+		}
+	})
+	after := fabcrypto.KeyTableStats()
+	if n := int64(opIters); after.TableVerifies-before.TableVerifies != n ||
+		after.StdlibVerifies-before.StdlibVerifies != n || after.TablesBuilt != before.TablesBuilt {
+		return nil, fmt.Errorf("hotpath: engine rows ran on the wrong path: %+v -> %+v", before, after)
+	}
+	for i, name := range hotpathRatioRows {
+		rec.Benchmarks[name] = eng[i]
+	}
+	rec.Benchmarks["key_table_build"] = build[1]
 
 	// --- Certificate parse: cold x509 walk vs interned. ---
 	creatorDER := func() []byte {
@@ -313,16 +374,41 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	d.MarshalAllocsReductionX = rec.Benchmarks["marshal_block"].AllocsPerOp /
 		clamp(rec.Benchmarks["marshal_block_pooled"].AllocsPerOp)
 	d.ParseCachedSpeedupX = rec.Benchmarks["parse_tx_cold"].NsPerOp / clamp(pb.NsPerOp)
+	d.VerifyTableSpeedupX = eng[0].NsPerOp / clamp(eng[1].NsPerOp)
+	d.KeyTableBuildVerifiesX = build[1].NsPerOp / clamp(build[0].NsPerOp)
 	return rec, nil
 }
+
+// freshKeyTuples returns n valid (pub, digest, sig) checks, each under a key
+// generated just now.
+func freshKeyTuples(n int) ([]verifyTuple, error) {
+	out := make([]verifyTuple, n)
+	for i := range out {
+		signer, err := fabcrypto.NewSigner()
+		if err != nil {
+			return nil, err
+		}
+		digest := fabcrypto.HashSlice([]byte{byte(i), byte(i >> 8)})
+		sig, err := signer.SignDigest(digest)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = verifyTuple{pub: signer.Public(), digest: digest, sig: sig}
+	}
+	return out, nil
+}
+
+// hotpathRatioRows are the engine rows MeasureHotpath measures interleaved,
+// in that order; the first is the denominator of the others.
+var hotpathRatioRows = []string{"ecdsa_verify_stdlib", "ecdsa_verify_table", "ecdsa_verify_single_use_key"}
 
 // hotpathBenchOrder fixes the table's presentation order.
 var hotpathBenchOrder = []string{
 	"block_validate_baseline", "block_validate_hotpath",
 	"block_validate_telemetry_off", "block_validate_telemetry_on",
 	"repeated_endorser_verify_cold", "repeated_endorser_verify_cached",
-	"batch_verify_e2_w1", "batch_verify_e2_w2", "batch_verify_e2_w4",
-	"batch_verify_e4_w1", "batch_verify_e4_w2", "batch_verify_e4_w4",
+	"ecdsa_verify_stdlib", "ecdsa_verify_table", "ecdsa_verify_single_use_key",
+	"key_table_build",
 	"cert_parse_cold", "cert_parse_cached",
 	"parse_tx_cold", "parse_tx_cached",
 	"marshal_block", "marshal_block_pooled",
@@ -347,6 +433,10 @@ func (r *HotpathRecord) Table() *metrics.Table {
 		fmt.Sprintf("%.1fx", r.Derived.BlockValidateAllocsReductionX), "", "")
 	t.AddRow("derived: verify cached speedup",
 		fmt.Sprintf("%.1fx", r.Derived.VerifyCachedSpeedupX), "", "")
+	t.AddRow("derived: verify table speedup",
+		fmt.Sprintf("%.1fx", r.Derived.VerifyTableSpeedupX), "", "")
+	t.AddRow("derived: key table build, in stdlib verifications",
+		fmt.Sprintf("%.1fx", r.Derived.KeyTableBuildVerifiesX), "", "")
 	t.AddRow("derived: parse cached speedup",
 		fmt.Sprintf("%.1fx", r.Derived.ParseCachedSpeedupX), "", "")
 	t.AddRow("derived: marshal allocs reduction",
@@ -385,13 +475,40 @@ func LoadHotpathRecord(path string) (*HotpathRecord, error) {
 	return rec, nil
 }
 
+// The wall-time gates are quotients of the ratio rows, which hold on any
+// host, where absolute ns do not. A recurring key must verify in at most 0.6
+// of crypto/ecdsa's time (here 0.3); a key seen once may pay at most 10% for
+// being looked up and counted; and a table build may cost at most
+// 1.5 × PromoteAfter + 1 crypto/ecdsa verifications (here 12-14): rent-or-buy
+// promotes once the rent paid is about the price, which keeps the worst case
+// near twice the optimum, and a build that has grown half again past the
+// rent no longer does.
+const (
+	maxTableOverStdlib     = 0.6
+	maxSingleUseOverStdlib = 1.10
+	maxBuildVerifies       = 1.5*fabcrypto.PromoteAfter + 1
+)
+
 // Gate compares the record's allocs/op against a committed baseline with
-// relative tolerance tol (e.g. 0.25 = +25%) plus a small absolute slack,
-// returning an error listing every regressed benchmark. Wall time is NOT
-// gated — only allocation counts are stable enough across machines.
+// relative tolerance tol (e.g. 0.25 = +25%) plus a small absolute slack, and
+// the record's own within-run ratios against the limits above, returning
+// an error listing every regression. Absolute wall time is NOT gated.
 func (r *HotpathRecord) Gate(baseline *HotpathRecord, tol float64) error {
 	const slack = 8 // absolute allocs/op headroom for runtime noise
 	var regressions []string
+	stdlib := r.Benchmarks["ecdsa_verify_stdlib"].NsPerOp
+	for _, l := range []struct {
+		what       string
+		value, max float64
+	}{
+		{"ecdsa_verify_table / ecdsa_verify_stdlib", r.Benchmarks["ecdsa_verify_table"].NsPerOp / stdlib, maxTableOverStdlib},
+		{"ecdsa_verify_single_use_key / ecdsa_verify_stdlib", r.Benchmarks["ecdsa_verify_single_use_key"].NsPerOp / stdlib, maxSingleUseOverStdlib},
+		{"key_table_build_verifies_x", r.Derived.KeyTableBuildVerifiesX, maxBuildVerifies},
+	} {
+		if !(l.value > 0 && l.value <= l.max) { // also catches a missing row (NaN, Inf)
+			regressions = append(regressions, fmt.Sprintf("%s = %.2f, limit %.2f", l.what, l.value, l.max))
+		}
+	}
 	for name, base := range baseline.Benchmarks {
 		cur, ok := r.Benchmarks[name]
 		if !ok {

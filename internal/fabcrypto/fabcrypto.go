@@ -8,6 +8,16 @@
 // verification hardware, and an X.509 post-processor that extracts the public
 // key from an identity certificate; both are implemented here and exercised
 // by internal/bmacproto.
+//
+// Verification (Verify, VerifyDigest, VerifyParts, and through them the
+// SigCache miss path and every validation path) runs on the package's own
+// ecdsa_engine, keytable.go: per-identity precomputed tables for the keys
+// that recur, crypto/ecdsa for everything else, the same verdict either
+// way. That engine is variable time, which is sound because a verification
+// has no secret input. Signing is a different matter and is untouched:
+// Signer.Sign and SignDigest call crypto/ecdsa with crypto/rand, and no
+// private key, nonce or other secret-dependent value ever enters the
+// engine's arithmetic.
 package fabcrypto
 
 import (
@@ -118,13 +128,14 @@ func Verify(pub *ecdsa.PublicKey, msg, sig []byte) error {
 	return VerifyDigest(pub, digest[:], sig)
 }
 
-// VerifyDigest checks a DER signature over a precomputed digest.
+// VerifyDigest checks a DER signature over a precomputed digest. The DER is
+// decoded once, to the fixed-width halves the verification engine consumes.
 func VerifyDigest(pub *ecdsa.PublicKey, digest, sig []byte) error {
-	r, s, err := UnmarshalDERSignature(sig)
+	parts, err := DecodeDERToParts(sig)
 	if err != nil {
 		return err
 	}
-	if !ecdsa.Verify(pub, digest, r, s) {
+	if !VerifyParts(pub, digest, parts) {
 		return ErrVerifyFailed
 	}
 	return nil
@@ -154,7 +165,10 @@ func MarshalDERSignature(r, s *big.Int) ([]byte, error) {
 	return der, nil
 }
 
-// UnmarshalDERSignature decodes a DER ECDSA signature into (r, s).
+// UnmarshalDERSignature decodes a DER ECDSA signature into (r, s): the one
+// DER parser of this package. A component wider than 256 bits, which no
+// P-256 signature has, is malformed here rather than a verification
+// failure later, so callers may copy r and s into ScalarSize bytes.
 func UnmarshalDERSignature(sig []byte) (r, s *big.Int, err error) {
 	var v ecdsaSignature
 	rest, err := asn1.Unmarshal(sig, &v)
@@ -166,6 +180,9 @@ func UnmarshalDERSignature(sig []byte) (r, s *big.Int, err error) {
 	}
 	if v.R == nil || v.S == nil || v.R.Sign() <= 0 || v.S.Sign() <= 0 {
 		return nil, nil, fmt.Errorf("%w: non-positive component", ErrBadSignature)
+	}
+	if v.R.BitLen() > 8*ScalarSize || v.S.BitLen() > 8*ScalarSize {
+		return nil, nil, fmt.Errorf("%w: component wider than 256 bits", ErrBadSignature)
 	}
 	return v.R, v.S, nil
 }
@@ -179,6 +196,8 @@ type SignatureParts struct {
 }
 
 // DecodeDERToParts converts a DER signature to fixed-width (r, s) parts.
+// Signatures arrive from clients: anything but two positive integers of at
+// most 256 bits is ErrBadSignature, never a panic.
 func DecodeDERToParts(sig []byte) (SignatureParts, error) {
 	var parts SignatureParts
 	r, s, err := UnmarshalDERSignature(sig)
@@ -200,14 +219,12 @@ func PartsToDER(parts SignatureParts) ([]byte, error) {
 
 // VerifyParts verifies a signature given in hardware (r, s) representation.
 // This is the exact operation one ecdsa_engine instance performs on a
-// {signature, key, data hash} verification request tuple.
+// {signature, key, data hash} verification request tuple, and the one place
+// every verification of this repository ends up: the verdict is
+// crypto/ecdsa's, computed from the key's table when it has one
+// (keytable.go).
 func VerifyParts(pub *ecdsa.PublicKey, digest []byte, parts SignatureParts) bool {
-	r := new(big.Int).SetBytes(parts.R[:])
-	s := new(big.Int).SetBytes(parts.S[:])
-	if r.Sign() <= 0 || s.Sign() <= 0 {
-		return false
-	}
-	return ecdsa.Verify(pub, digest, r, s)
+	return engine.verify(pub, digest, &parts)
 }
 
 // CertTemplate describes an identity certificate to issue.

@@ -1,0 +1,249 @@
+package fabcrypto
+
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
+// This file is the arithmetic of the verification engine (keytable.go): the
+// P-256 base field on 4×64-bit Montgomery limbs and the two point operations
+// a table-driven verification needs. All of it is VARIABLE TIME — branches
+// and table indices depend on the operands — which is sound only because
+// every operand of a verification (public key, digest, signature) is public.
+// Nothing here may ever be handed a private key or a nonce: signing stays on
+// crypto/ecdsa (Signer.Sign*) and does not reach this file.
+
+// fe is a field element x·2²⁵⁶ mod p (Montgomery form), little-endian
+// limbs, always fully reduced to [0, p) so equality is limb equality.
+type fe [4]uint64
+
+// p = 2²⁵⁶ − 2²²⁴ + 2¹⁹² + 2⁹⁶ − 1. p ≡ −1 (mod 2⁶⁴), so the Montgomery
+// factor of a reduction round is the low limb itself and m·p needs one
+// multiplication: m·p = m·2⁹⁶ − m + m·p3·2¹⁹².
+const (
+	p0 = 0xffffffffffffffff
+	p1 = 0x00000000ffffffff
+	p2 = 0x0000000000000000
+	p3 = 0xffffffff00000001
+)
+
+var (
+	feRR  = fe{0x0000000000000003, 0xfffffffbffffffff, 0xfffffffffffffffe, 0x00000004fffffffd} // 2⁵¹² mod p
+	feOne = fe{0x0000000000000001, 0xffffffff00000000, 0xffffffffffffffff, 0x00000000fffffffe} // 2²⁵⁶ mod p
+	// pMinus2 is the inversion exponent (Fermat), little-endian limbs.
+	pMinus2 = [4]uint64{p0 - 2, p1, p2, p3}
+)
+
+// feMul sets z = x·y·2⁻²⁵⁶ mod p: four rounds of "add x[i]·y, cancel the
+// low limb with a multiple of p, shift down one limb". The running value
+// stays below 2p, so it fits four limbs and one carry bit.
+func feMul(z, x, y *fe) {
+	y0, y1, y2, y3 := y[0], y[1], y[2], y[3]
+	var a0, a1, a2, a3, a4 uint64
+	for i := 0; i < 4; i++ {
+		xi := x[i]
+		h0, l0 := bits.Mul64(xi, y0)
+		h1, l1 := bits.Mul64(xi, y1)
+		h2, l2 := bits.Mul64(xi, y2)
+		h3, l3 := bits.Mul64(xi, y3)
+		var c uint64
+		l1, c = bits.Add64(l1, h0, 0)
+		l2, c = bits.Add64(l2, h1, c)
+		l3, c = bits.Add64(l3, h2, c)
+		h3 += c
+		a0, c = bits.Add64(a0, l0, 0)
+		a1, c = bits.Add64(a1, l1, c)
+		a2, c = bits.Add64(a2, l2, c)
+		a3, c = bits.Add64(a3, l3, c)
+		a4, _ = bits.Add64(a4, h3, c)
+
+		m := a0
+		hi, lo := bits.Mul64(m, p3)
+		a0, c = bits.Add64(a1, m<<32, 0)
+		a1, c = bits.Add64(a2, m>>32, c)
+		a2, c = bits.Add64(a3, lo, c)
+		a3, c = bits.Add64(a4, hi, c)
+		a4 = c
+	}
+	feReduceOnce(z, a0, a1, a2, a3, a4)
+}
+
+// feReduceOnce stores a − p when a ≥ p, else a, for a < 2p given as four
+// limbs and a carry bit. The select is a mask, not a branch: which side is
+// taken is close to a coin flip.
+func feReduceOnce(z *fe, a0, a1, a2, a3, carry uint64) {
+	d0, b := bits.Sub64(a0, p0, 0)
+	d1, b := bits.Sub64(a1, p1, b)
+	d2, b := bits.Sub64(a2, p2, b)
+	d3, b := bits.Sub64(a3, p3, b)
+	_, b = bits.Sub64(carry, 0, b)
+	keep := -b // all ones when a < p
+	z[0] = d0 ^ (d0^a0)&keep
+	z[1] = d1 ^ (d1^a1)&keep
+	z[2] = d2 ^ (d2^a2)&keep
+	z[3] = d3 ^ (d3^a3)&keep
+}
+
+func feSqr(z, x *fe) { feMul(z, x, x) }
+
+func feAdd(z, x, y *fe) {
+	a0, c := bits.Add64(x[0], y[0], 0)
+	a1, c := bits.Add64(x[1], y[1], c)
+	a2, c := bits.Add64(x[2], y[2], c)
+	a3, c := bits.Add64(x[3], y[3], c)
+	feReduceOnce(z, a0, a1, a2, a3, c)
+}
+
+func feSub(z, x, y *fe) {
+	a0, b := bits.Sub64(x[0], y[0], 0)
+	a1, b := bits.Sub64(x[1], y[1], b)
+	a2, b := bits.Sub64(x[2], y[2], b)
+	a3, b := bits.Sub64(x[3], y[3], b)
+	mask := -b // borrow: add p back
+	var c uint64
+	z[0], c = bits.Add64(a0, p0&mask, 0)
+	z[1], c = bits.Add64(a1, p1&mask, c)
+	z[2], c = bits.Add64(a2, p2&mask, c)
+	z[3], _ = bits.Add64(a3, p3&mask, c)
+}
+
+// feNeg sets z = −x.
+func feNeg(z, x *fe) { feSub(z, &fe{}, x) }
+
+// feInv sets z = x⁻¹ (x ≠ 0) by x^(p−2). Plain square-and-multiply: it runs
+// twice per table build, never per verification.
+func feInv(z, x *fe) {
+	r := feOne
+	for i := 255; i >= 0; i-- {
+		feSqr(&r, &r)
+		if pMinus2[i/64]>>(i%64)&1 == 1 {
+			feMul(&r, &r, x)
+		}
+	}
+	*z = r
+}
+
+// limbsFromBytes loads a 32-byte big-endian integer as little-endian limbs.
+func limbsFromBytes(b *[ScalarSize]byte) [4]uint64 {
+	return [4]uint64{
+		binary.BigEndian.Uint64(b[24:]), binary.BigEndian.Uint64(b[16:]),
+		binary.BigEndian.Uint64(b[8:]), binary.BigEndian.Uint64(b[:]),
+	}
+}
+
+// lessThan reports a < b on little-endian limbs.
+func lessThan(a, b *[4]uint64) bool {
+	_, br := bits.Sub64(a[0], b[0], 0)
+	_, br = bits.Sub64(a[1], b[1], br)
+	_, br = bits.Sub64(a[2], b[2], br)
+	_, br = bits.Sub64(a[3], b[3], br)
+	return br == 1
+}
+
+var pLimbs = [4]uint64{p0, p1, p2, p3}
+
+// feFromLimbs converts an integer v < p to Montgomery form; ok is false for
+// v ≥ p (not a field element's canonical encoding).
+func feFromLimbs(v [4]uint64) (z fe, ok bool) {
+	if !lessThan(&v, &pLimbs) {
+		return fe{}, false
+	}
+	x := fe(v)
+	feMul(&z, &x, &feRR)
+	return z, true
+}
+
+// affinePoint is a curve point (x, y) ≠ ∞; jacobianPoint is (X/Z², Y/Z³)
+// and never holds ∞ either: the verification loop tracks "nothing added
+// yet" itself and treats a sum that would be ∞ as exceptional.
+type affinePoint struct{ x, y fe }
+
+type jacobianPoint struct{ x, y, z fe }
+
+// addMixed sets p = p + q and reports whether it could. It cannot when
+// p = ±q (the chord formula divides by H = 0: the sum is a doubling or ∞);
+// p is then unchanged and the caller must fall back, not guess.
+func (p *jacobianPoint) addMixed(q *affinePoint) bool {
+	var zz, u2, s2, h, r, hh, hhh, v, t fe
+	feSqr(&zz, &p.z)
+	feMul(&u2, &q.x, &zz)
+	feSub(&h, &u2, &p.x)
+	if h == (fe{}) {
+		return false
+	}
+	feMul(&s2, &p.z, &zz)
+	feMul(&s2, &s2, &q.y)
+	feSub(&r, &s2, &p.y)
+	feSqr(&hh, &h)
+	feMul(&hhh, &hh, &h)
+	feMul(&v, &p.x, &hh)
+
+	feSqr(&t, &r) // X3 = r² − H³ − 2V
+	feSub(&t, &t, &hhh)
+	feSub(&t, &t, &v)
+	feSub(&t, &t, &v)
+	feMul(&p.z, &p.z, &h) // Z3 = Z1·H
+	feSub(&v, &v, &t)     // Y3 = r·(V − X3) − Y1·H³
+	feMul(&v, &v, &r)
+	feMul(&hhh, &hhh, &p.y)
+	feSub(&p.y, &v, &hhh)
+	p.x = t
+	return true
+}
+
+// double sets p = 2p (a = −3 doubling; y ≠ 0 on a prime-order curve).
+func (p *jacobianPoint) double() {
+	var delta, gamma, beta, alpha, t, t2 fe
+	feSqr(&delta, &p.z)
+	feSqr(&gamma, &p.y)
+	feMul(&beta, &p.x, &gamma)
+	feSub(&t, &p.x, &delta)
+	feAdd(&t2, &p.x, &delta)
+	feMul(&alpha, &t, &t2)
+	feAdd(&t, &alpha, &alpha)
+	feAdd(&alpha, &alpha, &t) // α = 3(X−δ)(X+δ)
+
+	feAdd(&t, &p.y, &p.z) // Z3 = (Y+Z)² − γ − δ
+	feSqr(&t, &t)
+	feSub(&t, &t, &gamma)
+	feSub(&p.z, &t, &delta)
+
+	feAdd(&t, &beta, &beta) // 4β
+	feAdd(&t, &t, &t)
+	feAdd(&t2, &t, &t) // 8β
+	feSqr(&p.x, &alpha)
+	feSub(&p.x, &p.x, &t2) // X3 = α² − 8β
+
+	feSub(&t, &t, &p.x) // Y3 = α(4β − X3) − 8γ²
+	feMul(&t, &t, &alpha)
+	feSqr(&gamma, &gamma)
+	feAdd(&gamma, &gamma, &gamma)
+	feAdd(&gamma, &gamma, &gamma)
+	feAdd(&gamma, &gamma, &gamma)
+	feSub(&p.y, &t, &gamma)
+}
+
+// toAffine converts ps to affine with one shared inversion (Montgomery's
+// trick): out[i] = ps[i]. No Z may be zero.
+func toAffine(out []affinePoint, ps []jacobianPoint) {
+	// prefix[i] = Z0·…·Zi, kept in out[i].x until the point is written.
+	acc := feOne
+	for i := range ps {
+		feMul(&acc, &acc, &ps[i].z)
+		out[i].x = acc
+	}
+	var inv fe
+	feInv(&inv, &acc)
+	for i := len(ps) - 1; i >= 0; i-- {
+		zinv := inv // 1/Zi = inv · prefix[i−1]
+		if i > 0 {
+			feMul(&zinv, &inv, &out[i-1].x)
+		}
+		feMul(&inv, &inv, &ps[i].z)
+		var zz fe
+		feSqr(&zz, &zinv)
+		feMul(&out[i].x, &ps[i].x, &zz)
+		feMul(&zz, &zz, &zinv)
+		feMul(&out[i].y, &ps[i].y, &zz)
+	}
+}

@@ -1,0 +1,209 @@
+package fabcrypto
+
+import (
+	"crypto/elliptic"
+	"math/big"
+	"math/rand"
+	"testing"
+)
+
+var (
+	bigP = elliptic.P256().Params().P
+	bigN = elliptic.P256().Params().N
+	bigR = new(big.Int).Lsh(big.NewInt(1), 256)
+)
+
+func limbsToBig(l [4]uint64) *big.Int {
+	z := new(big.Int)
+	for i := 3; i >= 0; i-- {
+		z.Lsh(z, 64).Or(z, new(big.Int).SetUint64(l[i]))
+	}
+	return z
+}
+
+// feOf converts an integer < p to Montgomery form through math/big only,
+// so the tests do not trust feFromLimbs.
+func feOf(v *big.Int) fe {
+	return fe(limbsOfBig(new(big.Int).Mod(new(big.Int).Mul(v, bigR), bigP)))
+}
+
+// bigOf converts out of Montgomery form through math/big only.
+func bigOf(x fe) *big.Int {
+	rinv := new(big.Int).ModInverse(bigR, bigP)
+	return new(big.Int).Mod(new(big.Int).Mul(limbsToBig(x), rinv), bigP)
+}
+
+// fieldSamples mixes boundary values — every limb all-ones or zero, p−1,
+// values that carry out of each limb — with seeded random ones.
+func fieldSamples(rng *rand.Rand, n int) []*big.Int {
+	one := big.NewInt(1)
+	out := []*big.Int{
+		big.NewInt(0), big.NewInt(1), big.NewInt(2),
+		new(big.Int).Sub(bigP, one), new(big.Int).Sub(bigP, big.NewInt(2)),
+		new(big.Int).Rsh(bigP, 1),
+		new(big.Int).Mod(new(big.Int).Sub(bigR, one), bigP), // 2²⁵⁶−1 reduced
+		new(big.Int).Sub(bigR, bigP),                        // 2²⁵⁶ mod p
+	}
+	for i := 0; i < 4; i++ { // one limb all ones, and its successor (carry into the next limb)
+		l := new(big.Int).Lsh(new(big.Int).SetUint64(^uint64(0)), uint(64*i))
+		out = append(out, new(big.Int).Mod(l, bigP), new(big.Int).Mod(new(big.Int).Add(l, one), bigP))
+	}
+	for i := 0; i < n; i++ {
+		b := make([]byte, 32)
+		rng.Read(b)
+		out = append(out, new(big.Int).Mod(new(big.Int).SetBytes(b), bigP))
+	}
+	return out
+}
+
+func TestFieldConstants(t *testing.T) {
+	if got := limbsToBig(pLimbs); got.Cmp(bigP) != 0 {
+		t.Fatalf("p limbs = %x", got)
+	}
+	if got, want := limbsToBig(feOne), new(big.Int).Mod(bigR, bigP); got.Cmp(want) != 0 {
+		t.Fatalf("feOne = %x, want %x", got, want)
+	}
+	if got, want := limbsToBig(feRR), new(big.Int).Mod(new(big.Int).Mul(bigR, bigR), bigP); got.Cmp(want) != 0 {
+		t.Fatalf("feRR = %x, want %x", got, want)
+	}
+	if got, want := limbsToBig(pMinus2), new(big.Int).Sub(bigP, big.NewInt(2)); got.Cmp(want) != 0 {
+		t.Fatalf("pMinus2 = %x", got)
+	}
+}
+
+func TestFieldMatchesBig(t *testing.T) {
+	vals := fieldSamples(rand.New(rand.NewSource(1)), 40)
+	for _, a := range vals {
+		fa := feOf(a)
+		if got, ok := feFromLimbs(limbsOfBig(a)); !ok || got != fa {
+			t.Fatalf("feFromLimbs(%x) = %x, %v", a, got, ok)
+		}
+		var plain fe // multiplying by the integer 1 leaves Montgomery form
+		if feMul(&plain, &fa, &fe{1}); limbsToBig(plain).Cmp(a) != 0 {
+			t.Fatalf("round trip of %x = %x", a, limbsToBig(plain))
+		}
+		var z fe
+		feNeg(&z, &fa)
+		if want := new(big.Int).Mod(new(big.Int).Neg(a), bigP); bigOf(z).Cmp(want) != 0 {
+			t.Fatalf("neg %x", a)
+		}
+		if a.Sign() != 0 {
+			feInv(&z, &fa)
+			if want := new(big.Int).ModInverse(a, bigP); bigOf(z).Cmp(want) != 0 {
+				t.Fatalf("inv %x = %x, want %x", a, bigOf(z), want)
+			}
+		}
+		for _, b := range vals {
+			fb := feOf(b)
+			feMul(&z, &fa, &fb)
+			if want := new(big.Int).Mod(new(big.Int).Mul(a, b), bigP); bigOf(z).Cmp(want) != 0 {
+				t.Fatalf("%x · %x = %x, want %x", a, b, bigOf(z), want)
+			}
+			feAdd(&z, &fa, &fb)
+			if want := new(big.Int).Mod(new(big.Int).Add(a, b), bigP); bigOf(z).Cmp(want) != 0 {
+				t.Fatalf("%x + %x = %x, want %x", a, b, bigOf(z), want)
+			}
+			feSub(&z, &fa, &fb)
+			if want := new(big.Int).Mod(new(big.Int).Sub(a, b), bigP); bigOf(z).Cmp(want) != 0 {
+				t.Fatalf("%x − %x = %x, want %x", a, b, bigOf(z), want)
+			}
+			if limbsToBig(z).Cmp(bigP) >= 0 {
+				t.Fatalf("%x − %x not reduced", a, b)
+			}
+		}
+		// Aliased destination.
+		z = fa
+		feMul(&z, &z, &z)
+		if want := new(big.Int).Mod(new(big.Int).Mul(a, a), bigP); bigOf(z).Cmp(want) != 0 {
+			t.Fatalf("aliased square of %x", a)
+		}
+	}
+	// Non-canonical encodings are refused, not reduced.
+	for _, v := range []*big.Int{bigP, new(big.Int).Add(bigP, big.NewInt(1)), new(big.Int).Sub(bigR, big.NewInt(1))} {
+		if _, ok := feFromLimbs(limbsOfBig(v)); ok {
+			t.Fatalf("feFromLimbs accepted %x ≥ p", v)
+		}
+	}
+}
+
+func affineOf(x, y *big.Int) affinePoint { return affinePoint{x: feOf(x), y: feOf(y)} }
+
+func checkAffine(t *testing.T, what string, got affinePoint, x, y *big.Int) {
+	t.Helper()
+	if bigOf(got.x).Cmp(x) != 0 || bigOf(got.y).Cmp(y) != 0 {
+		t.Fatalf("%s = (%x, %x), want (%x, %x)", what, bigOf(got.x), bigOf(got.y), x, y)
+	}
+}
+
+func TestPointOpsMatchElliptic(t *testing.T) {
+	c := elliptic.P256()
+	rng := rand.New(rand.NewSource(2))
+	scalar := func() []byte {
+		b := make([]byte, 32)
+		rng.Read(b)
+		return b
+	}
+	var jac []jacobianPoint
+	var wantX, wantY []*big.Int
+	for i := 0; i < 24; i++ {
+		ax, ay := c.ScalarBaseMult(scalar())
+		bx, by := c.ScalarBaseMult(scalar())
+		a, b := affineOf(ax, ay), affineOf(bx, by)
+
+		p := jacobianPoint{x: a.x, y: a.y, z: feOne}
+		p.double()
+		dx, dy := c.Double(ax, ay)
+		jac, wantX, wantY = append(jac, p), append(wantX, dx), append(wantY, dy)
+
+		// Z ≠ 1 on the left: (2a) + b, then + a again.
+		if !p.addMixed(&b) {
+			t.Fatal("addMixed refused distinct points")
+		}
+		sx, sy := c.Add(dx, dy, bx, by)
+		jac, wantX, wantY = append(jac, p), append(wantX, sx), append(wantY, sy)
+		p.double()
+		sx, sy = c.Double(sx, sy)
+		jac, wantX, wantY = append(jac, p), append(wantX, sx), append(wantY, sy)
+
+		// The exceptional cases are refused and leave p alone.
+		q := jacobianPoint{x: a.x, y: a.y, z: feOne}
+		q.double()
+		q.addMixed(&b) // q = 2a + b, Z ≠ 1
+		var one [1]affinePoint
+		toAffine(one[:], []jacobianPoint{q})
+		before := q
+		if q.addMixed(&one[0]) || q != before {
+			t.Fatal("addMixed accepted p + p")
+		}
+		feNeg(&one[0].y, &one[0].y)
+		if q.addMixed(&one[0]) || q != before {
+			t.Fatal("addMixed accepted p + (−p)")
+		}
+	}
+	out := make([]affinePoint, len(jac))
+	toAffine(out, jac)
+	for i := range out {
+		checkAffine(t, "point", out[i], wantX[i], wantY[i])
+	}
+}
+
+var sinkFE fe
+
+func BenchmarkFeMul(b *testing.B) {
+	x, y := feOf(big.NewInt(0).Rsh(bigP, 1)), feOf(big.NewInt(0).Rsh(bigP, 3))
+	for i := 0; i < b.N; i++ {
+		feMul(&x, &x, &y)
+	}
+	sinkFE = x
+}
+
+func BenchmarkAddMixed(b *testing.B) {
+	c := elliptic.P256().Params()
+	g := affineOf(c.Gx, c.Gy)
+	p := jacobianPoint{x: g.x, y: g.y, z: feOne}
+	p.double()
+	for i := 0; i < b.N; i++ {
+		p.addMixed(&g)
+	}
+	sinkFE = p.x
+}

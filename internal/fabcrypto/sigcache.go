@@ -6,7 +6,6 @@ import (
 	"crypto/sha256"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // SigCache is a sharded, bounded LRU cache of ECDSA verification verdicts,
@@ -161,63 +160,4 @@ func (c *SigCache) Len() int {
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-// VerifyRequest is one (public key, digest, signature) check for VerifyBatch:
-// the same tuple an ecdsa_engine instance consumes in hardware.
-type VerifyRequest struct {
-	Pub    *ecdsa.PublicKey
-	Digest []byte
-	Sig    []byte
-}
-
-// VerifyResult is the outcome of one batched check. Elapsed is the time that
-// one verification took on its worker (cache hits are cheap, real verifies
-// are not), so callers can keep per-operation accounting honest even though
-// the batch overlaps them in wall-clock time.
-type VerifyResult struct {
-	Err      error
-	CacheHit bool
-	Elapsed  time.Duration
-}
-
-// VerifyBatch fans a slice of checks across up to `workers` goroutines,
-// each routed through the cache (which may be nil). Results are positionally
-// aligned with reqs. workers <= 1 runs sequentially on the caller.
-func (c *SigCache) VerifyBatch(reqs []VerifyRequest, workers int) []VerifyResult {
-	out := make([]VerifyResult, len(reqs))
-	if len(reqs) == 0 {
-		return out
-	}
-	one := func(i int) {
-		t := time.Now()
-		err, hit := c.VerifyDigest(reqs[i].Pub, reqs[i].Digest, reqs[i].Sig)
-		out[i] = VerifyResult{Err: err, CacheHit: hit, Elapsed: time.Since(t)}
-	}
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
-	if workers <= 1 {
-		for i := range reqs {
-			one(i)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(reqs) {
-					return
-				}
-				one(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return out
 }

@@ -139,40 +139,6 @@ func TestSigCacheConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-func TestVerifyBatch(t *testing.T) {
-	sigs := makeSigs(t, 10)
-	for _, workers := range []int{0, 1, 4, 32} {
-		for _, cache := range []*SigCache{nil, NewSigCache(256)} {
-			reqs := make([]VerifyRequest, len(sigs))
-			for i, s := range sigs {
-				reqs[i] = VerifyRequest{Pub: s.pub, Digest: s.digest, Sig: s.sig}
-			}
-			reqs[3].Sig = append(append([]byte(nil), reqs[3].Sig...), 0xde) // trailing garbage -> bad DER
-			res := cache.VerifyBatch(reqs, workers)
-			for i, r := range res {
-				if i == 3 {
-					if r.Err == nil {
-						t.Fatalf("workers=%d: corrupt req %d passed", workers, i)
-					}
-					continue
-				}
-				if r.Err != nil {
-					t.Fatalf("workers=%d req %d: %v", workers, i, r.Err)
-				}
-			}
-			if cache != nil {
-				// Second pass through the same cache must be all hits.
-				res = cache.VerifyBatch(reqs, workers)
-				for i, r := range res {
-					if !r.CacheHit {
-						t.Fatalf("workers=%d req %d: expected cache hit", workers, i)
-					}
-				}
-			}
-		}
-	}
-}
-
 func BenchmarkVerifyDigestCold(b *testing.B) {
 	sigs := makeSigs(b, 1)
 	b.ReportAllocs()
@@ -216,24 +182,6 @@ func BenchmarkCertCacheHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := c.PublicKeyFromCert(der); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkVerifyBatch(b *testing.B) {
-	sigs := makeSigs(b, 4)
-	reqs := make([]VerifyRequest, len(sigs))
-	for i, s := range sigs {
-		reqs[i] = VerifyRequest{Pub: s.pub, Digest: s.digest, Sig: s.sig}
-	}
-	var c *SigCache
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, r := range c.VerifyBatch(reqs, 4) {
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
 		}
 	}
 }

@@ -75,7 +75,19 @@ const (
 	// maxFaultRetries bounds transient commit-fault retries (the chaos
 	// slow-disk scenario) per write.
 	maxFaultRetries = 8
+	// writeBehindStep is how much of the active segment may be appended
+	// before the kernel is asked to start writing it back (startWriteback).
+	// Without the hint nothing pushes a segment's pages out before its seal,
+	// and that one fsync, inside Commit, pays for all 64 MiB of them.
+	writeBehindStep = 2 << 20
 )
+
+// startWriteback is the write-behind hint, a variable so that a test can
+// see the ranges and fail the call. A hint, not a durability point: it
+// starts writeback of a byte range of the active segment and waits for
+// nothing, so what is durable when is still decided by SyncEachBlock, the
+// seal's fsync and the index write alone.
+var startWriteback = syncFileRangeWrite
 
 // Options configure a Ledger.
 type Options struct {
@@ -375,6 +387,13 @@ func (l *Ledger) Commit(b *block.Block) ([]byte, error) {
 	l.active.dataLen += recLen
 	l.active.count++
 	l.bytesWritten += recLen
+	// Each writeBehindStep boundary this record crossed: hand the steps
+	// below it to the kernel now, so the seal's fsync finds at most one
+	// step dirty.
+	from := (l.active.dataLen - recLen) / writeBehindStep * writeBehindStep
+	if to := l.active.dataLen / writeBehindStep * writeBehindStep; to > from {
+		startWriteback(l.file, from, to-from) // bmaclint:allow errdiscard (a hint: if it fails the seal's fsync writes the range, as it did before)
+	}
 	l.height = num + 1
 	l.lastHash = block.HeaderHash(&b.Header)
 	l.commitHash = b.Metadata.CommitHash

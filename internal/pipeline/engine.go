@@ -69,9 +69,6 @@ type Config struct {
 	// the same creator/endorser/orderer certs recur in every transaction,
 	// and x509.ParseCertificate rivals the ECDSA math in allocations.
 	CertCache *fabcrypto.CertCache
-	// BatchVerifyWorkers > 1 fans each transaction's endorsement checks
-	// across a worker pool (fabcrypto.VerifyBatch) in the vscc stage.
-	BatchVerifyWorkers int
 	// ParseCache, when non-nil, interns ParseTx results by payload hash so
 	// an envelope decoded by any sharing path is unmarshaled once per
 	// process (parse-once). Cached results are shared and read-only.
@@ -83,11 +80,7 @@ type Config struct {
 }
 
 func (c *Config) verifyOpts() validator.VerifyOpts {
-	return validator.VerifyOpts{
-		SigCache:     c.SigCache,
-		CertCache:    c.CertCache,
-		BatchWorkers: c.BatchVerifyWorkers,
-	}
+	return validator.VerifyOpts{SigCache: c.SigCache, CertCache: c.CertCache}
 }
 
 // Result is the outcome of validating and committing one block.

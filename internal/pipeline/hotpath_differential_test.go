@@ -17,7 +17,6 @@ type hotpathToggle struct {
 	name        string
 	sigCache    bool
 	certCache   bool
-	batch       int
 	parseCache  bool
 	marshalPool bool
 }
@@ -27,11 +26,10 @@ func hotpathToggles() []hotpathToggle {
 		{name: "all-off", marshalPool: false},
 		{name: "sigcache", sigCache: true, marshalPool: true},
 		{name: "certcache", certCache: true, marshalPool: true},
-		{name: "batch", batch: 3, marshalPool: true},
-		{name: "sigcache+batch", sigCache: true, batch: 3},
+		{name: "sigcache-nopool", sigCache: true},
 		{name: "parseonce", parseCache: true},
 		{name: "pool-only", marshalPool: true},
-		{name: "all-on", sigCache: true, certCache: true, batch: 3, parseCache: true, marshalPool: true},
+		{name: "all-on", sigCache: true, certCache: true, parseCache: true, marshalPool: true},
 	}
 }
 
@@ -74,7 +72,7 @@ func TestHotpathDifferentialToggles(t *testing.T) {
 				store := statedb.NewStore()
 				eng := New(Config{
 					Shape: sh.shape, Workers: 2 + k, Policies: r.pols, SkipLedger: true,
-					SigCache: sc, CertCache: cc, BatchVerifyWorkers: tog.batch, ParseCache: pc,
+					SigCache: sc, CertCache: cc, ParseCache: pc,
 				}, store, nil)
 				for n, raw := range raws {
 					res, err := eng.ValidateAndCommit(raw)

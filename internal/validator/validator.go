@@ -97,13 +97,11 @@ type Result struct {
 	Breakdown  Breakdown
 }
 
-// VerifyOpts bundles the optional verification accelerators threaded
-// through the exported verify helpers; the zero value means "no caching,
-// sequential endorsement checks" — the exact pre-optimization behavior.
+// VerifyOpts bundles the optional verification caches threaded through the
+// exported verify helpers; the zero value means "no caching".
 type VerifyOpts struct {
-	SigCache     *fabcrypto.SigCache
-	CertCache    *fabcrypto.CertCache
-	BatchWorkers int
+	SigCache  *fabcrypto.SigCache
+	CertCache *fabcrypto.CertCache
 }
 
 // ErrBlockInvalid reports a block that failed block-level verification —
@@ -187,9 +185,8 @@ func timedVerify(pub *ecdsa.PublicKey, digest, sig []byte, cache *fabcrypto.SigC
 
 // VSCCOne validates one transaction: client signature, then all endorsement
 // signatures, then the endorsement policy (every endorsement verified, no
-// short-circuiting). The optional cache and batched endorsement checks leave
-// verdicts bit-identical: the cache memoizes, the batch only reorders
-// independent verifications.
+// short-circuiting). The optional caches leave verdicts bit-identical: they
+// only memoize.
 func VSCCOne(env *block.Envelope, p *ParsedTx, policies map[string]*policy.Policy, opts VerifyOpts, bd *Breakdown) block.ValidationCode {
 	if p.Err != nil {
 		return p.Code
@@ -207,22 +204,18 @@ func VSCCOne(env *block.Envelope, p *ParsedTx, policies map[string]*policy.Polic
 	// vscc: verify EVERY endorsement (Fabric does not short-circuit).
 	var rf policy.RegisterFile
 	ends := p.Tx.Payload.Action.Endorsements
-	if opts.BatchWorkers > 1 && len(ends) > 1 {
-		verifyEndorsementsBatch(p, ends, opts, &rf, bd)
-	} else {
-		for i := range ends {
-			e := &ends[i]
-			epub, err := opts.CertCache.PublicKeyFromCert(e.Endorser)
-			if err != nil {
-				continue // unverifiable endorsement contributes nothing
-			}
-			msg := block.EndorsementSigningBytes(p.PRP, e.Endorser)
-			edigest := timedHash(msg, bd)
-			if err := timedVerify(epub, edigest, e.Signature, opts.SigCache, bd); err != nil {
-				continue
-			}
-			endorserToRegister(opts.CertCache, e.Endorser, &rf)
+	for i := range ends {
+		e := &ends[i]
+		epub, err := opts.CertCache.PublicKeyFromCert(e.Endorser)
+		if err != nil {
+			continue // unverifiable endorsement contributes nothing
 		}
+		msg := block.EndorsementSigningBytes(p.PRP, e.Endorser)
+		edigest := timedHash(msg, bd)
+		if err := timedVerify(epub, edigest, e.Signature, opts.SigCache, bd); err != nil {
+			continue
+		}
+		endorserToRegister(opts.CertCache, e.Endorser, &rf)
 	}
 
 	pol, ok := policies[p.Tx.ChannelHeader.ChaincodeName]
@@ -233,39 +226,6 @@ func VSCCOne(env *block.Envelope, p *ParsedTx, policies map[string]*policy.Polic
 		return block.EndorsementPolicyFailure
 	}
 	return block.Valid
-}
-
-// verifyEndorsementsBatch fans one transaction's endorsement signature
-// checks across fabcrypto.VerifyBatch. The register-file outcome is
-// identical to the sequential loop: only verifications are overlapped, and
-// per-operation timing is accumulated as measured on each worker.
-func verifyEndorsementsBatch(p *ParsedTx, ends []block.Endorsement, opts VerifyOpts, rf *policy.RegisterFile, bd *Breakdown) {
-	reqs := make([]fabcrypto.VerifyRequest, 0, len(ends))
-	srcs := make([]int, 0, len(ends)) // endorsement index per request
-	for i := range ends {
-		e := &ends[i]
-		epub, err := opts.CertCache.PublicKeyFromCert(e.Endorser)
-		if err != nil {
-			continue // unverifiable endorsement contributes nothing
-		}
-		msg := block.EndorsementSigningBytes(p.PRP, e.Endorser)
-		reqs = append(reqs, fabcrypto.VerifyRequest{Pub: epub, Digest: timedHash(msg, bd), Sig: e.Signature})
-		srcs = append(srcs, i)
-	}
-	results := opts.SigCache.VerifyBatch(reqs, opts.BatchWorkers)
-	for k, r := range results {
-		if r.CacheHit {
-			bd.SigCacheHits++
-			bd.SigCacheTime += r.Elapsed
-		} else {
-			bd.ECDSACount++
-			bd.ECDSATime += r.Elapsed
-		}
-		if r.Err != nil {
-			continue
-		}
-		endorserToRegister(opts.CertCache, ends[srcs[k]].Endorser, rf)
-	}
 }
 
 // endorserToRegister parses an endorser certificate (through the cert

@@ -4,8 +4,14 @@
 # Re-measures the hotpath suite in quick mode and compares allocs/op
 # against the committed baseline record (BENCH_hotpath.json at the repo
 # root), failing when any benchmark's allocations regress past the
-# tolerance. Wall time is deliberately NOT gated — only allocation counts
-# are stable enough across CI machines.
+# tolerance. Absolute wall time is deliberately NOT gated — it is not
+# stable across CI machines — but three within-run ratios of the
+# verification engine are: ecdsa_verify_table / ecdsa_verify_stdlib <= 0.6,
+# ecdsa_verify_single_use_key / ecdsa_verify_stdlib <= 1.10 and
+# key_table_build_verifies_x <= 1.5 * PromoteAfter + 1 = 25 (rows measured
+# interleaved with crypto/ecdsa in one process — the record's ratio_rows, and
+# the build against a crypto/ecdsa row of its own — so the quotients hold on
+# another host where the ns do not).
 #
 # The suite includes the telemetry-off gate: block_validate_telemetry_off
 # runs block validation with the telemetry plane disabled (nil instruments)
