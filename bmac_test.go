@@ -63,18 +63,14 @@ func TestTestbedHybridBackendCrossCheck(t *testing.T) {
 	if err := driver.Run(txs); err != nil {
 		t.Fatal(err)
 	}
-	committed := 0
-	for committed < txs {
-		outcomes, err := tb.AwaitBlocks(1, 30*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, o := range outcomes {
-			committed += o.TxCount
-			if !o.Match {
-				t.Fatalf("block %d diverged across validation paths (par match %v, hw match %v)",
-					o.BlockNum, o.ParMatch, o.HWMatch)
-			}
+	outcomes, err := tb.AwaitTxs(txs, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range outcomes {
+		if !o.Match {
+			t.Fatalf("block %d diverged across validation paths (par match %v, hw match %v)",
+				o.BlockNum, o.ParMatch, o.HWMatch)
 		}
 	}
 	summary := tb.ParallelBackendSummary()
@@ -131,7 +127,7 @@ func TestRunExperimentUnknown(t *testing.T) {
 // and BMac validation paths.
 func TestTestbedSmallbankEndToEnd(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Arch.MaxBlockTxs = 10 // small blocks -> several blocks in the run
+	cfg.Arch.MaxBlockTxs = 10 // at least three blocks in the run
 	tb, err := NewTestbed(cfg, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -150,18 +146,20 @@ func TestTestbedSmallbankEndToEnd(t *testing.T) {
 	if err := driver.Run(txs); err != nil {
 		t.Fatal(err)
 	}
-	// The batch timeout may split the run into 3 or 4 blocks; await by
-	// transaction count.
+	// How the orderer slices the run depends on the load: anything from 3
+	// full blocks to 30 single-transaction ones.
+	outcomes, err := tb.AwaitTxs(txs, 20*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
 	total := 0
-	for total < txs {
-		outcomes, err := tb.AwaitBlocks(1, 20*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := outcomes[0]
+	for _, o := range outcomes {
 		if !o.Match {
 			t.Errorf("block %d: sw/hw mismatch\n  sw flags: %v\n  hw flags: %v",
 				o.BlockNum, o.SW.Flags, o.HW.Flags)
+		}
+		if o.TxCount > cfg.Arch.MaxBlockTxs {
+			t.Errorf("block %d holds %d txs, over the maximum of %d", o.BlockNum, o.TxCount, cfg.Arch.MaxBlockTxs)
 		}
 		total += o.TxCount
 	}
@@ -195,16 +193,14 @@ func TestTestbedDRM(t *testing.T) {
 	if err := driver.Run(16); err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for total < 16 {
-		outcomes, err := tb.AwaitBlocks(1, 20*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !outcomes[0].Match {
+	outcomes, err := tb.AwaitTxs(16, 20*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range outcomes {
+		if !o.Match {
 			t.Error("drm block mismatch between sw and hw paths")
 		}
-		total += outcomes[0].TxCount
 	}
 }
 

@@ -263,6 +263,8 @@ func run() error {
 	elapsed := time.Since(start)
 	fmt.Printf("\n%d blocks, %d txs in %v (%.0f tps end-to-end)\n",
 		blocks, committed, elapsed.Round(time.Millisecond), float64(committed)/elapsed.Seconds())
+	size, idle, timeout := tb.Orderer.Cuts()
+	printCuts(blocks, committed, size, idle, timeout)
 
 	fmt.Println("\nper-stage totals, sequential vs parallel pipelined validator:")
 	fmt.Printf("  %-12s %12s %12s %9s\n", "stage", "sequential", "pipelined", "speedup")
@@ -294,6 +296,15 @@ func run() error {
 	return nil
 }
 
+// printCuts says how the orderer sliced the run. Batch size tracks load, so
+// the block count is a result, not a setting: many small idle-cut blocks at
+// a low rate, full size-cut blocks under overload. A timeout cut is a
+// symptom — raft was leaderless or a block was stuck leaving the orderer.
+func printCuts(blocks, txs, size, idle, timeout int) {
+	fmt.Printf("orderer cuts: %d size, %d idle, %d timeout; mean %.1f tx/block\n",
+		size, idle, timeout, float64(txs)/float64(max(blocks, 1)))
+}
+
 // runCluster drives the delivery-side stack and prints the report.
 func runCluster(cfg *bmac.Config, opts bmac.ClusterOptions, dir string) error {
 	fmt.Printf("cluster: %d peers (%d slow, +%v/block), path %s, raft %d node(s), %d txs",
@@ -311,6 +322,7 @@ func runCluster(cfg *bmac.Config, opts bmac.ClusterOptions, dir string) error {
 	fmt.Printf("\n%d blocks, %d txs (%d valid) in %v: %s tps end-to-end, %d late arrivals\n",
 		res.Blocks, res.Txs, res.ValidTxs, res.Elapsed.Round(time.Millisecond),
 		bmac.FormatTPS(res.TPS), res.Late)
+	printCuts(res.Blocks, res.Txs, res.SizeCuts, res.IdleCuts, res.TimeoutCuts)
 	fmt.Printf("gossip path  e2e commit latency: %s\n", res.SWLatency)
 	if res.HWLatency.Count > 0 {
 		fmt.Printf("bmac   path  e2e commit latency: %s\n", res.HWLatency)

@@ -290,12 +290,18 @@ type Result struct {
 	Blocks    int // blocks committed by the observer peer
 	Txs       int // envelopes committed by the observer peer
 	ValidTxs  int
-	Elapsed   time.Duration
+	// SizeCuts, IdleCuts and TimeoutCuts count the orderer's batches by the
+	// rule that closed them. Batch size tracks load, so a paced run is
+	// mostly idle cuts of a few transactions and an unpaced one fills
+	// blocks; a timeout cut means raft was leaderless or a block was stuck
+	// on its way out of the orderer.
+	SizeCuts, IdleCuts, TimeoutCuts int
+	Elapsed                         time.Duration
 	// HonestElapsed is the time from run start until the observer had
 	// committed every honest (client-submitted) transaction. With an
-	// adversary, Elapsed additionally covers trailing hostile-only batches
-	// cut on the batch timer after the honest load completed, so honest
-	// goodput comparisons should use HonestElapsed.
+	// adversary, Elapsed additionally covers trailing hostile-only blocks
+	// ordered after the honest load completed, so honest goodput
+	// comparisons should use HonestElapsed.
 	HonestElapsed time.Duration
 	TPS           float64 // committed envelopes/s at the observer peer
 	// SWLatency is the per-tx end-to-end latency (scheduled arrival ->
@@ -355,6 +361,7 @@ type swPeer struct {
 	blocks     int
 	txs        int
 	validTxs   int
+	counted    uint64 // height up to which the commit loop has counted blocks into the fields above
 	restarts   int
 	lastCommit time.Time
 	err        error
@@ -441,6 +448,24 @@ func (t *tracedSubmitter) SubmitTx() (string, error) {
 	}
 	t.rec.record(txid, submitWindow{start: start, end: time.Now()})
 	return txid, nil
+}
+
+// steadySubmitter holds the committer role off the endorsers' stores while
+// one of its transactions is in flight. Committed blocks reach the stores
+// one endorser at a time and, with blocks cut whenever the orderer is idle,
+// almost continuously; a proposal simulated on either side of such an
+// update comes back with endorsements that disagree. The observer applies
+// each block under the write side of mu, every driver submits under the
+// read side.
+type steadySubmitter struct {
+	inner load.Submitter
+	mu    *sync.RWMutex
+}
+
+func (s *steadySubmitter) SubmitTx() (string, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.inner.SubmitTx()
 }
 
 func (p *swPeer) fail(err error) {
@@ -698,9 +723,13 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		}
 		ordSubmit = adv.Tap(ord)
 	}
+	var applyMu sync.RWMutex // endorser stores: drivers read-side, the observer's committer role write-side
 	drivers := make([]load.Submitter, opts.Clients)
 	for i := range drivers {
-		drivers[i] = client.NewDriver(clientID, endorsers, ordSubmit, w, cfg.Channel, opts.Seed+int64(100+i))
+		drivers[i] = &steadySubmitter{
+			inner: client.NewDriver(clientID, endorsers, ordSubmit, w, cfg.Channel, opts.Seed+int64(100+i)),
+			mu:    &applyMu,
+		}
 		if adv != nil {
 			drivers[i] = adv.Wrap(drivers[i])
 		}
@@ -903,7 +932,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 	}
 	for i, p := range peers {
 		p.started = true
-		go p.commitLoop(i == 0, gen, endorsers, rec, rewindFor(p))
+		go p.commitLoop(i == 0, gen, endorsers, &applyMu, rec, rewindFor(p))
 	}
 	type hwObs struct {
 		txid string
@@ -1024,7 +1053,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		}
 		addrs[churnIdx].set(np.ln.Addr())
 		np.started = true
-		go np.commitLoop(false, gen, endorsers, rec, rewindFor(np))
+		go np.commitLoop(false, gen, endorsers, &applyMu, rec, rewindFor(np))
 		churnPhase = 2
 		return nil
 	}
@@ -1080,7 +1109,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 			// Poll the election with a short per-step timeout so the wait
 			// loop keeps servicing its other checks; until the rebind lands
 			// the orderer's cut path parks batches as pending (ErrNotLeader
-			// is swallowed as a transient) and the timer keeps retrying.
+			// is swallowed as a transient) and retries once per BatchTimeout.
 			nl, err := chaos.WaitForNewLeader(rc, leaderIdx, 10*time.Millisecond)
 			if err != nil {
 				return nil // election still in progress; retry next tick
@@ -1198,9 +1227,9 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 	// Zero delivery lag only means the frames reached the sockets; wait
 	// for every fast peer's ledger to reach the published height. The
 	// target is re-read each pass — with an adversary, trailing
-	// hostile-only batches can still cut on the batch timer after the
-	// honest load completes, so the loop additionally requires the height
-	// to hold still briefly before calling the run settled. A peer stalled
+	// hostile-only blocks can still be ordered after the honest load
+	// completes, so the loop additionally requires the height to hold
+	// still briefly before calling the run settled. A peer stalled
 	// short of the target (a corrupted tail frame with no follow-on block
 	// to expose the gap to its commit loop) gets its delivery cursor
 	// rewound to its own height to force redelivery.
@@ -1226,13 +1255,17 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 				continue
 			}
 			p.mu.Lock()
-			perr := p.err
+			perr, counted := p.err, p.counted
 			p.mu.Unlock()
 			if perr != nil {
 				continue // dead peers are reported by the convergence gate
 			}
+			// A block is in the ledger before CommitBlock returns (a due
+			// checkpoint still follows) and in the peer's counters only
+			// after; the report below reads the counters, so a peer has
+			// settled at the lower of the two heights.
 			st := p.peer.Ledger.Stats()
-			h := st.Height
+			h := min(st.Height, counted)
 			// A quarantined hole below the height also blocks settling:
 			// the archive refetch must complete before the convergence
 			// gate can call the run bit-identical.
@@ -1289,6 +1322,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		SigCacheHitRate:   deltaRate(sigH1-sigH0, sigM1-sigM0),
 		ParseCacheHitRate: deltaRate(parH1-parH0, parM1-parM0),
 	}
+	res.SizeCuts, res.IdleCuts, res.TimeoutCuts = ord.Cuts()
 	peers[0].mu.Lock()
 	res.Blocks = peers[0].blocks
 	res.Txs = peers[0].txs
@@ -1529,21 +1563,23 @@ func newSWPeer(cfg *config.Config, opts Options, i int, dir string, df *chaos.Di
 		return nil, err
 	}
 	return &swPeer{
-		name: name,
-		slow: i >= opts.Peers-opts.SlowPeers,
-		dir:  dir,
-		ln:   ln,
-		peer: sw,
-		done: make(chan struct{}),
+		name:    name,
+		slow:    i >= opts.Peers-opts.SlowPeers,
+		dir:     dir,
+		ln:      ln,
+		peer:    sw,
+		done:    make(chan struct{}),
+		counted: sw.Height(),
 	}, nil
 }
 
 // commitLoop drains the peer's gossip intake, committing blocks in
 // delivery order. The observer additionally records end-to-end latency,
-// applies committed writes to the endorser stores (committer role), and —
-// when the flight recorder is on — stamps the block's peer-side lifecycle
-// spans (deliver through commit, plus the enclosing e2e span).
-func (p *swPeer) commitLoop(observer bool, gen *load.Generator, endorsers []*endorser.Endorser, rec *telemetry.Recorder, rewind func(uint64) error) {
+// applies committed writes to the endorser stores (committer role, under
+// applyMu so no proposal is simulated halfway through), and — when the
+// flight recorder is on — stamps the block's peer-side lifecycle spans
+// (deliver through commit, plus the enclosing e2e span).
+func (p *swPeer) commitLoop(observer bool, gen *load.Generator, endorsers []*endorser.Endorser, applyMu *sync.RWMutex, rec *telemetry.Recorder, rewind func(uint64) error) {
 	defer close(p.done)
 	next := p.peer.Height() // 0 on a fresh peer, the recovered height after a restart
 	skipped := false
@@ -1599,6 +1635,7 @@ func (p *swPeer) commitLoop(observer bool, gen *load.Generator, endorsers []*end
 			p.mu.Lock()
 			p.blocks++
 			p.txs += len(b.Envelopes)
+			p.counted = next
 			p.lastCommit = time.Now()
 			p.mu.Unlock()
 			continue
@@ -1635,18 +1672,22 @@ func (p *swPeer) commitLoop(observer bool, gen *load.Generator, endorsers []*end
 			if rec != nil {
 				p.stampBlock(rec, b, &res.Breakdown, recvAt, at)
 			}
+			applyMu.Lock()
 			for _, e := range endorsers {
 				if err := client.ApplyBlock(e.Store(), b, res.Flags); err != nil {
+					applyMu.Unlock()
 					p.fail(err)
 					return
 				}
 			}
+			applyMu.Unlock()
 			gen.ObserveBlock(b, at)
 		}
 		p.mu.Lock()
 		p.blocks++
 		p.txs += len(b.Envelopes)
 		p.validTxs += block.CountValid(res.Flags)
+		p.counted = next
 		p.lastCommit = at
 		p.mu.Unlock()
 	}

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"bmac/internal/chaos"
@@ -15,8 +17,8 @@ import (
 // validTPS is the honest-goodput figure the adversarial gate compares:
 // validated transactions per second up to the moment every honest
 // submission had committed. Hostile flag-invalidated traffic never counts
-// as throughput, and trailing hostile-only batches (cut on the batch
-// timer after the honest load finished) never count as elapsed time.
+// as throughput, and trailing hostile-only blocks (ordered after the honest
+// load finished) never count as elapsed time.
 func validTPS(res *cluster.Result) float64 {
 	if res.HonestElapsed <= 0 {
 		return 0
@@ -32,7 +34,8 @@ func validTPS(res *cluster.Result) float64 {
 //     garbage envelopes, forged endorsements, replayed double-spends).
 //     Valid-tx TPS must stay >= 70% of the baseline — the cheapness of
 //     rejection rests on fabcrypto.SigCache caching verification
-//     failures, so the run must also show signature-cache hits;
+//     failures, so the run must also show signature-cache hits. The two
+//     are compared as the median of up to seven side-by-side pairs;
 //   - each chaos fault (partition, corruption, slowdisk, leaderkill)
 //     under a milder 20% adversary: the fast peers must still end
 //     bit-identical (converged), with the p99 commit latency reported.
@@ -47,14 +50,21 @@ func FigAdversarial(opts Options) (*metrics.Table, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	// The flood gate runs with the default (timer-cut) block size: hostile
-	// envelopes then ride inside the same blocks as honest traffic and the
-	// comparison measures validation cost, not per-block consensus
-	// overhead. The fault loop shrinks blocks below so faults land
+	// The flood gate runs unpaced with the default block size limit. The
+	// orderer cuts a block whenever it is idle, so under this load blocks
+	// grow to whatever arrives during one orderer round trip, in the flood
+	// run as in the baseline: hostile envelopes ride inside the same blocks
+	// as honest traffic and the comparison measures validation cost, not
+	// per-block consensus overhead. The fault loop paces the load below,
+	// which makes blocks of a transaction or two, so faults land
 	// mid-stream.
-	cfg := config.Default()
-	cfg.Durability.CheckpointEvery = 4
-	cfg.Telemetry.Enabled = true
+	newConfig := func() *config.Config {
+		cfg := config.Default()
+		cfg.Durability.CheckpointEvery = 4
+		cfg.Telemetry.Enabled = true
+		return cfg
+	}
+	cfg := newConfig()
 	telDir := telemetryDir(dir)
 
 	base := cluster.Options{
@@ -67,27 +77,29 @@ func FigAdversarial(opts Options) (*metrics.Table, error) {
 		Seed:     47,
 		Timeout:  90 * time.Second,
 	}
-	if o.Quick {
-		base.Txs = 64
-	}
 
 	tbl := &metrics.Table{Header: []string{
 		"scenario", "adversary", "blocks", "txs", "valid", "hostile",
 		"rejected", "tps", "valid_tps", "p99", "sig$%", "converged",
 	}}
-	var metricsText string
-	run := func(scenario string, copts cluster.Options) (*cluster.Result, error) {
+	var (
+		mu          sync.Mutex // tbl and metricsText, while a pair runs side by side
+		metricsText string
+	)
+	run := func(cfg *config.Config, scenario string, copts cluster.Options) (*cluster.Result, error) {
 		cfg.Telemetry.TraceFile = filepath.Join(telDir, "adversarial_"+scenario+"_trace.jsonl")
 		res, err := cluster.Run(cfg, copts, filepath.Join(dir, scenario))
 		if err != nil {
 			return nil, fmt.Errorf("adversarial %s: %w", scenario, err)
 		}
-		metricsText = res.MetricsText
 		hostile, rejected := int64(0), 0
 		if res.Adversary != nil {
 			hostile = res.Adversary.Injected.Total()
 			rejected = res.Adversary.RejectedInvalid
 		}
+		mu.Lock()
+		defer mu.Unlock()
+		metricsText = res.MetricsText
 		tbl.AddRow(
 			scenario,
 			fmt.Sprintf("%.0f%%", copts.Adversary*100),
@@ -108,45 +120,76 @@ func FigAdversarial(opts Options) (*metrics.Table, error) {
 		return res, nil
 	}
 
-	// Gate 1: honest-goodput floor under a 50% hostile flood.
-	baseline, err := run("baseline", base)
-	if err != nil {
-		return tbl, err
-	}
-	flood := base
-	flood.Adversary = 0.5
-	floodRes, err := run("flood", flood)
-	if err != nil {
-		return tbl, err
-	}
-	if floodRes.Adversary == nil || floodRes.Adversary.Injected.Total() == 0 {
-		return tbl, fmt.Errorf("adversarial flood: nothing injected")
-	}
-	// The 70% floor is a performance gate. Under the race detector the
-	// instrumentation multiplies validation cost, which skews the
-	// hostile/baseline goodput ratio, so the floor drops to 40% there —
-	// still catching O(n)-rejection regressions without flaking the
-	// race shard.
+	// Gate 1: honest-goodput floor under a 50% hostile flood. The 70% floor
+	// is a performance gate. Under the race detector the instrumentation
+	// multiplies validation cost, which skews the hostile/baseline goodput
+	// ratio, so the floor drops to 40% there — still catching
+	// O(n)-rejection regressions without flaking the race shard.
+	//
+	// Each run lasts a fraction of a second, so one after the other they
+	// would mostly measure what else the host was doing at the time. A
+	// baseline and a flood run go side by side instead, each on a config
+	// (caches, registry) of its own, so that whatever load the host carries
+	// slows both; on a busy host one pair in ten still comes out lopsided,
+	// so the gate reads the median of seven pairs and stops as soon as four
+	// agree — four pairs when nothing else is running.
 	factor := 0.7
 	if raceEnabled {
 		factor = 0.4
 	}
-	floor := factor * validTPS(baseline)
-	if got := validTPS(floodRes); got < floor {
-		return tbl, fmt.Errorf("adversarial flood: valid-tx TPS %.0f under 50%% hostile load, want >= %.0f%% of baseline %.0f",
-			got, factor*100, validTPS(baseline))
+	flood := base
+	flood.Adversary = 0.5
+	floodCfg := newConfig()
+	const majority = 4
+	var ratios []float64
+	for held := 0; held < majority; {
+		n := len(ratios) + 1
+		var (
+			baseRes, floodRes *cluster.Result
+			baseErr, floodErr error
+			wg                sync.WaitGroup
+		)
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			baseRes, baseErr = run(cfg, fmt.Sprintf("baseline-%d", n), base)
+		}()
+		go func() {
+			defer wg.Done()
+			floodRes, floodErr = run(floodCfg, fmt.Sprintf("flood-%d", n), flood)
+		}()
+		wg.Wait()
+		if err := errors.Join(baseErr, floodErr); err != nil {
+			return tbl, err
+		}
+		if floodRes.Adversary == nil || floodRes.Adversary.Injected.Total() == 0 {
+			return tbl, fmt.Errorf("adversarial flood: nothing injected")
+		}
+		// The flood stays cheap because rejection is O(lookup): the pooled
+		// hostile corpora must be hitting the signature cache's failure
+		// entries, not re-running curve math per replayed envelope.
+		if floodRes.SigCacheHitRate == 0 {
+			return tbl, fmt.Errorf("adversarial flood: no signature-cache hits — failure caching is not absorbing the flood")
+		}
+		ratio := validTPS(floodRes) / validTPS(baseRes)
+		ratios = append(ratios, ratio)
+		if ratio >= factor {
+			held++
+		} else if len(ratios)-held == majority {
+			return tbl, fmt.Errorf("adversarial flood: valid-tx TPS under 50%% hostile load fell below %.0f%% of the baseline's in %d of %d side-by-side pairs (flood/baseline %.2f)",
+				factor*100, majority, len(ratios), ratios)
+		}
 	}
-	// The flood stays cheap because rejection is O(lookup): the pooled
-	// hostile corpora must be hitting the signature cache's failure
-	// entries, not re-running curve math per replayed envelope.
-	if floodRes.SigCacheHitRate == 0 {
-		return tbl, fmt.Errorf("adversarial flood: no signature-cache hits — failure caching is not absorbing the flood")
-	}
+	tbl.AddNote("flood / baseline valid-tx TPS, side-by-side pairs: %.2f (floor %.2f, %d of at most %d pairs must hold it)",
+		ratios, factor, majority, 2*majority-1)
 
 	// Gate 2: every chaos fault converges bit-identically under a mild
 	// adversary riding along. Many small blocks, so the fault strikes
 	// mid-stream and the delivery window moves on during a partition.
 	cfg.Arch.MaxBlockTxs = 4
+	if o.Quick {
+		base.Txs = 64
+	}
 	for _, fault := range chaos.Faults() {
 		copts := base
 		copts.Adversary = 0.2
@@ -162,7 +205,7 @@ func FigAdversarial(opts Options) (*metrics.Table, error) {
 			copts.Peers = 2
 			copts.RaftNodes = 3
 		}
-		if _, err := run("fault-"+fault, copts); err != nil {
+		if _, err := run(cfg, "fault-"+fault, copts); err != nil {
 			return tbl, err
 		}
 	}

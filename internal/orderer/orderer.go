@@ -1,9 +1,19 @@
 // Package orderer implements the ordering service: it batches submitted
-// transaction envelopes into blocks (block cutting by size or timeout),
-// establishes a total order through Raft consensus, signs each block, and
-// delivers it — through Gossip to software-only peers and through the BMac
-// protocol to hardware peers, exactly the dual path of paper §3.5 ("the
-// same orderer can send blocks to both software-only and BMac peers").
+// transaction envelopes into blocks, establishes a total order through Raft
+// consensus, signs each block, and delivers it — through Gossip to
+// software-only peers and through the BMac protocol to hardware peers,
+// exactly the dual path of paper §3.5 ("the same orderer can send blocks to
+// both software-only and BMac peers").
+//
+// Block cutting tracks load. A batch closes when it reaches BatchSize; as
+// soon as it is non-empty and no earlier batch is still on its way out of
+// the orderer (the idle cut: the pipeline, not a clock, paces the blocks, so
+// a batch holds whatever arrived during one orderer round trip — one or two
+// transactions on a quiet network, full blocks under overload); and at the
+// latest BatchTimeout after its oldest envelope arrived, which only happens
+// while raft has no leader or a delivery hook is stuck. At most one idle-cut
+// batch is ever outstanding, so the block rate is bounded by the orderer's
+// own round trip and by the arrival rate.
 package orderer
 
 import (
@@ -28,13 +38,16 @@ type DeliverFunc func(*block.Block) error
 type Config struct {
 	// BatchSize is the maximum number of transactions per block.
 	BatchSize int
-	// BatchTimeout cuts a partial batch after this delay.
+	// BatchTimeout is the upper bound on how long an envelope may wait in
+	// a batch: a partial batch is normally cut as soon as the orderer is
+	// idle, and this bound only decides while raft is leaderless or an
+	// earlier block is stuck on its way out.
 	BatchTimeout time.Duration
 	// Channel is the channel ID stamped on blocks.
 	Channel string
 	// Metrics, when non-nil, counts created blocks/txs and batch cuts by
-	// reason (size vs timeout) in the telemetry registry. Nil (telemetry
-	// off) costs one predicted branch per cut.
+	// reason (size, idle, timeout) in the telemetry registry. Nil
+	// (telemetry off) costs one predicted branch per cut.
 	Metrics *telemetry.OrdererMetrics
 }
 
@@ -57,26 +70,37 @@ type Orderer struct {
 	cfg Config
 	id  *identity.Identity
 
+	// cutMu serializes cuts, so batches reach raft in sequence order and a
+	// submitter's envelopes are never reordered by a size cut overtaking
+	// the cut loop. Taken before mu.
+	cutMu sync.Mutex
+
 	mu       sync.Mutex
 	raftNode *raft.Node // guarded by mu; swapped by Rebind after a leader kill
 	pending  []block.Envelope
+	oldest   time.Time // guarded by mu; when pending[0] arrived, or was requeued by a refused cut
+	refused  bool      // guarded by mu; raft refused the last cut (no leader): only the timeout retries
 	delivery []DeliverFunc
 	height   uint64
 	prevHash []byte
 	blocks   int
 	txs      int
+	cuts     [telemetry.CutReasons]int // guarded by mu; batches handed to raft, by reason
 	fatalErr error
 
 	// Exactly-once accounting across leader failover: every cut batch is
 	// stamped with a sequence number; inflight holds cut-but-unapplied
-	// batches (re-proposed by Rebind), applied records batch sequences
-	// already turned into blocks (a new leader's apply channel replays the
-	// whole log, and a re-proposed batch may commit twice).
-	batchSeq uint64              // guarded by mu; last assigned batch sequence
-	inflight map[uint64][]byte   // guarded by mu; batch seq -> marshaled batch
-	applied  map[uint64]struct{} // guarded by mu; batch seqs already applied
+	// batches (re-proposed by Rebind), and the applied record says which
+	// batch sequences already became blocks (a new leader's apply channel
+	// replays the whole log, and a re-proposed batch may commit twice).
+	// Sequences apply almost in order, so the record is a high-water mark
+	// plus the few sequences applied ahead of it.
+	batchSeq  uint64              // guarded by mu; last assigned batch sequence
+	inflight  map[uint64][]byte   // guarded by mu; batch seq -> marshaled batch
+	appliedTo uint64              // guarded by mu; every batch seq <= appliedTo has been applied
+	applied   map[uint64]struct{} // guarded by mu; batch seqs > appliedTo applied out of order
 
-	kick   chan struct{} // a size-based cut happened: restart the batch timer
+	wake   chan struct{} // the cut rules may have changed: pending went non-empty, a block left
 	rebind chan struct{} // the raft node was swapped: re-read it
 	stop   chan struct{}
 	done   chan struct{}
@@ -93,7 +117,7 @@ func New(cfg Config, id *identity.Identity, raftNode *raft.Node) *Orderer {
 		raftNode: raftNode,
 		inflight: make(map[uint64][]byte),
 		applied:  make(map[uint64]struct{}),
-		kick:     make(chan struct{}, 1),
+		wake:     make(chan struct{}, 1),
 		rebind:   make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -124,38 +148,54 @@ func (o *Orderer) Submit(env *block.Envelope) error {
 	default:
 	}
 	o.mu.Lock()
+	if len(o.pending) == 0 {
+		o.oldest = time.Now()
+	}
 	o.pending = append(o.pending, *env)
-	full := len(o.pending) >= o.cfg.BatchSize
+	n := len(o.pending)
 	o.mu.Unlock()
-	if full {
-		// A leaderless interval (election in progress after a leader kill)
-		// is a transient, not a submission failure: the batch stays queued
-		// and the timer cut retries it, exactly like the timeout path.
-		if err := o.cut(true); err != nil &&
-			!errors.Is(err, raft.ErrNotLeader) && !errors.Is(err, raft.ErrStopped) {
+	switch {
+	case n >= o.cfg.BatchSize:
+		// A full batch goes out at once, whatever is still in flight: an
+		// overloaded orderer emits full blocks back to back.
+		if err := o.cut(telemetry.CutSize); err != nil && !transient(err) {
 			return err
 		}
-		// Restart the batch timer: a full-batch cut must not leave a
-		// nearly-expired timeout behind to fire immediately and emit a
-		// near-empty trailing block (Fabric resets the timer on every
-		// block cut).
-		select {
-		case o.kick <- struct{}{}:
-		default:
-		}
+	case n == 1:
+		o.signal()
 	}
 	return nil
 }
 
-// cut proposes the current batch to raft. sizeCut records whether the
-// batch closed because it filled (vs the batch timer expiring). The batch
+// transient reports a cut failure that is an interval, not a fault: a
+// leaderless raft cluster (election in progress after a leader kill, or a
+// follower's orderer) and a node stopping under the orderer. The batch
+// stays queued or parked and the timeout cut retries it.
+func transient(err error) bool {
+	return errors.Is(err, raft.ErrNotLeader) || errors.Is(err, raft.ErrStopped)
+}
+
+// signal wakes cutLoop to re-evaluate the cut rules.
+func (o *Orderer) signal() {
+	select {
+	case o.wake <- struct{}{}:
+	default:
+	}
+}
+
+// cut proposes the current batch to raft for the given reason. The batch
 // is stamped with a fresh sequence number and tracked as inflight until
 // its block is created — Propose returns at leader-log acceptance, not
 // commit, so a leader killed in between would otherwise lose the batch
 // silently.
-func (o *Orderer) cut(sizeCut bool) error {
+func (o *Orderer) cut(reason telemetry.CutReason) error {
+	o.cutMu.Lock()
+	defer o.cutMu.Unlock()
 	o.mu.Lock()
-	if len(o.pending) == 0 {
+	// A size cut re-checks its rule: between Submit seeing the batch full
+	// and getting here, the cut loop may have taken it and left only what
+	// arrived since.
+	if len(o.pending) == 0 || (reason == telemetry.CutSize && len(o.pending) < o.cfg.BatchSize) {
 		o.mu.Unlock()
 		return nil
 	}
@@ -174,11 +214,20 @@ func (o *Orderer) cut(sizeCut bool) error {
 		if errors.Is(err, raft.ErrNotLeader) {
 			// A follower rejects the proposal before touching its log,
 			// so the batch definitely did not land: requeue the
-			// envelopes and let a later cut re-batch them.
+			// envelopes, hand the sequence number back (no gap for the
+			// applied record) and let a later cut re-batch them. Their
+			// wait starts over and the idle rule stands down until raft
+			// takes a batch again — with nothing in flight it would
+			// otherwise re-propose at once, in a spin, for the whole
+			// election.
 			o.mu.Lock()
 			delete(o.inflight, seq)
+			o.batchSeq--
 			o.pending = append(batch, o.pending...)
+			o.oldest = time.Now()
+			o.refused = true
 			o.mu.Unlock()
+			o.signal()
 			return fmt.Errorf("order batch: %w", err)
 		}
 		// ErrStopped is ambiguous: the node may have appended and
@@ -194,48 +243,53 @@ func (o *Orderer) cut(sizeCut bool) error {
 		o.mu.Lock()
 		cur := o.raftNode
 		o.mu.Unlock()
-		if cur != node {
-			if rerr := cur.Propose(data); rerr == nil {
-				o.cfg.Metrics.ObserveCut(sizeCut)
-				return nil
-			}
+		if cur == node || cur.Propose(data) != nil {
+			return fmt.Errorf("order batch: %w", err)
 		}
-		return fmt.Errorf("order batch: %w", err)
 	}
-	o.cfg.Metrics.ObserveCut(sizeCut)
+	o.mu.Lock()
+	o.refused = false
+	o.cuts[reason]++
+	o.mu.Unlock()
+	o.cfg.Metrics.ObserveCut(reason)
 	return nil
 }
 
+// cutLoop closes partial batches. It sleeps until something changes what
+// the rules say — the first envelope of a batch, a block leaving, a refused
+// cut — and holds a timer only while a batch is waiting behind something.
 func (o *Orderer) cutLoop() {
 	defer o.wg.Done()
 	timer := time.NewTimer(o.cfg.BatchTimeout)
 	defer timer.Stop()
-	reset := func() {
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(o.cfg.BatchTimeout)
-	}
 	for {
-		select {
-		case <-o.stop:
-			return
-		case <-o.kick:
-			// A size-based cut emptied the batch; the timeout restarts
-			// from now.
-			reset()
-		case <-timer.C:
-			// Timeout-based cut; ErrNotLeader is expected on followers
-			// and ErrStopped during shutdown.
-			if err := o.cut(false); err != nil &&
-				!errors.Is(err, raft.ErrNotLeader) && !errors.Is(err, raft.ErrStopped) {
+		timer.Stop() // armed below, only while a batch waits
+		o.mu.Lock()
+		waiting := len(o.pending) > 0
+		left := time.Until(o.oldest.Add(o.cfg.BatchTimeout))
+		idle := len(o.inflight) == 0 && !o.refused
+		o.mu.Unlock()
+		if waiting && (idle || left <= 0) {
+			reason := telemetry.CutIdle
+			if left <= 0 {
+				reason = telemetry.CutTimeout
+			}
+			if err := o.cut(reason); err != nil && !transient(err) {
 				o.fail(err)
 				return
 			}
-			reset()
+			continue
+		}
+		var expired <-chan time.Time
+		if waiting {
+			timer.Reset(left)
+			expired = timer.C
+		}
+		select {
+		case <-o.stop:
+			return
+		case <-o.wake:
+		case <-expired:
 		}
 	}
 }
@@ -327,11 +381,10 @@ func (o *Orderer) createBlock(batchData []byte) error {
 		return err
 	}
 	o.mu.Lock()
-	if _, dup := o.applied[seq]; dup {
+	if !o.markAppliedLocked(seq) {
 		o.mu.Unlock()
 		return nil
 	}
-	o.applied[seq] = struct{}{}
 	delete(o.inflight, seq)
 	num := o.height
 	prev := o.prevHash
@@ -357,7 +410,30 @@ func (o *Orderer) createBlock(batchData []byte) error {
 			return fmt.Errorf("deliver block %d: %w", num, err)
 		}
 	}
+	// The block has left: whatever arrived behind it may go now.
+	o.signal()
 	return nil
+}
+
+// markAppliedLocked records that batch seq became a block and reports
+// whether this is the first time. The high-water mark absorbs every
+// sequence applied in order, so the set only holds the ones applied ahead
+// of a gap: batches cut while an earlier one sat parked across a failover.
+func (o *Orderer) markAppliedLocked(seq uint64) bool {
+	if seq <= o.appliedTo {
+		return false
+	}
+	if _, dup := o.applied[seq]; dup {
+		return false
+	}
+	o.applied[seq] = struct{}{}
+	for {
+		if _, ok := o.applied[o.appliedTo+1]; !ok {
+			return true
+		}
+		delete(o.applied, o.appliedTo+1)
+		o.appliedTo++
+	}
 }
 
 // Stats reports blocks and transactions ordered by this node.
@@ -365,6 +441,15 @@ func (o *Orderer) Stats() (blocks, txs int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.blocks, o.txs
+}
+
+// Cuts reports how many batches this node handed to raft under each rule.
+// Timeout cuts are a symptom: raft had no leader, or an earlier block was
+// stuck on its way out.
+func (o *Orderer) Cuts() (size, idle, timeout int) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.cuts[telemetry.CutSize], o.cuts[telemetry.CutIdle], o.cuts[telemetry.CutTimeout]
 }
 
 // Height returns the number of blocks created.

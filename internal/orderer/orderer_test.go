@@ -2,6 +2,7 @@ package orderer
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -92,53 +93,157 @@ func (c *collector) wait(t *testing.T, n int, timeout time.Duration) []*block.Bl
 	}
 }
 
-func TestBatchSizeCut(t *testing.T) {
-	f := newFixture(t)
-	col := newCollector()
-	o := New(Config{BatchSize: 3, BatchTimeout: time.Hour, Channel: "ch"}, f.ordID, f.cluster.Nodes[0])
-	defer o.Stop()
-	o.OnDeliver(col.deliver)
-
-	for i := 0; i < 6; i++ {
-		if err := o.Submit(f.envelope(t)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	blocks := col.wait(t, 2, 5*time.Second)
-	if len(blocks[0].Envelopes) != 3 || len(blocks[1].Envelopes) != 3 {
-		t.Errorf("block sizes = %d, %d; want 3, 3", len(blocks[0].Envelopes), len(blocks[1].Envelopes))
-	}
+// gate is a delivery hook that holds every block until it is opened. With
+// the gate shut nothing leaves the orderer, so whatever is submitted
+// meanwhile is sliced by the size rule alone: this is how a test gets
+// deterministic block sizes from an orderer whose batch size tracks load.
+type gate struct {
+	open    chan struct{}
+	entered chan uint64 // block numbers, as they reach the hook
 }
 
-func TestBatchTimeoutCut(t *testing.T) {
-	f := newFixture(t)
-	col := newCollector()
-	o := New(Config{BatchSize: 100, BatchTimeout: 20 * time.Millisecond, Channel: "ch"}, f.ordID, f.cluster.Nodes[0])
-	defer o.Stop()
-	o.OnDeliver(col.deliver)
+func newGate() *gate {
+	return &gate{open: make(chan struct{}), entered: make(chan uint64, 64)}
+}
 
+func (g *gate) deliver(b *block.Block) error {
+	g.entered <- b.Header.Number
+	<-g.open
+	return nil
+}
+
+// shut brings the orderer to the state in which the idle rule is off: one
+// primer block held in the gate and one primer batch behind it in raft.
+// Blocks 0 and 1 of the run are the two one-envelope primers.
+func (g *gate) shut(t *testing.T, f *fixture, o *Orderer) {
+	t.Helper()
 	if err := o.Submit(f.envelope(t)); err != nil {
 		t.Fatal(err)
 	}
-	blocks := col.wait(t, 1, 5*time.Second)
-	if len(blocks[0].Envelopes) != 1 {
-		t.Errorf("partial batch size = %d, want 1", len(blocks[0].Envelopes))
+	select {
+	case <-g.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("primer block never reached the delivery hook")
+	}
+	if err := o.Submit(f.envelope(t)); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		o.mu.Lock()
+		parked := len(o.inflight) == 1 && len(o.pending) == 0
+		o.mu.Unlock()
+		if parked {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("primer batch never went in flight")
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 
-func TestBlocksChainAndVerify(t *testing.T) {
+// wantCuts waits for the orderer's cut counts: a cut is counted when
+// Propose returns, which can trail the block it produced.
+func wantCuts(t *testing.T, o *Orderer, size, idle, timeout int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		s, i, to := o.Cuts()
+		if s == size && i == idle && to == timeout {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("cuts size/idle/timeout = %d/%d/%d, want %d/%d/%d", s, i, to, size, idle, timeout)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func sizes(blocks []*block.Block) []int {
+	out := make([]int, len(blocks))
+	for i, b := range blocks {
+		out[i] = len(b.Envelopes)
+	}
+	return out
+}
+
+// TestIdleCut: an idle orderer does not wait for the clock. BatchTimeout is
+// an hour, so only the idle rule can cut the lone envelope.
+func TestIdleCut(t *testing.T) {
 	f := newFixture(t)
 	col := newCollector()
-	o := New(Config{BatchSize: 2, BatchTimeout: time.Hour, Channel: "ch"}, f.ordID, f.cluster.Nodes[0])
+	o := New(Config{BatchSize: 100, BatchTimeout: time.Hour, Channel: "ch"}, f.ordID, f.cluster.Nodes[0])
 	defer o.Stop()
 	o.OnDeliver(col.deliver)
 
-	for i := 0; i < 6; i++ {
+	env := f.envelope(t)
+	start := time.Now()
+	if err := o.Submit(env); err != nil {
+		t.Fatal(err)
+	}
+	blocks := col.wait(t, 1, 5*time.Second)
+	if d := time.Since(start); d > 50*time.Millisecond {
+		t.Errorf("lone envelope became a block after %v, want < 50ms", d)
+	}
+	if len(blocks[0].Envelopes) != 1 {
+		t.Errorf("block size = %d, want 1", len(blocks[0].Envelopes))
+	}
+	wantCuts(t, o, 0, 1, 0)
+}
+
+// TestBacklogBecomesOneBlock: what arrives while earlier blocks are still
+// leaving accumulates, and goes out as one block when the orderer is free.
+func TestBacklogBecomesOneBlock(t *testing.T) {
+	f := newFixture(t)
+	col := newCollector()
+	g := newGate()
+	o := New(Config{BatchSize: 8, BatchTimeout: time.Hour, Channel: "ch"}, f.ordID, f.cluster.Nodes[0])
+	defer o.Stop()
+	o.OnDeliver(g.deliver)
+	o.OnDeliver(col.deliver)
+
+	g.shut(t, f, o)
+	const k = 5
+	for i := 0; i < k; i++ {
 		if err := o.Submit(f.envelope(t)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	close(g.open)
 	blocks := col.wait(t, 3, 5*time.Second)
+	if got := sizes(blocks); len(got) != 3 || got[2] != k {
+		t.Fatalf("block sizes = %v, want [1 1 %d]", got, k)
+	}
+	if nb, ntx := o.Stats(); nb != 3 || ntx != 2+k {
+		t.Errorf("stats = %d blocks / %d txs, want 3 / %d", nb, ntx, 2+k)
+	}
+}
+
+// TestSizeCutsAreNotGated: with blocks still leaving, a backlog larger than
+// BatchSize goes out as full blocks (cut inline, whatever is in flight) plus
+// one remainder; the blocks chain, verify and are counted.
+func TestSizeCutsAreNotGated(t *testing.T) {
+	f := newFixture(t)
+	col := newCollector()
+	g := newGate()
+	o := New(Config{BatchSize: 4, BatchTimeout: time.Hour, Channel: "ch"}, f.ordID, f.cluster.Nodes[0])
+	defer o.Stop()
+	o.OnDeliver(g.deliver)
+	o.OnDeliver(col.deliver)
+
+	g.shut(t, f, o)
+	for i := 0; i < 10; i++ {
+		if err := o.Submit(f.envelope(t)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantCuts(t, o, 2, 2, 0)
+	close(g.open)
+	blocks := col.wait(t, 5, 5*time.Second)
+	if got, want := sizes(blocks), []int{1, 1, 4, 4, 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("block sizes = %v, want %v", got, want)
+	}
 	for i, b := range blocks {
 		if b.Header.Number != uint64(i) {
 			t.Errorf("block %d numbered %d", i, b.Header.Number)
@@ -154,12 +259,13 @@ func TestBlocksChainAndVerify(t *testing.T) {
 		}
 	}
 	nb, ntx := o.Stats()
-	if nb != 3 || ntx != 6 {
+	if nb != 5 || ntx != 12 {
 		t.Errorf("stats = %d blocks / %d txs", nb, ntx)
 	}
-	if o.Height() != 3 {
+	if o.Height() != 5 {
 		t.Errorf("height = %d", o.Height())
 	}
+	wantCuts(t, o, 2, 3, 0)
 }
 
 func TestMultipleDeliveryHooks(t *testing.T) {
@@ -205,54 +311,101 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSizeCutResetsBatchTimer is the regression for the ticker bug: a
-// full-batch cut must restart the batch timeout, so a transaction
-// arriving right after a size cut waits the full BatchTimeout instead of
-// being cut into a tiny trailing block by a nearly-expired timer.
-func TestSizeCutResetsBatchTimer(t *testing.T) {
+// TestTimeoutBoundsLeaderlessWait: while raft refuses proposals (the orderer
+// is bound to a follower, as during an election) the idle rule stands down
+// and the cut is retried once per BatchTimeout, not in a spin; once the
+// orderer is rebound to the leader every envelope is ordered exactly once.
+func TestTimeoutBoundsLeaderlessWait(t *testing.T) {
 	f := newFixture(t)
-	col := newCollector()
-	const timeout = 300 * time.Millisecond
-	o := New(Config{BatchSize: 4, BatchTimeout: timeout, Channel: "ch"}, f.ordID, f.cluster.Nodes[0])
+	// A long election timeout: leadership must not move while the test
+	// leans on one node being a follower, however loaded the host is.
+	c := raft.NewCluster(3, 200*time.Millisecond)
+	t.Cleanup(c.Stop)
+	leader := c.WaitForLeader(5 * time.Second)
+	if leader == nil {
+		t.Fatal("raft leader election timed out")
+	}
+	var follower *raft.Node
+	for _, n := range c.Nodes {
+		if n != leader {
+			follower = n
+			break
+		}
+	}
+	const timeout = 20 * time.Millisecond
+	o := New(Config{BatchSize: 100, BatchTimeout: timeout, Channel: "ch"}, f.ordID, follower)
 	defer o.Stop()
+	col := newCollector()
 	o.OnDeliver(col.deliver)
-	env := f.envelope(t)
 
-	// Let most of the first timeout elapse, then cut a full batch: with
-	// the old free-running ticker the timeout fires ~50ms later and cuts
-	// whatever trickled in; with the reset it fires a full BatchTimeout
-	// after the size cut.
-	time.Sleep(timeout - 50*time.Millisecond)
-	for i := 0; i < 4; i++ {
+	const total = 3
+	want := make(map[string]bool, total)
+	for i := 0; i < total; i++ {
+		env := f.envelope(t)
+		id, err := block.EnvelopeTxID(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id] = true
 		if err := o.Submit(env); err != nil {
 			t.Fatal(err)
 		}
 	}
-	blocks := col.wait(t, 1, 5*time.Second)
-	fullCutAt := time.Now()
-	if len(blocks[0].Envelopes) != 4 {
-		t.Fatalf("size-based cut produced %d envelopes, want 4", len(blocks[0].Envelopes))
+	// Every refused proposal restarts the batch's wait, so the distinct
+	// values of oldest are the proposals made; a sampler that runs late can
+	// only miss some, which widens the gaps it sees.
+	var restarts []time.Time
+	for end := time.Now().Add(12 * timeout); time.Now().Before(end); time.Sleep(500 * time.Microsecond) {
+		o.mu.Lock()
+		at, refused := o.oldest, o.refused
+		o.mu.Unlock()
+		if refused && (len(restarts) == 0 || !at.Equal(restarts[len(restarts)-1])) {
+			restarts = append(restarts, at)
+		}
 	}
-	if err := o.Submit(env); err != nil {
-		t.Fatal(err)
+	if len(restarts) < 3 {
+		t.Fatalf("saw %d refused cuts in %v, want one per %v", len(restarts), 12*timeout, timeout)
 	}
-	col.wait(t, 2, 5*time.Second)
-	gap := time.Since(fullCutAt)
-	if gap < timeout-60*time.Millisecond {
-		t.Fatalf("trailing 1-tx block cut %v after the full-batch cut; want >= ~%v (timer not reset)", gap, timeout)
+	for i := 1; i < len(restarts); i++ {
+		if gap := restarts[i].Sub(restarts[i-1]); gap < timeout {
+			t.Errorf("cut retried %v after the last refusal, want >= %v", gap, timeout)
+		}
+	}
+	if nb, _ := o.Stats(); nb != 0 {
+		t.Fatalf("%d blocks from a leaderless orderer", nb)
 	}
 
-	// Steady full-batch load: no partial blocks anywhere in the stream.
-	for i := 0; i < 40; i++ {
-		if err := o.Submit(env); err != nil {
-			t.Fatal(err)
+	if err := o.Rebind(leader); err != nil {
+		t.Fatalf("rebind: %v", err)
+	}
+	seen := make(map[string]int, total)
+	for n := 0; n < total; {
+		blocks := col.wait(t, 1, 5*time.Second)
+		n = 0
+		seen = make(map[string]int, total)
+		for _, b := range blocks {
+			for i := range b.Envelopes {
+				id, err := block.EnvelopeTxID(&b.Envelopes[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				seen[id]++
+				n++
+			}
+		}
+		if n < total {
+			time.Sleep(time.Millisecond)
 		}
 	}
-	all := col.wait(t, 12, 10*time.Second)
-	for i, b := range all[2:12] {
-		if len(b.Envelopes) != 4 {
-			t.Errorf("block %d has %d envelopes under steady full-batch load, want 4", i+2, len(b.Envelopes))
+	for id, n := range seen {
+		if !want[id] || n != 1 {
+			t.Errorf("txid %s ordered %d times (submitted: %v)", id, n, want[id])
 		}
+	}
+	// The requeued envelopes went out on the timeout rule, in one batch.
+	wantCuts(t, o, 0, 0, 1)
+	if err := o.Err(); err != nil {
+		t.Fatalf("orderer loop error: %v", err)
 	}
 }
 

@@ -115,8 +115,8 @@ func TestEndToEndNetworkEquivalence(t *testing.T) {
 	})
 
 	// --- submit transactions (some deliberately invalid) ---
-	const blocks, perBlock = 3, 5
-	for i := 0; i < blocks*perBlock; i++ {
+	const total = 15
+	for i := 0; i < total; i++ {
 		spec := block.TxSpec{
 			Creator:   client,
 			Chaincode: "smallbank",
@@ -143,7 +143,9 @@ func TestEndToEndNetworkEquivalence(t *testing.T) {
 	}
 
 	// --- collect and compare ---
-	for n := 0; n < blocks; n++ {
+	// How the orderer slices the fifteen transactions depends on how busy
+	// it was when each arrived, so collect by transaction count.
+	for n, txs := 0, 0; txs < total; n++ {
 		var swRes CommitResult
 		select {
 		case b := <-swListener.Blocks():
@@ -152,8 +154,9 @@ func TestEndToEndNetworkEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			swRes = res
+			txs += len(b.Envelopes)
 		case <-time.After(10 * time.Second):
-			t.Fatalf("sw peer: block %d never arrived", n)
+			t.Fatalf("sw peer: block %d never arrived (%d/%d txs)", n, txs, total)
 		}
 
 		var hwRes CommitResult
@@ -179,7 +182,7 @@ func TestEndToEndNetworkEquivalence(t *testing.T) {
 
 	// State databases converged.
 	if !statedb.SnapshotsEqual(swPeer.Engine.Store().Snapshot(), bmacPeer.Proc.DB().Snapshot()) {
-		t.Error("state databases diverge after 3 blocks")
+		t.Error("state databases diverge")
 	}
 	// Ledgers agree on height and final commit hash.
 	if swPeer.Ledger.Height() != bmacPeer.Ledger.Height() {

@@ -393,7 +393,9 @@ func TestViewsObserve(t *testing.T) {
 
 	om := NewOrdererMetrics(r)
 	om.ObserveBlock(16)
-	om.SizeCuts.Inc()
+	om.ObserveCut(CutSize)
+	om.ObserveCut(CutIdle)
+	om.ObserveCut(CutIdle)
 	if om.Blocks.Value() != 1 || om.Txs.Value() != 16 {
 		t.Fatal("orderer counters")
 	}
@@ -413,6 +415,8 @@ func TestViewsObserve(t *testing.T) {
 	for _, want := range []string{
 		`validator_stage_seconds{engine="sequential",stage="vscc",stat="count"} 1`,
 		`orderer_cuts_total{reason="size"} 1`,
+		`orderer_cuts_total{reason="idle"} 2`,
+		`orderer_cuts_total{reason="timeout"} 0`,
 		`delivery_bytes_total{peer="peer0"} 4096`,
 		"load_e2e_seconds",
 	} {

@@ -62,11 +62,28 @@ func (m *ValidatorMetrics) ObserveBlock(txs int, unmarshal, blockVerify, vscc, m
 	m.Total.Observe(total)
 }
 
+// CutReason says which rule closed an orderer batch.
+type CutReason uint8
+
+// The cut reasons. In a healthy network almost every cut is CutIdle at low
+// load and CutSize under overload; CutTimeout is a symptom — raft had no
+// leader, or an earlier block was stuck on its way out of the orderer.
+const (
+	CutSize    CutReason = iota // the batch reached BatchSize
+	CutIdle                     // no earlier batch was still leaving the orderer
+	CutTimeout                  // the oldest envelope had waited BatchTimeout
+	CutReasons = 3
+)
+
+func (r CutReason) String() string {
+	return [CutReasons]string{"size", "idle", "timeout"}[r]
+}
+
 // OrdererMetrics counts ordering-service activity: blocks/txs cut plus the
-// reason each batch closed (size-triggered vs timeout-triggered cuts).
+// reason each batch closed.
 type OrdererMetrics struct {
-	Blocks, Txs           *Counter
-	SizeCuts, TimeoutCuts *Counter
+	Blocks, Txs *Counter
+	Cuts        [CutReasons]*Counter // indexed by CutReason
 }
 
 // NewOrdererMetrics builds the bundle; nil registry returns nil.
@@ -74,12 +91,14 @@ func NewOrdererMetrics(r *Registry) *OrdererMetrics {
 	if r == nil {
 		return nil
 	}
-	return &OrdererMetrics{
-		Blocks:      r.Counter("orderer_blocks_total"),
-		Txs:         r.Counter("orderer_txs_total"),
-		SizeCuts:    r.Counter("orderer_cuts_total{reason=\"size\"}"),
-		TimeoutCuts: r.Counter("orderer_cuts_total{reason=\"timeout\"}"),
+	m := &OrdererMetrics{
+		Blocks: r.Counter("orderer_blocks_total"),
+		Txs:    r.Counter("orderer_txs_total"),
 	}
+	for i := range m.Cuts {
+		m.Cuts[i] = r.Counter(Name("orderer_cuts_total", "reason", CutReason(i).String()))
+	}
+	return m
 }
 
 // ObserveBlock records one cut block.
@@ -92,15 +111,11 @@ func (m *OrdererMetrics) ObserveBlock(txs int) {
 }
 
 // ObserveCut records why one batch closed.
-func (m *OrdererMetrics) ObserveCut(size bool) {
+func (m *OrdererMetrics) ObserveCut(reason CutReason) {
 	if m == nil {
 		return
 	}
-	if size {
-		m.SizeCuts.Inc()
-	} else {
-		m.TimeoutCuts.Inc()
-	}
+	m.Cuts[reason].Inc()
 }
 
 // LoadMetrics carries the load generator's end-to-end view: transactions

@@ -167,6 +167,8 @@ func NewTestbed(cfg *Config, dir string) (*Testbed, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bmac: first org needs an orderer: %w", err)
 	}
+	// Blocks are cut as soon as the orderer is idle; BatchTimeout only bounds
+	// the wait behind a stuck cross-check.
 	tb.Orderer = orderer.New(orderer.Config{
 		BatchSize:    cfg.Arch.MaxBlockTxs,
 		BatchTimeout: 50 * time.Millisecond,
@@ -314,6 +316,24 @@ func (tb *Testbed) AwaitBlocks(n int, timeout time.Duration) ([]BlockOutcome, er
 			out = append(out, o)
 		case <-deadline:
 			return out, fmt.Errorf("bmac: %d/%d blocks after %v", len(out), n, timeout)
+		}
+	}
+	return out, nil
+}
+
+// AwaitTxs collects block outcomes until they hold n transactions, or times
+// out. The orderer's batch size tracks load, so how many blocks a run
+// becomes is not known in advance; its transaction count is.
+func (tb *Testbed) AwaitTxs(n int, timeout time.Duration) ([]BlockOutcome, error) {
+	var out []BlockOutcome
+	deadline := time.After(timeout)
+	for txs := 0; txs < n; {
+		select {
+		case o := <-tb.outcomes:
+			out = append(out, o)
+			txs += o.TxCount
+		case <-deadline:
+			return out, fmt.Errorf("bmac: %d/%d transactions after %v", txs, n, timeout)
 		}
 	}
 	return out, nil
