@@ -92,7 +92,7 @@ func run() error {
 				if err := rec.Gate(baseline, *gateTol); err != nil {
 					return err
 				}
-				fmt.Printf("gate: allocs/op within %.0f%% of %s, verification-engine ratios within limits\n", *gateTol*100, *gatePath)
+				fmt.Printf("gate: allocs/op within %.0f%% of %s, verification-engine and BMac-sender ratios within limits\n", *gateTol*100, *gatePath)
 			}
 		}
 	}

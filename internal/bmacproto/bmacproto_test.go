@@ -144,11 +144,11 @@ func TestStripInsertRoundTrip(t *testing.T) {
 	data = append(data, f.e2.Cert...)
 	data = append(data, []byte("-suffix")...)
 
-	certs := []cachedCert{
-		{id: f.e1.ID, cert: f.e1.Cert},
-		{id: f.e2.ID, cert: f.e2.Cert},
+	fields := []span{
+		{len("prefix-"), len(f.e1.Cert)},
+		{len("prefix-") + len(f.e1.Cert) + len("-mid-"), len(f.e2.Cert)},
 	}
-	stripped, locs := stripIdentities(data, certs)
+	stripped, locs := stripIdentities(data, fields, f.sendCache)
 	if len(locs) != 2 {
 		t.Fatalf("locators = %d, want 2", len(locs))
 	}
@@ -169,7 +169,8 @@ func TestStripInsertRoundTrip(t *testing.T) {
 func TestStripRepeatedIdentity(t *testing.T) {
 	f := newFixture(t)
 	data := append(append([]byte{}, f.e1.Cert...), f.e1.Cert...) // twice
-	stripped, locs := stripIdentities(data, []cachedCert{{id: f.e1.ID, cert: f.e1.Cert}})
+	n := len(f.e1.Cert)
+	stripped, locs := stripIdentities(data, []span{{0, n}, {n, n}}, f.sendCache)
 	if len(locs) != 2 || len(stripped) != 0 {
 		t.Fatalf("locs=%d stripped=%d", len(locs), len(stripped))
 	}

@@ -26,7 +26,9 @@ type txExtract struct {
 }
 
 // field numbers duplicated from the block package wire contract; the
-// hardware is generated against the same schema.
+// hardware is generated against the same schema. This table and locate are
+// the package's only copy of the envelope layout: the sender's DataRemover
+// and the receiver's DataExtractor both descend through them.
 const (
 	xEnvPayload = 1
 	xEnvSig     = 2
@@ -40,6 +42,7 @@ const (
 	xSigHdrCreator = 1
 
 	xTxAction        = 1
+	xTxActionHeader  = 1
 	xTxActionPayload = 2
 
 	xCAPAction = 2
@@ -65,6 +68,25 @@ const (
 	xWriteVal = 2
 )
 
+// span is the byte range of one field's payload, in absolute offsets of
+// the section it was found in. The zero span means the field is absent.
+type span struct{ off, n int }
+
+func (s span) of(sec []byte) []byte { return sec[s.off : s.off+s.n] }
+
+// field descends from the message at in along a path of field numbers,
+// taking the first length-delimited occurrence at every level.
+func field(sec []byte, in span, path ...int) (span, bool) {
+	for _, num := range path {
+		off, n, ok := wire.FieldOffset(in.of(sec), num)
+		if !ok {
+			return span{}, false
+		}
+		in = span{in.off + off, n}
+	}
+	return in, true
+}
+
 // subField returns the payload of the first length-delimited field num in
 // msg, or nil.
 func subField(msg []byte, num int) []byte {
@@ -75,65 +97,53 @@ func subField(msg []byte, num int) []byte {
 	return msg[off : off+l]
 }
 
-// extractTx pulls the validation-relevant fields from reconstructed
-// envelope bytes, using pointer annotations for the top-level fields when
-// available.
-func extractTx(envBytes []byte, pkt *Packet) (*txExtract, error) {
-	x := &txExtract{}
+// txLayout is where one marshalled envelope keeps, below its payload field,
+// the fields the protocol touches. The three kinds of identity field —
+// creator, its copy in the action header (Fabric repeats the signature
+// header there) and every endorser — are what the sender replaces with
+// locators.
+type txLayout struct {
+	chaincode              span // payload.channel_header.chaincode (optional)
+	creator, actionCreator span // payload.signature_header.creator; payload.data.action.header.creator (optional)
+	prp                    span // endorsed_action.proposal_response_payload
+	ends                   []endLayout
+}
 
-	// Top level: pointer annotations let the hardware skip the scan.
-	if ptr, ok := pkt.FindPointer(PtrPayload); ok && int(ptr.Offset+ptr.Length) <= len(envBytes) {
-		x.PayloadBytes = envBytes[ptr.Offset : ptr.Offset+ptr.Length]
-	} else {
-		x.PayloadBytes = subField(envBytes, xEnvPayload)
-	}
-	if ptr, ok := pkt.FindPointer(PtrEnvelopeSignature); ok && int(ptr.Offset+ptr.Length) <= len(envBytes) {
-		x.Signature = envBytes[ptr.Offset : ptr.Offset+ptr.Length]
-	} else {
-		x.Signature = subField(envBytes, xEnvSig)
-	}
-	if x.PayloadBytes == nil || x.Signature == nil {
-		return nil, fmt.Errorf("bmacproto: tx section missing payload or signature")
-	}
+// endLayout is one endorsed_action.endorsements element.
+type endLayout struct{ endorser, signature span }
 
-	// payload -> channel header -> chaincode name
-	if ch := subField(x.PayloadBytes, xPayloadChHdr); ch != nil {
-		if cc := subField(ch, xChHdrCC); cc != nil {
-			x.CCName = string(cc)
-		}
+// locate walks env once, schema-directed, from its payload field down. It
+// reuses l.ends.
+func (l *txLayout) locate(env []byte, payload span) error {
+	*l = txLayout{ends: l.ends[:0]}
+	l.chaincode, _ = field(env, payload, xPayloadChHdr, xChHdrCC)
+	var ok bool
+	if l.creator, ok = field(env, payload, xPayloadSigHdr, xSigHdrCreator); !ok {
+		return fmt.Errorf("bmacproto: tx section missing creator")
 	}
-	// payload -> signature header -> creator certificate
-	if sh := subField(x.PayloadBytes, xPayloadSigHdr); sh != nil {
-		x.CreatorCert = subField(sh, xSigHdrCreator)
+	txData, ok := field(env, payload, xPayloadData)
+	if !ok {
+		return fmt.Errorf("bmacproto: tx section missing transaction data")
 	}
-	if x.CreatorCert == nil {
-		return nil, fmt.Errorf("bmacproto: tx section missing creator")
+	action, ok := field(env, txData, xTxAction)
+	if !ok {
+		return fmt.Errorf("bmacproto: transaction has no action")
 	}
-
-	// payload -> tx data -> action -> chaincode action payload -> endorsed action
-	txData := subField(x.PayloadBytes, xPayloadData)
-	if txData == nil {
-		return nil, fmt.Errorf("bmacproto: tx section missing transaction data")
+	l.actionCreator, _ = field(env, action, xTxActionHeader, xSigHdrCreator)
+	cap2, ok := field(env, action, xTxActionPayload)
+	if !ok {
+		return fmt.Errorf("bmacproto: action has no payload")
 	}
-	action := subField(txData, xTxAction)
-	if action == nil {
-		return nil, fmt.Errorf("bmacproto: transaction has no action")
+	ea, ok := field(env, cap2, xCAPAction)
+	if !ok {
+		return fmt.Errorf("bmacproto: missing endorsed action")
 	}
-	cap2 := subField(action, xTxActionPayload)
-	if cap2 == nil {
-		return nil, fmt.Errorf("bmacproto: action has no payload")
-	}
-	ea := subField(cap2, xCAPAction)
-	if ea == nil {
-		return nil, fmt.Errorf("bmacproto: missing endorsed action")
-	}
-	x.PRPBytes = subField(ea, xEAPRP)
-	if x.PRPBytes == nil {
-		return nil, fmt.Errorf("bmacproto: missing proposal response payload")
+	if l.prp, ok = field(env, ea, xEAPRP); !ok {
+		return fmt.Errorf("bmacproto: missing proposal response payload")
 	}
 
 	// Endorsements: iterate the repeated field.
-	r := wire.NewReader(ea)
+	r := wire.NewReader(ea.of(env))
 	for {
 		num, wt, ok := r.Next()
 		if !ok {
@@ -143,27 +153,71 @@ func extractTx(envBytes []byte, pkt *Packet) (*txExtract, error) {
 			r.Skip(wt)
 			continue
 		}
-		eBytes := r.Bytes()
-		e := block.Endorsement{
-			Endorser:  subField(eBytes, xEndCert),
-			Signature: subField(eBytes, xEndSig),
+		n := len(r.Bytes())
+		e := span{ea.off + r.Pos() - n, n}
+		endorser, ok1 := field(env, e, xEndCert)
+		sig, ok2 := field(env, e, xEndSig)
+		if !ok1 || !ok2 {
+			return fmt.Errorf("bmacproto: malformed endorsement")
 		}
-		if e.Endorser == nil || e.Signature == nil {
-			return nil, fmt.Errorf("bmacproto: malformed endorsement")
-		}
-		x.Endorsements = append(x.Endorsements, e)
+		l.ends = append(l.ends, endLayout{endorser, sig})
 	}
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("bmacproto: endorsed action scan: %w", err)
+		return fmt.Errorf("bmacproto: endorsed action scan: %w", err)
+	}
+	return nil
+}
+
+// pointerSpan returns the range a pointer annotation names, if the packet
+// carries one that lies inside a section of n bytes.
+func pointerSpan(pkt *Packet, f PointerField, n int) (span, bool) {
+	ptr, ok := pkt.FindPointer(f)
+	if !ok || uint64(ptr.Offset)+uint64(ptr.Length) > uint64(n) {
+		return span{}, false
+	}
+	return span{int(ptr.Offset), int(ptr.Length)}, true
+}
+
+// extractTx pulls the validation-relevant fields from reconstructed
+// envelope bytes, using pointer annotations for the top-level fields when
+// available.
+func extractTx(envBytes []byte, pkt *Packet) (*txExtract, error) {
+	// Top level: pointer annotations let the hardware skip the scan.
+	whole := span{0, len(envBytes)}
+	payload, ok1 := pointerSpan(pkt, PtrPayload, len(envBytes))
+	if !ok1 {
+		payload, ok1 = field(envBytes, whole, xEnvPayload)
+	}
+	signature, ok2 := pointerSpan(pkt, PtrEnvelopeSignature, len(envBytes))
+	if !ok2 {
+		signature, ok2 = field(envBytes, whole, xEnvSig)
+	}
+	if !ok1 || !ok2 {
+		return nil, fmt.Errorf("bmacproto: tx section missing payload or signature")
+	}
+	var l txLayout
+	if err := l.locate(envBytes, payload); err != nil {
+		return nil, err
+	}
+
+	x := &txExtract{
+		PayloadBytes: payload.of(envBytes),
+		Signature:    signature.of(envBytes),
+		CCName:       string(l.chaincode.of(envBytes)),
+		CreatorCert:  l.creator.of(envBytes),
+		PRPBytes:     l.prp.of(envBytes),
+	}
+	for _, e := range l.ends {
+		x.Endorsements = append(x.Endorsements, block.Endorsement{
+			Endorser:  e.endorser.of(envBytes),
+			Signature: e.signature.of(envBytes),
+		})
 	}
 
 	// prp -> extension (chaincode action) -> results (rwset)
-	ext := subField(x.PRPBytes, xPRPExt)
-	if ext != nil {
-		if rw := subField(ext, xCCAResults); rw != nil {
-			if err := extractRWSet(rw, x); err != nil {
-				return nil, err
-			}
+	if rw, ok := field(envBytes, l.prp, xPRPExt, xCCAResults); ok {
+		if err := extractRWSet(rw.of(envBytes), x); err != nil {
+			return nil, err
 		}
 	}
 	return x, nil

@@ -1,9 +1,7 @@
 package bmacproto
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
 
 	"bmac/internal/identity"
 )
@@ -13,54 +11,35 @@ import (
 // Together they implement the sender/receiver halves of the protocol's
 // identity compression (paper §3.2, Figure 5).
 
-// stripIdentities scans data for every certificate known to the cache and
-// removes all occurrences, returning the stripped bytes and the locators
-// (offsets into the ORIGINAL data, ascending). Certificates are long,
-// high-entropy DER blobs, so substring matching is unambiguous in practice;
-// overlapping matches are rejected defensively.
-func stripIdentities(data []byte, certs []cachedCert) (stripped []byte, locs []Locator) {
-	type match struct {
-		off int
-		len int
-		id  identity.EncodedID
-	}
-	var matches []match
-	for _, c := range certs {
-		start := 0
-		for {
-			i := bytes.Index(data[start:], c.cert)
-			if i < 0 {
-				break
-			}
-			matches = append(matches, match{off: start + i, len: len(c.cert), id: c.id})
-			start += i + len(c.cert)
-		}
-	}
-	if len(matches) == 0 {
-		return data, nil
-	}
-	sort.Slice(matches, func(i, j int) bool { return matches[i].off < matches[j].off })
-
-	stripped = make([]byte, 0, len(data))
-	locs = make([]Locator, 0, len(matches))
+// stripIdentities removes from sec every one of the given fields that holds
+// a certificate the cache knows, returning the stripped bytes and the
+// locators (offsets into the ORIGINAL section, ascending). Identities are
+// located as fields — by the caller, from the schema — never by searching
+// for their bytes: a certificate the cache does not know, or one that sits
+// anywhere but in an identity field, stays inline. Fields out of ascending
+// order mean a section no marshaller of ours produced; it is sent whole.
+func stripIdentities(sec []byte, fields []span, cache *identity.Cache) (stripped []byte, locs []Locator) {
 	prev := 0
-	for _, m := range matches {
-		if m.off < prev {
-			continue // overlap: keep the earlier match, skip this one
+	for _, f := range fields {
+		id, ok := cache.IDForCert(f.of(sec))
+		if !ok {
+			continue
 		}
-		stripped = append(stripped, data[prev:m.off]...)
-		locs = append(locs, Locator{Offset: uint32(m.off), ID: m.id})
-		prev = m.off + m.len
+		if f.off < prev {
+			return sec, nil
+		}
+		if locs == nil {
+			stripped = make([]byte, 0, len(sec))
+			locs = make([]Locator, 0, len(fields))
+		}
+		stripped = append(stripped, sec[prev:f.off]...)
+		locs = append(locs, Locator{Offset: uint32(f.off), ID: id})
+		prev = f.off + f.n
 	}
-	stripped = append(stripped, data[prev:]...)
-	return stripped, locs
-}
-
-// cachedCert pairs a certificate with its encoded id for the sweep in
-// stripIdentities.
-type cachedCert struct {
-	id   identity.EncodedID
-	cert []byte
+	if locs == nil {
+		return sec, nil
+	}
+	return append(stripped, sec[prev:]...), locs
 }
 
 // insertIdentities reconstructs the original section bytes from stripped

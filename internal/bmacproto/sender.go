@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"bmac/internal/block"
+	"bmac/internal/fabcrypto"
 	"bmac/internal/identity"
 	"bmac/internal/wire"
 )
@@ -49,7 +50,6 @@ type SendStats struct {
 type Sender struct {
 	mu    sync.Mutex
 	cache *identity.Cache
-	certs []cachedCert // guarded by mu
 	sink  PacketSink
 
 	totalBlocks  int   // guarded by mu
@@ -63,34 +63,26 @@ func NewSender(cache *identity.Cache, sink PacketSink) *Sender {
 	return &Sender{cache: cache, sink: sink}
 }
 
-// RegisterIdentity adds an identity to the sender's sweep list and emits a
-// cache-sync packet so the hardware receiver learns the mapping. Identities
-// already registered are skipped.
+// RegisterIdentity tells the hardware receiver about an identity with a
+// cache-sync packet and then enters it in the sender's cache, from where
+// EncodeBlock strips it. On error nothing has changed: a certificate the
+// receiver could not parse is never announced, and one whose announcement
+// the sink refused is never stripped.
 func (s *Sender) RegisterIdentity(id identity.EncodedID, cert []byte) error {
-	s.mu.Lock()
-	for _, c := range s.certs {
-		if c.id == id {
-			s.mu.Unlock()
-			return nil
+	if _, err := fabcrypto.PublicKeyFromCert(cert); err != nil {
+		return fmt.Errorf("register %s: %w", id, err)
+	}
+	if s.sink != nil {
+		pkt := Packet{
+			Type:    SectionCacheSync,
+			Seq:     uint16(id),
+			Payload: cert,
+		}
+		if err := s.sink.SendPacket(pkt.Encode()); err != nil {
+			return fmt.Errorf("register %s: %w", id, err)
 		}
 	}
-	certCopy := make([]byte, len(cert))
-	copy(certCopy, cert)
-	s.certs = append(s.certs, cachedCert{id: id, cert: certCopy})
-	s.mu.Unlock()
-
-	if err := s.cache.Put(id, cert); err != nil {
-		return err
-	}
-	if s.sink == nil {
-		return nil
-	}
-	pkt := Packet{
-		Type:    SectionCacheSync,
-		Seq:     uint16(id),
-		Payload: cert,
-	}
-	return s.sink.SendPacket(pkt.Encode())
+	return s.cache.Put(id, cert)
 }
 
 // RegisterNetwork registers every identity of the network.
@@ -106,10 +98,6 @@ func (s *Sender) RegisterNetwork(n *identity.Network) error {
 // EncodeBlock splits a block into protocol packets without sending them.
 // Packet order: header, tx 0..n-1, metadata.
 func (s *Sender) EncodeBlock(b *block.Block) ([][]byte, SendStats, error) {
-	s.mu.Lock()
-	certs := s.certs
-	s.mu.Unlock()
-
 	numTxs := len(b.Envelopes)
 	if numTxs > 0xffff {
 		return nil, SendStats{}, fmt.Errorf("bmacproto: block %d has %d txs (max 65535)", b.Header.Number, numTxs)
@@ -132,10 +120,11 @@ func (s *Sender) EncodeBlock(b *block.Block) ([][]byte, SendStats, error) {
 	hdrBytes := block.MarshalHeader(&b.Header)
 	hdrPayload = wire.AppendBytes(hdrPayload, fHdrSecHeader, hdrBytes)
 	hdrPayload = wire.AppendBytes(hdrPayload, fHdrSecCert, b.Metadata.Signature.Creator)
+	ordererCert := span{len(hdrPayload) - len(b.Metadata.Signature.Creator), len(b.Metadata.Signature.Creator)}
 	hdrPayload = wire.AppendBytes(hdrPayload, fHdrSecNonce, b.Metadata.Signature.Nonce)
 	hdrPayload = wire.AppendBytes(hdrPayload, fHdrSecSig, b.Metadata.Signature.Signature)
 	origLen := len(hdrPayload)
-	stripped, locs := stripIdentities(hdrPayload, certs)
+	stripped, locs := stripIdentities(hdrPayload, []span{ordererCert}, s.cache)
 	hdrPkt := Packet{
 		Type:     SectionHeader,
 		BlockNum: b.Header.Number,
@@ -154,41 +143,54 @@ func (s *Sender) EncodeBlock(b *block.Block) ([][]byte, SendStats, error) {
 	}
 	emit(&hdrPkt, origLen)
 
-	// Transaction sections: one envelope each.
+	// Transaction sections: one envelope each. The identity fields come
+	// from the schema walk below the payload field; an envelope the walk
+	// cannot follow is sent as it is.
+	var (
+		lay    txLayout
+		fields []span
+	)
 	for i := range b.Envelopes {
 		envBytes := block.MarshalEnvelope(&b.Envelopes[i])
-		strippedTx, txLocs := stripIdentities(envBytes, certs)
 		pkt := Packet{
 			Type:     SectionTx,
 			BlockNum: b.Header.Number,
 			Seq:      uint16(i),
 			NumTxs:   uint16(numTxs),
-			Locators: txLocs,
-			Payload:  strippedTx,
+			Pointers: make([]Pointer, 0, 2),
+			Payload:  envBytes,
 		}
 		// Pointer annotations into the original envelope bytes.
-		if off, l, ok := wire.FieldOffset(envBytes, 1); ok { // payload field
-			pkt.Pointers = append(pkt.Pointers, Pointer{Field: PtrPayload, Offset: uint32(off), Length: uint32(l)})
+		whole := span{0, len(envBytes)}
+		payload, ok := field(envBytes, whole, xEnvPayload)
+		if ok {
+			pkt.Pointers = append(pkt.Pointers, Pointer{Field: PtrPayload, Offset: uint32(payload.off), Length: uint32(payload.n)})
 		}
-		if off, l, ok := wire.FieldOffset(envBytes, 2); ok { // signature field
-			pkt.Pointers = append(pkt.Pointers, Pointer{Field: PtrEnvelopeSignature, Offset: uint32(off), Length: uint32(l)})
+		if sig, ok := field(envBytes, whole, xEnvSig); ok {
+			pkt.Pointers = append(pkt.Pointers, Pointer{Field: PtrEnvelopeSignature, Offset: uint32(sig.off), Length: uint32(sig.n)})
+		}
+		if ok && lay.locate(envBytes, payload) == nil {
+			fields = append(fields[:0], lay.creator, lay.actionCreator)
+			for _, e := range lay.ends {
+				fields = append(fields, e.endorser)
+			}
+			pkt.Payload, pkt.Locators = stripIdentities(envBytes, fields, s.cache)
 		}
 		emit(&pkt, len(envBytes))
 	}
 
 	// Metadata section: marks end of block; flags/commit hash are filled
-	// in by the validator, so this carries only placeholders.
+	// in by the validator, so this carries only placeholders — and no
+	// identity field.
 	var metaPayload []byte
 	metaPayload = wire.AppendBytes(metaPayload, fMetaSecFlags, b.Metadata.ValidationFlags)
 	metaPayload = wire.AppendBytes(metaPayload, fMetaSecCommit, b.Metadata.CommitHash)
-	strippedMeta, metaLocs := stripIdentities(metaPayload, certs)
 	metaPkt := Packet{
 		Type:     SectionMetadata,
 		BlockNum: b.Header.Number,
 		Seq:      uint16(numTxs),
 		NumTxs:   uint16(numTxs),
-		Locators: metaLocs,
-		Payload:  strippedMeta,
+		Payload:  metaPayload,
 	}
 	emit(&metaPkt, len(metaPayload))
 

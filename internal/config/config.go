@@ -82,6 +82,9 @@ type CryptoSpec struct {
 	// (fabcrypto.SigCache) in verdicts; 0 disables it. Every validation
 	// path built from one Config shares one cache, so a signature is
 	// ECDSA-verified once per process no matter how many peers see it.
+	// The default covers the reuse distance — orderer check to the last
+	// peer's check, a few blocks — not history: every live entry is
+	// scanned by every garbage collection (see Default).
 	SigCacheSize int
 	// CertCacheSize bounds the shared parsed-certificate cache
 	// (fabcrypto.CertCache) in certificates; 0 disables it. The same
@@ -94,7 +97,9 @@ type CryptoSpec struct {
 type HotpathSpec struct {
 	// ParseCacheSize bounds the parse-once envelope interning table
 	// (validator.ParseCache) in envelopes; 0 disables it. Shared across
-	// every validation path built from one Config.
+	// every validation path built from one Config. Sized like
+	// SigCacheSize: to the blocks in flight between the peers of one
+	// process.
 	ParseCacheSize int
 	// NoMarshalPool disables the process-wide pooled marshal buffers
 	// (wire.SetBufferPooling); pooling is on by default and the knob
@@ -297,7 +302,20 @@ func (c *Config) TelemetryRegistry() *telemetry.Registry {
 // each with an endorser and a validator peer, smallbank with a 2-outof-2
 // policy, and an 8x2 architecture supporting 256-transaction blocks and an
 // 8192-entry database (§4.1).
+//
+// The two verdict caches hold four full blocks: 1 024 parsed envelopes, and
+// 4 096 signatures at up to four per transaction. A second peer in the
+// same process reaches a block within that distance (the hit rates on the
+// ruler's e2e workload are those of the 8 192 / 16 384 entries replaced,
+// 0.46 and 0.60), and a peer that sees a chain once never hits at all — but
+// every entry is live heap the collector marks each cycle, and on a host
+// with idle CPUs a mark phase holds back timers and wake-ups for as long
+// as it runs: at 8 192 and 16 384 entries the caches were half of the
+// process's mark work, and the mark phases held about half of the paced
+// transactions at or above the 95th percentile (ARCHITECTURE.md, "How
+// large the verdict caches are").
 func Default() *Config {
+	const maxBlockTxs = 256
 	return &Config{
 		Channel: "ch1",
 		Orgs: []OrgSpec{
@@ -309,10 +327,10 @@ func Default() *Config {
 			TxValidators: 8,
 			VSCCEngines:  2,
 			DBCapacity:   8192,
-			MaxBlockTxs:  256,
+			MaxBlockTxs:  maxBlockTxs,
 		},
-		Crypto:  CryptoSpec{SigCacheSize: 16384, CertCacheSize: 4096},
-		Hotpath: HotpathSpec{ParseCacheSize: 8192},
+		Crypto:  CryptoSpec{SigCacheSize: 4 * 4 * maxBlockTxs, CertCacheSize: 4096},
+		Hotpath: HotpathSpec{ParseCacheSize: 4 * maxBlockTxs},
 		caches:  &hotCaches{},
 	}
 }

@@ -489,3 +489,73 @@ func TestOversizeSignatureComponentAllPaths(t *testing.T) {
 		}
 	}
 }
+
+// TestCertificateInWriteValueAllPaths pins the one place the structural
+// sender differs from the substring sweep it replaced: a registered
+// certificate stored as a chaincode value is data, not an identity field,
+// and stays inline. The four identity fields are still stripped, the
+// receiver reconstructs the envelope exactly (the client signature covers
+// the value and verifies), and the three paths agree on flags and commit
+// hash.
+func TestCertificateInWriteValueAllPaths(t *testing.T) {
+	r := newRig(t, 2, "2of2", Config{TxValidators: 2, VSCCEngines: 2})
+	ends := []*identity.Identity{r.peers[0], r.peers[1]}
+	stored := r.peers[1].Cert
+	b := r.block(t, 0, []block.TxSpec{
+		r.spec(ends, block.RWSet{Writes: []block.KVWrite{{Key: "a", Value: []byte("1")}}}),
+		r.spec(ends, block.RWSet{Writes: []block.KVWrite{{Key: "cert/peer1", Value: stored}}}),
+	})
+	raw := block.Marshal(b)
+	want := []byte{byte(block.Valid), byte(block.Valid)}
+
+	packets, _, err := r.sender.EncodeBlock(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt, err := bmacproto.Decode(packets[2]) // header, tx0, tx1
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkt.Locators) != 4 { // creator, action-header creator, two endorsers
+		t.Errorf("tx1 has %d locators, want 4", len(pkt.Locators))
+	}
+	if bytes.Count(pkt.Payload, stored) != 1 {
+		t.Errorf("the stored certificate occurs %d times in the stripped section, want once (inline in the write set)", bytes.Count(pkt.Payload, stored))
+	}
+
+	var commits [][]byte
+	for _, shape := range []pipeline.Shape{pipeline.Fabric14, pipeline.Scheduled} {
+		eng := pipeline.New(pipeline.Config{
+			Shape: shape, Workers: 2, SkipLedger: true,
+			Policies: map[string]*policy.Policy{"smallbank": policytest.MustParse("2of2")},
+		}, statedb.NewStore(), nil)
+		res, err := eng.ValidateAndCommit(raw)
+		eng.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !block.FlagsEqual(res.Flags, want) {
+			t.Errorf("shape %v: flags %v, want %v", shape, res.Flags, want)
+		}
+		commits = append(commits, res.CommitHash)
+	}
+	if _, err := r.sender.SendBlock(b); err != nil {
+		t.Fatal(err)
+	}
+	hw, ok := r.proc.GetBlockData()
+	if !ok {
+		t.Fatal("no hw result")
+	}
+	if !block.FlagsEqual(hw.Flags, want) {
+		t.Errorf("bmac: flags %v, want %v", hw.Flags, want)
+	}
+	commits = append(commits, block.CommitHash(nil, b.Header.DataHash, hw.Flags))
+	for i, c := range commits[1:] {
+		if !bytes.Equal(c, commits[0]) {
+			t.Errorf("commit hash of path %d differs: %x vs %x", i+1, c, commits[0])
+		}
+	}
+	if got, ok := r.proc.DB().Snapshot()["cert/peer1"]; !ok || !bytes.Equal(got.Value, stored) {
+		t.Error("hardware state does not hold the stored certificate")
+	}
+}

@@ -67,7 +67,7 @@ func Ablations(e *Env, opts Options) (*metrics.Table, error) {
 		fmt.Sprintf("-%d engine calls", abortOff.EndsVerified-abortOn.EndsVerified))
 
 	// 3. Identity removal: protocol bytes with and without the
-	// DataRemover sweep.
+	// DataRemover.
 	b, err := e.MakeBlock(BlockSpec{Txs: blockSize, Endorsements: 2, Reads: 2, Writes: 2})
 	if err != nil {
 		return nil, err
@@ -80,7 +80,7 @@ func Ablations(e *Env, opts Options) (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	withoutRemoval := bmacproto.NewSender(identity.NewCache(), nil) // empty sweep list
+	withoutRemoval := bmacproto.NewSender(identity.NewCache(), nil) // nothing registered: every certificate stays inline
 	_, statsOff, err := withoutRemoval.EncodeBlock(b)
 	if err != nil {
 		return nil, err

@@ -49,6 +49,12 @@ type HybridPoint struct {
 	PrefetchTPS   float64 // hybrid backend, prefetch on: latency hidden under vscc
 	HitRate       float64 // cache hit rate of the prefetch run
 	Prefetched    int     // warm-up reads issued by the prefetch run
+	// What the prefetch stage does, free of wall-clock time: the cache hit
+	// rate without it, and the cache misses the validation path itself
+	// waited for (host round trips served serially in mvcc) in either run.
+	NoPrefetchHitRate float64
+	NoPrefetchMisses  int
+	DemandMisses      int
 	// SigCacheHitRate and ParseCacheHitRate report the shared hot-path
 	// caches over the three MEASURED runs only (stat deltas taken after
 	// the warm pass that primes them), so they show the steady-state
@@ -249,6 +255,9 @@ func (e *Env) MeasureHybrid(spec HybridSpec) (HybridPoint, error) {
 		PrefetchTPS:       pfTPS,
 		HitRate:           hyB.HitRate(),
 		Prefetched:        prefetched,
+		NoPrefetchHitRate: hyA.HitRate(),
+		NoPrefetchMisses:  hyA.DemandMisses(),
+		DemandMisses:      hyB.DemandMisses(),
 		SigCacheHitRate:   deltaRate(sigH1-sigH0, sigM1-sigM0),
 		ParseCacheHitRate: deltaRate(parH1-parH0, parM1-parM0),
 	}, nil

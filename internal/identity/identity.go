@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"bmac/internal/fabcrypto"
 )
@@ -301,8 +302,8 @@ type Cache struct {
 	certToID map[string]EncodedID           // guarded by mu
 	idToCert map[EncodedID][]byte           // guarded by mu
 	idToPub  map[EncodedID]*ecdsa.PublicKey // guarded by mu
-	misses   int                            // guarded by mu
-	hits     int                            // guarded by mu
+	misses   atomic.Int64
+	hits     atomic.Int64
 }
 
 // NewCache returns an empty identity cache.
@@ -325,7 +326,9 @@ func (c *Cache) Preload(n *Network) error {
 	return nil
 }
 
-// Put inserts or updates the mapping id <-> cert.
+// Put inserts or updates the mapping id <-> cert. An id that moves to a
+// new certificate takes its reverse entry along: the old certificate no
+// longer resolves to it.
 func (c *Cache) Put(id EncodedID, cert []byte) error {
 	pub, err := fabcrypto.PublicKeyFromCert(cert)
 	if err != nil {
@@ -335,6 +338,9 @@ func (c *Cache) Put(id EncodedID, cert []byte) error {
 	copy(certCopy, cert)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if old, ok := c.idToCert[id]; ok && c.certToID[string(old)] == id {
+		delete(c.certToID, string(old))
+	}
 	c.certToID[string(cert)] = id
 	c.idToCert[id] = certCopy
 	c.idToPub[id] = pub
@@ -342,15 +348,16 @@ func (c *Cache) Put(id EncodedID, cert []byte) error {
 }
 
 // IDForCert returns the encoded ID for a certificate, reporting whether the
-// certificate was present. Sender side of DataRemover.
+// certificate was present. Sender side of DataRemover, once per identity
+// field, and the receiver's per-endorsement lookup: a read lock only.
 func (c *Cache) IDForCert(cert []byte) (EncodedID, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.mu.RLock()
 	id, ok := c.certToID[string(cert)]
+	c.mu.RUnlock()
 	if ok {
-		c.hits++
+		c.hits.Add(1)
 	} else {
-		c.misses++
+		c.misses.Add(1)
 	}
 	return id, ok
 }
@@ -382,7 +389,5 @@ func (c *Cache) Len() int {
 
 // Stats reports cache hits and misses observed by IDForCert.
 func (c *Cache) Stats() (hits, misses int) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.hits, c.misses
+	return int(c.hits.Load()), int(c.misses.Load())
 }

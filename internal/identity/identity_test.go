@@ -193,6 +193,48 @@ func TestCacheRejectsGarbageCert(t *testing.T) {
 	}
 }
 
+// TestCacheRePutDropsOldCertificate: an id that moves to a new certificate
+// must stop resolving from the old one — a sender trusting the stale
+// reverse entry would strip the old bytes and the receiver would re-insert
+// the new certificate in their place.
+func TestCacheRePutDropsOldCertificate(t *testing.T) {
+	n := NewNetwork()
+	if _, err := n.AddOrg("Org1"); err != nil {
+		t.Fatal(err)
+	}
+	old, err := n.NewIdentity("Org1", RolePeer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	renewed, err := n.NewIdentity("Org1", RolePeer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache()
+	for _, cert := range [][]byte{old.Cert, renewed.Cert, renewed.Cert} {
+		if err := c.Put(old.ID, cert); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if id, ok := c.IDForCert(old.Cert); ok {
+		t.Errorf("replaced certificate still resolves to %s", id)
+	}
+	if id, ok := c.IDForCert(renewed.Cert); !ok || id != old.ID {
+		t.Errorf("IDForCert(renewed) = %v, %v", id, ok)
+	}
+	// A certificate that has since moved to another id keeps that entry
+	// when its former id is overwritten.
+	if err := c.Put(renewed.ID, renewed.Cert); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(old.ID, old.Cert); err != nil {
+		t.Fatal(err)
+	}
+	if id, ok := c.IDForCert(renewed.Cert); !ok || id != renewed.ID {
+		t.Errorf("IDForCert(renewed) after move = %v, %v, want %s", id, ok, renewed.ID)
+	}
+}
+
 func TestSequenceExhaustion(t *testing.T) {
 	n := NewNetwork()
 	if _, err := n.AddOrg("Org1"); err != nil {

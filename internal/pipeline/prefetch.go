@@ -21,7 +21,6 @@ import (
 // Warm-up reads are pure cache promotions: they never touch MVCache version
 // chains, so validation verdicts are bit-identical with prefetch on or off.
 type prefetcher struct {
-	kvs   statedb.KVS
 	tasks chan prefetchTask
 	pool  sync.WaitGroup
 
@@ -34,20 +33,29 @@ type prefetchTask struct {
 	done *sync.WaitGroup
 }
 
+// warmer is a backend that books warm-up reads apart from demand reads.
+type warmer interface{ Warm(key string) }
+
 // newPrefetcher starts a pool of `workers` warm-up readers over kvs.
 func newPrefetcher(kvs statedb.KVS, workers int) *prefetcher {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &prefetcher{kvs: kvs, tasks: make(chan prefetchTask, 1024)}
+	p := &prefetcher{tasks: make(chan prefetchTask, 1024)}
+	// The value is discarded: the read exists only to pull the key into
+	// the backend's fast tier.
+	warm := func(key string) {
+		_, _ = kvs.Get(key) // bmaclint:allow errdiscard (prefetch: only the cache warming matters, miss is fine)
+	}
+	if w, ok := kvs.(warmer); ok {
+		warm = w.Warm
+	}
 	for i := 0; i < workers; i++ {
 		p.pool.Add(1)
 		go func() {
 			defer p.pool.Done()
 			for t := range p.tasks {
-				// The value is discarded: the read exists only to pull the
-				// key into the backend's fast tier.
-				_, _ = p.kvs.Get(t.key) // bmaclint:allow errdiscard (prefetch: only the cache warming matters, miss is fine)
+				warm(t.key)
 				p.keys.Add(1)
 				t.done.Done()
 			}

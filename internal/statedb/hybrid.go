@@ -34,6 +34,7 @@ type HybridKVS struct {
 
 	hits       int
 	misses     int
+	warmMisses int // the misses among them that Warm absorbed ahead of demand
 	evictions  int
 	hostReads  int
 	hostWrites int
@@ -76,7 +77,14 @@ func (h *HybridKVS) Host() *Store { return h.host }
 
 // Read returns the versioned value for key, consulting the hardware cache
 // first and the host store on a miss (promoting the entry).
-func (h *HybridKVS) Read(key string) (VersionedValue, bool) {
+func (h *HybridKVS) Read(key string) (VersionedValue, bool) { return h.read(key, false) }
+
+// Warm is Read for a prefetch stage: the value is discarded, and a miss is
+// also booked as absorbed ahead of demand, so that DemandMisses is what
+// the validation path itself still waited for.
+func (h *HybridKVS) Warm(key string) { h.read(key, true) }
+
+func (h *HybridKVS) read(key string, warm bool) (VersionedValue, bool) {
 	h.mu.Lock()
 	if el, ok := h.cache[key]; ok {
 		h.hits++
@@ -86,6 +94,9 @@ func (h *HybridKVS) Read(key string) (VersionedValue, bool) {
 		return v, true
 	}
 	h.misses++
+	if warm {
+		h.warmMisses++
+	}
 	h.mu.Unlock()
 
 	// Pay the modeled host round trip outside the mutex so concurrent
@@ -208,6 +219,14 @@ func (h *HybridKVS) Stats() (hits, misses, evictions, hostReads, hostWrites int)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.hits, h.misses, h.evictions, h.hostReads, h.hostWrites
+}
+
+// DemandMisses reports the cache misses paid by Read callers — the host
+// round trips left on the validation path — leaving out those Warm absorbed.
+func (h *HybridKVS) DemandMisses() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.misses - h.warmMisses
 }
 
 // HitRate reports the fraction of reads served from the hardware cache.

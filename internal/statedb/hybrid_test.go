@@ -28,6 +28,28 @@ func TestHybridReadThroughAndPromotion(t *testing.T) {
 	}
 }
 
+// TestHybridWarmIsNotADemandMiss: a warm-up read promotes like any read
+// and counts in hits/misses, but the miss it absorbs is not one the
+// validation path waited for.
+func TestHybridWarmIsNotADemandMiss(t *testing.T) {
+	host := NewStore()
+	host.Put("a", []byte("1"), block.Version{})
+	host.Put("b", []byte("2"), block.Version{})
+	h := NewHybridKVS(4, host)
+
+	h.Warm("a")                    // miss, absorbed ahead of demand
+	if _, ok := h.Read("a"); !ok { // hit
+		t.Fatal("warmed entry missing")
+	}
+	if _, ok := h.Read("b"); !ok { // miss on the demand path
+		t.Fatal("read-through failed")
+	}
+	hits, misses, _, hostReads, _ := h.Stats()
+	if hits != 1 || misses != 2 || hostReads != 2 || h.DemandMisses() != 1 {
+		t.Errorf("hits/misses/hostReads = %d/%d/%d, demand misses %d; want 1/2/2, 1", hits, misses, hostReads, h.DemandMisses())
+	}
+}
+
 func TestHybridEviction(t *testing.T) {
 	host := NewStore()
 	h := NewHybridKVS(2, host)

@@ -11,7 +11,10 @@
 # key_table_build_verifies_x <= 1.5 * PromoteAfter + 1 = 25 (rows measured
 # interleaved with crypto/ecdsa in one process — the record's ratio_rows, and
 # the build against a crypto/ecdsa row of its own — so the quotients hold on
-# another host where the ns do not).
+# another host where the ns do not). Two more hold the BMac protocol
+# sender: bmac_encode_block_64ids / bmac_encode_block <= 1.25 (EncodeBlock
+# must not grow with the number of registered identities) and
+# bmac_encode_block / marshal_block <= 50, the three measured interleaved.
 #
 # The suite includes the telemetry-off gate: block_validate_telemetry_off
 # runs block validation with the telemetry plane disabled (nil instruments)
