@@ -224,7 +224,9 @@ func PartsToDER(parts SignatureParts) ([]byte, error) {
 // crypto/ecdsa's, computed from the key's table when it has one
 // (keytable.go).
 func VerifyParts(pub *ecdsa.PublicKey, digest []byte, parts SignatureParts) bool {
-	return engine.verify(pub, digest, &parts)
+	one := [1]verifyReq{{pub: pub, digest: digest, parts: parts}}
+	engine.verify(one[:])
+	return one[0].valid
 }
 
 // CertTemplate describes an identity certificate to issue.

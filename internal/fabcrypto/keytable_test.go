@@ -6,6 +6,7 @@ import (
 	"crypto/elliptic"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"sync"
@@ -37,6 +38,13 @@ func signWith(priv *ecdsa.PrivateKey, digest []byte, k *big.Int) (r, s *big.Int)
 	return r, s
 }
 
+// verifyOne is a batch of one on kt.
+func verifyOne(kt *keyTables, pub *ecdsa.PublicKey, digest []byte, parts SignatureParts) bool {
+	one := [1]verifyReq{{pub: pub, digest: digest, parts: parts}}
+	kt.verify(one[:])
+	return one[0].valid
+}
+
 func partsOf(r, s *big.Int) SignatureParts {
 	var p SignatureParts
 	r.FillBytes(p.R[:])
@@ -64,28 +72,108 @@ func tablesFor(t testing.TB, pubs ...*ecdsa.PublicKey) *keyTables {
 
 // checkVerdict verifies on the table path and directly with crypto/ecdsa and
 // fails on any difference. It reports the verdict and whether the table path
-// decided it (as opposed to falling back).
+// decided it (as opposed to falling back). The same tuple is then verified
+// doubled and between valid neighbours, where its arithmetic is shared.
 func checkVerdict(t testing.TB, kt *keyTables, pub *ecdsa.PublicKey, digest []byte, r, s *big.Int) (valid, onTable bool) {
 	t.Helper()
-	before := kt.stats()
-	got := false
-	if r.Sign() >= 0 && s.Sign() >= 0 && r.BitLen() <= 256 && s.BitLen() <= 256 {
-		parts := partsOf(r, s)
-		got = kt.verify(pub, digest, &parts)
-	}
 	want := r.Sign() > 0 && s.Sign() > 0 && ecdsa.Verify(pub, digest, r, s)
-	if got != want {
-		t.Fatalf("engine says %v, crypto/ecdsa says %v\n pub (%x, %x)\n digest %x\n r %x\n s %x", got, want, pub.X, pub.Y, digest, r, s)
+	if r.Sign() < 0 || s.Sign() < 0 || r.BitLen() > 256 || s.BitLen() > 256 {
+		if want {
+			t.Fatalf("crypto/ecdsa accepts r %x s %x, which has no fixed-width form", r, s)
+		}
+		return false, false
 	}
+	x := verifyReq{pub: pub, digest: digest, parts: partsOf(r, s)}
+	before := kt.stats()
+	alone := [1]verifyReq{x}
+	kt.verify(alone[:])
 	after := kt.stats()
-	return got, after.TableVerifies == before.TableVerifies+1
+
+	nb := neighbours()
+	kn := withNeighbourTables(kt)
+	for name, batch := range map[string][]verifyReq{
+		"alone":   alone[:],
+		"doubled": verifyBatchOf(kn, x, x),
+		"between": verifyBatchOf(kn, nb[0].req, nb[1].req, x, nb[3].req, nb[4].req),
+	} {
+		for i := range batch {
+			rq, w := &batch[i], true // a neighbour, unless it is x
+			if rq.pub == pub && bytes.Equal(rq.digest, digest) && rq.parts == x.parts {
+				w = want
+			}
+			if rq.valid != w {
+				t.Fatalf("%s, item %d: engine says %v, crypto/ecdsa says %v\n pub (%x, %x)\n digest %x\n r %x\n s %x",
+					name, i, rq.valid, w, rq.pub.X, rq.pub.Y, rq.digest, rq.parts.R, rq.parts.S)
+			}
+		}
+	}
+	return want, after.TableVerifies == before.TableVerifies+1
+}
+
+func verifyBatchOf(kt *keyTables, reqs ...verifyReq) []verifyReq {
+	kt.verify(reqs)
+	return reqs
+}
+
+// neighbour is a fixed tuple with its crypto/ecdsa verdict, for batches
+// around a tuple under test. They sit under the five fuzz pool keys; one in
+// three is invalid (a flipped digest bit); the first five are valid.
+type neighbour struct {
+	req  verifyReq
+	want bool
+}
+
+var neighbours = sync.OnceValue(func() []neighbour {
+	out := make([]neighbour, 40)
+	for i := range out {
+		priv := testKey(byte(i % fuzzKeys))
+		digest := sha256.Sum256([]byte{'n', byte(i)})
+		r, s := signWith(priv, digest[:], big.NewInt(int64(9000+i)))
+		if i >= fuzzKeys && i%3 == 2 {
+			digest[i%32] ^= 1
+		}
+		out[i] = neighbour{verifyReq{pub: &priv.PublicKey, digest: digest[:], parts: partsOf(r, s)}, ecdsa.Verify(&priv.PublicKey, digest[:], r, s)}
+		if out[i].want != (i < fuzzKeys || i%3 != 2) {
+			panic("neighbour fixture: unexpected crypto/ecdsa verdict")
+		}
+	}
+	return out
+})
+
+// neighbourTables holds the pool keys' tables, built once per test binary.
+var neighbourTables = sync.OnceValue(func() *keyTables {
+	kt := new(keyTables)
+	for i := 0; i < fuzzKeys; i++ {
+		k, _ := pointKeyOf(&testKey(byte(i)).PublicKey)
+		kt.promote(k)
+	}
+	return kt
+})
+
+// withNeighbourTables returns an engine that has kt's tables and the pool
+// keys', sharing the entries, so that kt's own counters stay what the
+// caller's assertions expect.
+func withNeighbourTables(kt *keyTables) *keyTables {
+	hot := map[pointKey]*keyEntry{}
+	for _, src := range []*keyTables{neighbourTables(), kt} {
+		if m := src.hot.Load(); m != nil {
+			for k, e := range *m {
+				hot[k] = e
+			}
+		}
+	}
+	kn := new(keyTables)
+	kn.hot.Store(&hot)
+	return kn
 }
 
 const fuzzKeys = 5
 
 // FuzzVerifyMatchesStdlib: for any key of the pool, digest and (r, s), the
-// engine with the key's table in place reaches crypto/ecdsa's verdict, going
-// through the same DER as a client's signature does.
+// engine with the key's table in place reaches crypto/ecdsa's verdict —
+// alone, going through the same DER as a client's signature does, and at
+// position pos of a batch of 1 + size%40 among fixed valid and invalid
+// neighbours, whose own verdicts must not depend on the fuzzed tuple.
 func FuzzVerifyMatchesStdlib(f *testing.F) {
 	var pubs []*ecdsa.PublicKey
 	for i := 0; i < fuzzKeys; i++ {
@@ -93,24 +181,39 @@ func FuzzVerifyMatchesStdlib(f *testing.F) {
 		pubs = append(pubs, &priv.PublicKey)
 		digest := sha256.Sum256([]byte{byte(i)})
 		r, s := signWith(priv, digest[:], big.NewInt(int64(1000+i)))
-		f.Add(byte(i), digest[:], r.Bytes(), s.Bytes())                                  // valid
-		f.Add(byte(i), digest[:], r.Bytes(), new(big.Int).Sub(bigN, s).Bytes())          // high-S twin
-		f.Add(byte(i+1), digest[:], r.Bytes(), s.Bytes())                                // wrong key
-		f.Add(byte(i), digest[:], new(big.Int).Add(r, big.NewInt(1)).Bytes(), s.Bytes()) // r+1
-		f.Add(byte(i), digest[:31], r.Bytes(), s.Bytes())                                // short digest
+		f.Add(byte(i), digest[:], r.Bytes(), s.Bytes(), byte(i), byte(7*i))                                  // valid
+		f.Add(byte(i), digest[:], r.Bytes(), new(big.Int).Sub(bigN, s).Bytes(), byte(0), byte(1))            // high-S twin
+		f.Add(byte(i+1), digest[:], r.Bytes(), s.Bytes(), byte(3), byte(3))                                  // wrong key
+		f.Add(byte(i), digest[:], new(big.Int).Add(r, big.NewInt(1)).Bytes(), s.Bytes(), byte(38), byte(39)) // r+1
+		f.Add(byte(i), digest[:31], r.Bytes(), s.Bytes(), byte(1), byte(2))                                  // short digest
 	}
-	f.Add(byte(0), make([]byte, 32), []byte{1}, []byte{1})
-	f.Add(byte(0), bigN.Bytes(), bigN.Bytes(), bigP.Bytes())
+	f.Add(byte(0), make([]byte, 32), []byte{1}, []byte{1}, byte(0), byte(0))
+	f.Add(byte(0), bigN.Bytes(), bigN.Bytes(), bigP.Bytes(), byte(20), byte(29))
 	kt := tablesFor(f, pubs...)
-	f.Fuzz(func(t *testing.T, keySeed byte, digest, rb, sb []byte) {
+	nb := neighbours()
+	f.Fuzz(func(t *testing.T, keySeed byte, digest, rb, sb []byte, pos, size byte) {
 		pub := pubs[keySeed%fuzzKeys]
 		r, s := new(big.Int).SetBytes(rb), new(big.Int).SetBytes(sb)
 		before := kt.stats()
-		_, onTable := checkVerdict(t, kt, pub, digest, r, s)
+		want, onTable := checkVerdict(t, kt, pub, digest, r, s)
 		after := kt.stats()
 		inRange := r.BitLen() <= 256 && s.BitLen() <= 256
 		if inRange && len(digest) == HashSize && !onTable && after.Fallbacks == before.Fallbacks {
 			t.Fatalf("a 32-byte digest under a tabled key went to crypto/ecdsa without a fallback")
+		}
+		if inRange {
+			batch := make([]verifyReq, 1+int(size)%len(nb))
+			at := int(pos) % len(batch)
+			for i := range batch {
+				batch[i] = nb[i].req
+			}
+			batch[at] = verifyReq{pub: pub, digest: digest, parts: partsOf(r, s)}
+			kt.verify(batch)
+			for i := range batch {
+				if w := i == at && want || i != at && nb[i].want; batch[i].valid != w {
+					t.Fatalf("batch of %d, fuzzed tuple at %d: item %d verified %v, crypto/ecdsa says %v", len(batch), at, i, batch[i].valid, w)
+				}
+			}
 		}
 		// The same tuple as a client sends it: DER, process-wide engine.
 		if r.Sign() > 0 && s.Sign() > 0 {
@@ -118,7 +221,6 @@ func FuzzVerifyMatchesStdlib(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := ecdsa.Verify(pub, digest, r, s)
 			if got := VerifyDigest(pub, digest, der) == nil; got != want {
 				t.Fatalf("VerifyDigest says %v, crypto/ecdsa says %v", got, want)
 			}
@@ -327,13 +429,133 @@ func validTuple(seed byte) (*ecdsa.PublicKey, []byte, SignatureParts) {
 	return &priv.PublicKey, digest[:], partsOf(r, s)
 }
 
+// TestSumListsExceptionalBesideOrdinary drives the summation routine
+// (reduceLevels, then sum) on hand-made point lists: lists whose pairwise
+// sums meet P + P, P − P or end on ∞, and an empty one, sit in one batch
+// with ordinary lists long enough for two affine levels. The exceptional
+// ones come back undecided; the ordinary ones exact, which they could not be
+// had a zero denominator reached the product their chords share.
+func TestSumListsExceptionalBesideOrdinary(t *testing.T) {
+	c := elliptic.P256()
+	rng := rand.New(rand.NewSource(11))
+	point := func() (affinePoint, *big.Int, *big.Int) {
+		k := make([]byte, 32)
+		rng.Read(k)
+		x, y := c.ScalarBaseMult(k)
+		return affineOf(x, y), x, y
+	}
+	neg := func(p affinePoint) affinePoint {
+		feNeg(&p.y, &p.y)
+		return p
+	}
+	p, px, py := point()
+	q, qx, qy := point()
+	sx, sy := c.Add(px, py, qx, qy)
+	type list struct {
+		pts          []affinePoint
+		wantX, wantY *big.Int // nil: undecided
+	}
+	lists := []list{
+		{pts: []affinePoint{p, p}},
+		{pts: []affinePoint{p, neg(p)}},
+		{pts: []affinePoint{p, q, neg(affineOf(sx, sy))}},
+		{pts: nil},
+		{pts: []affinePoint{p}, wantX: px, wantY: py},
+		{pts: []affinePoint{p, q}, wantX: sx, wantY: sy},
+	}
+	for i := 0; i < 8; i++ { // 8 × 20 pairs, then 8 × 10: two levels ≥ affineLevelMin
+		var l list
+		for k := 0; k < 40; k++ {
+			a, ax, ay := point()
+			l.pts = append(l.pts, a)
+			if l.wantX == nil {
+				l.wantX, l.wantY = ax, ay
+			} else {
+				l.wantX, l.wantY = c.Add(l.wantX, l.wantY, ax, ay)
+			}
+		}
+		// Exceptional lists between ordinary ones, not only in front.
+		at := min(2*i+1, len(lists))
+		lists = append(lists[:at], append([]list{l}, lists[at:]...)...)
+	}
+	sc := new(batchScratch)
+	for _, l := range lists {
+		sc.sigs = append(sc.sigs, batchSig{off: len(sc.pts), n: len(l.pts)})
+		sc.pts = append(sc.pts, l.pts...)
+	}
+	sc.reduceLevels()
+	if sc.sigs[1].n >= 20 || len(sc.den) == 0 {
+		t.Fatalf("no affine level ran: the lists are too short for affineLevelMin = %d", affineLevelMin)
+	}
+	for i, l := range lists {
+		sum, ok := sc.sum(&sc.sigs[i])
+		if ok != (l.wantX != nil) {
+			t.Fatalf("list %d (%d points): decided = %v", i, len(l.pts), ok)
+		}
+		if ok {
+			var out [1]affinePoint
+			toAffine(out[:], []jacobianPoint{sum})
+			checkAffine(t, fmt.Sprintf("sum of list %d", i), out[0], l.wantX, l.wantY)
+		}
+	}
+}
+
+// TestBatchScratchRace: 8 goroutines run batches through one SigCache and
+// the pooled scratch, valid and corrupt signatures overlapping between them.
+// Runs under -race in CI and is deliberately not shortened by -short.
+func TestBatchScratchRace(t *testing.T) {
+	nb := neighbours()
+	ders := make([][]byte, len(nb))
+	for i := range nb {
+		ders[i], _ = PartsToDER(nb[i].req.parts)
+	}
+	for u := 0; u <= PromoteAfter; u++ { // the pool keys earn their tables in the process-wide engine
+		for i := 0; i < fuzzKeys; i++ {
+			if err := VerifyDigest(nb[i].req.pub, nb[i].req.digest, ders[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cache := NewSigCache(64) // smaller than the working set: hits, misses and evictions interleave
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var b Batch
+			for it := 0; it < 12; it++ {
+				b.Reset(cache)
+				n := 1 + (7*g+5*it)%len(nb)
+				for i := 0; i < n; i++ {
+					b.Add(nb[(g+i)%len(nb)].req.pub, nb[(g+i)%len(nb)].req.digest, ders[(g+i)%len(nb)])
+				}
+				b.Run()
+				for i := 0; i < n; i++ {
+					if got := b.Err(i) == nil; got != nb[(g+i)%len(nb)].want {
+						t.Errorf("goroutine %d, batch of %d, item %d: verified %v", g, n, i, got)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// What the two table geometries come to: 26 windows × 512 multiples for G
+// (w = 10), 37 × 64 for a key (w = 7), 64 B a point.
+const (
+	gTableBytes   = 26 * 512 * 64
+	keyTableBytes = 37 * 64 * 64
+)
+
 // TestRentOrBuy: a key seen once never costs a table; a recurring key gets
 // exactly one, with its PromoteAfter-th verification.
 func TestRentOrBuy(t *testing.T) {
 	kt := new(keyTables)
 	for i := 0; i < 40; i++ {
 		pub, digest, parts := validTuple(byte(i))
-		if !kt.verify(pub, digest, &parts) {
+		if !verifyOne(kt, pub, digest, parts) {
 			t.Fatal("valid signature rejected")
 		}
 	}
@@ -346,14 +568,14 @@ func TestRentOrBuy(t *testing.T) {
 		if st := kt.stats(); st.TablesBuilt != 0 {
 			t.Fatalf("table built after %d uses, threshold is %d", i, PromoteAfter)
 		}
-		if !kt.verify(pub, digest, &parts) {
+		if !verifyOne(kt, pub, digest, parts) {
 			t.Fatal("valid signature rejected")
 		}
 	}
-	if st := kt.stats(); st.TablesBuilt != 1 || st.TableVerifies != 0 || st.ResidentBytes != 2*keyTableBytes {
+	if st := kt.stats(); st.TablesBuilt != 1 || st.TableVerifies != 0 || st.ResidentBytes != gTableBytes+keyTableBytes {
 		t.Fatalf("at the threshold: %+v", st)
 	}
-	if !kt.verify(pub, digest, &parts) {
+	if !verifyOne(kt, pub, digest, parts) {
 		t.Fatal("valid signature rejected on the table path")
 	}
 	if st := kt.stats(); st.TableVerifies != 1 || st.StdlibVerifies != 40+PromoteAfter {
@@ -378,7 +600,7 @@ func TestStoreBounded(t *testing.T) {
 			k[0], k[1], k[2] = 0x7f, byte(i>>8), byte(i)
 		}
 		kt.promote(k)
-		if !kt.verify(keepPub, keepDigest, &keepParts) {
+		if !verifyOne(kt, keepPub, keepDigest, keepParts) {
 			t.Fatal("valid signature rejected")
 		}
 		hot := *kt.hot.Load()
@@ -388,7 +610,7 @@ func TestStoreBounded(t *testing.T) {
 		if hot[k] == nil {
 			t.Fatal("the newest key was evicted")
 		}
-		if st := kt.stats(); st.ResidentBytes > (maxKeyTables+1)*keyTableBytes {
+		if st := kt.stats(); st.ResidentBytes > gTableBytes+maxKeyTables*keyTableBytes {
 			t.Fatalf("resident %d bytes", st.ResidentBytes)
 		}
 	}
@@ -428,10 +650,10 @@ func TestColdKeyRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 3*PromoteAfter; i++ {
 				p, q := parts, bad
-				if !kt.verify(pub, digest, &p) {
+				if !verifyOne(kt, pub, digest, p) {
 					t.Error("valid signature rejected")
 				}
-				if kt.verify(pub, digest, &q) {
+				if verifyOne(kt, pub, digest, q) {
 					t.Error("invalid signature accepted")
 				}
 			}
@@ -449,6 +671,8 @@ func TestColdKeyRace(t *testing.T) {
 
 var sinkBool bool
 
+const batchBenchRange = 39
+
 // BenchmarkVerify puts the engine's three cases next to crypto/ecdsa on the
 // same tuples, in one process: the ratios are what experiments/hotpath gates.
 func BenchmarkVerify(b *testing.B) {
@@ -465,7 +689,34 @@ func BenchmarkVerify(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sinkBool = kt.verify(pub, digest, &parts)
+			sinkBool = verifyOne(kt, pub, digest, parts)
+		}
+	})
+	b.Run("batch", func(b *testing.B) {
+		// The 300 signatures of a 100-tx 2-of-2 block under 4 keys, in
+		// ranges of 39 (the validator's largest): ns/op is per signature.
+		var pubs []*ecdsa.PublicKey
+		reqs := make([]verifyReq, 300)
+		for i := range reqs {
+			priv := testKey(byte(i % 4))
+			digest := sha256.Sum256([]byte{byte(i), byte(i >> 8)})
+			r, s := signWith(priv, digest[:], big.NewInt(int64(5000+i)))
+			reqs[i] = verifyReq{pub: &priv.PublicKey, digest: digest[:], parts: partsOf(r, s)}
+			pubs = append(pubs, &priv.PublicKey)
+		}
+		kt := tablesFor(b, pubs[:4]...)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i += len(reqs) {
+			for lo := 0; lo < len(reqs); lo += batchBenchRange {
+				kt.verify(reqs[lo:min(lo+batchBenchRange, len(reqs))])
+			}
+		}
+		b.StopTimer()
+		for i := range reqs {
+			if !reqs[i].valid {
+				b.Fatalf("signature %d rejected", i)
+			}
 		}
 	})
 	b.Run("single_use_key", func(b *testing.B) {
@@ -488,7 +739,7 @@ func BenchmarkVerify(b *testing.B) {
 				kt = new(keyTables)
 			}
 			tp := &tuples[i%len(tuples)]
-			sinkBool = kt.verify(tp.pub, tp.digest, &tp.parts)
+			sinkBool = verifyOne(kt, tp.pub, tp.digest, tp.parts)
 		}
 		if st := kt.stats(); st.TablesBuilt != 0 {
 			b.Fatalf("single-use keys got tables: %+v", st)

@@ -10,8 +10,8 @@ import (
 // a table-driven verification needs. All of it is VARIABLE TIME — branches
 // and table indices depend on the operands — which is sound only because
 // every operand of a verification (public key, digest, signature) is public.
-// Nothing here may ever be handed a private key or a nonce: signing stays on
-// crypto/ecdsa (Signer.Sign*) and does not reach this file.
+// Nothing here may ever be handed a private key or a nonce: those stay with
+// crypto/ecdsa (fabcrypto.go) and do not reach this file.
 
 // fe is a field element x·2²⁵⁶ mod p (Montgomery form), little-endian
 // limbs, always fully reduced to [0, p) so equality is limb equality.
@@ -110,8 +110,9 @@ func feSub(z, x, y *fe) {
 // feNeg sets z = −x.
 func feNeg(z, x *fe) { feSub(z, &fe{}, x) }
 
-// feInv sets z = x⁻¹ (x ≠ 0) by x^(p−2). Plain square-and-multiply: it runs
-// twice per table build, never per verification.
+// feInv sets z = x⁻¹ (x ≠ 0) by x^(p−2), plain square-and-multiply: 384
+// multiplications. It runs twice per table build and once per affine level
+// of a batch (affineLevelMin in keytable.go is what makes that pay).
 func feInv(z, x *fe) {
 	r := feOne
 	for i := 255; i >= 0; i-- {
@@ -223,27 +224,101 @@ func (p *jacobianPoint) double() {
 	feSub(&p.y, &t, &gamma)
 }
 
-// toAffine converts ps to affine with one shared inversion (Montgomery's
-// trick): out[i] = ps[i]. No Z may be zero.
-func toAffine(out []affinePoint, ps []jacobianPoint) {
-	// prefix[i] = Z0·…·Zi, kept in out[i].x until the point is written.
+// addAffine sets r = p + q for p ≠ ±q, given inv = 1/(q.x − p.x): the chord
+// formula with the division already paid for, 1 S + 2 M. r may alias p or q.
+func addAffine(r, p, q *affinePoint, inv *fe) {
+	var l, x, y fe
+	feSub(&l, &q.y, &p.y)
+	feMul(&l, &l, inv) // λ
+	feSqr(&x, &l)      // x3 = λ² − x1 − x2
+	feSub(&x, &x, &p.x)
+	feSub(&x, &x, &q.x)
+	feSub(&y, &p.x, &x) // y3 = λ(x1 − x3) − y1
+	feMul(&y, &y, &l)
+	feSub(&r.y, &y, &p.y)
+	r.x = x
+}
+
+// invertAll replaces every element of xs (none zero) by its inverse with one
+// shared inversion (Montgomery's trick: 3 M per element); prefix is scratch
+// of the same length.
+func invertAll(xs, prefix []fe) {
+	if len(xs) == 0 {
+		return
+	}
 	acc := feOne
-	for i := range ps {
-		feMul(&acc, &acc, &ps[i].z)
-		out[i].x = acc
+	for i := range xs {
+		feMul(&acc, &acc, &xs[i])
+		prefix[i] = acc
 	}
 	var inv fe
 	feInv(&inv, &acc)
-	for i := len(ps) - 1; i >= 0; i-- {
-		zinv := inv // 1/Zi = inv · prefix[i−1]
-		if i > 0 {
-			feMul(&zinv, &inv, &out[i-1].x)
-		}
-		feMul(&inv, &inv, &ps[i].z)
+	for i := len(xs) - 1; i > 0; i-- {
+		x := xs[i]
+		feMul(&xs[i], &inv, &prefix[i-1])
+		feMul(&inv, &inv, &x)
+	}
+	xs[0] = inv
+}
+
+// toAffine converts ps to affine with one shared inversion: out[i] = ps[i].
+// No Z may be zero.
+func toAffine(out []affinePoint, ps []jacobianPoint) {
+	zinv, prefix := make([]fe, len(ps)), make([]fe, len(ps))
+	for i := range ps {
+		zinv[i] = ps[i].z
+	}
+	invertAll(zinv, prefix)
+	for i := range ps {
 		var zz fe
-		feSqr(&zz, &zinv)
+		feSqr(&zz, &zinv[i])
 		feMul(&out[i].x, &ps[i].x, &zz)
-		feMul(&zz, &zz, &zinv)
+		feMul(&zz, &zz, &zinv[i])
 		feMul(&out[i].y, &ps[i].y, &zz)
 	}
+}
+
+// The scalars of a verification live mod n, the group order, which has no
+// special form: ordMul is a generic 4-limb Montgomery multiplication,
+// z = x·y·2⁻²⁵⁶ mod n for x·y < n·2²⁵⁶ (one factor below n, the other any
+// 256-bit value, a digest say). It runs six times per signature, so it is
+// written for brevity, not speed. z may alias x or y.
+var (
+	nLimbs = [4]uint64{0xf3b9cac2fc632551, 0xbce6faada7179e84, 0xffffffffffffffff, 0xffffffff00000000}
+	ordRR  = [4]uint64{0x83244c95be79eea2, 0x4699799c49bd6fa6, 0x2845b2392b6bec59, 0x66e12d94f3d95620} // 2⁵¹² mod n
+)
+
+// nNegInv = −n⁻¹ mod 2⁶⁴, the Montgomery factor of one reduction round.
+const nNegInv = 0xccd1c8aaee00bc4f
+
+func ordMul(z, x, y *[4]uint64) {
+	var a [5]uint64
+	for _, xi := range *x {
+		top := mulAdd(&a, xi, y)
+		top += mulAdd(&a, a[0]*nNegInv, &nLimbs) // cancels the low limb
+		a = [5]uint64{a[1], a[2], a[3], a[4], top}
+	}
+	var d [4]uint64 // a < 2n: subtract n once if it fits
+	var b uint64
+	for j := range d {
+		d[j], b = bits.Sub64(a[j], nLimbs[j], b)
+	}
+	if a[4] == 0 && b == 1 {
+		copy(d[:], a[:4])
+	}
+	*z = d
+}
+
+// mulAdd adds k·v to a and returns the carry out of its top limb.
+func mulAdd(a *[5]uint64, k uint64, v *[4]uint64) uint64 {
+	var carry, c uint64
+	for j, vj := range v {
+		hi, lo := bits.Mul64(k, vj)
+		lo, c = bits.Add64(lo, carry, 0)
+		hi += c
+		a[j], c = bits.Add64(a[j], lo, 0)
+		carry = hi + c
+	}
+	a[4], c = bits.Add64(a[4], carry, 0)
+	return c
 }

@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
+	"testing/quick"
 )
 
 var (
@@ -68,6 +69,59 @@ func TestFieldConstants(t *testing.T) {
 	}
 	if got, want := limbsToBig(pMinus2), new(big.Int).Sub(bigP, big.NewInt(2)); got.Cmp(want) != 0 {
 		t.Fatalf("pMinus2 = %x", got)
+	}
+	if got := limbsToBig(nLimbs); got.Cmp(bigN) != 0 {
+		t.Fatalf("n limbs = %x", got)
+	}
+	if got, want := limbsToBig(ordRR), new(big.Int).Mod(new(big.Int).Mul(bigR, bigR), bigN); got.Cmp(want) != 0 {
+		t.Fatalf("ordRR = %x, want %x", got, want)
+	}
+	if lo, k := nLimbs[0], uint64(nNegInv); lo*k != ^uint64(0) {
+		t.Fatalf("n · nNegInv = %x mod 2⁶⁴, want −1", lo*k)
+	}
+}
+
+// TestOrdMulMatchesBig: ordMul(x, y) = x·y·2⁻²⁵⁶ mod n whenever one factor
+// is below n, the other being any 256-bit value — boundary values first,
+// then testing/quick's.
+func TestOrdMulMatchesBig(t *testing.T) {
+	rinv := new(big.Int).ModInverse(bigR, bigN)
+	check := func(x, y [4]uint64) bool {
+		bx := limbsToBig(x)
+		bx.Mod(bx, bigN)
+		x = limbsOfBig(bx)
+		want := new(big.Int).Mul(bx, limbsToBig(y))
+		want.Mul(want, rinv).Mod(want, bigN)
+		var z, zy [4]uint64
+		ordMul(&z, &x, &y)
+		ordMul(&zy, &y, &x) // the 256-bit factor on either side
+		ax, ay := x, y
+		ordMul(&ax, &ax, &y)
+		ordMul(&ay, &x, &ay)
+		return limbsToBig(z).Cmp(want) == 0 && zy == z && ax == z && ay == z
+	}
+	ones := ^uint64(0)
+	bounds := [][4]uint64{
+		{}, {1}, {ones}, {0, 1}, {ones, ones, ones, ones}, nLimbs, ordRR,
+		limbsOfBig(new(big.Int).Sub(bigN, big.NewInt(1))), limbsOfBig(new(big.Int).Add(bigN, big.NewInt(1))), pLimbs,
+	}
+	for _, x := range bounds {
+		for _, y := range bounds {
+			if !check(x, y) {
+				t.Fatalf("ordMul(%x mod n, %x) wrong", x, y)
+			}
+		}
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(3))}); err != nil {
+		t.Fatal(err)
+	}
+	// Into and out of Montgomery form: what invertScalars relies on.
+	s := limbsOfBig(big.NewInt(0xabcdef))
+	sm, back := s, [4]uint64{}
+	ordMul(&sm, &sm, &ordRR)
+	ordMul(&back, &sm, &[4]uint64{1})
+	if back != s {
+		t.Fatalf("Montgomery round trip of %x = %x", s, back)
 	}
 }
 
@@ -187,6 +241,46 @@ func TestPointOpsMatchElliptic(t *testing.T) {
 	}
 }
 
+// TestAddAffineMatchesElliptic: the chord addition given its inverted
+// denominator, the denominators inverted together, against crypto/elliptic;
+// destination aliasing either operand.
+func TestAddAffineMatchesElliptic(t *testing.T) {
+	c := elliptic.P256()
+	rng := rand.New(rand.NewSource(4))
+	const n = 33
+	ps, qs := make([]affinePoint, n), make([]affinePoint, n)
+	den, prefix := make([]fe, n), make([]fe, n)
+	var wantX, wantY []*big.Int
+	for i := 0; i < n; i++ {
+		a, b := make([]byte, 32), make([]byte, 32)
+		rng.Read(a)
+		rng.Read(b)
+		ax, ay := c.ScalarBaseMult(a)
+		bx, by := c.ScalarBaseMult(b)
+		ps[i], qs[i] = affineOf(ax, ay), affineOf(bx, by)
+		feSub(&den[i], &qs[i].x, &ps[i].x)
+		sx, sy := c.Add(ax, ay, bx, by)
+		wantX, wantY = append(wantX, sx), append(wantY, sy)
+	}
+	plain := append([]fe(nil), den...)
+	invertAll(den, prefix)
+	invertAll(nil, nil) // the empty level
+	for i := 0; i < n; i++ {
+		if want := new(big.Int).ModInverse(bigOf(plain[i]), bigP); bigOf(den[i]).Cmp(want) != 0 {
+			t.Fatalf("invertAll[%d] = %x, want %x", i, bigOf(den[i]), want)
+		}
+		var r affinePoint
+		addAffine(&r, &ps[i], &qs[i], &den[i])
+		checkAffine(t, "p + q", r, wantX[i], wantY[i])
+		r = ps[i]
+		addAffine(&r, &r, &qs[i], &den[i])
+		checkAffine(t, "p += q", r, wantX[i], wantY[i])
+		r = qs[i]
+		addAffine(&r, &ps[i], &r, &den[i])
+		checkAffine(t, "q = p + q", r, wantX[i], wantY[i])
+	}
+}
+
 var sinkFE fe
 
 func BenchmarkFeMul(b *testing.B) {
@@ -195,6 +289,36 @@ func BenchmarkFeMul(b *testing.B) {
 		feMul(&x, &x, &y)
 	}
 	sinkFE = x
+}
+
+// BenchmarkFeInv, BenchmarkAddMixed and BenchmarkAddAffine (which includes an
+// addition's 3 M share of a shared inversion) are what affineLevelMin is
+// derived from.
+func BenchmarkFeInv(b *testing.B) {
+	x := feOf(big.NewInt(0).Rsh(bigP, 1))
+	for i := 0; i < b.N; i++ {
+		feInv(&x, &x)
+	}
+	sinkFE = x
+}
+
+func BenchmarkAddAffine(b *testing.B) {
+	c := elliptic.P256().Params()
+	g := affineOf(c.Gx, c.Gy)
+	p := jacobianPoint{x: g.x, y: g.y, z: feOne}
+	p.double()
+	var two [1]affinePoint
+	toAffine(two[:], []jacobianPoint{p})
+	acc, inv := two[0], feOf(big.NewInt(7))
+	for i := 0; i < b.N; i++ {
+		var d, pre fe
+		feSub(&d, &g.x, &acc.x)
+		feMul(&pre, &inv, &d) // the three multiplications of invertAll
+		feMul(&inv, &pre, &d)
+		feMul(&pre, &inv, &d)
+		addAffine(&acc, &acc, &g, &inv) // not a point sum: inv is not 1/d, the cost is the same
+	}
+	sinkFE = acc.x
 }
 
 func BenchmarkAddMixed(b *testing.B) {

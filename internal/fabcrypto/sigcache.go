@@ -93,10 +93,24 @@ func (c *SigCache) VerifyDigest(pub *ecdsa.PublicKey, digest, sig []byte) (err e
 		return VerifyDigest(pub, digest, sig), false
 	}
 	key := sigCacheKey(pub, digest, sig)
-	sh := &c.shards[key[0]%sigCacheShards]
+	if err, hit := c.lookup(&key); hit {
+		return err, true
+	}
+	// Verify outside the shard lock: concurrent misses on the same shard
+	// (even on the same key) may both pay the curve math, but the verdict
+	// is deterministic, so the double insert is harmless.
+	verr := VerifyDigest(pub, digest, sig)
+	c.store(&key, verr)
+	return verr, false
+}
 
+// lookup returns key's cached verdict and counts the hit or miss.
+//
+// bmaclint:noalloc
+func (c *SigCache) lookup(key *[HashSize]byte) (err error, hit bool) {
+	sh := &c.shards[key[0]%sigCacheShards]
 	sh.mu.Lock()
-	if el, ok := sh.entries[key]; ok {
+	if el, ok := sh.entries[*key]; ok {
 		sh.order.MoveToFront(el)
 		err := el.Value.(*sigEntry).err
 		sh.mu.Unlock()
@@ -105,17 +119,18 @@ func (c *SigCache) VerifyDigest(pub *ecdsa.PublicKey, digest, sig []byte) (err e
 	}
 	sh.mu.Unlock()
 	c.misses.Add(1)
+	return nil, false
+}
 
-	// Verify outside the shard lock: concurrent misses on the same shard
-	// (even on the same key) may both pay the curve math, but the verdict
-	// is deterministic, so the double insert is harmless.
-	verr := VerifyDigest(pub, digest, sig)
-
+// store records a computed verdict, evicting the shard's oldest beyond its
+// capacity.
+func (c *SigCache) store(key *[HashSize]byte, verr error) {
+	sh := &c.shards[key[0]%sigCacheShards]
 	sh.mu.Lock()
-	if el, ok := sh.entries[key]; ok {
+	if el, ok := sh.entries[*key]; ok {
 		sh.order.MoveToFront(el)
 	} else {
-		sh.entries[key] = sh.order.PushFront(&sigEntry{key: key, err: verr}) // bmaclint:allow allocbound (miss path: one cache insert per new signature)
+		sh.entries[*key] = sh.order.PushFront(&sigEntry{key: *key, err: verr})
 		if sh.order.Len() > sh.capacity {
 			oldest := sh.order.Back()
 			sh.order.Remove(oldest)
@@ -124,8 +139,68 @@ func (c *SigCache) VerifyDigest(pub *ecdsa.PublicKey, digest, sig []byte) (err e
 		}
 	}
 	sh.mu.Unlock()
-	return verr, false
 }
+
+// Batch is a set of signature checks decided together: Add looks each one
+// up in the cache and queues the misses, Run hands the queue to the
+// verification engine as one batch (keytable.go) and stores the verdicts,
+// Err reads them. The zero value is ready and uses no cache; a Batch is
+// reused through Reset and is not safe for concurrent use.
+type Batch struct {
+	cache *SigCache
+	errs  []error     // one verdict per Add
+	reqs  []verifyReq // the checks Run has to compute: reqs[j] is check
+	slots []int       // slots[j], cached under keys[j]
+	keys  [][HashSize]byte
+}
+
+// Reset empties b and makes c (nil: none) the cache of its next checks.
+func (b *Batch) Reset(c *SigCache) {
+	b.cache, b.errs, b.reqs, b.slots, b.keys = c, b.errs[:0], b.reqs[:0], b.slots[:0], b.keys[:0]
+}
+
+// Add queues one check of a DER signature over a precomputed digest and
+// returns its number. hit reports a verdict served from the cache. digest
+// must stay untouched until Run returns.
+func (b *Batch) Add(pub *ecdsa.PublicKey, digest, sig []byte) (i int, hit bool) {
+	var key [HashSize]byte
+	var err error
+	if b.cache != nil {
+		key = sigCacheKey(pub, digest, sig)
+		err, hit = b.cache.lookup(&key)
+	}
+	if !hit {
+		var parts SignatureParts
+		if parts, err = DecodeDERToParts(sig); err == nil {
+			b.reqs = append(b.reqs, verifyReq{pub: pub, digest: digest, parts: parts})
+			b.slots, b.keys = append(b.slots, len(b.errs)), append(b.keys, key)
+		} else if b.cache != nil {
+			b.cache.store(&key, err)
+		}
+	}
+	b.errs = append(b.errs, err)
+	return len(b.errs) - 1, hit
+}
+
+// Run decides every queued check, as one batch of the verification engine,
+// and stores the verdicts in the cache. Call it once, after the last Add.
+func (b *Batch) Run() {
+	engine.verify(b.reqs)
+	for j := range b.reqs {
+		var err error
+		if !b.reqs[j].valid {
+			err = ErrVerifyFailed
+		}
+		b.errs[b.slots[j]] = err
+		if b.cache != nil {
+			b.cache.store(&b.keys[j], err)
+		}
+	}
+}
+
+// Err returns check i's verdict, nil for a valid signature: final after
+// Run, and at once for a hit.
+func (b *Batch) Err(i int) error { return b.errs[i] }
 
 // Stats reports cumulative hits, misses and evictions.
 func (c *SigCache) Stats() (hits, misses, evictions int64) {

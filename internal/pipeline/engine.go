@@ -275,11 +275,13 @@ func (e *Engine) parse(j *job) {
 	if e.cfg.Shape == Fabric14 {
 		workers = 1
 	}
-	fanOut(len(j.txs), workers, &j.bd, func(i int, ops *validator.Breakdown) {
-		var hit bool
-		j.txs[i], hit = e.cfg.ParseCache.ParseTx(b.Envelopes[i].PayloadBytes)
-		if hit {
-			ops.ParseCacheHits++
+	fanOut(len(j.txs), workers, 1, &j.bd, func(lo, hi int, ops *validator.Breakdown) {
+		for i := lo; i < hi; i++ {
+			var hit bool
+			j.txs[i], hit = e.cfg.ParseCache.ParseTx(b.Envelopes[i].PayloadBytes)
+			if hit {
+				ops.ParseCacheHits++
+			}
 		}
 	})
 	j.bd.Unmarshal = time.Since(t)
@@ -314,10 +316,33 @@ func (e *Engine) verify(j *job) {
 	j.res.BlockValid = true
 
 	t = time.Now()
-	fanOut(len(j.txs), e.cfg.Workers, &j.bd, func(i int, ops *validator.Breakdown) {
-		flags[i] = byte(validator.VSCCOne(&j.b.Envelopes[i], &j.txs[i], e.cfg.Policies, opts, ops))
+	n := len(j.txs)
+	fanOut(n, e.cfg.Workers, VSCCRange(n, e.cfg.Workers), &j.bd, func(lo, hi int, ops *validator.Breakdown) {
+		validator.VSCC(j.b.Envelopes[lo:hi], j.txs[lo:hi], flags[lo:hi], e.cfg.Policies, opts, ops)
 	})
 	j.bd.VerifyVSCC = time.Since(t)
+}
+
+// maxVSCCRange caps the transactions vscc'd as one range, whose signatures
+// are verified as one batch: 13 transactions of three signatures are the
+// fewest that run five of the six levels of point additions in affine
+// coordinates (the fifth holds two additions per signature, and 2 × 39 ≥
+// fabcrypto's affineLevelMin; the sixth would take 77 signatures), so a
+// longer range saves only a smaller share of the five inversions, about a
+// twentieth of the arithmetic at twice the length. What it costs depends on
+// who else is running, which a stage's time should not: a worker that is
+// slowed holds a whole range while the others have run out, two engines
+// validating one block through one SigCache each compute a range before
+// either has stored it, and a worker's scratch (≈ 6 KB per signature) has to
+// stay beside the tables in its core's cache. The hotpath row
+// ecdsa_verify_batch runs at it.
+const maxVSCCRange = 13
+
+// VSCCRange is how many transactions of an n-transaction block the verify
+// stage hands a worker at a time: an even share, so that a 1–2-tx block is
+// still spread over the workers, capped at maxVSCCRange.
+func VSCCRange(n, workers int) int {
+	return max(1, min((n+workers-1)/workers, maxVSCCRange))
 }
 
 // --- stage 3: mvcc ---
@@ -453,17 +478,16 @@ func (e *Engine) flush(j *job) {
 	}
 }
 
-// fanOut runs fn(i, ops) for every i in [0, n) on up to `workers`
-// goroutines and waits. ops is where fn tallies operation counters: bd
-// itself when the work stays on the caller's goroutine, otherwise a
-// goroutine-private tally merged into bd once every goroutine has finished.
-func fanOut(n, workers int, bd *validator.Breakdown, fn func(i int, ops *validator.Breakdown)) {
-	if workers > n {
-		workers = n
-	}
+// fanOut runs fn(lo, hi, ops) over [0, n) cut into ranges of chunk on up to
+// `workers` goroutines, which take the ranges in order as they come free,
+// and waits. ops is where fn tallies operation counters: bd itself when the
+// work stays on the caller's goroutine, otherwise a goroutine-private tally
+// merged into bd once every goroutine has finished.
+func fanOut(n, workers, chunk int, bd *validator.Breakdown, fn func(lo, hi int, ops *validator.Breakdown)) {
+	workers = min(workers, (n+chunk-1)/chunk)
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i, bd)
+		for lo := 0; lo < n; lo += chunk {
+			fn(lo, min(lo+chunk, n), bd)
 		}
 		return
 	}
@@ -474,8 +498,8 @@ func fanOut(n, workers int, bd *validator.Breakdown, fn func(i int, ops *validat
 		wg.Add(1)
 		go func(ops *validator.Breakdown) {
 			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				fn(i, ops)
+			for lo := int(next.Add(int64(chunk))) - chunk; lo < n; lo = int(next.Add(int64(chunk))) - chunk {
+				fn(lo, min(lo+chunk, n), ops)
 			}
 		}(&tallies[w])
 	}

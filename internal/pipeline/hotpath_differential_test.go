@@ -3,8 +3,11 @@ package pipeline
 import (
 	"bytes"
 	"math/rand"
+	"strconv"
+	"sync"
 	"testing"
 
+	"bmac/internal/block"
 	"bmac/internal/fabcrypto"
 	"bmac/internal/statedb"
 	"bmac/internal/validator"
@@ -153,5 +156,101 @@ func TestHotpathSigCacheSteadyState(t *testing.T) {
 	}
 	if hr := sc.HitRate(); hr < 0.4 {
 		t.Fatalf("hit rate %.2f, want >= 0.4 after a full repeat", hr)
+	}
+}
+
+// TestSharedSigCacheUnderRanges measures, rather than assumes, what two
+// engines validating the same block through one SigCache cost now that each
+// looks a whole range up before either stores it: the verdicts are equal and
+// the oracle's, and together they compute no more signatures than two
+// engines without a cache would (2 × 301 for this block). How many they did
+// compute is logged — the duplicate curve work a shared cache no longer
+// prevents inside a range. Not shortened by -short: it runs in the race shard.
+func TestSharedSigCacheUnderRanges(t *testing.T) {
+	r := newRig(t)
+	rws := make([]block.RWSet, 100)
+	for i := range rws {
+		rws[i] = block.RWSet{Writes: []block.KVWrite{w("k"+strconv.Itoa(i), "v")}}
+	}
+	raw := block.Marshal(r.makeBlock(t, 0, rws))
+	wants, _ := oracleChain(t, r, [][]byte{raw})
+	const perEngine = 1 + 3*100 // the orderer's signature, then client + 2 endorsers per transaction
+
+	sc := fabcrypto.NewSigCache(4096)
+	var res [2]*Result
+	var errs [2]error
+	var wg sync.WaitGroup
+	for k := range res {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			eng := New(Config{Shape: shapes[k].shape, Workers: 2, Policies: r.pols, SkipLedger: true, SigCache: sc}, statedb.NewStore(), nil)
+			defer eng.Close()
+			res[k], errs[k] = eng.ValidateAndCommit(raw)
+		}()
+	}
+	wg.Wait()
+	computed := 0
+	for k := range res {
+		if errs[k] != nil {
+			t.Fatal(errs[k])
+		}
+		checkSame(t, shapes[k].name, 0, res[k].Flags, res[k].CommitHash, wants[0].flags, wants[0].commit)
+		bd := res[k].Breakdown
+		if bd.ECDSACount+bd.SigCacheHits != perEngine {
+			t.Fatalf("%s: %d computed + %d hits, want %d checks", shapes[k].name, bd.ECDSACount, bd.SigCacheHits, perEngine)
+		}
+		computed += bd.ECDSACount
+	}
+	if computed < perEngine || computed > 2*perEngine {
+		t.Fatalf("%d signatures computed by two engines sharing a cache, want %d..%d", computed, perEngine, 2*perEngine)
+	}
+	t.Logf("two engines, one cache, one 100-tx block: %d signatures computed (%d once each, %d with caching off)", computed, perEngine, 2*perEngine)
+}
+
+// TestBadClientSignatureStillVerifiesEndorsements pins the one semantic
+// change of range-wise vscc: the checks of a range are queued before any
+// verdict is known, so a transaction whose client signature is bad has its
+// endorsements verified anyway. Only the work differs — flags, commit hash
+// and state are the naive oracle's, which stops at the client signature.
+func TestBadClientSignatureStillVerifiesEndorsements(t *testing.T) {
+	r := newRig(t)
+	envs := make([]block.Envelope, 0, 5)
+	for i := 0; i < 5; i++ {
+		env, err := block.NewEndorsedEnvelope(block.TxSpec{
+			Creator: r.client, Chaincode: "smallbank", Channel: "ch1",
+			RWSet:            block.RWSet{Writes: []block.KVWrite{w("k"+strconv.Itoa(i), "v")}},
+			Endorsers:        r.peers[:2],
+			CorruptClientSig: i == 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		envs = append(envs, *env)
+	}
+	b, err := block.NewBlock(0, nil, envs, r.orderer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := block.Marshal(b)
+	wants, wantState := oracleChain(t, r, [][]byte{raw})
+	if wants[0].flags[2] != byte(block.BadSignature) || block.CountValid(wants[0].flags) != 4 {
+		t.Fatalf("oracle flags %v", wants[0].flags)
+	}
+	for _, sh := range shapes {
+		store := statedb.NewStore()
+		eng := New(Config{Shape: sh.shape, Workers: 2, Policies: r.pols, SkipLedger: true}, store, nil)
+		res, err := eng.ValidateAndCommit(raw)
+		eng.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSame(t, sh.name, 0, res.Flags, res.CommitHash, wants[0].flags, wants[0].commit)
+		if !bytes.Equal(b.Header.DataHash, block.DataHash(b.Envelopes)) || !statedb.SnapshotsEqual(store.Snapshot(), wantState) {
+			t.Fatalf("%s: data hash or state diverged", sh.name)
+		}
+		if got, want := res.Breakdown.ECDSACount, 1+3*5; got != want {
+			t.Fatalf("%s: %d signatures computed, want %d: the bad transaction's two endorsements included", sh.name, got, want)
+		}
 	}
 }

@@ -1,9 +1,10 @@
 // Package validator holds the per-block and per-transaction Fabric v1.4
 // validation semantics every commit path shares: payload decoding (ParseTx,
 // ParseCache), block verification (VerifyOrderer), transaction verification
-// plus vscc (VSCCOne), and the Result/Breakdown vocabulary the experiments
-// read. It has no driver: the one engine that sequences these steps over a
-// block, in either of its two shapes, is internal/pipeline.
+// plus vscc over a range of transactions (VSCC), and the Result/Breakdown
+// vocabulary the experiments read. It has no driver: the one engine that
+// sequences these steps over a block, in either of its two shapes, is
+// internal/pipeline.
 //
 // Per Fabric behaviour, vscc verifies ALL endorsements — it does not
 // short-circuit — and evaluates the endorsement policy sequentially. Every
@@ -18,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"bmac/internal/block"
@@ -155,7 +157,10 @@ func VerifyOrderer(b *block.Block, opts VerifyOpts, bd *Breakdown) error {
 	}
 	msg := block.OrdererSigningBytes(&b.Header, ms.Nonce, ms.Creator)
 	digest := timedHash(msg, bd)
-	return timedVerify(pub, digest, ms.Signature, opts.SigCache, bd)
+	t = time.Now()
+	err, hit := opts.SigCache.VerifyDigest(pub, digest, ms.Signature)
+	bd.countVerify(hit, time.Since(t))
+	return err
 }
 
 func timedHash(msg []byte, bd *Breakdown) []byte {
@@ -166,66 +171,103 @@ func timedHash(msg []byte, bd *Breakdown) []byte {
 	return d[:]
 }
 
-// timedVerify routes one signature check through the cache (nil means a
-// direct verification) and attributes its cost to the matching counters: a
-// real verify lands in ECDSATime/Count, a cache hit in SigCacheHits/Time.
-func timedVerify(pub *ecdsa.PublicKey, digest, sig []byte, cache *fabcrypto.SigCache, bd *Breakdown) error {
-	t := time.Now()
-	err, hit := cache.VerifyDigest(pub, digest, sig)
-	d := time.Since(t)
+// countVerify attributes one signature check: a cache hit lands in
+// SigCacheHits/Time, a check that has to be computed in ECDSACount, and
+// what it cost before the curve math (cache key, DER decode) in ECDSATime.
+func (b *Breakdown) countVerify(hit bool, d time.Duration) {
 	if hit {
-		bd.SigCacheHits++
-		bd.SigCacheTime += d
+		b.SigCacheHits++
+		b.SigCacheTime += d
 	} else {
-		bd.ECDSATime += d
-		bd.ECDSACount++
+		b.ECDSACount++
+		b.ECDSATime += d
 	}
-	return err
 }
 
-// VSCCOne validates one transaction: client signature, then all endorsement
-// signatures, then the endorsement policy (every endorsement verified, no
-// short-circuiting). The optional caches leave verdicts bit-identical: they
-// only memoize.
-func VSCCOne(env *block.Envelope, p *ParsedTx, policies map[string]*policy.Policy, opts VerifyOpts, bd *Breakdown) block.ValidationCode {
-	if p.Err != nil {
-		return p.Code
-	}
-	// Transaction verification: client signature over the payload.
-	pub, err := opts.CertCache.PublicKeyFromCert(p.Tx.SignatureHeader.Creator)
-	if err != nil {
-		return block.BadCreator
-	}
-	digest := timedHash(env.PayloadBytes, bd)
-	if err := timedVerify(pub, digest, env.Signature, opts.SigCache, bd); err != nil {
-		return block.BadSignature
-	}
+// vsccScratch is the working memory of one VSCC call, pooled: the batch of
+// signature checks and, per transaction, where its checks start in refs.
+type vsccScratch struct {
+	batch fabcrypto.Batch
+	first []int // refs index of the transaction's client check; −1: decided in collect
+	refs  []int // batch check numbers: client, then one per endorsement (−1: unverifiable)
+}
 
-	// vscc: verify EVERY endorsement (Fabric does not short-circuit).
-	var rf policy.RegisterFile
-	ends := p.Tx.Payload.Action.Endorsements
-	for i := range ends {
-		e := &ends[i]
-		epub, err := opts.CertCache.PublicKeyFromCert(e.Endorser)
-		if err != nil {
-			continue // unverifiable endorsement contributes nothing
-		}
-		msg := block.EndorsementSigningBytes(p.PRP, e.Endorser)
-		edigest := timedHash(msg, bd)
-		if err := timedVerify(epub, edigest, e.Signature, opts.SigCache, bd); err != nil {
+var vsccPool = sync.Pool{New: func() any { return new(vsccScratch) }}
+
+// VSCC validates the transactions envs[i]/txs[i] into flags[i]: client
+// signature, then all endorsement signatures, then the endorsement policy
+// (every endorsement verified, no short-circuiting). It works in three
+// steps so that the signatures of the whole range are verified as one batch
+// of the engine: collect (certificate → key, digest, cache lookup, queue),
+// run, decide (policy register file). Since every check is queued before
+// any verdict is known, a transaction whose client signature is bad has its
+// endorsements verified anyway; its flag is BadSignature all the same. The
+// optional caches leave verdicts bit-identical: they only memoize.
+func VSCC(envs []block.Envelope, txs []ParsedTx, flags []byte, policies map[string]*policy.Policy, opts VerifyOpts, bd *Breakdown) {
+	sc := vsccPool.Get().(*vsccScratch)
+	defer vsccPool.Put(sc)
+	sc.batch.Reset(opts.SigCache)
+	sc.first, sc.refs = sc.first[:0], sc.refs[:0]
+	add := func(pub *ecdsa.PublicKey, msg, sig []byte) {
+		digest := timedHash(msg, bd)
+		t := time.Now()
+		ref, hit := sc.batch.Add(pub, digest, sig)
+		bd.countVerify(hit, time.Since(t))
+		sc.refs = append(sc.refs, ref)
+	}
+	for i := range txs {
+		p := &txs[i]
+		sc.first = append(sc.first, -1)
+		if p.Err != nil {
+			flags[i] = byte(p.Code)
 			continue
 		}
-		endorserToRegister(opts.CertCache, e.Endorser, &rf)
+		pub, err := opts.CertCache.PublicKeyFromCert(p.Tx.SignatureHeader.Creator)
+		if err != nil {
+			flags[i] = byte(block.BadCreator)
+			continue
+		}
+		sc.first[i] = len(sc.refs)
+		add(pub, envs[i].PayloadBytes, envs[i].Signature)
+		ends := p.Tx.Payload.Action.Endorsements
+		for k := range ends {
+			e := &ends[k]
+			if epub, err := opts.CertCache.PublicKeyFromCert(e.Endorser); err != nil {
+				sc.refs = append(sc.refs, -1) // unverifiable endorsement contributes nothing
+			} else {
+				add(epub, block.EndorsementSigningBytes(p.PRP, e.Endorser), e.Signature)
+			}
+		}
 	}
 
-	pol, ok := policies[p.Tx.ChannelHeader.ChaincodeName]
-	if !ok {
-		return block.InvalidOther // no policy installed for this chaincode
+	t := time.Now()
+	sc.batch.Run()
+	bd.ECDSATime += time.Since(t)
+
+	for i := range txs {
+		if sc.first[i] < 0 {
+			continue
+		}
+		p, refs := &txs[i], sc.refs[sc.first[i]:]
+		if sc.batch.Err(refs[0]) != nil {
+			flags[i] = byte(block.BadSignature)
+			continue
+		}
+		var rf policy.RegisterFile
+		ends := p.Tx.Payload.Action.Endorsements
+		for k := range ends {
+			if ref := refs[1+k]; ref >= 0 && sc.batch.Err(ref) == nil {
+				endorserToRegister(opts.CertCache, ends[k].Endorser, &rf)
+			}
+		}
+		if pol, ok := policies[p.Tx.ChannelHeader.ChaincodeName]; !ok {
+			flags[i] = byte(block.InvalidOther) // no policy installed for this chaincode
+		} else if !pol.EvalSequential(&rf) {
+			flags[i] = byte(block.EndorsementPolicyFailure)
+		} else {
+			flags[i] = byte(block.Valid)
+		}
 	}
-	if !pol.EvalSequential(&rf) {
-		return block.EndorsementPolicyFailure
-	}
-	return block.Valid
 }
 
 // endorserToRegister parses an endorser certificate (through the cert
