@@ -1,6 +1,7 @@
 package bmacproto
 
 import (
+	"bytes"
 	"crypto/ecdsa"
 	"fmt"
 	"sync"
@@ -28,6 +29,25 @@ func (v *VerifyRequest) Execute() bool {
 		return false
 	}
 	return fabcrypto.VerifyParts(v.Pub, v.Digest[:], v.Parts)
+}
+
+// ExecuteBatch runs reqs together, as one batch of the engine on b, and
+// leaves in verdicts[i] what reqs[i].Execute() returns.
+func ExecuteBatch(b *fabcrypto.Batch, reqs []*VerifyRequest, verdicts []bool) {
+	b.Reset(nil)
+	for i, v := range reqs {
+		if verdicts[i] = !v.Malformed && v.Pub != nil; verdicts[i] {
+			b.AddParts(v.Pub, v.Digest[:], v.Parts)
+		}
+	}
+	b.Run()
+	n := 0 // AddParts numbers the checks in order
+	for i := range verdicts {
+		if verdicts[i] {
+			verdicts[i] = b.Err(n) == nil
+			n++
+		}
+	}
 }
 
 // BlockEntry is one element of block_fifo.
@@ -415,7 +435,7 @@ func (r *Receiver) processMetadata(pkt *Packet) error {
 func (r *Receiver) finalize(blockNum uint64, a *blockAsm) error {
 	delete(r.asm, blockNum)
 	dataHash := a.hasher.Sum()
-	ok := bytesEqual(dataHash, a.header.DataHash)
+	ok := bytes.Equal(dataHash, a.header.DataHash)
 
 	blk := &block.Block{
 		Header:    *a.header,
@@ -440,16 +460,4 @@ func (r *Receiver) finalize(blockNum uint64, a *blockAsm) error {
 // be processed.
 func (r *Receiver) Close() {
 	close(r.out)
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,26 +1,32 @@
 // Package core implements the Blockchain Machine block processor (paper
-// §3.3, Figure 6): a functional, goroutine-shaped emulation of the hardware
-// parallel-pipelined validator.
+// §3.3, Figure 6): a functional emulation of the hardware parallel-pipelined
+// validator.
 //
 // Structure, mirroring the RTL:
 //
 //	block_verify ──► block_validate ──► res_fifo ──► reg_map
 //	                   │
-//	                   ├─ tx_scheduler: issues transactions to free
-//	                   │                tx_validator instances
+//	                   ├─ tx_scheduler: pops the block's transactions and
+//	                   │                their ends/rdset/wrset entries
 //	                   ├─ N× tx_validator = tx_verify + tx_vscc
 //	                   │     tx_vscc: E× ecdsa_engine, ends_scheduler with
 //	                   │     short-circuit evaluation over the compiled
 //	                   │     endorsement-policy circuits
-//	                   ├─ tx_collector: reorders results into tx order
 //	                   └─ tx_mvcc_commit: sequential mvcc + hardware KVS
 //
-// The two block-level stages overlap (block n+1 is verified while block n
-// is validated), and inside block_validate multiple transactions stream
-// through in parallel. Early-abort conditions skip ECDSA work as soon as a
+// The block-level stages are goroutines and overlap (block n+1 is verified
+// while block n is validated, block n−1 read out). Inside block_validate the
+// hardware's N×E engines working at once become rounds: every transaction's
+// tx_verify request runs as one round, then whatever each transaction's
+// ends_scheduler issues next — at most E requests, decided from the
+// transaction's own register file — as the next, until none issues any. A
+// round's requests are verified as batches of the ecdsa_engine on up to N
+// goroutines. Early-abort conditions skip ECDSA work as soon as a
 // transaction is known invalid, and the ends_scheduler stops issuing
 // endorsement verifications once the policy output is decided — the two
-// behaviours responsible for the 2of3-vs-3of3 asymmetry of Figure 12a.
+// behaviours responsible for the 2of3-vs-3of3 asymmetry of Figure 12a —
+// per transaction exactly as N tx_validators taking transactions one at a
+// time would: what is verified and what is skipped does not depend on N.
 //
 // This package computes *results* with real cryptography; the cycle-level
 // *timing* of the same architecture is modeled by internal/hwsim.
@@ -29,10 +35,12 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bmac/internal/block"
 	"bmac/internal/bmacproto"
+	"bmac/internal/fabcrypto"
 	"bmac/internal/fifo"
 	"bmac/internal/identity"
 	"bmac/internal/policy"
@@ -42,9 +50,11 @@ import (
 // Config parameterizes the block processor architecture, the "NxE"
 // notation of the paper (e.g. 8x2 = 8 tx_validators, 2 engines per vscc).
 type Config struct {
-	// TxValidators is the number of parallel tx_verify+tx_vscc instances.
+	// TxValidators is the number of parallel tx_verify+tx_vscc instances:
+	// here, how many goroutines share a round's requests.
 	TxValidators int
-	// VSCCEngines is the number of ecdsa_engine instances per tx_vscc.
+	// VSCCEngines is the number of ecdsa_engine instances per tx_vscc: how
+	// many endorsements a transaction issues per round.
 	VSCCEngines int
 	// Policies maps chaincode name to its compiled policy circuit
 	// (the generated ends_policy_evaluator).
@@ -72,8 +82,8 @@ func (c *Config) withDefaults() Config {
 // Stats is collected by the block_monitor module per block.
 type Stats struct {
 	BlockVerifyTime time.Duration
-	ValidateTime    time.Duration // block_validate stage wall time
-	MVCCCommitTime  time.Duration
+	ValidateTime    time.Duration // block_validate stage wall time, the wait for the block's FIFO entries included
+	MVCCCommitTime  time.Duration // the in-order mvcc + KVS-write loop alone, inside ValidateTime
 
 	TxCount       int
 	EndsVerified  int // ecdsa_engine invocations in tx_vscc
@@ -101,23 +111,31 @@ type Processor struct {
 	res    *fifo.FIFO[Result]
 	regmap *RegMap
 
-	// polMu guards the live policy table; pendingPolicies is swapped in at
-	// the next block boundary, modeling partial reconfiguration of the
-	// ends_policy_evaluator without restarting the peer (paper §5).
-	polMu           sync.RWMutex
-	pendingPolicies map[string]*policy.Circuit
+	// pendingPolicies is swapped into cfg.Policies, which block_validate
+	// alone reads, at the next block boundary, modeling partial
+	// reconfiguration of the ends_policy_evaluator without restarting the
+	// peer (paper §5).
+	polMu           sync.Mutex
+	pendingPolicies map[string]*policy.Circuit // guarded by polMu
+
+	// block_validate's working memory, reused from block to block.
+	batches   []fabcrypto.Batch // one per tx_validator
+	reqs      []*bmacproto.VerifyRequest
+	remaining []identity.EncodedID
 
 	wg sync.WaitGroup
 }
 
 // New creates a block processor reading from bufs and committing to db.
 func New(cfg Config, bufs *bmacproto.Buffers, db *statedb.HardwareKVS) *Processor {
+	cfg = cfg.withDefaults()
 	return &Processor{
-		cfg:    cfg.withDefaults(),
-		bufs:   bufs,
-		db:     db,
-		res:    fifo.New[Result](8),
-		regmap: NewRegMap(),
+		cfg:     cfg,
+		bufs:    bufs,
+		db:      db,
+		res:     fifo.New[Result](8),
+		regmap:  NewRegMap(),
+		batches: make([]fabcrypto.Batch, cfg.TxValidators),
 	}
 }
 
@@ -147,14 +165,6 @@ func (p *Processor) applyPendingPolicies() {
 		p.pendingPolicies = nil
 	}
 	p.polMu.Unlock()
-}
-
-// circuitFor looks up the live policy circuit for a chaincode.
-func (p *Processor) circuitFor(cc string) (*policy.Circuit, bool) {
-	p.polMu.RLock()
-	c, ok := p.cfg.Policies[cc]
-	p.polMu.RUnlock()
-	return c, ok
 }
 
 // DB returns the in-hardware state database.
@@ -194,8 +204,10 @@ func (p *Processor) Start() {
 		defer p.wg.Done()
 		defer p.res.Close()
 		for vb := range stage2 {
-			res := p.validateBlock(vb)
-			if err := p.res.Push(res); err != nil {
+			res, ok := p.validateBlock(vb)
+			if !ok || p.res.Push(res) != nil {
+				for range stage2 { // closed mid-block: let block_verify run out
+				}
 				return
 			}
 		}
@@ -219,232 +231,222 @@ func (p *Processor) Start() {
 // Wait blocks until the pipeline has drained after the buffers were closed.
 func (p *Processor) Wait() { p.wg.Wait() }
 
-// txJob bundles everything a tx_validator instance needs for one
-// transaction: the tx_fifo entry plus its ends/rdset/wrset entries, popped
-// by the tx_scheduler using the counts carried in the tx entry.
-type txJob struct {
-	entry      bmacproto.TxEntry
-	ends       []bmacproto.EndsEntry
-	reads      []block.KVRead
-	writes     []block.KVWrite
-	blockValid bool
+// txState is one transaction of the block in block_validate: its tx_fifo
+// entry with the ends/rdset/wrset entries that entry counts, and what its
+// tx_validator has decided so far.
+type txState struct {
+	entry  bmacproto.TxEntry
+	ends   []bmacproto.EndsEntry
+	reads  []bmacproto.ReadEntry
+	writes []bmacproto.WriteEntry
+
+	code    block.ValidationCode
+	circuit *policy.Circuit // the chaincode's evaluator; nil when tx_vscc does not run
+	rf      policy.RegisterFile
+	next    int // ends[:next] were issued; what is left when the scheduler stops is skipped
+	issued  int // requests in the round being run
 }
 
-// txResult is what a tx_validator forwards to the tx_collector.
-type txResult struct {
-	seq           int
-	code          block.ValidationCode
-	reads         []block.KVRead
-	writes        []block.KVWrite
-	engineInvokes int // all ecdsa_engine uses by this transaction
-	endsVerified  int // vscc endorsement verifications only
-	endsSkipped   int
+// popTx is the tx_scheduler's read side: the next tx_fifo entry and the
+// ends/rdset/wrset entries it counts, which the receiver wrote before it.
+// ok is false when the FIFOs were closed first.
+func (p *Processor) popTx(tx *txState) (ok bool) {
+	if tx.entry, ok = p.bufs.Tx.Pop(); !ok {
+		return false
+	}
+	if tx.ends, ok = popN(p.bufs.Ends, tx.entry.NumEnds); !ok {
+		return false
+	}
+	if tx.reads, ok = popN(p.bufs.Rdset, tx.entry.RdsetSize); !ok {
+		return false
+	}
+	tx.writes, ok = popN(p.bufs.Wrset, tx.entry.WrsetSize)
+	return ok
 }
 
-// validateBlock runs the block_validate stage for one block.
-func (p *Processor) validateBlock(vb verifiedBlock) Result {
+func popN[T any](f *fifo.FIFO[T], n int) (out []T, ok bool) {
+	out = make([]T, n)
+	for i := range out {
+		if out[i], ok = f.Pop(); !ok {
+			return nil, false
+		}
+	}
+	return out, true
+}
+
+// validateBlock runs the block_validate stage for one block, level by level
+// over all its transactions: every tx_verify request is round 0, and each
+// further round holds what every transaction's ends_scheduler issues next.
+// What a transaction issues depends on its own register file only, so its
+// requests, verdicts and counters are those of a tx_validator that had the
+// transaction to itself; a round is when the arithmetic runs. ok is false
+// when the FIFOs closed before the whole block had arrived: a block that was
+// not seen has no result.
+func (p *Processor) validateBlock(vb verifiedBlock) (res Result, ok bool) {
 	p.applyPendingPolicies()
 	start := time.Now()
-	n := vb.entry.NumTxs
-	res := Result{
-		BlockNum:   vb.entry.BlockNum,
-		BlockValid: vb.valid,
-		Flags:      make([]byte, n),
+	txs := make([]txState, vb.entry.NumTxs)
+	for i := range txs {
+		if !p.popTx(&txs[i]) {
+			return Result{}, false
+		}
 	}
-	res.Stats.TxCount = n
-	res.Stats.BlockVerifyTime = vb.verifyTime
-	res.Stats.EngineInvokes = 1 // block_verify
+	res = Result{BlockNum: vb.entry.BlockNum, BlockValid: vb.valid, Flags: make([]byte, len(txs))}
+	st := &res.Stats
+	st.TxCount = len(txs)
+	st.BlockVerifyTime = vb.verifyTime
 
-	jobs := make(chan txJob)
-	results := make(chan txResult)
-
-	// tx_validator instances.
-	var validators sync.WaitGroup
-	for i := 0; i < p.cfg.TxValidators; i++ {
-		validators.Add(1)
-		go func() {
-			defer validators.Done()
-			for job := range jobs {
-				results <- p.runTxValidator(job)
+	// tx_verify, skipped when the block is already invalid (early abort).
+	reqs := p.reqs[:0]
+	if vb.valid || p.cfg.DisableEarlyAbort {
+		for i := range txs {
+			reqs = append(reqs, &txs[i].entry.Verify)
+		}
+	}
+	verdicts := p.runRound(reqs)
+	st.EngineInvokes = 1 + len(reqs) // block_verify's and tx_verify's
+	for i := range txs {
+		tx := &txs[i]
+		txValid := len(reqs) > 0 && verdicts[i]
+		switch {
+		case !vb.valid:
+			tx.code = block.InvalidOther
+			continue
+		case !txValid:
+			tx.code = block.BadSignature
+			if !p.cfg.DisableEarlyAbort {
+				continue
 			}
-		}()
+		}
+		if tx.circuit = p.cfg.Policies[tx.entry.CCName]; tx.circuit == nil {
+			tx.code = block.InvalidOther
+		}
 	}
 
-	// tx_collector + tx_mvcc_commit, consuming results in order.
-	collectorDone := make(chan struct{})
-	go func() {
-		defer close(collectorDone)
-		pending := make(map[int]txResult)
-		nextSeq := 0
-		writtenInBlock := make(map[string]bool, n)
-		mvccStart := time.Now()
-		for r := range results {
-			pending[r.seq] = r
-			for {
-				cur, ok := pending[nextSeq]
-				if !ok {
-					break
+	// tx_vscc: rounds of endorsement verification until no ends_scheduler
+	// has anything left to issue.
+	for {
+		reqs = reqs[:0]
+		for i := range txs {
+			tx := &txs[i]
+			tx.issued = p.endsScheduler(tx)
+			for j := 0; j < tx.issued; j++ {
+				reqs = append(reqs, &tx.ends[tx.next+j].Verify)
+			}
+		}
+		if len(reqs) == 0 {
+			break
+		}
+		verdicts = p.runRound(reqs)
+		st.EndsVerified += len(reqs)
+		for i := range txs {
+			tx := &txs[i]
+			for _, e := range tx.ends[tx.next : tx.next+tx.issued] {
+				if verdicts[0] {
+					tx.rf.SetID(e.EndorserID)
 				}
-				delete(pending, nextSeq)
-				p.mvccCommitOne(&cur, vb.entry.BlockNum, writtenInBlock)
-				res.Flags[cur.seq] = byte(cur.code)
-				res.Stats.EndsVerified += cur.endsVerified
-				res.Stats.EndsSkipped += cur.endsSkipped
-				res.Stats.EngineInvokes += cur.engineInvokes
-				nextSeq++
+				verdicts = verdicts[1:]
 			}
+			tx.next += tx.issued
 		}
-		res.Stats.MVCCCommitTime = time.Since(mvccStart)
-	}()
-
-	// tx_scheduler: pop each transaction and its dependent FIFO entries in
-	// order, then dispatch to a free tx_validator.
-	for seq := 0; seq < n; seq++ {
-		entry, ok := p.bufs.Tx.Pop()
-		if !ok {
-			break // input closed mid-block: abandon remaining txs
-		}
-		job := txJob{entry: entry, blockValid: vb.valid}
-		job.ends = make([]bmacproto.EndsEntry, 0, entry.NumEnds)
-		for e := 0; e < entry.NumEnds; e++ {
-			ee, ok := p.bufs.Ends.Pop()
-			if !ok {
-				break
-			}
-			job.ends = append(job.ends, ee)
-		}
-		job.reads = make([]block.KVRead, 0, entry.RdsetSize)
-		for r := 0; r < entry.RdsetSize; r++ {
-			re, ok := p.bufs.Rdset.Pop()
-			if !ok {
-				break
-			}
-			job.reads = append(job.reads, re.Read)
-		}
-		job.writes = make([]block.KVWrite, 0, entry.WrsetSize)
-		for w := 0; w < entry.WrsetSize; w++ {
-			we, ok := p.bufs.Wrset.Pop()
-			if !ok {
-				break
-			}
-			job.writes = append(job.writes, we.Write)
-		}
-		jobs <- job
 	}
-	close(jobs)
-	validators.Wait()
-	close(results)
-	<-collectorDone
+	p.reqs = reqs
+	st.EngineInvokes += st.EndsVerified
 
-	res.Stats.ValidateTime = time.Since(start)
-	return res
+	// tx_mvcc_commit, strictly in transaction order.
+	mvccStart := time.Now()
+	writtenInBlock := make(map[string]bool, len(txs))
+	for i := range txs {
+		tx := &txs[i]
+		st.EndsSkipped += len(tx.ends) - tx.next
+		if tx.code == block.Valid && !tx.circuit.Evaluate(&tx.rf) {
+			tx.code = block.EndorsementPolicyFailure
+		}
+		p.mvccCommitOne(tx, block.Version{BlockNum: res.BlockNum, TxNum: uint64(i)}, writtenInBlock)
+		res.Flags[i] = byte(tx.code)
+	}
+	st.MVCCCommitTime = time.Since(mvccStart)
+	st.ValidateTime = time.Since(start)
+	return res, true
 }
 
-// runTxValidator is one tx_validator instance: tx_verify then tx_vscc.
-func (p *Processor) runTxValidator(job txJob) txResult {
-	out := txResult{seq: job.entry.Seq, reads: job.reads, writes: job.writes}
-
-	// tx_verify: skip when the block is already invalid (early abort).
-	if !job.blockValid && !p.cfg.DisableEarlyAbort {
-		out.code = block.InvalidOther
-		out.endsSkipped = len(job.ends)
-		return out
+// endsScheduler is one decision of a transaction's ends_scheduler: how many
+// endorsements, up to the VSCCEngines of a tx_vscc, it issues next. None,
+// from then on, once the policy output is decided.
+func (p *Processor) endsScheduler(tx *txState) int {
+	if tx.circuit == nil || tx.next == len(tx.ends) {
+		return 0
 	}
-	txValid := job.entry.Verify.Execute()
-	out.engineInvokes++ // the tx_verify engine invocation
-	if !job.blockValid {
-		// Early abort disabled: work was done, result still invalid.
-		out.code = block.InvalidOther
-		out.endsSkipped = len(job.ends)
-		return out
-	}
-	if !txValid {
-		out.code = block.BadSignature
-		if !p.cfg.DisableEarlyAbort {
-			out.endsSkipped = len(job.ends)
-			return out
+	if !p.cfg.DisableShortCircuit {
+		// Validity short-circuit: policy already satisfied.
+		if tx.circuit.Evaluate(&tx.rf) {
+			return 0
+		}
+		// Invalidity short-circuit: policy can never be satisfied.
+		p.remaining = p.remaining[:0]
+		for _, e := range tx.ends[tx.next:] {
+			p.remaining = append(p.remaining, e.EndorserID)
+		}
+		if !tx.circuit.CanStillSatisfy(&tx.rf, p.remaining) {
+			return 0
 		}
 	}
-
-	// tx_vscc: endorsement verification + policy circuit.
-	circuit, ok := p.circuitFor(job.entry.CCName)
-	if !ok {
-		out.code = block.InvalidOther
-		out.endsSkipped = len(job.ends)
-		return out
-	}
-	var rf policy.RegisterFile
-	rf.Clear()
-	idx := 0
-	for idx < len(job.ends) {
-		if !p.cfg.DisableShortCircuit {
-			// Validity short-circuit: policy already satisfied.
-			if circuit.Evaluate(&rf) {
-				break
-			}
-			// Invalidity short-circuit: policy can never be satisfied.
-			remaining := make([]identity.EncodedID, 0, len(job.ends)-idx)
-			for _, e := range job.ends[idx:] {
-				remaining = append(remaining, e.EndorserID)
-			}
-			if !circuit.CanStillSatisfy(&rf, remaining) {
-				break
-			}
-		}
-		// Issue a batch of up to VSCCEngines verifications in parallel —
-		// the ends_scheduler keeping all engine instances busy.
-		batch := job.ends[idx:min(idx+p.cfg.VSCCEngines, len(job.ends))]
-		verdicts := make([]bool, len(batch))
-		var wg sync.WaitGroup
-		for i := range batch {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				verdicts[i] = batch[i].Verify.Execute()
-			}(i)
-		}
-		wg.Wait()
-		for i, v := range verdicts {
-			out.endsVerified++
-			out.engineInvokes++
-			if v {
-				rf.SetID(batch[i].EndorserID)
-			}
-		}
-		idx += len(batch)
-	}
-	out.endsSkipped += len(job.ends) - idx
-
-	if out.code == block.Valid { // not already invalidated by tx_verify
-		if !circuit.Evaluate(&rf) {
-			out.code = block.EndorsementPolicyFailure
-		}
-	}
-	return out
+	return min(p.cfg.VSCCEngines, len(tx.ends)-tx.next)
 }
 
-// mvccCommitOne is the tx_mvcc_commit stage for one transaction, executed
-// strictly in transaction order by the collector goroutine.
-func (p *Processor) mvccCommitOne(r *txResult, blockNum uint64, writtenInBlock map[string]bool) {
-	if r.code != block.Valid {
+// runRound executes one round's requests and returns their verdicts. The
+// requests are cut into ranges of one full batch of the verification engine,
+// which up to TxValidators goroutines — the caller's one of them — take as
+// they come free; a range's signatures share their inversions
+// (fabcrypto.Batch).
+func (p *Processor) runRound(reqs []*bmacproto.VerifyRequest) []bool {
+	verdicts := make([]bool, len(reqs))
+	const chunk = fabcrypto.FullBatch
+	var next atomic.Int64
+	work := func(b *fabcrypto.Batch) {
+		for lo := int(next.Add(chunk)) - chunk; lo < len(reqs); lo = int(next.Add(chunk)) - chunk {
+			hi := min(lo+chunk, len(reqs))
+			bmacproto.ExecuteBatch(b, reqs[lo:hi], verdicts[lo:hi])
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < p.cfg.TxValidators && w*chunk < len(reqs); w++ {
+		wg.Add(1)
+		go func(b *fabcrypto.Batch) {
+			defer wg.Done()
+			work(b)
+		}(&p.batches[w])
+	}
+	work(&p.batches[0])
+	wg.Wait()
+	return verdicts
+}
+
+// mvccCommitOne is the tx_mvcc_commit stage for one transaction: the read
+// set against the database and the block's earlier writes, then the writes
+// at version ver.
+func (p *Processor) mvccCommitOne(tx *txState, ver block.Version, writtenInBlock map[string]bool) {
+	if tx.code != block.Valid {
 		return // mvcc and commit skipped for invalid transactions
 	}
-	for _, rd := range r.reads {
+	for _, re := range tx.reads {
+		rd := re.Read
 		if writtenInBlock[rd.Key] {
-			r.code = block.MVCCReadConflict
+			tx.code = block.MVCCReadConflict
 			return
 		}
 		cur, _ := p.db.Version(rd.Key)
 		if cur != rd.Version {
-			r.code = block.MVCCReadConflict
+			tx.code = block.MVCCReadConflict
 			return
 		}
 	}
-	for _, w := range r.writes {
+	for _, we := range tx.writes {
+		w := we.Write
 		// Capacity exhaustion marks the transaction invalid rather than
 		// wedging the pipeline; see paper §5 on database scaling.
-		if err := p.db.Write(w.Key, w.Value, block.Version{BlockNum: blockNum, TxNum: uint64(r.seq)}); err != nil {
-			r.code = block.InvalidOther
+		if err := p.db.Write(w.Key, w.Value, ver); err != nil {
+			tx.code = block.InvalidOther
 			return
 		}
 		writtenInBlock[w.Key] = true
@@ -517,13 +519,6 @@ func (r *RegMap) Close() {
 	r.closed = true
 	r.nonFull.Broadcast()
 	r.nonEmpty.Broadcast()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // String renders the architecture name, e.g. "8x2".

@@ -33,6 +33,25 @@ type rig struct {
 
 func newRig(t testing.TB, orgs int, pol string, cfg Config) *rig {
 	t.Helper()
+	r := newWire(t, orgs)
+	if cfg.Policies == nil {
+		cfg.Policies = map[string]*policy.Circuit{
+			"smallbank": policy.Compile(policytest.MustParse(pol)),
+		}
+	}
+	r.proc = New(cfg, r.bufs, statedb.NewHardwareKVS(8192))
+	r.proc.Start()
+	t.Cleanup(func() {
+		r.bufs.Close()
+		r.proc.Wait()
+	})
+	return r
+}
+
+// newWire is a rig without a processor: what the sender sends stays in the
+// FIFOs for the test to take out.
+func newWire(t testing.TB, orgs int) *rig {
+	t.Helper()
 	n := identity.NewNetwork()
 	r := &rig{net: n}
 	for i := 1; i <= orgs; i++ {
@@ -65,17 +84,6 @@ func newRig(t testing.TB, orgs int, pol string, cfg Config) *rig {
 		t.Fatal(err)
 	}
 
-	if cfg.Policies == nil {
-		cfg.Policies = map[string]*policy.Circuit{
-			"smallbank": policy.Compile(policytest.MustParse(pol)),
-		}
-	}
-	r.proc = New(cfg, r.bufs, statedb.NewHardwareKVS(8192))
-	r.proc.Start()
-	t.Cleanup(func() {
-		r.bufs.Close()
-		r.proc.Wait()
-	})
 	// Drain assembled blocks so the receiver never blocks.
 	go func() {
 		for range r.recv.Blocks() {

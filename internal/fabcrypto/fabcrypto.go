@@ -30,6 +30,7 @@ import (
 	"encoding/asn1"
 	"errors"
 	"fmt"
+	"hash"
 	"math/big"
 	"time"
 )
@@ -61,25 +62,34 @@ func HashSlice(data []byte) []byte {
 // StreamHasher is an incremental SHA-256 calculator mirroring the paper's
 // stream-based hash calculators in the protocol_processor: three of them run
 // in parallel over block data, transaction sections, and endorsement data.
+// The zero value is ready; it holds the hash state, not the data.
 type StreamHasher struct {
 	inner [HashSize]byte
-	buf   []byte
+	h     hash.Hash // nil until the first use
+}
+
+func (s *StreamHasher) state() hash.Hash {
+	if s.h == nil {
+		s.h = sha256.New()
+	}
+	return s.h
 }
 
 // Write appends data to the stream.
 func (s *StreamHasher) Write(p []byte) {
-	s.buf = append(s.buf, p...)
+	s.state().Write(p)
 }
 
 // Sum finalizes and returns the digest of everything written so far.
 func (s *StreamHasher) Sum() []byte {
-	s.inner = sha256.Sum256(s.buf)
-	return s.inner[:]
+	return s.state().Sum(s.inner[:0])
 }
 
 // Reset clears the stream for reuse.
 func (s *StreamHasher) Reset() {
-	s.buf = s.buf[:0]
+	if s.h != nil {
+		s.h.Reset()
+	}
 }
 
 // Signer holds an ECDSA P-256 private key and produces DER signatures over

@@ -63,6 +63,14 @@ const (
 	// One signature has at most 31 pairs, so a batch of one never gets here;
 	// the hotpath row ecdsa_verify_batch ÷ ecdsa_verify_table pins it.
 	affineLevelMin = 77
+
+	// FullBatch is the fewest signatures that run five of a batch's six
+	// levels of point additions in affine coordinates: the fifth holds two
+	// additions per signature (the sixth, with one, would take
+	// affineLevelMin signatures). A batch twice as long saves only a smaller
+	// share of the same five inversions, about a twentieth of the
+	// arithmetic, so callers that cut work into batches cut it here.
+	FullBatch = (affineLevelMin + 1) / 2
 )
 
 // combTable holds pts[i·half + j−1] = j · 2^(bits·i) · P.
@@ -171,8 +179,8 @@ type batchSig struct {
 
 // batchScratch is verifyTabled's working memory, pooled and pointer-free,
 // bounded by the caller's batch: 63 points of 64 B, 2 × 31 field elements
-// and a batchSig per signature ≈ 6 KB (≈ 240 KB for the 39 signatures of
-// the validator's largest range).
+// and a batchSig per signature ≈ 6 KB (≈ 240 KB for the FullBatch = 39
+// signatures of a caller's largest range).
 type batchScratch struct {
 	sigs     []batchSig
 	pts      []affinePoint

@@ -150,7 +150,7 @@ type Batch struct {
 	cache *SigCache
 	errs  []error     // one verdict per Add
 	reqs  []verifyReq // the checks Run has to compute: reqs[j] is check
-	slots []int       // slots[j], cached under keys[j]
+	slots []int       // slots[j], cached under keys[j] unless that is zero
 	keys  [][HashSize]byte
 }
 
@@ -172,14 +172,27 @@ func (b *Batch) Add(pub *ecdsa.PublicKey, digest, sig []byte) (i int, hit bool) 
 	if !hit {
 		var parts SignatureParts
 		if parts, err = DecodeDERToParts(sig); err == nil {
-			b.reqs = append(b.reqs, verifyReq{pub: pub, digest: digest, parts: parts})
-			b.slots, b.keys = append(b.slots, len(b.errs)), append(b.keys, key)
-		} else if b.cache != nil {
+			i = b.AddParts(pub, digest, parts)
+			b.keys[len(b.keys)-1] = key
+			return i, false
+		}
+		if b.cache != nil {
 			b.cache.store(&key, err)
 		}
 	}
 	b.errs = append(b.errs, err)
 	return len(b.errs) - 1, hit
+}
+
+// AddParts queues one check of a signature that is already split into its
+// halves — what the BMac receiver's DER post-processor hands the block
+// processor — and returns its number. The cache is keyed by the DER form, so
+// such a check is always computed and its verdict is stored nowhere.
+func (b *Batch) AddParts(pub *ecdsa.PublicKey, digest []byte, parts SignatureParts) int {
+	b.reqs = append(b.reqs, verifyReq{pub: pub, digest: digest, parts: parts})
+	b.slots, b.keys = append(b.slots, len(b.errs)), append(b.keys, [HashSize]byte{})
+	b.errs = append(b.errs, nil)
+	return len(b.errs) - 1
 }
 
 // Run decides every queued check, as one batch of the verification engine,
@@ -192,7 +205,7 @@ func (b *Batch) Run() {
 			err = ErrVerifyFailed
 		}
 		b.errs[b.slots[j]] = err
-		if b.cache != nil {
+		if b.keys[j] != ([HashSize]byte{}) {
 			b.cache.store(&b.keys[j], err)
 		}
 	}

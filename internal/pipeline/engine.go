@@ -324,19 +324,15 @@ func (e *Engine) verify(j *job) {
 }
 
 // maxVSCCRange caps the transactions vscc'd as one range, whose signatures
-// are verified as one batch: 13 transactions of three signatures are the
-// fewest that run five of the six levels of point additions in affine
-// coordinates (the fifth holds two additions per signature, and 2 × 39 ≥
-// fabcrypto's affineLevelMin; the sixth would take 77 signatures), so a
-// longer range saves only a smaller share of the five inversions, about a
-// twentieth of the arithmetic at twice the length. What it costs depends on
-// who else is running, which a stage's time should not: a worker that is
-// slowed holds a whole range while the others have run out, two engines
-// validating one block through one SigCache each compute a range before
-// either has stored it, and a worker's scratch (≈ 6 KB per signature) has to
-// stay beside the tables in its core's cache. The hotpath row
-// ecdsa_verify_batch runs at it.
-const maxVSCCRange = 13
+// are verified as one batch: 13 transactions of three signatures are one
+// fabcrypto.FullBatch, past which a longer range saves about a twentieth of
+// the arithmetic at twice the length. What it costs depends on who else is
+// running, which a stage's time should not: a worker that is slowed holds a
+// whole range while the others have run out, two engines validating one
+// block through one SigCache each compute a range before either has stored
+// it, and a worker's scratch (≈ 6 KB per signature) has to stay beside the
+// tables in its core's cache. The hotpath row ecdsa_verify_batch runs at it.
+const maxVSCCRange = fabcrypto.FullBatch / 3
 
 // VSCCRange is how many transactions of an n-transaction block the verify
 // stage hands a worker at a time: an even share, so that a 1–2-tx block is

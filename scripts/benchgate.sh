@@ -5,10 +5,14 @@
 # against the committed baseline record (BENCH_hotpath.json at the repo
 # root), failing when any benchmark's allocations regress past the
 # tolerance. Absolute wall time is deliberately NOT gated — it is not
-# stable across CI machines — but four within-run ratios of the
+# stable across CI machines — but five within-run ratios of the
 # verification engine are: ecdsa_verify_table / ecdsa_verify_stdlib <= 0.6,
 # ecdsa_verify_batch / ecdsa_verify_table <= 0.80 (a block's signatures
 # verified range by range, per signature, against one at a time),
+# bmac_validate_block / ecdsa_verify_table <= 0.85 (the same block's FIFO
+# entries through an 8x2 core.Processor, per signature: its rounds are such
+# ranges; the quotient was 1.11 on one CPU while each request was a batch of
+# one, and is 0.6 there now),
 # ecdsa_verify_single_use_key / ecdsa_verify_stdlib <= 1.10 and
 # key_table_build_verifies_x <= 1.5 * PromoteAfter + 1 = 25 (rows measured
 # interleaved with crypto/ecdsa in one process — the record's ratio_rows, and
