@@ -17,14 +17,14 @@
 // The block-level stages are goroutines and overlap (block n+1 is verified
 // while block n is validated, block n−1 read out). Inside block_validate the
 // hardware's N×E engines working at once become rounds: every transaction's
-// tx_verify request runs as one round, then whatever each transaction's
-// ends_scheduler issues next — at most E requests, decided from the
-// transaction's own register file — as the next, until none issues any. A
-// round's requests are verified as batches of the ecdsa_engine on up to N
-// goroutines. Early-abort conditions skip ECDSA work as soon as a
-// transaction is known invalid, and the ends_scheduler stops issuing
-// endorsement verifications once the policy output is decided — the two
-// behaviours responsible for the 2of3-vs-3of3 asymmetry of Figure 12a —
+// tx_verify request runs as one round, then the ends_scheduler
+// (policy.Scheduler, E wide, short-circuiting) issues the endorsements round
+// by round, each transaction's next ≤ E decided from its own register file,
+// until none issues any. A round's requests are verified as batches of the
+// ecdsa_engine on up to N goroutines. Early-abort conditions skip ECDSA work
+// as soon as a transaction is known invalid, and the ends_scheduler stops
+// issuing endorsement verifications once the policy output is decided — the
+// two behaviours responsible for the 2of3-vs-3of3 asymmetry of Figure 12a —
 // per transaction exactly as N tx_validators taking transactions one at a
 // time would: what is verified and what is skipped does not depend on N.
 //
@@ -119,9 +119,11 @@ type Processor struct {
 	pendingPolicies map[string]*policy.Circuit // guarded by polMu
 
 	// block_validate's working memory, reused from block to block.
-	batches   []fabcrypto.Batch // one per tx_validator
-	reqs      []*bmacproto.VerifyRequest
-	remaining []identity.EncodedID
+	batches []fabcrypto.Batch // one per tx_validator
+	reqs    []*bmacproto.VerifyRequest
+	sched   policy.Scheduler
+	vscc    []policy.Tx          // the ends_scheduler's view of each transaction
+	ids     []identity.EncodedID // their endorsers, transaction after transaction
 
 	wg sync.WaitGroup
 }
@@ -136,6 +138,7 @@ func New(cfg Config, bufs *bmacproto.Buffers, db *statedb.HardwareKVS) *Processo
 		res:     fifo.New[Result](8),
 		regmap:  NewRegMap(),
 		batches: make([]fabcrypto.Batch, cfg.TxValidators),
+		sched:   policy.Scheduler{Width: cfg.VSCCEngines, ShortCircuit: !cfg.DisableShortCircuit},
 	}
 }
 
@@ -232,19 +235,14 @@ func (p *Processor) Start() {
 func (p *Processor) Wait() { p.wg.Wait() }
 
 // txState is one transaction of the block in block_validate: its tx_fifo
-// entry with the ends/rdset/wrset entries that entry counts, and what its
-// tx_validator has decided so far.
+// entry with the ends/rdset/wrset entries that entry counts, and its code so
+// far.
 type txState struct {
 	entry  bmacproto.TxEntry
 	ends   []bmacproto.EndsEntry
 	reads  []bmacproto.ReadEntry
 	writes []bmacproto.WriteEntry
-
-	code    block.ValidationCode
-	circuit *policy.Circuit // the chaincode's evaluator; nil when tx_vscc does not run
-	rf      policy.RegisterFile
-	next    int // ends[:next] were issued; what is left when the scheduler stops is skipped
-	issued  int // requests in the round being run
+	code   block.ValidationCode
 }
 
 // popTx is the tx_scheduler's read side: the next tx_fifo entry and the
@@ -305,8 +303,14 @@ func (p *Processor) validateBlock(vb verifiedBlock) (res Result, ok bool) {
 	}
 	verdicts := p.runRound(reqs)
 	st.EngineInvokes = 1 + len(reqs) // block_verify's and tx_verify's
+	vscc, ids := p.vscc[:0], p.ids[:0]
 	for i := range txs {
 		tx := &txs[i]
+		start := len(ids)
+		for _, e := range tx.ends {
+			ids = append(ids, e.EndorserID)
+		}
+		vscc = append(vscc, policy.Tx{Endorsers: ids[start:]}) // no Circuit: tx_vscc does not run
 		txValid := len(reqs) > 0 && verdicts[i]
 		switch {
 		case !vb.valid:
@@ -318,38 +322,21 @@ func (p *Processor) validateBlock(vb verifiedBlock) (res Result, ok bool) {
 				continue
 			}
 		}
-		if tx.circuit = p.cfg.Policies[tx.entry.CCName]; tx.circuit == nil {
+		if vscc[i].Circuit = p.cfg.Policies[tx.entry.CCName]; vscc[i].Circuit == nil {
 			tx.code = block.InvalidOther
 		}
 	}
+	p.vscc, p.ids = vscc, ids
 
-	// tx_vscc: rounds of endorsement verification until no ends_scheduler
-	// has anything left to issue.
-	for {
+	// tx_vscc: the ends_scheduler's rounds.
+	p.sched.Run(vscc, func(round []policy.Request) []bool {
 		reqs = reqs[:0]
-		for i := range txs {
-			tx := &txs[i]
-			tx.issued = p.endsScheduler(tx)
-			for j := 0; j < tx.issued; j++ {
-				reqs = append(reqs, &tx.ends[tx.next+j].Verify)
-			}
+		for _, rq := range round {
+			reqs = append(reqs, &txs[rq.Tx].ends[rq.End].Verify)
 		}
-		if len(reqs) == 0 {
-			break
-		}
-		verdicts = p.runRound(reqs)
 		st.EndsVerified += len(reqs)
-		for i := range txs {
-			tx := &txs[i]
-			for _, e := range tx.ends[tx.next : tx.next+tx.issued] {
-				if verdicts[0] {
-					tx.rf.SetID(e.EndorserID)
-				}
-				verdicts = verdicts[1:]
-			}
-			tx.next += tx.issued
-		}
-	}
+		return p.runRound(reqs)
+	})
 	p.reqs = reqs
 	st.EngineInvokes += st.EndsVerified
 
@@ -357,9 +344,9 @@ func (p *Processor) validateBlock(vb verifiedBlock) (res Result, ok bool) {
 	mvccStart := time.Now()
 	writtenInBlock := make(map[string]bool, len(txs))
 	for i := range txs {
-		tx := &txs[i]
-		st.EndsSkipped += len(tx.ends) - tx.next
-		if tx.code == block.Valid && !tx.circuit.Evaluate(&tx.rf) {
+		tx, v := &txs[i], &vscc[i]
+		st.EndsSkipped += len(tx.ends) - v.Verified
+		if tx.code == block.Valid && !v.Circuit.Evaluate(&v.RF) {
 			tx.code = block.EndorsementPolicyFailure
 		}
 		p.mvccCommitOne(tx, block.Version{BlockNum: res.BlockNum, TxNum: uint64(i)}, writtenInBlock)
@@ -368,30 +355,6 @@ func (p *Processor) validateBlock(vb verifiedBlock) (res Result, ok bool) {
 	st.MVCCCommitTime = time.Since(mvccStart)
 	st.ValidateTime = time.Since(start)
 	return res, true
-}
-
-// endsScheduler is one decision of a transaction's ends_scheduler: how many
-// endorsements, up to the VSCCEngines of a tx_vscc, it issues next. None,
-// from then on, once the policy output is decided.
-func (p *Processor) endsScheduler(tx *txState) int {
-	if tx.circuit == nil || tx.next == len(tx.ends) {
-		return 0
-	}
-	if !p.cfg.DisableShortCircuit {
-		// Validity short-circuit: policy already satisfied.
-		if tx.circuit.Evaluate(&tx.rf) {
-			return 0
-		}
-		// Invalidity short-circuit: policy can never be satisfied.
-		p.remaining = p.remaining[:0]
-		for _, e := range tx.ends[tx.next:] {
-			p.remaining = append(p.remaining, e.EndorserID)
-		}
-		if !tx.circuit.CanStillSatisfy(&tx.rf, p.remaining) {
-			return 0
-		}
-	}
-	return min(p.cfg.VSCCEngines, len(tx.ends)-tx.next)
 }
 
 // runRound executes one round's requests and returns their verdicts. The

@@ -6,9 +6,11 @@
 //
 // The model is a discrete-event simulation of the block_processor pipeline
 // of Figure 6: a dedicated block_verify engine, N tx_validator instances
-// (each a tx_verify engine feeding a tx_vscc stage with E ecdsa_engines and
-// short-circuit endorsement scheduling), an in-order tx_collector, and a
-// sequential tx_mvcc_commit stage over the in-hardware KVS.
+// (each a tx_verify engine feeding a tx_vscc stage with E ecdsa_engines), an
+// in-order tx_collector, and a sequential tx_mvcc_commit stage over the
+// in-hardware KVS. Which endorsements are verified, in how many rounds, is
+// decided by the same ends_scheduler the functional model runs
+// (policy.Scheduler); the simulator costs its output.
 //
 // Timing constants come from the paper: a 250 MHz clock, ~360 us per ECDSA
 // verification (the Mercury Systems IP), and "tens of us" for the non-
@@ -155,39 +157,6 @@ func (t BlockTiming) Throughput(txCount int) float64 {
 	return float64(txCount) / lat.Seconds()
 }
 
-// EndsSchedule simulates the ends_scheduler for one transaction: how many
-// endorsements are verified (engine work) and how many engine-batch rounds
-// it takes, given the policy circuit and the verdict of each endorsement.
-func EndsSchedule(circuit *policy.Circuit, endorsers []identity.EncodedID,
-	valid []bool, engines int, disableShortCircuit bool) (verified, batches int, satisfied bool) {
-	var rf policy.RegisterFile
-	rf.Clear()
-	idx := 0
-	for idx < len(endorsers) {
-		if !disableShortCircuit {
-			if circuit.Evaluate(&rf) {
-				break
-			}
-			if !circuit.CanStillSatisfy(&rf, endorsers[idx:]) {
-				break
-			}
-		}
-		end := idx + engines
-		if end > len(endorsers) {
-			end = len(endorsers)
-		}
-		for i := idx; i < end; i++ {
-			verified++
-			if valid[i] {
-				rf.SetID(endorsers[i])
-			}
-		}
-		batches++
-		idx = end
-	}
-	return verified, batches, circuit.Evaluate(&rf)
-}
-
 // Simulate runs one block of transactions through the pipeline model and
 // returns its timing.
 func Simulate(cfg Config, circuit *policy.Circuit, txs []TxProfile) BlockTiming {
@@ -200,6 +169,23 @@ func Simulate(cfg Config, circuit *policy.Circuit, txs []TxProfile) BlockTiming 
 		t.Validate = c.BlockFixedLatency
 		return t
 	}
+
+	// The ends_scheduler's rounds, over the verdicts the profiles give.
+	vscc := make([]policy.Tx, n)
+	for i, tx := range txs {
+		vscc[i].Endorsers = tx.Endorsers
+		if tx.TxSigValid { // else early abort: no vscc
+			vscc[i].Circuit = circuit
+		}
+	}
+	sched := policy.Scheduler{Width: c.VSCCEngines, ShortCircuit: !c.DisableShortCircuit}
+	sched.Run(vscc, func(round []policy.Request) []bool {
+		valid := make([]bool, len(round))
+		for j, rq := range round {
+			valid[j] = txs[rq.Tx].EndorsementValid[rq.End]
+		}
+		return valid
+	})
 
 	// Per-validator pipeline state.
 	verifyFree := make([]time.Duration, c.TxValidators)
@@ -223,24 +209,12 @@ func Simulate(cfg Config, circuit *policy.Circuit, txs []TxProfile) BlockTiming 
 		verifyEnd := start + c.EngineLatency
 		verifyFree[best] = verifyEnd
 
-		// tx_vscc: batches of up to E endorsement verifications.
-		var vsccLat time.Duration
-		if tx.TxSigValid {
-			verified, batches, _ := EndsSchedule(circuit, tx.Endorsers,
-				tx.EndorsementValid, c.VSCCEngines, c.DisableShortCircuit)
-			vsccLat = time.Duration(batches) * c.EngineLatency
-			t.VSCCBusy += time.Duration(verified) * c.EngineLatency
-			t.EndsVerified += verified
-			t.EndsSkipped += len(tx.Endorsers) - verified
-		} else {
-			// Early abort: endorsements discarded.
-			t.EndsSkipped += len(tx.Endorsers)
-		}
-		vsccStart := verifyEnd
-		if vsccFree[best] > vsccStart {
-			vsccStart = vsccFree[best]
-		}
-		vsccEnd[i] = vsccStart + vsccLat
+		// tx_vscc: one engine latency per round of up to E verifications.
+		vsccLat := time.Duration(vscc[i].Rounds) * c.EngineLatency
+		t.VSCCBusy += time.Duration(vscc[i].Verified) * c.EngineLatency
+		t.EndsVerified += vscc[i].Verified
+		t.EndsSkipped += len(tx.Endorsers) - vscc[i].Verified
+		vsccEnd[i] = max(verifyEnd, vsccFree[best]) + vsccLat
 		vsccFree[best] = vsccEnd[i]
 	}
 
@@ -248,13 +222,8 @@ func Simulate(cfg Config, circuit *policy.Circuit, txs []TxProfile) BlockTiming 
 	var mvccFree, release time.Duration
 	var totalTxLat time.Duration
 	for i, tx := range txs {
-		if vsccEnd[i] > release {
-			release = vsccEnd[i]
-		}
-		start := release
-		if mvccFree > start {
-			start = mvccFree
-		}
+		release = max(release, vsccEnd[i])
+		start := max(release, mvccFree)
 		lat := c.MVCCFixedLatency + time.Duration(tx.Reads+tx.Writes)*c.DBAccessLatency
 		mvccFree = start + lat
 		t.MVCCBusy += lat

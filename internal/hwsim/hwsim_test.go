@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"bmac/internal/identity"
 	"bmac/internal/policy"
 	"bmac/internal/policy/policytest"
 )
@@ -17,71 +16,6 @@ func circuit(src string) *policy.Circuit {
 // within reports whether got is within frac of want.
 func within(got, want, frac float64) bool {
 	return math.Abs(got-want) <= frac*want
-}
-
-func TestEndsScheduleShortCircuit(t *testing.T) {
-	ids := func(n int) ([]identity.EncodedID, []bool) {
-		out := make([]identity.EncodedID, n)
-		valid := make([]bool, n)
-		for i := range out {
-			out[i] = identity.Encode(uint8(i+1), identity.RolePeer, 0)
-			valid[i] = true
-		}
-		return out, valid
-	}
-	tests := []struct {
-		pol       string
-		ends      int
-		engines   int
-		verified  int
-		batches   int
-		satisfied bool
-	}{
-		{"2of2", 2, 2, 2, 1, true},
-		{"2of3", 3, 2, 2, 1, true}, // short-circuit skips the third
-		{"3of3", 3, 2, 3, 2, true}, // second iteration needed (paper §4.3)
-		{"3of3", 3, 3, 3, 1, true}, // 5x3-style: one batch
-		{"1of1", 1, 2, 1, 1, true},
-		{"2of4", 4, 2, 2, 1, true},
-		{"4of4", 4, 2, 4, 2, true},
-	}
-	for _, tt := range tests {
-		e, v := ids(tt.ends)
-		verified, batches, sat := EndsSchedule(circuit(tt.pol), e, v, tt.engines, false)
-		if verified != tt.verified || batches != tt.batches || sat != tt.satisfied {
-			t.Errorf("%s/%d ends/%d engines: got %d verified %d batches sat=%v, want %d/%d/%v",
-				tt.pol, tt.ends, tt.engines, verified, batches, sat,
-				tt.verified, tt.batches, tt.satisfied)
-		}
-	}
-}
-
-func TestEndsScheduleInvalidityShortCircuit(t *testing.T) {
-	// 3of3 with the first endorsement invalid: after batch 1 (1 engine)
-	// the policy can never be satisfied.
-	e := []identity.EncodedID{
-		identity.Encode(1, identity.RolePeer, 0),
-		identity.Encode(2, identity.RolePeer, 0),
-		identity.Encode(3, identity.RolePeer, 0),
-	}
-	valid := []bool{false, true, true}
-	verified, _, sat := EndsSchedule(circuit("3of3"), e, valid, 1, false)
-	if verified != 1 || sat {
-		t.Errorf("verified=%d sat=%v, want 1/false", verified, sat)
-	}
-}
-
-func TestEndsScheduleDisabled(t *testing.T) {
-	e := []identity.EncodedID{
-		identity.Encode(1, identity.RolePeer, 0),
-		identity.Encode(2, identity.RolePeer, 0),
-		identity.Encode(3, identity.RolePeer, 0),
-	}
-	valid := []bool{true, true, true}
-	verified, _, sat := EndsSchedule(circuit("2of3"), e, valid, 2, true)
-	if verified != 3 || !sat {
-		t.Errorf("ablation: verified=%d sat=%v, want 3/true", verified, sat)
-	}
 }
 
 // TestFigure11Calibration checks the simulator against the paper's key

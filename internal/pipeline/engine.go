@@ -130,11 +130,12 @@ type job struct {
 // goroutine, and ValidateAndCommit must not be called while submitted
 // blocks are still in flight.
 type Engine struct {
-	cfg   Config
-	store statedb.KVS
-	cache *MVCache // nil in the Fabric14 shape, whose mvcc reads the store itself
-	led   *ledger.Ledger
-	pf    *prefetcher // nil when cfg.Prefetch is off
+	cfg      Config
+	circuits map[string]*policy.Circuit // cfg.Policies, compiled once
+	store    statedb.KVS
+	cache    *MVCache // nil in the Fabric14 shape, whose mvcc reads the store itself
+	led      *ledger.Ledger
+	pf       *prefetcher // nil when cfg.Prefetch is off
 
 	startOnce sync.Once // guards in, out and done
 	in        chan *job
@@ -155,7 +156,10 @@ func New(cfg Config, store statedb.KVS, led *ledger.Ledger) *Engine {
 	if cfg.PrefetchWorkers < 1 {
 		cfg.PrefetchWorkers = cfg.Workers
 	}
-	e := &Engine{cfg: cfg, store: store, led: led}
+	e := &Engine{cfg: cfg, circuits: make(map[string]*policy.Circuit, len(cfg.Policies)), store: store, led: led}
+	for cc, p := range cfg.Policies {
+		e.circuits[cc] = policy.Compile(p)
+	}
 	if cfg.Shape == Scheduled {
 		e.cache = NewMVCache(store)
 	}
@@ -318,7 +322,7 @@ func (e *Engine) verify(j *job) {
 	t = time.Now()
 	n := len(j.txs)
 	fanOut(n, e.cfg.Workers, VSCCRange(n, e.cfg.Workers), &j.bd, func(lo, hi int, ops *validator.Breakdown) {
-		validator.VSCC(j.b.Envelopes[lo:hi], j.txs[lo:hi], flags[lo:hi], e.cfg.Policies, opts, ops)
+		validator.VSCC(j.b.Envelopes[lo:hi], j.txs[lo:hi], flags[lo:hi], e.circuits, opts, ops)
 	})
 	j.bd.VerifyVSCC = time.Since(t)
 }

@@ -119,7 +119,7 @@ func (o *oracle) vscc(env *block.Envelope) (*block.RWSet, block.ValidationCode) 
 	if !ok {
 		return nil, block.InvalidOther
 	}
-	if !pol.EvalSequential(&rf) {
+	if !policy.Compile(pol).Evaluate(&rf) {
 		return nil, block.EndorsementPolicyFailure
 	}
 	return &prp.Extension.Results, block.Valid

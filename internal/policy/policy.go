@@ -3,22 +3,22 @@
 // enough valid endorsements ("Org1 & Org2", "2-outof-3 orgs", or arbitrary
 // OR-of-AND forms).
 //
-// Two evaluation strategies are provided, mirroring the two systems the
-// paper compares:
+// A policy has one evaluator, the Circuit: the hardware
+// ends_policy_evaluator, a combinational circuit over a register file (one
+// register per organization, one bit per role) that reads the policy output
+// in a single step.
 //
-//   - The software evaluator reproduces Fabric's behaviour: every
-//     endorsement of a transaction is signature-verified regardless of the
-//     policy, and sub-expressions are evaluated sequentially (Section 4.3:
-//     "Fabric always verifies all the endorsements of a transaction,
-//     irrespective of the policy", and complex policies "evaluate all
-//     sub-expressions sequentially").
+// Which endorsements are verified at all is decided by one ends_scheduler,
+// Scheduler, whose two settings are the two systems the paper compares:
 //
-//   - The Circuit evaluator reproduces the hardware
-//     ends_policy_evaluator: the policy is compiled into a combinational
-//     circuit over a register file (one register per organization, one bit
-//     per role), evaluated in parallel in a single step, enabling the
-//     ends_scheduler's short-circuit evaluation that skips unnecessary
-//     endorsement verifications.
+//   - Fabric's vscc (the zero Scheduler): every endorsement of a
+//     transaction is signature-verified regardless of the policy, in one
+//     round (Section 4.3: "Fabric always verifies all the endorsements of a
+//     transaction, irrespective of the policy").
+//
+//   - BMac's tx_vscc (Width E, ShortCircuit): up to E endorsements per
+//     round, and none once the circuit's output is decided — the
+//     short-circuit evaluation that skips unnecessary verifications.
 package policy
 
 import (
@@ -66,9 +66,8 @@ type And struct{ Children []Expr }
 func (a And) String() string { return joinExprs(a.Children, " & ") }
 
 func (a And) eval(rf *RegisterFile) bool {
-	// Deliberately no short-circuit: evaluate every child, then combine.
-	// The software path models Fabric's exhaustive evaluation; hardware
-	// combinational circuits also evaluate all inputs in parallel.
+	// Deliberately no short-circuit: evaluate every child, then combine,
+	// as a combinational circuit evaluates all its inputs in parallel.
 	ok := true
 	for _, c := range a.Children {
 		if !c.eval(rf) {
@@ -206,36 +205,13 @@ func Parse(src string) (*Policy, error) {
 	return &Policy{Name: src, Expr: expr}, nil
 }
 
-// Orgs returns the sorted set of organization numbers referenced.
-func (p *Policy) Orgs() []uint8 {
-	set := make(map[uint8]bool)
-	p.Expr.orgs(set)
-	out := make([]uint8, 0, len(set))
-	for o := byte(1); o != 0; o++ { // 1..255 in order
-		if set[o] {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
 // MaxEndorsements returns the number of distinct orgs referenced — the
 // number of endorsements a client gathers for a transaction under this
 // policy (one per referenced org, as in the paper's experiments).
-func (p *Policy) MaxEndorsements() int { return len(p.Orgs()) }
-
-// Gates returns the combinational circuit footprint.
-func (p *Policy) Gates() GateCount {
-	var g GateCount
-	p.Expr.gates(&g)
-	return g
-}
-
-// EvalSequential is the Fabric-style evaluation: walk the whole expression
-// tree with no short-circuit. validOrgs maps org number -> role bits of
-// valid endorsements.
-func (p *Policy) EvalSequential(rf *RegisterFile) bool {
-	return p.Expr.eval(rf)
+func (p *Policy) MaxEndorsements() int {
+	set := make(map[uint8]bool)
+	p.Expr.orgs(set)
+	return len(set)
 }
 
 // Circuit is the compiled hardware evaluator for one chaincode's policy.
@@ -248,7 +224,9 @@ type Circuit struct {
 // Compile builds the combinational circuit for a policy; in hardware this
 // is the generated ends_policy_evaluator module for one cc_id.
 func Compile(p *Policy) *Circuit {
-	return &Circuit{policy: p, gates: p.Gates()}
+	c := &Circuit{policy: p}
+	p.Expr.gates(&c.gates)
+	return c
 }
 
 // Evaluate reports whether the policy output is currently high given the
@@ -325,43 +303,31 @@ func (p *parser) next() string {
 }
 
 func (p *parser) parseExpr() (Expr, error) {
-	first, err := p.parseTerm()
-	if err != nil {
-		return nil, err
-	}
-	children := []Expr{first}
-	for p.peek() == "|" {
-		p.next()
-		c, err := p.parseTerm()
-		if err != nil {
-			return nil, err
-		}
-		children = append(children, c)
-	}
-	if len(children) == 1 {
-		return children[0], nil
-	}
-	return Or{Children: children}, nil
+	return p.parseJoined("|", p.parseTerm, func(c []Expr) Expr { return Or{Children: c} })
 }
 
 func (p *parser) parseTerm() (Expr, error) {
-	first, err := p.parseFactor()
-	if err != nil {
-		return nil, err
-	}
-	children := []Expr{first}
-	for p.peek() == "&" {
-		p.next()
-		c, err := p.parseFactor()
+	return p.parseJoined("&", p.parseFactor, func(c []Expr) Expr { return And{Children: c} })
+}
+
+// parseJoined parses one or more operands separated by op; two or more are
+// joined into one node.
+func (p *parser) parseJoined(op string, operand func() (Expr, error), join func([]Expr) Expr) (Expr, error) {
+	var children []Expr
+	for {
+		c, err := operand()
 		if err != nil {
 			return nil, err
 		}
-		children = append(children, c)
+		if children = append(children, c); p.peek() != op {
+			break
+		}
+		p.next()
 	}
 	if len(children) == 1 {
 		return children[0], nil
 	}
-	return And{Children: children}, nil
+	return join(children), nil
 }
 
 func (p *parser) parseFactor() (Expr, error) {

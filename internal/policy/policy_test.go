@@ -18,6 +18,34 @@ func mustParse(src string) *Policy {
 	return p
 }
 
+// evaluate reads p's compiled circuit over rf.
+func evaluate(p *Policy, rf *RegisterFile) bool { return Compile(p).Evaluate(rf) }
+
+// sequential evaluates an expression tree one node after another, with no
+// code in common with the circuit: Fabric's sequential walk (paper §4.3),
+// kept as the circuit's reference.
+func sequential(e Expr, rf *RegisterFile) bool {
+	switch e := e.(type) {
+	case OrgRef:
+		return rf.regs[e.Org]&(1<<(e.Role-1)) != 0
+	case And:
+		for _, c := range e.Children {
+			if !sequential(c, rf) {
+				return false
+			}
+		}
+		return true
+	case Or:
+		for _, c := range e.Children {
+			if sequential(c, rf) {
+				return true
+			}
+		}
+		return false
+	}
+	panic("unknown expression")
+}
+
 func rfWith(orgs ...uint8) *RegisterFile {
 	var rf RegisterFile
 	for _, o := range orgs {
@@ -31,10 +59,10 @@ func TestParseSimpleAnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.EvalSequential(rfWith(1, 2)) {
+	if !evaluate(p, rfWith(1, 2)) {
 		t.Error("both orgs should satisfy")
 	}
-	if p.EvalSequential(rfWith(1)) {
+	if evaluate(p, rfWith(1)) {
 		t.Error("one org should not satisfy AND")
 	}
 	if got := p.MaxEndorsements(); got != 2 {
@@ -69,7 +97,7 @@ func TestOutOfSemantics(t *testing.T) {
 		{[]uint8{4, 5}, false},
 	}
 	for _, tt := range tests {
-		if got := p.EvalSequential(rfWith(tt.orgs...)); got != tt.want {
+		if got := evaluate(p, rfWith(tt.orgs...)); got != tt.want {
 			t.Errorf("2of3 with orgs %v = %v, want %v", tt.orgs, got, tt.want)
 		}
 	}
@@ -77,7 +105,7 @@ func TestOutOfSemantics(t *testing.T) {
 
 func TestOneOfOne(t *testing.T) {
 	p := mustParse("1of1")
-	if !p.EvalSequential(rfWith(1)) || p.EvalSequential(rfWith(2)) {
+	if !evaluate(p, rfWith(1)) || evaluate(p, rfWith(2)) {
 		t.Error("1of1 semantics wrong")
 	}
 	if p.MaxEndorsements() != 1 {
@@ -93,11 +121,11 @@ func TestComplexPaperPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Org1 & Org3 is the one pair missing from the policy.
-	if p.EvalSequential(rfWith(1, 3)) {
+	if evaluate(p, rfWith(1, 3)) {
 		t.Error("Org1&Org3 must NOT satisfy the complex policy")
 	}
 	for _, pair := range [][]uint8{{1, 2}, {1, 4}, {2, 3}, {2, 4}, {3, 4}} {
-		if !p.EvalSequential(rfWith(pair...)) {
+		if !evaluate(p, rfWith(pair...)) {
 			t.Errorf("pair %v must satisfy", pair)
 		}
 	}
@@ -114,13 +142,13 @@ func TestRoleQualifiedRefs(t *testing.T) {
 	var rf RegisterFile
 	rf.Set(1, identity.RoleAdmin)
 	rf.Set(2, identity.RolePeer)
-	if !p.EvalSequential(&rf) {
+	if !evaluate(p, &rf) {
 		t.Error("role-qualified refs should match")
 	}
 	rf.Clear()
 	rf.Set(1, identity.RolePeer) // wrong role
 	rf.Set(2, identity.RolePeer)
-	if p.EvalSequential(&rf) {
+	if evaluate(p, &rf) {
 		t.Error("peer endorsement must not satisfy an Admin requirement")
 	}
 }
@@ -139,7 +167,7 @@ func TestParseErrors(t *testing.T) {
 func TestGateCounts(t *testing.T) {
 	// "2-outof-3 orgs" = three 2-input ANDs and one 3-input OR (paper §3.3).
 	p := mustParse("2of3")
-	g := p.Gates()
+	g := Compile(p).Gates()
 	if g.AndGates != 3 || g.AndInputs != 6 {
 		t.Errorf("AND gates = %d/%d inputs, want 3/6", g.AndGates, g.AndInputs)
 	}
@@ -168,7 +196,7 @@ func TestCircuitMatchesSequential(t *testing.T) {
 				}
 			}
 			rf := rfWith(orgs...)
-			if c.Evaluate(rf) != p.EvalSequential(rf) {
+			if c.Evaluate(rf) != sequential(p.Expr, rf) {
 				t.Errorf("policy %q mask %04b: circuit != sequential", src, mask)
 			}
 		}
@@ -239,15 +267,6 @@ func TestOutOfEquivalentToThreshold(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkSequentialEval(b *testing.B) {
-	p := mustParse("(Org1 & Org2) | (Org1 & Org4) | (Org2 & Org3) | (Org2 & Org4) | (Org3 & Org4)")
-	rf := rfWith(3, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.EvalSequential(rf)
 	}
 }
 

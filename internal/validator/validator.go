@@ -6,10 +6,12 @@
 // sequences these steps over a block, in either of its two shapes, is
 // internal/pipeline.
 //
-// Per Fabric behaviour, vscc verifies ALL endorsements — it does not
-// short-circuit — and evaluates the endorsement policy sequentially. Every
-// operation is timestamped so the experiments can reproduce the bottleneck
-// breakdowns of Figures 3 and 10.
+// Per Fabric behaviour, vscc verifies ALL endorsements — it runs the
+// ends_scheduler (policy.Scheduler) in Fabric's setting, every endorsement
+// in one round with no short-circuit — and then reads the policy circuit
+// over the register file the scheduler filled. Every operation is
+// timestamped so the experiments can reproduce the bottleneck breakdowns of
+// Figures 3 and 10.
 package validator
 
 import (
@@ -17,7 +19,7 @@ import (
 	"crypto/ecdsa"
 	"crypto/sha256"
 	"errors"
-	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -185,39 +187,49 @@ func (b *Breakdown) countVerify(hit bool, d time.Duration) {
 }
 
 // vsccScratch is the working memory of one VSCC call, pooled: the batch of
-// signature checks and, per transaction, where its checks start in refs.
+// signature checks, the ends_scheduler and its view of each transaction.
 type vsccScratch struct {
-	batch fabcrypto.Batch
-	first []int // refs index of the transaction's client check; −1: decided in collect
-	refs  []int // batch check numbers: client, then one per endorsement (−1: unverifiable)
+	batch    fabcrypto.Batch
+	sched    policy.Scheduler // the zero value: Fabric's vscc, one round
+	txs      []policy.Tx
+	ids      []identity.EncodedID // every endorser of the range, transaction after transaction
+	refs     []int                // batch check numbers: each client signature (−1: decided in collect), then each endorsement of the round (−1: unverifiable)
+	verdicts []bool
 }
 
 var vsccPool = sync.Pool{New: func() any { return new(vsccScratch) }}
 
+// noPolicy stands in for the policy of a chaincode that has none installed:
+// its endorsements are verified all the same, and nothing satisfies it.
+var noPolicy = policy.Compile(&policy.Policy{Name: "none", Expr: policy.Or{}})
+
 // VSCC validates the transactions envs[i]/txs[i] into flags[i]: client
-// signature, then all endorsement signatures, then the endorsement policy
-// (every endorsement verified, no short-circuiting). It works in three
-// steps so that the signatures of the whole range are verified as one batch
-// of the engine: collect (certificate → key, digest, cache lookup, queue),
-// run, decide (policy register file). Since every check is queued before
-// any verdict is known, a transaction whose client signature is bad has its
-// endorsements verified anyway; its flag is BadSignature all the same. The
-// optional caches leave verdicts bit-identical: they only memoize.
-func VSCC(envs []block.Envelope, txs []ParsedTx, flags []byte, policies map[string]*policy.Policy, opts VerifyOpts, bd *Breakdown) {
+// signature, then all endorsement signatures, then the endorsement policy.
+// It works in three steps so that the signatures of the whole range are
+// verified as one batch of the engine: collect (client certificate → key,
+// digest, cache lookup, queue; each endorser's identity), run (the
+// ends_scheduler in Fabric's setting — every endorsement in one round, no
+// short-circuit — queues the endorsements the same way and runs the batch),
+// decide (the register files the scheduler filled). Since every check is
+// queued before any verdict is known, a transaction whose client signature
+// is bad has its endorsements verified anyway; its flag is BadSignature all
+// the same. The optional caches leave verdicts bit-identical: they only
+// memoize.
+func VSCC(envs []block.Envelope, txs []ParsedTx, flags []byte, policies map[string]*policy.Circuit, opts VerifyOpts, bd *Breakdown) {
 	sc := vsccPool.Get().(*vsccScratch)
 	defer vsccPool.Put(sc)
 	sc.batch.Reset(opts.SigCache)
-	sc.first, sc.refs = sc.first[:0], sc.refs[:0]
-	add := func(pub *ecdsa.PublicKey, msg, sig []byte) {
+	sc.txs, sc.ids, sc.refs = sc.txs[:0], sc.ids[:0], sc.refs[:0]
+	add := func(pub *ecdsa.PublicKey, msg, sig []byte) int {
 		digest := timedHash(msg, bd)
 		t := time.Now()
 		ref, hit := sc.batch.Add(pub, digest, sig)
 		bd.countVerify(hit, time.Since(t))
-		sc.refs = append(sc.refs, ref)
+		return ref
 	}
 	for i := range txs {
 		p := &txs[i]
-		sc.first = append(sc.first, -1)
+		sc.txs, sc.refs = append(sc.txs, policy.Tx{}), append(sc.refs, -1) // no Circuit, no check: decided here
 		if p.Err != nil {
 			flags[i] = byte(p.Code)
 			continue
@@ -227,79 +239,86 @@ func VSCC(envs []block.Envelope, txs []ParsedTx, flags []byte, policies map[stri
 			flags[i] = byte(block.BadCreator)
 			continue
 		}
-		sc.first[i] = len(sc.refs)
-		add(pub, envs[i].PayloadBytes, envs[i].Signature)
-		ends := p.Tx.Payload.Action.Endorsements
-		for k := range ends {
-			e := &ends[k]
-			if epub, err := opts.CertCache.PublicKeyFromCert(e.Endorser); err != nil {
-				sc.refs = append(sc.refs, -1) // unverifiable endorsement contributes nothing
-			} else {
-				add(epub, block.EndorsementSigningBytes(p.PRP, e.Endorser), e.Signature)
-			}
+		sc.refs[i] = add(pub, envs[i].PayloadBytes, envs[i].Signature)
+		start := len(sc.ids)
+		for _, e := range p.Tx.Payload.Action.Endorsements {
+			sc.ids = append(sc.ids, endorserID(opts.CertCache, e.Endorser))
+		}
+		v := &sc.txs[i]
+		v.Endorsers = sc.ids[start:]
+		if v.Circuit = policies[p.Tx.ChannelHeader.ChaincodeName]; v.Circuit == nil {
+			v.Circuit = noPolicy
 		}
 	}
 
-	t := time.Now()
-	sc.batch.Run()
-	bd.ECDSATime += time.Since(t)
+	run := func() {
+		t := time.Now()
+		sc.batch.Run()
+		bd.ECDSATime += time.Since(t)
+	}
+	sc.sched.Run(sc.txs, func(round []policy.Request) []bool {
+		for _, rq := range round {
+			e := &txs[rq.Tx].Tx.Payload.Action.Endorsements[rq.End]
+			ref := -1 // an unverifiable endorsement contributes nothing
+			if epub, err := opts.CertCache.PublicKeyFromCert(e.Endorser); err == nil {
+				ref = add(epub, block.EndorsementSigningBytes(txs[rq.Tx].PRP, e.Endorser), e.Signature)
+			}
+			sc.refs = append(sc.refs, ref)
+		}
+		run()
+		sc.verdicts = sc.verdicts[:0]
+		for _, ref := range sc.refs[len(txs):] {
+			sc.verdicts = append(sc.verdicts, ref >= 0 && sc.batch.Err(ref) == nil)
+		}
+		return sc.verdicts
+	})
+	if len(sc.refs) == len(txs) { // no endorsement issued: the client checks are still queued
+		run()
+	}
 
 	for i := range txs {
-		if sc.first[i] < 0 {
-			continue
-		}
-		p, refs := &txs[i], sc.refs[sc.first[i]:]
-		if sc.batch.Err(refs[0]) != nil {
+		v := &sc.txs[i]
+		switch {
+		case sc.refs[i] < 0: // decided in collect
+		case sc.batch.Err(sc.refs[i]) != nil:
 			flags[i] = byte(block.BadSignature)
-			continue
-		}
-		var rf policy.RegisterFile
-		ends := p.Tx.Payload.Action.Endorsements
-		for k := range ends {
-			if ref := refs[1+k]; ref >= 0 && sc.batch.Err(ref) == nil {
-				endorserToRegister(opts.CertCache, ends[k].Endorser, &rf)
-			}
-		}
-		if pol, ok := policies[p.Tx.ChannelHeader.ChaincodeName]; !ok {
-			flags[i] = byte(block.InvalidOther) // no policy installed for this chaincode
-		} else if !pol.EvalSequential(&rf) {
+		case v.Circuit == noPolicy:
+			flags[i] = byte(block.InvalidOther)
+		case !v.Circuit.Evaluate(&v.RF):
 			flags[i] = byte(block.EndorsementPolicyFailure)
-		} else {
+		default:
 			flags[i] = byte(block.Valid)
 		}
 	}
 }
 
-// endorserToRegister parses an endorser certificate (through the cert
-// cache when one is configured) and sets its (org, role) bit in the policy
-// register file, ignoring unparsable certificates exactly as the
-// endorsement loop always has.
-func endorserToRegister(cc *fabcrypto.CertCache, endorser []byte, rf *policy.RegisterFile) {
-	cert, err := cc.ParseCertificate(endorser)
+// endorserID maps an endorser certificate (through the cert cache when one
+// is configured) to the identity whose register a valid endorsement sets;
+// 0, which sets none, when it does not parse. The organization is read from
+// the subject: which CA issued the certificate is not checked.
+func endorserID(cc *fabcrypto.CertCache, der []byte) identity.EncodedID {
+	cert, err := cc.ParseCertificate(der)
 	if err != nil {
-		return
+		return 0
 	}
-	org, role, ok := orgRoleOf(cert.Subject.Organization, cert.Subject.CommonName)
-	if ok {
-		rf.Set(org, role)
-	}
+	return orgRoleOf(cert.Subject.Organization, cert.Subject.CommonName)
 }
 
-// orgRoleOf maps certificate subject fields back to (org number, role).
-// Organization names follow the OrgN convention used throughout the
-// repository; common names are "<role><seq>.<org>".
-func orgRoleOf(orgs []string, cn string) (uint8, identity.Role, bool) {
+// orgRoleOf maps certificate subject fields back to an identity, 0 when they
+// name none. Organization names follow the OrgN convention used throughout
+// the repository, N a canonical decimal 1–255; common names are
+// "<role><seq>.<org>", a peer's when no role prefix matches.
+func orgRoleOf(orgs []string, cn string) identity.EncodedID {
 	if len(orgs) != 1 {
-		return 0, 0, false
+		return 0
 	}
-	var orgNum int
-	if _, err := fmt.Sscanf(orgs[0], "Org%d", &orgNum); err != nil || orgNum < 1 || orgNum > 255 {
-		return 0, 0, false
+	digits, ok := strings.CutPrefix(orgs[0], "Org")
+	n, err := strconv.Atoi(digits)
+	if !ok || err != nil || n < 1 || n > 255 || digits[0] < '1' { // a sign or a leading zero is not canonical
+		return 0
 	}
 	role := identity.RolePeer
 	switch {
-	case strings.HasPrefix(cn, "peer"):
-		role = identity.RolePeer
 	case strings.HasPrefix(cn, "admin"):
 		role = identity.RoleAdmin
 	case strings.HasPrefix(cn, "orderer"):
@@ -307,5 +326,5 @@ func orgRoleOf(orgs []string, cn string) (uint8, identity.Role, bool) {
 	case strings.HasPrefix(cn, "client"):
 		role = identity.RoleClient
 	}
-	return uint8(orgNum), role, true
+	return identity.Encode(uint8(n), role, 0)
 }
