@@ -234,6 +234,8 @@ const (
 	fBlockData   = 2
 	fBlockMeta   = 3
 
+	fDataEnvelope = 1
+
 	fHdrNumber   = 1
 	fHdrPrevHash = 2
 	fHdrDataHash = 3
@@ -253,6 +255,8 @@ const (
 
 	fSigHdrCreator = 1
 	fSigHdrNonce   = 2
+
+	fTxActions = 1
 
 	fTxActionHeader  = 1
 	fTxActionPayload = 2
@@ -293,24 +297,79 @@ const (
 )
 
 // --- marshal ---
+//
+// Every message has a size function, exact to the byte, and an append
+// function that writes it into a buffer of that capacity: an exported
+// Marshal* sizes once, allocates once and appends in a single pass, and an
+// enclosing message writes a sub-message's tag and length from its size
+// before appending it in place. An empty optional field is elided, as
+// wire.AppendBytes does; a repeated element is written even when empty.
 
-// MarshalRWSet encodes a read-write set.
+// sizeField is the encoded size of optional field num carrying n bytes: 0
+// when n is 0, since the field is then elided.
+func sizeField(num, n int) int {
+	if n == 0 {
+		return 0
+	}
+	return wire.SizeBytesField(num, n)
+}
+
+// appendLen appends the tag and length of a length-delimited field whose n
+// bytes the caller appends next.
+func appendLen(dst []byte, num, n int) []byte {
+	dst = wire.AppendTag(dst, num, wire.TypeBytes)
+	return wire.AppendVarint(dst, uint64(n))
+}
+
+// appendOptLen is appendLen for an optional field: nothing when n is 0.
+func appendOptLen(dst []byte, num, n int) []byte {
+	if n == 0 {
+		return dst
+	}
+	return appendLen(dst, num, n)
+}
+
+func sizeKVRead(r *KVRead) int {
+	return sizeField(fReadKey, len(r.Key)) +
+		wire.SizeUintField(fReadBlockNum, r.Version.BlockNum) +
+		wire.SizeUintField(fReadTxNum, r.Version.TxNum)
+}
+
+func sizeKVWrite(w *KVWrite) int {
+	return sizeField(fWriteKey, len(w.Key)) + sizeField(fWriteValue, len(w.Value))
+}
+
+func sizeRWSet(rw *RWSet) int {
+	n := 0
+	for i := range rw.Reads {
+		n += wire.SizeBytesField(fRWSetRead, sizeKVRead(&rw.Reads[i]))
+	}
+	for i := range rw.Writes {
+		n += wire.SizeBytesField(fRWSetWrite, sizeKVWrite(&rw.Writes[i]))
+	}
+	return n
+}
+
+func appendRWSet(dst []byte, rw *RWSet) []byte {
+	for i := range rw.Reads {
+		r := &rw.Reads[i]
+		dst = appendLen(dst, fRWSetRead, sizeKVRead(r))
+		dst = wire.AppendString(dst, fReadKey, r.Key)
+		dst = wire.AppendUint(dst, fReadBlockNum, r.Version.BlockNum)
+		dst = wire.AppendUint(dst, fReadTxNum, r.Version.TxNum)
+	}
+	for i := range rw.Writes {
+		w := &rw.Writes[i]
+		dst = appendLen(dst, fRWSetWrite, sizeKVWrite(w))
+		dst = wire.AppendString(dst, fWriteKey, w.Key)
+		dst = wire.AppendBytes(dst, fWriteValue, w.Value)
+	}
+	return dst
+}
+
+// MarshalRWSet encodes a read-write set in one exact-size allocation.
 func MarshalRWSet(rw *RWSet) []byte {
-	var b []byte
-	for _, r := range rw.Reads {
-		var rb []byte
-		rb = wire.AppendString(rb, fReadKey, r.Key)
-		rb = wire.AppendUint(rb, fReadBlockNum, r.Version.BlockNum)
-		rb = wire.AppendUint(rb, fReadTxNum, r.Version.TxNum)
-		b = wire.AppendBytesAlways(b, fRWSetRead, rb)
-	}
-	for _, w := range rw.Writes {
-		var wb []byte
-		wb = wire.AppendString(wb, fWriteKey, w.Key)
-		wb = wire.AppendBytes(wb, fWriteValue, w.Value)
-		b = wire.AppendBytesAlways(b, fRWSetWrite, wb)
-	}
-	return b
+	return appendRWSet(make([]byte, 0, sizeRWSet(rw)), rw)
 }
 
 // UnmarshalRWSet decodes a read-write set.
@@ -391,14 +450,25 @@ func unmarshalKVWrite(data []byte, kw *KVWrite) error {
 	return nil
 }
 
-// MarshalChaincodeAction encodes a chaincode action.
+func sizeChaincodeAction(a *ChaincodeAction) int {
+	return sizeField(fCCAResults, sizeRWSet(&a.Results)) +
+		wire.SizeUintField(fCCARespCode, a.ResponseCode) +
+		sizeField(fCCARespData, len(a.ResponseData)) +
+		sizeField(fCCAName, len(a.ChaincodeName))
+}
+
+func appendChaincodeAction(dst []byte, a *ChaincodeAction) []byte {
+	dst = appendOptLen(dst, fCCAResults, sizeRWSet(&a.Results))
+	dst = appendRWSet(dst, &a.Results)
+	dst = wire.AppendUint(dst, fCCARespCode, a.ResponseCode)
+	dst = wire.AppendBytes(dst, fCCARespData, a.ResponseData)
+	return wire.AppendString(dst, fCCAName, a.ChaincodeName)
+}
+
+// MarshalChaincodeAction encodes a chaincode action in one exact-size
+// allocation.
 func MarshalChaincodeAction(a *ChaincodeAction) []byte {
-	var b []byte
-	b = wire.AppendBytes(b, fCCAResults, MarshalRWSet(&a.Results))
-	b = wire.AppendUint(b, fCCARespCode, a.ResponseCode)
-	b = wire.AppendBytes(b, fCCARespData, a.ResponseData)
-	b = wire.AppendString(b, fCCAName, a.ChaincodeName)
-	return b
+	return appendChaincodeAction(make([]byte, 0, sizeChaincodeAction(a)), a)
 }
 
 // UnmarshalChaincodeAction decodes a chaincode action.
@@ -433,13 +503,15 @@ func UnmarshalChaincodeAction(data []byte) (*ChaincodeAction, error) {
 	return a, nil
 }
 
-// MarshalProposalResponsePayload encodes a proposal response payload. The
-// returned bytes are what endorsers sign.
+// MarshalProposalResponsePayload encodes a proposal response payload in one
+// exact-size allocation. The returned bytes are what endorsers sign (see
+// EndorsementDigest).
 func MarshalProposalResponsePayload(p *ProposalResponsePayload) []byte {
-	var b []byte
-	b = wire.AppendBytes(b, fPRPHash, p.ProposalHash)
-	b = wire.AppendBytes(b, fPRPExtension, MarshalChaincodeAction(&p.Extension))
-	return b
+	ext := sizeChaincodeAction(&p.Extension)
+	dst := make([]byte, 0, sizeField(fPRPHash, len(p.ProposalHash))+sizeField(fPRPExtension, ext))
+	dst = wire.AppendBytes(dst, fPRPHash, p.ProposalHash)
+	dst = appendOptLen(dst, fPRPExtension, ext)
+	return appendChaincodeAction(dst, &p.Extension)
 }
 
 // UnmarshalProposalResponsePayload decodes a proposal response payload.
@@ -470,13 +542,6 @@ func UnmarshalProposalResponsePayload(data []byte) (*ProposalResponsePayload, er
 	return p, nil
 }
 
-func marshalEndorsement(e *Endorsement) []byte {
-	var b []byte
-	b = wire.AppendBytes(b, fEndorserCert, e.Endorser)
-	b = wire.AppendBytes(b, fEndorserSig, e.Signature)
-	return b
-}
-
 func unmarshalEndorsement(data []byte) (Endorsement, error) {
 	var e Endorsement
 	r := wire.NewReader(data)
@@ -498,15 +563,6 @@ func unmarshalEndorsement(data []byte) (Endorsement, error) {
 		return e, fmt.Errorf("%w: endorsement: %v", ErrMalformed, err)
 	}
 	return e, nil
-}
-
-func marshalEndorsedAction(a *EndorsedAction) []byte {
-	var b []byte
-	b = wire.AppendBytes(b, fEAProposalResponse, a.ProposalResponseBytes)
-	for i := range a.Endorsements {
-		b = wire.AppendBytesAlways(b, fEAEndorsement, marshalEndorsement(&a.Endorsements[i]))
-	}
-	return b
 }
 
 func unmarshalEndorsedAction(data []byte) (*EndorsedAction, error) {
@@ -536,13 +592,6 @@ func unmarshalEndorsedAction(data []byte) (*EndorsedAction, error) {
 	return a, nil
 }
 
-func marshalChaincodeActionPayload(p *ChaincodeActionPayload) []byte {
-	var b []byte
-	b = wire.AppendBytes(b, fCAPProposal, p.ProposalPayload)
-	b = wire.AppendBytes(b, fCAPAction, marshalEndorsedAction(&p.Action))
-	return b
-}
-
 func unmarshalChaincodeActionPayload(data []byte) (*ChaincodeActionPayload, error) {
 	p := &ChaincodeActionPayload{}
 	r := wire.NewReader(data)
@@ -568,17 +617,6 @@ func unmarshalChaincodeActionPayload(data []byte) (*ChaincodeActionPayload, erro
 		return nil, fmt.Errorf("%w: chaincode action payload: %v", ErrMalformed, err)
 	}
 	return p, nil
-}
-
-// MarshalChannelHeader encodes a channel header.
-func MarshalChannelHeader(h *ChannelHeader) []byte {
-	var b []byte
-	b = wire.AppendUint(b, fChHdrType, h.Type)
-	b = wire.AppendString(b, fChHdrTxID, h.TxID)
-	b = wire.AppendString(b, fChHdrChannel, h.ChannelID)
-	b = wire.AppendString(b, fChHdrCC, h.ChaincodeName)
-	b = wire.AppendUint(b, fChHdrEpoch, h.Epoch)
-	return b
 }
 
 // UnmarshalChannelHeader decodes a channel header.
@@ -611,14 +649,6 @@ func UnmarshalChannelHeader(data []byte) (*ChannelHeader, error) {
 	return h, nil
 }
 
-// MarshalSignatureHeader encodes a signature header.
-func MarshalSignatureHeader(h *SignatureHeader) []byte {
-	var b []byte
-	b = wire.AppendBytes(b, fSigHdrCreator, h.Creator)
-	b = wire.AppendBytes(b, fSigHdrNonce, h.Nonce)
-	return b
-}
-
 // UnmarshalSignatureHeader decodes a signature header.
 func UnmarshalSignatureHeader(data []byte) (*SignatureHeader, error) {
 	h := &SignatureHeader{}
@@ -643,23 +673,91 @@ func UnmarshalSignatureHeader(data []byte) (*SignatureHeader, error) {
 	return h, nil
 }
 
+func sizeChannelHeader(h *ChannelHeader) int {
+	return wire.SizeUintField(fChHdrType, h.Type) +
+		sizeField(fChHdrTxID, len(h.TxID)) +
+		sizeField(fChHdrChannel, len(h.ChannelID)) +
+		sizeField(fChHdrCC, len(h.ChaincodeName)) +
+		wire.SizeUintField(fChHdrEpoch, h.Epoch)
+}
+
+func sizeSignatureHeader(h *SignatureHeader) int {
+	return sizeField(fSigHdrCreator, len(h.Creator)) + sizeField(fSigHdrNonce, len(h.Nonce))
+}
+
+// appendSignatureHeader appends h as optional field num.
+func appendSignatureHeader(dst []byte, num int, h *SignatureHeader) []byte {
+	dst = appendOptLen(dst, num, sizeSignatureHeader(h))
+	dst = wire.AppendBytes(dst, fSigHdrCreator, h.Creator)
+	return wire.AppendBytes(dst, fSigHdrNonce, h.Nonce)
+}
+
+func sizeEndorsement(e *Endorsement) int {
+	return sizeField(fEndorserCert, len(e.Endorser)) + sizeField(fEndorserSig, len(e.Signature))
+}
+
+func sizeEndorsedAction(a *EndorsedAction) int {
+	n := sizeField(fEAProposalResponse, len(a.ProposalResponseBytes))
+	for i := range a.Endorsements {
+		n += wire.SizeBytesField(fEAEndorsement, sizeEndorsement(&a.Endorsements[i]))
+	}
+	return n
+}
+
+func sizeChaincodeActionPayload(p *ChaincodeActionPayload) int {
+	return sizeField(fCAPProposal, len(p.ProposalPayload)) + sizeField(fCAPAction, sizeEndorsedAction(&p.Action))
+}
+
+// sizeTransactionAction is the size of a transaction's one action: the
+// signature header again (Fabric repeats it there) and the payload.
+func sizeTransactionAction(tx *Transaction) int {
+	return sizeField(fTxActionHeader, sizeSignatureHeader(&tx.SignatureHeader)) +
+		sizeField(fTxActionPayload, sizeChaincodeActionPayload(&tx.Payload))
+}
+
+func sizeTransactionPayload(tx *Transaction) int {
+	return sizeField(fPayloadChannelHdr, sizeChannelHeader(&tx.ChannelHeader)) +
+		sizeField(fPayloadSigHdr, sizeSignatureHeader(&tx.SignatureHeader)) +
+		wire.SizeBytesField(fPayloadData, wire.SizeBytesField(fTxActions, sizeTransactionAction(tx)))
+}
+
 // MarshalTransactionPayload produces the Envelope payload bytes: the
 // three-part Payload{channel header, signature header, transaction data}
-// where transaction data itself nests actions.
+// where transaction data itself nests actions. The whole nest is sized
+// first and then written front to back into one exact-size allocation.
 func MarshalTransactionPayload(tx *Transaction) []byte {
-	// TransactionAction: header (sig header again, per Fabric) + payload.
-	var action []byte
-	action = wire.AppendBytes(action, fTxActionHeader, MarshalSignatureHeader(&tx.SignatureHeader))
-	action = wire.AppendBytes(action, fTxActionPayload, marshalChaincodeActionPayload(&tx.Payload))
+	dst := make([]byte, 0, sizeTransactionPayload(tx))
 
-	// Transaction: repeated actions (we always emit one, like Fabric).
-	txData := wire.AppendBytesAlways(nil, 1, action)
+	h := &tx.ChannelHeader
+	dst = appendOptLen(dst, fPayloadChannelHdr, sizeChannelHeader(h))
+	dst = wire.AppendUint(dst, fChHdrType, h.Type)
+	dst = wire.AppendString(dst, fChHdrTxID, h.TxID)
+	dst = wire.AppendString(dst, fChHdrChannel, h.ChannelID)
+	dst = wire.AppendString(dst, fChHdrCC, h.ChaincodeName)
+	dst = wire.AppendUint(dst, fChHdrEpoch, h.Epoch)
 
-	var b []byte
-	b = wire.AppendBytes(b, fPayloadChannelHdr, MarshalChannelHeader(&tx.ChannelHeader))
-	b = wire.AppendBytes(b, fPayloadSigHdr, MarshalSignatureHeader(&tx.SignatureHeader))
-	b = wire.AppendBytes(b, fPayloadData, txData)
-	return b
+	dst = appendSignatureHeader(dst, fPayloadSigHdr, &tx.SignatureHeader)
+
+	// Transaction data: repeated actions, of which we always emit one, like
+	// Fabric — so the field is never empty.
+	action := sizeTransactionAction(tx)
+	dst = appendLen(dst, fPayloadData, wire.SizeBytesField(fTxActions, action))
+	dst = appendLen(dst, fTxActions, action)
+	dst = appendSignatureHeader(dst, fTxActionHeader, &tx.SignatureHeader)
+
+	p := &tx.Payload
+	dst = appendOptLen(dst, fTxActionPayload, sizeChaincodeActionPayload(p))
+	dst = wire.AppendBytes(dst, fCAPProposal, p.ProposalPayload)
+	a := &p.Action
+	dst = appendOptLen(dst, fCAPAction, sizeEndorsedAction(a))
+	dst = wire.AppendBytes(dst, fEAProposalResponse, a.ProposalResponseBytes)
+	for i := range a.Endorsements {
+		e := &a.Endorsements[i]
+		dst = appendLen(dst, fEAEndorsement, sizeEndorsement(e))
+		dst = wire.AppendBytes(dst, fEndorserCert, e.Endorser)
+		dst = wire.AppendBytes(dst, fEndorserSig, e.Signature)
+	}
+	return dst
 }
 
 // UnmarshalTransactionPayload decodes Envelope payload bytes into a
@@ -707,7 +805,7 @@ func UnmarshalTransactionPayload(data []byte) (*Transaction, error) {
 		if !ok {
 			break
 		}
-		if num == 1 && wt == wire.TypeBytes {
+		if num == fTxActions {
 			actionBytes = tr.Bytes()
 			break
 		}
@@ -745,21 +843,18 @@ func UnmarshalTransactionPayload(data []byte) (*Transaction, error) {
 // MarshalEnvelope encodes a signed envelope in a single exact-size
 // allocation.
 func MarshalEnvelope(e *Envelope) []byte {
-	return appendEnvelope(make([]byte, 0, sizeEnvelope(e)), e)
+	return AppendEnvelope(make([]byte, 0, SizeEnvelope(e)), e)
 }
 
-func sizeEnvelope(e *Envelope) int {
-	n := 0
-	if len(e.PayloadBytes) > 0 {
-		n += wire.SizeBytesField(fEnvelopePayload, len(e.PayloadBytes))
-	}
-	if len(e.Signature) > 0 {
-		n += wire.SizeBytesField(fEnvelopeSig, len(e.Signature))
-	}
-	return n
+// SizeEnvelope reports the exact marshaled size of an envelope, so that a
+// message carrying envelopes can be allocated once.
+func SizeEnvelope(e *Envelope) int {
+	return sizeField(fEnvelopePayload, len(e.PayloadBytes)) + sizeField(fEnvelopeSig, len(e.Signature))
 }
 
-func appendEnvelope(dst []byte, e *Envelope) []byte {
+// AppendEnvelope appends the marshaled envelope to dst: with capacity for
+// SizeEnvelope(e) more bytes, it does not allocate.
+func AppendEnvelope(dst []byte, e *Envelope) []byte {
 	dst = wire.AppendBytes(dst, fEnvelopePayload, e.PayloadBytes)
 	dst = wire.AppendBytes(dst, fEnvelopeSig, e.Signature)
 	return dst
@@ -795,14 +890,9 @@ func MarshalHeader(h *Header) []byte {
 }
 
 func sizeHeader(h *Header) int {
-	n := wire.SizeUintField(fHdrNumber, h.Number)
-	if len(h.PreviousHash) > 0 {
-		n += wire.SizeBytesField(fHdrPrevHash, len(h.PreviousHash))
-	}
-	if len(h.DataHash) > 0 {
-		n += wire.SizeBytesField(fHdrDataHash, len(h.DataHash))
-	}
-	return n
+	return wire.SizeUintField(fHdrNumber, h.Number) +
+		sizeField(fHdrPrevHash, len(h.PreviousHash)) +
+		sizeField(fHdrDataHash, len(h.DataHash))
 }
 
 func appendHeader(dst []byte, h *Header) []byte {
@@ -839,41 +929,22 @@ func UnmarshalHeader(data []byte) (*Header, error) {
 }
 
 func sizeMetadataSig(ms *MetadataSignature) int {
-	n := 0
-	if len(ms.Creator) > 0 {
-		n += wire.SizeBytesField(fMetaSigCreator, len(ms.Creator))
-	}
-	if len(ms.Nonce) > 0 {
-		n += wire.SizeBytesField(fMetaSigNonce, len(ms.Nonce))
-	}
-	if len(ms.Signature) > 0 {
-		n += wire.SizeBytesField(fMetaSigValue, len(ms.Signature))
-	}
-	return n
+	return sizeField(fMetaSigCreator, len(ms.Creator)) +
+		sizeField(fMetaSigNonce, len(ms.Nonce)) +
+		sizeField(fMetaSigValue, len(ms.Signature))
 }
 
 func sizeMetadata(m *Metadata) int {
-	n := 0
-	if s := sizeMetadataSig(&m.Signature); s > 0 {
-		n += wire.SizeBytesField(fMetaSig, s)
-	}
-	if len(m.ValidationFlags) > 0 {
-		n += wire.SizeBytesField(fMetaFlags, len(m.ValidationFlags))
-	}
-	if len(m.CommitHash) > 0 {
-		n += wire.SizeBytesField(fMetaCommit, len(m.CommitHash))
-	}
-	return n
+	return sizeField(fMetaSig, sizeMetadataSig(&m.Signature)) +
+		sizeField(fMetaFlags, len(m.ValidationFlags)) +
+		sizeField(fMetaCommit, len(m.CommitHash))
 }
 
 func appendMetadata(dst []byte, m *Metadata) []byte {
-	if s := sizeMetadataSig(&m.Signature); s > 0 {
-		dst = wire.AppendTag(dst, fMetaSig, wire.TypeBytes)
-		dst = wire.AppendVarint(dst, uint64(s))
-		dst = wire.AppendBytes(dst, fMetaSigCreator, m.Signature.Creator)
-		dst = wire.AppendBytes(dst, fMetaSigNonce, m.Signature.Nonce)
-		dst = wire.AppendBytes(dst, fMetaSigValue, m.Signature.Signature)
-	}
+	dst = appendOptLen(dst, fMetaSig, sizeMetadataSig(&m.Signature))
+	dst = wire.AppendBytes(dst, fMetaSigCreator, m.Signature.Creator)
+	dst = wire.AppendBytes(dst, fMetaSigNonce, m.Signature.Nonce)
+	dst = wire.AppendBytes(dst, fMetaSigValue, m.Signature.Signature)
 	dst = wire.AppendBytes(dst, fMetaFlags, m.ValidationFlags)
 	dst = wire.AppendBytes(dst, fMetaCommit, m.CommitHash)
 	return dst
@@ -926,7 +997,7 @@ func unmarshalMetadata(data []byte) (*Metadata, error) {
 func sizeBlockData(envelopes []Envelope) int {
 	n := 0
 	for i := range envelopes {
-		n += wire.SizeBytesField(1, sizeEnvelope(&envelopes[i]))
+		n += wire.SizeBytesField(fDataEnvelope, SizeEnvelope(&envelopes[i]))
 	}
 	return n
 }
@@ -934,17 +1005,9 @@ func sizeBlockData(envelopes []Envelope) int {
 // Size reports the exact marshaled size of a block, letting callers
 // allocate (or pool) the output buffer once.
 func Size(b *Block) int {
-	n := 0
-	if h := sizeHeader(&b.Header); h > 0 {
-		n += wire.SizeBytesField(fBlockHeader, h)
-	}
-	if d := sizeBlockData(b.Envelopes); d > 0 {
-		n += wire.SizeBytesField(fBlockData, d)
-	}
-	if m := sizeMetadata(&b.Metadata); m > 0 {
-		n += wire.SizeBytesField(fBlockMeta, m)
-	}
-	return n
+	return sizeField(fBlockHeader, sizeHeader(&b.Header)) +
+		sizeField(fBlockData, sizeBlockData(b.Envelopes)) +
+		sizeField(fBlockMeta, sizeMetadata(&b.Metadata))
 }
 
 // AppendBlock appends the marshaled block to dst and returns the extended
@@ -954,27 +1017,16 @@ func Size(b *Block) int {
 //
 // bmaclint:noalloc
 func AppendBlock(dst []byte, b *Block) []byte {
-	if h := sizeHeader(&b.Header); h > 0 {
-		dst = wire.AppendTag(dst, fBlockHeader, wire.TypeBytes)
-		dst = wire.AppendVarint(dst, uint64(h))
-		dst = appendHeader(dst, &b.Header)
+	dst = appendOptLen(dst, fBlockHeader, sizeHeader(&b.Header))
+	dst = appendHeader(dst, &b.Header)
+	dst = appendOptLen(dst, fBlockData, sizeBlockData(b.Envelopes))
+	for i := range b.Envelopes {
+		e := &b.Envelopes[i]
+		dst = appendLen(dst, fDataEnvelope, SizeEnvelope(e))
+		dst = AppendEnvelope(dst, e)
 	}
-	if d := sizeBlockData(b.Envelopes); d > 0 {
-		dst = wire.AppendTag(dst, fBlockData, wire.TypeBytes)
-		dst = wire.AppendVarint(dst, uint64(d))
-		for i := range b.Envelopes {
-			e := &b.Envelopes[i]
-			dst = wire.AppendTag(dst, 1, wire.TypeBytes)
-			dst = wire.AppendVarint(dst, uint64(sizeEnvelope(e)))
-			dst = appendEnvelope(dst, e)
-		}
-	}
-	if m := sizeMetadata(&b.Metadata); m > 0 {
-		dst = wire.AppendTag(dst, fBlockMeta, wire.TypeBytes)
-		dst = wire.AppendVarint(dst, uint64(m))
-		dst = appendMetadata(dst, &b.Metadata)
-	}
-	return dst
+	dst = appendOptLen(dst, fBlockMeta, sizeMetadata(&b.Metadata))
+	return appendMetadata(dst, &b.Metadata)
 }
 
 // Marshal encodes a complete block in one exact-size allocation.
@@ -1026,7 +1078,7 @@ func Unmarshal(data []byte) (*Block, error) {
 				if !dok {
 					break
 				}
-				if dn != 1 {
+				if dn != fDataEnvelope {
 					dr.Skip(dwt)
 					continue
 				}
@@ -1075,11 +1127,11 @@ func UnmarshalCopy(data []byte) (*Block, error) {
 func DataHash(envelopes []Envelope) []byte {
 	n := 0
 	for i := range envelopes {
-		n += sizeEnvelope(&envelopes[i])
+		n += SizeEnvelope(&envelopes[i])
 	}
 	buf := wire.GetBuf(n)
 	for i := range envelopes {
-		buf = appendEnvelope(buf, &envelopes[i])
+		buf = AppendEnvelope(buf, &envelopes[i])
 	}
 	d := fabcrypto.HashSlice(buf)
 	wire.PutBuf(buf)
@@ -1102,14 +1154,15 @@ func OrdererSigningBytes(h *Header, nonce, creator []byte) []byte {
 	return out
 }
 
-// EndorsementSigningBytes returns the bytes an endorser signs: the marshaled
-// proposal response payload concatenated with the endorser's certificate,
-// matching Fabric's contract.
-func EndorsementSigningBytes(proposalResponseBytes, endorserCert []byte) []byte {
-	out := make([]byte, 0, len(proposalResponseBytes)+len(endorserCert))
-	out = append(out, proposalResponseBytes...)
-	out = append(out, endorserCert...)
-	return out
+// EndorsementDigest is the endorsement signing contract: the digest an
+// endorser signs and every validation path checks, SHA-256 over the marshaled
+// proposal response payload followed by the endorser's certificate, as in
+// Fabric. The two are hashed where they lie, never concatenated.
+func EndorsementDigest(proposalResponseBytes, endorserCert []byte) [fabcrypto.HashSize]byte {
+	var h fabcrypto.StreamHasher
+	h.Write(proposalResponseBytes)
+	h.Write(endorserCert)
+	return [fabcrypto.HashSize]byte(h.Sum())
 }
 
 // CommitHash chains the commit hash: SHA-256(prev commit hash || data hash

@@ -49,7 +49,8 @@ func NewEndorsedEnvelope(spec TxSpec) (*Envelope, error) {
 
 	endorsements := make([]Endorsement, 0, len(spec.Endorsers))
 	for i, endorser := range spec.Endorsers {
-		sig, err := endorser.Sign(EndorsementSigningBytes(prpBytes, endorser.Cert))
+		digest := EndorsementDigest(prpBytes, endorser.Cert)
+		sig, err := endorser.SignDigest(digest[:])
 		if err != nil {
 			return nil, fmt.Errorf("endorsement by %s: %w", endorser.Name, err)
 		}

@@ -12,7 +12,7 @@ import (
 // hostileBlockBytes builds a realistic signed block with endorsed
 // envelopes and returns its marshaled form — the honest baseline every
 // hostile mutation below starts from.
-func hostileBlockBytes(t *testing.T) []byte {
+func hostileBlockBytes(t testing.TB) []byte {
 	t.Helper()
 	n := identity.NewNetwork()
 	if _, err := n.AddOrg("Org1"); err != nil {
@@ -121,16 +121,24 @@ func TestUnmarshalBitFlipsNeverPanic(t *testing.T) {
 	}
 }
 
-// TestUnmarshalOversizedAndMalformed pins the structural rejections: a
-// length prefix claiming more bytes than exist, trailing garbage behind a
-// valid block, unknown top-level fields, wrong wire types, and duplicate
-// fields must all error — and none may panic or over-allocate.
-func TestUnmarshalOversizedAndMalformed(t *testing.T) {
-	valid := hostileBlockBytes(t)
-	cases := []struct {
-		name string
-		data []byte
-	}{
+// hostileCase is one structurally malformed block encoding.
+type hostileCase struct {
+	name string
+	data []byte
+}
+
+// hostileCases derives the malformed encodings from valid, a marshaled
+// block: a length prefix claiming more bytes than exist, trailing garbage
+// behind a valid block, unknown top-level fields, wrong wire types, and
+// duplicate fields.
+func hostileCases(t testing.TB, valid []byte) []hostileCase {
+	// A known field carrying the right bytes under the varint tag: read as
+	// a length, the "varint" would make the bytes behind it a field that
+	// re-encodes differently.
+	varintField := func(num int, v []byte) []byte {
+		return append(append(wire.AppendTag(nil, num, wire.TypeVarint), byte(len(v))), v...)
+	}
+	return []hostileCase{
 		{"huge length prefix", append(wire.AppendUint(nil, 1, 0), 0xff, 0xff, 0xff, 0xff, 0x7f)},
 		{"length past end", func() []byte {
 			// field 1, bytes wire type, declared length 200, 3 bytes present.
@@ -152,8 +160,17 @@ func TestUnmarshalOversizedAndMalformed(t *testing.T) {
 		}()},
 		{"all 0xff", bytes.Repeat([]byte{0xff}, 64)},
 		{"all zero", make([]byte, 64)},
+		{"varint-typed envelope payload", wire.AppendBytesAlways(nil, fBlockData,
+			wire.AppendBytesAlways(nil, fDataEnvelope, varintField(fEnvelopePayload, []byte("abc"))))},
+		{"varint-typed block-data entry", wire.AppendBytesAlways(nil, fBlockData,
+			varintField(fDataEnvelope, wire.AppendBytes(nil, fEnvelopePayload, []byte("abc"))))},
 	}
-	for _, tc := range cases {
+}
+
+// TestUnmarshalOversizedAndMalformed pins the structural rejections of
+// hostileCases: all must error — and none may panic or over-allocate.
+func TestUnmarshalOversizedAndMalformed(t *testing.T) {
+	for _, tc := range hostileCases(t, hostileBlockBytes(t)) {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := decodeHostile(t, tc.name, tc.data); err == nil {
 				t.Errorf("%s decoded cleanly, want error", tc.name)

@@ -273,7 +273,7 @@ func (r *Receiver) processHeader(pkt *Packet) error {
 		BlockNum: pkt.BlockNum,
 		NumTxs:   int(pkt.NumTxs),
 		Header:   *hdr,
-		Verify:   r.makeVerifyRequest(sig, creator, block.OrdererSigningBytes(hdr, nonce, creator)),
+		Verify:   r.makeVerifyRequest(sig, creator, fabcrypto.Hash(block.OrdererSigningBytes(hdr, nonce, creator))),
 	}
 
 	a := r.getAsm(pkt.BlockNum, int(pkt.NumTxs))
@@ -289,9 +289,9 @@ func (r *Receiver) processHeader(pkt *Packet) error {
 
 // makeVerifyRequest builds an ecdsa_engine request: DER decode the
 // signature (DataProcessor post-processor), look the public key up in the
-// identity cache (skipping X.509 parsing on the hot path), and hash the
-// message (HashCalculator).
-func (r *Receiver) makeVerifyRequest(derSig, cert, msg []byte) VerifyRequest {
+// identity cache (skipping X.509 parsing on the hot path), and attach the
+// digest of the signed message (HashCalculator).
+func (r *Receiver) makeVerifyRequest(derSig, cert []byte, digest [fabcrypto.HashSize]byte) VerifyRequest {
 	var req VerifyRequest
 	parts, err := fabcrypto.DecodeDERToParts(derSig)
 	if err != nil {
@@ -313,7 +313,7 @@ func (r *Receiver) makeVerifyRequest(derSig, cert, msg []byte) VerifyRequest {
 		}
 		req.Pub = pub
 	}
-	req.Digest = fabcrypto.Hash(msg)
+	req.Digest = digest
 	return req
 }
 
@@ -381,7 +381,7 @@ func (r *Receiver) processTx(a *blockAsm, pkt *Packet) error {
 			TxSeq:      seq,
 			EndorserID: id,
 			Verify: r.makeVerifyRequest(e.Signature, e.Endorser,
-				block.EndorsementSigningBytes(x.PRPBytes, e.Endorser)),
+				block.EndorsementDigest(x.PRPBytes, e.Endorser)),
 		}
 		if err := r.bufs.Ends.Push(entry); err != nil {
 			return fmt.Errorf("ends_fifo: %w", err)
@@ -401,7 +401,7 @@ func (r *Receiver) processTx(a *blockAsm, pkt *Packet) error {
 	txEntry := TxEntry{
 		BlockNum:  pkt.BlockNum,
 		Seq:       seq,
-		Verify:    r.makeVerifyRequest(x.Signature, x.CreatorCert, x.PayloadBytes),
+		Verify:    r.makeVerifyRequest(x.Signature, x.CreatorCert, fabcrypto.Hash(x.PayloadBytes)),
 		CCName:    x.CCName,
 		NumEnds:   len(x.Endorsements),
 		RdsetSize: len(x.Reads),

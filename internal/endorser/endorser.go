@@ -85,7 +85,8 @@ func (e *Endorser) Process(p *Proposal) (*Response, error) {
 		},
 	}
 	prpBytes := block.MarshalProposalResponsePayload(&prp)
-	sig, err := e.id.Sign(block.EndorsementSigningBytes(prpBytes, e.id.Cert))
+	digest := block.EndorsementDigest(prpBytes, e.id.Cert)
+	sig, err := e.id.SignDigest(digest[:])
 	if err != nil {
 		return nil, fmt.Errorf("endorser %s sign: %w", e.id.Name, err)
 	}

@@ -3,6 +3,7 @@ package endorser
 import (
 	"bytes"
 	"crypto/rand"
+	"slices"
 	"testing"
 
 	"bmac/internal/block"
@@ -109,7 +110,7 @@ func TestEndorsementSignatureVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg := block.EndorsementSigningBytes(r.PRPBytes, r.Endorsement.Endorser)
+	msg := slices.Concat(r.PRPBytes, r.Endorsement.Endorser)
 	if err := fabcrypto.Verify(pub, msg, r.Endorsement.Signature); err != nil {
 		t.Errorf("endorsement signature: %v", err)
 	}
@@ -169,7 +170,7 @@ func TestAssembleEnvelopeFromResponses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		msg := block.EndorsementSigningBytes(tx.Payload.Action.ProposalResponseBytes, e.Endorser)
+		msg := slices.Concat(tx.Payload.Action.ProposalResponseBytes, e.Endorser)
 		if err := fabcrypto.Verify(pub, msg, e.Signature); err != nil {
 			t.Errorf("endorsement %d after assembly: %v", i, err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"crypto/ecdsa"
 	"encoding/json"
 	"errors"
@@ -15,8 +16,10 @@ import (
 	"bmac/internal/core"
 	"bmac/internal/fabcrypto"
 	"bmac/internal/fifo"
+	"bmac/internal/gossip"
 	"bmac/internal/identity"
 	"bmac/internal/metrics"
+	"bmac/internal/peer"
 	"bmac/internal/pipeline"
 	"bmac/internal/policy"
 	"bmac/internal/statedb"
@@ -147,8 +150,8 @@ func endorserTuples(env *block.Envelope) ([]verifyTuple, error) {
 		if err != nil {
 			return nil, err
 		}
-		msg := block.EndorsementSigningBytes(pt.PRP, e.Endorser)
-		out = append(out, verifyTuple{pub: epub, digest: fabcrypto.HashSlice(msg), sig: e.Signature})
+		digest := block.EndorsementDigest(pt.PRP, e.Endorser)
+		out = append(out, verifyTuple{pub: epub, digest: digest[:], sig: e.Signature})
 	}
 	return out, nil
 }
@@ -234,6 +237,51 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	rec.Benchmarks["block_validate_telemetry_on"] = measureOp(valIters, run(func() error {
 		return validate(sc, cc, pc, tm)
 	}))
+
+	// --- Receive to commit: the block as a software peer receives it — its
+	// gossip frame read and decoded once (gossip.ReadBlock), then validated
+	// and committed to a ledger in a temp dir (peer.CommitBlock) — with the
+	// caches warm. Each call commits the next block of a chain that repeats
+	// the block's envelopes under fresh headers. ---
+	const warmBlocks = 2
+	frames, err := gossipFrames(e, b, warmBlocks+valIters)
+	if err != nil {
+		return nil, err
+	}
+	ledgerDir, err := os.MkdirTemp("", "bmac-hotpath-*")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(ledgerDir)
+	p, err := peer.Open(pipeline.Config{
+		Shape: pipeline.Fabric14, Workers: 1, Policies: pols,
+		SigCache: sc, CertCache: cc, ParseCache: pc,
+	}, statedb.NewStore(), ledgerDir, peer.DurableOptions{})
+	if err != nil {
+		return nil, err
+	}
+	defer p.Close()
+	receive := func() error {
+		rb, _, err := gossip.ReadBlock(bytes.NewReader(frames[0]))
+		frames = frames[1:]
+		if err != nil {
+			return err
+		}
+		res, err := p.CommitBlock(rb)
+		if err != nil {
+			return err
+		}
+		if got := block.CountValid(res.Flags); got != spec.Txs {
+			return fmt.Errorf("hotpath: receive_to_commit block %d: %d/%d txs valid", res.BlockNum, got, spec.Txs)
+		}
+		return nil
+	}
+	for i := 0; i < warmBlocks; i++ {
+		if err := receive(); err != nil {
+			return nil, err
+		}
+	}
+	rec.Benchmarks["receive_to_commit"] = measureOp(valIters, run(receive))
 
 	// --- Repeated-endorser verify: cold vs cache steady state. ---
 	tuples, err := endorserTuples(&b.Envelopes[0])
@@ -444,6 +492,12 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 		buf := block.AppendBlock(wire.GetBuf(block.Size(b)), b)
 		wire.PutBuf(buf)
 	})
+	// The submit side's encoder: one transaction payload, exact-size.
+	tx, err := block.UnmarshalTransactionPayload(b.Envelopes[0].PayloadBytes)
+	if err != nil {
+		return nil, err
+	}
+	rec.Benchmarks["marshal_tx_payload"] = measureOp(4*opIters, func() { _ = block.MarshalTransactionPayload(tx) })
 
 	if benchErr != nil {
 		return nil, benchErr
@@ -554,6 +608,27 @@ func fillFIFO[T any](f *fifo.FIFO[T], vs []T) error {
 	return nil
 }
 
+// gossipFrames returns the gossip frames of an n-block chain whose every
+// block carries b's envelopes, each under its own header signed by the
+// suite's orderer.
+func gossipFrames(e *Env, b *block.Block, n int) ([][]byte, error) {
+	frames := make([][]byte, n)
+	var prev []byte
+	for i := range frames {
+		nb, err := block.NewBlock(uint64(i), prev, b.Envelopes, e.Orderer)
+		if err != nil {
+			return nil, err
+		}
+		prev = block.HeaderHash(&nb.Header)
+		var buf bytes.Buffer
+		if _, err := gossip.WriteBlock(&buf, nb); err != nil {
+			return nil, err
+		}
+		frames[i] = buf.Bytes()
+	}
+	return frames, nil
+}
+
 // freshKeyTuples returns n valid (pub, digest, sig) checks, each under a key
 // generated just now.
 func freshKeyTuples(n int) ([]verifyTuple, error) {
@@ -585,12 +660,13 @@ var hotpathEncodeRows = []string{"marshal_block", "bmac_encode_block", "bmac_enc
 var hotpathBenchOrder = []string{
 	"block_validate_baseline", "block_validate_hotpath",
 	"block_validate_telemetry_off", "block_validate_telemetry_on",
+	"receive_to_commit",
 	"repeated_endorser_verify_cold", "repeated_endorser_verify_cached",
 	"ecdsa_verify_stdlib", "ecdsa_verify_table", "ecdsa_verify_single_use_key", "ecdsa_verify_batch", "bmac_validate_block",
 	"key_table_build",
 	"cert_parse_cold", "cert_parse_cached",
 	"parse_tx_cold", "parse_tx_cached",
-	"marshal_block", "marshal_block_pooled",
+	"marshal_block", "marshal_block_pooled", "marshal_tx_payload",
 	"bmac_encode_block", "bmac_encode_block_64ids",
 }
 

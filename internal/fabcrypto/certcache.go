@@ -97,7 +97,9 @@ func (c *CertCache) lookup(der []byte) *certEntry {
 	c.misses.Add(1)
 
 	e := &certEntry{key: key, der: append([]byte(nil), der...)} // bmaclint:allow allocbound (miss path: entry owns a private DER copy)
-	e.cert, e.err = ParseCertificate(der)
+	// A parsed certificate aliases the bytes it was parsed from: parse the
+	// private copy, so the entry never pins the caller's block buffer.
+	e.cert, e.err = ParseCertificate(e.der)
 	if e.err == nil {
 		if pub, ok := e.cert.PublicKey.(*ecdsa.PublicKey); ok {
 			e.pub = pub

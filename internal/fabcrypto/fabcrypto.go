@@ -128,8 +128,41 @@ func (s *Signer) SignDigest(digest []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ecdsa sign: %w", err)
 	}
-	sv = toLowS(sv)
-	return MarshalDERSignature(r, sv)
+	return encodeDERSignature(r, toLowS(sv)), nil
+}
+
+// encodeDERSignature is MarshalDERSignature for the (r, s) of a P-256
+// signature — both in [1, N) — written by hand in one exact-size
+// allocation: SEQUENCE { INTEGER r, INTEGER s }, each INTEGER its minimal
+// big-endian bytes behind a zero byte when the top bit is set. At most 70
+// content bytes, so every length fits the short form. Only the signature's
+// public halves pass through here.
+func encodeDERSignature(r, s *big.Int) []byte {
+	var rb, sb [ScalarSize]byte
+	rm, sm := derMagnitude(r.FillBytes(rb[:])), derMagnitude(s.FillBytes(sb[:]))
+	n := derIntSize(rm) + derIntSize(sm)
+	out := make([]byte, 0, 2+n)
+	out = append(out, 0x30, byte(n))
+	return appendDERInt(appendDERInt(out, rm), sm)
+}
+
+// derMagnitude strips the leading zero bytes of a big-endian value, keeping
+// at least one byte.
+func derMagnitude(b []byte) []byte {
+	for len(b) > 1 && b[0] == 0 {
+		b = b[1:]
+	}
+	return b
+}
+
+func derIntSize(m []byte) int { return 2 + len(m) + int(m[0]>>7) }
+
+func appendDERInt(dst, m []byte) []byte {
+	dst = append(dst, 0x02, byte(derIntSize(m)-2))
+	if m[0]&0x80 != 0 {
+		dst = append(dst, 0)
+	}
+	return append(dst, m...)
 }
 
 // Verify checks a DER signature over msg against pub.

@@ -474,11 +474,19 @@ func (o *Orderer) Stop() error {
 
 // marshalBatch encodes envelopes as repeated length-delimited fields
 // (field 1) plus the batch sequence number (field 2, varint) used for
-// exactly-once deduplication across leader failover.
+// exactly-once deduplication across leader failover. The batch is sized
+// first and every envelope is written in place: one exact-size allocation.
 func marshalBatch(envs []block.Envelope, seq uint64) []byte {
-	out := wire.AppendUint(nil, 2, seq)
+	n := wire.SizeUintField(2, seq)
 	for i := range envs {
-		out = wire.AppendBytesAlways(out, 1, block.MarshalEnvelope(&envs[i]))
+		n += wire.SizeBytesField(1, block.SizeEnvelope(&envs[i]))
+	}
+	out := wire.AppendUint(make([]byte, 0, n), 2, seq)
+	for i := range envs {
+		e := &envs[i]
+		out = wire.AppendTag(out, 1, wire.TypeBytes)
+		out = wire.AppendVarint(out, uint64(block.SizeEnvelope(e)))
+		out = block.AppendEnvelope(out, e)
 	}
 	return out
 }

@@ -61,14 +61,17 @@ type Peer struct {
 }
 
 // CommitBlock validates and commits one received block (the gossip path
-// hands blocks here in order). When a checkpoint cadence is configured,
-// the block's commit may be followed by a state checkpoint; a checkpoint
-// failure is returned even though the block itself committed, because the
-// peer's durability contract is broken. Inter-block pipelining needs
-// Submit/Results on the Engine directly (the checkpoint cadence only runs
-// on this synchronous path).
+// hands blocks here in order, each decoded once from the frame it arrived
+// in). b is not modified, so one decoded block may be committed to several
+// peers at once; the buffer it was decoded from must not be reused (see
+// pipeline.Engine.ValidateAndCommitBlock). When a checkpoint cadence is
+// configured, the block's commit may be followed by a state checkpoint; a
+// checkpoint failure is returned even though the block itself committed,
+// because the peer's durability contract is broken. Inter-block pipelining
+// needs Submit/Results on the Engine directly (the checkpoint cadence only
+// runs on this synchronous path).
 func (p *Peer) CommitBlock(b *block.Block) (CommitResult, error) {
-	res, err := p.Engine.ValidateAndCommit(block.Marshal(b))
+	res, err := p.Engine.ValidateAndCommitBlock(b)
 	if err != nil {
 		return CommitResult{}, err
 	}

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"bmac/internal/block"
@@ -108,7 +109,7 @@ func (o *oracle) vscc(env *block.Envelope) (*block.RWSet, block.ValidationCode) 
 	var rf policy.RegisterFile
 	for _, e := range tx.Payload.Action.Endorsements {
 		epub, err := fabcrypto.PublicKeyFromCert(e.Endorser)
-		if err != nil || fabcrypto.Verify(epub, block.EndorsementSigningBytes(prpBytes, e.Endorser), e.Signature) != nil {
+		if err != nil || fabcrypto.Verify(epub, slices.Concat(prpBytes, e.Endorser), e.Signature) != nil {
 			continue // an unverifiable endorsement contributes nothing
 		}
 		if id, ok := o.ids[string(e.Endorser)]; ok {

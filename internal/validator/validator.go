@@ -17,7 +17,6 @@ package validator
 import (
 	"bytes"
 	"crypto/ecdsa"
-	"crypto/sha256"
 	"errors"
 	"strconv"
 	"strings"
@@ -157,20 +156,24 @@ func VerifyOrderer(b *block.Block, opts VerifyOpts, bd *Breakdown) error {
 	if err != nil {
 		return err
 	}
-	msg := block.OrdererSigningBytes(&b.Header, ms.Nonce, ms.Creator)
-	digest := timedHash(msg, bd)
+	digest := timedHash(bd, func() [fabcrypto.HashSize]byte {
+		return fabcrypto.Hash(block.OrdererSigningBytes(&b.Header, ms.Nonce, ms.Creator))
+	})
 	t = time.Now()
-	err, hit := opts.SigCache.VerifyDigest(pub, digest, ms.Signature)
+	err, hit := opts.SigCache.VerifyDigest(pub, digest[:], ms.Signature)
 	bd.countVerify(hit, time.Since(t))
 	return err
 }
 
-func timedHash(msg []byte, bd *Breakdown) []byte {
+// timedHash computes one digest, attributing its time to the SHA-256
+// counters. The digest is returned as a value: where it has to outlive the
+// call, the caller decides where it is kept.
+func timedHash(bd *Breakdown, hash func() [fabcrypto.HashSize]byte) [fabcrypto.HashSize]byte {
 	t := time.Now()
-	d := sha256.Sum256(msg)
+	d := hash()
 	bd.SHA256Time += time.Since(t)
 	bd.SHA256Count++
-	return d[:]
+	return d
 }
 
 // countVerify attributes one signature check: a cache hit lands in
@@ -192,8 +195,9 @@ type vsccScratch struct {
 	batch    fabcrypto.Batch
 	sched    policy.Scheduler // the zero value: Fabric's vscc, one round
 	txs      []policy.Tx
-	ids      []identity.EncodedID // every endorser of the range, transaction after transaction
-	refs     []int                // batch check numbers: each client signature (−1: decided in collect), then each endorsement of the round (−1: unverifiable)
+	ids      []identity.EncodedID       // every endorser of the range, transaction after transaction
+	refs     []int                      // batch check numbers: each client signature (−1: decided in collect), then each endorsement of the round (−1: unverifiable)
+	digests  [][fabcrypto.HashSize]byte // what the batch's checks verify against; a slice handed to the batch still reads its digest after a regrow
 	verdicts []bool
 }
 
@@ -219,11 +223,11 @@ func VSCC(envs []block.Envelope, txs []ParsedTx, flags []byte, policies map[stri
 	sc := vsccPool.Get().(*vsccScratch)
 	defer vsccPool.Put(sc)
 	sc.batch.Reset(opts.SigCache)
-	sc.txs, sc.ids, sc.refs = sc.txs[:0], sc.ids[:0], sc.refs[:0]
-	add := func(pub *ecdsa.PublicKey, msg, sig []byte) int {
-		digest := timedHash(msg, bd)
+	sc.txs, sc.ids, sc.refs, sc.digests = sc.txs[:0], sc.ids[:0], sc.refs[:0], sc.digests[:0]
+	add := func(pub *ecdsa.PublicKey, hash func() [fabcrypto.HashSize]byte, sig []byte) int {
+		sc.digests = append(sc.digests, timedHash(bd, hash))
 		t := time.Now()
-		ref, hit := sc.batch.Add(pub, digest, sig)
+		ref, hit := sc.batch.Add(pub, sc.digests[len(sc.digests)-1][:], sig)
 		bd.countVerify(hit, time.Since(t))
 		return ref
 	}
@@ -239,7 +243,7 @@ func VSCC(envs []block.Envelope, txs []ParsedTx, flags []byte, policies map[stri
 			flags[i] = byte(block.BadCreator)
 			continue
 		}
-		sc.refs[i] = add(pub, envs[i].PayloadBytes, envs[i].Signature)
+		sc.refs[i] = add(pub, func() [fabcrypto.HashSize]byte { return fabcrypto.Hash(envs[i].PayloadBytes) }, envs[i].Signature)
 		start := len(sc.ids)
 		for _, e := range p.Tx.Payload.Action.Endorsements {
 			sc.ids = append(sc.ids, endorserID(opts.CertCache, e.Endorser))
@@ -261,7 +265,7 @@ func VSCC(envs []block.Envelope, txs []ParsedTx, flags []byte, policies map[stri
 			e := &txs[rq.Tx].Tx.Payload.Action.Endorsements[rq.End]
 			ref := -1 // an unverifiable endorsement contributes nothing
 			if epub, err := opts.CertCache.PublicKeyFromCert(e.Endorser); err == nil {
-				ref = add(epub, block.EndorsementSigningBytes(txs[rq.Tx].PRP, e.Endorser), e.Signature)
+				ref = add(epub, func() [fabcrypto.HashSize]byte { return block.EndorsementDigest(txs[rq.Tx].PRP, e.Endorser) }, e.Signature)
 			}
 			sc.refs = append(sc.refs, ref)
 		}

@@ -147,10 +147,16 @@ func SizeUintField(num int, v uint64) int {
 
 // Reader iterates over the fields of a single marshaled message. The zero
 // value is an exhausted reader; construct with NewReader.
+//
+// The value accessors check the wire type Next reported: Bytes and String
+// read only a length-delimited field and Uint (Bool) only a varint one; any
+// other pairing sets ErrWireType rather than reinterpreting the bytes, so a
+// decoded message always re-encodes to the bytes it came from.
 type Reader struct {
-	buf []byte
-	pos int
-	err error
+	buf   []byte
+	pos   int
+	err   error
+	wtype int // of the field Next returned last
 }
 
 // NewReader returns a Reader over buf. The Reader does not copy buf; callers
@@ -183,11 +189,28 @@ func (r *Reader) Next() (num int, wtype int, ok bool) {
 		r.err = fmt.Errorf("wire: field number 0 at offset %d", r.pos)
 		return 0, 0, false
 	}
+	r.wtype = wtype
 	return num, wtype, true
+}
+
+// expect reports whether the current field has wire type want, setting
+// ErrWireType when it does not.
+func (r *Reader) expect(want int) bool {
+	if r.err == nil && r.wtype != want {
+		r.err = fmt.Errorf("field at offset %d: %w (type %d, want %d)", r.pos, ErrWireType, r.wtype, want)
+	}
+	return r.err == nil
 }
 
 // Uint reads the current varint field value.
 func (r *Reader) Uint() uint64 {
+	if !r.expect(TypeVarint) {
+		return 0
+	}
+	return r.varint()
+}
+
+func (r *Reader) varint() uint64 {
 	if r.err != nil {
 		return 0
 	}
@@ -206,6 +229,13 @@ func (r *Reader) Bool() bool { return r.Uint() != 0 }
 // Bytes reads the current length-delimited field. The returned slice aliases
 // the underlying buffer.
 func (r *Reader) Bytes() []byte {
+	if !r.expect(TypeBytes) {
+		return nil
+	}
+	return r.bytes()
+}
+
+func (r *Reader) bytes() []byte {
 	if r.err != nil {
 		return nil
 	}
@@ -234,9 +264,9 @@ func (r *Reader) Skip(wtype int) {
 	}
 	switch wtype {
 	case TypeVarint:
-		r.Uint()
+		r.varint()
 	case TypeBytes:
-		r.Bytes()
+		r.bytes()
 	case TypeFixed64:
 		if len(r.buf)-r.pos < 8 {
 			r.err = ErrTruncated

@@ -156,6 +156,34 @@ func TestReaderTruncatedBytes(t *testing.T) {
 	}
 }
 
+// TestReaderRejectsWireTypeMismatch: a value accessor reads only the wire
+// type Next reported — Bytes and String a length-delimited field, Uint a
+// varint — and anything else is ErrWireType, not a reinterpretation.
+func TestReaderRejectsWireTypeMismatch(t *testing.T) {
+	varint := append(AppendTag(nil, 1, TypeVarint), 3, 'a', 'b', 'c')
+	fixed := append(AppendTag(nil, 1, TypeFixed32), 0, 0, 0, 0)
+	for _, c := range []struct {
+		name string
+		msg  []byte
+		read func(*Reader)
+	}{
+		{"Bytes of a varint", varint, func(r *Reader) { r.Bytes() }},
+		{"String of a varint", varint, func(r *Reader) { _ = r.String() }},
+		{"Uint of a length-delimited field", AppendBytes(nil, 1, []byte("abc")), func(r *Reader) { r.Uint() }},
+		{"Bytes of a fixed32", fixed, func(r *Reader) { r.Bytes() }},
+		{"Uint of a fixed32", fixed, func(r *Reader) { r.Uint() }},
+	} {
+		r := NewReader(c.msg)
+		if _, _, ok := r.Next(); !ok {
+			t.Fatalf("%s: no field", c.name)
+		}
+		c.read(r)
+		if !errors.Is(r.Err(), ErrWireType) {
+			t.Errorf("%s: err = %v, want ErrWireType", c.name, r.Err())
+		}
+	}
+}
+
 func TestFieldOffset(t *testing.T) {
 	var b []byte
 	b = AppendUint(b, 1, 9)
