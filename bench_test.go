@@ -265,34 +265,8 @@ func BenchmarkTable1Resources(b *testing.B) {
 	b.ReportMetric(lut, "lut_16x2_%")
 }
 
-// BenchmarkPipelineSpeedup measures the parallel pipelined commit engine
-// (internal/pipeline) against the sequential software validator on a chain
-// of low-conflict blocks — the repo's first step past the paper's software
-// baseline. The headline metric is wall-clock speedup; it exceeds 1.0x on
-// multi-core hosts and degrades gracefully to ~1x on a single core.
-func BenchmarkPipelineSpeedup(b *testing.B) {
-	env := benchEnv(b)
-	spec := experiments.ConflictChainSpec{
-		Blocks: 4, Txs: 100, Endorsements: 2, Reads: 2, Writes: 2,
-		HotKeys: 8, HotProb: 0, Seed: 1,
-	}
-	if _, err := env.MeasurePipeline(spec, "2of2", 0, 1); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		cmp, err := env.MeasurePipeline(spec, "2of2", 0, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		speedup = cmp.Speedup()
-	}
-	b.ReportMetric(speedup, "speedup_x")
-}
-
 // BenchmarkHybridPrefetch measures the §5 hybrid hardware/host database
-// under the pipelined engine at smallbank Zipf skew 1.0: throughput with a
+// under the commit engine at smallbank Zipf skew 1.0: throughput with a
 // modeled host-read latency, prefetch off vs on. The headline metrics are
 // the hybrid hit rate and the fraction of latency-lost throughput the
 // async read-set prefetch recovers by hiding host reads under vscc.

@@ -48,14 +48,13 @@ import (
 	"bmac/internal/statedb"
 	"bmac/internal/telemetry"
 	"bmac/internal/validator"
-	"bmac/internal/wire"
 )
 
 // Validation path modes for the software peers.
 const (
-	Sequential = "sequential" // the engine in its Fabric v1.4 shape, the paper's baseline
-	Pipelined  = "pipelined"  // the engine's default shape over an in-memory store
-	Hybrid     = "hybrid"     // the default shape + prefetch over the §5 hybrid database
+	Sequential = "sequential" // the engine at 4 vscc workers, the paper's baseline
+	Pipelined  = "pipelined"  // the engine sized by the pipeline section, over an in-memory store
+	Hybrid     = "hybrid"     // the pipelined preset + prefetch over the §5 hybrid database
 )
 
 // modes maps each validation path mode to what opens its peers: the engine
@@ -532,7 +531,6 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 	if rec == nil && cfg.Telemetry.Enabled {
 		rec = telemetry.NewRecorder()
 	}
-	wire.SetBufferPooling(!cfg.Hotpath.NoMarshalPool)
 	// Snapshot the shared caches' counters so the report reflects this
 	// run's traffic, not whatever a previous run on the same Config did.
 	sigH0, sigM0, _ := cfg.SigCache().Stats()

@@ -9,7 +9,9 @@ package config
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -51,15 +53,12 @@ type ArchSpec struct {
 	MaxBlockTxs  int
 }
 
-// PipelineSpec declares the software parallel commit engine parameters
-// (internal/pipeline).
+// PipelineSpec declares the pipelined software peer's commit engine
+// parameters (internal/pipeline; see PipelineConfig).
 type PipelineSpec struct {
-	// Workers is the goroutine budget per parallel stage; 0 means
-	// GOMAXPROCS at engine construction.
+	// Workers is the vscc goroutine budget; 0 means GOMAXPROCS at engine
+	// construction.
 	Workers int
-	// Depth is the number of blocks allowed in flight between pipeline
-	// stages; 0 means the engine default (4).
-	Depth int
 	// Prefetch enables the async read-set warm-up stage: as soon as a
 	// block is unmarshalled its read-set keys are read from the state
 	// database, hiding a slow backend's miss latency under vscc.
@@ -101,10 +100,6 @@ type HotpathSpec struct {
 	// SigCacheSize: to the blocks in flight between the peers of one
 	// process.
 	ParseCacheSize int
-	// NoMarshalPool disables the process-wide pooled marshal buffers
-	// (wire.SetBufferPooling); pooling is on by default and the knob
-	// exists for differential testing and benchmarking.
-	NoMarshalPool bool
 }
 
 // StateDBSpec selects and parameterizes the parallel peer's state-database
@@ -344,185 +339,206 @@ func Load(path string) (*Config, error) {
 	return Parse(raw)
 }
 
-// Parse parses YAML configuration bytes.
+// Parse parses YAML configuration bytes. Every mapping — the root, each
+// org, each chaincode, each section — is checked against the keys it
+// accepts: an unknown key, or a known key whose value has the wrong type, is
+// ErrInvalid naming it as section.key. A null value leaves the default.
 func Parse(raw []byte) (*Config, error) {
 	root, err := yamllite.Parse(raw)
 	if err != nil {
 		return nil, err
 	}
-	cfg := &Config{caches: &hotCaches{}}
-	if s, ok := yamllite.GetString(root, "channel"); ok {
-		cfg.Channel = s
-	} else {
-		cfg.Channel = "ch1"
+	top, ok := root.(map[string]any)
+	if !ok && root != nil {
+		return nil, fmt.Errorf("%w: the document is not a mapping", ErrInvalid)
+	}
+	cfg := &Config{Channel: "ch1", Arch: Default().Arch, caches: &hotCaches{}}
+	var orgs, ccs []any
+	var arch, pipe, sdb, del, dur, cr, hp, tel map[string]any
+	if err := decode("", top, fields{
+		"channel":      &cfg.Channel,
+		"orgs":         &orgs,
+		"chaincodes":   &ccs,
+		"architecture": &arch,
+		"pipeline":     &pipe,
+		"statedb":      &sdb,
+		"delivery":     &del,
+		"durability":   &dur,
+		"crypto":       &cr,
+		"hotpath":      &hp,
+		"telemetry":    &tel,
+	}); err != nil {
+		return nil, err
 	}
 
-	orgs, ok := yamllite.GetSeq(root, "orgs")
-	if !ok {
-		return nil, fmt.Errorf("%w: missing orgs", ErrInvalid)
-	}
 	for i, o := range orgs {
-		name, ok := yamllite.GetString(o, "name")
-		if !ok {
-			return nil, fmt.Errorf("%w: org %d missing name", ErrInvalid, i)
+		section := fmt.Sprintf("orgs[%d]", i)
+		spec := OrgSpec{Peers: 1}
+		if err := decodeItem(section, o, fields{
+			"name":      &spec.Name,
+			"peers":     &spec.Peers,
+			"endorsers": &spec.Endorsers,
+			"clients":   &spec.Clients,
+			"orderers":  &spec.Orderers,
+		}); err != nil {
+			return nil, err
 		}
-		spec := OrgSpec{Name: name, Peers: 1}
-		if v, ok := yamllite.GetInt(o, "peers"); ok {
-			spec.Peers = int(v)
-		}
-		if v, ok := yamllite.GetInt(o, "endorsers"); ok {
-			spec.Endorsers = int(v)
-		}
-		if v, ok := yamllite.GetInt(o, "clients"); ok {
-			spec.Clients = int(v)
-		}
-		if v, ok := yamllite.GetInt(o, "orderers"); ok {
-			spec.Orderers = int(v)
+		if spec.Name == "" {
+			return nil, fmt.Errorf("%w: %s missing name", ErrInvalid, section)
 		}
 		cfg.Orgs = append(cfg.Orgs, spec)
 	}
 
-	ccs, ok := yamllite.GetSeq(root, "chaincodes")
-	if !ok {
-		return nil, fmt.Errorf("%w: missing chaincodes", ErrInvalid)
-	}
 	for i, c := range ccs {
-		name, ok := yamllite.GetString(c, "name")
-		if !ok {
-			return nil, fmt.Errorf("%w: chaincode %d missing name", ErrInvalid, i)
+		section := fmt.Sprintf("chaincodes[%d]", i)
+		var spec ChaincodeSpec
+		if err := decodeItem(section, c, fields{"name": &spec.Name, "policy": &spec.Policy}); err != nil {
+			return nil, err
 		}
-		pol, ok := yamllite.GetString(c, "policy")
-		if !ok {
-			return nil, fmt.Errorf("%w: chaincode %q missing policy", ErrInvalid, name)
+		switch {
+		case spec.Name == "":
+			return nil, fmt.Errorf("%w: %s missing name", ErrInvalid, section)
+		case spec.Policy == "":
+			return nil, fmt.Errorf("%w: chaincode %q missing policy", ErrInvalid, spec.Name)
 		}
-		if _, err := policy.Parse(pol); err != nil {
-			return nil, fmt.Errorf("%w: chaincode %q policy: %v", ErrInvalid, name, err)
+		if _, err := policy.Parse(spec.Policy); err != nil {
+			return nil, fmt.Errorf("%w: chaincode %q policy: %v", ErrInvalid, spec.Name, err)
 		}
-		cfg.Chaincodes = append(cfg.Chaincodes, ChaincodeSpec{Name: name, Policy: pol})
+		cfg.Chaincodes = append(cfg.Chaincodes, spec)
 	}
 
-	arch, ok := yamllite.GetMap(root, "architecture")
-	if !ok {
-		cfg.Arch = Default().Arch
-	} else {
-		cfg.Arch = ArchSpec{TxValidators: 8, VSCCEngines: 2, DBCapacity: 8192, MaxBlockTxs: 256}
-		if v, ok := yamllite.GetInt(arch, "tx_validators"); ok {
-			cfg.Arch.TxValidators = int(v)
-		}
-		if v, ok := yamllite.GetInt(arch, "vscc_engines"); ok {
-			cfg.Arch.VSCCEngines = int(v)
-		}
-		if v, ok := yamllite.GetInt(arch, "db_capacity"); ok {
-			cfg.Arch.DBCapacity = int(v)
-		}
-		if v, ok := yamllite.GetInt(arch, "max_block_txs"); ok {
-			cfg.Arch.MaxBlockTxs = int(v)
+	fastSync, countAccesses := true, true
+	sections := []struct {
+		name string
+		m    map[string]any
+		f    fields
+	}{
+		{"architecture", arch, fields{
+			"tx_validators": &cfg.Arch.TxValidators,
+			"vscc_engines":  &cfg.Arch.VSCCEngines,
+			"db_capacity":   &cfg.Arch.DBCapacity,
+			"max_block_txs": &cfg.Arch.MaxBlockTxs,
+		}},
+		{"pipeline", pipe, fields{
+			"workers":          &cfg.Pipeline.Workers,
+			"prefetch":         &cfg.Pipeline.Prefetch,
+			"prefetch_workers": &cfg.Pipeline.PrefetchWorkers,
+		}},
+		{"statedb", sdb, fields{
+			"backend":              &cfg.StateDB.Backend,
+			"capacity":             &cfg.StateDB.Capacity,
+			"shards":               &cfg.StateDB.Shards,
+			"host_read_latency_us": &cfg.StateDB.HostReadLatencyUS,
+			"count_accesses":       &countAccesses,
+		}},
+		{"delivery", del, fields{
+			"window":      &cfg.Delivery.Window,
+			"policy":      &cfg.Delivery.Policy,
+			"max_redials": &cfg.Delivery.MaxRedials,
+		}},
+		{"durability", dur, fields{
+			"checkpoint_every": &cfg.Durability.CheckpointEvery,
+			"sync_each_block":  &cfg.Durability.SyncEachBlock,
+			"segment_bytes":    &cfg.Durability.SegmentBytes,
+			"keep_checkpoints": &cfg.Durability.KeepCheckpoints,
+			"prune":            &cfg.Durability.Prune,
+			"fastsync":         &fastSync,
+		}},
+		{"crypto", cr, fields{
+			"sig_cache_size":  &cfg.Crypto.SigCacheSize,
+			"cert_cache_size": &cfg.Crypto.CertCacheSize,
+		}},
+		{"hotpath", hp, fields{"parse_cache_size": &cfg.Hotpath.ParseCacheSize}},
+		{"telemetry", tel, fields{
+			"enabled":    &cfg.Telemetry.Enabled,
+			"addr":       &cfg.Telemetry.Addr,
+			"trace_file": &cfg.Telemetry.TraceFile,
+		}},
+	}
+	for _, sec := range sections {
+		if err := decode(sec.name, sec.m, sec.f); err != nil {
+			return nil, err
 		}
 	}
-
-	if pipe, ok := yamllite.GetMap(root, "pipeline"); ok {
-		if v, ok := yamllite.GetInt(pipe, "workers"); ok {
-			cfg.Pipeline.Workers = int(v)
-		}
-		if v, ok := yamllite.GetInt(pipe, "depth"); ok {
-			cfg.Pipeline.Depth = int(v)
-		}
-		if v, ok := yamllite.GetBool(pipe, "prefetch"); ok {
-			cfg.Pipeline.Prefetch = v
-		}
-		if v, ok := yamllite.GetInt(pipe, "prefetch_workers"); ok {
-			cfg.Pipeline.PrefetchWorkers = int(v)
-		}
-	}
-
-	if del, ok := yamllite.GetMap(root, "delivery"); ok {
-		if v, ok := yamllite.GetInt(del, "window"); ok {
-			cfg.Delivery.Window = int(v)
-		}
-		if v, ok := yamllite.GetString(del, "policy"); ok {
-			cfg.Delivery.Policy = v
-		}
-		if v, ok := yamllite.GetInt(del, "max_redials"); ok {
-			cfg.Delivery.MaxRedials = int(v)
-		}
-	}
-
-	if dur, ok := yamllite.GetMap(root, "durability"); ok {
-		if v, ok := yamllite.GetInt(dur, "checkpoint_every"); ok {
-			cfg.Durability.CheckpointEvery = int(v)
-		}
-		if v, ok := yamllite.GetBool(dur, "sync_each_block"); ok {
-			cfg.Durability.SyncEachBlock = v
-		}
-		if v, ok := yamllite.GetInt(dur, "segment_bytes"); ok {
-			cfg.Durability.SegmentBytes = v
-		}
-		if v, ok := yamllite.GetInt(dur, "keep_checkpoints"); ok {
-			cfg.Durability.KeepCheckpoints = int(v)
-		}
-		if v, ok := yamllite.GetBool(dur, "prune"); ok {
-			cfg.Durability.Prune = v
-		}
-		if v, ok := yamllite.GetBool(dur, "fastsync"); ok {
-			cfg.Durability.NoFastSync = !v
-		}
-	}
-
-	if cr, ok := yamllite.GetMap(root, "crypto"); ok {
-		if v, ok := yamllite.GetInt(cr, "sig_cache_size"); ok {
-			cfg.Crypto.SigCacheSize = int(v)
-		}
-		if v, ok := yamllite.GetInt(cr, "cert_cache_size"); ok {
-			cfg.Crypto.CertCacheSize = int(v)
-		}
-	}
-
-	if hp, ok := yamllite.GetMap(root, "hotpath"); ok {
-		if v, ok := yamllite.GetInt(hp, "parse_cache_size"); ok {
-			cfg.Hotpath.ParseCacheSize = int(v)
-		}
-		if v, ok := yamllite.GetBool(hp, "marshal_pool"); ok {
-			cfg.Hotpath.NoMarshalPool = !v
-		}
-	}
-
-	if tel, ok := yamllite.GetMap(root, "telemetry"); ok {
-		enabledSet := false
-		if v, ok := yamllite.GetBool(tel, "enabled"); ok {
-			cfg.Telemetry.Enabled = v
-			enabledSet = true
-		}
-		if v, ok := yamllite.GetString(tel, "addr"); ok {
-			cfg.Telemetry.Addr = v
-		}
-		if v, ok := yamllite.GetString(tel, "trace_file"); ok {
-			cfg.Telemetry.TraceFile = v
-		}
-		// Asking for an endpoint or a trace file implies the plane is
-		// wanted; only an explicit enabled: false overrides that.
-		if !enabledSet && (cfg.Telemetry.Addr != "" || cfg.Telemetry.TraceFile != "") {
-			cfg.Telemetry.Enabled = true
-		}
-	}
-
-	if sdb, ok := yamllite.GetMap(root, "statedb"); ok {
-		if v, ok := yamllite.GetString(sdb, "backend"); ok {
-			cfg.StateDB.Backend = v
-		}
-		if v, ok := yamllite.GetInt(sdb, "capacity"); ok {
-			cfg.StateDB.Capacity = int(v)
-		}
-		if v, ok := yamllite.GetInt(sdb, "shards"); ok {
-			cfg.StateDB.Shards = int(v)
-		}
-		if v, ok := yamllite.GetInt(sdb, "host_read_latency_us"); ok {
-			cfg.StateDB.HostReadLatencyUS = int(v)
-		}
-		if v, ok := yamllite.GetBool(sdb, "count_accesses"); ok {
-			cfg.StateDB.NoCountAccesses = !v
-		}
+	cfg.Durability.NoFastSync = !fastSync
+	cfg.StateDB.NoCountAccesses = !countAccesses
+	// Asking for an endpoint or a trace file implies the plane is wanted;
+	// only an explicit enabled: false overrides that.
+	if tel["enabled"] == nil && (cfg.Telemetry.Addr != "" || cfg.Telemetry.TraceFile != "") {
+		cfg.Telemetry.Enabled = true
 	}
 	return cfg, cfg.Validate()
+}
+
+// fields maps each key a mapping accepts to where its value is stored: a
+// *string, *bool, *int, *int64, *[]any or *map[string]any.
+type fields map[string]any
+
+// decode stores every entry of m through its pointer in f, in key order. A
+// key f does not name, or a value of another type than its pointer's, is
+// ErrInvalid naming section.key; a null value is skipped.
+func decode(section string, m map[string]any, f fields) error {
+	for _, key := range slices.Sorted(maps.Keys(m)) {
+		name := key
+		if section != "" {
+			name = section + "." + key
+		}
+		dst, known := f[key]
+		if !known {
+			return fmt.Errorf("%w: unknown key %s", ErrInvalid, name)
+		}
+		v := m[key]
+		if v == nil {
+			continue
+		}
+		var ok bool
+		var want string
+		switch d := dst.(type) {
+		case *string:
+			want = "a string"
+			if s, is := v.(string); is {
+				*d, ok = s, true
+			}
+		case *bool:
+			want = "a boolean"
+			if b, is := v.(bool); is {
+				*d, ok = b, true
+			}
+		case *int:
+			want = "an integer"
+			if n, is := v.(int64); is {
+				*d, ok = int(n), true
+			}
+		case *int64:
+			want = "an integer"
+			if n, is := v.(int64); is {
+				*d, ok = n, true
+			}
+		case *[]any:
+			want = "a sequence"
+			if seq, is := v.([]any); is {
+				*d, ok = seq, true
+			}
+		case *map[string]any:
+			want = "a mapping"
+			if sub, is := v.(map[string]any); is {
+				*d, ok = sub, true
+			}
+		}
+		if !ok {
+			return fmt.Errorf("%w: %s is %v, want %s", ErrInvalid, name, v, want)
+		}
+	}
+	return nil
+}
+
+// decodeItem decodes one sequence item, which must be a mapping.
+func decodeItem(section string, item any, f fields) error {
+	m, ok := item.(map[string]any)
+	if !ok {
+		return fmt.Errorf("%w: %s is %v, want a mapping", ErrInvalid, section, item)
+	}
+	return decode(section, m, f)
 }
 
 // Validate performs semantic checks.
@@ -543,9 +559,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("%w: architecture %dx%d does not fit the U250",
 			ErrInvalid, c.Arch.TxValidators, c.Arch.VSCCEngines)
 	}
-	if c.Pipeline.Workers < 0 || c.Pipeline.Depth < 0 || c.Pipeline.PrefetchWorkers < 0 {
-		return fmt.Errorf("%w: pipeline workers=%d depth=%d prefetch_workers=%d must be >= 0",
-			ErrInvalid, c.Pipeline.Workers, c.Pipeline.Depth, c.Pipeline.PrefetchWorkers)
+	if c.Pipeline.Workers < 0 || c.Pipeline.PrefetchWorkers < 0 {
+		return fmt.Errorf("%w: pipeline workers=%d prefetch_workers=%d must be >= 0",
+			ErrInvalid, c.Pipeline.Workers, c.Pipeline.PrefetchWorkers)
 	}
 	switch c.StateDB.Backend {
 	case "", BackendMemory, BackendHybrid, BackendSharded:
@@ -658,15 +674,14 @@ func (c *Config) CoreConfig() (core.Config, error) {
 }
 
 // engineConfig is the one builder behind the two software-peer presets:
-// everything an engine takes from the configuration regardless of shape.
-// path labels the engine's telemetry series.
-func (c *Config) engineConfig(shape pipeline.Shape, workers int, path string) (pipeline.Config, error) {
+// everything an engine takes from the configuration but its worker count
+// and prefetch. path labels the engine's telemetry series.
+func (c *Config) engineConfig(workers int, path string) (pipeline.Config, error) {
 	pols, err := c.Policies()
 	if err != nil {
 		return pipeline.Config{}, err
 	}
 	return pipeline.Config{
-		Shape:      shape,
 		Workers:    workers,
 		Policies:   pols,
 		SigCache:   c.SigCache(),
@@ -676,17 +691,16 @@ func (c *Config) engineConfig(shape pipeline.Shape, workers int, path string) (p
 	}, nil
 }
 
-// ValidatorConfig is the paper's software validator preset: the engine in
-// its Fabric v1.4 shape with the given vscc worker (vCPU) count.
+// ValidatorConfig is the paper's software validator preset: the engine with
+// the given vscc worker (vCPU) count and no prefetch, labelled "sequential".
 func (c *Config) ValidatorConfig(workers int) (pipeline.Config, error) {
-	return c.engineConfig(pipeline.Fabric14, workers, "sequential")
+	return c.engineConfig(workers, "sequential")
 }
 
-// PipelineConfig is the parallel preset: the engine in its default shape,
-// sized by the `pipeline` knob.
+// PipelineConfig is the parallel preset: the same engine sized and
+// prefetched by the `pipeline` section, labelled "pipelined".
 func (c *Config) PipelineConfig() (pipeline.Config, error) {
-	pc, err := c.engineConfig(pipeline.Scheduled, c.Pipeline.Workers, "pipelined")
-	pc.Depth = c.Pipeline.Depth
+	pc, err := c.engineConfig(c.Pipeline.Workers, "pipelined")
 	pc.Prefetch = c.Pipeline.Prefetch
 	pc.PrefetchWorkers = c.Pipeline.PrefetchWorkers
 	return pc, err

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"bmac/internal/statedb"
@@ -32,7 +33,6 @@ architecture:
   max_block_txs: 256
 pipeline:
   workers: 6
-  depth: 3
   prefetch: true
   prefetch_workers: 4
 statedb:
@@ -70,7 +70,7 @@ func TestParseSample(t *testing.T) {
 	if cfg.Arch.TxValidators != 8 || cfg.Arch.DBCapacity != 8192 {
 		t.Errorf("arch = %+v", cfg.Arch)
 	}
-	if cfg.Pipeline.Workers != 6 || cfg.Pipeline.Depth != 3 ||
+	if cfg.Pipeline.Workers != 6 ||
 		!cfg.Pipeline.Prefetch || cfg.Pipeline.PrefetchWorkers != 4 {
 		t.Errorf("pipeline = %+v", cfg.Pipeline)
 	}
@@ -168,7 +168,7 @@ func TestNewKVSBackends(t *testing.T) {
 
 func TestPipelineConfigDefaultsAndMaterialization(t *testing.T) {
 	cfg := Default()
-	if cfg.Pipeline.Workers != 0 || cfg.Pipeline.Depth != 0 {
+	if cfg.Pipeline.Workers != 0 || cfg.Pipeline.PrefetchWorkers != 0 {
 		t.Errorf("default pipeline spec should be zero (engine chooses): %+v", cfg.Pipeline)
 	}
 	pc, err := cfg.PipelineConfig()
@@ -235,6 +235,38 @@ func TestInvalidConfigs(t *testing.T) {
 		if _, err := Parse([]byte(src)); !errors.Is(err, ErrInvalid) {
 			t.Errorf("case %d: err = %v, want ErrInvalid", i, err)
 		}
+	}
+}
+
+// TestParseRejectsUnknownKeysAndWrongTypes pins that no mapping of the file
+// silently ignores what it does not understand: a misspelt or retired key
+// and a value of the wrong type are each ErrInvalid naming section.key.
+func TestParseRejectsUnknownKeysAndWrongTypes(t *testing.T) {
+	const base = "orgs:\n  - name: Org1\nchaincodes:\n  - name: cc\n    policy: 1of1\n"
+	cases := []struct {
+		name, yaml, want string
+	}{
+		{"misspelt section", base + "pipelin:\n  workers: 6\n", "unknown key pipelin"},
+		{"misspelt key", base + "pipeline:\n  workrs: 6\n", "unknown key pipeline.workrs"},
+		{"retired pipeline.depth", base + "pipeline:\n  depth: 4\n", "unknown key pipeline.depth"},
+		{"retired hotpath.marshal_pool", base + "hotpath:\n  marshal_pool: true\n", "unknown key hotpath.marshal_pool"},
+		{"integer given a word", base + "pipeline:\n  workers: six\n", "pipeline.workers is six, want an integer"},
+		{"boolean given a word", base + "telemetry:\n  enabled: maybe\n", "telemetry.enabled is maybe, want a boolean"},
+		{"section given a scalar", base + "durability: 3\n", "durability is 3, want a mapping"},
+		{"misspelt org key", "orgs:\n  - name: Org1\n    peer: 3\nchaincodes:\n  - name: cc\n    policy: 1of1\n", "unknown key orgs[0].peer"},
+		{"misspelt chaincode key", "orgs:\n  - name: Org1\nchaincodes:\n  - name: cc\n    polcy: 1of1\n", "unknown key chaincodes[0].polcy"},
+		{"org given a scalar", "orgs:\n  - Org1\nchaincodes:\n  - name: cc\n    policy: 1of1\n", "orgs[0] is Org1, want a mapping"},
+	}
+	if _, err := Parse([]byte(base)); err != nil {
+		t.Fatalf("base config: %v", err)
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Parse([]byte(c.yaml))
+			if !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("err = %v, want ErrInvalid containing %q", err, c.want)
+			}
+		})
 	}
 }
 

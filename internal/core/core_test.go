@@ -318,7 +318,6 @@ func TestSoftwareHardwareEquivalence(t *testing.T) {
 	}
 	defer swLed.Close()
 	sw := pipeline.New(pipeline.Config{
-		Shape:    pipeline.Fabric14,
 		Workers:  4,
 		Policies: map[string]*policy.Policy{"smallbank": policytest.MustParse("2of3")},
 	}, statedb.NewStore(), swLed)
@@ -465,9 +464,9 @@ func TestOversizeSignatureComponentAllPaths(t *testing.T) {
 	want := []byte{byte(block.Valid), byte(block.BadSignature), byte(block.Valid)}
 
 	var commits [][]byte
-	for _, shape := range []pipeline.Shape{pipeline.Fabric14, pipeline.Scheduled} {
+	for _, workers := range []int{1, 4} {
 		eng := pipeline.New(pipeline.Config{
-			Shape: shape, Workers: 2, SkipLedger: true,
+			Workers: workers, SkipLedger: true,
 			Policies: map[string]*policy.Policy{"smallbank": policytest.MustParse("2of2")},
 		}, statedb.NewStore(), nil)
 		res, err := eng.ValidateAndCommit(raw)
@@ -476,7 +475,7 @@ func TestOversizeSignatureComponentAllPaths(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !block.FlagsEqual(res.Flags, want) {
-			t.Errorf("shape %v: flags %v, want %v", shape, res.Flags, want)
+			t.Errorf("%d workers: flags %v, want %v", workers, res.Flags, want)
 		}
 		commits = append(commits, res.CommitHash)
 	}
@@ -532,9 +531,9 @@ func TestCertificateInWriteValueAllPaths(t *testing.T) {
 	}
 
 	var commits [][]byte
-	for _, shape := range []pipeline.Shape{pipeline.Fabric14, pipeline.Scheduled} {
+	for _, workers := range []int{1, 4} {
 		eng := pipeline.New(pipeline.Config{
-			Shape: shape, Workers: 2, SkipLedger: true,
+			Workers: workers, SkipLedger: true,
 			Policies: map[string]*policy.Policy{"smallbank": policytest.MustParse("2of2")},
 		}, statedb.NewStore(), nil)
 		res, err := eng.ValidateAndCommit(raw)
@@ -543,7 +542,7 @@ func TestCertificateInWriteValueAllPaths(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !block.FlagsEqual(res.Flags, want) {
-			t.Errorf("shape %v: flags %v, want %v", shape, res.Flags, want)
+			t.Errorf("%d workers: flags %v, want %v", workers, res.Flags, want)
 		}
 		commits = append(commits, res.CommitHash)
 	}

@@ -34,7 +34,6 @@ func TestRandomizedDifferential(t *testing.T) {
 
 			r := newRig(t, 4, polSrc, arch)
 			sw := pipeline.New(pipeline.Config{
-				Shape:      pipeline.Fabric14,
 				Workers:    3,
 				Policies:   map[string]*policy.Policy{"smallbank": pol},
 				SkipLedger: true,

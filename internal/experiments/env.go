@@ -115,8 +115,9 @@ func (e *Env) MakeBlock(spec BlockSpec) (*block.Block, error) {
 }
 
 // MeasureSW validates `rounds` copies of the block on a fresh software
-// validator — the engine in its Fabric v1.4 shape: serial parse, vscc on
-// `workers` threads, in-order mvcc — and returns the averaged breakdown.
+// validator — the engine as a Fabric v1.4 peer lays it out: serial parse,
+// vscc on `workers` threads, in-order mvcc — and returns the averaged
+// breakdown.
 func (e *Env) MeasureSW(spec BlockSpec, pol string, workers, rounds int) (validator.Breakdown, error) {
 	b, err := e.MakeBlock(spec)
 	if err != nil {
@@ -130,7 +131,6 @@ func (e *Env) MeasureSW(spec BlockSpec, pol string, workers, rounds int) (valida
 	var sum validator.Breakdown
 	for r := 0; r < rounds; r++ {
 		v := pipeline.New(pipeline.Config{
-			Shape:      pipeline.Fabric14,
 			Workers:    workers,
 			Policies:   map[string]*policy.Policy{"smallbank": p},
 			SkipLedger: true, // §4.2: ledger commit excluded from the metrics

@@ -50,9 +50,8 @@ func TestMalformedPolicyReturnsError(t *testing.T) {
 	if _, err := r.env.MeasureSW(spec, "not a policy", 1, 1); !errors.Is(err, policy.ErrParse) {
 		t.Errorf("MeasureSW err = %v, want policy.ErrParse", err)
 	}
-	chain := ConflictChainSpec{Blocks: 1, Txs: 1, Endorsements: 1, Writes: 1}
-	if _, err := r.env.MeasurePipeline(chain, "2-outof", 1, 1); !errors.Is(err, policy.ErrParse) {
-		t.Errorf("MeasurePipeline err = %v, want policy.ErrParse", err)
+	if _, err := r.env.MeasureSW(spec, "2-outof", 4, 1); !errors.Is(err, policy.ErrParse) {
+		t.Errorf("MeasureSW err = %v, want policy.ErrParse", err)
 	}
 	if _, err := bmacTiming(hwsim.Config{TxValidators: 8, VSCCEngines: 2}, "Org&", spec); !errors.Is(err, policy.ErrParse) {
 		t.Errorf("bmacTiming err = %v, want policy.ErrParse", err)

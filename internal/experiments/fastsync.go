@@ -135,7 +135,7 @@ func FigFastSync(opts Options) (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := pipeline.Config{Shape: pipeline.Fabric14, Workers: 2, Policies: map[string]*policy.Policy{"cc": pol}}
+	cfg := pipeline.Config{Workers: 2, Policies: map[string]*policy.Policy{"cc": pol}}
 
 	root, err := os.MkdirTemp("", "bmac-fastsync-*")
 	if err != nil {
@@ -183,7 +183,7 @@ func FigFastSync(opts Options) (*metrics.Table, error) {
 			return nil, err
 		}
 
-		refs, _ := statedb.Checkpoints(dir, "")
+		refs, _ := statedb.Checkpoints(dir)
 		if len(refs) == 0 {
 			return nil, fmt.Errorf("fastsync L=%d: no checkpoint generations written", L)
 		}

@@ -186,7 +186,7 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	// --- End-to-end block validation: every optimization off vs on. ---
 	validate := func(sc *fabcrypto.SigCache, cc *fabcrypto.CertCache, pc *validator.ParseCache, tm *telemetry.ValidatorMetrics) error {
 		v := pipeline.New(pipeline.Config{
-			Shape: pipeline.Fabric14, Workers: 1, Policies: pols, SkipLedger: true,
+			Workers: 1, Policies: pols, SkipLedger: true,
 			SigCache: sc, CertCache: cc, ParseCache: pc, Metrics: tm,
 		}, statedb.NewStore(), nil)
 		res, err := v.ValidateAndCommit(raw)
@@ -254,7 +254,7 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	}
 	defer os.RemoveAll(ledgerDir)
 	p, err := peer.Open(pipeline.Config{
-		Shape: pipeline.Fabric14, Workers: 1, Policies: pols,
+		Workers: 1, Policies: pols,
 		SigCache: sc, CertCache: cc, ParseCache: pc,
 	}, statedb.NewStore(), ledgerDir, peer.DurableOptions{})
 	if err != nil {

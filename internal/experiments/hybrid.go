@@ -22,7 +22,7 @@ import (
 // store with a modeled PCIe/host read latency, driven by a smallbank-shaped
 // workload whose account reads follow a Zipf power law. It sweeps cache
 // capacity x skew and reports, for each point, the cache hit rate and the
-// committed throughput with the pipelined engine's read-set prefetch off
+// committed throughput with the commit engine's read-set prefetch off
 // and on — quantifying how much of the throughput lost to host-read
 // latency the prefetch stage recovers by hiding misses under vscc
 // (the software analogue of Figure 12c's latency hiding).
@@ -150,9 +150,9 @@ func seedAccounts(kvs statedb.KVS, accounts int) {
 }
 
 // MeasureHybrid runs one measurement point: the same chain through the
-// pipelined engine over (1) a plain in-memory store, (2) a hybrid backend
-// with the modeled host latency and prefetch off, (3) the same with
-// prefetch on. The three runs are cross-checked (flags and commit hashes
+// commit engine, one block at a time, over (1) a plain in-memory store,
+// (2) a hybrid backend with the modeled host latency and prefetch off,
+// (3) the same with prefetch on. The three runs are cross-checked (flags and commit hashes
 // must be bit-identical) while being timed.
 func (e *Env) MeasureHybrid(spec HybridSpec) (HybridPoint, error) {
 	raws, err := e.makeHybridChain(spec)
@@ -182,25 +182,25 @@ func (e *Env) MeasureHybrid(spec HybridSpec) (HybridPoint, error) {
 		}, kvs, nil)
 		start := time.Now()
 		collectRef := refFlags == nil // first run records the reference verdicts
-		runErr := drainChain(eng, raws, func(n int, res *pipeline.Result) error {
+		for n, raw := range raws {
+			res, err := eng.ValidateAndCommit(raw)
 			switch {
+			case err != nil:
 			case block.CountValid(res.Flags) != spec.Txs:
-				return fmt.Errorf("hybrid experiment: block %d: %d/%d txs valid",
+				err = fmt.Errorf("hybrid experiment: block %d: %d/%d txs valid",
 					n, block.CountValid(res.Flags), spec.Txs)
 			case collectRef:
 				refFlags = append(refFlags, res.Flags)
 				refHashes = append(refHashes, res.CommitHash)
 			case !block.FlagsEqual(res.Flags, refFlags[n]) || string(res.CommitHash) != string(refHashes[n]):
-				return fmt.Errorf("hybrid experiment: block %d diverged across backends", n)
+				err = fmt.Errorf("hybrid experiment: block %d diverged across backends", n)
 			}
-			return nil
-		})
-		elapsed := time.Since(start)
-		if runErr != nil {
-			eng.Close()
-			return 0, nil, runErr
+			if err != nil {
+				eng.Close()
+				return 0, nil, err
+			}
 		}
-		return float64(totalTxs) / elapsed.Seconds(), eng, nil
+		return float64(totalTxs) / time.Since(start).Seconds(), eng, nil
 	}
 
 	// 0. Warm pass (unmeasured): fills the shared caches and records the

@@ -43,7 +43,7 @@ func Names() []string {
 	return []string{
 		"fig3", "fig9a", "fig9b", "fig10", "fig11",
 		"fig12a", "fig12b", "fig12c", "fig13", "table1",
-		"headline", "ablations", "pipeline", "hybrid", "cluster", "churn",
+		"headline", "ablations", "hybrid", "cluster", "churn",
 		"hotpath", "adversarial", "fastsync",
 	}
 }
@@ -62,7 +62,6 @@ var Titles = map[string]string{
 	"table1":      "Table 1: FPGA resource utilization (model)",
 	"headline":    "Headline: peak throughput and speedup",
 	"ablations":   "Ablations: design-choice benches",
-	"pipeline":    "Pipeline: parallel commit engine speedup vs block size and conflict rate",
 	"hybrid":      "Hybrid: §5 hardware/host database — hit rate and prefetch latency hiding vs capacity and Zipf skew",
 	"cluster":     "Cluster: open-loop load through the non-blocking delivery service — throughput, tail latency and slow-peer isolation per validation path",
 	"churn":       "Churn: kill a peer mid-run, restart from checkpoint + ledger replay, catch up through the orderer ledger — convergence per validation path",
@@ -98,8 +97,6 @@ func (r *Runner) Run(name string) (*metrics.Table, error) {
 		return Headline(r.env, r.opts)
 	case "ablations":
 		return Ablations(r.env, r.opts)
-	case "pipeline":
-		return FigPipeline(r.env, r.opts)
 	case "hybrid":
 		return FigHybrid(r.env, r.opts)
 	case "cluster":

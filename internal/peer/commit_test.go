@@ -7,14 +7,13 @@ import (
 	"bmac/internal/block"
 	"bmac/internal/gossip"
 	"bmac/internal/identity"
-	"bmac/internal/pipeline"
 	"bmac/internal/policy"
 	"bmac/internal/policy/policytest"
 	"bmac/internal/statedb"
 )
 
 // TestCommitBlockLeavesCallerBlockUntouched hands each received block — read
-// once from its gossip frame — to a peer of each engine shape at the same
+// once from its gossip frame — to a 1-worker and a 4-worker peer at the same
 // time, as the testbed does. Neither may write to it: the block re-encodes
 // to the frame it came in, before and after, and under -race the two
 // concurrent commits of one block are the check that nothing is written
@@ -30,12 +29,12 @@ func TestCommitBlockLeavesCallerBlockUntouched(t *testing.T) {
 	endorser, _ := net.NewIdentity("Org1", identity.RolePeer)
 	pols := map[string]*policy.Policy{"cc": policytest.MustParse("1of1")}
 
-	seqPeer, err := Open(fabric14(2, pols), statedb.NewStore(), t.TempDir(), DurableOptions{})
+	seqPeer, err := Open(fabric14(1, pols), statedb.NewStore(), t.TempDir(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer seqPeer.Close()
-	parPeer, err := Open(pipeline.Config{Workers: 4, Policies: pols}, statedb.NewStore(), t.TempDir(), DurableOptions{})
+	parPeer, err := Open(fabric14(4, pols), statedb.NewStore(), t.TempDir(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +93,7 @@ func TestCommitBlockLeavesCallerBlockUntouched(t *testing.T) {
 			t.Fatalf("block %d: the caller's block acquired a commit hash", n)
 		}
 		if !block.FlagsEqual(seqRes.Flags, parRes.Flags) || !bytes.Equal(seqRes.CommitHash, parRes.CommitHash) {
-			t.Fatalf("block %d: shapes diverge: %v %x vs %v %x", n, seqRes.Flags, seqRes.CommitHash, parRes.Flags, parRes.CommitHash)
+			t.Fatalf("block %d: the peers diverge: %v %x vs %v %x", n, seqRes.Flags, seqRes.CommitHash, parRes.Flags, parRes.CommitHash)
 		}
 		if n > 0 && (seqRes.Flags[0] != byte(block.Valid) || seqRes.Flags[1] != byte(block.MVCCReadConflict)) {
 			t.Fatalf("block %d: flags %v, want the fresh read valid and the stale one a conflict", n, seqRes.Flags)

@@ -29,12 +29,6 @@ import (
 	"bmac/internal/validator"
 )
 
-// CheckpointFile is the legacy single-generation checkpoint name. Peers
-// now write manifest-managed generations ("checkpoint-<height>"); this
-// file is still honored on recovery (tried last) so pre-manifest peer
-// directories keep fast-syncing.
-const CheckpointFile = "checkpoint"
-
 // DurableOptions configure ledger-backed durability for a software peer.
 type DurableOptions struct {
 	// CheckpointEvery writes a state checkpoint after every N committed
@@ -126,7 +120,7 @@ func NewDurableParallelPeer(cfg pipeline.Config, kvs statedb.KVS, dir string, op
 // reproduce state that predates block 0 (bootstrap genesis data lives only
 // in checkpoints).
 func recoverState(kvs statedb.KVS, led *ledger.Ledger, dir string, pc *validator.ParseCache, opts DurableOptions) error {
-	refs, notes := statedb.Checkpoints(dir, CheckpointFile)
+	refs, notes := statedb.Checkpoints(dir)
 	for _, n := range notes {
 		log.Printf("peer: %s: %s", dir, n)
 	}

@@ -49,9 +49,9 @@ func newChainFixture(t *testing.T) *chainFixture {
 }
 
 // fabric14 is the engine configuration of the paper's sequential software
-// peer.
+// peer: the given vscc workers, no prefetch.
 func fabric14(workers int, pols map[string]*policy.Policy) pipeline.Config {
-	return pipeline.Config{Shape: pipeline.Fabric14, Workers: workers, Policies: pols}
+	return pipeline.Config{Workers: workers, Policies: pols}
 }
 
 // chain builds n blocks of 4 transactions each: writes to rotating keys,
@@ -170,8 +170,8 @@ func TestSWPeerRestartReplaysLedger(t *testing.T) {
 // TestDurablePeerCheckpointSuffixReplay proves the checkpoint shortcut:
 // with CheckpointEvery=2 over 5 blocks, a restart loads the block-3
 // checkpoint and replays only the suffix — and the result is identical to
-// a full replay. Runs the matrix of both engine shapes and all three
-// statedb backends.
+// a full replay. Runs the matrix of the engine with the prefetch off and on
+// and all three statedb backends.
 func TestDurablePeerCheckpointSuffixReplay(t *testing.T) {
 	f := newChainFixture(t)
 	blocks := f.chain(t, 5)
@@ -187,8 +187,8 @@ func TestDurablePeerCheckpointSuffixReplay(t *testing.T) {
 		}
 	}
 	engines := map[string]pipeline.Config{
-		"fabric14":  fabric14(2, f.pols),
-		"scheduled": {Workers: 2, Policies: f.pols},
+		"fabric14": fabric14(2, f.pols),
+		"prefetch": {Workers: 2, Policies: f.pols, Prefetch: true},
 	}
 
 	for engine, cfg := range engines {
@@ -211,7 +211,7 @@ func TestDurablePeerCheckpointSuffixReplay(t *testing.T) {
 
 				// The block-3 checkpoint generation must exist and restrict
 				// replay to the suffix.
-				refs, _ := statedb.Checkpoints(dir, "")
+				refs, _ := statedb.Checkpoints(dir)
 				if len(refs) == 0 {
 					t.Fatal("no periodic checkpoint generation")
 				}
@@ -254,8 +254,8 @@ func TestRecoverStateRejectsCheckpointAheadOfLedger(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A checkpoint claiming height 7 against a 2-block ledger.
-	if err := statedb.SaveCheckpoint(dir+"/"+CheckpointFile, p.Engine.Store(), 7); err != nil {
+	// A checkpoint generation claiming height 7 against a 2-block ledger.
+	if _, err := statedb.WriteManagedCheckpoint(dir, p.Engine.Store(), 7, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Close(); err != nil {

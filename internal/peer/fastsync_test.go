@@ -35,7 +35,7 @@ func TestRecoveryFallsBackOnCorruptNewestCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	refs, _ := statedb.Checkpoints(dir, "")
+	refs, _ := statedb.Checkpoints(dir)
 	if len(refs) < 2 {
 		t.Fatalf("need >= 2 generations to test fallback, have %+v", refs)
 	}

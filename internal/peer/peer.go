@@ -2,11 +2,10 @@
 // setup (Figure 8):
 //
 //   - Peer: the durable software validator (sw_validator) — the commit
-//     engine (internal/pipeline) over a state database and a disk ledger.
-//     The engine's configuration decides which software peer it is: the
-//     paper's Fabric v1.4 baseline (pipeline.Fabric14) or the repo's
-//     parallel extension with pipelined stages and dependency-scheduled
-//     intra-block parallelism (the default shape).
+//     engine (internal/pipeline), laid out as the paper's Fabric v1.4
+//     baseline, over a state database and a disk ledger. Every software
+//     peer is this one type; its engine configuration sets only the vscc
+//     worker count and whether the read-set prefetch runs.
 //
 //   - BMacPeer: the hardware-accelerated peer — the BMac protocol receiver
 //     and block processor "in hardware" (internal/bmacproto +
@@ -67,9 +66,7 @@ type Peer struct {
 // pipeline.Engine.ValidateAndCommitBlock). When a checkpoint cadence is
 // configured, the block's commit may be followed by a state checkpoint; a
 // checkpoint failure is returned even though the block itself committed,
-// because the peer's durability contract is broken. Inter-block pipelining
-// needs Submit/Results on the Engine directly (the checkpoint cadence only
-// runs on this synchronous path).
+// because the peer's durability contract is broken.
 func (p *Peer) CommitBlock(b *block.Block) (CommitResult, error) {
 	res, err := p.Engine.ValidateAndCommitBlock(b)
 	if err != nil {
@@ -89,7 +86,7 @@ func (p *Peer) CommitBlock(b *block.Block) (CommitResult, error) {
 	}, nil
 }
 
-// Close drains the engine and releases the ledger.
+// Close stops the engine and releases the ledger.
 func (p *Peer) Close() error {
 	p.Engine.Close()
 	return p.Ledger.Close()

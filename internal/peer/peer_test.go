@@ -350,8 +350,8 @@ func TestSWPeerRejectsTamperedBlock(t *testing.T) {
 	}
 }
 
-// TestParallelPeerMatchesSWPeer commits the same blocks through a peer of
-// each engine shape and requires identical flags, commit hashes and
+// TestParallelPeerMatchesSWPeer commits the same blocks through a 2-worker
+// peer and a 4-worker peer and requires identical flags, commit hashes and
 // ledger heights — the three-way cross-check the Testbed performs, in
 // miniature.
 func TestParallelPeerMatchesSWPeer(t *testing.T) {

@@ -51,8 +51,8 @@ func wantCodes(t *testing.T, flags []byte, want ...block.ValidationCode) {
 }
 
 // TestEngineBehaviour is the per-block Fabric contract, one case per rule,
-// run over both shapes. mk builds a fresh engine of the shape under test
-// over an empty store and a real ledger.
+// run over each engine variant. mk builds a fresh engine of the variant
+// under test over an empty store and a real ledger.
 func TestEngineBehaviour(t *testing.T) {
 	r := newRig(t)
 	cases := []struct {
@@ -256,15 +256,15 @@ func TestEngineBehaviour(t *testing.T) {
 			}
 		}},
 	}
-	for _, sh := range shapes {
+	for _, v := range variants {
 		for _, c := range cases {
-			t.Run(sh.name+"/"+c.name, func(t *testing.T) {
+			t.Run(v.name+"/"+c.name, func(t *testing.T) {
 				c.run(t, func(workers int) *Engine {
 					led, err := ledger.Open(t.TempDir(), ledger.Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
-					eng := New(Config{Shape: sh.shape, Workers: workers, Policies: r.pols}, statedb.NewStore(), led)
+					eng := New(Config{Workers: workers, Policies: r.pols, Prefetch: v.prefetch}, statedb.NewStore(), led)
 					t.Cleanup(func() {
 						eng.Close()
 						led.Close()

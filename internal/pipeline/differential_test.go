@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -37,18 +36,39 @@ func randomRWSet(rng *rand.Rand, world map[string]block.Version) block.RWSet {
 	return rw
 }
 
-// buildRandomBlocks creates a chain of blocks with random fault injection
-// (bad client signatures, corrupt/missing endorsements, stale reads) and
-// simultaneously tracks the endorsement-time world state by replaying each
-// block through the reference oracle.
+// hotRWSet is the contended case, the shape of a Zipf-skewed workload's
+// hot accounts: every transaction reads one of two hot keys at the version
+// in `world` and writes one, so once both are written in a block, every
+// later transaction of the block is an in-block mvcc conflict.
+func hotRWSet(rng *rand.Rand, world map[string]block.Version) block.RWSet {
+	read, write := "hot"+strconv.Itoa(rng.Intn(2)), "hot"+strconv.Itoa(rng.Intn(2))
+	return block.RWSet{
+		Reads:  []block.KVRead{{Key: read, Version: world[read]}},
+		Writes: []block.KVWrite{{Key: write, Value: []byte{byte(rng.Intn(256))}}},
+	}
+}
+
+// buildRandomBlocks creates a chain of blocks of up to 10 random
+// transactions with random fault injection (bad client signatures,
+// corrupt/missing endorsements, stale reads).
 func buildRandomBlocks(t *testing.T, r *rig, rng *rand.Rand, nBlocks int) [][]byte {
+	t.Helper()
+	return buildChain(t, r, rng, nBlocks, 10, randomRWSet, true)
+}
+
+// buildChain creates a chain of nBlocks blocks of 1..maxTxs transactions
+// whose read/write sets rwset draws, with fault injection when faults is
+// set, and simultaneously tracks the endorsement-time world state by
+// replaying each block through the reference oracle.
+func buildChain(t *testing.T, r *rig, rng *rand.Rand, nBlocks, maxTxs int,
+	rwset func(*rand.Rand, map[string]block.Version) block.RWSet, faults bool) [][]byte {
 	t.Helper()
 	world := make(map[string]block.Version) // committed version per key
 	raws := make([][]byte, 0, nBlocks)
 	ref := newOracle(r)
 
 	for n := 0; n < nBlocks; n++ {
-		nTxs := 1 + rng.Intn(10)
+		nTxs := 1 + rng.Intn(maxTxs)
 		rws := make([]block.RWSet, 0, nTxs)
 		envs := make([]block.Envelope, 0, nTxs)
 		for i := 0; i < nTxs; i++ {
@@ -56,16 +76,18 @@ func buildRandomBlocks(t *testing.T, r *rig, rng *rand.Rand, nBlocks int) [][]by
 				Creator:   r.client,
 				Chaincode: "smallbank",
 				Channel:   "ch1",
-				RWSet:     randomRWSet(rng, world),
+				RWSet:     rwset(rng, world),
 				Endorsers: r.peers[:2],
 			}
-			switch rng.Intn(6) {
-			case 0:
-				spec.CorruptClientSig = true
-			case 1:
-				spec.CorruptEndorsementIdx = 1 + rng.Intn(2)
-			case 2:
-				spec.Endorsers = r.peers[:1] // policy failure (2of2)
+			if faults {
+				switch rng.Intn(6) {
+				case 0:
+					spec.CorruptClientSig = true
+				case 1:
+					spec.CorruptEndorsementIdx = 1 + rng.Intn(2)
+				case 2:
+					spec.Endorsers = r.peers[:1] // policy failure (2of2)
+				}
 			}
 			env, err := block.NewEndorsedEnvelope(spec)
 			if err != nil {
@@ -99,27 +121,14 @@ func buildRandomBlocks(t *testing.T, r *rig, rng *rand.Rand, nBlocks int) [][]by
 	return raws
 }
 
-// checkChain drives raws through eng — synchronously, or through
-// Submit/Results so blocks genuinely overlap — and demands the oracle's
-// verdict for every block, in order, and the oracle's final state.
-func checkChain(t *testing.T, label string, eng *Engine, pipelined bool, raws [][]byte,
+// checkChain drives raws through eng and demands the oracle's verdict for
+// every block, in order, and the oracle's final state.
+func checkChain(t *testing.T, label string, eng *Engine, raws [][]byte,
 	wants []verdict, wantState map[string]statedb.VersionedValue) {
 	t.Helper()
 	defer eng.Close()
-	if pipelined {
-		for _, raw := range raws {
-			eng.Submit(raw)
-		}
-	}
 	for n, raw := range raws {
-		var res *Result
-		var err error
-		if pipelined {
-			o := <-eng.Results()
-			res, err = o.Res, o.Err
-		} else {
-			res, err = eng.ValidateAndCommit(raw)
-		}
+		res, err := eng.ValidateAndCommit(raw)
 		if err != nil {
 			t.Fatalf("%s block %d: %v", label, n, err)
 		}
@@ -138,50 +147,73 @@ func checkChain(t *testing.T, label string, eng *Engine, pipelined bool, raws []
 	}
 }
 
+// workerCounts are the vscc budgets the differential tests run the engine
+// at: one worker (no fan-out), and counts that do and do not divide a
+// block's transactions evenly.
+var workerCounts = []int{1, 3, 4}
+
 // TestDifferentialRandomized is the pipeline counterpart of
 // internal/core/differential_test.go: random multi-block chains with fault
-// injection, validated by the oracle and by the engine in both shapes.
-// Flags, commit hash and final state must be byte-identical. Run with -race
-// to also shake out scheduler/cache races.
+// injection, plus one hot-key chain in which most transactions are in-block
+// mvcc conflicts, validated by the oracle and by the engine at every worker
+// count with the prefetch off and on. Flags, commit hash and final state
+// must be byte-identical. Run with -race to also shake out fan-out and
+// prefetch races.
 func TestDifferentialRandomized(t *testing.T) {
 	r := newRig(t)
+	chains := map[string][][]byte{}
 	for seed := int64(1); seed <= 4; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		raws := buildRandomBlocks(t, r, rng, 6)
+		chains[fmt.Sprintf("seed %d", seed)] = buildRandomBlocks(t, r, rand.New(rand.NewSource(seed)), 6)
+	}
+	hot := buildChain(t, r, rand.New(rand.NewSource(5)), 6, 16, hotRWSet, false)
+	chains["hot seed 5"] = hot
+
+	hotWants, _ := oracleChain(t, r, hot)
+	conflicts, txs := 0, 0
+	for _, w := range hotWants {
+		for _, f := range w.flags {
+			if block.ValidationCode(f) == block.MVCCReadConflict {
+				conflicts++
+			}
+		}
+		txs += len(w.flags)
+	}
+	if 2*conflicts < txs {
+		t.Fatalf("hot chain: %d of %d transactions are mvcc conflicts, want at least half", conflicts, txs)
+	}
+	t.Logf("hot chain: %d of %d transactions are mvcc conflicts", conflicts, txs)
+
+	for name, raws := range chains {
 		wants, wantState := oracleChain(t, r, raws)
-		for _, sh := range shapes {
-			eng := New(Config{Shape: sh.shape, Workers: 4, Policies: r.pols, SkipLedger: true},
-				statedb.NewStore(), nil)
-			checkChain(t, fmt.Sprintf("seed %d %s", seed, sh.name), eng, false, raws, wants, wantState)
+		for _, workers := range workerCounts {
+			for _, prefetch := range []bool{false, true} {
+				eng := New(Config{Workers: workers, Policies: r.pols, SkipLedger: true, Prefetch: prefetch},
+					statedb.NewStore(), nil)
+				checkChain(t, fmt.Sprintf("%s workers %d prefetch %v", name, workers, prefetch), eng, raws, wants, wantState)
+			}
 		}
 	}
 }
 
 // TestDifferentialBackends proves the backend-agnostic engine keeps Fabric
-// semantics bit-identical across every statedb backend, in the Fabric v1.4
-// shape and in the default shape with blocks in flight, with and without
-// the prefetch stage: same flags, same commit hashes, same final state as
-// the oracle. The hybrid backend uses a tiny cache (constant evictions)
-// plus a modeled host latency so the slow path really runs.
+// semantics bit-identical across every statedb backend, at every worker
+// count, with and without the prefetch stage: same flags, same commit
+// hashes, same final state as the oracle. The hybrid backend uses a tiny
+// cache (constant evictions) plus a modeled host latency so the slow path
+// really runs.
 func TestDifferentialBackends(t *testing.T) {
 	r := newRig(t)
 	backends := []struct {
-		name     string
-		make     func() statedb.KVS
-		prefetch bool
+		name string
+		make func() statedb.KVS
 	}{
-		{"store", func() statedb.KVS { return statedb.NewStore() }, false},
-		{"store+prefetch", func() statedb.KVS { return statedb.NewStore() }, true},
-		{"sharded", func() statedb.KVS { return statedb.NewShardedStore(8) }, false},
-		{"sharded+prefetch", func() statedb.KVS { return statedb.NewShardedStore(8) }, true},
+		{"store", func() statedb.KVS { return statedb.NewStore() }},
+		{"sharded", func() statedb.KVS { return statedb.NewShardedStore(8) }},
 		{"hybrid", func() statedb.KVS {
-			return statedb.NewHybridKVS(3, statedb.NewStore())
-		}, false},
-		{"hybrid+prefetch", func() statedb.KVS {
 			h := statedb.NewHybridKVS(3, statedb.NewStore())
 			h.SetHostReadLatency(50 * time.Microsecond)
 			return h
-		}, true},
+		}},
 	}
 	for seed := int64(7); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -189,70 +221,16 @@ func TestDifferentialBackends(t *testing.T) {
 		wants, wantState := oracleChain(t, r, raws)
 
 		for _, be := range backends {
-			label := fmt.Sprintf("%s seed %d", be.name, seed)
-			seq := New(Config{Shape: Fabric14, Workers: 3, Policies: r.pols, SkipLedger: true}, be.make(), nil)
-			checkChain(t, label+" fabric14", seq, false, raws, wants, wantState)
-
-			eng := New(Config{
-				Workers: 4, Policies: r.pols, SkipLedger: true,
-				Prefetch: be.prefetch, PrefetchWorkers: 4,
-			}, be.make(), nil)
-			checkChain(t, label+" pipelined", eng, true, raws, wants, wantState)
+			for _, workers := range workerCounts {
+				for _, prefetch := range []bool{false, true} {
+					eng := New(Config{
+						Workers: workers, Policies: r.pols, SkipLedger: true,
+						Prefetch: prefetch, PrefetchWorkers: 4,
+					}, be.make(), nil)
+					label := fmt.Sprintf("%s seed %d workers %d prefetch %v", be.name, seed, workers, prefetch)
+					checkChain(t, label, eng, raws, wants, wantState)
+				}
+			}
 		}
-	}
-}
-
-// TestDifferentialPipelined feeds whole chains through Submit/Results so
-// blocks genuinely overlap in the stage goroutines, in both shapes, and
-// compares every outcome and the final state against the oracle.
-func TestDifferentialPipelined(t *testing.T) {
-	r := newRig(t)
-	for seed := int64(100); seed <= 102; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		raws := buildRandomBlocks(t, r, rng, 8)
-		wants, wantState := oracleChain(t, r, raws)
-		for _, sh := range shapes {
-			eng := New(Config{Shape: sh.shape, Workers: 4, Policies: r.pols, SkipLedger: true},
-				statedb.NewStore(), nil)
-			checkChain(t, fmt.Sprintf("seed %d %s", seed, sh.name), eng, true, raws, wants, wantState)
-		}
-	}
-}
-
-// TestSubmitMatchesSynchronousDrive pins that the two ways of driving the
-// engine are the same four stage functions: the same chain fed through
-// Submit/Results and through ValidateAndCommit gives identical flags, commit
-// hashes and state hash, in each shape.
-func TestSubmitMatchesSynchronousDrive(t *testing.T) {
-	r := newRig(t)
-	raws := buildRandomBlocks(t, r, rand.New(rand.NewSource(42)), 8)
-	for _, sh := range shapes {
-		t.Run(sh.name, func(t *testing.T) {
-			cfg := Config{Shape: sh.shape, Workers: 4, Policies: r.pols, SkipLedger: true}
-			direct := New(cfg, statedb.NewStore(), nil)
-			defer direct.Close()
-			piped := New(cfg, statedb.NewStore(), nil)
-			defer piped.Close()
-			for _, raw := range raws {
-				piped.Submit(raw)
-			}
-			for n, raw := range raws {
-				want, err := direct.ValidateAndCommit(raw)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := <-piped.Results()
-				if got.Err != nil {
-					t.Fatal(got.Err)
-				}
-				if !block.FlagsEqual(got.Res.Flags, want.Flags) || !bytes.Equal(got.Res.CommitHash, want.CommitHash) {
-					t.Fatalf("block %d: Submit %v / %x, ValidateAndCommit %v / %x",
-						n, got.Res.Flags, got.Res.CommitHash, want.Flags, want.CommitHash)
-				}
-			}
-			if !bytes.Equal(statedb.SnapshotHash(direct.Store().Snapshot()), statedb.SnapshotHash(piped.Store().Snapshot())) {
-				t.Fatal("state hash differs between Submit and ValidateAndCommit")
-			}
-		})
 	}
 }

@@ -1,3 +1,25 @@
+// Package pipeline implements the commit engine: the one type that
+// validates and commits a block (Engine), over the per-transaction Fabric
+// semantics of internal/validator. Every software peer runs it, laid out as
+// the validation phase of a Fabric v1.4 peer — the paper's software
+// baseline (Figure 2a):
+//
+//   - unmarshal: the block's payloads decoded one at a time;
+//   - block verify, then vscc fanned over Workers goroutines (the "vscc
+//     threads" == vCPUs knob), each signature range one batch;
+//   - mvcc strictly in transaction order against the state database;
+//   - flush: state database writes, then the ledger.
+//
+// The stages run in order on the caller's goroutine (ValidateAndCommit,
+// ValidateAndCommitBlock). The one option beside Workers is the async
+// read-set prefetch (prefetch.go), which hides a slow backend's misses
+// under vscc and changes no verdict. Flags, commit hash and final state are
+// bit-identical to a naive reference validator on every block; the
+// differential tests in this package prove it.
+//
+// The conflict analyzer (analyzer.go) is not on the commit path: it builds
+// a block's read-after-write dependency graph so a workload's contention can
+// be reported (edges, critical path).
 package pipeline
 
 import (
@@ -16,43 +38,15 @@ import (
 	"bmac/internal/validator"
 )
 
-// Shape selects how the engine lays one block's work out over goroutines.
-// Both shapes run the same four stages and produce bit-identical flags,
-// commit hashes and state; they differ in parse fan-out and in how the
-// decide stage orders the mvcc checks.
-type Shape int
-
-const (
-	// Scheduled, the default, fans every stage out: payloads are decoded
-	// and vscc'd on Workers goroutines, and mvcc is dependency-scheduled —
-	// independent transactions are decided concurrently against the
-	// multi-version cache, so a submitted block's mvcc can also start while
-	// its predecessor is still being flushed.
-	Scheduled Shape = iota
-	// Fabric14 is the paper's software baseline (Figure 2a), the validation
-	// phase of a Fabric v1.4 peer with its known bottlenecks: payloads
-	// decoded one at a time, vscc fanned over Workers (the "vscc threads" ==
-	// vCPUs knob), mvcc strictly in transaction order against the state
-	// database itself. It builds no dependency graph and no version cache.
-	Fabric14
-)
-
 // Config parameterizes the commit engine.
 type Config struct {
-	// Shape picks the intra-block schedule (default Scheduled).
-	Shape Shape
-	// Workers is the goroutine budget per parallel stage — vscc, and in the
-	// Scheduled shape also unmarshal and mvcc. Zero means GOMAXPROCS.
+	// Workers is the vscc goroutine budget. Zero means GOMAXPROCS.
 	Workers int
 	// Policies maps chaincode name to its endorsement policy.
 	Policies map[string]*policy.Policy
 	// SkipLedger excludes the ledger commit (the paper's metrics exclude it
 	// "for direct comparison between hardware and software" — §4.2).
 	SkipLedger bool
-	// Depth is the number of blocks allowed in flight between stages when
-	// blocks are fed through Submit (default 4). Higher values buy more
-	// inter-block overlap at the cost of memory.
-	Depth int
 	// Prefetch enables the async read-set warm-up: distinct read-set keys
 	// are read from the backend as soon as a block is unmarshalled, so
 	// slow-backend misses (e.g. HybridKVS host reads) are absorbed while
@@ -86,14 +80,6 @@ func (c *Config) verifyOpts() validator.VerifyOpts {
 // Result is the outcome of validating and committing one block.
 type Result = validator.Result
 
-// Outcome pairs a block result with its error, preserving submission order
-// on the Results channel. Err is what ValidateAndCommit would have returned
-// (e.g. validator.ErrBlockInvalid for a bad orderer signature).
-type Outcome struct {
-	Res *Result
-	Err error
-}
-
 // job carries one block through the four stages.
 type job struct {
 	raw   []byte // the marshaled block, when it came in marshaled
@@ -113,35 +99,22 @@ type job struct {
 }
 
 // Engine is the one type that validates and commits a block. A block goes
-// through four stages, each a plain function of its job — parse (unmarshal,
-// plus the async read-set prefetch), verify (block verification + vscc),
-// decide (mvcc) and flush (state database, then ledger).
-//
-// ValidateAndCommit runs the four in order on the caller's goroutine.
-// Submit/Results run the same four on stage goroutines connected by
-// channels, so consecutive blocks overlap; those goroutines are started by
-// the first Submit (or Results), and an engine that is only ever driven
-// synchronously never creates them.
+// through four stages, each a plain function of its job, in order on the
+// caller's goroutine — parse (unmarshal, plus the async read-set prefetch),
+// verify (block verification + vscc), decide (mvcc) and flush (state
+// database, then ledger).
 //
 // The engine runs over any statedb.KVS backend; with cfg.Prefetch the
 // warm-up readers hide a slow backend's read latency under vscc.
 //
 // Blocks must arrive in increasing header-number order from a single
-// goroutine, and ValidateAndCommit must not be called while submitted
-// blocks are still in flight.
+// goroutine.
 type Engine struct {
 	cfg      Config
 	circuits map[string]*policy.Circuit // cfg.Policies, compiled once
 	store    statedb.KVS
-	cache    *MVCache // nil in the Fabric14 shape, whose mvcc reads the store itself
 	led      *ledger.Ledger
 	pf       *prefetcher // nil when cfg.Prefetch is off
-
-	startOnce sync.Once // guards in, out and done
-	in        chan *job
-	out       chan Outcome
-	done      chan struct{}
-	closeOnce sync.Once
 }
 
 // New creates an engine over the given state database and ledger (led may
@@ -150,18 +123,12 @@ func New(cfg Config, store statedb.KVS, led *ledger.Ledger) *Engine {
 	if cfg.Workers < 1 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Depth < 1 {
-		cfg.Depth = 4
-	}
 	if cfg.PrefetchWorkers < 1 {
 		cfg.PrefetchWorkers = cfg.Workers
 	}
 	e := &Engine{cfg: cfg, circuits: make(map[string]*policy.Circuit, len(cfg.Policies)), store: store, led: led}
 	for cc, p := range cfg.Policies {
 		e.circuits[cc] = policy.Compile(p)
-	}
-	if cfg.Shape == Scheduled {
-		e.cache = NewMVCache(store)
 	}
 	if cfg.Prefetch {
 		e.pf = newPrefetcher(store, cfg.PrefetchWorkers)
@@ -181,11 +148,9 @@ func (e *Engine) PrefetchedKeys() int {
 	return e.pf.prefetched()
 }
 
-// ValidateAndCommit runs one marshaled block through the four stages on the
-// caller's goroutine: Unmarshal, then what ValidateAndCommitBlock does, with
-// the block decode counted in the unmarshal stage (the paper measures it).
-// Within the block the stages still fan out as the shape says; inter-block
-// overlap requires Submit.
+// ValidateAndCommit runs one marshaled block through the four stages:
+// Unmarshal, then what ValidateAndCommitBlock does, with the block decode
+// counted in the unmarshal stage (the paper measures it).
 func (e *Engine) ValidateAndCommit(raw []byte) (*Result, error) {
 	return e.run(&job{raw: raw, start: time.Now()})
 }
@@ -211,71 +176,13 @@ func (e *Engine) run(j *job) (*Result, error) {
 	return j.res, j.err
 }
 
-// Submit feeds one marshaled block into the stage goroutines. Results
-// arrive on Results() in submission order.
-func (e *Engine) Submit(raw []byte) {
-	e.startOnce.Do(e.start)
-	e.in <- &job{raw: raw, start: time.Now()}
-}
-
-// Results delivers one Outcome per submitted block, in order.
-func (e *Engine) Results() <-chan Outcome {
-	e.startOnce.Do(e.start)
-	return e.out
-}
-
-// start connects the four stage functions with channels, one goroutine per
-// group of stages.
-func (e *Engine) start() {
-	groups := [][]func(*job){{e.parse}, {e.verify}, {e.decide}, {e.flush}}
-	if e.cfg.Shape == Fabric14 {
-		// In-order mvcc checks read versions against the store itself, so a
-		// block cannot be decided before its predecessor is flushed: the
-		// two stages share a goroutine, as in a Fabric committer.
-		groups = [][]func(*job){{e.parse}, {e.verify}, {e.decide, e.flush}}
-	}
-	e.in = make(chan *job, e.cfg.Depth)
-	e.out = make(chan Outcome, e.cfg.Depth)
-	e.done = make(chan struct{})
-	in := e.in
-	for _, stages := range groups {
-		next := make(chan *job, e.cfg.Depth)
-		go func(in <-chan *job) {
-			defer close(next)
-			for j := range in {
-				for _, stage := range stages {
-					stage(j)
-				}
-				next <- j
-			}
-		}(in)
-		in = next
-	}
-	go func() {
-		defer close(e.done)
-		defer close(e.out)
-		for j := range in {
-			e.out <- Outcome{Res: j.res, Err: j.err}
-		}
-	}()
-}
-
-// Close drains submitted blocks and releases the engine's goroutines. The
+// Close stops the prefetch readers, if any; a second Close is a no-op. The
 // engine must not be used afterwards. The ledger, if any, is NOT closed (the
 // caller owns it).
 func (e *Engine) Close() {
-	e.closeOnce.Do(func() {
-		// Spending the start once here both orders this read of e.in after
-		// a start that did happen and rules out one happening later.
-		e.startOnce.Do(func() {})
-		if e.in != nil {
-			close(e.in)
-			<-e.done
-		}
-		if e.pf != nil {
-			e.pf.close()
-		}
-	})
+	if e.pf != nil {
+		e.pf.close()
+	}
 }
 
 // --- stage 1: unmarshal ---
@@ -293,21 +200,16 @@ func (e *Engine) parse(j *job) {
 	}
 	b := j.b
 	j.txs = make([]validator.ParsedTx, len(b.Envelopes))
-	// With a ParseCache, payloads any sharing path already decoded are
-	// served from the interning table instead of re-walked.
-	workers := e.cfg.Workers
-	if e.cfg.Shape == Fabric14 {
-		workers = 1
-	}
-	fanOut(len(j.txs), workers, 1, &j.bd, func(lo, hi int, ops *validator.Breakdown) {
-		for i := lo; i < hi; i++ {
-			var hit bool
-			j.txs[i], hit = e.cfg.ParseCache.ParseTx(b.Envelopes[i].PayloadBytes)
-			if hit {
-				ops.ParseCacheHits++
-			}
+	// One payload at a time, as Fabric v1.4 does. With a ParseCache,
+	// payloads any sharing path already decoded are served from the
+	// interning table instead of re-walked.
+	for i := range j.txs {
+		var hit bool
+		j.txs[i], hit = e.cfg.ParseCache.ParseTx(b.Envelopes[i].PayloadBytes)
+		if hit {
+			j.bd.ParseCacheHits++
 		}
-	})
+	}
 	j.bd.Unmarshal = time.Since(t)
 	// Read sets are known now: kick off the async warm-up so backend
 	// misses resolve while this block is in the vscc stage.
@@ -367,6 +269,9 @@ func VSCCRange(n, workers int) int {
 
 // --- stage 3: mvcc ---
 
+// decide re-checks each still-valid transaction's read set against the
+// state database and the keys written earlier in this block, strictly in
+// transaction order.
 func (e *Engine) decide(j *job) {
 	if j.skip {
 		return
@@ -380,19 +285,6 @@ func (e *Engine) decide(j *job) {
 		j.bd.PrefetchWait = time.Since(tWait)
 	}
 	t := time.Now()
-	if e.cfg.Shape == Fabric14 {
-		e.decideInOrder(j)
-	} else {
-		e.decideScheduled(j)
-	}
-	j.bd.MVCC = time.Since(t)
-	j.b.Metadata.ValidationFlags = j.res.Flags
-}
-
-// decideInOrder re-checks each still-valid transaction's read set against
-// the state database and the keys written earlier in this block, strictly
-// in transaction order.
-func (e *Engine) decideInOrder(j *job) {
 	flags := j.res.Flags
 	written := make(map[string]bool)
 	for i := range j.txs {
@@ -415,45 +307,8 @@ func (e *Engine) decideInOrder(j *job) {
 			written[w.Key] = true
 		}
 	}
-}
-
-// decideScheduled makes the same decisions through the dependency graph:
-// a transaction is checked as soon as every earlier writer of its read set
-// has been, against the version cache's pre-block snapshot.
-func (e *Engine) decideScheduled(j *job) {
-	blockNum := j.b.Header.Number
-	flags := j.res.Flags
-	accs := make([]Access, len(j.txs))
-	for i := range j.txs {
-		if flags[i] == byte(block.Valid) {
-			accs[i] = AccessOf(j.txs[i].RW)
-		}
-	}
-	RunGraph(BuildGraph(accs), e.cfg.Workers, func(i int) {
-		if flags[i] != byte(block.Valid) {
-			return
-		}
-		rw := j.txs[i].RW
-		for _, r := range rw.Reads {
-			// An earlier valid transaction of this block wrote the key:
-			// same verdict as the in-order written-in-block check. The
-			// scheduler guarantees every such writer is already decided.
-			if e.cache.WrittenBy(r.Key, blockNum, uint64(i)) {
-				flags[i] = byte(block.MVCCReadConflict)
-				return
-			}
-		}
-		if !e.cache.MVCCCheck(rw.Reads, blockNum) {
-			flags[i] = byte(block.MVCCReadConflict)
-			return
-		}
-		// Decision is final: publish the writes so dependents (and the
-		// next block's decide stage) observe them before the flush lands.
-		ver := block.Version{BlockNum: blockNum, TxNum: uint64(i)}
-		for _, w := range rw.Writes {
-			e.cache.Put(w.Key, w.Value, ver)
-		}
-	})
+	j.bd.MVCC = time.Since(t)
+	j.b.Metadata.ValidationFlags = flags
 }
 
 // --- stage 4: state database + ledger flush ---
@@ -467,9 +322,6 @@ func (e *Engine) flush(j *job) {
 				continue
 			}
 			e.store.WriteBatch(j.txs[i].RW.Writes, block.Version{BlockNum: blockNum, TxNum: uint64(i)})
-		}
-		if e.cache != nil {
-			e.cache.Retire(blockNum)
 		}
 		j.bd.StateDB = j.bd.MVCC + time.Since(t) // mvcc reads + commit writes
 

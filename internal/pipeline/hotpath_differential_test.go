@@ -38,7 +38,7 @@ func hotpathToggles() []hotpathToggle {
 
 // TestHotpathDifferentialToggles validates the same random fault-injected
 // chains with every hot-path optimization independently toggled on and off,
-// through BOTH engine shapes, and demands bit-identical validation flags,
+// through both engine variants, and demands bit-identical validation flags,
 // commit hashes and final state versus the oracle. Run with -race: the
 // caches and the marshal pool are shared across the engine's goroutines.
 func TestHotpathDifferentialToggles(t *testing.T) {
@@ -67,28 +67,28 @@ func TestHotpathDifferentialToggles(t *testing.T) {
 				pc = validator.NewParseCache(1024)
 			}
 
-			// The Fabric v1.4 shape first, then the default shape sharing
-			// the same caches: the first pass pre-warms them, so the second
-			// exercises the cross-path hit case.
+			// One engine, then a second sharing the same caches: the first
+			// pass pre-warms them, so the second exercises the cross-path
+			// hit case.
 			var sigHits, parseHits [2]int
-			for k, sh := range shapes {
+			for k, v := range variants {
 				store := statedb.NewStore()
 				eng := New(Config{
-					Shape: sh.shape, Workers: 2 + k, Policies: r.pols, SkipLedger: true,
+					Workers: 2 + k, Policies: r.pols, SkipLedger: true, Prefetch: v.prefetch,
 					SigCache: sc, CertCache: cc, ParseCache: pc,
 				}, store, nil)
 				for n, raw := range raws {
 					res, err := eng.ValidateAndCommit(raw)
 					if err != nil {
-						t.Fatalf("%s block %d: %v", sh.name, n, err)
+						t.Fatalf("%s block %d: %v", v.name, n, err)
 					}
-					checkSame(t, sh.name, n, res.Flags, res.CommitHash, wants[n].flags, wants[n].commit)
+					checkSame(t, v.name, n, res.Flags, res.CommitHash, wants[n].flags, wants[n].commit)
 					sigHits[k] += res.Breakdown.SigCacheHits
 					parseHits[k] += res.Breakdown.ParseCacheHits
 				}
 				eng.Close()
 				if !statedb.SnapshotsEqual(store.Snapshot(), refSnap) {
-					t.Fatalf("%s final state diverged", sh.name)
+					t.Fatalf("%s final state diverged", v.name)
 				}
 			}
 
@@ -130,7 +130,7 @@ func TestHotpathSigCacheSteadyState(t *testing.T) {
 
 	sc := fabcrypto.NewSigCache(4096)
 	v := New(Config{
-		Shape: Fabric14, Workers: 2, Policies: r.pols, SkipLedger: true, SigCache: sc,
+		Workers: 2, Policies: r.pols, SkipLedger: true, SigCache: sc,
 	}, statedb.NewStore(), nil)
 	for _, raw := range raws {
 		if _, err := v.ValidateAndCommit(raw); err != nil {
@@ -139,7 +139,7 @@ func TestHotpathSigCacheSteadyState(t *testing.T) {
 	}
 	// Steady state: a fresh validator (fresh store) sharing the cache.
 	v2 := New(Config{
-		Shape: Fabric14, Workers: 2, Policies: r.pols, SkipLedger: true, SigCache: sc,
+		Workers: 2, Policies: r.pols, SkipLedger: true, SigCache: sc,
 	}, statedb.NewStore(), nil)
 	for n, raw := range raws {
 		res, err := v2.ValidateAndCommit(raw)
@@ -160,8 +160,9 @@ func TestHotpathSigCacheSteadyState(t *testing.T) {
 }
 
 // TestSharedSigCacheUnderRanges measures, rather than assumes, what two
-// engines validating the same block through one SigCache cost now that each
-// looks a whole range up before either stores it: the verdicts are equal and
+// engines — one worker and four — validating the same block at the same
+// time through one SigCache cost now that each looks a whole range up
+// before either stores it: the verdicts are equal and
 // the oracle's, and together they compute no more signatures than two
 // engines without a cache would (2 × 301 for this block). How many they did
 // compute is logged — the duplicate curve work a shared cache no longer
@@ -177,6 +178,7 @@ func TestSharedSigCacheUnderRanges(t *testing.T) {
 	const perEngine = 1 + 3*100 // the orderer's signature, then client + 2 endorsers per transaction
 
 	sc := fabcrypto.NewSigCache(4096)
+	workers := [2]int{1, 4}
 	var res [2]*Result
 	var errs [2]error
 	var wg sync.WaitGroup
@@ -184,7 +186,7 @@ func TestSharedSigCacheUnderRanges(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			eng := New(Config{Shape: shapes[k].shape, Workers: 2, Policies: r.pols, SkipLedger: true, SigCache: sc}, statedb.NewStore(), nil)
+			eng := New(Config{Workers: workers[k], Policies: r.pols, SkipLedger: true, SigCache: sc}, statedb.NewStore(), nil)
 			defer eng.Close()
 			res[k], errs[k] = eng.ValidateAndCommit(raw)
 		}()
@@ -195,10 +197,11 @@ func TestSharedSigCacheUnderRanges(t *testing.T) {
 		if errs[k] != nil {
 			t.Fatal(errs[k])
 		}
-		checkSame(t, shapes[k].name, 0, res[k].Flags, res[k].CommitHash, wants[0].flags, wants[0].commit)
+		label := strconv.Itoa(workers[k]) + " workers"
+		checkSame(t, label, 0, res[k].Flags, res[k].CommitHash, wants[0].flags, wants[0].commit)
 		bd := res[k].Breakdown
 		if bd.ECDSACount+bd.SigCacheHits != perEngine {
-			t.Fatalf("%s: %d computed + %d hits, want %d checks", shapes[k].name, bd.ECDSACount, bd.SigCacheHits, perEngine)
+			t.Fatalf("%s: %d computed + %d hits, want %d checks", label, bd.ECDSACount, bd.SigCacheHits, perEngine)
 		}
 		computed += bd.ECDSACount
 	}
@@ -237,20 +240,20 @@ func TestBadClientSignatureStillVerifiesEndorsements(t *testing.T) {
 	if wants[0].flags[2] != byte(block.BadSignature) || block.CountValid(wants[0].flags) != 4 {
 		t.Fatalf("oracle flags %v", wants[0].flags)
 	}
-	for _, sh := range shapes {
+	for _, v := range variants {
 		store := statedb.NewStore()
-		eng := New(Config{Shape: sh.shape, Workers: 2, Policies: r.pols, SkipLedger: true}, store, nil)
+		eng := New(Config{Workers: 2, Policies: r.pols, SkipLedger: true, Prefetch: v.prefetch}, store, nil)
 		res, err := eng.ValidateAndCommit(raw)
 		eng.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkSame(t, sh.name, 0, res.Flags, res.CommitHash, wants[0].flags, wants[0].commit)
+		checkSame(t, v.name, 0, res.Flags, res.CommitHash, wants[0].flags, wants[0].commit)
 		if !bytes.Equal(b.Header.DataHash, block.DataHash(b.Envelopes)) || !statedb.SnapshotsEqual(store.Snapshot(), wantState) {
-			t.Fatalf("%s: data hash or state diverged", sh.name)
+			t.Fatalf("%s: data hash or state diverged", v.name)
 		}
 		if got, want := res.Breakdown.ECDSACount, 1+3*5; got != want {
-			t.Fatalf("%s: %d signatures computed, want %d: the bad transaction's two endorsements included", sh.name, got, want)
+			t.Fatalf("%s: %d signatures computed, want %d: the bad transaction's two endorsements included", v.name, got, want)
 		}
 	}
 }

@@ -17,7 +17,8 @@ import (
 // oracle is the differential reference: a naive validator written straight
 // from the Fabric v1.4 rules, sharing no code with the engine's stages or
 // with validator.VSCCOne — one goroutine, no caches, no breakdown, its own
-// plain map for state. Both engine shapes must agree with it bit for bit.
+// plain map for state. Every engine configuration must agree with it bit
+// for bit.
 type oracle struct {
 	pols  map[string]*policy.Policy
 	ids   map[string]identity.EncodedID // certificate bytes -> identity

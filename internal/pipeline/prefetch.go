@@ -18,11 +18,12 @@ import (
 // trick as Octopus's pipeline prefetcher and classic parallel-I/O
 // read-ahead.
 //
-// Warm-up reads are pure cache promotions: they never touch MVCache version
-// chains, so validation verdicts are bit-identical with prefetch on or off.
+// Warm-up reads are pure cache promotions: they never change a value or a
+// version, so validation verdicts are bit-identical with prefetch on or off.
 type prefetcher struct {
-	tasks chan prefetchTask
-	pool  sync.WaitGroup
+	tasks  chan prefetchTask
+	pool   sync.WaitGroup
+	closed sync.Once
 
 	keys atomic.Int64 // total warm-up reads issued
 }
@@ -86,10 +87,13 @@ func (p *prefetcher) start(txs []validator.ParsedTx) *sync.WaitGroup {
 	return done
 }
 
-// close drains the pool; pending warm-ups complete first.
+// close drains the pool; pending warm-ups complete first. Later calls are
+// no-ops.
 func (p *prefetcher) close() {
-	close(p.tasks)
-	p.pool.Wait()
+	p.closed.Do(func() {
+		close(p.tasks)
+		p.pool.Wait()
+	})
 }
 
 // prefetched reports the total number of warm-up reads issued.

@@ -227,27 +227,16 @@ func scanCheckpointFiles(dir string) []CheckpointRef {
 
 // Checkpoints returns the recovery candidates in dir, newest-first, plus
 // human-readable notes about any degradation met along the way (corrupt
-// manifest, scan fallback). A legacy un-suffixed checkpoint file (from the
-// pre-manifest layout) is appended last so old peer directories still
-// fast-sync. The refs are candidates, not guarantees — recovery validates
-// each with LoadCheckpoint and falls through on failure.
-func Checkpoints(dir string, legacyFile string) ([]CheckpointRef, []string) {
-	var notes []string
+// manifest, scan fallback). The refs are candidates, not guarantees —
+// recovery validates each with LoadCheckpoint and falls through on failure.
+func Checkpoints(dir string) ([]CheckpointRef, []string) {
 	refs, err := loadManifest(dir)
-	if err != nil {
-		if !errors.Is(err, os.ErrNotExist) {
-			notes = append(notes, fmt.Sprintf("checkpoint manifest unreadable (%v); scanning directory", err))
-		}
-		refs = scanCheckpointFiles(dir)
-		if err == nil || len(refs) > 0 {
-			sort.Slice(refs, func(i, j int) bool { return refs[i].Height > refs[j].Height })
-		}
+	if err == nil {
+		return refs, nil
 	}
-	if legacyFile != "" {
-		if _, err := os.Stat(filepath.Join(dir, legacyFile)); err == nil {
-			// Height unknown until loaded; 0 keeps it ordered last.
-			refs = append(refs, CheckpointRef{File: legacyFile, Height: 0})
-		}
+	var notes []string
+	if !errors.Is(err, os.ErrNotExist) {
+		notes = append(notes, fmt.Sprintf("checkpoint manifest unreadable (%v); scanning directory", err))
 	}
-	return refs, notes
+	return scanCheckpointFiles(dir), notes
 }

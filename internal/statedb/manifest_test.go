@@ -25,7 +25,7 @@ func TestManagedCheckpointRotation(t *testing.T) {
 			t.Fatalf("retained %d generations, want <= 2", len(refs))
 		}
 	}
-	refs, notes := Checkpoints(dir, "")
+	refs, notes := Checkpoints(dir)
 	if len(notes) != 0 {
 		t.Fatalf("clean directory produced notes: %v", notes)
 	}
@@ -63,7 +63,7 @@ func TestManifestCorruptionFallsBackToScan(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, ManifestFile), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	refs, notes := Checkpoints(dir, "")
+	refs, notes := Checkpoints(dir)
 	if len(notes) == 0 {
 		t.Error("corrupt manifest produced no degradation note")
 	}
@@ -74,7 +74,7 @@ func TestManifestCorruptionFallsBackToScan(t *testing.T) {
 	if _, err := WriteManagedCheckpoint(dir, kvs, 6, 2, nil); err != nil {
 		t.Fatal(err)
 	}
-	refs, notes = Checkpoints(dir, "")
+	refs, notes = Checkpoints(dir)
 	if len(notes) != 0 {
 		t.Fatalf("manifest still degraded after rewrite: %v", notes)
 	}
@@ -92,28 +92,5 @@ func TestManifestRejectsEscapingNames(t *testing.T) {
 	}
 	if _, err := loadManifest(dir); err == nil {
 		t.Fatal("escaping manifest entry accepted")
-	}
-}
-
-// TestCheckpointsLegacyFile: a pre-manifest "checkpoint" file is appended
-// last, so old peer directories still recover (after every generation is
-// tried first).
-func TestCheckpointsLegacyFile(t *testing.T) {
-	dir := t.TempDir()
-	kvs := NewStore()
-	seedState(kvs, 4)
-	if err := SaveCheckpoint(filepath.Join(dir, "checkpoint"), kvs, 7); err != nil {
-		t.Fatal(err)
-	}
-	refs, _ := Checkpoints(dir, "checkpoint")
-	if len(refs) != 1 || refs[0].File != "checkpoint" {
-		t.Fatalf("legacy-only refs %+v", refs)
-	}
-	if _, err := WriteManagedCheckpoint(dir, kvs, 9, 2, nil); err != nil {
-		t.Fatal(err)
-	}
-	refs, _ = Checkpoints(dir, "checkpoint")
-	if len(refs) != 2 || refs[0].Height != 9 || refs[len(refs)-1].File != "checkpoint" {
-		t.Fatalf("refs %+v, want generation first, legacy last", refs)
 	}
 }

@@ -3,8 +3,7 @@
 // ParseCache), block verification (VerifyOrderer), transaction verification
 // plus vscc over a range of transactions (VSCC), and the Result/Breakdown
 // vocabulary the experiments read. It has no driver: the one engine that
-// sequences these steps over a block, in either of its two shapes, is
-// internal/pipeline.
+// sequences these steps over a block is internal/pipeline.
 //
 // Per Fabric behaviour, vscc verifies ALL endorsements — it runs the
 // ends_scheduler (policy.Scheduler) in Fabric's setting, every endorsement

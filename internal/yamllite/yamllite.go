@@ -305,7 +305,7 @@ func scalar(s string) any {
 	return s
 }
 
-// --- typed accessors used by internal/config ---
+// --- typed accessors ---
 
 // GetMap fetches a nested mapping by key.
 func GetMap(n Node, key string) (map[string]any, bool) {

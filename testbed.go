@@ -18,7 +18,6 @@ import (
 	"bmac/internal/peer"
 	"bmac/internal/raft"
 	"bmac/internal/statedb"
-	"bmac/internal/wire"
 )
 
 // Workload generates benchmark transactions; the concrete workloads mirror
@@ -61,8 +60,8 @@ type Testbed struct {
 	Config    *Config
 	Network   *identity.Network
 	Endorsers []*endorser.Endorser
-	SWPeer    *peer.Peer // the engine in its Fabric v1.4 shape (the paper's sw_validator)
-	ParPeer   *peer.Peer // the engine in its default, dependency-scheduled shape
+	SWPeer    *peer.Peer // the paper's sw_validator: the engine at the testbed's fixed vscc worker count
+	ParPeer   *peer.Peer // the same engine sized and prefetched by the pipeline section
 	BMacPeer  *peer.BMacPeer
 	Orderer   *orderer.Orderer
 
@@ -83,9 +82,6 @@ func NewTestbed(cfg *Config, dir string) (*Testbed, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// Hot-path marshal pooling is a process-wide switch; apply the config's
-	// choice before any block is built or delivered.
-	wire.SetBufferPooling(!cfg.Hotpath.NoMarshalPool)
 	net, err := cfg.BuildNetwork()
 	if err != nil {
 		return nil, err
