@@ -24,6 +24,10 @@ import (
 // 100 MB; we allow 128 MB).
 const MaxBlockSize = 128 << 20
 
+// frameChunk is the most ReadBlock allocates for a frame's body before any
+// of it has arrived; past it the buffer doubles as the body comes in.
+const frameChunk = 1 << 20
+
 // ErrTooLarge reports a block exceeding MaxBlockSize.
 var ErrTooLarge = errors.New("gossip: block exceeds maximum size")
 
@@ -61,9 +65,18 @@ func ReadBlock(r io.Reader) (*block.Block, int, error) {
 	if n > MaxBlockSize {
 		return nil, 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
 	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return nil, 0, fmt.Errorf("gossip read block: %w", err)
+	// The buffer grows as the body arrives, so a frame that claims more
+	// than it carries costs what it carried, not what it claimed.
+	data := make([]byte, min(n, frameChunk))
+	for got := 0; ; {
+		m, err := io.ReadFull(r, data[got:])
+		if got += m; err != nil {
+			return nil, 0, fmt.Errorf("gossip read block: %w", err)
+		}
+		if got == int(n) {
+			break
+		}
+		data = append(data, make([]byte, min(int(n)-got, got))...)
 	}
 	b, err := block.Unmarshal(data)
 	if err != nil {

@@ -61,6 +61,29 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadBlockGrowsPastChunk: a frame several times frameChunk is read
+// whole as its buffer grows, and one cut short errors.
+func TestReadBlockGrowsPastChunk(t *testing.T) {
+	b := makeBlock(t, 1, 1)
+	b.Envelopes[0].PayloadBytes = bytes.Repeat([]byte{7}, 3*frameChunk+5)
+	var buf bytes.Buffer
+	wn, err := WriteBlock(&buf, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := bytes.Clone(buf.Bytes())
+	got, rn, err := ReadBlock(&buf)
+	if err != nil || rn != wn {
+		t.Fatalf("read %d of %d bytes: %v", rn, wn, err)
+	}
+	if !bytes.Equal(got.Envelopes[0].PayloadBytes, b.Envelopes[0].PayloadBytes) {
+		t.Error("payload changed across the frame")
+	}
+	if got, _, err := ReadBlock(bytes.NewReader(whole[:len(whole)-1])); err == nil || got != nil {
+		t.Errorf("a frame one byte short: block %v, err %v", got != nil, err)
+	}
+}
+
 func TestWriteRejectsOversized(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := WriteRaw(&buf, make([]byte, MaxBlockSize+1)); !errors.Is(err, ErrTooLarge) {

@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"hash"
-	"log"
 	"os"
 	"path/filepath"
 	"sync"
@@ -253,8 +252,8 @@ func Open(dir string, opts Options) (*Ledger, error) {
 	return l, nil
 }
 
-// warnf records a recovery notice (readable via Warnings) and logs it.
-// The ring is bounded: once full, the oldest notice is evicted and the
+// warnf records a recovery notice, readable via Warnings; nothing is
+// printed. The ring is bounded: once full, the oldest notice is evicted and the
 // eviction counted, so a pathologically torn ledger cannot grow memory
 // without bound during replay. It must be called with l.mu held.
 func (l *Ledger) warnf(format string, args ...any) {
@@ -266,7 +265,14 @@ func (l *Ledger) warnf(format string, args ...any) {
 	} else {
 		l.warnings = append(l.warnings, msg)
 	}
-	log.Printf("ledger: %s", msg)
+}
+
+// Warnf records a recovery notice of the ledger's owner (a peer's checkpoint
+// fallback, say) in the same bounded ring as the ledger's own.
+func (l *Ledger) Warnf(format string, args ...any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.warnf(format, args...)
 }
 
 // Warnings returns the most recent recovery notices (e.g. a truncated torn

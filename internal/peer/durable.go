@@ -17,7 +17,6 @@ package peer
 import (
 	"errors"
 	"fmt"
-	"log"
 	"os"
 	"path/filepath"
 
@@ -122,7 +121,7 @@ func NewDurableParallelPeer(cfg pipeline.Config, kvs statedb.KVS, dir string, op
 func recoverState(kvs statedb.KVS, led *ledger.Ledger, dir string, pc *validator.ParseCache, opts DurableOptions) error {
 	refs, notes := statedb.Checkpoints(dir)
 	for _, n := range notes {
-		log.Printf("peer: %s: %s", dir, n)
+		led.Warnf("peer: %s", n)
 	}
 	if opts.NoFastSync {
 		// Full-replay measurement baseline: walk oldest-first.
@@ -141,7 +140,7 @@ func recoverState(kvs statedb.KVS, led *ledger.Ledger, dir string, pc *validator
 		case errors.Is(err, os.ErrNotExist):
 			continue
 		default:
-			log.Printf("peer: %s: checkpoint %s unusable (%v); falling back", dir, ref.File, err)
+			led.Warnf("peer: checkpoint %s unusable (%v); falling back", ref.File, err)
 			continue
 		}
 		if h > led.Height() {
@@ -149,13 +148,13 @@ func recoverState(kvs statedb.KVS, led *ledger.Ledger, dir string, pc *validator
 			// older generation can still anchor replay.
 			aheadErr = fmt.Errorf("peer: checkpoint at height %d is ahead of ledger height %d in %s",
 				h, led.Height(), dir)
-			log.Printf("%v; falling back", aheadErr)
+			led.Warnf("%v; falling back", aheadErr)
 			continue
 		}
 		if h < led.Base() {
 			// Replay from h would need pruned blocks.
-			log.Printf("peer: %s: checkpoint %s at height %d is below the prune floor %d; falling back",
-				dir, ref.File, h, led.Base())
+			led.Warnf("peer: checkpoint %s at height %d is below the prune floor %d; falling back",
+				ref.File, h, led.Base())
 			continue
 		}
 		statedb.RestoreSnapshot(kvs, snap)

@@ -2,8 +2,10 @@ package peer
 
 import (
 	"bytes"
+	"log"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"bmac/internal/statedb"
@@ -14,7 +16,8 @@ import (
 
 // TestRecoveryFallsBackOnCorruptNewestCheckpoint: clobbering the newest
 // checkpoint generation costs extra replay (the older generation anchors
-// recovery), never the peer — and the recovered state is bit-identical.
+// recovery), never the peer — and the recovered state is bit-identical. The
+// fallback is noted in the ledger's Warnings ring, and nothing is logged.
 func TestRecoveryFallsBackOnCorruptNewestCheckpoint(t *testing.T) {
 	f := newChainFixture(t)
 	blocks := f.chain(t, 6)
@@ -49,11 +52,24 @@ func TestRecoveryFallsBackOnCorruptNewestCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
 	p2, err := Open(cfg, statedb.NewStore(), dir, DurableOptions{CheckpointEvery: 2})
+	log.SetOutput(os.Stderr)
 	if err != nil {
 		t.Fatalf("recovery with a corrupt newest generation: %v", err)
 	}
 	defer p2.Close()
+	if logged.Len() != 0 {
+		t.Errorf("recovery logged %q", logged.String())
+	}
+	noted := false
+	for _, w := range p2.Ledger.Warnings() {
+		noted = noted || strings.Contains(w, refs[0].File+" unusable")
+	}
+	if !noted {
+		t.Errorf("no fallback note for %s in %q", refs[0].File, p2.Ledger.Warnings())
+	}
 	if p2.Height() != 6 {
 		t.Fatalf("recovered height %d, want 6", p2.Height())
 	}

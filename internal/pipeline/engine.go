@@ -4,14 +4,16 @@
 // the validation phase of a Fabric v1.4 peer — the paper's software
 // baseline (Figure 2a):
 //
-//   - unmarshal: the block's payloads decoded one at a time;
-//   - block verify, then vscc fanned over Workers goroutines (the "vscc
-//     threads" == vCPUs knob), each signature range one batch;
+//   - unmarshal: the block's payloads decoded one at a time, in order, each
+//     vscc range handed on as soon as its last payload is decoded;
+//   - vscc over Workers (the "vscc threads" == vCPUs knob), each signature
+//     range one batch, with block verification beside it on the caller;
 //   - mvcc strictly in transaction order against the state database;
 //   - flush: state database writes, then the ledger.
 //
-// The stages run in order on the caller's goroutine (ValidateAndCommit,
-// ValidateAndCommitBlock). The one option beside Workers is the async
+// The caller (ValidateAndCommit, ValidateAndCommitBlock) is one of the
+// Workers; at Workers = 1 every stage runs in order on it, with no
+// goroutine. The one option beside Workers is the async
 // read-set prefetch (prefetch.go), which hides a slow backend's misses
 // under vscc and changes no verdict. Flags, commit hash and final state are
 // bit-identical to a naive reference validator on every block; the
@@ -40,7 +42,8 @@ import (
 
 // Config parameterizes the commit engine.
 type Config struct {
-	// Workers is the vscc goroutine budget. Zero means GOMAXPROCS.
+	// Workers is the vscc worker budget, the caller included. Zero means
+	// GOMAXPROCS.
 	Workers int
 	// Policies maps chaincode name to its endorsement policy.
 	Policies map[string]*policy.Policy
@@ -80,7 +83,7 @@ func (c *Config) verifyOpts() validator.VerifyOpts {
 // Result is the outcome of validating and committing one block.
 type Result = validator.Result
 
-// job carries one block through the four stages.
+// job carries one block through the three stages.
 type job struct {
 	raw   []byte // the marshaled block, when it came in marshaled
 	start time.Time
@@ -92,6 +95,8 @@ type job struct {
 	bd   validator.Breakdown
 	skip bool // no commit: unmarshal or block verification failed
 
+	ranges rangePool // the block's vscc ranges and the workers taking them
+
 	// warm tracks the block's async read-set prefetch; the decide stage
 	// waits on it so a warm-up read and a committed write can't interleave
 	// mid-check. nil when prefetch is off or the block never parsed.
@@ -99,10 +104,10 @@ type job struct {
 }
 
 // Engine is the one type that validates and commits a block. A block goes
-// through four stages, each a plain function of its job, in order on the
-// caller's goroutine — parse (unmarshal, plus the async read-set prefetch),
-// verify (block verification + vscc), decide (mvcc) and flush (state
-// database, then ledger).
+// through three stages, each a plain function of its job, called in order
+// by the caller — parseVerify (unmarshal, the async read-set prefetch, block
+// verification and vscc), decide (mvcc) and flush (state database, then
+// ledger).
 //
 // The engine runs over any statedb.KVS backend; with cfg.Prefetch the
 // warm-up readers hide a slow backend's read latency under vscc.
@@ -148,7 +153,7 @@ func (e *Engine) PrefetchedKeys() int {
 	return e.pf.prefetched()
 }
 
-// ValidateAndCommit runs one marshaled block through the four stages:
+// ValidateAndCommit runs one marshaled block through the three stages:
 // Unmarshal, then what ValidateAndCommitBlock does, with the block decode
 // counted in the unmarshal stage (the paper measures it).
 func (e *Engine) ValidateAndCommit(raw []byte) (*Result, error) {
@@ -169,8 +174,7 @@ func (e *Engine) ValidateAndCommitBlock(b *block.Block) (*Result, error) {
 }
 
 func (e *Engine) run(j *job) (*Result, error) {
-	e.parse(j)
-	e.verify(j)
+	e.parseVerify(j)
 	e.decide(j)
 	e.flush(j)
 	return j.res, j.err
@@ -185,9 +189,16 @@ func (e *Engine) Close() {
 	}
 }
 
-// --- stage 1: unmarshal ---
+// --- stage 1: unmarshal, block verification and vscc ---
 
-func (e *Engine) parse(j *job) {
+// parseVerify decodes the block's payloads one at a time, in order, on the
+// caller, releasing each vscc range as soon as its last payload is parsed;
+// then it verifies the block and takes the ranges still unclaimed like any
+// helper. Up to Workers−1 helper goroutines vscc the released ranges
+// meanwhile, so unmarshal and block verification run beside vscc (the
+// paper's block_verify beside tx_verify, Fig. 6). At Workers = 1 no helper
+// starts and the order is Fabric v1.4's: unmarshal, block verify, vscc.
+func (e *Engine) parseVerify(j *job) {
 	t := time.Now()
 	if j.b == nil {
 		b, err := block.Unmarshal(j.raw)
@@ -199,7 +210,21 @@ func (e *Engine) parse(j *job) {
 		j.b = b
 	}
 	b := j.b
-	j.txs = make([]validator.ParsedTx, len(b.Envelopes))
+	n := len(b.Envelopes)
+	j.txs = make([]validator.ParsedTx, n)
+	j.res = &Result{BlockNum: b.Header.Number, Flags: make([]byte, n)}
+	p := &j.ranges
+	p.init(n, e.cfg.Workers)
+	// Each helper tallies its operation counters privately; they are merged
+	// into the block's breakdown once every helper has finished.
+	tallies := make([]validator.Breakdown, vsccHelpers(p.count, e.cfg.Workers))
+	for i := range tallies {
+		p.wg.Add(1)
+		go func(ops *validator.Breakdown) {
+			defer p.wg.Done()
+			e.vsccRanges(j, ops)
+		}(&tallies[i])
+	}
 	// One payload at a time, as Fabric v1.4 does. With a ParseCache,
 	// payloads any sharing path already decoded are served from the
 	// interning table instead of re-walked.
@@ -209,44 +234,106 @@ func (e *Engine) parse(j *job) {
 		if hit {
 			j.bd.ParseCacheHits++
 		}
+		if i+1 == n || (i+1)%p.size == 0 {
+			p.release((i + p.size) / p.size)
+		}
 	}
 	j.bd.Unmarshal = time.Since(t)
 	// Read sets are known now: kick off the async warm-up so backend
-	// misses resolve while this block is in the vscc stage.
+	// misses resolve while this block is in vscc.
 	if e.pf != nil {
 		j.warm = e.pf.start(j.txs)
 	}
-}
 
-// --- stage 2: block verification + vscc ---
-
-func (e *Engine) verify(j *job) {
-	if j.skip {
-		return
-	}
-	j.res = &Result{BlockNum: j.b.Header.Number, Flags: make([]byte, len(j.txs))}
-	flags := j.res.Flags
-	opts := e.cfg.verifyOpts()
-
-	t := time.Now()
-	blockErr := validator.VerifyOrderer(j.b, opts, &j.bd)
+	t = time.Now()
+	blockErr := validator.VerifyOrderer(b, e.cfg.verifyOpts(), &j.bd)
 	j.bd.BlockVerify = time.Since(t)
 	if blockErr != nil {
-		for i := range flags {
-			flags[i] = byte(block.InvalidOther)
+		p.failed.Store(true)
+	}
+	// Only the vscc left after block verification is the caller's time in
+	// vscc; the rest ran hidden under unmarshal and block verification.
+	t = time.Now()
+	e.vsccRanges(j, &j.bd)
+	p.wg.Wait()
+	j.bd.VerifyVSCC = time.Since(t)
+	for i := range tallies {
+		j.bd.AddOps(&tallies[i])
+	}
+	if blockErr != nil {
+		for i := range j.res.Flags {
+			j.res.Flags[i] = byte(block.InvalidOther)
 		}
 		j.err = fmt.Errorf("%w: %v", validator.ErrBlockInvalid, blockErr)
 		j.skip = true
 		return
 	}
 	j.res.BlockValid = true
+}
 
-	t = time.Now()
-	n := len(j.txs)
-	fanOut(n, e.cfg.Workers, VSCCRange(n, e.cfg.Workers), &j.bd, func(lo, hi int, ops *validator.Breakdown) {
-		validator.VSCC(j.b.Envelopes[lo:hi], j.txs[lo:hi], flags[lo:hi], e.circuits, opts, ops)
-	})
-	j.bd.VerifyVSCC = time.Since(t)
+// vsccHelpers is how many goroutines beside the caller vscc a block of
+// `ranges` vscc ranges: one fewer than the workers, and fewer than the
+// ranges, since the caller takes one too.
+func vsccHelpers(ranges, workers int) int {
+	return max(0, min(workers, ranges)-1)
+}
+
+// vsccRanges validates the block's ranges as it claims them, until none is
+// left to start.
+func (e *Engine) vsccRanges(j *job, ops *validator.Breakdown) {
+	p := &j.ranges
+	opts := e.cfg.verifyOpts()
+	for r, ok := p.claim(); ok; r, ok = p.claim() {
+		lo, hi := r*p.size, min((r+1)*p.size, len(j.txs))
+		validator.VSCC(j.b.Envelopes[lo:hi], j.txs[lo:hi], j.res.Flags[lo:hi], e.circuits, opts, ops)
+	}
+}
+
+// rangePool hands a block's vscc ranges to its workers: the caller releases
+// them in order as their payloads are parsed, and every worker, the caller
+// included, claims them in order.
+type rangePool struct {
+	size, count int          // transactions per range; ranges in the block
+	next        atomic.Int64 // the next range to claim
+	failed      atomic.Bool  // block verification failed: start no further range
+	wg          sync.WaitGroup
+
+	mu       sync.Mutex
+	parsed   sync.Cond // broadcast when released grows
+	released int       // guarded by mu; ranges whose payloads are all parsed
+}
+
+// init cuts an n-transaction block into ranges for workers.
+func (p *rangePool) init(n, workers int) {
+	p.size = VSCCRange(n, workers)
+	p.count = (n + p.size - 1) / p.size
+	p.parsed.L = &p.mu
+}
+
+// release marks ranges [0, r) parsed.
+func (p *rangePool) release(r int) {
+	p.mu.Lock()
+	p.released = r
+	p.mu.Unlock()
+	p.parsed.Broadcast()
+}
+
+// claim takes the next range once it is released. ok is false when every
+// range is taken or block verification has failed.
+func (p *rangePool) claim() (r int, ok bool) {
+	r = int(p.next.Add(1)) - 1
+	if r >= p.count {
+		return 0, false
+	}
+	p.mu.Lock()
+	for p.released <= r {
+		p.parsed.Wait()
+	}
+	p.mu.Unlock()
+	if p.failed.Load() {
+		return 0, false
+	}
+	return r, true
 }
 
 // maxVSCCRange caps the transactions vscc'd as one range, whose signatures
@@ -267,7 +354,7 @@ func VSCCRange(n, workers int) int {
 	return max(1, min((n+workers-1)/workers, maxVSCCRange))
 }
 
-// --- stage 3: mvcc ---
+// --- stage 2: mvcc ---
 
 // decide re-checks each still-valid transaction's read set against the
 // state database and the keys written earlier in this block, strictly in
@@ -311,7 +398,7 @@ func (e *Engine) decide(j *job) {
 	j.b.Metadata.ValidationFlags = flags
 }
 
-// --- stage 4: state database + ledger flush ---
+// --- stage 3: state database + ledger flush ---
 
 func (e *Engine) flush(j *job) {
 	if !j.skip {
@@ -347,36 +434,5 @@ func (e *Engine) flush(j *job) {
 	if !j.skip {
 		e.cfg.Metrics.ObserveBlock(len(j.txs), j.bd.Unmarshal, j.bd.BlockVerify, j.bd.VerifyVSCC,
 			j.bd.MVCC, j.bd.StateDB, j.bd.LedgerCommit, j.bd.PrefetchWait, j.bd.Total)
-	}
-}
-
-// fanOut runs fn(lo, hi, ops) over [0, n) cut into ranges of chunk on up to
-// `workers` goroutines, which take the ranges in order as they come free,
-// and waits. ops is where fn tallies operation counters: bd itself when the
-// work stays on the caller's goroutine, otherwise a goroutine-private tally
-// merged into bd once every goroutine has finished.
-func fanOut(n, workers, chunk int, bd *validator.Breakdown, fn func(lo, hi int, ops *validator.Breakdown)) {
-	workers = min(workers, (n+chunk-1)/chunk)
-	if workers <= 1 {
-		for lo := 0; lo < n; lo += chunk {
-			fn(lo, min(lo+chunk, n), bd)
-		}
-		return
-	}
-	tallies := make([]validator.Breakdown, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := range tallies {
-		wg.Add(1)
-		go func(ops *validator.Breakdown) {
-			defer wg.Done()
-			for lo := int(next.Add(int64(chunk))) - chunk; lo < n; lo = int(next.Add(int64(chunk))) - chunk {
-				fn(lo, min(lo+chunk, n), ops)
-			}
-		}(&tallies[w])
-	}
-	wg.Wait()
-	for w := range tallies {
-		bd.AddOps(&tallies[w])
 	}
 }

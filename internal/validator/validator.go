@@ -31,6 +31,13 @@ import (
 // Breakdown records where validation time went for one block, mirroring the
 // coarse breakdown of Figure 3b / Figure 10 (stage level) and the profiling
 // view of Figure 3a (operation level).
+//
+// Stage durations are the committing goroutine's: Total is the block's wall
+// time and the stages tile it. On more than one worker, vscc starts while
+// that goroutine is still in Unmarshal and BlockVerify; the part of vscc
+// that ran beside them is hidden under them, and VerifyVSCC is only what is
+// left once block verification is done. The operation-level counters sum
+// over every worker.
 type Breakdown struct {
 	// Stage-level (Figure 10 categories).
 	Unmarshal    time.Duration
