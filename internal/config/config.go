@@ -82,8 +82,7 @@ type CryptoSpec struct {
 	// path built from one Config shares one cache, so a signature is
 	// ECDSA-verified once per process no matter how many peers see it.
 	// The default covers the reuse distance — orderer check to the last
-	// peer's check, a few blocks — not history: every live entry is
-	// scanned by every garbage collection (see Default).
+	// peer's check, a few blocks — not history (see Default).
 	SigCacheSize int
 	// CertCacheSize bounds the shared parsed-certificate cache
 	// (fabcrypto.CertCache) in certificates; 0 disables it. The same
@@ -303,7 +302,8 @@ func (c *Config) TelemetryRegistry() *telemetry.Registry {
 // same process reaches a block within that distance (the hit rates on the
 // ruler's e2e workload are those of the 8 192 / 16 384 entries replaced,
 // 0.46 and 0.60), and a peer that sees a chain once never hits at all — but
-// every entry is live heap the collector marks each cycle, and on a host
+// a parsed envelope is live heap the collector marks each cycle (the
+// signature cache's rings hold no pointers and are not scanned), and on a host
 // with idle CPUs a mark phase holds back timers and wake-ups for as long
 // as it runs: at 8 192 and 16 384 entries the caches were half of the
 // process's mark work, and the mark phases held about half of the paced

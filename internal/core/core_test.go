@@ -2,7 +2,11 @@ package core
 
 import (
 	"bytes"
+	"crypto/ecdsa"
+	"encoding/asn1"
+	"fmt"
 	"math/big"
+	"slices"
 	"testing"
 
 	"bmac/internal/block"
@@ -451,7 +455,7 @@ func TestOversizeSignatureComponentAllPaths(t *testing.T) {
 		}
 		envs = append(envs, *env)
 	}
-	wide, err := fabcrypto.MarshalDERSignature(new(big.Int).Lsh(big.NewInt(1), 299), big.NewInt(1))
+	wide, err := asn1.Marshal(struct{ R, S *big.Int }{new(big.Int).Lsh(big.NewInt(1), 299), big.NewInt(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,6 +497,103 @@ func TestOversizeSignatureComponentAllPaths(t *testing.T) {
 	for i, c := range commits[1:] {
 		if !bytes.Equal(c, commits[0]) {
 			t.Errorf("commit hash of path %d differs: %x vs %x", i+1, c, commits[0])
+		}
+	}
+}
+
+// extraDERElement returns sig, a DER signature, as SEQUENCE { r, s, INTEGER 0 }.
+func extraDERElement(sig []byte) []byte {
+	out := append([]byte{0x30, sig[1] + 3}, sig[2:]...)
+	return append(out, 0x02, 0x01, 0x00)
+}
+
+// TestExtraDERElementAllPaths: a valid (r, s) followed by a third element
+// inside its SEQUENCE is not strict DER, and crypto/ecdsa.VerifyASN1 rejects
+// it. encoding/asn1, which ignores trailing struct elements, used to accept
+// it on every path. On a client signature it is BadSignature, on one
+// endorsement of a 2of2 transaction EndorsementPolicyFailure — at 1 and 4
+// workers and on the BMac path alike, with one commit hash per block.
+func TestExtraDERElementAllPaths(t *testing.T) {
+	r := newRig(t, 2, "2of2", Config{TxValidators: 2, VSCCEngines: 2})
+	ends := []*identity.Identity{r.peers[0], r.peers[1]}
+	var blocks []*block.Block
+	for num, key := range []string{"a", "b"} {
+		var envs []block.Envelope
+		for i := 0; i < 3; i++ {
+			env, err := block.NewEndorsedEnvelope(r.spec(ends, block.RWSet{Writes: []block.KVWrite{{Key: fmt.Sprint(key, i), Value: []byte("1")}}}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			envs = append(envs, *env)
+		}
+		pub, digest, sig := r.client.PublicKey(), fabcrypto.Hash(envs[1].PayloadBytes), envs[1].Signature
+		if num == 0 {
+			envs[1].Signature = extraDERElement(sig)
+		} else { // on an endorsement, inside an envelope the client signs anew
+			tx, err := block.UnmarshalTransactionPayload(envs[1].PayloadBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := slices.Clone(tx.Payload.Action.Endorsements)
+			pub, digest, sig = r.peers[0].PublicKey(), block.EndorsementDigest(tx.Payload.Action.ProposalResponseBytes, e[0].Endorser), e[0].Signature
+			e[0].Signature = extraDERElement(sig)
+			env, err := block.NewEnvelopeFromResponses(block.AssembleSpec{
+				Creator: r.client, Chaincode: "smallbank", Channel: "ch1", Nonce: tx.SignatureHeader.Nonce,
+				PRPBytes: tx.Payload.Action.ProposalResponseBytes, Endorsers: e,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			envs[1] = *env
+		}
+		if !ecdsa.VerifyASN1(pub, digest[:], sig) || ecdsa.VerifyASN1(pub, digest[:], extraDERElement(sig)) {
+			t.Fatalf("block %d: crypto/ecdsa does not tell the two encodings apart", num)
+		}
+		b, err := block.NewBlock(uint64(num), nil, envs, r.orderer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks = append(blocks, b)
+	}
+	wants := [][]byte{
+		{byte(block.Valid), byte(block.BadSignature), byte(block.Valid)},
+		{byte(block.Valid), byte(block.EndorsementPolicyFailure), byte(block.Valid)},
+	}
+
+	commits := make([][][]byte, len(blocks))
+	for _, workers := range []int{1, 4} {
+		eng := pipeline.New(pipeline.Config{
+			Workers: workers, SkipLedger: true,
+			Policies: map[string]*policy.Policy{"smallbank": policytest.MustParse("2of2")},
+		}, statedb.NewStore(), nil)
+		for n, b := range blocks {
+			res, err := eng.ValidateAndCommit(block.Marshal(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !block.FlagsEqual(res.Flags, wants[n]) {
+				t.Errorf("%d workers, block %d: flags %v, want %v", workers, n, res.Flags, wants[n])
+			}
+			commits[n] = append(commits[n], res.CommitHash)
+		}
+		eng.Close()
+	}
+	for n, b := range blocks {
+		if _, err := r.sender.SendBlock(b); err != nil {
+			t.Fatal(err)
+		}
+		hw, ok := r.proc.GetBlockData()
+		if !ok {
+			t.Fatal("no hw result")
+		}
+		if !block.FlagsEqual(hw.Flags, wants[n]) {
+			t.Errorf("bmac, block %d: flags %v, want %v", n, hw.Flags, wants[n])
+		}
+		commits[n] = append(commits[n], block.CommitHash(nil, b.Header.DataHash, hw.Flags))
+		for i, c := range commits[n][1:] {
+			if !bytes.Equal(c, commits[n][0]) {
+				t.Errorf("block %d: commit hash of path %d differs: %x vs %x", n, i+1, c, commits[n][0])
+			}
 		}
 	}
 }

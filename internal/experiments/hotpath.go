@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/big"
 	"os"
 	"runtime"
 	"strings"
@@ -329,10 +330,11 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	// its result: 301 signatures — the orderer's, then every client's as one
 	// round and every endorsement as the next — for one call. ---
 	vt := tuples[0]
-	vr, vs, err := fabcrypto.UnmarshalDERSignature(vt.sig)
+	vparts, err := fabcrypto.DecodeDERToParts(vt.sig)
 	if err != nil {
 		return nil, err
 	}
+	vr, vs := new(big.Int).SetBytes(vparts.R[:]), new(big.Int).SetBytes(vparts.S[:])
 	encBlock, err := e.MakeBlock(BlockSpec{Txs: 100, Endorsements: 2, Reads: 2, Writes: 2})
 	if err != nil {
 		return nil, err

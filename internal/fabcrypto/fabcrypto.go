@@ -27,7 +27,6 @@ import (
 	"crypto/sha256"
 	"crypto/x509"
 	"crypto/x509/pkix"
-	"encoding/asn1"
 	"errors"
 	"fmt"
 	"hash"
@@ -128,18 +127,20 @@ func (s *Signer) SignDigest(digest []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ecdsa sign: %w", err)
 	}
-	return encodeDERSignature(r, toLowS(sv)), nil
+	var p SignatureParts
+	r.FillBytes(p.R[:])
+	toLowS(sv).FillBytes(p.S[:])
+	return PartsToDER(p), nil
 }
 
-// encodeDERSignature is MarshalDERSignature for the (r, s) of a P-256
-// signature — both in [1, N) — written by hand in one exact-size
-// allocation: SEQUENCE { INTEGER r, INTEGER s }, each INTEGER its minimal
-// big-endian bytes behind a zero byte when the top bit is set. At most 70
-// content bytes, so every length fits the short form. Only the signature's
-// public halves pass through here.
-func encodeDERSignature(r, s *big.Int) []byte {
-	var rb, sb [ScalarSize]byte
-	rm, sm := derMagnitude(r.FillBytes(rb[:])), derMagnitude(s.FillBytes(sb[:]))
+// PartsToDER writes the (r, s) of a P-256 signature — both in [1, N) — as
+// DER by hand, in one exact-size allocation: SEQUENCE { INTEGER r, INTEGER
+// s }, each INTEGER its minimal big-endian bytes behind a zero byte when the
+// top bit is set. At most 70 content bytes, so every length fits the short
+// form. The signing path's encoder and DecodeDERToParts' inverse; only a
+// signature's public halves pass through here.
+func PartsToDER(parts SignatureParts) []byte {
+	rm, sm := derMagnitude(parts.R[:]), derMagnitude(parts.S[:])
 	n := derIntSize(rm) + derIntSize(sm)
 	out := make([]byte, 0, 2+n)
 	out = append(out, 0x30, byte(n))
@@ -178,7 +179,12 @@ func VerifyDigest(pub *ecdsa.PublicKey, digest, sig []byte) error {
 	if err != nil {
 		return err
 	}
-	if !VerifyParts(pub, digest, parts) {
+	return verdict(VerifyParts(pub, digest, parts))
+}
+
+// verdict is the error of a computed verification: nil when it verified.
+func verdict(valid bool) error {
+	if !valid {
 		return ErrVerifyFailed
 	}
 	return nil
@@ -193,43 +199,6 @@ func toLowS(s *big.Int) *big.Int {
 	return s
 }
 
-// ecdsaSignature is the ASN.1 SEQUENCE { r INTEGER, s INTEGER } structure
-// defined by X9.62 and used by Fabric on the wire.
-type ecdsaSignature struct {
-	R, S *big.Int
-}
-
-// MarshalDERSignature encodes (r, s) as an ASN.1 DER ECDSA-Sig-Value.
-func MarshalDERSignature(r, s *big.Int) ([]byte, error) {
-	der, err := asn1.Marshal(ecdsaSignature{R: r, S: s})
-	if err != nil {
-		return nil, fmt.Errorf("marshal DER signature: %w", err)
-	}
-	return der, nil
-}
-
-// UnmarshalDERSignature decodes a DER ECDSA signature into (r, s): the one
-// DER parser of this package. A component wider than 256 bits, which no
-// P-256 signature has, is malformed here rather than a verification
-// failure later, so callers may copy r and s into ScalarSize bytes.
-func UnmarshalDERSignature(sig []byte) (r, s *big.Int, err error) {
-	var v ecdsaSignature
-	rest, err := asn1.Unmarshal(sig, &v)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrBadSignature, err)
-	}
-	if len(rest) != 0 {
-		return nil, nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSignature, len(rest))
-	}
-	if v.R == nil || v.S == nil || v.R.Sign() <= 0 || v.S.Sign() <= 0 {
-		return nil, nil, fmt.Errorf("%w: non-positive component", ErrBadSignature)
-	}
-	if v.R.BitLen() > 8*ScalarSize || v.S.BitLen() > 8*ScalarSize {
-		return nil, nil, fmt.Errorf("%w: component wider than 256 bits", ErrBadSignature)
-	}
-	return v.R, v.S, nil
-}
-
 // SignatureParts is the output of the protocol_processor's DER decoder
 // post-processor: the two signature halves as fixed-width 256-bit values,
 // the representation expected by the ecdsa_engine hardware.
@@ -238,36 +207,53 @@ type SignatureParts struct {
 	S [ScalarSize]byte
 }
 
-// DecodeDERToParts converts a DER signature to fixed-width (r, s) parts.
-// Signatures arrive from clients: anything but two positive integers of at
-// most 256 bits is ErrBadSignature, never a panic.
-func DecodeDERToParts(sig []byte) (SignatureParts, error) {
-	var parts SignatureParts
-	r, s, err := UnmarshalDERSignature(sig)
-	if err != nil {
-		return parts, err
+// DecodeDERToParts is the DER decoder post-processor: the mirror of
+// PartsToDER, it accepts what that writes and nothing else — SEQUENCE {
+// INTEGER r, INTEGER s } with short-form lengths, each INTEGER minimal and
+// positive and at most 256 bits wide, no byte after s or after the
+// SEQUENCE. That is crypto/ecdsa.VerifyASN1's strict DER less what no P-256
+// signature can hold, so nothing rejected here verifies there. Signatures
+// arrive from clients: anything else is ErrBadSignature, never a panic.
+//
+// bmaclint:noalloc
+func DecodeDERToParts(sig []byte) (parts SignatureParts, err error) {
+	if len(sig) < 2 || sig[0] != 0x30 || sig[1] >= 0x80 || int(sig[1]) != len(sig)-2 {
+		return parts, ErrBadSignature
 	}
-	r.FillBytes(parts.R[:])
-	s.FillBytes(parts.S[:])
+	rest, ok := readDERInt(&parts.R, sig[2:])
+	if ok {
+		rest, ok = readDERInt(&parts.S, rest)
+	}
+	if !ok || len(rest) != 0 {
+		return SignatureParts{}, ErrBadSignature
+	}
 	return parts, nil
 }
 
-// PartsToDER re-encodes fixed-width (r, s) parts as DER; used by tests to
-// prove the hardware-side representation is lossless.
-func PartsToDER(parts SignatureParts) ([]byte, error) {
-	r := new(big.Int).SetBytes(parts.R[:])
-	s := new(big.Int).SetBytes(parts.S[:])
-	return MarshalDERSignature(r, s)
+// readDERInt reads the INTEGER at the front of der — minimal, in [1, 2²⁵⁶)
+// — into dst, right-aligned, and returns the bytes after it.
+func readDERInt(dst *[ScalarSize]byte, der []byte) (rest []byte, ok bool) {
+	if len(der) < 2 || der[0] != 0x02 || der[1] == 0 || int(der[1]) > min(len(der)-2, ScalarSize+1) {
+		return nil, false
+	}
+	v, rest := der[2:2+der[1]], der[2+der[1]:]
+	if len(v) > 1 && v[0] == 0 && v[1]&0x80 != 0 {
+		v = v[1:] // the zero byte in front of a set top bit
+	} else if v[0] == 0 || v[0]&0x80 != 0 || len(v) > ScalarSize {
+		return nil, false // zero or a redundant zero byte, negative, wider than 256 bits
+	}
+	copy(dst[ScalarSize-len(v):], v)
+	return rest, true
 }
 
 // VerifyParts verifies a signature given in hardware (r, s) representation.
 // This is the exact operation one ecdsa_engine instance performs on a
-// {signature, key, data hash} verification request tuple, and the one place
-// every verification of this repository ends up: the verdict is
-// crypto/ecdsa's, computed from the key's table when it has one
-// (keytable.go).
+// verification request tuple — a public key, a 32-byte digest, a 32-byte r
+// and a 32-byte s — and the one place every verification of this
+// repository ends up: the verdict is crypto/ecdsa's, computed from the key's
+// table when it has one (keytable.go).
 func VerifyParts(pub *ecdsa.PublicKey, digest []byte, parts SignatureParts) bool {
-	one := [1]verifyReq{{pub: pub, digest: digest, parts: parts}}
+	one := [1]verifyReq{{verifyKey: resolveKey(pub), digest: digest, parts: parts}}
 	engine.verify(one[:])
 	return one[0].valid
 }

@@ -62,36 +62,36 @@ func TestVerifyRejectsGarbageDER(t *testing.T) {
 func TestDERSignatureRoundTrip(t *testing.T) {
 	r := big.NewInt(123456789)
 	sv := big.NewInt(987654321)
-	der, err := MarshalDERSignature(r, sv)
+	der, err := marshalDER(r, sv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, s2, err := UnmarshalDERSignature(der)
+	parts, err := DecodeDERToParts(der)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Cmp(r2) != 0 || sv.Cmp(s2) != 0 {
+	if r2, s2 := new(big.Int).SetBytes(parts.R[:]), new(big.Int).SetBytes(parts.S[:]); r.Cmp(r2) != 0 || sv.Cmp(s2) != 0 {
 		t.Errorf("round trip: (%v,%v) != (%v,%v)", r, sv, r2, s2)
 	}
 }
 
 func TestUnmarshalDERRejectsTrailing(t *testing.T) {
-	der, err := MarshalDERSignature(big.NewInt(1), big.NewInt(2))
+	der, err := marshalDER(big.NewInt(1), big.NewInt(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	der = append(der, 0x00)
-	if _, _, err := UnmarshalDERSignature(der); !errors.Is(err, ErrBadSignature) {
+	if _, err := DecodeDERToParts(der); !errors.Is(err, ErrBadSignature) {
 		t.Errorf("err = %v, want ErrBadSignature", err)
 	}
 }
 
 func TestUnmarshalDERRejectsNegative(t *testing.T) {
-	der, err := MarshalDERSignature(big.NewInt(-5), big.NewInt(2))
+	der, err := marshalDER(big.NewInt(-5), big.NewInt(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := UnmarshalDERSignature(der); !errors.Is(err, ErrBadSignature) {
+	if _, err := DecodeDERToParts(der); !errors.Is(err, ErrBadSignature) {
 		t.Errorf("err = %v, want ErrBadSignature", err)
 	}
 }
@@ -107,11 +107,7 @@ func TestDecodePartsLossless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := PartsToDER(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sig, back) {
+	if back := PartsToDER(parts); !bytes.Equal(sig, back) {
 		t.Error("DER -> parts -> DER is not lossless")
 	}
 	digest := Hash(msg)
@@ -136,11 +132,11 @@ func TestLowSNormalization(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, sv, err := UnmarshalDERSignature(sig)
+		parts, err := DecodeDERToParts(sig)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sv.Cmp(p256HalfOrder) > 0 {
+		if new(big.Int).SetBytes(parts.S[:]).Cmp(p256HalfOrder) > 0 {
 			t.Fatalf("signature %d has high S", i)
 		}
 	}
@@ -246,7 +242,7 @@ func TestDERPartsQuick(t *testing.T) {
 		if r.Sign() == 0 || s.Sign() == 0 {
 			return true // DER codec rejects zero by design
 		}
-		der, err := MarshalDERSignature(r, s)
+		der, err := marshalDER(r, s)
 		if err != nil {
 			return false
 		}
@@ -254,8 +250,7 @@ func TestDERPartsQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		back, err := PartsToDER(parts)
-		return err == nil && bytes.Equal(der, back)
+		return bytes.Equal(der, PartsToDER(parts))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

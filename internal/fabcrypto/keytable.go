@@ -158,11 +158,13 @@ func limbsOfBig(v *big.Int) [4]uint64 {
 	return limbsFromBytes(&b)
 }
 
-// verifyReq is one verification handed to the engine: crypto/ecdsa's verdict
-// for (pub, digest, parts) comes back in valid. table is the engine's own:
+// verifyReq is one verification handed to the engine, the paper's request
+// tuple: a public key resolved once (verifyKey), a digest — 32 bytes for the
+// tables; crypto/ecdsa takes any other — and the 32-byte r and s. The
+// verdict, crypto/ecdsa's, comes back in valid. table is the engine's own:
 // pub's table while the request is in the batch arithmetic.
 type verifyReq struct {
-	pub    *ecdsa.PublicKey
+	verifyKey
 	digest []byte
 	parts  SignatureParts
 	table  *combTable
@@ -368,17 +370,25 @@ var gTable = sync.OnceValue(func() *combTable {
 // pointKey identifies a public key by its affine coordinates, X ‖ Y.
 type pointKey [2 * ScalarSize]byte
 
-// pointKeyOf returns pub's key; ok is false for anything that is not a
-// P-256 key with coordinates of at most 256 bits, which stays with
-// crypto/ecdsa.
-func pointKeyOf(pub *ecdsa.PublicKey) (k pointKey, ok bool) {
+// verifyKey is a public key as the engine and the SigCache take it, resolved
+// once per key and batch: pt is X ‖ Y; eligible is false for anything but a
+// P-256 key with coordinates of at most 256 bits, left to crypto/ecdsa.
+type verifyKey struct {
+	pub      *ecdsa.PublicKey
+	pt       pointKey
+	eligible bool
+}
+
+func resolveKey(pub *ecdsa.PublicKey) verifyKey {
+	k := verifyKey{pub: pub}
 	if pub.Curve != elliptic.P256() || pub.X == nil || pub.Y == nil ||
 		pub.X.Sign() < 0 || pub.Y.Sign() < 0 || pub.X.BitLen() > 256 || pub.Y.BitLen() > 256 {
-		return k, false
+		return k
 	}
-	pub.X.FillBytes(k[:ScalarSize])
-	pub.Y.FillBytes(k[ScalarSize:])
-	return k, true
+	pub.X.FillBytes(k.pt[:ScalarSize])
+	pub.Y.FillBytes(k.pt[ScalarSize:])
+	k.eligible = true
+	return k
 }
 
 // keyEntry is one promoted key. table stays nil while the table is being
@@ -449,14 +459,13 @@ func (kt *keyTables) verify(reqs []verifyReq) {
 	tabled := 0
 	for i := range reqs {
 		rq := &reqs[i]
-		k, eligible := pointKeyOf(rq.pub)
-		if !eligible || len(rq.digest) != HashSize {
+		if !rq.eligible || len(rq.digest) != HashSize {
 			kt.verifyStdlib(rq)
-		} else if e := kt.lookup(k); e == nil {
-			promote := kt.countUse(k)
+		} else if e := kt.lookup(rq.pt); e == nil {
+			promote := kt.countUse(rq.pt)
 			kt.verifyStdlib(rq)
 			if promote {
-				kt.promote(k)
+				kt.promote(rq.pt)
 			}
 		} else if rq.table = e.table.Load(); rq.table == nil {
 			kt.verifyStdlib(rq)
@@ -574,12 +583,12 @@ func (kt *keyTables) promote(k pointKey) {
 // point and can have no table. It exists so the hotpath record can time a
 // build without evicting the tables of the identities being served.
 func BuildKeyTable(pub *ecdsa.PublicKey) bool {
-	k, ok := pointKeyOf(pub)
-	if !ok {
+	k := resolveKey(pub)
+	if !k.eligible {
 		return false
 	}
 	var kt keyTables
-	kt.promote(k)
+	kt.promote(k.pt)
 	return kt.built.Load() == 1
 }
 

@@ -40,9 +40,13 @@ func signWith(priv *ecdsa.PrivateKey, digest []byte, k *big.Int) (r, s *big.Int)
 
 // verifyOne is a batch of one on kt.
 func verifyOne(kt *keyTables, pub *ecdsa.PublicKey, digest []byte, parts SignatureParts) bool {
-	one := [1]verifyReq{{pub: pub, digest: digest, parts: parts}}
+	one := [1]verifyReq{reqOf(pub, digest, parts)}
 	kt.verify(one[:])
 	return one[0].valid
+}
+
+func reqOf(pub *ecdsa.PublicKey, digest []byte, parts SignatureParts) verifyReq {
+	return verifyReq{verifyKey: resolveKey(pub), digest: digest, parts: parts}
 }
 
 func partsOf(r, s *big.Int) SignatureParts {
@@ -58,12 +62,12 @@ func tablesFor(t testing.TB, pubs ...*ecdsa.PublicKey) *keyTables {
 	t.Helper()
 	kt := new(keyTables)
 	for _, pub := range pubs {
-		k, ok := pointKeyOf(pub)
-		if !ok {
+		k := resolveKey(pub)
+		if !k.eligible {
 			t.Fatal("not a P-256 key")
 		}
-		kt.promote(k)
-		if kt.lookup(k).table.Load() == nil {
+		kt.promote(k.pt)
+		if kt.lookup(k.pt).table.Load() == nil {
 			t.Fatal("no table built")
 		}
 	}
@@ -83,7 +87,7 @@ func checkVerdict(t testing.TB, kt *keyTables, pub *ecdsa.PublicKey, digest []by
 		}
 		return false, false
 	}
-	x := verifyReq{pub: pub, digest: digest, parts: partsOf(r, s)}
+	x := reqOf(pub, digest, partsOf(r, s))
 	before := kt.stats()
 	alone := [1]verifyReq{x}
 	kt.verify(alone[:])
@@ -132,7 +136,7 @@ var neighbours = sync.OnceValue(func() []neighbour {
 		if i >= fuzzKeys && i%3 == 2 {
 			digest[i%32] ^= 1
 		}
-		out[i] = neighbour{verifyReq{pub: &priv.PublicKey, digest: digest[:], parts: partsOf(r, s)}, ecdsa.Verify(&priv.PublicKey, digest[:], r, s)}
+		out[i] = neighbour{reqOf(&priv.PublicKey, digest[:], partsOf(r, s)), ecdsa.Verify(&priv.PublicKey, digest[:], r, s)}
 		if out[i].want != (i < fuzzKeys || i%3 != 2) {
 			panic("neighbour fixture: unexpected crypto/ecdsa verdict")
 		}
@@ -144,8 +148,7 @@ var neighbours = sync.OnceValue(func() []neighbour {
 var neighbourTables = sync.OnceValue(func() *keyTables {
 	kt := new(keyTables)
 	for i := 0; i < fuzzKeys; i++ {
-		k, _ := pointKeyOf(&testKey(byte(i)).PublicKey)
-		kt.promote(k)
+		kt.promote(resolveKey(&testKey(byte(i)).PublicKey).pt)
 	}
 	return kt
 })
@@ -207,7 +210,7 @@ func FuzzVerifyMatchesStdlib(f *testing.F) {
 			for i := range batch {
 				batch[i] = nb[i].req
 			}
-			batch[at] = verifyReq{pub: pub, digest: digest, parts: partsOf(r, s)}
+			batch[at] = reqOf(pub, digest, partsOf(r, s))
 			kt.verify(batch)
 			for i := range batch {
 				if w := i == at && want || i != at && nb[i].want; batch[i].valid != w {
@@ -217,7 +220,7 @@ func FuzzVerifyMatchesStdlib(f *testing.F) {
 		}
 		// The same tuple as a client sends it: DER, process-wide engine.
 		if r.Sign() > 0 && s.Sign() > 0 {
-			der, err := MarshalDERSignature(r, s)
+			der, err := marshalDER(r, s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -235,7 +238,7 @@ func TestOversizeComponentIsBadSignature(t *testing.T) {
 	digest := make([]byte, 32)
 	huge := new(big.Int).Lsh(big.NewInt(1), 299)
 	for _, c := range [][2]*big.Int{{huge, big.NewInt(1)}, {big.NewInt(1), huge}, {new(big.Int).Lsh(big.NewInt(1), 256), big.NewInt(1)}} {
-		der, err := MarshalDERSignature(c[0], c[1])
+		der, err := marshalDER(c[0], c[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -504,18 +507,7 @@ func TestSumListsExceptionalBesideOrdinary(t *testing.T) {
 // the pooled scratch, valid and corrupt signatures overlapping between them.
 // Runs under -race in CI and is deliberately not shortened by -short.
 func TestBatchScratchRace(t *testing.T) {
-	nb := neighbours()
-	ders := make([][]byte, len(nb))
-	for i := range nb {
-		ders[i], _ = PartsToDER(nb[i].req.parts)
-	}
-	for u := 0; u <= PromoteAfter; u++ { // the pool keys earn their tables in the process-wide engine
-		for i := 0; i < fuzzKeys; i++ {
-			if err := VerifyDigest(nb[i].req.pub, nb[i].req.digest, ders[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	nb, ders := neighbours(), warmPoolKeys(t)
 	cache := NewSigCache(64) // smaller than the working set: hits, misses and evictions interleave
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -590,12 +582,12 @@ func TestRentOrBuy(t *testing.T) {
 func TestStoreBounded(t *testing.T) {
 	kt := new(keyTables)
 	keepPub, keepDigest, keepParts := validTuple(0)
-	keep, _ := pointKeyOf(keepPub)
+	keep := resolveKey(keepPub).pt
 	kt.promote(keep)
 	for i := 0; i < 10*maxKeyTables; i++ {
 		var k pointKey
 		if i%8 == 0 {
-			k, _ = pointKeyOf(&keyOf(big.NewInt(int64(i + 2))).PublicKey)
+			k = resolveKey(&keyOf(big.NewInt(int64(i + 2))).PublicKey).pt
 		} else {
 			k[0], k[1], k[2] = 0x7f, byte(i>>8), byte(i)
 		}
@@ -701,7 +693,7 @@ func BenchmarkVerify(b *testing.B) {
 			priv := testKey(byte(i % 4))
 			digest := sha256.Sum256([]byte{byte(i), byte(i >> 8)})
 			r, s := signWith(priv, digest[:], big.NewInt(int64(5000+i)))
-			reqs[i] = verifyReq{pub: &priv.PublicKey, digest: digest[:], parts: partsOf(r, s)}
+			reqs[i] = reqOf(&priv.PublicKey, digest[:], partsOf(r, s))
 			pubs = append(pubs, &priv.PublicKey)
 		}
 		kt := tablesFor(b, pubs[:4]...)

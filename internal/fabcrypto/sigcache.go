@@ -1,24 +1,24 @@
 package fabcrypto
 
 import (
-	"container/list"
 	"crypto/ecdsa"
-	"crypto/sha256"
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 )
 
-// SigCache is a sharded, bounded LRU cache of ECDSA verification verdicts,
-// the analog of Fabric MSP's signature cache. A verdict is keyed by
-// SHA-256(uncompressed public key ‖ digest ‖ DER signature), so a given
-// signature is verified at most once per process no matter how many peers,
-// commit paths or replays see it — the dominant CPU cost the paper measures
-// (Figure 3a) collapses to one hash plus a map lookup on every repeat.
-//
-// Both successful and failed verdicts are cached: a verdict is a pure
-// function of (key, digest, signature), so replaying a corrupt envelope
-// through a second validation path must — and does — yield the identical
-// error without re-running the curve math.
+// SigCache is a sharded, bounded cache of ECDSA verification verdicts, the
+// analog of Fabric MSP's signature cache: a signature is verified at most
+// once per process however many peers, paths or replays see it. A verdict
+// is keyed by its request tuple — X ‖ Y, digest, r, s, which strict DER
+// names exactly as the encoding does — compared in full on a hit and never
+// hashed: bytes of the digest and of r, uniform already, pick shard and
+// bucket. Each shard is a fixed ring of pointer-free entries overwritten in
+// insertion order, so storing allocates nothing: the cache's job is a repeat
+// within a few blocks (a second peer or path, a re-fetched block), not a
+// history. Failed verdicts are cached too: a verdict is a pure function of
+// the tuple, so a corrupt envelope replayed through a second path gets the
+// identical error without the curve math.
 //
 // A nil *SigCache is valid and means "disabled": every call verifies
 // directly. All methods are safe for concurrent use.
@@ -30,20 +30,43 @@ type SigCache struct {
 	evictions atomic.Int64
 }
 
+// sigKey is a verification request as the cache holds it.
+type sigKey struct {
+	pt     pointKey
+	digest [HashSize]byte
+	parts  SignatureParts
+}
+
+// cacheKey returns rq's key; ok is false for a request the cache does not
+// hold: a key the engine leaves to crypto/ecdsa, a digest that is not 32
+// bytes.
+func (rq *verifyReq) cacheKey() (k sigKey, ok bool) {
+	if !rq.eligible || len(rq.digest) != HashSize {
+		return k, false
+	}
+	return sigKey{pt: rq.pt, digest: [HashSize]byte(rq.digest), parts: rq.parts}, true
+}
+
+// slot selects the shard (its low bits) and the bucket (the bits above).
+func (k *sigKey) slot() uint32 {
+	return binary.LittleEndian.Uint32(k.digest[:4]) ^ binary.LittleEndian.Uint32(k.parts.R[ScalarSize-4:])
+}
+
 type sigShard struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[[HashSize]byte]*list.Element // guarded by mu
-	order    *list.List                       // guarded by mu; front = most recently used
+	mu      sync.Mutex
+	ring    []sigEntry // guarded by mu; fixed, written in insertion order
+	next    int        // guarded by mu; the slot of the next verdict: the oldest one's once the ring is full
+	buckets []int32    // guarded by mu; 1 + the ring index of each bucket's newest entry, 0 for none
 }
 
 type sigEntry struct {
-	key [HashSize]byte
-	err error // nil for a valid signature
+	key   sigKey
+	older int32 // 1 + the ring index of the bucket's next older entry, 0 for none
+	used  bool
+	valid bool
 }
 
-// sigCacheShards is the fixed stripe count; selection uses the first key
-// byte, which is uniformly distributed (SHA-256 output).
+// sigCacheShards is the fixed stripe count.
 const sigCacheShards = 32
 
 // NewSigCache creates a cache bounded to roughly `size` verdicts in total.
@@ -52,106 +75,113 @@ func NewSigCache(size int) *SigCache {
 	if size < 1 {
 		return nil
 	}
-	perShard := size / sigCacheShards
-	if perShard < 1 {
-		perShard = 1
+	perShard := max(size/sigCacheShards, 1)
+	buckets := 1
+	for buckets < perShard {
+		buckets <<= 1
 	}
 	c := &SigCache{shards: make([]sigShard, sigCacheShards)}
 	for i := range c.shards {
-		c.shards[i] = sigShard{
-			capacity: perShard,
-			entries:  make(map[[HashSize]byte]*list.Element, perShard),
-			order:    list.New(),
-		}
+		c.shards[i] = sigShard{ring: make([]sigEntry, perShard), buckets: make([]int32, buckets)}
 	}
 	return c
 }
 
-// sigCacheKey hashes (public key, digest, signature) into the cache key.
-func sigCacheKey(pub *ecdsa.PublicKey, digest, sig []byte) [HashSize]byte {
-	var pt [1 + 2*ScalarSize]byte
-	pt[0] = 4
-	pub.X.FillBytes(pt[1 : 1+ScalarSize])
-	pub.Y.FillBytes(pt[1+ScalarSize:])
-	h := sha256.New()
-	h.Write(pt[:])
-	h.Write(digest)
-	h.Write(sig)
-	var key [HashSize]byte
-	h.Sum(key[:0])
-	return key
+func (c *SigCache) shard(k *sigKey) *sigShard { return &c.shards[k.slot()%sigCacheShards] }
+
+// bucketLocked returns the head of k's bucket in sh.
+func (sh *sigShard) bucketLocked(k *sigKey) *int32 {
+	return &sh.buckets[k.slot()/sigCacheShards&uint32(len(sh.buckets)-1)]
 }
 
+// findLocked returns k's entry, or nil, and the head of its bucket.
+func (sh *sigShard) findLocked(k *sigKey) (e *sigEntry, head *int32) {
+	head = sh.bucketLocked(k)
+	for i := *head; i != 0; i = sh.ring[i-1].older {
+		if e := &sh.ring[i-1]; e.key == *k {
+			return e, head
+		}
+	}
+	return nil, head
+}
+
+var batchPool = sync.Pool{New: func() any { return new(Batch) }}
+
 // VerifyDigest checks a DER signature over a precomputed digest, consulting
-// the cache first. hit reports whether the verdict came from the cache (so
-// callers can attribute timing honestly: a hit is a hash + lookup, not an
-// ECDSA verification). A nil receiver always verifies directly.
+// the cache first: a batch of one. hit reports whether the verdict came from
+// the cache (so callers can attribute timing honestly: a hit is a DER parse
+// and a lookup, not an ECDSA verification). A nil receiver always verifies
+// directly.
 //
 // bmaclint:noalloc
 func (c *SigCache) VerifyDigest(pub *ecdsa.PublicKey, digest, sig []byte) (err error, hit bool) {
-	if c == nil {
-		return VerifyDigest(pub, digest, sig), false
-	}
-	key := sigCacheKey(pub, digest, sig)
-	if err, hit := c.lookup(&key); hit {
-		return err, true
-	}
-	// Verify outside the shard lock: concurrent misses on the same shard
-	// (even on the same key) may both pay the curve math, but the verdict
-	// is deterministic, so the double insert is harmless.
-	verr := VerifyDigest(pub, digest, sig)
-	c.store(&key, verr)
-	return verr, false
+	b := batchPool.Get().(*Batch)
+	b.Reset(c)
+	i, hit := b.Add(pub, digest, sig)
+	b.Run()
+	err = b.Err(i)
+	batchPool.Put(b)
+	return err, hit
 }
 
-// lookup returns key's cached verdict and counts the hit or miss.
+// lookup returns k's cached verdict and counts the hit or miss.
 //
 // bmaclint:noalloc
-func (c *SigCache) lookup(key *[HashSize]byte) (err error, hit bool) {
-	sh := &c.shards[key[0]%sigCacheShards]
+func (c *SigCache) lookup(k *sigKey) (valid, hit bool) {
+	sh := c.shard(k)
 	sh.mu.Lock()
-	if el, ok := sh.entries[*key]; ok {
-		sh.order.MoveToFront(el)
-		err := el.Value.(*sigEntry).err
-		sh.mu.Unlock()
-		c.hits.Add(1)
-		return err, true
+	if e, _ := sh.findLocked(k); e != nil {
+		valid, hit = e.valid, true
 	}
 	sh.mu.Unlock()
-	c.misses.Add(1)
-	return nil, false
+	if hit {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
+	return valid, hit
 }
 
-// store records a computed verdict, evicting the shard's oldest beyond its
-// capacity.
-func (c *SigCache) store(key *[HashSize]byte, verr error) {
-	sh := &c.shards[key[0]%sigCacheShards]
+// store records a computed verdict in the shard's next slot, overwriting the
+// shard's oldest verdict once the ring is full. Two concurrent misses may both
+// have paid the curve math; the verdict is the same, and the first one stays.
+//
+// bmaclint:noalloc
+func (c *SigCache) store(k *sigKey, valid bool) {
+	sh := c.shard(k)
 	sh.mu.Lock()
-	if el, ok := sh.entries[*key]; ok {
-		sh.order.MoveToFront(el)
-	} else {
-		sh.entries[*key] = sh.order.PushFront(&sigEntry{key: *key, err: verr})
-		if sh.order.Len() > sh.capacity {
-			oldest := sh.order.Back()
-			sh.order.Remove(oldest)
-			delete(sh.entries, oldest.Value.(*sigEntry).key)
+	if e, head := sh.findLocked(k); e == nil {
+		e = &sh.ring[sh.next]
+		if e.used {
+			// The oldest entry of the shard is the oldest of its bucket: the
+			// last link of its chain.
+			p := sh.bucketLocked(&e.key)
+			for *p != int32(sh.next+1) {
+				p = &sh.ring[*p-1].older
+			}
+			*p = e.older
 			c.evictions.Add(1)
 		}
+		*e = sigEntry{key: *k, older: *head, used: true, valid: valid}
+		*head = int32(sh.next + 1)
+		sh.next = (sh.next + 1) % len(sh.ring)
 	}
 	sh.mu.Unlock()
 }
 
-// Batch is a set of signature checks decided together: Add looks each one
-// up in the cache and queues the misses, Run hands the queue to the
-// verification engine as one batch (keytable.go) and stores the verdicts,
-// Err reads them. The zero value is ready and uses no cache; a Batch is
-// reused through Reset and is not safe for concurrent use.
+// Batch is a set of signature checks decided together. Add parses a
+// signature to its request tuple, AddParts takes one as the BMac receiver's
+// DER post-processor made it; both resolve the key once per batch, look the
+// tuple up in the cache and queue a miss. Run verifies the queue as one
+// batch of the engine (keytable.go) and stores the verdicts; Err reads them.
+// The zero value is ready and uses no cache; a Batch is reused through Reset
+// and is not safe for concurrent use.
 type Batch struct {
 	cache *SigCache
-	errs  []error     // one verdict per Add
-	reqs  []verifyReq // the checks Run has to compute: reqs[j] is check
-	slots []int       // slots[j], cached under keys[j] unless that is zero
-	keys  [][HashSize]byte
+	errs  []error     // one verdict per check
+	reqs  []verifyReq // the checks Run has to compute: reqs[j] is check slots[j]
+	slots []int
+	keys  []verifyKey // the batch's keys, resolved
 }
 
 // Reset empties b and makes c (nil: none) the cache of its next checks.
@@ -160,39 +190,49 @@ func (b *Batch) Reset(c *SigCache) {
 }
 
 // Add queues one check of a DER signature over a precomputed digest and
-// returns its number. hit reports a verdict served from the cache. digest
-// must stay untouched until Run returns.
+// returns its number. hit reports a verdict served from the cache; a
+// malformed signature is ErrBadSignature at once and no hit. digest must
+// stay untouched until Run returns.
+//
+// bmaclint:noalloc
 func (b *Batch) Add(pub *ecdsa.PublicKey, digest, sig []byte) (i int, hit bool) {
-	var key [HashSize]byte
-	var err error
-	if b.cache != nil {
-		key = sigCacheKey(pub, digest, sig)
-		err, hit = b.cache.lookup(&key)
+	parts, err := DecodeDERToParts(sig)
+	if err != nil {
+		b.errs = append(b.errs, err)
+		return len(b.errs) - 1, false
 	}
-	if !hit {
-		var parts SignatureParts
-		if parts, err = DecodeDERToParts(sig); err == nil {
-			i = b.AddParts(pub, digest, parts)
-			b.keys[len(b.keys)-1] = key
-			return i, false
-		}
-		if b.cache != nil {
-			b.cache.store(&key, err)
-		}
-	}
-	b.errs = append(b.errs, err)
-	return len(b.errs) - 1, hit
+	return b.AddParts(pub, digest, parts)
 }
 
 // AddParts queues one check of a signature that is already split into its
 // halves — what the BMac receiver's DER post-processor hands the block
-// processor — and returns its number. The cache is keyed by the DER form, so
-// such a check is always computed and its verdict is stored nowhere.
-func (b *Batch) AddParts(pub *ecdsa.PublicKey, digest []byte, parts SignatureParts) int {
-	b.reqs = append(b.reqs, verifyReq{pub: pub, digest: digest, parts: parts})
-	b.slots, b.keys = append(b.slots, len(b.errs)), append(b.keys, [HashSize]byte{})
+// processor — and returns its number, like Add.
+//
+// bmaclint:noalloc
+func (b *Batch) AddParts(pub *ecdsa.PublicKey, digest []byte, parts SignatureParts) (i int, hit bool) {
+	rq := verifyReq{verifyKey: b.resolve(pub), digest: digest, parts: parts}
+	if b.cache != nil {
+		if k, ok := rq.cacheKey(); ok {
+			if valid, hit := b.cache.lookup(&k); hit {
+				b.errs = append(b.errs, verdict(valid))
+				return len(b.errs) - 1, true
+			}
+		}
+	}
+	b.reqs, b.slots = append(b.reqs, rq), append(b.slots, len(b.errs))
 	b.errs = append(b.errs, nil)
-	return len(b.errs) - 1
+	return len(b.errs) - 1, false
+}
+
+// resolve returns pub resolved for the engine, once per key and batch.
+func (b *Batch) resolve(pub *ecdsa.PublicKey) verifyKey {
+	for i := range b.keys {
+		if b.keys[i].pub == pub {
+			return b.keys[i]
+		}
+	}
+	b.keys = append(b.keys, resolveKey(pub))
+	return b.keys[len(b.keys)-1]
 }
 
 // Run decides every queued check, as one batch of the verification engine,
@@ -200,19 +240,18 @@ func (b *Batch) AddParts(pub *ecdsa.PublicKey, digest []byte, parts SignaturePar
 func (b *Batch) Run() {
 	engine.verify(b.reqs)
 	for j := range b.reqs {
-		var err error
-		if !b.reqs[j].valid {
-			err = ErrVerifyFailed
-		}
-		b.errs[b.slots[j]] = err
-		if b.keys[j] != ([HashSize]byte{}) {
-			b.cache.store(&b.keys[j], err)
+		rq := &b.reqs[j]
+		b.errs[b.slots[j]] = verdict(rq.valid)
+		if b.cache != nil {
+			if k, ok := rq.cacheKey(); ok {
+				b.cache.store(&k, rq.valid)
+			}
 		}
 	}
 }
 
 // Err returns check i's verdict, nil for a valid signature: final after
-// Run, and at once for a hit.
+// Run, and at once for a hit or a malformed signature.
 func (b *Batch) Err(i int) error { return b.errs[i] }
 
 // Stats reports cumulative hits, misses and evictions.
@@ -244,7 +283,11 @@ func (c *SigCache) Len() int {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		n += sh.order.Len()
+		if sh.ring[sh.next].used {
+			n += len(sh.ring)
+		} else {
+			n += sh.next
+		}
 		sh.mu.Unlock()
 	}
 	return n

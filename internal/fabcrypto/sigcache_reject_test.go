@@ -22,7 +22,7 @@ func makeBadSigs(t testing.TB, n int) []sigFixture {
 
 // TestRejectWarmIsLookupFast is the failure-caching O(lookup) gate: the
 // first rejection of a corrupt signature pays the ECDSA curve math, every
-// repeat must be a hash + shard lookup. The warm path has no business
+// repeat must be a DER parse + shard lookup. The warm path has no business
 // being within an order of magnitude of the cold one; the test asserts a
 // conservative 5x to stay robust under scheduler noise.
 func TestRejectWarmIsLookupFast(t *testing.T) {

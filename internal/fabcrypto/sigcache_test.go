@@ -2,6 +2,8 @@ package fabcrypto
 
 import (
 	"crypto/ecdsa"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -137,6 +139,136 @@ func TestSigCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestSigCacheRingEvictsInInsertionOrder drives one shard of four verdicts
+// whose keys share two buckets, so eviction unlinks entries from chains
+// longer than one: at every step the four newest verdicts hit, with their
+// own verdicts, and everything older misses.
+func TestSigCacheRingEvictsInInsertionOrder(t *testing.T) {
+	c := NewSigCache(4 * sigCacheShards)
+	key := func(i int) *sigKey {
+		var k sigKey
+		binary.LittleEndian.PutUint32(k.digest[:], uint32(i%2*sigCacheShards+5)) // shard 5, bucket i%2
+		k.digest[4] = byte(i)
+		return &k
+	}
+	for i := 0; i < 12; i++ {
+		c.store(key(i), i%3 == 0)
+		for j := 0; j <= i; j++ {
+			valid, hit := c.lookup(key(j))
+			if hit != (j > i-4) || hit && valid != (j%3 == 0) {
+				t.Fatalf("after storing %d: key %d hit %v valid %v", i, j, hit, valid)
+			}
+		}
+		if n := c.Len(); n != min(i+1, 4) {
+			t.Fatalf("after storing %d: %d verdicts", i, n)
+		}
+	}
+	if _, _, ev := c.Stats(); ev != 12-4 {
+		t.Fatalf("%d evictions, want 8", ev)
+	}
+}
+
+// warmPoolKeys gives the fuzz pool keys their tables in the process-wide
+// engine and returns the neighbours' signatures as DER.
+func warmPoolKeys(t testing.TB) [][]byte {
+	nb := neighbours()
+	ders := make([][]byte, len(nb))
+	for i := range nb {
+		ders[i] = PartsToDER(nb[i].req.parts)
+	}
+	for u := 0; u <= PromoteAfter; u++ {
+		for i := 0; i < fuzzKeys; i++ {
+			if err := VerifyDigest(nb[i].req.pub, nb[i].req.digest, ders[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return ders
+}
+
+// raceEnabled is set under the race detector, whose sync.Pool drops a share
+// of what is put back: allocation counts through a pool are not steady there.
+var raceEnabled bool
+
+// TestVerifyAllocsOnlyInTheCurve: outside the curve arithmetic a signature
+// check allocates nothing. A warm range through a Batch and its SigCache
+// allocates nothing when every check hits, and when every check misses what
+// the engine's batch alone does (its one ModInverse); a verdict stored at
+// capacity and a SigCache hit allocate nothing.
+func TestVerifyAllocsOnlyInTheCurve(t *testing.T) {
+	const runs = 20
+	nb, ders := neighbours(), warmPoolKeys(t)
+	n := FullBatch
+	cache := NewSigCache(4096)
+	var b Batch
+	rangeOf := func(digests [][]byte) {
+		b.Reset(cache)
+		for i := 0; i < n; i++ {
+			b.Add(nb[i].req.pub, digests[i], ders[i])
+		}
+		b.Run()
+	}
+	digests := make([][]byte, n)
+	for i := range digests {
+		digests[i] = nb[i].req.digest
+	}
+	rangeOf(digests)
+	if a := testing.AllocsPerRun(runs, func() { rangeOf(digests) }); a != 0 {
+		t.Errorf("a range of cache hits: %v allocations", a)
+	}
+
+	full := NewSigCache(sigCacheShards)
+	var k sigKey
+	storeNext := func() {
+		binary.LittleEndian.PutUint64(k.digest[8:], binary.LittleEndian.Uint64(k.digest[8:])+1)
+		k.digest[0]++
+		full.store(&k, true)
+	}
+	for full.Len() < sigCacheShards {
+		storeNext()
+	}
+	_, _, before := full.Stats()
+	if a := testing.AllocsPerRun(runs, storeNext); a != 0 {
+		t.Errorf("store at capacity: %v allocations", a)
+	}
+	if _, _, ev := full.Stats(); ev-before != runs+1 {
+		t.Errorf("%d of %d stores at capacity evicted", ev-before, runs+1)
+	}
+
+	if raceEnabled {
+		t.Skip("the engine's scratch and SigCache.VerifyDigest's batch are pooled")
+	}
+	fresh := make([][][]byte, runs+1) // a digest set per run: every check misses
+	for r := range fresh {
+		fresh[r] = make([][]byte, n)
+		for i := range fresh[r] {
+			d := sha256.Sum256([]byte{byte(r), byte(i)})
+			fresh[r][i] = d[:]
+		}
+	}
+	reqs := make([]verifyReq, n)
+	for i := range reqs {
+		reqs[i] = nb[i].req
+	}
+	curve := testing.AllocsPerRun(runs, func() { engine.verify(reqs) })
+	miss := testing.AllocsPerRun(runs, func() {
+		rangeOf(fresh[0])
+		fresh = fresh[1:]
+	})
+	if miss != curve {
+		t.Errorf("a range of cache misses: %v allocations, the engine's batch alone %v", miss, curve)
+	}
+	t.Logf("a range of %d cache misses: %v allocations, all the engine's", n, miss)
+
+	s := makeSigs(t, 1)[0]
+	if _, hit := cache.VerifyDigest(s.pub, s.digest, s.sig); hit {
+		t.Fatal("first sight was a hit")
+	}
+	if a := testing.AllocsPerRun(runs, func() { cache.VerifyDigest(s.pub, s.digest, s.sig) }); a != 0 {
+		t.Errorf("SigCache.VerifyDigest hit: %v allocations", a)
+	}
 }
 
 func BenchmarkVerifyDigestCold(b *testing.B) {

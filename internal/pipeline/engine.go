@@ -59,7 +59,7 @@ type Config struct {
 	PrefetchWorkers int
 	// SigCache, when non-nil, memoizes signature verdicts so a signature
 	// already seen by ANY path sharing the cache (another engine, a replay)
-	// costs one hash + lookup instead of a curve verification. Verdicts are
+	// costs a DER parse + lookup instead of a curve verification. Verdicts are
 	// identical either way.
 	SigCache *fabcrypto.SigCache
 	// CertCache, when non-nil, interns parsed X.509 identity certificates:

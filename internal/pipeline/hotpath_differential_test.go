@@ -2,7 +2,9 @@ package pipeline
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -209,6 +211,48 @@ func TestSharedSigCacheUnderRanges(t *testing.T) {
 		t.Fatalf("%d signatures computed by two engines sharing a cache, want %d..%d", computed, perEngine, 2*perEngine)
 	}
 	t.Logf("two engines, one cache, one 100-tx block: %d signatures computed (%d once each, %d with caching off)", computed, perEngine, 2*perEngine)
+}
+
+// TestExtraDERElementMatchesOracle: a valid (r, s) with a third element
+// inside its SEQUENCE, on a client signature and on one endorsement of a
+// 2of2 transaction, is decided as the oracle — crypto/ecdsa.VerifyASN1 —
+// decides it, at every worker count, with the signature cache off and on.
+func TestExtraDERElementMatchesOracle(t *testing.T) {
+	r := newRig(t)
+	extra := func(sig []byte) []byte {
+		return append(append([]byte{0x30, sig[1] + 3}, sig[2:]...), 0x02, 0x01, 0x00)
+	}
+	envs := r.makeBlock(t, 0, []block.RWSet{{Writes: []block.KVWrite{w("a", "1")}}, {Writes: []block.KVWrite{w("b", "1")}}, {Writes: []block.KVWrite{w("c", "1")}}}).Envelopes
+	envs[0].Signature = extra(envs[0].Signature)
+	tx, err := block.UnmarshalTransactionPayload(envs[1].PayloadBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := slices.Clone(tx.Payload.Action.Endorsements)
+	ends[1].Signature = extra(ends[1].Signature)
+	env, err := block.NewEnvelopeFromResponses(block.AssembleSpec{
+		Creator: r.client, Chaincode: "smallbank", Channel: "ch1", Nonce: tx.SignatureHeader.Nonce,
+		PRPBytes: tx.Payload.Action.ProposalResponseBytes, Endorsers: ends,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs[1] = *env
+	b, err := block.NewBlock(0, nil, envs, r.orderer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raws := [][]byte{block.Marshal(b)}
+	wants, wantState := oracleChain(t, r, raws)
+	if want := []byte{byte(block.BadSignature), byte(block.EndorsementPolicyFailure), byte(block.Valid)}; !bytes.Equal(wants[0].flags, want) {
+		t.Fatalf("oracle flags %v, want %v", wants[0].flags, want)
+	}
+	for _, workers := range workerCounts {
+		for _, sc := range []*fabcrypto.SigCache{nil, fabcrypto.NewSigCache(64)} {
+			eng := New(Config{Workers: workers, Policies: r.pols, SkipLedger: true, SigCache: sc}, statedb.NewStore(), nil)
+			checkChain(t, fmt.Sprintf("workers %d cache %v", workers, sc != nil), eng, raws, wants, wantState)
+		}
+	}
 }
 
 // TestBadClientSignatureStillVerifiesEndorsements pins the one semantic

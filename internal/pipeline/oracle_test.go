@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"bytes"
+	"crypto/ecdsa"
+	"crypto/sha256"
 	"fmt"
 	"slices"
 	"testing"
@@ -17,8 +19,9 @@ import (
 // oracle is the differential reference: a naive validator written straight
 // from the Fabric v1.4 rules, sharing no code with the engine's stages or
 // with validator.VSCCOne — one goroutine, no caches, no breakdown, its own
-// plain map for state. Every engine configuration must agree with it bit
-// for bit.
+// plain map for state, transaction signatures checked by
+// crypto/ecdsa.VerifyASN1 itself. Every engine configuration must agree with
+// it bit for bit.
 type oracle struct {
 	pols  map[string]*policy.Policy
 	ids   map[string]identity.EncodedID // certificate bytes -> identity
@@ -104,13 +107,13 @@ func (o *oracle) vscc(env *block.Envelope) (*block.RWSet, block.ValidationCode) 
 	if err != nil {
 		return nil, block.BadCreator
 	}
-	if fabcrypto.Verify(pub, env.PayloadBytes, env.Signature) != nil {
+	if !verifyASN1(pub, env.PayloadBytes, env.Signature) {
 		return nil, block.BadSignature
 	}
 	var rf policy.RegisterFile
 	for _, e := range tx.Payload.Action.Endorsements {
 		epub, err := fabcrypto.PublicKeyFromCert(e.Endorser)
-		if err != nil || fabcrypto.Verify(epub, slices.Concat(prpBytes, e.Endorser), e.Signature) != nil {
+		if err != nil || !verifyASN1(epub, slices.Concat(prpBytes, e.Endorser), e.Signature) {
 			continue // an unverifiable endorsement contributes nothing
 		}
 		if id, ok := o.ids[string(e.Endorser)]; ok {
@@ -125,6 +128,11 @@ func (o *oracle) vscc(env *block.Envelope) (*block.RWSet, block.ValidationCode) 
 		return nil, block.EndorsementPolicyFailure
 	}
 	return &prp.Extension.Results, block.Valid
+}
+
+func verifyASN1(pub *ecdsa.PublicKey, msg, sig []byte) bool {
+	digest := sha256.Sum256(msg)
+	return ecdsa.VerifyASN1(pub, digest[:], sig)
 }
 
 // verdict is what every validator must agree on for one block.

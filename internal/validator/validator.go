@@ -63,7 +63,7 @@ type Breakdown struct {
 	SHA256Count int
 
 	// SigCacheHits/SigCacheTime account verifications answered by the
-	// fabcrypto.SigCache (one hash + lookup each, no curve math).
+	// fabcrypto.SigCache (a DER parse + lookup each, no curve math).
 	SigCacheHits int
 	SigCacheTime time.Duration
 	// ParseCacheHits counts transaction payloads served from the
@@ -184,7 +184,7 @@ func timedHash(bd *Breakdown, hash func() [fabcrypto.HashSize]byte) [fabcrypto.H
 
 // countVerify attributes one signature check: a cache hit lands in
 // SigCacheHits/Time, a check that has to be computed in ECDSACount, and
-// what it cost before the curve math (cache key, DER decode) in ECDSATime.
+// what it cost before the curve math (DER parse, cache lookup) in ECDSATime.
 func (b *Breakdown) countVerify(hit bool, d time.Duration) {
 	if hit {
 		b.SigCacheHits++
