@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"hash"
 	"math/big"
+	"math/bits"
 	"time"
 )
 
@@ -121,15 +122,28 @@ func (s *Signer) Sign(msg []byte) ([]byte, error) {
 	return s.SignDigest(digest[:])
 }
 
-// SignDigest signs a precomputed 32-byte digest.
+// SignDigest signs a precomputed 32-byte digest. crypto/ecdsa signs and
+// encodes; its DER is returned as it is unless s is in the high half of the
+// order, in which case s becomes n − s — computed on the public signature's
+// fixed-width halves — and the pair is re-encoded.
 func (s *Signer) SignDigest(digest []byte) ([]byte, error) {
-	r, sv, err := ecdsa.Sign(rand.Reader, s.priv, digest)
+	sig, err := ecdsa.SignASN1(rand.Reader, s.priv, digest)
 	if err != nil {
 		return nil, fmt.Errorf("ecdsa sign: %w", err)
 	}
-	var p SignatureParts
-	r.FillBytes(p.R[:])
-	toLowS(sv).FillBytes(p.S[:])
+	p, err := DecodeDERToParts(sig)
+	if err != nil {
+		return nil, fmt.Errorf("ecdsa sign: %w", err)
+	}
+	sv := limbsFromBytes(&p.S)
+	if !lessThan(&nHalfLimbs, &sv) {
+		return sig, nil
+	}
+	var b uint64
+	for i := range sv {
+		sv[i], b = bits.Sub64(nLimbs[i], sv[i], b)
+	}
+	bytesFromLimbs(&p.S, sv)
 	return PartsToDER(p), nil
 }
 
@@ -190,14 +204,8 @@ func verdict(valid bool) error {
 	return nil
 }
 
-var p256HalfOrder = new(big.Int).Rsh(elliptic.P256().Params().N, 1)
-
-func toLowS(s *big.Int) *big.Int {
-	if s.Cmp(p256HalfOrder) > 0 {
-		return new(big.Int).Sub(elliptic.P256().Params().N, s)
-	}
-	return s
-}
+// nHalfLimbs is ⌊n/2⌋, the largest low-S value, as little-endian limbs.
+var nHalfLimbs = [4]uint64{0x79dce5617e3192a8, 0xde737d56d38bcf42, 0x7fffffffffffffff, 0x7fffffff80000000}
 
 // SignatureParts is the output of the protocol_processor's DER decoder
 // post-processor: the two signature halves as fixed-width 256-bit values,

@@ -2,6 +2,8 @@ package fabcrypto
 
 import (
 	"bytes"
+	"crypto/ecdsa"
+	"crypto/rand"
 	"errors"
 	"math/big"
 	"testing"
@@ -125,10 +127,15 @@ func TestVerifyPartsRejectsZero(t *testing.T) {
 	}
 }
 
+// TestLowSNormalization: every signature is low-S, verifies under
+// crypto/ecdsa.VerifyASN1 and is the minimal DER of its halves. 64
+// signatures take the n − s branch with probability 1 − 2⁻⁶⁴.
 func TestLowSNormalization(t *testing.T) {
 	s := newTestSigner(t)
-	for i := 0; i < 8; i++ {
-		sig, err := s.Sign([]byte{byte(i)})
+	half := new(big.Int).Rsh(bigN, 1)
+	for i := 0; i < 64; i++ {
+		digest := Hash([]byte{byte(i)})
+		sig, err := s.SignDigest(digest[:])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,9 +143,28 @@ func TestLowSNormalization(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if new(big.Int).SetBytes(parts.S[:]).Cmp(p256HalfOrder) > 0 {
+		if new(big.Int).SetBytes(parts.S[:]).Cmp(half) > 0 {
 			t.Fatalf("signature %d has high S", i)
 		}
+		if !ecdsa.VerifyASN1(s.Public(), digest[:], sig) {
+			t.Fatalf("signature %d does not verify under crypto/ecdsa", i)
+		}
+		if !bytes.Equal(PartsToDER(parts), sig) {
+			t.Fatalf("signature %d is not the minimal DER of its halves: % x", i, sig)
+		}
+	}
+}
+
+// TestSignDigestAllocs bounds what signing allocates beyond crypto/ecdsa:
+// nothing but the re-encoded DER, and that only for a high S.
+func TestSignDigestAllocs(t *testing.T) {
+	s := newTestSigner(t)
+	digest := Hash([]byte("allocs"))
+	base := testing.AllocsPerRun(50, func() { _, _ = ecdsa.SignASN1(rand.Reader, s.priv, digest[:]) })
+	got := testing.AllocsPerRun(50, func() { _, _ = s.SignDigest(digest[:]) })
+	t.Logf("crypto/ecdsa.SignASN1: %.2f allocs, SignDigest: %.2f", base, got)
+	if got > base+1 {
+		t.Fatalf("SignDigest allocates %.2f, crypto/ecdsa alone %.2f", got, base)
 	}
 }
 

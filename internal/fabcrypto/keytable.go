@@ -3,7 +3,6 @@ package fabcrypto
 import (
 	"crypto/ecdsa"
 	"crypto/elliptic"
-	"encoding/binary"
 	"math/big"
 	"sync"
 	"sync/atomic"
@@ -44,12 +43,15 @@ const (
 
 	// PromoteAfter is the rent-or-buy threshold: a key gets its table once
 	// it has been verified this many times on the standard library. A
-	// table costs about as much to build as 13 such verifications (≈ 1.15 ms
-	// against ≈ 89 µs on the reference host; both scale with the CPU), so
-	// a key that stops recurring right after promotion has cost less than
-	// twice the optimum, and a key seen a few times costs nothing. The
-	// hotpath record measures both sides (key_table_build,
-	// ecdsa_verify_stdlib) and gates their ratio against this constant.
+	// table costs about as much to build as 11 such verifications (≈ 1.1 ms
+	// against ≈ 100 µs on a 2-CPU Xeon; both scale with the CPU; 13–14
+	// before the field kernel of p256.go), so a key that stops recurring
+	// right after promotion has cost less than twice the optimum, and a key
+	// seen a few times costs nothing. The break-even alone would now put the
+	// threshold near 11; it stays 16 until a workload with non-recurring
+	// signers can show the difference. The hotpath record measures both
+	// sides (key_table_build, ecdsa_verify_stdlib) and gates their ratio
+	// against this constant.
 	PromoteAfter = 16
 
 	// maxColdKeys bounds the use counters of keys below the threshold.
@@ -58,10 +60,15 @@ const (
 	// affineLevelMin is how many additions a level of a batch must hold to
 	// be done in affine coordinates, where one costs 6 field multiplications
 	// (1 S + 2 M and a 3 M share of the level's inversion) against addMixed's
-	// 11 (8 M + 3 S) and the inversion 384: feInv ÷ (addMixed − affine add)
-	// = 384 ÷ 5 ≈ 77 (BenchmarkFeInv, AddMixed, AddAffine measure the same).
-	// One signature has at most 31 pairs, so a batch of one never gets here;
-	// the hotpath row ecdsa_verify_batch ÷ ecdsa_verify_table pins it.
+	// 11 (8 M + 3 S): it pays once a level saves an inversion's worth,
+	// feInv ÷ (addMixed − affine add). The value 77 is 384 ÷ 5, from the
+	// square-and-multiply inversion (384 M). The addition chain of feInv is
+	// 255 S + 12 M, so the quotient is now 267 ÷ 5 ≈ 53; BenchmarkFeInv,
+	// AddMixed and AddAffine measure 46–60 on a 2-CPU Xeon (≈ 80 with the
+	// old inversion). The constant stays until the batch geometry is
+	// measured end to end (ROADMAP item 3). One signature has at most 31
+	// pairs, so a batch of one never gets here; the hotpath row
+	// ecdsa_verify_batch ÷ ecdsa_verify_table pins it.
 	affineLevelMin = 77
 
 	// FullBatch is the fewest signatures that run five of a batch's six
@@ -69,7 +76,9 @@ const (
 	// additions per signature (the sixth, with one, would take
 	// affineLevelMin signatures). A batch twice as long saves only a smaller
 	// share of the same five inversions, about a twentieth of the
-	// arithmetic, so callers that cut work into batches cut it here.
+	// arithmetic with the square-and-multiply inversion and a thirtieth with
+	// the addition chain, so callers that cut work into batches cut it
+	// here. The re-derived affineLevelMin (46–60) would make it 23–30.
 	FullBatch = (affineLevelMin + 1) / 2
 )
 
@@ -293,9 +302,7 @@ func invertScalars(sigs []batchSig) {
 	}
 	ordMul(&acc, &acc, &[4]uint64{1}) // out of Montgomery form
 	var b [ScalarSize]byte
-	for i, l := range acc {
-		binary.BigEndian.PutUint64(b[24-8*i:], l)
-	}
+	bytesFromLimbs(&b, acc)
 	var v big.Int
 	v.ModInverse(v.SetBytes(b[:]), nBig)
 	inv := limbsOfBig(&v)

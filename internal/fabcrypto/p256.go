@@ -11,7 +11,19 @@ import (
 // and table indices depend on the operands — which is sound only because
 // every operand of a verification (public key, digest, signature) is public.
 // Nothing here may ever be handed a private key or a nonce: those stay with
-// crypto/ecdsa (fabcrypto.go) and do not reach this file.
+// crypto/ecdsa (fabcrypto.go) and do not reach this file. That holds for the
+// kernel below too: it happens to be constant time, the code around it is
+// not, and only the operands being public makes the whole sound.
+//
+// Multiplication and squaring, most of a verification's time, run on a
+// kernel chosen by GOARCH alone. On amd64 it is p256_amd64.s: the p256Mul
+// and p256Sqr routines of Go's own crypto/internal/fips140/nistec (Go 1.24.0,
+// BSD licence, notice kept in the file), which use this file's
+// representation exactly — the same limbs, R = 2²⁵⁶, results in [0, p) — so
+// tables and callers are the same on either side. Everywhere else feMul and
+// feSqrN are feMulGeneric and feSqrNGeneric below (p256_other.go). Those are
+// compiled on every architecture, and on amd64 the tests hold the kernel to
+// them and to math/big.
 
 // fe is a field element x·2²⁵⁶ mod p (Montgomery form), little-endian
 // limbs, always fully reduced to [0, p) so equality is limb equality.
@@ -30,14 +42,12 @@ const (
 var (
 	feRR  = fe{0x0000000000000003, 0xfffffffbffffffff, 0xfffffffffffffffe, 0x00000004fffffffd} // 2⁵¹² mod p
 	feOne = fe{0x0000000000000001, 0xffffffff00000000, 0xffffffffffffffff, 0x00000000fffffffe} // 2²⁵⁶ mod p
-	// pMinus2 is the inversion exponent (Fermat), little-endian limbs.
-	pMinus2 = [4]uint64{p0 - 2, p1, p2, p3}
 )
 
-// feMul sets z = x·y·2⁻²⁵⁶ mod p: four rounds of "add x[i]·y, cancel the
-// low limb with a multiple of p, shift down one limb". The running value
-// stays below 2p, so it fits four limbs and one carry bit.
-func feMul(z, x, y *fe) {
+// feMulGeneric sets z = x·y·2⁻²⁵⁶ mod p: four rounds of "add x[i]·y, cancel
+// the low limb with a multiple of p, shift down one limb". The running value
+// stays below 2p, so it fits four limbs and one carry bit. z may alias x or y.
+func feMulGeneric(z, x, y *fe) {
 	y0, y1, y2, y3 := y[0], y[1], y[2], y[3]
 	var a0, a1, a2, a3, a4 uint64
 	for i := 0; i < 4; i++ {
@@ -84,7 +94,15 @@ func feReduceOnce(z *fe, a0, a1, a2, a3, carry uint64) {
 	z[3] = d3 ^ (d3^a3)&keep
 }
 
-func feSqr(z, x *fe) { feMul(z, x, x) }
+// feSqrNGeneric sets z = x^(2ⁿ) for n ≥ 1, the kernel's contract.
+func feSqrNGeneric(z, x *fe, n int) {
+	feMulGeneric(z, x, x)
+	for i := 1; i < n; i++ {
+		feMulGeneric(z, z, z)
+	}
+}
+
+func feSqr(z, x *fe) { feSqrN(z, x, 1) }
 
 func feAdd(z, x, y *fe) {
 	a0, c := bits.Add64(x[0], y[0], 0)
@@ -110,18 +128,53 @@ func feSub(z, x, y *fe) {
 // feNeg sets z = −x.
 func feNeg(z, x *fe) { feSub(z, &fe{}, x) }
 
-// feInv sets z = x⁻¹ (x ≠ 0) by x^(p−2), plain square-and-multiply: 384
-// multiplications. It runs twice per table build and once per affine level
-// of a batch (affineLevelMin in keytable.go is what makes that pay).
+// feInv sets z = x⁻¹ (x ≠ 0) by x^(p−2), along the addition chain of Go's
+// p256Inverse (crypto/internal/fips140/nistec, derived there with
+// github.com/mmcloughlin/addchain): 255 squarings and 12 multiplications,
+// where plain square-and-multiply takes 256 and about 128. It runs twice per
+// table build and once per affine level of a batch (affineLevelMin in
+// keytable.go is what makes that pay). z may alias x.
+//
+//	_10     = 2*1
+//	_11     = 1 + _10
+//	_110    = 2*_11
+//	_111    = 1 + _110
+//	_111000 = _111 << 3
+//	_111111 = _111 + _111000
+//	x12     = _111111 << 6 + _111111
+//	x15     = x12 << 3 + _111
+//	x16     = 2*x15 + 1
+//	x32     = x16 << 16 + x16
+//	i53     = x32 << 15
+//	x47     = x15 + i53
+//	i263    = ((i53 << 17 + 1) << 143 + x47) << 47
+//	return    (x47 + i263) << 2 + 1
 func feInv(z, x *fe) {
-	r := feOne
-	for i := 255; i >= 0; i-- {
-		feSqr(&r, &r)
-		if pMinus2[i/64]>>(i%64)&1 == 1 {
-			feMul(&r, &r, x)
-		}
-	}
-	*z = r
+	var r, t0, t1 fe
+	feSqrN(&r, x, 1)
+	feMul(&r, x, &r) // _11
+	feSqrN(&r, &r, 1)
+	feMul(&r, x, &r) // _111
+	feSqrN(&t0, &r, 3)
+	feMul(&t0, &r, &t0) // _111111
+	feSqrN(&t1, &t0, 6)
+	feMul(&t0, &t0, &t1) // x12
+	feSqrN(&t0, &t0, 3)
+	feMul(&r, &r, &t0) // x15
+	feSqrN(&t0, &r, 1)
+	feMul(&t0, x, &t0) // x16
+	feSqrN(&t1, &t0, 16)
+	feMul(&t0, &t0, &t1) // x32
+	feSqrN(&t0, &t0, 15) // i53
+	feMul(&r, &r, &t0)   // x47
+	feSqrN(&t0, &t0, 17)
+	feMul(&t0, x, &t0)
+	feSqrN(&t0, &t0, 143)
+	feMul(&t0, &r, &t0)
+	feSqrN(&t0, &t0, 47) // i263
+	feMul(&r, &r, &t0)
+	feSqrN(&r, &r, 2)
+	feMul(z, x, &r)
 }
 
 // limbsFromBytes loads a 32-byte big-endian integer as little-endian limbs.
@@ -129,6 +182,13 @@ func limbsFromBytes(b *[ScalarSize]byte) [4]uint64 {
 	return [4]uint64{
 		binary.BigEndian.Uint64(b[24:]), binary.BigEndian.Uint64(b[16:]),
 		binary.BigEndian.Uint64(b[8:]), binary.BigEndian.Uint64(b[:]),
+	}
+}
+
+// bytesFromLimbs stores little-endian limbs as a 32-byte big-endian integer.
+func bytesFromLimbs(dst *[ScalarSize]byte, l [4]uint64) {
+	for i, v := range l {
+		binary.BigEndian.PutUint64(dst[24-8*i:], v)
 	}
 }
 

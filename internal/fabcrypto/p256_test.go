@@ -67,11 +67,11 @@ func TestFieldConstants(t *testing.T) {
 	if got, want := limbsToBig(feRR), new(big.Int).Mod(new(big.Int).Mul(bigR, bigR), bigP); got.Cmp(want) != 0 {
 		t.Fatalf("feRR = %x, want %x", got, want)
 	}
-	if got, want := limbsToBig(pMinus2), new(big.Int).Sub(bigP, big.NewInt(2)); got.Cmp(want) != 0 {
-		t.Fatalf("pMinus2 = %x", got)
-	}
 	if got := limbsToBig(nLimbs); got.Cmp(bigN) != 0 {
 		t.Fatalf("n limbs = %x", got)
+	}
+	if got, want := limbsToBig(nHalfLimbs), new(big.Int).Rsh(bigN, 1); got.Cmp(want) != 0 {
+		t.Fatalf("n/2 limbs = %x, want %x", got, want)
 	}
 	if got, want := limbsToBig(ordRR), new(big.Int).Mod(new(big.Int).Mul(bigR, bigR), bigN); got.Cmp(want) != 0 {
 		t.Fatalf("ordRR = %x, want %x", got, want)
@@ -147,11 +147,24 @@ func TestFieldMatchesBig(t *testing.T) {
 				t.Fatalf("inv %x = %x, want %x", a, bigOf(z), want)
 			}
 		}
+		for _, n := range []int{1, 2, 7} {
+			var g fe
+			feSqrN(&z, &fa, n)
+			feSqrNGeneric(&g, &fa, n)
+			want := new(big.Int).Exp(a, new(big.Int).Lsh(big.NewInt(1), uint(n)), bigP)
+			if bigOf(z).Cmp(want) != 0 || g != z || limbsToBig(z).Cmp(bigP) >= 0 {
+				t.Fatalf("%x^(2^%d) = %x (generic %x), want %x", a, n, bigOf(z), bigOf(g), want)
+			}
+		}
 		for _, b := range vals {
 			fb := feOf(b)
 			feMul(&z, &fa, &fb)
-			if want := new(big.Int).Mod(new(big.Int).Mul(a, b), bigP); bigOf(z).Cmp(want) != 0 {
+			if want := new(big.Int).Mod(new(big.Int).Mul(a, b), bigP); bigOf(z).Cmp(want) != 0 || limbsToBig(z).Cmp(bigP) >= 0 {
 				t.Fatalf("%x · %x = %x, want %x", a, b, bigOf(z), want)
+			}
+			var g fe
+			if feMulGeneric(&g, &fa, &fb); g != z {
+				t.Fatalf("%x · %x: kernel %x, generic %x", a, b, z, g)
 			}
 			feAdd(&z, &fa, &fb)
 			if want := new(big.Int).Mod(new(big.Int).Add(a, b), bigP); bigOf(z).Cmp(want) != 0 {
@@ -178,6 +191,71 @@ func TestFieldMatchesBig(t *testing.T) {
 			t.Fatalf("feFromLimbs accepted %x ≥ p", v)
 		}
 	}
+}
+
+// FuzzFieldMatchesBig: on any two field elements, given as limbs (reduced
+// mod p first), feMul, feSqrN and feInv compute what math/big does, fully
+// reduced, and feMul and feSqrN agree bit for bit with the generic code that
+// other architectures run — in place as well as into a fresh destination.
+func FuzzFieldMatchesBig(f *testing.F) {
+	edges := [][4]uint64{
+		{}, {1},
+		limbsOfBig(new(big.Int).Sub(bigP, big.NewInt(1))),
+		limbsOfBig(new(big.Int).Sub(bigP, big.NewInt(2))),
+		{3: 1 << 63}, // 2²⁵⁵
+		feOne,        // R mod p
+		feRR,
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			f.Add(a[0], a[1], a[2], a[3], b[0], b[1], b[2], b[3])
+		}
+	}
+	f.Fuzz(func(t *testing.T, a0, a1, a2, a3, b0, b1, b2, b3 uint64) {
+		field := func(l [4]uint64) (fe, *big.Int) {
+			v := fe(limbsOfBig(new(big.Int).Mod(limbsToBig(l), bigP)))
+			return v, bigOf(v)
+		}
+		x, bx := field([4]uint64{a0, a1, a2, a3})
+		y, by := field([4]uint64{b0, b1, b2, b3})
+		check := func(what string, got fe, want *big.Int) {
+			t.Helper()
+			if limbsToBig(got).Cmp(bigP) >= 0 || bigOf(got).Cmp(want) != 0 {
+				t.Fatalf("%s of %x, %x = %x, want %x", what, bx, by, bigOf(got), want)
+			}
+		}
+		var z, g fe
+		feMul(&z, &x, &y)
+		feMulGeneric(&g, &x, &y)
+		check("x·y", z, new(big.Int).Mod(new(big.Int).Mul(bx, by), bigP))
+		if g != z {
+			t.Fatalf("x·y of %x, %x: kernel %x, generic %x", bx, by, z, g)
+		}
+		z = x
+		if feMul(&z, &z, &y); z != g {
+			t.Fatalf("x·y in place of %x, %x = %x, want %x", bx, by, z, g)
+		}
+		for _, n := range []int{1, 2, 7} {
+			feSqrN(&z, &x, n)
+			feSqrNGeneric(&g, &x, n)
+			check("x^(2^n)", z, new(big.Int).Exp(bx, new(big.Int).Lsh(big.NewInt(1), uint(n)), bigP))
+			if g != z {
+				t.Fatalf("x^(2^%d) of %x: kernel %x, generic %x", n, bx, z, g)
+			}
+			z = x
+			if feSqrN(&z, &z, n); z != g {
+				t.Fatalf("x^(2^%d) in place of %x = %x, want %x", n, bx, z, g)
+			}
+		}
+		if bx.Sign() != 0 {
+			feInv(&z, &x)
+			check("1/x", z, new(big.Int).ModInverse(bx, bigP))
+			g = x
+			if feInv(&g, &g); g != z {
+				t.Fatalf("1/x in place of %x = %x, want %x", bx, g, z)
+			}
+		}
+	})
 }
 
 func affineOf(x, y *big.Int) affinePoint { return affinePoint{x: feOf(x), y: feOf(y)} }
@@ -287,6 +365,14 @@ func BenchmarkFeMul(b *testing.B) {
 	x, y := feOf(big.NewInt(0).Rsh(bigP, 1)), feOf(big.NewInt(0).Rsh(bigP, 3))
 	for i := 0; i < b.N; i++ {
 		feMul(&x, &x, &y)
+	}
+	sinkFE = x
+}
+
+func BenchmarkFeMulGeneric(b *testing.B) {
+	x, y := feOf(big.NewInt(0).Rsh(bigP, 1)), feOf(big.NewInt(0).Rsh(bigP, 3))
+	for i := 0; i < b.N; i++ {
+		feMulGeneric(&x, &x, &y)
 	}
 	sinkFE = x
 }

@@ -44,11 +44,11 @@ func WriteRaw(w io.Writer, data []byte) (int, error) {
 	}
 	var lenBuf [4]byte
 	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(data)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return 0, fmt.Errorf("gossip write length: %w", err)
-	}
-	if _, err := w.Write(data); err != nil {
-		return 0, fmt.Errorf("gossip write block: %w", err)
+	// One write for the whole frame: on a TCP conn net.Buffers is a writev,
+	// one syscall for the length and the body instead of two.
+	frame := net.Buffers{lenBuf[:], data}
+	if _, err := frame.WriteTo(w); err != nil {
+		return 0, fmt.Errorf("gossip write frame: %w", err)
 	}
 	return 4 + len(data), nil
 }
