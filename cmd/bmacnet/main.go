@@ -64,7 +64,7 @@ func run() error {
 		accounts   = flag.Int("accounts", 100, "accounts/assets to bootstrap")
 		skew       = flag.Float64("skew", 0, "smallbank hot-account Zipf exponent (>1 skews, 0 = uniform)")
 		dir        = flag.String("dir", "", "ledger directory (default: temp)")
-		backend    = flag.String("backend", "", "parallel peer statedb backend: memory, hybrid or sharded (default: config)")
+		backend    = flag.String("backend", "", "parallel peer statedb backend: memory or hybrid (default: config)")
 		dbCap      = flag.Int("db-capacity", 0, "hybrid backend cache capacity (default: architecture db_capacity)")
 		hostLatUS  = flag.Int("host-latency-us", 0, "modeled host read latency on hybrid cache misses, microseconds")
 		prefetch   = flag.Bool("prefetch", false, "enable the pipelined engine's async read-set prefetch stage")

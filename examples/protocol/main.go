@@ -113,8 +113,8 @@ func run() error {
 	fmt.Printf("\nreceived block %d over UDP: %d envelopes, data hash ok: %v\n",
 		assembled.Block.Header.Number, len(assembled.Block.Envelopes), assembled.DataHashOK)
 
-	// 3. Loss: drop one tx packet of block 1; the block stalls, then a
-	//    retransmission completes it (the Go-Back-N hook of §5).
+	// 3. Loss: drop one tx packet of block 1; the block stalls, then
+	//    resending it by hand completes it (the protocol has no retransmission).
 	blk.Header.Number = 1
 	packets, _, err = sender.EncodeBlock(blk)
 	if err != nil {

@@ -22,7 +22,7 @@ import (
 // is a finding, with two escape hatches:
 //
 //   - a line carrying `bmaclint:allow allocbound (reason)` is exempt —
-//     the cold-path pattern (pool fallback when pooling is off, cache
+//     the cold-path pattern (an undersized pooled buffer regrown, cache
 //     miss inserts);
 //   - allocations inside a call to fmt.Errorf or errors.New are exempt
 //     wholesale: error construction is the cold path by convention, and

@@ -69,9 +69,8 @@ type PipelineSpec struct {
 
 // StateDB backend names accepted by StateDBSpec.Backend.
 const (
-	BackendMemory  = "memory"  // single in-memory Store (default)
-	BackendHybrid  = "hybrid"  // §5 hardware LRU in front of a host Store
-	BackendSharded = "sharded" // lock-striped ShardedStore
+	BackendMemory = "memory" // single in-memory Store (default)
+	BackendHybrid = "hybrid" // §5 hardware LRU in front of a host Store
 )
 
 // CryptoSpec parameterizes the process-wide verification accelerators of
@@ -104,14 +103,11 @@ type HotpathSpec struct {
 // StateDBSpec selects and parameterizes the parallel peer's state-database
 // backend (paper §5's database-scaling proposal).
 type StateDBSpec struct {
-	// Backend is one of memory (default), hybrid or sharded.
+	// Backend is memory (default) or hybrid.
 	Backend string
 	// Capacity is the hybrid backend's in-hardware entry budget; 0 means
 	// the architecture's db_capacity (8192 in the paper's configuration).
 	Capacity int
-	// Shards is the sharded backend's lock-stripe count; 0 means the
-	// statedb default (16).
-	Shards int
 	// HostReadLatencyUS models the host/PCIe access cost, in microseconds,
 	// paid by a hybrid cache-miss read; 0 disables the model.
 	HostReadLatencyUS int
@@ -352,7 +348,8 @@ func Parse(raw []byte) (*Config, error) {
 	if !ok && root != nil {
 		return nil, fmt.Errorf("%w: the document is not a mapping", ErrInvalid)
 	}
-	cfg := &Config{Channel: "ch1", Arch: Default().Arch, caches: &hotCaches{}}
+	d := Default()
+	cfg := &Config{Channel: d.Channel, Arch: d.Arch, Crypto: d.Crypto, Hotpath: d.Hotpath, caches: &hotCaches{}}
 	var orgs, ccs []any
 	var arch, pipe, sdb, del, dur, cr, hp, tel map[string]any
 	if err := decode("", top, fields{
@@ -427,7 +424,6 @@ func Parse(raw []byte) (*Config, error) {
 		{"statedb", sdb, fields{
 			"backend":              &cfg.StateDB.Backend,
 			"capacity":             &cfg.StateDB.Capacity,
-			"shards":               &cfg.StateDB.Shards,
 			"host_read_latency_us": &cfg.StateDB.HostReadLatencyUS,
 			"count_accesses":       &countAccesses,
 		}},
@@ -564,14 +560,14 @@ func (c *Config) Validate() error {
 			ErrInvalid, c.Pipeline.Workers, c.Pipeline.PrefetchWorkers)
 	}
 	switch c.StateDB.Backend {
-	case "", BackendMemory, BackendHybrid, BackendSharded:
+	case "", BackendMemory, BackendHybrid:
 	default:
-		return fmt.Errorf("%w: statedb backend %q (valid: %s, %s, %s)",
-			ErrInvalid, c.StateDB.Backend, BackendMemory, BackendHybrid, BackendSharded)
+		return fmt.Errorf("%w: statedb backend %q (valid: %s, %s)",
+			ErrInvalid, c.StateDB.Backend, BackendMemory, BackendHybrid)
 	}
-	if c.StateDB.Capacity < 0 || c.StateDB.Shards < 0 || c.StateDB.HostReadLatencyUS < 0 {
-		return fmt.Errorf("%w: statedb capacity=%d shards=%d host_read_latency_us=%d must be >= 0",
-			ErrInvalid, c.StateDB.Capacity, c.StateDB.Shards, c.StateDB.HostReadLatencyUS)
+	if c.StateDB.Capacity < 0 || c.StateDB.HostReadLatencyUS < 0 {
+		return fmt.Errorf("%w: statedb capacity=%d host_read_latency_us=%d must be >= 0",
+			ErrInvalid, c.StateDB.Capacity, c.StateDB.HostReadLatencyUS)
 	}
 	switch c.Delivery.Policy {
 	case "", PolicyDisconnect, PolicyDrop, PolicyWait:
@@ -614,8 +610,6 @@ func (c *Config) NewKVS() (statedb.KVS, error) {
 	switch c.StateDB.Backend {
 	case "", BackendMemory:
 		kvs = statedb.NewStore()
-	case BackendSharded:
-		kvs = statedb.NewShardedStore(c.StateDB.Shards)
 	case BackendHybrid:
 		capacity := c.StateDB.Capacity
 		if capacity == 0 {

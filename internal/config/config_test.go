@@ -38,7 +38,6 @@ pipeline:
 statedb:
   backend: hybrid
   capacity: 512
-  shards: 8
   host_read_latency_us: 40
 delivery:
   window: 128
@@ -75,7 +74,7 @@ func TestParseSample(t *testing.T) {
 		t.Errorf("pipeline = %+v", cfg.Pipeline)
 	}
 	if cfg.StateDB.Backend != BackendHybrid || cfg.StateDB.Capacity != 512 ||
-		cfg.StateDB.Shards != 8 || cfg.StateDB.HostReadLatencyUS != 40 {
+		cfg.StateDB.HostReadLatencyUS != 40 {
 		t.Errorf("statedb = %+v", cfg.StateDB)
 	}
 	if cfg.Delivery.Window != 128 || cfg.Delivery.Policy != PolicyDrop || cfg.Delivery.MaxRedials != 5 {
@@ -137,13 +136,6 @@ func TestNewKVSBackends(t *testing.T) {
 		t.Fatal(err)
 	} else if _, ok := kvs.(*statedb.Store); !ok {
 		t.Errorf("default backend = %T, want *statedb.Store", kvs)
-	}
-
-	cfg.StateDB = StateDBSpec{Backend: BackendSharded, Shards: 4}
-	if kvs, err := cfg.NewKVS(); err != nil {
-		t.Fatal(err)
-	} else if s, ok := kvs.(*statedb.ShardedStore); !ok || s.ShardCount() != 4 {
-		t.Errorf("sharded backend = %T (%+v)", kvs, kvs)
 	}
 
 	// Hybrid with capacity 0 inherits the architecture's db_capacity.
@@ -250,6 +242,8 @@ func TestParseRejectsUnknownKeysAndWrongTypes(t *testing.T) {
 		{"misspelt key", base + "pipeline:\n  workrs: 6\n", "unknown key pipeline.workrs"},
 		{"retired pipeline.depth", base + "pipeline:\n  depth: 4\n", "unknown key pipeline.depth"},
 		{"retired hotpath.marshal_pool", base + "hotpath:\n  marshal_pool: true\n", "unknown key hotpath.marshal_pool"},
+		{"retired statedb.shards", base + "statedb:\n  shards: 16\n", "unknown key statedb.shards"},
+		{"retired sharded backend", base + "statedb:\n  backend: sharded\n", `statedb backend "sharded"`},
 		{"integer given a word", base + "pipeline:\n  workers: six\n", "pipeline.workers is six, want an integer"},
 		{"boolean given a word", base + "telemetry:\n  enabled: maybe\n", "telemetry.enabled is maybe, want a boolean"},
 		{"section given a scalar", base + "durability: 3\n", "durability is 3, want a mapping"},
@@ -317,5 +311,57 @@ func TestCircuitsCompiled(t *testing.T) {
 	g := circuits["smallbank"].Gates()
 	if g.AndGates != 1 || g.AndInputs != 2 {
 		t.Errorf("smallbank gates = %+v", g)
+	}
+}
+
+// TestParseSeedsCacheDefaults pins that a file without crypto or hotpath
+// sections runs with the default verdict caches, and that an explicit 0
+// still turns each one off.
+func TestParseSeedsCacheDefaults(t *testing.T) {
+	const base = "orgs:\n  - name: Org1\nchaincodes:\n  - name: cc\n    policy: 1of1\n"
+	cfg, err := Parse([]byte(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := Default()
+	if cfg.Crypto != d.Crypto || cfg.Hotpath != d.Hotpath {
+		t.Errorf("omitted sections: crypto %+v hotpath %+v, want %+v %+v", cfg.Crypto, cfg.Hotpath, d.Crypto, d.Hotpath)
+	}
+	if cfg.SigCache() == nil || cfg.CertCache() == nil || cfg.ParseCache() == nil {
+		t.Error("omitted sections: a verdict cache is off")
+	}
+
+	off, err := Parse([]byte(base + "crypto:\n  sig_cache_size: 0\n  cert_cache_size: 0\nhotpath:\n  parse_cache_size: 0\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off.SigCache() != nil || off.CertCache() != nil || off.ParseCache() != nil {
+		t.Error("explicit 0: a verdict cache is on")
+	}
+}
+
+// TestReadmeConfigParses extracts the YAML block the README shows under
+// `bmacnet -config` and parses it, so the documented file cannot drift
+// from what Parse accepts.
+func TestReadmeConfigParses(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	readme := string(raw)
+	i := strings.Index(readme, "`bmacnet -config")
+	if i < 0 {
+		t.Fatal("README has no `bmacnet -config` paragraph")
+	}
+	_, rest, ok := strings.Cut(readme[i:], "```yaml\n")
+	if !ok {
+		t.Fatal("no yaml block after the `bmacnet -config` paragraph")
+	}
+	block, _, ok := strings.Cut(rest, "```")
+	if !ok {
+		t.Fatal("unterminated yaml block")
+	}
+	if _, err := Parse([]byte(block)); err != nil {
+		t.Fatalf("README config: %v", err)
 	}
 }

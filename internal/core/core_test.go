@@ -470,7 +470,7 @@ func TestOversizeSignatureComponentAllPaths(t *testing.T) {
 	var commits [][]byte
 	for _, workers := range []int{1, 4} {
 		eng := pipeline.New(pipeline.Config{
-			Workers: workers, SkipLedger: true,
+			Workers:  workers,
 			Policies: map[string]*policy.Policy{"smallbank": policytest.MustParse("2of2")},
 		}, statedb.NewStore(), nil)
 		res, err := eng.ValidateAndCommit(raw)
@@ -563,7 +563,7 @@ func TestExtraDERElementAllPaths(t *testing.T) {
 	commits := make([][][]byte, len(blocks))
 	for _, workers := range []int{1, 4} {
 		eng := pipeline.New(pipeline.Config{
-			Workers: workers, SkipLedger: true,
+			Workers:  workers,
 			Policies: map[string]*policy.Policy{"smallbank": policytest.MustParse("2of2")},
 		}, statedb.NewStore(), nil)
 		for n, b := range blocks {
@@ -634,7 +634,7 @@ func TestCertificateInWriteValueAllPaths(t *testing.T) {
 	var commits [][]byte
 	for _, workers := range []int{1, 4} {
 		eng := pipeline.New(pipeline.Config{
-			Workers: workers, SkipLedger: true,
+			Workers:  workers,
 			Policies: map[string]*policy.Policy{"smallbank": policytest.MustParse("2of2")},
 		}, statedb.NewStore(), nil)
 		res, err := eng.ValidateAndCommit(raw)

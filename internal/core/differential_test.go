@@ -34,9 +34,8 @@ func TestRandomizedDifferential(t *testing.T) {
 
 			r := newRig(t, 4, polSrc, arch)
 			sw := pipeline.New(pipeline.Config{
-				Workers:    3,
-				Policies:   map[string]*policy.Policy{"smallbank": pol},
-				SkipLedger: true,
+				Workers:  3,
+				Policies: map[string]*policy.Policy{"smallbank": pol},
 			}, statedb.NewStore(), nil)
 
 			for blockNum := uint64(0); blockNum < 3; blockNum++ {

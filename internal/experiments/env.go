@@ -131,10 +131,9 @@ func (e *Env) MeasureSW(spec BlockSpec, pol string, workers, rounds int) (valida
 	var sum validator.Breakdown
 	for r := 0; r < rounds; r++ {
 		v := pipeline.New(pipeline.Config{
-			Workers:    workers,
-			Policies:   map[string]*policy.Policy{"smallbank": p},
-			SkipLedger: true, // §4.2: ledger commit excluded from the metrics
-		}, statedb.NewStore(), nil)
+			Workers:  workers,
+			Policies: map[string]*policy.Policy{"smallbank": p},
+		}, statedb.NewStore(), nil) // no ledger: §4.2 excludes its commit from the metrics
 		res, err := v.ValidateAndCommit(raw)
 		v.Close()
 		if err != nil {

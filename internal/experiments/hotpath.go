@@ -184,10 +184,10 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	}
 	pols := map[string]*policy.Policy{"smallbank": pol}
 
-	// --- End-to-end block validation: every optimization off vs on. ---
+	// --- End-to-end block validation: every verdict cache off vs on. ---
 	validate := func(sc *fabcrypto.SigCache, cc *fabcrypto.CertCache, pc *validator.ParseCache, tm *telemetry.ValidatorMetrics) error {
 		v := pipeline.New(pipeline.Config{
-			Workers: 1, Policies: pols, SkipLedger: true,
+			Workers: 1, Policies: pols,
 			SigCache: sc, CertCache: cc, ParseCache: pc, Metrics: tm,
 		}, statedb.NewStore(), nil)
 		res, err := v.ValidateAndCommit(raw)
@@ -209,13 +209,9 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 		}
 	}
 
-	prevPooling := wire.BufferPooling()
-	wire.SetBufferPooling(false)
 	rec.Benchmarks["block_validate_baseline"] = measureOp(valIters, run(func() error {
 		return validate(nil, nil, nil, nil)
 	}))
-	wire.SetBufferPooling(true)
-	defer wire.SetBufferPooling(prevPooling)
 
 	sc := fabcrypto.NewSigCache(1 << 15)
 	cc := fabcrypto.NewCertCache(1 << 12)

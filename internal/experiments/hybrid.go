@@ -176,7 +176,7 @@ func (e *Env) MeasureHybrid(spec HybridSpec) (HybridPoint, error) {
 	var refHashes [][]byte
 	run := func(kvs statedb.KVS, prefetch bool) (float64, *pipeline.Engine, error) {
 		eng := pipeline.New(pipeline.Config{
-			Workers: spec.Workers, Policies: pols, SkipLedger: true,
+			Workers: spec.Workers, Policies: pols,
 			Prefetch: prefetch, PrefetchWorkers: spec.PrefetchWorkers,
 			SigCache: sc, ParseCache: pc,
 		}, kvs, nil)

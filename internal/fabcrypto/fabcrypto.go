@@ -347,27 +347,3 @@ func PublicKeyFromCert(der []byte) (*ecdsa.PublicKey, error) {
 func errNotECDSA(cert *x509.Certificate) error {
 	return fmt.Errorf("certificate %q: not an ECDSA key", cert.Subject.CommonName)
 }
-
-// MarshalPublicKey encodes an ECDSA public key in uncompressed point form
-// (0x04 || X || Y), the representation loaded into hardware key registers.
-func MarshalPublicKey(pub *ecdsa.PublicKey) []byte {
-	out := make([]byte, 1+2*ScalarSize)
-	out[0] = 4
-	pub.X.FillBytes(out[1 : 1+ScalarSize])
-	pub.Y.FillBytes(out[1+ScalarSize:])
-	return out
-}
-
-// UnmarshalPublicKey decodes an uncompressed P-256 point.
-func UnmarshalPublicKey(data []byte) (*ecdsa.PublicKey, error) {
-	if len(data) != 1+2*ScalarSize || data[0] != 4 {
-		return nil, errors.New("fabcrypto: bad uncompressed point encoding")
-	}
-	x := new(big.Int).SetBytes(data[1 : 1+ScalarSize])
-	y := new(big.Int).SetBytes(data[1+ScalarSize:])
-	pub := &ecdsa.PublicKey{Curve: elliptic.P256(), X: x, Y: y}
-	if !pub.Curve.IsOnCurve(x, y) {
-		return nil, errors.New("fabcrypto: point not on curve")
-	}
-	return pub, nil
-}

@@ -218,33 +218,6 @@ func TestIssueAndParseCertificate(t *testing.T) {
 	}
 }
 
-func TestPublicKeyPointRoundTrip(t *testing.T) {
-	s := newTestSigner(t)
-	enc := MarshalPublicKey(s.Public())
-	if len(enc) != 65 {
-		t.Fatalf("encoded point length %d, want 65", len(enc))
-	}
-	pub, err := UnmarshalPublicKey(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pub.X.Cmp(s.Public().X) != 0 || pub.Y.Cmp(s.Public().Y) != 0 {
-		t.Error("point round trip mismatch")
-	}
-}
-
-func TestUnmarshalPublicKeyRejectsBadPoint(t *testing.T) {
-	bad := make([]byte, 65)
-	bad[0] = 4
-	bad[10] = 0xff
-	if _, err := UnmarshalPublicKey(bad); err == nil {
-		t.Error("expected error for off-curve point")
-	}
-	if _, err := UnmarshalPublicKey([]byte{1, 2, 3}); err == nil {
-		t.Error("expected error for short encoding")
-	}
-}
-
 func TestStreamHasherMatchesHash(t *testing.T) {
 	var sh StreamHasher
 	sh.Write([]byte("block "))

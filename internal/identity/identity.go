@@ -16,7 +16,6 @@ import (
 	"crypto/ecdsa"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -254,31 +253,6 @@ func (n *Network) LookupByName(name string) (*Identity, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownIdentity, name)
 	}
 	return ident, nil
-}
-
-// OrgNumber returns the number assigned to the named organization.
-func (n *Network) OrgNumber(name string) (uint8, error) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	org, ok := n.orgs[name]
-	if !ok {
-		return 0, fmt.Errorf("identity: org %q does not exist", name)
-	}
-	return org.Number, nil
-}
-
-// OrgNames returns the organization names sorted by org number.
-func (n *Network) OrgNames() []string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	names := make([]string, 0, len(n.orgs))
-	for name := range n.orgs {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		return n.orgs[names[i]].Number < n.orgs[names[j]].Number
-	})
-	return names
 }
 
 // Identities returns all issued identities in issue order.

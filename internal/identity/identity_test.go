@@ -46,13 +46,14 @@ func TestEncodedIDQuick(t *testing.T) {
 
 func TestEncodedIDsUniqueAcrossNetwork(t *testing.T) {
 	n := NewNetwork()
-	for _, org := range []string{"Org1", "Org2", "Org3", "Org4"} {
+	orgs := []string{"Org1", "Org2", "Org3", "Org4"}
+	for _, org := range orgs {
 		if _, err := n.AddOrg(org); err != nil {
 			t.Fatal(err)
 		}
 	}
 	seen := make(map[EncodedID]bool)
-	for _, org := range n.OrgNames() {
+	for _, org := range orgs {
 		for _, role := range []Role{RoleOrderer, RolePeer, RolePeer, RoleClient} {
 			id, err := n.NewIdentity(org, role)
 			if err != nil {

@@ -76,8 +76,8 @@ func (o DurableOptions) ledgerOptions() ledger.Options {
 }
 
 // Open opens (or reopens) a software peer in dir — the engine that cfg
-// describes, over the given state-database backend (plain, sharded or
-// hybrid hardware/host), which must be empty. An existing ledger is replayed on
+// describes, over the given state-database backend (plain or hybrid
+// hardware/host), which must be empty. An existing ledger is replayed on
 // top of the newest usable checkpoint generation (snapshot fast-sync), so
 // a restarted peer resumes from its last committed block; Height reports
 // where that is.

@@ -171,20 +171,16 @@ func TestSWPeerRestartReplaysLedger(t *testing.T) {
 // with CheckpointEvery=2 over 5 blocks, a restart loads the block-3
 // checkpoint and replays only the suffix — and the result is identical to
 // a full replay. Runs the matrix of the engine with the prefetch off and on
-// and all three statedb backends.
+// and both statedb backends.
 func TestDurablePeerCheckpointSuffixReplay(t *testing.T) {
 	f := newChainFixture(t)
 	blocks := f.chain(t, 5)
 
 	kvsFor := func(backend string) statedb.KVS {
-		switch backend {
-		case "sharded":
-			return statedb.NewShardedStore(4)
-		case "hybrid":
+		if backend == "hybrid" {
 			return statedb.NewHybridKVS(8, statedb.NewStore())
-		default:
-			return statedb.NewStore()
 		}
+		return statedb.NewStore()
 	}
 	engines := map[string]pipeline.Config{
 		"fabric14": fabric14(2, f.pols),
@@ -192,7 +188,7 @@ func TestDurablePeerCheckpointSuffixReplay(t *testing.T) {
 	}
 
 	for engine, cfg := range engines {
-		for _, backend := range []string{"memory", "sharded", "hybrid"} {
+		for _, backend := range []string{"memory", "hybrid"} {
 			t.Run(engine+"/"+backend, func(t *testing.T) {
 				dir := t.TempDir()
 				p, err := Open(cfg, kvsFor(backend), dir, DurableOptions{CheckpointEvery: 2})

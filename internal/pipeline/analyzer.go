@@ -1,31 +1,10 @@
 package pipeline
 
-import "bmac/internal/block"
-
 // Access is the declared key-access footprint of one transaction: the keys
 // of its endorsement-time read set and write set.
 type Access struct {
 	Reads  []string
 	Writes []string
-}
-
-// AccessOf extracts the access footprint from a read/write set. A nil rwset
-// (e.g. a transaction that failed to decode) has an empty footprint.
-func AccessOf(rw *block.RWSet) Access {
-	if rw == nil {
-		return Access{}
-	}
-	a := Access{
-		Reads:  make([]string, len(rw.Reads)),
-		Writes: make([]string, len(rw.Writes)),
-	}
-	for i, r := range rw.Reads {
-		a.Reads[i] = r.Key
-	}
-	for i, w := range rw.Writes {
-		a.Writes[i] = w.Key
-	}
-	return a
 }
 
 // Graph is a per-block transaction dependency DAG, a measure of a block's

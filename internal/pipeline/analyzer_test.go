@@ -76,12 +76,6 @@ func TestBuildGraphDedupAndOrder(t *testing.T) {
 	}
 }
 
-func TestAccessOf(t *testing.T) {
-	if a := AccessOf(nil); len(a.Reads) != 0 || len(a.Writes) != 0 {
-		t.Error("nil rwset should have empty access")
-	}
-}
-
 func TestCriticalPathDiamond(t *testing.T) {
 	// 0 writes a,b; 1 reads a; 2 reads b; 3 reads c written by 1 and 2 -> depth 3.
 	g := BuildGraph([]Access{

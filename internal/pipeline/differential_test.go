@@ -187,7 +187,7 @@ func TestDifferentialRandomized(t *testing.T) {
 		wants, wantState := oracleChain(t, r, raws)
 		for _, workers := range workerCounts {
 			for _, prefetch := range []bool{false, true} {
-				eng := New(Config{Workers: workers, Policies: r.pols, SkipLedger: true, Prefetch: prefetch},
+				eng := New(Config{Workers: workers, Policies: r.pols, Prefetch: prefetch},
 					statedb.NewStore(), nil)
 				checkChain(t, fmt.Sprintf("%s workers %d prefetch %v", name, workers, prefetch), eng, raws, wants, wantState)
 			}
@@ -208,7 +208,6 @@ func TestDifferentialBackends(t *testing.T) {
 		make func() statedb.KVS
 	}{
 		{"store", func() statedb.KVS { return statedb.NewStore() }},
-		{"sharded", func() statedb.KVS { return statedb.NewShardedStore(8) }},
 		{"hybrid", func() statedb.KVS {
 			h := statedb.NewHybridKVS(3, statedb.NewStore())
 			h.SetHostReadLatency(50 * time.Microsecond)
@@ -224,7 +223,7 @@ func TestDifferentialBackends(t *testing.T) {
 			for _, workers := range workerCounts {
 				for _, prefetch := range []bool{false, true} {
 					eng := New(Config{
-						Workers: workers, Policies: r.pols, SkipLedger: true,
+						Workers: workers, Policies: r.pols,
 						Prefetch: prefetch, PrefetchWorkers: 4,
 					}, be.make(), nil)
 					label := fmt.Sprintf("%s seed %d workers %d prefetch %v", be.name, seed, workers, prefetch)

@@ -47,9 +47,6 @@ type Config struct {
 	Workers int
 	// Policies maps chaincode name to its endorsement policy.
 	Policies map[string]*policy.Policy
-	// SkipLedger excludes the ledger commit (the paper's metrics exclude it
-	// "for direct comparison between hardware and software" — §4.2).
-	SkipLedger bool
 	// Prefetch enables the async read-set warm-up: distinct read-set keys
 	// are read from the backend as soon as a block is unmarshalled, so
 	// slow-backend misses (e.g. HybridKVS host reads) are absorbed while
@@ -122,8 +119,10 @@ type Engine struct {
 	pf       *prefetcher // nil when cfg.Prefetch is off
 }
 
-// New creates an engine over the given state database and ledger (led may
-// be nil when cfg.SkipLedger is set).
+// New creates an engine over the given state database and ledger. A nil led
+// skips the ledger commit (the paper's metrics exclude it "for direct
+// comparison between hardware and software" — §4.2); the commit hash is
+// computed either way.
 func New(cfg Config, store statedb.KVS, led *ledger.Ledger) *Engine {
 	if cfg.Workers < 1 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -412,7 +411,7 @@ func (e *Engine) flush(j *job) {
 		}
 		j.bd.StateDB = j.bd.MVCC + time.Since(t) // mvcc reads + commit writes
 
-		if !e.cfg.SkipLedger && e.led != nil {
+		if e.led != nil {
 			tLed := time.Now()
 			ch, err := e.led.Commit(j.b)
 			if err != nil {

@@ -56,7 +56,7 @@ var variants = []struct {
 }{{"fabric14", false}, {"prefetch", true}}
 
 func (r *rig) engine(workers int) *Engine {
-	return New(Config{Workers: workers, Policies: r.pols, SkipLedger: true},
+	return New(Config{Workers: workers, Policies: r.pols},
 		statedb.NewStore(), nil)
 }
 

@@ -13,28 +13,24 @@ import (
 	"bmac/internal/fabcrypto"
 	"bmac/internal/statedb"
 	"bmac/internal/validator"
-	"bmac/internal/wire"
 )
 
 // hotpathToggle is one on/off combination of the commit hot-path
 // optimizations under differential test.
 type hotpathToggle struct {
-	name        string
-	sigCache    bool
-	certCache   bool
-	parseCache  bool
-	marshalPool bool
+	name       string
+	sigCache   bool
+	certCache  bool
+	parseCache bool
 }
 
 func hotpathToggles() []hotpathToggle {
 	return []hotpathToggle{
-		{name: "all-off", marshalPool: false},
-		{name: "sigcache", sigCache: true, marshalPool: true},
-		{name: "certcache", certCache: true, marshalPool: true},
-		{name: "sigcache-nopool", sigCache: true},
+		{name: "all-off"},
+		{name: "sigcache", sigCache: true},
+		{name: "certcache", certCache: true},
 		{name: "parseonce", parseCache: true},
-		{name: "pool-only", marshalPool: true},
-		{name: "all-on", sigCache: true, certCache: true, parseCache: true, marshalPool: true},
+		{name: "all-on", sigCache: true, certCache: true, parseCache: true},
 	}
 }
 
@@ -42,20 +38,17 @@ func hotpathToggles() []hotpathToggle {
 // chains with every hot-path optimization independently toggled on and off,
 // through both engine variants, and demands bit-identical validation flags,
 // commit hashes and final state versus the oracle. Run with -race: the
-// caches and the marshal pool are shared across the engine's goroutines.
+// caches are shared across the engine's goroutines.
 func TestHotpathDifferentialToggles(t *testing.T) {
-	defer wire.SetBufferPooling(true)
 	r := newRig(t)
 	rng := rand.New(rand.NewSource(99))
 	raws := buildRandomBlocks(t, r, rng, 6)
 
 	// Reference: the oracle, no optimizations.
-	wire.SetBufferPooling(false)
 	wants, refSnap := oracleChain(t, r, raws)
 
 	for _, tog := range hotpathToggles() {
 		t.Run(tog.name, func(t *testing.T) {
-			wire.SetBufferPooling(tog.marshalPool)
 			var sc *fabcrypto.SigCache
 			var cc *fabcrypto.CertCache
 			var pc *validator.ParseCache
@@ -76,7 +69,7 @@ func TestHotpathDifferentialToggles(t *testing.T) {
 			for k, v := range variants {
 				store := statedb.NewStore()
 				eng := New(Config{
-					Workers: 2 + k, Policies: r.pols, SkipLedger: true, Prefetch: v.prefetch,
+					Workers: 2 + k, Policies: r.pols, Prefetch: v.prefetch,
 					SigCache: sc, CertCache: cc, ParseCache: pc,
 				}, store, nil)
 				for n, raw := range raws {
@@ -132,7 +125,7 @@ func TestHotpathSigCacheSteadyState(t *testing.T) {
 
 	sc := fabcrypto.NewSigCache(4096)
 	v := New(Config{
-		Workers: 2, Policies: r.pols, SkipLedger: true, SigCache: sc,
+		Workers: 2, Policies: r.pols, SigCache: sc,
 	}, statedb.NewStore(), nil)
 	for _, raw := range raws {
 		if _, err := v.ValidateAndCommit(raw); err != nil {
@@ -141,7 +134,7 @@ func TestHotpathSigCacheSteadyState(t *testing.T) {
 	}
 	// Steady state: a fresh validator (fresh store) sharing the cache.
 	v2 := New(Config{
-		Workers: 2, Policies: r.pols, SkipLedger: true, SigCache: sc,
+		Workers: 2, Policies: r.pols, SigCache: sc,
 	}, statedb.NewStore(), nil)
 	for n, raw := range raws {
 		res, err := v2.ValidateAndCommit(raw)
@@ -188,7 +181,7 @@ func TestSharedSigCacheUnderRanges(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			eng := New(Config{Workers: workers[k], Policies: r.pols, SkipLedger: true, SigCache: sc}, statedb.NewStore(), nil)
+			eng := New(Config{Workers: workers[k], Policies: r.pols, SigCache: sc}, statedb.NewStore(), nil)
 			defer eng.Close()
 			res[k], errs[k] = eng.ValidateAndCommit(raw)
 		}()
@@ -249,7 +242,7 @@ func TestExtraDERElementMatchesOracle(t *testing.T) {
 	}
 	for _, workers := range workerCounts {
 		for _, sc := range []*fabcrypto.SigCache{nil, fabcrypto.NewSigCache(64)} {
-			eng := New(Config{Workers: workers, Policies: r.pols, SkipLedger: true, SigCache: sc}, statedb.NewStore(), nil)
+			eng := New(Config{Workers: workers, Policies: r.pols, SigCache: sc}, statedb.NewStore(), nil)
 			checkChain(t, fmt.Sprintf("workers %d cache %v", workers, sc != nil), eng, raws, wants, wantState)
 		}
 	}
@@ -286,7 +279,7 @@ func TestBadClientSignatureStillVerifiesEndorsements(t *testing.T) {
 	}
 	for _, v := range variants {
 		store := statedb.NewStore()
-		eng := New(Config{Workers: 2, Policies: r.pols, SkipLedger: true, Prefetch: v.prefetch}, store, nil)
+		eng := New(Config{Workers: 2, Policies: r.pols, Prefetch: v.prefetch}, store, nil)
 		res, err := eng.ValidateAndCommit(raw)
 		eng.Close()
 		if err != nil {

@@ -36,7 +36,7 @@ func newOracle(r *rig) *oracle {
 	return o
 }
 
-// validateAndCommit has the engine's contract with SkipLedger set: flags and
+// validateAndCommit has the engine's contract with a nil ledger: flags and
 // the unchained commit hash, validator.ErrBlockInvalid for a block that
 // fails block-level verification.
 func (o *oracle) validateAndCommit(raw []byte) (flags, commitHash []byte, err error) {

@@ -22,7 +22,7 @@ func TestPrefetchWarmsHybridCache(t *testing.T) {
 	hy := statedb.NewHybridKVS(64, host)
 	hy.SetHostReadLatency(200 * time.Microsecond)
 
-	eng := New(Config{Workers: 2, Policies: r.pols, SkipLedger: true, Prefetch: true},
+	eng := New(Config{Workers: 2, Policies: r.pols, Prefetch: true},
 		hy, nil)
 	defer eng.Close()
 
@@ -85,7 +85,7 @@ func TestPrefetchOffIssuesNoWarmups(t *testing.T) {
 // verdicts.
 func TestPrefetchAbsentKeys(t *testing.T) {
 	r := newRig(t)
-	eng := New(Config{Workers: 2, Policies: r.pols, SkipLedger: true, Prefetch: true},
+	eng := New(Config{Workers: 2, Policies: r.pols, Prefetch: true},
 		statedb.NewHybridKVS(8, statedb.NewStore()), nil)
 	defer eng.Close()
 

@@ -14,9 +14,8 @@ import (
 // backends returns one fresh instance of every KVS backend, keyed by name.
 func backends() map[string]KVS {
 	return map[string]KVS{
-		"memory":  NewStore(),
-		"sharded": NewShardedStore(4),
-		"hybrid":  NewHybridKVS(8, NewStore()), // capacity < working set: eviction paths exercised
+		"memory": NewStore(),
+		"hybrid": NewHybridKVS(8, NewStore()), // capacity < working set: eviction paths exercised
 	}
 }
 

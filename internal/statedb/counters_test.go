@@ -6,13 +6,13 @@ import (
 	"bmac/internal/block"
 )
 
-// TestAccessCountersToggle pins the count_accesses gate on both counting
-// backends: disabled counters freeze, re-enabled counters resume, and data
-// operations are unaffected either way.
+// TestAccessCountersToggle pins the count_accesses gate on Store, the one
+// backend it gates (HybridKVS counts for free under its own mutex):
+// disabled counters freeze, re-enabled counters resume, and data operations
+// are unaffected either way.
 func TestAccessCountersToggle(t *testing.T) {
 	backends := map[string]KVS{
-		"store":   NewStore(),
-		"sharded": NewShardedStore(4),
+		"store": NewStore(),
 	}
 	for name, kvs := range backends {
 		t.Run(name, func(t *testing.T) {

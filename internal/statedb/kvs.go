@@ -9,9 +9,8 @@ import (
 // KVS is the versioned key-value contract shared by every state-database
 // backend. The software validator, the parallel commit engine and the
 // endorsement simulator all run against this interface, so a peer can be
-// pointed at the in-memory Store, the paper's §5 hybrid hardware/host
-// database (HybridKVS) or the lock-striped ShardedStore without touching
-// the validation code.
+// pointed at the in-memory Store or the paper's §5 hybrid hardware/host
+// database (HybridKVS) without touching the validation code.
 type KVS interface {
 	// Get returns the versioned value for key; a missing key reports an
 	// error wrapping ErrNotFound.
@@ -50,7 +49,6 @@ type KVS interface {
 var (
 	_ KVS = (*Store)(nil)
 	_ KVS = (*HybridKVS)(nil)
-	_ KVS = (*ShardedStore)(nil)
 )
 
 // CheckMVCC implements the Fabric mvcc rule over any version source: every

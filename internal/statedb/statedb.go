@@ -9,9 +9,6 @@
 //     Reads can proceed in parallel, writes are applied in batches after the
 //     mvcc check, matching Fabric's commit path.
 //
-//   - ShardedStore: Store semantics across N lock-striped shards, removing
-//     the single-mutex bottleneck under the parallel commit engine.
-//
 //   - HybridKVS: the paper's §5 scaling proposal — a small fixed-capacity
 //     LRU (the BRAM/URAM budget) in front of a host Store, with an optional
 //     modeled host-access latency on misses.

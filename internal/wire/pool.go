@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Marshal-buffer pool. The hot commit path marshals a block several times
 // per commit (ledger append, data hashing, delivery frames); on paths that
@@ -16,22 +13,6 @@ import (
 // marshaled block that was fully written to a file or socket. Buffers that
 // are retained (a delivery window, an unmarshaled block's backing array)
 // must never come from the pool.
-
-// bufferPoolOn gates pooling; it exists so benchmarks and differential
-// tests can compare pooled and unpooled marshaling byte-for-byte. Toggle
-// only at setup time.
-var bufferPoolOn atomic.Bool
-
-func init() { bufferPoolOn.Store(true) }
-
-// SetBufferPooling enables or disables the marshal-buffer pool (enabled by
-// default). With pooling off, GetBuf allocates and PutBuf discards, so the
-// marshal results are identical either way — only the allocation count
-// changes.
-func SetBufferPooling(on bool) { bufferPoolOn.Store(on) }
-
-// BufferPooling reports whether the marshal-buffer pool is enabled.
-func BufferPooling() bool { return bufferPoolOn.Load() }
 
 var bufPool = sync.Pool{
 	New: func() any {
@@ -46,13 +27,10 @@ var bufPool = sync.Pool{
 var hdrPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // GetBuf returns an empty buffer with capacity at least sizeHint, from the
-// pool when pooling is enabled. The caller owns it until PutBuf.
+// pool. The caller owns it until PutBuf.
 //
 // bmaclint:noalloc
 func GetBuf(sizeHint int) []byte {
-	if !bufferPoolOn.Load() {
-		return make([]byte, 0, sizeHint) // bmaclint:allow allocbound (pooling disabled: one alloc per call is the contract)
-	}
 	bp := bufPool.Get().(*[]byte)
 	b := (*bp)[:0]
 	*bp = nil
@@ -64,11 +42,11 @@ func GetBuf(sizeHint int) []byte {
 }
 
 // PutBuf returns a buffer to the pool. Safe to call with a buffer that did
-// not come from GetBuf (it is simply adopted). No-op when pooling is off.
+// not come from GetBuf (it is simply adopted).
 //
 // bmaclint:noalloc
 func PutBuf(b []byte) {
-	if !bufferPoolOn.Load() || cap(b) == 0 {
+	if cap(b) == 0 {
 		return
 	}
 	bp := hdrPool.Get().(*[]byte)

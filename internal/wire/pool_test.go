@@ -36,19 +36,6 @@ func TestBufferPoolConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-func TestBufferPoolDisabled(t *testing.T) {
-	SetBufferPooling(false)
-	defer SetBufferPooling(true)
-	if BufferPooling() {
-		t.Fatal("pooling should report disabled")
-	}
-	b := GetBuf(32)
-	if len(b) != 0 || cap(b) < 32 {
-		t.Fatalf("GetBuf while disabled: len=%d cap=%d", len(b), cap(b))
-	}
-	PutBuf(b) // must be a no-op, not a panic
-}
-
 func TestSizeUintField(t *testing.T) {
 	cases := []uint64{0, 1, 127, 128, 1 << 20, 1<<64 - 1}
 	for _, v := range cases {

@@ -120,8 +120,8 @@ func NewTestbed(cfg *Config, dir string) (_ *Testbed, err error) {
 	if err != nil {
 		return nil, err
 	}
-	// The parallel peer runs over the configured statedb backend (memory,
-	// hybrid hardware/host, or sharded); the sequential peer stays on the
+	// The parallel peer runs over the configured statedb backend (memory or
+	// hybrid hardware/host); the sequential peer stays on the
 	// plain store, so every block is also a cross-backend differential check.
 	parKVS, err := cfg.NewKVS()
 	if err != nil {
@@ -245,10 +245,6 @@ func (tb *Testbed) ParallelBackendSummary() string {
 			"hybrid (capacity %d): %.1f%% hit rate (%d hits, %d misses, %d evictions), host %d reads / %d writes, %d keys prefetched",
 			kvs.Capacity(), kvs.HitRate()*100, hits, misses, evictions,
 			hostReads, hostWrites, tb.ParPeer.Engine.PrefetchedKeys())
-	case *statedb.ShardedStore:
-		reads, writes := kvs.AccessCounts()
-		return fmt.Sprintf("sharded (%d stripes): %d reads, %d writes",
-			kvs.ShardCount(), reads, writes)
 	default:
 		reads, writes := kvs.AccessCounts()
 		return fmt.Sprintf("memory: %d reads, %d writes", reads, writes)
