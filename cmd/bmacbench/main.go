@@ -8,6 +8,8 @@
 //	bmacbench -quick          # shrunk sweeps (smoke test)
 //	bmacbench -rounds 5       # more measurement rounds per point
 //	bmacbench -list           # list experiment ids
+//	bmacbench -exp cluster -cpuprofile cpu.pprof
+//	                          # + a CPU profile of the whole run (go tool pprof)
 //
 // The hotpath suite additionally supports a machine-readable record and a
 // regression gate against a committed baseline:
@@ -18,9 +20,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -34,17 +38,32 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	var (
 		exp      = flag.String("exp", "", "experiment id (default: all)")
 		rounds   = flag.Int("rounds", 3, "measurement rounds per data point")
 		quick    = flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		jsonOut  = flag.String("json", "", "hotpath only: write the benchmark record to this path")
-		gatePath = flag.String("gate", "", "hotpath only: compare allocs/op against this baseline record and check the verification engine's within-run ratios, exit 1 on regression")
+		gatePath = flag.String("gate", "", "hotpath only: compare allocs/op against this baseline record and check its within-run ratios, exit 1 on regression")
 		gateTol  = flag.Float64("gate-tolerance", 0.25, "relative allocs/op headroom for -gate")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	)
 	flag.Parse()
+
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return errors.Join(err, f.Close())
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			err = errors.Join(err, f.Close())
+		}()
+	}
 
 	if *list {
 		for _, name := range bmac.ExperimentNames() {
@@ -92,7 +111,7 @@ func run() error {
 				if err := rec.Gate(baseline, *gateTol); err != nil {
 					return err
 				}
-				fmt.Printf("gate: allocs/op within %.0f%% of %s, verification-engine and BMac-sender ratios within limits\n", *gateTol*100, *gatePath)
+				fmt.Printf("gate: allocs/op within %.0f%% of %s, verification-engine, BMac-sender and signer ratios within limits\n", *gateTol*100, *gatePath)
 			}
 		}
 	}

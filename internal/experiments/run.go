@@ -65,7 +65,7 @@ var Titles = map[string]string{
 	"hybrid":      "Hybrid: §5 hardware/host database — hit rate and prefetch latency hiding vs capacity and Zipf skew",
 	"cluster":     "Cluster: open-loop load through the non-blocking delivery service — throughput, tail latency and slow-peer isolation per validation path",
 	"churn":       "Churn: kill a peer mid-run, restart from checkpoint + ledger replay, catch up through the orderer ledger — convergence per validation path",
-	"hotpath":     "Hotpath: commit hot-path micro/macro benchmarks — verify cache, key-table ECDSA engine, parse-once, pooled marshal — each vs its off baseline (ns/op, allocs/op, hit rates)",
+	"hotpath":     "Hotpath: commit hot-path micro/macro benchmarks — verify cache, key-table ECDSA engine, parse-once, pooled marshal, signing — each vs its off baseline (ns/op, allocs/op, hit rates)",
 	"adversarial": "Adversarial: hostile-load and chaos gates — 50% invalid-tx flood must keep valid-tx TPS >= 70% of baseline, and every fault (partition, corruption, slowdisk, leaderkill) must end bit-identical",
 	"fastsync":    "Fastsync: snapshot fast-sync vs full replay across ledger lengths — recovery must replay the fixed tail (not the chain), reopen from the persisted index, and land bit-identical",
 }

@@ -15,12 +15,13 @@
 // that recur, crypto/ecdsa for everything else, the same verdict either
 // way. That engine is variable time, which is sound because a verification
 // has no secret input. Signing is a different matter and is untouched:
-// Signer.Sign and SignDigest call crypto/ecdsa with crypto/rand, and no
-// private key, nonce or other secret-dependent value ever enters the
-// engine's arithmetic.
+// Signer.Sign and SignDigest call crypto/ecdsa's RFC 6979 deterministic
+// signer, and no private key, nonce or other secret-dependent value ever
+// enters the engine's arithmetic.
 package fabcrypto
 
 import (
+	"crypto"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
@@ -122,12 +123,15 @@ func (s *Signer) Sign(msg []byte) ([]byte, error) {
 	return s.SignDigest(digest[:])
 }
 
-// SignDigest signs a precomputed 32-byte digest. crypto/ecdsa signs and
-// encodes; its DER is returned as it is unless s is in the high half of the
-// order, in which case s becomes n − s — computed on the public signature's
-// fixed-width halves — and the pair is re-encoded.
+// SignDigest signs a precomputed SHA-256 digest; a digest of any other
+// length than 32 bytes is an error. crypto/ecdsa signs and encodes, with the
+// nonce derived by RFC 6979 from the key and the digest, so one key signing
+// one digest always gives the same signature. Its DER is returned as it is
+// unless s is in the high half of the order, in which case s becomes n − s —
+// computed on the public signature's fixed-width halves — and the pair is
+// re-encoded.
 func (s *Signer) SignDigest(digest []byte) ([]byte, error) {
-	sig, err := ecdsa.SignASN1(rand.Reader, s.priv, digest)
+	sig, err := s.priv.Sign(nil, digest, crypto.SHA256)
 	if err != nil {
 		return nil, fmt.Errorf("ecdsa sign: %w", err)
 	}

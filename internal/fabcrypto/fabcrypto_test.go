@@ -2,8 +2,10 @@ package fabcrypto
 
 import (
 	"bytes"
+	"crypto"
 	"crypto/ecdsa"
-	"crypto/rand"
+	"crypto/elliptic"
+	"encoding/asn1"
 	"errors"
 	"math/big"
 	"testing"
@@ -129,7 +131,9 @@ func TestVerifyPartsRejectsZero(t *testing.T) {
 
 // TestLowSNormalization: every signature is low-S, verifies under
 // crypto/ecdsa.VerifyASN1 and is the minimal DER of its halves. 64
-// signatures take the n − s branch with probability 1 − 2⁻⁶⁴.
+// signatures over 64 distinct digests take the n − s branch with
+// probability 1 − 2⁻⁶⁴; the digests must stay distinct, because one key
+// signing one digest 64 times now gives one signature.
 func TestLowSNormalization(t *testing.T) {
 	s := newTestSigner(t)
 	half := new(big.Int).Rsh(bigN, 1)
@@ -155,16 +159,102 @@ func TestLowSNormalization(t *testing.T) {
 	}
 }
 
-// TestSignDigestAllocs bounds what signing allocates beyond crypto/ecdsa:
-// nothing but the re-encoded DER, and that only for a high S.
+// TestSignDigestAllocs bounds what signing allocates beyond crypto/ecdsa's
+// RFC 6979 signer: nothing but the re-encoded DER, and that only for a high
+// S.
 func TestSignDigestAllocs(t *testing.T) {
 	s := newTestSigner(t)
 	digest := Hash([]byte("allocs"))
-	base := testing.AllocsPerRun(50, func() { _, _ = ecdsa.SignASN1(rand.Reader, s.priv, digest[:]) })
+	base := testing.AllocsPerRun(50, func() { _, _ = s.priv.Sign(nil, digest[:], crypto.SHA256) })
 	got := testing.AllocsPerRun(50, func() { _, _ = s.SignDigest(digest[:]) })
-	t.Logf("crypto/ecdsa.SignASN1: %.2f allocs, SignDigest: %.2f", base, got)
+	t.Logf("crypto/ecdsa.(*PrivateKey).Sign: %.2f allocs, SignDigest: %.2f", base, got)
 	if got > base+1 {
 		t.Fatalf("SignDigest allocates %.2f, crypto/ecdsa alone %.2f", got, base)
+	}
+}
+
+// TestSignDigestRFC6979 pins SignDigest to RFC 6979 A.2.5's P-256/SHA-256
+// vectors (as crypto/ecdsa's TestRFC6979 carries them), signed by a Signer
+// holding the RFC's private key. "sample" signs to a high s, so SignDigest
+// must return r and n − s; "test" signs to a low s, which must come back
+// unchanged. Both low-S branches, with nothing left to chance.
+func TestSignDigestRFC6979(t *testing.T) {
+	hexInt := func(h string) *big.Int {
+		v, ok := new(big.Int).SetString(h, 16)
+		if !ok {
+			t.Fatalf("bad hex %q", h)
+		}
+		return v
+	}
+	s := &Signer{priv: &ecdsa.PrivateKey{
+		D: hexInt("C9AFA9D845BA75166B5C215767B1D6934E50C3DB36E89B127B8A622B120F6721"),
+		PublicKey: ecdsa.PublicKey{
+			Curve: elliptic.P256(),
+			X:     hexInt("60FED4BA255A9D31C961EB74C6356D68C049B8923B61FA6CE669622E60F29FB6"),
+			Y:     hexInt("7903FE1008B8BC99A41AE9E95628BC64F2F1B20C2D7E9F5177A3C294D4462299"),
+		},
+	}}
+	half := new(big.Int).Rsh(bigN, 1)
+	for _, v := range []struct {
+		msg, r, s string
+		highS     bool
+	}{
+		{"sample", "EFD48B2AACB6A8FD1140DD9CD45E81D69D2C877B56AAF991C34D0EA84EAF3716",
+			"F7CB1C942D657C41D436C7A1B6E29F65F3E900DBB9AFF4064DC4AB2F843ACDA8", true},
+		{"test", "F1ABB023518351CD71D881567B1EA663ED3EFCF6C5132B354F28D3B0B7D38367",
+			"019F4113742A2B14BD25926B49C649155F267E60D3814B4C0CC84250E46F0083", false},
+	} {
+		r, sv := hexInt(v.r), hexInt(v.s)
+		if (sv.Cmp(half) > 0) != v.highS {
+			t.Fatalf("%q: the vector's s is not on the branch it is meant to test", v.msg)
+		}
+		if v.highS {
+			sv.Sub(bigN, sv)
+		}
+		want, err := asn1.Marshal(struct{ R, S *big.Int }{r, sv})
+		if err != nil {
+			t.Fatal(err)
+		}
+		digest := Hash([]byte(v.msg))
+		sig, err := s.SignDigest(digest[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sig, want) {
+			t.Errorf("%q: SignDigest = %x, want %x", v.msg, sig, want)
+		}
+	}
+}
+
+// TestSignDigestDeterministic: one key signing one digest twice gives the
+// same bytes, and they verify under crypto/ecdsa.
+func TestSignDigestDeterministic(t *testing.T) {
+	s := newTestSigner(t)
+	digest := Hash([]byte("endorse"))
+	a, err := s.SignDigest(digest[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.SignDigest(digest[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("two signatures of one digest differ:\n%x\n%x", a, b)
+	}
+	if !ecdsa.VerifyASN1(s.Public(), digest[:], a) {
+		t.Fatal("signature does not verify under crypto/ecdsa")
+	}
+}
+
+// TestSignDigestRejectsOtherLengths: SignDigest signs SHA-256 digests, and a
+// digest of any other length is an error, not a truncated or padded input.
+func TestSignDigestRejectsOtherLengths(t *testing.T) {
+	s := newTestSigner(t)
+	for _, n := range []int{0, 1, 20, HashSize - 1, HashSize + 1, 48, 64} {
+		if sig, err := s.SignDigest(make([]byte, n)); err == nil {
+			t.Errorf("%d-byte digest signed: %x", n, sig)
+		}
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 //
 // Every input of a verification is public, which is what makes variable
 // time sound here. No secret-dependent value enters this code: signing
-// (Signer.Sign*) calls crypto/ecdsa with rand.Reader and nothing else.
+// (Signer.Sign*) calls crypto/ecdsa's RFC 6979 signer and nothing else.
 //
 // crypto/ecdsa also stays the verifier for keys not (yet) worth a table,
 // for anything but a 32-byte digest under a valid P-256 key, and for the

@@ -21,6 +21,9 @@
 # sender: bmac_encode_block_64ids / bmac_encode_block <= 1.25 (EncodeBlock
 # must not grow with the number of registered identities) and
 # bmac_encode_block / marshal_block <= 50, the three measured interleaved.
+# One holds the signer: ecdsa_sign / ecdsa_sign_hedged <= 0.90
+# (fabcrypto's RFC 6979 signer against crypto/ecdsa's hedged one, which
+# draws fresh entropy into every nonce; the two measured interleaved).
 #
 # The suite includes the telemetry-off gate: block_validate_telemetry_off
 # runs block validation with the telemetry plane disabled (nil instruments)
