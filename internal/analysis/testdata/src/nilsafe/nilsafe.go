@@ -49,16 +49,16 @@ func (c *Counter) Reset() { // want `exported method \(\*Counter\)\.Reset must b
 	}
 }
 
-// Gauge is marked explicitly rather than through prose.
+// Level is marked explicitly rather than through prose.
 //
 // bmaclint:nilsafe
-type Gauge struct {
+type Level struct {
 	v atomic.Int64
 }
 
 // Set uses an or-chain guard, which still counts: the nil test runs
 // before any dereference.
-func (g *Gauge) Set(v int64, enabled bool) {
+func (g *Level) Set(v int64, enabled bool) {
 	if g == nil || !enabled {
 		return
 	}
@@ -66,7 +66,7 @@ func (g *Gauge) Set(v int64, enabled bool) {
 }
 
 // Read is missing its guard on a marker-annotated type.
-func (g *Gauge) Read() int64 { // want `exported method \(\*Gauge\)\.Read must begin with a nil-receiver guard`
+func (g *Level) Read() int64 { // want `exported method \(\*Level\)\.Read must begin with a nil-receiver guard`
 	return g.v.Load()
 }
 

@@ -260,8 +260,13 @@ type Result struct {
 	// trace_file), empty when none was configured.
 	TraceFile string
 	// MetricsText is the final Prometheus exposition snapshot of the
-	// config's registry ("" without telemetry). Counters are process-
-	// cumulative: consecutive runs on one Config accumulate.
+	// config's registry ("" without telemetry). The ledger_*, delivery_*,
+	// orderer_*, statedb_* and chaos_* series and load_*_txs_total are
+	// per-run: each reads a counter of this run's subsystems (a restarted
+	// peer's series report its new session). The validator_*,
+	// fabcrypto_* and load_e2e_seconds series accumulate over every run on
+	// one Config: the histograms and engine totals live in the registry,
+	// and the caches are shared.
 	MetricsText string
 }
 
@@ -335,55 +340,6 @@ func gossipDialer(a *peerAddr, slowDelay time.Duration) func() (delivery.Transpo
 		}
 		return tr, nil
 	}
-}
-
-// submitWindow is one transaction's SubmitTx call wall-clock window.
-type submitWindow struct {
-	start, end time.Time
-}
-
-// submitTimes shares per-tx submit call windows between the load drivers
-// and the orderer's flight-recorder hook.
-type submitTimes struct {
-	mu    sync.Mutex
-	times map[string]submitWindow
-}
-
-func (s *submitTimes) record(txid string, w submitWindow) {
-	s.mu.Lock()
-	s.times[txid] = w
-	s.mu.Unlock()
-}
-
-// lookup is nil-receiver safe so the orderer hook can probe unconditionally.
-func (s *submitTimes) lookup(txid string) (submitWindow, bool) {
-	if s == nil {
-		return submitWindow{}, false
-	}
-	s.mu.Lock()
-	w, ok := s.times[txid]
-	s.mu.Unlock()
-	return w, ok
-}
-
-// tracedSubmitter wraps a load.Submitter and records each successful submit
-// call's window keyed by the returned transaction id. The record lands after
-// the inner call returns, so a transaction cut into a block synchronously
-// inside SubmitTx can be ordered before its window is visible — the orderer
-// hook falls back to contiguous anchors for such transactions.
-type tracedSubmitter struct {
-	inner load.Submitter
-	rec   *submitTimes
-}
-
-func (t *tracedSubmitter) SubmitTx() (string, error) {
-	start := time.Now()
-	txid, err := t.inner.SubmitTx()
-	if err != nil {
-		return txid, err
-	}
-	t.rec.record(txid, submitWindow{start: start, end: time.Now()})
-	return txid, nil
 }
 
 // steadySubmitter holds the committer role off the endorsers' stores while
@@ -483,15 +439,25 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 			p.kill() // bmaclint:allow errdiscard (teardown: nothing left to do with a close error)
 		}
 	}()
-	// Per-peer state-database access counters, exported as scrape-time
-	// gauges (a restart re-registers the replacement store under the same
-	// name).
-	registerStateDB := func(p *swPeer) {
-		st := p.peer.Engine.Store()
-		reg.GaugeFunc(telemetry.Name("statedb_reads_total", "peer", p.name),
-			func() int64 { r, _ := st.AccessCounts(); return int64(r) })
-		reg.GaugeFunc(telemetry.Name("statedb_writes_total", "peer", p.name),
-			func() int64 { _, w := st.AccessCounts(); return int64(w) })
+	// Per-peer state-database access counts and ledger segment counts,
+	// read at scrape time. A restart re-registers the replacement peer
+	// under the same name, so its series then report the new session.
+	registerPeer := func(p *swPeer) {
+		st, led := p.peer.Engine.Store(), p.peer.Ledger
+		gauge := func(base string, read func() int64) {
+			reg.GaugeFunc(telemetry.Name(base, "peer", p.name), read)
+		}
+		gauge("statedb_reads_total", func() int64 { r, _ := st.AccessCounts(); return int64(r) })
+		gauge("statedb_writes_total", func() int64 { _, w := st.AccessCounts(); return int64(w) })
+		ledgerStat := func(base string, read func(ledger.Stats) int64) {
+			gauge(base, func() int64 { return read(led.Stats()) })
+		}
+		ledgerStat("ledger_segments_sealed_total", func(s ledger.Stats) int64 { return s.Sealed })
+		ledgerStat("ledger_segments_quarantined_total", func(s ledger.Stats) int64 { return s.Quarantined })
+		ledgerStat("ledger_segments_restored_total", func(s ledger.Stats) int64 { return s.RestoredSegs })
+		ledgerStat("ledger_blocks_restored_total", func(s ledger.Stats) int64 { return s.RestoredBlocks })
+		ledgerStat("ledger_segments_pruned_total", func(s ledger.Stats) int64 { return s.Pruned })
+		ledgerStat("ledger_index_rebuilds_total", func(s ledger.Stats) int64 { return s.IndexRebuilds })
 	}
 	for i := 0; i < opts.Peers; i++ {
 		p, err := newSWPeer(cfg, opts, i, filepath.Join(dir, fmt.Sprintf("peer%d", i)), sp.disks[i])
@@ -499,7 +465,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 			return nil, err
 		}
 		peers = append(peers, p)
-		registerStateDB(p)
+		registerPeer(p)
 	}
 
 	// Bootstrap genesis state everywhere.
@@ -526,11 +492,14 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		Arrival: opts.Arrival,
 		Count:   opts.Txs,
 		Seed:    opts.Seed,
-		Metrics: telemetry.NewLoadMetrics(reg),
+		E2E:     reg.Histogram("load_e2e_seconds"),
 	})
 	if err != nil {
 		return nil, err
 	}
+	reg.GaugeFunc("load_submitted_txs_total", func() int64 { n, _, _ := gen.Stats(); return int64(n) })
+	reg.GaugeFunc("load_committed_txs_total", func() int64 { _, n, _ := gen.Stats(); return int64(n) })
+	reg.GaugeFunc("load_late_txs_total", func() int64 { _, _, n := gen.Stats(); return int64(n) })
 	clientID, err := st.Network.LookupByName("client0." + cfg.Orgs[0].Name)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: first org needs a client: %w", err)
@@ -561,15 +530,6 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		}
 		if adv != nil {
 			drivers[i] = adv.Wrap(drivers[i])
-		}
-	}
-	// The flight recorder anchors the submit/endorse spans on per-tx submit
-	// call windows; wrap every driver with a recording shim.
-	var subTimes *submitTimes
-	if rec != nil {
-		subTimes = &submitTimes{times: make(map[string]submitWindow)}
-		for i := range drivers {
-			drivers[i] = &tracedSubmitter{inner: drivers[i], rec: subTimes}
 		}
 	}
 
@@ -667,31 +627,25 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 			if err != nil {
 				continue
 			}
-			if w, ok := subTimes.lookup(id); ok {
-				if minStart.IsZero() || w.start.Before(minStart) {
-					minStart = w.start
-				}
-				if w.end.After(maxEnd) {
-					maxEnd = w.end
-				}
+			sub, ok := gen.SubmitRecord(id)
+			if !ok {
+				continue
 			}
-			if t0, ok := gen.SubmitTime(id); ok {
-				if minSched.IsZero() || t0.Before(minSched) {
-					minSched = t0
-				}
+			if minSched.IsZero() || sub.Scheduled.Before(minSched) {
+				minSched = sub.Scheduled
+			}
+			if minStart.IsZero() || sub.Start.Before(minStart) {
+				minStart = sub.Start
+			}
+			if sub.End.After(maxEnd) {
+				maxEnd = sub.End
 			}
 		}
 		// A submit record can trail its transaction into a block (the
 		// generator stores it after SubmitTx returns); fall back so the
 		// trace stays contiguous rather than dropping the block.
 		if minStart.IsZero() {
-			minStart = now
-		}
-		if minSched.IsZero() {
-			minSched = minStart
-		}
-		if maxEnd.IsZero() {
-			maxEnd = minStart
+			minSched, minStart, maxEnd = now, now, now
 		}
 		rec.Stamp(num, telemetry.StageSubmit, "", minSched, minStart, len(b.Envelopes))
 		rec.Stamp(num, telemetry.StageEndorse, "", minStart, maxEnd, 0)
@@ -740,8 +694,8 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 				hwMu.Lock()
 				hwBlocks++
 				for _, id := range ids {
-					if t0, ok := gen.SubmitTime(id); ok {
-						hwSamples.Add(at.Sub(t0))
+					if sub, ok := gen.SubmitRecord(id); ok {
+						hwSamples.Add(at.Sub(sub.Scheduled))
 					} else {
 						hwPending = append(hwPending, hwObs{id, at})
 					}
@@ -775,7 +729,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		np.lastCommit = cp.lastCommit
 		cp.mu.Unlock()
 		peers[i] = np
-		registerStateDB(np)
+		registerPeer(np)
 		recovered := np.peer.Height()
 		rewindTo := recovered
 		if mr := np.peer.Ledger.MissingRanges(); len(mr) > 0 && mr[0].First < rewindTo {
@@ -1023,8 +977,8 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		// Resolve commits that raced ahead of their submit record; every
 		// submission is recorded by now (gen.Run returned).
 		for _, o := range hwPending {
-			if t0, ok := gen.SubmitTime(o.txid); ok {
-				hwSamples.Add(o.at.Sub(t0))
+			if sub, ok := gen.SubmitRecord(o.txid); ok {
+				hwSamples.Add(o.at.Sub(sub.Scheduled))
 			}
 		}
 		hwPending = nil
@@ -1120,7 +1074,6 @@ func newSWPeer(cfg *config.Config, opts Options, i int, dir string, df *chaos.Di
 		Prune:           cfg.Durability.Prune,
 		NoFastSync:      cfg.Durability.NoFastSync,
 		SyncEachBlock:   cfg.Durability.SyncEachBlock,
-		Metrics:         telemetry.NewLedgerMetrics(cfg.TelemetryRegistry(), name),
 	}
 	if df != nil {
 		dopts.CommitFault = df.Hook()

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -279,6 +280,7 @@ func TestTelemetryTrace(t *testing.T) {
 	cfg := testConfig()
 	cfg.Telemetry.Enabled = true
 	cfg.Telemetry.TraceFile = filepath.Join(dir, "trace.jsonl")
+	cfg.Durability.SegmentBytes = 4096 // segments seal during the run
 	res, err := Run(cfg, Options{
 		Mode:    Sequential,
 		Peers:   2,
@@ -348,6 +350,114 @@ func TestTelemetryTrace(t *testing.T) {
 	} {
 		if !strings.Contains(res.MetricsText, want) {
 			t.Errorf("metrics exposition is missing %s", want)
+		}
+	}
+
+	// Every subsystem's counts are in the exposition under their names,
+	// and equal to what the run reports about itself.
+	value := func(name string) int64 {
+		t.Helper()
+		for _, line := range strings.Split(res.MetricsText, "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				n, err := strconv.ParseInt(v, 10, 64)
+				if err != nil {
+					t.Fatalf("metrics line %q: %v", line, err)
+				}
+				return n
+			}
+		}
+		t.Errorf("metrics exposition is missing %s", name)
+		return -1
+	}
+	for _, name := range []string{"orderer_blocks_total", "orderer_txs_total", "load_committed_txs_total", "load_late_txs_total"} {
+		value(name)
+	}
+	for reason, want := range map[string]int{"size": res.SizeCuts, "idle": res.IdleCuts, "timeout": res.TimeoutCuts} {
+		if got := value(telemetry.Name("orderer_cuts_total", "reason", reason)); got != int64(want) {
+			t.Errorf("orderer_cuts_total{reason=%q} = %d, run reports %d", reason, got, want)
+		}
+	}
+	if got := value("load_submitted_txs_total"); got != int64(res.Submitted) {
+		t.Errorf("load_submitted_txs_total = %d, run reports %d", got, res.Submitted)
+	}
+	sealed := int64(0)
+	for _, p := range res.Peers {
+		name := func(base string) string { return telemetry.Name(base, "peer", p.Name) }
+		for _, base := range []string{
+			"ledger_segments_quarantined_total", "ledger_segments_restored_total",
+			"ledger_blocks_restored_total", "ledger_segments_pruned_total", "ledger_index_rebuilds_total",
+			"delivery_blocks_total", "delivery_bytes_total", "delivery_dropped_total",
+			"delivery_redials_total", "delivery_send_errors_total",
+		} {
+			value(name(base))
+		}
+		if got := value(name("ledger_segments_sealed_total")); got != p.Ledger.Sealed {
+			t.Errorf("%s = %d, run reports %d", name("ledger_segments_sealed_total"), got, p.Ledger.Sealed)
+		}
+		sealed += p.Ledger.Sealed
+		if got := value(name("delivery_catchup_blocks_total")); got != int64(p.Delivery.CaughtUp) {
+			t.Errorf("%s = %d, run reports %d", name("delivery_catchup_blocks_total"), got, p.Delivery.CaughtUp)
+		}
+	}
+	if sealed == 0 {
+		t.Error("no segment sealed: the sealed-count comparison above proves nothing")
+	}
+}
+
+// TestScrapeDuringChurn scrapes the registry in a loop while a churn run
+// kills and restarts a peer, and once more after the run has closed every
+// subsystem. Under the race detector this guards the scrape-time
+// reads: each one takes the lock of the ledger, orderer, load generator
+// or delivery pipe that owns the count, concurrently with the run.
+func TestScrapeDuringChurn(t *testing.T) {
+	cfg := config.Default()
+	cfg.Arch.MaxBlockTxs = 4
+	cfg.Durability.CheckpointEvery = 4
+	cfg.Durability.SegmentBytes = 4096
+	cfg.Telemetry.Enabled = true
+	reg := cfg.TelemetryRegistry()
+	stop := make(chan struct{})
+	scraped := make(chan int)
+	go func() {
+		n := 0
+		defer func() { scraped <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = reg.Text()
+			n++
+			time.Sleep(100 * time.Microsecond) // leave the run its CPUs
+		}
+	}()
+	res, err := Run(cfg, Options{
+		Mode:     Sequential,
+		Peers:    3,
+		Window:   4,
+		Txs:      48,
+		Rate:     900,
+		Clients:  2,
+		Scenario: script(t, "churn", 2),
+		Seed:     23,
+	}, t.TempDir())
+	close(stop)
+	if n := <-scraped; n == 0 {
+		t.Error("no scrape ran during the run")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireConverged(t, res)
+	text := reg.Text()
+	for _, want := range []string{
+		`ledger_segments_sealed_total{peer="peer2"}`,
+		`delivery_blocks_total{peer="peer2"}`,
+		"orderer_blocks_total", "load_submitted_txs_total",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("scrape after the run is missing %s", want)
 		}
 	}
 }

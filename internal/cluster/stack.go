@@ -88,8 +88,8 @@ func Build(cfg *config.Config, o StackOptions, dir string) (_ *Stack, err error)
 		BatchSize:    cfg.Arch.MaxBlockTxs,
 		BatchTimeout: o.BatchTimeout,
 		Channel:      cfg.Channel,
-		Metrics:      telemetry.NewOrdererMetrics(cfg.TelemetryRegistry()),
 	}, ordID, leader)
+	registerOrderer(cfg.TelemetryRegistry(), s.Orderer)
 	if !o.BMac {
 		return s, nil
 	}
@@ -105,6 +105,19 @@ func Build(cfg *config.Config, o StackOptions, dir string) (_ *Stack, err error)
 		return nil, err
 	}
 	return s, nil
+}
+
+// registerOrderer exports the orderer's block, transaction and cut counts
+// as scrape-time reads of Stats and Cuts.
+func registerOrderer(reg *telemetry.Registry, o *orderer.Orderer) {
+	reg.GaugeFunc("orderer_blocks_total", func() int64 { b, _ := o.Stats(); return int64(b) })
+	reg.GaugeFunc("orderer_txs_total", func() int64 { _, t := o.Stats(); return int64(t) })
+	for r := orderer.CutSize; r < orderer.CutReasons; r++ {
+		reg.GaugeFunc(telemetry.Name("orderer_cuts_total", "reason", r.String()), func() int64 {
+			size, idle, timeout := o.Cuts()
+			return int64([orderer.CutReasons]int{size, idle, timeout}[r])
+		})
+	}
 }
 
 // Bootstrap seeds a workload's genesis state into every endorser store and

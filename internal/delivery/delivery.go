@@ -154,10 +154,11 @@ type Options struct {
 	// lost range from History (counted in PeerStats.CaughtUp). DropBlocks
 	// peers still drop — their policy asks for it.
 	History Source
-	// Registry, when non-nil, mirrors each pipe's counters into the
-	// telemetry registry (delivery_*_total{peer=...}) and exports per-peer
-	// lag as a scrape-time gauge. Nil (telemetry off) leaves every pipe's
-	// instrument handles nil — one predicted branch per event.
+	// Registry, when non-nil, exports each pipe's PeerStats counters
+	// (delivery_*_total{peer=...}) and its lag (delivery_lag_blocks) as
+	// scrape-time reads of the pipe; the send path keeps no second copy.
+	// A later service registering the same peer name on the same registry
+	// replaces the reads. Nil: telemetry off.
 	Registry *telemetry.Registry
 }
 
@@ -293,17 +294,21 @@ func (s *Service) Register(name string, tr Transport, opts PeerOptions) error {
 		next:   s.base,
 		alive:  true,
 	}
-	if b := telemetry.NewPeerDeliveryMetrics(s.reg, name); b != nil {
-		// Copy the bundle by value: disabled telemetry leaves every handle
-		// a nil *Counter, which ignores writes at the cost of one branch.
-		p.m = *b
-	}
 	s.peers[name] = p
 	s.mu.Unlock()
-	// Lag is derived from the service height at scrape time, never
-	// maintained on the send path.
-	s.reg.GaugeFunc(telemetry.Name("delivery_lag_blocks", "peer", name),
-		func() int64 { return int64(p.snapshot(s.Height()).Lag) })
+	// Every series reads the pipe at scrape time; lag is derived from the
+	// service height, never maintained on the send path.
+	stat := func(base string, read func(PeerStats) int64) {
+		s.reg.GaugeFunc(telemetry.Name(base, "peer", name),
+			func() int64 { return read(p.snapshot(s.Height())) })
+	}
+	stat("delivery_blocks_total", func(st PeerStats) int64 { return st.Blocks })
+	stat("delivery_bytes_total", func(st PeerStats) int64 { return st.Bytes })
+	stat("delivery_dropped_total", func(st PeerStats) int64 { return int64(st.Dropped) })
+	stat("delivery_catchup_blocks_total", func(st PeerStats) int64 { return int64(st.CaughtUp) })
+	stat("delivery_redials_total", func(st PeerStats) int64 { return int64(st.Redials) })
+	stat("delivery_send_errors_total", func(st PeerStats) int64 { return int64(st.SendErrs) })
+	stat("delivery_lag_blocks", func(st PeerStats) int64 { return int64(st.Lag) })
 	go p.run(s)
 	return nil
 }
@@ -495,7 +500,6 @@ func (s *Service) Close() error {
 type pipe struct {
 	name   string
 	opts   PeerOptions
-	m      telemetry.PeerDeliveryMetrics // zero value (all nil) when telemetry is off
 	notify chan struct{}
 	stop   chan struct{}
 	done   chan struct{}
@@ -608,7 +612,6 @@ func (p *pipe) run(s *Service) {
 				p.dropped += gap
 				p.next = next + gap
 				p.mu.Unlock()
-				p.m.Dropped.Add(int64(gap))
 				continue
 			}
 		} else if !have {
@@ -639,11 +642,6 @@ func (p *pipe) run(s *Service) {
 			p.next = it.Seq + 1
 		}
 		p.mu.Unlock()
-		p.m.Blocks.Inc()
-		p.m.Bytes.Add(int64(n))
-		if fromHistory {
-			p.m.CaughtUp.Inc()
-		}
 		if backpressured {
 			s.slack()
 		}
@@ -666,7 +664,6 @@ func (p *pipe) redial(sendErr error) bool {
 	p.mu.Lock()
 	p.sendErrs++
 	p.mu.Unlock()
-	p.m.Errs.Inc()
 	p.closeTransport() // bmaclint:allow errdiscard (shutdown: transport may already be closed)
 	if p.opts.Dial == nil {
 		p.fail(sendErr)
@@ -694,7 +691,6 @@ func (p *pipe) redial(sendErr error) bool {
 		p.trClosed = false
 		p.redials++
 		p.mu.Unlock()
-		p.m.Redials.Inc()
 		return true
 	}
 	p.fail(fmt.Errorf("delivery: redial failed after %d attempts: %w", p.opts.MaxRedials, sendErr))

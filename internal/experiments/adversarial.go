@@ -210,7 +210,10 @@ func FigAdversarial(opts Options) (*metrics.Table, error) {
 		}
 	}
 
-	// Final registry snapshot (counters accumulate across the scenarios).
+	// Final registry snapshot of the last scenario to finish: the
+	// validator and fabcrypto series accumulate over the runs on its
+	// config, the subsystem counts are that run's
+	// (cluster.Result.MetricsText).
 	if metricsText != "" {
 		snap := filepath.Join(telDir, "adversarial_metrics.prom")
 		if err := os.WriteFile(snap, []byte(metricsText), 0o644); err != nil {

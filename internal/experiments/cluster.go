@@ -111,7 +111,9 @@ func FigCluster(opts Options) (*metrics.Table, error) {
 		)
 		tbl.AddNote("[%s] %d trace events -> %s\n%s", mode, res.TraceEvents, res.TraceFile, res.Budget)
 	}
-	// Final registry snapshot (counters accumulate across the three modes).
+	// Final registry snapshot: the validator and fabcrypto series
+	// accumulate across the three modes, the subsystem counts are the last
+	// mode's (cluster.Result.MetricsText).
 	if metricsText != "" {
 		snap := filepath.Join(telDir, "cluster_metrics.prom")
 		if err := os.WriteFile(snap, []byte(metricsText), 0o644); err != nil {

@@ -34,7 +34,6 @@ import (
 	"sync"
 
 	"bmac/internal/block"
-	"bmac/internal/telemetry"
 	"bmac/internal/wire"
 )
 
@@ -111,11 +110,6 @@ type Options struct {
 	// FaultRetries) before surfacing the error. The hook fires before any
 	// bytes are written, so a faulted write leaves no torn state.
 	CommitFault func() error
-	// Metrics, when registered, mirrors the segment lifecycle counters
-	// (seal/quarantine/restore/prune/index-rebuild) into the telemetry
-	// registry. The zero value (telemetry off) is nil handles — one
-	// predicted branch per event.
-	Metrics telemetry.LedgerMetrics
 }
 
 // Range is a contiguous run of block numbers missing from the ledger
@@ -138,7 +132,6 @@ type Ledger struct {
 	readerCap   int
 	syncEach    bool
 	commitFault func() error // immutable after Open; fault-injection hook
-	m           telemetry.LedgerMetrics
 
 	segs    []*segment    // guarded by mu; ascending block order, active last
 	active  *segment      // guarded by mu; the unsealed tail segment
@@ -229,7 +222,6 @@ func Open(dir string, opts Options) (*Ledger, error) {
 		readerCap:   opts.Readers,
 		syncEach:    opts.SyncEachBlock,
 		commitFault: opts.CommitFault,
-		m:           opts.Metrics,
 		maxWarnings: opts.MaxWarnings,
 	}
 	if l.segBudget <= 0 {

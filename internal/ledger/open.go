@@ -55,13 +55,11 @@ func (l *Ledger) openLocked() error {
 		if !errors.Is(idxErr, os.ErrNotExist) {
 			l.warnf("persistent index unreadable (%v); rebuilding from segment scan", idxErr)
 			l.rebuilds++
-			l.m.IndexRebuilds.Inc()
 		} else if len(ids) > 1 {
 			// More than one segment but no index: a pre-index layout or a
 			// crash before the first index write. Count the rescan.
 			l.warnf("persistent index missing; rebuilding from segment scan")
 			l.rebuilds++
-			l.m.IndexRebuilds.Inc()
 		}
 	} else {
 		l.base = idx.base
@@ -380,7 +378,6 @@ func (l *Ledger) rotateLocked() error {
 	act.sum = sum
 	l.bytesWritten += footerSize
 	l.sealed++
-	l.m.Sealed.Inc()
 
 	if err := l.startActiveLocked(act.id + 1); err != nil {
 		return err

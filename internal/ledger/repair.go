@@ -83,7 +83,6 @@ func (l *Ledger) quarantineSegLocked(seg *segment, live bool) {
 	l.missing = append(l.missing, Range{First: seg.first, Count: seg.count, segID: seg.id})
 	sort.Slice(l.missing, func(i, j int) bool { return l.missing[i].First < l.missing[j].First })
 	l.quarantined++
-	l.m.Quarantined.Inc()
 }
 
 // verifyAndQuarantineLocked re-verifies a sealed segment after a failed
@@ -261,7 +260,6 @@ func (l *Ledger) acceptRestoreLocked(rst *restoreState, b *block.Block) error {
 	rst.prev = block.HeaderHash(&b.Header)
 	rst.next++
 	l.restoredBlk++
-	l.m.RestoredBlocks.Inc()
 	return nil
 }
 
@@ -321,7 +319,6 @@ func (l *Ledger) finishRestoreLocked(rst *restoreState) error {
 	}
 	l.bytesWritten += rst.dataLen + footerSize
 	l.restoredSeg++
-	l.m.Restored.Inc()
 	l.warnf("segment %06d (blocks [%d,%d)) restored from archive redelivery", seg.id, seg.first, seg.first+seg.count)
 	return l.persistIndexLocked()
 }
@@ -480,7 +477,6 @@ func (l *Ledger) Prune(coveredHeight uint64) (int, error) {
 		removed++
 		changed = true
 		l.pruned++
-		l.m.Pruned.Inc()
 	}
 	if !changed {
 		return 0, nil

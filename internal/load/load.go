@@ -47,10 +47,17 @@ type Options struct {
 	Count int
 	// Seed makes the arrival process deterministic.
 	Seed int64
-	// Metrics, when non-nil, mirrors submit/commit/late counts and the
-	// end-to-end latency histogram into the telemetry registry. Nil
-	// (telemetry off) costs one predicted branch per event.
-	Metrics *telemetry.LoadMetrics
+	// E2E, when non-nil, also receives every end-to-end latency sample
+	// (the registry's load_e2e_seconds). The submit/commit/late counts are
+	// Stats; a registry reads them at scrape time. Nil: telemetry off.
+	E2E *telemetry.Histogram
+}
+
+// Submission is one transaction's submit record: the scheduled arrival
+// that its end-to-end latency is measured from, and the wall-clock window
+// of its SubmitTx call.
+type Submission struct {
+	Scheduled, Start, End time.Time
 }
 
 // Generator drives submitters open-loop and tracks per-transaction
@@ -59,13 +66,13 @@ type Generator struct {
 	opts Options
 
 	mu        sync.Mutex
-	submitAt  map[string]time.Time // guarded by mu
-	done      map[string]bool      // guarded by mu
-	early     map[string]time.Time // guarded by mu; commits observed before the submit record landed
-	samples   metrics.Samples      // guarded by mu
-	submitted int                  // guarded by mu
-	committed int                  // guarded by mu
-	late      int                  // guarded by mu; arrivals that fired behind schedule (backlog indicator)
+	submitAt  map[string]Submission // guarded by mu
+	done      map[string]bool       // guarded by mu
+	early     map[string]time.Time  // guarded by mu; commits observed before the submit record landed
+	samples   metrics.Samples       // guarded by mu
+	submitted int                   // guarded by mu
+	committed int                   // guarded by mu
+	late      int                   // guarded by mu; arrivals that fired behind schedule (backlog indicator)
 }
 
 // New creates a generator.
@@ -81,7 +88,7 @@ func New(opts Options) (*Generator, error) {
 	}
 	return &Generator{
 		opts:     opts,
-		submitAt: make(map[string]time.Time, opts.Count),
+		submitAt: make(map[string]Submission, opts.Count),
 		done:     make(map[string]bool, opts.Count),
 		early:    make(map[string]time.Time),
 	}, nil
@@ -139,23 +146,25 @@ func (g *Generator) runClient(c Submitter, n int, rate float64, seed int64) erro
 				g.mu.Lock()
 				g.late++
 				g.mu.Unlock()
-				g.opts.Metrics.ObserveLate()
 			}
-		} else {
+		}
+		start := time.Now()
+		if rate <= 0 {
 			// Unpaced: there is no schedule, so the arrival is the
 			// submit call itself — otherwise every latency would be
 			// measured from run start.
-			next = time.Now()
+			next = start
 		}
 		txid, err := c.SubmitTx()
 		if err != nil {
 			return err
 		}
+		end := time.Now()
 		g.mu.Lock()
 		// Latency is measured from the scheduled arrival, not the actual
 		// submit time: if the submit path itself backs up, that queueing
 		// delay is part of the end-to-end latency (open-loop semantics).
-		g.submitAt[txid] = next
+		g.submitAt[txid] = Submission{Scheduled: next, Start: start, End: end}
 		g.submitted++
 		// A synchronous commit path can observe the transaction before
 		// this record lands; complete such an early observation now.
@@ -167,9 +176,8 @@ func (g *Generator) runClient(c Submitter, n int, rate float64, seed int64) erro
 			g.samples.Add(earlyAt.Sub(next))
 		}
 		g.mu.Unlock()
-		g.opts.Metrics.ObserveSubmit()
 		if early {
-			g.opts.Metrics.ObserveCommit(earlyAt.Sub(next))
+			g.opts.E2E.Observe(earlyAt.Sub(next))
 		}
 	}
 	return nil
@@ -190,8 +198,8 @@ func (g *Generator) interval(rng *rand.Rand, rate float64) time.Duration {
 
 // Committed records that txid committed at the given time and returns
 // whether the transaction was one of this generator's (not yet observed)
-// submissions. The submission time stays readable through SubmitTime for
-// secondary observation points. An unknown txid is remembered: the
+// submissions. The submission record stays readable through SubmitRecord
+// for secondary observation points. An unknown txid is remembered: the
 // submitting goroutine may still be between SubmitTx returning and the
 // record landing, and completes the sample when it does (the memory cost
 // only matters if the generator observes large volumes of foreign
@@ -202,7 +210,7 @@ func (g *Generator) Committed(txid string, at time.Time) bool {
 		g.mu.Unlock()
 		return false
 	}
-	t0, ok := g.submitAt[txid]
+	sub, ok := g.submitAt[txid]
 	if !ok {
 		g.early[txid] = at
 		g.mu.Unlock()
@@ -210,20 +218,23 @@ func (g *Generator) Committed(txid string, at time.Time) bool {
 	}
 	g.done[txid] = true
 	g.committed++
-	g.samples.Add(at.Sub(t0))
+	g.samples.Add(at.Sub(sub.Scheduled))
 	g.mu.Unlock()
-	g.opts.Metrics.ObserveCommit(at.Sub(t0))
+	g.opts.E2E.Observe(at.Sub(sub.Scheduled))
 	return true
 }
 
-// SubmitTime looks up (without consuming) the scheduled arrival of txid,
-// for callers tracking a second observation point (e.g. the hardware
-// delivery path) with their own samples.
-func (g *Generator) SubmitTime(txid string) (time.Time, bool) {
+// SubmitRecord looks up (without consuming) txid's submission: its
+// scheduled arrival, for callers tracking a second observation point (the
+// hardware delivery path) with their own samples, and its SubmitTx call
+// window, for a trace of the submit and endorse spans. The record lands
+// once SubmitTx has returned, so an observer that sees the transaction
+// inside a block first may miss it.
+func (g *Generator) SubmitRecord(txid string) (Submission, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	t0, ok := g.submitAt[txid]
-	return t0, ok
+	sub, ok := g.submitAt[txid]
+	return sub, ok
 }
 
 // ObserveBlock records a commit for every envelope of b that this

@@ -58,6 +58,7 @@ func TestUnpacedRunSubmitsAll(t *testing.T) {
 // TestUnpacedArrivalIsSubmitTime: without a rate there is no schedule,
 // so each transaction's arrival must be its own submit time, not the run
 // start (which would inflate every latency by the whole preceding run).
+// The record's call window starts there too and spans the SubmitTx call.
 func TestUnpacedArrivalIsSubmitTime(t *testing.T) {
 	g, err := New(Options{Count: 3, Seed: 1})
 	if err != nil {
@@ -67,13 +68,17 @@ func TestUnpacedArrivalIsSubmitTime(t *testing.T) {
 	if err := g.Run([]Submitter{slow}); err != nil {
 		t.Fatal(err)
 	}
-	t1, ok1 := g.SubmitTime("tx1")
-	t3, ok3 := g.SubmitTime("tx3")
+	s1, ok1 := g.SubmitRecord("tx1")
+	s3, ok3 := g.SubmitRecord("tx3")
 	if !ok1 || !ok3 {
 		t.Fatal("submit times missing")
 	}
-	if gap := t3.Sub(t1); gap < 15*time.Millisecond {
+	if gap := s3.Scheduled.Sub(s1.Scheduled); gap < 15*time.Millisecond {
 		t.Errorf("tx1..tx3 arrival gap = %v; arrivals are stuck at run start", gap)
+	}
+	// The record also brackets the SubmitTx call itself.
+	if !s1.Start.Equal(s1.Scheduled) || s1.End.Sub(s1.Start) < slow.delay {
+		t.Errorf("tx1 record %+v: want Start == Scheduled and a call window >= %v", s1, slow.delay)
 	}
 }
 
@@ -130,8 +135,8 @@ func TestLatencyAccounting(t *testing.T) {
 	if g.Committed("unknown", at) {
 		t.Error("foreign txid accepted")
 	}
-	if _, ok := g.SubmitTime("tx1"); !ok {
-		t.Error("SubmitTime consumed by Committed")
+	if _, ok := g.SubmitRecord("tx1"); !ok {
+		t.Error("SubmitRecord consumed by Committed")
 	}
 	_, committed, _ := g.Stats()
 	if committed != 1 {
@@ -204,7 +209,7 @@ func TestObserveBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	// White-box: plant the submission record the driver would have made.
-	g.submitAt[txid] = time.Now().Add(-5 * time.Millisecond)
+	g.submitAt[txid] = Submission{Scheduled: time.Now().Add(-5 * time.Millisecond)}
 	if got := g.ObserveBlock(b, time.Now()); got != 1 {
 		t.Fatalf("ObserveBlock matched %d, want 1", got)
 	}

@@ -1,5 +1,5 @@
 // Package metrics provides the measurement utilities used by the
-// experiment harness: latency samples with percentiles/CDFs and throughput
+// experiment harness: latency samples with percentiles and throughput
 // computation, matching how the paper reports block-level statistics
 // through Caliper (§4.1).
 package metrics
@@ -30,13 +30,6 @@ func (s *Samples) Add(d time.Duration) {
 	s.values = append(s.values, d)
 	s.sorted = false
 	s.mu.Unlock()
-}
-
-// Len returns the number of observations.
-func (s *Samples) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.values)
 }
 
 // ensureSorted must be called with s.mu held.
@@ -90,24 +83,6 @@ func (s *Samples) meanLocked() time.Duration {
 	return sum / time.Duration(len(s.values))
 }
 
-// Min and Max return the extremes.
-func (s *Samples) Min() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.values) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.values[0]
-}
-
-// Max returns the largest observation.
-func (s *Samples) Max() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.maxLocked()
-}
-
 func (s *Samples) maxLocked() time.Duration {
 	if len(s.values) == 0 {
 		return 0
@@ -149,32 +124,6 @@ func (l LatencySummary) String() string {
 		l.Count, l.Mean.Round(time.Microsecond), l.P50.Round(time.Microsecond),
 		l.P95.Round(time.Microsecond), l.P99.Round(time.Microsecond),
 		l.Max.Round(time.Microsecond))
-}
-
-// CDFPoint is one point of a cumulative distribution.
-type CDFPoint struct {
-	Value    time.Duration
-	Fraction float64
-}
-
-// CDF returns the empirical CDF sampled at n evenly spaced fractions.
-func (s *Samples) CDF(n int) []CDFPoint {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.values) == 0 || n < 2 {
-		return nil
-	}
-	s.ensureSorted()
-	out := make([]CDFPoint, 0, n)
-	for i := 1; i <= n; i++ {
-		frac := float64(i) / float64(n)
-		idx := int(frac*float64(len(s.values))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		out = append(out, CDFPoint{Value: s.values[idx], Fraction: frac})
-	}
-	return out
 }
 
 // Throughput converts a transaction count over a total duration into tps.

@@ -26,7 +26,6 @@ import (
 	"bmac/internal/block"
 	"bmac/internal/identity"
 	"bmac/internal/raft"
-	"bmac/internal/telemetry"
 	"bmac/internal/wire"
 )
 
@@ -45,10 +44,6 @@ type Config struct {
 	BatchTimeout time.Duration
 	// Channel is the channel ID stamped on blocks.
 	Channel string
-	// Metrics, when non-nil, counts created blocks/txs and batch cuts by
-	// reason (size, idle, timeout) in the telemetry registry. Nil
-	// (telemetry off) costs one predicted branch per cut.
-	Metrics *telemetry.OrdererMetrics
 }
 
 func (c *Config) withDefaults() Config {
@@ -60,6 +55,23 @@ func (c *Config) withDefaults() Config {
 		out.BatchTimeout = 100 * time.Millisecond
 	}
 	return out
+}
+
+// CutReason says which rule closed a batch.
+type CutReason uint8
+
+// The cut reasons. In a healthy network almost every cut is CutIdle at low
+// load and CutSize under overload; CutTimeout is a symptom — raft had no
+// leader, or an earlier block was stuck on its way out of the orderer.
+const (
+	CutSize    CutReason = iota // the batch reached BatchSize
+	CutIdle                     // no earlier batch was still leaving the orderer
+	CutTimeout                  // the oldest envelope had waited BatchTimeout
+	CutReasons = 3
+)
+
+func (r CutReason) String() string {
+	return [CutReasons]string{"size", "idle", "timeout"}[r]
 }
 
 // ErrStopped reports submission to a stopped orderer.
@@ -85,7 +97,7 @@ type Orderer struct {
 	prevHash []byte
 	blocks   int
 	txs      int
-	cuts     [telemetry.CutReasons]int // guarded by mu; batches handed to raft, by reason
+	cuts     [CutReasons]int // guarded by mu; batches handed to raft, by reason
 	fatalErr error
 
 	// Exactly-once accounting across leader failover: every cut batch is
@@ -158,7 +170,7 @@ func (o *Orderer) Submit(env *block.Envelope) error {
 	case n >= o.cfg.BatchSize:
 		// A full batch goes out at once, whatever is still in flight: an
 		// overloaded orderer emits full blocks back to back.
-		if err := o.cut(telemetry.CutSize); err != nil && !transient(err) {
+		if err := o.cut(CutSize); err != nil && !transient(err) {
 			return err
 		}
 	case n == 1:
@@ -188,14 +200,14 @@ func (o *Orderer) signal() {
 // its block is created — Propose returns at leader-log acceptance, not
 // commit, so a leader killed in between would otherwise lose the batch
 // silently.
-func (o *Orderer) cut(reason telemetry.CutReason) error {
+func (o *Orderer) cut(reason CutReason) error {
 	o.cutMu.Lock()
 	defer o.cutMu.Unlock()
 	o.mu.Lock()
 	// A size cut re-checks its rule: between Submit seeing the batch full
 	// and getting here, the cut loop may have taken it and left only what
 	// arrived since.
-	if len(o.pending) == 0 || (reason == telemetry.CutSize && len(o.pending) < o.cfg.BatchSize) {
+	if len(o.pending) == 0 || (reason == CutSize && len(o.pending) < o.cfg.BatchSize) {
 		o.mu.Unlock()
 		return nil
 	}
@@ -251,7 +263,6 @@ func (o *Orderer) cut(reason telemetry.CutReason) error {
 	o.refused = false
 	o.cuts[reason]++
 	o.mu.Unlock()
-	o.cfg.Metrics.ObserveCut(reason)
 	return nil
 }
 
@@ -270,9 +281,9 @@ func (o *Orderer) cutLoop() {
 		idle := len(o.inflight) == 0 && !o.refused
 		o.mu.Unlock()
 		if waiting && (idle || left <= 0) {
-			reason := telemetry.CutIdle
+			reason := CutIdle
 			if left <= 0 {
-				reason = telemetry.CutTimeout
+				reason = CutTimeout
 			}
 			if err := o.cut(reason); err != nil && !transient(err) {
 				o.fail(err)
@@ -403,7 +414,6 @@ func (o *Orderer) createBlock(batchData []byte) error {
 	hooks := make([]DeliverFunc, len(o.delivery))
 	copy(hooks, o.delivery)
 	o.mu.Unlock()
-	o.cfg.Metrics.ObserveBlock(len(envs))
 
 	for _, fn := range hooks {
 		if err := fn(b); err != nil {
@@ -449,7 +459,7 @@ func (o *Orderer) Stats() (blocks, txs int) {
 func (o *Orderer) Cuts() (size, idle, timeout int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.cuts[telemetry.CutSize], o.cuts[telemetry.CutIdle], o.cuts[telemetry.CutTimeout]
+	return o.cuts[CutSize], o.cuts[CutIdle], o.cuts[CutTimeout]
 }
 
 // Height returns the number of blocks created.

@@ -24,7 +24,6 @@ import (
 	"bmac/internal/ledger"
 	"bmac/internal/pipeline"
 	"bmac/internal/statedb"
-	"bmac/internal/telemetry"
 	"bmac/internal/validator"
 )
 
@@ -60,9 +59,6 @@ type DurableOptions struct {
 	// CheckpointFault, when set, is the checkpoint writer's pre-write
 	// fault hook (see statedb.SaveCheckpointFault).
 	CheckpointFault func() error
-	// Metrics mirrors the ledger's segment lifecycle counters into a
-	// telemetry registry (zero value: telemetry off).
-	Metrics telemetry.LedgerMetrics
 }
 
 // ledgerOptions maps the durable options onto the ledger's.
@@ -71,7 +67,6 @@ func (o DurableOptions) ledgerOptions() ledger.Options {
 		SegmentBytes:  o.SegmentBytes,
 		SyncEachBlock: o.SyncEachBlock,
 		CommitFault:   o.CommitFault,
-		Metrics:       o.Metrics,
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package telemetry is the process-wide observability plane: a registry of
-// atomic counters, gauges and fixed-bucket latency histograms, a per-block
-// flight recorder that stamps lifecycle span events, and an opt-in HTTP
-// server exposing both live (Prometheus text /metrics, /debug/pprof/*, a
-// /trace JSONL stream).
+// atomic counters, fixed-bucket latency histograms and scrape-time reads of
+// the counts subsystems keep themselves, a per-block flight recorder that
+// stamps lifecycle span events, and an opt-in HTTP server exposing both live
+// (Prometheus text /metrics, /debug/pprof/*, a /trace JSONL stream).
 //
 // The package follows the repo's zero-cost-when-off discipline (the same
 // contract as statedb.SetCountAccesses): every instrument is nil-safe, and a
@@ -59,42 +59,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is an atomic instantaneous value. A nil Gauge is valid and ignores
-// all writes.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the current value.
-//
-// bmaclint:noalloc
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
-
-// Add adjusts the current value by n (may be negative).
-//
-// bmaclint:noalloc
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
-// Value returns the current value (0 for nil).
-//
-// bmaclint:noalloc
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // histBuckets is the number of power-of-two duration buckets. Bucket i
@@ -244,10 +208,13 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 
 // Registry is the process-wide instrument table. Instruments are created on
 // first use and shared thereafter (get-or-create by name), so any subsystem
-// can ask for "its" counter without plumbing instrument handles around.
-// GaugeFunc registers a scrape-time callback instead of a stored value —
-// the read adapter used to export counters some subsystem already maintains
-// (cache hit counts, statedb access counts) with zero hot-path cost.
+// can ask for "its" instrument without plumbing handles around. The
+// registry stores only what no subsystem keeps (histograms, per-engine
+// totals); GaugeFunc registers a scrape-time callback instead of a stored
+// value — the read adapter that exports every count a subsystem already
+// maintains under its own lock (ledger, delivery, orderer and load
+// counters, cache hit counts, statedb access counts) with zero hot-path
+// cost.
 //
 // A nil Registry is valid: every lookup returns a nil instrument, which in
 // turn ignores all writes. That chain is what makes disabled telemetry
@@ -255,7 +222,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter     // guarded by mu
-	gauges     map[string]*Gauge       // guarded by mu
 	histograms map[string]*Histogram   // guarded by mu
 	gaugeFuncs map[string]func() int64 // guarded by mu
 }
@@ -264,7 +230,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
 		gaugeFuncs: make(map[string]func() int64),
 	}
@@ -303,22 +268,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use. Nil registry
-// returns nil.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named histogram, creating it on first use. Nil
@@ -371,10 +320,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for n, c := range r.counters {
 		counters[n] = c.Value()
 	}
-	gauges := make(map[string]int64, len(r.gauges))
-	for n, g := range r.gauges {
-		gauges[n] = g.Value()
-	}
 	hists := make(map[string]*Histogram, len(r.histograms))
 	for n, h := range r.histograms {
 		hists[n] = h
@@ -385,11 +330,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	r.mu.Unlock()
 
-	lines := make([]string, 0, len(counters)+len(gauges)+len(funcs)+5*len(hists))
+	lines := make([]string, 0, len(counters)+len(funcs)+5*len(hists))
 	for n, v := range counters {
-		lines = append(lines, fmt.Sprintf("%s %d", n, v))
-	}
-	for n, v := range gauges {
 		lines = append(lines, fmt.Sprintf("%s %d", n, v))
 	}
 	for n, f := range funcs {

@@ -20,12 +20,6 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatal("nil counter value")
 	}
-	var g *Gauge
-	g.Set(3)
-	g.Add(-1)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge value")
-	}
 	var h *Histogram
 	h.Observe(time.Second)
 	if h.Count() != 0 || h.Quantile(50) != 0 || h.Max() != 0 || h.Mean() != 0 {
@@ -33,7 +27,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	}
 
 	var r *Registry
-	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Histogram("x") != nil {
+	if r.Counter("x") != nil || r.Histogram("x") != nil {
 		t.Fatal("nil registry must hand out nil instruments")
 	}
 	r.GaugeFunc("x", func() int64 { return 1 })
@@ -53,11 +47,9 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 		t.Fatal("nil recorder StageEnd")
 	}
 
-	// Nil bundles: every observe is a no-op.
+	// Nil bundle: every observe is a no-op.
 	var vm *ValidatorMetrics
 	vm.ObserveBlock(3, 1, 1, 1, 1, 1, 1, 1, 1)
-	var om *OrdererMetrics
-	om.ObserveBlock(4)
 }
 
 func TestCounterGauge(t *testing.T) {
@@ -72,11 +64,17 @@ func TestCounterGauge(t *testing.T) {
 	if r.Counter("c_total") != c {
 		t.Fatal("get-or-create must return the same counter")
 	}
-	g := r.Gauge("g")
-	g.Set(7)
-	g.Add(-3)
-	if got := g.Value(); got != 4 {
-		t.Fatalf("gauge = %d, want 4", got)
+	// A GaugeFunc reads its source at every scrape, and a second
+	// registration under the same name replaces the first.
+	v := int64(7)
+	r.GaugeFunc("g", func() int64 { return v })
+	v -= 3
+	if text := r.Text(); !strings.Contains(text, "g 4\n") {
+		t.Fatalf("gauge func not read at scrape time:\n%s", text)
+	}
+	r.GaugeFunc("g", func() int64 { return 11 })
+	if text := r.Text(); !strings.Contains(text, "g 11\n") || strings.Contains(text, "g 4\n") {
+		t.Fatalf("re-registered gauge func not replaced:\n%s", text)
 	}
 }
 
@@ -175,7 +173,7 @@ func TestName(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_total").Add(2)
-	r.Gauge("a_gauge").Set(9)
+	r.GaugeFunc("a_gauge", func() int64 { return 9 })
 	r.GaugeFunc("f_gauge", func() int64 { return 42 })
 	r.Histogram(Name("lat_seconds", "stage", "vscc")).Observe(2 * time.Millisecond)
 
@@ -210,7 +208,7 @@ func TestRegistryConcurrency(t *testing.T) {
 			for j := 0; j < 200; j++ {
 				r.Counter("shared_total").Inc()
 				r.Histogram("shared_seconds").Observe(time.Duration(j) * time.Microsecond)
-				r.Gauge(fmt.Sprintf("g%d", i)).Set(int64(j))
+				r.GaugeFunc(fmt.Sprintf("g%d", i), func() int64 { return int64(j) })
 			}
 		}(i)
 	}
@@ -384,50 +382,25 @@ func TestViewsObserve(t *testing.T) {
 	vm := NewValidatorMetrics(r, "sequential")
 	vm.ObserveBlock(8, time.Millisecond, time.Millisecond, 2*time.Millisecond,
 		500*time.Microsecond, time.Millisecond, 300*time.Microsecond, 0, 6*time.Millisecond)
-	if vm.Blocks.Value() != 1 || vm.Txs.Value() != 8 {
-		t.Fatalf("validator counters: blocks=%d txs=%d", vm.Blocks.Value(), vm.Txs.Value())
+	if vm.Txs.Value() != 8 || vm.Total.Count() != 1 {
+		t.Fatalf("validator counts: txs=%d blocks=%d", vm.Txs.Value(), vm.Total.Count())
 	}
 	if vm.VerifyVSCC.Count() != 1 {
 		t.Fatal("vscc histogram")
 	}
-
-	om := NewOrdererMetrics(r)
-	om.ObserveBlock(16)
-	om.ObserveCut(CutSize)
-	om.ObserveCut(CutIdle)
-	om.ObserveCut(CutIdle)
-	if om.Blocks.Value() != 1 || om.Txs.Value() != 16 {
-		t.Fatal("orderer counters")
-	}
-
-	lm := NewLoadMetrics(r)
-	lm.Submitted.Inc()
-	lm.Committed.Inc()
-	lm.E2E.Observe(20 * time.Millisecond)
-	if lm.E2E.Count() != 1 {
-		t.Fatal("load histogram")
-	}
-
-	pm := NewPeerDeliveryMetrics(r, "peer0")
-	pm.Blocks.Inc()
-	pm.Bytes.Add(4096)
 	text := r.Text()
 	for _, want := range []string{
 		`validator_stage_seconds{engine="sequential",stage="vscc",stat="count"} 1`,
-		`orderer_cuts_total{reason="size"} 1`,
-		`orderer_cuts_total{reason="idle"} 2`,
-		`orderer_cuts_total{reason="timeout"} 0`,
-		`delivery_bytes_total{peer="peer0"} 4096`,
-		"load_e2e_seconds",
+		`validator_blocks_total{engine="sequential"} 1` + "\n",
+		`validator_txs_total{engine="sequential"} 8` + "\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
 		}
 	}
 
-	// Disabled plane: all constructors return nil on nil registry.
-	if NewValidatorMetrics(nil, "x") != nil || NewOrdererMetrics(nil) != nil ||
-		NewLoadMetrics(nil) != nil || NewPeerDeliveryMetrics(nil, "p") != nil {
-		t.Fatal("constructors must return nil for nil registry")
+	// Disabled plane: the constructor returns nil on nil registry.
+	if NewValidatorMetrics(nil, "x") != nil {
+		t.Fatal("constructor must return nil for nil registry")
 	}
 }
