@@ -139,19 +139,8 @@ type (
 	ClusterAdversaryReport = cluster.AdversaryReport
 	// DeliveryPeerStats is a delivery pipe snapshot.
 	DeliveryPeerStats = delivery.PeerStats
-	// DeliveryPolicy selects what happens to a peer that overruns the
-	// retained block window.
-	DeliveryPolicy = delivery.Policy
 	// LatencySummary is the p50/p95/p99 tail digest.
 	LatencySummary = metrics.LatencySummary
-)
-
-// Delivery overrun policies.
-const (
-	// DeliveryDisconnect kills the pipe of an overrunning peer.
-	DeliveryDisconnect = delivery.Disconnect
-	// DeliveryDrop skips and counts the lost blocks, keeping the peer.
-	DeliveryDrop = delivery.DropBlocks
 )
 
 // Cluster validation path modes.
@@ -176,10 +165,6 @@ func ClusterScript(name string, victim int) (ClusterScenario, error) {
 
 // FormatTPS renders a throughput with thousands separators, e.g. "38,400".
 func FormatTPS(tps float64) string { return metrics.FormatTPS(tps) }
-
-// ParseDeliveryPolicy parses a delivery overrun policy name
-// ("disconnect" or "drop").
-func ParseDeliveryPolicy(s string) (DeliveryPolicy, error) { return delivery.ParsePolicy(s) }
 
 // RunCluster executes one cluster experiment end to end; peers keep
 // their ledgers under dir.

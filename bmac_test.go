@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"bmac/internal/ledger"
 )
 
 func TestDefaultConfigValid(t *testing.T) {
@@ -168,6 +170,43 @@ func TestTestbedSmallbankEndToEnd(t *testing.T) {
 	}
 	if tb.SWPeer.Ledger.Height() != tb.BMacPeer.Ledger.Height() {
 		t.Error("ledger heights diverge")
+	}
+}
+
+// TestTestbedDurability holds the testbed's validator peers to the
+// configuration's durability section: with a one-byte segment budget every
+// block seals a segment, and with pruning on the checkpoints every two
+// blocks let the peers drop the segments they cover.
+func TestTestbedDurability(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Arch.MaxBlockTxs = 2 // at least six blocks in the run
+	cfg.Durability.CheckpointEvery = 2
+	cfg.Durability.SegmentBytes = 1
+	cfg.Durability.Prune = true
+	tb, err := NewTestbed(cfg, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	w := SmallbankWorkload{Accounts: 20}
+	if err := tb.Bootstrap(w); err != nil {
+		t.Fatal(err)
+	}
+	driver, err := tb.NewClient(w, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const txs = 12
+	if err := driver.Run(txs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.AwaitTxs(txs, 20*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]ledger.Stats{"sw": tb.SWPeer.Ledger.Stats(), "par": tb.ParPeer.Ledger.Stats()} {
+		if st.Sealed == 0 || st.Pruned == 0 {
+			t.Errorf("%s peer: %d segments sealed, %d pruned; want both > 0", name, st.Sealed, st.Pruned)
+		}
 	}
 }
 

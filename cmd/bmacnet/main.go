@@ -78,8 +78,7 @@ func run() error {
 		arrival    = flag.String("arrival", "poisson", "inter-arrival distribution: poisson or uniform")
 		clients    = flag.Int("clients", 2, "concurrent load clients")
 		raftNodes  = flag.Int("raft-nodes", 1, "raft cluster size of the ordering service")
-		window     = flag.Int("delivery-window", 0, "delivery retained-block window (0 = config/default)")
-		slowPolicy = flag.String("delivery-policy", "", "slow peers' overrun policy: drop, disconnect, or wait (lossless, throttles the orderer to the slow peer; default: config/drop)")
+		window     = flag.Int("delivery-window", 0, "delivery retained-block window (0 = config delivery.window or the delivery default)")
 		noBMac     = flag.Bool("no-bmac", false, "cluster: skip the BMac protocol peer")
 		scenario   = flag.String("scenario", "", "cluster: fault script striking the last fast peer: "+strings.Join(bmac.ClusterScripts(), ", "))
 		ckptEvery  = flag.Int("checkpoint-every", 0, "peer state checkpoint cadence in blocks (0 = config durability.checkpoint_every)")
@@ -112,6 +111,9 @@ func run() error {
 	}
 	if *prefetch {
 		cfg.Pipeline.Prefetch = true
+	}
+	if *window > 0 {
+		cfg.Delivery.Window = *window
 	}
 	if *ckptEvery > 0 {
 		cfg.Durability.CheckpointEvery = *ckptEvery
@@ -173,10 +175,6 @@ func run() error {
 	}
 
 	if *clusterRun {
-		pol := *slowPolicy
-		if pol == "" {
-			pol = cfg.Delivery.Policy
-		}
 		var sc bmac.ClusterScenario
 		if *scenario != "" {
 			var err error
@@ -185,24 +183,22 @@ func run() error {
 			}
 		}
 		return runCluster(cfg, bmac.ClusterOptions{
-			Mode:       *path,
-			Peers:      *peers,
-			SlowPeers:  *slowPeers,
-			SlowDelay:  *slowDelay,
-			SlowPolicy: pol,
-			BMacPeer:   !*noBMac,
-			RaftNodes:  *raftNodes,
-			Txs:        *txs,
-			Rate:       *rate,
-			Arrival:    *arrival,
-			Clients:    *clients,
-			Window:     *window,
-			Accounts:   *accounts,
-			Skew:       *skew,
-			Seed:       time.Now().UnixNano(),
-			Scenario:   sc,
-			Adversary:  *advRate,
-			Recorder:   rec,
+			Mode:      *path,
+			Peers:     *peers,
+			SlowPeers: *slowPeers,
+			SlowDelay: *slowDelay,
+			BMacPeer:  !*noBMac,
+			RaftNodes: *raftNodes,
+			Txs:       *txs,
+			Rate:      *rate,
+			Arrival:   *arrival,
+			Clients:   *clients,
+			Accounts:  *accounts,
+			Skew:      *skew,
+			Seed:      time.Now().UnixNano(),
+			Scenario:  sc,
+			Adversary: *advRate,
+			Recorder:  rec,
 		}, workdir)
 	}
 

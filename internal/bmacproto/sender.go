@@ -2,7 +2,6 @@ package bmacproto
 
 import (
 	"fmt"
-	"sync"
 
 	"bmac/internal/block"
 	"bmac/internal/fabcrypto"
@@ -48,13 +47,8 @@ type SendStats struct {
 // right before it hands a block to Gossip. It maintains the identity cache
 // in sync with the receiver.
 type Sender struct {
-	mu    sync.Mutex
 	cache *identity.Cache
 	sink  PacketSink
-
-	totalBlocks  int   // guarded by mu
-	totalPackets int   // guarded by mu
-	totalBytes   int64 // guarded by mu
 }
 
 // NewSender creates a sender that writes packets to sink. The cache is
@@ -213,17 +207,5 @@ func (s *Sender) SendBlock(b *block.Block) (SendStats, error) {
 			return stats, fmt.Errorf("send packet: %w", err)
 		}
 	}
-	s.mu.Lock()
-	s.totalBlocks++
-	s.totalPackets += stats.Packets
-	s.totalBytes += int64(stats.Bytes)
-	s.mu.Unlock()
 	return stats, nil
-}
-
-// Totals reports cumulative sender statistics.
-func (s *Sender) Totals() (blocks, packets int, bytesSent int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.totalBlocks, s.totalPackets, s.totalBytes
 }

@@ -104,10 +104,10 @@ func TestAdversarialFloodConvergence(t *testing.T) {
 func TestPartitionHealConvergence(t *testing.T) {
 	cfg := config.Default()
 	cfg.Arch.MaxBlockTxs = 4
+	cfg.Delivery.Window = 4
 	res, err := Run(cfg, Options{
 		Mode:     Sequential,
 		Peers:    3,
-		Window:   4,
 		Txs:      80,
 		Rate:     900,
 		Clients:  2,
@@ -145,10 +145,10 @@ func TestPartitionHealConvergence(t *testing.T) {
 func TestCorruptionSelfHealsConvergence(t *testing.T) {
 	cfg := config.Default()
 	cfg.Arch.MaxBlockTxs = 4
+	cfg.Delivery.Window = 8
 	res, err := Run(cfg, Options{
 		Mode:     Sequential,
 		Peers:    3,
-		Window:   8,
 		Txs:      60,
 		Rate:     900,
 		Clients:  2,

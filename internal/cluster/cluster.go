@@ -86,12 +86,11 @@ type Options struct {
 	// SlowPeers marks that many peers, taken from the end, as
 	// artificially slow (SlowDelay per block on their delivery pipe).
 	SlowPeers int
-	// SlowDelay is the per-block delay of a slow peer (default 20ms).
+	// SlowDelay is the per-block delay of a slow peer (default 20ms). A
+	// slow peer that overruns the delivery window skips the lost blocks
+	// (delivery.DropBlocks), so the run completes while the drop counter
+	// shows the overload; fast peers are disconnected (delivery.Disconnect).
 	SlowDelay time.Duration
-	// SlowPolicy is the overrun policy name for slow peers: "drop"
-	// (default, so the run completes while the drop counter shows the
-	// overload) or "disconnect". Fast peers always use disconnect.
-	SlowPolicy string
 	// BMacPeer includes a hardware peer fed over the BMac protocol.
 	BMacPeer bool
 	// RaftNodes sizes the ordering service's Raft cluster (default 1,
@@ -106,9 +105,6 @@ type Options struct {
 	Arrival string
 	// Clients is the number of concurrent load clients (default 2).
 	Clients int
-	// Window overrides the delivery window (default config/service
-	// default).
-	Window int
 	// Accounts sizes the smallbank state (default 64).
 	Accounts int
 	// Skew is the smallbank hot-account Zipf exponent (0 = uniform).
@@ -141,9 +137,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SlowDelay == 0 {
 		o.SlowDelay = 20 * time.Millisecond
-	}
-	if o.SlowPolicy == "" {
-		o.SlowPolicy = "drop"
 	}
 	if o.RaftNodes == 0 {
 		o.RaftNodes = 1
@@ -233,11 +226,11 @@ type Result struct {
 	// without a BMac peer).
 	BMacDelivery delivery.PeerStats
 	// SigCacheHitRate and ParseCacheHitRate report THIS run's traffic on
-	// the shared hot-path caches (crypto.sig_cache_size /
-	// hotpath.parse_cache_size), computed from stat deltas so reusing one
-	// Config across several runs does not blend their rates. Every peer in
-	// the process shares the caches, so repeated signatures and envelopes
-	// across the fan-out cost their decode once.
+	// the shared hot-path caches (config.Config.SigCache and ParseCache),
+	// computed from stat deltas so reusing one Config across several runs
+	// does not blend their rates. Every peer in the process shares the
+	// caches, so repeated signatures and envelopes across the fan-out cost
+	// their decode once.
 	SigCacheHitRate   float64
 	ParseCacheHitRate float64
 	// Converged reports whether every fast peer finished with the same
@@ -384,10 +377,6 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		return nil, fmt.Errorf("cluster: %d slow peers need at least %d peers", opts.SlowPeers, opts.SlowPeers+1)
 	}
 	if err := opts.Scenario.check(opts); err != nil {
-		return nil, err
-	}
-	slowPolicy, err := delivery.ParsePolicy(opts.SlowPolicy)
-	if err != nil {
 		return nil, err
 	}
 	// With telemetry off, the load-driving hot path never reads the statedb
@@ -537,12 +526,8 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 	// orderer's ledger as the catch-up source behind the window. Dial
 	// targets are mutable so a restarted peer's pipe follows it to the
 	// listener it restarts on.
-	window := opts.Window
-	if window == 0 {
-		window = cfg.Delivery.Window
-	}
 	svc := delivery.NewService(delivery.Options{
-		Window:   window,
+		Window:   cfg.Delivery.Window,
 		History:  delivery.LedgerSource(ordLed),
 		Registry: reg,
 	})
@@ -552,13 +537,10 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		addrs[i] = new(peerAddr)
 		addrs[i].Store(listenAddr(p))
 		slowDelay := time.Duration(0)
-		po := delivery.PeerOptions{
-			Policy:     delivery.Disconnect,
-			MaxRedials: cfg.Delivery.MaxRedials,
-		}
+		po := delivery.PeerOptions{Policy: delivery.Disconnect}
 		if p.slow {
 			slowDelay = opts.SlowDelay
-			po.Policy = slowPolicy
+			po.Policy = delivery.DropBlocks
 		}
 		po.Dial = gossipDialer(addrs[i], slowDelay)
 		sp.wire(i, &po, addrs[i])
@@ -714,7 +696,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 	// reconnected first would deliver from its stale pre-kill cursor, the
 	// recovered peer would see a gap and stop committing, and a racing
 	// send could clobber the moved cursor.
-	sp.peers, sp.svc, sp.window, sp.stack = peers, svc, uint64(window), st
+	sp.peers, sp.svc, sp.window, sp.stack = peers, svc, uint64(cfg.Delivery.Window), st
 	sp.restart = func(i int) (uint64, error) {
 		cp := peers[i]
 		np, err := newSWPeer(cfg, opts, i, cp.dir, sp.disks[i])
@@ -1067,14 +1049,7 @@ func newSWPeer(cfg *config.Config, opts Options, i int, dir string, df *chaos.Di
 		return nil, fmt.Errorf("cluster: unknown mode %q (valid: %v)", opts.Mode, Modes())
 	}
 	name := fmt.Sprintf("peer%d", i)
-	dopts := peer.DurableOptions{
-		CheckpointEvery: cfg.Durability.CheckpointEvery,
-		KeepCheckpoints: cfg.Durability.KeepCheckpoints,
-		SegmentBytes:    cfg.Durability.SegmentBytes,
-		Prune:           cfg.Durability.Prune,
-		NoFastSync:      cfg.Durability.NoFastSync,
-		SyncEachBlock:   cfg.Durability.SyncEachBlock,
-	}
+	dopts := DurableOptions(cfg.Durability)
 	if df != nil {
 		dopts.CommitFault = df.Hook()
 		dopts.CheckpointFault = df.Hook()

@@ -25,12 +25,13 @@ func testConfig() *config.Config {
 // while the slow peer's own backlog shows up as lag/drops, and every
 // submitted transaction gets an end-to-end latency sample.
 func TestSlowPeerIsolation(t *testing.T) {
-	res, err := Run(testConfig(), Options{
+	cfg := testConfig()
+	cfg.Delivery.Window = 4
+	res, err := Run(cfg, Options{
 		Mode:      Sequential,
 		Peers:     3,
 		SlowPeers: 1,
 		SlowDelay: 100 * time.Millisecond,
-		Window:    4,
 		Txs:       24,
 		Clients:   2,
 		Seed:      11,
@@ -175,11 +176,11 @@ func TestChurnConvergence(t *testing.T) {
 	cfg := config.Default()
 	cfg.Arch.MaxBlockTxs = 4 // many small blocks, so the window moves on
 	cfg.Durability.CheckpointEvery = 3
+	cfg.Delivery.Window = 4
 	res, err := Run(cfg, Options{
 		Mode:      Sequential,
 		Peers:     3,
 		SlowPeers: 0,
-		Window:    4,
 		Txs:       80,
 		Rate:      900, // paced, so the kill lands mid-submission
 		Clients:   2,
@@ -231,10 +232,10 @@ func TestChurnPipelinedPath(t *testing.T) {
 	cfg := config.Default()
 	cfg.Arch.MaxBlockTxs = 4
 	cfg.Durability.CheckpointEvery = 4
+	cfg.Delivery.Window = 4
 	res, err := Run(cfg, Options{
 		Mode:     Pipelined,
 		Peers:    3,
-		Window:   4,
 		Txs:      48,
 		Rate:     900,
 		Clients:  2,
@@ -414,6 +415,7 @@ func TestScrapeDuringChurn(t *testing.T) {
 	cfg.Arch.MaxBlockTxs = 4
 	cfg.Durability.CheckpointEvery = 4
 	cfg.Durability.SegmentBytes = 4096
+	cfg.Delivery.Window = 4
 	cfg.Telemetry.Enabled = true
 	reg := cfg.TelemetryRegistry()
 	stop := make(chan struct{})
@@ -435,7 +437,6 @@ func TestScrapeDuringChurn(t *testing.T) {
 	res, err := Run(cfg, Options{
 		Mode:     Sequential,
 		Peers:    3,
-		Window:   4,
 		Txs:      48,
 		Rate:     900,
 		Clients:  2,

@@ -100,10 +100,10 @@ func TestRandomScenario(t *testing.T) {
 			cfg := testConfig()
 			cfg.Arch.MaxBlockTxs = 4
 			cfg.Durability.CheckpointEvery = 3
+			cfg.Delivery.Window = 4
 			res, err := Run(cfg, Options{
 				Peers:     peers,
 				RaftNodes: raftNodes,
-				Window:    4,
 				Txs:       40,
 				Rate:      900,
 				Clients:   2,

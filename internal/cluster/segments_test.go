@@ -23,10 +23,10 @@ func TestChurnAcrossSegmentBoundariesWithPrune(t *testing.T) {
 	cfg.Durability.CheckpointEvery = 3
 	cfg.Durability.SegmentBytes = 4096
 	cfg.Durability.Prune = true
+	cfg.Delivery.Window = 4
 	res, err := Run(cfg, Options{
 		Mode:     Sequential,
 		Peers:    3,
-		Window:   4,
 		Txs:      80,
 		Rate:     900,
 		Clients:  2,
@@ -73,11 +73,11 @@ func TestChurnCorruptQuarantineRefetch(t *testing.T) {
 	cfg.Arch.MaxBlockTxs = 4
 	cfg.Durability.CheckpointEvery = 3
 	cfg.Durability.SegmentBytes = 4096
+	cfg.Delivery.Window = 4
 	dir := t.TempDir()
 	res, err := Run(cfg, Options{
 		Mode:     Sequential,
 		Peers:    3,
-		Window:   4,
 		Txs:      80,
 		Rate:     900,
 		Clients:  2,

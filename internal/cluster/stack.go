@@ -107,6 +107,20 @@ func Build(cfg *config.Config, o StackOptions, dir string) (_ *Stack, err error)
 	return s, nil
 }
 
+// DurableOptions maps the configuration's durability section onto a
+// durable peer's options. Every harness that opens a software peer from a
+// Config goes through it, so no durability key is dropped on the way.
+func DurableOptions(d config.DurabilitySpec) peer.DurableOptions {
+	return peer.DurableOptions{
+		CheckpointEvery: d.CheckpointEvery,
+		KeepCheckpoints: d.KeepCheckpoints,
+		SegmentBytes:    d.SegmentBytes,
+		Prune:           d.Prune,
+		NoFastSync:      d.NoFastSync,
+		SyncEachBlock:   d.SyncEachBlock,
+	}
+}
+
 // registerOrderer exports the orderer's block, transaction and cut counts
 // as scrape-time reads of Stats and Cuts.
 func registerOrderer(reg *telemetry.Registry, o *orderer.Orderer) {

@@ -61,10 +61,9 @@ type PipelineSpec struct {
 	Workers int
 	// Prefetch enables the async read-set warm-up stage: as soon as a
 	// block is unmarshalled its read-set keys are read from the state
-	// database, hiding a slow backend's miss latency under vscc.
+	// database, hiding a slow backend's miss latency under vscc. Its
+	// reader pool is Workers wide.
 	Prefetch bool
-	// PrefetchWorkers bounds the warm-up reader pool; 0 means Workers.
-	PrefetchWorkers int
 }
 
 // StateDB backend names accepted by StateDBSpec.Backend.
@@ -72,33 +71,6 @@ const (
 	BackendMemory = "memory" // single in-memory Store (default)
 	BackendHybrid = "hybrid" // §5 hardware LRU in front of a host Store
 )
-
-// CryptoSpec parameterizes the process-wide verification accelerators of
-// the commit hot path.
-type CryptoSpec struct {
-	// SigCacheSize bounds the shared signature-verification cache
-	// (fabcrypto.SigCache) in verdicts; 0 disables it. Every validation
-	// path built from one Config shares one cache, so a signature is
-	// ECDSA-verified once per process no matter how many peers see it.
-	// The default covers the reuse distance — orderer check to the last
-	// peer's check, a few blocks — not history (see Default).
-	SigCacheSize int
-	// CertCacheSize bounds the shared parsed-certificate cache
-	// (fabcrypto.CertCache) in certificates; 0 disables it. The same
-	// handful of identity certs recurs in every transaction, and parsing
-	// them rivals the ECDSA math in allocations.
-	CertCacheSize int
-}
-
-// HotpathSpec parameterizes the remaining hot-path optimizations.
-type HotpathSpec struct {
-	// ParseCacheSize bounds the parse-once envelope interning table
-	// (validator.ParseCache) in envelopes; 0 disables it. Shared across
-	// every validation path built from one Config. Sized like
-	// SigCacheSize: to the blocks in flight between the peers of one
-	// process.
-	ParseCacheSize int
-}
 
 // StateDBSpec selects and parameterizes the parallel peer's state-database
 // backend (paper §5's database-scaling proposal).
@@ -118,13 +90,6 @@ type StateDBSpec struct {
 	NoCountAccesses bool
 }
 
-// Delivery policy names accepted by DeliverySpec.Policy.
-const (
-	PolicyDisconnect = "disconnect" // kill the pipe of a peer that overruns the window
-	PolicyDrop       = "drop"       // skip the lost blocks, count them, keep the peer
-	PolicyWait       = "wait"       // lossless: block publication until the peer catches up
-)
-
 // DeliverySpec parameterizes the orderer's non-blocking block delivery
 // service (internal/delivery).
 type DeliverySpec struct {
@@ -132,16 +97,6 @@ type DeliverySpec struct {
 	// catch-up; it bounds every peer's backlog. 0 means the delivery
 	// default (256).
 	Window int
-	// Policy is the overrun policy for peers that fall off the window:
-	// disconnect (default), drop, or wait. Wait makes delivery lossless
-	// by blocking publication until the peer catches up — deliberate
-	// backpressure that lets the slowest such peer throttle block
-	// creation, so it suits in-process consumers rather than network
-	// peers.
-	Policy string
-	// MaxRedials bounds reconnect attempts after a peer send error; 0
-	// means the delivery default (3).
-	MaxRedials int
 }
 
 // DurabilitySpec parameterizes the software peers' crash-recovery story
@@ -200,8 +155,6 @@ type Config struct {
 	StateDB    StateDBSpec
 	Delivery   DeliverySpec
 	Durability DurabilitySpec
-	Crypto     CryptoSpec
-	Hotpath    HotpathSpec
 	Telemetry  TelemetrySpec
 
 	// caches memoizes the shared verification/parse caches behind a
@@ -232,27 +185,50 @@ func (c *Config) ensureCaches() *hotCaches {
 	return c.caches
 }
 
+// The sizes of the shared caches. The two verdict caches hold four full
+// blocks of the default architecture's 256 transactions: 1 024 parsed
+// envelopes, and 4 096 signatures at up to four per transaction. A second
+// peer in the same process reaches a block within that distance (the hit
+// rates on the ruler's e2e workload are those of the 8 192 / 16 384
+// entries replaced, 0.46 and 0.60), and a peer that sees a chain once never
+// hits at all — but a parsed envelope is live heap the collector marks each
+// cycle (the signature cache's rings hold no pointers and are not scanned),
+// and on a host with idle CPUs a mark phase holds back timers and wake-ups
+// for as long as it runs: at 8 192 and 16 384 entries the caches were half
+// of the process's mark work, and the mark phases held about half of the
+// paced transactions at or above the 95th percentile (ARCHITECTURE.md,
+// "How large the verdict caches are"). The certificate cache holds the
+// handful of identity certificates that recur in every transaction, whose
+// parsing rivals the ECDSA math in allocations.
+const (
+	sigCacheSize   = 4 * 4 * 256 // signature verdicts
+	certCacheSize  = 4096        // parsed certificates
+	parseCacheSize = 4 * 256     // parsed envelopes
+)
+
 // SigCache returns the Config's shared signature-verification cache,
-// creating it on first use; nil when crypto.sig_cache_size is 0.
+// creating it on first use. Every validation path built from one Config
+// shares it, so a signature is ECDSA-verified once per process no matter
+// how many peers see it.
 func (c *Config) SigCache() *fabcrypto.SigCache {
 	h := c.ensureCaches()
-	h.sigOnce.Do(func() { h.sig = fabcrypto.NewSigCache(c.Crypto.SigCacheSize) })
+	h.sigOnce.Do(func() { h.sig = fabcrypto.NewSigCache(sigCacheSize) })
 	return h.sig
 }
 
-// CertCache returns the Config's shared parsed-certificate cache,
-// creating it on first use; nil when crypto.cert_cache_size is 0.
+// CertCache returns the Config's shared parsed-certificate cache, creating
+// it on first use.
 func (c *Config) CertCache() *fabcrypto.CertCache {
 	h := c.ensureCaches()
-	h.certOnce.Do(func() { h.cert = fabcrypto.NewCertCache(c.Crypto.CertCacheSize) })
+	h.certOnce.Do(func() { h.cert = fabcrypto.NewCertCache(certCacheSize) })
 	return h.cert
 }
 
 // ParseCache returns the Config's shared parse-once interning table,
-// creating it on first use; nil when hotpath.parse_cache_size is 0.
+// creating it on first use.
 func (c *Config) ParseCache() *validator.ParseCache {
 	h := c.ensureCaches()
-	h.parseOnce.Do(func() { h.parse = validator.NewParseCache(c.Hotpath.ParseCacheSize) })
+	h.parseOnce.Do(func() { h.parse = validator.NewParseCache(parseCacheSize) })
 	return h.parse
 }
 
@@ -292,21 +268,7 @@ func (c *Config) TelemetryRegistry() *telemetry.Registry {
 // each with an endorser and a validator peer, smallbank with a 2-outof-2
 // policy, and an 8x2 architecture supporting 256-transaction blocks and an
 // 8192-entry database (§4.1).
-//
-// The two verdict caches hold four full blocks: 1 024 parsed envelopes, and
-// 4 096 signatures at up to four per transaction. A second peer in the
-// same process reaches a block within that distance (the hit rates on the
-// ruler's e2e workload are those of the 8 192 / 16 384 entries replaced,
-// 0.46 and 0.60), and a peer that sees a chain once never hits at all — but
-// a parsed envelope is live heap the collector marks each cycle (the
-// signature cache's rings hold no pointers and are not scanned), and on a host
-// with idle CPUs a mark phase holds back timers and wake-ups for as long
-// as it runs: at 8 192 and 16 384 entries the caches were half of the
-// process's mark work, and the mark phases held about half of the paced
-// transactions at or above the 95th percentile (ARCHITECTURE.md, "How
-// large the verdict caches are").
 func Default() *Config {
-	const maxBlockTxs = 256
 	return &Config{
 		Channel: "ch1",
 		Orgs: []OrgSpec{
@@ -318,11 +280,9 @@ func Default() *Config {
 			TxValidators: 8,
 			VSCCEngines:  2,
 			DBCapacity:   8192,
-			MaxBlockTxs:  maxBlockTxs,
+			MaxBlockTxs:  256,
 		},
-		Crypto:  CryptoSpec{SigCacheSize: 4 * 4 * maxBlockTxs, CertCacheSize: 4096},
-		Hotpath: HotpathSpec{ParseCacheSize: 4 * maxBlockTxs},
-		caches:  &hotCaches{},
+		caches: &hotCaches{},
 	}
 }
 
@@ -349,9 +309,9 @@ func Parse(raw []byte) (*Config, error) {
 		return nil, fmt.Errorf("%w: the document is not a mapping", ErrInvalid)
 	}
 	d := Default()
-	cfg := &Config{Channel: d.Channel, Arch: d.Arch, Crypto: d.Crypto, Hotpath: d.Hotpath, caches: &hotCaches{}}
+	cfg := &Config{Channel: d.Channel, Arch: d.Arch, caches: &hotCaches{}}
 	var orgs, ccs []any
-	var arch, pipe, sdb, del, dur, cr, hp, tel map[string]any
+	var arch, pipe, sdb, del, dur, tel map[string]any
 	if err := decode("", top, fields{
 		"channel":      &cfg.Channel,
 		"orgs":         &orgs,
@@ -361,8 +321,6 @@ func Parse(raw []byte) (*Config, error) {
 		"statedb":      &sdb,
 		"delivery":     &del,
 		"durability":   &dur,
-		"crypto":       &cr,
-		"hotpath":      &hp,
 		"telemetry":    &tel,
 	}); err != nil {
 		return nil, err
@@ -417,9 +375,8 @@ func Parse(raw []byte) (*Config, error) {
 			"max_block_txs": &cfg.Arch.MaxBlockTxs,
 		}},
 		{"pipeline", pipe, fields{
-			"workers":          &cfg.Pipeline.Workers,
-			"prefetch":         &cfg.Pipeline.Prefetch,
-			"prefetch_workers": &cfg.Pipeline.PrefetchWorkers,
+			"workers":  &cfg.Pipeline.Workers,
+			"prefetch": &cfg.Pipeline.Prefetch,
 		}},
 		{"statedb", sdb, fields{
 			"backend":              &cfg.StateDB.Backend,
@@ -427,11 +384,7 @@ func Parse(raw []byte) (*Config, error) {
 			"host_read_latency_us": &cfg.StateDB.HostReadLatencyUS,
 			"count_accesses":       &countAccesses,
 		}},
-		{"delivery", del, fields{
-			"window":      &cfg.Delivery.Window,
-			"policy":      &cfg.Delivery.Policy,
-			"max_redials": &cfg.Delivery.MaxRedials,
-		}},
+		{"delivery", del, fields{"window": &cfg.Delivery.Window}},
 		{"durability", dur, fields{
 			"checkpoint_every": &cfg.Durability.CheckpointEvery,
 			"sync_each_block":  &cfg.Durability.SyncEachBlock,
@@ -440,11 +393,6 @@ func Parse(raw []byte) (*Config, error) {
 			"prune":            &cfg.Durability.Prune,
 			"fastsync":         &fastSync,
 		}},
-		{"crypto", cr, fields{
-			"sig_cache_size":  &cfg.Crypto.SigCacheSize,
-			"cert_cache_size": &cfg.Crypto.CertCacheSize,
-		}},
-		{"hotpath", hp, fields{"parse_cache_size": &cfg.Hotpath.ParseCacheSize}},
 		{"telemetry", tel, fields{
 			"enabled":    &cfg.Telemetry.Enabled,
 			"addr":       &cfg.Telemetry.Addr,
@@ -555,9 +503,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("%w: architecture %dx%d does not fit the U250",
 			ErrInvalid, c.Arch.TxValidators, c.Arch.VSCCEngines)
 	}
-	if c.Pipeline.Workers < 0 || c.Pipeline.PrefetchWorkers < 0 {
-		return fmt.Errorf("%w: pipeline workers=%d prefetch_workers=%d must be >= 0",
-			ErrInvalid, c.Pipeline.Workers, c.Pipeline.PrefetchWorkers)
+	if c.Pipeline.Workers < 0 {
+		return fmt.Errorf("%w: pipeline workers=%d must be >= 0", ErrInvalid, c.Pipeline.Workers)
 	}
 	switch c.StateDB.Backend {
 	case "", BackendMemory, BackendHybrid:
@@ -569,15 +516,8 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("%w: statedb capacity=%d host_read_latency_us=%d must be >= 0",
 			ErrInvalid, c.StateDB.Capacity, c.StateDB.HostReadLatencyUS)
 	}
-	switch c.Delivery.Policy {
-	case "", PolicyDisconnect, PolicyDrop, PolicyWait:
-	default:
-		return fmt.Errorf("%w: delivery policy %q (valid: %s, %s, %s)",
-			ErrInvalid, c.Delivery.Policy, PolicyDisconnect, PolicyDrop, PolicyWait)
-	}
-	if c.Delivery.Window < 0 || c.Delivery.MaxRedials < 0 {
-		return fmt.Errorf("%w: delivery window=%d max_redials=%d must be >= 0",
-			ErrInvalid, c.Delivery.Window, c.Delivery.MaxRedials)
+	if c.Delivery.Window < 0 {
+		return fmt.Errorf("%w: delivery window=%d must be >= 0", ErrInvalid, c.Delivery.Window)
 	}
 	if c.Durability.CheckpointEvery < 0 {
 		return fmt.Errorf("%w: durability checkpoint_every=%d must be >= 0",
@@ -590,14 +530,6 @@ func (c *Config) Validate() error {
 	if c.Durability.Prune && c.Durability.CheckpointEvery == 0 {
 		return fmt.Errorf("%w: durability prune needs checkpoint_every > 0 (nothing ever covers a segment)",
 			ErrInvalid)
-	}
-	if c.Crypto.SigCacheSize < 0 || c.Crypto.CertCacheSize < 0 {
-		return fmt.Errorf("%w: crypto sig_cache_size=%d cert_cache_size=%d must be >= 0",
-			ErrInvalid, c.Crypto.SigCacheSize, c.Crypto.CertCacheSize)
-	}
-	if c.Hotpath.ParseCacheSize < 0 {
-		return fmt.Errorf("%w: hotpath parse_cache_size=%d must be >= 0",
-			ErrInvalid, c.Hotpath.ParseCacheSize)
 	}
 	return nil
 }
@@ -696,7 +628,6 @@ func (c *Config) ValidatorConfig(workers int) (pipeline.Config, error) {
 func (c *Config) PipelineConfig() (pipeline.Config, error) {
 	pc, err := c.engineConfig(c.Pipeline.Workers, "pipelined")
 	pc.Prefetch = c.Pipeline.Prefetch
-	pc.PrefetchWorkers = c.Pipeline.PrefetchWorkers
 	return pc, err
 }
 

@@ -34,15 +34,12 @@ architecture:
 pipeline:
   workers: 6
   prefetch: true
-  prefetch_workers: 4
 statedb:
   backend: hybrid
   capacity: 512
   host_read_latency_us: 40
 delivery:
   window: 128
-  policy: drop
-  max_redials: 5
 durability:
   checkpoint_every: 16
   sync_each_block: true
@@ -69,15 +66,14 @@ func TestParseSample(t *testing.T) {
 	if cfg.Arch.TxValidators != 8 || cfg.Arch.DBCapacity != 8192 {
 		t.Errorf("arch = %+v", cfg.Arch)
 	}
-	if cfg.Pipeline.Workers != 6 ||
-		!cfg.Pipeline.Prefetch || cfg.Pipeline.PrefetchWorkers != 4 {
+	if cfg.Pipeline.Workers != 6 || !cfg.Pipeline.Prefetch {
 		t.Errorf("pipeline = %+v", cfg.Pipeline)
 	}
 	if cfg.StateDB.Backend != BackendHybrid || cfg.StateDB.Capacity != 512 ||
 		cfg.StateDB.HostReadLatencyUS != 40 {
 		t.Errorf("statedb = %+v", cfg.StateDB)
 	}
-	if cfg.Delivery.Window != 128 || cfg.Delivery.Policy != PolicyDrop || cfg.Delivery.MaxRedials != 5 {
+	if cfg.Delivery.Window != 128 {
 		t.Errorf("delivery = %+v", cfg.Delivery)
 	}
 	if cfg.Durability.CheckpointEvery != 16 || !cfg.Durability.SyncEachBlock {
@@ -119,11 +115,6 @@ func TestDurabilitySpecValidation(t *testing.T) {
 
 func TestDeliverySpecValidation(t *testing.T) {
 	bad := Default()
-	bad.Delivery.Policy = "teleport"
-	if err := bad.Validate(); !errors.Is(err, ErrInvalid) {
-		t.Errorf("unknown delivery policy: err = %v, want ErrInvalid", err)
-	}
-	bad = Default()
 	bad.Delivery.Window = -1
 	if err := bad.Validate(); !errors.Is(err, ErrInvalid) {
 		t.Errorf("negative delivery window: err = %v, want ErrInvalid", err)
@@ -160,7 +151,7 @@ func TestNewKVSBackends(t *testing.T) {
 
 func TestPipelineConfigDefaultsAndMaterialization(t *testing.T) {
 	cfg := Default()
-	if cfg.Pipeline.Workers != 0 || cfg.Pipeline.PrefetchWorkers != 0 {
+	if cfg.Pipeline.Workers != 0 {
 		t.Errorf("default pipeline spec should be zero (engine chooses): %+v", cfg.Pipeline)
 	}
 	pc, err := cfg.PipelineConfig()
@@ -241,7 +232,12 @@ func TestParseRejectsUnknownKeysAndWrongTypes(t *testing.T) {
 		{"misspelt section", base + "pipelin:\n  workers: 6\n", "unknown key pipelin"},
 		{"misspelt key", base + "pipeline:\n  workrs: 6\n", "unknown key pipeline.workrs"},
 		{"retired pipeline.depth", base + "pipeline:\n  depth: 4\n", "unknown key pipeline.depth"},
-		{"retired hotpath.marshal_pool", base + "hotpath:\n  marshal_pool: true\n", "unknown key hotpath.marshal_pool"},
+		{"retired hotpath.marshal_pool", base + "hotpath:\n  marshal_pool: true\n", "unknown key hotpath"},
+		{"retired crypto", base + "crypto:\n  sig_cache_size: 4096\n  cert_cache_size: 4096\n", "unknown key crypto"},
+		{"retired hotpath", base + "hotpath:\n  parse_cache_size: 1024\n", "unknown key hotpath"},
+		{"retired pipeline.prefetch_workers", base + "pipeline:\n  prefetch_workers: 4\n", "unknown key pipeline.prefetch_workers"},
+		{"retired delivery.policy", base + "delivery:\n  policy: drop\n", "unknown key delivery.policy"},
+		{"retired delivery.max_redials", base + "delivery:\n  max_redials: 5\n", "unknown key delivery.max_redials"},
 		{"retired statedb.shards", base + "statedb:\n  shards: 16\n", "unknown key statedb.shards"},
 		{"retired sharded backend", base + "statedb:\n  backend: sharded\n", `statedb backend "sharded"`},
 		{"integer given a word", base + "pipeline:\n  workers: six\n", "pipeline.workers is six, want an integer"},
@@ -314,29 +310,16 @@ func TestCircuitsCompiled(t *testing.T) {
 	}
 }
 
-// TestParseSeedsCacheDefaults pins that a file without crypto or hotpath
-// sections runs with the default verdict caches, and that an explicit 0
-// still turns each one off.
+// TestParseSeedsCacheDefaults pins that a parsed file with no optional
+// sections still runs with every verdict cache on.
 func TestParseSeedsCacheDefaults(t *testing.T) {
 	const base = "orgs:\n  - name: Org1\nchaincodes:\n  - name: cc\n    policy: 1of1\n"
 	cfg, err := Parse([]byte(base))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := Default()
-	if cfg.Crypto != d.Crypto || cfg.Hotpath != d.Hotpath {
-		t.Errorf("omitted sections: crypto %+v hotpath %+v, want %+v %+v", cfg.Crypto, cfg.Hotpath, d.Crypto, d.Hotpath)
-	}
 	if cfg.SigCache() == nil || cfg.CertCache() == nil || cfg.ParseCache() == nil {
 		t.Error("omitted sections: a verdict cache is off")
-	}
-
-	off, err := Parse([]byte(base + "crypto:\n  sig_cache_size: 0\n  cert_cache_size: 0\nhotpath:\n  parse_cache_size: 0\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.SigCache() != nil || off.CertCache() != nil || off.ParseCache() != nil {
-		t.Error("explicit 0: a verdict cache is on")
 	}
 }
 

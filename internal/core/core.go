@@ -62,10 +62,6 @@ type Config struct {
 	// DisableShortCircuit turns off the ends_scheduler's short-circuit
 	// evaluation (ablation: behave like Fabric, verify everything).
 	DisableShortCircuit bool
-	// DisableEarlyAbort turns off the pipeline's early-abort conditions
-	// (ablation: endorsements of already-invalid transactions are still
-	// verified).
-	DisableEarlyAbort bool
 }
 
 func (c *Config) withDefaults() Config {
@@ -296,7 +292,7 @@ func (p *Processor) validateBlock(vb verifiedBlock) (res Result, ok bool) {
 
 	// tx_verify, skipped when the block is already invalid (early abort).
 	reqs := p.reqs[:0]
-	if vb.valid || p.cfg.DisableEarlyAbort {
+	if vb.valid {
 		for i := range txs {
 			reqs = append(reqs, &txs[i].entry.Verify)
 		}
@@ -318,9 +314,7 @@ func (p *Processor) validateBlock(vb verifiedBlock) (res Result, ok bool) {
 			continue
 		case !txValid:
 			tx.code = block.BadSignature
-			if !p.cfg.DisableEarlyAbort {
-				continue
-			}
+			continue
 		}
 		if vscc[i].Circuit = p.cfg.Policies[tx.entry.CCName]; vscc[i].Circuit == nil {
 			tx.code = block.InvalidOther

@@ -36,9 +36,9 @@ func (fb *fifoBlock) profiles() []hwsim.TxProfile {
 // block, over the seeded random blocks of
 // TestRoundsMatchPerTransactionReference, for each policy shape,
 // architecture and short-circuit setting. The simulator models one installed
-// chaincode, a valid orderer signature and early abort on, so the chaincode
-// the random blocks name besides smallbank is installed too and blocks with
-// a bad orderer signature are left out.
+// chaincode and a valid orderer signature, so the chaincode the random
+// blocks name besides smallbank is installed too and blocks with a bad
+// orderer signature are left out.
 func TestSimulatorCountsWhatCoreVerified(t *testing.T) {
 	rng := rand.New(rand.NewSource(20220729))
 	wire := newWire(t, 4)

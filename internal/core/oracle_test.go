@@ -100,25 +100,16 @@ func referenceTxValidator(cfg Config, job txJob) txResult {
 	var out txResult
 
 	// tx_verify: skip when the block is already invalid (early abort).
-	if !job.blockValid && !cfg.DisableEarlyAbort {
-		out.code = block.InvalidOther
-		out.endsSkipped = len(job.ends)
-		return out
-	}
-	txValid := job.entry.Verify.Execute()
-	out.engineInvokes++ // the tx_verify engine invocation
 	if !job.blockValid {
-		// Early abort disabled: work was done, result still invalid.
 		out.code = block.InvalidOther
 		out.endsSkipped = len(job.ends)
 		return out
 	}
-	if !txValid {
+	out.engineInvokes++ // the tx_verify engine invocation
+	if !job.entry.Verify.Execute() {
 		out.code = block.BadSignature
-		if !cfg.DisableEarlyAbort {
-			out.endsSkipped = len(job.ends)
-			return out
-		}
+		out.endsSkipped = len(job.ends)
+		return out
 	}
 
 	// tx_vscc: endorsement verification + policy circuit.
@@ -160,10 +151,8 @@ func referenceTxValidator(cfg Config, job txJob) txResult {
 	}
 	out.endsSkipped += len(job.ends) - idx
 
-	if out.code == block.Valid { // not already invalidated by tx_verify
-		if !circuit.Evaluate(&rf) {
-			out.code = block.EndorsementPolicyFailure
-		}
+	if !circuit.Evaluate(&rf) {
+		out.code = block.EndorsementPolicyFailure
 	}
 	return out
 }
@@ -202,13 +191,13 @@ func TestRoundsMatchPerTransactionReference(t *testing.T) {
 	for _, polSrc := range []string{"1of1", "2of2", "2of3", "3of3", "Org1 & (Org2 | (Org3 & Org4))"} {
 		pol := policytest.MustParse(polSrc)
 		maxEnds := pol.MaxEndorsements()
-		for ci := 0; ci < len(archs)*4; ci++ {
+		for ci := 0; ci < len(archs)*2; ci++ {
 			cfg := Config{
-				TxValidators: archs[ci/4][0], VSCCEngines: archs[ci/4][1],
-				DisableShortCircuit: ci&1 != 0, DisableEarlyAbort: ci&2 != 0,
-				Policies: map[string]*policy.Circuit{"smallbank": policy.Compile(pol)},
+				TxValidators: archs[ci/2][0], VSCCEngines: archs[ci/2][1],
+				DisableShortCircuit: ci&1 != 0,
+				Policies:            map[string]*policy.Circuit{"smallbank": policy.Compile(pol)},
 			}
-			name := fmt.Sprintf("%s/%s/sc=%v/ea=%v", polSrc, cfg, !cfg.DisableShortCircuit, !cfg.DisableEarlyAbort)
+			name := fmt.Sprintf("%s/%s/sc=%v", polSrc, cfg, !cfg.DisableShortCircuit)
 			bufs := bmacproto.NewBuffers()
 			proc := New(cfg, bufs, statedb.NewHardwareKVS(8192))
 			proc.Start()

@@ -103,20 +103,6 @@ func (p Policy) String() string {
 	}
 }
 
-// ParsePolicy parses a policy name ("disconnect", "drop" or "wait").
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "", "disconnect":
-		return Disconnect, nil
-	case "drop":
-		return DropBlocks, nil
-	case "wait":
-		return Wait, nil
-	default:
-		return 0, fmt.Errorf("delivery: unknown policy %q (valid: disconnect, drop, wait)", s)
-	}
-}
-
 // Errors reported through PeerStats.Err.
 var (
 	// ErrOverrun reports a Disconnect-policy peer that fell off the

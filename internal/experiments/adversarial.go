@@ -59,6 +59,7 @@ func FigAdversarial(opts Options) (*metrics.Table, error) {
 	// mid-stream.
 	newConfig := func() *config.Config {
 		cfg := config.Default()
+		cfg.Delivery.Window = 8
 		cfg.Durability.CheckpointEvery = 4
 		cfg.Telemetry.Enabled = true
 		return cfg
@@ -71,7 +72,6 @@ func FigAdversarial(opts Options) (*metrics.Table, error) {
 		Peers:    3,
 		Txs:      160,
 		Clients:  2,
-		Window:   8,
 		Accounts: 64,
 		Seed:     47,
 		Timeout:  90 * time.Second,
@@ -190,12 +190,12 @@ func FigAdversarial(opts Options) (*metrics.Table, error) {
 		base.Txs = 64
 	}
 	for _, fault := range []string{"leaderkill", "partition", "corruption", "slowdisk"} {
-		copts := base
+		copts, fcfg := base, *cfg // the copy shares cfg's caches and registry
 		copts.Adversary = 0.2
 		copts.Rate = 900 // paced, so the fault lands mid-submission
 		switch fault {
 		case "partition":
-			copts.Window = 4 // force the victim past the retained window
+			fcfg.Delivery.Window = 4 // force the victim past the retained window
 		case "slowdisk":
 			copts.Rate = 0
 		case "leaderkill":
@@ -205,7 +205,7 @@ func FigAdversarial(opts Options) (*metrics.Table, error) {
 		if copts.Scenario, err = cluster.Script(fault, copts.Peers-1); err != nil {
 			return tbl, err
 		}
-		if _, err := run(cfg, "fault-"+fault, copts); err != nil {
+		if _, err := run(&fcfg, "fault-"+fault, copts); err != nil {
 			return tbl, err
 		}
 	}

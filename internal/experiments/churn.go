@@ -29,6 +29,7 @@ func FigChurn(opts Options) (*metrics.Table, error) {
 
 	cfg := config.Default()
 	cfg.Arch.MaxBlockTxs = 4 // many small blocks, so the window moves on
+	cfg.Delivery.Window = 4
 	cfg.Durability.CheckpointEvery = 4
 	cfg.Telemetry.Enabled = true
 	telDir := telemetryDir(dir)
@@ -42,7 +43,6 @@ func FigChurn(opts Options) (*metrics.Table, error) {
 		Txs:      96,
 		Rate:     900, // paced, so the kill lands mid-submission
 		Clients:  2,
-		Window:   4,
 		Accounts: 48,
 		Seed:     19,
 		Scenario: churn,

@@ -41,6 +41,7 @@ func FigCluster(opts Options) (*metrics.Table, error) {
 
 	cfg := config.Default()
 	cfg.Arch.MaxBlockTxs = 8
+	cfg.Delivery.Window = 8
 	// Give the hybrid path something to hide: a cache smaller than the
 	// account working set plus a modeled host read latency.
 	cfg.StateDB.Capacity = 32
@@ -58,7 +59,6 @@ func FigCluster(opts Options) (*metrics.Table, error) {
 		Txs:       96,
 		Rate:      600,
 		Clients:   2,
-		Window:    8,
 		Accounts:  64,
 		Skew:      1.1,
 		Seed:      7,

@@ -12,9 +12,10 @@
 // decided by the same ends_scheduler the functional model runs
 // (policy.Scheduler); the simulator costs its output.
 //
-// Timing constants come from the paper: a 250 MHz clock, ~360 us per ECDSA
-// verification (the Mercury Systems IP), and "tens of us" for the non-
-// cryptographic operations.
+// Timing constants come from the paper where it gives them: a 250 MHz
+// clock, ~360 us per ECDSA verification (the Mercury Systems IP), and "tens
+// of us" for the non-cryptographic operations; the rest are fitted, and
+// each says which it is.
 package hwsim
 
 import (
@@ -24,35 +25,37 @@ import (
 	"bmac/internal/policy"
 )
 
-// Config describes one simulated BMac architecture plus its timing
-// constants. The zero value of a latency field selects the paper-calibrated
-// default.
+// The model's timing constants, each with its source. The paper gives the
+// first two (§4.3) and the 250 MHz clock the third. The last two are not in
+// the paper: they are fitted values, and the Figure 11 and §4.3 latency
+// checks (TestFigure11Calibration, TestTxLatencyNearPaper) hold with them.
+const (
+	// engineLatency is one ECDSA verification by the Mercury Systems IP:
+	// ~360 us (§4.3).
+	engineLatency = 360 * time.Microsecond
+	// dispatchLatency is the tx_scheduler/FIFO handling of one
+	// transaction: "tens of us" for the non-cryptographic operations
+	// (§4.3), taken at its low end.
+	dispatchLatency = 10 * time.Microsecond
+	// dbAccessLatency is one in-hardware KVS read or write: a BRAM access
+	// plus interlock, a few cycles at 250 MHz.
+	dbAccessLatency = 500 * time.Nanosecond
+	// mvccFixedLatency is the fixed cost of the tx_mvcc_commit stage per
+	// transaction (fitted).
+	mvccFixedLatency = 2 * time.Microsecond
+	// blockFixedLatency is the per-block fill/drain overhead of the
+	// pipeline (fitted).
+	blockFixedLatency = 50 * time.Microsecond
+)
+
+// Config describes one simulated BMac architecture.
 type Config struct {
 	TxValidators int
 	VSCCEngines  int
 
-	// EngineLatency is one ECDSA verification (default 360 us, §4.3).
-	EngineLatency time.Duration
-	// DispatchLatency is scheduler/FIFO handling per transaction
-	// (default 10 us — "tens of us" per §4.3).
-	DispatchLatency time.Duration
-	// MVCCFixedLatency is the fixed cost of the mvcc_commit stage per
-	// transaction (default 2 us).
-	MVCCFixedLatency time.Duration
-	// DBAccessLatency is one in-hardware KVS read or write
-	// (default 0.5 us; BRAM access plus interlock at 250 MHz).
-	DBAccessLatency time.Duration
-	// BlockFixedLatency is the per-block fill/drain overhead of the
-	// pipeline (default 50 us).
-	BlockFixedLatency time.Duration
-
 	// DisableShortCircuit models the ablation where the ends_scheduler
 	// verifies every endorsement like Fabric does.
 	DisableShortCircuit bool
-	// DisableOverlap models the ablation where ledger commit on the CPU is
-	// NOT overlapped with hardware validation of the next block; used by
-	// the peer-level simulation.
-	DisableOverlap bool
 }
 
 func (c Config) withDefaults() Config {
@@ -61,21 +64,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.VSCCEngines < 1 {
 		c.VSCCEngines = 1
-	}
-	if c.EngineLatency == 0 {
-		c.EngineLatency = 360 * time.Microsecond
-	}
-	if c.DispatchLatency == 0 {
-		c.DispatchLatency = 10 * time.Microsecond
-	}
-	if c.MVCCFixedLatency == 0 {
-		c.MVCCFixedLatency = 2 * time.Microsecond
-	}
-	if c.DBAccessLatency == 0 {
-		c.DBAccessLatency = 500 * time.Nanosecond
-	}
-	if c.BlockFixedLatency == 0 {
-		c.BlockFixedLatency = 50 * time.Microsecond
 	}
 	return c
 }
@@ -162,11 +150,11 @@ func (t BlockTiming) Throughput(txCount int) float64 {
 func Simulate(cfg Config, circuit *policy.Circuit, txs []TxProfile) BlockTiming {
 	c := cfg.withDefaults()
 	var t BlockTiming
-	t.BlockVerify = c.EngineLatency
+	t.BlockVerify = engineLatency
 
 	n := len(txs)
 	if n == 0 {
-		t.Validate = c.BlockFixedLatency
+		t.Validate = blockFixedLatency
 		return t
 	}
 
@@ -202,16 +190,16 @@ func Simulate(cfg Config, circuit *policy.Circuit, txs []TxProfile) BlockTiming 
 				best = v
 			}
 		}
-		start := verifyFree[best] + c.DispatchLatency
+		start := verifyFree[best] + dispatchLatency
 		txStart[i] = start
 
 		// tx_verify: one dedicated engine per validator.
-		verifyEnd := start + c.EngineLatency
+		verifyEnd := start + engineLatency
 		verifyFree[best] = verifyEnd
 
 		// tx_vscc: one engine latency per round of up to E verifications.
-		vsccLat := time.Duration(vscc[i].Rounds) * c.EngineLatency
-		t.VSCCBusy += time.Duration(vscc[i].Verified) * c.EngineLatency
+		vsccLat := time.Duration(vscc[i].Rounds) * engineLatency
+		t.VSCCBusy += time.Duration(vscc[i].Verified) * engineLatency
 		t.EndsVerified += vscc[i].Verified
 		t.EndsSkipped += len(tx.Endorsers) - vscc[i].Verified
 		vsccEnd[i] = max(verifyEnd, vsccFree[best]) + vsccLat
@@ -224,12 +212,12 @@ func Simulate(cfg Config, circuit *policy.Circuit, txs []TxProfile) BlockTiming 
 	for i, tx := range txs {
 		release = max(release, vsccEnd[i])
 		start := max(release, mvccFree)
-		lat := c.MVCCFixedLatency + time.Duration(tx.Reads+tx.Writes)*c.DBAccessLatency
+		lat := mvccFixedLatency + time.Duration(tx.Reads+tx.Writes)*dbAccessLatency
 		mvccFree = start + lat
 		t.MVCCBusy += lat
 		totalTxLat += mvccFree - txStart[i]
 	}
-	t.Validate = mvccFree + c.BlockFixedLatency
+	t.Validate = mvccFree + blockFixedLatency
 	t.TxLatency = totalTxLat / time.Duration(n)
 	return t
 }

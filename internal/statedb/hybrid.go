@@ -72,9 +72,6 @@ func (h *HybridKVS) Capacity() int { return h.capacity }
 // holds, so disabling them would save nothing.
 func (h *HybridKVS) SetCountAccesses(bool) {}
 
-// Host returns the backing host store.
-func (h *HybridKVS) Host() *Store { return h.host }
-
 // Read returns the versioned value for key, consulting the hardware cache
 // first and the host store on a miss (promoting the entry).
 func (h *HybridKVS) Read(key string) (VersionedValue, bool) { return h.read(key, false) }

@@ -105,10 +105,7 @@ func NewTestbed(cfg *Config, dir string) (_ *Testbed, err error) {
 	// Validator peers, durable per the config: reopening a testbed
 	// directory replays each peer's ledger (on top of its checkpoints) so
 	// the peers resume at their previous height.
-	dopts := peer.DurableOptions{
-		CheckpointEvery: cfg.Durability.CheckpointEvery,
-		SyncEachBlock:   cfg.Durability.SyncEachBlock,
-	}
+	dopts := cluster.DurableOptions(cfg.Durability)
 	valCfg, err := cfg.ValidatorConfig(4)
 	if err != nil {
 		return nil, err
