@@ -155,7 +155,12 @@ func TestTestbedSmallbankEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, o := range outcomes {
+	for i, o := range outcomes {
+		// The cross-check is lossless and in order: it sees every block,
+		// each exactly once.
+		if o.BlockNum != uint64(i) {
+			t.Errorf("outcome %d is block %d, want block %d", i, o.BlockNum, i)
+		}
 		if !o.Match {
 			t.Errorf("block %d: sw/hw mismatch\n  sw flags: %v\n  hw flags: %v",
 				o.BlockNum, o.SW.Flags, o.HW.Flags)

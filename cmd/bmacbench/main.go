@@ -8,7 +8,7 @@
 //	bmacbench -quick          # shrunk sweeps (smoke test)
 //	bmacbench -rounds 5       # more measurement rounds per point
 //	bmacbench -list           # list experiment ids
-//	bmacbench -exp cluster -cpuprofile cpu.pprof
+//	bmacbench -exp adversarial -quick -cpuprofile cpu.pprof
 //	                          # + a CPU profile of the whole run (go tool pprof)
 //
 // The hotpath suite additionally supports a machine-readable record and a

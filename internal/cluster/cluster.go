@@ -29,6 +29,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -570,27 +571,11 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 	}
 
 	// The orderer's only hook appends the block to the orderer ledger
-	// (feeding the catch-up source), records the block's tx ids for the
-	// hardware latency join, and publishes into the delivery window; it
-	// never blocks on a peer.
-	var (
-		txMu     sync.Mutex
-		blockTxs = make(map[uint64][]string)
-	)
+	// (feeding the catch-up source and the hardware latency join) and
+	// publishes into the delivery window; it never blocks on a peer.
 	ord.OnDeliver(func(b *block.Block) error {
 		if _, err := ordLed.Commit(b); err != nil {
 			return fmt.Errorf("orderer ledger: %w", err)
-		}
-		if opts.BMacPeer {
-			ids := make([]string, 0, len(b.Envelopes))
-			for i := range b.Envelopes {
-				if id, err := block.EnvelopeTxID(&b.Envelopes[i]); err == nil {
-					ids = append(ids, id)
-				}
-			}
-			txMu.Lock()
-			blockTxs[b.Header.Number] = ids
-			txMu.Unlock()
 		}
 		if rec == nil {
 			return svc.Publish(b)
@@ -656,32 +641,18 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 	for i, p := range peers {
 		startPeer(p, i == 0)
 	}
-	type hwObs struct {
-		txid string
-		at   time.Time
-	}
+	// The BMac peer's commits are only timed here; the report joins them
+	// with the submit records once every submission is recorded.
 	var (
-		hwMu      sync.Mutex
-		hwSamples metrics.Samples
-		hwBlocks  uint64
-		hwPending []hwObs // commits observed before the submit record landed
+		hwMu sync.Mutex
+		hwAt = make(map[uint64]time.Time) // block number -> BMac commit time
 	)
 	if bmacPeer != nil {
 		go func() {
 			for res := range bmacPeer.Results() {
 				at := time.Now()
-				txMu.Lock()
-				ids := blockTxs[res.BlockNum]
-				txMu.Unlock()
 				hwMu.Lock()
-				hwBlocks++
-				for _, id := range ids {
-					if sub, ok := gen.SubmitRecord(id); ok {
-						hwSamples.Add(at.Sub(sub.Scheduled))
-					} else {
-						hwPending = append(hwPending, hwObs{id, at})
-					}
-				}
+				hwAt[res.BlockNum] = at
 				hwMu.Unlock()
 			}
 		}()
@@ -880,7 +851,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		flushDeadline := time.Now().Add(opts.Timeout)
 		for {
 			hwMu.Lock()
-			done := hwBlocks >= svc.Height()
+			done := uint64(len(hwAt)) >= svc.Height()
 			hwMu.Unlock()
 			if done || time.Now().After(flushDeadline) {
 				break
@@ -955,17 +926,29 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 	}
 	if bmacPeer != nil {
 		res.BMacDelivery = stats["bmac"]
+		// Every submission is recorded by now (gen.Run returned): read each
+		// committed block back from the orderer ledger and time its
+		// transactions from their scheduled arrival.
 		hwMu.Lock()
-		// Resolve commits that raced ahead of their submit record; every
-		// submission is recorded by now (gen.Run returned).
-		for _, o := range hwPending {
-			if sub, ok := gen.SubmitRecord(o.txid); ok {
-				hwSamples.Add(o.at.Sub(sub.Scheduled))
+		commits := maps.Clone(hwAt)
+		hwMu.Unlock()
+		var hwSamples metrics.Samples
+		for num, at := range commits {
+			b, err := ordLed.Get(num)
+			if err != nil {
+				return res, fmt.Errorf("cluster: hardware latency: %w", err)
+			}
+			for i := range b.Envelopes {
+				id, err := block.EnvelopeTxID(&b.Envelopes[i])
+				if err != nil {
+					continue
+				}
+				if sub, ok := gen.SubmitRecord(id); ok {
+					hwSamples.Add(at.Sub(sub.Scheduled))
+				}
 			}
 		}
-		hwPending = nil
 		res.HWLatency = hwSamples.Summary()
-		hwMu.Unlock()
 	}
 	if rec != nil {
 		res.Budget = rec.Budget()

@@ -226,30 +226,35 @@ func TestChurnConvergence(t *testing.T) {
 }
 
 // TestChurnPipelinedPath runs the churn scenario over the parallel
-// pipelined commit engine, proving recovery is backend- and
+// pipelined commit engine, on the memory store and on the hybrid
+// hardware/host database, proving recovery is backend- and
 // engine-agnostic.
 func TestChurnPipelinedPath(t *testing.T) {
-	cfg := config.Default()
-	cfg.Arch.MaxBlockTxs = 4
-	cfg.Durability.CheckpointEvery = 4
-	cfg.Delivery.Window = 4
-	res, err := Run(cfg, Options{
-		Mode:     Pipelined,
-		Peers:    3,
-		Txs:      48,
-		Rate:     900,
-		Clients:  2,
-		Scenario: script(t, "churn", 2),
-		Seed:     23,
-	}, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatal("pipelined peers did not converge after churn")
-	}
-	if _, churned := event(t, res, Restart); churned.Restarts != 1 {
-		t.Fatalf("churned peer report %+v", churned)
+	for _, mode := range []string{Pipelined, Hybrid} {
+		t.Run(mode, func(t *testing.T) {
+			cfg := config.Default()
+			cfg.Arch.MaxBlockTxs = 4
+			cfg.Durability.CheckpointEvery = 4
+			cfg.Delivery.Window = 4
+			res, err := Run(cfg, Options{
+				Mode:     mode,
+				Peers:    3,
+				Txs:      48,
+				Rate:     900,
+				Clients:  2,
+				Scenario: script(t, "churn", 2),
+				Seed:     23,
+			}, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Converged {
+				t.Fatalf("%s peers did not converge after churn", mode)
+			}
+			if _, churned := event(t, res, Restart); churned.Restarts != 1 {
+				t.Fatalf("churned peer report %+v", churned)
+			}
+		})
 	}
 }
 

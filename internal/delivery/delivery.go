@@ -25,7 +25,7 @@
 //     catches up from the retained window (or history) at its own pace.
 //
 // Per-peer lag, bytes, drops, redials, catch-up counts and errors are
-// exposed through Stats, feeding the cluster experiment's isolation,
+// exposed through Stats, feeding cluster.Run's isolation,
 // tail-latency and churn reports.
 package delivery
 
@@ -68,7 +68,9 @@ type Transport interface {
 }
 
 // Policy selects what happens to a peer that falls off the retained
-// window (its backlog exceeded the window size).
+// window (its backlog exceeded the window size). Neither policy blocks
+// Publish: a peer's overrun is always the peer's problem, never the
+// orderer's.
 type Policy int
 
 // Overrun policies.
@@ -80,13 +82,6 @@ const (
 	// in PeerStats.Dropped, and keeps delivering from the oldest retained
 	// block. For monitoring taps and overload experiments.
 	DropBlocks
-	// Wait applies backpressure instead: Publish blocks until the peer
-	// has slack in the window, so the peer is lossless and the producer
-	// self-throttles. For in-process consumers that must see every block
-	// (e.g. the testbed's cross-check pipe); a Wait network peer lets a
-	// remote stall the publisher, which is exactly the failure mode the
-	// other policies exist to avoid.
-	Wait
 )
 
 // String implements fmt.Stringer.
@@ -96,8 +91,6 @@ func (p Policy) String() string {
 		return "disconnect"
 	case DropBlocks:
 		return "drop"
-	case Wait:
-		return "wait"
 	default:
 		return fmt.Sprintf("policy(%d)", int(p))
 	}
@@ -190,7 +183,6 @@ type Service struct {
 	reg     *telemetry.Registry
 
 	mu     sync.Mutex
-	cond   *sync.Cond       // signals Wait-policy slack to blocked Publish calls
 	ring   []*Item          // guarded by mu; ring[seq%window], valid for [base, height)
 	base   uint64           // guarded by mu; oldest retained sequence
 	height uint64           // guarded by mu; next sequence to publish
@@ -204,15 +196,13 @@ func NewService(opts Options) *Service {
 	if w <= 0 {
 		w = 256
 	}
-	s := &Service{
+	return &Service{
 		window:  w,
 		history: opts.History,
 		reg:     opts.Registry,
 		ring:    make([]*Item, w),
 		peers:   make(map[string]*pipe),
 	}
-	s.cond = sync.NewCond(&s.mu)
-	return s
 }
 
 // Window reports the retained-window size.
@@ -300,15 +290,10 @@ func (s *Service) Register(name string, tr Transport, opts PeerOptions) error {
 }
 
 // Publish appends the block to the window and wakes every pipe. It never
-// blocks on a Disconnect or DropBlocks peer: those fall behind in the
-// window and are handled by their policy. A live Wait-policy peer at the
-// window's tail makes Publish block until that peer frees a slot — the
-// lossless backpressure mode.
+// blocks on a peer: one that falls behind the window is handled by its
+// policy.
 func (s *Service) Publish(b *block.Block) error {
 	s.mu.Lock()
-	for !s.closed && s.height-s.base >= uint64(s.window) && s.waitFloor() <= s.base {
-		s.cond.Wait()
-	}
 	if s.closed {
 		s.mu.Unlock()
 		return ErrClosed
@@ -317,8 +302,6 @@ func (s *Service) Publish(b *block.Block) error {
 	s.ring[seq%uint64(s.window)] = &Item{Seq: seq, Block: b}
 	s.height = seq + 1
 	if s.height-s.base > uint64(s.window) {
-		// The wait loop guarantees this one-step advance never passes a
-		// live Wait-policy peer's cursor.
 		s.base = s.height - uint64(s.window)
 	}
 	peers := make([]*pipe, 0, len(s.peers))
@@ -330,32 +313,6 @@ func (s *Service) Publish(b *block.Block) error {
 		p.wake()
 	}
 	return nil
-}
-
-// waitFloor returns the lowest cursor among live Wait-policy peers
-// (effectively +inf when there are none). It must be called with s.mu
-// held; the s.mu -> p.mu lock order is safe because pipes never take
-// s.mu while holding their own lock.
-func (s *Service) waitFloor() uint64 {
-	floor := ^uint64(0)
-	for _, p := range s.peers {
-		if p.opts.Policy != Wait {
-			continue
-		}
-		p.mu.Lock()
-		if p.alive && p.next < floor {
-			floor = p.next
-		}
-		p.mu.Unlock()
-	}
-	return floor
-}
-
-// slack wakes Publish calls blocked on a Wait-policy peer.
-func (s *Service) slack() {
-	s.mu.Lock()
-	s.cond.Broadcast()
-	s.mu.Unlock()
 }
 
 // fetch returns the item at seq. gap > 0 reports that seq fell off the
@@ -462,7 +419,6 @@ func (s *Service) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.cond.Broadcast() // release Publish calls blocked on a Wait peer
 	peers := make([]*pipe, 0, len(s.peers))
 	for _, p := range s.peers {
 		peers = append(peers, p)
@@ -558,12 +514,6 @@ func (p *pipe) closeTransport() error {
 // per peer — a stalled send here stalls only this peer.
 func (p *pipe) run(s *Service) {
 	defer close(p.done)
-	// A dead or advancing Wait-policy pipe changes the window floor;
-	// blocked Publish calls must hear about it.
-	backpressured := p.opts.Policy == Wait
-	if backpressured {
-		defer s.slack()
-	}
 	for {
 		p.mu.Lock()
 		next, gen := p.next, p.rewinds
@@ -571,8 +521,6 @@ func (p *pipe) run(s *Service) {
 		it, gap, have := s.fetch(next)
 		fromHistory := false
 		if gap > 0 {
-			// Unreachable for Wait pipes, unless rewound: Publish never
-			// advances the window base past a live Wait cursor.
 			switch {
 			case s.history != nil && p.opts.Policy != DropBlocks:
 				// Stream the lost range from history until the cursor is
@@ -628,9 +576,6 @@ func (p *pipe) run(s *Service) {
 			p.next = it.Seq + 1
 		}
 		p.mu.Unlock()
-		if backpressured {
-			s.slack()
-		}
 	}
 }
 

@@ -251,79 +251,6 @@ func TestDisconnectPolicyOverrun(t *testing.T) {
 	}
 }
 
-// TestWaitPolicyBackpressure: a Wait-policy peer is lossless — Publish
-// blocks when the peer is a full window behind instead of dropping or
-// disconnecting it — and its slowness still cannot starve other peers
-// of the blocks already in the window.
-func TestWaitPolicyBackpressure(t *testing.T) {
-	const window, blocks = 4, 16
-	s := NewService(Options{Window: window})
-	defer s.Close()
-	slow := &mockTransport{delay: 10 * time.Millisecond}
-	fast := &mockTransport{}
-	if err := s.Register("slow", slow, PeerOptions{Policy: Wait}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Register("fast", fast, PeerOptions{}); err != nil {
-		t.Fatal(err)
-	}
-
-	start := time.Now()
-	publishN(t, s, blocks)
-	elapsed := time.Since(start)
-	// The publisher cannot run more than a window ahead of the slow
-	// peer, so publishing 16 blocks must absorb >= (16-4)*10ms of the
-	// peer's pace.
-	if min := time.Duration(blocks-window) * 10 * time.Millisecond; elapsed < min {
-		t.Errorf("16 publishes past a 4-window Wait peer took %v, want >= %v (no backpressure applied)", elapsed, min)
-	}
-	if err := s.Drain(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	wantInOrder(t, "slow", slow.delivered(), blocks)
-	wantInOrder(t, "fast", fast.delivered(), blocks)
-	for _, st := range s.Stats() {
-		if st.Dropped != 0 || st.Err != nil {
-			t.Errorf("stats %+v, want lossless delivery", st)
-		}
-	}
-}
-
-// TestCloseUnblocksWaitingPublish: closing the service must release a
-// Publish call parked on a dead-slow Wait peer.
-func TestCloseUnblocksWaitingPublish(t *testing.T) {
-	s := NewService(Options{Window: 1})
-	stuck := &mockTransport{delay: 200 * time.Millisecond}
-	if err := s.Register("stuck", stuck, PeerOptions{Policy: Wait}); err != nil {
-		t.Fatal(err)
-	}
-	b := makeBlock(t, 0)
-	if err := s.Publish(b); err != nil {
-		t.Fatal(err)
-	}
-	errCh := make(chan error, 1)
-	go func() {
-		bi := *b
-		errCh <- s.Publish(&bi) // blocks: window full, Wait peer mid-send
-	}()
-	time.Sleep(20 * time.Millisecond)
-	closeDone := make(chan struct{})
-	go func() { s.Close(); close(closeDone) }() // Close waits out the in-flight send
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, ErrClosed) {
-			t.Errorf("unblocked Publish returned %v, want ErrClosed", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Publish still blocked after Close")
-	}
-	select {
-	case <-closeDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close never finished")
-	}
-}
-
 // TestReconnectCatchUp: after a send error the pipe redials and resumes
 // from the retained window without losing or reordering blocks.
 func TestReconnectCatchUp(t *testing.T) {

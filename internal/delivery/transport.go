@@ -5,7 +5,6 @@ import (
 	"net"
 	"time"
 
-	"bmac/internal/block"
 	"bmac/internal/bmacproto"
 	"bmac/internal/gossip"
 )
@@ -68,17 +67,6 @@ func (t *BMacTransport) Send(it *Item) (int, error) {
 
 // Close implements Transport. The sender's sink is owned by its creator.
 func (t *BMacTransport) Close() error { return nil }
-
-// Func adapts an in-process delivery hook to the Transport interface, so
-// local consumers (validators, cross-checkers) ride the same per-peer
-// pipeline as network peers.
-type Func func(*block.Block) error
-
-// Send implements Transport.
-func (f Func) Send(it *Item) (int, error) { return 0, f(it.Block) }
-
-// Close implements Transport.
-func (f Func) Close() error { return nil }
 
 // Slowed wraps a transport with a fixed per-block delay — the
 // artificially slow peer of the cluster experiment's isolation check.

@@ -11,8 +11,8 @@ import (
 	"bmac/internal/policy"
 )
 
-// Ablations regenerates the design-choice ablation benches called out in
-// DESIGN.md:
+// Ablations regenerates the design-choice ablation benches, one row per
+// BMac mechanism the paper argues for:
 //
 //  1. short-circuit endorsement evaluation on/off (ends_scheduler)
 //  2. early abort of invalid transactions on/off (tx pipeline)

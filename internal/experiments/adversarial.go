@@ -13,6 +13,18 @@ import (
 	"bmac/internal/metrics"
 )
 
+// telemetryDir resolves where an experiment's trace files and metrics
+// snapshots land: BMAC_TELEMETRY_DIR when set (the caller wants to keep
+// them, e.g. as CI artifacts), otherwise the run's scratch dir.
+func telemetryDir(scratch string) string {
+	if d := os.Getenv("BMAC_TELEMETRY_DIR"); d != "" {
+		if err := os.MkdirAll(d, 0o755); err == nil {
+			return d
+		}
+	}
+	return scratch
+}
+
 // validTPS is the honest-goodput figure the adversarial gate compares:
 // validated transactions per second up to the moment every honest
 // submission had committed. Hostile flag-invalidated traffic never counts

@@ -43,8 +43,8 @@ func Names() []string {
 	return []string{
 		"fig3", "fig9a", "fig9b", "fig10", "fig11",
 		"fig12a", "fig12b", "fig12c", "fig13", "table1",
-		"headline", "ablations", "hybrid", "cluster", "churn",
-		"hotpath", "adversarial", "fastsync",
+		"headline", "ablations", "hybrid", "hotpath", "adversarial",
+		"fastsync",
 	}
 }
 
@@ -63,8 +63,6 @@ var Titles = map[string]string{
 	"headline":    "Headline: peak throughput and speedup",
 	"ablations":   "Ablations: design-choice benches",
 	"hybrid":      "Hybrid: §5 hardware/host database — hit rate and prefetch latency hiding vs capacity and Zipf skew",
-	"cluster":     "Cluster: open-loop load through the non-blocking delivery service — throughput, tail latency and slow-peer isolation per validation path",
-	"churn":       "Churn: kill a peer mid-run, restart from checkpoint + ledger replay, catch up through the orderer ledger — convergence per validation path",
 	"hotpath":     "Hotpath: commit hot-path micro/macro benchmarks — verify cache, key-table ECDSA engine, parse-once, pooled marshal, signing — each vs its off baseline (ns/op, allocs/op, hit rates)",
 	"adversarial": "Adversarial: hostile-load and chaos gates — 50% invalid-tx flood must keep valid-tx TPS >= 70% of baseline, and every fault (partition, corruption, slowdisk, leaderkill) must end bit-identical",
 	"fastsync":    "Fastsync: snapshot fast-sync vs full replay across ledger lengths — recovery must replay the fixed tail (not the chain), reopen from the persisted index, and land bit-identical",
@@ -99,10 +97,6 @@ func (r *Runner) Run(name string) (*metrics.Table, error) {
 		return Ablations(r.env, r.opts)
 	case "hybrid":
 		return FigHybrid(r.env, r.opts)
-	case "cluster":
-		return FigCluster(r.opts)
-	case "churn":
-		return FigChurn(r.opts)
 	case "hotpath":
 		return FigHotpath(r.env, r.opts)
 	case "adversarial":

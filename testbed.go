@@ -10,7 +10,6 @@ import (
 	"bmac/internal/block"
 	"bmac/internal/client"
 	"bmac/internal/cluster"
-	"bmac/internal/delivery"
 	"bmac/internal/endorser"
 	"bmac/internal/identity"
 	"bmac/internal/orderer"
@@ -65,7 +64,6 @@ type Testbed struct {
 
 	stack     *cluster.Stack
 	clients   []*client.Driver
-	delivery  *delivery.Service
 	outcomes  chan BlockOutcome
 	stop      chan struct{}
 	closeOnce sync.Once
@@ -128,24 +126,14 @@ func NewTestbed(cfg *Config, dir string) (_ *Testbed, err error) {
 		return nil, err
 	}
 
-	// Blocks flow through the delivery service: the orderer appends to
-	// the retained window and any registered network peer rides its own
-	// non-blocking pipe. The three-way cross-check itself must see every
-	// block, so its pipe uses the Wait policy: once the cross-check falls
-	// a full window behind, Publish (and through raft's bounded apply
-	// channel, Submit) self-throttles instead of overrunning it.
-	tb.delivery = delivery.NewService(delivery.Options{Window: cfg.Delivery.Window})
-	if err := tb.delivery.Register("crosscheck", delivery.Func(tb.deliver),
-		delivery.PeerOptions{Policy: delivery.Wait}); err != nil {
-		return nil, err
-	}
-	tb.Orderer.OnDeliver(tb.delivery.Publish)
+	// The three-way cross-check must see every block in order, so it is
+	// the orderer's delivery hook itself: the orderer hands over the next
+	// block only once the cross-check has taken this one, and an undrained
+	// Outcomes channel throttles it (and through raft's bounded apply
+	// channel, Submit) instead of losing blocks.
+	tb.Orderer.OnDeliver(tb.deliver)
 	return tb, nil
 }
-
-// Delivery exposes the block delivery service, e.g. to register extra
-// gossip peers receiving every block of the run.
-func (tb *Testbed) Delivery() *delivery.Service { return tb.delivery }
 
 // deliver is the orderer's delivery hook: BMac protocol first (§3.5), then
 // the two software peers, then the three-way cross-check and committer
@@ -205,8 +193,8 @@ func (tb *Testbed) deliver(b *block.Block) error {
 	return nil
 }
 
-// errTestbedClosed unblocks the cross-check pipe when the testbed closes
-// with unconsumed outcomes; it is not a real delivery failure.
+// errTestbedClosed unblocks the orderer's delivery hook when the testbed
+// closes with unconsumed outcomes; it is not a real delivery failure.
 var errTestbedClosed = errors.New("bmac: testbed closed")
 
 // Outcomes delivers one BlockOutcome per committed block, in order.
@@ -287,19 +275,11 @@ func (tb *Testbed) AwaitTxs(n int, timeout time.Duration) ([]BlockOutcome, error
 func (tb *Testbed) Close() error {
 	tb.closeOnce.Do(func() {
 		close(tb.stop)
-		firstErr := tb.Orderer.Stop()
-		if tb.delivery != nil {
-			if err := tb.delivery.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			// Surface dead delivery pipes, but not the cross-check pipe's
-			// own shutdown sentinel; filter per peer — errors.Is on the
-			// joined error would discard every real failure alongside it.
-			for _, st := range tb.delivery.Stats() {
-				if st.Err != nil && !errors.Is(st.Err, errTestbedClosed) && firstErr == nil {
-					firstErr = fmt.Errorf("delivery to %s: %w", st.Name, st.Err)
-				}
-			}
+		// A hook parked on an unconsumed outcome returns the shutdown
+		// sentinel; that is not a delivery failure.
+		var firstErr error
+		if err := tb.Orderer.Stop(); !errors.Is(err, errTestbedClosed) {
+			firstErr = err
 		}
 		if err := tb.stack.Close(); err != nil && firstErr == nil {
 			firstErr = err
