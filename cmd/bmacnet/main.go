@@ -37,12 +37,16 @@
 //	bmacnet -cluster -adversary-rate 0.5 -txs 200 -no-bmac
 //	bmacnet -cluster -scenario partition -rate 900 -txs 200 -no-bmac
 //	bmacnet -cluster -scenario leaderkill -raft-nodes 3 -peers 2 -rate 900 -txs 200 -no-bmac
+//	bmacnet -cluster -path pipelined -txs 200 -cpuprofile cpu.pprof
+//	                                 # + a CPU profile of the whole run (go tool pprof)
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -56,7 +60,7 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	var (
 		configPath = flag.String("config", "", "YAML configuration file (default: built-in)")
 		workload   = flag.String("workload", "smallbank", "workload: smallbank, drm or splitpay")
@@ -89,8 +93,23 @@ func run() error {
 
 		telAddr   = flag.String("telemetry-addr", "", "serve live /metrics, /debug/pprof/* and /trace on this address (e.g. 127.0.0.1:9464); turns the telemetry plane on")
 		traceFile = flag.String("trace-file", "", "cluster: write the per-block lifecycle trace (JSONL) here after the run; turns the telemetry plane on")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	)
 	flag.Parse()
+
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return errors.Join(err, f.Close())
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			err = errors.Join(err, f.Close())
+		}()
+	}
 
 	cfg := bmac.DefaultConfig()
 	if *configPath != "" {

@@ -133,11 +133,18 @@ type Ledger struct {
 	syncEach    bool
 	commitFault func() error // immutable after Open; fault-injection hook
 
-	segs    []*segment    // guarded by mu; ascending block order, active last
-	active  *segment      // guarded by mu; the unsealed tail segment
-	file    *os.File      // guarded by mu; writer handle on the active segment
-	w       *bufio.Writer // guarded by mu
-	segHash hash.Hash     // guarded by mu; running sha256 of the active record region
+	segs   []*segment    // guarded by mu; ascending block order, active last
+	active *segment      // guarded by mu; the unsealed tail segment
+	file   *os.File      // guarded by mu; writer handle on the active segment
+	w      *bufio.Writer // guarded by mu
+
+	// segHash is the running sha256 of the active record region; only the
+	// seal's footer reads it. Commit hands each record to a goroutine that
+	// feeds it in (sumRecord), and until that goroutine closes sumDone it
+	// owns segHash: the next Commit, the seal, a fresh active segment and
+	// Close join it first (joinSumLocked). At most one record is pending.
+	segHash hash.Hash     // guarded by mu
+	sumDone chan struct{} // guarded by mu; nil when no checksum is pending
 
 	base       uint64  // guarded by mu; first block number still indexed (post-prune)
 	entries    []entry // guarded by mu; entries[n-base] locates block n
@@ -328,9 +335,12 @@ func (l *Ledger) runFault(what string) error {
 // Commit appends a validated block. The block's metadata must already carry
 // its validation flags; Commit computes and stores the commit hash chain
 // value and enforces sequential numbering, duplicate detection (via the
-// block index) and previous-hash chaining. Crossing the segment byte
-// budget seals the active segment (footer checksum, fsync, persistent
-// index update) and rotates to a fresh one.
+// block index) and previous-hash chaining. The record is in the file (and,
+// under SyncEachBlock, fsynced) when Commit returns; its share of the
+// segment checksum is computed beside the caller, on a goroutine the next
+// Commit, the seal and Close join. Crossing the segment byte budget seals
+// the active segment (footer checksum, fsync, persistent index update) and
+// rotates to a fresh one.
 func (l *Ledger) Commit(b *block.Block) ([]byte, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -356,31 +366,32 @@ func (l *Ledger) Commit(b *block.Block) ([]byte, error) {
 
 	b.Metadata.CommitHash = block.CommitHash(l.commitHash, b.Header.DataHash, b.Metadata.ValidationFlags)
 
-	// The marshal buffer's lifetime is exactly this append (bufio.Write
-	// consumes the bytes before returning), so it comes from the pool:
-	// steady-state ledger commits allocate nothing for marshaling.
-	data := block.AppendBlock(wire.GetBuf(block.Size(b)), b)
-	defer wire.PutBuf(data)
-	var lenBuf [8]byte
-	binary.BigEndian.PutUint64(lenBuf[:], uint64(len(data)))
-	if _, err := l.w.Write(lenBuf[:]); err != nil {
-		return nil, fmt.Errorf("write block length: %w", err)
-	}
+	// The record — length prefix and marshaled block — is one pooled
+	// buffer written in one Write. Its lifetime ends when the checksum
+	// goroutine has hashed it, so steady-state commits allocate nothing
+	// for marshaling; a failed write returns it to the pool at once.
+	size := block.Size(b)
+	data := binary.BigEndian.AppendUint64(wire.GetBuf(8+size), uint64(size))
+	data = block.AppendBlock(data, b)
 	if _, err := l.w.Write(data); err != nil {
+		wire.PutBuf(data)
 		return nil, fmt.Errorf("write block: %w", err)
 	}
 	if err := l.w.Flush(); err != nil {
+		wire.PutBuf(data)
 		return nil, fmt.Errorf("flush block: %w", err)
 	}
 	if l.syncEach {
 		if err := l.file.Sync(); err != nil {
+			wire.PutBuf(data)
 			return nil, fmt.Errorf("sync block file: %w", err)
 		}
 	}
-	l.segHash.Write(lenBuf[:])
-	l.segHash.Write(data)
+	l.joinSumLocked()
+	l.sumDone = make(chan struct{})
+	go sumRecord(l.segHash, data, l.sumDone)
 
-	recLen := int64(8 + len(data))
+	recLen := int64(len(data))
 	l.entries = append(l.entries, entry{seg: l.active, offset: l.active.dataLen, length: recLen})
 	l.active.dataLen += recLen
 	l.active.count++
@@ -404,6 +415,23 @@ func (l *Ledger) Commit(b *block.Block) ([]byte, error) {
 		}
 	}
 	return l.commitHash, nil
+}
+
+// sumRecord feeds one record into the active segment's running checksum,
+// returns the record's pooled buffer and closes done.
+func sumRecord(h hash.Hash, rec []byte, done chan<- struct{}) {
+	h.Write(rec)
+	wire.PutBuf(rec)
+	close(done)
+}
+
+// joinSumLocked waits for the pending record checksum, if any, after which
+// segHash is the caller's again. It must be called with l.mu held.
+func (l *Ledger) joinSumLocked() {
+	if l.sumDone != nil {
+		<-l.sumDone
+		l.sumDone = nil
+	}
 }
 
 // Get reads a committed block by number in O(1) via the block index. The
@@ -556,6 +584,7 @@ func (l *Ledger) closeFilesLocked() {
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.joinSumLocked()
 	var err error
 	if l.w != nil {
 		if ferr := l.w.Flush(); ferr != nil {

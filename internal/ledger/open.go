@@ -311,7 +311,8 @@ func (l *Ledger) rollBackTrailingMissingLocked() {
 }
 
 // rehashActiveLocked rebuilds the running sha256 of the active segment's
-// record region from disk. It must be called with l.mu held.
+// record region from disk. It runs at Open, before any Commit, so no
+// record checksum is pending. It must be called with l.mu held.
 func (l *Ledger) rehashActiveLocked() error {
 	if l.active.dataLen == 0 {
 		return nil
@@ -340,6 +341,7 @@ func (l *Ledger) startActiveLocked(id uint64) error {
 		f.Close() // bmaclint:allow errdiscard (teardown after dir-sync failure)
 		return err
 	}
+	l.joinSumLocked()
 	l.file = f
 	l.w = bufio.NewWriter(f)
 	l.segHash = sha256.New()
@@ -359,6 +361,7 @@ func (l *Ledger) rotateLocked() error {
 		return err
 	}
 	var sum [sha256Size]byte
+	l.joinSumLocked()
 	l.segHash.Sum(sum[:0])
 	foot := footerBytes(act.first, act.count, act.dataLen, sum)
 	if _, err := l.w.Write(foot); err != nil {

@@ -2,12 +2,15 @@ package ledger
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"bmac/internal/block"
 )
@@ -557,5 +560,138 @@ func TestConcurrentGetDuringCommit(t *testing.T) {
 	}
 	if l.Height() != 40 {
 		t.Fatalf("height %d, want 40", l.Height())
+	}
+}
+
+// TestSealedChecksumsAfterHandOff: with each record's checksum computed
+// beside Commit, every footer still covers exactly the bytes on disk —
+// across seals, a TruncateFrom at a segment boundary, a Close right after a
+// Commit and a reopen that rehashes the active segment — and Close leaves
+// no checksum goroutine behind.
+func TestSealedChecksumsAfterHandOff(t *testing.T) {
+	for _, syncEach := range []bool{false, true} {
+		t.Run(fmt.Sprintf("SyncEachBlock=%v", syncEach), func(t *testing.T) {
+			fx := newFixture(t)
+			dir := t.TempDir()
+			opts := Options{SegmentBytes: 12 << 10, SyncEachBlock: syncEach}
+			sizes := []int{0, 3000, 9000, 200, 20000, 64}
+			var blocks []*block.Block
+			commit := func(l *Ledger, n int) {
+				t.Helper()
+				for i := 0; i < n; i++ {
+					num := l.Height()
+					var prev []byte
+					if num > 0 {
+						prev = block.HeaderHash(&blocks[num-1].Header)
+					}
+					env, err := block.NewEndorsedEnvelope(block.TxSpec{
+						Creator: fx.client, Chaincode: "cc", Channel: "ch",
+						RWSet: block.RWSet{Writes: []block.KVWrite{{Key: "k", Value: make([]byte, sizes[num%uint64(len(sizes))])}}},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					b, err := block.NewBlock(num, prev, []block.Envelope{*env}, fx.orderer)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := l.Commit(b); err != nil {
+						t.Fatalf("commit %d: %v", num, err)
+					}
+					blocks = append(blocks[:num], b)
+				}
+			}
+			settled := func(want int) {
+				t.Helper()
+				for end := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > want; {
+					if time.Now().After(end) {
+						t.Fatalf("%d goroutines after Close, %d before Open", runtime.NumGoroutine(), want)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+			footersMatch := func(minSealed int) {
+				t.Helper()
+				paths, err := SealedSegmentPaths(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(paths) < minSealed {
+					t.Fatalf("%d sealed segments on disk, want >= %d", len(paths), minSealed)
+				}
+				for _, p := range paths {
+					raw, err := os.ReadFile(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fi, err := parseFooter(raw[len(raw)-footerSize:], int64(len(raw)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if sha256.Sum256(raw[:fi.dataLen]) != fi.sum {
+						t.Fatalf("%s: footer sum does not match its record region", filepath.Base(p))
+					}
+				}
+			}
+
+			before := runtime.NumGoroutine()
+			l, err := Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			commit(l, 18)
+			if s := l.Stats().Sealed; s < 3 {
+				t.Fatalf("%d seals, want >= 3", s)
+			}
+			l.mu.Lock()
+			boundary := l.segs[len(l.segs)-2].first
+			l.mu.Unlock()
+			if err := l.TruncateFrom(boundary); err != nil {
+				t.Fatal(err)
+			}
+			commit(l, 12)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			settled(before)
+			footersMatch(3)
+
+			l2, err := Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if l2.Height() != uint64(len(blocks)) {
+				t.Fatalf("reopened height %d, want %d", l2.Height(), len(blocks))
+			}
+			l2.mu.Lock()
+			for _, seg := range l2.segs {
+				if seg.sealed {
+					if err := seg.verifyChecksum(); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+			l2.mu.Unlock()
+			// The reopened active segment's checksum is rehashed from disk
+			// and carries on through the next seal.
+			sealed := l2.Stats().Sealed
+			for l2.Stats().Sealed == sealed {
+				commit(l2, 1)
+			}
+			for _, want := range blocks {
+				got, err := l2.Get(want.Header.Number)
+				if err != nil {
+					t.Fatalf("Get(%d) after reopen: %v", want.Header.Number, err)
+				}
+				if !bytes.Equal(block.HeaderHash(&got.Header), block.HeaderHash(&want.Header)) {
+					t.Fatalf("block %d differs after reopen", want.Header.Number)
+				}
+			}
+			if err := l2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			settled(before)
+			footersMatch(4)
+		})
 	}
 }

@@ -6,14 +6,17 @@
 // both software-only and BMac peers").
 //
 // Block cutting tracks load. A batch closes when it reaches BatchSize; as
-// soon as it is non-empty and no earlier batch is still on its way out of
-// the orderer (the idle cut: the pipeline, not a clock, paces the blocks, so
-// a batch holds whatever arrived during one orderer round trip — one or two
-// transactions on a quiet network, full blocks under overload); and at the
-// latest BatchTimeout after its oldest envelope arrived, which only happens
-// while raft has no leader or a delivery hook is stuck. At most one idle-cut
-// batch is ever outstanding, so the block rate is bounded by the orderer's
-// own round trip and by the arrival rate.
+// soon as it is non-empty and raft has applied every earlier batch (the
+// idle cut: the pipeline, not a clock, paces the blocks, so a batch holds
+// whatever arrived during one raft round trip — one or two transactions on
+// a quiet network, full blocks under overload); and at the latest
+// BatchTimeout after its oldest envelope arrived, which only happens while
+// raft has no leader or a delivery hook is stuck (a stuck hook stalls the
+// apply loop, so no later batch is applied). A batch counts as applied once
+// createBlock takes it, before the block is signed and delivered: the idle
+// rule waits for raft, not for the peers. At most one idle-cut batch is
+// ever unapplied, so the block rate is bounded by raft's round trip and by
+// the arrival rate.
 package orderer
 
 import (
@@ -65,7 +68,7 @@ type CutReason uint8
 // leader, or an earlier block was stuck on its way out of the orderer.
 const (
 	CutSize    CutReason = iota // the batch reached BatchSize
-	CutIdle                     // no earlier batch was still leaving the orderer
+	CutIdle                     // raft had applied every earlier batch
 	CutTimeout                  // the oldest envelope had waited BatchTimeout
 	CutReasons = 3
 )

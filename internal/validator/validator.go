@@ -45,7 +45,7 @@ type Breakdown struct {
 	VerifyVSCC   time.Duration
 	MVCC         time.Duration
 	StateDB      time.Duration // mvcc reads + commit writes
-	LedgerCommit time.Duration
+	LedgerCommit time.Duration // marshal, write, any seal; not the segment checksum, hashed beside it
 	Total        time.Duration
 
 	// PrefetchWait is the residual stall the engine's mvcc stage spent
