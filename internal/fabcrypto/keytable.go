@@ -63,12 +63,13 @@ const (
 	// 11 (8 M + 3 S): it pays once a level saves an inversion's worth,
 	// feInv ÷ (addMixed − affine add). The value 77 is 384 ÷ 5, from the
 	// square-and-multiply inversion (384 M). The addition chain of feInv is
-	// 255 S + 12 M, so the quotient is now 267 ÷ 5 ≈ 53; BenchmarkFeInv,
-	// AddMixed and AddAffine measure 46–60 on a 2-CPU Xeon (≈ 80 with the
-	// old inversion). The constant stays until the batch geometry is
-	// measured end to end (ROADMAP item 3). One signature has at most 31
-	// pairs, so a batch of one never gets here; the hotpath row
-	// ecdsa_verify_batch ÷ ecdsa_verify_table pins it.
+	// 255 S + 12 M, so the quotient is now 267 ÷ 5 ≈ 53 counted. Measured
+	// with the chord addition in the kernel (addAffine in p256_amd64.s),
+	// BenchmarkFeInv, AddMixed and AddAffine give 35–65, median ≈ 50, over
+	// ten rounds on a 2-CPU Xeon (5.1 µs ÷ (265 − 158 ns)). The constant
+	// stays until the batch geometry is measured end to end (ROADMAP item
+	// 3). One signature has at most 31 pairs, so a batch of one never gets
+	// here; the hotpath row ecdsa_verify_batch ÷ ecdsa_verify_table pins it.
 	affineLevelMin = 77
 
 	// FullBatch is the fewest signatures that run five of a batch's six
@@ -78,7 +79,11 @@ const (
 	// share of the same five inversions, about a twentieth of the
 	// arithmetic with the square-and-multiply inversion and a thirtieth with
 	// the addition chain, so callers that cut work into batches cut it
-	// here. The re-derived affineLevelMin (46–60) would make it 23–30.
+	// here. With the kernel's chord addition, BenchmarkVerify/batch with
+	// ranges of 24, 27, 39 and 54 costs 14.2, 14.5, 12.9 and 13.8 µs per
+	// signature (medians of seven interleaved rounds; ÷ the 39 of the same
+	// round 1.10, 1.07, 1 and 1.07), so 39 stays the best of the four at
+	// this affineLevelMin. The re-derived one (≈ 50) would make it ≈ 25.
 	FullBatch = (affineLevelMin + 1) / 2
 )
 
@@ -211,7 +216,7 @@ var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 // alone — and the caller asks crypto/ecdsa. A batch of one shares nothing and
 // never reaches affineLevelMin: it is the plain chain of mixed additions and
 // the r·Z² = X comparison. sc grows to the largest batch seen and is reused,
-// so the steady state allocates nothing but invertScalars' one ModInverse.
+// so the steady state allocates nothing.
 //
 // bmaclint:noalloc
 func verifyTabled(g *combTable, reqs []verifyReq, sc *batchScratch) {
@@ -291,6 +296,8 @@ func (sc *batchScratch) sum(sg *batchSig) (sum jacobianPoint, ok bool) {
 
 // invertScalars replaces every sigs[j].w, holding s, by s⁻¹ in Montgomery
 // form, with one inversion mod n for all of them (Montgomery's trick).
+//
+// bmaclint:noalloc
 func invertScalars(sigs []batchSig) {
 	acc := [4]uint64{1}
 	ordMul(&acc, &acc, &ordRR) // 1 in Montgomery form
@@ -300,13 +307,8 @@ func invertScalars(sigs []batchSig) {
 		ordMul(&acc, &acc, &sg.w)
 		sg.pre = acc
 	}
-	ordMul(&acc, &acc, &[4]uint64{1}) // out of Montgomery form
-	var b [ScalarSize]byte
-	bytesFromLimbs(&b, acc)
-	var v big.Int
-	v.ModInverse(v.SetBytes(b[:]), nBig)
-	inv := limbsOfBig(&v)
-	ordMul(&inv, &inv, &ordRR)
+	var inv [4]uint64
+	ordInv(&inv, &acc)
 	for j := len(sigs) - 1; j > 0; j-- {
 		s := sigs[j].w
 		ordMul(&sigs[j].w, &inv, &sigs[j-1].pre)

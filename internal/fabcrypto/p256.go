@@ -16,14 +16,17 @@ import (
 // not, and only the operands being public makes the whole sound.
 //
 // Multiplication and squaring, most of a verification's time, run on a
-// kernel chosen by GOARCH alone. On amd64 it is p256_amd64.s: the p256Mul
-// and p256Sqr routines of Go's own crypto/internal/fips140/nistec (Go 1.24.0,
-// BSD licence, notice kept in the file), which use this file's
-// representation exactly — the same limbs, R = 2²⁵⁶, results in [0, p) — so
-// tables and callers are the same on either side. Everywhere else feMul and
-// feSqrN are feMulGeneric and feSqrNGeneric below (p256_other.go). Those are
-// compiled on every architecture, and on amd64 the tests hold the kernel to
-// them and to math/big.
+// kernel chosen by GOARCH alone, and so do the batch's three inner loops —
+// the chord addition, the two passes of the shared inversion, the products
+// mod n. On amd64 it is p256_amd64.s: routines of Go's own
+// crypto/internal/fips140/nistec (Go 1.24.0, BSD licence, notice kept in the
+// file), which use this file's representation exactly — the same limbs,
+// R = 2²⁵⁶, results in [0, p) — so tables and callers are the same on either
+// side, and three routines composed from its register-operand internals.
+// Everywhere else feMul, feSqrN, addAffine, invertAll, ordMul and ordSqrN are
+// the …Generic functions below (p256_other.go). Those are compiled on every
+// architecture, and on amd64 the tests hold the kernel to them, bit for bit,
+// and to math/big.
 
 // fe is a field element x·2²⁵⁶ mod p (Montgomery form), little-endian
 // limbs, always fully reduced to [0, p) so equality is limb equality.
@@ -284,9 +287,10 @@ func (p *jacobianPoint) double() {
 	feSub(&p.y, &t, &gamma)
 }
 
-// addAffine sets r = p + q for p ≠ ±q, given inv = 1/(q.x − p.x): the chord
-// formula with the division already paid for, 1 S + 2 M. r may alias p or q.
-func addAffine(r, p, q *affinePoint, inv *fe) {
+// addAffineGeneric sets r = p + q for p ≠ ±q, given inv = 1/(q.x − p.x): the
+// chord formula with the division already paid for, 1 S + 2 M. r may alias p
+// or q. It is addAffine wherever the kernel is not.
+func addAffineGeneric(r, p, q *affinePoint, inv *fe) {
 	var l, x, y fe
 	feSub(&l, &q.y, &p.y)
 	feMul(&l, &l, inv) // λ
@@ -299,10 +303,10 @@ func addAffine(r, p, q *affinePoint, inv *fe) {
 	r.x = x
 }
 
-// invertAll replaces every element of xs (none zero) by its inverse with one
-// shared inversion (Montgomery's trick: 3 M per element); prefix is scratch
-// of the same length.
-func invertAll(xs, prefix []fe) {
+// invertAllGeneric replaces every element of xs (none zero) by its inverse
+// with one shared inversion (Montgomery's trick: 3 M per element); prefix is
+// scratch of the same length. It is invertAll wherever the kernel is not.
+func invertAllGeneric(xs, prefix []fe) {
 	if len(xs) == 0 {
 		return
 	}
@@ -341,8 +345,9 @@ func toAffine(out []affinePoint, ps []jacobianPoint) {
 // The scalars of a verification live mod n, the group order, which has no
 // special form: ordMul is a generic 4-limb Montgomery multiplication,
 // z = x·y·2⁻²⁵⁶ mod n for x·y < n·2²⁵⁶ (one factor below n, the other any
-// 256-bit value, a digest say). It runs six times per signature, so it is
-// written for brevity, not speed. z may alias x or y.
+// 256-bit value, a digest say), and ordSqrN repeats its square n times. Like
+// feMul they run on the kernel where GOARCH has one, and on ordMulGeneric
+// and ordSqrNGeneric below everywhere else. z may alias x or y.
 var (
 	nLimbs = [4]uint64{0xf3b9cac2fc632551, 0xbce6faada7179e84, 0xffffffffffffffff, 0xffffffff00000000}
 	ordRR  = [4]uint64{0x83244c95be79eea2, 0x4699799c49bd6fa6, 0x2845b2392b6bec59, 0x66e12d94f3d95620} // 2⁵¹² mod n
@@ -351,7 +356,7 @@ var (
 // nNegInv = −n⁻¹ mod 2⁶⁴, the Montgomery factor of one reduction round.
 const nNegInv = 0xccd1c8aaee00bc4f
 
-func ordMul(z, x, y *[4]uint64) {
+func ordMulGeneric(z, x, y *[4]uint64) {
 	var a [5]uint64
 	for _, xi := range *x {
 		top := mulAdd(&a, xi, y)
@@ -367,6 +372,67 @@ func ordMul(z, x, y *[4]uint64) {
 		copy(d[:], a[:4])
 	}
 	*z = d
+}
+
+// ordSqrNGeneric sets z = x^(2ⁿ) in Montgomery form mod n, for n ≥ 1.
+func ordSqrNGeneric(z, x *[4]uint64, n int) {
+	ordMulGeneric(z, x, x)
+	for i := 1; i < n; i++ {
+		ordMulGeneric(z, z, z)
+	}
+}
+
+// ordInv sets z = x⁻¹ mod n for x ≠ 0, both in Montgomery form, by x^(n−2)
+// along the addition chain of Go's P256OrdInverse
+// (crypto/internal/fips140/nistec/p256_ordinv.go, from
+// https://briansmith.org/ecc-inversion-addition-chains-01#p256_scalar_inversion):
+// 254 squarings and 38 multiplications, and no allocation. It runs once per
+// batch (invertScalars in keytable.go). z may alias x.
+//
+// bmaclint:noalloc
+func ordInv(z, x *[4]uint64) {
+	var _1, _11, _101, _111, _1111, _10101, _101111, t, r [4]uint64
+	_1 = *x
+	ordSqrN(&r, &_1, 1)         // _10
+	ordMul(&_11, &r, &_1)       // _11
+	ordMul(&_101, &r, &_11)     // _101
+	ordMul(&_111, &r, &_101)    // _111
+	ordSqrN(&r, &_101, 1)       // _1010
+	ordMul(&_1111, &_101, &r)   // _1111
+	ordSqrN(&t, &r, 1)          // _10100
+	ordMul(&_10101, &t, &_1)    // _10101
+	ordSqrN(&r, &_10101, 1)     // _101010
+	ordMul(&_101111, &_101, &r) // _101111
+	ordMul(&r, &_10101, &r)     // _111111 = x6
+	ordSqrN(&t, &r, 2)          // _11111100
+	ordMul(&t, &t, &_11)        // _11111111 = x8
+	ordSqrN(&r, &t, 8)          // _ff00
+	ordMul(&r, &r, &t)          // _ffff = x16
+	ordSqrN(&t, &r, 16)         // _ffff0000
+	ordMul(&t, &t, &r)          // _ffffffff = x32
+
+	ordSqrN(&r, &t, 64)
+	ordMul(&r, &r, &t)
+	ordSqrN(&r, &r, 32)
+	ordMul(&r, &r, &t)
+
+	sqrs := [...]int{
+		6, 5, 4, 5, 5,
+		4, 3, 3, 5, 9,
+		6, 2, 5, 6, 5,
+		4, 5, 5, 3, 10,
+		2, 5, 5, 3, 7, 6}
+	muls := [...]*[4]uint64{
+		&_101111, &_111, &_11, &_1111, &_10101,
+		&_101, &_101, &_101, &_111, &_101111,
+		&_1111, &_1, &_1, &_1111, &_111,
+		&_111, &_111, &_101, &_11, &_101111,
+		&_11, &_11, &_11, &_1, &_10101, &_1111}
+	for i, s := range sqrs {
+		ordSqrN(&r, &r, s)
+		ordMul(&r, &r, muls[i])
+	}
+	*z = r
 }
 
 // mulAdd adds k·v to a and returns the carry out of its top limb.

@@ -2,9 +2,17 @@
 
 package fabcrypto
 
-// Without the amd64 kernel the field runs on the portable limb code of
-// p256.go.
+// Without the amd64 kernel the field and the scalars run on the portable limb
+// code of p256.go.
 
 func feMul(z, x, y *fe) { feMulGeneric(z, x, y) }
 
 func feSqrN(z, x *fe, n int) { feSqrNGeneric(z, x, n) }
+
+func addAffine(r, p, q *affinePoint, inv *fe) { addAffineGeneric(r, p, q, inv) }
+
+func invertAll(xs, prefix []fe) { invertAllGeneric(xs, prefix) }
+
+func ordMul(z, x, y *[4]uint64) { ordMulGeneric(z, x, y) }
+
+func ordSqrN(z, x *[4]uint64, n int) { ordSqrNGeneric(z, x, n) }

@@ -92,13 +92,14 @@ func TestOrdMulMatchesBig(t *testing.T) {
 		x = limbsOfBig(bx)
 		want := new(big.Int).Mul(bx, limbsToBig(y))
 		want.Mul(want, rinv).Mod(want, bigN)
-		var z, zy [4]uint64
+		var z, zy, g [4]uint64
 		ordMul(&z, &x, &y)
 		ordMul(&zy, &y, &x) // the 256-bit factor on either side
+		ordMulGeneric(&g, &x, &y)
 		ax, ay := x, y
 		ordMul(&ax, &ax, &y)
 		ordMul(&ay, &x, &ay)
-		return limbsToBig(z).Cmp(want) == 0 && zy == z && ax == z && ay == z
+		return limbsToBig(z).Cmp(want) == 0 && zy == z && g == z && ax == z && ay == z
 	}
 	ones := ^uint64(0)
 	bounds := [][4]uint64{
@@ -122,6 +123,34 @@ func TestOrdMulMatchesBig(t *testing.T) {
 	ordMul(&back, &sm, &[4]uint64{1})
 	if back != s {
 		t.Fatalf("Montgomery round trip of %x = %x", s, back)
+	}
+	// ordInv of every value below n among the bounds and some random ones.
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		x := bounds[i%len(bounds)]
+		if i >= len(bounds) {
+			x = [4]uint64{rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()}
+		}
+		if !lessThan(&x, &nLimbs) || x == ([4]uint64{}) {
+			continue
+		}
+		checkOrdInv(t, x)
+	}
+}
+
+// checkOrdInv: ordInv(x) is x⁻¹ in Montgomery form, (x·R⁻¹)⁻¹·R = x⁻¹·R² mod
+// n, in place as well as into a fresh destination.
+func checkOrdInv(t *testing.T, x [4]uint64) {
+	t.Helper()
+	want := new(big.Int).ModInverse(limbsToBig(x), bigN)
+	want.Mul(want, bigR).Mul(want, bigR).Mod(want, bigN)
+	var z [4]uint64
+	ordInv(&z, &x)
+	if limbsToBig(z).Cmp(want) != 0 {
+		t.Fatalf("ordInv(%x) = %x, want %x", x, z, want)
+	}
+	if ordInv(&x, &x); x != z {
+		t.Fatalf("ordInv in place = %x, want %x", x, z)
 	}
 }
 
@@ -196,8 +225,13 @@ func TestFieldMatchesBig(t *testing.T) {
 // FuzzFieldMatchesBig: on any two field elements, given as limbs (reduced
 // mod p first), feMul, feSqrN and feInv compute what math/big does, fully
 // reduced, and feMul and feSqrN agree bit for bit with the generic code that
-// other architectures run — in place as well as into a fresh destination.
+// other architectures run — in place as well as into a fresh destination. So
+// do the kernel's composite routines: addAffine (into either operand too)
+// and invertAll on elements derived from the two, and, mod n, ordMul of the
+// first limbs reduced mod n by the second taken as they are, ordSqrN and
+// ordInv.
 func FuzzFieldMatchesBig(f *testing.F) {
+	ones := ^uint64(0)
 	edges := [][4]uint64{
 		{}, {1},
 		limbsOfBig(new(big.Int).Sub(bigP, big.NewInt(1))),
@@ -205,6 +239,8 @@ func FuzzFieldMatchesBig(f *testing.F) {
 		{3: 1 << 63}, // 2²⁵⁵
 		feOne,        // R mod p
 		feRR,
+		limbsOfBig(new(big.Int).Sub(bigN, big.NewInt(1))),
+		{ones, ones, ones, ones}, // 2²⁵⁶ − 1
 	}
 	for _, a := range edges {
 		for _, b := range edges {
@@ -255,7 +291,98 @@ func FuzzFieldMatchesBig(f *testing.F) {
 				t.Fatalf("1/x in place of %x = %x, want %x", bx, g, z)
 			}
 		}
+
+		// Bit for bit with the generic code, on operands that need not be
+		// points: the formula is field arithmetic either way.
+		var xy fe
+		feMulGeneric(&xy, &x, &y)
+		p, q := affinePoint{x: x, y: y}, affinePoint{x: xy, y: x}
+		var want, got affinePoint
+		addAffineGeneric(&want, &p, &q, &y)
+		if addAffine(&got, &p, &q, &y); got != want {
+			t.Fatalf("addAffine of %x, %x: kernel %x, generic %x", bx, by, got, want)
+		}
+		got = p
+		if addAffine(&got, &got, &q, &y); got != want {
+			t.Fatalf("addAffine into p of %x, %x = %x, want %x", bx, by, got, want)
+		}
+		got = q
+		if addAffine(&got, &p, &got, &y); got != want {
+			t.Fatalf("addAffine into q of %x, %x = %x, want %x", bx, by, got, want)
+		}
+		xs := make([]fe, 1+int(a0%96)) // y, y + x, y + 2x, …, with 1 for 0
+		for i, e := 0, y; i < len(xs); i++ {
+			if xs[i] = e; e == (fe{}) {
+				xs[i] = feOne
+			}
+			feAdd(&e, &e, &x)
+		}
+		checkInvertAll(t, xs)
+
+		ox := limbsOfBig(new(big.Int).Mod(limbsToBig([4]uint64{a0, a1, a2, a3}), bigN))
+		oy := [4]uint64{b0, b1, b2, b3}
+		wantOrd := new(big.Int).Mul(limbsToBig(ox), limbsToBig(oy))
+		wantOrd.Mul(wantOrd, new(big.Int).ModInverse(bigR, bigN)).Mod(wantOrd, bigN)
+		var oz, og [4]uint64
+		ordMul(&oz, &ox, &oy)
+		ordMulGeneric(&og, &ox, &oy)
+		if limbsToBig(oz).Cmp(wantOrd) != 0 || og != oz {
+			t.Fatalf("ordMul(%x, %x) = %x (generic %x), want %x", ox, oy, oz, og, wantOrd)
+		}
+		if ordMul(&oz, &oy, &ox); og != oz {
+			t.Fatalf("ordMul(%x, %x) = %x, want %x", oy, ox, oz, og)
+		}
+		for _, n := range []int{1, 2, 7} {
+			ordSqrN(&oz, &ox, n)
+			ordSqrNGeneric(&og, &ox, n)
+			if og != oz {
+				t.Fatalf("ordSqrN(%x, %d): kernel %x, generic %x", ox, n, oz, og)
+			}
+		}
+		if ox != ([4]uint64{}) {
+			checkOrdInv(t, ox)
+		}
 	})
+}
+
+// checkInvertAll: invertAll and invertAllGeneric agree bit for bit on xs,
+// none zero, and with math/big.
+func checkInvertAll(t *testing.T, xs []fe) {
+	t.Helper()
+	got, want := append([]fe(nil), xs...), append([]fe(nil), xs...)
+	invertAll(got, make([]fe, len(xs)))
+	invertAllGeneric(want, make([]fe, len(xs)))
+	for i := range xs {
+		inv := new(big.Int).ModInverse(bigOf(xs[i]), bigP)
+		if got[i] != want[i] || bigOf(got[i]).Cmp(inv) != 0 {
+			t.Fatalf("invertAll of %d elements, [%d] = %x (generic %x), want %x",
+				len(xs), i, bigOf(got[i]), bigOf(want[i]), inv)
+		}
+	}
+}
+
+// TestInvertAllEveryLength: the kernel's two passes against the generic
+// code at every length a level can have, and with a longer scratch.
+func TestInvertAllEveryLength(t *testing.T) {
+	vals := fieldSamples(rand.New(rand.NewSource(6)), 120)
+	var xs []fe
+	for _, v := range vals {
+		if v.Sign() != 0 {
+			xs = append(xs, feOf(v))
+		}
+	}
+	for n := 1; n <= 100; n++ {
+		checkInvertAll(t, xs[len(xs)-n:])
+	}
+	got, want := xs[:5:5], append([]fe(nil), xs[:5]...)
+	invertAll(got, make([]fe, 8))
+	invertAllGeneric(want, make([]fe, 5))
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("invertAll with longer scratch: [%d] = %x, want %x", i, got[i], want[i])
+		}
+	}
+	invertAll(nil, nil) // the empty level
 }
 
 func affineOf(x, y *big.Int) affinePoint { return affinePoint{x: feOf(x), y: feOf(y)} }

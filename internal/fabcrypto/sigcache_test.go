@@ -192,11 +192,11 @@ func warmPoolKeys(t testing.TB) [][]byte {
 // of what is put back: allocation counts through a pool are not steady there.
 var raceEnabled bool
 
-// TestVerifyAllocsOnlyInTheCurve: outside the curve arithmetic a signature
-// check allocates nothing. A warm range through a Batch and its SigCache
-// allocates nothing when every check hits, and when every check misses what
-// the engine's batch alone does (its one ModInverse); a verdict stored at
-// capacity and a SigCache hit allocate nothing.
+// TestVerifyAllocsOnlyInTheCurve: a signature check allocates nothing. A
+// warm range through a Batch and its SigCache allocates nothing when every
+// check hits, and when every check misses what the engine's batch alone
+// does, which is nothing; a verdict stored at capacity and a SigCache hit
+// allocate nothing.
 func TestVerifyAllocsOnlyInTheCurve(t *testing.T) {
 	const runs = 20
 	nb, ders := neighbours(), warmPoolKeys(t)
@@ -253,6 +253,9 @@ func TestVerifyAllocsOnlyInTheCurve(t *testing.T) {
 		reqs[i] = nb[i].req
 	}
 	curve := testing.AllocsPerRun(runs, func() { engine.verify(reqs) })
+	if curve != 0 {
+		t.Errorf("the engine's batch of %d: %v allocations", n, curve)
+	}
 	miss := testing.AllocsPerRun(runs, func() {
 		rangeOf(fresh[0])
 		fresh = fresh[1:]
@@ -260,7 +263,7 @@ func TestVerifyAllocsOnlyInTheCurve(t *testing.T) {
 	if miss != curve {
 		t.Errorf("a range of cache misses: %v allocations, the engine's batch alone %v", miss, curve)
 	}
-	t.Logf("a range of %d cache misses: %v allocations, all the engine's", n, miss)
+	t.Logf("a range of %d cache misses: %v allocations", n, miss)
 
 	s := makeSigs(t, 1)[0]
 	if _, hit := cache.VerifyDigest(s.pub, s.digest, s.sig); hit {
