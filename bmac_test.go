@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"bmac/internal/ledger"
 )
 
 func TestDefaultConfigValid(t *testing.T) {
@@ -40,13 +38,13 @@ chaincodes:
 }
 
 // TestTestbedHybridBackendCrossCheck runs the full network with the
-// parallel peer on a small hybrid hardware/host database (modeled host
-// latency, prefetch on) and cross-checks every block against the sequential
-// and BMac peers: the §5 backend must be invisible to validation results.
+// software peer on a small hybrid hardware/host database (modeled host
+// latency, which the engine prefetches into) and cross-checks every block
+// against the BMac peer: the §5 backend must be invisible to validation
+// results.
 func TestTestbedHybridBackendCrossCheck(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.StateDB = StateDBSpec{Backend: "hybrid", Capacity: 16, HostReadLatencyUS: 20}
-	cfg.Pipeline.Prefetch = true
 	tb, err := NewTestbed(cfg, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -71,13 +69,15 @@ func TestTestbedHybridBackendCrossCheck(t *testing.T) {
 	}
 	for _, o := range outcomes {
 		if !o.Match {
-			t.Fatalf("block %d diverged across validation paths (par match %v, hw match %v)",
-				o.BlockNum, o.ParMatch, o.HWMatch)
+			t.Fatalf("block %d diverged between the software and BMac peers", o.BlockNum)
 		}
 	}
-	summary := tb.ParallelBackendSummary()
+	summary := tb.BackendSummary()
 	if !strings.HasPrefix(summary, "hybrid") {
 		t.Errorf("backend summary = %q, want hybrid", summary)
+	}
+	if tb.SWPeer.Engine.PrefetchedKeys() == 0 {
+		t.Error("the software peer's engine prefetched nothing over the hybrid store")
 	}
 }
 
@@ -178,10 +178,10 @@ func TestTestbedSmallbankEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTestbedDurability holds the testbed's validator peers to the
+// TestTestbedDurability holds the testbed's software validator peer to the
 // configuration's durability section: with a one-byte segment budget every
 // block seals a segment, and with pruning on the checkpoints every two
-// blocks let the peers drop the segments they cover.
+// blocks let the peer drop the segments it covers.
 func TestTestbedDurability(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Arch.MaxBlockTxs = 2 // at least six blocks in the run
@@ -208,10 +208,8 @@ func TestTestbedDurability(t *testing.T) {
 	if _, err := tb.AwaitTxs(txs, 20*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	for name, st := range map[string]ledger.Stats{"sw": tb.SWPeer.Ledger.Stats(), "par": tb.ParPeer.Ledger.Stats()} {
-		if st.Sealed == 0 || st.Pruned == 0 {
-			t.Errorf("%s peer: %d segments sealed, %d pruned; want both > 0", name, st.Sealed, st.Pruned)
-		}
+	if st := tb.SWPeer.Ledger.Stats(); st.Sealed == 0 || st.Pruned == 0 {
+		t.Errorf("software peer: %d segments sealed, %d pruned; want both > 0", st.Sealed, st.Pruned)
 	}
 }
 

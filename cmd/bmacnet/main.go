@@ -1,8 +1,7 @@
 // Command bmacnet runs a complete in-process BMac network: clients endorse
 // and submit benchmark transactions through a Raft ordering service, and
-// every block is validated three ways — by the sequential software
-// validator, by the parallel pipelined commit engine and by the BMac
-// pipeline — with all results cross-checked, as in paper §4.1.
+// every block is validated twice — by the software validator and by the
+// BMac pipeline — with the results cross-checked, as in paper §4.1.
 //
 // With -cluster it instead drives the delivery-side stack end to end:
 // an open-loop client load (configurable arrival rate and distribution)
@@ -68,10 +67,9 @@ func run() (err error) {
 		accounts   = flag.Int("accounts", 100, "accounts/assets to bootstrap")
 		skew       = flag.Float64("skew", 0, "smallbank hot-account Zipf exponent (>1 skews, 0 = uniform)")
 		dir        = flag.String("dir", "", "ledger directory (default: temp)")
-		backend    = flag.String("backend", "", "parallel peer statedb backend: memory or hybrid (default: config)")
+		backend    = flag.String("backend", "", "statedb backend of the testbed's software validator: memory or hybrid (default: config); with -cluster it must match -path's")
 		dbCap      = flag.Int("db-capacity", 0, "hybrid backend cache capacity (default: architecture db_capacity)")
 		hostLatUS  = flag.Int("host-latency-us", 0, "modeled host read latency on hybrid cache misses, microseconds")
-		prefetch   = flag.Bool("prefetch", false, "enable the pipelined engine's async read-set prefetch stage")
 
 		clusterRun = flag.Bool("cluster", false, "run the cluster load experiment (orderer -> raft -> delivery -> N peers)")
 		path       = flag.String("path", "sequential", "cluster validation path: sequential, pipelined or hybrid")
@@ -127,9 +125,6 @@ func run() (err error) {
 	}
 	if *hostLatUS > 0 {
 		cfg.StateDB.HostReadLatencyUS = *hostLatUS
-	}
-	if *prefetch {
-		cfg.Pipeline.Prefetch = true
 	}
 	if *window > 0 {
 		cfg.Delivery.Window = *window
@@ -248,7 +243,7 @@ func run() (err error) {
 	go func() { submitErr <- driver.Run(*txs) }()
 
 	committed, blocks, mismatches := 0, 0, 0
-	var swTotal, parTotal bmac.StageBreakdown
+	var swTotal bmac.StageBreakdown
 	for committed < *txs {
 		select {
 		case o := <-tb.Outcomes():
@@ -258,9 +253,8 @@ func run() (err error) {
 				mismatches++
 			}
 			swTotal.Add(o.SW.Breakdown)
-			parTotal.Add(o.Par.Breakdown)
-			fmt.Printf("block %3d: %3d txs, sw/hw match=%v, sw/par match=%v, ends verified=%d skipped=%d\n",
-				o.BlockNum, o.TxCount, o.HWMatch, o.ParMatch,
+			fmt.Printf("block %3d: %3d txs, sw/hw match=%v, ends verified=%d skipped=%d\n",
+				o.BlockNum, o.TxCount, o.Match,
 				o.HW.HWStats.EndsVerified, o.HW.HWStats.EndsSkipped)
 		case err := <-submitErr:
 			if err != nil {
@@ -282,33 +276,27 @@ func run() (err error) {
 	size, idle, timeout := tb.Orderer.Cuts()
 	printCuts(blocks, committed, size, idle, timeout)
 
-	fmt.Println("\nper-stage totals, sequential vs parallel pipelined validator:")
-	fmt.Printf("  %-12s %12s %12s %9s\n", "stage", "sequential", "pipelined", "speedup")
+	fmt.Println("\nper-stage totals, software validator:")
 	for _, s := range []struct {
-		name    string
-		sw, par time.Duration
+		name string
+		d    time.Duration
 	}{
-		{"unmarshal", swTotal.Unmarshal, parTotal.Unmarshal},
-		{"block_verify", swTotal.BlockVerify, parTotal.BlockVerify},
-		{"verify_vscc", swTotal.VerifyVSCC, parTotal.VerifyVSCC},
-		{"mvcc", swTotal.MVCC, parTotal.MVCC},
-		{"statedb", swTotal.StateDB, parTotal.StateDB},
-		{"total", swTotal.Total, parTotal.Total},
+		{"unmarshal", swTotal.Unmarshal},
+		{"block_verify", swTotal.BlockVerify},
+		{"verify_vscc", swTotal.VerifyVSCC},
+		{"mvcc", swTotal.MVCC},
+		{"statedb", swTotal.StateDB},
+		{"total", swTotal.Total},
 	} {
-		speedup := "-"
-		if s.par > 0 {
-			speedup = fmt.Sprintf("%.2fx", float64(s.sw)/float64(s.par))
-		}
-		fmt.Printf("  %-12s %12v %12v %9s\n", s.name,
-			s.sw.Round(time.Microsecond), s.par.Round(time.Microsecond), speedup)
+		fmt.Printf("  %-12s %12v\n", s.name, s.d.Round(time.Microsecond))
 	}
 
-	fmt.Printf("\nparallel peer statedb: %s\n", tb.ParallelBackendSummary())
+	fmt.Printf("\nsoftware validator statedb: %s\n", tb.BackendSummary())
 
 	if mismatches != 0 {
-		return fmt.Errorf("%d blocks mismatched across the three validation paths", mismatches)
+		return fmt.Errorf("%d blocks mismatched between the software and BMac validators", mismatches)
 	}
-	fmt.Println("\nsequential, parallel and BMac validation results matched on every block")
+	fmt.Println("\nsoftware and BMac validation results matched on every block")
 	return nil
 }
 

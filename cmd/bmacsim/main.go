@@ -16,7 +16,7 @@ import (
 	"fmt"
 	"os"
 
-	"bmac/internal/hwsim"
+	"bmac"
 	"bmac/internal/metrics"
 	"bmac/internal/policy"
 )
@@ -43,26 +43,26 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	circuit := policy.Compile(pol)
 	ends := pol.MaxEndorsements()
-	txs := hwsim.UniformTxProfile(*blockSz, ends, *reads, *writes)
+	w := bmac.SimWorkload{Policy: *polSrc, BlockSize: *blockSz, Reads: *reads, Writes: *writes}
 
 	t := &metrics.Table{Header: []string{
 		"arch", "tps", "block latency", "tx latency", "ends/tx", "LUT%", "FF%", "fits U250",
 	}}
 	for n := 2; n <= *maxVal; n *= 2 {
-		cfg := hwsim.Config{TxValidators: n, VSCCEngines: *engines}
-		timing := hwsim.Simulate(cfg, circuit, txs)
-		u := hwsim.Resources(n, *engines)
+		r, err := bmac.SimulateArchitecture(n, *engines, w)
+		if err != nil {
+			return err
+		}
 		t.AddRow(
-			cfg.String(),
-			metrics.FormatTPS(timing.Throughput(*blockSz)),
-			timing.BlockLatency().String(),
-			timing.TxLatency.String(),
-			fmt.Sprintf("%.1f", float64(timing.EndsVerified)/float64(*blockSz)),
-			fmt.Sprintf("%.1f", u.LUTPct),
-			fmt.Sprintf("%.1f", u.FFPct),
-			fmt.Sprintf("%v", u.FitsU250()),
+			r.Arch,
+			metrics.FormatTPS(r.Throughput),
+			r.BlockLatency.String(),
+			r.TxLatency.String(),
+			fmt.Sprintf("%.1f", float64(r.EndsVerified)/float64(*blockSz)),
+			fmt.Sprintf("%.1f", r.LUTPct),
+			fmt.Sprintf("%.1f", r.FFPct),
+			fmt.Sprintf("%v", r.FitsU250),
 		)
 	}
 	fmt.Printf("policy %q (%d endorsements), block size %d, %dr/%dw per tx\n\n",

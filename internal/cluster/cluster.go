@@ -58,20 +58,18 @@ import (
 const (
 	Sequential = "sequential" // the engine at 4 vscc workers, the paper's baseline
 	Pipelined  = "pipelined"  // the engine sized by the pipeline section, over an in-memory store
-	Hybrid     = "hybrid"     // the pipelined preset + prefetch over the §5 hybrid database
+	Hybrid     = "hybrid"     // the pipelined preset over the §5 hybrid database, which the engine prefetches into
 )
 
 // modes maps each validation path mode to what opens its peers: the engine
-// preset, the state-database backend, and whether the read-set prefetch is
-// forced on.
+// preset and the state-database backend.
 var modes = map[string]struct {
-	engine   func(*config.Config) (pipeline.Config, error)
-	backend  string
-	prefetch bool
+	engine  func(*config.Config) (pipeline.Config, error)
+	backend string
 }{
-	Sequential: {func(c *config.Config) (pipeline.Config, error) { return c.ValidatorConfig(4) }, config.BackendMemory, false},
-	Pipelined:  {(*config.Config).PipelineConfig, config.BackendMemory, false},
-	Hybrid:     {(*config.Config).PipelineConfig, config.BackendHybrid, true},
+	Sequential: {func(c *config.Config) (pipeline.Config, error) { return c.ValidatorConfig(4) }, config.BackendMemory},
+	Pipelined:  {(*config.Config).PipelineConfig, config.BackendMemory},
+	Hybrid:     {(*config.Config).PipelineConfig, config.BackendHybrid},
 }
 
 // Modes lists the validation path modes in presentation order.
@@ -379,6 +377,15 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 	}
 	if err := opts.Scenario.check(opts); err != nil {
 		return nil, err
+	}
+	// The mode opens the peers' store; a statedb backend configured apart
+	// from it would be silently replaced.
+	mode, ok := modes[opts.Mode]
+	if !ok {
+		return nil, fmt.Errorf("cluster: unknown mode %q (valid: %v)", opts.Mode, Modes())
+	}
+	if b := cfg.StateDB.Backend; b != "" && b != mode.backend {
+		return nil, fmt.Errorf("cluster: statedb backend %q conflicts with path %s, which runs its peers on %q", b, opts.Mode, mode.backend)
 	}
 	// With telemetry off, the load-driving hot path never reads the statedb
 	// access counters, so they are pure per-access overhead: run with
@@ -1027,10 +1034,7 @@ func (p *swPeer) stampBlock(rec *telemetry.Recorder, b *block.Block, bd *validat
 // non-nil df installs the slow-disk fault shim under the peer's ledger
 // and checkpoint writers.
 func newSWPeer(cfg *config.Config, opts Options, i int, dir string, df *chaos.DiskFault) (*swPeer, error) {
-	mode, ok := modes[opts.Mode]
-	if !ok {
-		return nil, fmt.Errorf("cluster: unknown mode %q (valid: %v)", opts.Mode, Modes())
-	}
+	mode := modes[opts.Mode]
 	name := fmt.Sprintf("peer%d", i)
 	dopts := DurableOptions(cfg.Durability)
 	if df != nil {
@@ -1043,7 +1047,6 @@ func newSWPeer(cfg *config.Config, opts Options, i int, dir string, df *chaos.Di
 	if err != nil {
 		return nil, err
 	}
-	ecfg.Prefetch = ecfg.Prefetch || mode.prefetch
 	kvs, err := mcfg.NewKVS()
 	if err != nil {
 		return nil, err

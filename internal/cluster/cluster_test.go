@@ -166,6 +166,29 @@ func TestRejectsBadModeAndPeerMix(t *testing.T) {
 	}
 }
 
+// TestRejectsBackendOutsideMode: the path opens the peers' store, so a
+// statedb backend configured to something else is an error naming both,
+// not a run on the path's backend; an unset or matching backend runs.
+func TestRejectsBackendOutsideMode(t *testing.T) {
+	for _, c := range []struct{ mode, backend string }{
+		{Sequential, config.BackendHybrid},
+		{Pipelined, config.BackendHybrid},
+		{Hybrid, config.BackendMemory},
+	} {
+		cfg := testConfig()
+		cfg.StateDB.Backend = c.backend
+		_, err := Run(cfg, Options{Mode: c.mode, Txs: 4}, t.TempDir())
+		if err == nil || !strings.Contains(err.Error(), c.mode) || !strings.Contains(err.Error(), c.backend) {
+			t.Errorf("path %s, backend %s: err = %v, want a conflict naming both", c.mode, c.backend, err)
+		}
+	}
+	cfg := testConfig()
+	cfg.StateDB.Backend = config.BackendHybrid
+	if _, err := Run(cfg, Options{Mode: Hybrid, Peers: 2, Txs: 4, Clients: 1, Seed: 3}, t.TempDir()); err != nil {
+		t.Errorf("hybrid path with the hybrid backend configured: %v", err)
+	}
+}
+
 // TestChurnConvergence is the acceptance check of the durability
 // subsystem: a fast peer is killed mid-run after a few committed blocks,
 // restarted from its genesis/periodic checkpoints plus ledger replay,

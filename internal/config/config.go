@@ -59,11 +59,6 @@ type PipelineSpec struct {
 	// Workers is the vscc goroutine budget; 0 means GOMAXPROCS at engine
 	// construction.
 	Workers int
-	// Prefetch enables the async read-set warm-up stage: as soon as a
-	// block is unmarshalled its read-set keys are read from the state
-	// database, hiding a slow backend's miss latency under vscc. Its
-	// reader pool is Workers wide.
-	Prefetch bool
 }
 
 // StateDB backend names accepted by StateDBSpec.Backend.
@@ -72,8 +67,8 @@ const (
 	BackendHybrid = "hybrid" // §5 hardware LRU in front of a host Store
 )
 
-// StateDBSpec selects and parameterizes the parallel peer's state-database
-// backend (paper §5's database-scaling proposal).
+// StateDBSpec selects and parameterizes the software validator's
+// state-database backend (paper §5's database-scaling proposal).
 type StateDBSpec struct {
 	// Backend is memory (default) or hybrid.
 	Backend string
@@ -374,10 +369,7 @@ func Parse(raw []byte) (*Config, error) {
 			"db_capacity":   &cfg.Arch.DBCapacity,
 			"max_block_txs": &cfg.Arch.MaxBlockTxs,
 		}},
-		{"pipeline", pipe, fields{
-			"workers":  &cfg.Pipeline.Workers,
-			"prefetch": &cfg.Pipeline.Prefetch,
-		}},
+		{"pipeline", pipe, fields{"workers": &cfg.Pipeline.Workers}},
 		{"statedb", sdb, fields{
 			"backend":              &cfg.StateDB.Backend,
 			"capacity":             &cfg.StateDB.Capacity,
@@ -600,8 +592,8 @@ func (c *Config) CoreConfig() (core.Config, error) {
 }
 
 // engineConfig is the one builder behind the two software-peer presets:
-// everything an engine takes from the configuration but its worker count
-// and prefetch. path labels the engine's telemetry series.
+// everything an engine takes from the configuration but its worker count.
+// path labels the engine's telemetry series.
 func (c *Config) engineConfig(workers int, path string) (pipeline.Config, error) {
 	pols, err := c.Policies()
 	if err != nil {
@@ -618,17 +610,15 @@ func (c *Config) engineConfig(workers int, path string) (pipeline.Config, error)
 }
 
 // ValidatorConfig is the paper's software validator preset: the engine with
-// the given vscc worker (vCPU) count and no prefetch, labelled "sequential".
+// the given vscc worker (vCPU) count, labelled "sequential".
 func (c *Config) ValidatorConfig(workers int) (pipeline.Config, error) {
 	return c.engineConfig(workers, "sequential")
 }
 
-// PipelineConfig is the parallel preset: the same engine sized and
-// prefetched by the `pipeline` section, labelled "pipelined".
+// PipelineConfig is the parallel preset: the same engine sized by the
+// `pipeline` section, labelled "pipelined".
 func (c *Config) PipelineConfig() (pipeline.Config, error) {
-	pc, err := c.engineConfig(c.Pipeline.Workers, "pipelined")
-	pc.Prefetch = c.Pipeline.Prefetch
-	return pc, err
+	return c.engineConfig(c.Pipeline.Workers, "pipelined")
 }
 
 // HWSimConfig materializes the timing simulator configuration.

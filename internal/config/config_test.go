@@ -33,7 +33,6 @@ architecture:
   max_block_txs: 256
 pipeline:
   workers: 6
-  prefetch: true
 statedb:
   backend: hybrid
   capacity: 512
@@ -66,7 +65,7 @@ func TestParseSample(t *testing.T) {
 	if cfg.Arch.TxValidators != 8 || cfg.Arch.DBCapacity != 8192 {
 		t.Errorf("arch = %+v", cfg.Arch)
 	}
-	if cfg.Pipeline.Workers != 6 || !cfg.Pipeline.Prefetch {
+	if cfg.Pipeline.Workers != 6 {
 		t.Errorf("pipeline = %+v", cfg.Pipeline)
 	}
 	if cfg.StateDB.Backend != BackendHybrid || cfg.StateDB.Capacity != 512 ||
@@ -235,6 +234,7 @@ func TestParseRejectsUnknownKeysAndWrongTypes(t *testing.T) {
 		{"retired hotpath.marshal_pool", base + "hotpath:\n  marshal_pool: true\n", "unknown key hotpath"},
 		{"retired crypto", base + "crypto:\n  sig_cache_size: 4096\n  cert_cache_size: 4096\n", "unknown key crypto"},
 		{"retired hotpath", base + "hotpath:\n  parse_cache_size: 1024\n", "unknown key hotpath"},
+		{"retired pipeline.prefetch", base + "pipeline:\n  prefetch: true\n", "unknown key pipeline.prefetch"},
 		{"retired pipeline.prefetch_workers", base + "pipeline:\n  prefetch_workers: 4\n", "unknown key pipeline.prefetch_workers"},
 		{"retired delivery.policy", base + "delivery:\n  policy: drop\n", "unknown key delivery.policy"},
 		{"retired delivery.max_redials", base + "delivery:\n  max_redials: 5\n", "unknown key delivery.max_redials"},

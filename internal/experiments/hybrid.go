@@ -174,10 +174,10 @@ func (e *Env) MeasureHybrid(spec HybridSpec) (HybridPoint, error) {
 
 	var refFlags [][]byte
 	var refHashes [][]byte
-	run := func(kvs statedb.KVS, prefetch bool) (float64, *pipeline.Engine, error) {
+	// The engine prefetches over a store it can warm: the HybridKVS itself.
+	run := func(kvs statedb.KVS) (float64, *pipeline.Engine, error) {
 		eng := pipeline.New(pipeline.Config{
-			Workers: spec.Workers, Policies: pols,
-			Prefetch: prefetch, PrefetchWorkers: spec.PrefetchWorkers,
+			Workers: spec.Workers, Policies: pols, PrefetchWorkers: spec.PrefetchWorkers,
 			SigCache: sc, ParseCache: pc,
 		}, kvs, nil)
 		start := time.Now()
@@ -207,7 +207,7 @@ func (e *Env) MeasureHybrid(spec HybridSpec) (HybridPoint, error) {
 	// reference verdicts the measured runs are cross-checked against.
 	warm := statedb.NewStore()
 	seedAccounts(warm, spec.Accounts)
-	_, wEng, err := run(warm, false)
+	_, wEng, err := run(warm)
 	if err != nil {
 		return HybridPoint{}, err
 	}
@@ -218,18 +218,20 @@ func (e *Env) MeasureHybrid(spec HybridSpec) (HybridPoint, error) {
 	// 1. Plain in-memory store: the no-latency upper bound.
 	mem := statedb.NewStore()
 	seedAccounts(mem, spec.Accounts)
-	memTPS, eng, err := run(mem, false)
+	memTPS, eng, err := run(mem)
 	if err != nil {
 		return HybridPoint{}, err
 	}
 	eng.Close()
 
-	// 2. Hybrid backend, prefetch off: every cold miss stalls mvcc.
+	// 2. Hybrid backend, prefetch off: every cold miss stalls mvcc. Behind
+	// the bare KVS interface the store offers no Warm, so the engine starts
+	// no prefetcher.
 	hostA := statedb.NewStore()
 	seedAccounts(hostA, spec.Accounts)
 	hyA := statedb.NewHybridKVS(spec.Capacity, hostA)
 	hyA.SetHostReadLatency(spec.HostLatency)
-	noTPS, eng, err := run(hyA, false)
+	noTPS, eng, err := run(struct{ statedb.KVS }{hyA})
 	if err != nil {
 		return HybridPoint{}, err
 	}
@@ -240,7 +242,7 @@ func (e *Env) MeasureHybrid(spec HybridSpec) (HybridPoint, error) {
 	seedAccounts(hostB, spec.Accounts)
 	hyB := statedb.NewHybridKVS(spec.Capacity, hostB)
 	hyB.SetHostReadLatency(spec.HostLatency)
-	pfTPS, eng, err := run(hyB, true)
+	pfTPS, eng, err := run(hyB)
 	if err != nil {
 		return HybridPoint{}, err
 	}

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"bmac/internal/intern"
 )
 
 func makeCertDER(t *testing.T, cn string) []byte {
@@ -103,7 +105,7 @@ func TestCertCacheDoesNotAliasInput(t *testing.T) {
 // TestCertCacheConcurrent hammers one small cache from many goroutines
 // with distinct certificates (forcing evictions); run under -race.
 func TestCertCacheConcurrent(t *testing.T) {
-	c := NewCertCache(certCacheShards) // one cert per shard
+	c := NewCertCache(intern.Shards) // one cert per shard
 	ders := make([][]byte, 12)
 	for i := range ders {
 		ders[i] = makeCertDER(t, "peer.concurrent")

@@ -5,8 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+
+	"bmac/internal/fsutil"
 )
 
 // The persistent index makes Get O(1) across restarts without rescanning
@@ -91,33 +94,14 @@ func (l *Ledger) persistIndexLocked() error {
 	sum := sha256.Sum256(buf)
 	buf = append(buf, sum[:]...)
 
-	path := filepath.Join(l.dir, indexFile)
-	tmp, err := os.CreateTemp(l.dir, indexFile+".tmp-*")
+	err := fsutil.Replace(filepath.Join(l.dir, indexFile), func(w io.Writer) error {
+		_, err := w.Write(buf)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("index temp: %w", err)
+		return fmt.Errorf("index %w", err)
 	}
-	tmpName := tmp.Name()
-	cleanup := func() {
-		tmp.Close()        // bmaclint:allow errdiscard (cleanup of failed temp write)
-		os.Remove(tmpName) // bmaclint:allow errdiscard (cleanup of failed temp write)
-	}
-	if _, err := tmp.Write(buf); err != nil {
-		cleanup()
-		return fmt.Errorf("index write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return fmt.Errorf("index sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName) // bmaclint:allow errdiscard (cleanup of failed temp write)
-		return fmt.Errorf("index close: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName) // bmaclint:allow errdiscard (cleanup of failed temp write)
-		return fmt.Errorf("index rename: %w", err)
-	}
-	return syncDir(l.dir)
+	return nil
 }
 
 // indexData is a decoded persistent index.

@@ -607,19 +607,6 @@ func (l *Ledger) Close() error {
 	return err
 }
 
-// syncDir fsyncs a directory so a just-created entry in it survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("open ledger dir for sync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("sync ledger dir: %w", err)
-	}
-	return nil
-}
-
 // segPath returns the data file path for a segment id.
 func segPath(dir string, id uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("%s%06d", segPrefix, id))

@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"bmac/internal/block"
+	"bmac/internal/fsutil"
 )
 
 // listSegmentIDs returns the ids of the plain (live) segment files in dir,
@@ -337,7 +338,7 @@ func (l *Ledger) startActiveLocked(id uint64) error {
 	if err != nil {
 		return fmt.Errorf("create segment file: %w", err)
 	}
-	if err := syncDir(l.dir); err != nil {
+	if err := fsutil.SyncDir(l.dir); err != nil {
 		f.Close() // bmaclint:allow errdiscard (teardown after dir-sync failure)
 		return err
 	}

@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"bmac/internal/block"
+	"bmac/internal/fsutil"
 )
 
 // This file is the damage-control surface of the segmented store:
@@ -299,7 +300,7 @@ func (l *Ledger) finishRestoreLocked(rst *restoreState) error {
 	if err := os.Rename(rst.tmp, rst.final); err != nil {
 		return fmt.Errorf("restore rename: %w", err)
 	}
-	if err := syncDir(l.dir); err != nil {
+	if err := fsutil.SyncDir(l.dir); err != nil {
 		return err
 	}
 

@@ -171,7 +171,9 @@ func TestSWPeerRestartReplaysLedger(t *testing.T) {
 // with CheckpointEvery=2 over 5 blocks, a restart loads the block-3
 // checkpoint and replays only the suffix — and the result is identical to
 // a full replay. Runs the matrix of the engine with the prefetch off and on
-// and both statedb backends.
+// and both statedb backends. The engine prefetches over a store it can warm,
+// so the prefetch-off engine sees its store behind the bare KVS interface,
+// which offers no Warm.
 func TestDurablePeerCheckpointSuffixReplay(t *testing.T) {
 	f := newChainFixture(t)
 	blocks := f.chain(t, 5)
@@ -182,16 +184,17 @@ func TestDurablePeerCheckpointSuffixReplay(t *testing.T) {
 		}
 		return statedb.NewStore()
 	}
-	engines := map[string]pipeline.Config{
-		"fabric14": fabric14(2, f.pols),
-		"prefetch": {Workers: 2, Policies: f.pols, Prefetch: true},
+	engines := map[string]func(statedb.KVS) statedb.KVS{
+		"fabric14": func(kvs statedb.KVS) statedb.KVS { return struct{ statedb.KVS }{kvs} },
+		"prefetch": func(kvs statedb.KVS) statedb.KVS { return kvs },
 	}
+	cfg := fabric14(2, f.pols)
 
-	for engine, cfg := range engines {
+	for engine, store := range engines {
 		for _, backend := range []string{"memory", "hybrid"} {
 			t.Run(engine+"/"+backend, func(t *testing.T) {
 				dir := t.TempDir()
-				p, err := Open(cfg, kvsFor(backend), dir, DurableOptions{CheckpointEvery: 2})
+				p, err := Open(cfg, store(kvsFor(backend)), dir, DurableOptions{CheckpointEvery: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -219,7 +222,7 @@ func TestDurablePeerCheckpointSuffixReplay(t *testing.T) {
 					t.Errorf("checkpoint height = %d, want 4 (after block 3)", h)
 				}
 
-				p2, err := Open(cfg, kvsFor(backend), dir, DurableOptions{CheckpointEvery: 2})
+				p2, err := Open(cfg, store(kvsFor(backend)), dir, DurableOptions{CheckpointEvery: 2})
 				if err != nil {
 					t.Fatalf("restart: %v", err)
 				}

@@ -5,7 +5,8 @@
 //     engine (internal/pipeline), laid out as the paper's Fabric v1.4
 //     baseline, over a state database and a disk ledger. Every software
 //     peer is this one type; its engine configuration sets only the vscc
-//     worker count and whether the read-set prefetch runs.
+//     worker count, and its store decides whether the read-set prefetch
+//     runs.
 //
 //   - BMacPeer: the hardware-accelerated peer — the BMac protocol receiver
 //     and block processor "in hardware" (internal/bmacproto +

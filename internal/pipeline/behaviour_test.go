@@ -7,7 +7,6 @@ import (
 	"bmac/internal/block"
 	"bmac/internal/identity"
 	"bmac/internal/ledger"
-	"bmac/internal/statedb"
 	"bmac/internal/validator"
 )
 
@@ -264,7 +263,7 @@ func TestEngineBehaviour(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					eng := New(Config{Workers: workers, Policies: r.pols, Prefetch: v.prefetch}, statedb.NewStore(), led)
+					eng := New(Config{Workers: workers, Policies: r.pols}, v.store(), led)
 					t.Cleanup(func() {
 						eng.Close()
 						led.Close()

@@ -156,7 +156,7 @@ var workerCounts = []int{1, 3, 4}
 // internal/core/differential_test.go: random multi-block chains with fault
 // injection, plus one hot-key chain in which most transactions are in-block
 // mvcc conflicts, validated by the oracle and by the engine at every worker
-// count with the prefetch off and on. Flags, commit hash and final state
+// count in both variants, with the prefetch off and on. Flags, commit hash and final state
 // must be byte-identical. Run with -race to also shake out fan-out and
 // prefetch races.
 func TestDifferentialRandomized(t *testing.T) {
@@ -186,10 +186,9 @@ func TestDifferentialRandomized(t *testing.T) {
 	for name, raws := range chains {
 		wants, wantState := oracleChain(t, r, raws)
 		for _, workers := range workerCounts {
-			for _, prefetch := range []bool{false, true} {
-				eng := New(Config{Workers: workers, Policies: r.pols, Prefetch: prefetch},
-					statedb.NewStore(), nil)
-				checkChain(t, fmt.Sprintf("%s workers %d prefetch %v", name, workers, prefetch), eng, raws, wants, wantState)
+			for _, v := range variants {
+				eng := New(Config{Workers: workers, Policies: r.pols}, v.store(), nil)
+				checkChain(t, fmt.Sprintf("%s workers %d %s", name, workers, v.name), eng, raws, wants, wantState)
 			}
 		}
 	}
@@ -200,19 +199,22 @@ func TestDifferentialRandomized(t *testing.T) {
 // count, with and without the prefetch stage: same flags, same commit
 // hashes, same final state as the oracle. The hybrid backend uses a tiny
 // cache (constant evictions) plus a modeled host latency so the slow path
-// really runs.
+// really runs; its prefetch-off case hides it behind the bare KVS
+// interface, which offers no Warm, so the engine starts no prefetcher.
 func TestDifferentialBackends(t *testing.T) {
 	r := newRig(t)
+	hybrid := func() *statedb.HybridKVS {
+		h := statedb.NewHybridKVS(3, statedb.NewStore())
+		h.SetHostReadLatency(50 * time.Microsecond)
+		return h
+	}
 	backends := []struct {
 		name string
 		make func() statedb.KVS
 	}{
 		{"store", func() statedb.KVS { return statedb.NewStore() }},
-		{"hybrid", func() statedb.KVS {
-			h := statedb.NewHybridKVS(3, statedb.NewStore())
-			h.SetHostReadLatency(50 * time.Microsecond)
-			return h
-		}},
+		{"hybrid prefetch false", func() statedb.KVS { return struct{ statedb.KVS }{hybrid()} }},
+		{"hybrid prefetch true", func() statedb.KVS { return hybrid() }},
 	}
 	for seed := int64(7); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -221,14 +223,9 @@ func TestDifferentialBackends(t *testing.T) {
 
 		for _, be := range backends {
 			for _, workers := range workerCounts {
-				for _, prefetch := range []bool{false, true} {
-					eng := New(Config{
-						Workers: workers, Policies: r.pols,
-						Prefetch: prefetch, PrefetchWorkers: 4,
-					}, be.make(), nil)
-					label := fmt.Sprintf("%s seed %d workers %d prefetch %v", be.name, seed, workers, prefetch)
-					checkChain(t, label, eng, raws, wants, wantState)
-				}
+				eng := New(Config{Workers: workers, Policies: r.pols, PrefetchWorkers: 4}, be.make(), nil)
+				label := fmt.Sprintf("%s seed %d workers %d", be.name, seed, workers)
+				checkChain(t, label, eng, raws, wants, wantState)
 			}
 		}
 	}

@@ -13,9 +13,9 @@
 //
 // The caller (ValidateAndCommit, ValidateAndCommitBlock) is one of the
 // Workers; at Workers = 1 every stage runs in order on it, with no
-// goroutine. The one option beside Workers is the async
-// read-set prefetch (prefetch.go), which hides a slow backend's misses
-// under vscc and changes no verdict. Flags, commit hash and final state are
+// goroutine. Over a store with a fast tier the engine also runs the async
+// read-set prefetch (prefetch.go), which hides the store's misses under
+// vscc and changes no verdict. Flags, commit hash and final state are
 // bit-identical to a naive reference validator on every block; the
 // differential tests in this package prove it.
 //
@@ -47,12 +47,8 @@ type Config struct {
 	Workers int
 	// Policies maps chaincode name to its endorsement policy.
 	Policies map[string]*policy.Policy
-	// Prefetch enables the async read-set warm-up: distinct read-set keys
-	// are read from the backend as soon as a block is unmarshalled, so
-	// slow-backend misses (e.g. HybridKVS host reads) are absorbed while
-	// the block is still in vscc. Verdicts are identical either way.
-	Prefetch bool
-	// PrefetchWorkers bounds the warm-up reader pool (default Workers).
+	// PrefetchWorkers bounds the read-set warm-up reader pool (default
+	// Workers); it has readers only over a store with a fast tier (see New).
 	PrefetchWorkers int
 	// SigCache, when non-nil, memoizes signature verdicts so a signature
 	// already seen by ANY path sharing the cache (another engine, a replay)
@@ -96,7 +92,7 @@ type job struct {
 
 	// warm tracks the block's async read-set prefetch; the decide stage
 	// waits on it so a warm-up read and a committed write can't interleave
-	// mid-check. nil when prefetch is off or the block never parsed.
+	// mid-check. nil without a prefetcher or when the block never parsed.
 	warm *sync.WaitGroup
 }
 
@@ -106,8 +102,8 @@ type job struct {
 // verification and vscc), decide (mvcc) and flush (state database, then
 // ledger).
 //
-// The engine runs over any statedb.KVS backend; with cfg.Prefetch the
-// warm-up readers hide a slow backend's read latency under vscc.
+// The engine runs over any statedb.KVS backend; over one with a fast tier
+// to warm (see New) the prefetch readers hide its misses under vscc.
 //
 // Blocks must arrive in increasing header-number order from a single
 // goroutine.
@@ -116,13 +112,16 @@ type Engine struct {
 	circuits map[string]*policy.Circuit // cfg.Policies, compiled once
 	store    statedb.KVS
 	led      *ledger.Ledger
-	pf       *prefetcher // nil when cfg.Prefetch is off
+	pf       *prefetcher // nil unless the store can be warmed
 }
 
 // New creates an engine over the given state database and ledger. A nil led
 // skips the ledger commit (the paper's metrics exclude it "for direct
 // comparison between hardware and software" — §4.2); the commit hash is
-// computed either way.
+// computed either way. The async read-set prefetch runs if and only if the
+// store has a fast tier to warm (it implements Warm, as HybridKVS does):
+// over any other store a warm-up read would cost as much as the read it
+// saves.
 func New(cfg Config, store statedb.KVS, led *ledger.Ledger) *Engine {
 	if cfg.Workers < 1 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -134,8 +133,8 @@ func New(cfg Config, store statedb.KVS, led *ledger.Ledger) *Engine {
 	for cc, p := range cfg.Policies {
 		e.circuits[cc] = policy.Compile(p)
 	}
-	if cfg.Prefetch {
-		e.pf = newPrefetcher(store, cfg.PrefetchWorkers)
+	if w, ok := store.(warmer); ok {
+		e.pf = newPrefetcher(w, cfg.PrefetchWorkers)
 	}
 	return e
 }
@@ -144,7 +143,7 @@ func New(cfg Config, store statedb.KVS, led *ledger.Ledger) *Engine {
 func (e *Engine) Store() statedb.KVS { return e.store }
 
 // PrefetchedKeys reports the total number of warm-up reads issued by the
-// prefetch stage (0 when prefetch is off).
+// prefetch stage (0 without one).
 func (e *Engine) PrefetchedKeys() int {
 	if e.pf == nil {
 		return 0

@@ -67,9 +67,9 @@ func TestHotpathDifferentialToggles(t *testing.T) {
 			// hit case.
 			var sigHits, parseHits [2]int
 			for k, v := range variants {
-				store := statedb.NewStore()
+				store := v.store()
 				eng := New(Config{
-					Workers: 2 + k, Policies: r.pols, Prefetch: v.prefetch,
+					Workers: 2 + k, Policies: r.pols,
 					SigCache: sc, CertCache: cc, ParseCache: pc,
 				}, store, nil)
 				for n, raw := range raws {
@@ -278,8 +278,8 @@ func TestBadClientSignatureStillVerifiesEndorsements(t *testing.T) {
 		t.Fatalf("oracle flags %v", wants[0].flags)
 	}
 	for _, v := range variants {
-		store := statedb.NewStore()
-		eng := New(Config{Workers: 2, Policies: r.pols, Prefetch: v.prefetch}, store, nil)
+		store := v.store()
+		eng := New(Config{Workers: 2, Policies: r.pols}, store, nil)
 		res, err := eng.ValidateAndCommit(raw)
 		eng.Close()
 		if err != nil {

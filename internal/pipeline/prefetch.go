@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"bmac/internal/statedb"
 	"bmac/internal/validator"
 )
 
@@ -20,6 +19,7 @@ import (
 //
 // Warm-up reads are pure cache promotions: they never change a value or a
 // version, so validation verdicts are bit-identical with prefetch on or off.
+// The engine starts one only over a store that implements warmer.
 type prefetcher struct {
 	tasks  chan prefetchTask
 	pool   sync.WaitGroup
@@ -34,29 +34,22 @@ type prefetchTask struct {
 	done *sync.WaitGroup
 }
 
-// warmer is a backend that books warm-up reads apart from demand reads.
+// warmer is a backend with a fast tier: Warm pulls a key into it, booked
+// apart from demand reads.
 type warmer interface{ Warm(key string) }
 
-// newPrefetcher starts a pool of `workers` warm-up readers over kvs.
-func newPrefetcher(kvs statedb.KVS, workers int) *prefetcher {
+// newPrefetcher starts a pool of `workers` warm-up readers over w.
+func newPrefetcher(w warmer, workers int) *prefetcher {
 	if workers < 1 {
 		workers = 1
 	}
 	p := &prefetcher{tasks: make(chan prefetchTask, 1024)}
-	// The value is discarded: the read exists only to pull the key into
-	// the backend's fast tier.
-	warm := func(key string) {
-		_, _ = kvs.Get(key) // bmaclint:allow errdiscard (prefetch: only the cache warming matters, miss is fine)
-	}
-	if w, ok := kvs.(warmer); ok {
-		warm = w.Warm
-	}
 	for i := 0; i < workers; i++ {
 		p.pool.Add(1)
 		go func() {
 			defer p.pool.Done()
 			for t := range p.tasks {
-				warm(t.key)
+				w.Warm(t.key)
 				p.keys.Add(1)
 				t.done.Done()
 			}

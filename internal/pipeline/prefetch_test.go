@@ -9,8 +9,8 @@ import (
 	"bmac/internal/statedb"
 )
 
-// TestPrefetchWarmsHybridCache checks the warm-up path end to end: with
-// prefetch on, a block's distinct read-set keys are pulled from the host
+// TestPrefetchWarmsHybridCache checks the warm-up path end to end: over a
+// hybrid store, a block's distinct read-set keys are pulled from the host
 // into the hybrid cache, the block still validates identically, and the
 // engine reports the warm-up count.
 func TestPrefetchWarmsHybridCache(t *testing.T) {
@@ -22,8 +22,7 @@ func TestPrefetchWarmsHybridCache(t *testing.T) {
 	hy := statedb.NewHybridKVS(64, host)
 	hy.SetHostReadLatency(200 * time.Microsecond)
 
-	eng := New(Config{Workers: 2, Policies: r.pols, Prefetch: true},
-		hy, nil)
+	eng := New(Config{Workers: 2, Policies: r.pols}, hy, nil)
 	defer eng.Close()
 
 	// 8 txs, each reading two hot accounts (with overlap) and writing a
@@ -63,8 +62,9 @@ func TestPrefetchWarmsHybridCache(t *testing.T) {
 	}
 }
 
-// TestPrefetchOffIssuesNoWarmups pins the default: no prefetcher, no
-// warm-up reads, PrefetchedKeys reports zero.
+// TestPrefetchOffIssuesNoWarmups pins the in-memory store's case: it has no
+// fast tier, so no prefetcher, no warm-up reads, PrefetchedKeys reports
+// zero.
 func TestPrefetchOffIssuesNoWarmups(t *testing.T) {
 	r := newRig(t)
 	eng := r.engine(2)
@@ -85,7 +85,7 @@ func TestPrefetchOffIssuesNoWarmups(t *testing.T) {
 // verdicts.
 func TestPrefetchAbsentKeys(t *testing.T) {
 	r := newRig(t)
-	eng := New(Config{Workers: 2, Policies: r.pols, Prefetch: true},
+	eng := New(Config{Workers: 2, Policies: r.pols},
 		statedb.NewHybridKVS(8, statedb.NewStore()), nil)
 	defer eng.Close()
 

@@ -9,10 +9,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"bmac/internal/block"
+	"bmac/internal/fsutil"
 )
 
 // Checkpoint file layout (all integers big-endian):
@@ -66,18 +66,20 @@ func SaveCheckpointFault(path string, kvs KVS, height uint64, fault func() error
 // SaveSnapshot is SaveCheckpoint over an already-taken snapshot (so callers
 // can capture state at a precise block boundary and write it out later).
 func SaveSnapshot(path string, snap map[string]VersionedValue, height uint64) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	err := fsutil.Replace(path, func(f io.Writer) error { return writeSnapshot(f, snap, height) })
 	if err != nil {
-		return fmt.Errorf("statedb: checkpoint temp: %w", err)
+		return fmt.Errorf("statedb: checkpoint %w", err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after the rename succeeds
+	return nil
+}
 
+// writeSnapshot streams the checkpoint file's bytes, trailer checksum
+// included, to f.
+func writeSnapshot(f io.Writer, snap map[string]VersionedValue, height uint64) error {
 	sum := sha256.New()
-	w := bufio.NewWriterSize(io.MultiWriter(tmp, sum), 1<<16)
+	w := bufio.NewWriterSize(io.MultiWriter(f, sum), 1<<16)
 
 	if _, err := w.Write(ckptMagic[:]); err != nil {
-		tmp.Close()
 		return err
 	}
 	var u64 [8]byte
@@ -124,24 +126,10 @@ func SaveSnapshot(path string, snap map[string]VersionedValue, height uint64) er
 		werr = w.Flush()
 	}
 	if werr != nil {
-		tmp.Close()
-		return fmt.Errorf("statedb: checkpoint write: %w", werr)
+		return werr
 	}
-	if _, err := tmp.Write(sum.Sum(nil)); err != nil {
-		tmp.Close()
-		return fmt.Errorf("statedb: checkpoint sum: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("statedb: checkpoint sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("statedb: checkpoint rename: %w", err)
-	}
-	return syncDir(dir)
+	_, err := f.Write(sum.Sum(nil))
+	return err
 }
 
 // LoadCheckpoint reads and validates a checkpoint file, returning the state
@@ -254,18 +242,4 @@ func SnapshotHash(snap map[string]VersionedValue) []byte {
 		h.Write(u64[:])
 	}
 	return h.Sum(nil)
-}
-
-// syncDir fsyncs a directory so a just-created or just-renamed entry in it
-// survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("statedb: open dir for sync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("statedb: sync dir: %w", err)
-	}
-	return nil
 }

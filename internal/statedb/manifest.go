@@ -6,11 +6,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+
+	"bmac/internal/fsutil"
 )
 
 // Checkpoint manifest: the durable link between state snapshots and ledger
@@ -87,32 +90,14 @@ func writeManifest(dir string, refs []CheckpointRef) error {
 	sum := sha256.Sum256(buf)
 	buf = append(buf, sum[:]...)
 
-	path := filepath.Join(dir, ManifestFile)
-	tmp, err := os.CreateTemp(dir, ManifestFile+".tmp-*")
+	err := fsutil.Replace(filepath.Join(dir, ManifestFile), func(w io.Writer) error {
+		_, err := w.Write(buf)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("statedb: manifest temp: %w", err)
+		return fmt.Errorf("statedb: manifest %w", err)
 	}
-	tmpName := tmp.Name()
-	fail := func(step string, err error) error {
-		tmp.Close()        // bmaclint:allow errdiscard (cleanup of failed temp write)
-		os.Remove(tmpName) // bmaclint:allow errdiscard (cleanup of failed temp write)
-		return fmt.Errorf("statedb: manifest %s: %w", step, err)
-	}
-	if _, err := tmp.Write(buf); err != nil {
-		return fail("write", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail("sync", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName) // bmaclint:allow errdiscard (cleanup of failed temp write)
-		return fmt.Errorf("statedb: manifest close: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName) // bmaclint:allow errdiscard (cleanup of failed temp write)
-		return fmt.Errorf("statedb: manifest rename: %w", err)
-	}
-	return syncDir(dir)
+	return nil
 }
 
 // loadManifest reads and validates the manifest, returning refs in the

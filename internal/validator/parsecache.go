@@ -1,12 +1,6 @@
 package validator
 
-import (
-	"bytes"
-	"container/list"
-	"hash/maphash"
-	"sync"
-	"sync/atomic"
-)
+import "bmac/internal/intern"
 
 // ParseCache is a sharded, bounded LRU interning table for ParseTx results.
 // Every peer path in a process unmarshals the same envelopes — the
@@ -14,63 +8,26 @@ import (
 // replay — and the full payload→action→rwset decode walk is pure, so its
 // result can be computed once and shared (parse-once).
 //
-// Lookups are keyed by a seeded 64-bit maphash of the payload bytes —
-// chosen over a cryptographic hash because hashing must cost less than the
-// parse it saves — and VERIFIED by byte comparison against the interned
-// payload before a hit is served, so a hash collision degrades to a miss,
-// never to a wrong transaction.
+// It is an intern.Table keyed by the payload bytes: a hash collision
+// degrades to a miss, never to a wrong transaction, and a payload is parsed
+// from the table's private copy, so a cache entry retains only its own
+// transaction's bytes, never the multi-transaction block buffer the payload
+// was sliced from.
 //
 // Cached results are shared and strictly read-only: callers must never
 // mutate a ParsedTx's pointed-to data — the validator and engine only read
-// them. On insert the payload is copied and parsed from the private copy,
-// so a cache entry retains only its own transaction's bytes, never the
-// multi-transaction block buffer the payload was sliced from.
+// them.
 //
 // A nil *ParseCache is valid and means "disabled": every call parses.
-type ParseCache struct {
-	shards []parseShard
-
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
-type parseShard struct {
-	mu       sync.Mutex
-	capacity int
-	entries  map[uint64]*list.Element // guarded by mu
-	order    *list.List               // guarded by mu; front = most recently used
-}
-
-type parseEntry struct {
-	key     uint64
-	payload []byte // the exact payload bytes this entry interns
-	val     ParsedTx
-}
-
-const parseCacheShards = 16
-
-var parseSeed = maphash.MakeSeed()
+type ParseCache intern.Table[ParsedTx]
 
 // NewParseCache creates a cache bounded to roughly `size` parsed envelopes.
 // size < 1 returns nil (the disabled cache).
 func NewParseCache(size int) *ParseCache {
-	if size < 1 {
-		return nil
-	}
-	perShard := size / parseCacheShards
-	if perShard < 1 {
-		perShard = 1
-	}
-	c := &ParseCache{shards: make([]parseShard, parseCacheShards)}
-	for i := range c.shards {
-		c.shards[i] = parseShard{
-			capacity: perShard,
-			entries:  make(map[uint64]*list.Element, perShard),
-			order:    list.New(),
-		}
-	}
-	return c
+	return (*ParseCache)(intern.New[ParsedTx](size))
 }
+
+func (c *ParseCache) table() *intern.Table[ParsedTx] { return (*intern.Table[ParsedTx])(c) }
 
 // ParseTx returns the parsed view of one envelope payload, from the cache
 // when an identical payload has been parsed before. hit reports whether the
@@ -79,67 +36,11 @@ func NewParseCache(size int) *ParseCache {
 //
 // bmaclint:noalloc
 func (c *ParseCache) ParseTx(payloadBytes []byte) (p ParsedTx, hit bool) {
-	if c == nil {
-		return ParseTx(payloadBytes), false
-	}
-	key := maphash.Bytes(parseSeed, payloadBytes)
-	sh := &c.shards[key%parseCacheShards]
-
-	sh.mu.Lock()
-	if el, ok := sh.entries[key]; ok {
-		e := el.Value.(*parseEntry)
-		if bytes.Equal(e.payload, payloadBytes) {
-			sh.order.MoveToFront(el)
-			v := e.val
-			sh.mu.Unlock()
-			c.hits.Add(1)
-			return v, true
-		}
-		// 64-bit collision between different payloads: evict and reparse.
-		sh.order.Remove(el)
-		delete(sh.entries, key)
-	}
-	sh.mu.Unlock()
-	c.misses.Add(1)
-
-	// Parse outside the shard lock; the result is deterministic, so a
-	// concurrent double-parse of the same payload is merely wasted work.
-	// Parse from a private copy: the interned ParsedTx (and the entry's
-	// comparison payload) must alias only tx-sized bytes, not the whole
-	// block buffer payloadBytes was sliced from — an LRU survivor would
-	// otherwise pin one full block allocation per entry.
-	own := append([]byte(nil), payloadBytes...) // bmaclint:allow allocbound (miss path: private tx-sized copy, see comment above)
-	v := ParseTx(own)
-
-	sh.mu.Lock()
-	if _, ok := sh.entries[key]; !ok {
-		sh.entries[key] = sh.order.PushFront(&parseEntry{key: key, payload: own, val: v}) // bmaclint:allow allocbound (miss path: one cache insert per new payload)
-		if sh.order.Len() > sh.capacity {
-			oldest := sh.order.Back()
-			sh.order.Remove(oldest)
-			delete(sh.entries, oldest.Value.(*parseEntry).key)
-		}
-	}
-	sh.mu.Unlock()
-	return v, false
+	return c.table().Get(payloadBytes, ParseTx)
 }
 
 // Stats reports cumulative hits and misses.
-func (c *ParseCache) Stats() (hits, misses int64) {
-	if c == nil {
-		return 0, 0
-	}
-	return c.hits.Load(), c.misses.Load()
-}
+func (c *ParseCache) Stats() (hits, misses int64) { return c.table().Stats() }
 
 // HitRate reports hits / (hits + misses), 0 when empty or nil.
-func (c *ParseCache) HitRate() float64 {
-	if c == nil {
-		return 0
-	}
-	h, m := c.hits.Load(), c.misses.Load()
-	if h+m == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+m)
-}
+func (c *ParseCache) HitRate() float64 { return c.table().HitRate() }

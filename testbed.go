@@ -31,22 +31,17 @@ type (
 	SplitPayWorkload = client.SplitPayWorkload
 )
 
-// BlockOutcome gathers the validation results of one block from all three
-// peers — SW (sequential software), Par (parallel pipelined software) and
-// HW (BMac) — with the §4.1 cross-check verdict.
+// BlockOutcome gathers the validation results of one block from both
+// validator peers — SW (the software validator) and HW (BMac) — with the
+// §4.1 cross-check verdict.
 type BlockOutcome struct {
 	BlockNum uint64
 	TxCount  int
 	SW       peer.CommitResult
-	Par      peer.CommitResult
 	HW       peer.CommitResult
-	// Match reports whether flags and commit hash agree across all three
+	// Match reports whether flags and commit hash agree between the two
 	// peers (the paper found no mismatches; neither should you).
 	Match bool
-	// HWMatch and ParMatch break the verdict down per peer pair
-	// (sequential-vs-BMac and sequential-vs-parallel).
-	HWMatch  bool
-	ParMatch bool
 }
 
 // Testbed is a complete in-process BMac network, the programmatic
@@ -57,8 +52,7 @@ type Testbed struct {
 	Config    *Config
 	Network   *identity.Network
 	Endorsers []*endorser.Endorser
-	SWPeer    *peer.Peer // the paper's sw_validator: the engine at the testbed's fixed vscc worker count
-	ParPeer   *peer.Peer // the same engine sized and prefetched by the pipeline section
+	SWPeer    *peer.Peer // the paper's sw_validator: the engine at 4 vscc workers, over the statedb section's backend
 	BMacPeer  *peer.BMacPeer
 	Orderer   *orderer.Orderer
 
@@ -100,33 +94,25 @@ func NewTestbed(cfg *Config, dir string) (_ *Testbed, err error) {
 		}
 	}()
 
-	// Validator peers, durable per the config: reopening a testbed
-	// directory replays each peer's ledger (on top of its checkpoints) so
-	// the peers resume at their previous height.
-	dopts := cluster.DurableOptions(cfg.Durability)
+	// The software validator peer, durable per the config: reopening a
+	// testbed directory replays its ledger (on top of its checkpoints) so
+	// it resumes at its previous height. It runs over the configured
+	// statedb backend (memory or hybrid hardware/host), so with a hybrid
+	// one every block is also a cross-backend check against BMac's
+	// in-hardware database.
 	valCfg, err := cfg.ValidatorConfig(4)
 	if err != nil {
 		return nil, err
 	}
-	if tb.SWPeer, err = peer.Open(valCfg, statedb.NewStore(), filepath.Join(dir, "sw_validator"), dopts); err != nil {
-		return nil, err
-	}
-	pipeCfg, err := cfg.PipelineConfig()
+	kvs, err := cfg.NewKVS()
 	if err != nil {
 		return nil, err
 	}
-	// The parallel peer runs over the configured statedb backend (memory or
-	// hybrid hardware/host); the sequential peer stays on the
-	// plain store, so every block is also a cross-backend differential check.
-	parKVS, err := cfg.NewKVS()
-	if err != nil {
-		return nil, err
-	}
-	if tb.ParPeer, err = peer.Open(pipeCfg, parKVS, filepath.Join(dir, "par_validator"), dopts); err != nil {
+	if tb.SWPeer, err = peer.Open(valCfg, kvs, filepath.Join(dir, "sw_validator"), cluster.DurableOptions(cfg.Durability)); err != nil {
 		return nil, err
 	}
 
-	// The three-way cross-check must see every block in order, so it is
+	// The cross-check must see every block in order, so it is
 	// the orderer's delivery hook itself: the orderer hands over the next
 	// block only once the cross-check has taken this one, and an undrained
 	// Outcomes channel throttles it (and through raft's bounded apply
@@ -136,32 +122,15 @@ func NewTestbed(cfg *Config, dir string) (_ *Testbed, err error) {
 }
 
 // deliver is the orderer's delivery hook: BMac protocol first (§3.5), then
-// the two software peers, then the three-way cross-check and committer
-// updates.
+// the software peer, then the cross-check and committer updates.
 func (tb *Testbed) deliver(b *block.Block) error {
 	if _, err := tb.stack.Sender.SendBlock(b); err != nil {
 		return err
 	}
-	// The two software peers are independent (own stores, own ledgers):
-	// validate concurrently so delivery pays max(sw, par), not the sum.
-	type parOut struct {
-		res peer.CommitResult
-		err error
-	}
-	parCh := make(chan parOut, 1)
-	go func() {
-		res, err := tb.ParPeer.CommitBlock(b)
-		parCh <- parOut{res, err}
-	}()
 	swRes, err := tb.SWPeer.CommitBlock(b)
-	par := <-parCh
 	if err != nil {
 		return err
 	}
-	if par.err != nil {
-		return par.err
-	}
-	parRes := par.res
 	hwRes, ok := <-tb.BMacPeer.Results()
 	if !ok {
 		return errors.New("bmac: hardware peer stopped")
@@ -177,14 +146,10 @@ func (tb *Testbed) deliver(b *block.Block) error {
 		BlockNum: b.Header.Number,
 		TxCount:  len(b.Envelopes),
 		SW:       swRes,
-		Par:      parRes,
 		HW:       hwRes,
-		HWMatch: block.FlagsEqual(swRes.Flags, hwRes.Flags) &&
+		Match: block.FlagsEqual(swRes.Flags, hwRes.Flags) &&
 			string(swRes.CommitHash) == string(hwRes.CommitHash),
-		ParMatch: block.FlagsEqual(swRes.Flags, parRes.Flags) &&
-			string(swRes.CommitHash) == string(parRes.CommitHash),
 	}
-	outcome.Match = outcome.HWMatch && outcome.ParMatch
 	select {
 	case tb.outcomes <- outcome:
 	case <-tb.stop:
@@ -214,22 +179,22 @@ func (tb *Testbed) NewClient(w Workload, seed int64) (*client.Driver, error) {
 }
 
 // Bootstrap seeds the genesis state for a workload in every store:
-// endorsers, both software peers and the BMac peer's in-hardware database.
+// endorsers, the software peer and the BMac peer's in-hardware database.
 func (tb *Testbed) Bootstrap(w Workload) error {
-	return tb.stack.Bootstrap(w, tb.SWPeer.Engine.Store(), tb.ParPeer.Engine.Store())
+	return tb.stack.Bootstrap(w, tb.SWPeer.Engine.Store())
 }
 
-// ParallelBackendSummary describes the parallel peer's state-database
-// backend and, for a hybrid backend, its cache behaviour and prefetch
-// volume — the operational view of the §5 scaling proposal.
-func (tb *Testbed) ParallelBackendSummary() string {
-	switch kvs := tb.ParPeer.Engine.Store().(type) {
+// BackendSummary describes the software peer's state-database backend and,
+// for a hybrid backend, its cache behaviour and prefetch volume — the
+// operational view of the §5 scaling proposal.
+func (tb *Testbed) BackendSummary() string {
+	switch kvs := tb.SWPeer.Engine.Store().(type) {
 	case *statedb.HybridKVS:
 		hits, misses, evictions, hostReads, hostWrites := kvs.Stats()
 		return fmt.Sprintf(
 			"hybrid (capacity %d): %.1f%% hit rate (%d hits, %d misses, %d evictions), host %d reads / %d writes, %d keys prefetched",
 			kvs.Capacity(), kvs.HitRate()*100, hits, misses, evictions,
-			hostReads, hostWrites, tb.ParPeer.Engine.PrefetchedKeys())
+			hostReads, hostWrites, tb.SWPeer.Engine.PrefetchedKeys())
 	default:
 		reads, writes := kvs.AccessCounts()
 		return fmt.Sprintf("memory: %d reads, %d writes", reads, writes)
@@ -284,11 +249,8 @@ func (tb *Testbed) Close() error {
 		if err := tb.stack.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		for _, p := range []*peer.Peer{tb.ParPeer, tb.SWPeer} {
-			if p == nil {
-				continue
-			}
-			if err := p.Close(); err != nil && firstErr == nil {
+		if tb.SWPeer != nil {
+			if err := tb.SWPeer.Close(); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
