@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"bmac/internal/block"
 )
 
 func TestDefaultConfigValid(t *testing.T) {
@@ -175,6 +177,43 @@ func TestTestbedSmallbankEndToEnd(t *testing.T) {
 	}
 	if tb.SWPeer.Ledger.Height() != tb.BMacPeer.Ledger.Height() {
 		t.Error("ledger heights diverge")
+	}
+}
+
+// TestTestbedRenamedOrgs runs the testbed with its orgs named Acme and
+// Globex. Who may endorse is the consortium the configuration declares,
+// whatever its orgs are called, so both peers find every transaction valid.
+// Each transaction is awaited before the next is sent, so none reads a
+// version a block in flight is about to change.
+func TestTestbedRenamedOrgs(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Orgs[0].Name, cfg.Orgs[1].Name = "Acme", "Globex"
+	tb, err := NewTestbed(cfg, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	w := SmallbankWorkload{Accounts: 20}
+	if err := tb.Bootstrap(w); err != nil {
+		t.Fatal(err)
+	}
+	driver, err := tb.NewClient(w, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if err := driver.Run(1); err != nil {
+			t.Fatal(err)
+		}
+		outcomes, err := tb.AwaitTxs(1, 20*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range outcomes {
+			if !o.Match || block.CountValid(o.SW.Flags) != o.TxCount {
+				t.Errorf("block %d: match %v\n  sw flags: %v\n  hw flags: %v", o.BlockNum, o.Match, o.SW.Flags, o.HW.Flags)
+			}
+		}
 	}
 }
 

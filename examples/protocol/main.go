@@ -26,7 +26,7 @@ func main() {
 
 func run() error {
 	// A 2-org network: client, orderer, two endorser peers.
-	net := identity.NewNetwork()
+	net := identity.NewNetwork([]byte("protocol example"))
 	for _, org := range []string{"Org1", "Org2"} {
 		if _, err := net.AddOrg(org); err != nil {
 			return err

@@ -21,7 +21,7 @@ type testNet struct {
 
 func newTestNet(t *testing.T) *testNet {
 	t.Helper()
-	n := identity.NewNetwork()
+	n := identity.NewNetwork([]byte(t.Name()))
 	for _, org := range []string{"Org1", "Org2"} {
 		if _, err := n.AddOrg(org); err != nil {
 			t.Fatal(err)
@@ -375,7 +375,7 @@ func BenchmarkBlockUnmarshal(b *testing.B) {
 
 func newTestNetB(b *testing.B) *testNet {
 	b.Helper()
-	n := identity.NewNetwork()
+	n := identity.NewNetwork([]byte(b.Name()))
 	for _, org := range []string{"Org1", "Org2"} {
 		if _, err := n.AddOrg(org); err != nil {
 			b.Fatal(err)

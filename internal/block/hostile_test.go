@@ -14,7 +14,7 @@ import (
 // hostile mutation below starts from.
 func hostileBlockBytes(t testing.TB) []byte {
 	t.Helper()
-	n := identity.NewNetwork()
+	n := identity.NewNetwork([]byte(t.Name()))
 	if _, err := n.AddOrg("Org1"); err != nil {
 		t.Fatal(err)
 	}

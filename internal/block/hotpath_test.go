@@ -11,7 +11,7 @@ import (
 // testBlock builds a small signed block via the regular builder path.
 func testBlock(t testing.TB, txs int) *Block {
 	t.Helper()
-	net := identity.NewNetwork()
+	net := identity.NewNetwork([]byte(t.Name()))
 	if _, err := net.AddOrg("Org1"); err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ type fixture struct {
 
 func newFixture(t testing.TB) *fixture {
 	t.Helper()
-	n := identity.NewNetwork()
+	n := identity.NewNetwork([]byte(t.Name()))
 	for _, org := range []string{"Org1", "Org2"} {
 		if _, err := n.AddOrg(org); err != nil {
 			t.Fatal(err)
@@ -397,8 +397,8 @@ func TestNonBMacTrafficForwarded(t *testing.T) {
 func TestUDPTransport(t *testing.T) {
 	f := newFixture(t)
 	// Fresh receiver over real UDP loopback.
-	recvCache := identity.NewCache()
-	if err := recvCache.Preload(f.net); err != nil {
+	recvCache, err := f.net.Members()
+	if err != nil {
 		t.Fatal(err)
 	}
 	bufs := NewBuffers()

@@ -97,7 +97,7 @@ func NewAdversary(opts AdversaryOptions, ord OrderSubmitter) (*Adversary, error)
 	if opts.PoolSize <= 0 {
 		opts.PoolSize = 4
 	}
-	net := identity.NewNetwork()
+	net := identity.NewNetwork([]byte("chaos adversary"))
 	if _, err := net.AddOrg("Mallory"); err != nil {
 		return nil, fmt.Errorf("chaos: adversary org: %w", err)
 	}

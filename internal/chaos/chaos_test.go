@@ -87,7 +87,7 @@ func TestDiskFaultCadence(t *testing.T) {
 // bit-flipped, and — the aliasing regression — the corruption happens in
 // a private copy, never in the delivery item's shared marshaled bytes.
 func TestCorrupterCadenceAndAliasing(t *testing.T) {
-	idnet := identity.NewNetwork()
+	idnet := identity.NewNetwork([]byte(t.Name()))
 	if _, err := idnet.AddOrg("Org1"); err != nil {
 		t.Fatal(err)
 	}

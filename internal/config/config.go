@@ -152,13 +152,14 @@ type Config struct {
 	Durability DurabilitySpec
 	Telemetry  TelemetrySpec
 
-	// caches memoizes the shared verification/parse caches behind a
-	// pointer, so copying a Config (the cluster harness derives per-peer
-	// variants that way) shares the same instances instead of copying
-	// lock state. Every validator/pipeline configuration materialized
-	// from this Config — sequential, pipelined, BMac cross-check — uses
-	// the same caches, which is what makes a signature or envelope cost
-	// its decode exactly once per process.
+	// caches memoizes the shared verification/parse caches and the
+	// identity network behind a pointer, so copying a Config (the cluster
+	// harness derives per-peer variants that way) shares the same
+	// instances instead of copying lock state. Every validator/pipeline
+	// configuration materialized from this Config — sequential,
+	// pipelined, BMac cross-check — uses the same caches, which is what
+	// makes a signature or envelope cost its decode exactly once per
+	// process.
 	caches *hotCaches
 }
 
@@ -171,6 +172,9 @@ type hotCaches struct {
 	parse     *validator.ParseCache
 	regOnce   sync.Once
 	reg       *telemetry.Registry
+	netOnce   sync.Once
+	net       *identity.Network
+	netErr    error
 }
 
 func (c *Config) ensureCaches() *hotCaches {
@@ -485,6 +489,19 @@ func (c *Config) Validate() error {
 	if len(c.Orgs) > 255 {
 		return fmt.Errorf("%w: %d orgs exceed the 8-bit org id space", ErrInvalid, len(c.Orgs))
 	}
+	const perRole = 16 // an encoded ID's 4-bit node sequence number
+	seen := make(map[string]bool, len(c.Orgs))
+	for _, o := range c.Orgs {
+		switch {
+		case seen[o.Name]:
+			return fmt.Errorf("%w: org %q declared twice", ErrInvalid, o.Name)
+		case o.Orderers < 0 || o.Endorsers < 0 || o.Peers < 0 || o.Clients < 0:
+			return fmt.Errorf("%w: org %q has a negative node count", ErrInvalid, o.Name)
+		case o.Orderers > perRole || o.Endorsers+o.Peers > perRole || o.Clients > perRole:
+			return fmt.Errorf("%w: org %q declares more than %d orderers, peers or clients", ErrInvalid, o.Name, perRole)
+		}
+		seen[o.Name] = true
+	}
 	if len(c.Chaincodes) == 0 {
 		return fmt.Errorf("%w: no chaincodes", ErrInvalid)
 	}
@@ -599,11 +616,20 @@ func (c *Config) engineConfig(workers int, path string) (pipeline.Config, error)
 	if err != nil {
 		return pipeline.Config{}, err
 	}
+	net, err := c.BuildNetwork()
+	if err != nil {
+		return pipeline.Config{}, err
+	}
+	members, err := net.Members()
+	if err != nil {
+		return pipeline.Config{}, err
+	}
 	return pipeline.Config{
 		Workers:    workers,
 		Policies:   pols,
 		SigCache:   c.SigCache(),
 		CertCache:  c.CertCache(),
+		Members:    members,
 		ParseCache: c.ParseCache(),
 		Metrics:    telemetry.NewValidatorMetrics(c.TelemetryRegistry(), path),
 	}, nil
@@ -629,11 +655,24 @@ func (c *Config) HWSimConfig() hwsim.Config {
 	}
 }
 
-// BuildNetwork creates the identity network declared by the configuration:
+// consortiumSeed, followed by the channel name, seeds the network
+// BuildNetwork derives.
+const consortiumSeed = "bmac consortium/"
+
+// BuildNetwork returns the identity network declared by the configuration:
 // organizations in declared order, then per org its orderers, endorser
-// peers, validator peers and clients.
+// peers, validator peers and clients. Its keys derive from a seed of the
+// channel name, so every Config with the same channel and orgs declares the
+// same consortium, byte for byte. It is built once per Config (and its
+// copies) and shared.
 func (c *Config) BuildNetwork() (*identity.Network, error) {
-	n := identity.NewNetwork()
+	h := c.ensureCaches()
+	h.netOnce.Do(func() { h.net, h.netErr = c.buildNetwork() })
+	return h.net, h.netErr
+}
+
+func (c *Config) buildNetwork() (*identity.Network, error) {
+	n := identity.NewNetwork([]byte(consortiumSeed + c.Channel))
 	for _, org := range c.Orgs {
 		if _, err := n.AddOrg(org.Name); err != nil {
 			return nil, err

@@ -1,12 +1,14 @@
 package config
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"bmac/internal/identity"
 	"bmac/internal/statedb"
 )
 
@@ -288,6 +290,84 @@ func TestBuildNetwork(t *testing.T) {
 	}
 	if _, err := n.LookupByName("orderer0.Org1"); err != nil {
 		t.Errorf("orderer0.Org1 missing: %v", err)
+	}
+}
+
+// TestConsortiumIsAFunctionOfTheConfig pins what lets a peer opened from a
+// configuration know who may endorse: two fresh configurations declare one
+// consortium, byte for byte, and the engine built from one resolves the
+// members of the other. Another channel declares another consortium; one
+// Config builds its network once.
+func TestConsortiumIsAFunctionOfTheConfig(t *testing.T) {
+	build := func(cfg *Config) *identity.Network {
+		t.Helper()
+		n, err := cfg.BuildNetwork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	cfg := Default()
+	a, b := build(cfg), build(Default())
+	if again := build(cfg); again != a {
+		t.Error("a second BuildNetwork on one Config built another network")
+	}
+	other := Default()
+	other.Channel = "ch2"
+	c := build(other)
+	ids, idsB, idsC := a.Identities(), b.Identities(), c.Identities()
+	if len(ids) == 0 || len(idsB) != len(ids) || len(idsC) != len(ids) {
+		t.Fatalf("identities: %d, %d, %d", len(ids), len(idsB), len(idsC))
+	}
+	vc, err := Default().ValidatorConfig(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		if !bytes.Equal(id.Cert, idsB[i].Cert) || !id.PublicKey().Equal(idsB[i].PublicKey()) {
+			t.Errorf("%s: two fresh configs issued different certificates or keys", id.Name)
+		}
+		if bytes.Equal(id.Cert, idsC[i].Cert) || id.PublicKey().Equal(idsC[i].PublicKey()) {
+			t.Errorf("%s: another channel issued the same certificate or key", id.Name)
+		}
+		if got, ok := vc.Members.IDForCert(id.Cert); !ok || got != id.ID {
+			t.Errorf("%s: a fresh config's engine resolves it to %v, %v", id.Name, got, ok)
+		}
+	}
+}
+
+// TestOrgDeclarationsValidated: Validate rejects every org declaration
+// BuildNetwork cannot build, naming the org, and accepts the largest it can.
+func TestOrgDeclarationsValidated(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(*OrgSpec)
+		ok   bool
+	}{
+		{"duplicate name", func(o *OrgSpec) { o.Name = "Org1" }, false},
+		{"20 peers", func(o *OrgSpec) { o.Peers = 20 }, false},
+		{"17 clients", func(o *OrgSpec) { o.Clients = 17 }, false},
+		{"17 orderers", func(o *OrgSpec) { o.Orderers = 17 }, false},
+		{"10 endorsers and 7 peers", func(o *OrgSpec) { o.Endorsers, o.Peers = 10, 7 }, false},
+		{"-3 peers", func(o *OrgSpec) { o.Peers = -3 }, false},
+		{"-1 endorsers", func(o *OrgSpec) { o.Endorsers = -1 }, false},
+		{"16 of each role", func(o *OrgSpec) { o.Endorsers, o.Peers, o.Clients, o.Orderers = 6, 10, 16, 16 }, true},
+	}
+	for _, tc := range cases {
+		cfg := Default()
+		tc.edit(&cfg.Orgs[1])
+		err := cfg.Validate()
+		if tc.ok {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			} else if _, err := cfg.BuildNetwork(); err != nil {
+				t.Errorf("%s: valid, but BuildNetwork: %v", tc.name, err)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), `"`+cfg.Orgs[1].Name+`"`) {
+			t.Errorf("%s: err = %v, want ErrInvalid naming org %q", tc.name, err, cfg.Orgs[1].Name)
+		}
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 // equivalence checks.
 type rig struct {
 	net     *identity.Network
+	members *identity.Cache // net's consortium, for the software validator
 	client  *identity.Identity
 	orderer *identity.Identity
 	peers   []*identity.Identity
@@ -56,7 +57,7 @@ func newRig(t testing.TB, orgs int, pol string, cfg Config) *rig {
 // FIFOs for the test to take out.
 func newWire(t testing.TB, orgs int) *rig {
 	t.Helper()
-	n := identity.NewNetwork()
+	n := identity.NewNetwork([]byte(t.Name()))
 	r := &rig{net: n}
 	for i := 1; i <= orgs; i++ {
 		org := "Org" + string(rune('0'+i))
@@ -76,6 +77,9 @@ func newWire(t testing.TB, orgs int) *rig {
 	}
 	r.orderer, err = n.NewIdentity("Org1", identity.RoleOrderer)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if r.members, err = n.Members(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -324,6 +328,7 @@ func TestSoftwareHardwareEquivalence(t *testing.T) {
 	sw := pipeline.New(pipeline.Config{
 		Workers:  4,
 		Policies: map[string]*policy.Policy{"smallbank": policytest.MustParse("2of3")},
+		Members:  r.members,
 	}, statedb.NewStore(), swLed)
 
 	ends3 := []*identity.Identity{r.peers[0], r.peers[1], r.peers[2]}
@@ -472,6 +477,7 @@ func TestOversizeSignatureComponentAllPaths(t *testing.T) {
 		eng := pipeline.New(pipeline.Config{
 			Workers:  workers,
 			Policies: map[string]*policy.Policy{"smallbank": policytest.MustParse("2of2")},
+			Members:  r.members,
 		}, statedb.NewStore(), nil)
 		res, err := eng.ValidateAndCommit(raw)
 		eng.Close()
@@ -565,6 +571,7 @@ func TestExtraDERElementAllPaths(t *testing.T) {
 		eng := pipeline.New(pipeline.Config{
 			Workers:  workers,
 			Policies: map[string]*policy.Policy{"smallbank": policytest.MustParse("2of2")},
+			Members:  r.members,
 		}, statedb.NewStore(), nil)
 		for n, b := range blocks {
 			res, err := eng.ValidateAndCommit(block.Marshal(b))
@@ -636,6 +643,7 @@ func TestCertificateInWriteValueAllPaths(t *testing.T) {
 		eng := pipeline.New(pipeline.Config{
 			Workers:  workers,
 			Policies: map[string]*policy.Policy{"smallbank": policytest.MustParse("2of2")},
+			Members:  r.members,
 		}, statedb.NewStore(), nil)
 		res, err := eng.ValidateAndCommit(raw)
 		eng.Close()

@@ -15,10 +15,26 @@ import (
 // TestRandomizedDifferential is a randomized differential test between the
 // software validator and the BMac pipeline: many blocks with random
 // mixtures of valid transactions, bad client signatures, bad endorsements,
-// missing endorsements and mvcc conflicts, across several policies and
-// architectures. Any divergence in flags or committed state fails.
+// outsider endorsements, missing endorsements and mvcc conflicts, across
+// several policies and architectures. Any divergence in flags or committed
+// state fails. An outsider is a peer a second seed's network issued under
+// the replaced endorser's own org name: its subject is a member's, its
+// certificate is not.
 func TestRandomizedDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20220106))
+	outsiderNet := identity.NewNetwork([]byte("outsider"))
+	var outsiders []*identity.Identity // outsiders[j] is peer0 of r.peers[j]'s org
+	for i := 1; i <= 4; i++ {
+		org := "Org" + string(rune('0'+i))
+		if _, err := outsiderNet.AddOrg(org); err != nil {
+			t.Fatal(err)
+		}
+		p, err := outsiderNet.NewIdentity(org, identity.RolePeer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outsiders = append(outsiders, p)
+	}
 	policies := []string{"1of1", "2of2", "2of3", "3of3"}
 	archs := []Config{
 		{TxValidators: 1, VSCCEngines: 1},
@@ -36,6 +52,7 @@ func TestRandomizedDifferential(t *testing.T) {
 			sw := pipeline.New(pipeline.Config{
 				Workers:  3,
 				Policies: map[string]*policy.Policy{"smallbank": pol},
+				Members:  r.members,
 			}, statedb.NewStore(), nil)
 
 			for blockNum := uint64(0); blockNum < 3; blockNum++ {
@@ -53,11 +70,14 @@ func TestRandomizedDifferential(t *testing.T) {
 						Channel:   "ch1",
 						Endorsers: endorsers,
 					}
-					switch rng.Intn(5) {
+					switch rng.Intn(6) {
 					case 0:
 						spec.CorruptClientSig = true
 					case 1:
 						spec.CorruptEndorsementIdx = 1 + rng.Intn(len(endorsers))
+					case 2:
+						j := rng.Intn(len(endorsers))
+						endorsers[j] = outsiders[j]
 					}
 					// Random rw sets; occasional deliberate conflicts via
 					// shared "hot" keys within the block.

@@ -15,7 +15,7 @@ import (
 
 func makeBlock(t testing.TB, num uint64) *block.Block {
 	t.Helper()
-	n := identity.NewNetwork()
+	n := identity.NewNetwork([]byte(t.Name()))
 	if _, err := n.AddOrg("Org1"); err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestConcurrentPublishAndStats(t *testing.T) {
 // a fresh ledger (the orderer's ledger of the catch-up path).
 func makeChain(t *testing.T, n int) (*ledger.Ledger, []*block.Block) {
 	t.Helper()
-	net := identity.NewNetwork()
+	net := identity.NewNetwork([]byte(t.Name()))
 	if _, err := net.AddOrg("Org1"); err != nil {
 		t.Fatal(err)
 	}
@@ -577,7 +577,7 @@ func TestRewindDeadPipeReportsError(t *testing.T) {
 // uses errors.Is on PeerStats.Err to tell "range gone for good, restart
 // from a checkpoint" apart from a transient source failure.
 func TestCatchUpFromPrunedArchiveSurfacesErrPruned(t *testing.T) {
-	net := identity.NewNetwork()
+	net := identity.NewNetwork([]byte(t.Name()))
 	if _, err := net.AddOrg("Org1"); err != nil {
 		t.Fatal(err)
 	}

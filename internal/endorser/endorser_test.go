@@ -21,7 +21,7 @@ type fixture struct {
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
-	n := identity.NewNetwork()
+	n := identity.NewNetwork([]byte(t.Name()))
 	for _, org := range []string{"Org1", "Org2"} {
 		if _, err := n.AddOrg(org); err != nil {
 			t.Fatal(err)

@@ -23,6 +23,7 @@ import (
 // policy in Figure 12) with one peer per org, a client and an orderer.
 type Env struct {
 	Net     *identity.Network
+	Members *identity.Cache // Net's consortium, for the engines that validate its blocks
 	Client  *identity.Identity
 	Orderer *identity.Identity
 	Peers   []*identity.Identity // Peers[i] belongs to Org(i+1)
@@ -33,7 +34,7 @@ type Env struct {
 
 // NewEnv builds the fixture.
 func NewEnv() (*Env, error) {
-	n := identity.NewNetwork()
+	n := identity.NewNetwork([]byte("experiments"))
 	e := &Env{Net: n, blockCache: make(map[string]*block.Block)}
 	for i := 1; i <= 4; i++ {
 		org := fmt.Sprintf("Org%d", i)
@@ -51,6 +52,9 @@ func NewEnv() (*Env, error) {
 		return nil, err
 	}
 	if e.Orderer, err = n.NewIdentity("Org1", identity.RoleOrderer); err != nil {
+		return nil, err
+	}
+	if e.Members, err = n.Members(); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -133,6 +137,7 @@ func (e *Env) MeasureSW(spec BlockSpec, pol string, workers, rounds int) (valida
 		v := pipeline.New(pipeline.Config{
 			Workers:  workers,
 			Policies: map[string]*policy.Policy{"smallbank": p},
+			Members:  e.Members,
 		}, statedb.NewStore(), nil) // no ledger: §4.2 excludes its commit from the metrics
 		res, err := v.ValidateAndCommit(raw)
 		v.Close()

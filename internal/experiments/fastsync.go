@@ -116,7 +116,7 @@ func FigFastSync(opts Options) (*metrics.Table, error) {
 		rounds = 3
 	}
 
-	net := identity.NewNetwork()
+	net := identity.NewNetwork([]byte("fastsync"))
 	if _, err := net.AddOrg("Org1"); err != nil {
 		return nil, err
 	}
@@ -136,7 +136,11 @@ func FigFastSync(opts Options) (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := pipeline.Config{Workers: 2, Policies: map[string]*policy.Policy{"cc": pol}}
+	members, err := net.Members()
+	if err != nil {
+		return nil, err
+	}
+	cfg := pipeline.Config{Workers: 2, Policies: map[string]*policy.Policy{"cc": pol}, Members: members}
 
 	root, err := os.MkdirTemp("", "bmac-fastsync-*")
 	if err != nil {

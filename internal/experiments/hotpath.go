@@ -192,7 +192,7 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	// --- End-to-end block validation: every verdict cache off vs on. ---
 	validate := func(sc *fabcrypto.SigCache, cc *fabcrypto.CertCache, pc *validator.ParseCache, tm *telemetry.ValidatorMetrics) error {
 		v := pipeline.New(pipeline.Config{
-			Workers: 1, Policies: pols,
+			Workers: 1, Policies: pols, Members: e.Members,
 			SigCache: sc, CertCache: cc, ParseCache: pc, Metrics: tm,
 		}, statedb.NewStore(), nil)
 		res, err := v.ValidateAndCommit(raw)
@@ -256,7 +256,7 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	}
 	defer os.RemoveAll(ledgerDir)
 	p, err := peer.Open(pipeline.Config{
-		Workers: 1, Policies: pols,
+		Workers: 1, Policies: pols, Members: e.Members,
 		SigCache: sc, CertCache: cc, ParseCache: pc,
 	}, statedb.NewStore(), ledgerDir, peer.DurableOptions{})
 	if err != nil {
@@ -555,7 +555,7 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 // registerFillers enrols n more identities with s, from a network of their
 // own (an org issues at most 16 per role) under ids above any real org's.
 func registerFillers(s *bmacproto.Sender, n int) error {
-	filler := identity.NewNetwork()
+	filler := identity.NewNetwork([]byte("fillers"))
 	for i := 0; i < n; i++ {
 		org := fmt.Sprintf("Filler%d", i/16)
 		if i%16 == 0 {

@@ -178,7 +178,7 @@ func (e *Env) MeasureHybrid(spec HybridSpec) (HybridPoint, error) {
 	run := func(kvs statedb.KVS) (float64, *pipeline.Engine, error) {
 		eng := pipeline.New(pipeline.Config{
 			Workers: spec.Workers, Policies: pols, PrefetchWorkers: spec.PrefetchWorkers,
-			SigCache: sc, ParseCache: pc,
+			SigCache: sc, ParseCache: pc, Members: e.Members,
 		}, kvs, nil)
 		start := time.Now()
 		collectRef := refFlags == nil // first run records the reference verdicts

@@ -2,32 +2,30 @@ package fabcrypto
 
 import (
 	"crypto/ecdsa"
-	"crypto/x509"
 
 	"bmac/internal/intern"
 )
 
-// CertCache is a sharded, bounded LRU cache of parsed X.509 identity
-// certificates. Profiling the software validator shows x509.ParseCertificate
+// CertCache is a sharded, bounded LRU cache of the public keys of X.509
+// identity certificates. Profiling the software validator shows x509.ParseCertificate
 // rivals the ECDSA math itself in allocations, and the same handful of
 // identity certificates (creator, endorsers, orderer) recurs in every
 // transaction of every block — the same observation that makes Fabric's MSP
 // cache deserialized identities. A hit costs one fast hash + lookup and
-// returns the interned *x509.Certificate and its ECDSA public key.
+// returns the interned ECDSA public key.
 //
 // It is an intern.Table keyed by the DER bytes: a hash collision degrades
-// to a miss, never to a wrong certificate, and a certificate is parsed from
-// the table's private copy of its DER, so cached entries never pin a block
+// to a miss, never to a wrong key, and a certificate is parsed from the
+// table's private copy of its DER, so cached entries never pin a block
 // buffer.
 //
 // A nil *CertCache is valid and means "disabled": every call parses.
 type CertCache intern.Table[certEntry]
 
-// certEntry is one interned certificate: its parse and its ECDSA key.
+// certEntry is one interned certificate: its ECDSA key, or why it has none.
 type certEntry struct {
-	cert *x509.Certificate
-	pub  *ecdsa.PublicKey // nil for a certificate without an ECDSA key
-	err  error
+	pub *ecdsa.PublicKey
+	err error
 }
 
 // NewCertCache creates a cache bounded to roughly `size` certificates.
@@ -38,35 +36,18 @@ func NewCertCache(size int) *CertCache {
 
 func parseCertEntry(der []byte) certEntry {
 	var e certEntry
-	e.cert, e.err = ParseCertificate(der)
-	if e.err == nil {
-		e.pub, _ = e.cert.PublicKey.(*ecdsa.PublicKey)
-	}
+	e.pub, e.err = PublicKeyFromCert(der)
 	return e
 }
 
 func (c *CertCache) table() *intern.Table[certEntry] { return (*intern.Table[certEntry])(c) }
-
-// ParseCertificate returns the interned parse of a DER certificate,
-// parsing and caching on first sight. The returned certificate is shared
-// and must be treated as read-only. A nil receiver parses directly.
-func (c *CertCache) ParseCertificate(der []byte) (*x509.Certificate, error) {
-	e, _ := c.table().Get(der, parseCertEntry)
-	return e.cert, e.err
-}
 
 // PublicKeyFromCert returns the interned ECDSA public key of a DER
 // certificate, mirroring the package-level PublicKeyFromCert (including
 // its error for non-ECDSA keys). A nil receiver parses directly.
 func (c *CertCache) PublicKeyFromCert(der []byte) (*ecdsa.PublicKey, error) {
 	e, _ := c.table().Get(der, parseCertEntry)
-	if e.err != nil {
-		return nil, e.err
-	}
-	if e.pub == nil {
-		return nil, errNotECDSA(e.cert)
-	}
-	return e.pub, nil
+	return e.pub, e.err
 }
 
 // Stats reports cumulative hits and misses.

@@ -22,12 +22,15 @@ package fabcrypto
 
 import (
 	"crypto"
+	"crypto/ecdh"
 	"crypto/ecdsa"
 	"crypto/elliptic"
+	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
 	"crypto/x509"
 	"crypto/x509/pkix"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash"
@@ -106,6 +109,31 @@ func NewSigner() (*Signer, error) {
 		return nil, fmt.Errorf("generate P-256 key: %w", err)
 	}
 	return &Signer{priv: priv}, nil
+}
+
+// DeriveSigner derives a P-256 key pair from seed and name: the scalar is
+// HMAC-SHA256(seed, name‖counter), a big-endian uint32 counter from 0 that
+// moves on while crypto/ecdh rejects the output (0 or ≥ n). One seed and
+// name always give the same key.
+func DeriveSigner(seed []byte, name string) *Signer {
+	for ctr := uint32(0); ; ctr++ {
+		mac := hmac.New(sha256.New, seed)
+		mac.Write(binary.BigEndian.AppendUint32([]byte(name), ctr))
+		d := mac.Sum(nil)
+		k, err := ecdh.P256().NewPrivateKey(d)
+		if err != nil {
+			continue
+		}
+		pub := k.PublicKey().Bytes() // 0x04 ‖ X ‖ Y
+		return &Signer{priv: &ecdsa.PrivateKey{
+			PublicKey: ecdsa.PublicKey{
+				Curve: elliptic.P256(),
+				X:     new(big.Int).SetBytes(pub[1 : 1+ScalarSize]),
+				Y:     new(big.Int).SetBytes(pub[1+ScalarSize:]),
+			},
+			D: new(big.Int).SetBytes(d),
+		}}
+	}
 }
 
 // Public returns the signer's public key.
@@ -281,10 +309,12 @@ type CertTemplate struct {
 }
 
 // IssueCertificate creates a DER-encoded X.509 certificate for subjectPub,
-// signed by issuerKey (self-signed when issuer == nil). Fabric identities
-// are X.509 certificates of roughly 860 bytes; the subject fields here are
-// sized to land in that range so the protocol bandwidth experiments
-// (Figure 9a) see realistic identity weight.
+// signed by issuerKey (self-signed when issuer == nil). It draws no
+// randomness: the signature is RFC 6979's, so one template and key pair
+// always give the same bytes. Fabric identities are X.509 certificates of
+// roughly 860 bytes; the subject fields here are sized to land in that
+// range so the protocol bandwidth experiments (Figure 9a) see realistic
+// identity weight.
 func IssueCertificate(tmpl CertTemplate, subjectPub *ecdsa.PublicKey,
 	issuer *x509.Certificate, issuerKey *ecdsa.PrivateKey) ([]byte, error) {
 	notBefore := tmpl.NotBefore
@@ -318,7 +348,7 @@ func IssueCertificate(tmpl CertTemplate, subjectPub *ecdsa.PublicKey,
 	if parent == nil {
 		parent = template // self-signed
 	}
-	der, err := x509.CreateCertificate(rand.Reader, template, parent, subjectPub, issuerKey)
+	der, err := x509.CreateCertificate(nil, template, parent, subjectPub, issuerKey)
 	if err != nil {
 		return nil, fmt.Errorf("create certificate %q: %w", tmpl.CommonName, err)
 	}

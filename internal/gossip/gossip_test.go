@@ -13,7 +13,7 @@ import (
 
 func makeBlock(t testing.TB, num uint64, txs int) *block.Block {
 	t.Helper()
-	n := identity.NewNetwork()
+	n := identity.NewNetwork([]byte(t.Name()))
 	if _, err := n.AddOrg("Org1"); err != nil {
 		t.Fatal(err)
 	}

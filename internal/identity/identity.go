@@ -10,12 +10,20 @@
 //	bits  3..0  node sequence number within its organization
 //
 // e.g. Org1.Peer0 encodes as org=1, role=peer, seq=0.
+//
+// A Network is a function of its seed: every CA and member key is derived
+// from the seed and the identity's name (fabcrypto.DeriveSigner), and every
+// certificate is signed deterministically, so two networks built from one
+// seed through the same calls are byte-identical. Validators learn who may
+// endorse from the Cache a network preloads (Members), never from a
+// certificate's subject names.
 package identity
 
 import (
 	"crypto/ecdsa"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -132,6 +140,7 @@ type Org struct {
 // It acts as the membership service provider: it issues certificates and
 // maintains the canonical identity list used to initialize identity caches.
 type Network struct {
+	seed  []byte
 	mu    sync.RWMutex
 	orgs  map[string]*Org         // guarded by mu
 	byID  map[EncodedID]*Identity // guarded by mu
@@ -139,9 +148,10 @@ type Network struct {
 	order []EncodedID             // guarded by mu; issue order, for deterministic iteration
 }
 
-// NewNetwork creates an empty network.
-func NewNetwork() *Network {
+// NewNetwork creates an empty network whose keys derive from seed.
+func NewNetwork(seed []byte) *Network {
 	return &Network{
+		seed: slices.Clone(seed),
 		orgs: make(map[string]*Org),
 		byID: make(map[EncodedID]*Identity),
 		byCN: make(map[string]*Identity),
@@ -160,10 +170,7 @@ func (n *Network) AddOrg(name string) (*Org, error) {
 		return nil, fmt.Errorf("identity: org %q already exists", name)
 	}
 	num := uint8(len(n.orgs) + 1)
-	caKey, err := fabcrypto.NewSigner()
-	if err != nil {
-		return nil, fmt.Errorf("org %s CA key: %w", name, err)
-	}
+	caKey := fabcrypto.DeriveSigner(n.seed, "ca."+name)
 	caCert, err := fabcrypto.IssueCertificate(fabcrypto.CertTemplate{
 		CommonName:   "ca." + name,
 		Organization: name,
@@ -200,11 +207,8 @@ func (n *Network) NewIdentity(orgName string, role Role) (*Identity, error) {
 	}
 	org.nextSeq[role] = seq + 1
 
-	signer, err := fabcrypto.NewSigner()
-	if err != nil {
-		return nil, fmt.Errorf("identity key: %w", err)
-	}
 	name := fmt.Sprintf("%s%d.%s", role, seq, orgName)
+	signer := fabcrypto.DeriveSigner(n.seed, name)
 	caCert, err := fabcrypto.ParseCertificate(org.caCert)
 	if err != nil {
 		return nil, err
@@ -266,6 +270,19 @@ func (n *Network) Identities() []*Identity {
 	return out
 }
 
+// Members returns a cache preloaded with every identity issued so far, as
+// the paper's setup script initializes the hardware cache from the YAML
+// configuration: the consortium a validator resolves endorsers against.
+func (n *Network) Members() (*Cache, error) {
+	c := NewCache()
+	for _, id := range n.Identities() {
+		if err := c.Put(id.ID, id.Cert); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
 // Cache is the identity cache shared between the BMac protocol sender
 // (DataRemover) and the hardware receiver (DataInserter). It maps full
 // certificates to encoded IDs and back. The sender half assigns IDs for
@@ -287,17 +304,6 @@ func NewCache() *Cache {
 		idToCert: make(map[EncodedID][]byte),
 		idToPub:  make(map[EncodedID]*ecdsa.PublicKey),
 	}
-}
-
-// Preload inserts every identity of a network; used to initialize the
-// hardware cache from the YAML configuration, as the paper's setup script does.
-func (c *Cache) Preload(n *Network) error {
-	for _, id := range n.Identities() {
-		if err := c.Put(id.ID, id.Cert); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Put inserts or updates the mapping id <-> cert. An id that moves to a
@@ -323,8 +329,13 @@ func (c *Cache) Put(id EncodedID, cert []byte) error {
 
 // IDForCert returns the encoded ID for a certificate, reporting whether the
 // certificate was present. Sender side of DataRemover, once per identity
-// field, and the receiver's per-endorsement lookup: a read lock only.
+// field, and the receiver's and the software validator's per-endorsement
+// lookup: a read lock only. A nil cache knows no certificate: the ID is 0,
+// which sets no policy register.
 func (c *Cache) IDForCert(cert []byte) (EncodedID, bool) {
+	if c == nil {
+		return 0, false
+	}
 	c.mu.RLock()
 	id, ok := c.certToID[string(cert)]
 	c.mu.RUnlock()

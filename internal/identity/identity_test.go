@@ -1,7 +1,9 @@
 package identity
 
 import (
+	"bytes"
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -45,7 +47,7 @@ func TestEncodedIDQuick(t *testing.T) {
 }
 
 func TestEncodedIDsUniqueAcrossNetwork(t *testing.T) {
-	n := NewNetwork()
+	n := NewNetwork([]byte(t.Name()))
 	orgs := []string{"Org1", "Org2", "Org3", "Org4"}
 	for _, org := range orgs {
 		if _, err := n.AddOrg(org); err != nil {
@@ -71,7 +73,7 @@ func TestEncodedIDsUniqueAcrossNetwork(t *testing.T) {
 }
 
 func TestNetworkIssueAndLookup(t *testing.T) {
-	n := NewNetwork()
+	n := NewNetwork([]byte(t.Name()))
 	if _, err := n.AddOrg("Org1"); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +102,7 @@ func TestNetworkIssueAndLookup(t *testing.T) {
 }
 
 func TestDuplicateOrgRejected(t *testing.T) {
-	n := NewNetwork()
+	n := NewNetwork([]byte(t.Name()))
 	if _, err := n.AddOrg("Org1"); err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +112,7 @@ func TestDuplicateOrgRejected(t *testing.T) {
 }
 
 func TestIdentityCertificateVerifies(t *testing.T) {
-	n := NewNetwork()
+	n := NewNetwork([]byte(t.Name()))
 	if _, err := n.AddOrg("Org1"); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +134,7 @@ func TestIdentityCertificateVerifies(t *testing.T) {
 }
 
 func TestCachePutLookup(t *testing.T) {
-	n := NewNetwork()
+	n := NewNetwork([]byte(t.Name()))
 	if _, err := n.AddOrg("Org1"); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +168,7 @@ func TestCachePutLookup(t *testing.T) {
 }
 
 func TestCachePreload(t *testing.T) {
-	n := NewNetwork()
+	n := NewNetwork([]byte(t.Name()))
 	for _, org := range []string{"Org1", "Org2"} {
 		if _, err := n.AddOrg(org); err != nil {
 			t.Fatal(err)
@@ -178,8 +180,8 @@ func TestCachePreload(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := NewCache()
-	if err := c.Preload(n); err != nil {
+	c, err := n.Members()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 4 {
@@ -199,7 +201,7 @@ func TestCacheRejectsGarbageCert(t *testing.T) {
 // reverse entry would strip the old bytes and the receiver would re-insert
 // the new certificate in their place.
 func TestCacheRePutDropsOldCertificate(t *testing.T) {
-	n := NewNetwork()
+	n := NewNetwork([]byte(t.Name()))
 	if _, err := n.AddOrg("Org1"); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +239,7 @@ func TestCacheRePutDropsOldCertificate(t *testing.T) {
 }
 
 func TestSequenceExhaustion(t *testing.T) {
-	n := NewNetwork()
+	n := NewNetwork([]byte(t.Name()))
 	if _, err := n.AddOrg("Org1"); err != nil {
 		t.Fatal(err)
 	}
@@ -253,4 +255,91 @@ func TestSequenceExhaustion(t *testing.T) {
 	if _, err := n.NewIdentity("Org1", RolePeer); err != nil {
 		t.Errorf("peer after client exhaustion: %v", err)
 	}
+}
+
+// TestNetworkIsAFunctionOfItsSeed: one seed and the same calls issue the
+// same certificates, byte for byte. Another seed issues others under the
+// same names, and none of them is a member of the first network.
+func TestNetworkIsAFunctionOfItsSeed(t *testing.T) {
+	build := func(seed string) []*Identity {
+		t.Helper()
+		n := NewNetwork([]byte(seed))
+		for _, org := range []string{"Org1", "Org2"} {
+			if _, err := n.AddOrg(org); err != nil {
+				t.Fatal(err)
+			}
+			for _, role := range []Role{RolePeer, RoleClient} {
+				if _, err := n.NewIdentity(org, role); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return n.Identities()
+	}
+	a, same, other := build("a"), build("a"), build("b")
+	members := NewCache()
+	for _, id := range a {
+		if err := members.Put(id.ID, id.Cert); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, id := range a {
+		if !bytes.Equal(id.Cert, same[i].Cert) {
+			t.Errorf("%s: one seed issued two certificates", id.Name)
+		}
+		if other[i].Name != id.Name || bytes.Equal(id.Cert, other[i].Cert) {
+			t.Errorf("%s: another seed issued %q with the same certificate", id.Name, other[i].Name)
+		}
+		if got, ok := members.IDForCert(other[i].Cert); ok {
+			t.Errorf("outsider %s resolves to member %s", other[i].Name, got)
+		}
+	}
+	var none *Cache
+	if got, ok := none.IDForCert(a[0].Cert); ok || got != 0 {
+		t.Errorf("nil cache resolves a certificate to %v, %v", got, ok)
+	}
+}
+
+// TestCacheConcurrentLookupAndPut reads the cache from 8 goroutines, as a
+// software validator's vscc workers do, while Put rewrites it; run under
+// -race. Every lookup of a certificate that is always present must hit.
+func TestCacheConcurrentLookupAndPut(t *testing.T) {
+	n := NewNetwork([]byte(t.Name()))
+	if _, err := n.AddOrg("Org1"); err != nil {
+		t.Fatal(err)
+	}
+	var ids []*Identity
+	for i := 0; i < 4; i++ {
+		id, err := n.NewIdentity("Org1", RolePeer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	c, err := n.Members()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stable := ids[0]
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				if got, ok := c.IDForCert(stable.Cert); !ok || got != stable.ID {
+					t.Errorf("IDForCert = %v, %v, want %s", got, ok, stable.ID)
+					return
+				}
+				c.IDForCert(ids[1+i%3].Cert)
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		moving := ids[1+i%3]
+		if err := c.Put(moving.ID, ids[1+(i+1)%3].Cert); err != nil {
+			t.Error(err)
+		}
+	}
+	wg.Wait()
 }

@@ -19,7 +19,7 @@ type fixture struct {
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
-	n := identity.NewNetwork()
+	n := identity.NewNetwork([]byte(t.Name()))
 	if _, err := n.AddOrg("Org1"); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestSyncEachBlock(t *testing.T) {
 }
 
 func BenchmarkLedgerCommit(b *testing.B) {
-	n := identity.NewNetwork()
+	n := identity.NewNetwork([]byte(b.Name()))
 	if _, err := n.AddOrg("Org1"); err != nil {
 		b.Fatal(err)
 	}

@@ -177,7 +177,7 @@ func TestEarlyCommitCompleted(t *testing.T) {
 // TestObserveBlock matches a real endorsed envelope back to its
 // submission via the tx id in the channel header.
 func TestObserveBlock(t *testing.T) {
-	n := identity.NewNetwork()
+	n := identity.NewNetwork([]byte(t.Name()))
 	if _, err := n.AddOrg("Org1"); err != nil {
 		t.Fatal(err)
 	}

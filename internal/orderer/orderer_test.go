@@ -21,7 +21,7 @@ type fixture struct {
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
-	n := identity.NewNetwork()
+	n := identity.NewNetwork([]byte(t.Name()))
 	if _, err := n.AddOrg("Org1"); err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestStopWithoutErrorReturnsNil(t *testing.T) {
 func TestRaftOrderingAcrossThreeOrderers(t *testing.T) {
 	// Multi-node ordering service: blocks are created identically on every
 	// node because Raft totally orders the batches.
-	n := identity.NewNetwork()
+	n := identity.NewNetwork([]byte(t.Name()))
 	if _, err := n.AddOrg("Org1"); err != nil {
 		t.Fatal(err)
 	}

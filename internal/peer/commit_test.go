@@ -20,7 +20,7 @@ import (
 // through it. The two peers still agree on every flag, commit hash and the
 // state.
 func TestCommitBlockLeavesCallerBlockUntouched(t *testing.T) {
-	net := identity.NewNetwork()
+	net := identity.NewNetwork([]byte(t.Name()))
 	if _, err := net.AddOrg("Org1"); err != nil {
 		t.Fatal(err)
 	}
@@ -29,12 +29,12 @@ func TestCommitBlockLeavesCallerBlockUntouched(t *testing.T) {
 	endorser, _ := net.NewIdentity("Org1", identity.RolePeer)
 	pols := map[string]*policy.Policy{"cc": policytest.MustParse("1of1")}
 
-	seqPeer, err := Open(fabric14(1, pols), statedb.NewStore(), t.TempDir(), DurableOptions{})
+	seqPeer, err := Open(fabric14(t, net, 1, pols), statedb.NewStore(), t.TempDir(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer seqPeer.Close()
-	parPeer, err := Open(fabric14(4, pols), statedb.NewStore(), t.TempDir(), DurableOptions{})
+	parPeer, err := Open(fabric14(t, net, 4, pols), statedb.NewStore(), t.TempDir(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

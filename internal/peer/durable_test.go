@@ -16,6 +16,7 @@ import (
 // chainFixture builds deterministic block chains with a mix of valid and
 // invalid transactions, so replay has real validation flags to honor.
 type chainFixture struct {
+	net     *identity.Network
 	client  *identity.Identity
 	orderer *identity.Identity
 	end     *identity.Identity
@@ -24,7 +25,7 @@ type chainFixture struct {
 
 func newChainFixture(t *testing.T) *chainFixture {
 	t.Helper()
-	net := identity.NewNetwork()
+	net := identity.NewNetwork([]byte(t.Name()))
 	if _, err := net.AddOrg("Org1"); err != nil {
 		t.Fatal(err)
 	}
@@ -41,6 +42,7 @@ func newChainFixture(t *testing.T) *chainFixture {
 		t.Fatal(err)
 	}
 	return &chainFixture{
+		net:     net,
 		client:  client,
 		orderer: orderer,
 		end:     end,
@@ -49,9 +51,15 @@ func newChainFixture(t *testing.T) *chainFixture {
 }
 
 // fabric14 is the engine configuration of the paper's sequential software
-// peer: the given vscc workers, no prefetch.
-func fabric14(workers int, pols map[string]*policy.Policy) pipeline.Config {
-	return pipeline.Config{Workers: workers, Policies: pols}
+// peer: the given vscc workers, no prefetch, net's identities the
+// consortium.
+func fabric14(t testing.TB, net *identity.Network, workers int, pols map[string]*policy.Policy) pipeline.Config {
+	t.Helper()
+	members, err := net.Members()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pipeline.Config{Workers: workers, Policies: pols, Members: members}
 }
 
 // chain builds n blocks of 4 transactions each: writes to rotating keys,
@@ -105,7 +113,7 @@ func (f *chainFixture) chain(t *testing.T, n int) []*block.Block {
 func TestSWPeerRestartReplaysLedger(t *testing.T) {
 	f := newChainFixture(t)
 	blocks := f.chain(t, 6)
-	cfg := fabric14(2, f.pols)
+	cfg := fabric14(t, f.net, 2, f.pols)
 
 	refPeer, err := Open(cfg, statedb.NewStore(), t.TempDir(), DurableOptions{})
 	if err != nil {
@@ -188,7 +196,7 @@ func TestDurablePeerCheckpointSuffixReplay(t *testing.T) {
 		"fabric14": func(kvs statedb.KVS) statedb.KVS { return struct{ statedb.KVS }{kvs} },
 		"prefetch": func(kvs statedb.KVS) statedb.KVS { return kvs },
 	}
-	cfg := fabric14(2, f.pols)
+	cfg := fabric14(t, f.net, 2, f.pols)
 
 	for engine, store := range engines {
 		for _, backend := range []string{"memory", "hybrid"} {
@@ -244,7 +252,7 @@ func TestRecoverStateRejectsCheckpointAheadOfLedger(t *testing.T) {
 	f := newChainFixture(t)
 	blocks := f.chain(t, 2)
 	dir := t.TempDir()
-	p, err := Open(fabric14(1, f.pols), statedb.NewStore(), dir, DurableOptions{})
+	p, err := Open(fabric14(t, f.net, 1, f.pols), statedb.NewStore(), dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +268,7 @@ func TestRecoverStateRejectsCheckpointAheadOfLedger(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(fabric14(1, f.pols), statedb.NewStore(), dir, DurableOptions{}); err == nil {
+	if _, err := Open(fabric14(t, f.net, 1, f.pols), statedb.NewStore(), dir, DurableOptions{}); err == nil {
 		t.Fatal("checkpoint ahead of ledger accepted")
 	}
 }

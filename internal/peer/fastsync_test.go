@@ -21,7 +21,7 @@ import (
 func TestRecoveryFallsBackOnCorruptNewestCheckpoint(t *testing.T) {
 	f := newChainFixture(t)
 	blocks := f.chain(t, 6)
-	cfg := fabric14(2, f.pols)
+	cfg := fabric14(t, f.net, 2, f.pols)
 
 	dir := t.TempDir()
 	p, err := Open(cfg, statedb.NewStore(), dir, DurableOptions{CheckpointEvery: 2})
@@ -84,7 +84,7 @@ func TestRecoveryFallsBackOnCorruptNewestCheckpoint(t *testing.T) {
 func TestNoFastSyncRecoversIdentically(t *testing.T) {
 	f := newChainFixture(t)
 	blocks := f.chain(t, 6)
-	cfg := fabric14(2, f.pols)
+	cfg := fabric14(t, f.net, 2, f.pols)
 
 	dir := t.TempDir()
 	p, err := Open(cfg, statedb.NewStore(), dir, DurableOptions{CheckpointEvery: 2})
@@ -122,7 +122,7 @@ func TestNoFastSyncRecoversIdentically(t *testing.T) {
 func TestPruneBoundsLedgerAndSurvivesRestart(t *testing.T) {
 	f := newChainFixture(t)
 	blocks := f.chain(t, 10)
-	cfg := fabric14(2, f.pols)
+	cfg := fabric14(t, f.net, 2, f.pols)
 	opts := DurableOptions{CheckpointEvery: 2, SegmentBytes: 1, Prune: true}
 
 	dir := t.TempDir()

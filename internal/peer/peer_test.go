@@ -12,7 +12,6 @@ import (
 	"bmac/internal/gossip"
 	"bmac/internal/identity"
 	"bmac/internal/orderer"
-	"bmac/internal/pipeline"
 	"bmac/internal/policy"
 	"bmac/internal/policy/policytest"
 	"bmac/internal/raft"
@@ -26,7 +25,7 @@ import (
 // valid/invalid flags and the commit hash must match between the peers.
 func TestEndToEndNetworkEquivalence(t *testing.T) {
 	// --- identities ---
-	net := identity.NewNetwork()
+	net := identity.NewNetwork([]byte(t.Name()))
 	for _, org := range []string{"Org1", "Org2"} {
 		if _, err := net.AddOrg(org); err != nil {
 			t.Fatal(err)
@@ -50,7 +49,7 @@ func TestEndToEndNetworkEquivalence(t *testing.T) {
 	}
 
 	// --- peers ---
-	swPeer, err := Open(fabric14(4, map[string]*policy.Policy{"smallbank": policytest.MustParse("2of2")}),
+	swPeer, err := Open(fabric14(t, net, 4, map[string]*policy.Policy{"smallbank": policytest.MustParse("2of2")}),
 		statedb.NewStore(), t.TempDir(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +193,7 @@ func TestEndToEndNetworkEquivalence(t *testing.T) {
 }
 
 func TestBMacPeerInMemoryPipeline(t *testing.T) {
-	net := identity.NewNetwork()
+	net := identity.NewNetwork([]byte(t.Name()))
 	if _, err := net.AddOrg("Org1"); err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +258,7 @@ func TestBMacPeerInMemoryPipeline(t *testing.T) {
 // data-hash check fails, so the CPU side invalidates every transaction in
 // the block but still commits it to the ledger with invalid flags.
 func TestBMacPeerDataHashMismatch(t *testing.T) {
-	net := identity.NewNetwork()
+	net := identity.NewNetwork([]byte(t.Name()))
 	if _, err := net.AddOrg("Org1"); err != nil {
 		t.Fatal(err)
 	}
@@ -322,14 +321,14 @@ func TestBMacPeerDataHashMismatch(t *testing.T) {
 }
 
 func TestSWPeerRejectsTamperedBlock(t *testing.T) {
-	net := identity.NewNetwork()
+	net := identity.NewNetwork([]byte(t.Name()))
 	if _, err := net.AddOrg("Org1"); err != nil {
 		t.Fatal(err)
 	}
 	client, _ := net.NewIdentity("Org1", identity.RoleClient)
 	ordID, _ := net.NewIdentity("Org1", identity.RoleOrderer)
 
-	swPeer, err := Open(fabric14(2, map[string]*policy.Policy{"cc": policytest.MustParse("1of1")}),
+	swPeer, err := Open(fabric14(t, net, 2, map[string]*policy.Policy{"cc": policytest.MustParse("1of1")}),
 		statedb.NewStore(), t.TempDir(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -355,7 +354,7 @@ func TestSWPeerRejectsTamperedBlock(t *testing.T) {
 // ledger heights — the three-way cross-check the Testbed performs, in
 // miniature.
 func TestParallelPeerMatchesSWPeer(t *testing.T) {
-	net := identity.NewNetwork()
+	net := identity.NewNetwork([]byte(t.Name()))
 	if _, err := net.AddOrg("Org1"); err != nil {
 		t.Fatal(err)
 	}
@@ -364,12 +363,12 @@ func TestParallelPeerMatchesSWPeer(t *testing.T) {
 	endorser, _ := net.NewIdentity("Org1", identity.RolePeer)
 	pols := map[string]*policy.Policy{"cc": policytest.MustParse("1of1")}
 
-	swPeer, err := Open(fabric14(2, pols), statedb.NewStore(), t.TempDir(), DurableOptions{})
+	swPeer, err := Open(fabric14(t, net, 2, pols), statedb.NewStore(), t.TempDir(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer swPeer.Close()
-	parPeer, err := Open(pipeline.Config{Workers: 4, Policies: pols}, statedb.NewStore(), t.TempDir(), DurableOptions{})
+	parPeer, err := Open(fabric14(t, net, 4, pols), statedb.NewStore(), t.TempDir(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -263,7 +263,7 @@ func TestEngineBehaviour(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					eng := New(Config{Workers: workers, Policies: r.pols}, v.store(), led)
+					eng := New(Config{Workers: workers, Policies: r.pols, Members: r.members}, v.store(), led)
 					t.Cleanup(func() {
 						eng.Close()
 						led.Close()

@@ -58,7 +58,7 @@ func TestBlockInvalidBesideVSCC(t *testing.T) {
 						t.Fatal(err)
 					}
 					defer led.Close()
-					eng := New(Config{Workers: workers, Policies: r.pols}, statedb.NewStore(), led)
+					eng := New(Config{Workers: workers, Policies: r.pols, Members: r.members}, statedb.NewStore(), led)
 					defer eng.Close()
 
 					res0, err := eng.ValidateAndCommit(raw0)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bmac/internal/block"
+	"bmac/internal/identity"
 	"bmac/internal/statedb"
 )
 
@@ -121,6 +122,41 @@ func buildChain(t *testing.T, r *rig, rng *rand.Rand, nBlocks, maxTxs int,
 	return raws
 }
 
+// outsiderChain is two blocks signed by outsiders: identities that a
+// second seed's network issued under the rig's own names, so their subjects
+// are a member's and their keys and CAs are not. In block 0 an outsider
+// "peer0.Org2" endorses beside Org1's peer, which fails the 2of2 policy; in
+// block 1 an outsider "client0.Org1" creates the transactions, which only
+// its own signature is checked for.
+func outsiderChain(t *testing.T, r *rig) [][]byte {
+	t.Helper()
+	n := identity.NewNetwork([]byte("outsider"))
+	for _, org := range []string{"Org1", "Org2"} {
+		if _, err := n.AddOrg(org); err != nil {
+			t.Fatal(err)
+		}
+	}
+	client, err := n.NewIdentity("Org1", identity.RoleClient)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := n.NewIdentity("Org2", identity.RolePeer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	endorsed := r.specBlock(t, 0, nil, 3, func(i int) block.TxSpec {
+		spec := r.distinctWrites(i)
+		spec.Endorsers[1] = peer
+		return spec
+	})
+	created := r.specBlock(t, 1, nil, 3, func(i int) block.TxSpec {
+		spec := r.distinctWrites(3 + i)
+		spec.Creator = client
+		return spec
+	})
+	return [][]byte{block.Marshal(endorsed), block.Marshal(created)}
+}
+
 // checkChain drives raws through eng and demands the oracle's verdict for
 // every block, in order, and the oracle's final state.
 func checkChain(t *testing.T, label string, eng *Engine, raws [][]byte,
@@ -167,6 +203,11 @@ func TestDifferentialRandomized(t *testing.T) {
 	}
 	hot := buildChain(t, r, rand.New(rand.NewSource(5)), 6, 16, hotRWSet, false)
 	chains["hot seed 5"] = hot
+	chains["outsiders"] = outsiderChain(t, r)
+	outWants, _ := oracleChain(t, r, chains["outsiders"])
+	epf, valid := block.EndorsementPolicyFailure, block.Valid
+	wantCodes(t, outWants[0].flags, epf, epf, epf)
+	wantCodes(t, outWants[1].flags, valid, valid, valid)
 
 	hotWants, _ := oracleChain(t, r, hot)
 	conflicts, txs := 0, 0
@@ -187,7 +228,7 @@ func TestDifferentialRandomized(t *testing.T) {
 		wants, wantState := oracleChain(t, r, raws)
 		for _, workers := range workerCounts {
 			for _, v := range variants {
-				eng := New(Config{Workers: workers, Policies: r.pols}, v.store(), nil)
+				eng := New(Config{Workers: workers, Policies: r.pols, Members: r.members}, v.store(), nil)
 				checkChain(t, fmt.Sprintf("%s workers %d %s", name, workers, v.name), eng, raws, wants, wantState)
 			}
 		}
@@ -223,7 +264,7 @@ func TestDifferentialBackends(t *testing.T) {
 
 		for _, be := range backends {
 			for _, workers := range workerCounts {
-				eng := New(Config{Workers: workers, Policies: r.pols, PrefetchWorkers: 4}, be.make(), nil)
+				eng := New(Config{Workers: workers, Policies: r.pols, Members: r.members, PrefetchWorkers: 4}, be.make(), nil)
 				label := fmt.Sprintf("%s seed %d workers %d", be.name, seed, workers)
 				checkChain(t, label, eng, raws, wants, wantState)
 			}

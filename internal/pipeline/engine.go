@@ -33,6 +33,7 @@ import (
 
 	"bmac/internal/block"
 	"bmac/internal/fabcrypto"
+	"bmac/internal/identity"
 	"bmac/internal/ledger"
 	"bmac/internal/policy"
 	"bmac/internal/statedb"
@@ -55,10 +56,14 @@ type Config struct {
 	// costs a DER parse + lookup instead of a curve verification. Verdicts are
 	// identical either way.
 	SigCache *fabcrypto.SigCache
-	// CertCache, when non-nil, interns parsed X.509 identity certificates:
-	// the same creator/endorser/orderer certs recur in every transaction,
-	// and x509.ParseCertificate rivals the ECDSA math in allocations.
+	// CertCache, when non-nil, interns the public keys of X.509 identity
+	// certificates: the same creator/endorser/orderer certs recur in every
+	// transaction, and x509.ParseCertificate rivals the ECDSA math in
+	// allocations.
 	CertCache *fabcrypto.CertCache
+	// Members is the consortium an endorser must belong to (see
+	// validator.VerifyOpts); nil, no endorsement counts.
+	Members *identity.Cache
 	// ParseCache, when non-nil, interns ParseTx results by payload hash so
 	// an envelope decoded by any sharing path is unmarshaled once per
 	// process (parse-once). Cached results are shared and read-only.
@@ -70,7 +75,7 @@ type Config struct {
 }
 
 func (c *Config) verifyOpts() validator.VerifyOpts {
-	return validator.VerifyOpts{SigCache: c.SigCache, CertCache: c.CertCache}
+	return validator.VerifyOpts{SigCache: c.SigCache, CertCache: c.CertCache, Members: c.Members}
 }
 
 // Result is the outcome of validating and committing one block.

@@ -17,6 +17,8 @@ import (
 // rig is the shared engine test fixture: a 3-org network, a client and an
 // orderer, with a 2of2 smallbank policy.
 type rig struct {
+	net     *identity.Network
+	members *identity.Cache // net's consortium
 	peers   []*identity.Identity
 	client  *identity.Identity
 	orderer *identity.Identity
@@ -25,8 +27,8 @@ type rig struct {
 
 func newRig(t testing.TB) *rig {
 	t.Helper()
-	n := identity.NewNetwork()
-	r := &rig{pols: map[string]*policy.Policy{"smallbank": policytest.MustParse("2of2")}}
+	n := identity.NewNetwork([]byte(t.Name()))
+	r := &rig{net: n, pols: map[string]*policy.Policy{"smallbank": policytest.MustParse("2of2")}}
 	for i := 1; i <= 3; i++ {
 		org := fmt.Sprintf("Org%d", i)
 		if _, err := n.AddOrg(org); err != nil {
@@ -43,6 +45,9 @@ func newRig(t testing.TB) *rig {
 		t.Fatal(err)
 	}
 	if r.orderer, err = n.NewIdentity("Org1", identity.RoleOrderer); err != nil {
+		t.Fatal(err)
+	}
+	if r.members, err = n.Members(); err != nil {
 		t.Fatal(err)
 	}
 	return r
@@ -62,7 +67,7 @@ var variants = []struct {
 }
 
 func (r *rig) engine(workers int) *Engine {
-	return New(Config{Workers: workers, Policies: r.pols},
+	return New(Config{Workers: workers, Policies: r.pols, Members: r.members},
 		statedb.NewStore(), nil)
 }
 

@@ -69,7 +69,7 @@ func TestHotpathDifferentialToggles(t *testing.T) {
 			for k, v := range variants {
 				store := v.store()
 				eng := New(Config{
-					Workers: 2 + k, Policies: r.pols,
+					Workers: 2 + k, Policies: r.pols, Members: r.members,
 					SigCache: sc, CertCache: cc, ParseCache: pc,
 				}, store, nil)
 				for n, raw := range raws {
@@ -125,7 +125,7 @@ func TestHotpathSigCacheSteadyState(t *testing.T) {
 
 	sc := fabcrypto.NewSigCache(4096)
 	v := New(Config{
-		Workers: 2, Policies: r.pols, SigCache: sc,
+		Workers: 2, Policies: r.pols, Members: r.members, SigCache: sc,
 	}, statedb.NewStore(), nil)
 	for _, raw := range raws {
 		if _, err := v.ValidateAndCommit(raw); err != nil {
@@ -134,7 +134,7 @@ func TestHotpathSigCacheSteadyState(t *testing.T) {
 	}
 	// Steady state: a fresh validator (fresh store) sharing the cache.
 	v2 := New(Config{
-		Workers: 2, Policies: r.pols, SigCache: sc,
+		Workers: 2, Policies: r.pols, Members: r.members, SigCache: sc,
 	}, statedb.NewStore(), nil)
 	for n, raw := range raws {
 		res, err := v2.ValidateAndCommit(raw)
@@ -181,7 +181,7 @@ func TestSharedSigCacheUnderRanges(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			eng := New(Config{Workers: workers[k], Policies: r.pols, SigCache: sc}, statedb.NewStore(), nil)
+			eng := New(Config{Workers: workers[k], Policies: r.pols, Members: r.members, SigCache: sc}, statedb.NewStore(), nil)
 			defer eng.Close()
 			res[k], errs[k] = eng.ValidateAndCommit(raw)
 		}()
@@ -242,7 +242,7 @@ func TestExtraDERElementMatchesOracle(t *testing.T) {
 	}
 	for _, workers := range workerCounts {
 		for _, sc := range []*fabcrypto.SigCache{nil, fabcrypto.NewSigCache(64)} {
-			eng := New(Config{Workers: workers, Policies: r.pols, SigCache: sc}, statedb.NewStore(), nil)
+			eng := New(Config{Workers: workers, Policies: r.pols, Members: r.members, SigCache: sc}, statedb.NewStore(), nil)
 			checkChain(t, fmt.Sprintf("workers %d cache %v", workers, sc != nil), eng, raws, wants, wantState)
 		}
 	}
@@ -279,7 +279,7 @@ func TestBadClientSignatureStillVerifiesEndorsements(t *testing.T) {
 	}
 	for _, v := range variants {
 		store := v.store()
-		eng := New(Config{Workers: 2, Policies: r.pols}, store, nil)
+		eng := New(Config{Workers: 2, Policies: r.pols, Members: r.members}, store, nil)
 		res, err := eng.ValidateAndCommit(raw)
 		eng.Close()
 		if err != nil {

@@ -30,8 +30,8 @@ type oracle struct {
 
 func newOracle(r *rig) *oracle {
 	o := &oracle{pols: r.pols, ids: map[string]identity.EncodedID{}, state: map[string]statedb.VersionedValue{}}
-	for _, p := range r.peers {
-		o.ids[string(p.Cert)] = p.ID
+	for _, id := range r.net.Identities() {
+		o.ids[string(id.Cert)] = id.ID
 	}
 	return o
 }

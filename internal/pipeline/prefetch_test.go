@@ -22,7 +22,7 @@ func TestPrefetchWarmsHybridCache(t *testing.T) {
 	hy := statedb.NewHybridKVS(64, host)
 	hy.SetHostReadLatency(200 * time.Microsecond)
 
-	eng := New(Config{Workers: 2, Policies: r.pols}, hy, nil)
+	eng := New(Config{Workers: 2, Policies: r.pols, Members: r.members}, hy, nil)
 	defer eng.Close()
 
 	// 8 txs, each reading two hot accounts (with overlap) and writing a
@@ -85,7 +85,7 @@ func TestPrefetchOffIssuesNoWarmups(t *testing.T) {
 // verdicts.
 func TestPrefetchAbsentKeys(t *testing.T) {
 	r := newRig(t)
-	eng := New(Config{Workers: 2, Policies: r.pols},
+	eng := New(Config{Workers: 2, Policies: r.pols, Members: r.members},
 		statedb.NewHybridKVS(8, statedb.NewStore()), nil)
 	defer eng.Close()
 

@@ -17,8 +17,6 @@ import (
 	"bytes"
 	"crypto/ecdsa"
 	"errors"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -106,11 +104,15 @@ type Result struct {
 	Breakdown  Breakdown
 }
 
-// VerifyOpts bundles the optional verification caches threaded through the
-// exported verify helpers; the zero value means "no caching".
+// VerifyOpts bundles what the exported verify helpers verify against: the
+// optional verification caches (nil: no caching) and the consortium.
 type VerifyOpts struct {
 	SigCache  *fabcrypto.SigCache
 	CertCache *fabcrypto.CertCache
+	// Members is the consortium: an endorsement sets the register of the
+	// member IDForCert finds for its certificate, and none for a
+	// certificate no member holds. Nil is a consortium of no one.
+	Members *identity.Cache
 }
 
 // ErrBlockInvalid reports a block that failed block-level verification —
@@ -252,7 +254,8 @@ func VSCC(envs []block.Envelope, txs []ParsedTx, flags []byte, policies map[stri
 		sc.refs[i] = add(pub, func() [fabcrypto.HashSize]byte { return fabcrypto.Hash(envs[i].PayloadBytes) }, envs[i].Signature)
 		start := len(sc.ids)
 		for _, e := range p.Tx.Payload.Action.Endorsements {
-			sc.ids = append(sc.ids, endorserID(opts.CertCache, e.Endorser))
+			id, _ := opts.Members.IDForCert(e.Endorser)
+			sc.ids = append(sc.ids, id)
 		}
 		v := &sc.txs[i]
 		v.Endorsers = sc.ids[start:]
@@ -300,41 +303,4 @@ func VSCC(envs []block.Envelope, txs []ParsedTx, flags []byte, policies map[stri
 			flags[i] = byte(block.Valid)
 		}
 	}
-}
-
-// endorserID maps an endorser certificate (through the cert cache when one
-// is configured) to the identity whose register a valid endorsement sets;
-// 0, which sets none, when it does not parse. The organization is read from
-// the subject: which CA issued the certificate is not checked.
-func endorserID(cc *fabcrypto.CertCache, der []byte) identity.EncodedID {
-	cert, err := cc.ParseCertificate(der)
-	if err != nil {
-		return 0
-	}
-	return orgRoleOf(cert.Subject.Organization, cert.Subject.CommonName)
-}
-
-// orgRoleOf maps certificate subject fields back to an identity, 0 when they
-// name none. Organization names follow the OrgN convention used throughout
-// the repository, N a canonical decimal 1–255; common names are
-// "<role><seq>.<org>", a peer's when no role prefix matches.
-func orgRoleOf(orgs []string, cn string) identity.EncodedID {
-	if len(orgs) != 1 {
-		return 0
-	}
-	digits, ok := strings.CutPrefix(orgs[0], "Org")
-	n, err := strconv.Atoi(digits)
-	if !ok || err != nil || n < 1 || n > 255 || digits[0] < '1' { // a sign or a leading zero is not canonical
-		return 0
-	}
-	role := identity.RolePeer
-	switch {
-	case strings.HasPrefix(cn, "admin"):
-		role = identity.RoleAdmin
-	case strings.HasPrefix(cn, "orderer"):
-		role = identity.RoleOrderer
-	case strings.HasPrefix(cn, "client"):
-		role = identity.RoleClient
-	}
-	return identity.Encode(uint8(n), role, 0)
 }
