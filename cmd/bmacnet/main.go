@@ -371,9 +371,9 @@ func runCluster(cfg *bmac.Config, opts bmac.ClusterOptions, dir string) error {
 			fmt.Println()
 		}
 		for _, p := range res.Peers {
-			if l := p.Ledger; p.Restarts+int(l.Quarantined+l.FaultRetries) > 0 {
-				fmt.Printf("  %s: %d restart(s), %d blocks caught up through the orderer ledger, %d segment(s) quarantined, %d block(s) restored, %d ledger fault retries\n",
-					p.Name, p.Restarts, p.Delivery.CaughtUp, l.Quarantined, l.RestoredBlocks, l.FaultRetries)
+			if l := p.Ledger; p.Restarts+int(l.Quarantined) > 0 {
+				fmt.Printf("  %s: %d restart(s), %d blocks caught up through the orderer ledger, %d segment(s) quarantined, %d block(s) restored\n",
+					p.Name, p.Restarts, p.Delivery.CaughtUp, l.Quarantined, l.RestoredBlocks)
 			}
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -59,26 +61,38 @@ func TestSwitchSeverHeal(t *testing.T) {
 	}
 }
 
-// TestDiskFaultCadence pins the shim's contract: every write pays the
-// latency, every Nth write fails, and the counters add up.
+// TestDiskFaultCadence pins the wrapper's contract: every Nth write is
+// refused once and counted, the counters add up, and the device re-issues a
+// refused write, so every written byte lands exactly once.
 func TestDiskFaultCadence(t *testing.T) {
-	d := &DiskFault{FailEvery: 3}
-	hook := d.Hook()
-	var failed int
-	for i := 0; i < 9; i++ {
-		if err := hook(); err != nil {
-			failed++
+	for _, c := range []struct {
+		every  int
+		faults int64
+	}{{3, 3}, {0, 0}} {
+		d := &DiskFault{FailEvery: c.every}
+		path := filepath.Join(t.TempDir(), "f")
+		f, err := d.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if failed != 3 {
-		t.Errorf("9 writes with FailEvery=3 failed %d times, want 3", failed)
-	}
-	writes, faults := d.Stats()
-	if writes != 9 || faults != 3 {
-		t.Errorf("Stats() = (%d, %d), want (9, 3)", writes, faults)
-	}
-	if err := (&DiskFault{}).Hook()(); err != nil {
-		t.Errorf("FailEvery=0 must never fail: %v", err)
+		var want []byte
+		for i := byte(0); i < 9; i++ {
+			rec := []byte{i, i, i}
+			want = append(want, rec...)
+			if n, err := f.Write(rec); n != len(rec) || err != nil {
+				t.Fatalf("write %d: (%d, %v)", i, n, err)
+			}
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		writes, faults := d.Stats()
+		if writes != 9 || faults != c.faults {
+			t.Errorf("FailEvery=%d: Stats() = (%d, %d), want (9, %d)", c.every, writes, faults, c.faults)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("FailEvery=%d: file holds %v (%v), want each write once: %v", c.every, got, err, want)
+		}
 	}
 }
 

@@ -4,13 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"os"
-
 	"bmac/internal/delivery"
+	"bmac/internal/fsutil"
 	"bmac/internal/gossip"
 	"bmac/internal/ledger"
 )
@@ -178,41 +178,59 @@ func (t *corruptingTransport) Send(it *delivery.Item) (int, error) {
 // Close implements delivery.Transport.
 func (t *corruptingTransport) Close() error { return t.conn.Close() }
 
-// DiskFault injects storage trouble under the ledger and checkpoint
-// writers: a fixed latency per write plus a transient error on every Nth
-// write. The writers retry transient faults internally, so the fault
-// manifests as a slow disk, never as data loss. Safe for concurrent use.
+// DiskFault is a slow, flaky disk under the ledger and checkpoint writers:
+// an fsutil.FS over the operating system's whose every file write pays a
+// fixed latency, and whose every Nth write the device refuses once, before
+// any byte lands, and re-issues after a second latency. It is a device that
+// retries, so the bytes land exactly once and the fault shows as a slow
+// disk, never as data loss. Safe for concurrent use.
 type DiskFault struct {
-	// Latency is added to every faulted write (the slow half of slow-disk).
+	fsutil.OS
+	// Latency is paid by every write (the slow half of slow-disk), and
+	// once more by a refused one.
 	Latency time.Duration
-	// FailEvery makes every Nth write return a transient error before any
-	// bytes are written (0 disables error injection).
+	// FailEvery makes every Nth write refused once (0 disables refusals).
 	FailEvery int
 
 	writes atomic.Int64
 	faults atomic.Int64
 }
 
-// errDiskFault marks injected transient write errors.
-var errDiskFault = errors.New("chaos: injected transient disk fault")
-
-// Hook returns the pre-write fault function consumed by
-// ledger.Options.CommitFault and peer checkpoint plumbing.
-func (d *DiskFault) Hook() func() error {
-	return func() error {
-		if d.Latency > 0 {
-			time.Sleep(d.Latency)
-		}
-		n := d.writes.Add(1)
-		if d.FailEvery > 0 && n%int64(d.FailEvery) == 0 {
-			d.faults.Add(1)
-			return errDiskFault
-		}
-		return nil
-	}
+// OpenFile implements fsutil.FS; the file's writes go through the fault.
+func (d *DiskFault) OpenFile(name string, flag int, perm os.FileMode) (fsutil.File, error) {
+	return d.wrap(d.OS.OpenFile(name, flag, perm))
 }
 
-// Stats reports total writes seen and transient faults injected.
+// CreateTemp implements fsutil.FS; the file's writes go through the fault.
+func (d *DiskFault) CreateTemp(dir, pattern string) (fsutil.File, error) {
+	return d.wrap(d.OS.CreateTemp(dir, pattern))
+}
+
+// wrap routes the writes of a just-opened file through the fault.
+func (d *DiskFault) wrap(f fsutil.File, err error) (fsutil.File, error) {
+	if err != nil {
+		return nil, err
+	}
+	return faultyFile{f, d}, nil
+}
+
+// faultyFile is a file on a DiskFault.
+type faultyFile struct {
+	fsutil.File
+	d *DiskFault
+}
+
+// Write pays the latency, and a refused write the re-issue's, then writes p.
+func (f faultyFile) Write(p []byte) (int, error) {
+	time.Sleep(f.d.Latency)
+	if n := f.d.writes.Add(1); f.d.FailEvery > 0 && n%int64(f.d.FailEvery) == 0 {
+		f.d.faults.Add(1)
+		time.Sleep(f.d.Latency)
+	}
+	return f.File.Write(p)
+}
+
+// Stats reports total writes seen and how many of them were refused once.
 func (d *DiskFault) Stats() (writes, faults int64) {
 	return d.writes.Load(), d.faults.Load()
 }

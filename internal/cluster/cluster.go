@@ -1038,8 +1038,7 @@ func newSWPeer(cfg *config.Config, opts Options, i int, dir string, df *chaos.Di
 	name := fmt.Sprintf("peer%d", i)
 	dopts := DurableOptions(cfg.Durability)
 	if df != nil {
-		dopts.CommitFault = df.Hook()
-		dopts.CheckpointFault = df.Hook()
+		dopts.FS = df
 	}
 	mcfg := *cfg
 	mcfg.StateDB.Backend = mode.backend

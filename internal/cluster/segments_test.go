@@ -122,10 +122,10 @@ func TestChurnCorruptQuarantineRefetch(t *testing.T) {
 	}
 }
 
-// TestSlowDiskAcrossSegmentBoundaries layers the transient-write-fault
+// TestSlowDiskAcrossSegmentBoundaries layers the slow, write-refusing
 // disk under a tiny segment budget, so the injected faults land on seal
-// (footer) and index writes as well as block appends — the rotation
-// crash-window retries — and the victim still converges.
+// (footer) and index writes as well as block appends, and the victim still
+// converges.
 func TestSlowDiskAcrossSegmentBoundaries(t *testing.T) {
 	cfg := config.Default()
 	cfg.Arch.MaxBlockTxs = 4
@@ -146,9 +146,6 @@ func TestSlowDiskAcrossSegmentBoundaries(t *testing.T) {
 	disk, victim := event(t, res, SlowDisk)
 	if disk.DiskFaults == 0 {
 		t.Fatalf("event %+v: no faults injected", disk)
-	}
-	if victim.Ledger.FaultRetries == 0 {
-		t.Error("victim's ledger absorbed no fault retries")
 	}
 	if victim.Ledger.Sealed == 0 {
 		t.Fatalf("victim sealed no segments under the fault (report %+v)", victim)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bmac/internal/block"
+	"bmac/internal/fsutil"
 	"bmac/internal/identity"
 	"bmac/internal/ledger"
 	"bmac/internal/metrics"
@@ -188,7 +189,7 @@ func FigFastSync(opts Options) (*metrics.Table, error) {
 			return nil, err
 		}
 
-		refs, _ := statedb.Checkpoints(dir)
+		refs, _ := statedb.Checkpoints(fsutil.OS{}, dir)
 		if len(refs) == 0 {
 			return nil, fmt.Errorf("fastsync L=%d: no checkpoint generations written", L)
 		}

@@ -20,11 +20,11 @@ func writeString(s string) func(io.Writer) error {
 func TestReplaceFailedWriteKeepsOldFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "index")
-	if err := Replace(path, writeString("old contents")); err != nil {
+	if err := Replace(OS{}, path, writeString("old contents")); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("device full")
-	err := Replace(path, func(w io.Writer) error {
+	err := Replace(OS{}, path, func(w io.Writer) error {
 		if _, err := io.WriteString(w, "new, torn"); err != nil {
 			return err
 		}
@@ -51,7 +51,7 @@ func TestReplaceWrites(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "MANIFEST")
 	for _, want := range []string{"first", "second, longer"} {
-		if err := Replace(path, writeString(want)); err != nil {
+		if err := Replace(OS{}, path, writeString(want)); err != nil {
 			t.Fatal(err)
 		}
 		got, err := os.ReadFile(path)

@@ -6,8 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
+	"strings"
 
 	"bmac/internal/fsutil"
 )
@@ -56,13 +56,8 @@ type indexSegment struct {
 }
 
 // persistIndexLocked atomically rewrites the index file from the in-memory
-// state (sealed segments only). It runs the commit-fault hook first — the
-// index write is a crash-point the chaos slow-disk scenario targets — and
-// must be called with l.mu held.
+// state (sealed segments only). It must be called with l.mu held.
 func (l *Ledger) persistIndexLocked() error {
-	if err := l.runFault("index write"); err != nil {
-		return err
-	}
 	var buf []byte
 	buf = append(buf, indexMagic[:]...)
 	buf = binary.BigEndian.AppendUint64(buf, l.base)
@@ -94,7 +89,7 @@ func (l *Ledger) persistIndexLocked() error {
 	sum := sha256.Sum256(buf)
 	buf = append(buf, sum[:]...)
 
-	err := fsutil.Replace(filepath.Join(l.dir, indexFile), func(w io.Writer) error {
+	err := fsutil.Replace(l.fs, filepath.Join(l.dir, indexFile), func(w io.Writer) error {
 		_, err := w.Write(buf)
 		return err
 	})
@@ -115,8 +110,8 @@ type indexData struct {
 // loadIndex reads and validates the persistent index. A missing file
 // returns os.ErrNotExist; any structural or checksum problem returns
 // ErrCorruptIndex and the caller falls back to a full rescan.
-func loadIndex(dir string) (*indexData, error) {
-	buf, err := os.ReadFile(filepath.Join(dir, indexFile))
+func loadIndex(fsys fsutil.FS, dir string) (*indexData, error) {
+	buf, err := fsys.ReadFile(filepath.Join(dir, indexFile))
 	if err != nil {
 		return nil, err
 	}
@@ -197,18 +192,19 @@ func loadIndex(dir string) (*indexData, error) {
 	return d, nil
 }
 
-// removeStaleTemps deletes leftover index temp files and aborted restore
-// files from a crashed prior process.
-func removeStaleTemps(dir string, warnf func(string, ...any)) {
-	for _, pat := range []string{indexFile + ".tmp-*", segPrefix + "*.restore"} {
-		matches, err := filepath.Glob(filepath.Join(dir, pat))
-		if err != nil {
-			continue
+// removeStaleTemps deletes what a crashed prior process left half-written
+// in dir: the temp files of an interrupted fsutil.Replace (index, and the
+// checkpoint writers' when they share the directory) and aborted restore
+// files.
+func removeStaleTemps(fsys fsutil.FS, dir string, warnf func(string, ...any)) {
+	removed := fsutil.RemoveTemps(fsys, dir)
+	entries, _ := fsys.ReadDir(dir) // bmaclint:allow errdiscard (best effort: the segment listing right after reports an unreadable dir)
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), restoreSuffix) && fsys.Remove(filepath.Join(dir, e.Name())) == nil {
+			removed = append(removed, e.Name())
 		}
-		for _, m := range matches {
-			if err := os.Remove(m); err == nil {
-				warnf("removed stale temp file %s", filepath.Base(m))
-			}
-		}
+	}
+	for _, name := range removed {
+		warnf("removed stale temp file %s", name)
 	}
 }

@@ -22,7 +22,6 @@
 package ledger
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
@@ -34,6 +33,7 @@ import (
 	"sync"
 
 	"bmac/internal/block"
+	"bmac/internal/fsutil"
 	"bmac/internal/wire"
 )
 
@@ -65,14 +65,11 @@ const (
 	// defaultSegmentBytes rotates segments at 64 MiB, Fabric's block file
 	// ballpark; tests and experiments dial it down to force rotation.
 	defaultSegmentBytes = 64 << 20
-	// defaultReaders bounds concurrent historical reads and per-segment
-	// pooled read handles.
-	defaultReaders = 8
-	// defaultMaxWarnings bounds the recovery-notice ring.
-	defaultMaxWarnings = 64
-	// maxFaultRetries bounds transient commit-fault retries (the chaos
-	// slow-disk scenario) per write.
-	maxFaultRetries = 8
+	// maxReaders bounds concurrent historical reads and per-segment pooled
+	// read handles.
+	maxReaders = 8
+	// maxWarnings bounds the recovery-notice ring.
+	maxWarnings = 64
 	// writeBehindStep is how much of the active segment may be appended
 	// before the kernel is asked to start writing it back (startWriteback).
 	// Without the hint nothing pushes a segment's pages out before its seal,
@@ -93,23 +90,13 @@ type Options struct {
 	// segment is sealed (footer + checksum) and rotated once its record
 	// region reaches this size. 0 means 64 MiB.
 	SegmentBytes int64
-	// Readers bounds concurrent historical reads (Get) and the number of
-	// pooled read-only handles per segment. 0 means 8.
-	Readers int
-	// MaxWarnings bounds the recovery-notice ring kept by Warnings();
-	// further notices are counted in WarningsDropped. 0 means 64.
-	MaxWarnings int
 	// SyncEachBlock fsyncs after every block, modeling a durability-first
 	// deployment. Off by default (Fabric also relies on buffered writes);
 	// segment seals and index writes are always fsynced regardless.
 	SyncEachBlock bool
-	// CommitFault, when set, runs before each block append and before each
-	// seal's index persistence — the fault-injection point of the chaos
-	// slow-disk scenario. A returned error models a transient device fault:
-	// the writer retries the hook a bounded number of times (counted in
-	// FaultRetries) before surfacing the error. The hook fires before any
-	// bytes are written, so a faulted write leaves no torn state.
-	CommitFault func() error
+	// FS is the file system every segment, footer, index and restore file
+	// goes through; nil means fsutil.OS.
+	FS fsutil.FS
 }
 
 // Range is a contiguous run of block numbers missing from the ledger
@@ -127,16 +114,14 @@ type Range struct {
 type Ledger struct {
 	mu sync.Mutex
 
-	dir         string
-	segBudget   int64
-	readerCap   int
-	syncEach    bool
-	commitFault func() error // immutable after Open; fault-injection hook
+	fs        fsutil.FS
+	dir       string
+	segBudget int64
+	syncEach  bool
 
-	segs   []*segment    // guarded by mu; ascending block order, active last
-	active *segment      // guarded by mu; the unsealed tail segment
-	file   *os.File      // guarded by mu; writer handle on the active segment
-	w      *bufio.Writer // guarded by mu
+	segs   []*segment  // guarded by mu; ascending block order, active last
+	active *segment    // guarded by mu; the unsealed tail segment
+	file   fsutil.File // guarded by mu; writer handle on the active segment
 
 	// segHash is the running sha256 of the active record region; only the
 	// seal's footer reads it. Commit hands each record to a goroutine that
@@ -163,7 +148,6 @@ type Ledger struct {
 	readSem chan struct{} // bounds concurrent historical reads
 
 	bytesWritten int64 // guarded by mu
-	faultRetries int64 // guarded by mu; transient commit faults absorbed
 
 	sealed      int64 // guarded by mu; segments sealed this session
 	quarantined int64 // guarded by mu; segments quarantined this session
@@ -174,7 +158,6 @@ type Ledger struct {
 
 	warnings    []string // guarded by mu; bounded ring, oldest first
 	warnDropped int64    // guarded by mu; notices dropped once the ring filled
-	maxWarnings int
 }
 
 // entry locates one block: its segment plus the record's offset and length
@@ -220,32 +203,27 @@ func (l *Ledger) lookupLocked(num uint64) (entry, int) {
 // and a checksum-failing sealed segment is quarantined — renamed aside and
 // recorded as a missing range — instead of failing the open.
 func Open(dir string, opts Options) (*Ledger, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("ledger dir: %w", err)
-	}
 	l := &Ledger{
-		dir:         dir,
-		segBudget:   opts.SegmentBytes,
-		readerCap:   opts.Readers,
-		syncEach:    opts.SyncEachBlock,
-		commitFault: opts.CommitFault,
-		maxWarnings: opts.MaxWarnings,
+		fs:        opts.FS,
+		dir:       dir,
+		segBudget: opts.SegmentBytes,
+		syncEach:  opts.SyncEachBlock,
+		readSem:   make(chan struct{}, maxReaders),
+	}
+	if l.fs == nil {
+		l.fs = fsutil.OS{}
 	}
 	if l.segBudget <= 0 {
 		l.segBudget = defaultSegmentBytes
 	}
-	if l.readerCap <= 0 {
-		l.readerCap = defaultReaders
+	if err := l.fs.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("ledger dir: %w", err)
 	}
-	if l.maxWarnings <= 0 {
-		l.maxWarnings = defaultMaxWarnings
-	}
-	l.readSem = make(chan struct{}, l.readerCap)
 	l.mu.Lock()
 	err := l.openLocked()
 	l.mu.Unlock()
 	if err != nil {
-		l.closeFilesLocked()
+		l.Close() // bmaclint:allow errdiscard (teardown after a failed open; the open error is the one to report)
 		return nil, err
 	}
 	return l, nil
@@ -257,7 +235,7 @@ func Open(dir string, opts Options) (*Ledger, error) {
 // without bound during replay. It must be called with l.mu held.
 func (l *Ledger) warnf(format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
-	if len(l.warnings) >= l.maxWarnings {
+	if len(l.warnings) >= maxWarnings {
 		copy(l.warnings, l.warnings[1:])
 		l.warnings[len(l.warnings)-1] = msg
 		l.warnDropped++
@@ -275,8 +253,8 @@ func (l *Ledger) Warnf(format string, args ...any) {
 }
 
 // Warnings returns the most recent recovery notices (e.g. a truncated torn
-// tail write, a quarantined segment), oldest first. The ring is bounded by
-// Options.MaxWarnings; WarningsDropped counts evicted notices.
+// tail write, a quarantined segment), oldest first. The ring is bounded at
+// 64 notices; WarningsDropped counts evicted ones.
 func (l *Ledger) Warnings() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -314,22 +292,19 @@ func (l *Ledger) LastCommitHash() []byte {
 	return append([]byte(nil), l.commitHash...)
 }
 
-// runFault retries the commit-fault hook (transient device faults) a
-// bounded number of times. It must be called with l.mu held.
-func (l *Ledger) runFault(what string) error {
-	if l.commitFault == nil {
+// Sync fsyncs the active segment, so every block committed so far survives
+// a power loss. A state checkpoint calls it first: state must never be
+// durable ahead of the log it derives from.
+func (l *Ledger) Sync() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.file == nil {
 		return nil
 	}
-	var err error
-	for attempt := 0; ; attempt++ {
-		if err = l.commitFault(); err == nil {
-			return nil
-		}
-		l.faultRetries++
-		if attempt >= maxFaultRetries {
-			return fmt.Errorf("ledger: %s fault persisted after %d retries: %w", what, maxFaultRetries, err)
-		}
+	if err := l.file.Sync(); err != nil {
+		return fmt.Errorf("sync block file: %w", err)
 	}
+	return nil
 }
 
 // Commit appends a validated block. The block's metadata must already carry
@@ -356,30 +331,15 @@ func (l *Ledger) Commit(b *block.Block) ([]byte, error) {
 		return nil, fmt.Errorf("%w at block %d", ErrBrokenChain, num)
 	}
 
-	// Transient device faults are retried here, inside the commit lock and
-	// before any write: retrying the whole block commit at a higher layer
-	// is unsafe (state may already be applied), retrying the pre-write
-	// hook is trivially idempotent.
-	if err := l.runFault("commit"); err != nil {
-		return nil, err
-	}
-
 	b.Metadata.CommitHash = block.CommitHash(l.commitHash, b.Header.DataHash, b.Metadata.ValidationFlags)
 
-	// The record — length prefix and marshaled block — is one pooled
-	// buffer written in one Write. Its lifetime ends when the checksum
-	// goroutine has hashed it, so steady-state commits allocate nothing
-	// for marshaling; a failed write returns it to the pool at once.
-	size := block.Size(b)
-	data := binary.BigEndian.AppendUint64(wire.GetBuf(8+size), uint64(size))
-	data = block.AppendBlock(data, b)
-	if _, err := l.w.Write(data); err != nil {
+	// The record's pooled buffer lives until the checksum goroutine has
+	// hashed it, so steady-state commits allocate nothing for marshaling;
+	// a failed write returns it to the pool at once.
+	data := appendRecord(b)
+	if _, err := l.file.Write(data); err != nil {
 		wire.PutBuf(data)
 		return nil, fmt.Errorf("write block: %w", err)
-	}
-	if err := l.w.Flush(); err != nil {
-		wire.PutBuf(data)
-		return nil, fmt.Errorf("flush block: %w", err)
 	}
 	if l.syncEach {
 		if err := l.file.Sync(); err != nil {
@@ -400,8 +360,10 @@ func (l *Ledger) Commit(b *block.Block) ([]byte, error) {
 	// below it to the kernel now, so the seal's fsync finds at most one
 	// step dirty.
 	from := (l.active.dataLen - recLen) / writeBehindStep * writeBehindStep
-	if to := l.active.dataLen / writeBehindStep * writeBehindStep; to > from {
-		startWriteback(l.file, from, to-from) // bmaclint:allow errdiscard (a hint: if it fails the seal's fsync writes the range, as it did before)
+	if f, ok := l.file.(*os.File); ok {
+		if to := l.active.dataLen / writeBehindStep * writeBehindStep; to > from {
+			startWriteback(f, from, to-from) // bmaclint:allow errdiscard (a hint: if it fails the seal's fsync writes the range, as it did before)
+		}
 	}
 	l.height = num + 1
 	l.lastHash = block.HeaderHash(&b.Header)
@@ -415,6 +377,14 @@ func (l *Ledger) Commit(b *block.Block) ([]byte, error) {
 		}
 	}
 	return l.commitHash, nil
+}
+
+// appendRecord encodes b as one segment record — the 8-byte length prefix
+// and the marshaled block — in one pooled buffer, written with one Write.
+func appendRecord(b *block.Block) []byte {
+	size := block.Size(b)
+	data := binary.BigEndian.AppendUint64(wire.GetBuf(8+size), uint64(size))
+	return block.AppendBlock(data, b)
 }
 
 // sumRecord feeds one record into the active segment's running checksum,
@@ -493,14 +463,6 @@ func (l *Ledger) readBlockLocked(num uint64) (*block.Block, error) {
 	return e.seg.readBlock(e)
 }
 
-// FaultRetries reports how many transient commit faults (injected via
-// Options.CommitFault) were absorbed by retry.
-func (l *Ledger) FaultRetries() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.faultRetries
-}
-
 // BytesWritten reports the cumulative bytes appended this session.
 func (l *Ledger) BytesWritten() int64 {
 	l.mu.Lock()
@@ -523,7 +485,6 @@ type Stats struct {
 	RestoredBlocks  int64 // blocks backfilled via Restore
 	Pruned          int64 // segments pruned after a covering checkpoint
 	IndexRebuilds   int64 // opens that had to rescan segments for the index
-	FaultRetries    int64 // transient write faults absorbed
 	BytesWritten    int64
 	WarningsDropped int64
 }
@@ -542,7 +503,6 @@ func (l *Ledger) Stats() Stats {
 		RestoredBlocks:  l.restoredBlk,
 		Pruned:          l.pruned,
 		IndexRebuilds:   l.rebuilds,
-		FaultRetries:    l.faultRetries,
 		BytesWritten:    l.bytesWritten,
 		WarningsDropped: l.warnDropped,
 	}
@@ -565,45 +525,20 @@ func (l *Ledger) MissingRanges() []Range {
 	return append([]Range(nil), l.missing...)
 }
 
-// closeFilesLocked releases every file handle (writer + reader pools).
-func (l *Ledger) closeFilesLocked() {
-	if l.file != nil {
-		l.file.Close() // bmaclint:allow errdiscard (teardown: writer flushed or open failed; close error is unactionable)
-		l.file = nil
-	}
-	for _, s := range l.segs {
-		s.drainReaders()
-	}
-	if l.rst != nil {
-		l.rst.abort()
-		l.rst = nil
-	}
-}
-
-// Close flushes and closes the block files and reader pools.
+// Close closes the block files and reader pools.
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.joinSumLocked()
 	var err error
-	if l.w != nil {
-		if ferr := l.w.Flush(); ferr != nil {
-			err = fmt.Errorf("flush on close: %w", ferr)
-		}
-	}
 	if l.file != nil {
-		if cerr := l.file.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
+		err = l.file.Close()
 		l.file = nil
 	}
 	for _, s := range l.segs {
 		s.drainReaders()
 	}
-	if l.rst != nil {
-		l.rst.abort()
-		l.rst = nil
-	}
+	l.abortRestoreLocked()
 	return err
 }
 
@@ -617,14 +552,14 @@ func segPath(dir string, id uint64) string {
 // ledger. Chaos tooling uses it to target on-disk corruption at sealed
 // segments specifically.
 func SealedSegmentPaths(dir string) ([]string, error) {
-	ids, err := listSegmentIDs(dir)
+	ids, err := listSegmentIDs(fsutil.OS{}, dir)
 	if err != nil {
 		return nil, err
 	}
 	var out []string
 	for _, id := range ids {
 		path := segPath(dir, id)
-		if _, err := readFooter(path); err == nil {
+		if _, err := readFooter(fsutil.OS{}, path); err == nil {
 			out = append(out, path)
 		}
 	}

@@ -1,13 +1,11 @@
 package ledger
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,21 +15,19 @@ import (
 )
 
 // listSegmentIDs returns the ids of the plain (live) segment files in dir,
-// ascending. Quarantined (".quarantined*") and temp files are ignored.
-func listSegmentIDs(dir string) ([]uint64, error) {
-	names, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"))
+// ascending. Quarantined (".quarantined*"), temp and foreign files are
+// ignored.
+func listSegmentIDs(fsys fsutil.FS, dir string) ([]uint64, error) {
+	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("list segments: %w", err)
 	}
 	var ids []uint64
-	for _, name := range names {
-		base := filepath.Base(name)
-		numPart := strings.TrimPrefix(base, segPrefix)
-		id, err := strconv.ParseUint(numPart, 10, 64)
-		if err != nil {
-			continue // quarantined, temp or foreign file
+	for _, e := range entries {
+		numPart, ok := strings.CutPrefix(e.Name(), segPrefix)
+		if id, err := strconv.ParseUint(numPart, 10, 64); ok && err == nil {
+			ids = append(ids, id)
 		}
-		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids, nil
@@ -44,13 +40,13 @@ func listSegmentIDs(dir string) ([]uint64, error) {
 // torn-tail truncation. A missing or corrupt index degrades to a full
 // rescan, never to an error. It must be called with l.mu held.
 func (l *Ledger) openLocked() error {
-	removeStaleTemps(l.dir, l.warnf)
-	ids, err := listSegmentIDs(l.dir)
+	removeStaleTemps(l.fs, l.dir, l.warnf)
+	ids, err := listSegmentIDs(l.fs, l.dir)
 	if err != nil {
 		return err
 	}
 
-	idx, idxErr := loadIndex(l.dir)
+	idx, idxErr := loadIndex(l.fs, l.dir)
 	if idxErr != nil {
 		idx = nil
 		if !errors.Is(idxErr, os.ErrNotExist) {
@@ -86,10 +82,10 @@ func (l *Ledger) openLocked() error {
 				// Fully below the prune floor: a prune crashed between
 				// persisting the index and deleting the file. Finish it.
 				l.warnf("removing segment %06d left behind by an interrupted prune", id)
-				os.Remove(path) // bmaclint:allow errdiscard (best-effort cleanup; reopen retries)
+				l.fs.Remove(path) // bmaclint:allow errdiscard (best-effort cleanup; reopen retries)
 				continue
 			}
-			seg := newSegment(l.dir, id, l.readerCap)
+			seg := newSegment(l.fs, l.dir, id)
 			seg.first, seg.count, seg.dataLen, seg.sum, seg.sealed = is.first, is.count, is.dataLen, is.sum, true
 			if err := l.noteGapLocked(&expected, seg.first, prevID, havePrev, id); err != nil {
 				return err
@@ -107,7 +103,7 @@ func (l *Ledger) openLocked() error {
 			continue
 		}
 
-		fi, ferr := readFooter(path)
+		fi, ferr := readFooter(l.fs, path)
 		switch {
 		case ferr == nil:
 			// Sealed but absent from the index: the seal crashed between
@@ -115,15 +111,15 @@ func (l *Ledger) openLocked() error {
 			// entries by walking the length prefixes and re-checksumming.
 			if fi.first+fi.count <= l.base {
 				l.warnf("removing segment %06d left behind by an interrupted prune", id)
-				os.Remove(path) // bmaclint:allow errdiscard (best-effort cleanup; reopen retries)
+				l.fs.Remove(path) // bmaclint:allow errdiscard (best-effort cleanup; reopen retries)
 				continue
 			}
 			if err := l.noteGapLocked(&expected, fi.first, prevID, havePrev, id); err != nil {
 				return err
 			}
-			seg := newSegment(l.dir, id, l.readerCap)
+			seg := newSegment(l.fs, l.dir, id)
 			seg.first, seg.count, seg.dataLen, seg.sum, seg.sealed = fi.first, fi.count, fi.dataLen, fi.sum, true
-			res, serr := scanSegment(path, false, fi.first, nil, l.warnf)
+			res, serr := scanSegment(l.fs, path, false, fi.first, nil, l.warnf)
 			if serr != nil || res.sum != fi.sum || res.blocks != fi.count {
 				if serr == nil {
 					serr = fmt.Errorf("segment %06d content does not match its footer", id)
@@ -154,11 +150,11 @@ func (l *Ledger) openLocked() error {
 			} else if expected == l.base && l.baseHash != nil {
 				prevHash = l.baseHash
 			}
-			res, serr := scanSegment(path, true, expected, prevHash, l.warnf)
+			res, serr := scanSegment(l.fs, path, true, expected, prevHash, l.warnf)
 			if serr != nil {
 				return serr
 			}
-			seg := newSegment(l.dir, id, l.readerCap)
+			seg := newSegment(l.fs, l.dir, id)
 			seg.first = expected
 			seg.count = res.blocks
 			seg.dataLen = res.dataLen
@@ -203,12 +199,11 @@ func (l *Ledger) openLocked() error {
 		}
 		indexDirty = indexDirty || len(l.segs) > 1
 	} else {
-		f, err := os.OpenFile(l.active.path, os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := l.fs.OpenFile(l.active.path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return fmt.Errorf("open active segment for append: %w", err)
 		}
 		l.file = f
-		l.w = bufio.NewWriter(f)
 		// Rebuild the running checksum of the active record region so a
 		// later seal does not have to re-read the file.
 		l.segHash = sha256.New()
@@ -318,7 +313,7 @@ func (l *Ledger) rehashActiveLocked() error {
 	if l.active.dataLen == 0 {
 		return nil
 	}
-	f, err := os.Open(l.active.path)
+	f, err := l.fs.OpenFile(l.active.path, os.O_RDONLY, 0)
 	if err != nil {
 		return fmt.Errorf("rehash active segment: %w", err)
 	}
@@ -332,19 +327,18 @@ func (l *Ledger) rehashActiveLocked() error {
 // startActiveLocked creates a fresh active segment file with the given id
 // and installs the writer state. It must be called with l.mu held.
 func (l *Ledger) startActiveLocked(id uint64) error {
-	seg := newSegment(l.dir, id, l.readerCap)
+	seg := newSegment(l.fs, l.dir, id)
 	seg.first = l.height
-	f, err := os.OpenFile(seg.path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := l.fs.OpenFile(seg.path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("create segment file: %w", err)
 	}
-	if err := fsutil.SyncDir(l.dir); err != nil {
+	if err := l.fs.SyncDir(l.dir); err != nil {
 		f.Close() // bmaclint:allow errdiscard (teardown after dir-sync failure)
 		return err
 	}
 	l.joinSumLocked()
 	l.file = f
-	l.w = bufio.NewWriter(f)
 	l.segHash = sha256.New()
 	l.segs = append(l.segs, seg)
 	l.active = seg
@@ -358,24 +352,11 @@ func (l *Ledger) startActiveLocked(id uint64) error {
 // held.
 func (l *Ledger) rotateLocked() error {
 	act := l.active
-	if err := l.runFault("segment seal"); err != nil {
-		return err
-	}
 	var sum [sha256Size]byte
 	l.joinSumLocked()
 	l.segHash.Sum(sum[:0])
-	foot := footerBytes(act.first, act.count, act.dataLen, sum)
-	if _, err := l.w.Write(foot); err != nil {
-		return fmt.Errorf("write segment footer: %w", err)
-	}
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("flush segment footer: %w", err)
-	}
-	if err := l.file.Sync(); err != nil {
-		return fmt.Errorf("sync sealed segment: %w", err)
-	}
-	if err := l.file.Close(); err != nil {
-		return fmt.Errorf("close sealed segment: %w", err)
+	if err := sealFile(l.file, act.first, act.count, act.dataLen, sum); err != nil {
+		return err
 	}
 	l.file = nil
 	act.sealed = true

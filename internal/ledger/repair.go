@@ -1,18 +1,19 @@
 package ledger
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 
 	"bmac/internal/block"
 	"bmac/internal/fsutil"
+	"bmac/internal/wire"
 )
 
 // This file is the damage-control surface of the segmented store:
@@ -37,15 +38,22 @@ import (
 //     from the front, bounding disk growth; the chain stays anchored via
 //     the persisted base hashes.
 
+// restoreSuffix names the file a restore writes before it is complete.
+const restoreSuffix = ".restore"
+
 // quarantineName finds an unused aside-name for a quarantined segment.
-func quarantineName(path string) string {
+func quarantineName(fsys fsutil.FS, path string) string {
 	for i := 0; ; i++ {
 		cand := path + ".quarantined"
 		if i > 0 {
 			cand = fmt.Sprintf("%s.quarantined-%d", path, i)
 		}
-		if _, err := os.Stat(cand); os.IsNotExist(err) {
+		f, err := fsys.OpenFile(cand, os.O_RDONLY, 0)
+		if errors.Is(err, fs.ErrNotExist) {
 			return cand
+		}
+		if err == nil {
+			f.Close() // bmaclint:allow errdiscard (read-only probe of a taken name)
 		}
 	}
 }
@@ -56,8 +64,8 @@ func quarantineName(path string) string {
 // unlinked) from an open-time one (segment not yet adopted: hole entries
 // appended). It must be called with l.mu held.
 func (l *Ledger) quarantineSegLocked(seg *segment, live bool) {
-	aside := quarantineName(seg.path)
-	if err := os.Rename(seg.path, aside); err != nil {
+	aside := quarantineName(l.fs, seg.path)
+	if err := l.fs.Rename(seg.path, aside); err != nil {
 		// The bytes are bad either way; keep going on the in-memory state
 		// and let a later open retry the rename.
 		l.warnf("quarantine rename of segment %06d failed: %v", seg.id, err)
@@ -133,8 +141,7 @@ type restoreState struct {
 	r       Range
 	tmp     string
 	final   string
-	f       *os.File
-	w       *bufio.Writer
+	f       fsutil.File
 	h       hash.Hash
 	next    uint64
 	prev    []byte // header hash of the last accepted block (nil = unanchored start)
@@ -142,13 +149,17 @@ type restoreState struct {
 	dataLen int64
 }
 
-// abort discards the partial restore file.
-func (r *restoreState) abort() {
-	if r.f != nil {
-		r.f.Close() // bmaclint:allow errdiscard (discarding a partial restore file)
-		r.f = nil
+// abortRestoreLocked discards the in-progress restore, if any, and its
+// partial file. It must be called with l.mu held.
+func (l *Ledger) abortRestoreLocked() {
+	if l.rst == nil {
+		return
 	}
-	os.Remove(r.tmp) // bmaclint:allow errdiscard (discarding a partial restore file)
+	if l.rst.f != nil {
+		l.rst.f.Close() // bmaclint:allow errdiscard (discarding a partial restore file)
+	}
+	l.fs.Remove(l.rst.tmp) // bmaclint:allow errdiscard (discarding a partial restore file)
+	l.rst = nil
 }
 
 // Restore feeds one redelivered archive block into the backfill of a
@@ -171,10 +182,7 @@ func (l *Ledger) Restore(b *block.Block) error {
 		started := false
 		for _, r := range l.missing {
 			if num == r.First {
-				if l.rst != nil {
-					l.rst.abort()
-					l.rst = nil
-				}
+				l.abortRestoreLocked()
 				if err := l.beginRestoreLocked(r); err != nil {
 					return err
 				}
@@ -191,14 +199,12 @@ func (l *Ledger) Restore(b *block.Block) error {
 		return fmt.Errorf("%w: got block %d, expected %d", ErrRestore, num, rst.next)
 	}
 	if err := l.acceptRestoreLocked(rst, b); err != nil {
-		rst.abort()
-		l.rst = nil
+		l.abortRestoreLocked()
 		return err
 	}
 	if rst.next == rst.r.First+rst.r.Count {
 		if err := l.finishRestoreLocked(rst); err != nil {
-			rst.abort()
-			l.rst = nil
+			l.abortRestoreLocked()
 			return err
 		}
 		l.rst = nil
@@ -211,14 +217,14 @@ func (l *Ledger) Restore(b *block.Block) error {
 // floor anchor). It must be called with l.mu held.
 func (l *Ledger) beginRestoreLocked(r Range) error {
 	final := segPath(l.dir, r.segID)
-	tmp := final + ".restore"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	tmp := final + restoreSuffix
+	f, err := l.fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("restore temp: %w", err)
 	}
 	rst := &restoreState{
 		r: r, tmp: tmp, final: final,
-		f: f, w: bufio.NewWriter(f), h: sha256.New(),
+		f: f, h: sha256.New(),
 		next: r.First,
 	}
 	switch {
@@ -245,19 +251,14 @@ func (l *Ledger) acceptRestoreLocked(rst *restoreState, b *block.Block) error {
 	if !bytes.Equal(block.DataHash(b.Envelopes), b.Header.DataHash) {
 		return fmt.Errorf("%w: block %d data hash does not match its envelopes", ErrRestore, b.Header.Number)
 	}
-	data := block.Marshal(b)
-	var lenBuf [8]byte
-	binary.BigEndian.PutUint64(lenBuf[:], uint64(len(data)))
-	if _, err := rst.w.Write(lenBuf[:]); err != nil {
+	rec := appendRecord(b)
+	defer wire.PutBuf(rec)
+	if _, err := rst.f.Write(rec); err != nil {
 		return fmt.Errorf("restore write: %w", err)
 	}
-	if _, err := rst.w.Write(data); err != nil {
-		return fmt.Errorf("restore write: %w", err)
-	}
-	rst.h.Write(lenBuf[:])
-	rst.h.Write(data)
-	rst.offsets = append(rst.offsets, entry{offset: rst.dataLen, length: int64(8 + len(data))})
-	rst.dataLen += int64(8 + len(data))
+	rst.h.Write(rec)
+	rst.offsets = append(rst.offsets, entry{offset: rst.dataLen, length: int64(len(rec))})
+	rst.dataLen += int64(len(rec))
 	rst.prev = block.HeaderHash(&b.Header)
 	rst.next++
 	l.restoredBlk++
@@ -283,28 +284,18 @@ func (l *Ledger) finishRestoreLocked(rst *restoreState) error {
 
 	var sum [sha256Size]byte
 	rst.h.Sum(sum[:0])
-	foot := footerBytes(rst.r.First, rst.r.Count, rst.dataLen, sum)
-	if _, err := rst.w.Write(foot); err != nil {
-		return fmt.Errorf("restore footer: %w", err)
-	}
-	if err := rst.w.Flush(); err != nil {
-		return fmt.Errorf("restore flush: %w", err)
-	}
-	if err := rst.f.Sync(); err != nil {
-		return fmt.Errorf("restore sync: %w", err)
-	}
-	if err := rst.f.Close(); err != nil {
-		return fmt.Errorf("restore close: %w", err)
+	if err := sealFile(rst.f, rst.r.First, rst.r.Count, rst.dataLen, sum); err != nil {
+		return fmt.Errorf("restore: %w", err)
 	}
 	rst.f = nil
-	if err := os.Rename(rst.tmp, rst.final); err != nil {
+	if err := l.fs.Rename(rst.tmp, rst.final); err != nil {
 		return fmt.Errorf("restore rename: %w", err)
 	}
-	if err := fsutil.SyncDir(l.dir); err != nil {
+	if err := l.fs.SyncDir(l.dir); err != nil {
 		return err
 	}
 
-	seg := newSegment(l.dir, rst.r.segID, l.readerCap)
+	seg := newSegment(l.fs, l.dir, rst.r.segID)
 	seg.first, seg.count, seg.dataLen, seg.sum, seg.sealed = rst.r.First, rst.r.Count, rst.dataLen, sum, true
 	for i, e := range rst.offsets {
 		e.seg = seg
@@ -359,8 +350,7 @@ func (l *Ledger) TruncateFrom(h uint64) error {
 	}
 
 	if l.rst != nil && l.rst.r.First >= h {
-		l.rst.abort()
-		l.rst = nil
+		l.abortRestoreLocked()
 	}
 	kept := l.missing[:0]
 	for _, r := range l.missing {
@@ -377,9 +367,6 @@ func (l *Ledger) TruncateFrom(h uint64) error {
 			break
 		}
 		if s == l.active {
-			if l.w != nil {
-				l.w.Flush() // bmaclint:allow errdiscard (segment is being discarded)
-			}
 			if l.file != nil {
 				l.file.Close() // bmaclint:allow errdiscard (segment is being discarded)
 				l.file = nil
@@ -389,7 +376,7 @@ func (l *Ledger) TruncateFrom(h uint64) error {
 		}
 		s.drainReaders()
 		aside := s.path + ".stale"
-		if err := os.Rename(s.path, aside); err != nil {
+		if err := l.fs.Rename(s.path, aside); err != nil {
 			return fmt.Errorf("truncate rename segment %06d: %w", s.id, err)
 		}
 		l.warnf("segment %06d (blocks >= %d) set aside as %s during truncate", s.id, s.first, filepath.Base(aside))
@@ -444,8 +431,7 @@ func (l *Ledger) Prune(coveredHeight uint64) (int, error) {
 			l.missing[0].First+l.missing[0].Count <= coveredHeight {
 			r := l.missing[0]
 			if l.rst != nil && l.rst.r.First == r.First {
-				l.rst.abort()
-				l.rst = nil
+				l.abortRestoreLocked()
 			}
 			l.missing = l.missing[1:]
 			l.entries = l.entries[r.Count:]
@@ -490,7 +476,7 @@ func (l *Ledger) Prune(coveredHeight uint64) (int, error) {
 		return removed, err
 	}
 	for _, path := range unlink {
-		os.Remove(path) // bmaclint:allow errdiscard (orphans are cleaned on next open)
+		l.fs.Remove(path) // bmaclint:allow errdiscard (orphans are cleaned on next open)
 	}
 	return removed, nil
 }

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 
 	"bmac/internal/block"
+	"bmac/internal/fsutil"
 )
 
 // A segment is one on-disk blockfile. The highest-id segment is active
@@ -26,6 +27,7 @@ import (
 //
 // where sha256 covers bytes [0, dataLen) — the record region only.
 type segment struct {
+	fs      fsutil.FS
 	id      uint64
 	path    string
 	first   uint64 // first block number in the segment
@@ -38,7 +40,7 @@ type segment struct {
 	// lazily opened, reused across reads, and closed when the pool channel
 	// is full or the segment is retired (quarantine/prune/close). The
 	// channel itself is the synchronization — no lock is held during I/O.
-	readers chan *os.File
+	readers chan fsutil.File
 	retired chan struct{} // closed when the segment is quarantined/pruned
 }
 
@@ -54,11 +56,12 @@ var errNoFooter = errors.New("ledger: segment has no footer")
 // pruned between index lookup and I/O.
 var errRetired = errors.New("ledger: segment retired")
 
-func newSegment(dir string, id uint64, readerCap int) *segment {
+func newSegment(fsys fsutil.FS, dir string, id uint64) *segment {
 	return &segment{
+		fs:      fsys,
 		id:      id,
 		path:    segPath(dir, id),
-		readers: make(chan *os.File, readerCap),
+		readers: make(chan fsutil.File, maxReaders),
 		retired: make(chan struct{}),
 	}
 }
@@ -72,6 +75,23 @@ func footerBytes(first, count uint64, dataLen int64, sum [sha256Size]byte) []byt
 	binary.BigEndian.PutUint64(buf[24:], uint64(dataLen))
 	copy(buf[32:], sum[:])
 	return buf
+}
+
+// sealFile seals a segment file whose record region is [0, dataLen): it
+// appends the footer, fsyncs and closes f. Both the rotation of the active
+// segment and a finished restore seal through it, so the footer is durable
+// before the segment is indexed or renamed into place.
+func sealFile(f fsutil.File, first, count uint64, dataLen int64, sum [sha256Size]byte) error {
+	if _, err := f.Write(footerBytes(first, count, dataLen, sum)); err != nil {
+		return fmt.Errorf("write segment footer: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("sync sealed segment: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("close sealed segment: %w", err)
+	}
+	return nil
 }
 
 // footerInfo is a decoded segment footer.
@@ -101,8 +121,8 @@ func parseFooter(tail []byte, fileSize int64) (footerInfo, error) {
 }
 
 // readFooter reads and decodes the footer of a segment file on disk.
-func readFooter(path string) (footerInfo, error) {
-	f, err := os.Open(path)
+func readFooter(fsys fsutil.FS, path string) (footerInfo, error) {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return footerInfo{}, err
 	}
@@ -129,7 +149,7 @@ func (s *segment) isSealed() bool { return s.sealed }
 
 // getReader returns a pooled read-only handle, opening one if the pool is
 // empty. Returns errRetired if the segment was quarantined or pruned.
-func (s *segment) getReader() (*os.File, error) {
+func (s *segment) getReader() (fsutil.File, error) {
 	select {
 	case f := <-s.readers:
 		return f, nil
@@ -140,7 +160,7 @@ func (s *segment) getReader() (*os.File, error) {
 		return nil, errRetired
 	default:
 	}
-	f, err := os.Open(s.path)
+	f, err := s.fs.OpenFile(s.path, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, fmt.Errorf("open segment for read: %w", err)
 	}
@@ -149,7 +169,7 @@ func (s *segment) getReader() (*os.File, error) {
 
 // putReader returns a handle to the pool, closing it if the pool is full
 // or the segment has been retired.
-func (s *segment) putReader(f *os.File) {
+func (s *segment) putReader(f fsutil.File) {
 	select {
 	case <-s.retired:
 		f.Close() // bmaclint:allow errdiscard (read-only handle on a retired segment)
@@ -211,7 +231,7 @@ func (s *segment) readBlock(e entry) (*block.Block, error) {
 // verifyChecksum re-reads the sealed segment's record region and compares
 // it against the footer checksum. Sequential read of one segment file.
 func (s *segment) verifyChecksum() error {
-	f, err := os.Open(s.path)
+	f, err := s.fs.OpenFile(s.path, os.O_RDONLY, 0)
 	if err != nil {
 		return fmt.Errorf("segment %06d verify open: %w", s.id, err)
 	}
@@ -249,8 +269,8 @@ type scanResult struct {
 // warning through warnf); if decode is false only length prefixes are
 // walked (rebuilding offsets for a sealed segment) and any malformed tail
 // is an error. expectFirst/expectPrev seed the validation chain.
-func scanSegment(path string, decode bool, expectFirst uint64, expectPrev []byte, warnf func(string, ...any)) (*scanResult, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+func scanSegment(fsys fsutil.FS, path string, decode bool, expectFirst uint64, expectPrev []byte, warnf func(string, ...any)) (*scanResult, error) {
+	f, err := fsys.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("open segment for scan: %w", err)
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"bmac/internal/block"
+	"bmac/internal/fsutil"
 )
 
 // Segment-store tests: rotation, the persistent index, the crash windows
@@ -174,7 +175,7 @@ func TestCrashTornFooter(t *testing.T) {
 	last := paths[len(paths)-1]
 	// Drop everything after `last` (the empty active file) and the index,
 	// leaving a directory whose tail segment has a torn footer.
-	ids, err := listSegmentIDs(dir)
+	ids, err := listSegmentIDs(fsutil.OS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +251,9 @@ func TestCrashSealedButUnindexed(t *testing.T) {
 	}
 }
 
-// TestStaleIndexTempCleaned: a crash mid index write leaves index.tmp-*
-// files; open must sweep them.
+// TestStaleIndexTempCleaned: a crash mid index, checkpoint or MANIFEST
+// write leaves fsutil.Replace temp files, and one mid restore a .restore
+// file; open must sweep them all, and nothing else.
 func TestStaleIndexTempCleaned(t *testing.T) {
 	f := newFixture(t)
 	dir := t.TempDir()
@@ -260,12 +262,15 @@ func TestStaleIndexTempCleaned(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	stale := filepath.Join(dir, "index.tmp-999")
-	if err := os.WriteFile(stale, []byte("torn"), 0o644); err != nil {
-		t.Fatal(err)
+	var stale []string
+	for _, name := range []string{"index.tmp-999", "checkpoint-000000000004.tmp-123", "MANIFEST.tmp-456", "blockfile_000007.restore"} {
+		stale = append(stale, filepath.Join(dir, name))
+		if err := os.WriteFile(stale[len(stale)-1], []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	staleRestore := filepath.Join(dir, "blockfile_000007.restore")
-	if err := os.WriteFile(staleRestore, []byte("torn"), 0o644); err != nil {
+	kept := filepath.Join(dir, "MANIFEST")
+	if err := os.WriteFile(kept, []byte("not a temp"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	l2, err := Open(dir, Options{SegmentBytes: 1})
@@ -273,10 +278,13 @@ func TestStaleIndexTempCleaned(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	for _, p := range []string{stale, staleRestore} {
+	for _, p := range stale {
 		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
 			t.Errorf("stale temp %s survived open", filepath.Base(p))
 		}
+	}
+	if _, err := os.Stat(kept); err != nil {
+		t.Errorf("open swept %s: %v", filepath.Base(kept), err)
 	}
 }
 
@@ -491,33 +499,32 @@ func TestPruneDropsCoveredSegments(t *testing.T) {
 }
 
 func TestWarningsRingBounded(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{MaxWarnings: 4})
+	l, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	for i := 0; i < 10; i++ {
-		l.mu.Lock()
-		l.warnf("synthetic warning %d", i)
-		l.mu.Unlock()
+	const extra = 6
+	for i := 0; i < maxWarnings+extra; i++ {
+		l.Warnf("synthetic warning %d", i)
 	}
 	w := l.Warnings()
-	if len(w) != 4 {
-		t.Fatalf("ring holds %d warnings, want 4", len(w))
+	if len(w) != maxWarnings {
+		t.Fatalf("ring holds %d warnings, want %d", len(w), maxWarnings)
 	}
-	if l.WarningsDropped() != 6 {
-		t.Fatalf("dropped %d, want 6", l.WarningsDropped())
+	if l.WarningsDropped() != extra {
+		t.Fatalf("dropped %d, want %d", l.WarningsDropped(), extra)
 	}
 	// The survivors are the newest.
-	if w[len(w)-1] != "synthetic warning 9" {
-		t.Fatalf("newest warning %q", w[len(w)-1])
+	if w[0] != fmt.Sprintf("synthetic warning %d", extra) || w[len(w)-1] != fmt.Sprintf("synthetic warning %d", maxWarnings+extra-1) {
+		t.Fatalf("ring holds %q .. %q, want the newest", w[0], w[len(w)-1])
 	}
 }
 
 func TestConcurrentGetDuringCommit(t *testing.T) {
 	f := newFixture(t)
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 1, Readers: 4})
+	l, err := Open(dir, Options{SegmentBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,10 +17,11 @@ package peer
 import (
 	"errors"
 	"fmt"
-	"os"
+	"io/fs"
 	"path/filepath"
 
 	"bmac/internal/block"
+	"bmac/internal/fsutil"
 	"bmac/internal/ledger"
 	"bmac/internal/pipeline"
 	"bmac/internal/statedb"
@@ -53,21 +54,9 @@ type DurableOptions struct {
 	NoFastSync bool
 	// SyncEachBlock fsyncs the ledger after every block commit.
 	SyncEachBlock bool
-	// CommitFault, when set, is the ledger's pre-append fault hook (see
-	// ledger.Options.CommitFault) — the chaos slow-disk scenario.
-	CommitFault func() error
-	// CheckpointFault, when set, is the checkpoint writer's pre-write
-	// fault hook (see statedb.SaveCheckpointFault).
-	CheckpointFault func() error
-}
-
-// ledgerOptions maps the durable options onto the ledger's.
-func (o DurableOptions) ledgerOptions() ledger.Options {
-	return ledger.Options{
-		SegmentBytes:  o.SegmentBytes,
-		SyncEachBlock: o.SyncEachBlock,
-		CommitFault:   o.CommitFault,
-	}
+	// FS is the file system the ledger and the checkpoints go through
+	// (the chaos slow-disk scenario wraps it); nil means fsutil.OS.
+	FS fsutil.FS
 }
 
 // Open opens (or reopens) a software peer in dir — the engine that cfg
@@ -77,7 +66,14 @@ func (o DurableOptions) ledgerOptions() ledger.Options {
 // a restarted peer resumes from its last committed block; Height reports
 // where that is.
 func Open(cfg pipeline.Config, kvs statedb.KVS, dir string, opts DurableOptions) (*Peer, error) {
-	led, err := ledger.Open(dir, opts.ledgerOptions())
+	if opts.FS == nil {
+		opts.FS = fsutil.OS{}
+	}
+	led, err := ledger.Open(dir, ledger.Options{
+		SegmentBytes:  opts.SegmentBytes,
+		SyncEachBlock: opts.SyncEachBlock,
+		FS:            opts.FS,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("peer ledger: %w", err)
 	}
@@ -114,7 +110,10 @@ func NewDurableParallelPeer(cfg pipeline.Config, kvs statedb.KVS, dir string, op
 // reproduce state that predates block 0 (bootstrap genesis data lives only
 // in checkpoints).
 func recoverState(kvs statedb.KVS, led *ledger.Ledger, dir string, pc *validator.ParseCache, opts DurableOptions) error {
-	refs, notes := statedb.Checkpoints(dir)
+	for _, name := range fsutil.RemoveTemps(opts.FS, dir) {
+		led.Warnf("peer: removed stale temp file %s", name)
+	}
+	refs, notes := statedb.Checkpoints(opts.FS, dir)
 	for _, n := range notes {
 		led.Warnf("peer: %s", n)
 	}
@@ -129,10 +128,10 @@ func recoverState(kvs statedb.KVS, led *ledger.Ledger, dir string, pc *validator
 	restored := false
 	var aheadErr error
 	for _, ref := range refs {
-		snap, h, err := statedb.LoadCheckpoint(filepath.Join(dir, ref.File))
+		snap, h, err := statedb.LoadCheckpoint(opts.FS, filepath.Join(dir, ref.File))
 		switch {
 		case err == nil:
-		case errors.Is(err, os.ErrNotExist):
+		case errors.Is(err, fs.ErrNotExist):
 			continue
 		default:
 			led.Warnf("peer: checkpoint %s unusable (%v); falling back", ref.File, err)
@@ -213,11 +212,16 @@ func (p *Peer) Height() uint64 { return p.Ledger.Height() }
 // current ledger height (atomic rename; previous generations survive a
 // crash mid-write) and, when pruning is on, prunes ledger segments covered
 // by *every* retained generation — pruning to the newest would strand the
-// older generations' replay ranges. Call it after bootstrap to capture
-// genesis state that no ledger block carries.
+// older generations' replay ranges. The ledger is fsynced first: state is
+// never durable ahead of the log it derives from, or a power loss would
+// leave a checkpoint above the surviving ledger. Call it after bootstrap to
+// capture genesis state that no ledger block carries.
 func (p *Peer) Checkpoint() error {
-	refs, err := statedb.WriteManagedCheckpoint(p.dir, p.Engine.Store(), p.Ledger.Height(),
-		p.opts.KeepCheckpoints, p.opts.CheckpointFault)
+	if err := p.Ledger.Sync(); err != nil {
+		return fmt.Errorf("peer: sync ledger before checkpoint: %w", err)
+	}
+	refs, err := statedb.WriteManagedCheckpoint(p.opts.FS, p.dir, p.Engine.Store(), p.Ledger.Height(),
+		p.opts.KeepCheckpoints)
 	if err != nil {
 		return err
 	}

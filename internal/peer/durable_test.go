@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"bmac/internal/block"
+	"bmac/internal/chaos"
+	"bmac/internal/fsutil"
 	"bmac/internal/identity"
 	"bmac/internal/pipeline"
 	"bmac/internal/policy"
@@ -218,11 +220,11 @@ func TestDurablePeerCheckpointSuffixReplay(t *testing.T) {
 
 				// The block-3 checkpoint generation must exist and restrict
 				// replay to the suffix.
-				refs, _ := statedb.Checkpoints(dir)
+				refs, _ := statedb.Checkpoints(fsutil.OS{}, dir)
 				if len(refs) == 0 {
 					t.Fatal("no periodic checkpoint generation")
 				}
-				_, h, err := statedb.LoadCheckpoint(dir + "/" + refs[0].File)
+				_, h, err := statedb.LoadCheckpoint(fsutil.OS{}, dir+"/"+refs[0].File)
 				if err != nil {
 					t.Fatalf("no periodic checkpoint: %v", err)
 				}
@@ -262,7 +264,7 @@ func TestRecoverStateRejectsCheckpointAheadOfLedger(t *testing.T) {
 		}
 	}
 	// A checkpoint generation claiming height 7 against a 2-block ledger.
-	if _, err := statedb.WriteManagedCheckpoint(dir, p.Engine.Store(), 7, 0, nil); err != nil {
+	if _, err := statedb.WriteManagedCheckpoint(fsutil.OS{}, dir, p.Engine.Store(), 7, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Close(); err != nil {
@@ -270,5 +272,49 @@ func TestRecoverStateRejectsCheckpointAheadOfLedger(t *testing.T) {
 	}
 	if _, err := Open(fabric14(t, f.net, 1, f.pols), statedb.NewStore(), dir, DurableOptions{}); err == nil {
 		t.Fatal("checkpoint ahead of ledger accepted")
+	}
+}
+
+// TestDiskFaultFSRecovers: a peer whose ledger and checkpoints write
+// through a disk that refuses every write once recovers, on the operating
+// system's disk, the state it committed — the refused writes landed exactly
+// once — and its checkpoint wrote through the fault.
+func TestDiskFaultFSRecovers(t *testing.T) {
+	f := newChainFixture(t)
+	blocks := f.chain(t, 5)
+	cfg := fabric14(t, f.net, 1, f.pols)
+	disk := &chaos.DiskFault{FailEvery: 1}
+	dir := t.TempDir()
+	p, err := Open(cfg, statedb.NewStore(), dir, DurableOptions{SegmentBytes: 4096, FS: disk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range blocks {
+		if _, err := p.CommitBlock(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, _ := disk.Stats()
+	if err := p.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if after, faults := disk.Stats(); after == before || faults != after {
+		t.Fatalf("checkpoint wrote %d times through the fault (%d refused of %d)", after-before, faults, after)
+	}
+	want := statedb.SnapshotHash(p.Engine.Store().Snapshot())
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p2, err := Open(cfg, statedb.NewStore(), dir, DurableOptions{SegmentBytes: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	if p2.Height() != 5 {
+		t.Fatalf("recovered height %d, want 5", p2.Height())
+	}
+	if got := statedb.SnapshotHash(p2.Engine.Store().Snapshot()); !bytes.Equal(got, want) {
+		t.Fatal("state recovered from the faulted disk diverges from the live state")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"bmac/internal/fsutil"
 	"bmac/internal/statedb"
 )
 
@@ -38,7 +39,7 @@ func TestRecoveryFallsBackOnCorruptNewestCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	refs, _ := statedb.Checkpoints(dir)
+	refs, _ := statedb.Checkpoints(fsutil.OS{}, dir)
 	if len(refs) < 2 {
 		t.Fatalf("need >= 2 generations to test fallback, have %+v", refs)
 	}

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 
 	"bmac/internal/block"
@@ -34,39 +33,12 @@ var ckptMagic = [8]byte{'B', 'M', 'A', 'C', 'C', 'K', 'P', '1'}
 var ErrCorruptCheckpoint = errors.New("statedb: corrupt checkpoint")
 
 // SaveCheckpoint atomically serializes the database snapshot plus the state
-// height (number of blocks applied) to path. The write goes to a temporary
-// file in the same directory, is fsynced, and is renamed over path; the
-// directory is fsynced afterwards so the rename itself is durable.
-func SaveCheckpoint(path string, kvs KVS, height uint64) error {
-	return SaveSnapshot(path, kvs.Snapshot(), height)
-}
-
-// SaveCheckpointFault is SaveCheckpoint with a pre-write fault hook — the
-// chaos slow-disk injection point. The hook runs before the temp file is
-// created; a returned error models a transient device fault and is
-// retried a bounded number of times before surfacing. Because the write
-// is temp+rename-atomic anyway, a surfaced fault leaves the previous
-// checkpoint intact.
-func SaveCheckpointFault(path string, kvs KVS, height uint64, fault func() error) error {
-	if fault != nil {
-		const maxFaultRetries = 8
-		var err error
-		for attempt := 0; ; attempt++ {
-			if err = fault(); err == nil {
-				break
-			}
-			if attempt >= maxFaultRetries {
-				return fmt.Errorf("statedb: checkpoint fault persisted after %d retries: %w", maxFaultRetries, err)
-			}
-		}
-	}
-	return SaveCheckpoint(path, kvs, height)
-}
-
-// SaveSnapshot is SaveCheckpoint over an already-taken snapshot (so callers
-// can capture state at a precise block boundary and write it out later).
-func SaveSnapshot(path string, snap map[string]VersionedValue, height uint64) error {
-	err := fsutil.Replace(path, func(f io.Writer) error { return writeSnapshot(f, snap, height) })
+// height (number of blocks applied) to path through fsys. The write goes to
+// a temporary file in the same directory, is fsynced, and is renamed over
+// path; the directory is fsynced afterwards so the rename itself is durable.
+func SaveCheckpoint(fsys fsutil.FS, path string, kvs KVS, height uint64) error {
+	snap := kvs.Snapshot()
+	err := fsutil.Replace(fsys, path, func(f io.Writer) error { return writeSnapshot(f, snap, height) })
 	if err != nil {
 		return fmt.Errorf("statedb: checkpoint %w", err)
 	}
@@ -136,8 +108,8 @@ func writeSnapshot(f io.Writer, snap map[string]VersionedValue, height uint64) e
 // snapshot and the height it was taken at. A missing file reports an error
 // wrapping os.ErrNotExist; any structural or checksum failure reports
 // ErrCorruptCheckpoint.
-func LoadCheckpoint(path string) (map[string]VersionedValue, uint64, error) {
-	raw, err := os.ReadFile(path)
+func LoadCheckpoint(fsys fsutil.FS, path string) (map[string]VersionedValue, uint64, error) {
+	raw, err := fsys.ReadFile(path)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bmac/internal/block"
+	"bmac/internal/fsutil"
 )
 
 // backends returns one fresh instance of every KVS backend, keyed by name.
@@ -34,10 +35,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	for srcName, src := range backends() {
 		seedState(src, 20)
 		path := filepath.Join(t.TempDir(), "checkpoint")
-		if err := SaveCheckpoint(path, src, 5); err != nil {
+		if err := SaveCheckpoint(fsutil.OS{}, path, src, 5); err != nil {
 			t.Fatalf("%s: save: %v", srcName, err)
 		}
-		snap, height, err := LoadCheckpoint(path)
+		snap, height, err := LoadCheckpoint(fsutil.OS{}, path)
 		if err != nil {
 			t.Fatalf("%s: load: %v", srcName, err)
 		}
@@ -61,7 +62,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestCheckpointMissingFile(t *testing.T) {
-	_, _, err := LoadCheckpoint(filepath.Join(t.TempDir(), "nope"))
+	_, _, err := LoadCheckpoint(fsutil.OS{}, filepath.Join(t.TempDir(), "nope"))
 	if !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("err = %v, want os.ErrNotExist", err)
 	}
@@ -75,7 +76,7 @@ func TestCheckpointDetectsCorruption(t *testing.T) {
 	seedState(src, 10)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "checkpoint")
-	if err := SaveCheckpoint(path, src, 3); err != nil {
+	if err := SaveCheckpoint(fsutil.OS{}, path, src, 3); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -94,7 +95,7 @@ func TestCheckpointDetectsCorruption(t *testing.T) {
 		if err := os.WriteFile(p, mutated, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := LoadCheckpoint(p); !errors.Is(err, ErrCorruptCheckpoint) {
+		if _, _, err := LoadCheckpoint(fsutil.OS{}, p); !errors.Is(err, ErrCorruptCheckpoint) {
 			t.Errorf("%s: err = %v, want ErrCorruptCheckpoint", name, err)
 		}
 	}
@@ -108,15 +109,15 @@ func TestCheckpointAtomicReplace(t *testing.T) {
 	path := filepath.Join(dir, "checkpoint")
 	s1 := NewStore()
 	seedState(s1, 4)
-	if err := SaveCheckpoint(path, s1, 1); err != nil {
+	if err := SaveCheckpoint(fsutil.OS{}, path, s1, 1); err != nil {
 		t.Fatal(err)
 	}
 	s2 := NewStore()
 	seedState(s2, 8)
-	if err := SaveCheckpoint(path, s2, 2); err != nil {
+	if err := SaveCheckpoint(fsutil.OS{}, path, s2, 2); err != nil {
 		t.Fatal(err)
 	}
-	snap, height, err := LoadCheckpoint(path)
+	snap, height, err := LoadCheckpoint(fsutil.OS{}, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestCheckpointAtomicReplace(t *testing.T) {
 	}
 	// Determinism: same state, same bytes.
 	p2 := filepath.Join(dir, "again")
-	if err := SaveCheckpoint(p2, s2, 2); err != nil {
+	if err := SaveCheckpoint(fsutil.OS{}, p2, s2, 2); err != nil {
 		t.Fatal(err)
 	}
 	a, _ := os.ReadFile(path)

@@ -7,7 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -78,7 +78,7 @@ func parseCkptGenName(name string) (uint64, bool) {
 }
 
 // writeManifest atomically writes the manifest for refs (newest first).
-func writeManifest(dir string, refs []CheckpointRef) error {
+func writeManifest(fsys fsutil.FS, dir string, refs []CheckpointRef) error {
 	var buf []byte
 	buf = append(buf, manifestMagic[:]...)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(len(refs)))
@@ -90,7 +90,7 @@ func writeManifest(dir string, refs []CheckpointRef) error {
 	sum := sha256.Sum256(buf)
 	buf = append(buf, sum[:]...)
 
-	err := fsutil.Replace(filepath.Join(dir, ManifestFile), func(w io.Writer) error {
+	err := fsutil.Replace(fsys, filepath.Join(dir, ManifestFile), func(w io.Writer) error {
 		_, err := w.Write(buf)
 		return err
 	})
@@ -102,8 +102,8 @@ func writeManifest(dir string, refs []CheckpointRef) error {
 
 // loadManifest reads and validates the manifest, returning refs in the
 // stored (newest-first) order.
-func loadManifest(dir string) ([]CheckpointRef, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, ManifestFile))
+func loadManifest(fsys fsutil.FS, dir string) ([]CheckpointRef, error) {
+	raw, err := fsys.ReadFile(filepath.Join(dir, ManifestFile))
 	if err != nil {
 		return nil, err
 	}
@@ -152,22 +152,21 @@ func loadManifest(dir string) ([]CheckpointRef, error) {
 // prepended, the newest keep generations are retained and older ones are
 // deleted only after the updated manifest is durable (a crash mid-cleanup
 // leaves orphan files, which the next write sweeps). keep <= 0 means
-// DefaultKeepCheckpoints. The fault hook is the chaos slow-disk injection
-// point, threaded through to the snapshot writer. Returns the retained
-// generations, newest first — callers prune ledger history against the
-// *oldest* retained height, never the newest.
-func WriteManagedCheckpoint(dir string, kvs KVS, height uint64, keep int, fault func() error) ([]CheckpointRef, error) {
+// DefaultKeepCheckpoints. Returns the retained generations, newest first —
+// callers prune ledger history against the *oldest* retained height, never
+// the newest.
+func WriteManagedCheckpoint(fsys fsutil.FS, dir string, kvs KVS, height uint64, keep int) ([]CheckpointRef, error) {
 	if keep <= 0 {
 		keep = DefaultKeepCheckpoints
 	}
 	name := ckptGenName(height)
-	if err := SaveCheckpointFault(filepath.Join(dir, name), kvs, height, fault); err != nil {
+	if err := SaveCheckpoint(fsys, filepath.Join(dir, name), kvs, height); err != nil {
 		return nil, err
 	}
-	refs, err := loadManifest(dir)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
+	refs, err := loadManifest(fsys, dir)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		// Corrupt manifest: rebuild it from the files on disk.
-		refs = scanCheckpointFiles(dir)
+		refs = scanCheckpointFiles(fsys, dir)
 	}
 	// Prepend/replace the new generation and keep newest-first order.
 	out := []CheckpointRef{{File: name, Height: height}}
@@ -184,26 +183,23 @@ func WriteManagedCheckpoint(dir string, kvs KVS, height uint64, keep int, fault 
 		}
 		out = out[:keep]
 	}
-	if err := writeManifest(dir, out); err != nil {
+	if err := writeManifest(fsys, dir, out); err != nil {
 		return nil, err
 	}
 	for _, f := range drop {
-		os.Remove(filepath.Join(dir, f)) // bmaclint:allow errdiscard (orphan generations are swept on the next write)
+		fsys.Remove(filepath.Join(dir, f)) // bmaclint:allow errdiscard (orphan generations are swept on the next write)
 	}
 	return out, nil
 }
 
 // scanCheckpointFiles lists on-disk checkpoint generations newest-first —
 // the fallback when the manifest is missing or corrupt.
-func scanCheckpointFiles(dir string) []CheckpointRef {
-	matches, err := filepath.Glob(filepath.Join(dir, ckptGenPrefix+"*"))
-	if err != nil {
-		return nil
-	}
+func scanCheckpointFiles(fsys fsutil.FS, dir string) []CheckpointRef {
+	entries, _ := fsys.ReadDir(dir) // bmaclint:allow errdiscard (an unlistable dir offers no candidates; recovery reports what it lacks)
 	var refs []CheckpointRef
-	for _, m := range matches {
-		if h, ok := parseCkptGenName(filepath.Base(m)); ok {
-			refs = append(refs, CheckpointRef{File: filepath.Base(m), Height: h})
+	for _, e := range entries {
+		if h, ok := parseCkptGenName(e.Name()); ok {
+			refs = append(refs, CheckpointRef{File: e.Name(), Height: h})
 		}
 	}
 	sort.Slice(refs, func(i, j int) bool { return refs[i].Height > refs[j].Height })
@@ -214,14 +210,14 @@ func scanCheckpointFiles(dir string) []CheckpointRef {
 // human-readable notes about any degradation met along the way (corrupt
 // manifest, scan fallback). The refs are candidates, not guarantees —
 // recovery validates each with LoadCheckpoint and falls through on failure.
-func Checkpoints(dir string) ([]CheckpointRef, []string) {
-	refs, err := loadManifest(dir)
+func Checkpoints(fsys fsutil.FS, dir string) ([]CheckpointRef, []string) {
+	refs, err := loadManifest(fsys, dir)
 	if err == nil {
 		return refs, nil
 	}
 	var notes []string
-	if !errors.Is(err, os.ErrNotExist) {
+	if !errors.Is(err, fs.ErrNotExist) {
 		notes = append(notes, fmt.Sprintf("checkpoint manifest unreadable (%v); scanning directory", err))
 	}
-	return scanCheckpointFiles(dir), notes
+	return scanCheckpointFiles(fsys, dir), notes
 }

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"bmac/internal/fsutil"
 )
 
 // TestManagedCheckpointRotation: WriteManagedCheckpoint keeps the newest
@@ -14,7 +16,7 @@ func TestManagedCheckpointRotation(t *testing.T) {
 	kvs := NewStore()
 	seedState(kvs, 8)
 	for _, h := range []uint64{3, 6, 9} {
-		refs, err := WriteManagedCheckpoint(dir, kvs, h, 2, nil)
+		refs, err := WriteManagedCheckpoint(fsutil.OS{}, dir, kvs, h, 2)
 		if err != nil {
 			t.Fatalf("checkpoint at %d: %v", h, err)
 		}
@@ -25,7 +27,7 @@ func TestManagedCheckpointRotation(t *testing.T) {
 			t.Fatalf("retained %d generations, want <= 2", len(refs))
 		}
 	}
-	refs, notes := Checkpoints(dir)
+	refs, notes := Checkpoints(fsutil.OS{}, dir)
 	if len(notes) != 0 {
 		t.Fatalf("clean directory produced notes: %v", notes)
 	}
@@ -38,7 +40,7 @@ func TestManagedCheckpointRotation(t *testing.T) {
 	}
 	// Each retained generation loads at its recorded height.
 	for _, r := range refs {
-		_, h, err := LoadCheckpoint(filepath.Join(dir, r.File))
+		_, h, err := LoadCheckpoint(fsutil.OS{}, filepath.Join(dir, r.File))
 		if err != nil {
 			t.Fatalf("load %s: %v", r.File, err)
 		}
@@ -56,14 +58,14 @@ func TestManifestCorruptionFallsBackToScan(t *testing.T) {
 	kvs := NewStore()
 	seedState(kvs, 4)
 	for _, h := range []uint64{2, 4} {
-		if _, err := WriteManagedCheckpoint(dir, kvs, h, 2, nil); err != nil {
+		if _, err := WriteManagedCheckpoint(fsutil.OS{}, dir, kvs, h, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := os.WriteFile(filepath.Join(dir, ManifestFile), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	refs, notes := Checkpoints(dir)
+	refs, notes := Checkpoints(fsutil.OS{}, dir)
 	if len(notes) == 0 {
 		t.Error("corrupt manifest produced no degradation note")
 	}
@@ -71,10 +73,10 @@ func TestManifestCorruptionFallsBackToScan(t *testing.T) {
 		t.Fatalf("scan fallback refs %+v, want heights [4 2]", refs)
 	}
 	// The next write repairs the manifest.
-	if _, err := WriteManagedCheckpoint(dir, kvs, 6, 2, nil); err != nil {
+	if _, err := WriteManagedCheckpoint(fsutil.OS{}, dir, kvs, 6, 2); err != nil {
 		t.Fatal(err)
 	}
-	refs, notes = Checkpoints(dir)
+	refs, notes = Checkpoints(fsutil.OS{}, dir)
 	if len(notes) != 0 {
 		t.Fatalf("manifest still degraded after rewrite: %v", notes)
 	}
@@ -87,10 +89,10 @@ func TestManifestCorruptionFallsBackToScan(t *testing.T) {
 // escapes the peer directory is structural corruption, not a candidate.
 func TestManifestRejectsEscapingNames(t *testing.T) {
 	dir := t.TempDir()
-	if err := writeManifest(dir, []CheckpointRef{{File: "../evil", Height: 1}}); err != nil {
+	if err := writeManifest(fsutil.OS{}, dir, []CheckpointRef{{File: "../evil", Height: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadManifest(dir); err == nil {
+	if _, err := loadManifest(fsutil.OS{}, dir); err == nil {
 		t.Fatal("escaping manifest entry accepted")
 	}
 }
