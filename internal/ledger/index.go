@@ -193,9 +193,9 @@ func loadIndex(fsys fsutil.FS, dir string) (*indexData, error) {
 }
 
 // removeStaleTemps deletes what a crashed prior process left half-written
-// in dir: the temp files of an interrupted fsutil.Replace (index, and the
-// checkpoint writers' when they share the directory) and aborted restore
-// files.
+// in dir: the temp files of an interrupted fsutil.Replace (the index's,
+// and a peer's checkpoints and MANIFEST, which share the directory) and
+// aborted restore files.
 func removeStaleTemps(fsys fsutil.FS, dir string, warnf func(string, ...any)) {
 	removed := fsutil.RemoveTemps(fsys, dir)
 	entries, _ := fsys.ReadDir(dir) // bmaclint:allow errdiscard (best effort: the segment listing right after reports an unreadable dir)

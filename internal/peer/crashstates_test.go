@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -28,9 +27,6 @@ import (
 // mutation in order. For every op index k the recorder rebuilds the disk a
 // crash right after op k could leave, in four modes, and the peer must
 // recover from each of them.
-
-var crashStates = flag.String("peer.crashstates", "tier1",
-	`which crash states TestCrashStates checks: "tier1" (every state next to a sync, dir sync or rename, and after every script mark) or "all"`)
 
 // crashModes are the disks a crash can leave behind:
 //
@@ -489,15 +485,6 @@ func (f *chainFixture) smallChain(t *testing.T, n int) []*block.Block {
 	return out
 }
 
-// tier1 reports whether the state after ops[k] is in the fixed subset:
-// right before or right after a sync, dir sync or rename, or at a mark.
-func tier1(ops []fsOp, k int) bool {
-	near := func(i int) bool {
-		return i < len(ops) && (ops[i].kind == "sync" || ops[i].kind == "syncdir" || ops[i].kind == "rename")
-	}
-	return near(k) || near(k+1) || ops[k].kind == "mark"
-}
-
 // TestCrashStates records each crash script and checks the peer recovers
 // from every disk a crash could leave: Open succeeds; the recovered blocks
 // are a prefix of the live chain; the height reaches the mode's floor; the
@@ -507,10 +494,6 @@ func tier1(ops []fsOp, k int) bool {
 // floor among them. Subtests are named <script>/<k>/<mode>, crash right
 // after op k; run one with -run to replay it.
 func TestCrashStates(t *testing.T) {
-	all := *crashStates == "all"
-	if !all && *crashStates != "tier1" {
-		t.Fatalf("-peer.crashstates=%q, want tier1 or all", *crashStates)
-	}
 	f := newChainFixture(t)
 	cfg := fabric14(t, f.net, 1, f.pols)
 	for _, sc := range crashScripts {
@@ -523,9 +506,6 @@ func TestCrashStates(t *testing.T) {
 			}
 			byDisk := map[[sha256.Size]byte]state{}
 			for k := start; k < len(ops); k++ {
-				if !all && !tier1(ops, k) {
-					continue
-				}
 				for _, mode := range crashModes {
 					files, torn, ok := disk(ops, k, mode)
 					if !ok {

@@ -108,11 +108,9 @@ func NewDurableParallelPeer(cfg pipeline.Config, kvs statedb.KVS, dir string, op
 // every candidate is unusable *because it is ahead of the ledger*, that is
 // an error rather than a silent full replay: the ledger alone cannot
 // reproduce state that predates block 0 (bootstrap genesis data lives only
-// in checkpoints).
+// in checkpoints). The checkpoints share the ledger's directory, so
+// ledger.Open has already swept the temp files of an interrupted write.
 func recoverState(kvs statedb.KVS, led *ledger.Ledger, dir string, pc *validator.ParseCache, opts DurableOptions) error {
-	for _, name := range fsutil.RemoveTemps(opts.FS, dir) {
-		led.Warnf("peer: removed stale temp file %s", name)
-	}
 	refs, notes := statedb.Checkpoints(opts.FS, dir)
 	for _, n := range notes {
 		led.Warnf("peer: %s", n)
