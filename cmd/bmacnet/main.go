@@ -16,9 +16,9 @@
 // ledger-backed delivery source; churn-corrupt also bit-rots one of the
 // downed peer's sealed ledger segments, so the restart must quarantine it
 // and re-fetch the lost range through delivery; partition, corruption,
-// slowdisk and leaderkill inject one chaos fault. -segment-bytes, -prune
-// and -fastsync tune the segmented ledger's rotation budget,
-// checkpoint-covered pruning and recovery mode. With -cluster
+// slowdisk and leaderkill inject one chaos fault. -segment-bytes and
+// -prune tune the segmented ledger's rotation budget and
+// checkpoint-covered pruning. With -cluster
 // -adversary-rate it mixes hostile traffic (invalid signatures, garbage
 // envelopes, forged endorsements, replayed double-spends) into the honest
 // load at the given fraction. Every run gates on all fast peers ending
@@ -86,7 +86,6 @@ func run() (err error) {
 		ckptEvery  = flag.Int("checkpoint-every", 0, "peer state checkpoint cadence in blocks (0 = config durability.checkpoint_every)")
 		segBytes   = flag.Int64("segment-bytes", 0, "ledger segment rotation budget in bytes (0 = config durability.segment_bytes or ledger default)")
 		prune      = flag.Bool("prune", false, "prune ledger segments covered by every retained checkpoint generation (requires a checkpoint cadence)")
-		fastsync   = flag.Bool("fastsync", true, "recover restarted peers from the newest checkpoint generation + tail replay (false: full replay from the oldest, a measurement baseline)")
 		advRate    = flag.Float64("adversary-rate", 0, "cluster: fraction of all traffic injected as hostile envelopes — invalid signatures, garbage, forged endorsements, replays (0..0.9)")
 
 		telAddr   = flag.String("telemetry-addr", "", "serve live /metrics, /debug/pprof/* and /trace on this address (e.g. 127.0.0.1:9464); turns the telemetry plane on")
@@ -136,7 +135,6 @@ func run() (err error) {
 		cfg.Durability.SegmentBytes = *segBytes
 	}
 	cfg.Durability.Prune = cfg.Durability.Prune || *prune
-	cfg.Durability.NoFastSync = cfg.Durability.NoFastSync || !*fastsync
 	if *telAddr != "" {
 		cfg.Telemetry.Enabled = true
 		cfg.Telemetry.Addr = *telAddr

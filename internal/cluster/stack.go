@@ -116,7 +116,6 @@ func DurableOptions(d config.DurabilitySpec) peer.DurableOptions {
 		KeepCheckpoints: d.KeepCheckpoints,
 		SegmentBytes:    d.SegmentBytes,
 		Prune:           d.Prune,
-		NoFastSync:      d.NoFastSync,
 		SyncEachBlock:   d.SyncEachBlock,
 	}
 }

@@ -110,18 +110,12 @@ type DurabilitySpec struct {
 	// started. 0 means the ledger default (64 MiB).
 	SegmentBytes int64
 	// KeepCheckpoints is how many checkpoint generations each peer
-	// retains; <= 0 means statedb.DefaultKeepCheckpoints (2: the newest
-	// for fast-sync plus one corruption fallback).
+	// retains (see statedb.DefaultKeepCheckpoints for <= 0).
 	KeepCheckpoints int
 	// Prune removes ledger segments wholly covered by every retained
 	// checkpoint generation after each checkpoint, bounding disk growth.
 	// A pruned peer can no longer serve those blocks to others.
 	Prune bool
-	// NoFastSync makes recovery replay from the oldest retained
-	// checkpoint instead of the newest — the fastsync experiment's
-	// full-replay baseline. The YAML key is "fastsync" (default true);
-	// the field is inverted so the zero value means fast-sync on.
-	NoFastSync bool
 }
 
 // TelemetrySpec gates the observability plane (internal/telemetry). With
@@ -361,7 +355,7 @@ func Parse(raw []byte) (*Config, error) {
 		cfg.Chaincodes = append(cfg.Chaincodes, spec)
 	}
 
-	fastSync, countAccesses := true, true
+	countAccesses := true
 	sections := []struct {
 		name string
 		m    map[string]any
@@ -387,7 +381,6 @@ func Parse(raw []byte) (*Config, error) {
 			"segment_bytes":    &cfg.Durability.SegmentBytes,
 			"keep_checkpoints": &cfg.Durability.KeepCheckpoints,
 			"prune":            &cfg.Durability.Prune,
-			"fastsync":         &fastSync,
 		}},
 		{"telemetry", tel, fields{
 			"enabled":    &cfg.Telemetry.Enabled,
@@ -400,7 +393,6 @@ func Parse(raw []byte) (*Config, error) {
 			return nil, err
 		}
 	}
-	cfg.Durability.NoFastSync = !fastSync
 	cfg.StateDB.NoCountAccesses = !countAccesses
 	// Asking for an endpoint or a trace file implies the plane is wanted;
 	// only an explicit enabled: false overrides that.

@@ -47,7 +47,6 @@ durability:
   segment_bytes: 1048576
   keep_checkpoints: 3
   prune: true
-  fastsync: false
 `
 
 func TestParseSample(t *testing.T) {
@@ -81,7 +80,7 @@ func TestParseSample(t *testing.T) {
 		t.Errorf("durability = %+v", cfg.Durability)
 	}
 	if cfg.Durability.SegmentBytes != 1048576 || cfg.Durability.KeepCheckpoints != 3 ||
-		!cfg.Durability.Prune || !cfg.Durability.NoFastSync {
+		!cfg.Durability.Prune {
 		t.Errorf("durability segment/prune keys = %+v", cfg.Durability)
 	}
 }
@@ -107,10 +106,6 @@ func TestDurabilitySpecValidation(t *testing.T) {
 	ok.Durability.CheckpointEvery = 4
 	if err := ok.Validate(); err != nil {
 		t.Errorf("prune with cadence rejected: %v", err)
-	}
-	// YAML fastsync defaults to on: the zero value must mean fast-sync.
-	if Default().Durability.NoFastSync {
-		t.Error("NoFastSync zero value must be false (fast-sync on)")
 	}
 }
 
@@ -241,6 +236,7 @@ func TestParseRejectsUnknownKeysAndWrongTypes(t *testing.T) {
 		{"retired delivery.policy", base + "delivery:\n  policy: drop\n", "unknown key delivery.policy"},
 		{"retired delivery.max_redials", base + "delivery:\n  max_redials: 5\n", "unknown key delivery.max_redials"},
 		{"retired statedb.shards", base + "statedb:\n  shards: 16\n", "unknown key statedb.shards"},
+		{"retired durability.fastsync", base + "durability:\n  fastsync: false\n", "unknown key durability.fastsync"},
 		{"retired sharded backend", base + "statedb:\n  backend: sharded\n", `statedb backend "sharded"`},
 		{"integer given a word", base + "pipeline:\n  workers: six\n", "pipeline.workers is six, want an integer"},
 		{"boolean given a word", base + "telemetry:\n  enabled: maybe\n", "telemetry.enabled is maybe, want a boolean"},

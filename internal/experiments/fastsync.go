@@ -98,8 +98,9 @@ func timeRecovery(cfg pipeline.Config, dir string, dopts peer.DurableOptions,
 // FigFastSync measures snapshot fast-sync over the segmented ledger: a
 // durable peer is built at several total ledger lengths L (tiny segment
 // budget, fixed un-checkpointed tail), then reopened two ways — fast-sync
-// (newest checkpoint generation + tail replay) against the full-replay
-// baseline (oldest retained generation, maximal replay). The scaling
+// (newest checkpoint generation + tail replay), then the full-replay
+// baseline: every generation but the oldest is removed, so the same
+// reopen replays from the oldest, maximally. The scaling
 // claim is gated structurally, not just on wall clock: at every L the
 // fast path replays exactly the tail while the baseline's replay grows
 // with L, and the reopen must come from the persisted index (no segment
@@ -189,7 +190,7 @@ func FigFastSync(opts Options) (*metrics.Table, error) {
 			return nil, err
 		}
 
-		refs, _ := statedb.Checkpoints(fsutil.OS{}, dir)
+		refs := statedb.Checkpoints(fsutil.OS{}, dir)
 		if len(refs) == 0 {
 			return nil, fmt.Errorf("fastsync L=%d: no checkpoint generations written", L)
 		}
@@ -228,9 +229,12 @@ func FigFastSync(opts Options) (*metrics.Table, error) {
 		if err != nil {
 			return tbl, fmt.Errorf("fastsync L=%d fast-sync recovery: %w", L, err)
 		}
-		fopts := dopts
-		fopts.NoFastSync = true
-		full, _, err := timeRecovery(cfg, dir, fopts, uint64(L), want, rounds)
+		for _, r := range refs[:len(refs)-1] {
+			if err := os.Remove(filepath.Join(dir, r.File)); err != nil {
+				return tbl, err
+			}
+		}
+		full, _, err := timeRecovery(cfg, dir, dopts, uint64(L), want, rounds)
 		if err != nil {
 			return tbl, fmt.Errorf("fastsync L=%d full-replay recovery: %w", L, err)
 		}

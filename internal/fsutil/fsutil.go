@@ -1,11 +1,11 @@
 // Package fsutil is the file-system seam under the ledger and the statedb
 // checkpoint writers (FS, whose production implementation is OS; the
 // chaos slow-disk fault and the crash-state recorder wrap it), and the one
-// crash-safe file replace the ledger index, the checkpoint manifest and the
-// checkpoints are written through: write a temp file beside the target,
-// fsync it, rename it over the target and fsync the directory, so a crash
-// at any point leaves either the old file or the new one, never a torn mix,
-// plus at worst a temp file that RemoveTemps sweeps on the next open.
+// crash-safe file replace the ledger index and the checkpoints are written
+// through: write a temp file beside the target, fsync it, rename it over
+// the target and fsync the directory, so a crash at any point leaves
+// either the old file or the new one, never a torn mix, plus at worst a
+// temp file that RemoveTemps sweeps on the next open.
 package fsutil
 
 import (

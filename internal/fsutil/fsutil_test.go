@@ -49,7 +49,7 @@ func TestReplaceFailedWriteKeepsOldFile(t *testing.T) {
 // when it did not exist.
 func TestReplaceWrites(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "MANIFEST")
+	path := filepath.Join(dir, "index")
 	for _, want := range []string{"first", "second, longer"} {
 		if err := Replace(OS{}, path, writeString(want)); err != nil {
 			t.Fatal(err)

@@ -251,9 +251,10 @@ func TestCrashSealedButUnindexed(t *testing.T) {
 	}
 }
 
-// TestStaleIndexTempCleaned: a crash mid index, checkpoint or MANIFEST
-// write leaves fsutil.Replace temp files, and one mid restore a .restore
-// file; open must sweep them all, and nothing else.
+// TestStaleIndexTempCleaned: a crash mid index or checkpoint write leaves
+// fsutil.Replace temp files, and one mid restore a .restore file; open must
+// sweep them all, and nothing else — not the checkpoint generation beside
+// its temp.
 func TestStaleIndexTempCleaned(t *testing.T) {
 	f := newFixture(t)
 	dir := t.TempDir()
@@ -263,13 +264,13 @@ func TestStaleIndexTempCleaned(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stale []string
-	for _, name := range []string{"index.tmp-999", "checkpoint-000000000004.tmp-123", "MANIFEST.tmp-456", "blockfile_000007.restore"} {
+	for _, name := range []string{"index.tmp-999", "checkpoint-000000000004.tmp-123", "blockfile_000007.restore"} {
 		stale = append(stale, filepath.Join(dir, name))
 		if err := os.WriteFile(stale[len(stale)-1], []byte("torn"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	kept := filepath.Join(dir, "MANIFEST")
+	kept := filepath.Join(dir, "checkpoint-000000000004")
 	if err := os.WriteFile(kept, []byte("not a temp"), 0o644); err != nil {
 		t.Fatal(err)
 	}

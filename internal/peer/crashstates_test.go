@@ -373,16 +373,22 @@ type liveRun struct {
 
 // crashScript is one workload the enumerator records.
 type crashScript struct {
-	name    string
-	blocks  int
-	opts    DurableOptions
-	restore bool // quarantine a sealed segment, reopen, and Restore its range
+	name   string
+	blocks int
+	opts   DurableOptions
+	// rot, when set, bit-rots the oldest sealed segment after the run and
+	// reopens. "restore": the segment lies below the newest checkpoint, so
+	// it is quarantined and the script Restores its range. "truncate": it
+	// lies above, so recovery rolls the ledger back through TruncateFrom
+	// and the script recommits the range.
+	rot string
 }
 
 var crashScripts = []crashScript{
 	{name: "rotate", blocks: 20, opts: DurableOptions{SegmentBytes: 4096, CheckpointEvery: 3, Prune: true}},
 	{name: "synceach", blocks: 20, opts: DurableOptions{SegmentBytes: 4096, CheckpointEvery: 3, Prune: true, SyncEachBlock: true}},
-	{name: "restore", blocks: 12, opts: DurableOptions{SegmentBytes: 4096, CheckpointEvery: 3}, restore: true},
+	{name: "restore", blocks: 12, opts: DurableOptions{SegmentBytes: 4096, CheckpointEvery: 3}, rot: "restore"},
+	{name: "truncate", blocks: 12, opts: DurableOptions{SegmentBytes: 4096}, rot: "truncate"},
 }
 
 // run drives sc through a recorder in a fresh directory and returns the
@@ -408,22 +414,32 @@ func (sc crashScript) run(t *testing.T, f *chainFixture) ([]fsOp, int, *liveRun)
 	start := len(rec.ops) - 1
 	live := &liveRun{states: [][]byte{statedb.SnapshotHash(p.Engine.Store().Snapshot())}, commits: [][]byte{nil}}
 	var m crashMark
-	for _, b := range blocks {
+	// commit commits b, records the live values of its first commit (a
+	// recommit must reproduce them) and marks what is now durable.
+	commit := func(b *block.Block) {
 		sealed := p.Ledger.Stats().Sealed
 		res, err := p.CommitBlock(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		live.headers = append(live.headers, block.HeaderHash(&b.Header))
-		live.states = append(live.states, statedb.SnapshotHash(p.Engine.Store().Snapshot()))
-		live.commits = append(live.commits, res.CommitHash)
 		m.committed = res.BlockNum + 1
-		if sc.opts.SyncEachBlock || p.Ledger.Stats().Sealed > sealed || m.committed%uint64(sc.opts.CheckpointEvery) == 0 {
+		if m.committed == uint64(len(live.states)) {
+			live.headers = append(live.headers, block.HeaderHash(&b.Header))
+			live.states = append(live.states, statedb.SnapshotHash(p.Engine.Store().Snapshot()))
+			live.commits = append(live.commits, res.CommitHash)
+		} else if !bytes.Equal(res.CommitHash, live.commits[m.committed]) {
+			t.Fatalf("recommitted block %d diverges from its first commit", res.BlockNum)
+		}
+		every := uint64(sc.opts.CheckpointEvery)
+		if sc.opts.SyncEachBlock || p.Ledger.Stats().Sealed > sealed || every > 0 && m.committed%every == 0 {
 			m.durable = m.committed
 		}
 		rec.mark(m)
 	}
-	if sc.restore {
+	for _, b := range blocks {
+		commit(b)
+	}
+	if sc.rot != "" {
 		stored := make([]*block.Block, len(blocks))
 		for n := range stored {
 			if stored[n], err = p.Ledger.Get(uint64(n)); err != nil {
@@ -432,6 +448,13 @@ func (sc crashScript) run(t *testing.T, f *chainFixture) ([]fsOp, int, *liveRun)
 		}
 		if err := p.Close(); err != nil {
 			t.Fatal(err)
+		}
+		if sc.rot == "truncate" {
+			// The bootstrap checkpoint is the only one, so the rotten
+			// segment holds block 0 and recovery rolls the ledger back to
+			// it: from the rot on a crash need reach no height.
+			m = crashMark{}
+			rec.mark(m)
 		}
 		path, err := chaos.CorruptSealedSegment(rec.root)
 		if err != nil {
@@ -444,15 +467,26 @@ func (sc crashScript) run(t *testing.T, f *chainFixture) ([]fsOp, int, *liveRun)
 			t.Fatal(err)
 		}
 		missing := p.Ledger.MissingRanges()
-		if len(missing) != 1 {
-			t.Fatalf("reopen after bit rot left missing ranges %v, want one", missing)
-		}
-		for n := missing[0].First; n < missing[0].First+missing[0].Count; n++ {
-			if err := p.Ledger.Restore(stored[n]); err != nil {
-				t.Fatal(err)
+		switch sc.rot {
+		case "restore":
+			if len(missing) != 1 {
+				t.Fatalf("reopen after bit rot left missing ranges %v, want one", missing)
+			}
+			for n := missing[0].First; n < missing[0].First+missing[0].Count; n++ {
+				if err := p.Ledger.Restore(stored[n]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rec.mark(m) // the finished restore is a state of its own
+		case "truncate":
+			if p.Height() != 0 || len(missing) != 0 {
+				t.Fatalf("reopen after bit rot at height %d with missing ranges %v, want the ledger rolled back to 0",
+					p.Height(), missing)
+			}
+			for _, b := range blocks {
+				commit(b)
 			}
 		}
-		rec.mark(m) // the finished restore is a tier-1 state
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)

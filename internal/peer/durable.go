@@ -2,10 +2,10 @@
 //
 // A peer's state database is in-memory; what survives a crash is the
 // segmented ledger (internal/ledger) and the retained state checkpoint
-// generations (internal/statedb manifest). Recovery composes the two as
-// snapshot fast-sync: restore the newest usable checkpoint, then replay
-// only the ledger tail past it — a peer that was days behind pays for the
-// tail, not the whole chain. A corrupt or ledger-ahead generation falls
+// generations (internal/statedb's checkpoint-<height> files). Recovery
+// composes the two as snapshot fast-sync: restore the newest usable
+// checkpoint, then replay only the ledger tail past it — a peer that was
+// days behind pays for the tail, not the whole chain. A corrupt or ledger-ahead generation falls
 // back to an older one (costing extra replay, never the peer); a
 // quarantined ledger range above the chosen checkpoint rolls the ledger
 // back to the gap's edge so delivery recommits across it. A peer restarted
@@ -35,9 +35,9 @@ type DurableOptions struct {
 	// recovery replays the whole ledger (plus whatever checkpoint was
 	// written explicitly, e.g. the genesis checkpoint).
 	CheckpointEvery int
-	// KeepCheckpoints is how many checkpoint generations to retain
-	// (<= 0 means statedb.DefaultKeepCheckpoints). More generations mean
-	// more corruption fallback at more disk.
+	// KeepCheckpoints is how many checkpoint generations to retain (see
+	// statedb.DefaultKeepCheckpoints for <= 0). More generations mean more
+	// corruption fallback at more disk.
 	KeepCheckpoints int
 	// SegmentBytes is the ledger's segment rotation budget (see
 	// ledger.Options.SegmentBytes); 0 means the ledger default.
@@ -48,10 +48,6 @@ type DurableOptions struct {
 	// archive (delivery catch-up below the prune floor reports
 	// ledger.ErrPruned).
 	Prune bool
-	// NoFastSync recovers from the *oldest* retained checkpoint instead of
-	// the newest, maximizing replay. It exists for measurement (the
-	// fastsync experiment's full-replay baseline), not production.
-	NoFastSync bool
 	// SyncEachBlock fsyncs the ledger after every block commit.
 	SyncEachBlock bool
 	// FS is the file system the ledger and the checkpoints go through
@@ -77,7 +73,7 @@ func Open(cfg pipeline.Config, kvs statedb.KVS, dir string, opts DurableOptions)
 	if err != nil {
 		return nil, fmt.Errorf("peer ledger: %w", err)
 	}
-	if err := recoverState(kvs, led, dir, cfg.ParseCache, opts); err != nil {
+	if err := recoverState(opts.FS, kvs, led, dir, cfg.ParseCache); err != nil {
 		led.Close() // bmaclint:allow errdiscard (error path: ledger close error would mask the recovery failure)
 		return nil, err
 	}
@@ -96,13 +92,13 @@ func NewDurableParallelPeer(cfg pipeline.Config, kvs statedb.KVS, dir string, op
 	return Open(cfg, kvs, dir, opts)
 }
 
-// recoverState rebuilds a peer's state database from dir: the newest
-// usable checkpoint generation seeds kvs (which must be empty) with the
-// state as of its recorded height, and the ledger blocks past that height
-// are replayed by applying the write sets their recorded validation flags
-// admitted. pc is an optional parse-once cache (a replay in a process whose
-// live paths share the cache both reuses their work and pre-warms it for
-// the blocks still to come); opts steer candidate selection.
+// recoverState rebuilds a peer's state database from dir through fsys:
+// the newest usable checkpoint generation seeds kvs (which must be empty)
+// with the state as of its recorded height, and the ledger blocks past
+// that height are replayed by applying the write sets their recorded
+// validation flags admitted. pc is an optional parse-once cache (a replay
+// in a process whose live paths share the cache both reuses their work and
+// pre-warms it for the blocks still to come).
 //
 // A checkpoint that fails to load falls back to an older generation. When
 // every candidate is unusable *because it is ahead of the ledger*, that is
@@ -110,23 +106,12 @@ func NewDurableParallelPeer(cfg pipeline.Config, kvs statedb.KVS, dir string, op
 // reproduce state that predates block 0 (bootstrap genesis data lives only
 // in checkpoints). The checkpoints share the ledger's directory, so
 // ledger.Open has already swept the temp files of an interrupted write.
-func recoverState(kvs statedb.KVS, led *ledger.Ledger, dir string, pc *validator.ParseCache, opts DurableOptions) error {
-	refs, notes := statedb.Checkpoints(opts.FS, dir)
-	for _, n := range notes {
-		led.Warnf("peer: %s", n)
-	}
-	if opts.NoFastSync {
-		// Full-replay measurement baseline: walk oldest-first.
-		for i, j := 0, len(refs)-1; i < j; i, j = i+1, j-1 {
-			refs[i], refs[j] = refs[j], refs[i]
-		}
-	}
-
+func recoverState(fsys fsutil.FS, kvs statedb.KVS, led *ledger.Ledger, dir string, pc *validator.ParseCache) error {
 	start := uint64(0)
 	restored := false
 	var aheadErr error
-	for _, ref := range refs {
-		snap, h, err := statedb.LoadCheckpoint(opts.FS, filepath.Join(dir, ref.File))
+	for _, ref := range statedb.Checkpoints(fsys, dir) {
+		snap, h, err := statedb.LoadCheckpoint(fsys, filepath.Join(dir, ref.File))
 		switch {
 		case err == nil:
 		case errors.Is(err, fs.ErrNotExist):
@@ -206,13 +191,14 @@ func replayBlock(kvs statedb.KVS, b *block.Block, pc *validator.ParseCache) erro
 // expects to commit (equal to the recovered height right after a restart).
 func (p *Peer) Height() uint64 { return p.Ledger.Height() }
 
-// Checkpoint writes a manifest-managed state checkpoint generation at the
-// current ledger height (atomic rename; previous generations survive a
-// crash mid-write) and, when pruning is on, prunes ledger segments covered
-// by *every* retained generation — pruning to the newest would strand the
-// older generations' replay ranges. The ledger is fsynced first: state is
-// never durable ahead of the log it derives from, or a power loss would
-// leave a checkpoint above the surviving ledger. Call it after bootstrap to
+// Checkpoint writes a state checkpoint generation file at the current
+// ledger height (atomic rename; previous generations survive a crash
+// mid-write), removes generations beyond KeepCheckpoints and, when
+// pruning is on, prunes ledger segments covered by *every* retained
+// generation — pruning to the newest would strand the older generations'
+// replay ranges. The ledger is fsynced first: state is never durable
+// ahead of the log it derives from, or a power loss would leave a
+// checkpoint above the surviving ledger. Call it after bootstrap to
 // capture genesis state that no ledger block carries.
 func (p *Peer) Checkpoint() error {
 	if err := p.Ledger.Sync(); err != nil {

@@ -220,7 +220,7 @@ func TestDurablePeerCheckpointSuffixReplay(t *testing.T) {
 
 				// The block-3 checkpoint generation must exist and restrict
 				// replay to the suffix.
-				refs, _ := statedb.Checkpoints(fsutil.OS{}, dir)
+				refs := statedb.Checkpoints(fsutil.OS{}, dir)
 				if len(refs) == 0 {
 					t.Fatal("no periodic checkpoint generation")
 				}

@@ -12,8 +12,8 @@ import (
 	"bmac/internal/statedb"
 )
 
-// Fast-sync recovery tests: generation fallback, the full-replay baseline
-// mode, and pruned-ledger restarts.
+// Fast-sync recovery tests: generation fallback, recovery from the oldest
+// generation, and pruned-ledger restarts.
 
 // TestRecoveryFallsBackOnCorruptNewestCheckpoint: clobbering the newest
 // checkpoint generation costs extra replay (the older generation anchors
@@ -39,7 +39,7 @@ func TestRecoveryFallsBackOnCorruptNewestCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	refs, _ := statedb.Checkpoints(fsutil.OS{}, dir)
+	refs := statedb.Checkpoints(fsutil.OS{}, dir)
 	if len(refs) < 2 {
 		t.Fatalf("need >= 2 generations to test fallback, have %+v", refs)
 	}
@@ -79,10 +79,11 @@ func TestRecoveryFallsBackOnCorruptNewestCheckpoint(t *testing.T) {
 	}
 }
 
-// TestNoFastSyncRecoversIdentically: the full-replay measurement baseline
-// (oldest checkpoint + maximal tail) must land on the same state as
+// TestOldestGenerationRecoversIdentically: with every newer generation
+// file removed, recovery from the oldest checkpoint (maximal tail replay,
+// the fastsync experiment's baseline) lands on the same height and state as
 // fast-sync — it only pays more replay.
-func TestNoFastSyncRecoversIdentically(t *testing.T) {
+func TestOldestGenerationRecoversIdentically(t *testing.T) {
 	f := newChainFixture(t)
 	blocks := f.chain(t, 6)
 	cfg := fabric14(t, f.net, 2, f.pols)
@@ -102,8 +103,16 @@ func TestNoFastSyncRecoversIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p2, err := Open(cfg, statedb.NewStore(), dir,
-		DurableOptions{CheckpointEvery: 2, NoFastSync: true})
+	refs := statedb.Checkpoints(fsutil.OS{}, dir)
+	if len(refs) < 2 {
+		t.Fatalf("need >= 2 generations, have %+v", refs)
+	}
+	for _, r := range refs[:len(refs)-1] {
+		if err := os.Remove(filepath.Join(dir, r.File)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p2, err := Open(cfg, statedb.NewStore(), dir, DurableOptions{CheckpointEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +121,7 @@ func TestNoFastSyncRecoversIdentically(t *testing.T) {
 		t.Fatalf("recovered height %d, want 6", p2.Height())
 	}
 	if got := statedb.SnapshotHash(p2.Engine.Store().Snapshot()); !bytes.Equal(got, want) {
-		t.Fatal("full-replay recovery diverges from fast-sync state")
+		t.Fatal("recovery from the oldest generation diverges from fast-sync state")
 	}
 }
 

@@ -8,7 +8,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 
 	"bmac/internal/block"
 	"bmac/internal/fsutil"
@@ -32,11 +35,11 @@ var ckptMagic = [8]byte{'B', 'M', 'A', 'C', 'C', 'K', 'P', '1'}
 // checksum validation.
 var ErrCorruptCheckpoint = errors.New("statedb: corrupt checkpoint")
 
-// SaveCheckpoint atomically serializes the database snapshot plus the state
+// saveCheckpoint atomically serializes the database snapshot plus the state
 // height (number of blocks applied) to path through fsys. The write goes to
 // a temporary file in the same directory, is fsynced, and is renamed over
 // path; the directory is fsynced afterwards so the rename itself is durable.
-func SaveCheckpoint(fsys fsutil.FS, path string, kvs KVS, height uint64) error {
+func saveCheckpoint(fsys fsutil.FS, path string, kvs KVS, height uint64) error {
 	snap := kvs.Snapshot()
 	err := fsutil.Replace(fsys, path, func(f io.Writer) error { return writeSnapshot(f, snap, height) })
 	if err != nil {
@@ -153,6 +156,11 @@ func LoadCheckpoint(fsys fsutil.FS, path string) (map[string]VersionedValue, uin
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: truncated header", ErrCorruptCheckpoint)
 	}
+	// The checksum is no authenticator: bound count by the smallest entry
+	// (24 bytes) before it sizes the map.
+	if count > uint64(len(r))/24 {
+		return nil, 0, fmt.Errorf("%w: %d entries in %d bytes", ErrCorruptCheckpoint, count, len(r))
+	}
 	snap := make(map[string]VersionedValue, count)
 	for i := uint64(0); i < count; i++ {
 		key, ok := readBytes()
@@ -176,6 +184,76 @@ func LoadCheckpoint(fsys fsutil.FS, path string) (map[string]VersionedValue, uin
 		return nil, 0, fmt.Errorf("%w: %d trailing bytes", ErrCorruptCheckpoint, len(r))
 	}
 	return snap, height, nil
+}
+
+// Checkpoint generations: each checkpoint is its own file,
+// "checkpoint-<height>", and the generation files in a directory are the
+// retained set — nothing else records them. Recovery walks them
+// newest-first and falls back to an older generation when the newest is
+// corrupt or ahead of the (possibly truncated) ledger, so a single bad
+// checkpoint costs extra replay, never a dead peer. Keeping more than one
+// generation is what turns checkpoint corruption from fatal into a retry.
+
+// ckptGenPrefix prefixes per-generation checkpoint files.
+const ckptGenPrefix = "checkpoint-"
+
+// DefaultKeepCheckpoints is how many checkpoint generations are retained
+// when a caller's keep is <= 0 (as DurableOptions.KeepCheckpoints and the
+// YAML durability.keep_checkpoints are by default). Two: the newest for
+// fast-sync, plus one fallback in case the newest is corrupt or ahead of
+// the ledger.
+const DefaultKeepCheckpoints = 2
+
+// CheckpointRef names one retained checkpoint generation.
+type CheckpointRef struct {
+	File   string // base file name within the peer directory
+	Height uint64 // state height the checkpoint was taken at
+}
+
+// ckptGenName returns the generation file name for a height. Heights are
+// zero-padded so lexical and numeric order agree.
+func ckptGenName(height uint64) string {
+	return fmt.Sprintf("%s%012d", ckptGenPrefix, height)
+}
+
+// WriteManagedCheckpoint saves a checkpoint generation for the current
+// state at height into dir, then removes every generation file but the
+// newest keep (keep <= 0 means DefaultKeepCheckpoints). The new generation
+// is durable before any older one is removed; a crash mid-cleanup leaves
+// extra generations, which recovery may use and the next write removes.
+// Returns the retained generations, newest first — callers prune ledger
+// history against the *oldest* retained height, never the newest.
+func WriteManagedCheckpoint(fsys fsutil.FS, dir string, kvs KVS, height uint64, keep int) ([]CheckpointRef, error) {
+	if keep <= 0 {
+		keep = DefaultKeepCheckpoints
+	}
+	if err := saveCheckpoint(fsys, filepath.Join(dir, ckptGenName(height)), kvs, height); err != nil {
+		return nil, err
+	}
+	refs := Checkpoints(fsys, dir)
+	if len(refs) > keep {
+		for _, r := range refs[keep:] {
+			fsys.Remove(filepath.Join(dir, r.File)) // bmaclint:allow errdiscard (a generation that survives is removed by the next write)
+		}
+		refs = refs[:keep]
+	}
+	return refs, nil
+}
+
+// Checkpoints lists the checkpoint generations in dir, newest-first. They
+// are candidates, not guarantees: recovery validates each with
+// LoadCheckpoint and falls through on failure.
+func Checkpoints(fsys fsutil.FS, dir string) []CheckpointRef {
+	entries, _ := fsys.ReadDir(dir) // bmaclint:allow errdiscard (an unlistable dir offers no candidates; recovery reports what it lacks)
+	var refs []CheckpointRef
+	for _, e := range entries {
+		num, ok := strings.CutPrefix(e.Name(), ckptGenPrefix)
+		if h, err := strconv.ParseUint(num, 10, 64); ok && err == nil {
+			refs = append(refs, CheckpointRef{File: e.Name(), Height: h})
+		}
+	}
+	sort.Slice(refs, func(i, j int) bool { return refs[i].Height > refs[j].Height })
+	return refs
 }
 
 // RestoreSnapshot loads a snapshot into an empty database. Works against

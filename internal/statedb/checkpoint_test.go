@@ -2,6 +2,8 @@ package statedb
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -35,7 +37,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	for srcName, src := range backends() {
 		seedState(src, 20)
 		path := filepath.Join(t.TempDir(), "checkpoint")
-		if err := SaveCheckpoint(fsutil.OS{}, path, src, 5); err != nil {
+		if err := saveCheckpoint(fsutil.OS{}, path, src, 5); err != nil {
 			t.Fatalf("%s: save: %v", srcName, err)
 		}
 		snap, height, err := LoadCheckpoint(fsutil.OS{}, path)
@@ -76,7 +78,7 @@ func TestCheckpointDetectsCorruption(t *testing.T) {
 	seedState(src, 10)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "checkpoint")
-	if err := SaveCheckpoint(fsutil.OS{}, path, src, 3); err != nil {
+	if err := saveCheckpoint(fsutil.OS{}, path, src, 3); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -109,12 +111,12 @@ func TestCheckpointAtomicReplace(t *testing.T) {
 	path := filepath.Join(dir, "checkpoint")
 	s1 := NewStore()
 	seedState(s1, 4)
-	if err := SaveCheckpoint(fsutil.OS{}, path, s1, 1); err != nil {
+	if err := saveCheckpoint(fsutil.OS{}, path, s1, 1); err != nil {
 		t.Fatal(err)
 	}
 	s2 := NewStore()
 	seedState(s2, 8)
-	if err := SaveCheckpoint(fsutil.OS{}, path, s2, 2); err != nil {
+	if err := saveCheckpoint(fsutil.OS{}, path, s2, 2); err != nil {
 		t.Fatal(err)
 	}
 	snap, height, err := LoadCheckpoint(fsutil.OS{}, path)
@@ -134,7 +136,7 @@ func TestCheckpointAtomicReplace(t *testing.T) {
 	}
 	// Determinism: same state, same bytes.
 	p2 := filepath.Join(dir, "again")
-	if err := SaveCheckpoint(fsutil.OS{}, p2, s2, 2); err != nil {
+	if err := saveCheckpoint(fsutil.OS{}, p2, s2, 2); err != nil {
 		t.Fatal(err)
 	}
 	a, _ := os.ReadFile(path)
@@ -142,6 +144,103 @@ func TestCheckpointAtomicReplace(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Error("checkpoints of identical state differ byte-wise")
 	}
+}
+
+// TestManagedCheckpointRotation: WriteManagedCheckpoint keeps the newest
+// `keep` generation files (newest first), removes the rest — an orphan
+// older generation left by a crash mid-cleanup included — and Checkpoints
+// reports exactly the retained set.
+func TestManagedCheckpointRotation(t *testing.T) {
+	dir := t.TempDir()
+	kvs := NewStore()
+	seedState(kvs, 8)
+	for _, h := range []uint64{3, 6, 9} {
+		if h == 9 {
+			if err := saveCheckpoint(fsutil.OS{}, filepath.Join(dir, ckptGenName(1)), kvs, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		refs, err := WriteManagedCheckpoint(fsutil.OS{}, dir, kvs, h, 2)
+		if err != nil {
+			t.Fatalf("checkpoint at %d: %v", h, err)
+		}
+		if refs[0].Height != h {
+			t.Fatalf("newest retained %d after writing %d", refs[0].Height, h)
+		}
+		if len(refs) > 2 {
+			t.Fatalf("retained %d generations, want <= 2", len(refs))
+		}
+	}
+	refs := Checkpoints(fsutil.OS{}, dir)
+	if len(refs) != 2 || refs[0].Height != 9 || refs[1].Height != 6 {
+		t.Fatalf("refs %+v, want heights [9 6]", refs)
+	}
+	// The dropped height-3 generation and the orphan at 1 are gone.
+	for _, h := range []uint64{1, 3} {
+		if _, err := os.Stat(filepath.Join(dir, ckptGenName(h))); !os.IsNotExist(err) {
+			t.Errorf("generation %d survived rotation", h)
+		}
+	}
+	// Each retained generation loads at the height its name gives.
+	for _, r := range refs {
+		_, h, err := LoadCheckpoint(fsutil.OS{}, filepath.Join(dir, r.File))
+		if err != nil {
+			t.Fatalf("load %s: %v", r.File, err)
+		}
+		if h != r.Height {
+			t.Errorf("%s: height %d, name says %d", r.File, h, r.Height)
+		}
+	}
+}
+
+// oneFile is an FS whose every ReadFile returns data.
+type oneFile struct {
+	fsutil.OS
+	data []byte
+}
+
+func (o oneFile) ReadFile(string) ([]byte, error) { return o.data, nil }
+
+// FuzzLoadCheckpoint wraps arbitrary bytes in the magic and a valid
+// checksum trailer, so every input reaches the parser. LoadCheckpoint must
+// never panic, every error must wrap ErrCorruptCheckpoint, and an accepted
+// file, saved again and reloaded, keeps its height and SnapshotHash.
+func FuzzLoadCheckpoint(f *testing.F) {
+	body := func(kvs KVS, height uint64) []byte {
+		var buf bytes.Buffer
+		if err := writeSnapshot(&buf, kvs.Snapshot(), height); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()[len(ckptMagic) : buf.Len()-sha256.Size]
+	}
+	three := NewStore()
+	seedState(three, 3)
+	f.Add(body(three, 7))
+	f.Add(body(NewStore(), 0))
+	// A 60-byte file claiming 2^36 entries.
+	f.Add(append(binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, 1), 1<<36), 0, 0, 0, 0))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		raw := append(ckptMagic[:len(ckptMagic):len(ckptMagic)], b...)
+		sum := sha256.Sum256(raw)
+		snap, height, err := LoadCheckpoint(oneFile{data: append(raw, sum[:]...)}, "checkpoint")
+		if err != nil {
+			if !errors.Is(err, ErrCorruptCheckpoint) {
+				t.Fatalf("error %v does not wrap ErrCorruptCheckpoint", err)
+			}
+			return
+		}
+		var again bytes.Buffer
+		if err := writeSnapshot(&again, snap, height); err != nil {
+			t.Fatal(err)
+		}
+		snap2, height2, err := LoadCheckpoint(oneFile{data: again.Bytes()}, "checkpoint")
+		if err != nil {
+			t.Fatalf("resaved checkpoint: %v", err)
+		}
+		if height2 != height || !bytes.Equal(SnapshotHash(snap2), SnapshotHash(snap)) {
+			t.Fatalf("resaved checkpoint reloads at height %d, want %d, or with another state", height2, height)
+		}
+	})
 }
 
 func TestSnapshotHashSensitivity(t *testing.T) {
