@@ -3,8 +3,10 @@ package peer
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -190,6 +192,51 @@ func (r *recorder) adopt(path string) error {
 	r.logLocked(fsOp{kind: "write", ino: ino, data: data})
 	r.logLocked(fsOp{kind: "sync", ino: ino})
 	return nil
+}
+
+// manifestFS replays, over a recorder, the writes of the builds that also
+// listed the retained checkpoint generations in a checksummed MANIFEST
+// beside them: once a generation's rename is durable it rewrites MANIFEST
+// (magic "BMACMAN1", count, count × {height u64, name length u32, name},
+// sha256 of all that) with the newest keep generations, before the older
+// ones are removed. A peer upgraded from such a build must recover every
+// disk it could leave; this build ignores MANIFEST and the open sweeps its
+// temps.
+type manifestFS struct {
+	fsutil.FS
+	keep    int
+	pending string // directory of a generation renamed but not yet dir-synced
+}
+
+func (m *manifestFS) Rename(oldpath, newpath string) error {
+	if err := m.FS.Rename(oldpath, newpath); err != nil {
+		return err
+	}
+	if strings.HasPrefix(filepath.Base(newpath), "checkpoint-") {
+		m.pending = filepath.Dir(newpath)
+	}
+	return nil
+}
+
+func (m *manifestFS) SyncDir(dir string) error {
+	if err := m.FS.SyncDir(dir); err != nil || dir != m.pending {
+		return err
+	}
+	m.pending = ""
+	refs := statedb.Checkpoints(m.FS, dir)
+	refs = refs[:min(len(refs), m.keep)]
+	buf := binary.BigEndian.AppendUint64([]byte("BMACMAN1"), uint64(len(refs)))
+	for _, r := range refs {
+		buf = binary.BigEndian.AppendUint64(buf, r.Height)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(r.File)))
+		buf = append(buf, r.File...)
+	}
+	sum := sha256.Sum256(buf)
+	buf = append(buf, sum[:]...)
+	return fsutil.Replace(m.FS, filepath.Join(dir, "MANIFEST"), func(w io.Writer) error {
+		_, err := w.Write(buf)
+		return err
+	})
 }
 
 // recFile is a file opened for writing through a recorder.
@@ -391,16 +438,24 @@ var crashScripts = []crashScript{
 	{name: "truncate", blocks: 12, opts: DurableOptions{SegmentBytes: 4096}, rot: "truncate"},
 }
 
-// run drives sc through a recorder in a fresh directory and returns the
-// recorded ops, the index of the bootstrap checkpoint's mark (states before
-// it hold no state a restart must reproduce) and the live values.
-func (sc crashScript) run(t *testing.T, f *chainFixture) ([]fsOp, int, *liveRun) {
+// run drives sc through a recorder in a fresh directory, through a
+// manifestFS on it if manifest is set, and returns the recorded ops, the
+// index of the bootstrap checkpoint's mark (states before it hold no state
+// a restart must reproduce) and the live values.
+func (sc crashScript) run(t *testing.T, f *chainFixture, manifest bool) ([]fsOp, int, *liveRun) {
 	t.Helper()
 	blocks := f.smallChain(t, sc.blocks)
 	cfg := fabric14(t, f.net, 1, f.pols)
 	rec := newRecorder(t.TempDir())
 	opts := sc.opts
 	opts.FS = rec
+	if manifest {
+		keep := opts.KeepCheckpoints
+		if keep <= 0 {
+			keep = statedb.DefaultKeepCheckpoints
+		}
+		opts.FS = &manifestFS{FS: rec, keep: keep}
+	}
 	p, err := Open(cfg, statedb.NewStore(), rec.root, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -525,64 +580,77 @@ func (f *chainFixture) smallChain(t *testing.T, n int) []*block.Block {
 // state hash and the last commit hash equal the live run's at that height
 // (so the prune anchor survives); and no temp or restore file survives the
 // reopen. Disks that are byte-identical are checked once, with the highest
-// floor among them. Subtests are named <script>/<k>/<mode>, crash right
-// after op k; run one with -run to replay it.
+// floor among them. Each script runs twice: under scan-<script> as this
+// build writes, and under its bare name through manifestFS, as the builds
+// that kept a MANIFEST wrote (so those states keep the names they always
+// had). Subtests are named <run>/<k>/<mode>, crash right after op k; run
+// one with -run to replay it.
 func TestCrashStates(t *testing.T) {
 	f := newChainFixture(t)
 	cfg := fabric14(t, f.net, 1, f.pols)
 	for _, sc := range crashScripts {
-		t.Run(sc.name, func(t *testing.T) {
-			ops, start, live := sc.run(t, f)
-			type state struct {
-				k     int
-				mode  string
-				floor uint64
+		for _, manifest := range []bool{false, true} {
+			name := "scan-" + sc.name
+			if manifest {
+				name = sc.name
 			}
-			byDisk := map[[sha256.Size]byte]state{}
-			for k := start; k < len(ops); k++ {
-				for _, mode := range crashModes {
-					files, torn, ok := disk(ops, k, mode)
-					if !ok {
-						continue
-					}
-					s := state{k, mode, floor(ops, k, mode, torn)}
-					d := digest(files)
-					if old, seen := byDisk[d]; !seen || s.floor >= old.floor {
-						byDisk[d] = s
-					}
+			t.Run(name, func(t *testing.T) { checkCrashStates(t, cfg, f, sc, manifest) })
+		}
+	}
+}
+
+// checkCrashStates records one run of sc and checks each of its distinct
+// crash states.
+func checkCrashStates(t *testing.T, cfg pipeline.Config, f *chainFixture, sc crashScript, manifest bool) {
+	ops, start, live := sc.run(t, f, manifest)
+	type state struct {
+		k     int
+		mode  string
+		floor uint64
+	}
+	byDisk := map[[sha256.Size]byte]state{}
+	for k := start; k < len(ops); k++ {
+		for _, mode := range crashModes {
+			files, torn, ok := disk(ops, k, mode)
+			if !ok {
+				continue
+			}
+			s := state{k, mode, floor(ops, k, mode, torn)}
+			d := digest(files)
+			if old, seen := byDisk[d]; !seen || s.floor >= old.floor {
+				byDisk[d] = s
+			}
+		}
+	}
+	states := make([]state, 0, len(byDisk))
+	for _, s := range byDisk {
+		states = append(states, s)
+	}
+	sort.Slice(states, func(i, j int) bool {
+		return states[i].k < states[j].k || states[i].k == states[j].k && states[i].mode < states[j].mode
+	})
+	perMode := map[string]int{}
+	for _, s := range states {
+		perMode[s.mode]++
+	}
+	t.Logf("%d ops, %d distinct crash states checked: %v", len(ops)-start, len(states), perMode)
+	scratch := t.TempDir()
+	for _, s := range states {
+		t.Run(fmt.Sprintf("%d/%s", s.k, s.mode), func(t *testing.T) {
+			files, _, _ := disk(ops, s.k, s.mode)
+			dir := filepath.Join(scratch, "state")
+			if err := os.RemoveAll(dir); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			for name, data := range files {
+				if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+					t.Fatal(err)
 				}
 			}
-			states := make([]state, 0, len(byDisk))
-			for _, s := range byDisk {
-				states = append(states, s)
-			}
-			sort.Slice(states, func(i, j int) bool {
-				return states[i].k < states[j].k || states[i].k == states[j].k && states[i].mode < states[j].mode
-			})
-			perMode := map[string]int{}
-			for _, s := range states {
-				perMode[s.mode]++
-			}
-			t.Logf("%d ops, %d distinct crash states checked: %v", len(ops)-start, len(states), perMode)
-			scratch := t.TempDir()
-			for _, s := range states {
-				t.Run(fmt.Sprintf("%d/%s", s.k, s.mode), func(t *testing.T) {
-					files, _, _ := disk(ops, s.k, s.mode)
-					dir := filepath.Join(scratch, "state")
-					if err := os.RemoveAll(dir); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.MkdirAll(dir, 0o755); err != nil {
-						t.Fatal(err)
-					}
-					for name, data := range files {
-						if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-							t.Fatal(err)
-						}
-					}
-					checkRecovered(t, cfg, dir, sc.opts, live, s.floor)
-				})
-			}
+			checkRecovered(t, cfg, dir, sc.opts, live, s.floor)
 		})
 	}
 }
