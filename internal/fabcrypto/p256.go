@@ -368,8 +368,10 @@ func ordMulGeneric(z, x, y *[4]uint64) {
 	for j := range d {
 		d[j], b = bits.Sub64(a[j], nLimbs[j], b)
 	}
-	if a[4] == 0 && b == 1 {
-		copy(d[:], a[:4])
+	_, b = bits.Sub64(a[4], 0, b)
+	keep := -b // all ones when a < n; a mask, as in feReduceOnce, for the signer's secrets
+	for j := range d {
+		d[j] ^= (d[j] ^ a[j]) & keep
 	}
 	*z = d
 }
