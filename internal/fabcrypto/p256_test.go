@@ -149,8 +149,73 @@ func checkOrdInv(t *testing.T, x [4]uint64) {
 	if limbsToBig(z).Cmp(want) != 0 {
 		t.Fatalf("ordInv(%x) = %x, want %x", x, z, want)
 	}
+	var zv [4]uint64
+	if ordInvVar(&zv, &x); zv != z {
+		t.Fatalf("ordInvVar(%x) = %x, ordInv %x", x, zv, z)
+	}
 	if ordInv(&x, &x); x != z {
 		t.Fatalf("ordInv in place = %x, want %x", x, z)
+	}
+}
+
+// checkInvVar: feInvVar and ordInvVar of x (Montgomery form) equal math/big's
+// inverse and the Fermat chains feInv and ordInv, in place as well; x = 0
+// gives 0, as the chains do. x is reduced mod p and mod n first.
+func checkInvVar(t *testing.T, x [4]uint64) {
+	t.Helper()
+	fx := fe(limbsOfBig(new(big.Int).Mod(limbsToBig(x), bigP)))
+	var z, chain fe
+	feInvVar(&z, &fx)
+	feInv(&chain, &fx)
+	want := new(big.Int)
+	if v := bigOf(fx); v.Sign() != 0 {
+		want.ModInverse(v, bigP)
+	}
+	if z != chain || bigOf(z).Cmp(want) != 0 || limbsToBig(z).Cmp(bigP) >= 0 {
+		t.Fatalf("feInvVar(%x) = %x, feInv %x, want %x", fx, z, chain, want)
+	}
+	if feInvVar(&fx, &fx); fx != z {
+		t.Fatalf("feInvVar in place = %x, want %x", fx, z)
+	}
+
+	ox := limbsOfBig(new(big.Int).Mod(limbsToBig(x), bigN))
+	var oz, ochain [4]uint64
+	ordInvVar(&oz, &ox)
+	ordInv(&ochain, &ox)
+	owant := new(big.Int) // (x·R⁻¹)⁻¹·R = x⁻¹·R² mod n
+	if bx := limbsToBig(ox); bx.Sign() != 0 {
+		owant.ModInverse(bx, bigN).Mul(owant, bigR).Mul(owant, bigR).Mod(owant, bigN)
+	}
+	if oz != ochain || limbsToBig(oz).Cmp(owant) != 0 {
+		t.Fatalf("ordInvVar(%x) = %x, ordInv %x, want %x", ox, oz, ochain, owant)
+	}
+	if ordInvVar(&ox, &ox); ox != oz {
+		t.Fatalf("ordInvVar in place = %x, want %x", ox, oz)
+	}
+}
+
+// TestInvVarMatchesBig: both variable-time inversions on boundary values,
+// on values with long runs of zero or one bits (the divsteps' shortcuts
+// skip such runs) and on seeded random ones.
+func TestInvVarMatchesBig(t *testing.T) {
+	ones := ^uint64(0)
+	xs := [][4]uint64{
+		{}, {1}, {2}, {3}, {ones, ones, ones, ones}, pLimbs, nLimbs, feOne, feRR, ordRR,
+		limbsOfBig(new(big.Int).Sub(bigP, big.NewInt(1))),
+		limbsOfBig(new(big.Int).Sub(bigN, big.NewInt(1))),
+		limbsOfBig(new(big.Int).Rsh(bigN, 1)),
+	}
+	for k := 0; k < 256; k += 7 {
+		pow := new(big.Int).Lsh(big.NewInt(1), uint(k))
+		xs = append(xs, limbsOfBig(pow), limbsOfBig(new(big.Int).Sub(pow, big.NewInt(1))),
+			limbsOfBig(new(big.Int).Sub(bigN, pow)), limbsOfBig(new(big.Int).Sub(bigP, pow)))
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 500; i++ {
+		xs = append(xs, [4]uint64{rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()})
+	}
+	for _, x := range xs {
+		checkInvVar(t, x)
 	}
 }
 
@@ -174,6 +239,10 @@ func TestFieldMatchesBig(t *testing.T) {
 			feInv(&z, &fa)
 			if want := new(big.Int).ModInverse(a, bigP); bigOf(z).Cmp(want) != 0 {
 				t.Fatalf("inv %x = %x, want %x", a, bigOf(z), want)
+			}
+			var zv fe
+			if feInvVar(&zv, &fa); zv != z {
+				t.Fatalf("feInvVar(%x) = %x, feInv %x", a, bigOf(zv), bigOf(z))
 			}
 		}
 		for _, n := range []int{1, 2, 7} {
@@ -229,7 +298,8 @@ func TestFieldMatchesBig(t *testing.T) {
 // do the kernel's composite routines: addAffine (into either operand too)
 // and invertAll on elements derived from the two, and, mod n, ordMul of the
 // first limbs reduced mod n by the second taken as they are, ordSqrN and
-// ordInv.
+// ordInv. The variable-time inversions feInvVar and ordInvVar of the first
+// equal math/big's and the Fermat chains'.
 func FuzzFieldMatchesBig(f *testing.F) {
 	ones := ^uint64(0)
 	edges := [][4]uint64{
@@ -241,6 +311,7 @@ func FuzzFieldMatchesBig(f *testing.F) {
 		feRR,
 		limbsOfBig(new(big.Int).Sub(bigN, big.NewInt(1))),
 		{ones, ones, ones, ones}, // 2²⁵⁶ − 1
+		{0, 0, 1 << 8},           // 2¹³⁶: long zero runs for the divsteps
 	}
 	for _, a := range edges {
 		for _, b := range edges {
@@ -342,6 +413,7 @@ func FuzzFieldMatchesBig(f *testing.F) {
 		if ox != ([4]uint64{}) {
 			checkOrdInv(t, ox)
 		}
+		checkInvVar(t, [4]uint64{a0, a1, a2, a3})
 	})
 }
 
@@ -515,6 +587,30 @@ func BenchmarkFeInv(b *testing.B) {
 	sinkFE = x
 }
 
+func BenchmarkFeInvVar(b *testing.B) {
+	x := feOf(big.NewInt(0).Rsh(bigP, 1))
+	for i := 0; i < b.N; i++ {
+		feInvVar(&x, &x)
+	}
+	sinkFE = x
+}
+
+func BenchmarkOrdInv(b *testing.B) {
+	x := limbsOfBig(new(big.Int).Rsh(bigN, 1))
+	for i := 0; i < b.N; i++ {
+		ordInv(&x, &x)
+	}
+	sinkFE = fe(x)
+}
+
+func BenchmarkOrdInvVar(b *testing.B) {
+	x := limbsOfBig(new(big.Int).Rsh(bigN, 1))
+	for i := 0; i < b.N; i++ {
+		ordInvVar(&x, &x)
+	}
+	sinkFE = fe(x)
+}
+
 func BenchmarkAddAffine(b *testing.B) {
 	c := elliptic.P256().Params()
 	g := affineOf(c.Gx, c.Gy)
@@ -543,4 +639,105 @@ func BenchmarkAddMixed(b *testing.B) {
 		p.addMixed(&g)
 	}
 	sinkFE = p.x
+}
+
+// feInv sets z = x⁻¹ (x ≠ 0) by x^(p−2), along the addition chain of Go's
+// p256Inverse (crypto/internal/fips140/nistec, derived there with
+// github.com/mmcloughlin/addchain): 255 squarings and 12 multiplications,
+// where plain square-and-multiply takes 256 and about 128. Constant time, and
+// no longer on any path: it is the test oracle of feInvVar, which replaced it
+// in invertAll. z may alias x.
+//
+//	_10     = 2*1
+//	_11     = 1 + _10
+//	_110    = 2*_11
+//	_111    = 1 + _110
+//	_111000 = _111 << 3
+//	_111111 = _111 + _111000
+//	x12     = _111111 << 6 + _111111
+//	x15     = x12 << 3 + _111
+//	x16     = 2*x15 + 1
+//	x32     = x16 << 16 + x16
+//	i53     = x32 << 15
+//	x47     = x15 + i53
+//	i263    = ((i53 << 17 + 1) << 143 + x47) << 47
+//	return    (x47 + i263) << 2 + 1
+func feInv(z, x *fe) {
+	var r, t0, t1 fe
+	feSqrN(&r, x, 1)
+	feMul(&r, x, &r) // _11
+	feSqrN(&r, &r, 1)
+	feMul(&r, x, &r) // _111
+	feSqrN(&t0, &r, 3)
+	feMul(&t0, &r, &t0) // _111111
+	feSqrN(&t1, &t0, 6)
+	feMul(&t0, &t0, &t1) // x12
+	feSqrN(&t0, &t0, 3)
+	feMul(&r, &r, &t0) // x15
+	feSqrN(&t0, &r, 1)
+	feMul(&t0, x, &t0) // x16
+	feSqrN(&t1, &t0, 16)
+	feMul(&t0, &t0, &t1) // x32
+	feSqrN(&t0, &t0, 15) // i53
+	feMul(&r, &r, &t0)   // x47
+	feSqrN(&t0, &t0, 17)
+	feMul(&t0, x, &t0)
+	feSqrN(&t0, &t0, 143)
+	feMul(&t0, &r, &t0)
+	feSqrN(&t0, &t0, 47) // i263
+	feMul(&r, &r, &t0)
+	feSqrN(&r, &r, 2)
+	feMul(z, x, &r)
+}
+
+// ordInv sets z = x⁻¹ mod n for x ≠ 0, both in Montgomery form, by x^(n−2)
+// along the addition chain of Go's P256OrdInverse
+// (crypto/internal/fips140/nistec/p256_ordinv.go, from
+// https://briansmith.org/ecc-inversion-addition-chains-01#p256_scalar_inversion):
+// 254 squarings and 38 multiplications, and no allocation. Constant time,
+// and no longer on any path: it is the test oracle of ordInvVar, which
+// replaced it in invertScalars. z may alias x.
+func ordInv(z, x *[4]uint64) {
+	var _1, _11, _101, _111, _1111, _10101, _101111, t, r [4]uint64
+	_1 = *x
+	ordSqrN(&r, &_1, 1)         // _10
+	ordMul(&_11, &r, &_1)       // _11
+	ordMul(&_101, &r, &_11)     // _101
+	ordMul(&_111, &r, &_101)    // _111
+	ordSqrN(&r, &_101, 1)       // _1010
+	ordMul(&_1111, &_101, &r)   // _1111
+	ordSqrN(&t, &r, 1)          // _10100
+	ordMul(&_10101, &t, &_1)    // _10101
+	ordSqrN(&r, &_10101, 1)     // _101010
+	ordMul(&_101111, &_101, &r) // _101111
+	ordMul(&r, &_10101, &r)     // _111111 = x6
+	ordSqrN(&t, &r, 2)          // _11111100
+	ordMul(&t, &t, &_11)        // _11111111 = x8
+	ordSqrN(&r, &t, 8)          // _ff00
+	ordMul(&r, &r, &t)          // _ffff = x16
+	ordSqrN(&t, &r, 16)         // _ffff0000
+	ordMul(&t, &t, &r)          // _ffffffff = x32
+
+	ordSqrN(&r, &t, 64)
+	ordMul(&r, &r, &t)
+	ordSqrN(&r, &r, 32)
+	ordMul(&r, &r, &t)
+
+	sqrs := [...]int{
+		6, 5, 4, 5, 5,
+		4, 3, 3, 5, 9,
+		6, 2, 5, 6, 5,
+		4, 5, 5, 3, 10,
+		2, 5, 5, 3, 7, 6}
+	muls := [...]*[4]uint64{
+		&_101111, &_111, &_11, &_1111, &_10101,
+		&_101, &_101, &_101, &_111, &_101111,
+		&_1111, &_1, &_1, &_1111, &_111,
+		&_111, &_111, &_101, &_11, &_101111,
+		&_11, &_11, &_11, &_1, &_10101, &_1111}
+	for i, s := range sqrs {
+		ordSqrN(&r, &r, s)
+		ordMul(&r, &r, muls[i])
+	}
+	*z = r
 }
