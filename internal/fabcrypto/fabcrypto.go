@@ -21,7 +21,6 @@
 package fabcrypto
 
 import (
-	"crypto"
 	"crypto/ecdh"
 	"crypto/ecdsa"
 	"crypto/elliptic"
@@ -35,7 +34,6 @@ import (
 	"fmt"
 	"hash"
 	"math/big"
-	"math/bits"
 	"time"
 )
 
@@ -152,30 +150,22 @@ func (s *Signer) Sign(msg []byte) ([]byte, error) {
 }
 
 // SignDigest signs a precomputed SHA-256 digest; a digest of any other
-// length than 32 bytes is an error. crypto/ecdsa signs and encodes, with the
-// nonce derived by RFC 6979 from the key and the digest, so one key signing
-// one digest always gives the same signature. Its DER is returned as it is
-// unless s is in the high half of the order, in which case s becomes n − s —
-// computed on the public signature's fixed-width halves — and the pair is
-// re-encoded.
+// length than 32 bytes is an error. The nonce is RFC 6979's, derived from
+// the key and the digest, so one key signing one digest always gives the
+// same signature: crypto/ecdsa's (*PrivateKey).Sign(nil, …) with s replaced
+// by n − s when it is in the high half of the order (sign.go).
 func (s *Signer) SignDigest(digest []byte) ([]byte, error) {
-	sig, err := s.priv.Sign(nil, digest, crypto.SHA256)
+	if len(digest) != HashSize {
+		return nil, fmt.Errorf("ecdsa sign: %d-byte digest, want %d", len(digest), HashSize)
+	}
+	var d [ScalarSize]byte
+	if D := s.priv.D; D.Sign() > 0 && D.BitLen() <= 8*ScalarSize {
+		D.FillBytes(d[:])
+	}
+	p, err := signDigest(&d, (*[HashSize]byte)(digest))
 	if err != nil {
 		return nil, fmt.Errorf("ecdsa sign: %w", err)
 	}
-	p, err := DecodeDERToParts(sig)
-	if err != nil {
-		return nil, fmt.Errorf("ecdsa sign: %w", err)
-	}
-	sv := limbsFromBytes(&p.S)
-	if !lessThan(&nHalfLimbs, &sv) {
-		return sig, nil
-	}
-	var b uint64
-	for i := range sv {
-		sv[i], b = bits.Sub64(nLimbs[i], sv[i], b)
-	}
-	bytesFromLimbs(&p.S, sv)
 	return PartsToDER(p), nil
 }
 

@@ -3,6 +3,7 @@ package fabcrypto
 import (
 	"bytes"
 	"crypto"
+	"crypto/ecdh"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"encoding/asn1"
@@ -159,17 +160,17 @@ func TestLowSNormalization(t *testing.T) {
 	}
 }
 
-// TestSignDigestAllocs bounds what signing allocates beyond crypto/ecdsa's
-// RFC 6979 signer: nothing but the re-encoded DER, and that only for a high
-// S.
+// TestSignDigestAllocs bounds what a signature allocates: crypto/ecdh's key
+// and point for R = k·G, the nonce's bytes handed to it, and the DER — at
+// most 10, where crypto/ecdsa's signer takes 63.
 func TestSignDigestAllocs(t *testing.T) {
 	s := newTestSigner(t)
 	digest := Hash([]byte("allocs"))
 	base := testing.AllocsPerRun(50, func() { _, _ = s.priv.Sign(nil, digest[:], crypto.SHA256) })
 	got := testing.AllocsPerRun(50, func() { _, _ = s.SignDigest(digest[:]) })
 	t.Logf("crypto/ecdsa.(*PrivateKey).Sign: %.2f allocs, SignDigest: %.2f", base, got)
-	if got > base+1 {
-		t.Fatalf("SignDigest allocates %.2f, crypto/ecdsa alone %.2f", got, base)
+	if got > 10 {
+		t.Fatalf("SignDigest allocates %.2f, want at most 10", got)
 	}
 }
 
@@ -245,6 +246,67 @@ func TestSignDigestDeterministic(t *testing.T) {
 	if !ecdsa.VerifyASN1(s.Public(), digest[:], a) {
 		t.Fatal("signature does not verify under crypto/ecdsa")
 	}
+}
+
+// FuzzSignMatchesStdlib: for any private key d in [1, n) and any digest,
+// SignDigest returns crypto/ecdsa's (*PrivateKey).Sign(nil, …) — RFC 6979,
+// the same nonce — after low-S, byte for byte. Inputs are cut or padded to
+// 32 bytes, so every one signs. Seeds: d = 1 and d = n − 1,
+// a digest ≥ n, the all-0xff and the all-zero digests.
+func FuzzSignMatchesStdlib(f *testing.F) {
+	one := make([]byte, ScalarSize)
+	one[ScalarSize-1] = 1
+	nMinus1 := new(big.Int).Sub(bigN, big.NewInt(1)).FillBytes(make([]byte, ScalarSize))
+	aboveN := new(big.Int).Add(bigN, big.NewInt(5)).FillBytes(make([]byte, ScalarSize))
+	ffs := bytes.Repeat([]byte{0xff}, HashSize)
+	zeros := make([]byte, HashSize)
+	mid := Hash([]byte("endorse"))
+	for _, d := range [][]byte{one, nMinus1, mid[:]} {
+		for _, h := range [][]byte{aboveN, ffs, zeros, mid[:]} {
+			f.Add(d, h)
+		}
+	}
+	half := new(big.Int).Rsh(bigN, 1)
+	fixed := func(b []byte) []byte { // the last 32 bytes, zero-padded in front
+		out := make([]byte, 32)
+		copy(out[max(0, 32-len(b)):], b[max(0, len(b)-32):])
+		return out
+	}
+	f.Fuzz(func(t *testing.T, d, digest []byte) {
+		d, digest = fixed(d), fixed(digest)
+		k, err := ecdh.P256().NewPrivateKey(d)
+		if err != nil {
+			t.Skip() // d = 0 or d ≥ n: no key
+		}
+		pub := k.PublicKey().Bytes()
+		priv := &ecdsa.PrivateKey{
+			PublicKey: ecdsa.PublicKey{
+				Curve: elliptic.P256(),
+				X:     new(big.Int).SetBytes(pub[1 : 1+ScalarSize]),
+				Y:     new(big.Int).SetBytes(pub[1+ScalarSize:]),
+			},
+			D: new(big.Int).SetBytes(d),
+		}
+		std, err := priv.Sign(nil, digest, crypto.SHA256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts, err := DecodeDERToParts(std)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sv := new(big.Int).SetBytes(parts.S[:]); sv.Cmp(half) > 0 {
+			sv.Sub(bigN, sv).FillBytes(parts.S[:])
+		}
+		want := PartsToDER(parts)
+		got, err := (&Signer{priv: priv}).SignDigest(digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("d = %x, digest = %x: SignDigest = %x, crypto/ecdsa after low-S %x", d, digest, got, want)
+		}
+	})
 }
 
 // TestSignDigestRejectsOtherLengths: SignDigest signs SHA-256 digests, and a
@@ -387,4 +449,30 @@ func BenchmarkSHA256Block(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Hash(data)
 	}
+}
+
+// BenchmarkSignDigest runs the package's signer and, beside it, crypto/ecdsa's
+// RFC 6979 signer on the same key and digest.
+func BenchmarkSignDigest(b *testing.B) {
+	s, err := NewSigner()
+	if err != nil {
+		b.Fatal(err)
+	}
+	digest := Hash([]byte("benchmark message"))
+	b.Run("fabcrypto", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.SignDigest(digest[:]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("stdlib", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.priv.Sign(nil, digest[:], crypto.SHA256); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -5,7 +5,6 @@ package fabcrypto
 import (
 	"fmt"
 	"math"
-	"math/big"
 	"math/rand"
 	"slices"
 	"testing"
@@ -20,15 +19,15 @@ import (
 // (cropping the tail that interrupts and the collector add to either class).
 // A |t| above timingThreshold says the time depends on the secret.
 //
-// It is what a constant-time claim about the signer can mean, and no more:
+// It is what the signer's constant-time claim (sign.go) means, and no more:
 // the secret-handling routines on this host's GOARCH, at this resolution. It
 // carries a build tag because timing on a shared machine is noisy and slow to
 // settle; run it with
 //
 //	go test -tags timing -run TestTiming -count=1 ./internal/fabcrypto/
 //
-// TestTimingDetects shows that it can fail: a variable-time inversion of a
-// fixed small secret must exceed the threshold.
+// TestTimingDetects shows that it can fail: the unblinded variable-time
+// inversion of a fixed small nonce must exceed the threshold.
 
 // timingThreshold is dudect's bound for "definitely not constant time".
 const timingThreshold = 10
@@ -123,14 +122,14 @@ func randomScalar(rng *rand.Rand) [4]uint64 {
 }
 
 // fixedSecret is the fixed class's secret, a small one: an extreme input
-// (three zero limbs) where a leak shows most.
+// (three zero limbs, a short run of divsteps) where a leak shows most.
 var fixedSecret = [4]uint64{0x1d}
 
-// TestTimingConstantTime runs the routines a secret would touch through the
+// TestTimingConstantTime runs every routine a secret touches through the
 // two classes: ordMul (the kernel where GOARCH has one) and ordMulGeneric on
-// a secret and a public factor, and the whole signer, the fixed class signing
-// one digest under one key (one nonce), the random class a fresh key and
-// digest each time.
+// a secret and a public factor, the masked addition, the blinded inversion
+// and the whole signer, the fixed class signing one digest under one key
+// (one nonce), the random class a fresh key and digest each time.
 func TestTimingConstantTime(t *testing.T) {
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	const n = 20000
@@ -160,6 +159,12 @@ func TestTimingConstantTime(t *testing.T) {
 	}{
 		{"ordMul", n, 64, prepScalar, func(i int) { ordMul(&sink, &secret[i], &public[i]) }},
 		{"ordMulGeneric", n, 64, prepScalar, func(i int) { ordMulGeneric(&sink, &secret[i], &public[i]) }},
+		{"ordAdd", n, 64, prepScalar, func(i int) { ordAdd(&sink, &secret[i], &public[i]) }},
+		{"ordInvBlinded", n, 1, prepScalar, func(i int) {
+			if _, err := ordInvBlinded(&secret[i]); err != nil {
+				t.Fatal(err)
+			}
+		}},
 		{"SignDigest", len(signers), 1, prepSigner, func(i int) {
 			if _, err := signers[i].SignDigest(digests[i][:]); err != nil {
 				t.Fatal(err)
@@ -174,23 +179,21 @@ func TestTimingConstantTime(t *testing.T) {
 	}
 }
 
-// TestTimingDetects plants a leak: a variable-time inversion mod n
-// (math/big's ModInverse) handed the secret itself, the fixed small one
+// TestTimingDetects plants the leak the blinding exists to prevent: the
+// variable-time inversion handed the nonce itself, the fixed small one
 // against random ones. The test must see it.
 func TestTimingDetects(t *testing.T) {
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	const n = 20000
-	k := make([]*big.Int, n)
-	z := new(big.Int)
+	k := make([][4]uint64, n)
+	var sink [4]uint64
 	r := measureTiming(n, 1, func(i int, fixed bool) {
-		v := randomScalar(rng)
-		if fixed {
-			v = fixedSecret
+		if k[i] = randomScalar(rng); fixed {
+			k[i] = fixedSecret
 		}
-		k[i] = limbsToBig(v)
-	}, func(i int) { z.ModInverse(k[i], bigN) })
-	t.Logf("math/big ModInverse(k): %v", r)
+	}, func(i int) { ordInvVar(&sink, &k[i]) })
+	t.Logf("unblinded ordInvVar(k): %v", r)
 	if math.Abs(r.t) <= timingThreshold {
-		t.Errorf("the timing test missed the variable-time inversion of a fixed small secret: %v", r)
+		t.Errorf("the timing test missed the unblinded inversion of a fixed small nonce: %v", r)
 	}
 }
