@@ -7,13 +7,14 @@ import (
 
 // This file is the arithmetic of the verification engine (keytable.go): the
 // P-256 base field on 4×64-bit Montgomery limbs and the two point operations
-// a table-driven verification needs. All of it is VARIABLE TIME — branches
-// and table indices depend on the operands — which is sound only because
-// every operand of a verification (public key, digest, signature) is public.
-// Nothing here may ever be handed a private key or a nonce: those stay with
-// crypto/ecdsa (fabcrypto.go) and do not reach this file. That holds for the
-// kernel below too: it happens to be constant time, the code around it is
-// not, and only the operands being public makes the whole sound.
+// a table-driven verification needs, and the products mod n. The field and
+// point code is VARIABLE TIME — branches and table indices depend on the
+// operands — which is sound only because every operand of a verification
+// (public key, digest, signature) is public. The signer (sign.go) hands a
+// secret to nothing here but ordMul, whose kernel and portable twin are
+// constant time (the final select of either is a mask), and to nothing in
+// safegcd.go but the blinded k·b. The timing test (timing_test.go) checks
+// those claims and no others.
 //
 // Multiplication and squaring, most of a verification's time, run on a
 // kernel chosen by GOARCH alone, and so do the batch's three inner loops —
@@ -23,7 +24,7 @@ import (
 // file), which use this file's representation exactly — the same limbs,
 // R = 2²⁵⁶, results in [0, p) — so tables and callers are the same on either
 // side, and three routines composed from its register-operand internals.
-// Everywhere else feMul, feSqrN, addAffine, invertAll, ordMul and ordSqrN are
+// Everywhere else feMul, feSqrN, addAffine, invertAll and ordMul are
 // the …Generic functions below (p256_other.go). Those are compiled on every
 // architecture, and on amd64 the tests hold the kernel to them, bit for bit,
 // and to math/big.
@@ -293,12 +294,12 @@ func toAffine(out []affinePoint, ps []jacobianPoint) {
 	}
 }
 
-// The scalars of a verification live mod n, the group order, which has no
-// special form: ordMul is a generic 4-limb Montgomery multiplication,
-// z = x·y·2⁻²⁵⁶ mod n for x·y < n·2²⁵⁶ (one factor below n, the other any
-// 256-bit value, a digest say), and ordSqrN repeats its square n times. Like
-// feMul they run on the kernel where GOARCH has one, and on ordMulGeneric
-// and ordSqrNGeneric below everywhere else. z may alias x or y.
+// The scalars of a verification and of a signature live mod n, the group
+// order, which has no special form: ordMul is a generic 4-limb Montgomery
+// multiplication, z = x·y·2⁻²⁵⁶ mod n for x·y < n·2²⁵⁶ (one factor below
+// n, the other any 256-bit value, a digest say). Like feMul it runs on the
+// kernel where GOARCH has one, and on ordMulGeneric below everywhere else.
+// z may alias x or y.
 var (
 	nLimbs = [4]uint64{0xf3b9cac2fc632551, 0xbce6faada7179e84, 0xffffffffffffffff, 0xffffffff00000000}
 	ordRR  = [4]uint64{0x83244c95be79eea2, 0x4699799c49bd6fa6, 0x2845b2392b6bec59, 0x66e12d94f3d95620} // 2⁵¹² mod n
@@ -314,25 +315,24 @@ func ordMulGeneric(z, x, y *[4]uint64) {
 		top += mulAdd(&a, a[0]*nNegInv, &nLimbs) // cancels the low limb
 		a = [5]uint64{a[1], a[2], a[3], a[4], top}
 	}
-	var d [4]uint64 // a < 2n: subtract n once if it fits
-	var b uint64
-	for j := range d {
-		d[j], b = bits.Sub64(a[j], nLimbs[j], b)
-	}
-	_, b = bits.Sub64(a[4], 0, b)
-	keep := -b // all ones when a < n; a mask, as in feReduceOnce, for the signer's secrets
-	for j := range d {
-		d[j] ^= (d[j] ^ a[j]) & keep
-	}
-	*z = d
+	*z = ordReduceOnce([4]uint64(a[:4]), a[4]) // a < 2n
 }
 
-// ordSqrNGeneric sets z = x^(2ⁿ) in Montgomery form mod n, for n ≥ 1.
-func ordSqrNGeneric(z, x *[4]uint64, n int) {
-	ordMulGeneric(z, x, x)
-	for i := 1; i < n; i++ {
-		ordMulGeneric(z, z, z)
+// ordReduceOnce returns a − n when a ≥ n, else a, for a < 2n given as four
+// limbs and a carry bit. As in feReduceOnce the select is a mask, not a
+// branch: the signer hands ordMul its secrets.
+func ordReduceOnce(a [4]uint64, carry uint64) [4]uint64 {
+	var d [4]uint64
+	var b uint64
+	for i := range d {
+		d[i], b = bits.Sub64(a[i], nLimbs[i], b)
 	}
+	_, b = bits.Sub64(carry, 0, b)
+	keep := -b // all ones when a < n
+	for i := range d {
+		d[i] ^= (d[i] ^ a[i]) & keep
+	}
+	return d
 }
 
 // mulAdd adds k·v to a and returns the carry out of its top limb.

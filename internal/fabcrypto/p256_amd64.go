@@ -48,8 +48,3 @@ func backSubstitute(xs, prefix []fe, inv *fe)
 //
 //go:noescape
 func ordMul(z, x, y *[4]uint64)
-
-// ordSqrN sets z = x^(2ⁿ) (n Montgomery squarings mod n), for n ≥ 1.
-//
-//go:noescape
-func ordSqrN(z, x *[4]uint64, n int)

@@ -9,7 +9,6 @@
 //	feSqrN               p256Sqr
 //	feMul                p256Mul
 //	ordMul               p256OrdMul
-//	ordSqrN              p256OrdSqr
 //	p256SubInternal<>    p256SubInternal
 //	p256MulInternal<>    p256MulInternal
 //	p256SqrInternal<>    p256SqrInternal
@@ -680,237 +679,6 @@ DATA p256ord<>+8(SB)/8, $0xbce6faada7179e84
 DATA p256ord<>+16(SB)/8, $0xffffffffffffffff
 DATA p256ord<>+24(SB)/8, $0xffffffff00000000
 GLOBL p256ord<>(SB), RODATA, $32
-
-// func ordSqrN(z, x *[4]uint64, n int)
-// Requires: CMOV
-TEXT ·ordSqrN(SB), NOSPLIT, $0-24
-	MOVQ z+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ n+16(FP), BX
-
-ordSqrLoop:
-	// y[1:] * y[0]
-	MOVQ (SI), R14
-	MOVQ 8(SI), AX
-	MULQ R14
-	MOVQ AX, R9
-	MOVQ DX, R10
-	MOVQ 16(SI), AX
-	MULQ R14
-	ADDQ AX, R10
-	ADCQ $0x00, DX
-	MOVQ DX, R11
-	MOVQ 24(SI), AX
-	MULQ R14
-	ADDQ AX, R11
-	ADCQ $0x00, DX
-	MOVQ DX, R12
-
-	// y[2:] * y[1]
-	MOVQ 8(SI), R14
-	MOVQ 16(SI), AX
-	MULQ R14
-	ADDQ AX, R11
-	ADCQ $0x00, DX
-	MOVQ DX, R15
-	MOVQ 24(SI), AX
-	MULQ R14
-	ADDQ R15, R12
-	ADCQ $0x00, DX
-	ADDQ AX, R12
-	ADCQ $0x00, DX
-	MOVQ DX, R13
-
-	// y[3] * y[2]
-	MOVQ 16(SI), R14
-	MOVQ 24(SI), AX
-	MULQ R14
-	ADDQ AX, R13
-	ADCQ $0x00, DX
-	MOVQ DX, CX
-	XORQ R15, R15
-
-	// *2
-	ADDQ R9, R9
-	ADCQ R10, R10
-	ADCQ R11, R11
-	ADCQ R12, R12
-	ADCQ R13, R13
-	ADCQ CX, CX
-	ADCQ $0x00, R15
-
-	// Missing products
-	MOVQ (SI), AX
-	MULQ AX
-	MOVQ AX, R8
-	MOVQ DX, R14
-	MOVQ 8(SI), AX
-	MULQ AX
-	ADDQ R14, R9
-	ADCQ AX, R10
-	ADCQ $0x00, DX
-	MOVQ DX, R14
-	MOVQ 16(SI), AX
-	MULQ AX
-	ADDQ R14, R11
-	ADCQ AX, R12
-	ADCQ $0x00, DX
-	MOVQ DX, R14
-	MOVQ 24(SI), AX
-	MULQ AX
-	ADDQ R14, R13
-	ADCQ AX, CX
-	ADCQ DX, R15
-	MOVQ R15, SI
-
-	// First reduction step
-	MOVQ R8, AX
-	MULQ p256ordK0<>+0(SB)
-	MOVQ AX, R14
-	MOVQ p256ord<>+0(SB), AX
-	MULQ R14
-	ADDQ AX, R8
-	ADCQ $0x00, DX
-	MOVQ DX, R15
-	MOVQ p256ord<>+8(SB), AX
-	MULQ R14
-	ADDQ R15, R9
-	ADCQ $0x00, DX
-	ADDQ AX, R9
-	MOVQ R14, R15
-	ADCQ DX, R10
-	ADCQ $0x00, R15
-	SUBQ R14, R10
-	SBBQ $0x00, R15
-	MOVQ R14, AX
-	MOVQ R14, DX
-	MOVQ R14, R8
-	SHLQ $0x20, AX
-	SHRQ $0x20, DX
-	ADDQ R15, R11
-	ADCQ $0x00, R8
-	SUBQ AX, R11
-	SBBQ DX, R8
-
-	// Second reduction step
-	MOVQ R9, AX
-	MULQ p256ordK0<>+0(SB)
-	MOVQ AX, R14
-	MOVQ p256ord<>+0(SB), AX
-	MULQ R14
-	ADDQ AX, R9
-	ADCQ $0x00, DX
-	MOVQ DX, R15
-	MOVQ p256ord<>+8(SB), AX
-	MULQ R14
-	ADDQ R15, R10
-	ADCQ $0x00, DX
-	ADDQ AX, R10
-	MOVQ R14, R15
-	ADCQ DX, R11
-	ADCQ $0x00, R15
-	SUBQ R14, R11
-	SBBQ $0x00, R15
-	MOVQ R14, AX
-	MOVQ R14, DX
-	MOVQ R14, R9
-	SHLQ $0x20, AX
-	SHRQ $0x20, DX
-	ADDQ R15, R8
-	ADCQ $0x00, R9
-	SUBQ AX, R8
-	SBBQ DX, R9
-
-	// Third reduction step
-	MOVQ R10, AX
-	MULQ p256ordK0<>+0(SB)
-	MOVQ AX, R14
-	MOVQ p256ord<>+0(SB), AX
-	MULQ R14
-	ADDQ AX, R10
-	ADCQ $0x00, DX
-	MOVQ DX, R15
-	MOVQ p256ord<>+8(SB), AX
-	MULQ R14
-	ADDQ R15, R11
-	ADCQ $0x00, DX
-	ADDQ AX, R11
-	MOVQ R14, R15
-	ADCQ DX, R8
-	ADCQ $0x00, R15
-	SUBQ R14, R8
-	SBBQ $0x00, R15
-	MOVQ R14, AX
-	MOVQ R14, DX
-	MOVQ R14, R10
-	SHLQ $0x20, AX
-	SHRQ $0x20, DX
-	ADDQ R15, R9
-	ADCQ $0x00, R10
-	SUBQ AX, R9
-	SBBQ DX, R10
-
-	// Last reduction step
-	MOVQ R11, AX
-	MULQ p256ordK0<>+0(SB)
-	MOVQ AX, R14
-	MOVQ p256ord<>+0(SB), AX
-	MULQ R14
-	ADDQ AX, R11
-	ADCQ $0x00, DX
-	MOVQ DX, R15
-	MOVQ p256ord<>+8(SB), AX
-	MULQ R14
-	ADDQ R15, R8
-	ADCQ $0x00, DX
-	ADDQ AX, R8
-	ADCQ $0x00, DX
-	MOVQ DX, R15
-	MOVQ R14, R15
-	ADCQ DX, R9
-	ADCQ $0x00, R15
-	SUBQ R14, R9
-	SBBQ $0x00, R15
-	MOVQ R14, AX
-	MOVQ R14, DX
-	MOVQ R14, R11
-	SHLQ $0x20, AX
-	SHRQ $0x20, DX
-	ADDQ R15, R10
-	ADCQ $0x00, R11
-	SUBQ AX, R10
-	SBBQ DX, R11
-	XORQ R14, R14
-
-	// Add bits [511:256] of the sqr result
-	ADCQ R12, R8
-	ADCQ R13, R9
-	ADCQ CX, R10
-	ADCQ SI, R11
-	ADCQ $0x00, R14
-	MOVQ R8, R12
-	MOVQ R9, R13
-	MOVQ R10, CX
-	MOVQ R11, R15
-
-	// Subtract p256
-	SUBQ    p256ord<>+0(SB), R8
-	SBBQ    p256ord<>+8(SB), R9
-	SBBQ    p256ord<>+16(SB), R10
-	SBBQ    p256ord<>+24(SB), R11
-	SBBQ    $0x00, R14
-	CMOVQCS R12, R8
-	CMOVQCS R13, R9
-	CMOVQCS CX, R10
-	CMOVQCS R15, R11
-	MOVQ    R8, (DI)
-	MOVQ    R9, 8(DI)
-	MOVQ    R10, 16(DI)
-	MOVQ    R11, 24(DI)
-	MOVQ    DI, SI
-	DECQ    BX
-	JNE     ordSqrLoop
-	RET
 
 // func p256SubInternal<>()
 // Requires: CMOV

@@ -14,5 +14,3 @@ func addAffine(r, p, q *affinePoint, inv *fe) { addAffineGeneric(r, p, q, inv) }
 func invertAll(xs, prefix []fe) { invertAllGeneric(xs, prefix) }
 
 func ordMul(z, x, y *[4]uint64) { ordMulGeneric(z, x, y) }
-
-func ordSqrN(z, x *[4]uint64, n int) { ordSqrNGeneric(z, x, n) }

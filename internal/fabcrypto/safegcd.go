@@ -129,31 +129,28 @@ func divsteps62(eta int64, f0, g0 uint64) (int64, divMatrix) {
 	f, g := f0, g0
 	i := 62
 	for {
-		zeros := bits.TrailingZeros64(g | ^uint64(0)<<i) // the sentinel stops at i
+		// Shift counts are masked to 63 (none exceeds 62): it spares Go's
+		// code for counts of 64 and more.
+		zeros := uint(bits.TrailingZeros64(g|^uint64(0)<<(uint(i)&63))) & 63 // the sentinel stops at i
 		g >>= zeros
 		u <<= zeros
 		v <<= zeros
 		eta -= int64(zeros)
-		i -= zeros
+		i -= int(zeros)
 		if i == 0 {
 			break
 		}
-		// Cancel the low bits of g with a multiple of f: at most i (the
-		// batch ends there) and eta + 1 of them (the sign of eta flips
-		// there), and at most six or four, what the formula reaches.
-		var w uint64
-		if eta < 0 {
-			eta = -eta
-			f, g = g, -f
-			u, q = q, -u
-			v, r = r, -v
-			limit := min(int(eta)+1, i)
-			w = f * g * (f*f - 2) & (^uint64(0) >> (64 - limit) & 63)
-		} else {
-			limit := min(int(eta)+1, i)
-			w = f + (f+1)&4<<1
-			w = -w * g & (^uint64(0) >> (64 - limit) & 15)
-		}
+		// When eta < 0, negate it and replace (f, g) by (g, −f), under a
+		// mask: the sign of eta is a coin flip the predictor cannot learn.
+		c := uint64(eta >> 63)
+		eta = (eta ^ int64(c)) - int64(c)
+		f, g = f^(f^g)&c, g^(g^-f)&c
+		u, q = u^(u^q)&c, q^(q^-u)&c
+		v, r = v^(v^r)&c, r^(r^-v)&c
+		// Cancel up to six low bits of g with a multiple of f: no more than
+		// i (the batch ends there) and eta + 1 (eta changes sign there).
+		limit := min(int(eta)+1, i)
+		w := f * g * (f*f - 2) & (^uint64(0) >> (uint(64-limit) & 63) & 63)
 		g += f * w
 		q += u * w
 		r += v * w

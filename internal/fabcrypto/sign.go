@@ -124,22 +124,6 @@ func ordAdd(z, x, y *[4]uint64) {
 // ordReduce returns v mod n for any 256-bit v (below 2n), in constant time.
 func ordReduce(v [4]uint64) [4]uint64 { return ordReduceOnce(v, 0) }
 
-// ordReduceOnce returns a − n when a ≥ n, else a, for a < 2n given as four
-// limbs and a carry bit; the select is a mask.
-func ordReduceOnce(a [4]uint64, carry uint64) [4]uint64 {
-	var d [4]uint64
-	var b uint64
-	for i := range d {
-		d[i], b = bits.Sub64(a[i], nLimbs[i], b)
-	}
-	_, b = bits.Sub64(carry, 0, b)
-	keep := -b // all ones when a < n
-	for i := range d {
-		d[i] ^= (d[i] ^ a[i]) & keep
-	}
-	return d
-}
-
 // nonceDRBG is RFC 6979's HMAC-SHA-256 DRBG (section 3.2, steps b–h) on
 // fixed buffers: v holds the current candidate T, since for P-256 and
 // SHA-256 one block of output is one candidate.
