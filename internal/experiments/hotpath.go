@@ -797,12 +797,13 @@ func LoadHotpathRecord(path string) (*HotpathRecord, error) {
 //
 // Signing with the RFC 6979 nonce must cost at most 0.90 of crypto/ecdsa's
 // hedged signer, whose per-signature HMAC-SHA-512 DRBG over fresh entropy
-// is what it saves: 0.6-0.8 measured on two CPUs, where a SignDigest put
+// is what it saves: 0.5-0.8 measured on two CPUs, where a SignDigest put
 // back on the hedged path reads 0.95-1.07. And fabcrypto's signer must cost
 // at most 0.75 of crypto/ecdsa's RFC 6979 signer, which gives the same
 // signatures: what it saves is the constant-time n − 2 chain for k⁻¹ (the
-// blinded safegcd instead), the DRBG's allocations and a key check on every
-// call. SignDigest on crypto/ecdsa reads ≈ 1.0 here.
+// blinded safegcd instead), and the DRBG's and the key's allocations on
+// every call. It reads 0.67-0.69 in quick runs here; SignDigest put back on
+// crypto/ecdsa reads 1.01-1.02.
 const (
 	maxTableOverStdlib     = 0.6
 	maxBatchOverTable      = 0.80

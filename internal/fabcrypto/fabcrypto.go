@@ -14,10 +14,15 @@
 // ecdsa_engine, keytable.go: per-identity precomputed tables for the keys
 // that recur, crypto/ecdsa for everything else, the same verdict either
 // way. That engine is variable time, which is sound because a verification
-// has no secret input. Signing is a different matter and is untouched:
-// Signer.Sign and SignDigest call crypto/ecdsa's RFC 6979 deterministic
-// signer, and no private key, nonce or other secret-dependent value ever
-// enters the engine's arithmetic.
+// has no secret input.
+//
+// Signing (Signer.Sign, SignDigest) runs on the package's own RFC 6979
+// signer, sign.go, byte for byte crypto/ecdsa's signature after low-S. Its
+// secrets — the key, the nonce and their products — touch only ordMul, a
+// masked addition mod n and the nonce DRBG; R = k·G is crypto/ecdh's; and
+// the variable-time inversion it shares with the verifier sees only the
+// nonce blinded by a fresh random factor, k·b. The build-tagged timing test
+// checks exactly that.
 package fabcrypto
 
 import (

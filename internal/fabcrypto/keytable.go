@@ -18,8 +18,9 @@ import (
 // inversion — on the variable-time arithmetic of p256.go.
 //
 // Every input of a verification is public, which is what makes variable
-// time sound here. No secret-dependent value enters this code: signing
-// (Signer.Sign*) calls crypto/ecdsa's RFC 6979 signer and nothing else.
+// time sound here. No secret-dependent value enters this code: the signer
+// (sign.go) shares only ordMul and the blinded ordInvVar with it, and its
+// secrets touch only ordMul, a masked addition mod n and the nonce DRBG.
 //
 // crypto/ecdsa also stays the verifier for keys not (yet) worth a table,
 // for anything but a 32-byte digest under a valid P-256 key, and for the
@@ -61,15 +62,17 @@ const (
 	// be done in affine coordinates, where one costs 6 field multiplications
 	// (1 S + 2 M and a 3 M share of the level's inversion) against addMixed's
 	// 11 (8 M + 3 S): it pays once a level saves an inversion's worth,
-	// feInv ÷ (addMixed − affine add). The value 77 is 384 ÷ 5, from the
-	// square-and-multiply inversion (384 M). The addition chain of feInv is
-	// 255 S + 12 M, so the quotient is now 267 ÷ 5 ≈ 53 counted. Measured
-	// with the chord addition in the kernel (addAffine in p256_amd64.s),
-	// BenchmarkFeInv, AddMixed and AddAffine give 35–65, median ≈ 50, over
-	// ten rounds on a 2-CPU Xeon (5.1 µs ÷ (265 − 158 ns)). The constant
-	// stays until the batch geometry is measured end to end (ROADMAP item
-	// 3). One signature has at most 31 pairs, so a batch of one never gets
-	// here; the hotpath row ecdsa_verify_batch ÷ ecdsa_verify_table pins it.
+	// inversion ÷ (addMixed − affine add). The value 77 is 384 ÷ 5, from
+	// the square-and-multiply inversion (384 M). With the Fermat chain
+	// (255 S + 12 M) the quotient was 267 ÷ 5 ≈ 53 counted, and measured
+	// with the chord addition in the kernel (addAffine in p256_amd64.s)
+	// BenchmarkFeInv, AddMixed and AddAffine gave 35–65, median ≈ 50, over
+	// ten rounds on a 2-CPU Xeon (5.1 µs ÷ (265 − 158 ns)). The inversion
+	// is now the variable-time safegcd, BenchmarkFeInvVar ≈ 3.2 µs, which
+	// puts the quotient near 30. The constant stays until a batch-length
+	// sweep measures the geometry end to end (ROADMAP item 21). One
+	// signature has at most 31 pairs, so a batch of one never gets here;
+	// the hotpath row ecdsa_verify_batch ÷ ecdsa_verify_table pins it.
 	affineLevelMin = 77
 
 	// FullBatch is the fewest signatures that run five of a batch's six
@@ -296,7 +299,7 @@ func (sc *batchScratch) sum(sg *batchSig) (sum jacobianPoint, ok bool) {
 
 // invertScalars replaces every sigs[j].w, holding s, by s⁻¹ in Montgomery
 // form, with one inversion mod n for all of them (Montgomery's trick): the
-// variable-time ordInvVar (≈ 2.9 µs against ordInv's ≈ 10 µs on a 2-CPU
+// variable-time ordInvVar (≈ 2.9 µs against ordInv's ≈ 12 µs on a 2-CPU
 // Xeon), which is sound because every s is public.
 //
 // bmaclint:noalloc

@@ -21,9 +21,11 @@
 # sender: bmac_encode_block_64ids / bmac_encode_block <= 1.25 (EncodeBlock
 # must not grow with the number of registered identities) and
 # bmac_encode_block / marshal_block <= 50, the three measured interleaved.
-# One holds the signer: ecdsa_sign / ecdsa_sign_hedged <= 0.90
+# Two hold the signer: ecdsa_sign / ecdsa_sign_hedged <= 0.90
 # (fabcrypto's RFC 6979 signer against crypto/ecdsa's hedged one, which
-# draws fresh entropy into every nonce; the two measured interleaved).
+# draws fresh entropy into every nonce) and ecdsa_sign / ecdsa_sign_stdlib
+# <= 0.75 (against crypto/ecdsa's RFC 6979 signer, which gives the same
+# signatures before low-S); the three measured interleaved.
 #
 # The suite includes the telemetry-off gate: block_validate_telemetry_off
 # runs block validation with the telemetry plane disabled (nil instruments)
