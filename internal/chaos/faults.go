@@ -89,14 +89,14 @@ func SeverableDialer(dial func() (delivery.Transport, error), sw *Switch) func()
 // phase-lock onto a redelivery loop — with a fixed period, a rewind
 // round whose frame count is a multiple of N corrupts the same block
 // every round, turning a transient fault into a permanent one that
-// exhausts the commit loop's redelivery budget. The frame counter lives
+// exhausts peer.Follow's redelivery budget. The frame counter lives
 // on the Corrupter, not the transport, so the cadence (and the stats)
 // survive the redials its own corruption provokes. The corrupted frame is
 // a copy — the delivery item's cached marshaled bytes are shared across
 // all peers and must never be mutated. The receiver's decode rejection
 // closes the connection, so the sender observes a send error and redials;
-// recovery is the delivery service's gap/rewind machinery, which this
-// fault exists to exercise.
+// recovery is peer.Follow's gap check and the delivery service's rewind,
+// which this fault exists to exercise.
 type Corrupter struct {
 	every int
 

@@ -27,7 +27,6 @@ package cluster
 
 import (
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"maps"
 	"os"
@@ -284,19 +283,18 @@ func (r *Result) Event(action string) *Event {
 
 // swPeer is one software gossip peer: listener, commit engine, counters.
 type swPeer struct {
-	name    string
-	slow    bool
-	dir     string
-	ln      *gossip.Listener
-	peer    *peer.Peer
-	started bool // commitLoop launched (done will be closed)
-	done    chan struct{}
+	name string
+	slow bool
+	dir  string
+	ln   *gossip.Listener
+	peer *peer.Peer
+	done chan struct{} // closed when commitLoop returns
 
 	mu         sync.Mutex
 	blocks     int
 	txs        int
 	validTxs   int
-	counted    uint64 // height up to which the commit loop has counted blocks into the fields above
+	counted    uint64 // height up to which commitLoop has counted blocks into the fields above
 	restarts   int
 	lastCommit time.Time
 	err        error
@@ -306,9 +304,7 @@ type swPeer struct {
 // intake, and closes the peer, returning the ledger height it stopped at.
 func (p *swPeer) kill() (uint64, error) {
 	p.ln.Close() // bmaclint:allow errdiscard (teardown: listener close error is unactionable)
-	if p.started {
-		<-p.done // commitLoop exits once the intake channel closes
-	}
+	<-p.done
 	h := p.peer.Height()
 	return h, p.peer.Close()
 }
@@ -436,6 +432,31 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 			p.kill() // bmaclint:allow errdiscard (teardown: nothing left to do with a close error)
 		}
 	}()
+	// Delivery service: every path is one per-peer pipe, with the
+	// orderer's ledger as the catch-up source behind the window.
+	svc := delivery.NewService(delivery.Options{
+		Window:   cfg.Delivery.Window,
+		History:  delivery.LedgerSource(ordLed),
+		Registry: reg,
+	})
+	defer svc.Close()
+	// Open-loop load.
+	gen, err := load.New(load.Options{
+		Rate:    opts.Rate,
+		Arrival: opts.Arrival,
+		Count:   opts.Txs,
+		Seed:    opts.Seed,
+		E2E:     reg.Histogram("load_e2e_seconds"),
+	})
+	if err != nil {
+		return nil, err
+	}
+	reg.GaugeFunc("load_submitted_txs_total", func() int64 { n, _, _ := gen.Stats(); return int64(n) })
+	reg.GaugeFunc("load_committed_txs_total", func() int64 { _, n, _ := gen.Stats(); return int64(n) })
+	reg.GaugeFunc("load_late_txs_total", func() int64 { _, _, n := gen.Stats(); return int64(n) })
+	// What the peers' commit loops reach. Peer 0, the observer, applies
+	// blocks to the endorser stores; the drivers submit under fw.applyMu.
+	fw := &followers{svc: svc, rec: rec, endorsers: endorsers, gen: gen}
 	// Per-peer state-database access counts and ledger segment counts,
 	// read at scrape time. A restart re-registers the replacement peer
 	// under the same name, so its series then report the new session.
@@ -457,7 +478,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		ledgerStat("ledger_index_rebuilds_total", func(s ledger.Stats) int64 { return s.IndexRebuilds })
 	}
 	for i := 0; i < opts.Peers; i++ {
-		p, err := newSWPeer(cfg, opts, i, filepath.Join(dir, fmt.Sprintf("peer%d", i)), sp.disks[i])
+		p, err := newSWPeer(cfg, opts, i, filepath.Join(dir, fmt.Sprintf("peer%d", i)), sp.disks[i], fw)
 		if err != nil {
 			return nil, err
 		}
@@ -483,20 +504,6 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		}
 	}
 
-	// Open-loop load.
-	gen, err := load.New(load.Options{
-		Rate:    opts.Rate,
-		Arrival: opts.Arrival,
-		Count:   opts.Txs,
-		Seed:    opts.Seed,
-		E2E:     reg.Histogram("load_e2e_seconds"),
-	})
-	if err != nil {
-		return nil, err
-	}
-	reg.GaugeFunc("load_submitted_txs_total", func() int64 { n, _, _ := gen.Stats(); return int64(n) })
-	reg.GaugeFunc("load_committed_txs_total", func() int64 { _, n, _ := gen.Stats(); return int64(n) })
-	reg.GaugeFunc("load_late_txs_total", func() int64 { _, _, n := gen.Stats(); return int64(n) })
 	clientID, err := st.Network.LookupByName("client0." + cfg.Orgs[0].Name)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: first org needs a client: %w", err)
@@ -518,28 +525,19 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		}
 		ordSubmit = adv.Tap(ord)
 	}
-	var applyMu sync.RWMutex // endorser stores: drivers read-side, the observer's committer role write-side
 	drivers := make([]load.Submitter, opts.Clients)
 	for i := range drivers {
 		drivers[i] = &steadySubmitter{
 			inner: client.NewDriver(clientID, endorsers, ordSubmit, w, cfg.Channel, opts.Seed+int64(100+i)),
-			mu:    &applyMu,
+			mu:    &fw.applyMu,
 		}
 		if adv != nil {
 			drivers[i] = adv.Wrap(drivers[i])
 		}
 	}
 
-	// Delivery service: every path is one per-peer pipe, with the
-	// orderer's ledger as the catch-up source behind the window. Dial
-	// targets are mutable so a restarted peer's pipe follows it to the
+	// Dial targets are mutable so a restarted peer's pipe follows it to the
 	// listener it restarts on.
-	svc := delivery.NewService(delivery.Options{
-		Window:   cfg.Delivery.Window,
-		History:  delivery.LedgerSource(ordLed),
-		Registry: reg,
-	})
-	defer svc.Close()
 	addrs := make([]*peerAddr, opts.Peers)
 	for i, p := range peers {
 		addrs[i] = new(peerAddr)
@@ -591,8 +589,9 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		// lifecycle is known. submit = first scheduled arrival → first
 		// submit call, endorse = submit calls in flight, order = last
 		// submit returned → block created (batch wait + raft + signing),
-		// publish = fan-out hand-off. The spans are anchored end-to-start
-		// so the trace tiles the timeline without gaps.
+		// publish = the rest of this hook, fan-out hand-off included. The
+		// spans are anchored end-to-start at now, so the trace tiles the
+		// timeline without gaps.
 		now := time.Now()
 		num := b.Header.Number
 		var minSched, minStart, maxEnd time.Time
@@ -624,30 +623,11 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		rec.Stamp(num, telemetry.StageSubmit, "", minSched, minStart, len(b.Envelopes))
 		rec.Stamp(num, telemetry.StageEndorse, "", minStart, maxEnd, 0)
 		rec.Stamp(num, telemetry.StageOrder, "", maxEnd, now, 0)
-		pubStart := time.Now()
 		err := svc.Publish(b)
-		rec.Stamp(num, telemetry.StagePublish, "", pubStart, time.Now(), 0)
+		rec.Stamp(num, telemetry.StagePublish, "", now, time.Now(), 0)
 		return err
 	})
 
-	// Peer commit loops. Peer 0 is the observer: it records end-to-end
-	// latency and plays the committer for the endorser world state. Fast
-	// peers get a rewind hook: a delivery gap (frames lost when wire
-	// corruption tore the connection down after the sender's cursor
-	// advanced) moves the pipe cursor back for redelivery instead of
-	// silently skipping blocks; a slow DropBlocks peer skips by design.
-	startPeer := func(p *swPeer, observer bool) {
-		var rewind func(uint64) error
-		if !p.slow {
-			name := p.name
-			rewind = func(seq uint64) error { return svc.Rewind(name, seq) }
-		}
-		p.started = true
-		go p.commitLoop(observer, gen, endorsers, &applyMu, rec, rewind)
-	}
-	for i, p := range peers {
-		startPeer(p, i == 0)
-	}
 	// The BMac peer's commits are only timed here; the report joins them
 	// with the submit records once every submission is recorded.
 	var (
@@ -667,40 +647,32 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 
 	// The scenario plays from the wait loop below. A restart reopens the
 	// killed peer's directory: checkpoint + ledger replay rebuild its
-	// state, and its delivery pipe resumes from the height it recovered to
-	// — or from the first quarantined hole below it, so the redelivered
-	// range doubles as the archive refetch that Restore backfills. Rewind
-	// MUST land before the new address is published: a pipe that
-	// reconnected first would deliver from its stale pre-kill cursor, the
-	// recovered peer would see a gap and stop committing, and a racing
-	// send could clobber the moved cursor.
+	// state, and its delivery pipe resumes from what it Wants: its first
+	// quarantined hole, whose redelivery is the archive refetch, or its
+	// height. Rewind MUST land before the new address is published: a pipe
+	// that reconnected first would deliver from its stale pre-kill cursor,
+	// and a racing send could clobber the moved cursor.
 	sp.peers, sp.svc, sp.window, sp.stack = peers, svc, uint64(cfg.Delivery.Window), st
 	sp.restart = func(i int) (uint64, error) {
 		cp := peers[i]
-		np, err := newSWPeer(cfg, opts, i, cp.dir, sp.disks[i])
+		np, err := newSWPeer(cfg, opts, i, cp.dir, sp.disks[i], fw)
 		if err != nil {
 			return 0, err
 		}
 		// Carry the pre-crash counters so the report covers the peer's
-		// whole run.
-		cp.mu.Lock()
+		// whole run (cp's commitLoop returned before its kill did).
+		np.mu.Lock()
 		np.blocks, np.txs, np.validTxs = cp.blocks, cp.txs, cp.validTxs
 		np.restarts = cp.restarts + 1
 		np.lastCommit = cp.lastCommit
-		cp.mu.Unlock()
+		np.mu.Unlock()
 		peers[i] = np
 		registerPeer(np)
-		recovered := np.peer.Height()
-		rewindTo := recovered
-		if mr := np.peer.Ledger.MissingRanges(); len(mr) > 0 && mr[0].First < rewindTo {
-			rewindTo = mr[0].First
-		}
-		if err := svc.Rewind(np.name, rewindTo); err != nil {
+		if err := svc.Rewind(np.name, np.peer.Want()); err != nil {
 			return 0, err
 		}
 		addrs[i].Store(listenAddr(np))
-		startPeer(np, false)
-		return recovered, nil
+		return np.peer.Height(), nil
 	}
 
 	// Drive the load concurrently with the wait loop (so a step can strike
@@ -788,8 +760,10 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 	// completes, so the loop additionally requires the height to hold
 	// still briefly before calling the run settled. A peer stalled
 	// short of the target (a corrupted tail frame with no follow-on block
-	// to expose the gap to its commit loop) gets its delivery cursor
-	// rewound to its own height to force redelivery.
+	// to expose the gap to Follow) gets its delivery cursor rewound to
+	// what it Wants. The BMac peer settles once the hardware pipeline has
+	// committed the tail: the protocol sender returned as soon as packets
+	// entered the link.
 	settleDeadline := time.Now().Add(opts.Timeout)
 	stableSince := time.Now()
 	lastTarget := svc.Height()
@@ -836,35 +810,19 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 			if lastH[p.name] != prog {
 				lastH[p.name], lastHAt[p.name] = prog, time.Now()
 			} else if time.Since(lastHAt[p.name]) > 200*time.Millisecond {
-				to := h
-				if mr := p.peer.Ledger.MissingRanges(); len(mr) > 0 {
-					to = mr[0].First
-				}
-				svc.Rewind(p.name, to) // bmaclint:allow errdiscard (best-effort nudge; the settle deadline bounds a stuck peer)
+				svc.Rewind(p.name, p.peer.Want()) // bmaclint:allow errdiscard (best-effort nudge; the settle deadline bounds a stuck peer)
 				lastHAt[p.name] = time.Now()
 			}
 		}
-		if allAt && (adv == nil || time.Since(stableSince) > 150*time.Millisecond) {
-			break
+		if bmacPeer != nil {
+			hwMu.Lock()
+			allAt = allAt && uint64(len(hwAt)) >= target
+			hwMu.Unlock()
 		}
-		if time.Now().After(settleDeadline) {
+		if allAt && (adv == nil || time.Since(stableSince) > 150*time.Millisecond) || time.Now().After(settleDeadline) {
 			break
 		}
 		time.Sleep(time.Millisecond)
-	}
-	if bmacPeer != nil {
-		// The protocol sender returned as soon as packets entered the
-		// link; wait for the hardware pipeline to finish the tail.
-		flushDeadline := time.Now().Add(opts.Timeout)
-		for {
-			hwMu.Lock()
-			done := uint64(len(hwAt)) >= svc.Height()
-			hwMu.Unlock()
-			if done || time.Now().After(flushDeadline) {
-				break
-			}
-			time.Sleep(time.Millisecond)
-		}
 	}
 
 	// Report.
@@ -1032,8 +990,9 @@ func (p *swPeer) stampBlock(rec *telemetry.Recorder, b *block.Block, bd *validat
 // path. Opening an existing dir recovers: checkpoint + ledger replay seed
 // the state, and the peer's Height reports where it resumes from. A
 // non-nil df installs the slow-disk fault shim under the peer's ledger
-// and checkpoint writers.
-func newSWPeer(cfg *config.Config, opts Options, i int, dir string, df *chaos.DiskFault) (*swPeer, error) {
+// and checkpoint writers. The peer commits what its listener receives from
+// the moment it is built, peer0 as the observer.
+func newSWPeer(cfg *config.Config, opts Options, i int, dir string, df *chaos.DiskFault, fw *followers) (*swPeer, error) {
 	mode := modes[opts.Mode]
 	name := fmt.Sprintf("peer%d", i)
 	dopts := DurableOptions(cfg.Durability)
@@ -1059,7 +1018,7 @@ func newSWPeer(cfg *config.Config, opts Options, i int, dir string, df *chaos.Di
 		sw.Close() // bmaclint:allow errdiscard (error path: cleanup before returning the real error)
 		return nil, err
 	}
-	return &swPeer{
+	p := &swPeer{
 		name:    name,
 		slow:    i >= opts.Peers-opts.SlowPeers,
 		dir:     dir,
@@ -1067,125 +1026,64 @@ func newSWPeer(cfg *config.Config, opts Options, i int, dir string, df *chaos.Di
 		peer:    sw,
 		done:    make(chan struct{}),
 		counted: sw.Height(),
-	}, nil
+	}
+	go p.commitLoop(i == 0, fw)
+	return p, nil
 }
 
-// commitLoop drains the peer's gossip intake, committing blocks in
-// delivery order. The observer additionally records end-to-end latency,
-// applies committed writes to the endorser stores (committer role, under
-// applyMu so no proposal is simulated halfway through), and — when the
-// flight recorder is on — stamps the block's peer-side lifecycle spans
-// (deliver through commit, plus the enclosing e2e span).
-func (p *swPeer) commitLoop(observer bool, gen *load.Generator, endorsers []*endorser.Endorser, applyMu *sync.RWMutex, rec *telemetry.Recorder, rewind func(uint64) error) {
+// followers is what the software peers' receive hooks reach beyond the
+// peer: the delivery service that rewinds a fast peer's pipe, and the
+// observer's flight recorder, endorsers and load generator.
+type followers struct {
+	svc       *delivery.Service
+	rec       *telemetry.Recorder
+	endorsers []*endorser.Endorser
+	applyMu   sync.RWMutex // endorser stores: drivers read-side, the observer write-side
+	gen       *load.Generator
+}
+
+// commitLoop follows the peer's gossip intake (peer.Follow) until kill
+// closes it, counting every committed or skipped block. The observer first
+// stamps the block's peer-side lifecycle spans, applies its writes to the
+// endorser stores (the committer role, under applyMu so no proposal is
+// simulated halfway through) and records end-to-end latency. A fast
+// peer's gaps and damaged blocks rewind its pipe; a slow DropBlocks peer
+// skips by design.
+func (p *swPeer) commitLoop(observer bool, fw *followers) {
 	defer close(p.done)
-	next := p.peer.Height() // 0 on a fresh peer, the recovered height after a restart
-	skipped := false
-	var badSeq uint64 // height of the last block dropped as corrupt
-	badRuns := 0      // consecutive drops at badSeq
-	restoreFails := 0 // consecutive Restore rejections (archive refetch)
-	for b := range p.ln.Blocks() {
-		// Delivery is at-least-once: a redial resends from the
-		// unadvanced cursor, so a block already committed may arrive
-		// again (e.g. the first copy was flushed as the timed-out
-		// connection closed). Skip duplicates — unless the block falls in
-		// a quarantined hole below the peer's height, in which case this
-		// redelivery IS the archive refetch: Restore backfills the
-		// missing range into a fresh sealed segment. The blocks were
-		// state-committed before the segment went bad, so only the ledger
-		// copy is rebuilt (and verified against the surviving chain).
-		// Gaps are possible for a DropBlocks slow peer but reordering is
-		// not.
-		if b.Header.Number < next {
-			if p.peer.Ledger.NeedsRestore(b.Header.Number) {
-				if err := p.peer.Ledger.Restore(b); err != nil {
-					restoreFails++
-					if restoreFails > 32 {
-						p.fail(fmt.Errorf("restore block %d: %w", b.Header.Number, err))
-						return
-					}
-				} else {
-					restoreFails = 0
-				}
-			}
-			continue
-		}
-		if b.Header.Number > next {
-			if rewind != nil {
-				// Frames were lost in flight (wire corruption tore the
-				// connection down after the sender's cursor advanced).
-				// Ask the delivery service to rewind this peer's cursor
-				// and redeliver; the out-of-order block in hand is
-				// dropped, its redelivered copy commits.
-				if err := rewind(next); err != nil {
-					p.fail(fmt.Errorf("rewind to %d: %w", next, err))
-					return
-				}
-				continue
-			}
-			// A gap: a DropBlocks peer cannot MVCC-validate against a
-			// state missing the skipped writes, so it keeps counting
-			// delivery but stops committing.
-			skipped = true
-		}
-		next = b.Header.Number + 1
-		if skipped {
-			p.mu.Lock()
-			p.blocks++
-			p.txs += len(b.Envelopes)
-			p.counted = next
-			p.lastCommit = time.Now()
-			p.mu.Unlock()
-			continue
-		}
-		recvAt := time.Now()
-		res, err := p.peer.CommitBlock(b)
-		if err != nil {
-			if rewind != nil && errors.Is(err, validator.ErrBlockInvalid) {
-				// The delivered block decoded but failed block-level
-				// verification (DataHash or orderer signature): wire
-				// corruption damaged envelope bytes without breaking the
-				// framing. Nothing was committed; drop the block and
-				// rewind for an intact redelivery. A block that keeps
-				// failing at the same height is not wire damage — fall
-				// through to peer failure after a few attempts.
-				if b.Header.Number != badSeq {
-					badSeq, badRuns = b.Header.Number, 0
-				}
-				badRuns++
-				if badRuns <= 8 {
-					next = b.Header.Number
-					if rerr := rewind(next); rerr != nil {
-						p.fail(fmt.Errorf("rewind to %d: %w", next, rerr))
-						return
-					}
-					continue
-				}
-			}
-			p.fail(fmt.Errorf("commit block %d: %w", b.Header.Number, err))
-			return
-		}
-		at := time.Now()
-		if observer {
-			if rec != nil {
-				p.stampBlock(rec, b, &res.Breakdown, recvAt, at)
-			}
-			applyMu.Lock()
-			for _, e := range endorsers {
-				if err := client.ApplyBlock(e.Store(), b, res.Flags); err != nil {
-					applyMu.Unlock()
-					p.fail(err)
-					return
-				}
-			}
-			applyMu.Unlock()
-			gen.ObserveBlock(b, at)
-		}
+	count := func(b *block.Block, valid int, at time.Time) {
 		p.mu.Lock()
 		p.blocks++
 		p.txs += len(b.Envelopes)
-		p.validTxs += block.CountValid(res.Flags)
-		p.counted = next
+		p.validTxs += valid
+		p.counted = b.Header.Number + 1
 		p.lastCommit = at
 		p.mu.Unlock()
+	}
+	h := peer.Hooks{Skipped: func(b *block.Block) { count(b, 0, time.Now()) }}
+	if !p.slow {
+		h.Rewind = func(seq uint64) error { return fw.svc.Rewind(p.name, seq) }
+	}
+	h.Committed = func(b *block.Block, res peer.CommitResult, recvAt time.Time) error {
+		at := time.Now()
+		if observer {
+			if fw.rec != nil {
+				p.stampBlock(fw.rec, b, &res.Breakdown, recvAt, at)
+			}
+			fw.applyMu.Lock()
+			for _, e := range fw.endorsers {
+				if err := client.ApplyBlock(e.Store(), b, res.Flags); err != nil {
+					fw.applyMu.Unlock()
+					return err
+				}
+			}
+			fw.applyMu.Unlock()
+			fw.gen.ObserveBlock(b, at)
+		}
+		count(b, block.CountValid(res.Flags), at)
+		return nil
+	}
+	if err := p.peer.Follow(p.ln.Blocks(), h); err != nil {
+		p.fail(err)
 	}
 }

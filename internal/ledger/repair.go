@@ -120,9 +120,9 @@ func (l *Ledger) verifyAndQuarantineLocked(seg *segment, cause error) {
 }
 
 // NeedsRestore reports whether the block number falls inside a
-// quarantined, not-yet-restored range. The cluster commit loop uses it to
-// route redelivered historical blocks into Restore instead of dropping
-// them as duplicates.
+// quarantined, not-yet-restored range. peer.Follow uses it to route
+// redelivered historical blocks into Restore instead of dropping them as
+// duplicates.
 func (l *Ledger) NeedsRestore(num uint64) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -25,7 +25,7 @@ type chainFixture struct {
 	pols    map[string]*policy.Policy
 }
 
-func newChainFixture(t *testing.T) *chainFixture {
+func newChainFixture(t testing.TB) *chainFixture {
 	t.Helper()
 	net := identity.NewNetwork([]byte(t.Name()))
 	if _, err := net.AddOrg("Org1"); err != nil {
@@ -67,7 +67,7 @@ func fabric14(t testing.TB, net *identity.Network, workers int, pols map[string]
 // chain builds n blocks of 4 transactions each: writes to rotating keys,
 // occasional stale reads (mvcc invalidations) and corrupt signatures
 // (vscc invalidations), chained by previous hash.
-func (f *chainFixture) chain(t *testing.T, n int) []*block.Block {
+func (f *chainFixture) chain(t testing.TB, n int) []*block.Block {
 	t.Helper()
 	var out []*block.Block
 	var prev []byte

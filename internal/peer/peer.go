@@ -20,12 +20,18 @@
 // replays the ledger (on top of the newest state checkpoint) so a
 // restarted peer resumes at its previous height, and a checkpoint cadence
 // can bound how much of the ledger a restart has to replay (durable.go).
+// Peer.Follow is its receive loop over an at-least-once block source: it
+// drops duplicates, sends the redelivered blocks of a quarantined ledger
+// hole to Restore, and rewinds the source on a gap or a damaged block.
+// The BMac peer's host loop has no such stream to repair: it pairs the
+// receiver's assembled blocks with the processor's verdicts.
 package peer
 
 import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"bmac/internal/block"
 	"bmac/internal/bmacproto"
@@ -85,6 +91,97 @@ func (p *Peer) CommitBlock(b *block.Block) (CommitResult, error) {
 		CommitHash: res.CommitHash,
 		Breakdown:  res.Breakdown,
 	}, nil
+}
+
+// Hooks are what a caller adds to Follow's receive loop; each may be nil.
+type Hooks struct {
+	// Rewind asks the source to redeliver from block seq on, after a gap or
+	// a block that failed block-level verification (frames lost or damaged
+	// after the sender's cursor advanced). Nil means the source drops
+	// blocks by design (a slow DropBlocks pipe): from its first gap on, the
+	// peer commits nothing more, since MVCC cannot validate against a state
+	// missing the skipped writes.
+	Rewind func(seq uint64) error
+	// Committed runs after each block commits; recvAt is when Follow took
+	// the block off the source.
+	Committed func(b *block.Block, res CommitResult, recvAt time.Time) error
+	// Skipped runs, with Rewind nil, for every block from the first gap on.
+	Skipped func(b *block.Block)
+}
+
+// Follow commits the blocks src delivers, in order, until src closes. The
+// source is at-least-once: a block below the height is a duplicate and is
+// dropped, unless it falls in a quarantined ledger hole, where it is the
+// archive refetch and goes to Ledger.Restore (which verifies it against
+// the surviving chain). A gap or a block that fails verification goes to
+// h.Rewind for redelivery, at most 8 times for one block: one that keeps
+// failing is not wire damage. A failed commit, rewind or hook, or a
+// redelivered block Restore rejects 32 times running, ends Follow with
+// its error.
+func (p *Peer) Follow(src <-chan *block.Block, h Hooks) error {
+	next, skipping := p.Height(), false
+	var badSeq uint64             // the last block that failed verification
+	badRuns, restoreFails := 0, 0 // its failures; consecutive Restore rejections
+	for b := range src {
+		num := b.Header.Number
+		if num < next {
+			if !p.Ledger.NeedsRestore(num) {
+				continue
+			}
+			if err := p.Ledger.Restore(b); err == nil {
+				restoreFails = 0
+			} else if restoreFails++; restoreFails > 32 {
+				return fmt.Errorf("restore block %d: %w", num, err)
+			}
+			continue
+		}
+		if num > next && h.Rewind != nil {
+			if err := h.Rewind(next); err != nil {
+				return fmt.Errorf("rewind to %d: %w", next, err)
+			}
+			continue
+		}
+		skipping = skipping || num > next
+		next = num + 1
+		if skipping {
+			if h.Skipped != nil {
+				h.Skipped(b)
+			}
+			continue
+		}
+		recvAt := time.Now()
+		res, err := p.CommitBlock(b)
+		if err != nil {
+			if num != badSeq {
+				badSeq, badRuns = num, 0
+			}
+			if badRuns++; h.Rewind == nil || !errors.Is(err, validator.ErrBlockInvalid) || badRuns > 8 {
+				return fmt.Errorf("commit block %d: %w", num, err)
+			}
+			next = num // nothing was committed
+			if err := h.Rewind(next); err != nil {
+				return fmt.Errorf("rewind to %d: %w", next, err)
+			}
+			continue
+		}
+		if h.Committed != nil {
+			if err := h.Committed(b, res, recvAt); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Want is the block the peer needs next: its first quarantined ledger hole
+// or, with none, its height. A source rewound there redelivers the hole
+// first, which Follow hands to Restore.
+func (p *Peer) Want() uint64 {
+	h := p.Height()
+	if mr := p.Ledger.MissingRanges(); len(mr) > 0 {
+		return min(h, mr[0].First)
+	}
+	return h
 }
 
 // Close stops the engine and releases the ledger.
