@@ -27,7 +27,6 @@ import (
 	"bmac/internal/config"
 	"bmac/internal/delivery"
 	"bmac/internal/experiments"
-	"bmac/internal/metrics"
 	"bmac/internal/telemetry"
 	"bmac/internal/validator"
 )
@@ -78,7 +77,7 @@ type ExperimentOptions struct {
 
 // RunExperiment regenerates one of the paper's tables or figures and
 // returns the result as a printable table.
-func RunExperiment(name string, opts ExperimentOptions) (*metrics.Table, error) {
+func RunExperiment(name string, opts ExperimentOptions) (*Table, error) {
 	r, err := experiments.NewRunner(experiments.Options{
 		Rounds: opts.Rounds,
 		Quick:  opts.Quick,
@@ -90,7 +89,7 @@ func RunExperiment(name string, opts ExperimentOptions) (*metrics.Table, error) 
 }
 
 // Table is a printable experiment result.
-type Table = metrics.Table
+type Table = experiments.Table
 
 // HotpathRecord is the machine-readable result of the hotpath benchmark
 // suite — the tracked perf trajectory written to BENCH_hotpath.json.
@@ -140,7 +139,7 @@ type (
 	// DeliveryPeerStats is a delivery pipe snapshot.
 	DeliveryPeerStats = delivery.PeerStats
 	// LatencySummary is the p50/p95/p99 tail digest.
-	LatencySummary = metrics.LatencySummary
+	LatencySummary = telemetry.Summary
 )
 
 // Cluster validation path modes.
@@ -164,7 +163,7 @@ func ClusterScript(name string, victim int) (ClusterScenario, error) {
 }
 
 // FormatTPS renders a throughput with thousands separators, e.g. "38,400".
-func FormatTPS(tps float64) string { return metrics.FormatTPS(tps) }
+func FormatTPS(tps float64) string { return experiments.FormatTPS(tps) }
 
 // RunCluster executes one cluster experiment end to end; peers keep
 // their ledgers under dir.

@@ -31,7 +31,7 @@
 //	bmacnet -workload drm -txs 500   # drm benchmark
 //	bmacnet -cluster -peers 4 -slow-peers 1 -rate 500 -path pipelined
 //	bmacnet -cluster -scenario churn -rate 900 -txs 200 -no-bmac
-//	bmacnet -cluster -scenario churn-corrupt -segment-bytes 4096 -txs 200 -no-bmac
+//	bmacnet -cluster -scenario churn-corrupt -segment-bytes 4096 -checkpoint-every 3 -txs 200 -no-bmac
 //	bmacnet -cluster -scenario churn -segment-bytes 4096 -prune -rate 900 -txs 200 -no-bmac
 //	bmacnet -cluster -adversary-rate 0.5 -txs 200 -no-bmac
 //	bmacnet -cluster -scenario partition -rate 900 -txs 200 -no-bmac

@@ -17,7 +17,6 @@ import (
 	"os"
 
 	"bmac"
-	"bmac/internal/metrics"
 	"bmac/internal/policy"
 )
 
@@ -46,7 +45,7 @@ func run() error {
 	ends := pol.MaxEndorsements()
 	w := bmac.SimWorkload{Policy: *polSrc, BlockSize: *blockSz, Reads: *reads, Writes: *writes}
 
-	t := &metrics.Table{Header: []string{
+	t := &bmac.Table{Header: []string{
 		"arch", "tps", "block latency", "tx latency", "ends/tx", "LUT%", "FF%", "fits U250",
 	}}
 	for n := 2; n <= *maxVal; n *= 2 {
@@ -56,7 +55,7 @@ func run() error {
 		}
 		t.AddRow(
 			r.Arch,
-			metrics.FormatTPS(r.Throughput),
+			bmac.FormatTPS(r.Throughput),
 			r.BlockLatency.String(),
 			r.TxLatency.String(),
 			fmt.Sprintf("%.1f", float64(r.EndsVerified)/float64(*blockSz)),

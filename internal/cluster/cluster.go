@@ -45,7 +45,6 @@ import (
 	"bmac/internal/gossip"
 	"bmac/internal/ledger"
 	"bmac/internal/load"
-	"bmac/internal/metrics"
 	"bmac/internal/peer"
 	"bmac/internal/pipeline"
 	"bmac/internal/statedb"
@@ -216,9 +215,9 @@ type Result struct {
 	TPS           float64 // committed envelopes/s at the observer peer
 	// SWLatency is the per-tx end-to-end latency (scheduled arrival ->
 	// committed on the observer software peer).
-	SWLatency metrics.LatencySummary
+	SWLatency telemetry.Summary
 	// HWLatency is the same measured at the BMac peer (zero without one).
-	HWLatency metrics.LatencySummary
+	HWLatency telemetry.Summary
 	Peers     []PeerReport
 	// BMacDelivery is the hardware path's delivery pipe (zero value
 	// without a BMac peer).
@@ -847,7 +846,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 	res.HonestElapsed = honestDone.Sub(start)
 	peers[0].mu.Unlock()
 	if res.Elapsed > 0 {
-		res.TPS = metrics.Throughput(res.Txs, res.Elapsed)
+		res.TPS = float64(res.Txs) / res.Elapsed.Seconds()
 	}
 	// Final per-peer delivery stats (the early snapshot preserved the
 	// slow-peer contrast; catch-up counters only settle after the drain).
@@ -897,7 +896,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		hwMu.Lock()
 		commits := maps.Clone(hwAt)
 		hwMu.Unlock()
-		var hwSamples metrics.Samples
+		var hwLatencies []time.Duration
 		for num, at := range commits {
 			b, err := ordLed.Get(num)
 			if err != nil {
@@ -909,11 +908,11 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 					continue
 				}
 				if sub, ok := gen.SubmitRecord(id); ok {
-					hwSamples.Add(at.Sub(sub.Scheduled))
+					hwLatencies = append(hwLatencies, at.Sub(sub.Scheduled))
 				}
 			}
 		}
-		res.HWLatency = hwSamples.Summary()
+		res.HWLatency = telemetry.Summarize(hwLatencies)
 	}
 	if rec != nil {
 		res.Budget = rec.Budget()

@@ -7,7 +7,6 @@ import (
 	"bmac/internal/bmacproto"
 	"bmac/internal/hwsim"
 	"bmac/internal/identity"
-	"bmac/internal/metrics"
 	"bmac/internal/policy"
 )
 
@@ -18,13 +17,13 @@ import (
 //  2. early abort of invalid transactions on/off (tx pipeline)
 //  3. identity removal on/off (protocol bandwidth)
 //  4. overlap of CPU ledger commit with hardware validation on/off
-func Ablations(e *Env, opts Options) (*metrics.Table, error) {
+func Ablations(e *Env, opts Options) (*Table, error) {
 	o := opts.withDefaults()
 	blockSize := 150
 	if o.Quick {
 		blockSize = 30
 	}
-	t := &metrics.Table{Header: []string{"ablation", "on", "off", "effect"}}
+	t := &Table{Header: []string{"ablation", "on", "off", "effect"}}
 
 	// 1. Short-circuit, 2of3 policy (the paper's showcase).
 	spec := BlockSpec{Txs: blockSize, Endorsements: 3, Reads: 2, Writes: 2}
@@ -40,8 +39,8 @@ func Ablations(e *Env, opts Options) (*metrics.Table, error) {
 		policy.Compile(pol2of3),
 		hwsim.UniformTxProfile(spec.Txs, spec.Endorsements, spec.Reads, spec.Writes))
 	t.AddRow("short-circuit (2of3 tps)",
-		metrics.FormatTPS(on.Throughput(blockSize)),
-		metrics.FormatTPS(off.Throughput(blockSize)),
+		FormatTPS(on.Throughput(blockSize)),
+		FormatTPS(off.Throughput(blockSize)),
 		fmt.Sprintf("%.2fx", on.Throughput(blockSize)/off.Throughput(blockSize)))
 
 	// 2. Early abort: workload where half the client signatures are bad.
@@ -99,7 +98,7 @@ func Ablations(e *Env, opts Options) (*metrics.Table, error) {
 		return nil, err
 	}
 	ledgerCommit := estimateLedgerCommit(len(block.Marshal(b)))
-	overlapOn := maxDur(hwT.BlockLatency(), ledgerCommit)
+	overlapOn := max(hwT.BlockLatency(), ledgerCommit)
 	overlapOff := hwT.BlockLatency() + ledgerCommit
 	t.AddRow("ledger-commit overlap (block period)",
 		ms(overlapOn), ms(overlapOff),

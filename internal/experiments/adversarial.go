@@ -10,7 +10,6 @@ import (
 
 	"bmac/internal/cluster"
 	"bmac/internal/config"
-	"bmac/internal/metrics"
 )
 
 // telemetryDir resolves where an experiment's trace files and metrics
@@ -34,7 +33,7 @@ func validTPS(res *cluster.Result) float64 {
 	if res.HonestElapsed <= 0 {
 		return 0
 	}
-	return metrics.Throughput(res.ValidTxs, res.HonestElapsed)
+	return Throughput(res.ValidTxs, res.HonestElapsed)
 }
 
 // FigAdversarial is the hostile-conditions acceptance suite. It runs the
@@ -53,7 +52,7 @@ func validTPS(res *cluster.Result) float64 {
 //
 // Any violated gate is returned as an error, so `bmacbench -exp
 // adversarial` is red in CI when hostile conditions break the cluster.
-func FigAdversarial(opts Options) (*metrics.Table, error) {
+func FigAdversarial(opts Options) (*Table, error) {
 	o := opts.withDefaults()
 	dir, err := os.MkdirTemp("", "bmac-adversarial-*")
 	if err != nil {
@@ -89,7 +88,7 @@ func FigAdversarial(opts Options) (*metrics.Table, error) {
 		Timeout:  90 * time.Second,
 	}
 
-	tbl := &metrics.Table{Header: []string{
+	tbl := &Table{Header: []string{
 		"scenario", "adversary", "blocks", "txs", "valid", "hostile",
 		"rejected", "tps", "valid_tps", "p99", "sig$%", "converged",
 	}}
@@ -119,8 +118,8 @@ func FigAdversarial(opts Options) (*metrics.Table, error) {
 			fmt.Sprintf("%d", res.ValidTxs),
 			fmt.Sprintf("%d", hostile),
 			fmt.Sprintf("%d", rejected),
-			metrics.FormatTPS(res.TPS),
-			metrics.FormatTPS(validTPS(res)),
+			FormatTPS(res.TPS),
+			FormatTPS(validTPS(res)),
 			fmt.Sprintf("%v", res.SWLatency.P99.Round(time.Microsecond)),
 			fmt.Sprintf("%.0f%%", res.SigCacheHitRate*100),
 			fmt.Sprintf("%v", res.Converged),

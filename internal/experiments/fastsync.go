@@ -11,7 +11,6 @@ import (
 	"bmac/internal/fsutil"
 	"bmac/internal/identity"
 	"bmac/internal/ledger"
-	"bmac/internal/metrics"
 	"bmac/internal/peer"
 	"bmac/internal/pipeline"
 	"bmac/internal/policy"
@@ -107,7 +106,7 @@ func timeRecovery(cfg pipeline.Config, dir string, dopts peer.DurableOptions,
 // rescan). Both recoveries must be bit-identical to the live state, and
 // in the full sweep fast-sync must beat full replay outright at the
 // largest L.
-func FigFastSync(opts Options) (*metrics.Table, error) {
+func FigFastSync(opts Options) (*Table, error) {
 	o := opts.withDefaults()
 	lengths := []int{36, 68, 132}
 	if o.Quick {
@@ -150,7 +149,7 @@ func FigFastSync(opts Options) (*metrics.Table, error) {
 	}
 	defer os.RemoveAll(root)
 
-	tbl := &metrics.Table{Header: []string{
+	tbl := &Table{Header: []string{
 		"blocks", "segments", "ckpt_gens", "replay_fast", "replay_full",
 		"open", "fastsync", "fullreplay", "speedup",
 	}}

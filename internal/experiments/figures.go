@@ -8,8 +8,8 @@ import (
 	"bmac/internal/bmacproto"
 	"bmac/internal/hwsim"
 	"bmac/internal/identity"
-	"bmac/internal/metrics"
 	"bmac/internal/policy"
+	"bmac/internal/telemetry"
 )
 
 // Options tune experiment cost; the defaults keep a full run under a
@@ -43,7 +43,7 @@ func ms(d time.Duration) string {
 // (3a: ecdsa_verify dominates at ~40%, sha256 and unmarshal ~10% each) and
 // the coarse stage breakdown (3b: verify_vscc critical) across block sizes
 // and vCPU counts.
-func Figure3(e *Env, opts Options) (*metrics.Table, error) {
+func Figure3(e *Env, opts Options) (*Table, error) {
 	o := opts.withDefaults()
 	blockSizes := []int{50, 100, 200}
 	vcpus := []int{4, 8, 16}
@@ -51,7 +51,7 @@ func Figure3(e *Env, opts Options) (*metrics.Table, error) {
 		blockSizes = []int{50}
 		vcpus = []int{4}
 	}
-	t := &metrics.Table{Header: []string{
+	t := &Table{Header: []string{
 		"block", "vCPUs", "ecdsa%", "sha256%", "unmarshal%", "statedb%",
 		"| unmarshal", "verify_vscc", "mvcc+statedb", "total",
 	}}
@@ -79,13 +79,13 @@ func Figure3(e *Env, opts Options) (*metrics.Table, error) {
 // Figure9a reproduces the protocol bandwidth experiment: Gossip block size
 // vs BMac protocol bytes across endorsement counts, the identity fraction,
 // and the protocol processor's modeled rate.
-func Figure9a(e *Env, opts Options) (*metrics.Table, error) {
+func Figure9a(e *Env, opts Options) (*Table, error) {
 	o := opts.withDefaults()
 	txs := 150
 	if o.Quick {
 		txs = 30
 	}
-	t := &metrics.Table{Header: []string{
+	t := &Table{Header: []string{
 		"ends", "gossip KB", "bmac KB", "ratio", "identity%", "saved%", "proc tps (11Gbps)",
 	}}
 	for _, ends := range []int{1, 2, 3, 4} {
@@ -111,7 +111,7 @@ func Figure9a(e *Env, opts Options) (*metrics.Table, error) {
 			fmt.Sprintf("%.2fx", float64(gossipBytes)/float64(stats.Bytes)),
 			fmt.Sprintf("%.0f%%", idFrac*100),
 			fmt.Sprintf("%.0f%%", 100*(1-float64(stats.Bytes)/float64(gossipBytes))),
-			metrics.FormatTPS(hwsim.ProtocolProcessorThroughput(txPacket)),
+			FormatTPS(hwsim.ProtocolProcessorThroughput(txPacket)),
 		)
 	}
 	return t, nil
@@ -119,7 +119,7 @@ func Figure9a(e *Env, opts Options) (*metrics.Table, error) {
 
 // Figure9b reproduces the end-to-end block transmission time CDF over the
 // modeled 1 Gbps link: p50/p95 for Gossip vs the BMac protocol.
-func Figure9b(e *Env, opts Options) (*metrics.Table, error) {
+func Figure9b(e *Env, opts Options) (*Table, error) {
 	o := opts.withDefaults()
 	blocks := 500
 	if o.Quick {
@@ -140,19 +140,20 @@ func Figure9b(e *Env, opts Options) (*metrics.Table, error) {
 	}
 
 	link := hwsim.NewLink(20220106)
-	var gs, bs metrics.Samples
-	for i := 0; i < blocks; i++ {
-		gs.Add(link.GossipTime(gossipBytes))
-		bs.Add(link.BMacTime(stats.Bytes, stats.Packets))
+	gd, bd := make([]time.Duration, blocks), make([]time.Duration, blocks)
+	for i := range blocks {
+		gd[i] = link.GossipTime(gossipBytes)
+		bd[i] = link.BMacTime(stats.Bytes, stats.Packets)
 	}
-	t := &metrics.Table{Header: []string{"protocol", "p50", "p95", "p99", "mean"}}
-	t.AddRow("gossip", ms(gs.Percentile(50)), ms(gs.Percentile(95)), ms(gs.Percentile(99)), ms(gs.Mean()))
-	t.AddRow("bmac", ms(bs.Percentile(50)), ms(bs.Percentile(95)), ms(bs.Percentile(99)), ms(bs.Mean()))
+	gs, bs := telemetry.Summarize(gd), telemetry.Summarize(bd)
+	t := &Table{Header: []string{"protocol", "p50", "p95", "p99", "mean"}}
+	t.AddRow("gossip", ms(gs.P50), ms(gs.P95), ms(gs.P99), ms(gs.Mean))
+	t.AddRow("bmac", ms(bs.P50), ms(bs.P95), ms(bs.P99), ms(bs.Mean))
 	t.AddRow("reduction",
-		pctf(1-float64(bs.Percentile(50))/float64(gs.Percentile(50))),
-		pctf(1-float64(bs.Percentile(95))/float64(gs.Percentile(95))),
-		pctf(1-float64(bs.Percentile(99))/float64(gs.Percentile(99))),
-		pctf(1-float64(bs.Mean())/float64(gs.Mean())))
+		pctf(1-float64(bs.P50)/float64(gs.P50)),
+		pctf(1-float64(bs.P95)/float64(gs.P95)),
+		pctf(1-float64(bs.P99)/float64(gs.P99)),
+		pctf(1-float64(bs.Mean)/float64(gs.Mean)))
 	return t, nil
 }
 
@@ -175,7 +176,7 @@ func bmacTiming(arch hwsim.Config, pol string, spec BlockSpec) (hwsim.BlockTimin
 // BMac peer (block 200, 8 vCPUs/tx_validators): the protocol processor
 // replaces unmarshal (paper: ~40x better, < 0.2 ms), the block processor
 // replaces verify_vscc + statedb (paper: ~3.7x), overall ~4.4x.
-func Figure10(e *Env, opts Options) (*metrics.Table, error) {
+func Figure10(e *Env, opts Options) (*Table, error) {
 	o := opts.withDefaults()
 	spec := BlockSpec{Txs: 200, Endorsements: 2, Reads: 2, Writes: 2}
 	if o.Quick {
@@ -207,7 +208,7 @@ func Figure10(e *Env, opts Options) (*metrics.Table, error) {
 
 	swValidate := sw.VerifyVSCC + sw.StateDB
 	hwValidate := hw.BlockLatency()
-	t := &metrics.Table{Header: []string{"stage", "sw_validator", "bmac", "speedup"}}
+	t := &Table{Header: []string{"stage", "sw_validator", "bmac", "speedup"}}
 	t.AddRow("parse/retrieve block", ms(sw.Unmarshal), ms(protoTime),
 		fmt.Sprintf("%.0fx", float64(sw.Unmarshal)/float64(protoTime)))
 	t.AddRow("block validation", ms(swValidate), ms(hwValidate),
@@ -220,7 +221,7 @@ func Figure10(e *Env, opts Options) (*metrics.Table, error) {
 // Figure11 reproduces the smallbank throughput sweep: block sizes x
 // vCPUs (sw) / tx_validators (BMac), plus the simulator projections beyond
 // 16 validators.
-func Figure11(e *Env, opts Options) (*metrics.Table, error) {
+func Figure11(e *Env, opts Options) (*Table, error) {
 	o := opts.withDefaults()
 	blockSizes := []int{50, 100, 150, 200, 250}
 	parallel := []int{4, 8, 16}
@@ -228,7 +229,7 @@ func Figure11(e *Env, opts Options) (*metrics.Table, error) {
 		blockSizes = []int{50, 100}
 		parallel = []int{4}
 	}
-	t := &metrics.Table{Header: []string{"block", "par", "sw tps", "bmac tps", "speedup"}}
+	t := &Table{Header: []string{"block", "par", "sw tps", "bmac tps", "speedup"}}
 	for _, bs := range blockSizes {
 		spec := BlockSpec{Txs: bs, Endorsements: 2, Reads: 2, Writes: 2}
 		for _, p := range parallel {
@@ -236,14 +237,14 @@ func Figure11(e *Env, opts Options) (*metrics.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			swTPS := metrics.Throughput(bs, sw.Total)
+			swTPS := Throughput(bs, sw.Total)
 			hw, err := bmacTiming(hwsim.Config{TxValidators: p, VSCCEngines: 2}, "2of2", spec)
 			if err != nil {
 				return nil, err
 			}
 			hwTPS := hw.Throughput(bs)
 			t.AddRow(fmt.Sprintf("%d", bs), fmt.Sprintf("%d", p),
-				metrics.FormatTPS(swTPS), metrics.FormatTPS(hwTPS),
+				FormatTPS(swTPS), FormatTPS(hwTPS),
 				fmt.Sprintf("%.1fx", hwTPS/swTPS))
 		}
 	}
@@ -256,7 +257,7 @@ func Figure11(e *Env, opts Options) (*metrics.Table, error) {
 				return nil, err
 			}
 			t.AddRow(fmt.Sprintf("%d", row.bs), fmt.Sprintf("%d(sim)", row.par),
-				"-", metrics.FormatTPS(hw.Throughput(row.bs)), "-")
+				"-", FormatTPS(hw.Throughput(row.bs)), "-")
 		}
 	}
 	return t, nil
@@ -281,7 +282,7 @@ var policyCases = []struct {
 // Figure12a reproduces the endorsement-policy sweep (8 vCPUs /
 // tx_validators, block 150): software degrades with endorsement count and
 // cannot exploit k-of-n short-circuits; BMac can.
-func Figure12a(e *Env, opts Options) (*metrics.Table, error) {
+func Figure12a(e *Env, opts Options) (*Table, error) {
 	o := opts.withDefaults()
 	cases := policyCases
 	if o.Quick {
@@ -291,7 +292,7 @@ func Figure12a(e *Env, opts Options) (*metrics.Table, error) {
 	if o.Quick {
 		blockSize = 30
 	}
-	t := &metrics.Table{Header: []string{"policy", "sw tps", "bmac tps", "bmac ends verified/tx"}}
+	t := &Table{Header: []string{"policy", "sw tps", "bmac tps", "bmac ends verified/tx"}}
 	for _, pc := range cases {
 		spec := BlockSpec{Txs: blockSize, Endorsements: pc.Ends, Reads: 2, Writes: 2}
 		sw, err := e.MeasureSW(spec, pc.Pol, 8, o.Rounds)
@@ -303,8 +304,8 @@ func Figure12a(e *Env, opts Options) (*metrics.Table, error) {
 			return nil, err
 		}
 		t.AddRow(pc.Name,
-			metrics.FormatTPS(metrics.Throughput(blockSize, sw.Total)),
-			metrics.FormatTPS(hw.Throughput(blockSize)),
+			FormatTPS(Throughput(blockSize, sw.Total)),
+			FormatTPS(hw.Throughput(blockSize)),
 			fmt.Sprintf("%.1f", float64(hw.EndsVerified)/float64(blockSize)))
 	}
 	return t, nil
@@ -312,13 +313,13 @@ func Figure12a(e *Env, opts Options) (*metrics.Table, error) {
 
 // Figure12b reproduces the architecture comparison: 8x2 vs 5x3 across the
 // same policies (simulator only, as the knob is hardware configuration).
-func Figure12b(opts Options) (*metrics.Table, error) {
+func Figure12b(opts Options) (*Table, error) {
 	o := opts.withDefaults()
 	cases := policyCases
 	if o.Quick {
 		cases = policyCases[2:4]
 	}
-	t := &metrics.Table{Header: []string{"policy", "8x2 tps", "5x3 tps", "winner"}}
+	t := &Table{Header: []string{"policy", "8x2 tps", "5x3 tps", "winner"}}
 	for _, pc := range cases {
 		spec := BlockSpec{Txs: 150, Endorsements: pc.Ends, Reads: 2, Writes: 2}
 		ta, err := bmacTiming(hwsim.Config{TxValidators: 8, VSCCEngines: 2}, pc.Pol, spec)
@@ -334,7 +335,7 @@ func Figure12b(opts Options) (*metrics.Table, error) {
 		if b > a {
 			winner = "5x3"
 		}
-		t.AddRow(pc.Name, metrics.FormatTPS(a), metrics.FormatTPS(b), winner)
+		t.AddRow(pc.Name, FormatTPS(a), FormatTPS(b), winner)
 	}
 	return t, nil
 }
@@ -342,7 +343,7 @@ func Figure12b(opts Options) (*metrics.Table, error) {
 // Figure12c reproduces the database-requests experiment: the split-payment
 // workload with rw in {1+1..1+8}; BMac throughput stays flat (mvcc hidden
 // under vscc) while software degrades.
-func Figure12c(e *Env, opts Options) (*metrics.Table, error) {
+func Figure12c(e *Env, opts Options) (*Table, error) {
 	o := opts.withDefaults()
 	rws := []int{2, 3, 5, 9} // 1+n for n in {1,2,4,8}
 	if o.Quick {
@@ -352,7 +353,7 @@ func Figure12c(e *Env, opts Options) (*metrics.Table, error) {
 	if o.Quick {
 		blockSize = 30
 	}
-	t := &metrics.Table{Header: []string{"rw/tx", "sw tps", "bmac tps", "bmac mvcc busy"}}
+	t := &Table{Header: []string{"rw/tx", "sw tps", "bmac tps", "bmac mvcc busy"}}
 	for _, rw := range rws {
 		spec := BlockSpec{Txs: blockSize, Endorsements: 2, Reads: rw, Writes: rw}
 		sw, err := e.MeasureSW(spec, "2of2", 8, o.Rounds)
@@ -364,8 +365,8 @@ func Figure12c(e *Env, opts Options) (*metrics.Table, error) {
 			return nil, err
 		}
 		t.AddRow(fmt.Sprintf("%d", rw),
-			metrics.FormatTPS(metrics.Throughput(blockSize, sw.Total)),
-			metrics.FormatTPS(hw.Throughput(blockSize)),
+			FormatTPS(Throughput(blockSize, sw.Total)),
+			FormatTPS(hw.Throughput(blockSize)),
 			ms(hw.MVCCBusy))
 	}
 	return t, nil
@@ -374,13 +375,13 @@ func Figure12c(e *Env, opts Options) (*metrics.Table, error) {
 // Figure13 reproduces the drm benchmark subset: drm touches the database
 // less (1 read + 1 write), so software does slightly better than smallbank
 // while BMac stays vscc-bound at the same throughput.
-func Figure13(e *Env, opts Options) (*metrics.Table, error) {
+func Figure13(e *Env, opts Options) (*Table, error) {
 	o := opts.withDefaults()
 	blockSizes := []int{100, 150, 250}
 	if o.Quick {
 		blockSizes = []int{50}
 	}
-	t := &metrics.Table{Header: []string{"block", "workload", "sw tps", "bmac tps"}}
+	t := &Table{Header: []string{"block", "workload", "sw tps", "bmac tps"}}
 	for _, bs := range blockSizes {
 		// smallbank: 2r2w; drm: 1r1w.
 		for _, wl := range []struct {
@@ -398,16 +399,16 @@ func Figure13(e *Env, opts Options) (*metrics.Table, error) {
 				return nil, err
 			}
 			t.AddRow(fmt.Sprintf("%d", bs), wl.name,
-				metrics.FormatTPS(metrics.Throughput(bs, sw.Total)),
-				metrics.FormatTPS(hw.Throughput(bs)))
+				FormatTPS(Throughput(bs, sw.Total)),
+				FormatTPS(hw.Throughput(bs)))
 		}
 	}
 	return t, nil
 }
 
 // Table1 reproduces the FPGA utilization table from the resource model.
-func Table1() *metrics.Table {
-	t := &metrics.Table{Header: []string{"resource", "4x2", "5x3", "8x2", "12x2", "16x2"}}
+func Table1() *Table {
+	t := &Table{Header: []string{"resource", "4x2", "5x3", "8x2", "12x2", "16x2"}}
 	archs := [][2]int{{4, 2}, {5, 3}, {8, 2}, {12, 2}, {16, 2}}
 	var lut, ff, bram []string
 	for _, a := range archs {
@@ -425,7 +426,7 @@ func Table1() *metrics.Table {
 // Headline reproduces the §4.3 headline numbers: peak throughput, the ~12x
 // speedup over a 16-vCPU software validator, and the ~0.7 ms transaction
 // latency.
-func Headline(e *Env, opts Options) (*metrics.Table, error) {
+func Headline(e *Env, opts Options) (*Table, error) {
 	o := opts.withDefaults()
 	spec := BlockSpec{Txs: 250, Endorsements: 2, Reads: 2, Writes: 2}
 	if o.Quick {
@@ -435,7 +436,7 @@ func Headline(e *Env, opts Options) (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	swTPS := metrics.Throughput(spec.Txs, sw.Total)
+	swTPS := Throughput(spec.Txs, sw.Total)
 
 	// Peak hardware configuration fitting the U250 with E=2.
 	best := hwsim.Config{TxValidators: 16, VSCCEngines: 2}
@@ -448,10 +449,10 @@ func Headline(e *Env, opts Options) (*metrics.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &metrics.Table{Header: []string{"metric", "value", "paper"}}
-	t.AddRow("sw_validator (16 vCPU)", metrics.FormatTPS(swTPS)+" tps", "5,600 tps")
+	t := &Table{Header: []string{"metric", "value", "paper"}}
+	t.AddRow("sw_validator (16 vCPU)", FormatTPS(swTPS)+" tps", "5,600 tps")
 	t.AddRow(fmt.Sprintf("bmac peak (%s)", best.String()),
-		metrics.FormatTPS(hw.Throughput(spec.Txs))+" tps", "68,900 tps")
+		FormatTPS(hw.Throughput(spec.Txs))+" tps", "68,900 tps")
 	t.AddRow("speedup", fmt.Sprintf("%.1fx", hw.Throughput(spec.Txs)/swTPS), "~12x")
 	t.AddRow("tx validation latency", hw.TxLatency.Round(10*time.Microsecond).String(), "~0.7ms")
 	t.AddRow("block latency", hw.BlockLatency().Round(10*time.Microsecond).String(), "3.63ms")

@@ -21,7 +21,6 @@ import (
 	"bmac/internal/fifo"
 	"bmac/internal/gossip"
 	"bmac/internal/identity"
-	"bmac/internal/metrics"
 	"bmac/internal/peer"
 	"bmac/internal/pipeline"
 	"bmac/internal/policy"
@@ -710,8 +709,8 @@ var hotpathBenchOrder = []string{
 }
 
 // Table renders the record for terminal output.
-func (r *HotpathRecord) Table() *metrics.Table {
-	t := &metrics.Table{Header: []string{"benchmark", "ns/op", "allocs/op", "hit%"}}
+func (r *HotpathRecord) Table() *Table {
+	t := &Table{Header: []string{"benchmark", "ns/op", "allocs/op", "hit%"}}
 	for _, name := range hotpathBenchOrder {
 		b, ok := r.Benchmarks[name]
 		if !ok {
@@ -742,7 +741,7 @@ func (r *HotpathRecord) Table() *metrics.Table {
 }
 
 // FigHotpath runs the suite and renders its table.
-func FigHotpath(e *Env, opts Options) (*metrics.Table, error) {
+func FigHotpath(e *Env, opts Options) (*Table, error) {
 	rec, err := MeasureHotpath(e, opts)
 	if err != nil {
 		return nil, err

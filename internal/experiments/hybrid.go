@@ -10,7 +10,6 @@ import (
 
 	"bmac/internal/block"
 	"bmac/internal/fabcrypto"
-	"bmac/internal/metrics"
 	"bmac/internal/pipeline"
 	"bmac/internal/policy"
 	"bmac/internal/statedb"
@@ -275,7 +274,7 @@ func deltaRate(hits, misses int64) float64 {
 
 // FigHybrid is the hybrid-database experiment: cache capacity x Zipf skew,
 // reporting hit rate and throughput with the read-set prefetch off and on.
-func FigHybrid(e *Env, opts Options) (*metrics.Table, error) {
+func FigHybrid(e *Env, opts Options) (*Table, error) {
 	o := opts.withDefaults()
 	spec := HybridSpec{
 		Blocks: 8, Txs: 64, Endorsements: 2,
@@ -293,7 +292,7 @@ func FigHybrid(e *Env, opts Options) (*metrics.Table, error) {
 		capacities = []int{96}
 		skews = []float64{0, 1.2}
 	}
-	t := &metrics.Table{Header: []string{
+	t := &Table{Header: []string{
 		"capacity", "skew", "hit%", "prefetched",
 		"| memory tps", "no-prefetch tps", "prefetch tps", "recovered",
 		"sig$%", "parse$%",
@@ -312,9 +311,9 @@ func FigHybrid(e *Env, opts Options) (*metrics.Table, error) {
 				fmt.Sprintf("%.1f", s),
 				fmt.Sprintf("%.0f%%", pt.HitRate*100),
 				strconv.Itoa(pt.Prefetched),
-				metrics.FormatTPS(pt.MemoryTPS),
-				metrics.FormatTPS(pt.NoPrefetchTPS),
-				metrics.FormatTPS(pt.PrefetchTPS),
+				FormatTPS(pt.MemoryTPS),
+				FormatTPS(pt.NoPrefetchTPS),
+				FormatTPS(pt.PrefetchTPS),
 				fmt.Sprintf("%.0f%%", pt.Recovered()*100),
 				fmt.Sprintf("%.0f%%", pt.SigCacheHitRate*100),
 				fmt.Sprintf("%.0f%%", pt.ParseCacheHitRate*100),

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"bmac/internal/block"
-	"bmac/internal/metrics"
 	"bmac/internal/telemetry"
 )
 
@@ -69,7 +68,7 @@ type Generator struct {
 	submitAt  map[string]Submission // guarded by mu
 	done      map[string]bool       // guarded by mu
 	early     map[string]time.Time  // guarded by mu; commits observed before the submit record landed
-	samples   metrics.Samples       // guarded by mu
+	latencies []time.Duration       // guarded by mu
 	submitted int                   // guarded by mu
 	committed int                   // guarded by mu
 	late      int                   // guarded by mu; arrivals that fired behind schedule (backlog indicator)
@@ -173,7 +172,7 @@ func (g *Generator) runClient(c Submitter, n int, rate float64, seed int64) erro
 			delete(g.early, txid)
 			g.done[txid] = true
 			g.committed++
-			g.samples.Add(earlyAt.Sub(next))
+			g.latencies = append(g.latencies, earlyAt.Sub(next))
 		}
 		g.mu.Unlock()
 		if early {
@@ -218,7 +217,7 @@ func (g *Generator) Committed(txid string, at time.Time) bool {
 	}
 	g.done[txid] = true
 	g.committed++
-	g.samples.Add(at.Sub(sub.Scheduled))
+	g.latencies = append(g.latencies, at.Sub(sub.Scheduled))
 	g.mu.Unlock()
 	g.opts.E2E.Observe(at.Sub(sub.Scheduled))
 	return true
@@ -254,10 +253,10 @@ func (g *Generator) ObserveBlock(b *block.Block, at time.Time) int {
 }
 
 // Latency digests the recorded end-to-end latencies.
-func (g *Generator) Latency() metrics.LatencySummary {
+func (g *Generator) Latency() telemetry.Summary {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.samples.Summary()
+	return telemetry.Summarize(g.latencies)
 }
 
 // Stats reports submitted/committed transaction counts and how many

@@ -147,6 +147,58 @@ func TestLatencyAccounting(t *testing.T) {
 	}
 }
 
+// TestConcurrentCommitLatency is the -race regression for the cluster's
+// usage pattern: commit observers record latencies, some before their
+// submission record lands, while a reporter reads Latency.
+func TestConcurrentCommitLatency(t *testing.T) {
+	const n, observers = 2000, 4
+	g, err := New(Options{Count: n, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var work, reader sync.WaitGroup
+	stop := make(chan struct{})
+	work.Add(1 + observers)
+	go func() {
+		defer work.Done()
+		if err := g.Run([]Submitter{&fakeSubmitter{}}); err != nil {
+			t.Error(err)
+		}
+	}()
+	for i := 0; i < observers; i++ {
+		go func(i int) {
+			defer work.Done()
+			for j := 1; j <= n/observers; j++ {
+				g.Committed(fmt.Sprintf("tx%d", i*n/observers+j), time.Now())
+			}
+		}(i)
+	}
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if sum := g.Latency(); sum.Count > 0 && (sum.P50 > sum.P99 || sum.P99 > sum.Max) {
+				t.Errorf("inconsistent summary under concurrency: %+v", sum)
+				return
+			}
+		}
+	}()
+	work.Wait()
+	close(stop)
+	reader.Wait()
+	if _, committed, _ := g.Stats(); committed != n {
+		t.Errorf("committed = %d, want %d", committed, n)
+	}
+	if sum := g.Latency(); sum.Count != n {
+		t.Errorf("latency count = %d, want %d", sum.Count, n)
+	}
+}
+
 // TestEarlyCommitCompleted: a commit observed before the submitting
 // goroutine records the tx (a synchronous commit path racing SubmitTx's
 // return) must still produce a latency sample once the record lands.

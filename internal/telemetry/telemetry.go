@@ -2,7 +2,9 @@
 // atomic counters, fixed-bucket latency histograms and scrape-time reads of
 // the counts subsystems keep themselves, a per-block flight recorder that
 // stamps lifecycle span events, and an opt-in HTTP server exposing both live
-// (Prometheus text /metrics, /debug/pprof/*, a /trace JSONL stream).
+// (Prometheus text /metrics, /debug/pprof/*, a /trace JSONL stream). Summary
+// is the repo's one latency digest, exact from raw samples (Summarize) or
+// bucketed from a histogram (Histogram.Snapshot).
 //
 // The package follows the repo's zero-cost-when-off discipline (the same
 // contract as statedb.SetCountAccesses): every instrument is nil-safe, and a
@@ -18,6 +20,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -80,9 +83,13 @@ type Histogram struct {
 	max    atomic.Int64 // nanoseconds
 }
 
-// bucketFor maps a duration to its bucket index.
+// bucketFor maps a duration to its bucket index: the first bucket whose
+// bound is at or above d, so a part-microsecond rounds up, never down.
 func bucketFor(d time.Duration) int {
 	us := d.Microseconds()
+	if d%time.Microsecond != 0 {
+		us++
+	}
 	if us <= 1 {
 		return 0
 	}
@@ -163,21 +170,17 @@ func (h *Histogram) Quantile(p float64) time.Duration {
 	if n == 0 {
 		return 0
 	}
-	rank := int64(math.Ceil(p / 100 * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
+	rank := int64(nearestRank(p, int(n)))
 	var cum int64
 	for i := 0; i < histBuckets; i++ {
 		cum += h.counts[i].Load()
 		if cum >= rank {
 			// Clamp to the true max: the top occupied bucket's bound can
-			// overshoot by up to 2x, and the max is known exactly.
+			// overshoot by up to 2x, and the max is known exactly. The last
+			// bucket also holds everything above its bound, so its only
+			// upper bound is the max.
 			bound := bucketBound(i)
-			if m := time.Duration(h.max.Load()); m < bound {
+			if m := time.Duration(h.max.Load()); m < bound || i == histBuckets-1 {
 				return m
 			}
 			return bound
@@ -186,17 +189,48 @@ func (h *Histogram) Quantile(p float64) time.Duration {
 	return time.Duration(h.max.Load())
 }
 
-// HistogramSnapshot is a point-in-time readout of a Histogram.
-type HistogramSnapshot struct {
-	Count          int64
+// nearestRank returns the 1-based rank of percentile p (0 < p <= 100) in n
+// sorted samples by the ceil nearest-rank rule: the smallest rank with at
+// least ceil(p/100*n) samples at or below it. Truncation instead of ceil
+// would over-index small sets — the P50 of two samples must be the smaller
+// one, not the larger.
+func nearestRank(p float64, n int) int {
+	return min(max(int(math.Ceil(p/100*float64(n))), 1), n)
+}
+
+// Summary is the one latency digest, the p50/p95/p99 tail Caliper reports
+// for a run: exact from raw samples (Summarize), or read from a
+// histogram's buckets (Histogram.Snapshot).
+type Summary struct {
+	Count          int
 	Sum, Mean, Max time.Duration
 	P50, P95, P99  time.Duration
 }
 
-// Snapshot reads the histogram's summary quantiles in one pass.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	return HistogramSnapshot{
-		Count: h.Count(),
+// Summarize digests raw samples exactly, by the ceil nearest-rank rule. It
+// sorts ds in place.
+func Summarize(ds []time.Duration) Summary {
+	n := len(ds)
+	if n == 0 {
+		return Summary{}
+	}
+	slices.Sort(ds)
+	var sum time.Duration
+	for _, d := range ds {
+		sum += d
+	}
+	at := func(p float64) time.Duration { return ds[nearestRank(p, n)-1] }
+	return Summary{
+		Count: n, Sum: sum, Mean: sum / time.Duration(n), Max: ds[n-1],
+		P50: at(50), P95: at(95), P99: at(99),
+	}
+}
+
+// Snapshot digests the histogram from its buckets: Count, Sum and Max are
+// exact, and each quantile is at or above the exact one.
+func (h *Histogram) Snapshot() Summary {
+	return Summary{
+		Count: int(h.Count()),
 		Sum:   h.Sum(),
 		Mean:  h.Mean(),
 		Max:   h.Max(),
@@ -204,6 +238,17 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		P95:   h.Quantile(95),
 		P99:   h.Quantile(99),
 	}
+}
+
+// String renders the summary as one compact report line.
+func (s Summary) String() string {
+	if s.Count == 0 {
+		return "no samples"
+	}
+	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v p99=%v max=%v",
+		s.Count, s.Mean.Round(time.Microsecond), s.P50.Round(time.Microsecond),
+		s.P95.Round(time.Microsecond), s.P99.Round(time.Microsecond),
+		s.Max.Round(time.Microsecond))
 }
 
 // Registry is the process-wide instrument table. Instruments are created on
