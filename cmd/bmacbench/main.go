@@ -112,6 +112,9 @@ func run() (err error) {
 					return err
 				}
 				fmt.Printf("gate: allocs/op within %.0f%% of %s, verification-engine, BMac-sender and signer ratios within limits\n", *gateTol*100, *gatePath)
+				if !rec.Lanes {
+					fmt.Println("gate: ecdsa_verify_batch / ecdsa_verify_batch_scalar not applicable: no 8-lane kernel on this CPU")
+				}
 			}
 		}
 	}

@@ -88,6 +88,11 @@ type HotpathRecord struct {
 	// its quotient is Derived.KeyTableBuildVerifiesX.)
 	RatioRows []string       `json:"ratio_rows"`
 	Derived   HotpathDerived `json:"derived"`
+	// Lanes reports that the batch rows' affine levels ran on the 8-lane
+	// kernel (fabcrypto.Lanes); without it ecdsa_verify_batch and
+	// ecdsa_verify_batch_scalar run the same code and their gate does not
+	// apply.
+	Lanes bool `json:"lanes"`
 }
 
 // measureOps times iters calls of each function and reports per-op wall
@@ -175,6 +180,7 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 		Quick:      o.Quick,
 		Benchmarks: map[string]HotpathBench{},
 		RatioRows:  hotpathRatioRows,
+		Lanes:      fabcrypto.Lanes(),
 	}
 
 	spec := BlockSpec{Txs: 16, Endorsements: 2, Reads: 2, Writes: 2}
@@ -326,7 +332,10 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	// (the client's key and two endorsers', beside G) the way the engine's
 	// verify stage does: one fabcrypto.Batch per range of pipeline.VSCCRange
 	// transactions, no cache. One call is one range; its ns and allocs are
-	// divided by the signatures of an average range. The BMac row puts the
+	// divided by the signatures of an average range. The batch_scalar row is
+	// the same ranges with the affine levels on the scalar kernel
+	// (Batch.RunScalar), the same code as the batch row on a CPU without
+	// the 8-lane one. The BMac row puts the
 	// same block's FIFO entries through an 8x2 core.Processor and waits for
 	// its result: 301 signatures — the orderer's, then every client's as one
 	// round and every endorsement as the next — for one call. ---
@@ -349,30 +358,33 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 		blockSigs = append(blockSigs, ts...)
 	}
 	perRange := len(tuples) * pipeline.VSCCRange(len(encBlock.Envelopes), runtime.GOMAXPROCS(0))
+	// rangeRow is one range row's place in the block and its tally.
+	type rangeRow struct{ lo, calls, sigs int }
 	var batch fabcrypto.Batch
-	rangeLo, rangeCalls, rangeSigs := 0, 0, 0
-	verifyRange := func() error {
-		rng := blockSigs[rangeLo:min(rangeLo+perRange, len(blockSigs))]
-		rangeLo = (rangeLo + perRange) % len(blockSigs)
-		rangeCalls, rangeSigs = rangeCalls+1, rangeSigs+len(rng)
-		batch.Reset(nil)
-		for _, t := range rng {
-			batch.Add(t.pub, t.digest, t.sig)
-		}
-		batch.Run()
-		for i := range rng {
-			if err := batch.Err(i); err != nil {
-				return err
+	verifyRange := func(r *rangeRow, runBatch func()) func() error {
+		return func() error {
+			rng := blockSigs[r.lo:min(r.lo+perRange, len(blockSigs))]
+			r.lo = (r.lo + perRange) % len(blockSigs)
+			r.calls, r.sigs = r.calls+1, r.sigs+len(rng)
+			batch.Reset(nil)
+			for _, t := range rng {
+				batch.Add(t.pub, t.digest, t.sig)
 			}
+			runBatch()
+			for i := range rng {
+				if err := batch.Err(i); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
-		return nil
 	}
-	for rangeSigs < 2*len(blockSigs) { // every key of the block earns its table before the timed rows
-		if err := verifyRange(); err != nil {
+	var warm, lanes, scalar rangeRow
+	for warmRange := verifyRange(&warm, batch.Run); warm.sigs < 2*len(blockSigs); { // every key of the block earns its table before the timed rows
+		if err := warmRange(); err != nil {
 			return nil, err
 		}
 	}
-	rangeLo, rangeCalls, rangeSigs = 0, 0, 0
 	bmacSigs := 1 + len(blockSigs) // the orderer's
 	bmacValidate, stopBMac, err := bmacValidateOp(e, encBlock, pol, bmacSigs)
 	if err != nil {
@@ -406,11 +418,15 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 			fresh = fresh[1:]
 			return fabcrypto.VerifyDigest(t.pub, t.digest, t.sig)
 		}),
-		run(verifyRange), run(bmacValidate))
-	eng[3].NsPerOp *= float64(rangeCalls) / float64(rangeSigs)
-	eng[3].AllocsPerOp *= float64(rangeCalls) / float64(rangeSigs)
-	eng[4].NsPerOp /= float64(bmacSigs)
-	eng[4].AllocsPerOp /= float64(bmacSigs)
+		run(verifyRange(&lanes, batch.Run)), run(verifyRange(&scalar, batch.RunScalar)), run(bmacValidate))
+	perSig := func(b *HotpathBench, r rangeRow) {
+		b.NsPerOp *= float64(r.calls) / float64(r.sigs)
+		b.AllocsPerOp *= float64(r.calls) / float64(r.sigs)
+	}
+	perSig(&eng[3], lanes)
+	perSig(&eng[4], scalar)
+	eng[5].NsPerOp /= float64(bmacSigs)
+	eng[5].AllocsPerOp /= float64(bmacSigs)
 	// A build leaves ≈ 380 KB of garbage and touches ≈ 530 KB, which slows
 	// whatever runs next to it: it gets a crypto/ecdsa row of its own.
 	build := measureOps(opIters, stdlib, func() {
@@ -419,7 +435,7 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 		}
 	})
 	after := fabcrypto.KeyTableStats()
-	if n := int64(opIters); after.TableVerifies-before.TableVerifies != n+int64(rangeSigs)+n*int64(bmacSigs) ||
+	if n := int64(opIters); after.TableVerifies-before.TableVerifies != n+int64(lanes.sigs+scalar.sigs)+n*int64(bmacSigs) ||
 		after.StdlibVerifies-before.StdlibVerifies != n || after.TablesBuilt != before.TablesBuilt {
 		return nil, fmt.Errorf("hotpath: engine rows ran on the wrong path: %+v -> %+v", before, after)
 	}
@@ -683,7 +699,7 @@ func freshKeyTuples(n int) ([]verifyTuple, error) {
 
 // hotpathRatioRows are the engine rows MeasureHotpath measures interleaved,
 // in that order; the first is the denominator of the others.
-var hotpathRatioRows = []string{"ecdsa_verify_stdlib", "ecdsa_verify_table", "ecdsa_verify_single_use_key", "ecdsa_verify_batch", "bmac_validate_block"}
+var hotpathRatioRows = []string{"ecdsa_verify_stdlib", "ecdsa_verify_table", "ecdsa_verify_single_use_key", "ecdsa_verify_batch", "ecdsa_verify_batch_scalar", "bmac_validate_block"}
 
 // hotpathSignRows are measured interleaved likewise: crypto/ecdsa's hedged
 // and RFC 6979 signers are the denominators of fabcrypto's.
@@ -699,7 +715,7 @@ var hotpathBenchOrder = []string{
 	"block_validate_telemetry_off", "block_validate_telemetry_on",
 	"receive_to_commit",
 	"repeated_endorser_verify_cold", "repeated_endorser_verify_cached",
-	"ecdsa_verify_stdlib", "ecdsa_verify_table", "ecdsa_verify_single_use_key", "ecdsa_verify_batch", "bmac_validate_block",
+	"ecdsa_verify_stdlib", "ecdsa_verify_table", "ecdsa_verify_single_use_key", "ecdsa_verify_batch", "ecdsa_verify_batch_scalar", "bmac_validate_block",
 	"key_table_build",
 	"ecdsa_sign_hedged", "ecdsa_sign_stdlib", "ecdsa_sign",
 	"cert_parse_cold", "cert_parse_cached",
@@ -729,6 +745,11 @@ func (r *HotpathRecord) Table() *Table {
 		fmt.Sprintf("%.1fx", r.Derived.VerifyCachedSpeedupX), "", "")
 	t.AddRow("derived: verify table speedup",
 		fmt.Sprintf("%.1fx", r.Derived.VerifyTableSpeedupX), "", "")
+	lanes := "n/a (no 8-lane kernel)"
+	if r.Lanes {
+		lanes = fmt.Sprintf("%.2f", r.LanesOverScalar())
+	}
+	t.AddRow("derived: batch on the lanes / on the scalar levels", lanes, "", "")
 	t.AddRow("derived: key table build, in stdlib verifications",
 		fmt.Sprintf("%.1fx", r.Derived.KeyTableBuildVerifiesX), "", "")
 	t.AddRow("derived: sign speedup over the hedged nonce",
@@ -776,7 +797,12 @@ func LoadHotpathRecord(path string) (*HotpathRecord, error) {
 // of crypto/ecdsa's time (here 0.25); a block's signatures verified range by
 // range must cost at most 0.80 of that each (here 0.5-0.6: the shared
 // inversions of fabcrypto's affineLevelMin and pipeline's range cap at
-// work), and so must the same block through the BMac block processor, at most
+// work); where the CPU has the 8-lane kernel, such a range must cost at
+// most 0.65 of the same range on the scalar levels (here 0.47-0.52: the
+// lanes add a level's pairs about 2.5 times as cheaply, and put more
+// levels in affine coordinates; 0.65 is the 1.3 times headroom the batch
+// gate leaves over its 0.6); and so must the same block through the BMac
+// block processor, at most
 // 0.85 (here 0.6 on one CPU, 0.4-0.5 on two: its rounds are those batches on
 // up to eight goroutines, plus the FIFOs, the scheduling and mvcc; it was
 // 1.11 and 0.63 while every request was a batch of one, so the limit bites on
@@ -806,6 +832,7 @@ func LoadHotpathRecord(path string) (*HotpathRecord, error) {
 const (
 	maxTableOverStdlib     = 0.6
 	maxBatchOverTable      = 0.80
+	maxLanesOverScalar     = 0.65
 	maxBMacOverTable       = 0.85
 	maxSingleUseOverStdlib = 1.10
 	maxBuildVerifies       = 1.5*fabcrypto.PromoteAfter + 1
@@ -815,6 +842,12 @@ const (
 	maxSignOverStdlib      = 0.75
 )
 
+// LanesOverScalar is ecdsa_verify_batch ÷ ecdsa_verify_batch_scalar: what
+// the 8-lane kernel leaves of a range's price on the scalar levels.
+func (r *HotpathRecord) LanesOverScalar() float64 {
+	return r.Benchmarks["ecdsa_verify_batch"].NsPerOp / r.Benchmarks["ecdsa_verify_batch_scalar"].NsPerOp
+}
+
 // Gate compares the record's allocs/op against a committed baseline with
 // relative tolerance tol (e.g. 0.25 = +25%) plus a small absolute slack, and
 // the record's own within-run ratios against the limits above, returning
@@ -823,10 +856,11 @@ func (r *HotpathRecord) Gate(baseline *HotpathRecord, tol float64) error {
 	const slack = 8 // absolute allocs/op headroom for runtime noise
 	var regressions []string
 	stdlib := r.Benchmarks["ecdsa_verify_stdlib"].NsPerOp
-	for _, l := range []struct {
+	type limit struct {
 		what       string
 		value, max float64
-	}{
+	}
+	limits := []limit{
 		{"ecdsa_verify_table / ecdsa_verify_stdlib", r.Benchmarks["ecdsa_verify_table"].NsPerOp / stdlib, maxTableOverStdlib},
 		{"ecdsa_verify_batch / ecdsa_verify_table", r.Benchmarks["ecdsa_verify_batch"].NsPerOp / r.Benchmarks["ecdsa_verify_table"].NsPerOp, maxBatchOverTable},
 		{"bmac_validate_block / ecdsa_verify_table", r.Benchmarks["bmac_validate_block"].NsPerOp / r.Benchmarks["ecdsa_verify_table"].NsPerOp, maxBMacOverTable},
@@ -836,7 +870,11 @@ func (r *HotpathRecord) Gate(baseline *HotpathRecord, tol float64) error {
 		{"bmac_encode_block / marshal_block", r.Benchmarks["bmac_encode_block"].NsPerOp / r.Benchmarks["marshal_block"].NsPerOp, maxEncodeOverMarshal},
 		{"ecdsa_sign / ecdsa_sign_hedged", r.Benchmarks["ecdsa_sign"].NsPerOp / r.Benchmarks["ecdsa_sign_hedged"].NsPerOp, maxSignOverHedged},
 		{"ecdsa_sign / ecdsa_sign_stdlib", r.Benchmarks["ecdsa_sign"].NsPerOp / r.Benchmarks["ecdsa_sign_stdlib"].NsPerOp, maxSignOverStdlib},
-	} {
+	}
+	if r.Lanes { // without the lanes both rows run the scalar levels
+		limits = append(limits, limit{"ecdsa_verify_batch / ecdsa_verify_batch_scalar", r.LanesOverScalar(), maxLanesOverScalar})
+	}
+	for _, l := range limits {
 		if !(l.value > 0 && l.value <= l.max) { // also catches a missing row (NaN, Inf)
 			regressions = append(regressions, fmt.Sprintf("%s = %.2f, limit %.2f", l.what, l.value, l.max))
 		}

@@ -4,6 +4,7 @@ import (
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"math/big"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -15,7 +16,15 @@ import (
 // The engine keeps, per recurring public key (and once for G), a table of
 // affine multiples j·2^(w·i)·Q, so a verification is one table lookup and
 // one mixed addition per window and scalar — no doubling, no field
-// inversion — on the variable-time arithmetic of p256.go.
+// inversion — on the variable-time arithmetic of p256.go. A batch of
+// signatures shares its field inversions: level by level, every
+// signature's points are added pairwise in affine coordinates, their
+// chords' denominators inverted together (reduceLevels). On an amd64 CPU
+// with AVX-512 IFMA those levels run eight pairs at a time on the 8-lane
+// kernel (p256_lanes_amd64.s, chosen at package init from CPUID, never by
+// an option): the paper's ecdsa_engines working in space; everywhere else,
+// and for levels too small to fill the lanes' fixed cost, on the scalar
+// kernel.
 //
 // Every input of a verification is public, which is what makes variable
 // time sound here. No secret-dependent value enters this code: the signer
@@ -58,36 +67,43 @@ const (
 	// maxColdKeys bounds the use counters of keys below the threshold.
 	maxColdKeys = 1024
 
-	// affineLevelMin is how many additions a level of a batch must hold to
-	// be done in affine coordinates, where one costs 6 field multiplications
-	// (1 S + 2 M and a 3 M share of the level's inversion) against addMixed's
-	// 11 (8 M + 3 S): it pays once a level saves an inversion's worth,
-	// inversion ÷ (addMixed − affine add). The value 77 is 384 ÷ 5, from
-	// the square-and-multiply inversion (384 M). With the Fermat chain
-	// (255 S + 12 M) the quotient was 267 ÷ 5 ≈ 53 counted, and measured
-	// with the chord addition in the kernel (addAffine in p256_amd64.s)
-	// BenchmarkFeInv, AddMixed and AddAffine gave 35–65, median ≈ 50, over
-	// ten rounds on a 2-CPU Xeon (5.1 µs ÷ (265 − 158 ns)). The inversion
-	// is now the variable-time safegcd, BenchmarkFeInvVar ≈ 3.2 µs, which
-	// puts the quotient near 30. The constant stays until a batch-length
-	// sweep measures the geometry end to end (ROADMAP item 21). One
-	// signature has at most 31 pairs, so a batch of one never gets here;
-	// the hotpath row ecdsa_verify_batch ÷ ecdsa_verify_table pins it.
-	affineLevelMin = 77
+	// affineLevelMin and laneLevelMin are how many additions a level of a
+	// batch must hold to be done in affine coordinates, on the scalar
+	// kernel and on the 8-lane one: a level pays once its additions cost
+	// less than the mixed additions (addMixed, 8 M + 3 S) they save in the
+	// final chains.
+	//
+	// Scalar: an addition is 1 S + 2 M and a 3 M share of the level's
+	// inversion, so the level pays from inversion ÷ (addMixed − affine
+	// add). Over seven interleaved rounds on a 2-CPU Xeon (CPU model 207),
+	// BenchmarkFeInvVar, AddMixed and AddAffine read 2.73–3.20 µs,
+	// 238–306 ns and 145–179 ns, and the quotient 22.5–31.3, median 25.7.
+	//
+	// Lanes: BenchmarkAddAffineLanes prices an addition with everything its
+	// level does (both passes, the joint feInvVar, the padded tail group)
+	// at a given level size; over five rounds on the same host it read
+	// 292–360 ns at 12 pairs, 217–255 ns at 16 (median 227) and 192–253 ns
+	// at 20, against AddMixed's 224–310 ns (median 239): 16 is the
+	// break-even. (At 256 pairs it reads 60–71 ns, against AddAffine's
+	// 153–166 ns.)
+	affineLevelMin = 26
+	laneLevelMin   = 16
 
-	// FullBatch is the fewest signatures that run five of a batch's six
-	// levels of point additions in affine coordinates: the fifth holds two
-	// additions per signature (the sixth, with one, would take
-	// affineLevelMin signatures). A batch twice as long saves only a smaller
+	// FullBatch is the batch length callers cut their work into (pipeline's
+	// vscc ranges, core's rounds). At 39 signatures, five of a batch's six
+	// levels of point additions ran in affine coordinates with the
+	// square-and-multiply inversion's threshold (77): the fifth holds two
+	// additions per signature. A batch twice as long saves only a smaller
 	// share of the same five inversions, about a twentieth of the
-	// arithmetic with the square-and-multiply inversion and a thirtieth with
-	// the addition chain, so callers that cut work into batches cut it
-	// here. With the kernel's chord addition, BenchmarkVerify/batch with
-	// ranges of 24, 27, 39 and 54 costs 14.2, 14.5, 12.9 and 13.8 µs per
-	// signature (medians of seven interleaved rounds; ÷ the 39 of the same
-	// round 1.10, 1.07, 1 and 1.07), so 39 stays the best of the four at
-	// this affineLevelMin. The re-derived one (≈ 50) would make it ≈ 25.
-	FullBatch = (affineLevelMin + 1) / 2
+	// arithmetic with the square-and-multiply inversion and a thirtieth
+	// with the addition chain. With the kernel's chord addition,
+	// BenchmarkVerify/batch with ranges of 24, 27, 39 and 54 costs 14.2,
+	// 14.5, 12.9 and 13.8 µs per signature (medians of seven interleaved
+	// rounds; ÷ the 39 of the same round 1.10, 1.07, 1 and 1.07), so 39
+	// stayed the best of the four. It is a literal, not derived from the
+	// thresholds above: re-pricing them must not shrink every range, and
+	// moving it needs a sweep of its own.
+	FullBatch = 39
 )
 
 // combTable holds pts[i·half + j−1] = j · 2^(bits·i) · P.
@@ -188,8 +204,9 @@ type verifyReq struct {
 	valid  bool
 }
 
-// batchSig is one signature inside verifyTabled: its points are
-// pts[off : off+n], and n = −1 once it has left the batch undecided.
+// batchSig is one signature inside verifyTabled: its points are pts[off],
+// pts[off+stride], …, n of them (batchScratch.stride), and n = −1 once it
+// has left the batch undecided.
 type batchSig struct {
 	req, off, n int
 	r           [4]uint64
@@ -197,13 +214,19 @@ type batchSig struct {
 }
 
 // batchScratch is verifyTabled's working memory, pooled and pointer-free,
-// bounded by the caller's batch: 63 points of 64 B, 2 × 31 field elements
-// and a batchSig per signature ≈ 6 KB (≈ 240 KB for the FullBatch = 39
-// signatures of a caller's largest range).
+// bounded by the caller's batch: 63 points of 64 B, 31 pairs, 2 × 31
+// field elements and a batchSig per signature ≈ 6 KB, and 320 B of lane
+// products per eight pairs of the first level, ≈ 1.2 KB, plus 3.2 KB of
+// lane temporaries once (≈ 290 KB for the FullBatch = 39 signatures of a
+// caller's largest range).
 type batchScratch struct {
 	sigs     []batchSig
 	pts      []affinePoint
-	den, pre []fe
+	stride   int     // between a signature's points: 2^levels done
+	pairs    []int32 // a level's pairs (pairUp)
+	den, pre []fe    // scalarLevel's
+	lanePre  []laneFE
+	laneTmp  laneTemps
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -216,13 +239,13 @@ var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 // signature's pairwise point sums (reduceLevels). A decided request comes
 // back with table = nil and its verdict in valid; one whose sum meets the
 // exceptional case of the addition formula keeps its table, undecided — it
-// alone — and the caller asks crypto/ecdsa. A batch of one shares nothing and
-// never reaches affineLevelMin: it is the plain chain of mixed additions and
-// the r·Z² = X comparison. sc grows to the largest batch seen and is reused,
-// so the steady state allocates nothing.
+// alone — and the caller asks crypto/ecdsa. lanes puts the affine levels on
+// the 8-lane kernel. Every chain of mixed additions ends in the r·Z² = X
+// comparison. sc grows to the largest batch seen and is reused, so the
+// steady state allocates nothing.
 //
 // bmaclint:noalloc
-func verifyTabled(g *combTable, reqs []verifyReq, sc *batchScratch) {
+func verifyTabled(g *combTable, reqs []verifyReq, sc *batchScratch, lanes bool) {
 	sigs, pts := sc.sigs[:0], sc.pts[:0]
 	for i := range reqs {
 		rq := &reqs[i]
@@ -254,7 +277,7 @@ func verifyTabled(g *combTable, reqs []verifyReq, sc *batchScratch) {
 		sg.n = len(pts) - sg.off
 	}
 	sc.pts = pts
-	sc.reduceLevels()
+	sc.reduceLevels(lanes)
 
 	for j := range sigs {
 		sg := &sigs[j]
@@ -287,10 +310,10 @@ func (sc *batchScratch) sum(sg *batchSig) (sum jacobianPoint, ok bool) {
 	if sg.n < 1 {
 		return sum, false
 	}
-	pts := sc.pts[sg.off : sg.off+sg.n]
-	sum = jacobianPoint{x: pts[0].x, y: pts[0].y, z: feOne}
-	for k := 1; k < len(pts); k++ {
-		if !sum.addMixed(&pts[k]) {
+	p := &sc.pts[sg.off]
+	sum = jacobianPoint{x: p.x, y: p.y, z: feOne}
+	for i := 1; i < sg.n; i++ {
+		if !sum.addMixed(&sc.pts[sg.off+i*sc.stride]) {
 			return sum, false
 		}
 	}
@@ -324,53 +347,172 @@ func invertScalars(sigs []batchSig) {
 
 // reduceLevels halves every signature's point list, level by level, adding
 // its points pairwise in affine coordinates, while a level holds enough
-// additions across the batch to pay for the inversion their chords share. A
-// pair with equal x (P = ±Q: a doubling or ∞) is found before its zero
-// denominator can enter the shared product: that signature leaves the batch
-// (n = −1), its neighbours are untouched.
+// additions across the batch to pay for the inversion their chords share:
+// laneLevelMin on the 8-lane kernel (lanes), affineLevelMin on the scalar
+// one.
 //
 // bmaclint:noalloc
-func (sc *batchScratch) reduceLevels() {
-	pts := sc.pts
-	for {
+func (sc *batchScratch) reduceLevels(lanes bool) {
+	levelMin := affineLevelMin
+	if lanes {
+		levelMin = laneLevelMin
+	}
+	for sc.stride = 1; ; {
 		adds := 0
 		for j := range sc.sigs {
 			adds += max(sc.sigs[j].n, 0) / 2
 		}
-		if adds < affineLevelMin {
+		if adds < levelMin {
 			return
 		}
-		den := sc.den[:0]
-		for j := range sc.sigs {
-			sg := &sc.sigs[j]
-			mark := len(den)
-			for k := sg.off; k+1 < sg.off+sg.n; k += 2 {
-				var d fe
-				if feSub(&d, &pts[k+1].x, &pts[k].x); d == (fe{}) {
-					den, sg.n = den[:mark], -1
-					break
-				}
-				den = append(den, d)
-			}
+		sc.level(lanes)
+	}
+}
+
+// level is one level. Each pair's sum is written over the pair's first
+// point, which is where the next level, at twice the stride, looks for it;
+// an odd list's last point is in its place already, so nothing is copied.
+// The lanes and the scalar kernel leave the same points bit for bit.
+//
+// bmaclint:noalloc
+func (sc *batchScratch) level(lanes bool) {
+	if sc.pairUp(); len(sc.pairs) > 0 {
+		if lanes {
+			sc.laneLevel()
+		} else {
+			sc.scalarLevel()
 		}
-		sc.den, sc.pre = den, append(sc.pre[:0], den...) // sized alike; invertAll overwrites both
-		invertAll(den, sc.pre)
-		for j := range sc.sigs {
-			sg := &sc.sigs[j]
-			if sg.n < 2 {
-				continue
-			}
-			dst := sg.off
-			for k := sg.off; k+1 < sg.off+sg.n; k, dst = k+2, dst+1 {
-				addAffine(&pts[dst], &pts[k], &pts[k+1], &den[0])
-				den = den[1:]
-			}
-			if sg.n%2 == 1 {
-				pts[dst] = pts[sg.off+sg.n-1]
-			}
+	}
+	for j := range sc.sigs {
+		if sg := &sc.sigs[j]; sg.n > 0 {
 			sg.n = (sg.n + 1) / 2
 		}
 	}
+	sc.stride *= 2
+}
+
+// pairUp lists a level's pairs in sc.pairs, signature by signature: k for
+// the pair pts[k], pts[k+stride]. A pair with equal x (P = ±Q: a doubling
+// or ∞) is found here, before its zero denominator can enter the shared
+// product: that signature leaves the batch (n = −1) and the list, its
+// neighbours are untouched.
+//
+// bmaclint:noalloc
+func (sc *batchScratch) pairUp() {
+	pairs := sc.pairs[:0]
+	for j := range sc.sigs {
+		sg := &sc.sigs[j]
+		mark := len(pairs)
+		for i := 0; i+1 < sg.n; i += 2 {
+			k := sg.off + i*sc.stride
+			if sc.pts[k].x == sc.pts[k+sc.stride].x {
+				pairs, sg.n = pairs[:mark], -1
+				break
+			}
+			pairs = append(pairs, int32(k))
+		}
+	}
+	sc.pairs = pairs
+}
+
+// scalarLevel adds every listed pair on the scalar kernel: the chords'
+// denominators inverted together (invertAll), then addAffine.
+//
+// bmaclint:noalloc
+func (sc *batchScratch) scalarLevel() {
+	pts, den, d := sc.pts, sc.den[:0], sc.stride
+	for _, k := range sc.pairs {
+		var x fe
+		feSub(&x, &pts[int(k)+d].x, &pts[k].x)
+		den = append(den, x)
+	}
+	sc.den, sc.pre = den, append(sc.pre[:0], den...) // sized alike; invertAll overwrites both
+	invertAll(den, sc.pre)
+	for i, k := range sc.pairs {
+		addAffine(&pts[k], &pts[k], &pts[int(k)+d], &den[i])
+	}
+}
+
+// laneLevel is scalarLevel on the 8-lane kernel (p256_lanes_amd64.s), the
+// software's ecdsa_engines working in space: lane l of group c adds pair
+// 8c + l, the tail group is padded with copies of the first pair, whose
+// sums are not written. lanesPrefix leaves in pre[c] each lane's product
+// of its denominators up to group c; the eight products of the last group
+// are inverted together here, by one feInvVar; lanesChord walks the groups
+// back, taking each group's inverses from the running one and pre of the
+// group before, and adds the pairs. The lanes multiply with R′ = 2²⁶⁰, not
+// 2²⁵⁶, so each step drops a factor 2⁴: every chain has the same length,
+// and one constant, laneInvScale = 2⁶, put back into the eight inverses
+// makes each λ = (y2 − y1)/(x2 − x1) come out with two factors 2 to spare,
+// which λ² consumes; the kernel shifts λ·(x1 − x3) left by two.
+//
+// bmaclint:noalloc
+func (sc *batchScratch) laneLevel() {
+	n := len(sc.pairs)
+	groups := (n + 7) / 8
+	for len(sc.pairs) < 8*groups {
+		sc.pairs = append(sc.pairs, sc.pairs[0])
+	}
+	if cap(sc.lanePre) < groups {
+		sc.lanePre = make([]laneFE, groups) // bmaclint:allow allocbound (regrown to the largest level seen, then reused)
+	}
+	pre := sc.lanePre[:groups]
+	pts, next := &sc.pts[0], &sc.pts[sc.stride] // a pair's points, pts[k] and next[k]
+	lanesPrefix(pts, next, &sc.pairs[0], &pre[0], groups)
+	var prod, prefix [8]fe
+	for l := range prod {
+		prod[l] = pre[groups-1].get(l)
+	}
+	invertAll(prod[:], prefix[:])
+	for l := range prod {
+		feMul(&prod[l], &prod[l], &laneInvScale)
+		sc.laneTmp.i.set(l, &prod[l])
+	}
+	lanesChord(pts, next, &sc.pairs[0], &pre[0], &sc.laneTmp, groups, n-8*(groups-1))
+}
+
+// laneFE is eight field elements, one per lane, in radix 2⁵²: limb j of
+// lane l at [j][l]. It is the 8-lane kernel's operand.
+type laneFE [5][8]uint64
+
+// laneTemps is lanesChord's working memory, in the order
+// p256_lanes_gen.go addresses it: the gathered coordinates, the two
+// differences, the running inverse (i, set by laneLevel), the group's
+// inverses, λ and x3.
+type laneTemps struct {
+	x1, y1, x2, y2, d, dy, i, inv, l, x3 laneFE
+}
+
+// laneInvScale is 2⁶ in Montgomery form; see laneLevel.
+var laneInvScale, _ = feFromLimbs([4]uint64{1 << 6})
+
+// get returns lane l of v, which must be below 2²⁵⁸ in 52-bit limbs, as a
+// canonical field element.
+//
+// bmaclint:noalloc
+func (v *laneFE) get(l int) fe {
+	a := [4]uint64{v[0][l] | v[1][l]<<52, v[1][l]>>12 | v[2][l]<<40, v[2][l]>>24 | v[3][l]<<28, v[3][l]>>36 | v[4][l]<<16}
+	top := v[4][l] >> 48
+	for top != 0 || !lessThan(&a, &pLimbs) {
+		var b uint64
+		for i := range a {
+			a[i], b = bits.Sub64(a[i], pLimbs[i], b)
+		}
+		top -= b
+	}
+	return fe(a)
+}
+
+// set stores x as lane l of v.
+//
+// bmaclint:noalloc
+func (v *laneFE) set(l int, x *fe) {
+	const m = 1<<52 - 1
+	v[0][l] = x[0] & m
+	v[1][l] = (x[0]>>52 | x[1]<<12) & m
+	v[2][l] = (x[1]>>40 | x[2]<<24) & m
+	v[3][l] = (x[2]>>28 | x[3]<<36) & m
+	v[4][l] = x[3] >> 16
 }
 
 // gTable is the generator's table: shared, immutable, built on first use.
@@ -468,8 +610,16 @@ func (kt *keyTables) stats() EngineStats {
 }
 
 // verify is the engine's one entry point: the verdict of crypto/ecdsa for
-// every request, those under keys that have a table decided together.
-func (kt *keyTables) verify(reqs []verifyReq) {
+// every request, those under keys that have a table decided together, their
+// affine levels on the 8-lane kernel wherever the CPU has it.
+func (kt *keyTables) verify(reqs []verifyReq) { kt.verifyOn(reqs, haveLanes && !scalarLevels) }
+
+// scalarLevels makes verify run the affine levels on the scalar kernel on a
+// CPU that has the lanes. Only tests set it, so that both paths run there.
+var scalarLevels bool
+
+// verifyOn is verify with the affine levels on the lanes or not.
+func (kt *keyTables) verifyOn(reqs []verifyReq, lanes bool) {
 	tabled := 0
 	for i := range reqs {
 		rq := &reqs[i]
@@ -491,7 +641,7 @@ func (kt *keyTables) verify(reqs []verifyReq) {
 		return
 	}
 	sc := scratchPool.Get().(*batchScratch)
-	verifyTabled(gTable(), reqs, sc)
+	verifyTabled(gTable(), reqs, sc, lanes)
 	scratchPool.Put(sc)
 	for i := range reqs {
 		if rq := &reqs[i]; rq.table != nil { // undecided: an exceptional addition

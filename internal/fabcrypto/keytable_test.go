@@ -77,7 +77,8 @@ func tablesFor(t testing.TB, pubs ...*ecdsa.PublicKey) *keyTables {
 // checkVerdict verifies on the table path and directly with crypto/ecdsa and
 // fails on any difference. It reports the verdict and whether the table path
 // decided it (as opposed to falling back). The same tuple is then verified
-// doubled and between valid neighbours, where its arithmetic is shared.
+// alone, doubled and between valid neighbours, where its arithmetic is
+// shared, once on each path of the affine levels.
 func checkVerdict(t testing.TB, kt *keyTables, pub *ecdsa.PublicKey, digest []byte, r, s *big.Int) (valid, onTable bool) {
 	t.Helper()
 	want := r.Sign() > 0 && s.Sign() > 0 && ecdsa.Verify(pub, digest, r, s)
@@ -92,25 +93,31 @@ func checkVerdict(t testing.TB, kt *keyTables, pub *ecdsa.PublicKey, digest []by
 	alone := [1]verifyReq{x}
 	kt.verify(alone[:])
 	after := kt.stats()
+	if alone[0].valid != want {
+		t.Fatalf("engine says %v, crypto/ecdsa says %v\n pub (%x, %x)\n digest %x\n r %x\n s %x",
+			alone[0].valid, want, pub.X, pub.Y, digest, x.parts.R, x.parts.S)
+	}
 
 	nb := neighbours()
 	kn := withNeighbourTables(kt)
-	for name, batch := range map[string][]verifyReq{
-		"alone":   alone[:],
-		"doubled": verifyBatchOf(kn, x, x),
-		"between": verifyBatchOf(kn, nb[0].req, nb[1].req, x, nb[3].req, nb[4].req),
-	} {
-		for i := range batch {
-			rq, w := &batch[i], true // a neighbour, unless it is x
-			if rq.pub == pub && bytes.Equal(rq.digest, digest) && rq.parts == x.parts {
-				w = want
-			}
-			if rq.valid != w {
-				t.Fatalf("%s, item %d: engine says %v, crypto/ecdsa says %v\n pub (%x, %x)\n digest %x\n r %x\n s %x",
-					name, i, rq.valid, w, rq.pub.X, rq.pub.Y, rq.digest, rq.parts.R, rq.parts.S)
+	onEachLevelPath(func() {
+		for name, batch := range map[string][]verifyReq{
+			"alone":   verifyBatchOf(kn, x),
+			"doubled": verifyBatchOf(kn, x, x),
+			"between": verifyBatchOf(kn, nb[0].req, nb[1].req, x, nb[3].req, nb[4].req),
+		} {
+			for i := range batch {
+				rq, w := &batch[i], true // a neighbour, unless it is x
+				if rq.pub == pub && bytes.Equal(rq.digest, digest) && rq.parts == x.parts {
+					w = want
+				}
+				if rq.valid != w {
+					t.Fatalf("%s (scalar levels %v), item %d: engine says %v, crypto/ecdsa says %v\n pub (%x, %x)\n digest %x\n r %x\n s %x",
+						name, scalarLevels, i, rq.valid, w, rq.pub.X, rq.pub.Y, rq.digest, rq.parts.R, rq.parts.S)
+				}
 			}
 		}
-	}
+	})
 	return want, after.TableVerifies == before.TableVerifies+1
 }
 
@@ -211,12 +218,15 @@ func FuzzVerifyMatchesStdlib(f *testing.F) {
 				batch[i] = nb[i].req
 			}
 			batch[at] = reqOf(pub, digest, partsOf(r, s))
-			kt.verify(batch)
-			for i := range batch {
-				if w := i == at && want || i != at && nb[i].want; batch[i].valid != w {
-					t.Fatalf("batch of %d, fuzzed tuple at %d: item %d verified %v, crypto/ecdsa says %v", len(batch), at, i, batch[i].valid, w)
+			onEachLevelPath(func() {
+				kt.verify(batch)
+				for i := range batch {
+					if w := i == at && want || i != at && nb[i].want; batch[i].valid != w {
+						t.Fatalf("batch of %d (scalar levels %v), fuzzed tuple at %d: item %d verified %v, crypto/ecdsa says %v",
+							len(batch), scalarLevels, at, i, batch[i].valid, w)
+					}
 				}
-			}
+			})
 		}
 		// The same tuple as a client sends it: DER, process-wide engine.
 		if r.Sign() > 0 && s.Sign() > 0 {
@@ -224,9 +234,11 @@ func FuzzVerifyMatchesStdlib(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := VerifyDigest(pub, digest, der) == nil; got != want {
-				t.Fatalf("VerifyDigest says %v, crypto/ecdsa says %v", got, want)
-			}
+			onEachLevelPath(func() {
+				if got := VerifyDigest(pub, digest, der) == nil; got != want {
+					t.Fatalf("VerifyDigest (scalar levels %v) says %v, crypto/ecdsa says %v", scalarLevels, got, want)
+				}
+			})
 		}
 	})
 }
@@ -481,57 +493,62 @@ func TestSumListsExceptionalBesideOrdinary(t *testing.T) {
 		at := min(2*i+1, len(lists))
 		lists = append(lists[:at], append([]list{l}, lists[at:]...)...)
 	}
-	sc := new(batchScratch)
-	for _, l := range lists {
-		sc.sigs = append(sc.sigs, batchSig{off: len(sc.pts), n: len(l.pts)})
-		sc.pts = append(sc.pts, l.pts...)
-	}
-	sc.reduceLevels()
-	if sc.sigs[1].n >= 20 || len(sc.den) == 0 {
-		t.Fatalf("no affine level ran: the lists are too short for affineLevelMin = %d", affineLevelMin)
-	}
-	for i, l := range lists {
-		sum, ok := sc.sum(&sc.sigs[i])
-		if ok != (l.wantX != nil) {
-			t.Fatalf("list %d (%d points): decided = %v", i, len(l.pts), ok)
+	for _, lanes := range levelPaths() {
+		sc := new(batchScratch)
+		for _, l := range lists {
+			sc.sigs = append(sc.sigs, batchSig{off: len(sc.pts), n: len(l.pts)})
+			sc.pts = append(sc.pts, l.pts...)
 		}
-		if ok {
-			var out [1]affinePoint
-			toAffine(out[:], []jacobianPoint{sum})
-			checkAffine(t, fmt.Sprintf("sum of list %d", i), out[0], l.wantX, l.wantY)
+		sc.reduceLevels(lanes)
+		if sc.sigs[1].n >= 20 {
+			t.Fatalf("lanes %v: no affine level ran: the lists are too short for affineLevelMin = %d and laneLevelMin = %d", lanes, affineLevelMin, laneLevelMin)
+		}
+		for i, l := range lists {
+			sum, ok := sc.sum(&sc.sigs[i])
+			if ok != (l.wantX != nil) {
+				t.Fatalf("lanes %v: list %d (%d points): decided = %v", lanes, i, len(l.pts), ok)
+			}
+			if ok {
+				var out [1]affinePoint
+				toAffine(out[:], []jacobianPoint{sum})
+				checkAffine(t, fmt.Sprintf("lanes %v: sum of list %d", lanes, i), out[0], l.wantX, l.wantY)
+			}
 		}
 	}
 }
 
 // TestBatchScratchRace: 8 goroutines run batches through one SigCache and
-// the pooled scratch, valid and corrupt signatures overlapping between them.
+// the pooled scratch, valid and corrupt signatures overlapping between them,
+// on each path of the affine levels.
 // Runs under -race in CI and is deliberately not shortened by -short.
 func TestBatchScratchRace(t *testing.T) {
 	nb, ders := neighbours(), warmPoolKeys(t)
-	cache := NewSigCache(64) // smaller than the working set: hits, misses and evictions interleave
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			var b Batch
-			for it := 0; it < 12; it++ {
-				b.Reset(cache)
-				n := 1 + (7*g+5*it)%len(nb)
-				for i := 0; i < n; i++ {
-					b.Add(nb[(g+i)%len(nb)].req.pub, nb[(g+i)%len(nb)].req.digest, ders[(g+i)%len(nb)])
-				}
-				b.Run()
-				for i := 0; i < n; i++ {
-					if got := b.Err(i) == nil; got != nb[(g+i)%len(nb)].want {
-						t.Errorf("goroutine %d, batch of %d, item %d: verified %v", g, n, i, got)
-						return
+	onEachLevelPath(func() {
+		cache := NewSigCache(64) // smaller than the working set: hits, misses and evictions interleave
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				var b Batch
+				for it := 0; it < 12; it++ {
+					b.Reset(cache)
+					n := 1 + (7*g+5*it)%len(nb)
+					for i := 0; i < n; i++ {
+						b.Add(nb[(g+i)%len(nb)].req.pub, nb[(g+i)%len(nb)].req.digest, ders[(g+i)%len(nb)])
+					}
+					b.Run()
+					for i := 0; i < n; i++ {
+						if got := b.Err(i) == nil; got != nb[(g+i)%len(nb)].want {
+							t.Errorf("goroutine %d, batch of %d, item %d: verified %v", g, n, i, got)
+							return
+						}
 					}
 				}
-			}
-		}(g)
-	}
-	wg.Wait()
+			}(g)
+		}
+		wg.Wait()
+	})
 }
 
 // What the two table geometries come to: 26 windows × 512 multiples for G
@@ -663,10 +680,10 @@ func TestColdKeyRace(t *testing.T) {
 
 var sinkBool bool
 
-const batchBenchRange = 39
-
-// BenchmarkVerify puts the engine's three cases next to crypto/ecdsa on the
-// same tuples, in one process: the ratios are what experiments/hotpath gates.
+// BenchmarkVerify puts the engine's cases next to crypto/ecdsa on the same
+// tuples, in one process: the ratios are what experiments/hotpath gates.
+// batch_scalar is batch with the affine levels on the scalar kernel, which
+// is batch itself on a CPU without the lanes.
 func BenchmarkVerify(b *testing.B) {
 	pub, digest, parts := validTuple(1)
 	r, s := new(big.Int).SetBytes(parts.R[:]), new(big.Int).SetBytes(parts.S[:])
@@ -684,33 +701,39 @@ func BenchmarkVerify(b *testing.B) {
 			sinkBool = verifyOne(kt, pub, digest, parts)
 		}
 	})
-	b.Run("batch", func(b *testing.B) {
-		// The 300 signatures of a 100-tx 2-of-2 block under 4 keys, in
-		// ranges of 39 (the validator's largest): ns/op is per signature.
-		var pubs []*ecdsa.PublicKey
-		reqs := make([]verifyReq, 300)
-		for i := range reqs {
-			priv := testKey(byte(i % 4))
-			digest := sha256.Sum256([]byte{byte(i), byte(i >> 8)})
-			r, s := signWith(priv, digest[:], big.NewInt(int64(5000+i)))
-			reqs[i] = reqOf(&priv.PublicKey, digest[:], partsOf(r, s))
-			pubs = append(pubs, &priv.PublicKey)
-		}
-		kt := tablesFor(b, pubs[:4]...)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i += len(reqs) {
-			for lo := 0; lo < len(reqs); lo += batchBenchRange {
-				kt.verify(reqs[lo:min(lo+batchBenchRange, len(reqs))])
+	for _, c := range []struct {
+		name  string
+		lanes bool
+	}{{"batch", haveLanes}, {"batch_scalar", false}} {
+		b.Run(c.name, func(b *testing.B) {
+			// The 300 signatures of a 100-tx 2-of-2 block under 4 keys, in
+			// ranges of FullBatch (the validator's largest): ns/op is per
+			// signature.
+			var pubs []*ecdsa.PublicKey
+			reqs := make([]verifyReq, 300)
+			for i := range reqs {
+				priv := testKey(byte(i % 4))
+				digest := sha256.Sum256([]byte{byte(i), byte(i >> 8)})
+				r, s := signWith(priv, digest[:], big.NewInt(int64(5000+i)))
+				reqs[i] = reqOf(&priv.PublicKey, digest[:], partsOf(r, s))
+				pubs = append(pubs, &priv.PublicKey)
 			}
-		}
-		b.StopTimer()
-		for i := range reqs {
-			if !reqs[i].valid {
-				b.Fatalf("signature %d rejected", i)
+			kt := tablesFor(b, pubs[:4]...)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += len(reqs) {
+				for lo := 0; lo < len(reqs); lo += FullBatch {
+					kt.verifyOn(reqs[lo:min(lo+FullBatch, len(reqs))], c.lanes)
+				}
 			}
-		}
-	})
+			b.StopTimer()
+			for i := range reqs {
+				if !reqs[i].valid {
+					b.Fatalf("signature %d rejected", i)
+				}
+			}
+		})
+	}
 	b.Run("single_use_key", func(b *testing.B) {
 		// Every key is new to the engine: the cost of looking, counting and
 		// not building.

@@ -27,7 +27,10 @@ import (
 // Everywhere else feMul, feSqrN, addAffine, invertAll and ordMul are
 // the …Generic functions below (p256_other.go). Those are compiled on every
 // architecture, and on amd64 the tests hold the kernel to them, bit for bit,
-// and to math/big.
+// and to math/big. The batch's affine levels have a second kernel on amd64
+// CPUs with AVX-512 IFMA, eight pairs at a time in radix 2⁵²
+// (p256_lanes_amd64.s), chosen from CPUID at package init; its levels hand
+// back this file's representation (keytable.go, laneLevel).
 
 // fe is a field element x·2²⁵⁶ mod p (Montgomery form), little-endian
 // limbs, always fully reduced to [0, p) so equality is limb equality.

@@ -48,3 +48,64 @@ func backSubstitute(xs, prefix []fe, inv *fe)
 //
 //go:noescape
 func ordMul(z, x, y *[4]uint64)
+
+// The 8-lane kernel of the affine levels, p256_lanes_amd64.s, generated by
+// p256_lanes_gen.go. A laneFE is eight field elements in radix 2⁵²; see
+// laneLevel (keytable.go) for what the two passes compute.
+
+//go:generate sh -c "go run p256_lanes_gen.go > p256_lanes_amd64.s"
+
+// laneMul sets every lane of z to x·y·2⁻²⁶⁰ mod p, below 2²⁵⁷, for lanes of
+// x and y below 2²⁵⁸ in 52-bit limbs. Only the tests call it.
+//
+//go:noescape
+func laneMul(z, x, y *laneFE)
+
+// laneSub sets every lane of z to x − y mod p, canonical, for lanes of x and
+// y below 2p in 52-bit limbs. Only the tests call it.
+//
+//go:noescape
+func laneSub(z, x, y *laneFE)
+
+//go:noescape
+func lanesPrefix(pts, next *affinePoint, idx *int32, pre *laneFE, groups int)
+
+//go:noescape
+func lanesChord(pts, next *affinePoint, idx *int32, pre *laneFE, tmp *laneTemps, groups, tail int)
+
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (xcr0 uint32)
+
+// haveLanes reports, from CPUID and XGETBV at package init, whether the CPU
+// has AVX-512F, AVX-512DQ and AVX-512 IFMA and the OS saves the zmm and
+// mask registers; lanesMissing names what is missing when it does not.
+var haveLanes, lanesMissing = detectLanes()
+
+func detectLanes() (bool, string) {
+	if leaves, _, _, _ := cpuid(0, 0); leaves < 7 {
+		return false, "CPUID leaf 7"
+	}
+	const osxsave = 1 << 27
+	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 {
+		return false, "OSXSAVE"
+	}
+	const sseAVXOpmaskZMM = 0xe6 // XCR0: XMM, YMM, opmask and both halves of the zmm state
+	if xgetbv()&sseAVXOpmaskZMM != sseAVXOpmaskZMM {
+		return false, "OS support for the opmask and zmm state (XCR0)"
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	missing := ""
+	for _, f := range []struct {
+		bit  uint32
+		name string
+	}{{1 << 16, "AVX-512F"}, {1 << 17, "AVX-512DQ"}, {1 << 21, "AVX-512 IFMA"}} {
+		if ebx&f.bit == 0 {
+			missing += " " + f.name
+		}
+	}
+	if missing != "" {
+		return false, missing[1:]
+	}
+	return true, ""
+}

@@ -299,7 +299,9 @@ func TestFieldMatchesBig(t *testing.T) {
 // and invertAll on elements derived from the two, and, mod n, ordMul of the
 // first limbs reduced mod n by the second taken as they are, and ordInv. The
 // variable-time inversions feInvVar and ordInvVar of the first equal
-// math/big's and the Fermat chains'.
+// math/big's and the Fermat chains'. Where the CPU has the 8-lane kernel,
+// its product and difference of the two and of their twins p above agree
+// with math/big and with feMul and feSub (checkLaneArith).
 func FuzzFieldMatchesBig(f *testing.F) {
 	ones := ^uint64(0)
 	edges := [][4]uint64{
@@ -389,6 +391,11 @@ func FuzzFieldMatchesBig(f *testing.F) {
 			feAdd(&e, &e, &x)
 		}
 		checkInvertAll(t, xs)
+		if haveLanes { // the 8-lane product and difference, on x, y and their twins p above
+			ix, iy := limbsToBig(x), limbsToBig(y)
+			tx, ty := new(big.Int).Add(ix, bigP), new(big.Int).Add(iy, bigP)
+			checkLaneArith(t, [8]*big.Int{ix, tx, ix, tx, iy, ty, ix, iy}, [8]*big.Int{iy, iy, ty, ty, ix, tx, ix, ty})
+		}
 
 		ox := limbsOfBig(new(big.Int).Mod(limbsToBig([4]uint64{a0, a1, a2, a3}), bigN))
 		oy := [4]uint64{b0, b1, b2, b3}
@@ -569,9 +576,10 @@ func BenchmarkFeMulGeneric(b *testing.B) {
 	sinkFE = x
 }
 
-// BenchmarkFeInv, BenchmarkAddMixed and BenchmarkAddAffine (which includes an
-// addition's 3 M share of a shared inversion) are what affineLevelMin is
-// derived from.
+// BenchmarkFeInvVar, BenchmarkAddMixed and BenchmarkAddAffine (which
+// includes an addition's 3 M share of a shared inversion) are what
+// affineLevelMin is derived from; BenchmarkFeInv prices the Fermat chain
+// that feInvVar replaced.
 func BenchmarkFeInv(b *testing.B) {
 	x := feOf(big.NewInt(0).Rsh(bigP, 1))
 	for i := 0; i < b.N; i++ {

@@ -239,6 +239,25 @@ func (b *Batch) resolve(pub *ecdsa.PublicKey) verifyKey {
 // and stores the verdicts in the cache. Call it once, after the last Add.
 func (b *Batch) Run() {
 	engine.verify(b.reqs)
+	b.store()
+}
+
+// RunScalar is Run with the batch's affine levels on the scalar kernel even
+// where the CPU has the 8-lane one: the same verdicts, at the price the
+// lanes replace. It exists so the hotpath record can measure the two side
+// by side; on a CPU without the lanes it is Run.
+func (b *Batch) RunScalar() {
+	engine.verifyOn(b.reqs, false)
+	b.store()
+}
+
+// Lanes reports whether this CPU runs the batch verifier's affine levels on
+// the 8-lane kernel (amd64 with AVX-512F, AVX-512DQ and AVX-512 IFMA),
+// which Run uses wherever it can.
+func Lanes() bool { return haveLanes }
+
+// store takes the verdicts of a run into the errors and the cache.
+func (b *Batch) store() {
 	for j := range b.reqs {
 		rq := &b.reqs[j]
 		b.errs[b.slots[j]] = verdict(rq.valid)
