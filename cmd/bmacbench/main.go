@@ -111,9 +111,12 @@ func run() (err error) {
 				if err := rec.Gate(baseline, *gateTol); err != nil {
 					return err
 				}
-				fmt.Printf("gate: allocs/op within %.0f%% of %s, verification-engine, BMac-sender and signer ratios within limits\n", *gateTol*100, *gatePath)
+				fmt.Printf("gate: allocs/op within %.0f%% of %s, verification-engine, hash-lane, BMac-sender and signer ratios within limits\n", *gateTol*100, *gatePath)
 				if !rec.Lanes {
 					fmt.Println("gate: ecdsa_verify_batch / ecdsa_verify_batch_scalar not applicable: no 8-lane kernel on this CPU")
+				}
+				if !rec.HashLanes {
+					fmt.Println("gate: sha256_range_lanes / sha256_range not applicable: no 16-lane SHA-256 kernel on this CPU")
 				}
 			}
 		}

@@ -1157,12 +1157,17 @@ func OrdererSigningBytes(h *Header, nonce, creator []byte) []byte {
 // EndorsementDigest is the endorsement signing contract: the digest an
 // endorser signs and every validation path checks, SHA-256 over the marshaled
 // proposal response payload followed by the endorser's certificate, as in
-// Fabric. The two are hashed where they lie, never concatenated.
+// Fabric: the digest of EndorsementMessage.
 func EndorsementDigest(proposalResponseBytes, endorserCert []byte) [fabcrypto.HashSize]byte {
-	var h fabcrypto.StreamHasher
-	h.Write(proposalResponseBytes)
-	h.Write(endorserCert)
-	return [fabcrypto.HashSize]byte(h.Sum())
+	m := EndorsementMessage(proposalResponseBytes, endorserCert)
+	return m.Hash()
+}
+
+// EndorsementMessage is what an endorsement digest covers, for hashing in a
+// fabcrypto.HashBatch: the two parts are hashed where they lie, never
+// concatenated.
+func EndorsementMessage(proposalResponseBytes, endorserCert []byte) fabcrypto.Message {
+	return fabcrypto.Message{A: proposalResponseBytes, B: endorserCert}
 }
 
 // CommitHash chains the commit hash: SHA-256(prev commit hash || data hash

@@ -16,6 +16,15 @@
 // way. That engine is variable time, which is sound because a verification
 // has no secret input.
 //
+// Hashing is crypto/sha256's single stream (SHA-NI where the CPU has it)
+// for one message at a time (Hash, Message.Hash, StreamHasher). HashBatch
+// hashes independent messages — a vscc range's client payloads, a round's
+// endorsement messages — sixteen at a time, one per 32-bit lane of an
+// AVX-512 register (sha256_lanes_amd64.s): the software's counterpart of
+// the paper's SHA-256 calculators running beside the ecdsa_engines. It
+// takes the lanes only where the CPU has them and the batch fills them,
+// and gives crypto/sha256's digests either way.
+//
 // Signing (Signer.Sign, SignDigest) runs on the package's own RFC 6979
 // signer, sign.go, byte for byte crypto/ecdsa's signature after low-S. Its
 // secrets — the key, the nonce and their products — touch only ordMul, a
@@ -69,7 +78,10 @@ func HashSlice(data []byte) []byte {
 // StreamHasher is an incremental SHA-256 calculator mirroring the paper's
 // stream-based hash calculators in the protocol_processor: three of them run
 // in parallel over block data, transaction sections, and endorsement data.
-// The zero value is ready; it holds the hash state, not the data.
+// It hashes one stream at a time, for data that arrives in pieces (the BMac
+// receiver's packets, the commit hash's parts); a message whose parts are
+// all at hand is a Message, and many of them are a HashBatch. The zero value
+// is ready; it holds the hash state, not the data.
 type StreamHasher struct {
 	inner [HashSize]byte
 	h     hash.Hash // nil until the first use

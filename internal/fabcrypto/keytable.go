@@ -149,12 +149,20 @@ func newCombTable(base affinePoint, bits int) *combTable {
 }
 
 // gather appends to dst the points whose sum is k·P, P being t's point: one
-// per non-zero digit of k's signed recoding.
+// per non-zero digit of k's signed recoding. It works in three passes so
+// that no branch depends on k and the table's cache misses overlap: it
+// recodes every window into a table index and a sign mask (a zero digit
+// is written and then overwritten), copies the points in one loop, and
+// negates y where the digit is negative by a masked select.
 //
 // bmaclint:noalloc
 func (t *combTable) gather(dst []affinePoint, k *[4]uint64) []affinePoint {
-	var carry uint64
-	full := uint64(2 * t.half)
+	var (
+		idx      [maxWindows]int32
+		signs    [maxWindows]uint64 // all ones where the digit is negative
+		n, carry uint64
+	)
+	full, half := uint64(2*t.half), uint64(t.half)
 	for i := 0; i < t.count; i++ {
 		limb, off := i*t.bits/64, uint(i*t.bits%64)
 		v := k[limb] >> off
@@ -162,20 +170,36 @@ func (t *combTable) gather(dst []affinePoint, k *[4]uint64) []affinePoint {
 			v |= k[limb+1] << (64 - off)
 		}
 		v = v&(full-1) + carry
-		neg := v > uint64(t.half)
-		if carry = 0; neg {
-			v, carry = full-v, 1
-		}
-		if v == 0 {
-			continue
-		}
-		dst = append(dst, t.pts[i*t.half+int(v)-1])
-		if neg {
-			q := &dst[len(dst)-1]
-			feNeg(&q.y, &q.y)
-		}
+		carry = (half - v) >> 63 // the digit is v − full
+		neg := -carry
+		v ^= (v ^ (full - v)) & neg
+		idx[n], signs[n] = int32(uint64(i)*half+v-1), neg
+		n += (v | -v) >> 63
+	}
+	start := len(dst)
+	for _, i := range idx[:n] {
+		dst = append(dst, t.pts[i])
+	}
+	for j := range dst[start:] {
+		feNegIf(&dst[start+j].y, signs[j])
 	}
 	return dst
+}
+
+// maxWindows is the most windows a table has: a key's, whose windows are
+// the narrower.
+const maxWindows = (256 + keyWinBits) / keyWinBits
+
+// feNegIf sets y = −y where mask is all ones and leaves it where mask is
+// zero, for 0 < y < p: (y ⊕ mask) + ((p + 1) ∧ mask) mod 2²⁵⁶ is
+// 2²⁵⁶ − 1 − y + p + 1 ≡ p − y, feNeg's result. The limbs of p + 1 are 0,
+// p1 + 1, p2 and p3.
+func feNegIf(y *fe, mask uint64) {
+	y[0] ^= mask
+	var c uint64
+	y[1], c = bits.Add64(y[1]^mask, (p1+1)&mask, 0)
+	y[2], c = bits.Add64(y[2]^mask, p2&mask, c)
+	y[3], _ = bits.Add64(y[3]^mask, p3&mask, c)
 }
 
 var (

@@ -767,3 +767,75 @@ func BenchmarkVerify(b *testing.B) {
 		}
 	})
 }
+
+// gatherBranchy is gather as one pass that branches on every digit, the
+// form it had before it was made branch-free: the reference of
+// TestGatherMatchesBranchy.
+func gatherBranchy(t *combTable, dst []affinePoint, k *[4]uint64) []affinePoint {
+	var carry uint64
+	full := uint64(2 * t.half)
+	for i := 0; i < t.count; i++ {
+		limb, off := i*t.bits/64, uint(i*t.bits%64)
+		v := k[limb] >> off
+		if int(off)+t.bits > 64 && limb < 3 {
+			v |= k[limb+1] << (64 - off)
+		}
+		v = v&(full-1) + carry
+		neg := v > uint64(t.half)
+		if carry = 0; neg {
+			v, carry = full-v, 1
+		}
+		if v == 0 {
+			continue
+		}
+		dst = append(dst, t.pts[i*t.half+int(v)-1])
+		if neg {
+			q := &dst[len(dst)-1]
+			feNeg(&q.y, &q.y)
+		}
+	}
+	return dst
+}
+
+// TestGatherMatchesBranchy compares gather's points with gatherBranchy's
+// on G's table and a key's, for scalars with every digit zero, every digit
+// at ±half (the carry's edge) and random ones, appended after points
+// already in dst.
+func TestGatherMatchesBranchy(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	scalars := [][4]uint64{{}, {1}, {^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}, nLimbs}
+	for _, bits := range []int{gWinBits, keyWinBits} { // every window's digit at half, then at half + 1
+		for _, d := range []uint64{1 << (bits - 1), 1<<(bits-1) + 1} {
+			var k [4]uint64
+			for i := 0; i*bits < 256; i++ {
+				for b := 0; b < bits && i*bits+b < 256; b++ {
+					if d>>b&1 == 1 {
+						k[(i*bits+b)/64] |= 1 << ((i*bits + b) % 64)
+					}
+				}
+			}
+			scalars = append(scalars, k)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		scalars = append(scalars, [4]uint64{rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()})
+	}
+	priv := testKey(1)
+	x, _ := feFromLimbs(limbsOfBig(priv.X))
+	y, _ := feFromLimbs(limbsOfBig(priv.Y))
+	for name, tab := range map[string]*combTable{"G": gTable(), "key": newCombTable(affinePoint{x: x, y: y}, keyWinBits)} {
+		prefix := []affinePoint{{x: feOne}}
+		for _, k := range scalars {
+			got := tab.gather(append([]affinePoint{}, prefix...), &k)
+			want := gatherBranchy(tab, append([]affinePoint{}, prefix...), &k)
+			if len(got) != len(want) {
+				t.Fatalf("%s, k = %x: %d points, want %d", name, k, len(got), len(want))
+			}
+			for j := range got {
+				if got[j] != want[j] {
+					t.Fatalf("%s, k = %x: point %d differs", name, k, j)
+				}
+			}
+		}
+	}
+}

@@ -80,9 +80,24 @@ func xgetbv() (xcr0 uint32)
 // haveLanes reports, from CPUID and XGETBV at package init, whether the CPU
 // has AVX-512F, AVX-512DQ and AVX-512 IFMA and the OS saves the zmm and
 // mask registers; lanesMissing names what is missing when it does not.
-var haveLanes, lanesMissing = detectLanes()
+var haveLanes, lanesMissing = detectAVX512(avx512F, avx512DQ, avx512IFMA)
 
-func detectLanes() (bool, string) {
+// CPUID leaf 7 (EBX) bits of the AVX-512 extensions the kernels use.
+var (
+	avx512F    = cpuFeature{1 << 16, "AVX-512F"}
+	avx512DQ   = cpuFeature{1 << 17, "AVX-512DQ"}
+	avx512IFMA = cpuFeature{1 << 21, "AVX-512 IFMA"}
+	avx512BW   = cpuFeature{1 << 30, "AVX-512BW"}
+)
+
+type cpuFeature struct {
+	bit  uint32
+	name string
+}
+
+// detectAVX512 reports whether the CPU has every one of features and the OS
+// saves the zmm and mask registers, and names what is missing when not.
+func detectAVX512(features ...cpuFeature) (bool, string) {
 	if leaves, _, _, _ := cpuid(0, 0); leaves < 7 {
 		return false, "CPUID leaf 7"
 	}
@@ -96,10 +111,7 @@ func detectLanes() (bool, string) {
 	}
 	_, ebx, _, _ := cpuid(7, 0)
 	missing := ""
-	for _, f := range []struct {
-		bit  uint32
-		name string
-	}{{1 << 16, "AVX-512F"}, {1 << 17, "AVX-512DQ"}, {1 << 21, "AVX-512 IFMA"}} {
+	for _, f := range features {
 		if ebx&f.bit == 0 {
 			missing += " " + f.name
 		}

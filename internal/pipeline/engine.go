@@ -346,8 +346,13 @@ func (p *rangePool) claim() (r int, ok bool) {
 // running, which a stage's time should not: a worker that is slowed holds a
 // whole range while the others have run out, two engines validating one
 // block through one SigCache each compute a range before either has stored
-// it, and a worker's scratch (≈ 6 KB per signature) has to stay beside the
-// tables in its core's cache. The hotpath row ecdsa_verify_batch runs at it.
+// it, and a worker's scratch has to stay beside the tables in its core's
+// cache: after a 39-signature range on the 8-lane kernel the engine's
+// batchScratch holds 242 KB at the capacities append leaves (≈ 6.2 KB per
+// signature) and 3.2 KB of lane temporaries, and vscc's own scratch about
+// 0.35 KB per signature (the request, its digest, message and check); the
+// hash lanes add 5 KB of stack while a batch is hashed. The hotpath rows
+// ecdsa_verify_batch and sha256_range_lanes run at it.
 const maxVSCCRange = fabcrypto.FullBatch / 3
 
 // VSCCRange is how many transactions of an n-transaction block the verify

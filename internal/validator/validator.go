@@ -164,24 +164,14 @@ func VerifyOrderer(b *block.Block, opts VerifyOpts, bd *Breakdown) error {
 	if err != nil {
 		return err
 	}
-	digest := timedHash(bd, func() [fabcrypto.HashSize]byte {
-		return fabcrypto.Hash(block.OrdererSigningBytes(&b.Header, ms.Nonce, ms.Creator))
-	})
+	t = time.Now()
+	digest := fabcrypto.Hash(block.OrdererSigningBytes(&b.Header, ms.Nonce, ms.Creator))
+	bd.SHA256Time += time.Since(t)
+	bd.SHA256Count++
 	t = time.Now()
 	err, hit := opts.SigCache.VerifyDigest(pub, digest[:], ms.Signature)
 	bd.countVerify(hit, time.Since(t))
 	return err
-}
-
-// timedHash computes one digest, attributing its time to the SHA-256
-// counters. The digest is returned as a value: where it has to outlive the
-// call, the caller decides where it is kept.
-func timedHash(bd *Breakdown, hash func() [fabcrypto.HashSize]byte) [fabcrypto.HashSize]byte {
-	t := time.Now()
-	d := hash()
-	bd.SHA256Time += time.Since(t)
-	bd.SHA256Count++
-	return d
 }
 
 // countVerify attributes one signature check: a cache hit lands in
@@ -206,8 +196,23 @@ type vsccScratch struct {
 	ids      []identity.EncodedID       // every endorser of the range, transaction after transaction
 	refs     []int                      // batch check numbers: each client signature (−1: decided in collect), then each endorsement of the round (−1: unverifiable)
 	digests  [][fabcrypto.HashSize]byte // what the batch's checks verify against; a slice handed to the batch still reads its digest after a regrow
+	msgs     []fabcrypto.Message        // the messages of the checks waiting to be hashed
+	checks   []vsccCheck                // and those checks
 	verdicts []bool
 }
+
+// vsccCheck is a signature check waiting for its message's digest: refs[ref]
+// gets its number in the batch.
+type vsccCheck struct {
+	pub *ecdsa.PublicKey
+	sig []byte
+	ref int
+}
+
+// scalarHash makes VSCC hash each message on its own instead of through
+// fabcrypto.HashBatch. Only tests set it, so that both paths run on a CPU
+// with the hash lanes.
+var scalarHash bool
 
 var vsccPool = sync.Pool{New: func() any { return new(vsccScratch) }}
 
@@ -215,30 +220,62 @@ var vsccPool = sync.Pool{New: func() any { return new(vsccScratch) }}
 // its endorsements are verified all the same, and nothing satisfies it.
 var noPolicy = policy.Compile(&policy.Policy{Name: "none", Expr: policy.Or{}})
 
+// queue holds a check of sig under pub over m's digest until flush.
+func (sc *vsccScratch) queue(pub *ecdsa.PublicKey, m fabcrypto.Message, sig []byte, ref int) {
+	sc.msgs = append(sc.msgs, m)
+	sc.checks = append(sc.checks, vsccCheck{pub: pub, sig: sig, ref: ref})
+}
+
+// flush hashes the queued messages in one fabcrypto.HashBatch, one timed
+// call and a SHA-256 count per digest, and adds their checks to the batch in
+// the order they were queued.
+//
+// bmaclint:noalloc
+func (sc *vsccScratch) flush(bd *Breakdown) {
+	base := len(sc.digests)
+	for range sc.msgs {
+		sc.digests = append(sc.digests, [fabcrypto.HashSize]byte{})
+	}
+	digests := sc.digests[base:]
+	t := time.Now()
+	if scalarHash {
+		for i := range sc.msgs {
+			digests[i] = sc.msgs[i].Hash()
+		}
+	} else {
+		fabcrypto.HashBatch(digests, sc.msgs)
+	}
+	bd.SHA256Time += time.Since(t)
+	bd.SHA256Count += len(sc.msgs)
+	for i, c := range sc.checks {
+		t := time.Now()
+		ref, hit := sc.batch.Add(c.pub, digests[i][:], c.sig)
+		bd.countVerify(hit, time.Since(t))
+		sc.refs[c.ref] = ref
+	}
+	clear(sc.msgs) // the pool keeps no block alive
+	clear(sc.checks)
+	sc.msgs, sc.checks = sc.msgs[:0], sc.checks[:0]
+}
+
 // VSCC validates the transactions envs[i]/txs[i] into flags[i]: client
 // signature, then all endorsement signatures, then the endorsement policy.
 // It works in three steps so that the signatures of the whole range are
 // verified as one batch of the engine: collect (client certificate → key,
-// digest, cache lookup, queue; each endorser's identity), run (the
-// ends_scheduler in Fabric's setting — every endorsement in one round, no
-// short-circuit — queues the endorsements the same way and runs the batch),
-// decide (the register files the scheduler filled). Since every check is
-// queued before any verdict is known, a transaction whose client signature
-// is bad has its endorsements verified anyway; its flag is BadSignature all
-// the same. The optional caches leave verdicts bit-identical: they only
-// memoize.
+// each endorser's identity; then every client digest in one
+// fabcrypto.HashBatch, cache lookup, queue), run (the ends_scheduler in
+// Fabric's setting — every endorsement in one round, no short-circuit —
+// hashes the round's endorsement messages in one call and queues their
+// checks the same way, and runs the batch), decide (the register files the
+// scheduler filled). Since every check is queued before any verdict is
+// known, a transaction whose client signature is bad has its endorsements
+// verified anyway; its flag is BadSignature all the same. The optional
+// caches leave verdicts bit-identical: they only memoize.
 func VSCC(envs []block.Envelope, txs []ParsedTx, flags []byte, policies map[string]*policy.Circuit, opts VerifyOpts, bd *Breakdown) {
 	sc := vsccPool.Get().(*vsccScratch)
 	defer vsccPool.Put(sc)
 	sc.batch.Reset(opts.SigCache)
 	sc.txs, sc.ids, sc.refs, sc.digests = sc.txs[:0], sc.ids[:0], sc.refs[:0], sc.digests[:0]
-	add := func(pub *ecdsa.PublicKey, hash func() [fabcrypto.HashSize]byte, sig []byte) int {
-		sc.digests = append(sc.digests, timedHash(bd, hash))
-		t := time.Now()
-		ref, hit := sc.batch.Add(pub, sc.digests[len(sc.digests)-1][:], sig)
-		bd.countVerify(hit, time.Since(t))
-		return ref
-	}
 	for i := range txs {
 		p := &txs[i]
 		sc.txs, sc.refs = append(sc.txs, policy.Tx{}), append(sc.refs, -1) // no Circuit, no check: decided here
@@ -251,7 +288,7 @@ func VSCC(envs []block.Envelope, txs []ParsedTx, flags []byte, policies map[stri
 			flags[i] = byte(block.BadCreator)
 			continue
 		}
-		sc.refs[i] = add(pub, func() [fabcrypto.HashSize]byte { return fabcrypto.Hash(envs[i].PayloadBytes) }, envs[i].Signature)
+		sc.queue(pub, fabcrypto.Message{A: envs[i].PayloadBytes}, envs[i].Signature, i)
 		start := len(sc.ids)
 		for _, e := range p.Tx.Payload.Action.Endorsements {
 			id, _ := opts.Members.IDForCert(e.Endorser)
@@ -263,6 +300,7 @@ func VSCC(envs []block.Envelope, txs []ParsedTx, flags []byte, policies map[stri
 			v.Circuit = noPolicy
 		}
 	}
+	sc.flush(bd)
 
 	run := func() {
 		t := time.Now()
@@ -272,12 +310,12 @@ func VSCC(envs []block.Envelope, txs []ParsedTx, flags []byte, policies map[stri
 	sc.sched.Run(sc.txs, func(round []policy.Request) []bool {
 		for _, rq := range round {
 			e := &txs[rq.Tx].Tx.Payload.Action.Endorsements[rq.End]
-			ref := -1 // an unverifiable endorsement contributes nothing
+			sc.refs = append(sc.refs, -1) // an unverifiable endorsement contributes nothing
 			if epub, err := opts.CertCache.PublicKeyFromCert(e.Endorser); err == nil {
-				ref = add(epub, func() [fabcrypto.HashSize]byte { return block.EndorsementDigest(txs[rq.Tx].PRP, e.Endorser) }, e.Signature)
+				sc.queue(epub, block.EndorsementMessage(txs[rq.Tx].PRP, e.Endorser), e.Signature, len(sc.refs)-1)
 			}
-			sc.refs = append(sc.refs, ref)
 		}
+		sc.flush(bd)
 		run()
 		sc.verdicts = sc.verdicts[:0]
 		for _, ref := range sc.refs[len(txs):] {

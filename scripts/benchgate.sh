@@ -17,11 +17,19 @@
 # entries through an 8x2 core.Processor, per signature: its rounds are such
 # ranges; the quotient was 1.11 on one CPU while each request was a batch of
 # one, and is 0.6 there now),
-# ecdsa_verify_single_use_key / ecdsa_verify_stdlib <= 1.10 and
+# ecdsa_verify_single_use_key / ecdsa_verify_stdlib <= 1.10 (the median of
+# the per-round quotients of the 40 interleaved rounds, since both rows are
+# crypto/ecdsa verifications and the quotient of their totals swings with
+# the host) and
 # key_table_build_verifies_x <= 1.5 * PromoteAfter + 1 = 25 (rows measured
 # interleaved with crypto/ecdsa in one process — the record's ratio_rows, and
 # the build against a crypto/ecdsa row of its own — so the quotients hold on
-# another host where the ns do not). Two more hold the BMac protocol
+# another host where the ns do not). One holds the hash lanes:
+# sha256_range_lanes / sha256_range <= 0.80 (a vscc range's digests as
+# validator.VSCC hashes them, on the 16-lane AVX-512 SHA-256 kernel, against
+# one crypto/sha256 stream per message, the two measured interleaved; on a
+# CPU without the kernel both rows hash one message at a time and this gate
+# prints as not applicable). Two more hold the BMac protocol
 # sender: bmac_encode_block_64ids / bmac_encode_block <= 1.25 (EncodeBlock
 # must not grow with the number of registered identities) and
 # bmac_encode_block / marshal_block <= 50, the three measured interleaved.
