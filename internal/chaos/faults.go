@@ -260,9 +260,9 @@ func CorruptSealedSegment(dir string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("chaos: stat segment: %w", err)
 	}
-	// Flip a byte in the middle of the record region, clear of the 64-byte
+	// Flip a byte in the middle of the record region, clear of the 36-byte
 	// footer, so the footer parses but its checksum no longer matches.
-	off := (fi.Size() - 64) / 2
+	off := (fi.Size() - 36) / 2
 	var b [1]byte
 	if _, err := f.ReadAt(b[:], off); err != nil {
 		return "", fmt.Errorf("chaos: read segment: %w", err)

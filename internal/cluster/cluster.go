@@ -222,14 +222,12 @@ type Result struct {
 	// BMacDelivery is the hardware path's delivery pipe (zero value
 	// without a BMac peer).
 	BMacDelivery delivery.PeerStats
-	// SigCacheHitRate and ParseCacheHitRate report THIS run's traffic on
-	// the shared hot-path caches (config.Config.SigCache and ParseCache),
-	// computed from stat deltas so reusing one Config across several runs
-	// does not blend their rates. Every peer in the process shares the
-	// caches, so repeated signatures and envelopes across the fan-out cost
-	// their decode once.
-	SigCacheHitRate   float64
-	ParseCacheHitRate float64
+	// SigCacheHitRate reports THIS run's traffic on the shared signature
+	// cache (config.Config.SigCache), computed from a stat delta so reusing
+	// one Config across several runs does not blend their rates. Every peer
+	// in the process shares the cache, so a signature repeated across the
+	// fan-out is verified once.
+	SigCacheHitRate float64
 	// Converged reports whether every fast peer finished with the same
 	// ledger height, state hash and commit hash (slow peers may lag or
 	// drop by design and are excluded).
@@ -396,10 +394,9 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 	if rec == nil && cfg.Telemetry.Enabled {
 		rec = telemetry.NewRecorder()
 	}
-	// Snapshot the shared caches' counters so the report reflects this
+	// Snapshot the shared cache's counters so the report reflects this
 	// run's traffic, not whatever a previous run on the same Config did.
 	sigH0, sigM0, _ := cfg.SigCache().Stats()
-	parH0, parM0 := cfg.ParseCache().Stats()
 
 	// Endorsers, a RaftNodes-node ordering service with the orderer bound
 	// to the elected leader, and the optional BMac peer.
@@ -826,16 +823,14 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 
 	// Report.
 	sigH1, sigM1, _ := cfg.SigCache().Stats()
-	parH1, parM1 := cfg.ParseCache().Stats()
 	res := &Result{
-		Mode:              opts.Mode,
-		RaftNodes:         opts.RaftNodes,
-		Submitted:         submitted,
-		Late:              late,
-		SWLatency:         gen.Latency(),
-		SigCacheHitRate:   deltaRate(sigH1-sigH0, sigM1-sigM0),
-		ParseCacheHitRate: deltaRate(parH1-parH0, parM1-parM0),
-		Events:            sp.report(),
+		Mode:            opts.Mode,
+		RaftNodes:       opts.RaftNodes,
+		Submitted:       submitted,
+		Late:            late,
+		SWLatency:       gen.Latency(),
+		SigCacheHitRate: deltaRate(sigH1-sigH0, sigM1-sigM0),
+		Events:          sp.report(),
 	}
 	res.SizeCuts, res.IdleCuts, res.TimeoutCuts = ord.Cuts()
 	peers[0].mu.Lock()

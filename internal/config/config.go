@@ -23,7 +23,6 @@ import (
 	"bmac/internal/policy"
 	"bmac/internal/statedb"
 	"bmac/internal/telemetry"
-	"bmac/internal/validator"
 	"bmac/internal/yamllite"
 )
 
@@ -146,29 +145,26 @@ type Config struct {
 	Durability DurabilitySpec
 	Telemetry  TelemetrySpec
 
-	// caches memoizes the shared verification/parse caches and the
+	// caches memoizes the shared signature and certificate caches and the
 	// identity network behind a pointer, so copying a Config (the cluster
 	// harness derives per-peer variants that way) shares the same
 	// instances instead of copying lock state. Every validator/pipeline
 	// configuration materialized from this Config — sequential,
 	// pipelined, BMac cross-check — uses the same caches, which is what
-	// makes a signature or envelope cost its decode exactly once per
-	// process.
+	// makes a signature cost its verification once per process.
 	caches *hotCaches
 }
 
 type hotCaches struct {
-	sigOnce   sync.Once
-	sig       *fabcrypto.SigCache
-	certOnce  sync.Once
-	cert      *fabcrypto.CertCache
-	parseOnce sync.Once
-	parse     *validator.ParseCache
-	regOnce   sync.Once
-	reg       *telemetry.Registry
-	netOnce   sync.Once
-	net       *identity.Network
-	netErr    error
+	sigOnce  sync.Once
+	sig      *fabcrypto.SigCache
+	certOnce sync.Once
+	cert     *fabcrypto.CertCache
+	regOnce  sync.Once
+	reg      *telemetry.Registry
+	netOnce  sync.Once
+	net      *identity.Network
+	netErr   error
 }
 
 func (c *Config) ensureCaches() *hotCaches {
@@ -178,25 +174,18 @@ func (c *Config) ensureCaches() *hotCaches {
 	return c.caches
 }
 
-// The sizes of the shared caches. The two verdict caches hold four full
-// blocks of the default architecture's 256 transactions: 1 024 parsed
-// envelopes, and 4 096 signatures at up to four per transaction. A second
-// peer in the same process reaches a block within that distance (the hit
-// rates on the ruler's e2e workload are those of the 8 192 / 16 384
-// entries replaced, 0.46 and 0.60), and a peer that sees a chain once never
-// hits at all — but a parsed envelope is live heap the collector marks each
-// cycle (the signature cache's rings hold no pointers and are not scanned),
-// and on a host with idle CPUs a mark phase holds back timers and wake-ups
-// for as long as it runs: at 8 192 and 16 384 entries the caches were half
-// of the process's mark work, and the mark phases held about half of the
-// paced transactions at or above the 95th percentile (ARCHITECTURE.md,
-// "How large the verdict caches are"). The certificate cache holds the
-// handful of identity certificates that recur in every transaction, whose
-// parsing rivals the ECDSA math in allocations.
+// The sizes of the shared caches. The signature cache holds four full
+// blocks of the default architecture's 256 transactions, at up to four
+// signatures per transaction: a second peer in the same process reaches a
+// block within that distance (the hit rate on the ruler's e2e workload is
+// that of the 16 384 entries it replaced, 0.60), and a peer that sees a
+// chain once never hits at all (ARCHITECTURE.md, "How large the verdict
+// cache is"). The certificate cache holds the handful of identity
+// certificates that recur in every transaction, whose parsing rivals the
+// ECDSA math in allocations.
 const (
-	sigCacheSize   = 4 * 4 * 256 // signature verdicts
-	certCacheSize  = 4096        // parsed certificates
-	parseCacheSize = 4 * 256     // parsed envelopes
+	sigCacheSize  = 4 * 4 * 256 // signature verdicts
+	certCacheSize = 4096        // parsed certificates
 )
 
 // SigCache returns the Config's shared signature-verification cache,
@@ -217,18 +206,10 @@ func (c *Config) CertCache() *fabcrypto.CertCache {
 	return h.cert
 }
 
-// ParseCache returns the Config's shared parse-once interning table,
-// creating it on first use.
-func (c *Config) ParseCache() *validator.ParseCache {
-	h := c.ensureCaches()
-	h.parseOnce.Do(func() { h.parse = validator.NewParseCache(parseCacheSize) })
-	return h.parse
-}
-
 // TelemetryRegistry returns the Config's shared metrics registry, creating
 // it on first use; nil when the telemetry plane is disabled. On creation
-// the process-wide cache counters (signature, certificate and parse-once
-// caches) are exported as scrape-time GaugeFunc read adapters, so enabling
+// the process-wide cache counters (signature and certificate caches) are
+// exported as scrape-time GaugeFunc read adapters, so enabling
 // telemetry adds nothing to those hot paths.
 func (c *Config) TelemetryRegistry() *telemetry.Registry {
 	h := c.ensureCaches()
@@ -237,7 +218,7 @@ func (c *Config) TelemetryRegistry() *telemetry.Registry {
 			return
 		}
 		reg := telemetry.NewRegistry()
-		sig, cert, parse := c.SigCache(), c.CertCache(), c.ParseCache()
+		sig, cert := c.SigCache(), c.CertCache()
 		reg.GaugeFunc("fabcrypto_sigcache_hits_total", func() int64 { h, _, _ := sig.Stats(); return h })
 		reg.GaugeFunc("fabcrypto_sigcache_misses_total", func() int64 { _, m, _ := sig.Stats(); return m })
 		reg.GaugeFunc("fabcrypto_sigcache_evictions_total", func() int64 { _, _, e := sig.Stats(); return e })
@@ -250,8 +231,6 @@ func (c *Config) TelemetryRegistry() *telemetry.Registry {
 		reg.GaugeFunc("fabcrypto_engine_tables_built_total", func() int64 { return fabcrypto.KeyTableStats().TablesBuilt })
 		reg.GaugeFunc("fabcrypto_engine_tables_evicted_total", func() int64 { return fabcrypto.KeyTableStats().TablesEvicted })
 		reg.GaugeFunc("fabcrypto_engine_resident_bytes", func() int64 { return fabcrypto.KeyTableStats().ResidentBytes })
-		reg.GaugeFunc("validator_parsecache_hits_total", func() int64 { h, _ := parse.Stats(); return h })
-		reg.GaugeFunc("validator_parsecache_misses_total", func() int64 { _, m := parse.Stats(); return m })
 		h.reg = reg
 	})
 	return h.reg
@@ -617,13 +596,12 @@ func (c *Config) engineConfig(workers int, path string) (pipeline.Config, error)
 		return pipeline.Config{}, err
 	}
 	return pipeline.Config{
-		Workers:    workers,
-		Policies:   pols,
-		SigCache:   c.SigCache(),
-		CertCache:  c.CertCache(),
-		Members:    members,
-		ParseCache: c.ParseCache(),
-		Metrics:    telemetry.NewValidatorMetrics(c.TelemetryRegistry(), path),
+		Workers:   workers,
+		Policies:  pols,
+		SigCache:  c.SigCache(),
+		CertCache: c.CertCache(),
+		Members:   members,
+		Metrics:   telemetry.NewValidatorMetrics(c.TelemetryRegistry(), path),
 	}, nil
 }
 

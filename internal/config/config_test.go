@@ -394,7 +394,7 @@ func TestParseSeedsCacheDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.SigCache() == nil || cfg.CertCache() == nil || cfg.ParseCache() == nil {
+	if cfg.SigCache() == nil || cfg.CertCache() == nil {
 		t.Error("omitted sections: a verdict cache is off")
 	}
 }

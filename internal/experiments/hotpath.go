@@ -34,7 +34,7 @@ import (
 
 // The hotpath experiment measures the commit hot path's optimizations in
 // isolation and end to end — verification cache, per-identity key tables,
-// parse-once envelopes, pooled zero-copy marshaling — and the submit side's
+// pooled zero-copy marshaling — and the submit side's
 // signature, reporting ns/op, allocs/op and cache hit rates, with every
 // optimization also measured OFF so the speedups are relative to a visible
 // baseline, not an assumed one. The machine-readable form (HotpathRecord,
@@ -65,8 +65,6 @@ type HotpathDerived struct {
 	// pooled AppendBlock path's allocs/op (clamped; the pooled path's
 	// steady state is zero).
 	MarshalAllocsReductionX float64 `json:"marshal_allocs_reduction_x"`
-	// ParseCachedSpeedupX is cold ParseTx ns/op over interned ns/op.
-	ParseCachedSpeedupX float64 `json:"parse_cached_speedup_x"`
 	// VerifyTableSpeedupX is crypto/ecdsa ns/op over the key-table engine's
 	// ns/op for the same key, digest and signature, measured interleaved.
 	VerifyTableSpeedupX float64 `json:"verify_table_speedup_x"`
@@ -231,10 +229,10 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	pols := map[string]*policy.Policy{"smallbank": pol}
 
 	// --- End-to-end block validation: every verdict cache off vs on. ---
-	validate := func(sc *fabcrypto.SigCache, cc *fabcrypto.CertCache, pc *validator.ParseCache, tm *telemetry.ValidatorMetrics) error {
+	validate := func(sc *fabcrypto.SigCache, cc *fabcrypto.CertCache, tm *telemetry.ValidatorMetrics) error {
 		v := pipeline.New(pipeline.Config{
 			Workers: 1, Policies: pols, Members: e.Members,
-			SigCache: sc, CertCache: cc, ParseCache: pc, Metrics: tm,
+			SigCache: sc, CertCache: cc, Metrics: tm,
 		}, statedb.NewStore(), nil)
 		res, err := v.ValidateAndCommit(raw)
 		v.Close()
@@ -256,16 +254,15 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	}
 
 	rec.Benchmarks["block_validate_baseline"] = measureOp(valIters, run(func() error {
-		return validate(nil, nil, nil, nil)
+		return validate(nil, nil, nil)
 	}))
 
 	sc := fabcrypto.NewSigCache(1 << 15)
 	cc := fabcrypto.NewCertCache(1 << 12)
-	pc := validator.NewParseCache(1 << 13)
-	if err := validate(sc, cc, pc, nil); err != nil { // warm to cache steady state
+	if err := validate(sc, cc, nil); err != nil { // warm to cache steady state
 		return nil, err
 	}
-	bv := measureOp(valIters, run(func() error { return validate(sc, cc, pc, nil) }))
+	bv := measureOp(valIters, run(func() error { return validate(sc, cc, nil) }))
 	bv.HitRate = sc.HitRate()
 	rec.Benchmarks["block_validate_hotpath"] = bv
 
@@ -274,11 +271,11 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	// from block_validate_hotpath (the gate checks its allocs/op against the
 	// committed baseline like every other row). ---
 	rec.Benchmarks["block_validate_telemetry_off"] = measureOp(valIters, run(func() error {
-		return validate(sc, cc, pc, nil)
+		return validate(sc, cc, nil)
 	}))
 	tm := telemetry.NewValidatorMetrics(telemetry.NewRegistry(), "bench")
 	rec.Benchmarks["block_validate_telemetry_on"] = measureOp(valIters, run(func() error {
-		return validate(sc, cc, pc, tm)
+		return validate(sc, cc, tm)
 	}))
 
 	// --- Receive to commit: the block as a software peer receives it — its
@@ -298,7 +295,7 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	defer os.RemoveAll(ledgerDir)
 	p, err := peer.Open(pipeline.Config{
 		Workers: 1, Policies: pols, Members: e.Members,
-		SigCache: sc, CertCache: cc, ParseCache: pc,
+		SigCache: sc, CertCache: cc,
 	}, statedb.NewStore(), ledgerDir, peer.DurableOptions{})
 	if err != nil {
 		return nil, err
@@ -566,22 +563,14 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	cb.HitRate = ccc.HitRate()
 	rec.Benchmarks["cert_parse_cached"] = cb
 
-	// --- Parse-once: cold unmarshal walk vs interned. ---
+	// --- ParseTx's price: one payload's unmarshal walk, as the engine
+	// decodes every transaction it validates. ---
 	payload := b.Envelopes[0].PayloadBytes
 	rec.Benchmarks["parse_tx_cold"] = measureOp(opIters, func() {
 		if pt := validator.ParseTx(payload); pt.Err != nil && benchErr == nil {
 			benchErr = pt.Err
 		}
 	})
-	ppc := validator.NewParseCache(64)
-	ppc.ParseTx(payload) // warm
-	pb := measureOp(opIters, func() {
-		if pt, _ := ppc.ParseTx(payload); pt.Err != nil && benchErr == nil {
-			benchErr = pt.Err
-		}
-	})
-	pb.HitRate = ppc.HitRate()
-	rec.Benchmarks["parse_tx_cached"] = pb
 
 	// --- Marshal: exact-size single alloc vs pooled zero alloc — and, in
 	// the same rounds, the BMac sender's EncodeBlock of a 100-tx block with
@@ -636,7 +625,6 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	d.VerifyCachedSpeedupX = cold.NsPerOp / clamp(cached.NsPerOp)
 	d.MarshalAllocsReductionX = rec.Benchmarks["marshal_block"].AllocsPerOp /
 		clamp(rec.Benchmarks["marshal_block_pooled"].AllocsPerOp)
-	d.ParseCachedSpeedupX = rec.Benchmarks["parse_tx_cold"].NsPerOp / clamp(pb.NsPerOp)
 	d.VerifyTableSpeedupX = eng[0].NsPerOp / clamp(eng[1].NsPerOp)
 	d.KeyTableBuildVerifiesX = build[1].NsPerOp / clamp(build[0].NsPerOp)
 	d.SignSpeedupX = sign[0].NsPerOp / clamp(sign[2].NsPerOp)
@@ -797,7 +785,7 @@ var hotpathBenchOrder = []string{
 	"sha256_range", "sha256_range_lanes",
 	"ecdsa_sign_hedged", "ecdsa_sign_stdlib", "ecdsa_sign",
 	"cert_parse_cold", "cert_parse_cached",
-	"parse_tx_cold", "parse_tx_cached",
+	"parse_tx_cold",
 	"marshal_block", "marshal_block_pooled", "marshal_tx_payload",
 	"bmac_encode_block", "bmac_encode_block_64ids",
 }
@@ -839,8 +827,6 @@ func (r *HotpathRecord) Table() *Table {
 		fmt.Sprintf("%.1fx", r.Derived.KeyTableBuildVerifiesX), "", "")
 	t.AddRow("derived: sign speedup over the hedged nonce",
 		fmt.Sprintf("%.1fx", r.Derived.SignSpeedupX), "", "")
-	t.AddRow("derived: parse cached speedup",
-		fmt.Sprintf("%.1fx", r.Derived.ParseCachedSpeedupX), "", "")
 	t.AddRow("derived: marshal allocs reduction",
 		fmt.Sprintf("%.1fx", r.Derived.MarshalAllocsReductionX), "", "")
 	return t

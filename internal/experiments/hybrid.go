@@ -13,7 +13,6 @@ import (
 	"bmac/internal/pipeline"
 	"bmac/internal/policy"
 	"bmac/internal/statedb"
-	"bmac/internal/validator"
 )
 
 // The hybrid experiment measures the paper's §5 database-scaling proposal
@@ -54,12 +53,11 @@ type HybridPoint struct {
 	NoPrefetchHitRate float64
 	NoPrefetchMisses  int
 	DemandMisses      int
-	// SigCacheHitRate and ParseCacheHitRate report the shared hot-path
-	// caches over the three MEASURED runs only (stat deltas taken after
-	// the warm pass that primes them), so they show the steady-state
-	// rates the backend comparison actually ran at.
-	SigCacheHitRate   float64
-	ParseCacheHitRate float64
+	// SigCacheHitRate reports the shared signature cache over the three
+	// MEASURED runs only (a stat delta taken after the warm pass that
+	// primes it), so it shows the steady-state rate the backend comparison
+	// actually ran at.
+	SigCacheHitRate float64
 }
 
 // Recovered reports the fraction of the throughput lost to host-read
@@ -165,11 +163,10 @@ func (e *Env) MeasureHybrid(spec HybridSpec) (HybridPoint, error) {
 	pols := map[string]*policy.Policy{"smallbank": pol}
 	totalTxs := spec.Blocks * spec.Txs
 
-	// Shared hot-path caches: every run sees the same chain, so after the
+	// A shared signature cache: every run sees the same chain, so after the
 	// warm pass each backend comparison runs at cache steady state instead
-	// of folding cold crypto/parse cost into whichever run goes first.
+	// of folding cold crypto cost into whichever run goes first.
 	sc := fabcrypto.NewSigCache(1 << 15)
-	pc := validator.NewParseCache(1 << 13)
 
 	var refFlags [][]byte
 	var refHashes [][]byte
@@ -177,7 +174,7 @@ func (e *Env) MeasureHybrid(spec HybridSpec) (HybridPoint, error) {
 	run := func(kvs statedb.KVS) (float64, *pipeline.Engine, error) {
 		eng := pipeline.New(pipeline.Config{
 			Workers: spec.Workers, Policies: pols, PrefetchWorkers: spec.PrefetchWorkers,
-			SigCache: sc, ParseCache: pc, Members: e.Members,
+			SigCache: sc, Members: e.Members,
 		}, kvs, nil)
 		start := time.Now()
 		collectRef := refFlags == nil // first run records the reference verdicts
@@ -212,7 +209,6 @@ func (e *Env) MeasureHybrid(spec HybridSpec) (HybridPoint, error) {
 	}
 	wEng.Close()
 	sigH0, sigM0, _ := sc.Stats()
-	parH0, parM0 := pc.Stats()
 
 	// 1. Plain in-memory store: the no-latency upper bound.
 	mem := statedb.NewStore()
@@ -249,7 +245,6 @@ func (e *Env) MeasureHybrid(spec HybridSpec) (HybridPoint, error) {
 	eng.Close()
 
 	sigH1, sigM1, _ := sc.Stats()
-	parH1, parM1 := pc.Stats()
 	return HybridPoint{
 		MemoryTPS:         memTPS,
 		NoPrefetchTPS:     noTPS,
@@ -260,7 +255,6 @@ func (e *Env) MeasureHybrid(spec HybridSpec) (HybridPoint, error) {
 		NoPrefetchMisses:  hyA.DemandMisses(),
 		DemandMisses:      hyB.DemandMisses(),
 		SigCacheHitRate:   deltaRate(sigH1-sigH0, sigM1-sigM0),
-		ParseCacheHitRate: deltaRate(parH1-parH0, parM1-parM0),
 	}, nil
 }
 
@@ -295,7 +289,7 @@ func FigHybrid(e *Env, opts Options) (*Table, error) {
 	t := &Table{Header: []string{
 		"capacity", "skew", "hit%", "prefetched",
 		"| memory tps", "no-prefetch tps", "prefetch tps", "recovered",
-		"sig$%", "parse$%",
+		"sig$%",
 	}}
 	for _, c := range capacities {
 		for _, s := range skews {
@@ -316,7 +310,6 @@ func FigHybrid(e *Env, opts Options) (*Table, error) {
 				FormatTPS(pt.PrefetchTPS),
 				fmt.Sprintf("%.0f%%", pt.Recovered()*100),
 				fmt.Sprintf("%.0f%%", pt.SigCacheHitRate*100),
-				fmt.Sprintf("%.0f%%", pt.ParseCacheHitRate*100),
 			)
 		}
 	}

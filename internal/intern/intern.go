@@ -1,7 +1,6 @@
-// Package intern is the one sharded, bounded LRU interning table behind
-// the hot path's parse caches: fabcrypto's CertCache (parsed identity
-// certificates) and validator's ParseCache (parsed envelopes). Both map the
-// exact bytes of an input to a value computed once from them and shared
+// Package intern is the sharded, bounded LRU interning table behind
+// fabcrypto's CertCache (parsed identity certificates). It maps the exact
+// bytes of an input to a value computed once from them and shared
 // read-only by every later caller.
 package intern
 

@@ -1,7 +1,6 @@
 package ledger
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -20,14 +19,18 @@ import (
 //
 // Layout:
 //
-//	magic "BMACIDX1" [8]
+//	magic "BMACIDX2" [8]
 //	base u64                  — first retained block number (prune floor)
 //	baseHashLen u64 | baseHash           — header hash of block base-1
 //	baseCommitHashLen u64 | baseCommitHash — commit hash of block base-1
 //	segCount u64
-//	segCount × { id u64 | first u64 | count u64 | dataLen u64 | sum [32] }
+//	segCount × { id u64 | first u64 | count u64 | dataLen u64 | crc32c u32 }
 //	segCount × count × { offset u64 | length u64 }
-//	sha256 [32]               — over everything above
+//	crc32c u32                — over everything above
+//
+// Both sums are the segment checksum (extendSum, segment.go); a segment
+// row's is its footer's. An index in the parent format ("BMACIDX1", with
+// SHA-256 sums) fails the magic check and is rebuilt by the rescan.
 //
 // The base hashes anchor the chain when every block below base was pruned:
 // without them a fully-pruned ledger could not verify (or produce) the
@@ -39,7 +42,7 @@ import (
 // missing, truncated or checksum-failing index triggers a full rebuild by
 // scanning the segment files — slower, never incorrect.
 
-var indexMagic = [8]byte{'B', 'M', 'A', 'C', 'I', 'D', 'X', '1'}
+var indexMagic = [8]byte{'B', 'M', 'A', 'C', 'I', 'D', 'X', '2'}
 
 // ErrCorruptIndex reports an unreadable persistent index (the ledger
 // recovers by rescanning segments; this error is only surfaced in tests).
@@ -51,7 +54,7 @@ type indexSegment struct {
 	first   uint64
 	count   uint64
 	dataLen int64
-	sum     [sha256Size]byte
+	sum     uint32
 	offsets []entry // seg pointer unset; offset/length only
 }
 
@@ -77,7 +80,7 @@ func (l *Ledger) persistIndexLocked() error {
 		buf = binary.BigEndian.AppendUint64(buf, s.first)
 		buf = binary.BigEndian.AppendUint64(buf, s.count)
 		buf = binary.BigEndian.AppendUint64(buf, uint64(s.dataLen))
-		buf = append(buf, s.sum[:]...)
+		buf = binary.BigEndian.AppendUint32(buf, s.sum)
 	}
 	for _, s := range sealed {
 		for n := s.first; n < s.first+s.count; n++ {
@@ -86,8 +89,7 @@ func (l *Ledger) persistIndexLocked() error {
 			buf = binary.BigEndian.AppendUint64(buf, uint64(e.length))
 		}
 	}
-	sum := sha256.Sum256(buf)
-	buf = append(buf, sum[:]...)
+	buf = binary.BigEndian.AppendUint32(buf, extendSum(0, buf))
 
 	err := fsutil.Replace(l.fs, filepath.Join(l.dir, indexFile), func(w io.Writer) error {
 		_, err := w.Write(buf)
@@ -115,12 +117,11 @@ func loadIndex(fsys fsutil.FS, dir string) (*indexData, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(buf) < 8+8+8+8+8+sha256Size || [8]byte(buf[:8]) != indexMagic {
+	if len(buf) < 8+8+8+8+8+4 || [8]byte(buf[:8]) != indexMagic {
 		return nil, fmt.Errorf("%w: bad header", ErrCorruptIndex)
 	}
-	body, trailer := buf[:len(buf)-sha256Size], buf[len(buf)-sha256Size:]
-	sum := sha256.Sum256(body)
-	if [sha256Size]byte(trailer) != sum {
+	body, trailer := buf[:len(buf)-4], buf[len(buf)-4:]
+	if binary.BigEndian.Uint32(trailer) != extendSum(0, body) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorruptIndex)
 	}
 	pos := 8
@@ -163,7 +164,7 @@ func loadIndex(fsys fsutil.FS, dir string) (*indexData, error) {
 	segs := make([]*indexSegment, 0, segCount)
 	var totalBlocks uint64
 	for i := uint64(0); i < segCount; i++ {
-		if pos+8*4+sha256Size > len(body) {
+		if pos+8*4+4 > len(body) {
 			return nil, structErr
 		}
 		is := &indexSegment{}
@@ -172,12 +173,15 @@ func loadIndex(fsys fsutil.FS, dir string) (*indexData, error) {
 		is.count, _ = u64()
 		dl, _ := u64()
 		is.dataLen = int64(dl)
-		copy(is.sum[:], body[pos:pos+sha256Size])
-		pos += sha256Size
+		is.sum = binary.BigEndian.Uint32(body[pos:])
+		pos += 4
+		if is.count > uint64(len(body)-pos)/16 {
+			return nil, fmt.Errorf("%w: entry table size mismatch", ErrCorruptIndex)
+		}
 		segs = append(segs, is)
 		totalBlocks += is.count
 	}
-	if len(body)-pos != int(totalBlocks)*16 {
+	if uint64(len(body)-pos) != totalBlocks*16 {
 		return nil, fmt.Errorf("%w: entry table size mismatch", ErrCorruptIndex)
 	}
 	for _, is := range segs {

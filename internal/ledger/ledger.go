@@ -23,11 +23,9 @@ package ledger
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"os"
 	"path/filepath"
 	"sync"
@@ -123,13 +121,9 @@ type Ledger struct {
 	active *segment    // guarded by mu; the unsealed tail segment
 	file   fsutil.File // guarded by mu; writer handle on the active segment
 
-	// segHash is the running sha256 of the active record region; only the
-	// seal's footer reads it. Commit hands each record to a goroutine that
-	// feeds it in (sumRecord), and until that goroutine closes sumDone it
-	// owns segHash: the next Commit, the seal, a fresh active segment and
-	// Close join it first (joinSumLocked). At most one record is pending.
-	segHash hash.Hash     // guarded by mu
-	sumDone chan struct{} // guarded by mu; nil when no checksum is pending
+	// segSum is the running checksum of the active record region; only
+	// the seal's footer reads it.
+	segSum uint32 // guarded by mu
 
 	base       uint64  // guarded by mu; first block number still indexed (post-prune)
 	entries    []entry // guarded by mu; entries[n-base] locates block n
@@ -311,9 +305,8 @@ func (l *Ledger) Sync() error {
 // its validation flags; Commit computes and stores the commit hash chain
 // value and enforces sequential numbering, duplicate detection (via the
 // block index) and previous-hash chaining. The record is in the file (and,
-// under SyncEachBlock, fsynced) when Commit returns; its share of the
-// segment checksum is computed beside the caller, on a goroutine the next
-// Commit, the seal and Close join. Crossing the segment byte budget seals
+// under SyncEachBlock, fsynced) when Commit returns, and folded into the
+// segment checksum. Crossing the segment byte budget seals
 // the active segment (footer checksum, fsync, persistent index update) and
 // rotates to a fresh one.
 func (l *Ledger) Commit(b *block.Block) ([]byte, error) {
@@ -333,23 +326,19 @@ func (l *Ledger) Commit(b *block.Block) ([]byte, error) {
 
 	b.Metadata.CommitHash = block.CommitHash(l.commitHash, b.Header.DataHash, b.Metadata.ValidationFlags)
 
-	// The record's pooled buffer lives until the checksum goroutine has
-	// hashed it, so steady-state commits allocate nothing for marshaling;
-	// a failed write returns it to the pool at once.
+	// The record is marshaled into a pooled buffer, so steady-state commits
+	// allocate nothing for it.
 	data := appendRecord(b)
+	defer wire.PutBuf(data)
 	if _, err := l.file.Write(data); err != nil {
-		wire.PutBuf(data)
 		return nil, fmt.Errorf("write block: %w", err)
 	}
 	if l.syncEach {
 		if err := l.file.Sync(); err != nil {
-			wire.PutBuf(data)
 			return nil, fmt.Errorf("sync block file: %w", err)
 		}
 	}
-	l.joinSumLocked()
-	l.sumDone = make(chan struct{})
-	go sumRecord(l.segHash, data, l.sumDone)
+	l.segSum = extendSum(l.segSum, data)
 
 	recLen := int64(len(data))
 	l.entries = append(l.entries, entry{seg: l.active, offset: l.active.dataLen, length: recLen})
@@ -385,23 +374,6 @@ func appendRecord(b *block.Block) []byte {
 	size := block.Size(b)
 	data := binary.BigEndian.AppendUint64(wire.GetBuf(8+size), uint64(size))
 	return block.AppendBlock(data, b)
-}
-
-// sumRecord feeds one record into the active segment's running checksum,
-// returns the record's pooled buffer and closes done.
-func sumRecord(h hash.Hash, rec []byte, done chan<- struct{}) {
-	h.Write(rec)
-	wire.PutBuf(rec)
-	close(done)
-}
-
-// joinSumLocked waits for the pending record checksum, if any, after which
-// segHash is the caller's again. It must be called with l.mu held.
-func (l *Ledger) joinSumLocked() {
-	if l.sumDone != nil {
-		<-l.sumDone
-		l.sumDone = nil
-	}
 }
 
 // Get reads a committed block by number in O(1) via the block index. The
@@ -529,7 +501,6 @@ func (l *Ledger) MissingRanges() []Range {
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.joinSumLocked()
 	var err error
 	if l.file != nil {
 		err = l.file.Close()
@@ -565,6 +536,3 @@ func SealedSegmentPaths(dir string) ([]string, error) {
 	}
 	return out, nil
 }
-
-// sha256Size aliases the checksum width used by footers and the index.
-const sha256Size = sha256.Size

@@ -17,7 +17,7 @@ type fixture struct {
 	client  *identity.Identity
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	n := identity.NewNetwork([]byte(t.Name()))
 	if _, err := n.AddOrg("Org1"); err != nil {
@@ -34,7 +34,7 @@ func newFixture(t *testing.T) *fixture {
 	return &fixture{orderer: orderer, client: client}
 }
 
-func (f *fixture) block(t *testing.T, num uint64, prev []byte) *block.Block {
+func (f *fixture) block(t testing.TB, num uint64, prev []byte) *block.Block {
 	t.Helper()
 	env, err := block.NewEndorsedEnvelope(block.TxSpec{
 		Creator: f.client, Chaincode: "cc", Channel: "ch",

@@ -1,10 +1,8 @@
 package ledger
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -90,7 +88,9 @@ func (l *Ledger) openLocked() error {
 			if err := l.noteGapLocked(&expected, seg.first, prevID, havePrev, id); err != nil {
 				return err
 			}
-			if err := seg.verifyChecksum(); err != nil {
+			if err := seg.verifyChecksum(); errors.Is(err, errParentFormat) {
+				return err
+			} else if err != nil {
 				l.warnf("sealed segment %06d failed verification on open: %v", id, err)
 				l.quarantineSegLocked(seg, false)
 				indexDirty = true
@@ -206,9 +206,8 @@ func (l *Ledger) openLocked() error {
 		l.file = f
 		// Rebuild the running checksum of the active record region so a
 		// later seal does not have to re-read the file.
-		l.segHash = sha256.New()
-		if err := l.rehashActiveLocked(); err != nil {
-			return err
+		if l.segSum, err = sumFile(l.fs, l.active.path, l.active.dataLen); err != nil {
+			return fmt.Errorf("rehash active segment: %w", err)
 		}
 	}
 
@@ -306,24 +305,6 @@ func (l *Ledger) rollBackTrailingMissingLocked() {
 	}
 }
 
-// rehashActiveLocked rebuilds the running sha256 of the active segment's
-// record region from disk. It runs at Open, before any Commit, so no
-// record checksum is pending. It must be called with l.mu held.
-func (l *Ledger) rehashActiveLocked() error {
-	if l.active.dataLen == 0 {
-		return nil
-	}
-	f, err := l.fs.OpenFile(l.active.path, os.O_RDONLY, 0)
-	if err != nil {
-		return fmt.Errorf("rehash active segment: %w", err)
-	}
-	defer f.Close()
-	if _, err := io.CopyN(l.segHash, f, l.active.dataLen); err != nil {
-		return fmt.Errorf("rehash active segment: %w", err)
-	}
-	return nil
-}
-
 // startActiveLocked creates a fresh active segment file with the given id
 // and installs the writer state. It must be called with l.mu held.
 func (l *Ledger) startActiveLocked(id uint64) error {
@@ -337,9 +318,8 @@ func (l *Ledger) startActiveLocked(id uint64) error {
 		f.Close() // bmaclint:allow errdiscard (teardown after dir-sync failure)
 		return err
 	}
-	l.joinSumLocked()
 	l.file = f
-	l.segHash = sha256.New()
+	l.segSum = 0
 	l.segs = append(l.segs, seg)
 	l.active = seg
 	return nil
@@ -352,15 +332,12 @@ func (l *Ledger) startActiveLocked(id uint64) error {
 // held.
 func (l *Ledger) rotateLocked() error {
 	act := l.active
-	var sum [sha256Size]byte
-	l.joinSumLocked()
-	l.segHash.Sum(sum[:0])
-	if err := sealFile(l.file, act.first, act.count, act.dataLen, sum); err != nil {
+	if err := sealFile(l.file, act.first, act.count, act.dataLen, l.segSum); err != nil {
 		return err
 	}
 	l.file = nil
 	act.sealed = true
-	act.sum = sum
+	act.sum = l.segSum
 	l.bytesWritten += footerSize
 	l.sealed++
 

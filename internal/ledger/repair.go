@@ -2,10 +2,8 @@ package ledger
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"errors"
 	"fmt"
-	"hash"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -142,7 +140,7 @@ type restoreState struct {
 	tmp     string
 	final   string
 	f       fsutil.File
-	h       hash.Hash
+	sum     uint32
 	next    uint64
 	prev    []byte // header hash of the last accepted block (nil = unanchored start)
 	offsets []entry
@@ -223,8 +221,7 @@ func (l *Ledger) beginRestoreLocked(r Range) error {
 		return fmt.Errorf("restore temp: %w", err)
 	}
 	rst := &restoreState{
-		r: r, tmp: tmp, final: final,
-		f: f, h: sha256.New(),
+		r: r, tmp: tmp, final: final, f: f,
 		next: r.First,
 	}
 	switch {
@@ -256,7 +253,7 @@ func (l *Ledger) acceptRestoreLocked(rst *restoreState, b *block.Block) error {
 	if _, err := rst.f.Write(rec); err != nil {
 		return fmt.Errorf("restore write: %w", err)
 	}
-	rst.h.Write(rec)
+	rst.sum = extendSum(rst.sum, rec)
 	rst.offsets = append(rst.offsets, entry{offset: rst.dataLen, length: int64(len(rec))})
 	rst.dataLen += int64(len(rec))
 	rst.prev = block.HeaderHash(&b.Header)
@@ -282,9 +279,7 @@ func (l *Ledger) finishRestoreLocked(rst *restoreState) error {
 		return fmt.Errorf("%w: restored tail range does not match ledger tail hash", ErrRestore)
 	}
 
-	var sum [sha256Size]byte
-	rst.h.Sum(sum[:0])
-	if err := sealFile(rst.f, rst.r.First, rst.r.Count, rst.dataLen, sum); err != nil {
+	if err := sealFile(rst.f, rst.r.First, rst.r.Count, rst.dataLen, rst.sum); err != nil {
 		return fmt.Errorf("restore: %w", err)
 	}
 	rst.f = nil
@@ -296,7 +291,7 @@ func (l *Ledger) finishRestoreLocked(rst *restoreState) error {
 	}
 
 	seg := newSegment(l.fs, l.dir, rst.r.segID)
-	seg.first, seg.count, seg.dataLen, seg.sum, seg.sealed = rst.r.First, rst.r.Count, rst.dataLen, sum, true
+	seg.first, seg.count, seg.dataLen, seg.sum, seg.sealed = rst.r.First, rst.r.Count, rst.dataLen, rst.sum, true
 	for i, e := range rst.offsets {
 		e.seg = seg
 		l.entries[rst.r.First+uint64(i)-l.base] = e

@@ -2,10 +2,10 @@ package ledger
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -21,11 +21,26 @@ import (
 // it does not.
 //
 // Record layout (both states): repeated [len u64 BE | marshaled block].
-// Sealed segments append a fixed-size footer after the last record:
+// Sealed segments append a fixed-size 36-byte footer after the last record:
 //
-//	magic "BMACSEGF" [8] | first u64 | count u64 | dataLen u64 | sha256 [32]
+//	magic "BMACSEG2" [8] | first u64 | count u64 | dataLen u64 | crc32c u32
 //
-// where sha256 covers bytes [0, dataLen) — the record region only.
+// where crc32c covers bytes [0, dataLen) — the record region only.
+//
+// The sum is CRC-32C (Castagnoli), the one checksum of this package: the
+// footer, the index's per-segment sum column and the index trailer all use
+// extendSum. It only has to catch rot, and for that it gives up nothing
+// against the SHA-256 of the parent format ("BMACSEGF", a 64-byte footer),
+// which was just as unkeyed and so never stopped anyone able to rewrite the
+// file. CRC-32C catches every error burst of up to 32 bits and any other
+// corruption with probability 1 − 2⁻³². What a block says is pinned by the
+// protocol's own hashes (DataHash, the header and commit-hash chains),
+// which Restore re-checks; nothing outside this package reads the sum.
+// hash/crc32 computes it with the SSE4.2 CRC32 instruction on amd64 and
+// the CRC32 instructions on arm64.
+//
+// A sealed segment in the parent format is refused at Open
+// (errParentFormat), never truncated as a torn tail or quarantined as rot.
 type segment struct {
 	fs      fsutil.FS
 	id      uint64
@@ -34,7 +49,7 @@ type segment struct {
 	count   uint64 // blocks in the segment
 	dataLen int64  // record-region bytes (excludes footer)
 	sealed  bool
-	sum     [sha256Size]byte // record-region checksum; valid when sealed
+	sum     uint32 // record-region checksum; valid when sealed
 
 	// readers pools read-only handles for historical reads. Handles are
 	// lazily opened, reused across reads, and closed when the pool channel
@@ -44,13 +59,51 @@ type segment struct {
 	retired chan struct{} // closed when the segment is quarantined/pruned
 }
 
-const footerSize = 8 + 8 + 8 + 8 + sha256Size
+const footerSize = 8 + 8 + 8 + 8 + 4
 
-var footerMagic = [8]byte{'B', 'M', 'A', 'C', 'S', 'E', 'G', 'F'}
+var footerMagic = [8]byte{'B', 'M', 'A', 'C', 'S', 'E', 'G', '2'}
+
+// The parent format's footer: the same fields with a 32-byte SHA-256.
+const parentFooterSize = 8 + 8 + 8 + 8 + 32
+
+var parentFooterMagic = [8]byte{'B', 'M', 'A', 'C', 'S', 'E', 'G', 'F'}
+
+// castagnoli is the CRC-32C table behind extendSum.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// extendSum extends a segment or index checksum (CRC-32C, starting from 0)
+// over p.
+func extendSum(sum uint32, p []byte) uint32 { return crc32.Update(sum, castagnoli, p) }
+
+// sumWriter is an io.Writer that extends its checksum over what it is fed.
+type sumWriter uint32
+
+func (w *sumWriter) Write(p []byte) (int, error) {
+	*w = sumWriter(extendSum(uint32(*w), p))
+	return len(p), nil
+}
+
+// sumFile returns the checksum of the first n bytes of the file at path.
+func sumFile(fsys fsutil.FS, path string, n int64) (uint32, error) {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	var w sumWriter
+	if _, err := io.CopyN(&w, f, n); err != nil {
+		return 0, err
+	}
+	return uint32(w), nil
+}
 
 // errNoFooter reports a segment file without a (complete, well-formed)
 // footer — an active or torn-seal segment.
 var errNoFooter = errors.New("ledger: segment has no footer")
+
+// errParentFormat reports a segment written in the parent format, whose
+// footer this build does not read.
+var errParentFormat = errors.New(`ledger: segment in the parent format ("BMACSEGF" footer with a SHA-256 sum); this build reads "BMACSEG2" segments with a CRC-32C sum`)
 
 // errRetired reports a read against a segment that was quarantined or
 // pruned between index lookup and I/O.
@@ -67,13 +120,13 @@ func newSegment(fsys fsutil.FS, dir string, id uint64) *segment {
 }
 
 // footerBytes encodes a footer for the given record region.
-func footerBytes(first, count uint64, dataLen int64, sum [sha256Size]byte) []byte {
+func footerBytes(first, count uint64, dataLen int64, sum uint32) []byte {
 	buf := make([]byte, footerSize)
 	copy(buf, footerMagic[:])
 	binary.BigEndian.PutUint64(buf[8:], first)
 	binary.BigEndian.PutUint64(buf[16:], count)
 	binary.BigEndian.PutUint64(buf[24:], uint64(dataLen))
-	copy(buf[32:], sum[:])
+	binary.BigEndian.PutUint32(buf[32:], sum)
 	return buf
 }
 
@@ -81,7 +134,7 @@ func footerBytes(first, count uint64, dataLen int64, sum [sha256Size]byte) []byt
 // appends the footer, fsyncs and closes f. Both the rotation of the active
 // segment and a finished restore seal through it, so the footer is durable
 // before the segment is indexed or renamed into place.
-func sealFile(f fsutil.File, first, count uint64, dataLen int64, sum [sha256Size]byte) error {
+func sealFile(f fsutil.File, first, count uint64, dataLen int64, sum uint32) error {
 	if _, err := f.Write(footerBytes(first, count, dataLen, sum)); err != nil {
 		return fmt.Errorf("write segment footer: %w", err)
 	}
@@ -99,7 +152,7 @@ type footerInfo struct {
 	first   uint64
 	count   uint64
 	dataLen int64
-	sum     [sha256Size]byte
+	sum     uint32
 }
 
 // parseFooter decodes the trailing footerSize bytes of a segment file.
@@ -112,7 +165,7 @@ func parseFooter(tail []byte, fileSize int64) (footerInfo, error) {
 	fi.first = binary.BigEndian.Uint64(tail[8:])
 	fi.count = binary.BigEndian.Uint64(tail[16:])
 	fi.dataLen = int64(binary.BigEndian.Uint64(tail[24:]))
-	copy(fi.sum[:], tail[32:])
+	fi.sum = binary.BigEndian.Uint32(tail[32:])
 	if fi.dataLen < 0 || fi.dataLen+footerSize != fileSize || fi.count == 0 {
 		return fi, fmt.Errorf("%w: inconsistent footer (dataLen %d, file %d, count %d)",
 			errNoFooter, fi.dataLen, fileSize, fi.count)
@@ -120,7 +173,8 @@ func parseFooter(tail []byte, fileSize int64) (footerInfo, error) {
 	return fi, nil
 }
 
-// readFooter reads and decodes the footer of a segment file on disk.
+// readFooter reads and decodes the footer of a segment file on disk. A
+// file that ends in a complete parent-format footer is errParentFormat.
 func readFooter(fsys fsutil.FS, path string) (footerInfo, error) {
 	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
@@ -131,14 +185,19 @@ func readFooter(fsys fsutil.FS, path string) (footerInfo, error) {
 	if err != nil {
 		return footerInfo{}, err
 	}
-	if st.Size() < footerSize {
+	size := st.Size()
+	n := min(size, parentFooterSize)
+	if n < footerSize {
 		return footerInfo{}, errNoFooter
 	}
-	tail := make([]byte, footerSize)
-	if _, err := f.ReadAt(tail, st.Size()-footerSize); err != nil {
+	tail := make([]byte, n)
+	if _, err := f.ReadAt(tail, size-n); err != nil {
 		return footerInfo{}, err
 	}
-	return parseFooter(tail, st.Size())
+	if n == parentFooterSize && [8]byte(tail) == parentFooterMagic && binary.BigEndian.Uint64(tail[24:])+parentFooterSize == uint64(size) {
+		return footerInfo{}, errParentFormat
+	}
+	return parseFooter(tail[n-footerSize:], size)
 }
 
 // isSealed reports whether the segment is sealed (immutable, checksummed).
@@ -228,21 +287,19 @@ func (s *segment) readBlock(e entry) (*block.Block, error) {
 	return b, nil
 }
 
-// verifyChecksum re-reads the sealed segment's record region and compares
-// it against the footer checksum. Sequential read of one segment file.
+// verifyChecksum re-reads the sealed segment's record region and footer
+// and compares both against what the segment was sealed with: a flipped
+// bit in either is a mismatch. Sequential read of one segment file.
 func (s *segment) verifyChecksum() error {
-	f, err := s.fs.OpenFile(s.path, os.O_RDONLY, 0)
+	sum, err := sumFile(s.fs, s.path, s.dataLen)
 	if err != nil {
-		return fmt.Errorf("segment %06d verify open: %w", s.id, err)
+		return fmt.Errorf("segment %06d verify: %w", s.id, err)
 	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.CopyN(h, f, s.dataLen); err != nil {
-		return fmt.Errorf("segment %06d verify read: %w", s.id, err)
+	fi, err := readFooter(s.fs, s.path)
+	if errors.Is(err, errParentFormat) {
+		return fmt.Errorf("segment %06d: %w", s.id, err)
 	}
-	var sum [sha256Size]byte
-	h.Sum(sum[:0])
-	if sum != s.sum {
+	if err != nil || sum != s.sum || fi != (footerInfo{s.first, s.count, s.dataLen, s.sum}) {
 		return fmt.Errorf("segment %06d checksum mismatch", s.id)
 	}
 	return nil
@@ -252,8 +309,8 @@ func (s *segment) verifyChecksum() error {
 type scanResult struct {
 	offsets []entry // seg filled in by the caller
 	dataLen int64
-	sum     [sha256Size]byte // running checksum of the record region
-	footer  *footerInfo      // non-nil if a well-formed footer terminated the scan
+	sum     uint32      // running checksum of the record region
+	footer  *footerInfo // non-nil if a well-formed footer terminated the scan
 	// tail truncation performed (active segments only)
 	truncated bool
 	// decoded state of the final record (active segments, decode=true)
@@ -304,7 +361,6 @@ func scanSegment(fsys fsutil.FS, path string, decode bool, expectFirst uint64, e
 		return res, nil
 	}
 
-	h := sha256.New()
 	for offset < size {
 		remaining := size - offset
 		if remaining < 8 {
@@ -324,7 +380,6 @@ func scanSegment(fsys fsutil.FS, path string, decode bool, expectFirst uint64, e
 				if fi, err := parseFooter(tail, size); err == nil {
 					res.footer = &fi
 					res.dataLen = offset
-					h.Sum(res.sum[:0])
 					return res, nil
 				}
 			}
@@ -332,6 +387,11 @@ func scanSegment(fsys fsutil.FS, path string, decode bool, expectFirst uint64, e
 			// before it is intact; drop the partial footer so the segment
 			// stays active and re-seals cleanly later.
 			return truncate(offset, "torn segment footer")
+		}
+		// The parent format's footer, whole or torn, is never a torn tail
+		// of this format: the file is refused, not cut.
+		if lenBuf == parentFooterMagic {
+			return nil, fmt.Errorf("%s at offset %d: %w", filepath.Base(path), offset, errParentFormat)
 		}
 		recLen := binary.BigEndian.Uint64(lenBuf[:])
 		if recLen == 0 {
@@ -369,8 +429,7 @@ func scanSegment(fsys fsutil.FS, path string, decode bool, expectFirst uint64, e
 			res.lastHash = prevHash
 			res.commitHash = b.Metadata.CommitHash
 		}
-		h.Write(lenBuf[:])
-		h.Write(data)
+		res.sum = extendSum(extendSum(res.sum, lenBuf[:]), data)
 		res.offsets = append(res.offsets, entry{offset: offset, length: int64(8 + recLen)})
 		offset += 8 + int64(recLen)
 		next++
@@ -378,6 +437,5 @@ func scanSegment(fsys fsutil.FS, path string, decode bool, expectFirst uint64, e
 		res.lastNum = next
 	}
 	res.dataLen = offset
-	h.Sum(res.sum[:0])
 	return res, nil
 }

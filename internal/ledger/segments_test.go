@@ -3,11 +3,15 @@ package ledger
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -21,7 +25,7 @@ import (
 
 // chain commits n chained blocks into l (starting at its height) and
 // returns them.
-func (f *fixture) chain(t *testing.T, l *Ledger, n int) []*block.Block {
+func (f *fixture) chain(t testing.TB, l *Ledger, n int) []*block.Block {
 	t.Helper()
 	var prev []byte
 	start := l.Height()
@@ -571,11 +575,11 @@ func TestConcurrentGetDuringCommit(t *testing.T) {
 	}
 }
 
-// TestSealedChecksumsAfterHandOff: with each record's checksum computed
-// beside Commit, every footer still covers exactly the bytes on disk —
+// TestSealedChecksumsAfterHandOff: every footer's CRC-32C, recomputed here
+// from the standard library's table, covers exactly the bytes on disk —
 // across seals, a TruncateFrom at a segment boundary, a Close right after a
 // Commit and a reopen that rehashes the active segment — and Close leaves
-// no checksum goroutine behind.
+// no goroutine behind.
 func TestSealedChecksumsAfterHandOff(t *testing.T) {
 	for _, syncEach := range []bool{false, true} {
 		t.Run(fmt.Sprintf("SyncEachBlock=%v", syncEach), func(t *testing.T) {
@@ -636,7 +640,7 @@ func TestSealedChecksumsAfterHandOff(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if sha256.Sum256(raw[:fi.dataLen]) != fi.sum {
+					if crc32.Checksum(raw[:fi.dataLen], crc32.MakeTable(crc32.Castagnoli)) != fi.sum {
 						t.Fatalf("%s: footer sum does not match its record region", filepath.Base(p))
 					}
 				}
@@ -700,6 +704,223 @@ func TestSealedChecksumsAfterHandOff(t *testing.T) {
 			}
 			settled(before)
 			footersMatch(4)
+		})
+	}
+}
+
+// TestRotFlipQuarantinesSealedSegment flips one byte of a sealed segment
+// that is not the tail — the first, a middle and the last byte of its
+// record region, and a byte of its footer's sum — and reopens the ledger
+// after each flip: Open re-verifies every sealed segment, so it must
+// quarantine that one, name its range as missing and answer ErrMissing
+// for its block, while the blocks around it stay readable.
+func TestRotFlipQuarantinesSealedSegment(t *testing.T) {
+	f := newFixture(t)
+	for _, at := range []string{"first", "middle", "last", "footer sum"} {
+		t.Run(at, func(t *testing.T) {
+			dir := t.TempDir()
+			l := openTiny(t, dir)
+			f.chain(t, l, 4)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			paths, err := SealedSegmentPaths(dir)
+			if err != nil || len(paths) != 4 {
+				t.Fatalf("sealed paths %v, %v", paths, err)
+			}
+			raw, err := os.ReadFile(paths[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			dataLen := int64(len(raw)) - footerSize
+			off := map[string]int64{"first": 0, "middle": dataLen / 2, "last": dataLen - 1, "footer sum": dataLen + footerSize - 1}[at]
+			raw[off] ^= 0x01
+			if err := os.WriteFile(paths[1], raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			l2, err := Open(dir, Options{SegmentBytes: 1})
+			if err != nil {
+				t.Fatalf("open after a flipped byte must quarantine, not fail: %v", err)
+			}
+			defer l2.Close()
+			if mr := l2.MissingRanges(); len(mr) != 1 || mr[0].First != 1 || mr[0].Count != 1 {
+				t.Fatalf("missing ranges %v, want block 1's segment", mr)
+			}
+			if got := l2.Stats().Quarantined; got != 1 {
+				t.Fatalf("Quarantined = %d, want 1", got)
+			}
+			if _, err := l2.Get(1); !errors.Is(err, ErrMissing) {
+				t.Fatalf("Get(1) = %v, want ErrMissing", err)
+			}
+			for _, n := range []uint64{0, 2, 3} {
+				if _, err := l2.Get(n); err != nil {
+					t.Fatalf("Get(%d) beside the quarantined segment: %v", n, err)
+				}
+			}
+		})
+	}
+}
+
+// parentFooter rewrites a sealed segment's footer as the parent format
+// wrote it: magic "BMACSEGF", the same fields and a SHA-256 of the record
+// region.
+func parentFooter(t *testing.T, path string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, err := parseFooter(raw[len(raw)-footerSize:], int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(raw[:fi.dataLen])
+	out := append(raw[:fi.dataLen:fi.dataLen], "BMACSEGF"...)
+	for _, v := range []uint64{fi.first, fi.count, uint64(fi.dataLen)} {
+		out = binary.BigEndian.AppendUint64(out, v)
+	}
+	if err := os.WriteFile(path, append(out, sum[:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeParentIndex replaces dir's index with the same content in the
+// parent format: magic "BMACIDX1", a SHA-256 of each segment's record
+// region in its row and a SHA-256 trailer.
+func writeParentIndex(t *testing.T, dir string) {
+	t.Helper()
+	idx, err := loadIndex(fsutil.OS{}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]uint64, 0, len(idx.segs))
+	for id := range idx.segs {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	buf := binary.BigEndian.AppendUint64([]byte("BMACIDX1"), idx.base)
+	for _, h := range [][]byte{idx.baseHash, idx.baseCommitHash} {
+		buf = append(binary.BigEndian.AppendUint64(buf, uint64(len(h))), h...)
+	}
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(ids)))
+	for _, id := range ids {
+		is := idx.segs[id]
+		raw, err := os.ReadFile(segPath(dir, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []uint64{id, is.first, is.count, uint64(is.dataLen)} {
+			buf = binary.BigEndian.AppendUint64(buf, v)
+		}
+		sum := sha256.Sum256(raw[:is.dataLen])
+		buf = append(buf, sum[:]...)
+	}
+	for _, id := range ids {
+		for _, e := range idx.segs[id].offsets {
+			buf = binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(buf, uint64(e.offset)), uint64(e.length))
+		}
+	}
+	sum := sha256.Sum256(buf)
+	if err := os.WriteFile(filepath.Join(dir, indexFile), append(buf, sum[:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readDir maps every file name in dir to its content.
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
+}
+
+// TestParentFormatIndexRebuilds: an index in the parent format is not read;
+// the rescan rebuilds it from the segments, every block stays readable and
+// the index is rewritten in this format.
+func TestParentFormatIndexRebuilds(t *testing.T) {
+	f := newFixture(t)
+	dir := t.TempDir()
+	l := openTiny(t, dir)
+	blocks := f.chain(t, l, 4)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	writeParentIndex(t, dir)
+
+	l2, err := Open(dir, Options{SegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if st := l2.Stats(); st.Height != 4 || st.IndexRebuilds != 1 || st.Quarantined != 0 {
+		t.Fatalf("height %d, rebuilds %d, quarantined %d; want 4, 1, 0", st.Height, st.IndexRebuilds, st.Quarantined)
+	}
+	for _, want := range blocks {
+		got, err := l2.Get(want.Header.Number)
+		if err != nil || !bytes.Equal(block.Marshal(got), block.Marshal(want)) {
+			t.Fatalf("Get(%d) after the rebuild: %v", want.Header.Number, err)
+		}
+	}
+	if _, err := loadIndex(fsutil.OS{}, dir); err != nil {
+		t.Fatalf("index not rewritten in this format: %v", err)
+	}
+}
+
+// TestParentFormatSegmentRefused: a sealed segment with the parent
+// format's footer makes Open fail with an error that names the format —
+// behind a parent-format index (the rescan reads the footer) and behind
+// this format's index (the re-verification reads it) — and leaves every
+// file as it was: nothing is truncated as a torn tail, nothing quarantined.
+func TestParentFormatSegmentRefused(t *testing.T) {
+	f := newFixture(t)
+	for _, index := range []string{"parent", "this"} {
+		t.Run(index+" index", func(t *testing.T) {
+			dir := t.TempDir()
+			l := openTiny(t, dir)
+			f.chain(t, l, 4)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			paths, err := SealedSegmentPaths(dir)
+			if err != nil || len(paths) != 4 {
+				t.Fatalf("sealed paths %v, %v", paths, err)
+			}
+			if index == "parent" {
+				for _, p := range paths {
+					parentFooter(t, p)
+				}
+				writeParentIndex(t, dir)
+			} else {
+				parentFooter(t, paths[1])
+			}
+			before := readDir(t, dir)
+
+			l2, err := Open(dir, Options{SegmentBytes: 1})
+			if err == nil {
+				l2.Close()
+				t.Fatal("Open accepted a parent-format segment")
+			}
+			if !errors.Is(err, errParentFormat) || !strings.Contains(err.Error(), "BMACSEGF") {
+				t.Fatalf("Open: %v, want an error naming the parent format", err)
+			}
+			after := readDir(t, dir)
+			if len(after) != len(before) {
+				t.Fatalf("files %d after the refused Open, %d before", len(after), len(before))
+			}
+			for name, data := range before {
+				if !bytes.Equal(after[name], data) {
+					t.Fatalf("%s changed by the refused Open", name)
+				}
+			}
 		})
 	}
 }

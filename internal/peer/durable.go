@@ -73,7 +73,7 @@ func Open(cfg pipeline.Config, kvs statedb.KVS, dir string, opts DurableOptions)
 	if err != nil {
 		return nil, fmt.Errorf("peer ledger: %w", err)
 	}
-	if err := recoverState(opts.FS, kvs, led, dir, cfg.ParseCache); err != nil {
+	if err := recoverState(opts.FS, kvs, led, dir); err != nil {
 		led.Close() // bmaclint:allow errdiscard (error path: ledger close error would mask the recovery failure)
 		return nil, err
 	}
@@ -96,9 +96,7 @@ func NewDurableParallelPeer(cfg pipeline.Config, kvs statedb.KVS, dir string, op
 // the newest usable checkpoint generation seeds kvs (which must be empty)
 // with the state as of its recorded height, and the ledger blocks past
 // that height are replayed by applying the write sets their recorded
-// validation flags admitted. pc is an optional parse-once cache (a replay
-// in a process whose live paths share the cache both reuses their work and
-// pre-warms it for the blocks still to come).
+// validation flags admitted.
 //
 // A checkpoint that fails to load falls back to an older generation. When
 // every candidate is unusable *because it is ahead of the ledger*, that is
@@ -106,7 +104,7 @@ func NewDurableParallelPeer(cfg pipeline.Config, kvs statedb.KVS, dir string, op
 // reproduce state that predates block 0 (bootstrap genesis data lives only
 // in checkpoints). The checkpoints share the ledger's directory, so
 // ledger.Open has already swept the temp files of an interrupted write.
-func recoverState(fsys fsutil.FS, kvs statedb.KVS, led *ledger.Ledger, dir string, pc *validator.ParseCache) error {
+func recoverState(fsys fsutil.FS, kvs statedb.KVS, led *ledger.Ledger, dir string) error {
 	start := uint64(0)
 	restored := false
 	var aheadErr error
@@ -161,7 +159,7 @@ func recoverState(fsys fsutil.FS, kvs statedb.KVS, led *ledger.Ledger, dir strin
 		if err != nil {
 			return fmt.Errorf("peer: recovery replay block %d: %w", n, err)
 		}
-		if err := replayBlock(kvs, b, pc); err != nil {
+		if err := replayBlock(kvs, b); err != nil {
 			return err
 		}
 	}
@@ -172,13 +170,13 @@ func recoverState(fsys fsutil.FS, kvs statedb.KVS, led *ledger.Ledger, dir strin
 // write sets of transactions whose recorded validation flag is Valid,
 // decoded through the validator's own transaction parser (the same code
 // path the live commit used), applied at the same versions.
-func replayBlock(kvs statedb.KVS, b *block.Block, pc *validator.ParseCache) error {
+func replayBlock(kvs statedb.KVS, b *block.Block) error {
 	flags := b.Metadata.ValidationFlags
 	for i := range b.Envelopes {
 		if i >= len(flags) || block.ValidationCode(flags[i]) != block.Valid {
 			continue
 		}
-		pt, _ := pc.ParseTx(b.Envelopes[i].PayloadBytes)
+		pt := validator.ParseTx(b.Envelopes[i].PayloadBytes)
 		if pt.Err != nil {
 			return fmt.Errorf("peer: replay block %d tx %d: %w", b.Header.Number, i, pt.Err)
 		}

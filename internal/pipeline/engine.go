@@ -64,10 +64,6 @@ type Config struct {
 	// Members is the consortium an endorser must belong to (see
 	// validator.VerifyOpts); nil, no endorsement counts.
 	Members *identity.Cache
-	// ParseCache, when non-nil, interns ParseTx results by payload hash so
-	// an envelope decoded by any sharing path is unmarshaled once per
-	// process (parse-once). Cached results are shared and read-only.
-	ParseCache *validator.ParseCache
 	// Metrics, when non-nil, mirrors each flushed block's Breakdown into
 	// the telemetry registry's per-stage histograms. Nil (telemetry off)
 	// costs one predicted branch per block.
@@ -228,15 +224,9 @@ func (e *Engine) parseVerify(j *job) {
 			e.vsccRanges(j, ops)
 		}(&tallies[i])
 	}
-	// One payload at a time, as Fabric v1.4 does. With a ParseCache,
-	// payloads any sharing path already decoded are served from the
-	// interning table instead of re-walked.
+	// One payload at a time, as Fabric v1.4 does.
 	for i := range j.txs {
-		var hit bool
-		j.txs[i], hit = e.cfg.ParseCache.ParseTx(b.Envelopes[i].PayloadBytes)
-		if hit {
-			j.bd.ParseCacheHits++
-		}
+		j.txs[i] = validator.ParseTx(b.Envelopes[i].PayloadBytes)
 		if i+1 == n || (i+1)%p.size == 0 {
 			p.release((i + p.size) / p.size)
 		}

@@ -12,16 +12,14 @@ import (
 	"bmac/internal/block"
 	"bmac/internal/fabcrypto"
 	"bmac/internal/statedb"
-	"bmac/internal/validator"
 )
 
 // hotpathToggle is one on/off combination of the commit hot-path
 // optimizations under differential test.
 type hotpathToggle struct {
-	name       string
-	sigCache   bool
-	certCache  bool
-	parseCache bool
+	name      string
+	sigCache  bool
+	certCache bool
 }
 
 func hotpathToggles() []hotpathToggle {
@@ -29,8 +27,7 @@ func hotpathToggles() []hotpathToggle {
 		{name: "all-off"},
 		{name: "sigcache", sigCache: true},
 		{name: "certcache", certCache: true},
-		{name: "parseonce", parseCache: true},
-		{name: "all-on", sigCache: true, certCache: true, parseCache: true},
+		{name: "all-on", sigCache: true, certCache: true},
 	}
 }
 
@@ -51,26 +48,22 @@ func TestHotpathDifferentialToggles(t *testing.T) {
 		t.Run(tog.name, func(t *testing.T) {
 			var sc *fabcrypto.SigCache
 			var cc *fabcrypto.CertCache
-			var pc *validator.ParseCache
 			if tog.sigCache {
 				sc = fabcrypto.NewSigCache(4096)
 			}
 			if tog.certCache {
 				cc = fabcrypto.NewCertCache(512)
 			}
-			if tog.parseCache {
-				pc = validator.NewParseCache(1024)
-			}
 
 			// One engine, then a second sharing the same caches: the first
 			// pass pre-warms them, so the second exercises the cross-path
 			// hit case.
-			var sigHits, parseHits [2]int
+			var sigHits [2]int
 			for k, v := range variants {
 				store := v.store()
 				eng := New(Config{
 					Workers: 2 + k, Policies: r.pols, Members: r.members,
-					SigCache: sc, CertCache: cc, ParseCache: pc,
+					SigCache: sc, CertCache: cc,
 				}, store, nil)
 				for n, raw := range raws {
 					res, err := eng.ValidateAndCommit(raw)
@@ -79,7 +72,6 @@ func TestHotpathDifferentialToggles(t *testing.T) {
 					}
 					checkSame(t, v.name, n, res.Flags, res.CommitHash, wants[n].flags, wants[n].commit)
 					sigHits[k] += res.Breakdown.SigCacheHits
-					parseHits[k] += res.Breakdown.ParseCacheHits
 				}
 				eng.Close()
 				if !statedb.SnapshotsEqual(store.Snapshot(), refSnap) {
@@ -94,12 +86,6 @@ func TestHotpathDifferentialToggles(t *testing.T) {
 			}
 			if !tog.sigCache && sigHits != [2]int{} {
 				t.Fatalf("sig cache hits without a cache: %v", sigHits)
-			}
-			if tog.parseCache && parseHits[1] == 0 {
-				t.Fatal("parse cache shared across paths never hit")
-			}
-			if !tog.parseCache && parseHits != [2]int{} {
-				t.Fatalf("parse cache hits without a cache: %v", parseHits)
 			}
 		})
 	}

@@ -1,6 +1,6 @@
 // Package validator holds the per-block and per-transaction Fabric v1.4
-// validation semantics every commit path shares: payload decoding (ParseTx,
-// ParseCache), block verification (VerifyOrderer), transaction verification
+// validation semantics every commit path shares: payload decoding (ParseTx),
+// block verification (VerifyOrderer), transaction verification
 // plus vscc over a range of transactions (VSCC), and the Result/Breakdown
 // vocabulary the experiments read. It has no driver: the one engine that
 // sequences these steps over a block is internal/pipeline.
@@ -64,8 +64,9 @@ type Breakdown struct {
 	// fabcrypto.SigCache (a DER parse + lookup each, no curve math).
 	SigCacheHits int
 	SigCacheTime time.Duration
-	// ParseCacheHits counts transaction payloads served from the
-	// parse-once interning table instead of a full unmarshal walk.
+	// ParseCacheHits is always 0: the engine parses every payload (the
+	// parse-once table it counted was deleted). The field stays because
+	// the benchmark module reads it for validator.parse_cache_hit_rate.
 	ParseCacheHits int
 }
 
