@@ -114,6 +114,7 @@ func run() (err error) {
 				fmt.Printf("gate: allocs/op within %.0f%% of %s, verification-engine, hash-lane, BMac-sender and signer ratios within limits\n", *gateTol*100, *gatePath)
 				if !rec.Lanes {
 					fmt.Println("gate: ecdsa_verify_batch / ecdsa_verify_batch_scalar not applicable: no 8-lane kernel on this CPU")
+					fmt.Println("gate: ecdsa_sign / ecdsa_sign_ecdh not applicable: no 8-lane comb on this CPU")
 				}
 				if !rec.HashLanes {
 					fmt.Println("gate: sha256_range_lanes / sha256_range not applicable: no 16-lane SHA-256 kernel on this CPU")

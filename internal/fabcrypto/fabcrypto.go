@@ -28,10 +28,12 @@
 // Signing (Signer.Sign, SignDigest) runs on the package's own RFC 6979
 // signer, sign.go, byte for byte crypto/ecdsa's signature after low-S. Its
 // secrets — the key, the nonce and their products — touch only ordMul, a
-// masked addition mod n and the nonce DRBG; R = k·G is crypto/ecdh's; and
-// the variable-time inversion it shares with the verifier sees only the
-// nonce blinded by a fresh random factor, k·b. The build-tagged timing test
-// checks exactly that.
+// masked addition mod n, the nonce DRBG and R = k·G: on amd64 CPUs with
+// AVX-512 IFMA a constant-time 8-lane fixed-base comb (sign_lanes.go, on
+// the verifier's lane kernel), elsewhere crypto/ecdh. The variable-time
+// inversions it shares with the verifier see only values blinded by fresh
+// random factors, k·b and Z·β. The build-tagged timing test checks exactly
+// that.
 package fabcrypto
 
 import (
@@ -171,7 +173,13 @@ func (s *Signer) Sign(msg []byte) ([]byte, error) {
 // the key and the digest, so one key signing one digest always gives the
 // same signature: crypto/ecdsa's (*PrivateKey).Sign(nil, …) with s replaced
 // by n − s when it is in the high half of the order (sign.go).
-func (s *Signer) SignDigest(digest []byte) ([]byte, error) {
+func (s *Signer) SignDigest(digest []byte) ([]byte, error) { return s.signDigest(digest, combBase()) }
+
+// SignDigestECDH is SignDigest with R = k·G by crypto/ecdh on every CPU: the
+// same signature, for the hotpath record's row beside SignDigest's.
+func (s *Signer) SignDigestECDH(digest []byte) ([]byte, error) { return s.signDigest(digest, false) }
+
+func (s *Signer) signDigest(digest []byte, lanes bool) ([]byte, error) {
 	if len(digest) != HashSize {
 		return nil, fmt.Errorf("ecdsa sign: %d-byte digest, want %d", len(digest), HashSize)
 	}
@@ -179,7 +187,7 @@ func (s *Signer) SignDigest(digest []byte) ([]byte, error) {
 	if D := s.priv.D; D.Sign() > 0 && D.BitLen() <= 8*ScalarSize {
 		D.FillBytes(d[:])
 	}
-	p, err := signDigest(&d, (*[HashSize]byte)(digest))
+	p, err := signDigest(&d, (*[HashSize]byte)(digest), lanes)
 	if err != nil {
 		return nil, fmt.Errorf("ecdsa sign: %w", err)
 	}

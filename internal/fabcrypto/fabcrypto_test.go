@@ -160,25 +160,33 @@ func TestLowSNormalization(t *testing.T) {
 	}
 }
 
-// TestSignDigestAllocs bounds what a signature allocates: crypto/ecdh's key
-// and point for R = k·G, the nonce's bytes handed to it, and the DER — at
-// most 10, where crypto/ecdsa's signer takes 63.
+// TestSignDigestAllocs bounds what a signature allocates, on each k·G path:
+// on the lanes' comb only the DER, at most 2; through crypto/ecdh also its
+// key and point for R = k·G and the nonce's bytes handed to it, at most 10;
+// crypto/ecdsa's signer takes 63.
 func TestSignDigestAllocs(t *testing.T) {
 	s := newTestSigner(t)
 	digest := Hash([]byte("allocs"))
 	base := testing.AllocsPerRun(50, func() { _, _ = s.priv.Sign(nil, digest[:], crypto.SHA256) })
-	got := testing.AllocsPerRun(50, func() { _, _ = s.SignDigest(digest[:]) })
-	t.Logf("crypto/ecdsa.(*PrivateKey).Sign: %.2f allocs, SignDigest: %.2f", base, got)
-	if got > 10 {
-		t.Fatalf("SignDigest allocates %.2f, want at most 10", got)
-	}
+	onEachBasePath(func(path string) {
+		limit := 10.0
+		if path == "lanes" {
+			limit = 2
+		}
+		got := testing.AllocsPerRun(50, func() { _, _ = s.SignDigest(digest[:]) })
+		t.Logf("crypto/ecdsa.(*PrivateKey).Sign: %.2f allocs, SignDigest on %s: %.2f", base, path, got)
+		if got > limit {
+			t.Errorf("SignDigest on %s allocates %.2f, want at most %.0f", path, got, limit)
+		}
+	})
 }
 
 // TestSignDigestRFC6979 pins SignDigest to RFC 6979 A.2.5's P-256/SHA-256
 // vectors (as crypto/ecdsa's TestRFC6979 carries them), signed by a Signer
 // holding the RFC's private key. "sample" signs to a high s, so SignDigest
 // must return r and n − s; "test" signs to a low s, which must come back
-// unchanged. Both low-S branches, with nothing left to chance.
+// unchanged. Both low-S branches, with nothing left to chance, on each k·G
+// path.
 func TestSignDigestRFC6979(t *testing.T) {
 	hexInt := func(h string) *big.Int {
 		v, ok := new(big.Int).SetString(h, 16)
@@ -217,18 +225,21 @@ func TestSignDigestRFC6979(t *testing.T) {
 			t.Fatal(err)
 		}
 		digest := Hash([]byte(v.msg))
-		sig, err := s.SignDigest(digest[:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(sig, want) {
-			t.Errorf("%q: SignDigest = %x, want %x", v.msg, sig, want)
-		}
+		onEachBasePath(func(path string) {
+			sig, err := s.SignDigest(digest[:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(sig, want) {
+				t.Errorf("%q on %s: SignDigest = %x, want %x", v.msg, path, sig, want)
+			}
+		})
 	}
 }
 
 // TestSignDigestDeterministic: one key signing one digest twice gives the
-// same bytes, and they verify under crypto/ecdsa.
+// same bytes, SignDigestECDH gives them too, and they verify under
+// crypto/ecdsa.
 func TestSignDigestDeterministic(t *testing.T) {
 	s := newTestSigner(t)
 	digest := Hash([]byte("endorse"))
@@ -243,6 +254,9 @@ func TestSignDigestDeterministic(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("two signatures of one digest differ:\n%x\n%x", a, b)
 	}
+	if c, err := s.SignDigestECDH(digest[:]); err != nil || !bytes.Equal(a, c) {
+		t.Fatalf("SignDigestECDH = %x, %v; SignDigest %x", c, err, a)
+	}
 	if !ecdsa.VerifyASN1(s.Public(), digest[:], a) {
 		t.Fatal("signature does not verify under crypto/ecdsa")
 	}
@@ -250,8 +264,8 @@ func TestSignDigestDeterministic(t *testing.T) {
 
 // FuzzSignMatchesStdlib: for any private key d in [1, n) and any digest,
 // SignDigest returns crypto/ecdsa's (*PrivateKey).Sign(nil, …) — RFC 6979,
-// the same nonce — after low-S, byte for byte. Inputs are cut or padded to
-// 32 bytes, so every one signs. Seeds: d = 1 and d = n − 1,
+// the same nonce — after low-S, byte for byte, on each k·G path. Inputs are
+// cut or padded to 32 bytes, so every one signs. Seeds: d = 1 and d = n − 1,
 // a digest ≥ n, the all-0xff and the all-zero digests.
 func FuzzSignMatchesStdlib(f *testing.F) {
 	one := make([]byte, ScalarSize)
@@ -299,13 +313,15 @@ func FuzzSignMatchesStdlib(f *testing.F) {
 			sv.Sub(bigN, sv).FillBytes(parts.S[:])
 		}
 		want := PartsToDER(parts)
-		got, err := (&Signer{priv: priv}).SignDigest(digest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("d = %x, digest = %x: SignDigest = %x, crypto/ecdsa after low-S %x", d, digest, got, want)
-		}
+		onEachBasePath(func(path string) {
+			got, err := (&Signer{priv: priv}).SignDigest(digest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("d = %x, digest = %x: SignDigest on %s = %x, crypto/ecdsa after low-S %x", d, digest, path, got, want)
+			}
+		})
 	})
 }
 

@@ -28,8 +28,9 @@ import (
 //
 // Every input of a verification is public, which is what makes variable
 // time sound here. No secret-dependent value enters this code: the signer
-// (sign.go) shares only ordMul and the blinded ordInvVar with it, and its
-// secrets touch only ordMul, a masked addition mod n and the nonce DRBG.
+// (sign.go) shares with it only ordMul, feMul, the blinded inversions and,
+// for its k·G, the 8-lane kernel's multiplication, whose comb routines are
+// its own and constant time (sign_lanes.go).
 //
 // crypto/ecdsa also stays the verifier for keys not (yet) worth a table,
 // for anything but a 32-byte digest under a valid P-256 key, and for the
@@ -511,11 +512,11 @@ type laneTemps struct {
 var laneInvScale, _ = feFromLimbs([4]uint64{1 << 6})
 
 // get returns lane l of v, which must be below 2²⁵⁸ in 52-bit limbs, as a
-// canonical field element.
+// canonical field element. It is variable time; pack is not.
 //
 // bmaclint:noalloc
 func (v *laneFE) get(l int) fe {
-	a := [4]uint64{v[0][l] | v[1][l]<<52, v[1][l]>>12 | v[2][l]<<40, v[2][l]>>24 | v[3][l]<<28, v[3][l]>>36 | v[4][l]<<16}
+	a := [4]uint64(v.pack(l))
 	top := v[4][l] >> 48
 	for top != 0 || !lessThan(&a, &pLimbs) {
 		var b uint64
@@ -525,6 +526,14 @@ func (v *laneFE) get(l int) fe {
 		top -= b
 	}
 	return fe(a)
+}
+
+// pack returns the low 256 bits of lane l of v, in 52-bit limbs: lane l
+// itself where it is below 2²⁵⁶, as a canonical lane is.
+//
+// bmaclint:noalloc
+func (v *laneFE) pack(l int) fe {
+	return fe{v[0][l] | v[1][l]<<52, v[1][l]>>12 | v[2][l]<<40, v[2][l]>>24 | v[3][l]<<28, v[3][l]>>36 | v[4][l]<<16}
 }
 
 // set stores x as lane l of v.
@@ -540,12 +549,15 @@ func (v *laneFE) set(l int, x *fe) {
 }
 
 // gTable is the generator's table: shared, immutable, built on first use.
-var gTable = sync.OnceValue(func() *combTable {
+var gTable = sync.OnceValue(func() *combTable { return newCombTable(generator(), gWinBits) })
+
+// generator returns G.
+func generator() affinePoint {
 	c := elliptic.P256().Params()
 	gx, _ := feFromLimbs(limbsOfBig(c.Gx))
 	gy, _ := feFromLimbs(limbsOfBig(c.Gy))
-	return newCombTable(affinePoint{x: gx, y: gy}, gWinBits)
-})
+	return affinePoint{x: gx, y: gy}
+}
 
 // pointKey identifies a public key by its affine coordinates, X ‖ Y.
 type pointKey [2 * ScalarSize]byte

@@ -11,10 +11,12 @@ import (
 // point code is VARIABLE TIME — branches and table indices depend on the
 // operands — which is sound only because every operand of a verification
 // (public key, digest, signature) is public. The signer (sign.go) hands a
-// secret to nothing here but ordMul, whose kernel and portable twin are
-// constant time (the final select of either is a mask), and to nothing in
-// safegcd.go but the blinded k·b. The timing test (timing_test.go) checks
-// those claims and no others.
+// secret to nothing here but ordMul and feMul, whose kernels and portable
+// twins are constant time (the final select of each is a mask), and to
+// nothing in safegcd.go but the blinded k·b and Z·β. Its k·G on the lanes
+// (sign_lanes.go) builds its table from G with this file's point code once,
+// before any secret. The timing test (timing_test.go) checks those claims
+// and no others.
 //
 // Multiplication and squaring, most of a verification's time, run on a
 // kernel chosen by GOARCH alone, and so do the batch's three inner loops —

@@ -73,6 +73,39 @@ func lanesPrefix(pts, next *affinePoint, idx *int32, pre *laneFE, groups int)
 //go:noescape
 func lanesChord(pts, next *affinePoint, idx *int32, pre *laneFE, tmp *laneTemps, groups, tail int)
 
+// The signer's comb (sign_lanes.go), on a laneComb.
+
+// lanesCombSelect sets c.sel[r] to entry c.digit[r] of round r's tables
+// (0 for a zero digit), every entry read for every lane.
+//
+//go:noescape
+func lanesCombSelect(c *laneComb, tab *[combRounds][combEntries]laneAffine)
+
+// lanesCombStart sets the running sums to round 0's entries, y negated where
+// the digit is negative, or to the identity (0 : 1 : 0) where it is zero.
+//
+//go:noescape
+func lanesCombStart(c *laneComb)
+
+// lanesCombAdd adds round r's entries into the running sums, likewise, by
+// the complete mixed addition, and keeps the sum where the digit is not
+// zero.
+//
+//go:noescape
+func lanesCombAdd(c *laneComb, r int)
+
+// lanesCombine adds lane (l + s) mod 8's running sum into lane l's, in every
+// lane, by the complete full addition.
+//
+//go:noescape
+func lanesCombine(c *laneComb, s int)
+
+// lanesCanonical sets every lane of z to x mod p, canonical, for lanes of x
+// below 2²⁶⁰ in 52-bit limbs. z may alias x.
+//
+//go:noescape
+func lanesCanonical(z, x *laneFE)
+
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (xcr0 uint32)

@@ -35,12 +35,15 @@ func onEachLevelPath(f func()) {
 	}
 }
 
-// TestLanesReport says which kernels this run tests the affine levels on.
+// TestLanesReport says which kernels this run tests the affine levels and
+// the signer's k·G on.
 func TestLanesReport(t *testing.T) {
 	if haveLanes {
 		t.Log("affine levels: the 8-lane AVX-512 IFMA kernel, and the scalar kernel through scalarLevels")
+		t.Log("signer's k·G: the 8-lane comb, and crypto/ecdh through ecdhBase")
 	} else {
 		t.Log("affine levels: the scalar kernel only; the 8-lane kernel is missing " + lanesMissing)
+		t.Log("signer's k·G: crypto/ecdh only; the 8-lane comb is missing " + lanesMissing)
 	}
 }
 

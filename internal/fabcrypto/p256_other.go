@@ -29,3 +29,15 @@ func lanesPrefix(pts, next *affinePoint, idx *int32, pre *laneFE, groups int) {
 func lanesChord(pts, next *affinePoint, idx *int32, pre *laneFE, tmp *laneTemps, groups, tail int) {
 	panic("fabcrypto: no 8-lane kernel on this GOARCH")
 }
+
+func lanesCombSelect(c *laneComb, tab *[combRounds][combEntries]laneAffine) {
+	panic("fabcrypto: no 8-lane kernel on this GOARCH")
+}
+
+func lanesCombStart(c *laneComb) { panic("fabcrypto: no 8-lane kernel on this GOARCH") }
+
+func lanesCombAdd(c *laneComb, r int) { panic("fabcrypto: no 8-lane kernel on this GOARCH") }
+
+func lanesCombine(c *laneComb, s int) { panic("fabcrypto: no 8-lane kernel on this GOARCH") }
+
+func lanesCanonical(z, x *laneFE) { panic("fabcrypto: no 8-lane kernel on this GOARCH") }
