@@ -33,6 +33,7 @@ var aliasingDecoders = map[string]map[string]bool{
 		"UnmarshalRWSet":                   true,
 		"UnmarshalSignatureHeader":         true,
 		"UnmarshalChannelHeader":           true,
+		"NewTxView":                        true,
 	},
 }
 

@@ -118,3 +118,33 @@ func pooledCopyEscapes(n int, fill func([]byte) []byte) {
 	}
 	sink = b
 }
+
+// pooledViewReturned reads a transaction off a pooled buffer and returns
+// the view, whose slices alias the buffer its owner will recycle.
+func pooledViewReturned(n int, fill func([]byte) []byte) (block.TxView, error) {
+	buf := wire.GetBuf(n)
+	buf = fill(buf)
+	v, err := block.NewTxView(buf) // want `block\.NewTxView result aliases pooled buffer buf \(from wire\.GetBuf\) and escapes`
+	return v, err
+}
+
+// putWhileViewRead recycles the payload, then reads the view over it.
+func putWhileViewRead(payload []byte) int {
+	v, err := block.NewTxView(payload)
+	if err != nil {
+		return 0
+	}
+	wire.PutBuf(payload) // want `wire\.PutBuf\(payload\) while the block\.NewTxView result still aliases it`
+	return len(v.Creator())
+}
+
+// viewReadBeforePut is legal: the view is done with before the recycle.
+func viewReadBeforePut(payload []byte) int {
+	v, err := block.NewTxView(payload)
+	if err != nil {
+		return 0
+	}
+	n := len(v.Creator())
+	wire.PutBuf(payload)
+	return n
+}

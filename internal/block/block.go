@@ -27,12 +27,19 @@
 // Unmarshal, UnmarshalTransactionPayload, UnmarshalProposalResponsePayload
 // and the other decoders return structures whose byte-slice fields ALIAS the
 // input buffer instead of copying it: decoding a block costs one pass and no
-// per-field allocations. Two obligations follow for callers:
+// per-field allocations. NewTxView goes further: a TxView is the payload
+// bytes themselves, read in place, with no structure decoded at all. Three
+// obligations follow for callers:
 //
 //   - The input buffer must not be mutated or recycled (e.g. returned to a
 //     pool) while the decoded structures — or anything derived from them,
-//     such as a cached ParsedTx — are live. Network receive paths allocate a
-//     fresh buffer per block, so this holds naturally on the commit path.
+//     such as a TxView over one of a block's payloads — are live. Network
+//     receive paths allocate a fresh buffer per block, so this holds
+//     naturally on the commit path.
+//   - Nothing that outlives the block may keep an aliasing slice, or a
+//     string made over one without a copy: a state database copies every
+//     key and value it stores (TxView.AppendWrites copies the keys of a
+//     write set).
 //   - Callers that need detached structures (to reuse their read buffer)
 //     use UnmarshalCopy, which pays one up-front copy of the input.
 //

@@ -342,20 +342,17 @@ func (d *Driver) Submitted() int { return d.submitted }
 // committer role every peer (including endorsers) plays after validation.
 // Flags select which transactions commit.
 func ApplyBlock(store statedb.KVS, b *block.Block, flags []byte) error {
+	var writes []block.KVWrite
 	for i := range b.Envelopes {
 		if i >= len(flags) || block.ValidationCode(flags[i]) != block.Valid {
 			continue
 		}
-		tx, err := block.UnmarshalTransactionPayload(b.Envelopes[i].PayloadBytes)
+		v, err := block.NewTxView(b.Envelopes[i].PayloadBytes)
 		if err != nil {
 			return err
 		}
-		prp, err := block.UnmarshalProposalResponsePayload(tx.Payload.Action.ProposalResponseBytes)
-		if err != nil {
-			return err
-		}
-		store.WriteBatch(prp.Extension.Results.Writes,
-			block.Version{BlockNum: b.Header.Number, TxNum: uint64(i)})
+		writes = v.AppendWrites(writes[:0])
+		store.WriteBatch(writes, block.Version{BlockNum: b.Header.Number, TxNum: uint64(i)})
 	}
 	return nil
 }

@@ -80,6 +80,11 @@ type HotpathDerived struct {
 	// both rows are crypto/ecdsa verifications, so the quotient of their
 	// totals swings with whatever slowed a few rounds of one of them.
 	SingleUseOverStdlib float64 `json:"single_use_over_stdlib"`
+	// SignOverStdlib is ecdsa_sign ÷ ecdsa_sign_stdlib as the median of
+	// measureOps' per-round quotients: the standard library's row swings
+	// between runs far more than fabcrypto's, and with it the quotient of
+	// their totals.
+	SignOverStdlib float64 `json:"sign_over_stdlib"`
 }
 
 // HotpathRecord is the machine-readable result of the hotpath suite.
@@ -177,23 +182,23 @@ type verifyTuple struct {
 // endorserTuples extracts every signature check of one transaction — the
 // creator signature plus all endorsements — exactly as vscc performs them.
 func endorserTuples(env *block.Envelope) ([]verifyTuple, error) {
-	pt := validator.ParseTx(env.PayloadBytes)
-	if pt.Err != nil {
-		return nil, pt.Err
+	v, err := block.NewTxView(env.PayloadBytes)
+	if err != nil {
+		return nil, err
 	}
 	var out []verifyTuple
-	cpub, err := fabcrypto.PublicKeyFromCert(pt.Tx.SignatureHeader.Creator)
+	cpub, err := fabcrypto.PublicKeyFromCert(v.Creator())
 	if err != nil {
 		return nil, err
 	}
 	out = append(out, verifyTuple{pub: cpub, digest: fabcrypto.HashSlice(env.PayloadBytes), sig: env.Signature})
-	for i := range pt.Tx.Payload.Action.Endorsements {
-		e := &pt.Tx.Payload.Action.Endorsements[i]
+	for i := range v.NumEndorsements() {
+		e := v.Endorsement(i)
 		epub, err := fabcrypto.PublicKeyFromCert(e.Endorser)
 		if err != nil {
 			return nil, err
 		}
-		digest := block.EndorsementDigest(pt.PRP, e.Endorser)
+		digest := block.EndorsementDigest(v.ProposalResponseBytes(), e.Endorser)
 		out = append(out, verifyTuple{pub: epub, digest: digest[:], sig: e.Signature})
 	}
 	return out, nil
@@ -486,13 +491,13 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	var creators, endorsements []fabcrypto.Message
 	for i := range encBlock.Envelopes[:rangeTxs] {
 		env := &encBlock.Envelopes[i]
-		pt := validator.ParseTx(env.PayloadBytes)
-		if pt.Err != nil {
-			return nil, pt.Err
+		v, err := block.NewTxView(env.PayloadBytes)
+		if err != nil {
+			return nil, err
 		}
 		creators = append(creators, fabcrypto.Message{A: env.PayloadBytes})
-		for _, en := range pt.Tx.Payload.Action.Endorsements {
-			endorsements = append(endorsements, block.EndorsementMessage(pt.PRP, en.Endorser))
+		for k := range v.NumEndorsements() {
+			endorsements = append(endorsements, block.EndorsementMessage(v.ProposalResponseBytes(), v.Endorsement(k).Endorser))
 		}
 	}
 	rangeMsgs := append(slices.Clip(creators), endorsements...)
@@ -547,12 +552,11 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	for i, name := range hotpathSignRows {
 		rec.Benchmarks[name] = sign[i]
 	}
+	rec.Derived.SignOverStdlib = medianRoundQuotient(sign[2], sign[1])
 
 	// --- Certificate parse: cold x509 walk vs interned. ---
-	creatorDER := func() []byte {
-		pt := validator.ParseTx(b.Envelopes[0].PayloadBytes)
-		return pt.Tx.SignatureHeader.Creator
-	}()
+	pt := validator.ParseTx(b.Envelopes[0].PayloadBytes)
+	creatorDER := pt.View.Creator()
 	rec.Benchmarks["cert_parse_cold"] = measureOp(opIters, func() {
 		if _, err := fabcrypto.PublicKeyFromCert(creatorDER); err != nil && benchErr == nil {
 			benchErr = err
@@ -568,14 +572,21 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	cb.HitRate = ccc.HitRate()
 	rec.Benchmarks["cert_parse_cached"] = cb
 
-	// --- ParseTx's price: one payload's unmarshal walk, as the engine
-	// decodes every transaction it validates. ---
+	// --- One payload's parse: through the struct decoders, the view's
+	// oracle (parse_tx_cold), and validated into a block.TxView by
+	// ParseTx, as the engine parses each (tx_view), interleaved. ---
 	payload := b.Envelopes[0].PayloadBytes
-	rec.Benchmarks["parse_tx_cold"] = measureOp(opIters, func() {
-		if pt := validator.ParseTx(payload); pt.Err != nil && benchErr == nil {
-			benchErr = pt.Err
+	parse := measureOps(4*opIters, run(func() error {
+		tx, err := block.UnmarshalTransactionPayload(payload)
+		if err != nil {
+			return err
 		}
-	})
+		_, err = block.UnmarshalProposalResponsePayload(tx.Payload.Action.ProposalResponseBytes)
+		return err
+	}), run(func() error { return validator.ParseTx(payload).Err }))
+	for i, name := range hotpathParseRows {
+		rec.Benchmarks[name] = parse[i]
+	}
 
 	// --- Marshal: exact-size single alloc vs pooled zero alloc — and, in
 	// the same rounds, the BMac sender's EncodeBlock of a 100-tx block with
@@ -776,6 +787,10 @@ var hotpathHashRows = []string{"sha256_range", "sha256_range_lanes"}
 // denominators of fabcrypto's.
 var hotpathSignRows = []string{"ecdsa_sign_hedged", "ecdsa_sign_stdlib", "ecdsa_sign", "ecdsa_sign_ecdh"}
 
+// hotpathParseRows are measured interleaved likewise: one payload through
+// the struct decoders, then validated into a view.
+var hotpathParseRows = []string{"parse_tx_cold", "tx_view"}
+
 // hotpathEncodeRows are measured interleaved likewise: the marshal of the
 // suite's 16-tx block is the yardstick for the two 100-tx EncodeBlock rows.
 var hotpathEncodeRows = []string{"marshal_block", "bmac_encode_block", "bmac_encode_block_64ids"}
@@ -791,7 +806,7 @@ var hotpathBenchOrder = []string{
 	"sha256_range", "sha256_range_lanes",
 	"ecdsa_sign_hedged", "ecdsa_sign_stdlib", "ecdsa_sign", "ecdsa_sign_ecdh",
 	"cert_parse_cold", "cert_parse_cached",
-	"parse_tx_cold",
+	"parse_tx_cold", "tx_view",
 	"marshal_block", "marshal_block_pooled", "marshal_tx_payload",
 	"bmac_encode_block", "bmac_encode_block_64ids",
 }
@@ -831,6 +846,8 @@ func (r *HotpathRecord) Table() *Table {
 		fmt.Sprintf("%.2f", r.Derived.SingleUseOverStdlib), "", "")
 	t.AddRow("derived: key table build, in stdlib verifications",
 		fmt.Sprintf("%.1fx", r.Derived.KeyTableBuildVerifiesX), "", "")
+	t.AddRow("derived: sign / stdlib RFC 6979 sign, median of rounds",
+		fmt.Sprintf("%.2f", r.Derived.SignOverStdlib), "", "")
 	t.AddRow("derived: sign speedup over the hedged nonce",
 		fmt.Sprintf("%.1fx", r.Derived.SignSpeedupX), "", "")
 	comb := "n/a (no 8-lane comb)"
@@ -918,8 +935,11 @@ func LoadHotpathRecord(path string) (*HotpathRecord, error) {
 // 0.61-0.79 here (ecdsa_sign_ecdh over ecdsa_sign_stdlib), and SignDigest
 // put back on crypto/ecdsa 1.01-1.02. Where the CPU has the lanes, k·G is
 // the 8-lane comb, and the signer must cost at most 0.50 of crypto/ecdsa's
-// RFC 6979 signer (0.40-0.44 in full runs here; quick runs read 0.44-0.52,
-// swinging with the standard library's row, 36-55 µs between runs)
+// RFC 6979 signer, taken as the median of the per-round quotients, since
+// the standard library's row swings between runs far more than
+// fabcrypto's (0.40-0.49 in full runs here; 60 quick runs read 0.40-0.52
+// as the median, one of them above the limit, and 0.39-0.52 as the
+// quotient of the totals, three above)
 // and at most 0.85 of itself with k·G through crypto/ecdh, the two measured
 // interleaved (0.57-0.75 in quick runs, median 0.68, and 0.60-0.65 in full
 // ones: 0.85 is about 1.3 times the full runs' and 1.25 times the quick
@@ -980,7 +1000,7 @@ func (r *HotpathRecord) Gate(baseline *HotpathRecord, tol float64) error {
 		{"bmac_encode_block / marshal_block", r.Benchmarks["bmac_encode_block"].NsPerOp / r.Benchmarks["marshal_block"].NsPerOp, maxEncodeOverMarshal},
 		{"ecdsa_sign / ecdsa_sign_hedged", r.Benchmarks["ecdsa_sign"].NsPerOp / r.Benchmarks["ecdsa_sign_hedged"].NsPerOp, maxSignOverHedged},
 	}
-	signOverStdlib := limit{"ecdsa_sign / ecdsa_sign_stdlib", r.Benchmarks["ecdsa_sign"].NsPerOp / r.Benchmarks["ecdsa_sign_stdlib"].NsPerOp, maxSignOverStdlib}
+	signOverStdlib := limit{"ecdsa_sign / ecdsa_sign_stdlib (median of rounds)", r.Derived.SignOverStdlib, maxSignOverStdlib}
 	if r.Lanes { // without the lanes both batch rows run the scalar levels, and both sign rows crypto/ecdh
 		signOverStdlib.max = maxCombOverStdlib
 		limits = append(limits,

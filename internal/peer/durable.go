@@ -168,10 +168,11 @@ func recoverState(fsys fsutil.FS, kvs statedb.KVS, led *ledger.Ledger, dir strin
 
 // replayBlock re-derives the state effects of one committed block: the
 // write sets of transactions whose recorded validation flag is Valid,
-// decoded through the validator's own transaction parser (the same code
-// path the live commit used), applied at the same versions.
+// parsed by the validator's own transaction parser (the same code path the
+// live commit used), applied at the same versions.
 func replayBlock(kvs statedb.KVS, b *block.Block) error {
 	flags := b.Metadata.ValidationFlags
+	var writes []block.KVWrite
 	for i := range b.Envelopes {
 		if i >= len(flags) || block.ValidationCode(flags[i]) != block.Valid {
 			continue
@@ -180,7 +181,8 @@ func replayBlock(kvs statedb.KVS, b *block.Block) error {
 		if pt.Err != nil {
 			return fmt.Errorf("peer: replay block %d tx %d: %w", b.Header.Number, i, pt.Err)
 		}
-		kvs.WriteBatch(pt.RW.Writes, block.Version{BlockNum: b.Header.Number, TxNum: uint64(i)})
+		writes = pt.View.AppendWrites(writes[:0])
+		kvs.WriteBatch(writes, block.Version{BlockNum: b.Header.Number, TxNum: uint64(i)})
 	}
 	return nil
 }

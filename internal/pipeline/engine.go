@@ -4,10 +4,13 @@
 // the validation phase of a Fabric v1.4 peer — the paper's software
 // baseline (Figure 2a):
 //
-//   - unmarshal: the block's payloads decoded one at a time, in order, each
-//     vscc range handed on as soon as its last payload is decoded;
+//   - unmarshal: the block's payloads parsed one at a time, in order, each
+//     into a view over its bytes (block.TxView), each vscc range handed on
+//     as soon as its last payload is parsed;
 //   - vscc over Workers (the "vscc threads" == vCPUs knob), each signature
-//     range one batch, with block verification beside it on the caller;
+//     range one batch, with block verification beside it on the caller,
+//     which also takes each released range's read-write sets out of its
+//     views;
 //   - mvcc strictly in transaction order against the state database;
 //   - flush: state database writes, then the ledger.
 //
@@ -30,6 +33,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"bmac/internal/block"
 	"bmac/internal/fabcrypto"
@@ -84,6 +88,7 @@ type job struct {
 
 	b    *block.Block // the engine's own copy of the Block value: its metadata is written, its envelopes are not
 	txs  []validator.ParsedTx
+	rw   []block.RWSet // rw[i]: transaction i's read-write set (see rwSets)
 	res  *Result
 	err  error
 	bd   validator.Breakdown
@@ -190,7 +195,7 @@ func (e *Engine) Close() {
 
 // --- stage 1: unmarshal, block verification and vscc ---
 
-// parseVerify decodes the block's payloads one at a time, in order, on the
+// parseVerify parses the block's payloads one at a time, in order, on the
 // caller, releasing each vscc range as soon as its last payload is parsed;
 // then it verifies the block and takes the ranges still unclaimed like any
 // helper. Up to Workers−1 helper goroutines vscc the released ranges
@@ -211,6 +216,7 @@ func (e *Engine) parseVerify(j *job) {
 	b := j.b
 	n := len(b.Envelopes)
 	j.txs = make([]validator.ParsedTx, n)
+	j.rw = make([]block.RWSet, n)
 	j.res = &Result{BlockNum: b.Header.Number, Flags: make([]byte, n)}
 	p := &j.ranges
 	p.init(n, e.cfg.Workers)
@@ -224,18 +230,21 @@ func (e *Engine) parseVerify(j *job) {
 			e.vsccRanges(j, ops)
 		}(&tallies[i])
 	}
-	// One payload at a time, as Fabric v1.4 does.
+	// One payload at a time, as Fabric v1.4 does. Once a range is
+	// released to vscc, its read-write sets are taken out of its views here,
+	// beside the helpers' vscc, not on the stages after the join.
 	for i := range j.txs {
 		j.txs[i] = validator.ParseTx(b.Envelopes[i].PayloadBytes)
 		if i+1 == n || (i+1)%p.size == 0 {
 			p.release((i + p.size) / p.size)
+			rwSets(j, i/p.size*p.size, i+1)
 		}
 	}
 	j.bd.Unmarshal = time.Since(t)
 	// Read sets are known now: kick off the async warm-up so backend
 	// misses resolve while this block is in vscc.
 	if e.pf != nil {
-		j.warm = e.pf.start(j.txs)
+		j.warm = e.pf.start(j.rw)
 	}
 
 	t = time.Now()
@@ -279,6 +288,28 @@ func (e *Engine) vsccRanges(j *job, ops *validator.Breakdown) {
 	for r, ok := p.claim(); ok; r, ok = p.claim() {
 		lo, hi := r*p.size, min((r+1)*p.size, len(j.txs))
 		validator.VSCC(j.b.Envelopes[lo:hi], j.txs[lo:hi], j.res.Flags[lo:hi], e.circuits, opts, ops)
+	}
+}
+
+// rwSets takes the read-write sets of transactions [lo, hi) out of their
+// views, so that mvcc and the commit, which run alone after the join, only
+// read slices. A write's key is copied into a string the state database
+// may keep; a read's key is lent from the frame (see lend), since it is
+// only looked up. One allocation holds the range's reads, one its writes.
+func rwSets(j *job, lo, hi int) {
+	reads, writes := 0, 0
+	for i := lo; i < hi; i++ {
+		reads, writes = reads+j.txs[i].View.NumReads(), writes+j.txs[i].View.NumWrites()
+	}
+	rs, ws := make([]block.KVRead, 0, reads), make([]block.KVWrite, 0, writes)
+	for i := lo; i < hi; i++ {
+		v := &j.txs[i].View
+		r0, w0 := len(rs), len(ws)
+		for key, ver := range v.Reads() {
+			rs = append(rs, block.KVRead{Key: lend(key), Version: ver})
+		}
+		ws = v.AppendWrites(ws)
+		j.rw[i] = block.RWSet{Reads: rs[r0:len(rs):len(rs)], Writes: ws[w0:len(ws):len(ws)]}
 	}
 }
 
@@ -371,30 +402,57 @@ func (e *Engine) decide(j *job) {
 	}
 	t := time.Now()
 	flags := j.res.Flags
-	written := make(map[string]bool)
+	n := 0
+	for i := range j.rw {
+		if flags[i] == byte(block.Valid) {
+			n += len(j.rw[i].Writes)
+		}
+	}
+	written := make(map[string]struct{}, n) // keys written so far in this block: at most n
 	for i := range j.txs {
 		if flags[i] != byte(block.Valid) {
 			continue
 		}
-		rw := j.txs[i].RW
-		conflict := false // an earlier tx in this block already wrote a key read here
-		for _, r := range rw.Reads {
-			if written[r.Key] {
-				conflict = true
-				break
-			}
-		}
-		if conflict || e.store.MVCCCheck(rw.Reads) != nil {
+		rw := &j.rw[i]
+		if e.conflicts(rw.Reads, written) {
 			flags[i] = byte(block.MVCCReadConflict)
 			continue
 		}
 		for _, w := range rw.Writes {
-			written[w.Key] = true
+			written[w.Key] = struct{}{}
 		}
 	}
 	j.bd.MVCC = time.Since(t)
 	j.b.Metadata.ValidationFlags = flags
 }
+
+// conflicts reports whether one of reads sees a key an earlier transaction
+// of the block wrote or, failing that, a version other than the state
+// database's: the verdict statedb.CheckMVCC gives, without a formatted error
+// for each conflict. An absent key matches only the zero version.
+func (e *Engine) conflicts(reads []block.KVRead, written map[string]struct{}) bool {
+	for _, r := range reads {
+		if _, w := written[r.Key]; w {
+			return true
+		}
+	}
+	for _, r := range reads {
+		cur, ok := e.store.Version(r.Key)
+		if !ok {
+			cur = block.Version{}
+		}
+		if cur != r.Version {
+			return true
+		}
+	}
+	return false
+}
+
+// lend returns key's bytes as a string without copying them, for a lookup
+// that keeps nothing: a map index, or a statedb.KVS read, which by the
+// KVS contract copies a key before it stores one. The string aliases the
+// frame, so it must never be stored anywhere that outlives the block.
+func lend(key []byte) string { return unsafe.String(unsafe.SliceData(key), len(key)) }
 
 // --- stage 3: state database + ledger flush ---
 
@@ -406,7 +464,7 @@ func (e *Engine) flush(j *job) {
 			if j.res.Flags[i] != byte(block.Valid) {
 				continue
 			}
-			e.store.WriteBatch(j.txs[i].RW.Writes, block.Version{BlockNum: blockNum, TxNum: uint64(i)})
+			e.store.WriteBatch(j.rw[i].Writes, block.Version{BlockNum: blockNum, TxNum: uint64(i)})
 		}
 		j.bd.StateDB = j.bd.MVCC + time.Since(t) // mvcc reads + commit writes
 

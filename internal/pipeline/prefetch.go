@@ -4,7 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"bmac/internal/validator"
+	"bmac/internal/block"
 )
 
 // prefetcher is the engine's async read-set warm-up stage: as soon as a
@@ -60,15 +60,14 @@ func newPrefetcher(w warmer, workers int) *prefetcher {
 
 // start issues async warm-up reads for every distinct read-set key of one
 // block and returns the block's completion tracker. Enqueueing applies
-// backpressure (the task channel is bounded), never loss.
-func (p *prefetcher) start(txs []validator.ParsedTx) *sync.WaitGroup {
+// backpressure (the task channel is bounded), never loss. The keys are lent
+// from the frame (see lend): the engine holds the block until the tracker
+// is done, and Warm copies a key before the cache keeps it.
+func (p *prefetcher) start(rws []block.RWSet) *sync.WaitGroup {
 	done := new(sync.WaitGroup)
 	seen := make(map[string]struct{})
-	for i := range txs {
-		if txs[i].RW == nil {
-			continue // malformed payload: no read set to warm
-		}
-		for _, r := range txs[i].RW.Reads {
+	for i := range rws {
+		for _, r := range rws[i].Reads {
 			if _, dup := seen[r.Key]; dup {
 				continue
 			}

@@ -3,6 +3,7 @@ package statedb
 import (
 	"container/list"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -120,7 +121,7 @@ func (h *HybridKVS) read(key string, warm bool) (VersionedValue, bool) {
 	if err != nil {
 		return VersionedValue{}, false
 	}
-	h.insertLocked(key, v)
+	h.insertLocked(strings.Clone(key), v) // a read's key may be lent (see KVS)
 	return v, true
 }
 

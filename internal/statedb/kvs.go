@@ -11,6 +11,12 @@ import (
 // endorsement simulator all run against this interface, so a peer can be
 // pointed at the in-memory Store or the paper's §5 hybrid hardware/host
 // database (HybridKVS) without touching the validation code.
+//
+// The key of a read (Get, Version) may be lent: a string whose bytes alias
+// a caller's buffer, such as a block's frame, that will be overwritten once
+// the call's block is done. A backend that keeps such a key, as HybridKVS
+// does when a miss promotes it, copies it first. The keys of a write (Put,
+// WriteBatch) are the caller's to give: a backend may keep them as they are.
 type KVS interface {
 	// Get returns the versioned value for key; a missing key reports an
 	// error wrapping ErrNotFound.

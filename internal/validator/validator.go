@@ -1,5 +1,5 @@
 // Package validator holds the per-block and per-transaction Fabric v1.4
-// validation semantics every commit path shares: payload decoding (ParseTx),
+// validation semantics every commit path shares: payload parsing (ParseTx),
 // block verification (VerifyOrderer), transaction verification
 // plus vscc over a range of transactions (VSCC), and the Result/Breakdown
 // vocabulary the experiments read. It has no driver: the one engine that
@@ -121,28 +121,26 @@ type VerifyOpts struct {
 // envelopes; the block is discarded without committing.
 var ErrBlockInvalid = errors.New("validator: block verification failed")
 
-// ParsedTx is the fully unmarshaled view of one transaction.
+// ParsedTx is one transaction as the engine parsed it: its payload's view,
+// or the reason the payload would not parse.
 type ParsedTx struct {
-	Tx   *block.Transaction
-	RW   *block.RWSet
-	PRP  []byte
+	View block.TxView
 	Err  error
 	Code block.ValidationCode
 }
 
-// ParseTx decodes one envelope payload into a ParsedTx. Decode failures are
+// ParseTx validates one envelope payload into a view of it (block.TxView),
+// without allocating. The view aliases payloadBytes. Decode failures are
 // recorded in Err/Code rather than returned, because a malformed transaction
 // invalidates only itself (BadPayload), never the block.
+//
+// bmaclint:noalloc
 func ParseTx(payloadBytes []byte) ParsedTx {
-	tx, err := block.UnmarshalTransactionPayload(payloadBytes)
+	v, err := block.NewTxView(payloadBytes)
 	if err != nil {
 		return ParsedTx{Err: err, Code: block.BadPayload}
 	}
-	prp, err := block.UnmarshalProposalResponsePayload(tx.Payload.Action.ProposalResponseBytes)
-	if err != nil {
-		return ParsedTx{Err: err, Code: block.BadPayload}
-	}
-	return ParsedTx{Tx: tx, RW: &prp.Extension.Results, PRP: tx.Payload.Action.ProposalResponseBytes}
+	return ParsedTx{View: v}
 }
 
 // VerifyOrderer verifies the block metadata signature and that the header's
@@ -284,20 +282,20 @@ func VSCC(envs []block.Envelope, txs []ParsedTx, flags []byte, policies map[stri
 			flags[i] = byte(p.Code)
 			continue
 		}
-		pub, err := opts.CertCache.PublicKeyFromCert(p.Tx.SignatureHeader.Creator)
+		pub, err := opts.CertCache.PublicKeyFromCert(p.View.Creator())
 		if err != nil {
 			flags[i] = byte(block.BadCreator)
 			continue
 		}
 		sc.queue(pub, fabcrypto.Message{A: envs[i].PayloadBytes}, envs[i].Signature, i)
 		start := len(sc.ids)
-		for _, e := range p.Tx.Payload.Action.Endorsements {
-			id, _ := opts.Members.IDForCert(e.Endorser)
+		for k := range p.View.NumEndorsements() {
+			id, _ := opts.Members.IDForCert(p.View.Endorsement(k).Endorser)
 			sc.ids = append(sc.ids, id)
 		}
 		v := &sc.txs[i]
 		v.Endorsers = sc.ids[start:]
-		if v.Circuit = policies[p.Tx.ChannelHeader.ChaincodeName]; v.Circuit == nil {
+		if v.Circuit = policies[string(p.View.ChaincodeName())]; v.Circuit == nil {
 			v.Circuit = noPolicy
 		}
 	}
@@ -310,10 +308,10 @@ func VSCC(envs []block.Envelope, txs []ParsedTx, flags []byte, policies map[stri
 	}
 	sc.sched.Run(sc.txs, func(round []policy.Request) []bool {
 		for _, rq := range round {
-			e := &txs[rq.Tx].Tx.Payload.Action.Endorsements[rq.End]
+			e := txs[rq.Tx].View.Endorsement(rq.End)
 			sc.refs = append(sc.refs, -1) // an unverifiable endorsement contributes nothing
 			if epub, err := opts.CertCache.PublicKeyFromCert(e.Endorser); err == nil {
-				sc.queue(epub, block.EndorsementMessage(txs[rq.Tx].PRP, e.Endorser), e.Signature, len(sc.refs)-1)
+				sc.queue(epub, block.EndorsementMessage(txs[rq.Tx].View.ProposalResponseBytes(), e.Endorser), e.Signature, len(sc.refs)-1)
 			}
 		}
 		sc.flush(bd)

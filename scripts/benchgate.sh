@@ -38,7 +38,8 @@
 # draws fresh entropy into every nonce), ecdsa_sign / ecdsa_sign_stdlib
 # <= 0.75, or 0.50 where the CPU has the 8-lane kernel (against
 # crypto/ecdsa's RFC 6979 signer, which gives the same signatures before
-# low-S), and ecdsa_sign / ecdsa_sign_ecdh <= 0.85 (k·G on the 8-lane comb
+# low-S; the median of the per-round quotients, derived.sign_over_stdlib,
+# since the standard library's row swings between runs), and ecdsa_sign / ecdsa_sign_ecdh <= 0.85 (k·G on the 8-lane comb
 # against the same signer with k·G through crypto/ecdh; on a CPU without
 # the lanes both rows run crypto/ecdh and this gate prints as not
 # applicable); the four measured interleaved.
