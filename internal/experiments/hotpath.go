@@ -28,7 +28,6 @@ import (
 	"bmac/internal/policy"
 	"bmac/internal/statedb"
 	"bmac/internal/telemetry"
-	"bmac/internal/validator"
 	"bmac/internal/wire"
 )
 
@@ -555,8 +554,11 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	rec.Derived.SignOverStdlib = medianRoundQuotient(sign[2], sign[1])
 
 	// --- Certificate parse: cold x509 walk vs interned. ---
-	pt := validator.ParseTx(b.Envelopes[0].PayloadBytes)
-	creatorDER := pt.View.Creator()
+	v, err := block.NewTxView(b.Envelopes[0].PayloadBytes)
+	if err != nil {
+		return nil, err
+	}
+	creatorDER := v.Creator()
 	rec.Benchmarks["cert_parse_cold"] = measureOp(opIters, func() {
 		if _, err := fabcrypto.PublicKeyFromCert(creatorDER); err != nil && benchErr == nil {
 			benchErr = err
@@ -573,8 +575,8 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	rec.Benchmarks["cert_parse_cached"] = cb
 
 	// --- One payload's parse: through the struct decoders, the view's
-	// oracle (parse_tx_cold), and validated into a block.TxView by
-	// ParseTx, as the engine parses each (tx_view), interleaved. ---
+	// oracle (parse_tx_cold), and validated into a block.TxView, as the
+	// engine parses each (tx_view), interleaved. ---
 	payload := b.Envelopes[0].PayloadBytes
 	parse := measureOps(4*opIters, run(func() error {
 		tx, err := block.UnmarshalTransactionPayload(payload)
@@ -583,7 +585,10 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 		}
 		_, err = block.UnmarshalProposalResponsePayload(tx.Payload.Action.ProposalResponseBytes)
 		return err
-	}), run(func() error { return validator.ParseTx(payload).Err }))
+	}), run(func() error {
+		_, err := block.NewTxView(payload)
+		return err
+	}))
 	for i, name := range hotpathParseRows {
 		rec.Benchmarks[name] = parse[i]
 	}

@@ -11,8 +11,10 @@
 //     range one batch, with block verification beside it on the caller,
 //     which also takes each released range's read-write sets out of its
 //     views;
-//   - mvcc strictly in transaction order against the state database;
-//   - flush: state database writes, then the ledger.
+//   - mvcc strictly in transaction order against the state database, each
+//     range's as soon as its vscc and every earlier range's is done, then
+//     the state database writes of its valid transactions;
+//   - flush: the ledger.
 //
 // The caller (ValidateAndCommit, ValidateAndCommitBlock) is one of the
 // Workers; at Workers = 1 every stage runs in order on it, with no
@@ -96,6 +98,11 @@ type job struct {
 
 	ranges rangePool // the block's vscc ranges and the workers taking them
 
+	// mvcc's place in the block (see decideRanges): the keys written by the
+	// transactions found valid so far, and how many ranges are decided.
+	written map[string]bool
+	decided int
+
 	// warm tracks the block's async read-set prefetch; the decide stage
 	// waits on it so a warm-up read and a committed write can't interleave
 	// mid-check. nil without a prefetcher or when the block never parsed.
@@ -105,8 +112,8 @@ type job struct {
 // Engine is the one type that validates and commits a block. A block goes
 // through three stages, each a plain function of its job, called in order
 // by the caller — parseVerify (unmarshal, the async read-set prefetch, block
-// verification and vscc), decide (mvcc) and flush (state database, then
-// ledger).
+// verification and vscc), decide (mvcc and the state database writes, of
+// the ranges parseVerify left undecided) and flush (ledger).
 //
 // The engine runs over any statedb.KVS backend; over one with a fast tier
 // to warm (see New) the prefetch readers hide its misses under vscc.
@@ -227,7 +234,7 @@ func (e *Engine) parseVerify(j *job) {
 		p.wg.Add(1)
 		go func(ops *validator.Breakdown) {
 			defer p.wg.Done()
-			e.vsccRanges(j, ops)
+			e.vsccRanges(j, ops, false)
 		}(&tallies[i])
 	}
 	// One payload at a time, as Fabric v1.4 does. Once a range is
@@ -255,10 +262,13 @@ func (e *Engine) parseVerify(j *job) {
 	}
 	// Only the vscc left after block verification is the caller's time in
 	// vscc; the rest ran hidden under unmarshal and block verification.
+	// Between its ranges the caller decides the ranges vetted so far, while
+	// the helpers vscc, unless the block's warm-ups have to land first;
+	// that time is the state database's, not vscc's.
 	t = time.Now()
-	e.vsccRanges(j, &j.bd)
+	e.vsccRanges(j, &j.bd, j.warm == nil)
 	p.wg.Wait()
-	j.bd.VerifyVSCC = time.Since(t)
+	j.bd.VerifyVSCC = time.Since(t) - j.bd.StateDB
 	for i := range tallies {
 		j.bd.AddOps(&tallies[i])
 	}
@@ -281,13 +291,18 @@ func vsccHelpers(ranges, workers int) int {
 }
 
 // vsccRanges validates the block's ranges as it claims them, until none is
-// left to start.
-func (e *Engine) vsccRanges(j *job, ops *validator.Breakdown) {
+// left to start. With decide (the caller only: mvcc is its alone), each
+// range is followed by decideRanges.
+func (e *Engine) vsccRanges(j *job, ops *validator.Breakdown, decide bool) {
 	p := &j.ranges
 	opts := e.cfg.verifyOpts()
 	for r, ok := p.claim(); ok; r, ok = p.claim() {
 		lo, hi := r*p.size, min((r+1)*p.size, len(j.txs))
 		validator.VSCC(j.b.Envelopes[lo:hi], j.txs[lo:hi], j.res.Flags[lo:hi], e.circuits, opts, ops)
+		p.vetted[r].Store(true)
+		if decide {
+			e.decideRanges(j)
+		}
 	}
 }
 
@@ -317,9 +332,10 @@ func rwSets(j *job, lo, hi int) {
 // them in order as their payloads are parsed, and every worker, the caller
 // included, claims them in order.
 type rangePool struct {
-	size, count int          // transactions per range; ranges in the block
-	next        atomic.Int64 // the next range to claim
-	failed      atomic.Bool  // block verification failed: start no further range
+	size, count int           // transactions per range; ranges in the block
+	next        atomic.Int64  // the next range to claim
+	failed      atomic.Bool   // block verification failed: start no further range
+	vetted      []atomic.Bool // vetted[r]: range r's vscc is done, its flags final until mvcc
 	wg          sync.WaitGroup
 
 	mu       sync.Mutex
@@ -331,6 +347,7 @@ type rangePool struct {
 func (p *rangePool) init(n, workers int) {
 	p.size = VSCCRange(n, workers)
 	p.count = (n + p.size - 1) / p.size
+	p.vetted = make([]atomic.Bool, p.count)
 	p.parsed.L = &p.mu
 }
 
@@ -383,69 +400,79 @@ func VSCCRange(n, workers int) int {
 	return max(1, min((n+workers-1)/workers, maxVSCCRange))
 }
 
-// --- stage 2: mvcc ---
+// --- stage 2: mvcc and the state database writes ---
 
-// decide re-checks each still-valid transaction's read set against the
-// state database and the keys written earlier in this block, strictly in
-// transaction order.
+// decide decides the ranges parseVerify left undecided: all of them when
+// the block had warm-ups to wait for, otherwise those the caller's last
+// vscc range overtook.
 func (e *Engine) decide(j *job) {
-	if j.skip {
-		return
-	}
 	if j.warm != nil {
 		// Residual stall only: with vscc ahead of us the warm-ups have
 		// normally landed already. This is the latency the prefetch
 		// failed to hide (reported so experiments can show the hiding).
+		// Waited for on every path, a failed block's too: the warm-ups
+		// read keys lent from the frame.
 		tWait := time.Now()
 		j.warm.Wait()
 		j.bd.PrefetchWait = time.Since(tWait)
 	}
-	t := time.Now()
-	flags := j.res.Flags
-	n := 0
-	for i := range j.rw {
-		if flags[i] == byte(block.Valid) {
-			n += len(j.rw[i].Writes)
-		}
+	if j.skip {
+		return
 	}
-	written := make(map[string]struct{}, n) // keys written so far in this block: at most n
-	for i := range j.txs {
-		if flags[i] != byte(block.Valid) {
-			continue
-		}
-		rw := &j.rw[i]
-		if e.conflicts(rw.Reads, written) {
-			flags[i] = byte(block.MVCCReadConflict)
-			continue
-		}
-		for _, w := range rw.Writes {
-			written[w.Key] = struct{}{}
-		}
-	}
-	j.bd.MVCC = time.Since(t)
-	j.b.Metadata.ValidationFlags = flags
+	e.decideRanges(j)
+	j.b.Metadata.ValidationFlags = j.res.Flags
 }
 
-// conflicts reports whether one of reads sees a key an earlier transaction
-// of the block wrote or, failing that, a version other than the state
-// database's: the verdict statedb.CheckMVCC gives, without a formatted error
-// for each conflict. An absent key matches only the zero version.
-func (e *Engine) conflicts(reads []block.KVRead, written map[string]struct{}) bool {
-	for _, r := range reads {
-		if _, w := written[r.Key]; w {
-			return true
-		}
+// decideRanges re-checks, strictly in transaction order, each still-valid
+// transaction's read set against the state database and the keys written
+// earlier in this block, one range at a time from the first undecided,
+// for as long as the next range's vscc is done; after each range it
+// writes the range's valid transactions to the state database. A write
+// changes no later verdict: a later read of the key is an in-block
+// conflict whatever the database holds, and every other key is as the
+// previous block left it. Only the caller runs it, and only once block
+// verification has passed.
+func (e *Engine) decideRanges(j *job) {
+	p := &j.ranges
+	if j.decided == p.count || !p.vetted[j.decided].Load() {
+		return
 	}
-	for _, r := range reads {
-		cur, ok := e.store.Version(r.Key)
-		if !ok {
-			cur = block.Version{}
-		}
-		if cur != r.Version {
-			return true
-		}
+	if j.written == nil {
+		j.written = make(map[string]bool)
 	}
-	return false
+	flags := j.res.Flags
+	for ; j.decided < p.count && p.vetted[j.decided].Load(); j.decided++ {
+		t := time.Now()
+		lo, hi := j.decided*p.size, min((j.decided+1)*p.size, len(j.txs))
+		for i := lo; i < hi; i++ {
+			if flags[i] != byte(block.Valid) {
+				continue
+			}
+			rw := &j.rw[i]
+			conflict := false // an earlier tx in this block already wrote a key read here
+			for _, r := range rw.Reads {
+				if j.written[r.Key] {
+					conflict = true
+					break
+				}
+			}
+			if conflict || e.store.MVCCCheck(rw.Reads) != nil {
+				flags[i] = byte(block.MVCCReadConflict)
+				continue
+			}
+			for _, w := range rw.Writes {
+				j.written[w.Key] = true
+			}
+		}
+		tw := time.Now()
+		for i := lo; i < hi; i++ {
+			if flags[i] == byte(block.Valid) {
+				e.store.WriteBatch(j.rw[i].Writes, block.Version{BlockNum: j.b.Header.Number, TxNum: uint64(i)})
+			}
+		}
+		j.bd.MVCC += tw.Sub(t)
+		j.bd.StateDB += time.Since(t) // mvcc reads + commit writes
+	}
 }
 
 // lend returns key's bytes as a string without copying them, for a lookup
@@ -454,20 +481,11 @@ func (e *Engine) conflicts(reads []block.KVRead, written map[string]struct{}) bo
 // frame, so it must never be stored anywhere that outlives the block.
 func lend(key []byte) string { return unsafe.String(unsafe.SliceData(key), len(key)) }
 
-// --- stage 3: state database + ledger flush ---
+// --- stage 3: ledger flush ---
 
 func (e *Engine) flush(j *job) {
 	if !j.skip {
 		blockNum := j.b.Header.Number
-		t := time.Now()
-		for i := range j.txs {
-			if j.res.Flags[i] != byte(block.Valid) {
-				continue
-			}
-			e.store.WriteBatch(j.rw[i].Writes, block.Version{BlockNum: blockNum, TxNum: uint64(i)})
-		}
-		j.bd.StateDB = j.bd.MVCC + time.Since(t) // mvcc reads + commit writes
-
 		if e.led != nil {
 			tLed := time.Now()
 			ch, err := e.led.Commit(j.b)

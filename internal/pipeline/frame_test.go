@@ -1,11 +1,14 @@
 package pipeline
 
 import (
+	"errors"
 	"strconv"
 	"testing"
+	"time"
 
 	"bmac/internal/block"
 	"bmac/internal/statedb"
+	"bmac/internal/validator"
 )
 
 // TestFrameOwnership validates and commits blocks straight from their
@@ -93,4 +96,44 @@ func TestFrameOwnership(t *testing.T) {
 			}
 		})
 	}
+
+	// A rejected block (its orderer signature does not verify) starts the
+	// prefetch's warm-ups too, over lent read keys: they must be done
+	// before ValidateAndCommit returns, so every key they promoted is one
+	// of the block's and still hits under its own name.
+	t.Run("hybrid rejected block", func(t *testing.T) {
+		rws := make([]block.RWSet, txs)
+		for i := range rws {
+			rws[i] = block.RWSet{Reads: []block.KVRead{{Key: acct(i)}}}
+		}
+		b := r.makeBlock(t, 0, rws)
+		b.Metadata.Signature.Signature[10] ^= 0xff
+		raw := block.Marshal(b)
+
+		host := statedb.NewStore()
+		for i := range txs {
+			host.Put(acct(i), []byte("100"), block.Version{})
+		}
+		hy := statedb.NewHybridKVS(1<<10, host)
+		hy.SetHostReadLatency(2 * time.Millisecond) // warm-ups still in flight if the engine does not wait
+		eng := New(Config{Workers: 2, Policies: r.pols, Members: r.members}, hy, nil)
+		if _, err := eng.ValidateAndCommit(raw); !errors.Is(err, validator.ErrBlockInvalid) {
+			t.Fatalf("err = %v, want ErrBlockInvalid", err)
+		}
+		for i := range raw {
+			raw[i] = 0xa5
+		}
+		eng.Close() // lets any warm-up still in flight finish
+
+		if n := hy.CacheLen(); n != txs {
+			t.Fatalf("%d keys resident, want the block's %d", n, txs)
+		}
+		hits, misses, _, _, _ := hy.Stats()
+		for i := range txs {
+			hy.Read(acct(i))
+		}
+		if h, m, _, _, _ := hy.Stats(); h-hits != txs || m != misses {
+			t.Errorf("reading the block's %d keys: %d hits, %d misses; a promoted key changed with its frame", txs, h-hits, m-misses)
+		}
+	})
 }

@@ -126,21 +126,17 @@ var ErrBlockInvalid = errors.New("validator: block verification failed")
 type ParsedTx struct {
 	View block.TxView
 	Err  error
-	Code block.ValidationCode
 }
 
 // ParseTx validates one envelope payload into a view of it (block.TxView),
-// without allocating. The view aliases payloadBytes. Decode failures are
-// recorded in Err/Code rather than returned, because a malformed transaction
-// invalidates only itself (BadPayload), never the block.
+// without allocating. The view aliases payloadBytes. A decode failure is
+// recorded in Err rather than returned, because a malformed transaction
+// invalidates only itself (VSCC flags it BadPayload), never the block.
 //
 // bmaclint:noalloc
 func ParseTx(payloadBytes []byte) ParsedTx {
 	v, err := block.NewTxView(payloadBytes)
-	if err != nil {
-		return ParsedTx{Err: err, Code: block.BadPayload}
-	}
-	return ParsedTx{View: v}
+	return ParsedTx{View: v, Err: err}
 }
 
 // VerifyOrderer verifies the block metadata signature and that the header's
@@ -279,7 +275,7 @@ func VSCC(envs []block.Envelope, txs []ParsedTx, flags []byte, policies map[stri
 		p := &txs[i]
 		sc.txs, sc.refs = append(sc.txs, policy.Tx{}), append(sc.refs, -1) // no Circuit, no check: decided here
 		if p.Err != nil {
-			flags[i] = byte(p.Code)
+			flags[i] = byte(block.BadPayload)
 			continue
 		}
 		pub, err := opts.CertCache.PublicKeyFromCert(p.View.Creator())
