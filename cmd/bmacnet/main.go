@@ -329,8 +329,7 @@ func runCluster(cfg *bmac.Config, opts bmac.ClusterOptions, dir string) error {
 	if res.HWLatency.Count > 0 {
 		fmt.Printf("bmac   path  e2e commit latency: %s\n", res.HWLatency)
 	}
-	fmt.Printf("signature cache: %.0f%% hit (shared across %d peers)\n",
-		res.SigCacheHitRate*100, opts.Peers)
+	fmt.Printf("observer: %d signature verifications, %d signatures carried\n", res.Verifications, res.Signatures)
 
 	fmt.Println("\nper-peer delivery (snapshot at fast-path completion):")
 	fmt.Printf("  %-8s %-5s %8s %10s %6s %6s %8s %8s %8s %7s %6s\n",

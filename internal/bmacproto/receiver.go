@@ -34,7 +34,7 @@ func (v *VerifyRequest) Execute() bool {
 // ExecuteBatch runs reqs together, as one batch of the engine on b, and
 // leaves in verdicts[i] what reqs[i].Execute() returns.
 func ExecuteBatch(b *fabcrypto.Batch, reqs []*VerifyRequest, verdicts []bool) {
-	b.Reset(nil)
+	b.Reset()
 	for i, v := range reqs {
 		if verdicts[i] = !v.Malformed && v.Pub != nil; verdicts[i] {
 			b.AddParts(v.Pub, v.Digest[:], v.Parts)

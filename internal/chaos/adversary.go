@@ -19,14 +19,13 @@ type OrderSubmitter interface {
 // Hostile transaction kinds, in mix order.
 const (
 	// KindReplay resubmits a captured honest envelope verbatim: the
-	// signatures verify (warming the failure/success cache either way),
-	// the txid duplicates an already-committed transaction, and the read
+	// signatures verify, the txid duplicates an already-committed transaction, and the read
 	// set is stale — the double-spend storm. Every copy past the first is
 	// flagged MVCCReadConflict.
 	KindReplay = "replay"
 	// KindBadSig repeats envelopes whose client signature is corrupted:
-	// the first rejection pays the curve math, every repeat must be a
-	// signature-cache lookup (the failure-caching O(lookup) claim).
+	// every copy costs the verifications of the signatures it carries, and
+	// no more.
 	KindBadSig = "badsig"
 	// KindGarbage submits undecodable payload bytes, rejected by the
 	// closed-format transaction parser as BadPayload.
@@ -252,7 +251,7 @@ func (a *Adversary) fromPoolLocked(pool *[]*block.Envelope, gen func() (*block.E
 
 // newBadSigLocked builds a self-endorsed envelope whose client signature is
 // corrupted: the creator certificate parses, so rejection lands on the
-// (cacheable) signature verification itself.
+// signature verification itself.
 func (a *Adversary) newBadSigLocked() (*block.Envelope, error) {
 	env, err := block.NewEndorsedEnvelope(block.TxSpec{
 		Creator:          a.id,

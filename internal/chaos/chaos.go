@@ -2,8 +2,8 @@
 // adversarial workload generator plus composable chaos faults, turning the
 // honest-but-slow scenarios (slow peers, churn, modeled latency) into
 // hostile ones. The paper's line-rate validation thesis is only credible
-// if rejection is cheap under attack — the closed-format decoder and the
-// failure-caching signature cache were built exactly for that, and this
+// if rejection is cheap under attack — a payload that does not decode costs
+// no verification and a signature is verified once per peer — and this
 // package is how the claim becomes a machine-checked gate.
 //
 // Two independent axes compose freely:

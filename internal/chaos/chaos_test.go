@@ -219,8 +219,8 @@ type stubSubmitter struct{}
 func (stubSubmitter) SubmitTx() (string, error) { return "tx", nil }
 
 // TestAdversaryPoolsReuse pins the flood shape: hostile corpora are
-// bounded at PoolSize, so sustained injection repeats envelopes — the
-// precondition for rejection amortizing to a signature-cache lookup.
+// bounded at PoolSize, so sustained injection repeats envelopes, each of
+// which a peer verifies again.
 func TestAdversaryPoolsReuse(t *testing.T) {
 	ord := &sink{}
 	adv, err := NewAdversary(AdversaryOptions{Rate: 0.5, Seed: 7, PoolSize: 2}, ord)

@@ -222,12 +222,12 @@ type Result struct {
 	// BMacDelivery is the hardware path's delivery pipe (zero value
 	// without a BMac peer).
 	BMacDelivery delivery.PeerStats
-	// SigCacheHitRate reports THIS run's traffic on the shared signature
-	// cache (config.Config.SigCache), computed from a stat delta so reusing
-	// one Config across several runs does not blend their rates. Every peer
-	// in the process shares the cache, so a signature repeated across the
-	// fan-out is verified once.
-	SigCacheHitRate float64
+	// Verifications counts the signature checks the observer peer ran over
+	// the blocks it committed (validator.Breakdown.ECDSACount), Signatures
+	// the signatures those blocks carry (validator.CarriedSignatures). A
+	// peer verifies no signature its blocks do not carry, an undecodable
+	// envelope's included, so Verifications ≤ Signatures.
+	Verifications, Signatures int
 	// Converged reports whether every fast peer finished with the same
 	// ledger height, state hash and commit hash (slow peers may lag or
 	// drop by design and are excluded).
@@ -291,6 +291,8 @@ type swPeer struct {
 	blocks     int
 	txs        int
 	validTxs   int
+	verifies   int    // the observer's Result.Verifications
+	sigs       int    // and Result.Signatures
 	counted    uint64 // height up to which commitLoop has counted blocks into the fields above
 	restarts   int
 	lastCommit time.Time
@@ -353,14 +355,6 @@ func (p *swPeer) fail(err error) {
 	p.mu.Unlock()
 }
 
-// deltaRate is hits/(hits+misses) over a counter delta, 0 when idle.
-func deltaRate(hits, misses int64) float64 {
-	if hits+misses <= 0 {
-		return 0
-	}
-	return float64(hits) / float64(hits+misses)
-}
-
 // Run executes one cluster experiment: build, bootstrap, drive while the
 // scenario plays, drain, report. dir receives the peers' ledgers.
 func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
@@ -394,10 +388,6 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 	if rec == nil && cfg.Telemetry.Enabled {
 		rec = telemetry.NewRecorder()
 	}
-	// Snapshot the shared cache's counters so the report reflects this
-	// run's traffic, not whatever a previous run on the same Config did.
-	sigH0, sigM0, _ := cfg.SigCache().Stats()
-
 	// Endorsers, a RaftNodes-node ordering service with the orderer bound
 	// to the elected leader, and the optional BMac peer.
 	st, err := Build(cfg, StackOptions{RaftNodes: opts.RaftNodes, BatchTimeout: 30 * time.Millisecond, BMac: opts.BMacPeer}, dir)
@@ -659,6 +649,7 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		// whole run (cp's commitLoop returned before its kill did).
 		np.mu.Lock()
 		np.blocks, np.txs, np.validTxs = cp.blocks, cp.txs, cp.validTxs
+		np.verifies, np.sigs = cp.verifies, cp.sigs
 		np.restarts = cp.restarts + 1
 		np.lastCommit = cp.lastCommit
 		np.mu.Unlock()
@@ -822,21 +813,20 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 	}
 
 	// Report.
-	sigH1, sigM1, _ := cfg.SigCache().Stats()
 	res := &Result{
-		Mode:            opts.Mode,
-		RaftNodes:       opts.RaftNodes,
-		Submitted:       submitted,
-		Late:            late,
-		SWLatency:       gen.Latency(),
-		SigCacheHitRate: deltaRate(sigH1-sigH0, sigM1-sigM0),
-		Events:          sp.report(),
+		Mode:      opts.Mode,
+		RaftNodes: opts.RaftNodes,
+		Submitted: submitted,
+		Late:      late,
+		SWLatency: gen.Latency(),
+		Events:    sp.report(),
 	}
 	res.SizeCuts, res.IdleCuts, res.TimeoutCuts = ord.Cuts()
 	peers[0].mu.Lock()
 	res.Blocks = peers[0].blocks
 	res.Txs = peers[0].txs
 	res.ValidTxs = peers[0].validTxs
+	res.Verifications, res.Signatures = peers[0].verifies, peers[0].sigs
 	res.Elapsed = peers[0].lastCommit.Sub(start)
 	res.HonestElapsed = honestDone.Sub(start)
 	peers[0].mu.Unlock()
@@ -1045,16 +1035,18 @@ type followers struct {
 // skips by design.
 func (p *swPeer) commitLoop(observer bool, fw *followers) {
 	defer close(p.done)
-	count := func(b *block.Block, valid int, at time.Time) {
+	count := func(b *block.Block, valid, verifies, sigs int, at time.Time) {
 		p.mu.Lock()
 		p.blocks++
 		p.txs += len(b.Envelopes)
 		p.validTxs += valid
+		p.verifies += verifies
+		p.sigs += sigs
 		p.counted = b.Header.Number + 1
 		p.lastCommit = at
 		p.mu.Unlock()
 	}
-	h := peer.Hooks{Skipped: func(b *block.Block) { count(b, 0, time.Now()) }}
+	h := peer.Hooks{Skipped: func(b *block.Block) { count(b, 0, 0, 0, time.Now()) }}
 	if !p.slow {
 		h.Rewind = func(seq uint64) error { return fw.svc.Rewind(p.name, seq) }
 	}
@@ -1073,8 +1065,10 @@ func (p *swPeer) commitLoop(observer bool, fw *followers) {
 			}
 			fw.applyMu.Unlock()
 			fw.gen.ObserveBlock(b, at)
+			count(b, block.CountValid(res.Flags), res.Breakdown.ECDSACount, validator.CarriedSignatures(b), at)
+			return nil
 		}
-		count(b, block.CountValid(res.Flags), at)
+		count(b, block.CountValid(res.Flags), 0, 0, at)
 		return nil
 	}
 	if err := p.peer.Follow(p.ln.Blocks(), h); err != nil {

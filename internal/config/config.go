@@ -145,19 +145,17 @@ type Config struct {
 	Durability DurabilitySpec
 	Telemetry  TelemetrySpec
 
-	// caches memoizes the shared signature and certificate caches and the
+	// caches memoizes the shared certificate cache, the registry and the
 	// identity network behind a pointer, so copying a Config (the cluster
 	// harness derives per-peer variants that way) shares the same
 	// instances instead of copying lock state. Every validator/pipeline
 	// configuration materialized from this Config — sequential,
-	// pipelined, BMac cross-check — uses the same caches, which is what
-	// makes a signature cost its verification once per process.
+	// pipelined, BMac cross-check — parses a certificate once per process;
+	// each still verifies every signature it commits.
 	caches *hotCaches
 }
 
 type hotCaches struct {
-	sigOnce  sync.Once
-	sig      *fabcrypto.SigCache
 	certOnce sync.Once
 	cert     *fabcrypto.CertCache
 	regOnce  sync.Once
@@ -174,29 +172,10 @@ func (c *Config) ensureCaches() *hotCaches {
 	return c.caches
 }
 
-// The sizes of the shared caches. The signature cache holds four full
-// blocks of the default architecture's 256 transactions, at up to four
-// signatures per transaction: a second peer in the same process reaches a
-// block within that distance (the hit rate on the ruler's e2e workload is
-// that of the 16 384 entries it replaced, 0.60), and a peer that sees a
-// chain once never hits at all (ARCHITECTURE.md, "How large the verdict
-// cache is"). The certificate cache holds the handful of identity
-// certificates that recur in every transaction, whose parsing rivals the
-// ECDSA math in allocations.
-const (
-	sigCacheSize  = 4 * 4 * 256 // signature verdicts
-	certCacheSize = 4096        // parsed certificates
-)
-
-// SigCache returns the Config's shared signature-verification cache,
-// creating it on first use. Every validation path built from one Config
-// shares it, so a signature is ECDSA-verified once per process no matter
-// how many peers see it.
-func (c *Config) SigCache() *fabcrypto.SigCache {
-	h := c.ensureCaches()
-	h.sigOnce.Do(func() { h.sig = fabcrypto.NewSigCache(sigCacheSize) })
-	return h.sig
-}
+// certCacheSize bounds the shared certificate cache: it holds the handful
+// of identity certificates that recur in every transaction, whose parsing
+// rivals the ECDSA math in allocations.
+const certCacheSize = 4096
 
 // CertCache returns the Config's shared parsed-certificate cache, creating
 // it on first use.
@@ -208,9 +187,9 @@ func (c *Config) CertCache() *fabcrypto.CertCache {
 
 // TelemetryRegistry returns the Config's shared metrics registry, creating
 // it on first use; nil when the telemetry plane is disabled. On creation
-// the process-wide cache counters (signature and certificate caches) are
-// exported as scrape-time GaugeFunc read adapters, so enabling
-// telemetry adds nothing to those hot paths.
+// the process-wide certificate cache's counters are exported as
+// scrape-time GaugeFunc read adapters, so enabling telemetry adds nothing
+// to those hot paths.
 func (c *Config) TelemetryRegistry() *telemetry.Registry {
 	h := c.ensureCaches()
 	h.regOnce.Do(func() {
@@ -218,10 +197,7 @@ func (c *Config) TelemetryRegistry() *telemetry.Registry {
 			return
 		}
 		reg := telemetry.NewRegistry()
-		sig, cert := c.SigCache(), c.CertCache()
-		reg.GaugeFunc("fabcrypto_sigcache_hits_total", func() int64 { h, _, _ := sig.Stats(); return h })
-		reg.GaugeFunc("fabcrypto_sigcache_misses_total", func() int64 { _, m, _ := sig.Stats(); return m })
-		reg.GaugeFunc("fabcrypto_sigcache_evictions_total", func() int64 { _, _, e := sig.Stats(); return e })
+		cert := c.CertCache()
 		reg.GaugeFunc("fabcrypto_certcache_hits_total", func() int64 { h, _ := cert.Stats(); return h })
 		reg.GaugeFunc("fabcrypto_certcache_misses_total", func() int64 { _, m := cert.Stats(); return m })
 		// Which engine did the curve math (process-wide, like the tables).
@@ -598,7 +574,6 @@ func (c *Config) engineConfig(workers int, path string) (pipeline.Config, error)
 	return pipeline.Config{
 		Workers:   workers,
 		Policies:  pols,
-		SigCache:  c.SigCache(),
 		CertCache: c.CertCache(),
 		Members:   members,
 		Metrics:   telemetry.NewValidatorMetrics(c.TelemetryRegistry(), path),

@@ -387,15 +387,15 @@ func TestCircuitsCompiled(t *testing.T) {
 }
 
 // TestParseSeedsCacheDefaults pins that a parsed file with no optional
-// sections still runs with every verdict cache on.
+// sections still runs with the certificate cache on.
 func TestParseSeedsCacheDefaults(t *testing.T) {
 	const base = "orgs:\n  - name: Org1\nchaincodes:\n  - name: cc\n    policy: 1of1\n"
 	cfg, err := Parse([]byte(base))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.SigCache() == nil || cfg.CertCache() == nil {
-		t.Error("omitted sections: a verdict cache is off")
+	if cfg.CertCache() == nil {
+		t.Error("omitted sections: the certificate cache is off")
 	}
 }
 

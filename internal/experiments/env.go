@@ -162,8 +162,6 @@ func (e *Env) MeasureSW(spec BlockSpec, pol string, workers, rounds int) (valida
 	avg.SHA256Time /= n
 	avg.ECDSACount /= rounds
 	avg.SHA256Count /= rounds
-	avg.SigCacheTime /= n
-	avg.SigCacheHits /= rounds
 	avg.ParseCacheHits /= rounds
 	return avg, nil
 }

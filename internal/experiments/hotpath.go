@@ -32,7 +32,7 @@ import (
 )
 
 // The hotpath experiment measures the commit hot path's optimizations in
-// isolation and end to end — verification cache, per-identity key tables,
+// isolation and end to end — certificate cache, per-identity key tables,
 // pooled zero-copy marshaling — and the submit side's
 // signature, reporting ns/op, allocs/op and cache hit rates, with every
 // optimization also measured OFF so the speedups are relative to a visible
@@ -57,9 +57,6 @@ type HotpathDerived struct {
 	// BlockValidateAllocsReductionX is baseline allocs/op over optimized
 	// allocs/op for the end-to-end block validation benchmark.
 	BlockValidateAllocsReductionX float64 `json:"block_validate_allocs_reduction_x"`
-	// VerifyCachedSpeedupX is cold verification ns/op over cache-steady-
-	// state ns/op for the repeated-endorser verify benchmark.
-	VerifyCachedSpeedupX float64 `json:"verify_cached_speedup_x"`
 	// MarshalAllocsReductionX is single-alloc Marshal allocs/op over the
 	// pooled AppendBlock path's allocs/op (clamped; the pooled path's
 	// steady state is zero).
@@ -232,11 +229,12 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	}
 	pols := map[string]*policy.Policy{"smallbank": pol}
 
-	// --- End-to-end block validation: every verdict cache off vs on. ---
-	validate := func(sc *fabcrypto.SigCache, cc *fabcrypto.CertCache, tm *telemetry.ValidatorMetrics) error {
+	// --- End-to-end block validation: the certificate cache off vs on. Each
+	// run verifies every signature of the block. ---
+	validate := func(cc *fabcrypto.CertCache, tm *telemetry.ValidatorMetrics) error {
 		v := pipeline.New(pipeline.Config{
 			Workers: 1, Policies: pols, Members: e.Members,
-			SigCache: sc, CertCache: cc, Metrics: tm,
+			CertCache: cc, Metrics: tm,
 		}, statedb.NewStore(), nil)
 		res, err := v.ValidateAndCommit(raw)
 		v.Close()
@@ -258,35 +256,32 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	}
 
 	rec.Benchmarks["block_validate_baseline"] = measureOp(valIters, run(func() error {
-		return validate(nil, nil, nil)
+		return validate(nil, nil)
 	}))
 
-	sc := fabcrypto.NewSigCache(1 << 15)
 	cc := fabcrypto.NewCertCache(1 << 12)
-	if err := validate(sc, cc, nil); err != nil { // warm to cache steady state
+	if err := validate(cc, nil); err != nil { // warm to cache steady state
 		return nil, err
 	}
-	bv := measureOp(valIters, run(func() error { return validate(sc, cc, nil) }))
-	bv.HitRate = sc.HitRate()
-	rec.Benchmarks["block_validate_hotpath"] = bv
+	rec.Benchmarks["block_validate_hotpath"] = measureOp(valIters, run(func() error { return validate(cc, nil) }))
 
 	// --- Telemetry plane cost: nil instruments vs a live registry. The off
 	// row is the zero-cost-when-off contract: it must stay indistinguishable
 	// from block_validate_hotpath (the gate checks its allocs/op against the
 	// committed baseline like every other row). ---
 	rec.Benchmarks["block_validate_telemetry_off"] = measureOp(valIters, run(func() error {
-		return validate(sc, cc, nil)
+		return validate(cc, nil)
 	}))
 	tm := telemetry.NewValidatorMetrics(telemetry.NewRegistry(), "bench")
 	rec.Benchmarks["block_validate_telemetry_on"] = measureOp(valIters, run(func() error {
-		return validate(sc, cc, tm)
+		return validate(cc, tm)
 	}))
 
 	// --- Receive to commit: the block as a software peer receives it — its
 	// gossip frame read and decoded once (gossip.ReadBlock), then validated
 	// and committed to a ledger in a temp dir (peer.CommitBlock) — with the
-	// caches warm. Each call commits the next block of a chain that repeats
-	// the block's envelopes under fresh headers. ---
+	// certificate cache warm. Each call commits the next block of a chain
+	// that repeats the block's envelopes under fresh headers. ---
 	const warmBlocks = 2
 	frames, err := gossipFrames(e, b, warmBlocks+valIters)
 	if err != nil {
@@ -298,8 +293,7 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	}
 	defer os.RemoveAll(ledgerDir)
 	p, err := peer.Open(pipeline.Config{
-		Workers: 1, Policies: pols, Members: e.Members,
-		SigCache: sc, CertCache: cc,
+		Workers: 1, Policies: pols, Members: e.Members, CertCache: cc,
 	}, statedb.NewStore(), ledgerDir, peer.DurableOptions{})
 	if err != nil {
 		return nil, err
@@ -327,34 +321,20 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	}
 	rec.Benchmarks["receive_to_commit"] = measureOp(valIters, run(receive))
 
-	// --- Repeated-endorser verify: cold vs cache steady state. ---
+	// --- Repeated-endorser verify: one transaction's signatures, one call
+	// each. ---
 	tuples, err := endorserTuples(&b.Envelopes[0])
 	if err != nil {
 		return nil, err
 	}
 	verIters := valIters * 4
-	cold := measureOp(verIters, func() {
+	rec.Benchmarks["repeated_endorser_verify_cold"] = measureOp(verIters, func() {
 		for _, t := range tuples {
 			if err := fabcrypto.VerifyDigest(t.pub, t.digest, t.sig); err != nil && benchErr == nil {
 				benchErr = err
 			}
 		}
 	})
-	rec.Benchmarks["repeated_endorser_verify_cold"] = cold
-
-	vsc := fabcrypto.NewSigCache(1024)
-	for _, t := range tuples { // warm
-		vsc.VerifyDigest(t.pub, t.digest, t.sig) // bmaclint:allow errdiscard (warm-up: measured loop below checks errors)
-	}
-	cached := measureOp(verIters, func() {
-		for _, t := range tuples {
-			if err, _ := vsc.VerifyDigest(t.pub, t.digest, t.sig); err != nil && benchErr == nil {
-				benchErr = err
-			}
-		}
-	})
-	cached.HitRate = vsc.HitRate()
-	rec.Benchmarks["repeated_endorser_verify_cached"] = cached
 
 	// --- The verification engine against crypto/ecdsa: the same key, digest
 	// and signature on both, in this process, interleaved (the ratio rows).
@@ -403,7 +383,7 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 			rng := blockSigs[r.lo:min(r.lo+perRange, len(blockSigs))]
 			r.lo = (r.lo + perRange) % len(blockSigs)
 			r.calls, r.sigs = r.calls+1, r.sigs+len(rng)
-			batch.Reset(nil)
+			batch.Reset()
 			for _, t := range rng {
 				batch.Add(t.pub, t.digest, t.sig)
 			}
@@ -643,7 +623,6 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	d := &rec.Derived
 	d.BlockValidateAllocsReductionX = rec.Benchmarks["block_validate_baseline"].AllocsPerOp /
 		clamp(rec.Benchmarks["block_validate_hotpath"].AllocsPerOp)
-	d.VerifyCachedSpeedupX = cold.NsPerOp / clamp(cached.NsPerOp)
 	d.MarshalAllocsReductionX = rec.Benchmarks["marshal_block"].AllocsPerOp /
 		clamp(rec.Benchmarks["marshal_block_pooled"].AllocsPerOp)
 	d.VerifyTableSpeedupX = eng[0].NsPerOp / clamp(eng[1].NsPerOp)
@@ -805,7 +784,7 @@ var hotpathBenchOrder = []string{
 	"block_validate_baseline", "block_validate_hotpath",
 	"block_validate_telemetry_off", "block_validate_telemetry_on",
 	"receive_to_commit",
-	"repeated_endorser_verify_cold", "repeated_endorser_verify_cached",
+	"repeated_endorser_verify_cold",
 	"ecdsa_verify_stdlib", "ecdsa_verify_table", "ecdsa_verify_single_use_key", "ecdsa_verify_batch", "ecdsa_verify_batch_scalar", "bmac_validate_block",
 	"key_table_build",
 	"sha256_range", "sha256_range_lanes",
@@ -833,8 +812,6 @@ func (r *HotpathRecord) Table() *Table {
 	t.AddRow("", "", "", "")
 	t.AddRow("derived: block-validate allocs reduction",
 		fmt.Sprintf("%.1fx", r.Derived.BlockValidateAllocsReductionX), "", "")
-	t.AddRow("derived: verify cached speedup",
-		fmt.Sprintf("%.1fx", r.Derived.VerifyCachedSpeedupX), "", "")
 	t.AddRow("derived: verify table speedup",
 		fmt.Sprintf("%.1fx", r.Derived.VerifyTableSpeedupX), "", "")
 	lanes := "n/a (no 8-lane kernel)"

@@ -9,12 +9,12 @@
 // key from an identity certificate; both are implemented here and exercised
 // by internal/bmacproto.
 //
-// Verification (Verify, VerifyDigest, VerifyParts, and through them the
-// SigCache miss path and every validation path) runs on the package's own
-// ecdsa_engine, keytable.go: per-identity precomputed tables for the keys
-// that recur, crypto/ecdsa for everything else, the same verdict either
-// way. That engine is variable time, which is sound because a verification
-// has no secret input.
+// Verification (Verify, VerifyDigest, VerifyParts, Batch, and through them
+// every validation path) runs on the package's own ecdsa_engine,
+// keytable.go: per-identity precomputed tables for the keys that recur,
+// crypto/ecdsa for everything else, the same verdict either way. That
+// engine is variable time, which is sound because a verification has no
+// secret input.
 //
 // Hashing is crypto/sha256's single stream (SHA-NI where the CPU has it)
 // for one message at a time (Hash, Message.Hash, StreamHasher). HashBatch

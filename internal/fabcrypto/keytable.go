@@ -562,7 +562,7 @@ func generator() affinePoint {
 // pointKey identifies a public key by its affine coordinates, X ‖ Y.
 type pointKey [2 * ScalarSize]byte
 
-// verifyKey is a public key as the engine and the SigCache take it, resolved
+// verifyKey is a public key as the engine takes it, resolved
 // once per key and batch: pt is X ‖ Y; eligible is false for anything but a
 // P-256 key with coordinates of at most 256 bits, left to crypto/ecdsa.
 type verifyKey struct {

@@ -260,9 +260,6 @@ func TestOversizeComponentIsBadSignature(t *testing.T) {
 		if err := VerifyDigest(pub, digest, der); !errors.Is(err, ErrBadSignature) {
 			t.Errorf("VerifyDigest: err = %v, want ErrBadSignature", err)
 		}
-		if err, _ := NewSigCache(16).VerifyDigest(pub, digest, der); !errors.Is(err, ErrBadSignature) {
-			t.Errorf("SigCache.VerifyDigest: err = %v, want ErrBadSignature", err)
-		}
 	}
 }
 
@@ -517,14 +514,13 @@ func TestSumListsExceptionalBesideOrdinary(t *testing.T) {
 	}
 }
 
-// TestBatchScratchRace: 8 goroutines run batches through one SigCache and
-// the pooled scratch, valid and corrupt signatures overlapping between them,
-// on each path of the affine levels.
+// TestBatchScratchRace: 8 goroutines run batches through the pooled
+// scratch, valid and corrupt signatures overlapping between them, on each
+// path of the affine levels.
 // Runs under -race in CI and is deliberately not shortened by -short.
 func TestBatchScratchRace(t *testing.T) {
 	nb, ders := neighbours(), warmPoolKeys(t)
 	onEachLevelPath(func() {
-		cache := NewSigCache(64) // smaller than the working set: hits, misses and evictions interleave
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
@@ -532,7 +528,7 @@ func TestBatchScratchRace(t *testing.T) {
 				defer wg.Done()
 				var b Batch
 				for it := 0; it < 12; it++ {
-					b.Reset(cache)
+					b.Reset()
 					n := 1 + (7*g+5*it)%len(nb)
 					for i := 0; i < n; i++ {
 						b.Add(nb[(g+i)%len(nb)].req.pub, nb[(g+i)%len(nb)].req.digest, ders[(g+i)%len(nb)])

@@ -25,14 +25,14 @@ func sealedLedger(f *testing.F) string {
 	return dir
 }
 
-// addDamaged seeds f with valid, every truncation of it and valid with
-// one byte flipped at each of offsets.
-func addDamaged(f *testing.F, valid []byte, offsets []int) {
+// addDamaged seeds f with valid, valid cut to each length of cuts and
+// valid with one byte flipped at each of flips.
+func addDamaged(f *testing.F, valid []byte, cuts, flips []int) {
 	f.Add(valid)
-	for n := range valid {
+	for _, n := range cuts {
 		f.Add(valid[:n])
 	}
-	for _, off := range offsets {
+	for _, off := range flips {
 		flipped := append([]byte(nil), valid...)
 		flipped[off] ^= 0x80
 		f.Add(flipped)
@@ -57,11 +57,11 @@ func FuzzReadIndex(f *testing.F) {
 		f.Fatal(err)
 	}
 	body := raw[len(indexMagic) : len(raw)-4]
-	offsets := make([]int, len(body))
-	for i := range offsets {
-		offsets[i] = i
+	every := make([]int, len(body))
+	for i := range every {
+		every[i] = i
 	}
-	addDamaged(f, body, offsets)
+	addDamaged(f, body, every, every)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		buf := append(indexMagic[:len(indexMagic):len(indexMagic)], b...)
 		buf = binary.BigEndian.AppendUint32(buf, extendSum(0, buf))
@@ -80,6 +80,15 @@ func FuzzReadIndex(f *testing.F) {
 	})
 }
 
+// spread returns n offsets spread evenly over [lo, hi).
+func spread(n, lo, hi int) []int {
+	out := make([]int, n)
+	for k := range out {
+		out[k] = lo + k*(hi-lo)/n
+	}
+	return out
+}
+
 // FuzzSegmentFooter writes arbitrary bytes as a segment file, reads its
 // footer and walks its records as Open does for a sealed segment and for
 // the active one. None of it may panic; a footer that parses describes the
@@ -90,15 +99,17 @@ func FuzzSegmentFooter(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	// Every byte of the footer and of the length prefix, and a stride
-	// through the record.
-	var offsets []int
+	// Every cut and flip in the length prefix and in the footer, and a fixed
+	// number of each spread evenly over the record between them. The
+	// record's size differs from run to run; the seeds' number, and so
+	// their names, must not.
+	var edges []int
 	for i := range raw {
-		if i < 8 || i >= len(raw)-footerSize || i%61 == 0 {
-			offsets = append(offsets, i)
+		if i < 8 || i >= len(raw)-footerSize {
+			edges = append(edges, i)
 		}
 	}
-	addDamaged(f, raw, offsets)
+	addDamaged(f, raw, append(spread(2048, 8, len(raw)-footerSize), edges...), append(spread(256, 8, len(raw)-footerSize), edges...))
 	dir := f.TempDir()
 	path := filepath.Join(dir, "blockfile_000000")
 	warnf := func(string, ...any) {}

@@ -57,11 +57,6 @@ type Config struct {
 	// PrefetchWorkers bounds the read-set warm-up reader pool (default
 	// Workers); it has readers only over a store with a fast tier (see New).
 	PrefetchWorkers int
-	// SigCache, when non-nil, memoizes signature verdicts so a signature
-	// already seen by ANY path sharing the cache (another engine, a replay)
-	// costs a DER parse + lookup instead of a curve verification. Verdicts are
-	// identical either way.
-	SigCache *fabcrypto.SigCache
 	// CertCache, when non-nil, interns the public keys of X.509 identity
 	// certificates: the same creator/endorser/orderer certs recur in every
 	// transaction, and x509.ParseCertificate rivals the ECDSA math in
@@ -77,7 +72,7 @@ type Config struct {
 }
 
 func (c *Config) verifyOpts() validator.VerifyOpts {
-	return validator.VerifyOpts{SigCache: c.SigCache, CertCache: c.CertCache, Members: c.Members}
+	return validator.VerifyOpts{CertCache: c.CertCache, Members: c.Members}
 }
 
 // Result is the outcome of validating and committing one block.
@@ -382,15 +377,14 @@ func (p *rangePool) claim() (r int, ok bool) {
 // fabcrypto.FullBatch, past which a longer range saves about a twentieth of
 // the arithmetic at twice the length. What it costs depends on who else is
 // running, which a stage's time should not: a worker that is slowed holds a
-// whole range while the others have run out, two engines validating one
-// block through one SigCache each compute a range before either has stored
-// it, and a worker's scratch has to stay beside the tables in its core's
-// cache: after a 39-signature range on the 8-lane kernel the engine's
-// batchScratch holds 242 KB at the capacities append leaves (≈ 6.2 KB per
-// signature) and 3.2 KB of lane temporaries, and vscc's own scratch about
-// 0.35 KB per signature (the request, its digest, message and check); the
-// hash lanes add 5 KB of stack while a batch is hashed. The hotpath rows
-// ecdsa_verify_batch and sha256_range_lanes run at it.
+// whole range while the others have run out, and a worker's scratch has to
+// stay beside the tables in its core's cache: after a 39-signature range on
+// the 8-lane kernel the engine's batchScratch holds 242 KB at the capacities
+// append leaves (≈ 6.2 KB per signature) and 3.2 KB of lane temporaries, and
+// vscc's own scratch about 0.35 KB per signature (the request, its digest,
+// message and check); the hash lanes add 5 KB of stack while a batch is
+// hashed. The hotpath rows ecdsa_verify_batch and sha256_range_lanes run at
+// it.
 const maxVSCCRange = fabcrypto.FullBatch / 3
 
 // VSCCRange is how many transactions of an n-transaction block the verify

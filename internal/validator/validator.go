@@ -51,19 +51,18 @@ type Breakdown struct {
 	// host-database latency that vscc did NOT hide (zero with prefetch off).
 	PrefetchWait time.Duration
 
-	// Operation-level (Figure 3a categories). ECDSATime/ECDSACount cover
-	// REAL curve verifications only; a signature served from the process
-	// verification cache is counted separately below, so a cache-induced
-	// speedup is visible in the numbers rather than hidden inside them.
+	// Operation-level (Figure 3a categories). ECDSACount is every signature
+	// check the block cost, ECDSATime what they took.
 	ECDSATime   time.Duration
 	ECDSACount  int
 	SHA256Time  time.Duration
 	SHA256Count int
 
-	// SigCacheHits/SigCacheTime account verifications answered by the
-	// fabcrypto.SigCache (a DER parse + lookup each, no curve math).
+	// SigCacheHits is always 0: every peer verifies every signature it
+	// commits (the process-wide verdict cache it counted was deleted). The
+	// field stays because the benchmark module reads it for
+	// fabcrypto.sig_cache_hit_rate.
 	SigCacheHits int
-	SigCacheTime time.Duration
 	// ParseCacheHits is always 0: the engine parses every payload (the
 	// parse-once table it counted was deleted). The field stays because
 	// the benchmark module reads it for validator.parse_cache_hit_rate.
@@ -91,8 +90,6 @@ func (b *Breakdown) AddOps(o *Breakdown) {
 	b.ECDSACount += o.ECDSACount
 	b.SHA256Time += o.SHA256Time
 	b.SHA256Count += o.SHA256Count
-	b.SigCacheHits += o.SigCacheHits
-	b.SigCacheTime += o.SigCacheTime
 	b.ParseCacheHits += o.ParseCacheHits
 }
 
@@ -106,9 +103,8 @@ type Result struct {
 }
 
 // VerifyOpts bundles what the exported verify helpers verify against: the
-// optional verification caches (nil: no caching) and the consortium.
+// optional certificate cache (nil: no caching) and the consortium.
 type VerifyOpts struct {
-	SigCache  *fabcrypto.SigCache
 	CertCache *fabcrypto.CertCache
 	// Members is the consortium: an endorsement sets the register of the
 	// member IDForCert finds for its certificate, and none for a
@@ -139,6 +135,20 @@ func ParseTx(payloadBytes []byte) ParsedTx {
 	return ParsedTx{View: v, Err: err}
 }
 
+// CarriedSignatures counts the signatures b carries for a peer to verify:
+// the orderer's, and the client's and every endorsement of each envelope
+// whose payload decodes. An envelope that does not decode carries none a
+// peer can check: VSCC flags it BadPayload without a verification.
+func CarriedSignatures(b *block.Block) int {
+	n := 1
+	for i := range b.Envelopes {
+		if v, err := block.NewTxView(b.Envelopes[i].PayloadBytes); err == nil {
+			n += 1 + v.NumEndorsements()
+		}
+	}
+	return n
+}
+
 // VerifyOrderer verifies the block metadata signature and that the header's
 // DataHash binds the delivered envelopes, attributing hash and ECDSA time to
 // the operation counters.
@@ -164,22 +174,10 @@ func VerifyOrderer(b *block.Block, opts VerifyOpts, bd *Breakdown) error {
 	bd.SHA256Time += time.Since(t)
 	bd.SHA256Count++
 	t = time.Now()
-	err, hit := opts.SigCache.VerifyDigest(pub, digest[:], ms.Signature)
-	bd.countVerify(hit, time.Since(t))
+	err = fabcrypto.VerifyDigest(pub, digest[:], ms.Signature)
+	bd.ECDSATime += time.Since(t)
+	bd.ECDSACount++
 	return err
-}
-
-// countVerify attributes one signature check: a cache hit lands in
-// SigCacheHits/Time, a check that has to be computed in ECDSACount, and
-// what it cost before the curve math (DER parse, cache lookup) in ECDSATime.
-func (b *Breakdown) countVerify(hit bool, d time.Duration) {
-	if hit {
-		b.SigCacheHits++
-		b.SigCacheTime += d
-	} else {
-		b.ECDSACount++
-		b.ECDSATime += d
-	}
 }
 
 // vsccScratch is the working memory of one VSCC call, pooled: the batch of
@@ -242,12 +240,12 @@ func (sc *vsccScratch) flush(bd *Breakdown) {
 	}
 	bd.SHA256Time += time.Since(t)
 	bd.SHA256Count += len(sc.msgs)
+	t = time.Now()
 	for i, c := range sc.checks {
-		t := time.Now()
-		ref, hit := sc.batch.Add(c.pub, digests[i][:], c.sig)
-		bd.countVerify(hit, time.Since(t))
-		sc.refs[c.ref] = ref
+		sc.refs[c.ref] = sc.batch.Add(c.pub, digests[i][:], c.sig)
 	}
+	bd.ECDSATime += time.Since(t)
+	bd.ECDSACount += len(sc.checks)
 	clear(sc.msgs) // the pool keeps no block alive
 	clear(sc.checks)
 	sc.msgs, sc.checks = sc.msgs[:0], sc.checks[:0]
@@ -258,18 +256,20 @@ func (sc *vsccScratch) flush(bd *Breakdown) {
 // It works in three steps so that the signatures of the whole range are
 // verified as one batch of the engine: collect (client certificate → key,
 // each endorser's identity; then every client digest in one
-// fabcrypto.HashBatch, cache lookup, queue), run (the ends_scheduler in
-// Fabric's setting — every endorsement in one round, no short-circuit —
-// hashes the round's endorsement messages in one call and queues their
-// checks the same way, and runs the batch), decide (the register files the
-// scheduler filled). Since every check is queued before any verdict is
-// known, a transaction whose client signature is bad has its endorsements
-// verified anyway; its flag is BadSignature all the same. The optional
-// caches leave verdicts bit-identical: they only memoize.
+// fabcrypto.HashBatch, queue), run (the ends_scheduler in Fabric's
+// setting — every endorsement in one round, no short-circuit — hashes the
+// round's endorsement messages in one call and queues their checks the same
+// way, and runs the batch), decide (the register files the scheduler
+// filled). Since every check is queued before any verdict is known, a
+// transaction whose client signature is bad has its endorsements verified
+// anyway; its flag is BadSignature all the same. Every queued check counts
+// once in bd.ECDSACount; a payload that does not decode, a creator or an
+// endorser whose certificate does not parse queue none. The optional
+// certificate cache leaves verdicts bit-identical: it only memoizes.
 func VSCC(envs []block.Envelope, txs []ParsedTx, flags []byte, policies map[string]*policy.Circuit, opts VerifyOpts, bd *Breakdown) {
 	sc := vsccPool.Get().(*vsccScratch)
 	defer vsccPool.Put(sc)
-	sc.batch.Reset(opts.SigCache)
+	sc.batch.Reset()
 	sc.txs, sc.ids, sc.refs, sc.digests = sc.txs[:0], sc.ids[:0], sc.refs[:0], sc.digests[:0]
 	for i := range txs {
 		p := &txs[i]
