@@ -3,6 +3,7 @@ package bmacproto
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 
 	"bmac/internal/block"
@@ -318,6 +319,56 @@ func TestOutOfOrderTxSections(t *testing.T) {
 	}
 	if f.recv.PendingBlocks() != 0 {
 		t.Error("assembly state leaked")
+	}
+}
+
+// TestUndecodableEnvelopeDoesNotStall: a section whose payload does not
+// decode, or whose envelope has no signature field (wire.AppendBytes leaves
+// an empty one out), used to fail in the receiver and leave its block
+// pending forever. The block assembles with a good data hash, and the
+// transaction's tx entry is marked Malformed (the payload) or carries a
+// request the engine rejects (the signature).
+func TestUndecodableEnvelopeDoesNotStall(t *testing.T) {
+	garbage := make([]byte, 200)
+	rand.New(rand.NewSource(64)).Read(garbage)
+	for _, tc := range []struct {
+		name      string
+		mutate    func(*block.Envelope)
+		malformed bool
+	}{
+		{"garbage-payload", func(e *block.Envelope) { e.PayloadBytes = garbage }, true},
+		{"empty-signature", func(e *block.Envelope) { e.Signature = nil }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t)
+			envs := f.makeBlock(t, 0, 3).Envelopes
+			tc.mutate(&envs[2])
+			blk, err := block.NewBlock(0, nil, envs, f.orderer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			packets, _, err := f.sender.EncodeBlock(blk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range packets {
+				if err := f.recv.ProcessPacket(p); err != nil {
+					t.Fatalf("packet %d: %v", i, err)
+				}
+			}
+			if n := f.recv.PendingBlocks(); n != 0 {
+				t.Fatalf("%d blocks pending", n)
+			}
+			if ab := <-f.recv.Blocks(); !ab.DataHashOK || len(ab.Block.Envelopes) != 3 {
+				t.Fatalf("assembled block: data hash ok %v, %d envelopes", ab.DataHashOK, len(ab.Block.Envelopes))
+			}
+			for i := 0; i < 3; i++ {
+				tx, ok := f.bufs.Tx.TryPop()
+				if bad := i == 2; !ok || tx.Malformed != (bad && tc.malformed) || tx.Verify.Malformed != (bad && !tc.malformed) {
+					t.Fatalf("tx %d: entry %+v, ok %v", i, tx, ok)
+				}
+			}
+		})
 	}
 }
 

@@ -7,28 +7,15 @@ import (
 	"bmac/internal/wire"
 )
 
-// This file is the DataExtractor/DataProcessor pair of the
-// protocol_processor (paper Figure 5b): given reconstructed section bytes
-// and the packet's pointer annotations, it pulls out exactly the fields the
-// block processor needs — signatures, creator, endorsements, read and write
-// sets — using targeted scans instead of a full recursive unmarshal.
-
-// txExtract is everything the hardware needs from one transaction section.
-type txExtract struct {
-	PayloadBytes []byte // the exact bytes the client signed
-	Signature    []byte // client DER signature
-	CreatorCert  []byte
-	CCName       string
-	PRPBytes     []byte // proposal response payload (endorsement signing base)
-	Endorsements []block.Endorsement
-	Reads        []block.KVRead
-	Writes       []block.KVWrite
-}
+// This file is the envelope layout the protocol needs: where a marshalled
+// envelope keeps its payload and signature, and below the payload the
+// identity fields the sender's DataRemover replaces with locators. The
+// receiver's DataExtractor reads every other field through block.TxView.
 
 // field numbers duplicated from the block package wire contract; the
 // hardware is generated against the same schema. This table and locate are
-// the package's only copy of the envelope layout: the sender's DataRemover
-// and the receiver's DataExtractor both descend through them.
+// the sender's walk down to the identity fields; the receiver takes only
+// the envelope's two top-level fields from it.
 const (
 	xEnvPayload = 1
 	xEnvSig     = 2
@@ -36,8 +23,6 @@ const (
 	xPayloadChHdr  = 1
 	xPayloadSigHdr = 2
 	xPayloadData   = 3
-
-	xChHdrCC = 4
 
 	xSigHdrCreator = 1
 
@@ -52,20 +37,6 @@ const (
 
 	xEndCert = 1
 	xEndSig  = 2
-
-	xPRPExt = 2
-
-	xCCAResults = 1
-
-	xRWRead  = 1
-	xRWWrite = 2
-
-	xReadKey      = 1
-	xReadBlockNum = 2
-	xReadTxNum    = 3
-
-	xWriteKey = 1
-	xWriteVal = 2
 )
 
 // span is the byte range of one field's payload, in absolute offsets of
@@ -103,9 +74,7 @@ func subField(msg []byte, num int) []byte {
 // header there) and every endorser — are what the sender replaces with
 // locators.
 type txLayout struct {
-	chaincode              span // payload.channel_header.chaincode (optional)
 	creator, actionCreator span // payload.signature_header.creator; payload.data.action.header.creator (optional)
-	prp                    span // endorsed_action.proposal_response_payload
 	ends                   []endLayout
 }
 
@@ -116,7 +85,6 @@ type endLayout struct{ endorser, signature span }
 // reuses l.ends.
 func (l *txLayout) locate(env []byte, payload span) error {
 	*l = txLayout{ends: l.ends[:0]}
-	l.chaincode, _ = field(env, payload, xPayloadChHdr, xChHdrCC)
 	var ok bool
 	if l.creator, ok = field(env, payload, xPayloadSigHdr, xSigHdrCreator); !ok {
 		return fmt.Errorf("bmacproto: tx section missing creator")
@@ -138,7 +106,7 @@ func (l *txLayout) locate(env []byte, payload span) error {
 	if !ok {
 		return fmt.Errorf("bmacproto: missing endorsed action")
 	}
-	if l.prp, ok = field(env, ea, xEAPRP); !ok {
+	if _, ok = field(env, ea, xEAPRP); !ok {
 		return fmt.Errorf("bmacproto: missing proposal response payload")
 	}
 
@@ -178,111 +146,19 @@ func pointerSpan(pkt *Packet, f PointerField, n int) (span, bool) {
 	return span{int(ptr.Offset), int(ptr.Length)}, true
 }
 
-// extractTx pulls the validation-relevant fields from reconstructed
-// envelope bytes, using pointer annotations for the top-level fields when
-// available.
-func extractTx(envBytes []byte, pkt *Packet) (*txExtract, error) {
-	// Top level: pointer annotations let the hardware skip the scan.
-	whole := span{0, len(envBytes)}
-	payload, ok1 := pointerSpan(pkt, PtrPayload, len(envBytes))
-	if !ok1 {
-		payload, ok1 = field(envBytes, whole, xEnvPayload)
+// envelopeFields reads the payload and signature of reconstructed envelope
+// bytes: where the packet's pointer annotations put them, or else where a
+// scan finds them. A missing field reads as empty, as block.UnmarshalEnvelope
+// reads it. The envelope aliases env.
+func envelopeFields(env []byte, pkt *Packet) block.Envelope {
+	whole := span{0, len(env)}
+	payload, ok := pointerSpan(pkt, PtrPayload, len(env))
+	if !ok {
+		payload, _ = field(env, whole, xEnvPayload)
 	}
-	signature, ok2 := pointerSpan(pkt, PtrEnvelopeSignature, len(envBytes))
-	if !ok2 {
-		signature, ok2 = field(envBytes, whole, xEnvSig)
+	sig, ok := pointerSpan(pkt, PtrEnvelopeSignature, len(env))
+	if !ok {
+		sig, _ = field(env, whole, xEnvSig)
 	}
-	if !ok1 || !ok2 {
-		return nil, fmt.Errorf("bmacproto: tx section missing payload or signature")
-	}
-	var l txLayout
-	if err := l.locate(envBytes, payload); err != nil {
-		return nil, err
-	}
-
-	x := &txExtract{
-		PayloadBytes: payload.of(envBytes),
-		Signature:    signature.of(envBytes),
-		CCName:       string(l.chaincode.of(envBytes)),
-		CreatorCert:  l.creator.of(envBytes),
-		PRPBytes:     l.prp.of(envBytes),
-	}
-	for _, e := range l.ends {
-		x.Endorsements = append(x.Endorsements, block.Endorsement{
-			Endorser:  e.endorser.of(envBytes),
-			Signature: e.signature.of(envBytes),
-		})
-	}
-
-	// prp -> extension (chaincode action) -> results (rwset)
-	if rw, ok := field(envBytes, l.prp, xPRPExt, xCCAResults); ok {
-		if err := extractRWSet(rw.of(envBytes), x); err != nil {
-			return nil, err
-		}
-	}
-	return x, nil
-}
-
-func extractRWSet(rw []byte, x *txExtract) error {
-	r := wire.NewReader(rw)
-	for {
-		num, wt, ok := r.Next()
-		if !ok {
-			break
-		}
-		switch num {
-		case xRWRead:
-			entry := r.Bytes()
-			var kr block.KVRead
-			er := wire.NewReader(entry)
-			for {
-				en, ewt, eok := er.Next()
-				if !eok {
-					break
-				}
-				switch en {
-				case xReadKey:
-					kr.Key = er.String()
-				case xReadBlockNum:
-					kr.Version.BlockNum = er.Uint()
-				case xReadTxNum:
-					kr.Version.TxNum = er.Uint()
-				default:
-					er.Skip(ewt)
-				}
-			}
-			if err := er.Err(); err != nil {
-				return fmt.Errorf("bmacproto: rwset read entry: %w", err)
-			}
-			x.Reads = append(x.Reads, kr)
-		case xRWWrite:
-			entry := r.Bytes()
-			var kw block.KVWrite
-			er := wire.NewReader(entry)
-			for {
-				en, ewt, eok := er.Next()
-				if !eok {
-					break
-				}
-				switch en {
-				case xWriteKey:
-					kw.Key = er.String()
-				case xWriteVal:
-					kw.Value = er.Bytes()
-				default:
-					er.Skip(ewt)
-				}
-			}
-			if err := er.Err(); err != nil {
-				return fmt.Errorf("bmacproto: rwset write entry: %w", err)
-			}
-			x.Writes = append(x.Writes, kw)
-		default:
-			r.Skip(wt)
-		}
-	}
-	if err := r.Err(); err != nil {
-		return fmt.Errorf("bmacproto: rwset scan: %w", err)
-	}
-	return nil
+	return block.Envelope{PayloadBytes: payload.of(env), Signature: sig.of(env)}
 }

@@ -24,9 +24,11 @@
 package bmacproto
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"bmac/internal/identity"
 )
@@ -163,23 +165,27 @@ func (p *Packet) Encode() []byte {
 	return out
 }
 
-// Decode parses a datagram. It returns ErrNotBMac for non-BMac traffic and
-// ErrBadPacket for corrupt BMac packets.
+// Decode parses a datagram into a new Packet. It returns ErrNotBMac for
+// non-BMac traffic and ErrBadPacket for corrupt BMac packets.
 func Decode(data []byte) (*Packet, error) {
+	p := new(Packet)
+	if err := p.decode(data); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// decode parses a datagram into p, reusing p's annotation slices. p's
+// Payload aliases data.
+func (p *Packet) decode(data []byte) error {
 	if len(data) < 2 || binary.BigEndian.Uint16(data) != Magic {
-		return nil, ErrNotBMac
+		return ErrNotBMac
 	}
 	if len(data) < fixedHeaderLen {
-		return nil, fmt.Errorf("%w: short header (%d bytes)", ErrBadPacket, len(data))
+		return fmt.Errorf("%w: short header (%d bytes)", ErrBadPacket, len(data))
 	}
 	if data[2] != Version {
-		return nil, fmt.Errorf("%w: version %d", ErrBadPacket, data[2])
-	}
-	p := &Packet{
-		Type:     SectionType(data[3]),
-		BlockNum: binary.BigEndian.Uint64(data[4:]),
-		Seq:      binary.BigEndian.Uint16(data[12:]),
-		NumTxs:   binary.BigEndian.Uint16(data[14:]),
+		return fmt.Errorf("%w: version %d", ErrBadPacket, data[2])
 	}
 	nLoc := int(binary.BigEndian.Uint16(data[16:]))
 	nPtr := int(binary.BigEndian.Uint16(data[18:]))
@@ -188,14 +194,19 @@ func Decode(data []byte) (*Packet, error) {
 	pos := fixedHeaderLen
 	need := pos + nLoc*locatorEncLen + nPtr*pointerEncLen + payloadLen
 	if len(data) < need {
-		return nil, fmt.Errorf("%w: truncated (have %d, need %d)", ErrBadPacket, len(data), need)
+		return fmt.Errorf("%w: truncated (have %d, need %d)", ErrBadPacket, len(data), need)
 	}
-	if nLoc > 0 {
-		p.Locators = make([]Locator, 0, nLoc)
+	*p = Packet{
+		Type:     SectionType(data[3]),
+		BlockNum: binary.BigEndian.Uint64(data[4:]),
+		Seq:      binary.BigEndian.Uint16(data[12:]),
+		NumTxs:   binary.BigEndian.Uint16(data[14:]),
+		Locators: slices.Grow(p.Locators[:0], nLoc),
+		Pointers: slices.Grow(p.Pointers[:0], nPtr),
 	}
 	for i := 0; i < nLoc; i++ {
 		if data[pos] != annLocator {
-			return nil, fmt.Errorf("%w: expected locator annotation", ErrBadPacket)
+			return fmt.Errorf("%w: expected locator annotation", ErrBadPacket)
 		}
 		p.Locators = append(p.Locators, Locator{
 			Offset: binary.BigEndian.Uint32(data[pos+1:]),
@@ -203,12 +214,9 @@ func Decode(data []byte) (*Packet, error) {
 		})
 		pos += locatorEncLen
 	}
-	if nPtr > 0 {
-		p.Pointers = make([]Pointer, 0, nPtr)
-	}
 	for i := 0; i < nPtr; i++ {
 		if data[pos] != annPointer {
-			return nil, fmt.Errorf("%w: expected pointer annotation", ErrBadPacket)
+			return fmt.Errorf("%w: expected pointer annotation", ErrBadPacket)
 		}
 		p.Pointers = append(p.Pointers, Pointer{
 			Field:  PointerField(binary.BigEndian.Uint16(data[pos+1:])),
@@ -218,7 +226,16 @@ func Decode(data []byte) (*Packet, error) {
 		pos += pointerEncLen
 	}
 	p.Payload = data[pos : pos+payloadLen]
-	return p, nil
+	return nil
+}
+
+// clone is a deep copy of p, for a packet held beyond the datagram it was
+// decoded from.
+func (p *Packet) clone() *Packet {
+	q := *p
+	q.Locators, q.Pointers = slices.Clone(p.Locators), slices.Clone(p.Pointers)
+	q.Payload = bytes.Clone(p.Payload)
+	return &q
 }
 
 // FindPointer returns the first pointer annotation for field.

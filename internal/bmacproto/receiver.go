@@ -5,6 +5,7 @@ import (
 	"crypto/ecdsa"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"bmac/internal/block"
 	"bmac/internal/fabcrypto"
@@ -59,7 +60,8 @@ type BlockEntry struct {
 }
 
 // TxEntry is one element of tx_fifo (see paper Figure 7: verification
-// request, cc_id, num_ends, rdset_size, wrset_size).
+// request, cc_id, num_ends, rdset_size, wrset_size). CCName is lent from the
+// envelope (see lend).
 type TxEntry struct {
 	BlockNum  uint64
 	Seq       int
@@ -68,6 +70,10 @@ type TxEntry struct {
 	NumEnds   int
 	RdsetSize int
 	WrsetSize int
+	// Malformed is set when the envelope's payload does not decode
+	// (block.NewTxView rejects it): the entry carries no request, and no
+	// ends, reads or writes follow it.
+	Malformed bool
 }
 
 // EndsEntry is one element of ends_fifo.
@@ -78,14 +84,17 @@ type EndsEntry struct {
 	Verify     VerifyRequest
 }
 
-// ReadEntry is one element of rdset_fifo.
+// ReadEntry is one element of rdset_fifo. Its key is lent from the envelope
+// (see lend).
 type ReadEntry struct {
 	BlockNum uint64
 	TxSeq    int
 	Read     block.KVRead
 }
 
-// WriteEntry is one element of wrset_fifo.
+// WriteEntry is one element of wrset_fifo. Its key is lent from the envelope
+// and its value aliases it: a store that keeps them copies them, as
+// statedb.HardwareKVS.Write does.
 type WriteEntry struct {
 	BlockNum uint64
 	TxSeq    int
@@ -156,14 +165,15 @@ type Receiver struct {
 	asm   map[uint64]*blockAsm // guarded by mu
 	out   chan AssembledBlock
 	stats ReceiverStats // guarded by mu
+	pkt   Packet        // guarded by mu; the packet being processed, decoded in place
 }
 
 type blockAsm struct {
 	header    *block.Header
 	numTxs    int
 	nextSeq   int
-	pendingTx map[uint16]*Packet
-	metadata  *Packet
+	pendingTx map[uint16]*Packet // out-of-order tx sections, copied out of their datagrams
+	metadata  bool
 	envelopes []block.Envelope
 	hasher    fabcrypto.StreamHasher
 }
@@ -200,19 +210,17 @@ func (r *Receiver) PendingBlocks() int {
 // ProcessPacket handles one incoming datagram. Non-BMac packets return
 // ErrNotBMac (the hardware forwards them to the CPU unmodified).
 func (r *Receiver) ProcessPacket(data []byte) error {
-	pkt, err := Decode(data)
-	if err != nil {
-		r.mu.Lock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	pkt := &r.pkt
+	if err := pkt.decode(data); err != nil {
 		if err == ErrNotBMac {
 			r.stats.NonBMac++
 		} else {
 			r.stats.BadPackets++
 		}
-		r.mu.Unlock()
 		return err
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.stats.Packets++
 	r.stats.Bytes += int64(len(data))
 
@@ -241,7 +249,7 @@ func (r *Receiver) ProcessPacket(data []byte) error {
 func (r *Receiver) getAsm(blockNum uint64, numTxs int) *blockAsm {
 	a, ok := r.asm[blockNum]
 	if !ok {
-		a = &blockAsm{numTxs: numTxs, pendingTx: make(map[uint16]*Packet)}
+		a = &blockAsm{numTxs: numTxs, envelopes: make([]block.Envelope, 0, numTxs)}
 		r.asm[blockNum] = a
 	}
 	return a
@@ -321,8 +329,11 @@ func (r *Receiver) makeVerifyRequest(derSig, cert []byte, digest [fabcrypto.Hash
 // It must be called with r.mu held.
 func (r *Receiver) processTxOrQueue(pkt *Packet) error {
 	a := r.getAsm(pkt.BlockNum, int(pkt.NumTxs))
-	if int(pkt.Seq) != a.nextSeq {
-		a.pendingTx[pkt.Seq] = pkt // out of order: hold
+	if int(pkt.Seq) != a.nextSeq { // out of order: hold a copy
+		if a.pendingTx == nil {
+			a.pendingTx = make(map[uint16]*Packet)
+		}
+		a.pendingTx[pkt.Seq] = pkt.clone()
 		return nil
 	}
 	if err := r.processTx(a, pkt); err != nil {
@@ -349,84 +360,94 @@ func (r *Receiver) drain(blockNum uint64) error {
 			return err
 		}
 	}
-	if a.header != nil && a.nextSeq == a.numTxs && a.metadata != nil {
+	if a.header != nil && a.nextSeq == a.numTxs && a.metadata {
 		return r.finalize(blockNum, a)
 	}
 	return nil
 }
 
-// processTx handles one in-order tx section. It must be called with r.mu
-// held.
+// processTx handles one in-order tx section: it rebuilds the envelope,
+// streams it into the data hash, keeps it for the host and writes the
+// FIFOs from a block.TxView of its payload. The kept envelope, the FIFO
+// keys and the write values alias the buffer insertIdentities built. An
+// envelope whose payload does not decode invalidates only itself: its
+// entry is marked Malformed. It must be called with r.mu held.
 func (r *Receiver) processTx(a *blockAsm, pkt *Packet) error {
 	orig, err := insertIdentities(pkt.Payload, pkt.Locators, r.cache)
 	if err != nil {
 		r.stats.BadPackets++
 		return err
 	}
-	x, err := extractTx(orig, pkt)
-	if err != nil {
-		r.stats.BadPackets++
-		return err
-	}
-
-	// Stream hashes: block data hash accumulates the reconstructed
-	// envelope bytes; the tx digest covers the signed payload.
 	a.hasher.Write(orig)
+	env := envelopeFields(orig, pkt)
+	a.envelopes = append(a.envelopes, env)
+	a.nextSeq++
+	r.stats.Transactions++
 
-	seq := int(pkt.Seq)
-	for _, e := range x.Endorsements {
+	// The tx entry goes first: block_validate pops it, then the entries it
+	// counts, so no FIFO's depth bounds a transaction's endorsements, reads
+	// or writes.
+	entry := TxEntry{BlockNum: pkt.BlockNum, Seq: int(pkt.Seq)}
+	v, err := block.NewTxView(env.PayloadBytes)
+	if err != nil {
+		entry.Malformed = true
+	} else {
+		entry.Verify = r.makeVerifyRequest(env.Signature, v.Creator(), fabcrypto.Hash(env.PayloadBytes))
+		entry.CCName = lend(v.ChaincodeName())
+		entry.NumEnds, entry.RdsetSize, entry.WrsetSize = v.NumEndorsements(), v.NumReads(), v.NumWrites()
+	}
+	if err := r.bufs.Tx.Push(entry); err != nil {
+		return fmt.Errorf("tx_fifo: %w", err)
+	}
+	if entry.Malformed {
+		return nil
+	}
+	return r.pushSets(&v, entry)
+}
+
+// pushSets writes a transaction's endorsements, reads and writes to the
+// ends, rdset and wrset FIFOs, after its tx entry.
+func (r *Receiver) pushSets(v *block.TxView, tx TxEntry) error {
+	for i := range v.NumEndorsements() {
+		e := v.Endorsement(i)
 		id, _ := r.cache.IDForCert(e.Endorser)
 		entry := EndsEntry{
-			BlockNum:   pkt.BlockNum,
-			TxSeq:      seq,
+			BlockNum:   tx.BlockNum,
+			TxSeq:      tx.Seq,
 			EndorserID: id,
 			Verify: r.makeVerifyRequest(e.Signature, e.Endorser,
-				block.EndorsementDigest(x.PRPBytes, e.Endorser)),
+				block.EndorsementDigest(v.ProposalResponseBytes(), e.Endorser)),
 		}
 		if err := r.bufs.Ends.Push(entry); err != nil {
 			return fmt.Errorf("ends_fifo: %w", err)
 		}
 	}
-	for _, rd := range x.Reads {
-		if err := r.bufs.Rdset.Push(ReadEntry{BlockNum: pkt.BlockNum, TxSeq: seq, Read: rd}); err != nil {
+	for key, ver := range v.Reads() {
+		rd := block.KVRead{Key: lend(key), Version: ver}
+		if err := r.bufs.Rdset.Push(ReadEntry{BlockNum: tx.BlockNum, TxSeq: tx.Seq, Read: rd}); err != nil {
 			return fmt.Errorf("rdset_fifo: %w", err)
 		}
 	}
-	for _, w := range x.Writes {
-		kw := block.KVWrite{Key: w.Key, Value: append([]byte(nil), w.Value...)}
-		if err := r.bufs.Wrset.Push(WriteEntry{BlockNum: pkt.BlockNum, TxSeq: seq, Write: kw}); err != nil {
+	for key, val := range v.Writes() {
+		w := block.KVWrite{Key: lend(key), Value: val}
+		if err := r.bufs.Wrset.Push(WriteEntry{BlockNum: tx.BlockNum, TxSeq: tx.Seq, Write: w}); err != nil {
 			return fmt.Errorf("wrset_fifo: %w", err)
 		}
 	}
-	txEntry := TxEntry{
-		BlockNum:  pkt.BlockNum,
-		Seq:       seq,
-		Verify:    r.makeVerifyRequest(x.Signature, x.CreatorCert, fabcrypto.Hash(x.PayloadBytes)),
-		CCName:    x.CCName,
-		NumEnds:   len(x.Endorsements),
-		RdsetSize: len(x.Reads),
-		WrsetSize: len(x.Writes),
-	}
-	if err := r.bufs.Tx.Push(txEntry); err != nil {
-		return fmt.Errorf("tx_fifo: %w", err)
-	}
-	r.stats.Transactions++
-
-	// Keep the envelope for CPU-side block reconstruction.
-	env := block.Envelope{
-		PayloadBytes: append([]byte(nil), x.PayloadBytes...),
-		Signature:    append([]byte(nil), x.Signature...),
-	}
-	a.envelopes = append(a.envelopes, env)
-	a.nextSeq++
 	return nil
 }
+
+// lend returns b's bytes as a string without copying them. The string
+// aliases the envelope the receiver rebuilt and keeps in the assembled
+// block, which nothing writes to; whoever stores such a string beyond the
+// block copies it first.
+func lend(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // processMetadata handles the metadata section. It must be called with
 // r.mu held.
 func (r *Receiver) processMetadata(pkt *Packet) error {
 	a := r.getAsm(pkt.BlockNum, int(pkt.NumTxs))
-	a.metadata = pkt
+	a.metadata = true
 	return r.drain(pkt.BlockNum)
 }
 

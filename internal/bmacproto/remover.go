@@ -44,35 +44,29 @@ func stripIdentities(sec []byte, fields []span, cache *identity.Cache) (stripped
 
 // insertIdentities reconstructs the original section bytes from stripped
 // data and locators, looking certificates up in the cache. This is the
-// DataInserter module of the protocol_processor.
+// DataInserter module of the protocol_processor. The result is always a
+// buffer of its own, never stripped itself, so the receiver may keep it
+// when a transport reuses the packet's bytes.
 func insertIdentities(stripped []byte, locs []Locator, cache *identity.Cache) ([]byte, error) {
-	if len(locs) == 0 {
-		return stripped, nil
-	}
 	total := len(stripped)
-	certs := make([][]byte, len(locs))
-	for i, l := range locs {
+	for _, l := range locs {
 		cert, ok := cache.CertForID(l.ID)
 		if !ok {
 			return nil, fmt.Errorf("bmacproto: identity cache miss for %s", l.ID)
 		}
-		certs[i] = cert
 		total += len(cert)
 	}
 	out := make([]byte, 0, total)
 	srcPos := 0 // position in stripped
-	origPos := 0
 	for i, l := range locs {
-		gap := int(l.Offset) - origPos
+		gap := int(l.Offset) - len(out)
 		if gap < 0 || srcPos+gap > len(stripped) {
 			return nil, fmt.Errorf("bmacproto: locator %d offset %d out of range", i, l.Offset)
 		}
 		out = append(out, stripped[srcPos:srcPos+gap]...)
 		srcPos += gap
-		origPos += gap
-		out = append(out, certs[i]...)
-		origPos += len(certs[i])
+		cert, _ := cache.CertForID(l.ID) // a cache never forgets an id
+		out = append(out, cert...)
 	}
-	out = append(out, stripped[srcPos:]...)
-	return out, nil
+	return append(out, stripped[srcPos:]...), nil
 }

@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	"bmac/internal/block"
+	"bmac/internal/fabcrypto"
+	"bmac/internal/fifo"
 	"bmac/internal/identity"
 	"bmac/internal/wire"
 )
@@ -285,7 +287,10 @@ func parseLocators(raw []byte, ids []identity.EncodedID) []Locator {
 // FuzzStripInsertRoundTrip fuzzes both directions of the byte boundary.
 // Sender: arbitrary bytes as an envelope payload never panic EncodeBlock,
 // a payload the walk cannot follow is sent unstripped, and what the
-// receiver re-inserts is the marshalled envelope. Receiver: arbitrary
+// receiver re-inserts is the marshalled envelope. The receiver assembles
+// the block from the packets, and its FIFO entries are the fields
+// block.NewTxView reads, or one tx entry marked Malformed exactly when the
+// view rejects the payload (see checkReceived). Receiver: arbitrary
 // (descending, out-of-range, overflowing) locator lists over arbitrary
 // bytes either error or produce a fresh buffer that contains the stripped
 // bytes and the named certificates in order.
@@ -315,10 +320,15 @@ func FuzzStripInsertRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data, rawLocs []byte) {
 		// Sender side.
 		env := block.Envelope{PayloadBytes: data, Signature: []byte{0x30, 0x02, 0x01, 0x01}}
-		packets, _, err := fx.sender.EncodeBlock(&block.Block{Envelopes: []block.Envelope{env}})
+		blk, err := block.NewBlock(0, nil, []block.Envelope{env}, fx.orderer)
 		if err != nil {
 			t.Fatal(err)
 		}
+		packets, _, err := fx.sender.EncodeBlock(blk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fx.checkReceived(t, env, packets)
 		pkt, err := Decode(packets[1])
 		if err != nil {
 			t.Fatal(err)
@@ -364,6 +374,86 @@ func FuzzStripInsertRoundTrip(f *testing.F) {
 			t.Fatal("reconstruction aliases the stripped input")
 		}
 	})
+}
+
+// checkReceived runs the packets of a one-envelope block through f's
+// receiver and holds what comes out to block.NewTxView of env's payload: the
+// block assembles with env in it and a good data hash, and the FIFOs hold
+// one tx entry with the view's chaincode and counts, followed by the view's
+// endorsements, reads and writes — or, when the view rejects the payload,
+// one tx entry marked Malformed and nothing else. The fixture has no block
+// processor draining the FIFOs while the receiver writes them, so a payload
+// with more entries than a FIFO holds is not sent.
+func (f *fixture) checkReceived(t *testing.T, env block.Envelope, packets [][]byte) {
+	t.Helper()
+	v, verr := block.NewTxView(env.PayloadBytes)
+	if verr == nil && (v.NumEndorsements() > f.bufs.Ends.Cap() || v.NumReads() > f.bufs.Rdset.Cap() || v.NumWrites() > f.bufs.Wrset.Cap()) {
+		return
+	}
+	for i, p := range packets {
+		if err := f.recv.ProcessPacket(p); err != nil {
+			t.Fatalf("packet %d: %v", i, err)
+		}
+	}
+	select {
+	case ab := <-f.recv.Blocks():
+		got := ab.Block.Envelopes
+		if !ab.DataHashOK || len(got) != 1 || !bytes.Equal(got[0].PayloadBytes, env.PayloadBytes) || !bytes.Equal(got[0].Signature, env.Signature) {
+			t.Fatalf("assembled block: data hash ok %v, %d envelopes", ab.DataHashOK, len(got))
+		}
+	default:
+		t.Fatalf("no block assembled (%d pending)", f.recv.PendingBlocks())
+	}
+	if _, ok := f.bufs.Block.TryPop(); !ok {
+		t.Fatal("no block entry")
+	}
+	tx, ok := f.bufs.Tx.TryPop()
+	ends, reads, writes := drainAll(f.bufs.Ends), drainAll(f.bufs.Rdset), drainAll(f.bufs.Wrset)
+	if _, more := f.bufs.Tx.TryPop(); !ok || more {
+		t.Fatalf("want one tx entry, got ok %v, more %v", ok, more)
+	}
+	if verr != nil {
+		if !tx.Malformed || len(ends)+len(reads)+len(writes) != 0 {
+			t.Fatalf("view rejects the payload (%v): tx entry malformed %v, %d ends, %d reads, %d writes", verr, tx.Malformed, len(ends), len(reads), len(writes))
+		}
+		return
+	}
+	if tx.Malformed || tx.CCName != string(v.ChaincodeName()) || tx.NumEnds != len(ends) || tx.NumEnds != v.NumEndorsements() ||
+		tx.RdsetSize != len(reads) || tx.RdsetSize != v.NumReads() || tx.WrsetSize != len(writes) || tx.WrsetSize != v.NumWrites() {
+		t.Fatalf("tx entry %+v with %d ends, %d reads, %d writes; the view reads chaincode %q, %d, %d, %d",
+			tx, len(ends), len(reads), len(writes), v.ChaincodeName(), v.NumEndorsements(), v.NumReads(), v.NumWrites())
+	}
+	if tx.Verify.Digest != fabcrypto.Hash(env.PayloadBytes) && !tx.Verify.Malformed {
+		t.Fatal("tx entry's request is not over the payload")
+	}
+	for i, e := range ends {
+		want := v.Endorsement(i)
+		id, _ := f.recvCache.IDForCert(want.Endorser)
+		if e.EndorserID != id || !e.Verify.Malformed && e.Verify.Digest != block.EndorsementDigest(v.ProposalResponseBytes(), want.Endorser) {
+			t.Fatalf("ends entry %d: endorser %s, want %s", i, e.EndorserID, id)
+		}
+	}
+	i := 0
+	for key, ver := range v.Reads() {
+		if r := reads[i].Read; r.Key != string(key) || r.Version != ver {
+			t.Fatalf("read %d: %q@%v, the view reads %q@%v", i, r.Key, r.Version, key, ver)
+		}
+		i++
+	}
+	i = 0
+	for key, val := range v.Writes() {
+		if w := writes[i].Write; w.Key != string(key) || !bytes.Equal(w.Value, val) {
+			t.Fatalf("write %d: %q=%x, the view reads %q=%x", i, w.Key, w.Value, key, val)
+		}
+		i++
+	}
+}
+
+func drainAll[T any](f *fifo.FIFO[T]) (out []T) {
+	for v, ok := f.TryPop(); ok; v, ok = f.TryPop() {
+		out = append(out, v)
+	}
+	return out
 }
 
 // TestHostilePointerAnnotation: a pointer whose offset + length wraps 32

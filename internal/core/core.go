@@ -120,6 +120,11 @@ type Processor struct {
 	sched   policy.Scheduler
 	vscc    []policy.Tx          // the ends_scheduler's view of each transaction
 	ids     []identity.EncodedID // their endorsers, transaction after transaction
+	txs     []txState            // the block's transactions, whose entries are slices of:
+	ends    []bmacproto.EndsEntry
+	reads   []bmacproto.ReadEntry
+	writes  []bmacproto.WriteEntry
+	written map[string]bool // keys the block's valid transactions wrote so far
 
 	wg sync.WaitGroup
 }
@@ -135,6 +140,7 @@ func New(cfg Config, bufs *bmacproto.Buffers, db *statedb.HardwareKVS) *Processo
 		regmap:  NewRegMap(),
 		batches: make([]fabcrypto.Batch, cfg.TxValidators),
 		sched:   policy.Scheduler{Width: cfg.VSCCEngines, ShortCircuit: !cfg.DisableShortCircuit},
+		written: make(map[string]bool),
 	}
 }
 
@@ -242,30 +248,39 @@ type txState struct {
 }
 
 // popTx is the tx_scheduler's read side: the next tx_fifo entry and the
-// ends/rdset/wrset entries it counts, which the receiver wrote before it.
-// ok is false when the FIFOs were closed first.
-func (p *Processor) popTx(tx *txState) (ok bool) {
+// ends/rdset/wrset entries it counts, which the receiver writes after it,
+// appended to the block's slabs. ok is false when the FIFOs were closed
+// first.
+func (p *Processor) popTx() (ok bool) {
+	var tx txState
 	if tx.entry, ok = p.bufs.Tx.Pop(); !ok {
 		return false
 	}
-	if tx.ends, ok = popN(p.bufs.Ends, tx.entry.NumEnds); !ok {
+	e, r, w := len(p.ends), len(p.reads), len(p.writes)
+	if p.ends, ok = popN(p.ends, p.bufs.Ends, tx.entry.NumEnds); !ok {
 		return false
 	}
-	if tx.reads, ok = popN(p.bufs.Rdset, tx.entry.RdsetSize); !ok {
+	if p.reads, ok = popN(p.reads, p.bufs.Rdset, tx.entry.RdsetSize); !ok {
 		return false
 	}
-	tx.writes, ok = popN(p.bufs.Wrset, tx.entry.WrsetSize)
-	return ok
+	if p.writes, ok = popN(p.writes, p.bufs.Wrset, tx.entry.WrsetSize); !ok {
+		return false
+	}
+	tx.ends, tx.reads, tx.writes = p.ends[e:], p.reads[r:], p.writes[w:]
+	p.txs = append(p.txs, tx)
+	return true
 }
 
-func popN[T any](f *fifo.FIFO[T], n int) (out []T, ok bool) {
-	out = make([]T, n)
-	for i := range out {
-		if out[i], ok = f.Pop(); !ok {
-			return nil, false
+// popN appends the next n entries of f to dst.
+func popN[T any](dst []T, f *fifo.FIFO[T], n int) ([]T, bool) {
+	for range n {
+		v, ok := f.Pop()
+		if !ok {
+			return dst, false
 		}
+		dst = append(dst, v)
 	}
-	return out, true
+	return dst, true
 }
 
 // validateBlock runs the block_validate stage for one block, level by level
@@ -279,22 +294,26 @@ func popN[T any](f *fifo.FIFO[T], n int) (out []T, ok bool) {
 func (p *Processor) validateBlock(vb verifiedBlock) (res Result, ok bool) {
 	p.applyPendingPolicies()
 	start := time.Now()
-	txs := make([]txState, vb.entry.NumTxs)
-	for i := range txs {
-		if !p.popTx(&txs[i]) {
+	p.txs, p.ends, p.reads, p.writes = p.txs[:0], p.ends[:0], p.reads[:0], p.writes[:0]
+	for range vb.entry.NumTxs {
+		if !p.popTx() {
 			return Result{}, false
 		}
 	}
+	txs := p.txs
 	res = Result{BlockNum: vb.entry.BlockNum, BlockValid: vb.valid, Flags: make([]byte, len(txs))}
 	st := &res.Stats
 	st.TxCount = len(txs)
 	st.BlockVerifyTime = vb.verifyTime
 
-	// tx_verify, skipped when the block is already invalid (early abort).
+	// tx_verify, skipped when the block is already invalid (early abort),
+	// and for a transaction whose payload did not decode.
 	reqs := p.reqs[:0]
 	if vb.valid {
 		for i := range txs {
-			reqs = append(reqs, &txs[i].entry.Verify)
+			if !txs[i].entry.Malformed {
+				reqs = append(reqs, &txs[i].entry.Verify)
+			}
 		}
 	}
 	verdicts := p.runRound(reqs)
@@ -307,12 +326,16 @@ func (p *Processor) validateBlock(vb verifiedBlock) (res Result, ok bool) {
 			ids = append(ids, e.EndorserID)
 		}
 		vscc = append(vscc, policy.Tx{Endorsers: ids[start:]}) // no Circuit: tx_vscc does not run
-		txValid := len(reqs) > 0 && verdicts[i]
 		switch {
 		case !vb.valid:
 			tx.code = block.InvalidOther
 			continue
-		case !txValid:
+		case tx.entry.Malformed:
+			tx.code = block.BadPayload
+			continue
+		}
+		txValid := verdicts[0]
+		if verdicts = verdicts[1:]; !txValid {
 			tx.code = block.BadSignature
 			continue
 		}
@@ -336,14 +359,14 @@ func (p *Processor) validateBlock(vb verifiedBlock) (res Result, ok bool) {
 
 	// tx_mvcc_commit, strictly in transaction order.
 	mvccStart := time.Now()
-	writtenInBlock := make(map[string]bool, len(txs))
+	clear(p.written)
 	for i := range txs {
 		tx, v := &txs[i], &vscc[i]
 		st.EndsSkipped += len(tx.ends) - v.Verified
 		if tx.code == block.Valid && !v.Circuit.Evaluate(&v.RF) {
 			tx.code = block.EndorsementPolicyFailure
 		}
-		p.mvccCommitOne(tx, block.Version{BlockNum: res.BlockNum, TxNum: uint64(i)}, writtenInBlock)
+		p.mvccCommitOne(tx, block.Version{BlockNum: res.BlockNum, TxNum: uint64(i)}, p.written)
 		res.Flags[i] = byte(tx.code)
 	}
 	st.MVCCCommitTime = time.Since(mvccStart)

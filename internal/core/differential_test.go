@@ -15,11 +15,12 @@ import (
 // TestRandomizedDifferential is a randomized differential test between the
 // software validator and the BMac pipeline: many blocks with random
 // mixtures of valid transactions, bad client signatures, bad endorsements,
-// outsider endorsements, missing endorsements and mvcc conflicts, across
-// several policies and architectures. Any divergence in flags or committed
-// state fails. An outsider is a peer a second seed's network issued under
-// the replaced endorser's own org name: its subject is a member's, its
-// certificate is not.
+// outsider endorsements, missing endorsements, mvcc conflicts, payloads that
+// do not decode, empty signatures and payloads with a second signature
+// header in front, across several policies and architectures. Any
+// divergence in flags or committed state fails. An outsider is a peer a
+// second seed's network issued under the replaced endorser's own org name:
+// its subject is a member's, its certificate is not.
 func TestRandomizedDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20220106))
 	outsiderNet := identity.NewNetwork([]byte("outsider"))
@@ -90,7 +91,25 @@ func TestRandomizedDifferential(t *testing.T) {
 						block.KVWrite{Key: key, Value: []byte{byte(i)}})
 					specs = append(specs, spec)
 				}
-				b := r.block(t, blockNum, specs)
+				envs := make([]block.Envelope, len(specs))
+				for i := range specs {
+					env, err := block.NewEndorsedEnvelope(specs[i])
+					if err != nil {
+						t.Fatal(err)
+					}
+					switch envs[i] = *env; rng.Intn(12) {
+					case 0:
+						envs[i] = garbageEnvelope(t, rng, r.client)
+					case 1:
+						envs[i].Signature = nil
+					case 2:
+						envs[i] = signatureHeaderInFront(t, envs[i], r.peers[rng.Intn(len(r.peers))], r.client)
+					}
+				}
+				b, err := block.NewBlock(blockNum, nil, envs, r.orderer)
+				if err != nil {
+					t.Fatal(err)
+				}
 				raw := block.Marshal(b)
 
 				swRes, swErr := sw.ValidateAndCommit(raw)

@@ -50,8 +50,8 @@ func (r *rig) capture(t testing.TB, b *block.Block) fifoBlock {
 }
 
 // feed writes fb's first nTxs transactions to bufs in the receiver's order:
-// the block entry, then each transaction's ends, reads and writes before its
-// tx entry.
+// the block entry, then each transaction's tx entry followed by its ends,
+// reads and writes.
 func (fb *fifoBlock) feed(t testing.TB, bufs *bmacproto.Buffers, nTxs int) {
 	t.Helper()
 	check := func(err error) {
@@ -62,6 +62,7 @@ func (fb *fifoBlock) feed(t testing.TB, bufs *bmacproto.Buffers, nTxs int) {
 	check(bufs.Block.Push(fb.blk))
 	ends, reads, writes := fb.ends, fb.reads, fb.writes
 	for _, tx := range fb.txs[:nTxs] {
+		check(bufs.Tx.Push(tx))
 		for _, e := range ends[:tx.NumEnds] {
 			check(bufs.Ends.Push(e))
 		}
@@ -72,7 +73,6 @@ func (fb *fifoBlock) feed(t testing.TB, bufs *bmacproto.Buffers, nTxs int) {
 			check(bufs.Wrset.Push(w))
 		}
 		ends, reads, writes = ends[tx.NumEnds:], reads[tx.RdsetSize:], writes[tx.WrsetSize:]
-		check(bufs.Tx.Push(tx))
 	}
 }
 
@@ -103,6 +103,10 @@ func referenceTxValidator(cfg Config, job txJob) txResult {
 	if !job.blockValid {
 		out.code = block.InvalidOther
 		out.endsSkipped = len(job.ends)
+		return out
+	}
+	if job.entry.Malformed { // the payload did not decode: nothing to verify
+		out.code = block.BadPayload
 		return out
 	}
 	out.engineInvokes++ // the tx_verify engine invocation

@@ -599,6 +599,14 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	for i, name := range hotpathEncodeRows {
 		rec.Benchmarks[name] = enc[i]
 	}
+	// --- The BMac receiver: the 100-tx block's packets through
+	// Receiver.ProcessPacket into the FIFOs, which are emptied after each
+	// block, as the assembled block's channel is. ---
+	bmacReceive, err := bmacReceiveOp(e, encBlock)
+	if err != nil {
+		return nil, err
+	}
+	rec.Benchmarks["bmac_receive_block"] = measureOp(opIters, run(bmacReceive))
 	rec.Benchmarks["marshal_block_pooled"] = measureOp(opIters, func() {
 		buf := block.AppendBlock(wire.GetBuf(block.Size(b)), b)
 		wire.PutBuf(buf)
@@ -702,6 +710,50 @@ func bmacValidateOp(e *Env, b *block.Block, pol *policy.Policy, sigs int) (op fu
 	return op, stop, nil
 }
 
+// bmacReceiveOp returns an operation that feeds b's packets to a protocol
+// receiver that knows the suite's identities, then empties its FIFOs and
+// takes the assembled block, which must have passed its data-hash check.
+func bmacReceiveOp(e *Env, b *block.Block) (func() error, error) {
+	bufs := bmacproto.NewBuffers() // its depths hold a 100-tx block with nobody reading
+	recv := bmacproto.NewReceiver(identity.NewCache(), bufs)
+	sender := bmacproto.NewSender(identity.NewCache(), bmacproto.NewMemLink(recv))
+	if err := sender.RegisterNetwork(e.Net); err != nil {
+		return nil, err
+	}
+	packets, _, err := sender.EncodeBlock(b)
+	if err != nil {
+		return nil, err
+	}
+	return func() error {
+		for _, p := range packets {
+			if err := recv.ProcessPacket(p); err != nil {
+				return err
+			}
+		}
+		discardFIFO(bufs.Block)
+		discardFIFO(bufs.Ends)
+		discardFIFO(bufs.Rdset)
+		discardFIFO(bufs.Wrset)
+		select {
+		case ab := <-recv.Blocks():
+			if n := discardFIFO(bufs.Tx); !ab.DataHashOK || n != len(b.Envelopes) {
+				return fmt.Errorf("hotpath: bmac receiver wrote %d of %d transactions, data hash ok %v", n, len(b.Envelopes), ab.DataHashOK)
+			}
+			return nil
+		default:
+			return fmt.Errorf("hotpath: bmac receiver assembled no block")
+		}
+	}, nil
+}
+
+// discardFIFO empties f and returns how many entries it held.
+func discardFIFO[T any](f *fifo.FIFO[T]) (n int) {
+	for _, ok := f.TryPop(); ok; _, ok = f.TryPop() {
+		n++
+	}
+	return n
+}
+
 func drainFIFO[T any](f *fifo.FIFO[T]) (out []T) {
 	for v, ok := f.TryPop(); ok; v, ok = f.TryPop() {
 		out = append(out, v)
@@ -792,7 +844,7 @@ var hotpathBenchOrder = []string{
 	"cert_parse_cold", "cert_parse_cached",
 	"parse_tx_cold", "tx_view",
 	"marshal_block", "marshal_block_pooled", "marshal_tx_payload",
-	"bmac_encode_block", "bmac_encode_block_64ids",
+	"bmac_encode_block", "bmac_encode_block_64ids", "bmac_receive_block",
 }
 
 // Table renders the record for terminal output.

@@ -35,8 +35,9 @@ type Expr interface {
 	// String renders the canonical textual form of the expression.
 	String() string
 	// eval reports whether the expression is satisfied by the set of
-	// (org, role) endorsements marked valid in the register file.
-	eval(rf *RegisterFile) bool
+	// (org, role) endorsements marked valid in the register file, together
+	// with those of extra.
+	eval(rf *RegisterFile, extra []identity.EncodedID) bool
 	// gates accumulates the AND/OR gate counts of the compiled circuit.
 	gates(g *GateCount)
 	// orgs accumulates the set of organizations referenced.
@@ -53,7 +54,13 @@ type OrgRef struct {
 // String implements Expr.
 func (o OrgRef) String() string { return fmt.Sprintf("Org%d", o.Org) }
 
-func (o OrgRef) eval(rf *RegisterFile) bool { return rf.Get(o.Org, o.Role) }
+func (o OrgRef) eval(rf *RegisterFile, extra []identity.EncodedID) bool {
+	ok := rf.Get(o.Org, o.Role)
+	for _, id := range extra {
+		ok = ok || id.Org() == o.Org && roleBit(id.Role())&roleBit(o.Role) != 0
+	}
+	return ok
+}
 
 func (o OrgRef) gates(g *GateCount) { g.Inputs++ }
 
@@ -65,12 +72,12 @@ type And struct{ Children []Expr }
 // String implements Expr.
 func (a And) String() string { return joinExprs(a.Children, " & ") }
 
-func (a And) eval(rf *RegisterFile) bool {
+func (a And) eval(rf *RegisterFile, extra []identity.EncodedID) bool {
 	// Deliberately no short-circuit: evaluate every child, then combine,
 	// as a combinational circuit evaluates all its inputs in parallel.
 	ok := true
 	for _, c := range a.Children {
-		if !c.eval(rf) {
+		if !c.eval(rf, extra) {
 			ok = false
 		}
 	}
@@ -99,10 +106,10 @@ type Or struct{ Children []Expr }
 // String implements Expr.
 func (o Or) String() string { return joinExprs(o.Children, " | ") }
 
-func (o Or) eval(rf *RegisterFile) bool {
+func (o Or) eval(rf *RegisterFile, extra []identity.EncodedID) bool {
 	ok := false
 	for _, c := range o.Children {
-		if c.eval(rf) {
+		if c.eval(rf, extra) {
 			ok = true
 		}
 	}
@@ -160,8 +167,12 @@ func (rf *RegisterFile) Clear() { rf.regs = [256]uint8{} }
 
 // Set records a valid endorsement from (org, role).
 func (rf *RegisterFile) Set(org uint8, role identity.Role) {
-	rf.regs[org] |= 1 << (uint8(role) - 1)
+	rf.regs[org] |= roleBit(role)
 }
+
+// roleBit is a role's bit in its organization's register; 0 for a role no
+// register holds.
+func roleBit(role identity.Role) uint8 { return 1 << (uint8(role) - 1) }
 
 // SetID records a valid endorsement from an encoded identity.
 func (rf *RegisterFile) SetID(id identity.EncodedID) {
@@ -170,7 +181,7 @@ func (rf *RegisterFile) SetID(id identity.EncodedID) {
 
 // Get reports whether a valid endorsement from (org, role) was recorded.
 func (rf *RegisterFile) Get(org uint8, role identity.Role) bool {
-	return rf.regs[org]&(1<<(uint8(role)-1)) != 0
+	return rf.regs[org]&roleBit(role) != 0
 }
 
 // Policy is a parsed endorsement policy.
@@ -233,7 +244,7 @@ func Compile(p *Policy) *Circuit {
 // register file contents. Combinational: conceptually all sub-expressions
 // evaluate in parallel.
 func (c *Circuit) Evaluate(rf *RegisterFile) bool {
-	return c.policy.Expr.eval(rf)
+	return c.policy.Expr.eval(rf, nil)
 }
 
 // Gates returns the circuit's gate counts.
@@ -245,15 +256,13 @@ func (c *Circuit) Policy() *Policy { return c.policy }
 // CanStillSatisfy reports whether the policy could still become satisfied
 // if every org in `remaining` later produced a valid endorsement. The
 // ends_scheduler uses this for the invalidity short-circuit: once false,
-// the transaction is invalid and remaining endorsements are discarded.
+// the transaction is invalid and remaining endorsements are discarded. It
+// evaluates optimistically, each input high if its bit is set or one of
+// remaining would set it, without a copy of the register file.
+//
+// bmaclint:noalloc
 func (c *Circuit) CanStillSatisfy(rf *RegisterFile, remaining []identity.EncodedID) bool {
-	// Evaluate optimistically: copy the register file and set all
-	// remaining endorsers' bits.
-	opt := *rf
-	for _, id := range remaining {
-		opt.SetID(id)
-	}
-	return c.policy.Expr.eval(&opt)
+	return c.policy.Expr.eval(rf, remaining)
 }
 
 // --- parser ---

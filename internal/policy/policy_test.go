@@ -221,6 +221,42 @@ func TestCanStillSatisfy(t *testing.T) {
 	}
 }
 
+// TestCanStillSatisfyIsOptimisticEvaluate holds CanStillSatisfy to its
+// definition: Evaluate over a copy of the register file with every
+// remaining endorser's bit set — over random register files and remaining
+// lists of any encoded id, roles no register holds included — and checks
+// that it allocates nothing.
+func TestCanStillSatisfyIsOptimisticEvaluate(t *testing.T) {
+	var circuits []*Circuit
+	for _, src := range []string{"1of1", "2of3", "3of3", "Org1 & (Org2 | (Org3 & Org4))", "Org1.admin | Org2.client & Org3"} {
+		circuits = append(circuits, Compile(mustParse(src)))
+	}
+	f := func(ci uint8, set, remaining []uint16) bool {
+		c := circuits[int(ci)%len(circuits)]
+		var rf RegisterFile
+		for _, id := range set {
+			rf.SetID(identity.EncodedID(id % 0x800)) // orgs 0..7
+		}
+		left := make([]identity.EncodedID, len(remaining))
+		for i, id := range remaining {
+			left[i] = identity.EncodedID(id % 0x800)
+		}
+		opt := rf
+		for _, id := range left {
+			opt.SetID(id)
+		}
+		return c.CanStillSatisfy(&rf, left) == c.Evaluate(&opt)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	var rf RegisterFile
+	left := []identity.EncodedID{identity.Encode(2, identity.RolePeer, 0), identity.Encode(3, identity.RolePeer, 0)}
+	if n := testing.AllocsPerRun(100, func() { circuits[1].CanStillSatisfy(&rf, left) }); n != 0 {
+		t.Errorf("CanStillSatisfy: %v allocs per call", n)
+	}
+}
+
 func TestCanStillSatisfyDoesNotMutate(t *testing.T) {
 	c := Compile(mustParse("2of2"))
 	var rf RegisterFile
@@ -263,7 +299,7 @@ func TestOutOfEquivalentToThreshold(t *testing.T) {
 				count++
 			}
 		}
-		return p.eval(&rf) == (count >= k)
+		return p.eval(&rf, nil) == (count >= k)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

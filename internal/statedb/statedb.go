@@ -27,6 +27,7 @@ package statedb
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -198,8 +199,11 @@ func (h *HardwareKVS) Read(key string) (VersionedValue, bool) {
 }
 
 // Write stores value under key with the given version. It returns ErrFull
-// when inserting a new key into a full store.
+// when inserting a new key into a full store. It keeps copies of key and
+// value, so either may alias a buffer the caller reuses, such as the
+// envelope a BMac FIFO entry lends them from.
 func (h *HardwareKVS) Write(key string, value []byte, ver block.Version) error {
+	key = strings.Clone(key) // the map keeps the key of every assignment, even to a key it holds
 	h.mu.Lock()
 	_, exists := h.data[key]
 	if !exists && len(h.data) >= h.capacity {
