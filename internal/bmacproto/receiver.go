@@ -16,11 +16,12 @@ import (
 // VerifyRequest is the {signature, key, data hash} tuple issued to one
 // ecdsa_engine instance (paper §3.3).
 type VerifyRequest struct {
-	Parts  fabcrypto.SignatureParts
+	Parts fabcrypto.SignatureParts
+	// Pub is the signer's key, nil when its certificate does not parse.
 	Pub    *ecdsa.PublicKey
 	Digest [fabcrypto.HashSize]byte
-	// Malformed is set when the request could not be constructed (bad DER,
-	// unknown identity); the engine rejects it without computing.
+	// Malformed is set when the signature does not decode (bad DER); the
+	// engine rejects it, or a request without a key, without computing.
 	Malformed bool
 }
 
@@ -281,8 +282,8 @@ func (r *Receiver) processHeader(pkt *Packet) error {
 		BlockNum: pkt.BlockNum,
 		NumTxs:   int(pkt.NumTxs),
 		Header:   *hdr,
-		Verify:   r.makeVerifyRequest(sig, creator, fabcrypto.Hash(block.OrdererSigningBytes(hdr, nonce, creator))),
 	}
+	entry.Verify, _ = r.makeVerifyRequest(sig, creator, fabcrypto.Hash(block.OrdererSigningBytes(hdr, nonce, creator)))
 
 	a := r.getAsm(pkt.BlockNum, int(pkt.NumTxs))
 	a.header = hdr
@@ -295,34 +296,25 @@ func (r *Receiver) processHeader(pkt *Packet) error {
 	return r.drain(pkt.BlockNum)
 }
 
-// makeVerifyRequest builds an ecdsa_engine request: DER decode the
-// signature (DataProcessor post-processor), look the public key up in the
-// identity cache (skipping X.509 parsing on the hot path), and attach the
-// digest of the signed message (HashCalculator).
-func (r *Receiver) makeVerifyRequest(derSig, cert []byte, digest [fabcrypto.HashSize]byte) VerifyRequest {
-	var req VerifyRequest
-	parts, err := fabcrypto.DecodeDERToParts(derSig)
+// makeVerifyRequest builds an ecdsa_engine request and returns it with the
+// signer's member ID (0: no member holds the certificate). It resolves the
+// signer's certificate in one identity-cache lookup, which hands out the key
+// parsed when the member was cached (the X.509 post-processor parses a
+// certificate no member holds), then DER decodes the signature
+// (DataProcessor post-processor) and attaches the digest of the signed
+// message (HashCalculator). A certificate that does not parse leaves Pub
+// nil, a signature that does not decode sets Malformed.
+func (r *Receiver) makeVerifyRequest(derSig, cert []byte, digest [fabcrypto.HashSize]byte) (VerifyRequest, identity.EncodedID) {
+	req := VerifyRequest{Digest: digest}
+	id, pub, err := r.cache.Resolve(cert)
 	if err != nil {
+		return req, id
+	}
+	req.Pub = pub
+	if req.Parts, err = fabcrypto.DecodeDERToParts(derSig); err != nil {
 		req.Malformed = true
-		return req
 	}
-	req.Parts = parts
-	if id, ok := r.cache.IDForCert(cert); ok {
-		if pub, ok := r.cache.PublicKeyForID(id); ok {
-			req.Pub = pub
-		}
-	}
-	if req.Pub == nil {
-		// Identity not in cache: fall back to the X.509 post-processor.
-		pub, err := fabcrypto.PublicKeyFromCert(cert)
-		if err != nil {
-			req.Malformed = true
-			return req
-		}
-		req.Pub = pub
-	}
-	req.Digest = digest
-	return req
+	return req, id
 }
 
 // processTxOrQueue handles a tx section, buffering out-of-order arrivals.
@@ -392,7 +384,7 @@ func (r *Receiver) processTx(a *blockAsm, pkt *Packet) error {
 	if err != nil {
 		entry.Malformed = true
 	} else {
-		entry.Verify = r.makeVerifyRequest(env.Signature, v.Creator(), fabcrypto.Hash(env.PayloadBytes))
+		entry.Verify, _ = r.makeVerifyRequest(env.Signature, v.Creator(), fabcrypto.Hash(env.PayloadBytes))
 		entry.CCName = lend(v.ChaincodeName())
 		entry.NumEnds, entry.RdsetSize, entry.WrsetSize = v.NumEndorsements(), v.NumReads(), v.NumWrites()
 	}
@@ -410,14 +402,9 @@ func (r *Receiver) processTx(a *blockAsm, pkt *Packet) error {
 func (r *Receiver) pushSets(v *block.TxView, tx TxEntry) error {
 	for i := range v.NumEndorsements() {
 		e := v.Endorsement(i)
-		id, _ := r.cache.IDForCert(e.Endorser)
-		entry := EndsEntry{
-			BlockNum:   tx.BlockNum,
-			TxSeq:      tx.Seq,
-			EndorserID: id,
-			Verify: r.makeVerifyRequest(e.Signature, e.Endorser,
-				block.EndorsementDigest(v.ProposalResponseBytes(), e.Endorser)),
-		}
+		entry := EndsEntry{BlockNum: tx.BlockNum, TxSeq: tx.Seq}
+		entry.Verify, entry.EndorserID = r.makeVerifyRequest(e.Signature, e.Endorser,
+			block.EndorsementDigest(v.ProposalResponseBytes(), e.Endorser))
 		if err := r.bufs.Ends.Push(entry); err != nil {
 			return fmt.Errorf("ends_fifo: %w", err)
 		}

@@ -145,24 +145,19 @@ type Config struct {
 	Durability DurabilitySpec
 	Telemetry  TelemetrySpec
 
-	// caches memoizes the shared certificate cache, the registry and the
-	// identity network behind a pointer, so copying a Config (the cluster
-	// harness derives per-peer variants that way) shares the same
-	// instances instead of copying lock state. Every validator/pipeline
-	// configuration materialized from this Config — sequential,
-	// pipelined, BMac cross-check — parses a certificate once per process;
-	// each still verifies every signature it commits.
+	// caches memoizes the registry and the identity network behind a
+	// pointer, so copying a Config (the cluster harness derives per-peer
+	// variants that way) shares the same instances instead of copying lock
+	// state.
 	caches *hotCaches
 }
 
 type hotCaches struct {
-	certOnce sync.Once
-	cert     *fabcrypto.CertCache
-	regOnce  sync.Once
-	reg      *telemetry.Registry
-	netOnce  sync.Once
-	net      *identity.Network
-	netErr   error
+	regOnce sync.Once
+	reg     *telemetry.Registry
+	netOnce sync.Once
+	net     *identity.Network
+	netErr  error
 }
 
 func (c *Config) ensureCaches() *hotCaches {
@@ -172,24 +167,11 @@ func (c *Config) ensureCaches() *hotCaches {
 	return c.caches
 }
 
-// certCacheSize bounds the shared certificate cache: it holds the handful
-// of identity certificates that recur in every transaction, whose parsing
-// rivals the ECDSA math in allocations.
-const certCacheSize = 4096
-
-// CertCache returns the Config's shared parsed-certificate cache, creating
-// it on first use.
-func (c *Config) CertCache() *fabcrypto.CertCache {
-	h := c.ensureCaches()
-	h.certOnce.Do(func() { h.cert = fabcrypto.NewCertCache(certCacheSize) })
-	return h.cert
-}
-
 // TelemetryRegistry returns the Config's shared metrics registry, creating
 // it on first use; nil when the telemetry plane is disabled. On creation
-// the process-wide certificate cache's counters are exported as
+// the process-wide verification engine's counters are exported as
 // scrape-time GaugeFunc read adapters, so enabling telemetry adds nothing
-// to those hot paths.
+// to its hot path.
 func (c *Config) TelemetryRegistry() *telemetry.Registry {
 	h := c.ensureCaches()
 	h.regOnce.Do(func() {
@@ -197,9 +179,6 @@ func (c *Config) TelemetryRegistry() *telemetry.Registry {
 			return
 		}
 		reg := telemetry.NewRegistry()
-		cert := c.CertCache()
-		reg.GaugeFunc("fabcrypto_certcache_hits_total", func() int64 { h, _ := cert.Stats(); return h })
-		reg.GaugeFunc("fabcrypto_certcache_misses_total", func() int64 { _, m := cert.Stats(); return m })
 		// Which engine did the curve math (process-wide, like the tables).
 		reg.GaugeFunc("fabcrypto_engine_table_verifies_total", func() int64 { return fabcrypto.KeyTableStats().TableVerifies })
 		reg.GaugeFunc("fabcrypto_engine_stdlib_verifies_total", func() int64 { return fabcrypto.KeyTableStats().StdlibVerifies })
@@ -572,11 +551,10 @@ func (c *Config) engineConfig(workers int, path string) (pipeline.Config, error)
 		return pipeline.Config{}, err
 	}
 	return pipeline.Config{
-		Workers:   workers,
-		Policies:  pols,
-		CertCache: c.CertCache(),
-		Members:   members,
-		Metrics:   telemetry.NewValidatorMetrics(c.TelemetryRegistry(), path),
+		Workers:  workers,
+		Policies: pols,
+		Members:  members,
+		Metrics:  telemetry.NewValidatorMetrics(c.TelemetryRegistry(), path),
 	}, nil
 }
 

@@ -387,15 +387,27 @@ func TestCircuitsCompiled(t *testing.T) {
 }
 
 // TestParseSeedsCacheDefaults pins that a parsed file with no optional
-// sections still runs with the certificate cache on.
+// sections still gives its engines the consortium table every certificate
+// resolves through, holding each identity the file declares.
 func TestParseSeedsCacheDefaults(t *testing.T) {
 	const base = "orgs:\n  - name: Org1\nchaincodes:\n  - name: cc\n    policy: 1of1\n"
 	cfg, err := Parse([]byte(base))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.CertCache() == nil {
-		t.Error("omitted sections: the certificate cache is off")
+	vc, err := cfg.ValidatorConfig(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := cfg.BuildNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vc.Members == nil {
+		t.Fatal("omitted sections: no consortium table")
+	}
+	if got, want := vc.Members.Len(), len(net.Identities()); got == 0 || got != want {
+		t.Errorf("omitted sections: the consortium table holds %d identities, want %d", got, want)
 	}
 }
 

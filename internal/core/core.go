@@ -307,12 +307,13 @@ func (p *Processor) validateBlock(vb verifiedBlock) (res Result, ok bool) {
 	st.BlockVerifyTime = vb.verifyTime
 
 	// tx_verify, skipped when the block is already invalid (early abort),
-	// and for a transaction whose payload did not decode.
+	// for a transaction whose payload did not decode and for one whose
+	// creator certificate did not parse.
 	reqs := p.reqs[:0]
 	if vb.valid {
 		for i := range txs {
-			if !txs[i].entry.Malformed {
-				reqs = append(reqs, &txs[i].entry.Verify)
+			if e := &txs[i].entry; !e.Malformed && e.Verify.Pub != nil {
+				reqs = append(reqs, &e.Verify)
 			}
 		}
 	}
@@ -332,6 +333,9 @@ func (p *Processor) validateBlock(vb verifiedBlock) (res Result, ok bool) {
 			continue
 		case tx.entry.Malformed:
 			tx.code = block.BadPayload
+			continue
+		case tx.entry.Verify.Pub == nil:
+			tx.code = block.BadCreator
 			continue
 		}
 		txValid := verdicts[0]

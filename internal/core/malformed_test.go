@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -182,6 +183,43 @@ func TestRepeatedSignatureHeaderAllPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []byte{byte(block.Valid), byte(block.Valid)}
+	if got := allPathsFlags(t, r, sws, b); !block.FlagsEqual(got, want) {
+		t.Errorf("flags %v, want %v", got, want)
+	}
+}
+
+// TestUnparsableCreatorAllPaths: a payload whose last signature header
+// names a creator certificate that does not parse, signed by the client, is
+// BadCreator on every path, as validator.VSCC flags it. The BMac receiver
+// used to fold such a certificate into a malformed request, as it does a
+// signature that does not decode, and block_validate flagged the
+// transaction BadSignature.
+func TestUnparsableCreatorAllPaths(t *testing.T) {
+	r, sws := newAllPaths(t)
+	ends := []*identity.Identity{r.peers[0], r.peers[1]}
+	var envs []block.Envelope
+	for _, key := range []string{"a", "b"} {
+		env, err := block.NewEndorsedEnvelope(r.spec(ends, block.RWSet{Writes: []block.KVWrite{{Key: key, Value: []byte("1")}}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		envs = append(envs, *env)
+	}
+	hdr := wire.AppendBytes(nil, 1, []byte("not a certificate"))            // SignatureHeader.creator
+	payload := wire.AppendBytes(slices.Clone(envs[1].PayloadBytes), 2, hdr) // Payload.signature_header, read last
+	sig, err := r.client.Sign(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs[1] = block.Envelope{PayloadBytes: payload, Signature: sig}
+	if v, err := block.NewTxView(payload); err != nil || string(v.Creator()) != "not a certificate" {
+		t.Fatalf("the view reads creator %q (err %v)", v.Creator(), err)
+	}
+	b, err := block.NewBlock(0, nil, envs, r.orderer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{byte(block.Valid), byte(block.BadCreator)}
 	if got := allPathsFlags(t, r, sws, b); !block.FlagsEqual(got, want) {
 		t.Errorf("flags %v, want %v", got, want)
 	}

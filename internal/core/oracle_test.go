@@ -109,6 +109,11 @@ func referenceTxValidator(cfg Config, job txJob) txResult {
 		out.code = block.BadPayload
 		return out
 	}
+	if job.entry.Verify.Pub == nil { // the creator's certificate did not parse
+		out.code = block.BadCreator
+		out.endsSkipped = len(job.ends)
+		return out
+	}
 	out.engineInvokes++ // the tx_verify engine invocation
 	if !job.entry.Verify.Execute() {
 		out.code = block.BadSignature

@@ -51,7 +51,7 @@ var catalogue = []experiment{
 	{"headline", "Headline: peak throughput and speedup", Headline},
 	{"ablations", "Ablations: design-choice benches", Ablations},
 	{"hybrid", "Hybrid: §5 hardware/host database — hit rate and prefetch latency hiding vs capacity and Zipf skew", FigHybrid},
-	{"hotpath", "Hotpath: commit hot-path micro/macro benchmarks — certificate cache, key-table ECDSA engine, hash lanes, payload views against the struct decoders, pooled marshal, signing — each vs its off baseline (ns/op, allocs/op, hit rates)", FigHotpath},
+	{"hotpath", "Hotpath: commit hot-path micro/macro benchmarks — key-table ECDSA engine, hash lanes, payload views against the struct decoders, pooled marshal, signing, certificate parse — each vs its off baseline (ns/op, allocs/op)", FigHotpath},
 	{"adversarial", "Adversarial: hostile-load and chaos gates — 50% invalid-tx flood must keep valid-tx TPS >= 70% of baseline, and every fault (partition, corruption, slowdisk, leaderkill) must end bit-identical", func(_ *Env, o Options) (*Table, error) { return FigAdversarial(o) }},
 	{"fastsync", "Fastsync: snapshot fast-sync vs full replay across ledger lengths — recovery must replay the fixed tail (not the chain), reopen from the persisted index, and land bit-identical", func(_ *Env, o Options) (*Table, error) { return FigFastSync(o) }},
 }

@@ -93,26 +93,3 @@ func BenchmarkVerifyDigestCold(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkCertCacheHit(b *testing.B) {
-	signer, err := NewSigner()
-	if err != nil {
-		b.Fatal(err)
-	}
-	der, err := IssueCertificate(CertTemplate{CommonName: "peer0.bench", Organization: "Org1", SerialNumber: 1},
-		signer.Public(), nil, signer.Private())
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := NewCertCache(64)
-	if _, err := c.PublicKeyFromCert(der); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.PublicKeyFromCert(der); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

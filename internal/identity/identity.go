@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"bmac/internal/fabcrypto"
 )
@@ -284,25 +283,30 @@ func (n *Network) Members() (*Cache, error) {
 }
 
 // Cache is the identity cache shared between the BMac protocol sender
-// (DataRemover) and the hardware receiver (DataInserter). It maps full
-// certificates to encoded IDs and back. The sender half assigns IDs for
+// (DataRemover) and the hardware receiver (DataInserter), and the one table
+// every validation path resolves a certificate through (Resolve). It maps
+// full certificates to encoded IDs and the public keys Put parsed from
+// them, and IDs back to certificates. The sender half assigns IDs for
 // previously unseen certificates; the receiver half is populated by cache
 // synchronization packets.
 type Cache struct {
-	mu       sync.RWMutex
-	certToID map[string]EncodedID           // guarded by mu
-	idToCert map[EncodedID][]byte           // guarded by mu
-	idToPub  map[EncodedID]*ecdsa.PublicKey // guarded by mu
-	misses   atomic.Int64
-	hits     atomic.Int64
+	mu     sync.RWMutex
+	byCert map[string]member    // guarded by mu
+	byID   map[EncodedID][]byte // guarded by mu
+}
+
+// member is what a certificate in the cache resolves to: the ID that holds
+// it and the public key Put parsed from it.
+type member struct {
+	id  EncodedID
+	pub *ecdsa.PublicKey
 }
 
 // NewCache returns an empty identity cache.
 func NewCache() *Cache {
 	return &Cache{
-		certToID: make(map[string]EncodedID),
-		idToCert: make(map[EncodedID][]byte),
-		idToPub:  make(map[EncodedID]*ecdsa.PublicKey),
+		byCert: make(map[string]member),
+		byID:   make(map[EncodedID][]byte),
 	}
 }
 
@@ -318,33 +322,47 @@ func (c *Cache) Put(id EncodedID, cert []byte) error {
 	copy(certCopy, cert)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old, ok := c.idToCert[id]; ok && c.certToID[string(old)] == id {
-		delete(c.certToID, string(old))
+	if old, ok := c.byID[id]; ok && c.byCert[string(old)].id == id {
+		delete(c.byCert, string(old))
 	}
-	c.certToID[string(cert)] = id
-	c.idToCert[id] = certCopy
-	c.idToPub[id] = pub
+	c.byCert[string(cert)] = member{id: id, pub: pub}
+	c.byID[id] = certCopy
 	return nil
 }
 
-// IDForCert returns the encoded ID for a certificate, reporting whether the
-// certificate was present. Sender side of DataRemover, once per identity
-// field, and the receiver's and the software validator's per-endorsement
-// lookup: a read lock only. A nil cache knows no certificate: the ID is 0,
-// which sets no policy register.
-func (c *Cache) IDForCert(cert []byte) (EncodedID, bool) {
+// lookup returns the member holding cert, under the read lock only. A nil
+// cache holds no certificate.
+func (c *Cache) lookup(cert []byte) (member, bool) {
 	if c == nil {
-		return 0, false
+		return member{}, false
 	}
 	c.mu.RLock()
-	id, ok := c.certToID[string(cert)]
+	m, ok := c.byCert[string(cert)]
 	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
+	return m, ok
+}
+
+// IDForCert returns the encoded ID for a certificate, reporting whether the
+// certificate was present: the sender side of DataRemover, once per
+// identity field.
+func (c *Cache) IDForCert(cert []byte) (EncodedID, bool) {
+	m, ok := c.lookup(cert)
+	return m.id, ok
+}
+
+// Resolve returns the member ID of a certificate and its public key, in one
+// read-locked map lookup for a certificate a member holds: the key Put
+// parsed, so the hot path never parses X.509. A certificate no member holds
+// resolves to ID 0, which sets no policy register, and to the key
+// fabcrypto.PublicKeyFromCert parses from it each time, or to its error and
+// a nil key. A nil cache is a consortium of no one: it parses every
+// certificate.
+func (c *Cache) Resolve(cert []byte) (EncodedID, *ecdsa.PublicKey, error) {
+	if m, ok := c.lookup(cert); ok {
+		return m.id, m.pub, nil
 	}
-	return id, ok
+	pub, err := fabcrypto.PublicKeyFromCert(cert)
+	return 0, pub, err
 }
 
 // CertForID returns the certificate for an encoded ID. Receiver side of
@@ -352,27 +370,13 @@ func (c *Cache) IDForCert(cert []byte) (EncodedID, bool) {
 func (c *Cache) CertForID(id EncodedID) ([]byte, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	cert, ok := c.idToCert[id]
+	cert, ok := c.byID[id]
 	return cert, ok
-}
-
-// PublicKeyForID returns the cached public key for an encoded ID, letting
-// the hardware skip X.509 parsing on the hot path.
-func (c *Cache) PublicKeyForID(id EncodedID) (*ecdsa.PublicKey, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	pub, ok := c.idToPub[id]
-	return pub, ok
 }
 
 // Len reports the number of cached identities.
 func (c *Cache) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return len(c.idToCert)
-}
-
-// Stats reports cache hits and misses observed by IDForCert.
-func (c *Cache) Stats() (hits, misses int) {
-	return int(c.hits.Load()), int(c.misses.Load())
+	return len(c.byID)
 }

@@ -2,6 +2,7 @@ package identity
 
 import (
 	"bytes"
+	"crypto/ecdsa"
 	"errors"
 	"sync"
 	"testing"
@@ -158,13 +159,59 @@ func TestCachePutLookup(t *testing.T) {
 	if !ok || string(cert) != string(id.Cert) {
 		t.Error("CertForID mismatch")
 	}
-	if _, ok := c.PublicKeyForID(id.ID); !ok {
-		t.Error("PublicKeyForID missing")
+}
+
+// TestCacheResolve: a member's certificate resolves to its ID and the key
+// Put parsed; an outsider's to ID 0 and the key parsed from it; a
+// certificate that does not parse to an error; a nil cache parses; and an
+// ID moved to a new certificate resolves from that one to the new key.
+func TestCacheResolve(t *testing.T) {
+	n := NewNetwork([]byte(t.Name()))
+	if _, err := n.AddOrg("Org1"); err != nil {
+		t.Fatal(err)
 	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("stats = (%d,%d), want (1,1)", hits, misses)
+	var ids []*Identity
+	for range 3 {
+		id, err := n.NewIdentity("Org1", RolePeer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
 	}
+	member, outsider, renewed := ids[0], ids[1], ids[2]
+	c := NewCache()
+	if err := c.Put(member.ID, member.Cert); err != nil {
+		t.Fatal(err)
+	}
+	resolve := func(c *Cache, cert []byte, wantID EncodedID, wantPub *ecdsa.PublicKey) {
+		t.Helper()
+		id, pub, err := c.Resolve(cert)
+		if err != nil || id != wantID || !pub.Equal(wantPub) {
+			t.Errorf("Resolve = %v, %v, %v; want %v, %v", id, pub, err, wantID, wantPub)
+		}
+	}
+	resolve(c, member.Cert, member.ID, member.PublicKey())
+	resolve(c, outsider.Cert, 0, outsider.PublicKey())
+	var none *Cache
+	resolve(none, member.Cert, 0, member.PublicKey())
+	for _, c := range []*Cache{c, none} {
+		if id, pub, err := c.Resolve([]byte("not a certificate")); err == nil || id != 0 || pub != nil {
+			t.Errorf("unparsable certificate resolves to %v, %v, %v", id, pub, err)
+		}
+	}
+
+	// The member's key is the one Put parsed: the cache hands out the same
+	// pointer on every lookup and never parses again.
+	_, first, _ := c.Resolve(member.Cert)
+	if _, again, _ := c.Resolve(member.Cert); again != first {
+		t.Error("a member's certificate was parsed again")
+	}
+
+	if err := c.Put(member.ID, renewed.Cert); err != nil {
+		t.Fatal(err)
+	}
+	resolve(c, renewed.Cert, member.ID, renewed.PublicKey())
+	resolve(c, member.Cert, 0, member.PublicKey())
 }
 
 func TestCachePreload(t *testing.T) {

@@ -57,22 +57,14 @@ type Config struct {
 	// PrefetchWorkers bounds the read-set warm-up reader pool (default
 	// Workers); it has readers only over a store with a fast tier (see New).
 	PrefetchWorkers int
-	// CertCache, when non-nil, interns the public keys of X.509 identity
-	// certificates: the same creator/endorser/orderer certs recur in every
-	// transaction, and x509.ParseCertificate rivals the ECDSA math in
-	// allocations.
-	CertCache *fabcrypto.CertCache
-	// Members is the consortium an endorser must belong to (see
-	// validator.VerifyOpts); nil, no endorsement counts.
+	// Members is the consortium: every certificate, the orderer's, each
+	// creator's and each endorser's, resolves through it to its key and
+	// member ID (see validator.VSCC); nil, no endorsement counts.
 	Members *identity.Cache
 	// Metrics, when non-nil, mirrors each flushed block's Breakdown into
 	// the telemetry registry's per-stage histograms. Nil (telemetry off)
 	// costs one predicted branch per block.
 	Metrics *telemetry.ValidatorMetrics
-}
-
-func (c *Config) verifyOpts() validator.VerifyOpts {
-	return validator.VerifyOpts{CertCache: c.CertCache, Members: c.Members}
 }
 
 // Result is the outcome of validating and committing one block.
@@ -250,7 +242,7 @@ func (e *Engine) parseVerify(j *job) {
 	}
 
 	t = time.Now()
-	blockErr := validator.VerifyOrderer(b, e.cfg.verifyOpts(), &j.bd)
+	blockErr := validator.VerifyOrderer(b, e.cfg.Members, &j.bd)
 	j.bd.BlockVerify = time.Since(t)
 	if blockErr != nil {
 		p.failed.Store(true)
@@ -290,10 +282,9 @@ func vsccHelpers(ranges, workers int) int {
 // range is followed by decideRanges.
 func (e *Engine) vsccRanges(j *job, ops *validator.Breakdown, decide bool) {
 	p := &j.ranges
-	opts := e.cfg.verifyOpts()
 	for r, ok := p.claim(); ok; r, ok = p.claim() {
 		lo, hi := r*p.size, min((r+1)*p.size, len(j.txs))
-		validator.VSCC(j.b.Envelopes[lo:hi], j.txs[lo:hi], j.res.Flags[lo:hi], e.circuits, opts, ops)
+		validator.VSCC(j.b.Envelopes[lo:hi], j.txs[lo:hi], j.res.Flags[lo:hi], e.circuits, e.cfg.Members, ops)
 		p.vetted[r].Store(true)
 		if decide {
 			e.decideRanges(j)

@@ -10,68 +10,57 @@ import (
 	"testing"
 
 	"bmac/internal/block"
-	"bmac/internal/fabcrypto"
 	"bmac/internal/statedb"
 )
 
-// hotpathToggle is one on/off combination of the commit hot-path
-// optimizations under differential test. The certificate cache is the only
-// one left, so all-on is certcache.
-type hotpathToggle struct {
-	name      string
-	certCache bool
-}
-
-func hotpathToggles() []hotpathToggle {
-	return []hotpathToggle{
-		{name: "all-off"},
-		{name: "certcache", certCache: true},
-		{name: "all-on", certCache: true},
-	}
-}
-
 // TestHotpathDifferentialToggles validates the same random fault-injected
-// chains with every hot-path optimization independently toggled on and off,
-// through both engine variants, and demands bit-identical validation flags,
-// commit hashes and final state versus the oracle. Run with -race: the
-// cache is shared across the engine's goroutines.
+// chains on both engine variants at once, the two resolving every
+// certificate through one consortium table (identity.Cache.Resolve), and
+// demands bit-identical validation flags, commit hashes and final state
+// versus the oracle. Run with -race: the table is read by both engines'
+// goroutines.
 func TestHotpathDifferentialToggles(t *testing.T) {
 	r := newRig(t)
 	rng := rand.New(rand.NewSource(99))
 	raws := buildRandomBlocks(t, r, rng, 6)
-
-	// Reference: the oracle, no optimizations.
 	wants, refSnap := oracleChain(t, r, raws)
 
-	for _, tog := range hotpathToggles() {
-		t.Run(tog.name, func(t *testing.T) {
-			var cc *fabcrypto.CertCache
-			if tog.certCache {
-				cc = fabcrypto.NewCertCache(512)
-			}
-
-			// One engine, then a second sharing the same cache: the first
-			// pass pre-warms it, so the second exercises the cross-path
-			// hit case.
-			for k, v := range variants {
-				store := v.store()
-				eng := New(Config{
-					Workers: 2 + k, Policies: r.pols, Members: r.members,
-					CertCache: cc,
-				}, store, nil)
-				for n, raw := range raws {
-					res, err := eng.ValidateAndCommit(raw)
-					if err != nil {
-						t.Fatalf("%s block %d: %v", v.name, n, err)
-					}
-					checkSame(t, v.name, n, res.Flags, res.CommitHash, wants[n].flags, wants[n].commit)
+	type run struct {
+		results []*Result
+		err     error
+		same    bool // the final state equals the oracle's
+	}
+	runs := make([]run, len(variants))
+	var wg sync.WaitGroup
+	for k, v := range variants {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			store := v.store()
+			eng := New(Config{Workers: 2 + k, Policies: r.pols, Members: r.members}, store, nil)
+			for _, raw := range raws {
+				res, err := eng.ValidateAndCommit(raw)
+				if err != nil {
+					runs[k].err = err
+					break
 				}
-				eng.Close()
-				if !statedb.SnapshotsEqual(store.Snapshot(), refSnap) {
-					t.Fatalf("%s final state diverged", v.name)
-				}
+				runs[k].results = append(runs[k].results, res)
 			}
-		})
+			eng.Close()
+			runs[k].same = statedb.SnapshotsEqual(store.Snapshot(), refSnap)
+		}()
+	}
+	wg.Wait()
+	for k, v := range variants {
+		if runs[k].err != nil {
+			t.Fatalf("%s block %d: %v", v.name, len(runs[k].results), runs[k].err)
+		}
+		for n, res := range runs[k].results {
+			checkSame(t, v.name, n, res.Flags, res.CommitHash, wants[n].flags, wants[n].commit)
+		}
+		if !runs[k].same {
+			t.Fatalf("%s final state diverged", v.name)
+		}
 	}
 }
 

@@ -102,16 +102,6 @@ type Result struct {
 	Breakdown  Breakdown
 }
 
-// VerifyOpts bundles what the exported verify helpers verify against: the
-// optional certificate cache (nil: no caching) and the consortium.
-type VerifyOpts struct {
-	CertCache *fabcrypto.CertCache
-	// Members is the consortium: an endorsement sets the register of the
-	// member IDForCert finds for its certificate, and none for a
-	// certificate no member holds. Nil is a consortium of no one.
-	Members *identity.Cache
-}
-
 // ErrBlockInvalid reports a block that failed block-level verification —
 // a bad orderer signature or a DataHash that does not bind the delivered
 // envelopes; the block is discarded without committing.
@@ -151,8 +141,9 @@ func CarriedSignatures(b *block.Block) int {
 
 // VerifyOrderer verifies the block metadata signature and that the header's
 // DataHash binds the delivered envelopes, attributing hash and ECDSA time to
-// the operation counters.
-func VerifyOrderer(b *block.Block, opts VerifyOpts, bd *Breakdown) error {
+// the operation counters. The orderer's key is resolved through members
+// (identity.Cache.Resolve), the consortium.
+func VerifyOrderer(b *block.Block, members *identity.Cache, bd *Breakdown) error {
 	// The orderer signature covers the header only; the header's DataHash
 	// is what binds the envelope bytes. Recompute it so a block whose
 	// envelopes were corrupted in flight (but still decoded) is rejected
@@ -165,7 +156,7 @@ func VerifyOrderer(b *block.Block, opts VerifyOpts, bd *Breakdown) error {
 		return errors.New("header DataHash does not match envelopes")
 	}
 	ms := &b.Metadata.Signature
-	pub, err := opts.CertCache.PublicKeyFromCert(ms.Creator)
+	_, pub, err := members.Resolve(ms.Creator)
 	if err != nil {
 		return err
 	}
@@ -187,6 +178,8 @@ type vsccScratch struct {
 	sched    policy.Scheduler // the zero value: Fabric's vscc, one round
 	txs      []policy.Tx
 	ids      []identity.EncodedID       // every endorser of the range, transaction after transaction
+	pubs     []*ecdsa.PublicKey         // and its key, nil for a certificate that does not parse
+	starts   []int                      // where each transaction's endorsers start in ids and pubs
 	refs     []int                      // batch check numbers: each client signature (−1: decided in collect), then each endorsement of the round (−1: unverifiable)
 	digests  [][fabcrypto.HashSize]byte // what the batch's checks verify against; a slice handed to the batch still reads its digest after a regrow
 	msgs     []fabcrypto.Message        // the messages of the checks waiting to be hashed
@@ -264,30 +257,34 @@ func (sc *vsccScratch) flush(bd *Breakdown) {
 // transaction whose client signature is bad has its endorsements verified
 // anyway; its flag is BadSignature all the same. Every queued check counts
 // once in bd.ECDSACount; a payload that does not decode, a creator or an
-// endorser whose certificate does not parse queue none. The optional
-// certificate cache leaves verdicts bit-identical: it only memoizes.
-func VSCC(envs []block.Envelope, txs []ParsedTx, flags []byte, policies map[string]*policy.Circuit, opts VerifyOpts, bd *Breakdown) {
+// endorser whose certificate does not parse queue none. Every certificate is
+// resolved once, through members (identity.Cache.Resolve): an endorsement
+// sets the register of the member that holds its certificate, and none for a
+// certificate no member holds, whose key is parsed instead. A nil members is
+// a consortium of no one.
+func VSCC(envs []block.Envelope, txs []ParsedTx, flags []byte, policies map[string]*policy.Circuit, members *identity.Cache, bd *Breakdown) {
 	sc := vsccPool.Get().(*vsccScratch)
 	defer vsccPool.Put(sc)
 	sc.batch.Reset()
-	sc.txs, sc.ids, sc.refs, sc.digests = sc.txs[:0], sc.ids[:0], sc.refs[:0], sc.digests[:0]
+	sc.txs, sc.ids, sc.pubs, sc.starts, sc.refs, sc.digests = sc.txs[:0], sc.ids[:0], sc.pubs[:0], sc.starts[:0], sc.refs[:0], sc.digests[:0]
 	for i := range txs {
 		p := &txs[i]
 		sc.txs, sc.refs = append(sc.txs, policy.Tx{}), append(sc.refs, -1) // no Circuit, no check: decided here
+		start := len(sc.ids)
+		sc.starts = append(sc.starts, start)
 		if p.Err != nil {
 			flags[i] = byte(block.BadPayload)
 			continue
 		}
-		pub, err := opts.CertCache.PublicKeyFromCert(p.View.Creator())
+		_, pub, err := members.Resolve(p.View.Creator())
 		if err != nil {
 			flags[i] = byte(block.BadCreator)
 			continue
 		}
 		sc.queue(pub, fabcrypto.Message{A: envs[i].PayloadBytes}, envs[i].Signature, i)
-		start := len(sc.ids)
 		for k := range p.View.NumEndorsements() {
-			id, _ := opts.Members.IDForCert(p.View.Endorsement(k).Endorser)
-			sc.ids = append(sc.ids, id)
+			id, epub, _ := members.Resolve(p.View.Endorsement(k).Endorser) // bmaclint:allow errdiscard (a certificate that does not parse has a nil key: its endorsement is unverifiable)
+			sc.ids, sc.pubs = append(sc.ids, id), append(sc.pubs, epub)
 		}
 		v := &sc.txs[i]
 		v.Endorsers = sc.ids[start:]
@@ -306,7 +303,7 @@ func VSCC(envs []block.Envelope, txs []ParsedTx, flags []byte, policies map[stri
 		for _, rq := range round {
 			e := txs[rq.Tx].View.Endorsement(rq.End)
 			sc.refs = append(sc.refs, -1) // an unverifiable endorsement contributes nothing
-			if epub, err := opts.CertCache.PublicKeyFromCert(e.Endorser); err == nil {
+			if epub := sc.pubs[sc.starts[rq.Tx]+rq.End]; epub != nil {
 				sc.queue(epub, block.EndorsementMessage(txs[rq.Tx].View.ProposalResponseBytes(), e.Endorser), e.Signature, len(sc.refs)-1)
 			}
 		}

@@ -82,7 +82,7 @@ func TestVSCCHashPaths(t *testing.T) {
 	for k, scalar := range []bool{false, true} {
 		scalarHash = scalar
 		got[k] = make([]byte, n)
-		VSCC(envs, txs, got[k], policies, VerifyOpts{Members: members}, &bds[k])
+		VSCC(envs, txs, got[k], policies, members, &bds[k])
 	}
 	if !slices.Equal(got[0], want) || !slices.Equal(got[1], want) {
 		t.Fatalf("flags: batched %v, one at a time %v, want %v", got[0], got[1], want)
