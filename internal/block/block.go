@@ -942,9 +942,20 @@ func sizeMetadataSig(ms *MetadataSignature) int {
 }
 
 func sizeMetadata(m *Metadata) int {
-	return sizeField(fMetaSig, sizeMetadataSig(&m.Signature)) +
-		sizeField(fMetaFlags, len(m.ValidationFlags)) +
-		sizeField(fMetaCommit, len(m.CommitHash))
+	return sizeMetadataOf(&m.Signature, len(m.ValidationFlags), len(m.CommitHash))
+}
+
+func sizeMetadataOf(sig *MetadataSignature, flags, commitHash int) int {
+	return sizeField(fMetaSig, sizeMetadataSig(sig)) +
+		sizeField(fMetaFlags, flags) +
+		sizeField(fMetaCommit, commitHash)
+}
+
+// SizeCommitMetadata is the encoded size of the metadata field of a block
+// signed with sig once its commit has set flags validation flags and the
+// commit hash: known before the flags are.
+func SizeCommitMetadata(sig *MetadataSignature, flags int) int {
+	return sizeField(fBlockMeta, sizeMetadataOf(sig, flags, fabcrypto.HashSize))
 }
 
 func appendMetadata(dst []byte, m *Metadata) []byte {
@@ -1012,9 +1023,13 @@ func sizeBlockData(envelopes []Envelope) int {
 // Size reports the exact marshaled size of a block, letting callers
 // allocate (or pool) the output buffer once.
 func Size(b *Block) int {
+	return SizeBody(b) + sizeField(fBlockMeta, sizeMetadata(&b.Metadata))
+}
+
+// SizeBody is the encoded size of AppendBody's output.
+func SizeBody(b *Block) int {
 	return sizeField(fBlockHeader, sizeHeader(&b.Header)) +
-		sizeField(fBlockData, sizeBlockData(b.Envelopes)) +
-		sizeField(fBlockMeta, sizeMetadata(&b.Metadata))
+		sizeField(fBlockData, sizeBlockData(b.Envelopes))
 }
 
 // AppendBlock appends the marshaled block to dst and returns the extended
@@ -1024,6 +1039,15 @@ func Size(b *Block) int {
 //
 // bmaclint:noalloc
 func AppendBlock(dst []byte, b *Block) []byte {
+	return AppendMetadataField(AppendBody(dst, b), &b.Metadata)
+}
+
+// AppendBody appends the fields of the marshaled block that precede its
+// metadata: the header and the data. A ledger writes them before the
+// commit has set the metadata, then AppendMetadataField's bytes after them.
+//
+// bmaclint:noalloc
+func AppendBody(dst []byte, b *Block) []byte {
 	dst = appendOptLen(dst, fBlockHeader, sizeHeader(&b.Header))
 	dst = appendHeader(dst, &b.Header)
 	dst = appendOptLen(dst, fBlockData, sizeBlockData(b.Envelopes))
@@ -1032,8 +1056,15 @@ func AppendBlock(dst []byte, b *Block) []byte {
 		dst = appendLen(dst, fDataEnvelope, SizeEnvelope(e))
 		dst = AppendEnvelope(dst, e)
 	}
-	dst = appendOptLen(dst, fBlockMeta, sizeMetadata(&b.Metadata))
-	return appendMetadata(dst, &b.Metadata)
+	return dst
+}
+
+// AppendMetadataField appends the block's last field, its metadata m.
+//
+// bmaclint:noalloc
+func AppendMetadataField(dst []byte, m *Metadata) []byte {
+	dst = appendOptLen(dst, fBlockMeta, sizeMetadata(m))
+	return appendMetadata(dst, m)
 }
 
 // Marshal encodes a complete block in one exact-size allocation.

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	mrand "math/rand"
 	"strconv"
+	"sync"
 
 	"bmac/internal/block"
 	"bmac/internal/chaincode"
@@ -187,6 +188,7 @@ type Driver struct {
 	workload  Workload
 	channel   string
 	rng       *mrand.Rand
+	endorsing sync.Locker // held around each round of endorsements; nil: none
 
 	submitted int
 }
@@ -204,6 +206,12 @@ func NewDriver(id *identity.Identity, endorsers []*endorser.Endorser,
 		rng:       mrand.New(mrand.NewSource(seed)),
 	}
 }
+
+// EndorseUnder makes the driver hold l while it gathers a proposal's
+// endorsements, and only then, so that whoever applies blocks to the
+// endorsers' stores under l's write side never lands one between two of
+// them. It must be called before the driver submits.
+func (d *Driver) EndorseUnder(l sync.Locker) { d.endorsing = l }
 
 // Bootstrap applies the workload's setup invocations directly to every
 // endorser store (and any extra stores, e.g. the validator peers') at
@@ -308,6 +316,10 @@ var errEndorserMismatch = errors.New("client: endorsers disagree")
 // throughput fell in 3 of the 4. A fan-out waits for the orderer to cut on
 // downstream readiness.
 func (d *Driver) gatherEndorsements(prop *endorser.Proposal) ([]byte, []block.Endorsement, error) {
+	if d.endorsing != nil {
+		d.endorsing.Lock()
+		defer d.endorsing.Unlock()
+	}
 	var prpBytes []byte
 	endorsements := make([]block.Endorsement, 0, len(d.endorsers))
 	for _, e := range d.endorsers {

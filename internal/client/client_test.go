@@ -3,6 +3,7 @@ package client
 import (
 	mrand "math/rand"
 	"strconv"
+	"sync"
 	"testing"
 
 	"bmac/internal/block"
@@ -229,5 +230,47 @@ func TestSmallbankSkewConcentratesAccounts(t *testing.T) {
 	}
 	if again := countLow(2.0, 1); again != skewed {
 		t.Errorf("skewed workload not deterministic: %d vs %d", skewed, again)
+	}
+}
+
+// TestEndorseUnderKeepsEndorsersInStep: with blocks landing on the endorser
+// stores all the time, each applied to both under the write side of an
+// RWMutex, a driver that gathers endorsements under its read side never
+// sees the endorsers disagree: every one of its proposals is endorsed at the
+// first attempt, against one state.
+func TestEndorseUnderKeepsEndorsersInStep(t *testing.T) {
+	f := newFixture(t)
+	w := SmallbankWorkload{Accounts: 2}
+	stores := []statedb.KVS{f.e1.Store(), f.e2.Store()}
+	if err := Bootstrap(w, f.reg, stores...); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.RWMutex
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for n := uint64(1); ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			mu.Lock()
+			for _, s := range stores {
+				for k, v := range s.Snapshot() {
+					s.WriteBatch([]block.KVWrite{{Key: k, Value: v.Value}}, block.Version{BlockNum: n})
+				}
+			}
+			mu.Unlock()
+		}
+	}()
+	sub := &chanSubmitter{}
+	d := NewDriver(f.client, []*endorser.Endorser{f.e1, f.e2}, sub, w, "ch1", 5)
+	d.EndorseUnder(mu.RLocker())
+	err := d.Run(100)
+	close(stop)
+	<-done
+	if err != nil {
+		t.Fatal(err)
 	}
 }

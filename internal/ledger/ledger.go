@@ -19,6 +19,19 @@
 //   - Historical reads (Get) run through per-segment read-only handles and
 //     a bounded reader semaphore, so a slow archive reader never stalls
 //     Commit behind the writer mutex.
+//
+// A record is appended in two halves, so that most of it is written while
+// the block's transactions are still validated (internal/pipeline does).
+// Begin takes everything the commit does not decide: the checks (duplicate,
+// gap, previous hash), then the length prefix — the record's final size,
+// one validation flag per envelope and a 32-byte commit hash — the header
+// and the data. Finish takes the rest: the commit hash, the metadata field,
+// any fsync, the index entry and any seal. Commit is Begin then Finish. The
+// bytes are the same either way, and a block is visible only once Finish
+// returns. The disks a crash can leave stay prefix-closed: a crash between
+// the halves leaves a prefix of one record at the end of the active
+// segment, which Open truncates as the torn tail a crash inside one write
+// leaves.
 package ledger
 
 import (
@@ -124,6 +137,8 @@ type Ledger struct {
 	// segSum is the running checksum of the active record region; only
 	// the seal's footer reads it.
 	segSum uint32 // guarded by mu
+
+	pend pendingRecord // guarded by mu; the record Begin wrote and Finish completes
 
 	base       uint64  // guarded by mu; first block number still indexed (post-prune)
 	entries    []entry // guarded by mu; entries[n-base] locates block n
@@ -301,59 +316,117 @@ func (l *Ledger) Sync() error {
 	return nil
 }
 
-// Commit appends a validated block. The block's metadata must already carry
-// its validation flags; Commit computes and stores the commit hash chain
-// value and enforces sequential numbering, duplicate detection (via the
-// block index) and previous-hash chaining. The record is in the file (and,
-// under SyncEachBlock, fsynced) when Commit returns, and folded into the
-// segment checksum. Crossing the segment byte budget seals
-// the active segment (footer checksum, fsync, persistent index update) and
-// rotates to a fresh one.
+// Commit appends a validated block: Begin and Finish in one call, under one
+// hold of the writer mutex. The block's metadata must already carry its
+// validation flags, however many; Commit computes and stores the commit
+// hash chain value and enforces sequential numbering, duplicate detection
+// (via the block index) and previous-hash chaining.
 func (l *Ledger) Commit(b *block.Block) ([]byte, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if err := l.beginLocked(b, len(b.Metadata.ValidationFlags)); err != nil {
+		return nil, err
+	}
+	return l.finishLocked(b)
+}
 
+// Begin writes the first half of block b's record, everything its commit
+// does not decide: the length prefix, the header and the data. It runs the
+// checks Commit runs (ErrDuplicateBlock, ErrOutOfOrder, ErrBrokenChain) and
+// writes nothing if one fails. The size in the prefix is the record's once
+// Finish has set one validation flag per envelope and the commit hash. A
+// begun block is invisible (Get, Height, LastCommitHash) until Finish; a
+// crash in between leaves a torn tail that Open truncates. One block may
+// be begun at a time.
+func (l *Ledger) Begin(b *block.Block) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.beginLocked(b, len(b.Envelopes))
+}
+
+// Finish completes the record Begin wrote for b, whose metadata now carries
+// its validation flags: it computes the commit hash and writes the metadata
+// field. The record is in the file (and, under SyncEachBlock, fsynced) when
+// Finish returns, indexed, and folded into the segment checksum. Crossing
+// the segment byte budget seals the active segment (footer checksum, fsync,
+// persistent index update) and rotates to a fresh one. Finish errors, and
+// changes nothing, unless b is the begun block and has as many flags as
+// Begin sized its record for.
+func (l *Ledger) Finish(b *block.Block) ([]byte, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.finishLocked(b)
+}
+
+// pendingRecord is a record Begin wrote the body of and Finish completes.
+type pendingRecord struct {
+	num   uint64 // block number
+	flags int    // validation flags the record is sized for
+	size  int64  // the whole record, length prefix included; 0: none begun
+	wrote int64  // bytes written so far
+}
+
+// beginLocked is Begin for a record sized for flags validation flags. It
+// must be called with l.mu held.
+//
+// bmaclint:noalloc
+func (l *Ledger) beginLocked(b *block.Block, flags int) error {
 	num := b.Header.Number
+	if l.pend.size > 0 {
+		return fmt.Errorf("ledger: block %d begun while block %d is unfinished", num, l.pend.num)
+	}
 	if num < l.height {
-		return nil, fmt.Errorf("%w: %d", ErrDuplicateBlock, num)
+		return fmt.Errorf("%w: %d", ErrDuplicateBlock, num)
 	}
 	if num != l.height {
-		return nil, fmt.Errorf("%w: got %d, expected %d", ErrOutOfOrder, num, l.height)
+		return fmt.Errorf("%w: got %d, expected %d", ErrOutOfOrder, num, l.height)
 	}
 	if l.height > 0 && !bytes.Equal(b.Header.PreviousHash, l.lastHash) {
-		return nil, fmt.Errorf("%w at block %d", ErrBrokenChain, num)
+		return fmt.Errorf("%w at block %d", ErrBrokenChain, num)
 	}
+	body := block.SizeBody(b)
+	size := body + block.SizeCommitMetadata(&b.Metadata.Signature, flags)
+	// Encoded into a pooled buffer, so steady-state commits allocate
+	// nothing for the record.
+	data := binary.BigEndian.AppendUint64(wire.GetBuf(8+body), uint64(size))
+	data = block.AppendBody(data, b)
+	err := l.appendLocked(data)
+	wire.PutBuf(data)
+	if err != nil {
+		return err
+	}
+	l.pend = pendingRecord{num: num, flags: flags, size: int64(8 + size), wrote: int64(8 + body)}
+	return nil
+}
 
+// finishLocked is Finish. It must be called with l.mu held.
+func (l *Ledger) finishLocked(b *block.Block) ([]byte, error) {
+	num, p := b.Header.Number, l.pend
+	if p.size == 0 || p.num != num {
+		return nil, fmt.Errorf("ledger: block %d finished but not begun", num)
+	}
+	if rest := int64(block.SizeCommitMetadata(&b.Metadata.Signature, len(b.Metadata.ValidationFlags))); rest != p.size-p.wrote {
+		return nil, fmt.Errorf("ledger: block %d metadata is %d bytes with %d validation flags, begun for %d flags",
+			num, rest, len(b.Metadata.ValidationFlags), p.flags)
+	}
 	b.Metadata.CommitHash = block.CommitHash(l.commitHash, b.Header.DataHash, b.Metadata.ValidationFlags)
-
-	// The record is marshaled into a pooled buffer, so steady-state commits
-	// allocate nothing for it.
-	data := appendRecord(b)
-	defer wire.PutBuf(data)
-	if _, err := l.file.Write(data); err != nil {
-		return nil, fmt.Errorf("write block: %w", err)
+	data := block.AppendMetadataField(wire.GetBuf(int(p.size-p.wrote)), &b.Metadata)
+	err := l.appendLocked(data)
+	wire.PutBuf(data)
+	l.pend = pendingRecord{}
+	if err != nil {
+		return nil, err
 	}
 	if l.syncEach {
 		if err := l.file.Sync(); err != nil {
 			return nil, fmt.Errorf("sync block file: %w", err)
 		}
 	}
-	l.segSum = extendSum(l.segSum, data)
 
-	recLen := int64(len(data))
-	l.entries = append(l.entries, entry{seg: l.active, offset: l.active.dataLen, length: recLen})
-	l.active.dataLen += recLen
+	l.entries = append(l.entries, entry{seg: l.active, offset: l.active.dataLen, length: p.size})
+	l.active.dataLen += p.size
 	l.active.count++
-	l.bytesWritten += recLen
-	// Each writeBehindStep boundary this record crossed: hand the steps
-	// below it to the kernel now, so the seal's fsync finds at most one
-	// step dirty.
-	from := (l.active.dataLen - recLen) / writeBehindStep * writeBehindStep
-	if f, ok := l.file.(*os.File); ok {
-		if to := l.active.dataLen / writeBehindStep * writeBehindStep; to > from {
-			startWriteback(f, from, to-from) // bmaclint:allow errdiscard (a hint: if it fails the seal's fsync writes the range, as it did before)
-		}
-	}
+	l.bytesWritten += p.size
 	l.height = num + 1
 	l.lastHash = block.HeaderHash(&b.Header)
 	l.commitHash = b.Metadata.CommitHash
@@ -366,6 +439,29 @@ func (l *Ledger) Commit(b *block.Block) ([]byte, error) {
 		}
 	}
 	return l.commitHash, nil
+}
+
+// appendLocked writes p, the next bytes of the pending record, at the end
+// of the active segment and folds them into the segment checksum. It must
+// be called with l.mu held.
+//
+// bmaclint:noalloc
+func (l *Ledger) appendLocked(p []byte) error {
+	if _, err := l.file.Write(p); err != nil {
+		return fmt.Errorf("write block: %w", err)
+	}
+	l.segSum = extendSum(l.segSum, p)
+	// Each writeBehindStep boundary these bytes crossed: hand the steps
+	// below it to the kernel now, so the seal's fsync finds at most one
+	// step dirty.
+	at := l.active.dataLen + l.pend.wrote
+	if f, ok := l.file.(*os.File); ok {
+		from := at / writeBehindStep * writeBehindStep
+		if to := (at + int64(len(p))) / writeBehindStep * writeBehindStep; to > from {
+			startWriteback(f, from, to-from) // bmaclint:allow errdiscard (a hint: if it fails the seal's fsync writes the range, as it did before)
+		}
+	}
+	return nil
 }
 
 // appendRecord encodes b as one segment record — the 8-byte length prefix

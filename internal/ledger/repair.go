@@ -324,6 +324,9 @@ func (l *Ledger) TruncateFrom(h uint64) error {
 	if h >= l.height {
 		return nil
 	}
+	if l.pend.size > 0 {
+		return fmt.Errorf("ledger: truncate to %d while block %d is begun", h, l.pend.num)
+	}
 	if h < l.base {
 		return fmt.Errorf("ledger: truncate point %d below prune floor %d", h, l.base)
 	}

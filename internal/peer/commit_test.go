@@ -2,11 +2,13 @@ package peer
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"bmac/internal/block"
 	"bmac/internal/gossip"
 	"bmac/internal/identity"
+	"bmac/internal/ledger"
 	"bmac/internal/policy"
 	"bmac/internal/policy/policytest"
 	"bmac/internal/statedb"
@@ -108,5 +110,57 @@ func TestCommitBlockLeavesCallerBlockUntouched(t *testing.T) {
 	}
 	if !statedb.SnapshotsEqual(seqPeer.Engine.Store().Snapshot(), parPeer.Engine.Store().Snapshot()) {
 		t.Error("state diverged")
+	}
+}
+
+// TestRefusedBlockLeavesState: a block the ledger refuses — one past a gap,
+// a duplicate, one whose previous hash breaks the chain — is returned with
+// the ledger's error, and none of its writes reaches the state database,
+// on a 1-worker and a 4-worker peer alike. Every refused block here passes
+// block verification and would write blindly, so only the ledger stands
+// between it and the state. The peer then commits the next block as usual.
+func TestRefusedBlockLeavesState(t *testing.T) {
+	f := newChainFixture(t)
+	blocks := f.chain(t, 4)
+	broken, err := block.NewBlock(2, []byte("not block 1's hash"), blocks[2].Envelopes, f.orderer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		p, err := Open(fabric14(t, f.net, workers, f.pols), statedb.NewStore(), t.TempDir(), DurableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range blocks[:2] {
+			if _, err := p.CommitBlock(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		state := statedb.SnapshotHash(p.Engine.Store().Snapshot())
+		for _, c := range []struct {
+			name string
+			b    *block.Block
+			want error
+		}{
+			{"gap", blocks[3], ledger.ErrOutOfOrder},
+			{"duplicate", blocks[0], ledger.ErrDuplicateBlock},
+			{"broken chain", broken, ledger.ErrBrokenChain},
+		} {
+			if _, err := p.CommitBlock(c.b); !errors.Is(err, c.want) {
+				t.Fatalf("workers %d, %s: err %v, want %v", workers, c.name, err, c.want)
+			}
+			if got := statedb.SnapshotHash(p.Engine.Store().Snapshot()); !bytes.Equal(got, state) {
+				t.Fatalf("workers %d, %s: the refused block changed the state", workers, c.name)
+			}
+			if h := p.Height(); h != 2 {
+				t.Fatalf("workers %d, %s: height %d after a refused block, want 2", workers, c.name, h)
+			}
+		}
+		if _, err := p.CommitBlock(blocks[2]); err != nil {
+			t.Fatalf("workers %d: block 2 after the refusals: %v", workers, err)
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -64,6 +64,10 @@ type crashMark struct {
 type recorder struct {
 	fsutil.OS
 	root string
+	// oneWrite logs the two writes of a ledger record (Begin's length
+	// prefix, header and data, then Finish's metadata) as the one write
+	// the builds before that split issued.
+	oneWrite bool
 
 	mu    sync.Mutex
 	ops   []fsOp         // guarded by mu
@@ -263,7 +267,11 @@ func (f *recFile) Write(p []byte) (int, error) {
 	}
 	n, err := f.File.Write(p)
 	if n > 0 {
-		f.r.logLocked(fsOp{kind: "write", ino: f.ino, off: off, data: bytes.Clone(p[:n])})
+		if last := len(f.r.ops) - 1; f.r.oneWrite && last >= 0 && endsRecord(&f.r.ops[last], f.ino, off, n) {
+			f.r.ops[last].data = append(f.r.ops[last].data, p[:n]...)
+		} else {
+			f.r.logLocked(fsOp{kind: "write", ino: f.ino, off: off, data: bytes.Clone(p[:n])})
+		}
 		f.pos = off + int64(n)
 		f.r.size[f.ino] = max(f.r.size[f.ino], f.pos)
 	}
@@ -289,6 +297,14 @@ func (f *recFile) Sync() error {
 	}
 	f.r.logLocked(fsOp{kind: "sync", ino: f.ino})
 	return nil
+}
+
+// endsRecord reports whether a write of n bytes at off to inode ino is the
+// rest of the ledger record op began: it continues op's bytes, and op's
+// length prefix counts both.
+func endsRecord(op *fsOp, ino int, off int64, n int) bool {
+	return op.kind == "write" && op.ino == ino && op.off+int64(len(op.data)) == off &&
+		len(op.data) >= 8 && binary.BigEndian.Uint64(op.data)+8 == uint64(len(op.data)+n)
 }
 
 // newestUnsynced returns the index of the newest write at or before k whose
@@ -438,18 +454,33 @@ var crashScripts = []crashScript{
 	{name: "truncate", blocks: 12, opts: DurableOptions{SegmentBytes: 4096}, rot: "truncate"},
 }
 
-// run drives sc through a recorder in a fresh directory, through a
-// manifestFS on it if manifest is set, and returns the recorded ops, the
-// index of the bootstrap checkpoint's mark (states before it hold no state
-// a restart must reproduce) and the live values.
-func (sc crashScript) run(t *testing.T, f *chainFixture, manifest bool) ([]fsOp, int, *liveRun) {
+// crashWriter is a build whose writes a run of a script replays; the
+// ledger and checkpoints on disk are this build's bytes in each.
+type crashWriter struct {
+	prefix   string // of the run's name
+	oneWrite bool   // each ledger record in one write: the builds before Begin and Finish
+	manifest bool   // through manifestFS: the builds that kept a MANIFEST
+}
+
+var crashWriters = []crashWriter{
+	{prefix: "split-"},
+	{prefix: "scan-", oneWrite: true},
+	{oneWrite: true, manifest: true},
+}
+
+// run drives sc through a recorder in a fresh directory, as w writes, and
+// returns the recorded ops, the index of the bootstrap checkpoint's mark
+// (states before it hold no state a restart must reproduce) and the live
+// values.
+func (sc crashScript) run(t *testing.T, f *chainFixture, w crashWriter) ([]fsOp, int, *liveRun) {
 	t.Helper()
 	blocks := f.smallChain(t, sc.blocks)
 	cfg := fabric14(t, f.net, 1, f.pols)
 	rec := newRecorder(t.TempDir())
+	rec.oneWrite = w.oneWrite
 	opts := sc.opts
 	opts.FS = rec
-	if manifest {
+	if w.manifest {
 		keep := opts.KeepCheckpoints
 		if keep <= 0 {
 			keep = statedb.DefaultKeepCheckpoints
@@ -580,29 +611,27 @@ func (f *chainFixture) smallChain(t *testing.T, n int) []*block.Block {
 // state hash and the last commit hash equal the live run's at that height
 // (so the prune anchor survives); and no temp or restore file survives the
 // reopen. Disks that are byte-identical are checked once, with the highest
-// floor among them. Each script runs twice: under scan-<script> as this
-// build writes, and under its bare name through manifestFS, as the builds
-// that kept a MANIFEST wrote (so those states keep the names they always
-// had). Subtests are named <run>/<k>/<mode>, crash right after op k; run
-// one with -run to replay it.
+// floor among them. Each script runs three times (crashWriters): under
+// split-<script> as this build writes, each ledger record in two writes;
+// under scan-<script> with each record in one write, as the builds before
+// the split wrote; and under its bare name also through manifestFS, as the
+// builds that kept a MANIFEST wrote. The two older runs keep the names
+// their states always had. Subtests are named <run>/<k>/<mode>, crash
+// right after op k; run one with -run to replay it.
 func TestCrashStates(t *testing.T) {
 	f := newChainFixture(t)
 	cfg := fabric14(t, f.net, 1, f.pols)
 	for _, sc := range crashScripts {
-		for _, manifest := range []bool{false, true} {
-			name := "scan-" + sc.name
-			if manifest {
-				name = sc.name
-			}
-			t.Run(name, func(t *testing.T) { checkCrashStates(t, cfg, f, sc, manifest) })
+		for _, w := range crashWriters {
+			t.Run(w.prefix+sc.name, func(t *testing.T) { checkCrashStates(t, cfg, f, sc, w) })
 		}
 	}
 }
 
-// checkCrashStates records one run of sc and checks each of its distinct
-// crash states.
-func checkCrashStates(t *testing.T, cfg pipeline.Config, f *chainFixture, sc crashScript, manifest bool) {
-	ops, start, live := sc.run(t, f, manifest)
+// checkCrashStates records one run of sc as w writes and checks each of
+// its distinct crash states.
+func checkCrashStates(t *testing.T, cfg pipeline.Config, f *chainFixture, sc crashScript, w crashWriter) {
+	ops, start, live := sc.run(t, f, w)
 	type state struct {
 		k     int
 		mode  string

@@ -10,11 +10,13 @@
 //   - vscc over Workers (the "vscc threads" == vCPUs knob), each signature
 //     range one batch, with block verification beside it on the caller,
 //     which also takes each released range's read-write sets out of its
-//     views;
+//     views and, once the block is verified, writes the ledger record's
+//     body (ledger.Begin: everything but the metadata the commit sets);
 //   - mvcc strictly in transaction order against the state database, each
 //     range's as soon as its vscc and every earlier range's is done, then
 //     the state database writes of its valid transactions;
-//   - flush: the ledger.
+//   - flush: the rest of the ledger record (ledger.Finish: the flags and
+//     the commit hash), its index entry and any segment seal.
 //
 // The caller (ValidateAndCommit, ValidateAndCommitBlock) is one of the
 // Workers; at Workers = 1 every stage runs in order on it, with no
@@ -81,7 +83,7 @@ type job struct {
 	res  *Result
 	err  error
 	bd   validator.Breakdown
-	skip bool // no commit: unmarshal or block verification failed
+	skip bool // no commit: unmarshal or block verification failed, or the ledger refused the block
 
 	ranges rangePool // the block's vscc ranges and the workers taking them
 
@@ -99,8 +101,9 @@ type job struct {
 // Engine is the one type that validates and commits a block. A block goes
 // through three stages, each a plain function of its job, called in order
 // by the caller — parseVerify (unmarshal, the async read-set prefetch, block
-// verification and vscc), decide (mvcc and the state database writes, of
-// the ranges parseVerify left undecided) and flush (ledger).
+// verification, the ledger record's body and vscc), decide (mvcc and the
+// state database writes, of the ranges parseVerify left undecided) and
+// flush (the ledger record's metadata).
 //
 // The engine runs over any statedb.KVS backend; over one with a fast tier
 // to warm (see New) the prefetch readers hide its misses under vscc.
@@ -191,8 +194,8 @@ func (e *Engine) Close() {
 
 // parseVerify parses the block's payloads one at a time, in order, on the
 // caller, releasing each vscc range as soon as its last payload is parsed;
-// then it verifies the block and takes the ranges still unclaimed like any
-// helper. Up to Workers−1 helper goroutines vscc the released ranges
+// then it verifies the block, begins its ledger record and takes the ranges
+// still unclaimed like any helper. Up to Workers−1 helper goroutines vscc the released ranges
 // meanwhile, so unmarshal and block verification run beside vscc (the
 // paper's block_verify beside tx_verify, Fig. 6). At Workers = 1 no helper
 // starts and the order is Fabric v1.4's: unmarshal, block verify, vscc.
@@ -244,7 +247,17 @@ func (e *Engine) parseVerify(j *job) {
 	t = time.Now()
 	blockErr := validator.VerifyOrderer(b, e.cfg.Members, &j.bd)
 	j.bd.BlockVerify = time.Since(t)
-	if blockErr != nil {
+	// A verified block's record is known but for its metadata: the ledger
+	// writes the rest now, beside the helpers' vscc, so the flush is left
+	// only the metadata. A block the ledger refuses is decided no further,
+	// so none of its writes reaches the state database.
+	var ledErr error
+	if blockErr == nil && e.led != nil {
+		t = time.Now()
+		ledErr = e.led.Begin(b)
+		j.bd.LedgerCommit = time.Since(t)
+	}
+	if blockErr != nil || ledErr != nil {
 		p.failed.Store(true)
 	}
 	// Only the vscc left after block verification is the caller's time in
@@ -258,6 +271,11 @@ func (e *Engine) parseVerify(j *job) {
 	j.bd.VerifyVSCC = time.Since(t) - j.bd.StateDB
 	for i := range tallies {
 		j.bd.AddOps(&tallies[i])
+	}
+	if ledErr != nil {
+		j.res, j.err = nil, fmt.Errorf("ledger commit block %d: %w", b.Header.Number, ledErr)
+		j.skip = true
+		return
 	}
 	if blockErr != nil {
 		for i := range j.res.Flags {
@@ -466,20 +484,22 @@ func (e *Engine) decideRanges(j *job) {
 // frame, so it must never be stored anywhere that outlives the block.
 func lend(key []byte) string { return unsafe.String(unsafe.SliceData(key), len(key)) }
 
-// --- stage 3: ledger flush ---
+// --- stage 3: ledger finish ---
 
+// flush finishes the ledger record parseVerify began: the metadata, with the
+// flags decide set, and the commit hash.
 func (e *Engine) flush(j *job) {
 	if !j.skip {
 		blockNum := j.b.Header.Number
 		if e.led != nil {
 			tLed := time.Now()
-			ch, err := e.led.Commit(j.b)
+			ch, err := e.led.Finish(j.b)
 			if err != nil {
 				j.res, j.err = nil, fmt.Errorf("ledger commit block %d: %w", blockNum, err)
 				return
 			}
 			j.res.CommitHash = ch
-			j.bd.LedgerCommit = time.Since(tLed)
+			j.bd.LedgerCommit += time.Since(tLed)
 		} else {
 			// Compute the commit hash chain value anyway for cross-checking.
 			j.res.CommitHash = block.CommitHash(nil, j.b.Header.DataHash, j.res.Flags)

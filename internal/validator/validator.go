@@ -43,7 +43,7 @@ type Breakdown struct {
 	VerifyVSCC   time.Duration
 	MVCC         time.Duration
 	StateDB      time.Duration // mvcc reads + commit writes
-	LedgerCommit time.Duration // marshal, write, any seal; not the segment checksum, hashed beside it
+	LedgerCommit time.Duration // the ledger's Begin (record body: encode, checksum, write) plus its Finish (metadata, commit hash, index, any seal)
 	Total        time.Duration
 
 	// PrefetchWait is the residual stall the engine's mvcc stage spent

@@ -58,6 +58,7 @@ type Testbed struct {
 
 	stack     *cluster.Stack
 	clients   []*client.Driver
+	applyMu   sync.RWMutex // endorser stores: the drivers' endorsements read-side, deliver write-side
 	outcomes  chan BlockOutcome
 	stop      chan struct{}
 	closeOnce sync.Once
@@ -136,11 +137,11 @@ func (tb *Testbed) deliver(b *block.Block) error {
 		return errors.New("bmac: hardware peer stopped")
 	}
 	// Committer role: endorser stores track the committed state so later
-	// simulations read fresh versions.
-	for _, e := range tb.Endorsers {
-		if err := client.ApplyBlock(e.Store(), b, swRes.Flags); err != nil {
-			return err
-		}
+	// simulations read fresh versions. All of them at once for a driver
+	// gathering endorsements, or two endorsers could simulate a proposal
+	// on either side of the block and disagree.
+	if err := tb.applyToEndorsers(b, swRes.Flags); err != nil {
+		return err
 	}
 	outcome := BlockOutcome{
 		BlockNum: b.Header.Number,
@@ -154,6 +155,21 @@ func (tb *Testbed) deliver(b *block.Block) error {
 	case tb.outcomes <- outcome:
 	case <-tb.stop:
 		return errTestbedClosed
+	}
+	return nil
+}
+
+// applyToEndorsers applies a committed block to every endorser store under
+// the write side of applyMu. The drivers hold its read side only while they
+// gather endorsements, never across Submit: this runs on the orderer's
+// delivery hook, which a blocked Submit could be waiting for.
+func (tb *Testbed) applyToEndorsers(b *block.Block, flags []byte) error {
+	tb.applyMu.Lock()
+	defer tb.applyMu.Unlock()
+	for _, e := range tb.Endorsers {
+		if err := client.ApplyBlock(e.Store(), b, flags); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -174,6 +190,7 @@ func (tb *Testbed) NewClient(w Workload, seed int64) (*client.Driver, error) {
 		return nil, fmt.Errorf("bmac: first org needs a client: %w", err)
 	}
 	d := client.NewDriver(id, tb.Endorsers, tb.Orderer, w, tb.Config.Channel, seed)
+	d.EndorseUnder(tb.applyMu.RLocker())
 	tb.clients = append(tb.clients, d)
 	return d, nil
 }
