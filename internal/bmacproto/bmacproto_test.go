@@ -149,7 +149,7 @@ func TestStripInsertRoundTrip(t *testing.T) {
 		{len("prefix-"), len(f.e1.Cert)},
 		{len("prefix-") + len(f.e1.Cert) + len("-mid-"), len(f.e2.Cert)},
 	}
-	stripped, locs := stripIdentities(data, fields, f.sendCache)
+	stripped, locs := stripIdentities(nil, nil, data, fields, f.sendCache)
 	if len(locs) != 2 {
 		t.Fatalf("locators = %d, want 2", len(locs))
 	}
@@ -158,7 +158,7 @@ func TestStripInsertRoundTrip(t *testing.T) {
 		t.Errorf("saved %d bytes, want %d", saved, len(f.e1.Cert)+len(f.e2.Cert))
 	}
 
-	back, err := insertIdentities(stripped, locs, f.recvCache)
+	back, err := insertIdentities(nil, stripped, locs, f.recvCache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +171,11 @@ func TestStripRepeatedIdentity(t *testing.T) {
 	f := newFixture(t)
 	data := append(append([]byte{}, f.e1.Cert...), f.e1.Cert...) // twice
 	n := len(f.e1.Cert)
-	stripped, locs := stripIdentities(data, []span{{0, n}, {n, n}}, f.sendCache)
+	stripped, locs := stripIdentities(nil, nil, data, []span{{0, n}, {n, n}}, f.sendCache)
 	if len(locs) != 2 || len(stripped) != 0 {
 		t.Fatalf("locs=%d stripped=%d", len(locs), len(stripped))
 	}
-	back, err := insertIdentities(stripped, locs, f.recvCache)
+	back, err := insertIdentities(nil, stripped, locs, f.recvCache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestStripRepeatedIdentity(t *testing.T) {
 
 func TestInsertCacheMiss(t *testing.T) {
 	empty := identity.NewCache()
-	_, err := insertIdentities([]byte{}, []Locator{{Offset: 0, ID: 0x0101}}, empty)
+	_, err := insertIdentities(nil, []byte{}, []Locator{{Offset: 0, ID: 0x0101}}, empty)
 	if err == nil {
 		t.Error("expected cache-miss error")
 	}

@@ -138,7 +138,13 @@ func (p *Packet) EncodedSize() int {
 
 // Encode serializes the packet into a self-contained datagram.
 func (p *Packet) Encode() []byte {
-	out := make([]byte, 0, p.EncodedSize())
+	return p.AppendTo(nil)
+}
+
+// AppendTo appends the packet's datagram to out, growing it at most once:
+// with room for EncodedSize more bytes, it does not allocate.
+func (p *Packet) AppendTo(out []byte) []byte {
+	out = slices.Grow(out, p.EncodedSize())
 	var fixed [fixedHeaderLen]byte
 	binary.BigEndian.PutUint16(fixed[0:], Magic)
 	fixed[2] = Version

@@ -11,6 +11,7 @@ import (
 	"bmac/internal/fabcrypto"
 	"bmac/internal/fifo"
 	"bmac/internal/identity"
+	"bmac/internal/wire"
 )
 
 // VerifyRequest is the {signature, key, data hash} tuple issued to one
@@ -133,10 +134,34 @@ func (b *Buffers) Close() {
 
 // AssembledBlock is the reconstructed block the protocol_processor forwards
 // to the host CPU (software side of the BMac peer), with the integrity
-// verdict of the streamed data-hash check.
+// verdict of the streamed data-hash check. Its envelopes, and every key,
+// value and chaincode name the receiver lent to the FIFOs for them, alias
+// the block's memory, which the host hands back with Release.
 type AssembledBlock struct {
 	Block      *block.Block
 	DataHashOK bool
+	mem        [][]byte // wire.GetBuf chunks
+}
+
+// ReleaseHook, when set, sees every chunk Release hands back before the
+// pool does: tests overwrite them, so a read past the release point shows
+// as wrong bytes. Set it only while no receiver runs.
+var ReleaseHook func(chunk []byte)
+
+// Release hands the block's memory back to the wire pool. The host calls it
+// once nothing reads the block's envelopes or the FIFO entries lent from
+// them: the BMac peer does once Ledger.Commit has returned, by when core
+// has popped and decided every FIFO entry of the block and the state
+// database has copied every key and value it keeps. A block never released
+// is left to the garbage collector.
+func (ab *AssembledBlock) Release() {
+	for _, c := range ab.mem {
+		if ReleaseHook != nil {
+			ReleaseHook(c)
+		}
+		wire.PutBuf(c)
+	}
+	ab.mem = nil
 }
 
 // ReceiverStats counts receiver activity.
@@ -154,6 +179,10 @@ type ReceiverStats struct {
 // filters BMac packets, reconstructs sections via the identity cache,
 // extracts and post-processes data fields, computes the stream hashes, and
 // writes the block processor's FIFOs.
+//
+// Each tx section is rebuilt into the block's memory (wire.GetBuf chunks),
+// which goes to the host with the AssembledBlock and back to the pool at
+// AssembledBlock.Release.
 //
 // Packets for a block may arrive with transaction sections out of order;
 // the receiver reorders per block. The protocol itself has no retransmission
@@ -177,6 +206,30 @@ type blockAsm struct {
 	metadata  bool
 	envelopes []block.Envelope
 	hasher    fabcrypto.StreamHasher
+	mem       [][]byte // the rebuilt tx sections: wire.GetBuf chunks, the last with room to spare
+}
+
+// chunkBytes is the least size of a chunk of block memory.
+const chunkBytes = 64 << 10
+
+// rebuild appends the section pkt carries, its identities reinserted, to the
+// block's memory and returns it, capped at its own length.
+func (a *blockAsm) rebuild(pkt *Packet, cache *identity.Cache) ([]byte, error) {
+	n, err := insertedLen(pkt.Payload, pkt.Locators, cache)
+	if err != nil {
+		return nil, err
+	}
+	if k := len(a.mem); k == 0 || cap(a.mem[k-1])-len(a.mem[k-1]) < n {
+		a.mem = append(a.mem, wire.GetBuf(max(n, chunkBytes)))
+	}
+	cur := &a.mem[len(a.mem)-1]
+	out, err := insertIdentities(*cur, pkt.Payload, pkt.Locators, cache)
+	if err != nil {
+		return nil, err
+	}
+	sec := out[len(*cur):len(out):len(out)]
+	*cur = out
+	return sec, nil
 }
 
 // NewReceiver creates a receiver writing to bufs; assembled blocks for the
@@ -209,7 +262,8 @@ func (r *Receiver) PendingBlocks() int {
 }
 
 // ProcessPacket handles one incoming datagram. Non-BMac packets return
-// ErrNotBMac (the hardware forwards them to the CPU unmodified).
+// ErrNotBMac (the hardware forwards them to the CPU unmodified). It keeps
+// nothing of data once it returns, so a transport may reuse the buffer.
 func (r *Receiver) ProcessPacket(data []byte) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -259,7 +313,7 @@ func (r *Receiver) getAsm(blockNum uint64, numTxs int) *blockAsm {
 // processHeader handles a header section. It must be called with r.mu
 // held (ProcessPacket holds it across the dispatch).
 func (r *Receiver) processHeader(pkt *Packet) error {
-	orig, err := insertIdentities(pkt.Payload, pkt.Locators, r.cache)
+	orig, err := insertIdentities(nil, pkt.Payload, pkt.Locators, r.cache)
 	if err != nil {
 		r.stats.BadPackets++
 		return err
@@ -361,11 +415,11 @@ func (r *Receiver) drain(blockNum uint64) error {
 // processTx handles one in-order tx section: it rebuilds the envelope,
 // streams it into the data hash, keeps it for the host and writes the
 // FIFOs from a block.TxView of its payload. The kept envelope, the FIFO
-// keys and the write values alias the buffer insertIdentities built. An
+// keys and the write values alias the block's memory it was rebuilt in. An
 // envelope whose payload does not decode invalidates only itself: its
 // entry is marked Malformed. It must be called with r.mu held.
 func (r *Receiver) processTx(a *blockAsm, pkt *Packet) error {
-	orig, err := insertIdentities(pkt.Payload, pkt.Locators, r.cache)
+	orig, err := a.rebuild(pkt, r.cache)
 	if err != nil {
 		r.stats.BadPackets++
 		return err
@@ -425,9 +479,9 @@ func (r *Receiver) pushSets(v *block.TxView, tx TxEntry) error {
 }
 
 // lend returns b's bytes as a string without copying them. The string
-// aliases the envelope the receiver rebuilt and keeps in the assembled
-// block, which nothing writes to; whoever stores such a string beyond the
-// block copies it first.
+// aliases the envelope the receiver rebuilt in the block's memory, which
+// nothing writes to until AssembledBlock.Release; whoever stores such a
+// string beyond the block's commit copies it first.
 func lend(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // processMetadata handles the metadata section. It must be called with
@@ -451,14 +505,20 @@ func (r *Receiver) finalize(blockNum uint64, a *blockAsm) error {
 	}
 	blk.Metadata.ValidationFlags = make([]byte, len(a.envelopes))
 
+	// The hand-off: the block's pooled memory leaves the receiver with ab,
+	// and the host owns it until Release after its commit (the release
+	// point wire/pool.go names). aliasguard's escape rule tracks decodes of
+	// a GetBuf buffer inside one function; these chunks are filled by
+	// appending, in rebuild, so it sees no escape here to allow.
+	ab := AssembledBlock{Block: blk, DataHashOK: ok, mem: a.mem}
 	select {
-	case r.out <- AssembledBlock{Block: blk, DataHashOK: ok}:
+	case r.out <- ab:
 	default:
 		// CPU not draining; block until it does (backpressure). The lock
 		// is dropped for the blocking send and retaken before returning
 		// to the locked caller — no lock is nested inside another here.
 		r.mu.Unlock()
-		r.out <- AssembledBlock{Block: blk, DataHashOK: ok}
+		r.out <- ab
 		r.mu.Lock() // bmaclint:allow lockorder (reacquire after release above, never nested)
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -88,7 +89,7 @@ func (f *fixture) checkAgainstOracle(t *testing.T, blk *block.Block, certs []cac
 		if err != nil {
 			t.Fatal(err)
 		}
-		orig, err := insertIdentities(pkt.Payload, pkt.Locators, f.recvCache)
+		orig, err := insertIdentities(nil, pkt.Payload, pkt.Locators, f.recvCache)
 		if err != nil {
 			t.Fatalf("block %d packet %d: %v", blk.Header.Number, i, err)
 		}
@@ -183,9 +184,9 @@ func TestWalkMatchesSubstringSweep(t *testing.T) {
 	}
 }
 
-// TestEncodeBlockConcurrent: EncodeBlock keeps no state between calls and
-// takes no lock of its own, so concurrent encodings of one block are
-// byte-identical (run under -race in the race shard).
+// TestEncodeBlockConcurrent: concurrent encodings of one block each take
+// an encoder of their own and come out byte-identical (run under -race in
+// the race shard).
 func TestEncodeBlockConcurrent(t *testing.T) {
 	f := newFixture(t)
 	blk := f.makeBlock(t, 1, 20)
@@ -290,10 +291,13 @@ func parseLocators(raw []byte, ids []identity.EncodedID) []Locator {
 // receiver re-inserts is the marshalled envelope. The receiver assembles
 // the block from the packets, and its FIFO entries are the fields
 // block.NewTxView reads, or one tx entry marked Malformed exactly when the
-// view rejects the payload (see checkReceived). Receiver: arbitrary
-// (descending, out-of-range, overflowing) locator lists over arbitrary
-// bytes either error or produce a fresh buffer that contains the stripped
-// bytes and the named certificates in order.
+// view rejects the payload (see checkReceived). Both halves append: after
+// a non-empty prefix of dst, with and without room to spare, stripping
+// appends what the packet carries and inserting appends the envelope, the
+// prefix untouched. Receiver: arbitrary (descending, out-of-range,
+// overflowing) locator lists over arbitrary bytes either error and leave
+// dst as it was, or append to it the stripped bytes and the named
+// certificates in order, in memory that is not the input's.
 func FuzzStripInsertRoundTrip(f *testing.F) {
 	fx := newFixture(f)
 	var ids []identity.EncodedID
@@ -342,19 +346,43 @@ func FuzzStripInsertRoundTrip(f *testing.F) {
 		if !walkable && (len(pkt.Locators) != 0 || !bytes.Equal(pkt.Payload, envBytes)) {
 			t.Fatalf("malformed payload was stripped: %d locators", len(pkt.Locators))
 		}
-		back, err := insertIdentities(pkt.Payload, pkt.Locators, fx.recvCache)
-		if err != nil || !bytes.Equal(back, envBytes) {
+		prefix := []byte("dst prefix")
+		dst := func() []byte { // room to spare for every other input
+			return append(make([]byte, 0, len(prefix)+len(data)%2*len(envBytes)), prefix...)
+		}
+		if walkable {
+			fields := []span{lay.creator, lay.actionCreator}
+			for _, e := range lay.ends {
+				fields = append(fields, e.endorser)
+			}
+			stripped, locs := stripIdentities(dst(), []Locator{{Offset: 7, ID: 7}}, envBytes, fields, fx.sendCache)
+			if !bytes.Equal(stripped[:len(prefix)], prefix) || !bytes.Equal(stripped[len(prefix):], pkt.Payload) ||
+				locs[0] != (Locator{Offset: 7, ID: 7}) || !slices.Equal(locs[1:], pkt.Locators) {
+				t.Fatal("appending strip differs from the packet EncodeBlock sent")
+			}
+		}
+		back, err := insertIdentities(dst(), pkt.Payload, pkt.Locators, fx.recvCache)
+		if err != nil || !bytes.Equal(back[:len(prefix)], prefix) || !bytes.Equal(back[len(prefix):], envBytes) {
 			t.Fatalf("insert(strip(x)) != x (err %v)", err)
 		}
 
 		// Receiver side, hostile locators.
 		locs := parseLocators(rawLocs, ids)
 		before := append([]byte(nil), data...)
-		out, err := insertIdentities(data, locs, fx.recvCache)
+		out, err := insertIdentities(dst(), data, locs, fx.recvCache)
 		if !bytes.Equal(data, before) {
 			t.Fatal("insertIdentities wrote to its input")
 		}
-		if err != nil || len(locs) == 0 {
+		if !bytes.Equal(out[:len(prefix)], prefix) {
+			t.Fatal("insertIdentities changed the prefix of dst")
+		}
+		if out = out[len(prefix):]; err != nil {
+			if len(out) != 0 {
+				t.Fatalf("failed insert left %d bytes after the prefix", len(out))
+			}
+			return
+		}
+		if len(locs) == 0 {
 			return
 		}
 		want, pos := []byte(nil), 0

@@ -1,7 +1,9 @@
 package bmacproto
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
 
 	"bmac/internal/block"
 	"bmac/internal/fabcrypto"
@@ -25,6 +27,8 @@ const (
 
 // PacketSink consumes encoded packets; implementations include UDP sockets
 // and the in-memory link model used by benchmarks.
+// SendPacket must not keep p, nor write to it, after it returns: as with
+// io.Writer, the sender rewrites p with the next packet.
 type PacketSink interface {
 	SendPacket(p []byte) error
 }
@@ -90,122 +94,146 @@ func (s *Sender) RegisterNetwork(n *identity.Network) error {
 }
 
 // EncodeBlock splits a block into protocol packets without sending them.
-// Packet order: header, tx 0..n-1, metadata.
+// Packet order: header, tx 0..n-1, metadata. Each packet is a buffer of its
+// own.
 func (s *Sender) EncodeBlock(b *block.Block) ([][]byte, SendStats, error) {
+	packets := make([][]byte, 0, len(b.Envelopes)+2)
+	stats, err := s.encode(b, func(p []byte) error {
+		packets = append(packets, bytes.Clone(p))
+		return nil
+	})
+	if err != nil {
+		return nil, stats, err
+	}
+	return packets, stats, nil
+}
+
+// SendBlock encodes and transmits a block, each packet as soon as it is
+// encoded. The orderer calls this right before handing the same block to
+// the Gossip path, so software-only peers remain compatible.
+func (s *Sender) SendBlock(b *block.Block) (SendStats, error) {
+	if s.sink == nil {
+		return SendStats{}, fmt.Errorf("bmacproto: sender has no sink")
+	}
+	return s.encode(b, func(p []byte) error {
+		if err := s.sink.SendPacket(p); err != nil {
+			return fmt.Errorf("send packet: %w", err)
+		}
+		return nil
+	})
+}
+
+// encoder is an encoding's working memory, reused from packet to packet and,
+// through encoders, from block to block.
+type encoder struct {
+	env, sec, pkt []byte // the marshalled section, its stripped bytes, the encoded packet
+	locs          []Locator
+	ptrs          []Pointer
+	fields        []span
+	lay           txLayout
+}
+
+var encoders = sync.Pool{New: func() any { return new(encoder) }}
+
+// encode splits b into packets and hands each to emit, in the order
+// EncodeBlock returns them. The bytes emit sees are the encoder's own and are
+// rewritten by the next packet.
+func (s *Sender) encode(b *block.Block, emit func(p []byte) error) (SendStats, error) {
 	numTxs := len(b.Envelopes)
 	if numTxs > 0xffff {
-		return nil, SendStats{}, fmt.Errorf("bmacproto: block %d has %d txs (max 65535)", b.Header.Number, numTxs)
+		return SendStats{}, fmt.Errorf("bmacproto: block %d has %d txs (max 65535)", b.Header.Number, numTxs)
 	}
+	e := encoders.Get().(*encoder)
+	defer encoders.Put(e)
 	var stats SendStats
-	packets := make([][]byte, 0, numTxs+2)
-
-	emit := func(p *Packet, origLen int) {
-		enc := p.Encode()
-		packets = append(packets, enc)
+	send := func(p *Packet, origLen int) error {
+		e.pkt = p.AppendTo(e.pkt[:0])
 		stats.Packets++
-		stats.Bytes += len(enc)
+		stats.Bytes += len(e.pkt)
 		stats.PayloadBytes += len(p.Payload)
 		stats.Removed += origLen - len(p.Payload)
+		return emit(e.pkt)
 	}
 
 	// Header section: block header plus the orderer signature triple, so
 	// the receiver can issue the block verification request immediately.
-	var hdrPayload []byte
-	hdrBytes := block.MarshalHeader(&b.Header)
-	hdrPayload = wire.AppendBytes(hdrPayload, fHdrSecHeader, hdrBytes)
-	hdrPayload = wire.AppendBytes(hdrPayload, fHdrSecCert, b.Metadata.Signature.Creator)
-	ordererCert := span{len(hdrPayload) - len(b.Metadata.Signature.Creator), len(b.Metadata.Signature.Creator)}
-	hdrPayload = wire.AppendBytes(hdrPayload, fHdrSecNonce, b.Metadata.Signature.Nonce)
-	hdrPayload = wire.AppendBytes(hdrPayload, fHdrSecSig, b.Metadata.Signature.Signature)
-	origLen := len(hdrPayload)
-	stripped, locs := stripIdentities(hdrPayload, []span{ordererCert}, s.cache)
+	hdr := wire.AppendBytes(e.env[:0], fHdrSecHeader, block.MarshalHeader(&b.Header))
+	hdr = wire.AppendBytes(hdr, fHdrSecCert, b.Metadata.Signature.Creator)
+	e.fields = append(e.fields[:0], span{len(hdr) - len(b.Metadata.Signature.Creator), len(b.Metadata.Signature.Creator)})
+	hdr = wire.AppendBytes(hdr, fHdrSecNonce, b.Metadata.Signature.Nonce)
+	hdr = wire.AppendBytes(hdr, fHdrSecSig, b.Metadata.Signature.Signature)
+	e.env = hdr
+	e.sec, e.locs = stripIdentities(e.sec[:0], e.locs[:0], hdr, e.fields, s.cache)
 	hdrPkt := Packet{
 		Type:     SectionHeader,
 		BlockNum: b.Header.Number,
 		NumTxs:   uint16(numTxs),
-		Locators: locs,
-		Payload:  stripped,
+		Locators: e.locs,
+		Pointers: e.ptrs[:0],
+		Payload:  e.sec,
 	}
-	if off, l, ok := wire.FieldOffset(hdrPayload, fHdrSecHeader); ok {
-		hdrPkt.Pointers = append(hdrPkt.Pointers, Pointer{Field: PtrHeaderBytes, Offset: uint32(off), Length: uint32(l)})
+	for _, f := range [...]struct {
+		num int
+		ptr PointerField
+	}{{fHdrSecHeader, PtrHeaderBytes}, {fHdrSecSig, PtrMetaSignature}, {fHdrSecNonce, PtrMetaNonce}} {
+		if off, l, ok := wire.FieldOffset(hdr, f.num); ok {
+			hdrPkt.Pointers = append(hdrPkt.Pointers, Pointer{Field: f.ptr, Offset: uint32(off), Length: uint32(l)})
+		}
 	}
-	if off, l, ok := wire.FieldOffset(hdrPayload, fHdrSecSig); ok {
-		hdrPkt.Pointers = append(hdrPkt.Pointers, Pointer{Field: PtrMetaSignature, Offset: uint32(off), Length: uint32(l)})
+	e.ptrs = hdrPkt.Pointers
+	if err := send(&hdrPkt, len(hdr)); err != nil {
+		return stats, err
 	}
-	if off, l, ok := wire.FieldOffset(hdrPayload, fHdrSecNonce); ok {
-		hdrPkt.Pointers = append(hdrPkt.Pointers, Pointer{Field: PtrMetaNonce, Offset: uint32(off), Length: uint32(l)})
-	}
-	emit(&hdrPkt, origLen)
 
 	// Transaction sections: one envelope each. The identity fields come
 	// from the schema walk below the payload field; an envelope the walk
 	// cannot follow is sent as it is.
-	var (
-		lay    txLayout
-		fields []span
-	)
 	for i := range b.Envelopes {
-		envBytes := block.MarshalEnvelope(&b.Envelopes[i])
+		env := block.AppendEnvelope(e.env[:0], &b.Envelopes[i])
+		e.env = env
 		pkt := Packet{
 			Type:     SectionTx,
 			BlockNum: b.Header.Number,
 			Seq:      uint16(i),
 			NumTxs:   uint16(numTxs),
-			Pointers: make([]Pointer, 0, 2),
-			Payload:  envBytes,
+			Pointers: e.ptrs[:0],
+			Payload:  env,
 		}
 		// Pointer annotations into the original envelope bytes.
-		whole := span{0, len(envBytes)}
-		payload, ok := field(envBytes, whole, xEnvPayload)
+		whole := span{0, len(env)}
+		payload, ok := field(env, whole, xEnvPayload)
 		if ok {
 			pkt.Pointers = append(pkt.Pointers, Pointer{Field: PtrPayload, Offset: uint32(payload.off), Length: uint32(payload.n)})
 		}
-		if sig, ok := field(envBytes, whole, xEnvSig); ok {
+		if sig, ok := field(env, whole, xEnvSig); ok {
 			pkt.Pointers = append(pkt.Pointers, Pointer{Field: PtrEnvelopeSignature, Offset: uint32(sig.off), Length: uint32(sig.n)})
 		}
-		if ok && lay.locate(envBytes, payload) == nil {
-			fields = append(fields[:0], lay.creator, lay.actionCreator)
-			for _, e := range lay.ends {
-				fields = append(fields, e.endorser)
+		e.ptrs = pkt.Pointers
+		if ok && e.lay.locate(env, payload) == nil {
+			e.fields = append(e.fields[:0], e.lay.creator, e.lay.actionCreator)
+			for _, end := range e.lay.ends {
+				e.fields = append(e.fields, end.endorser)
 			}
-			pkt.Payload, pkt.Locators = stripIdentities(envBytes, fields, s.cache)
+			e.sec, e.locs = stripIdentities(e.sec[:0], e.locs[:0], env, e.fields, s.cache)
+			pkt.Payload, pkt.Locators = e.sec, e.locs
 		}
-		emit(&pkt, len(envBytes))
+		if err := send(&pkt, len(env)); err != nil {
+			return stats, err
+		}
 	}
 
 	// Metadata section: marks end of block; flags/commit hash are filled
 	// in by the validator, so this carries only placeholders — and no
 	// identity field.
-	var metaPayload []byte
-	metaPayload = wire.AppendBytes(metaPayload, fMetaSecFlags, b.Metadata.ValidationFlags)
-	metaPayload = wire.AppendBytes(metaPayload, fMetaSecCommit, b.Metadata.CommitHash)
+	meta := wire.AppendBytes(e.env[:0], fMetaSecFlags, b.Metadata.ValidationFlags)
+	meta = wire.AppendBytes(meta, fMetaSecCommit, b.Metadata.CommitHash)
+	e.env = meta
 	metaPkt := Packet{
 		Type:     SectionMetadata,
 		BlockNum: b.Header.Number,
 		Seq:      uint16(numTxs),
 		NumTxs:   uint16(numTxs),
-		Payload:  metaPayload,
+		Payload:  meta,
 	}
-	emit(&metaPkt, len(metaPayload))
-
-	return packets, stats, nil
-}
-
-// SendBlock encodes and transmits a block. The orderer calls this right
-// before handing the same block to the Gossip path, so software-only peers
-// remain compatible.
-func (s *Sender) SendBlock(b *block.Block) (SendStats, error) {
-	packets, stats, err := s.EncodeBlock(b)
-	if err != nil {
-		return stats, err
-	}
-	if s.sink == nil {
-		return stats, fmt.Errorf("bmacproto: sender has no sink")
-	}
-	for _, p := range packets {
-		if err := s.sink.SendPacket(p); err != nil {
-			return stats, fmt.Errorf("send packet: %w", err)
-		}
-	}
-	return stats, nil
+	return stats, send(&metaPkt, len(meta))
 }

@@ -96,11 +96,10 @@ func (l *UDPListener) loop() {
 				continue
 			}
 		}
-		pkt := make([]byte, n)
-		copy(pkt, buf[:n])
 		// Errors are counted in receiver stats; a lossy datagram
-		// transport cannot propagate them to the sender anyway.
-		_ = l.recv.ProcessPacket(pkt) // bmaclint:allow errdiscard (lossy transport: errors land in receiver stats)
+		// transport cannot propagate them to the sender anyway. The
+		// receiver keeps nothing of buf, so the next read may reuse it.
+		_ = l.recv.ProcessPacket(buf[:n]) // bmaclint:allow errdiscard (lossy transport: errors land in receiver stats)
 	}
 }
 

@@ -124,7 +124,7 @@ type Processor struct {
 	ends    []bmacproto.EndsEntry
 	reads   []bmacproto.ReadEntry
 	writes  []bmacproto.WriteEntry
-	written map[string]bool // keys the block's valid transactions wrote so far
+	written map[string]bool // keys the block's valid transactions wrote so far; emptied at its end
 
 	wg sync.WaitGroup
 }
@@ -363,7 +363,6 @@ func (p *Processor) validateBlock(vb verifiedBlock) (res Result, ok bool) {
 
 	// tx_mvcc_commit, strictly in transaction order.
 	mvccStart := time.Now()
-	clear(p.written)
 	for i := range txs {
 		tx, v := &txs[i], &vscc[i]
 		st.EndsSkipped += len(tx.ends) - v.Verified
@@ -373,6 +372,7 @@ func (p *Processor) validateBlock(vb verifiedBlock) (res Result, ok bool) {
 		p.mvccCommitOne(tx, block.Version{BlockNum: res.BlockNum, TxNum: uint64(i)}, p.written)
 		res.Flags[i] = byte(tx.code)
 	}
+	clear(p.written) // its keys are lent from the block's envelopes
 	st.MVCCCommitTime = time.Since(mvccStart)
 	st.ValidateTime = time.Since(start)
 	return res, true

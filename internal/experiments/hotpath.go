@@ -583,9 +583,19 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 	for i, name := range hotpathEncodeRows {
 		rec.Benchmarks[name] = enc[i]
 	}
-	// --- The BMac receiver: the 100-tx block's packets through
+	// --- The BMac sender's SendBlock of the same block into a sink that
+	// keeps nothing, and the BMac receiver: the block's packets through
 	// Receiver.ProcessPacket into the FIFOs, which are emptied after each
-	// block, as the assembled block's channel is. ---
+	// block, as the assembled block's channel is, whose memory is handed
+	// back as the BMac peer does once it has committed the block. ---
+	discard := bmacproto.NewSender(identity.NewCache(), bmacproto.SinkFunc(func([]byte) error { return nil }))
+	if err := discard.RegisterNetwork(e.Net); err != nil {
+		return nil, err
+	}
+	rec.Benchmarks["bmac_send_block"] = measureOp(opIters, run(func() error {
+		_, err := discard.SendBlock(encBlock)
+		return err
+	}))
 	bmacReceive, err := bmacReceiveOp(e, encBlock)
 	if err != nil {
 		return nil, err
@@ -694,7 +704,8 @@ func bmacValidateOp(e *Env, b *block.Block, pol *policy.Policy, sigs int) (op fu
 
 // bmacReceiveOp returns an operation that feeds b's packets to a protocol
 // receiver that knows the suite's identities, then empties its FIFOs and
-// takes the assembled block, which must have passed its data-hash check.
+// takes the assembled block, which must have passed its data-hash check,
+// and hands its memory back.
 func bmacReceiveOp(e *Env, b *block.Block) (func() error, error) {
 	bufs := bmacproto.NewBuffers() // its depths hold a 100-tx block with nobody reading
 	recv := bmacproto.NewReceiver(identity.NewCache(), bufs)
@@ -721,6 +732,7 @@ func bmacReceiveOp(e *Env, b *block.Block) (func() error, error) {
 			if n := discardFIFO(bufs.Tx); !ab.DataHashOK || n != len(b.Envelopes) {
 				return fmt.Errorf("hotpath: bmac receiver wrote %d of %d transactions, data hash ok %v", n, len(b.Envelopes), ab.DataHashOK)
 			}
+			ab.Release()
 			return nil
 		default:
 			return fmt.Errorf("hotpath: bmac receiver assembled no block")
@@ -826,7 +838,7 @@ var hotpathBenchOrder = []string{
 	"cert_parse_cold",
 	"parse_tx_cold", "tx_view",
 	"marshal_block", "marshal_block_pooled", "marshal_tx_payload",
-	"bmac_encode_block", "bmac_encode_block_64ids", "bmac_receive_block",
+	"bmac_encode_block", "bmac_encode_block_64ids", "bmac_send_block", "bmac_receive_block",
 }
 
 // Table renders the record for terminal output.

@@ -282,6 +282,10 @@ func (p *BMacPeer) commitLoop() {
 			p.fail(fmt.Errorf("bmac peer commit block %d: %w", res.BlockNum, err))
 			return
 		}
+		// The release point of the block's memory: core has decided every
+		// FIFO entry lent from it, the state database copied what it
+		// keeps and the ledger wrote the envelopes.
+		ab.Release()
 		p.results <- CommitResult{
 			BlockNum:   res.BlockNum,
 			BlockValid: blockValid,

@@ -12,7 +12,11 @@ import "sync"
 // slice derived from the buffer (sub-slices included) escapes — e.g. a
 // marshaled block that was fully written to a file or socket. Buffers that
 // are retained (a delivery window, an unmarshaled block's backing array)
-// must never come from the pool.
+// must never come from the pool. One retained use has a fixed owner and
+// release point instead: the BMac receiver rebuilds each block's envelopes
+// into GetBuf chunks, which travel with the bmacproto.AssembledBlock to the
+// host, and the BMac peer returns them with AssembledBlock.Release once
+// its Ledger.Commit of the block has returned.
 
 var bufPool = sync.Pool{
 	New: func() any {
