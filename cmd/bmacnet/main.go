@@ -380,6 +380,10 @@ func runCluster(cfg *bmac.Config, opts bmac.ClusterOptions, dir string) error {
 			fmt.Printf("trace: %d events -> %s\n", res.TraceEvents, res.TraceFile)
 		}
 	}
+	if res.BMacCommitHash != "" {
+		fmt.Printf("bmac peer: height %d, last commit hash %.16s (observer %d, %.16s)\n",
+			res.BMacHeight, res.BMacCommitHash, res.Peers[0].Height, res.Peers[0].CommitHash)
+	}
 	if res.Converged {
 		fmt.Println("fast peers converged: identical height, state hash and commit-hash chain")
 	} else {

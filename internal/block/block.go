@@ -867,15 +867,27 @@ func AppendEnvelope(dst []byte, e *Envelope) []byte {
 	return dst
 }
 
-// UnmarshalEnvelope decodes a signed envelope.
+// UnmarshalEnvelope decodes a signed envelope (see DecodeEnvelope).
 func UnmarshalEnvelope(data []byte) (*Envelope, error) {
-	e := &Envelope{}
+	e, err := DecodeEnvelope(data)
+	if err != nil {
+		return nil, err
+	}
+	return &e, nil
+}
+
+// DecodeEnvelope decodes a signed envelope without allocating: the payload
+// and signature must be length-delimited, a field that occurs more than once
+// is decided by its last occurrence, and any other field is skipped by its
+// wire type. The envelope aliases data. This is the one reading of an
+// envelope's bytes: the block decoder, the BMac sender's pointer
+// annotations and the BMac receiver all take it.
+//
+// bmaclint:noalloc
+func DecodeEnvelope(data []byte) (Envelope, error) {
+	var e Envelope
 	r := wire.NewReader(data)
-	for {
-		num, wt, ok := r.Next()
-		if !ok {
-			break
-		}
+	for num, wt, ok := r.Next(); ok; num, wt, ok = r.Next() {
 		switch num {
 		case fEnvelopePayload:
 			e.PayloadBytes = r.Bytes()
@@ -886,7 +898,7 @@ func UnmarshalEnvelope(data []byte) (*Envelope, error) {
 		}
 	}
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("%w: envelope: %v", ErrMalformed, err)
+		return Envelope{}, fmt.Errorf("%w: envelope: %v", ErrMalformed, err)
 	}
 	return e, nil
 }
@@ -1120,11 +1132,11 @@ func Unmarshal(data []byte) (*Block, error) {
 					dr.Skip(dwt)
 					continue
 				}
-				env, err := UnmarshalEnvelope(dr.Bytes())
+				env, err := DecodeEnvelope(dr.Bytes())
 				if err != nil {
 					return nil, err
 				}
-				b.Envelopes = append(b.Envelopes, *env)
+				b.Envelopes = append(b.Envelopes, env)
 			}
 			if err := dr.Err(); err != nil {
 				return nil, fmt.Errorf("%w: block data: %v", ErrMalformed, err)
@@ -1231,28 +1243,29 @@ func ComputeTxID(nonce, creator []byte) string {
 // EnvelopeTxID extracts the transaction ID from an envelope by decoding
 // only the channel header — enough for delivery-side bookkeeping (e.g.
 // matching committed transactions back to their submission times) without
-// walking the full payload nesting.
+// walking the full payload nesting. A repeated channel header is decided by
+// its last occurrence, every occurrence checked, as TxView and the struct
+// decoders decide it.
 func EnvelopeTxID(env *Envelope) (string, error) {
+	var ch *ChannelHeader
 	r := wire.NewReader(env.PayloadBytes)
-	for {
-		num, wt, ok := r.Next()
-		if !ok {
-			break
-		}
+	for num, wt, ok := r.Next(); ok; num, wt, ok = r.Next() {
 		if num != fPayloadChannelHdr {
 			r.Skip(wt)
 			continue
 		}
-		ch, err := UnmarshalChannelHeader(r.Bytes())
-		if err != nil {
+		var err error
+		if ch, err = UnmarshalChannelHeader(r.Bytes()); err != nil {
 			return "", err
 		}
-		return ch.TxID, nil
 	}
 	if err := r.Err(); err != nil {
 		return "", fmt.Errorf("%w: payload: %v", ErrMalformed, err)
 	}
-	return "", fmt.Errorf("%w: payload missing channel header", ErrMalformed)
+	if ch == nil {
+		return "", fmt.Errorf("%w: payload missing channel header", ErrMalformed)
+	}
+	return ch.TxID, nil
 }
 
 // FlagsEqual reports whether two validation flag arrays match exactly.

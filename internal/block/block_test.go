@@ -396,3 +396,22 @@ func newTestNetB(b *testing.B) *testNet {
 		endorser2: mk("Org2", identity.RolePeer),
 	}
 }
+
+// TestEnvelopeTxIDRepeatedChannelHeader: with two channel headers in a
+// payload, EnvelopeTxID reads the last, as TxView and
+// UnmarshalTransactionPayload do, and a malformed first one rejects, as it
+// does for them.
+func TestEnvelopeTxIDRepeatedChannelHeader(t *testing.T) {
+	chHdr := func(txID string) []byte {
+		return wire.AppendBytes(nil, fPayloadChannelHdr, wire.AppendBytes(nil, fChHdrTxID, []byte(txID)))
+	}
+	payload := append(chHdr("first"), chHdr("last")...)
+	got, err := EnvelopeTxID(&Envelope{PayloadBytes: payload})
+	if err != nil || got != "last" {
+		t.Fatalf("EnvelopeTxID = %q, %v; want the last channel header's", got, err)
+	}
+	bad := wire.AppendBytes(nil, fPayloadChannelHdr, []byte{0x08}) // a varint tag with no value
+	if _, err := EnvelopeTxID(&Envelope{PayloadBytes: append(bad, chHdr("last")...)}); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("a malformed first channel header: err %v, want ErrMalformed", err)
+	}
+}

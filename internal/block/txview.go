@@ -24,6 +24,7 @@ import (
 // a write set.
 type TxView struct {
 	creator   []byte // the payload signature header's creator certificate
+	acCreator []byte // the action header's creator certificate, nil when it has none
 	txID      []byte // the channel header's transaction ID
 	chaincode []byte // the channel header's chaincode name
 	prp       []byte // the proposal response payload bytes the endorsers signed
@@ -56,6 +57,13 @@ func NewTxView(payload []byte) (TxView, error) {
 // Creator is the transaction creator's certificate (DER).
 func (v *TxView) Creator() []byte { return v.creator }
 
+// ActionCreator is the creator certificate of the action header, Fabric's
+// copy of the payload's signature header, or nil. No decoder reads the
+// header, so the view never rejects on it: the creator is its last
+// length-delimited occurrence in the last header, nil when that header does
+// not parse. Only the BMac sender reads it, to strip the identity.
+func (v *TxView) ActionCreator() []byte { return v.acCreator }
+
 // TxID is the transaction ID of the channel header.
 func (v *TxView) TxID() []byte { return v.txID }
 
@@ -77,34 +85,45 @@ func (v *TxView) NumReads() int { return v.nReads }
 func (v *TxView) NumWrites() int { return v.nWrites }
 
 // Endorsement returns the i-th endorsement, 0 ≤ i < NumEndorsements, in the
-// order they were marshaled. It panics when i is out of range.
+// order they were marshaled. It walks the endorsed action from its start;
+// Endorsements reads them all in one walk. It panics when i is out of range.
 func (v *TxView) Endorsement(i int) Endorsement {
-	r := wire.NewReader(v.action)
-	for num, wt, ok := r.Next(); ok; num, wt, ok = r.Next() {
-		if num != fEAEndorsement {
-			r.Skip(wt)
-			continue
+	for e := range v.Endorsements() {
+		if i == 0 {
+			return e
 		}
-		data := r.Bytes()
-		if i > 0 {
-			i--
-			continue
-		}
-		var e Endorsement
-		er := wire.NewReader(data)
-		for num, wt, ok := er.Next(); ok; num, wt, ok = er.Next() {
-			switch num {
-			case fEndorserCert:
-				e.Endorser = er.Bytes()
-			case fEndorserSig:
-				e.Signature = er.Bytes()
-			default:
-				er.Skip(wt)
-			}
-		}
-		return e
+		i--
 	}
 	panic("block: endorsement index out of range")
+}
+
+// Endorsements yields the endorsements in the order they were marshaled.
+func (v *TxView) Endorsements() iter.Seq[Endorsement] {
+	action := v.action
+	return func(yield func(Endorsement) bool) {
+		r := wire.NewReader(action)
+		for num, wt, ok := r.Next(); ok; num, wt, ok = r.Next() {
+			if num != fEAEndorsement {
+				r.Skip(wt)
+				continue
+			}
+			var e Endorsement
+			er := wire.NewReader(r.Bytes())
+			for num, wt, ok := er.Next(); ok; num, wt, ok = er.Next() {
+				switch num {
+				case fEndorserCert:
+					e.Endorser = er.Bytes()
+				case fEndorserSig:
+					e.Signature = er.Bytes()
+				default:
+					er.Skip(wt)
+				}
+			}
+			if !yield(e) {
+				return
+			}
+		}
+	}
 }
 
 // Reads yields the read set in order: each key and the version endorsement
@@ -227,18 +246,41 @@ func (v *TxView) scanPayload(data []byte) error {
 
 	ar := wire.NewReader(action)
 	for num, wt, ok := ar.Next(); ok; num, wt, ok = ar.Next() {
-		if num == fTxActionPayload {
+		switch {
+		case num == fTxActionPayload:
 			if err := v.scanActionPayload(ar.Bytes()); err != nil {
 				return err
 			}
-			continue
+		case num == fTxActionHeader && wt == wire.TypeBytes:
+			v.acCreator = actionCreator(ar.Bytes())
+		default:
+			ar.Skip(wt)
 		}
-		ar.Skip(wt) // the action header duplicates the payload's signature header
 	}
 	if err := ar.Err(); err != nil {
 		return fmt.Errorf("%w: transaction action: %v", ErrMalformed, err)
 	}
 	return nil
+}
+
+// actionCreator is the creator field of an action header: its last
+// length-delimited occurrence, or nil when the header does not parse. The
+// struct decoders skip the header (it duplicates the payload's signature
+// header), so nothing here rejects.
+func actionCreator(hdr []byte) []byte {
+	var creator []byte
+	r := wire.NewReader(hdr)
+	for num, wt, ok := r.Next(); ok; num, wt, ok = r.Next() {
+		if num == fSigHdrCreator && wt == wire.TypeBytes {
+			creator = r.Bytes()
+			continue
+		}
+		r.Skip(wt)
+	}
+	if r.Err() != nil {
+		return nil
+	}
+	return creator
 }
 
 func (v *TxView) scanChannelHeader(data []byte) error {

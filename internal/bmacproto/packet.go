@@ -14,7 +14,11 @@
 //  2. AnnotationGenerator computes pointer annotations {field, offset,
 //     length} into the original section bytes, so the hardware receiver can
 //     jump straight to signatures, endorsements and read/write sets without
-//     recursively decoding 23 protobuf layers.
+//     recursively decoding 23 protobuf layers. They are the paper's
+//     annotation format and count in the packet's bytes (Figure 9a); this
+//     package's software receiver never reads them back. It reads every
+//     field of an envelope from the rebuilt bytes the data hash covers,
+//     through the block package, so a pointer that lies steers nothing.
 //
 // Each packet carries an L7 header (fixed part + annotations) followed by
 // the stripped section payload, and is fully self-contained: the receiver
@@ -77,7 +81,10 @@ const (
 // bytes the (offset, length) pair points at.
 type PointerField uint16
 
-// Pointer fields emitted by the AnnotationGenerator.
+// Pointer fields emitted by the AnnotationGenerator, for the hardware's
+// DataExtractor. A tx section's payload and signature pointers are where
+// block.DecodeEnvelope finds those fields; the header section's are the
+// protocol's own header fields.
 const (
 	PtrEnvelopeSignature PointerField = iota + 1
 	PtrPayload
@@ -95,6 +102,7 @@ type Locator struct {
 }
 
 // Pointer records the position of a data field in the original section.
+// The receiver decodes it with the packet and reads nothing through it.
 type Pointer struct {
 	Field  PointerField
 	Offset uint32
@@ -242,14 +250,4 @@ func (p *Packet) clone() *Packet {
 	q.Locators, q.Pointers = slices.Clone(p.Locators), slices.Clone(p.Pointers)
 	q.Payload = bytes.Clone(p.Payload)
 	return &q
-}
-
-// FindPointer returns the first pointer annotation for field.
-func (p *Packet) FindPointer(field PointerField) (Pointer, bool) {
-	for _, ptr := range p.Pointers {
-		if ptr.Field == field {
-			return ptr, true
-		}
-	}
-	return Pointer{}, false
 }

@@ -310,6 +310,16 @@ func (r *Receiver) getAsm(blockNum uint64, numTxs int) *blockAsm {
 	return a
 }
 
+// subField returns the payload of the first length-delimited field num in
+// msg, or nil. It reads the protocol's own header section.
+func subField(msg []byte, num int) []byte {
+	off, l, ok := wire.FieldOffset(msg, num)
+	if !ok {
+		return nil
+	}
+	return msg[off : off+l]
+}
+
 // processHeader handles a header section. It must be called with r.mu
 // held (ProcessPacket holds it across the dispatch).
 func (r *Receiver) processHeader(pkt *Packet) error {
@@ -414,10 +424,14 @@ func (r *Receiver) drain(blockNum uint64) error {
 
 // processTx handles one in-order tx section: it rebuilds the envelope,
 // streams it into the data hash, keeps it for the host and writes the
-// FIFOs from a block.TxView of its payload. The kept envelope, the FIFO
-// keys and the write values alias the block's memory it was rebuilt in. An
-// envelope whose payload does not decode invalidates only itself: its
-// entry is marked Malformed. It must be called with r.mu held.
+// FIFOs from a block.TxView of its payload. The envelope's payload and
+// signature are what block.DecodeEnvelope reads in the rebuilt bytes, the
+// bytes the data hash covers; the packet's pointer annotations are for the
+// hardware's DataExtractor and are never read here. The kept envelope, the
+// FIFO keys and the write values alias the block's memory it was rebuilt
+// in. An envelope whose bytes or payload do not decode invalidates only
+// itself: its entry is marked Malformed (an envelope whose bytes do not
+// decode is kept empty). It must be called with r.mu held.
 func (r *Receiver) processTx(a *blockAsm, pkt *Packet) error {
 	orig, err := a.rebuild(pkt, r.cache)
 	if err != nil {
@@ -425,7 +439,7 @@ func (r *Receiver) processTx(a *blockAsm, pkt *Packet) error {
 		return err
 	}
 	a.hasher.Write(orig)
-	env := envelopeFields(orig, pkt)
+	env, err := block.DecodeEnvelope(orig)
 	a.envelopes = append(a.envelopes, env)
 	a.nextSeq++
 	r.stats.Transactions++
@@ -434,7 +448,10 @@ func (r *Receiver) processTx(a *blockAsm, pkt *Packet) error {
 	// counts, so no FIFO's depth bounds a transaction's endorsements, reads
 	// or writes.
 	entry := TxEntry{BlockNum: pkt.BlockNum, Seq: int(pkt.Seq)}
-	v, err := block.NewTxView(env.PayloadBytes)
+	var v block.TxView
+	if err == nil {
+		v, err = block.NewTxView(env.PayloadBytes)
+	}
 	if err != nil {
 		entry.Malformed = true
 	} else {
@@ -454,8 +471,7 @@ func (r *Receiver) processTx(a *blockAsm, pkt *Packet) error {
 // pushSets writes a transaction's endorsements, reads and writes to the
 // ends, rdset and wrset FIFOs, after its tx entry.
 func (r *Receiver) pushSets(v *block.TxView, tx TxEntry) error {
-	for i := range v.NumEndorsements() {
-		e := v.Endorsement(i)
+	for e := range v.Endorsements() {
 		entry := EndsEntry{BlockNum: tx.BlockNum, TxSeq: tx.Seq}
 		entry.Verify, entry.EndorserID = r.makeVerifyRequest(e.Signature, e.Endorser,
 			block.EndorsementDigest(v.ProposalResponseBytes(), e.Endorser))

@@ -11,11 +11,28 @@ import (
 // Together they implement the sender/receiver halves of the protocol's
 // identity compression (paper §3.2, Figure 5).
 
+// span is the byte range of one field's payload, in absolute offsets of
+// the section it was found in. The zero span means the field is absent.
+type span struct{ off, n int }
+
+func (s span) of(sec []byte) []byte { return sec[s.off : s.off+s.n] }
+
+// spanIn is where field, a slice the block package decoded out of sec, lies
+// in sec; the zero span when field is empty. The decoders slice their input
+// without capping it, so field ends where sec's capacity does, cap(field)
+// bytes after its start.
+func spanIn(sec, field []byte) span {
+	if len(field) == 0 {
+		return span{}
+	}
+	return span{cap(sec) - cap(field), len(field)}
+}
+
 // stripIdentities appends to dst the section sec with every one of the
 // given fields removed that holds a certificate the cache knows, and to locs
 // a locator for each (offsets into the ORIGINAL section, ascending).
-// Identities are located as fields — by the caller, from the schema — never
-// by searching for their bytes: a certificate the cache does not know, or
+// Identities are located as fields — by the caller, through block.TxView —
+// never by searching for their bytes: a certificate the cache does not know, or
 // one that sits anywhere but in an identity field, stays inline. Fields out
 // of ascending order mean a section no marshaller of ours produced; it is
 // appended whole, with no locator.

@@ -287,7 +287,7 @@ func parseLocators(raw []byte, ids []identity.EncodedID) []Locator {
 
 // FuzzStripInsertRoundTrip fuzzes both directions of the byte boundary.
 // Sender: arbitrary bytes as an envelope payload never panic EncodeBlock,
-// a payload the walk cannot follow is sent unstripped, and what the
+// a payload block.NewTxView rejects is sent unstripped, and what the
 // receiver re-inserts is the marshalled envelope. The receiver assembles
 // the block from the packets, and its FIFO entries are the fields
 // block.NewTxView reads, or one tx entry marked Malformed exactly when the
@@ -310,10 +310,11 @@ func FuzzStripInsertRoundTrip(f *testing.F) {
 		return binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint32(nil, off), idx)
 	}
 	f.Add(payload, []byte(nil))
-	// The same fields, data before signature header: identity fields out
-	// of ascending order, which the sender must send whole.
+	// The same fields, data before signature header: a payload the view
+	// accepts with its identity fields out of ascending order, which the
+	// sender must send whole.
 	var reordered []byte
-	for _, num := range []int{xPayloadData, xPayloadSigHdr, xPayloadChHdr} {
+	for _, num := range []int{3, 2, 1} { // Payload.data, .signature_header, .channel_header
 		reordered = wire.AppendBytes(reordered, num, subField(payload, num))
 	}
 	f.Add(reordered, []byte(nil))
@@ -338,22 +339,22 @@ func FuzzStripInsertRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		envBytes := block.MarshalEnvelope(&env)
-		var lay txLayout
-		walkable := false
-		if p, ok := field(envBytes, span{0, len(envBytes)}, xEnvPayload); ok {
-			walkable = lay.locate(envBytes, p) == nil
+		decoded, err := block.DecodeEnvelope(envBytes)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !walkable && (len(pkt.Locators) != 0 || !bytes.Equal(pkt.Payload, envBytes)) {
+		v, verr := block.NewTxView(decoded.PayloadBytes)
+		if verr != nil && (len(pkt.Locators) != 0 || !bytes.Equal(pkt.Payload, envBytes)) {
 			t.Fatalf("malformed payload was stripped: %d locators", len(pkt.Locators))
 		}
 		prefix := []byte("dst prefix")
 		dst := func() []byte { // room to spare for every other input
 			return append(make([]byte, 0, len(prefix)+len(data)%2*len(envBytes)), prefix...)
 		}
-		if walkable {
-			fields := []span{lay.creator, lay.actionCreator}
-			for _, e := range lay.ends {
-				fields = append(fields, e.endorser)
+		if verr == nil {
+			fields := []span{spanIn(envBytes, v.Creator()), spanIn(envBytes, v.ActionCreator())}
+			for e := range v.Endorsements() {
+				fields = append(fields, spanIn(envBytes, e.Endorser))
 			}
 			stripped, locs := stripIdentities(dst(), []Locator{{Offset: 7, ID: 7}}, envBytes, fields, fx.sendCache)
 			if !bytes.Equal(stripped[:len(prefix)], prefix) || !bytes.Equal(stripped[len(prefix):], pkt.Payload) ||
@@ -485,8 +486,9 @@ func drainAll[T any](f *fifo.FIFO[T]) (out []T) {
 }
 
 // TestHostilePointerAnnotation: a pointer whose offset + length wraps 32
-// bits used to pass the receiver's range check and panic the slice; it
-// must be ignored in favour of the scan, like any out-of-range pointer.
+// bits used to pass the receiver's range check and panic the slice. The
+// receiver reads no pointer back now, and the block assembles from the
+// decoded envelope.
 func TestHostilePointerAnnotation(t *testing.T) {
 	f := newFixture(t)
 	blk := f.makeBlock(t, 0, 1)
@@ -510,5 +512,82 @@ func TestHostilePointerAnnotation(t *testing.T) {
 	}
 	if ab := <-f.recv.Blocks(); !ab.DataHashOK || len(ab.Block.Envelopes) != 1 {
 		t.Errorf("block did not assemble from scanned fields: %+v", ab)
+	}
+}
+
+// TestEnvelopeDecodedFromRebuiltBytes: the receiver assembles exactly the
+// envelope block.UnmarshalEnvelope decodes from a tx section's rebuilt
+// bytes, whatever the packet's pointer annotations say and however often a
+// field occurs. It used to trust an in-range PtrPayload (a payload pointer
+// aimed at the signature assembled the signature as the payload, and the
+// transaction was Malformed while its data hash checked out) and, without
+// pointers, to take a field's first occurrence where every decoder takes
+// the last.
+func TestEnvelopeDecodedFromRebuiltBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// tamper rewrites the honest tx packet in place and returns the
+		// section bytes the receiver rebuilds from it.
+		tamper    func(t *testing.T, pkt *Packet, env []byte) []byte
+		dataHash  bool
+		malformed bool
+	}{
+		{"payload-pointer-names-signature", func(t *testing.T, pkt *Packet, env []byte) []byte {
+			var sig Pointer
+			for _, p := range pkt.Pointers {
+				if p.Field == PtrEnvelopeSignature {
+					sig = p
+				}
+			}
+			if sig.Length == 0 {
+				t.Fatal("the sender annotated no signature")
+			}
+			for i := range pkt.Pointers {
+				if pkt.Pointers[i].Field == PtrPayload {
+					pkt.Pointers[i].Offset, pkt.Pointers[i].Length = sig.Offset, sig.Length
+				}
+			}
+			return env
+		}, true, false},
+		{"payload-field-twice", func(t *testing.T, pkt *Packet, env []byte) []byte {
+			sec := append(wire.AppendBytes(nil, 1, []byte("decoy payload")), env...) // Envelope.payload, then the envelope
+			*pkt = Packet{Type: SectionTx, BlockNum: pkt.BlockNum, Seq: pkt.Seq, NumTxs: pkt.NumTxs, Payload: sec}
+			return sec
+		}, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t)
+			blk := f.makeBlock(t, 0, 1)
+			packets, _, err := f.sender.EncodeBlock(blk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkt, err := Decode(packets[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sec := tc.tamper(t, pkt, block.MarshalEnvelope(&blk.Envelopes[0]))
+			packets[1] = pkt.Encode()
+			want, err := block.UnmarshalEnvelope(sec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range packets {
+				if err := f.recv.ProcessPacket(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ab := <-f.recv.Blocks()
+			if ab.DataHashOK != tc.dataHash || len(ab.Block.Envelopes) != 1 {
+				t.Fatalf("data hash ok %v, %d envelopes", ab.DataHashOK, len(ab.Block.Envelopes))
+			}
+			if got := ab.Block.Envelopes[0]; !bytes.Equal(got.PayloadBytes, want.PayloadBytes) || !bytes.Equal(got.Signature, want.Signature) {
+				t.Fatalf("assembled a %d-byte payload and a %d-byte signature, UnmarshalEnvelope decodes %d and %d",
+					len(got.PayloadBytes), len(got.Signature), len(want.PayloadBytes), len(want.Signature))
+			}
+			if tx, ok := f.bufs.Tx.TryPop(); !ok || tx.Malformed != tc.malformed {
+				t.Fatalf("tx entry %+v (ok %v), want malformed %v", tx, ok, tc.malformed)
+			}
+		})
 	}
 }

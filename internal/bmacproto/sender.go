@@ -49,7 +49,9 @@ type SendStats struct {
 
 // Sender is the software half of the BMac protocol, called by the orderer
 // right before it hands a block to Gossip. It maintains the identity cache
-// in sync with the receiver.
+// in sync with the receiver. It keeps no envelope schema of its own: it
+// finds the identity fields it strips through block.TxView and the pointer
+// annotations through block.DecodeEnvelope.
 type Sender struct {
 	cache *identity.Cache
 	sink  PacketSink
@@ -130,7 +132,6 @@ type encoder struct {
 	locs          []Locator
 	ptrs          []Pointer
 	fields        []span
-	lay           txLayout
 }
 
 var encoders = sync.Pool{New: func() any { return new(encoder) }}
@@ -185,9 +186,10 @@ func (s *Sender) encode(b *block.Block, emit func(p []byte) error) (SendStats, e
 		return stats, err
 	}
 
-	// Transaction sections: one envelope each. The identity fields come
-	// from the schema walk below the payload field; an envelope the walk
-	// cannot follow is sent as it is.
+	// Transaction sections: one envelope each, read through the block
+	// package: the pointer annotations from its envelope decode, the
+	// identity fields from block.TxView. An envelope the view rejects is
+	// sent as it is.
 	for i := range b.Envelopes {
 		env := block.AppendEnvelope(e.env[:0], &b.Envelopes[i])
 		e.env = env
@@ -199,20 +201,18 @@ func (s *Sender) encode(b *block.Block, emit func(p []byte) error) (SendStats, e
 			Pointers: e.ptrs[:0],
 			Payload:  env,
 		}
-		// Pointer annotations into the original envelope bytes.
-		whole := span{0, len(env)}
-		payload, ok := field(env, whole, xEnvPayload)
-		if ok {
-			pkt.Pointers = append(pkt.Pointers, Pointer{Field: PtrPayload, Offset: uint32(payload.off), Length: uint32(payload.n)})
+		decoded, _ := block.DecodeEnvelope(env) // bmaclint:allow errdiscard (AppendEnvelope's bytes decode)
+		if sp := spanIn(env, decoded.PayloadBytes); sp.n > 0 {
+			pkt.Pointers = append(pkt.Pointers, Pointer{Field: PtrPayload, Offset: uint32(sp.off), Length: uint32(sp.n)})
 		}
-		if sig, ok := field(env, whole, xEnvSig); ok {
-			pkt.Pointers = append(pkt.Pointers, Pointer{Field: PtrEnvelopeSignature, Offset: uint32(sig.off), Length: uint32(sig.n)})
+		if sp := spanIn(env, decoded.Signature); sp.n > 0 {
+			pkt.Pointers = append(pkt.Pointers, Pointer{Field: PtrEnvelopeSignature, Offset: uint32(sp.off), Length: uint32(sp.n)})
 		}
 		e.ptrs = pkt.Pointers
-		if ok && e.lay.locate(env, payload) == nil {
-			e.fields = append(e.fields[:0], e.lay.creator, e.lay.actionCreator)
-			for _, end := range e.lay.ends {
-				e.fields = append(e.fields, end.endorser)
+		if v, err := block.NewTxView(decoded.PayloadBytes); err == nil {
+			e.fields = append(e.fields[:0], spanIn(env, v.Creator()), spanIn(env, v.ActionCreator()))
+			for end := range v.Endorsements() {
+				e.fields = append(e.fields, spanIn(env, end.Endorser))
 			}
 			e.sec, e.locs = stripIdentities(e.sec[:0], e.locs[:0], env, e.fields, s.cache)
 			pkt.Payload, pkt.Locators = e.sec, e.locs

@@ -42,6 +42,9 @@ func requireConverged(t *testing.T, res *Result) {
 		t.Logf("%s: height %d state %.16s commit %.16s slow=%v restarts=%d",
 			p.Name, p.Height, p.StateHash, p.CommitHash, p.Slow, p.Restarts)
 	}
+	if res.BMacCommitHash != "" {
+		t.Logf("bmac: height %d commit %.16s", res.BMacHeight, res.BMacCommitHash)
+	}
 	t.Fatal("fast peers did not converge")
 }
 

@@ -228,9 +228,14 @@ type Result struct {
 	// peer verifies no signature its blocks do not carry, an undecodable
 	// envelope's included, so Verifications ≤ Signatures.
 	Verifications, Signatures int
+	// BMacHeight and BMacCommitHash are the BMac peer's ledger height and
+	// last commit hash (zero without one).
+	BMacHeight     uint64
+	BMacCommitHash string
 	// Converged reports whether every fast peer finished with the same
 	// ledger height, state hash and commit hash (slow peers may lag or
-	// drop by design and are excluded).
+	// drop by design and are excluded), and the BMac peer, when there is
+	// one, with the observer's height and commit hash.
 	Converged bool
 	// Events is the scenario's timeline, in the order the steps fired
 	// (the steps installed at build time first).
@@ -329,24 +334,6 @@ func gossipDialer(a *peerAddr, slowDelay time.Duration) func() (delivery.Transpo
 	}
 }
 
-// steadySubmitter holds the committer role off the endorsers' stores while
-// one of its transactions is in flight. Committed blocks reach the stores
-// one endorser at a time and, with blocks cut whenever the orderer is idle,
-// almost continuously; a proposal simulated on either side of such an
-// update comes back with endorsements that disagree. The observer applies
-// each block under the write side of mu, every driver submits under the
-// read side.
-type steadySubmitter struct {
-	inner load.Submitter
-	mu    *sync.RWMutex
-}
-
-func (s *steadySubmitter) SubmitTx() (string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.inner.SubmitTx()
-}
-
 func (p *swPeer) fail(err error) {
 	p.mu.Lock()
 	if p.err == nil {
@@ -441,7 +428,8 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 	reg.GaugeFunc("load_committed_txs_total", func() int64 { _, n, _ := gen.Stats(); return int64(n) })
 	reg.GaugeFunc("load_late_txs_total", func() int64 { _, _, n := gen.Stats(); return int64(n) })
 	// What the peers' commit loops reach. Peer 0, the observer, applies
-	// blocks to the endorser stores; the drivers submit under fw.applyMu.
+	// blocks to the endorser stores under fw.applyMu, whose read side the
+	// drivers hold while they gather a proposal's endorsements.
 	fw := &followers{svc: svc, rec: rec, endorsers: endorsers, gen: gen}
 	// Per-peer state-database access counts and ledger segment counts,
 	// read at scrape time. A restart re-registers the replacement peer
@@ -513,10 +501,9 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 	}
 	drivers := make([]load.Submitter, opts.Clients)
 	for i := range drivers {
-		drivers[i] = &steadySubmitter{
-			inner: client.NewDriver(clientID, endorsers, ordSubmit, w, cfg.Channel, opts.Seed+int64(100+i)),
-			mu:    &fw.applyMu,
-		}
+		d := client.NewDriver(clientID, endorsers, ordSubmit, w, cfg.Channel, opts.Seed+int64(100+i))
+		d.EndorseUnder(fw.applyMu.RLocker())
+		drivers[i] = d
 		if adv != nil {
 			drivers[i] = adv.Wrap(drivers[i])
 		}
@@ -874,6 +861,11 @@ func Run(cfg *config.Config, opts Options, dir string) (*Result, error) {
 		}
 	}
 	if bmacPeer != nil {
+		res.BMacHeight = bmacPeer.Ledger.Height()
+		res.BMacCommitHash = hex.EncodeToString(bmacPeer.Ledger.LastCommitHash())
+		if obs := res.Peers[0]; res.BMacHeight != obs.Height || res.BMacCommitHash != obs.CommitHash {
+			res.Converged = false
+		}
 		res.BMacDelivery = stats["bmac"]
 		// Every submission is recorded by now (gen.Run returned): read each
 		// committed block back from the orderer ledger and time its
@@ -1022,15 +1014,15 @@ type followers struct {
 	svc       *delivery.Service
 	rec       *telemetry.Recorder
 	endorsers []*endorser.Endorser
-	applyMu   sync.RWMutex // endorser stores: drivers read-side, the observer write-side
+	applyMu   sync.RWMutex // endorser stores: the drivers' endorsement rounds read-side, the observer write-side
 	gen       *load.Generator
 }
 
 // commitLoop follows the peer's gossip intake (peer.Follow) until kill
 // closes it, counting every committed or skipped block. The observer first
 // stamps the block's peer-side lifecycle spans, applies its writes to the
-// endorser stores (the committer role, under applyMu so no proposal is
-// simulated halfway through) and records end-to-end latency. A fast
+// endorser stores (the committer role, under applyMu so that no driver's
+// endorsement round straddles a block) and records end-to-end latency. A fast
 // peer's gaps and damaged blocks rewind its pipe; a slow DropBlocks peer
 // skips by design.
 func (p *swPeer) commitLoop(observer bool, fw *followers) {

@@ -133,7 +133,9 @@ func TestPipelinedAndHybridPaths(t *testing.T) {
 }
 
 // TestBMacPathLatency includes the hardware peer and checks the second
-// observation point produces its own tail-latency digest.
+// observation point produces its own tail-latency digest, and that the
+// BMac peer converges with the observer: same ledger height, same last
+// commit hash.
 func TestBMacPathLatency(t *testing.T) {
 	res, err := Run(testConfig(), Options{
 		Mode:     Sequential,
@@ -155,6 +157,10 @@ func TestBMacPathLatency(t *testing.T) {
 	if res.BMacDelivery.Blocks == 0 && res.BMacDelivery.Lag == 0 {
 		t.Error("bmac pipe shows no traffic")
 	}
+	if obs := res.Peers[0]; res.BMacHeight == 0 || res.BMacHeight != obs.Height || res.BMacCommitHash != obs.CommitHash {
+		t.Errorf("bmac peer at height %d, commit %.16s; observer at %d, %.16s", res.BMacHeight, res.BMacCommitHash, obs.Height, obs.CommitHash)
+	}
+	requireConverged(t, res)
 }
 
 func TestRejectsBadModeAndPeerMix(t *testing.T) {

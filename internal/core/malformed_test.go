@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bmac/internal/block"
+	"bmac/internal/bmacproto"
 	"bmac/internal/identity"
 	"bmac/internal/pipeline"
 	"bmac/internal/policy"
@@ -259,5 +260,58 @@ func TestManyEndorsementsAllPaths(t *testing.T) {
 	want := []byte{byte(block.EndorsementPolicyFailure)}
 	if got := allPathsFlags(t, r, sws, b); !block.FlagsEqual(got, want) {
 		t.Errorf("flags %v, want %v", got, want)
+	}
+}
+
+// TestLyingPayloadPointerAllPaths: the BMac path's packets cross a link
+// that aims every tx section's payload pointer at the envelope's
+// signature, in range. The receiver reads no pointer back, so the BMac path
+// gives the software paths' flags and commit hash. It used to take the
+// signature bytes as the payload and flag every transaction BadPayload.
+func TestLyingPayloadPointerAllPaths(t *testing.T) {
+	r, sws := newAllPaths(t)
+	link := bmacproto.NewMemLink(r.recv)
+	lied := 0
+	r.sender = bmacproto.NewSender(identity.NewCache(), bmacproto.SinkFunc(func(p []byte) error {
+		pkt, err := bmacproto.Decode(p)
+		if err != nil || pkt.Type != bmacproto.SectionTx {
+			return link.SendPacket(p)
+		}
+		var sig bmacproto.Pointer
+		for _, ptr := range pkt.Pointers {
+			if ptr.Field == bmacproto.PtrEnvelopeSignature {
+				sig = ptr
+			}
+		}
+		for i := range pkt.Pointers {
+			if ptr := &pkt.Pointers[i]; ptr.Field == bmacproto.PtrPayload {
+				ptr.Offset, ptr.Length = sig.Offset, sig.Length
+				lied++
+			}
+		}
+		return link.SendPacket(pkt.Encode())
+	}))
+	if err := r.sender.RegisterNetwork(r.net); err != nil {
+		t.Fatal(err)
+	}
+	ends := []*identity.Identity{r.peers[0], r.peers[1]}
+	var envs []block.Envelope
+	for _, key := range []string{"a", "b", "c"} {
+		env, err := block.NewEndorsedEnvelope(r.spec(ends, block.RWSet{Writes: []block.KVWrite{{Key: key, Value: []byte("1")}}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		envs = append(envs, *env)
+	}
+	b, err := block.NewBlock(0, nil, envs, r.orderer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{byte(block.Valid), byte(block.Valid), byte(block.Valid)}
+	if got := allPathsFlags(t, r, sws, b); !block.FlagsEqual(got, want) {
+		t.Errorf("flags %v, want %v", got, want)
+	}
+	if lied != len(envs) {
+		t.Fatalf("the link rewrote %d payload pointers, want %d", lied, len(envs))
 	}
 }

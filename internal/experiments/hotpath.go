@@ -184,8 +184,7 @@ func endorserTuples(env *block.Envelope) ([]verifyTuple, error) {
 		return nil, err
 	}
 	out = append(out, verifyTuple{pub: cpub, digest: fabcrypto.HashSlice(env.PayloadBytes), sig: env.Signature})
-	for i := range v.NumEndorsements() {
-		e := v.Endorsement(i)
+	for e := range v.Endorsements() {
 		epub, err := fabcrypto.PublicKeyFromCert(e.Endorser)
 		if err != nil {
 			return nil, err
@@ -467,8 +466,8 @@ func MeasureHotpath(e *Env, opts Options) (*HotpathRecord, error) {
 			return nil, err
 		}
 		creators = append(creators, fabcrypto.Message{A: env.PayloadBytes})
-		for k := range v.NumEndorsements() {
-			endorsements = append(endorsements, block.EndorsementMessage(v.ProposalResponseBytes(), v.Endorsement(k).Endorser))
+		for e := range v.Endorsements() {
+			endorsements = append(endorsements, block.EndorsementMessage(v.ProposalResponseBytes(), e.Endorser))
 		}
 	}
 	rangeMsgs := append(slices.Clip(creators), endorsements...)

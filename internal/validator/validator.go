@@ -282,8 +282,8 @@ func VSCC(envs []block.Envelope, txs []ParsedTx, flags []byte, policies map[stri
 			continue
 		}
 		sc.queue(pub, fabcrypto.Message{A: envs[i].PayloadBytes}, envs[i].Signature, i)
-		for k := range p.View.NumEndorsements() {
-			id, epub, _ := members.Resolve(p.View.Endorsement(k).Endorser) // bmaclint:allow errdiscard (a certificate that does not parse has a nil key: its endorsement is unverifiable)
+		for e := range p.View.Endorsements() {
+			id, epub, _ := members.Resolve(e.Endorser) // bmaclint:allow errdiscard (a certificate that does not parse has a nil key: its endorsement is unverifiable)
 			sc.ids, sc.pubs = append(sc.ids, id), append(sc.pubs, epub)
 		}
 		v := &sc.txs[i]
