@@ -804,22 +804,9 @@ func UnmarshalTransactionPayload(data []byte) (*Transaction, error) {
 		return nil, fmt.Errorf("%w: payload missing transaction data", ErrMalformed)
 	}
 
-	// Transaction -> first action.
-	tr := wire.NewReader(txData)
-	var actionBytes []byte
-	for {
-		num, wt, ok := tr.Next()
-		if !ok {
-			break
-		}
-		if num == fTxActions {
-			actionBytes = tr.Bytes()
-			break
-		}
-		tr.Skip(wt)
-	}
-	if err := tr.Err(); err != nil || actionBytes == nil {
-		return nil, fmt.Errorf("%w: transaction has no action", ErrMalformed)
+	actionBytes, err := firstAction(txData)
+	if err != nil {
+		return nil, err
 	}
 
 	ar := wire.NewReader(actionBytes)

@@ -102,6 +102,7 @@ func checkViewMatches(t *testing.T, payload []byte) {
 			t.Fatalf("endorsement %d differs", i)
 		}
 	}
+	checkIdentitiesMatch(t, payload, &v)
 	rw := &prp.Extension.Results
 	var reads []KVRead
 	for key, ver := range v.Reads() {
@@ -123,6 +124,75 @@ func checkViewMatches(t *testing.T, payload []byte) {
 		if writes[i].Key != rw.Writes[i].Key || !bytes.Equal(writes[i].Value, rw.Writes[i].Value) {
 			t.Fatalf("write %d: view %+v, decoded %+v", i, writes[i], rw.Writes[i])
 		}
+	}
+}
+
+// checkIdentitiesMatch holds AppendIdentities to the view v of payload:
+// it accepts, and returns the very fields Creator, ActionCreator and
+// Endorsements return, in that order.
+func checkIdentitiesMatch(t *testing.T, payload []byte, v *TxView) {
+	t.Helper()
+	ids, err := AppendIdentities(nil, payload)
+	if err != nil {
+		t.Fatalf("AppendIdentities rejects a payload the view accepts: %v", err)
+	}
+	want := [][]byte{v.Creator(), v.ActionCreator()}
+	for e := range v.Endorsements() {
+		want = append(want, e.Endorser)
+	}
+	if len(ids) != len(want) {
+		t.Fatalf("AppendIdentities found %d identities, the view %d", len(ids), len(want))
+	}
+	for i := range want {
+		if len(ids[i]) != len(want[i]) || len(ids[i]) > 0 && &ids[i][0] != &want[i][0] {
+			t.Fatalf("identity %d: AppendIdentities and the view read different fields", i)
+		}
+	}
+}
+
+// TestAppendIdentities checks the identity walk on a smallbank payload —
+// the creator, its copy in the action header and both endorsers, appended
+// after what dst holds, with no allocation once dst has room — and that it
+// accepts a payload whose proposal response NewTxView rejects, since it
+// never reads it.
+func TestAppendIdentities(t *testing.T) {
+	payload := smallbankPayload(t)
+	v, err := NewTxView(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := AppendIdentities([][]byte{[]byte("kept")}, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 5 || string(ids[0]) != "kept" || !bytes.Equal(ids[1], v.Creator()) || !bytes.Equal(ids[2], v.Creator()) ||
+		!bytes.Equal(ids[3], v.Endorsement(0).Endorser) || !bytes.Equal(ids[4], v.Endorsement(1).Endorser) {
+		t.Fatalf("AppendIdentities: %d entries, want kept, creator twice and two endorsers", len(ids))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if ids, err = AppendIdentities(ids[:0], payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendIdentities into a reused dst: %.1f allocations, want 0", allocs)
+	}
+
+	tx, err := UnmarshalTransactionPayload(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx.Payload.Action.ProposalResponseBytes = []byte{0xff}
+	broken := MarshalTransactionPayload(tx)
+	if _, err := NewTxView(broken); err == nil {
+		t.Fatal("NewTxView accepted a proposal response that does not parse")
+	}
+	got, err := AppendIdentities(nil, broken)
+	if err != nil || len(got) != 4 || !bytes.Equal(got[0], v.Creator()) || !bytes.Equal(got[3], v.Endorsement(1).Endorser) {
+		t.Fatalf("AppendIdentities on a broken proposal response: %d identities, %v", len(got), err)
+	}
+	if _, err := AppendIdentities(nil, payload[:len(payload)-1]); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("AppendIdentities on a truncated payload: %v, want ErrMalformed", err)
 	}
 }
 

@@ -31,7 +31,8 @@ func spanIn(sec, field []byte) span {
 // stripIdentities appends to dst the section sec with every one of the
 // given fields removed that holds a certificate the cache knows, and to locs
 // a locator for each (offsets into the ORIGINAL section, ascending).
-// Identities are located as fields — by the caller, through block.TxView —
+// Identities are located as fields — by the caller, through
+// block.AppendIdentities —
 // never by searching for their bytes: a certificate the cache does not know, or
 // one that sits anywhere but in an identity field, stays inline. Fields out
 // of ascending order mean a section no marshaller of ours produced; it is

@@ -287,8 +287,9 @@ func parseLocators(raw []byte, ids []identity.EncodedID) []Locator {
 
 // FuzzStripInsertRoundTrip fuzzes both directions of the byte boundary.
 // Sender: arbitrary bytes as an envelope payload never panic EncodeBlock,
-// a payload block.NewTxView rejects is sent unstripped, and what the
-// receiver re-inserts is the marshalled envelope. The receiver assembles
+// a payload block.AppendIdentities rejects is sent unstripped, one
+// block.NewTxView accepts has exactly the view's identity fields stripped,
+// and what the receiver re-inserts is the marshalled envelope. The receiver assembles
 // the block from the packets, and its FIFO entries are the fields
 // block.NewTxView reads, or one tx entry marked Malformed exactly when the
 // view rejects the payload (see checkReceived). Both halves append: after
@@ -343,19 +344,30 @@ func FuzzStripInsertRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, verr := block.NewTxView(decoded.PayloadBytes)
-		if verr != nil && (len(pkt.Locators) != 0 || !bytes.Equal(pkt.Payload, envBytes)) {
-			t.Fatalf("malformed payload was stripped: %d locators", len(pkt.Locators))
+		certs, ierr := block.AppendIdentities(nil, decoded.PayloadBytes)
+		if ierr != nil && (len(pkt.Locators) != 0 || !bytes.Equal(pkt.Payload, envBytes)) {
+			t.Fatalf("payload the identity walk rejects was stripped: %d locators", len(pkt.Locators))
+		}
+		var fields []span
+		for _, cert := range certs {
+			fields = append(fields, spanIn(envBytes, cert))
+		}
+		// The view is the walk's oracle: where it accepts, the walk finds
+		// the identity fields the view reads.
+		if v, err := block.NewTxView(decoded.PayloadBytes); err == nil {
+			want := []span{spanIn(envBytes, v.Creator()), spanIn(envBytes, v.ActionCreator())}
+			for e := range v.Endorsements() {
+				want = append(want, spanIn(envBytes, e.Endorser))
+			}
+			if ierr != nil || !slices.Equal(fields, want) {
+				t.Fatalf("identity walk %v (err %v), the view's fields %v", fields, ierr, want)
+			}
 		}
 		prefix := []byte("dst prefix")
 		dst := func() []byte { // room to spare for every other input
 			return append(make([]byte, 0, len(prefix)+len(data)%2*len(envBytes)), prefix...)
 		}
-		if verr == nil {
-			fields := []span{spanIn(envBytes, v.Creator()), spanIn(envBytes, v.ActionCreator())}
-			for e := range v.Endorsements() {
-				fields = append(fields, spanIn(envBytes, e.Endorser))
-			}
+		if ierr == nil {
 			stripped, locs := stripIdentities(dst(), []Locator{{Offset: 7, ID: 7}}, envBytes, fields, fx.sendCache)
 			if !bytes.Equal(stripped[:len(prefix)], prefix) || !bytes.Equal(stripped[len(prefix):], pkt.Payload) ||
 				locs[0] != (Locator{Offset: 7, ID: 7}) || !slices.Equal(locs[1:], pkt.Locators) {

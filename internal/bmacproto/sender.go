@@ -50,8 +50,8 @@ type SendStats struct {
 // Sender is the software half of the BMac protocol, called by the orderer
 // right before it hands a block to Gossip. It maintains the identity cache
 // in sync with the receiver. It keeps no envelope schema of its own: it
-// finds the identity fields it strips through block.TxView and the pointer
-// annotations through block.DecodeEnvelope.
+// finds the identity fields it strips through block.AppendIdentities and
+// the pointer annotations through block.DecodeEnvelope.
 type Sender struct {
 	cache *identity.Cache
 	sink  PacketSink
@@ -131,6 +131,7 @@ type encoder struct {
 	env, sec, pkt []byte // the marshalled section, its stripped bytes, the encoded packet
 	locs          []Locator
 	ptrs          []Pointer
+	ids           [][]byte
 	fields        []span
 }
 
@@ -188,8 +189,8 @@ func (s *Sender) encode(b *block.Block, emit func(p []byte) error) (SendStats, e
 
 	// Transaction sections: one envelope each, read through the block
 	// package: the pointer annotations from its envelope decode, the
-	// identity fields from block.TxView. An envelope the view rejects is
-	// sent as it is.
+	// identity fields from its identity walk. An envelope whose walk fails
+	// is sent as it is.
 	for i := range b.Envelopes {
 		env := block.AppendEnvelope(e.env[:0], &b.Envelopes[i])
 		e.env = env
@@ -209,10 +210,11 @@ func (s *Sender) encode(b *block.Block, emit func(p []byte) error) (SendStats, e
 			pkt.Pointers = append(pkt.Pointers, Pointer{Field: PtrEnvelopeSignature, Offset: uint32(sp.off), Length: uint32(sp.n)})
 		}
 		e.ptrs = pkt.Pointers
-		if v, err := block.NewTxView(decoded.PayloadBytes); err == nil {
-			e.fields = append(e.fields[:0], spanIn(env, v.Creator()), spanIn(env, v.ActionCreator()))
-			for end := range v.Endorsements() {
-				e.fields = append(e.fields, spanIn(env, end.Endorser))
+		var err error
+		if e.ids, err = block.AppendIdentities(e.ids[:0], decoded.PayloadBytes); err == nil {
+			e.fields = e.fields[:0]
+			for _, id := range e.ids {
+				e.fields = append(e.fields, spanIn(env, id))
 			}
 			e.sec, e.locs = stripIdentities(e.sec[:0], e.locs[:0], env, e.fields, s.cache)
 			pkt.Payload, pkt.Locators = e.sec, e.locs
