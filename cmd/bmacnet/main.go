@@ -357,7 +357,7 @@ func runCluster(cfg *bmac.Config, opts bmac.ClusterOptions, dir string) error {
 			case e.File != "":
 				fmt.Printf(" bit-rot in %s", e.File)
 			case e.NewLeader != "":
-				fmt.Printf(" orderer rebound to %s", e.NewLeader)
+				fmt.Printf(" new leader %s", e.NewLeader)
 			case e.Heals > 0:
 				fmt.Printf(" %d heal(s)", e.Heals)
 			case e.CorruptedFrames > 0:

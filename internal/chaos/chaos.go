@@ -28,8 +28,8 @@
 // Options.Adversary and the faults as the steps of a scripted scenario
 // (Options.Scenario): sever and heal drive a Switch, corrupt-frames a
 // Corrupter, slow-disk a DiskFault and corrupt-segment
-// CorruptSealedSegment; a kill-leader step stops the raft leader and
-// rebinds the orderer. The `adversarial` experiment asserts
+// CorruptSealedSegment; a kill-leader step stops the raft leader, and the
+// orderer follows the new one. The `adversarial` experiment asserts
 // the gates: invalid floods cannot degrade valid-tx TPS below a bound, and
 // every fault script ends with the fast peers converged bit-identical
 // (statedb.SnapshotHash equality).

@@ -8,19 +8,18 @@ import (
 
 	"bmac/internal/chaos"
 	"bmac/internal/delivery"
-	"bmac/internal/raft"
 	"bmac/internal/telemetry"
 )
 
 // Step actions. A peer action strikes a fast peer other than the observer;
-// kill-leader strikes the raft node the orderer is bound to.
+// kill-leader strikes the raft leader.
 const (
 	Kill           = "kill"            // close the peer's listener, drain its commit loop, close its ledger
 	CorruptSegment = "corrupt-segment" // flip a byte in a killed peer's oldest sealed ledger segment
 	Restart        = "restart"         // reopen a killed peer from checkpoint + ledger replay
 	Sever          = "sever"           // cut the peer's delivery link: sends and redials fail
 	Heal           = "heal"            // restore a severed link
-	KillLeader     = "kill-leader"     // stop the raft leader; done once the orderer is rebound to a new one
+	KillLeader     = "kill-leader"     // stop the raft leader; done at the first block after a new one is elected
 	CorruptFrames  = "corrupt-frames"  // bit-flip about every 7th gossip frame to the peer
 	SlowDisk       = "slow-disk"       // 1 ms per write and a transient error every 3rd under the peer's ledger
 )
@@ -172,7 +171,7 @@ type Event struct {
 	// height when any other step finished.
 	Fired, Done uint64
 	File        string // corrupt-segment: the sealed segment it damaged
-	NewLeader   string // kill-leader: the raft node the orderer was rebound to
+	NewLeader   string // kill-leader: the raft node that leads at the first block after the kill
 	// The counters of the instrument the step installed: the victim's
 	// switch, the corrupt-frames corrupter, the slow-disk shim.
 	Heals, CorruptedFrames, DiskWrites, DiskFaults int64
@@ -272,7 +271,7 @@ func (p *player) tick(over bool) (bool, error) {
 			}
 			p.events = append(p.events, e)
 		}
-		if done, err := p.act(s, len(p.events)-1); err != nil || !done {
+		if done, err := p.act(s, len(p.events)-1, over); err != nil || !done {
 			return false, err
 		}
 		p.fired = false
@@ -294,8 +293,8 @@ func (p *player) due(s Step) bool {
 }
 
 // act carries out the fired step of event ei and reports whether it has
-// finished.
-func (p *player) act(s Step, ei int) (bool, error) {
+// finished. over says the load is done and committed.
+func (p *player) act(s Step, ei int, over bool) (bool, error) {
 	e, v := &p.events[ei], s.Victim
 	e.Done = e.Fired
 	var err error
@@ -314,7 +313,7 @@ func (p *player) act(s Step, ei int) (bool, error) {
 	case Heal:
 		p.switches[v].Heal()
 	case KillLeader:
-		return p.killLeader(e), nil
+		return p.killLeader(e, over), nil
 	}
 	if err != nil {
 		return false, fmt.Errorf("cluster: %s %s: %w", s.Action, e.Victim, err)
@@ -322,24 +321,27 @@ func (p *player) act(s Step, ei int) (bool, error) {
 	return true, nil
 }
 
-// killLeader stops the raft node the orderer is bound to, then looks for
-// a new leader once per tick. A stopped node's status may still read
-// leader, so it is never a candidate. Until the rebind lands, the orderer
-// parks cut batches as pending and retries once per BatchTimeout; the
-// rebind re-proposes every cut-but-unapplied batch exactly once.
-func (p *player) killLeader(e *Event) bool {
-	rc, dead := p.stack.Raft, p.stack.Leader
-	if e.Victim == "" {
-		rc.Nodes[dead].Stop()
-		e.Victim = fmt.Sprintf("raft%d", dead)
+// killLeader stops the raft leader, then waits for a new one and for the
+// first block after its election (with the load over, for the election
+// alone). The orderer follows the new leader by itself.
+func (p *player) killLeader(e *Event, over bool) bool {
+	leader := p.stack.Raft.Nodes[0].Leader()
+	if leader == nil {
+		return false // the election is still running
 	}
-	for i, n := range rc.Nodes {
-		if _, state, _ := n.Status(); i != dead && state == raft.Leader && p.stack.Orderer.Rebind(n) == nil {
-			e.NewLeader, e.Done = fmt.Sprintf("raft%d", i), p.svc.Height()
-			return true
-		}
+	name := fmt.Sprintf("raft%d", slices.Index(p.stack.Raft.Nodes, leader))
+	switch {
+	case e.Victim == "":
+		leader.Stop()
+		e.Victim = name
+	case e.NewLeader == "":
+		e.NewLeader, e.Done = name, p.svc.Height()
+		return over
+	case p.svc.Height() > e.Done || over:
+		e.NewLeader, e.Done = name, p.svc.Height()
+		return true
 	}
-	return false // the election or the new leader is still settling
+	return false
 }
 
 // report reads the instruments' counters into the events of the steps

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"slices"
 	"time"
 
 	"bmac/internal/bmacproto"
@@ -22,7 +21,7 @@ import (
 
 // Stack is the part of a network that every harness wires the same way:
 // the consortium's identities, one endorser per declared endorsing peer, a
-// raft ordering service with the orderer bound to its leader and,
+// raft ordering service whose orderer follows its leader and,
 // optionally, a BMac peer fed over the protocol. Run and the root
 // package's testbed both build theirs with Build and add their own
 // validating peers and delivery on top.
@@ -31,9 +30,7 @@ type Stack struct {
 	Registry  *chaincode.Registry
 	Endorsers []*endorser.Endorser
 	Raft      *raft.Cluster
-	// Leader is the index in Raft.Nodes of the node the orderer is bound to.
-	Leader  int
-	Orderer *orderer.Orderer
+	Orderer   *orderer.Orderer
 	// BMacPeer and Sender are nil unless StackOptions.BMac is set.
 	BMacPeer *peer.BMacPeer
 	Sender   *bmacproto.Sender
@@ -83,7 +80,6 @@ func Build(cfg *config.Config, o StackOptions, dir string) (_ *Stack, err error)
 	if leader == nil {
 		return nil, errors.New("cluster: raft leader election timed out")
 	}
-	s.Leader = slices.Index(s.Raft.Nodes, leader)
 	s.Orderer = orderer.New(orderer.Config{
 		BatchSize:    cfg.Arch.MaxBlockTxs,
 		BatchTimeout: o.BatchTimeout,

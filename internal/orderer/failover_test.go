@@ -1,6 +1,7 @@
 package orderer
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -8,31 +9,10 @@ import (
 	"bmac/internal/raft"
 )
 
-// electNewLeader waits out the re-election after the node at killedIdx was
-// stopped. Cluster.WaitForLeader cannot be used: the stopped node's Status
-// may still read Leader.
-func electNewLeader(t *testing.T, c *raft.Cluster, killedIdx int) *raft.Node {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		for i, n := range c.Nodes {
-			if i == killedIdx {
-				continue
-			}
-			if _, state, _ := n.Status(); state == raft.Leader {
-				return n
-			}
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatal("no new leader elected after the kill")
-	return nil
-}
-
 // TestLeaderKillMidBatchExactlyOnce is the failover acceptance gate:
 // transactions submitted around a raft leader kill — some cut into batches,
-// some still pending — are committed exactly once after the orderer is
-// rebound to the newly elected leader. No silent loss, no duplicate commit.
+// some still pending — are committed exactly once after the orderer has
+// followed the newly elected leader. No silent loss, no duplicate commit.
 func TestLeaderKillMidBatchExactlyOnce(t *testing.T) {
 	f := newFixture(t)
 	c := raft.NewCluster(3, 25*time.Millisecond)
@@ -40,12 +20,6 @@ func TestLeaderKillMidBatchExactlyOnce(t *testing.T) {
 	leader := c.WaitForLeader(5 * time.Second)
 	if leader == nil {
 		t.Fatal("raft leader election timed out")
-	}
-	leaderIdx := -1
-	for i, n := range c.Nodes {
-		if n == leader {
-			leaderIdx = i
-		}
 	}
 
 	ord := New(Config{BatchSize: 4, BatchTimeout: 20 * time.Millisecond, Channel: "ch"}, f.ordID, leader)
@@ -76,21 +50,9 @@ func TestLeaderKillMidBatchExactlyOnce(t *testing.T) {
 	submit(6)
 	leader.Stop()
 	// Submissions keep arriving while the cluster is leaderless; the
-	// orderer parks them (ErrNotLeader/ErrStopped are transients) and the
-	// batch timer keeps retrying.
+	// orderer parks them and the batch timer retries until it finds the
+	// new leader.
 	submit(total - 6)
-
-	newLeader := electNewLeader(t, c, leaderIdx)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if err := ord.Rebind(newLeader); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("rebind never succeeded after re-election")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 
 	// Every submitted transaction commits exactly once.
 	seen := make(map[string]int, total)
@@ -129,12 +91,19 @@ func TestLeaderKillMidBatchExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestRebindDeduplicatesReproposedBatch pins the exactly-once machinery
+// followNow runs follow as a refused cut does, under cutMu.
+func (o *Orderer) followNow() bool {
+	o.cutMu.Lock()
+	defer o.cutMu.Unlock()
+	return o.follow()
+}
+
+// TestFollowDeduplicatesReproposedBatch pins the exactly-once machinery
 // directly: a cut-but-unapplied batch parked in the inflight map is
-// re-proposed by Rebind and committed; a second Rebind (the batch is
+// re-proposed by follow and committed; a second follow (the batch is
 // applied by then) must not commit it again, and neither must a raw
 // duplicate proposal of the same batch data.
-func TestRebindDeduplicatesReproposedBatch(t *testing.T) {
+func TestFollowDeduplicatesReproposedBatch(t *testing.T) {
 	f := newFixture(t)
 	leader := f.cluster.WaitForLeader(3 * time.Second)
 	ord := New(Config{BatchSize: 100, BatchTimeout: time.Hour, Channel: "ch"}, f.ordID, leader)
@@ -149,15 +118,15 @@ func TestRebindDeduplicatesReproposedBatch(t *testing.T) {
 	ord.inflight[7] = data
 	ord.mu.Unlock()
 
-	if err := ord.Rebind(leader); err != nil {
-		t.Fatalf("rebind: %v", err)
+	if !ord.followNow() {
+		t.Fatal("follow: the parked batch reached no leader")
 	}
 	col.wait(t, 1, 5*time.Second)
 
-	// Re-propose through a second rebind and a raw duplicate: both must
+	// Re-propose through a second follow and a raw duplicate: both must
 	// be absorbed by the applied-sequence dedup.
-	if err := ord.Rebind(leader); err != nil {
-		t.Fatalf("second rebind: %v", err)
+	if !ord.followNow() {
+		t.Fatal("second follow: no leader")
 	}
 	if err := leader.Propose(data); err != nil {
 		t.Fatalf("duplicate proposal: %v", err)
@@ -168,6 +137,78 @@ func TestRebindDeduplicatesReproposedBatch(t *testing.T) {
 	col.mu.Unlock()
 	if blocks != 1 {
 		t.Fatalf("%d blocks committed from one batch, want exactly 1", blocks)
+	}
+	if err := ord.Err(); err != nil {
+		t.Fatalf("orderer loop error: %v", err)
+	}
+}
+
+// TestDeposedLeaderIsFollowed deposes the bound leader without a kill: it is
+// cut off past an election and healed. Submissions afterwards must reach
+// the new leader through the orderer alone, each envelope exactly once.
+func TestDeposedLeaderIsFollowed(t *testing.T) {
+	f := newFixture(t)
+	c := raft.NewCluster(3, 20*time.Millisecond)
+	t.Cleanup(c.Stop)
+	leader := c.WaitForLeader(5 * time.Second)
+	if leader == nil {
+		t.Fatal("raft leader election timed out")
+	}
+	ord := New(Config{BatchSize: 4, BatchTimeout: 20 * time.Millisecond, Channel: "ch"}, f.ordID, leader)
+	defer ord.Stop()
+	col := newCollector()
+	ord.OnDeliver(col.deliver)
+
+	// Cut the leader off until the others have elected one of their own
+	// (at a higher term, so Leader returns it), then heal: the old leader
+	// steps down to follower, alive.
+	down := raft.NodeID(slices.Index(c.Nodes, leader))
+	c.Transport.SetDown(down, true)
+	for deadline := time.Now().Add(5 * time.Second); leader.Leader() == leader; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no election while the leader was cut off")
+		}
+	}
+	c.Transport.SetDown(down, false)
+
+	const total = 8
+	want := make(map[string]bool, total)
+	for i := 0; i < total; i++ {
+		env := f.envelope(t)
+		id, err := block.EnvelopeTxID(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id] = true
+		if err := ord.Submit(env); err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+	}
+	seen := make(map[string]int, total)
+	for n, deadline := 0, time.Now().Add(3*time.Second); n < total; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d/%d envelopes ordered in 3s after the heal", n, total)
+		}
+		col.mu.Lock()
+		blocks := slices.Clone(col.blocks)
+		col.mu.Unlock()
+		n = 0
+		clear(seen)
+		for _, b := range blocks {
+			for i := range b.Envelopes {
+				id, err := block.EnvelopeTxID(&b.Envelopes[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				seen[id]++
+				n++
+			}
+		}
+	}
+	for id, n := range seen {
+		if !want[id] || n != 1 {
+			t.Errorf("txid %s ordered %d times (submitted: %v)", id, n, want[id])
+		}
 	}
 	if err := ord.Err(); err != nil {
 		t.Fatalf("orderer loop error: %v", err)

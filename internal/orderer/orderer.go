@@ -17,12 +17,16 @@
 // rule waits for raft, not for the peers. At most one idle-cut batch is
 // ever unapplied, so the block rate is bounded by raft's round trip and by
 // the arrival rate.
+//
+// The orderer follows the raft leader by itself, as a Raft client does: it
+// re-proposes its unapplied batches where the leader is now, and a batch
+// that commits twice becomes one block.
 package orderer
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -91,23 +95,23 @@ type Orderer struct {
 	cutMu sync.Mutex
 
 	mu       sync.Mutex
-	raftNode *raft.Node // guarded by mu; swapped by Rebind after a leader kill
+	raftNode *raft.Node // guarded by mu; swapped by follow when another node leads
 	pending  []block.Envelope
-	oldest   time.Time // guarded by mu; when pending[0] arrived, or was requeued by a refused cut
-	refused  bool      // guarded by mu; raft refused the last cut (no leader): only the timeout retries
+	oldest   time.Time // guarded by mu; when pending[0] arrived, raft last refused a batch or, with none pending, the last cut
+	refused  bool      // guarded by mu; raft refused the last batch (no leader): only the timeout retries
 	delivery []DeliverFunc
 	height   uint64
 	prevHash []byte
 	blocks   int
 	txs      int
-	cuts     [CutReasons]int // guarded by mu; batches handed to raft, by reason
+	cuts     [CutReasons]int // guarded by mu; batches cut, by reason
 	fatalErr error
 
 	// Exactly-once accounting across leader failover: every cut batch is
 	// stamped with a sequence number; inflight holds cut-but-unapplied
-	// batches (re-proposed by Rebind), and the applied record says which
-	// batch sequences already became blocks (a new leader's apply channel
-	// replays the whole log, and a re-proposed batch may commit twice).
+	// batches (re-proposed by follow), and the applied record says which
+	// batch sequences already became blocks (a re-proposed batch may
+	// commit twice).
 	// Sequences apply almost in order, so the record is a high-water mark
 	// plus the few sequences applied ahead of it.
 	batchSeq  uint64              // guarded by mu; last assigned batch sequence
@@ -115,16 +119,17 @@ type Orderer struct {
 	appliedTo uint64              // guarded by mu; every batch seq <= appliedTo has been applied
 	applied   map[uint64]struct{} // guarded by mu; batch seqs > appliedTo applied out of order
 
-	wake   chan struct{} // the cut rules may have changed: pending went non-empty, a block left
-	rebind chan struct{} // the raft node was swapped: re-read it
-	stop   chan struct{}
-	done   chan struct{}
-	wg     sync.WaitGroup
+	wake  chan struct{} // the cut rules may have changed: pending went non-empty, a block left
+	moved chan struct{} // follow swapped the raft node: read the new node's log
+	stop  chan struct{}
+	done  chan struct{}
+	wg    sync.WaitGroup
 }
 
 // New creates an orderer bound to a raft node and starts its batching and
 // delivery loops. The raft node must be started by the caller (it may be a
-// single-node "solo-like" cluster, as in the paper's experiments).
+// single-node "solo-like" cluster, as in the paper's experiments); the
+// orderer moves to another node of its cluster when that one leads.
 func New(cfg Config, id *identity.Identity, raftNode *raft.Node) *Orderer {
 	o := &Orderer{
 		cfg:      cfg.withDefaults(),
@@ -133,7 +138,7 @@ func New(cfg Config, id *identity.Identity, raftNode *raft.Node) *Orderer {
 		inflight: make(map[uint64][]byte),
 		applied:  make(map[uint64]struct{}),
 		wake:     make(chan struct{}, 1),
-		rebind:   make(chan struct{}, 1),
+		moved:    make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -173,21 +178,11 @@ func (o *Orderer) Submit(env *block.Envelope) error {
 	case n >= o.cfg.BatchSize:
 		// A full batch goes out at once, whatever is still in flight: an
 		// overloaded orderer emits full blocks back to back.
-		if err := o.cut(CutSize); err != nil && !transient(err) {
-			return err
-		}
+		o.cut(CutSize)
 	case n == 1:
 		o.signal()
 	}
 	return nil
-}
-
-// transient reports a cut failure that is an interval, not a fault: a
-// leaderless raft cluster (election in progress after a leader kill, or a
-// follower's orderer) and a node stopping under the orderer. The batch
-// stays queued or parked and the timeout cut retries it.
-func transient(err error) bool {
-	return errors.Is(err, raft.ErrNotLeader) || errors.Is(err, raft.ErrStopped)
 }
 
 // signal wakes cutLoop to re-evaluate the cut rules.
@@ -202,76 +197,104 @@ func (o *Orderer) signal() {
 // is stamped with a fresh sequence number and tracked as inflight until
 // its block is created — Propose returns at leader-log acceptance, not
 // commit, so a leader killed in between would otherwise lose the batch
-// silently.
-func (o *Orderer) cut(reason CutReason) error {
+// silently. After a refusal, or once the bound node no longer leads, the
+// parked batches go to the leader first (follow); with no leader the cut
+// is refused again, and only the timeout rule retries it.
+func (o *Orderer) cut(reason CutReason) {
 	o.cutMu.Lock()
 	defer o.cutMu.Unlock()
 	o.mu.Lock()
+	node, refused := o.raftNode, o.refused
+	o.mu.Unlock()
+	if (refused || node.Leader() != node) && !o.follow() {
+		o.refuse()
+		return
+	}
+	o.mu.Lock()
+	o.refused = false
+	if len(o.pending) == 0 {
+		o.oldest = time.Now() // the parked batches' clock: look at them again in BatchTimeout
+	}
 	// A size cut re-checks its rule: between Submit seeing the batch full
 	// and getting here, the cut loop may have taken it and left only what
 	// arrived since.
 	if len(o.pending) == 0 || (reason == CutSize && len(o.pending) < o.cfg.BatchSize) {
 		o.mu.Unlock()
-		return nil
+		return
 	}
 	batch := o.pending
 	o.pending = nil
 	o.batchSeq++
 	seq := o.batchSeq
-	node := o.raftNode
+	o.cuts[reason]++
+	node = o.raftNode
 	o.mu.Unlock()
 
 	data := marshalBatch(batch, seq)
 	o.mu.Lock()
 	o.inflight[seq] = data
 	o.mu.Unlock()
-	if err := node.Propose(data); err != nil {
-		if errors.Is(err, raft.ErrNotLeader) {
-			// A follower rejects the proposal before touching its log,
-			// so the batch definitely did not land: requeue the
-			// envelopes, hand the sequence number back (no gap for the
-			// applied record) and let a later cut re-batch them. Their
-			// wait starts over and the idle rule stands down until raft
-			// takes a batch again — with nothing in flight it would
-			// otherwise re-propose at once, in a spin, for the whole
-			// election.
-			o.mu.Lock()
-			delete(o.inflight, seq)
-			o.batchSeq--
-			o.pending = append(batch, o.pending...)
-			o.oldest = time.Now()
-			o.refused = true
-			o.mu.Unlock()
-			o.signal()
-			return fmt.Errorf("order batch: %w", err)
-		}
-		// ErrStopped is ambiguous: the node may have appended and
-		// replicated the entry before the stop was observed (Propose's
-		// response select races the stop channel). Re-batching these
-		// envelopes under a fresh sequence could then commit them
-		// twice — the applied-seq dedup only catches same-seq
-		// re-proposals. Keep the batch parked in inflight under its
-		// original seq: Rebind re-proposes the identical bytes, and if
-		// the orderer was rebound while this propose was failing, retry
-		// on the new node here (a duplicate re-propose is harmless —
-		// same seq, so createBlock applies it once).
-		o.mu.Lock()
-		cur := o.raftNode
+	if node.Propose(data) != nil {
+		// The batch stays parked under its sequence, and follow
+		// re-proposes the identical bytes: a refusal with ErrStopped is
+		// ambiguous (the node may have replicated the entry before the
+		// stop was observed), and a batch that commits twice under one
+		// sequence becomes one block.
+		o.refuse()
+	}
+}
+
+// follow binds the orderer to the raft node that leads now and
+// re-proposes every parked (cut-but-unapplied) batch through it, in
+// sequence order. It reports whether they all reached a leader's log.
+func (o *Orderer) follow() bool {
+	o.mu.Lock()
+	leader := o.raftNode.Leader()
+	if leader == nil {
 		o.mu.Unlock()
-		if cur == node || cur.Propose(data) != nil {
-			return fmt.Errorf("order batch: %w", err)
+		return false
+	}
+	if leader != o.raftNode {
+		o.raftNode = leader
+		select {
+		case o.moved <- struct{}{}:
+		default:
 		}
 	}
-	o.mu.Lock()
-	o.refused = false
-	o.cuts[reason]++
+	seqs := make([]uint64, 0, len(o.inflight))
+	for seq := range o.inflight {
+		seqs = append(seqs, seq)
+	}
 	o.mu.Unlock()
-	return nil
+	slices.Sort(seqs)
+	for _, seq := range seqs {
+		o.mu.Lock()
+		data, ok := o.inflight[seq]
+		o.mu.Unlock()
+		if ok && leader.Propose(data) != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// refuse records that raft took no batch: the idle rule stands down and
+// the timeout rule retries, BatchTimeout from now. With nothing in flight
+// the idle rule would otherwise re-propose at once, in a spin, for the
+// whole election.
+func (o *Orderer) refuse() {
+	o.mu.Lock()
+	o.refused = true
+	o.oldest = time.Now()
+	o.mu.Unlock()
+	o.signal()
 }
 
 // cutLoop closes partial batches. It sleeps until something changes what
 // the rules say — the first envelope of a batch, a block leaving, a refused
-// cut — and holds a timer only while a batch is waiting behind something.
+// cut — and holds a timer only while a batch is waiting behind something
+// or parked: a batch in flight for BatchTimeout is looked at again by a
+// timeout cut, which moves it to the leader if its node no longer leads.
 func (o *Orderer) cutLoop() {
 	defer o.wg.Done()
 	timer := time.NewTimer(o.cfg.BatchTimeout)
@@ -280,22 +303,20 @@ func (o *Orderer) cutLoop() {
 		timer.Stop() // armed below, only while a batch waits
 		o.mu.Lock()
 		waiting := len(o.pending) > 0
+		parked := len(o.inflight) > 0
 		left := time.Until(o.oldest.Add(o.cfg.BatchTimeout))
-		idle := len(o.inflight) == 0 && !o.refused
+		idle := !parked && !o.refused
 		o.mu.Unlock()
-		if waiting && (idle || left <= 0) {
-			reason := CutIdle
-			if left <= 0 {
-				reason = CutTimeout
-			}
-			if err := o.cut(reason); err != nil && !transient(err) {
-				o.fail(err)
-				return
-			}
+		if (waiting || parked) && left <= 0 {
+			o.cut(CutTimeout)
+			continue
+		}
+		if waiting && idle {
+			o.cut(CutIdle)
 			continue
 		}
 		var expired <-chan time.Time
-		if waiting {
+		if waiting || parked {
 			timer.Reset(left)
 			expired = timer.C
 		}
@@ -308,63 +329,36 @@ func (o *Orderer) cutLoop() {
 	}
 }
 
+// applyLoop turns the bound node's committed entries into blocks. Its log
+// index carries over when follow moves the orderer to another node.
 func (o *Orderer) applyLoop() {
 	defer o.wg.Done()
+	cursor := 0 // the log index of the last entry taken
 	for {
 		o.mu.Lock()
 		node := o.raftNode
 		o.mu.Unlock()
-		select {
-		case <-o.stop:
-			return
-		case <-o.rebind:
-			// Rebind swapped the raft node: re-read it and drain the new
-			// node's apply channel from here on.
-			continue
-		case entry := <-node.Apply():
-			if err := o.createBlock(entry.Data); err != nil {
+		entries, more := node.Committed(cursor)
+		for _, e := range entries {
+			if err := o.createBlock(e.Data); err != nil {
 				// A delivery-hook or decode failure is fatal for this
 				// node: record it so Err/Stop surface it instead of the
 				// node dying silently.
 				o.fail(err)
 				return
 			}
+			cursor = e.Index
+		}
+		if len(entries) > 0 {
+			continue
+		}
+		select {
+		case <-o.stop:
+			return
+		case <-o.moved:
+		case <-more:
 		}
 	}
-}
-
-// Rebind switches the orderer to a new raft node — the failover step after
-// its original node was killed — and re-proposes every cut-but-unapplied
-// batch through it, in sequence order. Re-proposing a batch that the old
-// leader did manage to replicate is safe: batch-sequence deduplication in
-// createBlock commits each batch exactly once. Callers pass the cluster's
-// newly elected leader; ErrNotLeader (election still settling) is returned
-// so the caller can retry.
-func (o *Orderer) Rebind(n *raft.Node) error {
-	o.mu.Lock()
-	o.raftNode = n
-	seqs := make([]uint64, 0, len(o.inflight))
-	for seq := range o.inflight {
-		seqs = append(seqs, seq)
-	}
-	o.mu.Unlock()
-	select {
-	case o.rebind <- struct{}{}:
-	default:
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, seq := range seqs {
-		o.mu.Lock()
-		data, ok := o.inflight[seq]
-		o.mu.Unlock()
-		if !ok {
-			continue // applied while we were re-proposing
-		}
-		if err := n.Propose(data); err != nil {
-			return fmt.Errorf("orderer: re-propose batch %d: %w", seq, err)
-		}
-	}
-	return nil
 }
 
 // fail records the first fatal loop error.
@@ -385,9 +379,8 @@ func (o *Orderer) Err() error {
 }
 
 // createBlock turns one committed raft entry (a batch) into the next
-// block. A batch sequence seen before is skipped: after a failover the new
-// leader's apply channel replays the whole log, and a re-proposed batch
-// may legitimately commit twice — deduplication here is what makes the
+// block. A batch sequence seen before is skipped: a re-proposed batch may
+// legitimately commit twice — deduplication here is what makes the
 // pipeline exactly-once.
 func (o *Orderer) createBlock(batchData []byte) error {
 	envs, seq, err := unmarshalBatch(batchData)
@@ -456,7 +449,8 @@ func (o *Orderer) Stats() (blocks, txs int) {
 	return o.blocks, o.txs
 }
 
-// Cuts reports how many batches this node handed to raft under each rule.
+// Cuts reports how many batches this node cut under each rule; a batch
+// raft refused counts once, however often it is re-proposed.
 // Timeout cuts are a symptom: raft had no leader, or an earlier block was
 // stuck on its way out.
 func (o *Orderer) Cuts() (size, idle, timeout int) {

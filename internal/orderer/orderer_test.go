@@ -3,6 +3,7 @@ package orderer
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -143,8 +144,8 @@ func (g *gate) shut(t *testing.T, f *fixture, o *Orderer) {
 	}
 }
 
-// wantCuts waits for the orderer's cut counts: a cut is counted when
-// Propose returns, which can trail the block it produced.
+// wantCuts waits for the orderer's cut counts: a cut is counted when the
+// batch is taken, which can trail a check made right after Submit.
 func wantCuts(t *testing.T, o *Orderer, size, idle, timeout int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -307,27 +308,27 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTimeoutBoundsLeaderlessWait: while raft refuses proposals (the orderer
-// is bound to a follower, as during an election) the idle rule stands down
-// and the cut is retried once per BatchTimeout, not in a spin; once the
-// orderer is rebound to the leader every envelope is ordered exactly once.
+// TestTimeoutBoundsLeaderlessWait: while raft has no leader (its leader is
+// stopped and one of the two others cut off) the idle rule stands down and
+// the cut is retried once per BatchTimeout, not in a spin; once the cluster
+// heals and elects a leader every envelope is ordered exactly once.
 func TestTimeoutBoundsLeaderlessWait(t *testing.T) {
 	f := newFixture(t)
-	// A long election timeout: leadership must not move while the test
-	// leans on one node being a follower, however loaded the host is.
 	c := raft.NewCluster(3, 200*time.Millisecond)
 	t.Cleanup(c.Stop)
 	leader := c.WaitForLeader(5 * time.Second)
 	if leader == nil {
 		t.Fatal("raft leader election timed out")
 	}
-	var follower *raft.Node
+	var followers []*raft.Node
 	for _, n := range c.Nodes {
 		if n != leader {
-			follower = n
-			break
+			followers = append(followers, n)
 		}
 	}
+	leader.Stop()
+	c.Transport.SetDown(raft.NodeID(slices.Index(c.Nodes, followers[1])), true)
+	follower := followers[0]
 	const timeout = 20 * time.Millisecond
 	o := New(Config{BatchSize: 100, BatchTimeout: timeout, Channel: "ch"}, f.ordID, follower)
 	defer o.Stop()
@@ -347,8 +348,8 @@ func TestTimeoutBoundsLeaderlessWait(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Every refused proposal restarts the batch's wait, so the distinct
-	// values of oldest are the proposals made; a sampler that runs late can
+	// Every refused attempt restarts the batch's wait, so the distinct
+	// values of oldest are the attempts made; a sampler that runs late can
 	// only miss some, which widens the gaps it sees.
 	var restarts []time.Time
 	for end := time.Now().Add(12 * timeout); time.Now().Before(end); time.Sleep(500 * time.Microsecond) {
@@ -371,9 +372,7 @@ func TestTimeoutBoundsLeaderlessWait(t *testing.T) {
 		t.Fatalf("%d blocks from a leaderless orderer", nb)
 	}
 
-	if err := o.Rebind(leader); err != nil {
-		t.Fatalf("rebind: %v", err)
-	}
+	c.Transport.Heal()
 	seen := make(map[string]int, total)
 	for n := 0; n < total; {
 		blocks := col.wait(t, 1, 5*time.Second)
@@ -398,7 +397,7 @@ func TestTimeoutBoundsLeaderlessWait(t *testing.T) {
 			t.Errorf("txid %s ordered %d times (submitted: %v)", id, n, want[id])
 		}
 	}
-	// The requeued envelopes went out on the timeout rule, in one batch.
+	// The waiting envelopes went out on the timeout rule, in one batch.
 	wantCuts(t, o, 0, 0, 1)
 	if err := o.Err(); err != nil {
 		t.Fatalf("orderer loop error: %v", err)

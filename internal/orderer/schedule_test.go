@@ -20,7 +20,7 @@ var (
 
 // TestRandomSchedule drives the cut policy through seeded random schedules —
 // concurrent submitters sending bursts, a delivery hook that stalls, one
-// Rebind in mid-run — and checks what must hold whatever the slicing: every
+// follow in mid-run — and checks what must hold whatever the slicing: every
 // envelope lands in exactly one block, each submitter's envelopes keep their
 // order, and outside failover never more than one partial (idle-cut) batch
 // is on its way out at a time. BatchTimeout is an hour, so the clock cuts
@@ -126,7 +126,7 @@ func runSchedule(f *fixture, pool []*block.Envelope, ids map[string]int, seed in
 	})
 
 	// Submitter s sends pool[s], pool[s+submitters], ... in bursts.
-	rebindAt := rng.Intn(total)
+	followAt := rng.Intn(total)
 	var wg sync.WaitGroup
 	errs := make(chan error, submitters+1)
 	for s := 0; s < submitters; s++ {
@@ -146,11 +146,9 @@ func runSchedule(f *fixture, pool []*block.Envelope, ids map[string]int, seed in
 					return
 				}
 				check()
-				if i == rebindAt {
-					if err := o.Rebind(leader); err != nil {
-						errs <- fmt.Errorf("rebind: %w", err)
-						return
-					}
+				if i == followAt && !o.followNow() {
+					errs <- errors.New("follow: the parked batches reached no leader")
+					return
 				}
 			}
 		}(s)

@@ -30,9 +30,8 @@ func (t *LocalTransport) Register(id NodeID, n *Node) {
 	t.nodes[id] = n
 }
 
-var _ Transport = (*LocalTransport)(nil)
-
-// Send implements Transport.
+// Send delivers msg to its target, unless a partition or a downed node
+// drops it.
 func (t *LocalTransport) Send(msg Message) {
 	t.mu.RLock()
 	target := t.nodes[msg.To]
@@ -99,14 +98,10 @@ func NewCluster(n int, electionTimeout time.Duration) *Cluster {
 // WaitForLeader blocks until some node is leader, returning it (nil on
 // timeout).
 func (c *Cluster) WaitForLeader(timeout time.Duration) *Node {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		for _, n := range c.Nodes {
-			if _, state, _ := n.Status(); state == Leader {
-				return n
-			}
+	for deadline := time.Now().Add(timeout); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+		if leader := c.Nodes[0].Leader(); leader != nil {
+			return leader
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
 	return nil
 }

@@ -7,6 +7,8 @@
 // leader election, log replication with consistency checks, and commitment
 // by majority match. Snapshots and membership changes are out of scope, as
 // they are for the paper's single-orderer evaluation setup.
+// A node publishes its committed prefix (Committed) and never waits for a
+// reader; a client finds the node to propose to with Leader.
 package raft
 
 import (
@@ -87,12 +89,6 @@ type Message struct {
 	MatchIndex int
 }
 
-// Transport delivers messages between nodes. Implementations may drop or
-// delay messages (Raft tolerates both).
-type Transport interface {
-	Send(msg Message)
-}
-
 // Config parameterizes a node.
 type Config struct {
 	ID    NodeID
@@ -132,27 +128,27 @@ type proposal struct {
 }
 
 // Node is one Raft participant. Create with NewNode, feed incoming messages
-// with Step, and consume committed entries from Apply().
+// with Step, and read committed entries with Committed.
 type Node struct {
 	cfg       Config
-	transport Transport
+	transport *LocalTransport
 
 	inbox   chan Message
 	propose chan proposal
-	applyCh chan Entry
 	stopCh  chan struct{}
 	doneCh  chan struct{}
 
-	mu     sync.Mutex // guards the observable state below
-	state  State      // guarded by mu
-	term   uint64     // guarded by mu
-	leader NodeID     // guarded by mu
+	mu        sync.Mutex    // guards the observable state below
+	state     State         // guarded by mu
+	term      uint64        // guarded by mu
+	leader    NodeID        // guarded by mu
+	committed []Entry       // guarded by mu; log[:commitIndex+1], which is never rewritten
+	commitCh  chan struct{} // guarded by mu; closed at the next commit
 
 	// raft state, owned by the run goroutine
 	votedFor     NodeID
 	log          []Entry // log[0] unused; 1-based indexing
 	commitIndex  int
-	lastApplied  int
 	nextIndex    map[NodeID]int
 	matchIndex   map[NodeID]int
 	votes        map[NodeID]bool
@@ -162,14 +158,14 @@ type Node struct {
 }
 
 // NewNode creates and starts a node.
-func NewNode(cfg Config, transport Transport) *Node {
+func NewNode(cfg Config, transport *LocalTransport) *Node {
 	c := cfg.withDefaults()
 	n := &Node{
 		cfg:       c,
 		transport: transport,
 		inbox:     make(chan Message, 256),
 		propose:   make(chan proposal),
-		applyCh:   make(chan Entry, 256),
+		commitCh:  make(chan struct{}),
 		stopCh:    make(chan struct{}),
 		doneCh:    make(chan struct{}),
 		state:     Follower,
@@ -193,8 +189,30 @@ func (n *Node) Step(msg Message) {
 	}
 }
 
-// Apply returns the channel of committed entries, in log order.
-func (n *Node) Apply() <-chan Entry { return n.applyCh }
+// Committed returns the committed entries after log index from, in log
+// order, and a channel that is closed at the next commit. Committed entries
+// are the same on every node, so a reader may move its index from one node
+// to another.
+func (n *Node) Committed(from int) ([]Entry, <-chan struct{}) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.committed[min(from+1, len(n.committed)):], n.commitCh
+}
+
+// Leader returns the node on this node's transport that leads at the
+// highest term, or nil while none leads. A deposed leader that has not
+// heard of its successor yet still leads, at its older term.
+func (n *Node) Leader() (leader *Node) {
+	n.transport.mu.RLock()
+	defer n.transport.mu.RUnlock()
+	var top uint64
+	for _, peer := range n.transport.nodes {
+		if term, state, _ := peer.Status(); state == Leader && term > top {
+			leader, top = peer, term
+		}
+	}
+	return leader
+}
 
 // Propose submits data for replication. It blocks until the entry has been
 // accepted into the leader's log (not until commit) and fails with
@@ -221,7 +239,8 @@ func (n *Node) Status() (term uint64, state State, leader NodeID) {
 	return n.term, n.state, n.leader
 }
 
-// Stop terminates the node's goroutine.
+// Stop terminates the node's goroutine and gives up its leadership, so a
+// stopped node is never its cluster's leader.
 func (n *Node) Stop() {
 	select {
 	case <-n.stopCh:
@@ -230,6 +249,7 @@ func (n *Node) Stop() {
 	}
 	close(n.stopCh)
 	<-n.doneCh
+	n.setState(Follower, n.curTerm(), None)
 }
 
 func (n *Node) run() {
@@ -429,7 +449,7 @@ func (n *Node) handleAppendEntries(msg Message) {
 	}
 	if msg.LeaderCommit > n.commitIndex {
 		n.commitIndex = min(msg.LeaderCommit, n.lastLogIndex())
-		n.applyCommitted()
+		n.publishCommitted()
 	}
 	resp.Success = true
 	resp.MatchIndex = msg.PrevLogIndex + len(msg.Entries)
@@ -471,22 +491,21 @@ func (n *Node) maybeCommit() {
 		}
 		if n.hasQuorum(count) {
 			n.commitIndex = idx
-			n.applyCommitted()
+			n.publishCommitted()
 			break
 		}
 	}
 }
 
-func (n *Node) applyCommitted() {
-	for n.lastApplied < n.commitIndex {
-		n.lastApplied++
-		entry := n.log[n.lastApplied]
-		select {
-		case n.applyCh <- entry:
-		case <-n.stopCh:
-			return
-		}
-	}
+// publishCommitted makes the committed prefix readable and wakes its
+// readers. Raft never rewrites a committed entry, so the run goroutine's
+// later appends and truncations leave the published prefix alone.
+func (n *Node) publishCommitted() {
+	n.mu.Lock()
+	n.committed = n.log[:n.commitIndex+1]
+	close(n.commitCh)
+	n.commitCh = make(chan struct{})
+	n.mu.Unlock()
 }
 
 func (n *Node) broadcastAppend() {
@@ -541,11 +560,4 @@ func (n *Node) handlePropose(p proposal) {
 		n.broadcastAppend()
 	}
 	p.resp <- nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

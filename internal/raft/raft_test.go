@@ -9,6 +9,24 @@ import (
 
 const testTimeout = 30 * time.Millisecond
 
+// waitCommitted waits until n has committed at least count entries and
+// returns its committed log.
+func waitCommitted(t *testing.T, n *Node, count int, timeout time.Duration) []Entry {
+	t.Helper()
+	deadline := time.After(timeout)
+	for {
+		entries, more := n.Committed(0)
+		if len(entries) >= count {
+			return entries
+		}
+		select {
+		case <-more:
+		case <-deadline:
+			t.Fatalf("node %d committed %d entries in %v, want %d", n.cfg.ID, len(entries), timeout, count)
+		}
+	}
+}
+
 func TestSingleNodeBecomesLeader(t *testing.T) {
 	c := NewCluster(1, testTimeout)
 	defer c.Stop()
@@ -28,13 +46,8 @@ func TestSingleNodeCommits(t *testing.T) {
 	if err := leader.Propose([]byte("batch-1")); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case e := <-leader.Apply():
-		if string(e.Data) != "batch-1" || e.Index != 1 {
-			t.Errorf("entry = %+v", e)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("entry never committed")
+	if e := waitCommitted(t, leader, 1, 2*time.Second)[0]; string(e.Data) != "batch-1" || e.Index != 1 {
+		t.Errorf("entry = %+v", e)
 	}
 }
 
@@ -80,17 +93,42 @@ func TestReplicationToAllNodes(t *testing.T) {
 		}
 	}
 	for ni, n := range c.Nodes {
-		for i := 0; i < entries; i++ {
-			select {
-			case e := <-n.Apply():
-				want := fmt.Sprintf("entry-%d", i)
-				if string(e.Data) != want {
-					t.Errorf("node %d entry %d = %q, want %q", ni, i, e.Data, want)
-				}
-			case <-time.After(3 * time.Second):
-				t.Fatalf("node %d: entry %d never applied", ni, i)
+		for i, e := range waitCommitted(t, n, entries, 3*time.Second) {
+			want := fmt.Sprintf("entry-%d", i)
+			if string(e.Data) != want {
+				t.Errorf("node %d entry %d = %q, want %q", ni, i, e.Data, want)
 			}
 		}
+	}
+}
+
+// TestLeaderOnlyReaderKeepsCommitting reads the leader's committed log and
+// nobody else's: the followers' unread logs must not hold up replication.
+func TestLeaderOnlyReaderKeepsCommitting(t *testing.T) {
+	c := NewCluster(3, testTimeout)
+	defer c.Stop()
+	leader := c.WaitForLeader(3 * time.Second)
+	if leader == nil {
+		t.Fatal("no leader")
+	}
+	const entries = 600
+	proposed := make(chan error, 1)
+	go func() {
+		for i := 0; i < entries; i++ {
+			if err := leader.Propose([]byte(fmt.Sprintf("entry-%d", i))); err != nil {
+				proposed <- fmt.Errorf("propose %d: %w", i, err)
+				return
+			}
+		}
+		proposed <- nil
+	}()
+	for i, e := range waitCommitted(t, leader, entries, 10*time.Second) {
+		if want := fmt.Sprintf("entry-%d", i); string(e.Data) != want {
+			t.Fatalf("entry %d = %q, want %q", i, e.Data, want)
+		}
+	}
+	if err := <-proposed; err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -123,36 +161,40 @@ func TestLeaderFailureTriggersReelection(t *testing.T) {
 	oldTerm, _, _ := leader.Status()
 	c.Transport.SetDown(oldID, true)
 
+	// The cut-off leader still reads leader, at its old term: Leader picks
+	// the one at the highest term.
 	deadline := time.Now().Add(5 * time.Second)
-	var newLeader *Node
-	for time.Now().Before(deadline) {
-		for _, n := range c.Nodes {
-			if n.cfg.ID == oldID {
-				continue
-			}
-			if term, state, _ := n.Status(); state == Leader && term > oldTerm {
-				newLeader = n
-			}
-		}
-		if newLeader != nil {
-			break
-		}
+	newLeader := leader.Leader()
+	for ; newLeader == leader && time.Now().Before(deadline); newLeader = leader.Leader() {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if newLeader == nil {
+	if newLeader == leader || newLeader == nil {
 		t.Fatal("no new leader after failure")
+	}
+	if term, _, _ := newLeader.Status(); term <= oldTerm {
+		t.Fatalf("new leader at term %d, the old one led at %d", term, oldTerm)
 	}
 	// New leader can still commit (2/3 quorum).
 	if err := newLeader.Propose([]byte("after-failover")); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case e := <-newLeader.Apply():
-		if string(e.Data) != "after-failover" {
-			t.Errorf("entry = %q", e.Data)
-		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("post-failover entry never committed")
+	if e := waitCommitted(t, newLeader, 1, 3*time.Second)[0]; string(e.Data) != "after-failover" {
+		t.Errorf("entry = %q", e.Data)
+	}
+}
+
+// TestStoppedLeaderIsNoLeader: Stop gives up leadership, so Leader never
+// returns a stopped node, and a one-node cluster has no leader after it.
+func TestStoppedLeaderIsNoLeader(t *testing.T) {
+	c := NewCluster(1, testTimeout)
+	defer c.Stop()
+	leader := c.WaitForLeader(2 * time.Second)
+	if leader == nil {
+		t.Fatal("no leader")
+	}
+	leader.Stop()
+	if l := leader.Leader(); l != nil {
+		t.Fatalf("Leader() = node %d after its stop", l.cfg.ID)
 	}
 }
 
@@ -180,26 +222,15 @@ func TestHealedPartitionConverges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Drain on the leader to confirm commit.
-	for i := 0; i < 3; i++ {
-		select {
-		case <-leader.Apply():
-		case <-time.After(3 * time.Second):
-			t.Fatal("majority commit stalled")
-		}
-	}
+	// Read the leader's log to confirm commit.
+	waitCommitted(t, leader, 3, 3*time.Second)
 
 	c.Transport.SetDown(isolated.cfg.ID, false)
 	// The isolated node catches up.
-	for i := 0; i < 3; i++ {
-		select {
-		case e := <-isolated.Apply():
-			want := fmt.Sprintf("e%d", i)
-			if string(e.Data) != want {
-				t.Errorf("catch-up entry %d = %q", i, e.Data)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("isolated node never caught up (entry %d)", i)
+	for i, e := range waitCommitted(t, isolated, 3, 5*time.Second) {
+		want := fmt.Sprintf("e%d", i)
+		if string(e.Data) != want {
+			t.Errorf("catch-up entry %d = %q", i, e.Data)
 		}
 	}
 }
@@ -214,22 +245,24 @@ func TestFiveNodeClusterCommits(t *testing.T) {
 	if err := leader.Propose([]byte("five")); err != nil {
 		t.Fatal(err)
 	}
-	committed := 0
-	deadline := time.After(3 * time.Second)
-	for committed < 5 {
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		committed := 0
 		for _, n := range c.Nodes {
-			select {
-			case <-n.Apply():
+			if entries, _ := n.Committed(0); len(entries) > 0 {
 				committed++
-			case <-deadline:
-				// Quorum (3) is enough for correctness; all 5 should
-				// arrive shortly after, but don't flake on stragglers.
-				if committed >= 3 {
-					return
-				}
-				t.Fatalf("only %d nodes applied", committed)
-			default:
 			}
+		}
+		if committed == len(c.Nodes) {
+			return
+		}
+		if time.Now().After(deadline) {
+			// Quorum (3) is enough for correctness; all 5 should
+			// arrive shortly after, but don't flake on stragglers.
+			if committed >= 3 {
+				return
+			}
+			t.Fatalf("only %d nodes applied", committed)
 		}
 		time.Sleep(time.Millisecond)
 	}
